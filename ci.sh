@@ -179,8 +179,8 @@ else
     echo "    tmpfs mount unavailable; skipped"
 fi
 
-echo "==> decide-path budget: fresh measurement vs committed BENCH_decide.json"
-./target/release/bench_decide --out target/ci-bench-decide.json --check BENCH_decide.json
+echo "==> benchmark package: spec <-> BENCHMARK.json check and lane unit tests"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

@@ -13,6 +13,7 @@
 //! report telemetry without locks.
 
 use crate::selfheal::{DriftMonitor, DriftPolicy, Watchdog, WatchdogPolicy};
+use easched_telemetry::counters;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 /// Tunable fault-handling policy, carried by
@@ -40,270 +41,74 @@ impl Default for FaultPolicy {
     }
 }
 
-/// Lock-free event counters for the fault pipeline.
-#[derive(Debug, Default)]
-pub struct HealthStats {
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    retries: AtomicU64,
-    degraded: AtomicU64,
-    trips: AtomicU64,
-    probes: AtomicU64,
-    recoveries: AtomicU64,
-    taints: AtomicU64,
-    quarantined: AtomicU64,
-    drift_reprofiles: AtomicU64,
-    reprofiles_suppressed: AtomicU64,
-    watchdog_trips: AtomicU64,
-    split_overruns: AtomicU64,
-    throttled: AtomicU64,
-    requests_shed: AtomicU64,
-    requests_queued: AtomicU64,
-    quota_denials: AtomicU64,
-    brownout_transitions: AtomicU64,
-}
-
-macro_rules! note {
-    ($($method:ident => $field:ident),* $(,)?) => {
-        $(pub(crate) fn $method(&self) {
-            self.$field.fetch_add(1, Ordering::Relaxed);
-        })*
-    };
-}
-
-impl HealthStats {
-    note! {
-        note_accepted => accepted,
-        note_rejected => rejected,
-        note_retry => retries,
-        note_degraded => degraded,
-        note_trip => trips,
-        note_probe => probes,
-        note_recovery => recoveries,
-        note_taint => taints,
-        note_quarantined => quarantined,
-        note_drift_reprofile => drift_reprofiles,
-        note_reprofile_suppressed => reprofiles_suppressed,
-        note_watchdog_trip => watchdog_trips,
-        note_split_overrun => split_overruns,
-        note_throttled => throttled,
-        note_request_shed => requests_shed,
-        note_request_queued => requests_queued,
-        note_quota_denial => quota_denials,
-        note_brownout_transition => brownout_transitions,
-    }
-
-    /// One plain-value read of every counter — the single point where
-    /// relaxed atomics become ordinary integers. `report()`, `Clone`, and
-    /// the frontends' `health()` all route through this.
-    pub fn snapshot(&self) -> HealthSnapshot {
-        HealthSnapshot {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            trips: self.trips.load(Ordering::Relaxed),
-            probes: self.probes.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-            taints: self.taints.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            drift_reprofiles: self.drift_reprofiles.load(Ordering::Relaxed),
-            reprofiles_suppressed: self.reprofiles_suppressed.load(Ordering::Relaxed),
-            watchdog_trips: self.watchdog_trips.load(Ordering::Relaxed),
-            split_overruns: self.split_overruns.load(Ordering::Relaxed),
-            throttled: self.throttled.load(Ordering::Relaxed),
-            requests_shed: self.requests_shed.load(Ordering::Relaxed),
-            requests_queued: self.requests_queued.load(Ordering::Relaxed),
-            quota_denials: self.quota_denials.load(Ordering::Relaxed),
-            brownout_transitions: self.brownout_transitions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// A consistent-enough snapshot of all counters, in the public
-    /// reporting shape.
-    pub fn report(&self) -> HealthReport {
-        self.snapshot().into()
-    }
-}
-
-impl Clone for HealthStats {
-    fn clone(&self) -> HealthStats {
-        HealthStats::from(self.snapshot())
-    }
-}
-
-/// A single consistent read of every [`HealthStats`] counter, as plain
-/// integers. Field names mirror the counters themselves;
-/// [`HealthReport`] is the equivalent user-facing shape with
-/// descriptive names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HealthSnapshot {
+easched_telemetry::counter_table! {
+    /// Lock-free event counters for the fault pipeline: one relaxed-atomic
+    /// cell per [`HealthReport`] field, bumped in place
+    /// (`health.stats.retries.inc()`).
+    #[derive(Debug, Default, Clone)]
+    pub bank HealthStats(pub(crate));
+    /// Snapshot of [`HealthStats`] — the telemetry surfaced by
+    /// [`EasScheduler::health`](crate::EasScheduler::health) and
+    /// [`SharedEas::health`](crate::SharedEas::health). Rows marked `fault`
+    /// are the ones [`fault_free`](HealthReport::fault_free) reads; the rest
+    /// are adaptation, overload protection or storage durability.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub report HealthReport;
     /// Profiling observations that passed the guard.
-    pub accepted: u64,
+    observations_accepted: counter,
     /// Profiling observations rejected as faults.
-    pub rejected: u64,
-    /// Rejected rounds retried with a backed-off chunk.
-    pub retries: u64,
-    /// Invocations that gave up profiling and ran degraded.
-    pub degraded: u64,
-    /// Breaker trips.
-    pub trips: u64,
-    /// Recovery probes attempted.
-    pub probes: u64,
-    /// Probes that re-closed the breaker.
-    pub recoveries: u64,
-    /// Table entries tainted after faulty invocations.
-    pub taints: u64,
-    /// Invocations quarantined CPU-only.
-    pub quarantined: u64,
-    /// Re-profiles scheduled by the drift monitor.
-    pub drift_reprofiles: u64,
-    /// Drift re-profiles deferred by an empty token bucket.
-    pub reprofiles_suppressed: u64,
-    /// Profiling rounds cancelled by the watchdog deadline.
-    pub watchdog_trips: u64,
-    /// Chunk executions that overran the split deadline.
-    pub split_overruns: u64,
-    /// Invocations forced CPU-only by an admission context (brownout).
-    pub throttled: u64,
-    /// Requests shed by the admission layer.
-    pub requests_shed: u64,
-    /// Requests queued behind earlier arrivals.
-    pub requests_queued: u64,
-    /// Requests refused by an exhausted tenant GPU quota.
-    pub quota_denials: u64,
-    /// Brownout-ladder rung changes.
-    pub brownout_transitions: u64,
-}
-
-impl From<HealthSnapshot> for HealthReport {
-    fn from(s: HealthSnapshot) -> HealthReport {
-        HealthReport {
-            observations_accepted: s.accepted,
-            observations_rejected: s.rejected,
-            retries: s.retries,
-            degraded_invocations: s.degraded,
-            breaker_trips: s.trips,
-            probes: s.probes,
-            recoveries: s.recoveries,
-            taints: s.taints,
-            quarantined_invocations: s.quarantined,
-            drift_reprofiles: s.drift_reprofiles,
-            reprofiles_suppressed: s.reprofiles_suppressed,
-            watchdog_trips: s.watchdog_trips,
-            split_overruns: s.split_overruns,
-            throttled_invocations: s.throttled,
-            requests_shed: s.requests_shed,
-            requests_queued: s.requests_queued,
-            quota_denials: s.quota_denials,
-            brownout_transitions: s.brownout_transitions,
-            // Store counters live in the TableStore, not HealthStats;
-            // the scheduler frontends merge them into the report.
-            store_io_errors: 0,
-            store_degraded: 0,
-            store_bytes: 0,
-        }
-    }
-}
-
-impl From<HealthSnapshot> for HealthStats {
-    fn from(s: HealthSnapshot) -> HealthStats {
-        let stats = HealthStats::default();
-        stats.accepted.store(s.accepted, Ordering::Relaxed);
-        stats.rejected.store(s.rejected, Ordering::Relaxed);
-        stats.retries.store(s.retries, Ordering::Relaxed);
-        stats.degraded.store(s.degraded, Ordering::Relaxed);
-        stats.trips.store(s.trips, Ordering::Relaxed);
-        stats.probes.store(s.probes, Ordering::Relaxed);
-        stats.recoveries.store(s.recoveries, Ordering::Relaxed);
-        stats.taints.store(s.taints, Ordering::Relaxed);
-        stats.quarantined.store(s.quarantined, Ordering::Relaxed);
-        stats
-            .drift_reprofiles
-            .store(s.drift_reprofiles, Ordering::Relaxed);
-        stats
-            .reprofiles_suppressed
-            .store(s.reprofiles_suppressed, Ordering::Relaxed);
-        stats
-            .watchdog_trips
-            .store(s.watchdog_trips, Ordering::Relaxed);
-        stats
-            .split_overruns
-            .store(s.split_overruns, Ordering::Relaxed);
-        stats.throttled.store(s.throttled, Ordering::Relaxed);
-        stats
-            .requests_shed
-            .store(s.requests_shed, Ordering::Relaxed);
-        stats
-            .requests_queued
-            .store(s.requests_queued, Ordering::Relaxed);
-        stats
-            .quota_denials
-            .store(s.quota_denials, Ordering::Relaxed);
-        stats
-            .brownout_transitions
-            .store(s.brownout_transitions, Ordering::Relaxed);
-        stats
-    }
-}
-
-/// Snapshot of [`HealthStats`] — the telemetry surfaced by
-/// [`EasScheduler::health`](crate::EasScheduler::health) and
-/// [`SharedEas::health`](crate::SharedEas::health).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HealthReport {
-    /// Profiling observations that passed the guard.
-    pub observations_accepted: u64,
-    /// Profiling observations rejected as faults.
-    pub observations_rejected: u64,
+    observations_rejected: counter fault,
     /// Rejected rounds that were retried (with a backed-off chunk).
-    pub retries: u64,
+    retries: counter fault,
     /// Invocations that gave up profiling and ran degraded.
-    pub degraded_invocations: u64,
+    degraded_invocations: counter fault,
     /// Times the GPU circuit breaker tripped open.
-    pub breaker_trips: u64,
+    breaker_trips: counter fault,
     /// Recovery probes attempted while half-open.
-    pub probes: u64,
+    probes: counter fault,
     /// Probes that found the GPU healthy again (breaker re-closed).
-    pub recoveries: u64,
+    recoveries: counter,
     /// Kernel-table entries marked suspect after a faulty invocation.
-    pub taints: u64,
+    taints: counter fault,
     /// Invocations forced to CPU-only by an open breaker.
-    pub quarantined_invocations: u64,
+    quarantined_invocations: counter fault,
     /// Re-profiles scheduled by the drift monitor (DESIGN.md §11).
     /// Adaptation, not a fault: it does not disturb
     /// [`fault_free`](HealthReport::fault_free).
-    pub drift_reprofiles: u64,
+    drift_reprofiles: counter,
     /// Drift re-profiles deferred because the global token bucket was
     /// empty.
-    pub reprofiles_suppressed: u64,
+    reprofiles_suppressed: counter,
     /// Profiling rounds cancelled by the watchdog deadline.
-    pub watchdog_trips: u64,
+    watchdog_trips: counter fault,
     /// Chunk executions that overran the watchdog's split deadline.
-    pub split_overruns: u64,
+    split_overruns: counter fault,
     /// Invocations forced CPU-only by their admission context (brownout
     /// or a denied GPU policy). Overload protection, not a fault: does
     /// not disturb [`fault_free`](HealthReport::fault_free).
-    pub throttled_invocations: u64,
+    throttled_invocations: counter,
     /// Requests the admission layer shed (queue overflow, brownout
     /// stage 3). Adaptation, not a fault.
-    pub requests_shed: u64,
+    requests_shed: counter,
     /// Requests the admission layer queued behind earlier arrivals.
-    pub requests_queued: u64,
+    requests_queued: counter,
     /// Requests refused because a tenant's GPU quota window was spent.
-    pub quota_denials: u64,
+    quota_denials: counter,
     /// Brownout-ladder rung changes (either direction).
-    pub brownout_transitions: u64,
+    brownout_transitions: counter,
     /// Journal/snapshot I/O failures absorbed by the table store
     /// (DESIGN.md §16). Reduced durability, not reduced scheduling
     /// fidelity: excluded from [`fault_free`](HealthReport::fault_free).
-    pub store_io_errors: u64,
+    /// The three `store_*` rows are filled from the
+    /// [`TableStore`](crate::TableStore) when a frontend builds its
+    /// report; their cells in [`HealthStats`] stay zero.
+    store_io_errors: counter,
     /// 1 while the table store is in degrade-to-memory mode, else 0.
     /// Excluded from [`fault_free`](HealthReport::fault_free).
-    pub store_degraded: u64,
+    store_degraded: gauge,
     /// Bytes the table store successfully persisted (journal lines and
     /// snapshots).
-    pub store_bytes: u64,
+    store_bytes: counter,
 }
 
 /// Fold a [`StoreHealth`](crate::journal::StoreHealth) snapshot into a
@@ -316,17 +121,20 @@ pub(crate) fn merge_store_health(report: &mut HealthReport, s: crate::journal::S
 }
 
 impl HealthReport {
-    /// True when no fault was ever observed (the clean-path invariant).
+    /// True when no fault was ever observed (the clean-path invariant):
+    /// every row declared `fault` reads zero.
     pub fn fault_free(&self) -> bool {
-        self.observations_rejected == 0
-            && self.retries == 0
-            && self.degraded_invocations == 0
-            && self.breaker_trips == 0
-            && self.probes == 0
-            && self.taints == 0
-            && self.quarantined_invocations == 0
-            && self.watchdog_trips == 0
-            && self.split_overruns == 0
+        counters::fault_free(&Self::ROWS, &self.values())
+    }
+
+    /// The `/health` page: `fault_free` first, then every row as
+    /// `"field":value`.
+    pub fn render_json(&self) -> String {
+        let mut out = String::from("{");
+        counters::push_json_field(&mut out, "fault_free", self.fault_free());
+        counters::push_json_rows(&mut out, &Self::ROWS, &self.values());
+        out.push('}');
+        out
     }
 }
 
@@ -541,11 +349,6 @@ impl Health {
         self.stats.report()
     }
 
-    /// Raw counter snapshot (plain integers, counter-named fields).
-    pub fn snapshot(&self) -> HealthSnapshot {
-        self.stats.snapshot()
-    }
-
     /// The GPU circuit breaker.
     pub fn breaker(&self) -> &CircuitBreaker {
         &self.breaker
@@ -639,10 +442,10 @@ mod tests {
     #[test]
     fn health_report_roundtrips_counters() {
         let h = health();
-        h.stats.note_accepted();
-        h.stats.note_rejected();
-        h.stats.note_rejected();
-        h.stats.note_degraded();
+        h.stats.observations_accepted.inc();
+        h.stats.observations_rejected.inc();
+        h.stats.observations_rejected.inc();
+        h.stats.degraded_invocations.inc();
         let r = h.report();
         assert_eq!(r.observations_accepted, 1);
         assert_eq!(r.observations_rejected, 2);
@@ -654,54 +457,37 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_report_agree() {
-        let h = health();
-        h.stats.note_accepted();
-        h.stats.note_retry();
-        h.stats.note_taint();
-        let s = h.snapshot();
-        assert_eq!(s.accepted, 1);
-        assert_eq!(s.retries, 1);
-        assert_eq!(s.taints, 1);
-        assert_eq!(s.rejected, 0);
-        assert_eq!(HealthReport::from(s), h.report());
-        // Stats rebuilt from a snapshot read back identically.
-        assert_eq!(HealthStats::from(s).snapshot(), s);
-    }
-
-    #[test]
-    fn admission_counters_roundtrip_and_stay_out_of_fault_free() {
-        let h = health();
-        h.stats.note_throttled();
-        h.stats.note_request_shed();
-        h.stats.note_request_shed();
-        h.stats.note_request_queued();
-        h.stats.note_quota_denial();
-        h.stats.note_brownout_transition();
-        let r = h.report();
-        assert_eq!(r.throttled_invocations, 1);
-        assert_eq!(r.requests_shed, 2);
-        assert_eq!(r.requests_queued, 1);
-        assert_eq!(r.quota_denials, 1);
-        assert_eq!(r.brownout_transitions, 1);
-        // Overload protection is adaptation, not a fault.
-        assert!(r.fault_free());
-        let s = h.snapshot();
-        assert_eq!(HealthStats::from(s).snapshot(), s);
-    }
-
-    #[test]
-    fn store_counters_stay_out_of_fault_free() {
-        let r = HealthReport {
-            store_io_errors: 9,
-            store_degraded: 1,
-            store_bytes: 4096,
-            ..HealthReport::default()
-        };
-        assert!(
-            r.fault_free(),
-            "a failing disk reduces durability, not scheduling fidelity"
+    fn fault_free_reads_exactly_the_rows_declared_fault() {
+        let faults: Vec<&str> = HealthReport::ROWS
+            .iter()
+            .filter(|r| r.fault)
+            .map(|r| r.field)
+            .collect();
+        assert_eq!(
+            faults,
+            [
+                "observations_rejected",
+                "retries",
+                "degraded_invocations",
+                "breaker_trips",
+                "probes",
+                "taints",
+                "quarantined_invocations",
+                "watchdog_trips",
+                "split_overruns",
+            ]
         );
+        // One row at a time: a lone non-zero value breaks `fault_free`
+        // exactly when its row is declared a fault. Adaptation, overload
+        // protection and a failing disk (durability, not scheduling
+        // fidelity) never do.
+        for (i, row) in HealthReport::ROWS.iter().enumerate() {
+            let mut values = [0; HealthReport::N];
+            values[i] = 1;
+            let report = HealthReport::from_values(values);
+            assert_eq!(report.values(), values);
+            assert_eq!(report.fault_free(), !row.fault, "{}", row.field);
+        }
     }
 
     #[test]

@@ -97,8 +97,9 @@ use crate::guard::FaultKind;
 use crate::health::BreakerState;
 use crate::kernel_table::{AlphaStat, KernelTable};
 use crate::persist::{
-    self, fnv1a64, seal, verify_sealed, ModelParseError, TABLE_HEADER_V1, TABLE_HEADER_V2,
+    self, seal, verify_sealed, ModelParseError, TABLE_HEADER_V1, TABLE_HEADER_V2,
 };
+use easched_runtime::sealed::{sealed, unseal};
 use easched_runtime::vfs::{StdFs, Vfs, VfsFile};
 use easched_runtime::KernelId;
 use std::error::Error;
@@ -310,19 +311,6 @@ fn lock(inner: &Mutex<StoreInner>) -> MutexGuard<'_, StoreInner> {
     inner.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One journal line: the record body followed by its own digest.
-fn sealed_line(body: &str) -> String {
-    format!("{body} crc {:016x}\n", fnv1a64(body.as_bytes()))
-}
-
-/// Splits a journal line into its body if (and only if) the trailing
-/// digest matches.
-fn verified_body(line: &str) -> Option<&str> {
-    let (body, hex) = line.rsplit_once(" crc ")?;
-    let stored = u64::from_str_radix(hex.trim(), 16).ok()?;
-    (hex.trim().len() == 16 && fnv1a64(body.as_bytes()) == stored).then_some(body)
-}
-
 impl TableStore {
     /// Opens (creating if absent) the store rooted at `dir` and recovers
     /// the persisted table: snapshot, then journal replay, per the
@@ -429,7 +417,7 @@ impl TableStore {
                 None => (|| {
                     let mut file = vfs.create(&journal_path)?;
                     file.write_all(
-                        sealed_line(&format!("{JOURNAL_MAGIC} gen {generation}")).as_bytes(),
+                        sealed(&format!("{JOURNAL_MAGIC} gen {generation}")).as_bytes(),
                     )?;
                     Ok(file)
                 })(),
@@ -584,7 +572,7 @@ impl TableStore {
                 self.write_errors.fetch_add(1, Ordering::Relaxed);
                 self.degrade(
                     &mut inner,
-                    Some(sealed_line(&body)),
+                    Some(sealed(&body)),
                     "ENOSPC and emergency compaction failed",
                 );
             }
@@ -616,7 +604,7 @@ impl TableStore {
             // the disk.
             self.degrade(
                 &mut inner,
-                Some(sealed_line(&body)),
+                Some(sealed(&body)),
                 "ENOSPC outside the entry path",
             );
         }
@@ -635,7 +623,7 @@ impl TableStore {
         if let AppendOutcome::DiskFull = self.append(&mut inner, &body) {
             self.degrade(
                 &mut inner,
-                Some(sealed_line(&body)),
+                Some(sealed(&body)),
                 "ENOSPC outside the entry path",
             );
         }
@@ -663,7 +651,7 @@ impl TableStore {
     /// degraded), never raised — except ENOSPC, which is returned so the
     /// entry path can compact.
     fn append(&self, inner: &mut StoreInner, body: &str) -> AppendOutcome {
-        let line = sealed_line(body);
+        let line = sealed(body);
         if inner.mode == StoreMode::Degraded {
             self.buffer_line(inner, line);
             return AppendOutcome::Buffered;
@@ -817,9 +805,7 @@ impl TableStore {
                 }
                 None => {
                     let mut file = self.vfs.create(&journal_path)?;
-                    file.write_all(
-                        sealed_line(&format!("{JOURNAL_MAGIC} gen {snap_gen}")).as_bytes(),
-                    )?;
+                    file.write_all(sealed(&format!("{JOURNAL_MAGIC} gen {snap_gen}")).as_bytes())?;
                     file
                 }
             };
@@ -955,7 +941,7 @@ impl TableStore {
             step = "reset journal";
             let mut file = self.vfs.create(&self.dir.join(JOURNAL_FILE))?;
             step = "write journal header";
-            file.write_all(sealed_line(&format!("{JOURNAL_MAGIC} gen {generation}")).as_bytes())?;
+            file.write_all(sealed(&format!("{JOURNAL_MAGIC} gen {generation}")).as_bytes())?;
             step = "fsync journal";
             file.sync_all()?;
             // Same reasoning for the journal reset: the first compaction
@@ -1190,7 +1176,7 @@ fn scan_journal(text: &str) -> JournalScan {
     for line in &mut lines {
         let intact = line.ends_with('\n');
         let parsed = intact
-            .then(|| verified_body(line.trim_end_matches('\n')))
+            .then(|| unseal(line.trim_end_matches('\n')))
             .flatten()
             .and_then(|body| {
                 if scan.gen.is_none() {
@@ -1433,8 +1419,8 @@ mod tests {
         // Simulate the crash window: restore a pre-checkpoint journal
         // (generation 0) next to the generation-1 snapshot.
         let path = dir.path().join(JOURNAL_FILE);
-        let mut text = sealed_line(&format!("{JOURNAL_MAGIC} gen 0"));
-        text.push_str(&sealed_line("put 5 alpha 5e-1 weight 1e0 seen 0 tainted 0"));
+        let mut text = sealed(&format!("{JOURNAL_MAGIC} gen 0"));
+        text.push_str(&sealed("put 5 alpha 5e-1 weight 1e0 seen 0 tainted 0"));
         fs::write(&path, text).unwrap();
         let (_, recovered) = TableStore::open(dir.path()).unwrap();
         assert_eq!(recovered.generation, 1);
@@ -1451,7 +1437,7 @@ mod tests {
     fn journal_ahead_of_snapshot_is_refused() {
         let dir = TempDir::new();
         let path = dir.path().join(JOURNAL_FILE);
-        fs::write(&path, sealed_line(&format!("{JOURNAL_MAGIC} gen 3"))).unwrap();
+        fs::write(&path, sealed(&format!("{JOURNAL_MAGIC} gen 3"))).unwrap();
         let err = TableStore::open(dir.path()).unwrap_err();
         assert!(
             matches!(

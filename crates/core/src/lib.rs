@@ -69,9 +69,7 @@ pub use eas::{Accumulation, AlphaSearch, Decision, EasConfig, EasScheduler};
 pub use easruntime::{EasRuntime, RunOutcome};
 pub use engine::{DecisionEngine, Prediction, PRIOR_WINDOW};
 pub use guard::{FaultKind, ObservationGuard};
-pub use health::{
-    BreakerGate, BreakerState, CircuitBreaker, FaultPolicy, Health, HealthReport, HealthSnapshot,
-};
+pub use health::{BreakerGate, BreakerState, CircuitBreaker, FaultPolicy, Health, HealthReport};
 pub use journal::{Recovered, StorageEvent, StoreError, StoreHealth, StoreMode, TableStore};
 pub use kernel_table::{AlphaStat, KernelTable, ReuseProbe};
 pub use objective::Objective;

@@ -39,6 +39,7 @@ use crate::classify::WorkloadClass;
 use crate::kernel_table::{AlphaStat, KernelTable};
 use crate::power_model::{PowerCurve, PowerModel};
 use easched_num::Polynomial;
+pub use easched_runtime::sealed::fnv1a64;
 use easched_runtime::vfs::Vfs;
 use std::error::Error;
 use std::fmt;
@@ -116,20 +117,6 @@ impl From<io::Error> for ModelParseError {
     fn from(e: io::Error) -> Self {
         ModelParseError::Io(e)
     }
-}
-
-/// FNV-1a, 64-bit. Not cryptographic — it guards against truncation and
-/// bit rot, not adversaries — but the per-byte xor-then-multiply step is
-/// injective, so any single corrupted byte changes the digest. Public
-/// because the journal (§11), the run-seed derivation, and the
-/// record/replay log (`easched-replay`, §12) all seal with the same hash.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Appends the v2 trailing checksum line over everything written so far.

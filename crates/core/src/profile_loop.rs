@@ -192,7 +192,7 @@ fn after_split(
         .watchdog()
         .split_overrun_within(obs.elapsed, deadline)
     {
-        health.stats.note_split_overrun();
+        health.stats.split_overruns.inc();
         emit(
             sink,
             &ControlEvent::SplitOverrun {
@@ -204,7 +204,7 @@ fn after_split(
         // same way a hung profiling round does, and the learned ratio it
         // ran under is suspect — re-profile before the next reuse.
         if health.breaker.record_gpu_fault() {
-            health.stats.note_trip();
+            health.stats.breaker_trips.inc();
         }
         table.taint(kernel);
         if let Some(store) = store {
@@ -237,7 +237,7 @@ fn after_split(
         DriftAction::Reprofile => {
             // Adaptation, not a fault: the entry goes stale so the next
             // invocation re-profiles, but `fault_free()` stays true.
-            health.stats.note_drift_reprofile();
+            health.stats.drift_reprofiles.inc();
             table.taint(kernel);
             if let Some(store) = store {
                 store.record_taint(kernel);
@@ -251,7 +251,7 @@ fn after_split(
             );
         }
         DriftAction::Suppressed => {
-            health.stats.note_reprofile_suppressed();
+            health.stats.reprofiles_suppressed.inc();
             emit(sink, &ControlEvent::ReprofileSuppressed { kernel });
         }
     }
@@ -291,7 +291,7 @@ fn drive(
     // countdown is not consumed and no probe is wasted on a request that
     // was never going to touch the GPU.
     if ctx.gpu == GpuPolicy::Deny {
-        health.stats.note_throttled();
+        health.stats.throttled_invocations.inc();
         backend.run_split(0.0);
         return Some(InvocationSummary::new(InvocationPath::Throttled, 0.0));
     }
@@ -304,11 +304,11 @@ fn drive(
     let probing = match health.breaker.gate() {
         BreakerGate::Normal => false,
         BreakerGate::Probe => {
-            health.stats.note_probe();
+            health.stats.probes.inc();
             true
         }
         BreakerGate::CpuOnly => {
-            health.stats.note_quarantined();
+            health.stats.quarantined_invocations.inc();
             backend.run_split(0.0);
             return Some(InvocationSummary::new(InvocationPath::Quarantined, 0.0));
         }
@@ -389,7 +389,7 @@ fn drive(
     // ratio learned under a denied GPU would poison the table, exactly as
     // during a quarantine).
     if ctx.gpu != GpuPolicy::Allow {
-        health.stats.note_throttled();
+        health.stats.throttled_invocations.inc();
         backend.run_split(0.0);
         return Some(InvocationSummary::new(InvocationPath::Throttled, 0.0));
     }
@@ -436,7 +436,7 @@ fn drive(
             .watchdog()
             .profile_overrun_within(obs.elapsed, ctx.deadline)
         {
-            health.stats.note_watchdog_trip();
+            health.stats.watchdog_trips.inc();
             emit(
                 sink,
                 &ControlEvent::ProfileDeadline {
@@ -453,22 +453,22 @@ fn drive(
                 decide_nanos += elapsed_nanos(clock, t);
             }
             last_fault = Some(fault);
-            health.stats.note_rejected();
+            health.stats.observations_rejected.inc();
             faulty_rounds += 1;
             if fault.implicates_gpu() && health.breaker.record_gpu_fault() {
-                health.stats.note_trip();
+                health.stats.breaker_trips.inc();
             }
             if health.breaker.is_open() || rejected_streak >= config.fault.max_retries {
                 gave_up = true;
                 break;
             }
             rejected_streak += 1;
-            health.stats.note_retry();
+            health.stats.retries.inc();
             continue;
         }
-        health.stats.note_accepted();
+        health.stats.observations_accepted.inc();
         if obs.gpu_items > 0 && health.breaker.record_clean_gpu() {
-            health.stats.note_recovery();
+            health.stats.recoveries.inc();
         }
         rejected_streak = 0;
         let decision = engine.decide_with_prior(kernel, &obs, backend.remaining(), prior);
@@ -494,7 +494,7 @@ fn drive(
     if gave_up {
         // Degraded finish: trust the last clean decision if there was one
         // and the GPU is not implicated; otherwise fall back to CPU-only.
-        health.stats.note_degraded();
+        health.stats.degraded_invocations.inc();
         let fallback = if health.breaker.is_open() || alpha_weight <= 0.0 {
             0.0
         } else {
@@ -508,7 +508,7 @@ fn drive(
         if alpha_weight > 0.0 && !health.breaker.is_open() {
             table.accumulate(kernel, fallback, alpha_weight, config.accumulation);
             table.taint(kernel);
-            health.stats.note_taint();
+            health.stats.taints.inc();
             if let Some(store) = store {
                 store.record_entry(table, kernel);
                 store.record_taint(kernel);
@@ -542,7 +542,7 @@ fn drive(
         // learned ratio rests on a suspect invocation — re-profile next
         // time rather than reuse it.
         table.taint(kernel);
-        health.stats.note_taint();
+        health.stats.taints.inc();
         if let Some(store) = store {
             store.record_taint(kernel);
         }

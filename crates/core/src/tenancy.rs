@@ -23,6 +23,8 @@ use easched_runtime::{
     AdmissionConfig, AdmissionController, AdmissionOutcome, Backend, BrownoutLevel,
     ConcurrentScheduler, InvocationCtx, KernelId, TenantRegistry, TenantStats,
 };
+use easched_telemetry::counters::push_json_field;
+use easched_telemetry::slo::escape_json;
 use easched_telemetry::{ControlEvent, SloEvent, SloTracker, Span, SpanKind};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -150,19 +152,19 @@ impl TenantFrontend {
         match outcome {
             AdmissionOutcome::Admit { .. } => {}
             AdmissionOutcome::Queue { .. } => {
-                stats.note_request_queued();
+                stats.requests_queued.inc();
                 self.emit(ControlEvent::RequestQueued {
                     tenant: tenant as u64,
                 });
             }
             AdmissionOutcome::Shed { .. } => {
                 if quota_denied {
-                    stats.note_quota_denial();
+                    stats.quota_denials.inc();
                     self.emit(ControlEvent::QuotaDenied {
                         tenant: tenant as u64,
                     });
                 }
-                stats.note_request_shed();
+                stats.requests_shed.inc();
                 self.emit(ControlEvent::RequestShed {
                     tenant: tenant as u64,
                 });
@@ -269,16 +271,21 @@ impl TenantFrontend {
     }
 
     /// Feeds one simulated package-power sample to the brownout ladder.
-    /// A rung change is counted and emitted; requests flushed by a
-    /// shed-load entry are counted as sheds.
+    /// A rung change is counted and emitted; each request flushed by a
+    /// shed-load entry is counted and emitted as a shed of its tenant.
     pub fn observe_power(&self, watts: f64) -> Option<(BrownoutLevel, BrownoutLevel)> {
         let transition = self.lock().observe_power(watts);
         let (from, to, flushed) = transition?;
         let stats = &self.shared.health_state().stats;
-        stats.note_brownout_transition();
+        stats.brownout_transitions.inc();
         self.emit(ControlEvent::Brownout { level: to.code() });
-        for _ in 0..flushed {
-            stats.note_request_shed();
+        for (tenant, &requests) in flushed.iter().enumerate() {
+            for _ in 0..requests {
+                stats.requests_shed.inc();
+                self.emit(ControlEvent::RequestShed {
+                    tenant: tenant as u64,
+                });
+            }
         }
         Some((from, to))
     }
@@ -331,6 +338,34 @@ impl TenantFrontend {
     /// A tenant's admission counters.
     pub fn tenant_stats(&self, tenant: usize) -> TenantStats {
         self.lock().tenant_stats(tenant)
+    }
+
+    /// The `/tenants` page: the brownout rung and every tenant's
+    /// admission counters, names JSON-escaped.
+    pub fn render_json(&self) -> String {
+        let adm = self.lock();
+        let mut out = String::from("{");
+        push_json_field(&mut out, "brownout_level", adm.level().code());
+        out.push_str(",\"tenants\":[");
+        for (tenant, spec) in adm.registry().iter() {
+            let stats = adm.tenant_stats(tenant);
+            out.push_str(if tenant > 0 { ",{" } else { "{" });
+            push_json_field(&mut out, "id", tenant);
+            let name = escape_json(&spec.name);
+            push_json_field(&mut out, "name", format_args!("\"{name}\""));
+            push_json_field(&mut out, "offered", stats.offered);
+            push_json_field(&mut out, "admitted", stats.admitted);
+            push_json_field(&mut out, "queued", stats.queued);
+            push_json_field(&mut out, "shed", stats.shed);
+            push_json_field(&mut out, "quota_denials", stats.quota_denials);
+            let gpu_seconds = format_args!("{:.6}", stats.gpu_seconds);
+            push_json_field(&mut out, "gpu_seconds", gpu_seconds);
+            push_json_field(&mut out, "queue_len", stats.queue_len);
+            push_json_field(&mut out, "queue_high_water", stats.queue_high_water);
+            out.push('}');
+        }
+        out.push_str("]}");
+        out
     }
 
     /// Executes one admitted request through the shared scheduler under
@@ -502,5 +537,36 @@ mod tests {
         assert_eq!(f.shared().health().brownout_transitions, 1);
         let ctx = f.ctx_for(0);
         assert_ne!(ctx, InvocationCtx::default());
+    }
+
+    #[test]
+    fn tenants_page_is_json_for_hostile_names() {
+        let shared = SharedEas::new(flat_model(50.0), EasConfig::new(Objective::Time));
+        // The label-escaping tests' hostile name plus a control byte,
+        // which `{:?}` would render as the non-JSON `\u{1b}`.
+        let registry = TenantRegistry::new(vec![
+            TenantSpec::new("a\"b\\c\nd\u{1b}", 1.0),
+            TenantSpec::new("plain", 1.0),
+        ]);
+        let f = TenantFrontend::new(shared, registry, AdmissionConfig::default());
+        f.offer(1);
+        f.complete(1, 0.25);
+        let page = f.render_json();
+        assert!(
+            page.starts_with(
+                "{\"brownout_level\":0,\"tenants\":[{\"id\":0,\
+                 \"name\":\"a\\\"b\\\\c\\nd\\u001b\",\"offered\":0,"
+            ),
+            "{page}"
+        );
+        assert!(
+            page.ends_with(
+                ",{\"id\":1,\"name\":\"plain\",\"offered\":1,\"admitted\":1,\"queued\":0,\
+                 \"shed\":0,\"quota_denials\":0,\"gpu_seconds\":0.250000,\"queue_len\":1,\
+                 \"queue_high_water\":1}]}"
+            ),
+            "{page}"
+        );
+        assert!(!page.chars().any(char::is_control), "{page:?}");
     }
 }

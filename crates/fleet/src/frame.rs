@@ -15,7 +15,7 @@
 //! * `ent` — a batch of [`Envelope`]s, each a single sealed line, in
 //!   strictly increasing `(generation, seq)` order per origin.
 
-use easched_core::fnv1a64;
+use easched_runtime::sealed::{end_of, next_bits, sanitize, seal_line, unseal, Bits};
 
 /// A node's identity within the fleet (dense, 0-based).
 pub type NodeId = u16;
@@ -110,13 +110,13 @@ impl Envelope {
                 seen,
                 tainted,
             } => format!(
-                "put {} {} {} {} {kernel:016x} {:016x} {:016x} {seen} {}",
+                "put {} {} {} {} {kernel:016x} {} {} {seen} {}",
                 self.origin,
                 sanitize(&self.platform),
                 self.generation,
                 self.seq,
-                alpha.to_bits(),
-                weight.to_bits(),
+                Bits(alpha),
+                Bits(weight),
                 u8::from(tainted),
             ),
             Op::Taint { kernel } => format!(
@@ -140,8 +140,8 @@ impl Envelope {
         let op = match word {
             "put" => Op::Put {
                 kernel,
-                alpha: f64::from_bits(u64::from_str_radix(parts.next()?, 16).ok()?),
-                weight: f64::from_bits(u64::from_str_radix(parts.next()?, 16).ok()?),
+                alpha: next_bits(&mut parts)?,
+                weight: next_bits(&mut parts)?,
                 seen: parts.next()?.parse().ok()?,
                 tainted: match parts.next()? {
                     "0" => false,
@@ -319,32 +319,6 @@ impl Frame {
 
 fn parse_field<T: std::str::FromStr>(field: Option<&str>) -> Option<T> {
     field?.parse().ok()
-}
-
-fn seal_line(out: &mut String, body: &str) {
-    debug_assert!(!body.contains('\n'), "frame lines are single lines");
-    out.push_str(body);
-    out.push_str(&format!(" crc {:016x}\n", fnv1a64(body.as_bytes())));
-}
-
-/// Strips and verifies the trailing seal; `None` if absent or wrong.
-fn unseal(line: &str) -> Option<&str> {
-    let at = line.rfind(" crc ")?;
-    let (body, seal) = line.split_at(at);
-    let seal = u64::from_str_radix(seal.trim_start_matches(" crc ").trim(), 16).ok()?;
-    (fnv1a64(body.as_bytes()) == seal).then_some(body)
-}
-
-/// Platform names are code-chosen; squash any stray whitespace so they
-/// cannot break the line grammar.
-fn sanitize(s: &str) -> String {
-    s.replace(char::is_whitespace, "_")
-}
-
-/// `Some(())` only when the iterator is exhausted (trailing junk on a
-/// line is treated as corruption).
-fn end_of(mut parts: std::str::SplitWhitespace<'_>) -> Option<()> {
-    parts.next().is_none().then_some(())
 }
 
 #[cfg(test)]

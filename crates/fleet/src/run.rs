@@ -368,18 +368,11 @@ struct RunState {
 }
 
 fn fold(into: &mut FleetStats, from: FleetStats) {
-    into.frames_sent += from.frames_sent;
-    into.frames_dropped += from.frames_dropped;
-    into.frames_duplicated += from.frames_duplicated;
-    into.frames_torn += from.frames_torn;
-    into.frames_partitioned += from.frames_partitioned;
-    into.entries_applied += from.entries_applied;
-    into.entries_rejected_stale += from.entries_rejected_stale;
-    into.entries_deferred_gap += from.entries_deferred_gap;
-    into.conflicts_resolved += from.conflicts_resolved;
-    into.priors_applied += from.priors_applied;
-    into.taints_replicated += from.taints_replicated;
-    into.reprofiles_scheduled += from.reprofiles_scheduled;
+    let mut sum = into.values();
+    for (s, v) in sum.iter_mut().zip(from.values()) {
+        *s += v;
+    }
+    *into = FleetStats::from_values(sum);
 }
 
 /// Runs a fleet to completion. Deterministic in the spec; see the module

@@ -6,154 +6,97 @@
 //! faults, so they must never disturb `fault_free()` (DESIGN.md §15).
 
 use easched_core::StoreHealth;
-use easched_telemetry::metrics::escape_label_value;
+use easched_telemetry::counters::expose_rows_labelled;
 
-/// One node's replication counters. Plain integers — the fleet loop is
-/// single-threaded, so no atomics are needed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FleetStats {
+easched_telemetry::counter_table! {
+    /// One node's replication counters. Plain integers — the fleet loop is
+    /// single-threaded, so no atomics are needed.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub report FleetStats;
     /// Frames this node sent (requests and entry batches).
-    pub frames_sent: u64,
+    frames_sent: counter = "easched_fleet_frames_sent_total", "Frames this node sent",
     /// Frames destined to this node the fabric dropped.
-    pub frames_dropped: u64,
+    frames_dropped: counter = "easched_fleet_frames_dropped_total",
+        "Frames to this node the fabric dropped",
     /// Frames destined to this node the fabric duplicated.
-    pub frames_duplicated: u64,
+    frames_duplicated: counter = "easched_fleet_frames_duplicated_total",
+        "Frames to this node the fabric duplicated",
     /// Frames that arrived torn or corrupt and were rejected whole.
-    pub frames_torn: u64,
+    frames_torn: counter = "easched_fleet_frames_torn_total",
+        "Frames that arrived torn or corrupt and were rejected whole",
     /// Frames refused because a partition severed the link.
-    pub frames_partitioned: u64,
+    frames_partitioned: counter = "easched_fleet_frames_partitioned_total",
+        "Frames refused because a partition severed the link",
     /// Envelopes applied (fresh watermark advances).
-    pub entries_applied: u64,
+    entries_applied: counter = "easched_fleet_entries_applied_total", "Envelopes applied",
     /// Envelopes skipped as duplicates or stale generations.
-    pub entries_rejected_stale: u64,
+    entries_rejected_stale: counter = "easched_fleet_entries_rejected_stale_total",
+        "Envelopes skipped as duplicates or stale generations",
     /// Envelopes deferred because an earlier seq had not arrived yet
     /// (reordering; the gap closes on a later pull).
-    pub entries_deferred_gap: u64,
+    entries_deferred_gap: counter = "easched_fleet_entries_deferred_gap_total",
+        "Envelopes deferred behind a sequence gap",
     /// Replica facts where a newer version superseded a different
     /// origin's fact (LWW conflict resolutions).
-    pub conflicts_resolved: u64,
+    conflicts_resolved: counter = "easched_fleet_conflicts_resolved_total",
+        "Last-writer-wins conflict resolutions",
     /// Cross-platform entries installed as warm-start priors.
-    pub priors_applied: u64,
+    priors_applied: counter = "easched_fleet_priors_applied_total",
+        "Cross-platform entries installed as warm-start priors",
     /// Taints ingested from other nodes.
-    pub taints_replicated: u64,
+    taints_replicated: counter = "easched_fleet_taints_replicated_total",
+        "Taints ingested from other nodes",
     /// Kernels this node's reprofile scheduler queued after a
     /// replicated taint.
-    pub reprofiles_scheduled: u64,
-}
-
-impl FleetStats {
-    /// Renders this node's counters as Prometheus text-exposition lines
-    /// labelled `node="<name>"`. Callers concatenate one block per node;
-    /// `# TYPE` preambles come from [`expose_fleet`].
-    fn expose_into(&self, out: &mut String, node: &str) {
-        let node = escape_label_value(node);
-        let mut line = |metric: &str, v: u64| {
-            out.push_str(&format!("easched_fleet_{metric}{{node=\"{node}\"}} {v}\n"));
-        };
-        line("frames_sent_total", self.frames_sent);
-        line("frames_dropped_total", self.frames_dropped);
-        line("frames_duplicated_total", self.frames_duplicated);
-        line("frames_torn_total", self.frames_torn);
-        line("frames_partitioned_total", self.frames_partitioned);
-        line("entries_applied_total", self.entries_applied);
-        line("entries_rejected_stale_total", self.entries_rejected_stale);
-        line("entries_deferred_gap_total", self.entries_deferred_gap);
-        line("conflicts_resolved_total", self.conflicts_resolved);
-        line("priors_applied_total", self.priors_applied);
-        line("taints_replicated_total", self.taints_replicated);
-        line("reprofiles_scheduled_total", self.reprofiles_scheduled);
-    }
+    reprofiles_scheduled: counter = "easched_fleet_reprofiles_scheduled_total",
+        "Kernels queued for re-profiling after a replicated taint",
 }
 
 /// Renders every node's replication counters as one Prometheus
-/// text-exposition page fragment (counters only; append it to a
+/// text-exposition page fragment: each series typed once, then one
+/// `node="<name>"` sample per node (append it to a
 /// [`MetricsRegistry::expose`](easched_telemetry::MetricsRegistry::expose)
 /// page or serve it standalone).
 pub fn expose_fleet(nodes: &[(String, FleetStats)]) -> String {
+    let series: Vec<_> = nodes
+        .iter()
+        .map(|(n, s)| (n.as_str(), s.values()))
+        .collect();
     let mut out = String::new();
-    out.push_str("# HELP easched_fleet Replication fabric and anti-entropy counters per node\n");
-    out.push_str("# TYPE easched_fleet counter\n");
-    for (name, stats) in nodes {
-        stats.expose_into(&mut out, name);
-    }
+    expose_rows_labelled(&mut out, &FleetStats::ROWS, "node", &series);
     out
+}
+
+easched_telemetry::counter_table! {
+    /// The [`StoreHealth`] fields a fleet page carries, as integer series.
+    report StoreSeries;
+    io_errors: counter = "easched_store_io_errors", "Storage I/O operations that failed",
+    degraded: gauge = "easched_store_degraded", "1 while the store is in degrade-to-memory mode",
+    bytes: counter = "easched_store_bytes", "Bytes the store successfully persisted",
+    degraded_transitions: counter = "easched_store_degraded_transitions",
+        "Durable-to-degraded transitions",
+    rearms: counter = "easched_store_rearms", "Degraded-to-durable recoveries",
+    buffered_dropped: counter = "easched_store_buffered_dropped",
+        "Buffered journal lines dropped at the RAM bound",
 }
 
 /// Renders every node's journal storage-health counters (DESIGN.md §16)
 /// as a page fragment beside [`expose_fleet`]: the single-node
 /// `easched_store_*` series, node-labelled.
 pub fn expose_fleet_store(nodes: &[(String, StoreHealth)]) -> String {
+    let series = |h: &StoreHealth| StoreSeries {
+        io_errors: h.io_errors,
+        degraded: u64::from(h.degraded),
+        bytes: h.bytes_written,
+        degraded_transitions: h.degraded_transitions,
+        rearms: h.rearms,
+        buffered_dropped: h.buffered_dropped,
+    };
+    let series: Vec<_> = nodes
+        .iter()
+        .map(|(n, h)| (n.as_str(), series(h).values()))
+        .collect();
     let mut out = String::new();
-    out.push_str("# HELP easched_store Per-node journal storage health\n");
-    out.push_str("# TYPE easched_store counter\n");
-    for (name, health) in nodes {
-        let node = escape_label_value(name);
-        let mut line = |metric: &str, v: u64| {
-            out.push_str(&format!("easched_store_{metric}{{node=\"{node}\"}} {v}\n"));
-        };
-        line("io_errors", health.io_errors);
-        line("degraded", u64::from(health.degraded));
-        line("bytes", health.bytes_written);
-        line("degraded_transitions", health.degraded_transitions);
-        line("rearms", health.rearms);
-        line("buffered_dropped", health.buffered_dropped);
-    }
+    expose_rows_labelled(&mut out, &StoreSeries::ROWS, "node", &series);
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn exposition_is_prometheus_shaped_with_node_labels() {
-        let stats = FleetStats {
-            frames_sent: 12,
-            frames_dropped: 3,
-            conflicts_resolved: 1,
-            ..FleetStats::default()
-        };
-        let page = expose_fleet(&[("node0".into(), stats), ("node1".into(), stats)]);
-        assert!(page.contains("easched_fleet_frames_sent_total{node=\"node0\"} 12"));
-        assert!(page.contains("easched_fleet_conflicts_resolved_total{node=\"node1\"} 1"));
-        // Every non-comment line is `name{node="..."} value`.
-        for line in page.lines().filter(|l| !l.starts_with('#')) {
-            assert!(
-                line.starts_with("easched_fleet_") && line.contains("{node=\""),
-                "{line}"
-            );
-        }
-    }
-
-    #[test]
-    fn hostile_node_names_are_escaped() {
-        let page = expose_fleet(&[("a\"b\\c\nd".into(), FleetStats::default())]);
-        assert!(page.contains("node=\"a\\\"b\\\\c\\nd\""), "{page}");
-    }
-
-    #[test]
-    fn store_health_exposes_per_node() {
-        let healthy = StoreHealth::default();
-        let sick = StoreHealth {
-            io_errors: 4,
-            degraded: true,
-            bytes_written: 512,
-            degraded_transitions: 1,
-            rearms: 0,
-            buffered_dropped: 2,
-            ..StoreHealth::default()
-        };
-        let page = expose_fleet_store(&[("node0".into(), healthy), ("node1".into(), sick)]);
-        assert!(page.contains("easched_store_io_errors{node=\"node0\"} 0"));
-        assert!(page.contains("easched_store_io_errors{node=\"node1\"} 4"));
-        assert!(page.contains("easched_store_degraded{node=\"node1\"} 1"));
-        assert!(page.contains("easched_store_bytes{node=\"node1\"} 512"));
-        assert!(page.contains("easched_store_buffered_dropped{node=\"node1\"} 2"));
-        for line in page.lines().filter(|l| !l.starts_with('#')) {
-            assert!(
-                line.starts_with("easched_store_") && line.contains("{node=\""),
-                "{line}"
-            );
-        }
-    }
 }

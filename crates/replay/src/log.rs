@@ -18,7 +18,7 @@
 //! mid-write by a crash loses only its tail; the `end` footer
 //! distinguishes a truncated log from a complete one.
 
-use easched_core::fnv1a64;
+use easched_runtime::sealed::{end_of, next_bits, sanitize, seal_line, unseal, Bits};
 use easched_runtime::vfs::Vfs;
 use easched_runtime::Observation;
 use easched_sim::CounterSnapshot;
@@ -411,20 +411,6 @@ pub struct LoggedInvocation<'a> {
     pub steps: Vec<RecordedStep>,
 }
 
-fn seal_line(out: &mut String, body: &str) {
-    debug_assert!(!body.contains('\n'), "run-log lines are single lines");
-    out.push_str(body);
-    out.push_str(&format!(" crc {:016x}\n", fnv1a64(body.as_bytes())));
-}
-
-/// Strips and verifies the trailing seal; `None` if absent or wrong.
-fn unseal(line: &str) -> Option<&str> {
-    let at = line.rfind(" crc ")?;
-    let (body, seal) = line.split_at(at);
-    let seal = u64::from_str_radix(seal.trim_start_matches(" crc ").trim(), 16).ok()?;
-    (fnv1a64(body.as_bytes()) == seal).then_some(body)
-}
-
 fn event_line(event: &Event) -> String {
     match event {
         Event::Derive {
@@ -447,7 +433,7 @@ fn event_line(event: &Event) -> String {
         Event::Step(step) => {
             let call = match step.call {
                 StepCall::Profile { chunk } => format!("profile {chunk}"),
-                StepCall::Split { alpha } => format!("split {:016x}", alpha.to_bits()),
+                StepCall::Split { alpha } => format!("split {}", Bits(alpha)),
             };
             format!(
                 "step {call} {} {}",
@@ -474,24 +460,18 @@ fn event_line(event: &Event) -> String {
     }
 }
 
-/// Whitespace would break the line grammar; labels and domains are
-/// code-chosen, so just squash any stray space.
-fn sanitize(s: &str) -> String {
-    s.replace(char::is_whitespace, "_")
-}
-
 fn obs_words(obs: &Observation) -> String {
     format!(
-        "{:016x} {} {} {:016x} {:016x} {:016x} {:016x} {:016x} {:016x}",
-        obs.elapsed.to_bits(),
+        "{} {} {} {} {} {} {} {} {}",
+        Bits(obs.elapsed),
         obs.cpu_items,
         obs.gpu_items,
-        obs.cpu_time.to_bits(),
-        obs.gpu_time.to_bits(),
-        obs.energy_joules.to_bits(),
-        obs.counters.instructions.to_bits(),
-        obs.counters.loads.to_bits(),
-        obs.counters.l3_misses.to_bits(),
+        Bits(obs.cpu_time),
+        Bits(obs.gpu_time),
+        Bits(obs.energy_joules),
+        Bits(obs.counters.instructions),
+        Bits(obs.counters.loads),
+        Bits(obs.counters.l3_misses),
     )
 }
 
@@ -539,7 +519,7 @@ fn parse_event(body: &str) -> Option<Event> {
                     chunk: parts.next()?.parse().ok()?,
                 },
                 "split" => StepCall::Split {
-                    alpha: f64::from_bits(u64::from_str_radix(parts.next()?, 16).ok()?),
+                    alpha: next_bits(&mut parts)?,
                 },
                 _ => return None,
             };
@@ -581,27 +561,19 @@ fn parse_event(body: &str) -> Option<Event> {
 }
 
 fn parse_obs(parts: &mut std::str::SplitWhitespace<'_>) -> Option<Observation> {
-    let bits =
-        |parts: &mut std::str::SplitWhitespace<'_>| u64::from_str_radix(parts.next()?, 16).ok();
     Some(Observation {
-        elapsed: f64::from_bits(bits(parts)?),
+        elapsed: next_bits(parts)?,
         cpu_items: parts.next()?.parse().ok()?,
         gpu_items: parts.next()?.parse().ok()?,
-        cpu_time: f64::from_bits(bits(parts)?),
-        gpu_time: f64::from_bits(bits(parts)?),
-        energy_joules: f64::from_bits(bits(parts)?),
+        cpu_time: next_bits(parts)?,
+        gpu_time: next_bits(parts)?,
+        energy_joules: next_bits(parts)?,
         counters: CounterSnapshot {
-            instructions: f64::from_bits(bits(parts)?),
-            loads: f64::from_bits(bits(parts)?),
-            l3_misses: f64::from_bits(bits(parts)?),
+            instructions: next_bits(parts)?,
+            loads: next_bits(parts)?,
+            l3_misses: next_bits(parts)?,
         },
     })
-}
-
-/// `Some(())` only when the iterator is exhausted (trailing junk on a
-/// line is treated as corruption).
-fn end_of(mut parts: std::str::SplitWhitespace<'_>) -> Option<()> {
-    parts.next().is_none().then_some(())
 }
 
 #[cfg(test)]

@@ -605,18 +605,21 @@ impl AdmissionController {
     /// Folds one package-power sample into the brownout controller. On
     /// an escalation to [`BrownoutLevel::ShedLoad`], queued requests of
     /// shed-target tenants are flushed (counted as shed). Returns the
-    /// transition and how many queued requests were flushed.
-    pub fn observe_power(&mut self, watts: f64) -> Option<(BrownoutLevel, BrownoutLevel, u64)> {
+    /// transition and how many queued requests each tenant (by registry
+    /// index) had flushed.
+    pub fn observe_power(
+        &mut self,
+        watts: f64,
+    ) -> Option<(BrownoutLevel, BrownoutLevel, Vec<u64>)> {
         let (from, to) = self.brownout.observe(watts)?;
-        let mut flushed = 0u64;
+        let mut flushed = vec![0; self.queues.len()];
         if to == BrownoutLevel::ShedLoad {
             for (t, spec) in self.registry.specs.iter().enumerate() {
                 if spec.priority <= self.cfg.shed_below_priority {
-                    let n = self.queues[t].len() as u64;
+                    flushed[t] = self.queues[t].len() as u64;
                     self.queues[t].clear();
                     self.stats[t].queue_len = 0;
-                    self.stats[t].shed += n;
-                    flushed += n;
+                    self.stats[t].shed += flushed[t];
                 }
             }
         }
@@ -999,7 +1002,7 @@ mod tests {
             (from, to),
             (BrownoutLevel::ForceCpu, BrownoutLevel::ShedLoad)
         );
-        assert_eq!(flushed, 2, "queued batch requests are flushed");
+        assert_eq!(flushed, [2, 0], "queued batch requests are flushed");
         assert!(matches!(ctl.offer(0), AdmissionOutcome::Shed { .. }));
         assert!(matches!(ctl.offer(1), AdmissionOutcome::Admit { .. }));
         assert_eq!(ctl.ctx_for(1).gpu, GpuPolicy::Deny);

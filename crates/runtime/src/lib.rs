@@ -39,6 +39,7 @@ pub mod observation;
 pub mod parallel_invoker;
 pub mod pool;
 pub mod scheduler;
+pub mod sealed;
 pub mod sim_backend;
 pub mod telemetry;
 pub mod thread_backend;

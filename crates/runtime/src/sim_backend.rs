@@ -287,13 +287,7 @@ pub fn replay_trace<S: Scheduler>(
 /// of the paper's function-pointer key). Public so callers can look up the
 /// table entry a workload's kernel learned into.
 pub fn kernel_id_of(workload: &dyn easched_kernels::Workload) -> KernelId {
-    workload
-        .spec()
-        .abbrev
-        .bytes()
-        .fold(0xcbf29ce484222325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
-        })
+    crate::sealed::fnv1a64(workload.spec().abbrev.as_bytes())
 }
 
 #[cfg(test)]

@@ -73,7 +73,8 @@ pub trait Vfs: Send + Sync + fmt::Debug {
 ///
 /// Every method is a direct delegation; the seam adds one dynamic
 /// dispatch per operation on paths that were already syscalls, which
-/// the `bench_decide --check` gate holds to zero measurable cost.
+/// the benchmark's `runtime.vfs.write_ns` lane holds to zero measurable
+/// cost.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct StdFs;
 

@@ -18,6 +18,9 @@
 //! - [`RingSink`] — the standard sink: a bounded, lock-free,
 //!   overwrite-on-wrap ring ([`ring`]) plus an always-on
 //!   [`MetricsRegistry`] with Prometheus-style exposition ([`metrics`]).
+//! - [`counter_table!`] — the one place a plain counter or gauge is
+//!   declared; banks, reports, text pages and JSON derive from its rows
+//!   ([`counters`]).
 //! - [`to_trace`] / [`parse_trace`] — Chrome-trace export (one event per
 //!   line, loadable in Perfetto / `chrome://tracing`) that round-trips
 //!   bit-for-bit ([`trace`]).
@@ -39,6 +42,7 @@
 #![warn(missing_docs)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
+pub mod counters;
 pub mod drift;
 pub mod metrics;
 pub mod record;

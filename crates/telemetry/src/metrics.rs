@@ -12,11 +12,12 @@
 //! relaxed store; only the first sighting of a kernel takes the write
 //! lock to insert its slot.
 
+use crate::counters::{expose_rows, push_meta};
 use crate::record::{DecisionRecord, InvocationPath};
 use crate::sink::ControlEvent;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{PoisonError, RwLock};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -39,6 +40,13 @@ impl Counter {
     }
 }
 
+/// A clone starts from the value read at the moment of cloning.
+impl Clone for Counter {
+    fn clone(&self) -> Counter {
+        Counter(AtomicU64::new(self.get()))
+    }
+}
+
 /// A last-value-wins gauge.
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
@@ -52,6 +60,13 @@ impl Gauge {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// A clone starts from the value read at the moment of cloning.
+impl Clone for Gauge {
+    fn clone(&self) -> Gauge {
+        Gauge(AtomicU64::new(self.get()))
     }
 }
 
@@ -136,100 +151,118 @@ impl LogHistogram {
 /// Number of α distribution buckets: the paper's grid {0, 0.1, …, 1}.
 pub const ALPHA_BUCKETS: usize = 11;
 
-/// Scheduler metrics derived from the decision stream: invocation-path
-/// counters, fault and breaker activity, decision latency, profiling
-/// overhead, and the α distribution. Updated once per invocation via
-/// [`update`](MetricsRegistry::update); rendered with
-/// [`expose`](MetricsRegistry::expose).
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
+crate::counter_table! {
+    /// Scheduler metrics derived from the decision stream: invocation-path
+    /// counters, fault and breaker activity, decision latency, profiling
+    /// overhead, and the α distribution. Updated once per invocation via
+    /// [`update`](MetricsRegistry::update); rendered with
+    /// [`expose`](MetricsRegistry::expose), which opens with the rows below
+    /// in declaration order.
+    #[derive(Debug, Default)]
+    pub bank MetricsRegistry(pub) {
+        /// Wall-clock vet+decide latency per invocation, nanoseconds.
+        pub decide_latency_ns: LogHistogram,
+        /// Profiling overhead per profiled invocation, basis points of the
+        /// invocation's realized time (profile / total × 10⁴).
+        pub overhead_bp: LogHistogram,
+        /// Executed α, bucketed on the paper's 0.1 grid.
+        pub alpha: [Counter; ALPHA_BUCKETS],
+        /// Latest drift EWMA per kernel, stored as `f64` bits (see
+        /// [`kernel_drift`](MetricsRegistry::kernel_drift)).
+        kernel_drift_ewma: Slots,
+        /// Per-tenant shed counts (tenant id → count).
+        tenant_sheds: Slots,
+        /// Per-tenant queued counts.
+        tenant_queued: Slots,
+        /// Per-tenant quota-denial counts.
+        tenant_quota_denials: Slots,
+        /// Per-tenant SLO breach counts.
+        tenant_slo_breaches: Slots,
+        /// Human-readable tenant names for labels (escaped at exposition).
+        tenant_names: RwLock<BTreeMap<u64, String>>,
+        /// Build identity rendered as `easched_build_info` (version, commit);
+        /// empty strings fall back to this crate's version / "unknown".
+        build_info: RwLock<(String, String)>,
+        /// Virtual-clock timestamp the registry was armed at, `f64` bits.
+        started_s: AtomicU64,
+        /// Latest virtual-clock timestamp observed, `f64` bits.
+        now_s: AtomicU64,
+    }
     /// Invocations seen, in total.
-    pub invocations: Counter,
+    invocations: counter = "easched_invocations_total", "Kernel invocations scheduled",
     /// Invocations that reused a learned α from the table.
-    pub table_hits: Counter,
+    table_hits: counter = "easched_table_hits_total", "Invocations that reused a learned alpha",
     /// Invocations too small to fill the GPU (ran CPU-only).
-    pub small_n: Counter,
+    small_n: counter = "easched_small_n_total", "Invocations too small for the GPU (CPU-only)",
     /// First-seen invocations that profiled online.
-    pub profiled: Counter,
+    profiled: counter = "easched_profiled_total", "First-seen invocations that profiled online",
     /// Known kernels that re-profiled (periodic or tainted).
-    pub reprofiled: Counter,
+    reprofiled: counter = "easched_reprofiled_total", "Known kernels that re-profiled",
     /// Recovery-probe invocations (half-open breaker).
-    pub probes: Counter,
+    probes: counter = "easched_probe_total", "Recovery-probe invocations",
     /// Invocations that degraded after sustained faults.
-    pub degraded: Counter,
+    degraded: counter = "easched_degraded_total", "Invocations degraded after sustained faults",
     /// Invocations quarantined CPU-only by an open breaker.
-    pub quarantined: Counter,
+    quarantined: counter = "easched_quarantined_total",
+        "Invocations quarantined CPU-only by the breaker",
     /// Accepted profiling rounds, summed over invocations.
-    pub profile_rounds: Counter,
+    profile_rounds: counter = "easched_profile_rounds_total", "Accepted profiling rounds",
     /// Rejected (faulty) profiling rounds, summed over invocations.
-    pub fault_rounds: Counter,
+    fault_rounds: counter = "easched_fault_rounds_total", "Rejected profiling rounds",
     /// Breaker state changes observed between consecutive records.
-    pub breaker_transitions: Counter,
-    /// Most recent breaker state (0 closed, 1 open, 2 half-open).
-    pub breaker_state: Gauge,
-    /// Realized profiling-phase time, microseconds, summed.
-    pub profile_time_us: Counter,
-    /// Realized total invocation time, microseconds, summed.
-    pub invocation_time_us: Counter,
-    /// Wall-clock vet+decide latency per invocation, nanoseconds.
-    pub decide_latency_ns: LogHistogram,
-    /// Profiling overhead per profiled invocation, basis points of the
-    /// invocation's realized time (profile / total × 10⁴).
-    pub overhead_bp: LogHistogram,
-    /// Executed α, bucketed on the paper's 0.1 grid.
-    pub alpha: [Counter; ALPHA_BUCKETS],
+    breaker_transitions: counter = "easched_breaker_transitions_total",
+        "Circuit-breaker state changes",
     /// Re-profiles scheduled by the drift monitor (DESIGN.md §11).
-    pub drift_reprofiles: Counter,
+    drift_reprofiles: counter = "easched_drift_reprofiles_total",
+        "Re-profiles scheduled by the drift monitor",
     /// Due re-profiles deferred by an empty token bucket.
-    pub reprofiles_suppressed: Counter,
+    reprofiles_suppressed: counter = "easched_reprofiles_suppressed_total",
+        "Due re-profiles deferred by an empty token bucket",
     /// Profiling rounds cancelled by the watchdog deadline.
-    pub watchdog_trips: Counter,
+    watchdog_trips: counter = "easched_watchdog_trips_total",
+        "Profiling rounds cancelled by the watchdog deadline",
     /// Chunk executions that overran the watchdog's split deadline.
-    pub split_overruns: Counter,
+    split_overruns: counter = "easched_split_overruns_total",
+        "Chunk executions past the watchdog split deadline",
     /// Invocations whose GPU use was gated by the admission layer's
     /// brownout ladder (ran CPU-only, learned nothing).
-    pub throttled: Counter,
+    throttled: counter = "easched_throttled_total", "Invocations GPU-gated by the brownout ladder",
     /// Requests shed by the admission layer (queue overflow or brownout
     /// stage 3), across tenants.
-    pub requests_shed: Counter,
+    requests_shed: counter = "easched_requests_shed_total", "Requests shed by the admission layer",
     /// Requests queued behind earlier ones, across tenants.
-    pub requests_queued: Counter,
+    requests_queued: counter = "easched_requests_queued_total",
+        "Requests queued by the admission layer",
     /// Requests refused on an exhausted GPU quota window, across tenants.
-    pub quota_denials: Counter,
+    quota_denials: counter = "easched_quota_denials_total",
+        "Requests refused on an exhausted GPU quota",
     /// Brownout-ladder rung changes.
-    pub brownout_transitions: Counter,
-    /// Current brownout rung (0 normal … 3 shed-load).
-    pub brownout_level: Gauge,
+    brownout_transitions: counter = "easched_brownout_transitions_total",
+        "Brownout-ladder rung changes",
     /// SLO burn-rate breaches fired by the tracker, across tenants.
-    pub slo_breaches: Counter,
+    slo_breaches: counter = "easched_slo_breaches_total",
+        "SLO burn-rate breaches fired by the tracker",
     /// Storage-layer I/O faults absorbed by the table store (DESIGN.md
     /// §16): failed appends, poisoned fsyncs, degradation transitions.
-    pub store_io_errors: Counter,
+    store_io_errors: counter = "easched_store_io_errors",
+        "Storage I/O faults absorbed by the table store",
+    /// Realized profiling-phase time, microseconds, summed.
+    profile_time_us: counter = "easched_profile_time_microseconds_total",
+        "Realized profiling-phase time",
+    /// Realized total invocation time, microseconds, summed.
+    invocation_time_us: counter = "easched_invocation_time_microseconds_total",
+        "Realized total invocation time",
+    /// Most recent breaker state (0 closed, 1 open, 2 half-open).
+    breaker_state: gauge = "easched_breaker_state", "Breaker state (0 closed, 1 open, 2 half-open)",
+    /// Current brownout rung (0 normal … 3 shed-load).
+    brownout_level: gauge = "easched_brownout_level",
+        "Brownout rung (0 normal, 1 deny-gpu, 2 force-cpu, 3 shed-load)",
     /// 1 while the table store is in degrade-to-memory mode, else 0.
-    pub store_degraded: Gauge,
+    store_degraded: gauge = "easched_store_degraded",
+        "1 while the table store is in degrade-to-memory mode",
     /// Bytes the table store successfully persisted (set from the health
     /// report by the scrape frontends; control events do not carry it).
-    pub store_bytes: Gauge,
-    /// Latest drift EWMA per kernel, stored as `f64` bits (see
-    /// [`kernel_drift`](MetricsRegistry::kernel_drift)).
-    kernel_drift_ewma: RwLock<BTreeMap<u64, AtomicU64>>,
-    /// Per-tenant shed counts (tenant id → count).
-    tenant_sheds: RwLock<BTreeMap<u64, AtomicU64>>,
-    /// Per-tenant queued counts.
-    tenant_queued: RwLock<BTreeMap<u64, AtomicU64>>,
-    /// Per-tenant quota-denial counts.
-    tenant_quota_denials: RwLock<BTreeMap<u64, AtomicU64>>,
-    /// Per-tenant SLO breach counts.
-    tenant_slo_breaches: RwLock<BTreeMap<u64, AtomicU64>>,
-    /// Human-readable tenant names for labels (escaped at exposition).
-    tenant_names: RwLock<BTreeMap<u64, String>>,
-    /// Build identity rendered as `easched_build_info` (version, commit);
-    /// empty strings fall back to this crate's version / "unknown".
-    build_info: RwLock<(String, String)>,
-    /// Virtual-clock timestamp the registry was armed at, `f64` bits.
-    started_s: AtomicU64,
-    /// Latest virtual-clock timestamp observed, `f64` bits.
-    now_s: AtomicU64,
+    store_bytes: gauge = "easched_store_bytes", "Bytes the table store successfully persisted",
 }
 
 /// Escapes a string for use as a Prometheus label value: backslashes,
@@ -251,30 +284,39 @@ pub fn escape_label_value(raw: &str) -> String {
     out
 }
 
-/// Bumps a labeled counter slot: a read lock plus one relaxed add after
-/// the label's first sighting; only the insert takes the write lock
-/// (the same idiom as the kernel-drift gauge map).
-fn bump_labeled(map: &RwLock<BTreeMap<u64, AtomicU64>>, key: u64) {
-    {
-        let map = map.read().unwrap_or_else(PoisonError::into_inner);
-        if let Some(slot) = map.get(&key) {
-            slot.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-    }
-    map.write()
-        .unwrap_or_else(PoisonError::into_inner)
-        .entry(key)
-        .or_insert_with(|| AtomicU64::new(0))
-        .fetch_add(1, Ordering::Relaxed);
-}
+/// A labelled family: one relaxed-atomic slot per key. After a key's
+/// first sighting an update is a read lock plus one atomic operation;
+/// only the insert takes the write lock.
+#[derive(Debug, Default)]
+struct Slots(RwLock<BTreeMap<u64, AtomicU64>>);
 
-fn dump_labeled(map: &RwLock<BTreeMap<u64, AtomicU64>>) -> Vec<(u64, u64)> {
-    map.read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .iter()
-        .map(|(&k, v)| (k, v.load(Ordering::Relaxed)))
-        .collect()
+impl Slots {
+    fn with(&self, key: u64, update: impl Fn(&AtomicU64)) {
+        if let Some(slot) = self.read().get(&key) {
+            return update(slot);
+        }
+        let mut map = self.0.write().unwrap_or_else(PoisonError::into_inner);
+        update(map.entry(key).or_default());
+    }
+
+    fn bump(&self, key: u64) {
+        self.with(key, |slot| {
+            slot.fetch_add(1, Ordering::Relaxed);
+        });
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, BTreeMap<u64, AtomicU64>> {
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Every slot's value, sorted by key.
+    fn dump(&self) -> Vec<(u64, u64)> {
+        let slots = self.read();
+        slots
+            .iter()
+            .map(|(&k, v)| (k, v.load(Ordering::Relaxed)))
+            .collect()
+    }
 }
 
 impl MetricsRegistry {
@@ -322,15 +364,15 @@ impl MetricsRegistry {
             ControlEvent::SplitOverrun { .. } => self.split_overruns.inc(),
             ControlEvent::RequestShed { tenant } => {
                 self.requests_shed.inc();
-                bump_labeled(&self.tenant_sheds, tenant);
+                self.tenant_sheds.bump(tenant);
             }
             ControlEvent::RequestQueued { tenant } => {
                 self.requests_queued.inc();
-                bump_labeled(&self.tenant_queued, tenant);
+                self.tenant_queued.bump(tenant);
             }
             ControlEvent::QuotaDenied { tenant } => {
                 self.quota_denials.inc();
-                bump_labeled(&self.tenant_quota_denials, tenant);
+                self.tenant_quota_denials.bump(tenant);
             }
             ControlEvent::Brownout { level } => {
                 self.brownout_transitions.inc();
@@ -338,7 +380,7 @@ impl MetricsRegistry {
             }
             ControlEvent::SloBreach { tenant, .. } => {
                 self.slo_breaches.inc();
-                bump_labeled(&self.tenant_slo_breaches, tenant);
+                self.tenant_slo_breaches.bump(tenant);
             }
             ControlEvent::StorageFault { degraded, .. } => {
                 self.store_io_errors.inc();
@@ -400,63 +442,43 @@ impl MetricsRegistry {
 
     /// Per-tenant shed counts, sorted by tenant id.
     pub fn tenant_sheds(&self) -> Vec<(u64, u64)> {
-        dump_labeled(&self.tenant_sheds)
+        self.tenant_sheds.dump()
     }
 
     /// Per-tenant queued counts, sorted by tenant id.
     pub fn tenant_queued(&self) -> Vec<(u64, u64)> {
-        dump_labeled(&self.tenant_queued)
+        self.tenant_queued.dump()
     }
 
     /// Per-tenant quota-denial counts, sorted by tenant id.
     pub fn tenant_quota_denials(&self) -> Vec<(u64, u64)> {
-        dump_labeled(&self.tenant_quota_denials)
+        self.tenant_quota_denials.dump()
     }
 
     /// Per-tenant SLO breach counts, sorted by tenant id.
     pub fn tenant_slo_breaches(&self) -> Vec<(u64, u64)> {
-        dump_labeled(&self.tenant_slo_breaches)
+        self.tenant_slo_breaches.dump()
     }
 
     /// The latest drift EWMA reported for a kernel, if any.
     pub fn kernel_drift(&self, kernel: u64) -> Option<f64> {
-        self.kernel_drift_ewma
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&kernel)
-            .map(|bits| f64::from_bits(bits.load(Ordering::Relaxed)))
+        let slots = self.kernel_drift_ewma.read();
+        let bits = slots.get(&kernel)?.load(Ordering::Relaxed);
+        Some(f64::from_bits(bits))
     }
 
     /// Every kernel's latest drift EWMA, sorted by kernel id.
     pub fn kernel_drifts(&self) -> Vec<(u64, f64)> {
-        self.kernel_drift_ewma
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(&k, bits)| (k, f64::from_bits(bits.load(Ordering::Relaxed))))
-            .collect()
+        let bits = self.kernel_drift_ewma.dump().into_iter();
+        bits.map(|(k, bits)| (k, f64::from_bits(bits))).collect()
     }
 
     fn set_kernel_drift(&self, kernel: u64, ewma: f64) {
         // Non-finite EWMAs are clamped at the source, but guard anyway:
         // the exposition must stay parseable whatever arrives.
         let bits = if ewma.is_finite() { ewma } else { 0.0 }.to_bits();
-        {
-            let map = self
-                .kernel_drift_ewma
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(slot) = map.get(&kernel) {
-                slot.store(bits, Ordering::Relaxed);
-                return;
-            }
-        }
         self.kernel_drift_ewma
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(kernel)
-            .or_insert_with(|| AtomicU64::new(bits))
-            .store(bits, Ordering::Relaxed);
+            .with(kernel, |slot| slot.store(bits, Ordering::Relaxed));
     }
 
     /// Fraction of invocations served straight from the kernel table.
@@ -473,167 +495,7 @@ impl MetricsRegistry {
     /// (`# HELP`/`# TYPE` preambles, `easched_`-prefixed series).
     pub fn expose(&self) -> String {
         let mut out = String::with_capacity(4096);
-        let mut counter = |name: &str, help: &str, v: u64| {
-            push_meta(&mut out, name, help, "counter");
-            out.push_str(&format!("{name} {v}\n"));
-        };
-        counter(
-            "easched_invocations_total",
-            "Kernel invocations scheduled",
-            self.invocations.get(),
-        );
-        counter(
-            "easched_table_hits_total",
-            "Invocations that reused a learned alpha",
-            self.table_hits.get(),
-        );
-        counter(
-            "easched_small_n_total",
-            "Invocations too small for the GPU (CPU-only)",
-            self.small_n.get(),
-        );
-        counter(
-            "easched_profiled_total",
-            "First-seen invocations that profiled online",
-            self.profiled.get(),
-        );
-        counter(
-            "easched_reprofiled_total",
-            "Known kernels that re-profiled",
-            self.reprofiled.get(),
-        );
-        counter(
-            "easched_probe_total",
-            "Recovery-probe invocations",
-            self.probes.get(),
-        );
-        counter(
-            "easched_degraded_total",
-            "Invocations degraded after sustained faults",
-            self.degraded.get(),
-        );
-        counter(
-            "easched_quarantined_total",
-            "Invocations quarantined CPU-only by the breaker",
-            self.quarantined.get(),
-        );
-        counter(
-            "easched_profile_rounds_total",
-            "Accepted profiling rounds",
-            self.profile_rounds.get(),
-        );
-        counter(
-            "easched_fault_rounds_total",
-            "Rejected profiling rounds",
-            self.fault_rounds.get(),
-        );
-        counter(
-            "easched_breaker_transitions_total",
-            "Circuit-breaker state changes",
-            self.breaker_transitions.get(),
-        );
-        counter(
-            "easched_drift_reprofiles_total",
-            "Re-profiles scheduled by the drift monitor",
-            self.drift_reprofiles.get(),
-        );
-        counter(
-            "easched_reprofiles_suppressed_total",
-            "Due re-profiles deferred by an empty token bucket",
-            self.reprofiles_suppressed.get(),
-        );
-        counter(
-            "easched_watchdog_trips_total",
-            "Profiling rounds cancelled by the watchdog deadline",
-            self.watchdog_trips.get(),
-        );
-        counter(
-            "easched_split_overruns_total",
-            "Chunk executions past the watchdog split deadline",
-            self.split_overruns.get(),
-        );
-        counter(
-            "easched_throttled_total",
-            "Invocations GPU-gated by the brownout ladder",
-            self.throttled.get(),
-        );
-        counter(
-            "easched_requests_shed_total",
-            "Requests shed by the admission layer",
-            self.requests_shed.get(),
-        );
-        counter(
-            "easched_requests_queued_total",
-            "Requests queued by the admission layer",
-            self.requests_queued.get(),
-        );
-        counter(
-            "easched_quota_denials_total",
-            "Requests refused on an exhausted GPU quota",
-            self.quota_denials.get(),
-        );
-        counter(
-            "easched_brownout_transitions_total",
-            "Brownout-ladder rung changes",
-            self.brownout_transitions.get(),
-        );
-        counter(
-            "easched_slo_breaches_total",
-            "SLO burn-rate breaches fired by the tracker",
-            self.slo_breaches.get(),
-        );
-        counter(
-            "easched_store_io_errors",
-            "Storage I/O faults absorbed by the table store",
-            self.store_io_errors.get(),
-        );
-        counter(
-            "easched_profile_time_microseconds_total",
-            "Realized profiling-phase time",
-            self.profile_time_us.get(),
-        );
-        counter(
-            "easched_invocation_time_microseconds_total",
-            "Realized total invocation time",
-            self.invocation_time_us.get(),
-        );
-        push_meta(
-            &mut out,
-            "easched_breaker_state",
-            "Breaker state (0 closed, 1 open, 2 half-open)",
-            "gauge",
-        );
-        out.push_str(&format!(
-            "easched_breaker_state {}\n",
-            self.breaker_state.get()
-        ));
-        push_meta(
-            &mut out,
-            "easched_brownout_level",
-            "Brownout rung (0 normal, 1 deny-gpu, 2 force-cpu, 3 shed-load)",
-            "gauge",
-        );
-        out.push_str(&format!(
-            "easched_brownout_level {}\n",
-            self.brownout_level.get()
-        ));
-        push_meta(
-            &mut out,
-            "easched_store_degraded",
-            "1 while the table store is in degrade-to-memory mode",
-            "gauge",
-        );
-        out.push_str(&format!(
-            "easched_store_degraded {}\n",
-            self.store_degraded.get()
-        ));
-        push_meta(
-            &mut out,
-            "easched_store_bytes",
-            "Bytes the table store successfully persisted",
-            "gauge",
-        );
-        out.push_str(&format!("easched_store_bytes {}\n", self.store_bytes.get()));
+        expose_rows(&mut out, &Self::ROWS, &self.values());
         push_histogram(
             &mut out,
             "easched_decide_latency_nanoseconds",
@@ -761,10 +623,6 @@ fn ratio(num: u64, den: u64) -> f64 {
     } else {
         num as f64 / den as f64
     }
-}
-
-fn push_meta(out: &mut String, name: &str, help: &str, kind: &str) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
 }
 
 /// Renders a histogram in the Prometheus cumulative-bucket convention,
@@ -904,7 +762,7 @@ mod tests {
     }
 
     #[test]
-    fn admission_events_accumulate_with_tenant_labels() {
+    fn admission_events_accumulate_per_tenant() {
         let reg = MetricsRegistry::default();
         reg.control(&ControlEvent::RequestShed { tenant: 3 });
         reg.control(&ControlEvent::RequestShed { tenant: 3 });
@@ -925,19 +783,6 @@ mod tests {
             ..DecisionRecord::default()
         });
         assert_eq!(reg.throttled.get(), 1);
-        let page = reg.expose();
-        assert!(page.contains("easched_requests_shed_total 3"));
-        assert!(page.contains("easched_tenant_requests_shed_total{tenant=\"3\"} 2"));
-        assert!(page.contains("easched_tenant_requests_queued_total{tenant=\"1\"} 1"));
-        assert!(page.contains("easched_tenant_quota_denials_total{tenant=\"5\"} 1"));
-        assert!(page.contains("easched_brownout_level 2"));
-        assert!(page.contains("easched_throttled_total 1"));
-        for line in page.lines() {
-            assert!(
-                line.starts_with("# ") || line.split_whitespace().count() == 2,
-                "malformed line: {line}"
-            );
-        }
     }
 
     #[test]
@@ -1015,9 +860,6 @@ mod tests {
         });
         assert_eq!(reg.slo_breaches.get(), 3);
         assert_eq!(reg.tenant_slo_breaches(), vec![(1, 1), (4, 2)]);
-        let page = reg.expose();
-        assert!(page.contains("easched_slo_breaches_total 3"));
-        assert!(page.contains("easched_tenant_slo_breaches_total{tenant=\"4\"} 2"));
     }
 
     #[test]
@@ -1038,49 +880,6 @@ mod tests {
             degraded: false,
         });
         assert_eq!(reg.store_degraded.get(), 0, "re-arm clears the gauge");
-        reg.store_bytes.swap(4096);
-        let page = reg.expose();
-        assert!(page.contains("easched_store_io_errors 3"));
-        assert!(page.contains("easched_store_degraded 0"));
-        assert!(page.contains("easched_store_bytes 4096"));
-    }
-
-    #[test]
-    fn exposition_is_prometheus_shaped() {
-        let reg = MetricsRegistry::default();
-        reg.update(&DecisionRecord {
-            path: InvocationPath::Profiled,
-            alpha: 1.0,
-            decide_nanos: 5,
-            profile_time: 0.25,
-            split_time: 0.75,
-            ..DecisionRecord::default()
-        });
-        reg.control(&ControlEvent::Drift {
-            kernel: 42,
-            ewma: 0.25,
-        });
-        reg.control(&ControlEvent::Reprofile {
-            kernel: 42,
-            ewma: 2.5,
-        });
-        let page = reg.expose();
-        assert!(page.contains("# TYPE easched_kernel_drift_ewma gauge"));
-        assert!(page.contains("easched_kernel_drift_ewma{kernel=\"42\"} 2.5e0"));
-        assert!(page.contains("easched_drift_reprofiles_total 1"));
-        assert!(page.contains("easched_watchdog_trips_total 0"));
-        assert!(page.contains("# TYPE easched_invocations_total counter"));
-        assert!(page.contains("easched_invocations_total 1"));
-        assert!(page.contains("# TYPE easched_decide_latency_nanoseconds histogram"));
-        assert!(page.contains("easched_decide_latency_nanoseconds_bucket{le=\"+Inf\"} 1"));
-        assert!(page.contains("easched_decide_latency_nanoseconds_count 1"));
-        assert!(page.contains("easched_alpha_decisions_total{alpha=\"1.0\"} 1"));
-        // Every line is either a comment or `name{labels} value`.
-        for line in page.lines() {
-            assert!(
-                line.starts_with("# ") || line.split_whitespace().count() == 2,
-                "malformed line: {line}"
-            );
-        }
+        assert_eq!(reg.store_io_errors.get(), 3);
     }
 }

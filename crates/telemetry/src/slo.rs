@@ -20,6 +20,8 @@
 //! deterministic observation stream — so, like control events, they are
 //! never written to the log itself.
 
+use crate::counters::push_json_field;
+use crate::trace::json_f64;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Mutex, PoisonError};
@@ -359,52 +361,37 @@ impl SloTracker {
 
     /// Renders the `/slo` page: burn rates and fired events as JSON.
     pub fn render_json(&self, now: f64) -> String {
-        let statuses = self.burn_rates(now);
-        let events = self.events();
         let mut out = String::with_capacity(512);
-        out.push_str("{\"burn_threshold\":");
-        push_json_f64(&mut out, self.cfg.burn_threshold);
+        out.push('{');
+        push_json_field(
+            &mut out,
+            "burn_threshold",
+            json_f64(self.cfg.burn_threshold),
+        );
         out.push_str(",\"signals\":[");
-        for (i, s) in statuses.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"tenant\":{},\"name\":{},\"signal\":\"{}\",\"burn_short\":",
-                s.tenant,
-                match &s.name {
-                    Some(n) => format!("\"{}\"", escape_json(n)),
-                    None => "null".to_string(),
-                },
-                s.kind.as_str()
-            );
-            push_json_f64(&mut out, s.burn_short);
-            out.push_str(",\"burn_long\":");
-            push_json_f64(&mut out, s.burn_long);
-            let _ = write!(
-                out,
-                ",\"samples_short\":{},\"firing\":{}}}",
-                s.samples_short, s.firing
-            );
+        for (i, s) in self.burn_rates(now).iter().enumerate() {
+            out.push_str(if i > 0 { ",{" } else { "{" });
+            push_json_field(&mut out, "tenant", s.tenant);
+            let name = s.name.as_ref();
+            let name = name.map_or("null".into(), |n| format!("\"{}\"", escape_json(n)));
+            push_json_field(&mut out, "name", name);
+            push_json_field(&mut out, "signal", format_args!("\"{}\"", s.kind.as_str()));
+            push_json_field(&mut out, "burn_short", json_f64(s.burn_short));
+            push_json_field(&mut out, "burn_long", json_f64(s.burn_long));
+            push_json_field(&mut out, "samples_short", s.samples_short);
+            push_json_field(&mut out, "firing", s.firing);
+            out.push('}');
         }
         out.push_str("],\"events\":[");
-        for (i, e) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"tenant\":{},\"signal\":\"{}\",\"burn_short\":",
-                e.tenant,
-                e.kind.as_str()
-            );
-            push_json_f64(&mut out, e.burn_short);
-            out.push_str(",\"burn_long\":");
-            push_json_f64(&mut out, e.burn_long);
-            out.push_str(",\"at\":");
-            push_json_f64(&mut out, e.at);
-            let _ = write!(out, ",\"exemplar_offset\":{}}}", e.exemplar_offset);
+        for (i, e) in self.events().iter().enumerate() {
+            out.push_str(if i > 0 { ",{" } else { "{" });
+            push_json_field(&mut out, "tenant", e.tenant);
+            push_json_field(&mut out, "signal", format_args!("\"{}\"", e.kind.as_str()));
+            push_json_field(&mut out, "burn_short", json_f64(e.burn_short));
+            push_json_field(&mut out, "burn_long", json_f64(e.burn_long));
+            push_json_field(&mut out, "at", json_f64(e.at));
+            push_json_field(&mut out, "exemplar_offset", e.exemplar_offset);
+            out.push('}');
         }
         out.push_str("]}");
         out
@@ -455,22 +442,10 @@ fn burn_counted(
     ((bad as f64 / total as f64) / budget, total)
 }
 
-/// JSON number rendering shared with the trace writer's convention:
-/// non-finite values become quoted strings.
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else if v.is_nan() {
-        out.push_str("\"NaN\"");
-    } else if v > 0.0 {
-        out.push_str("\"inf\"");
-    } else {
-        out.push_str("\"-inf\"");
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape_json(s: &str) -> String {
+/// The workspace's one JSON string escaper: quotes, backslashes and
+/// control characters become their JSON escapes, so a hostile tenant name
+/// cannot break a page.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -192,7 +192,7 @@ fn opt_byte(v: Option<u8>) -> String {
 /// (a NaN observation poisons its phase total) — have no JSON number
 /// form, so they ride as the strings `"NaN"`/`"inf"`/`"-inf"` and parse
 /// back to the matching non-finite value.
-fn json_f64(v: f64) -> String {
+pub(crate) fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else if v.is_nan() {

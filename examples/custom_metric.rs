@@ -10,6 +10,7 @@
 
 use easched::core::{characterize, CharacterizationConfig, EasConfig, EasRuntime, Objective};
 use easched::kernels::suite;
+use easched::runtime::kernel_id_of;
 use easched::sim::Platform;
 use std::sync::Arc;
 
@@ -39,7 +40,9 @@ fn main() {
         let outcome = runtime.run(workload.as_ref());
         assert!(outcome.verification.is_passed());
         // The learned split for the seismic kernel.
-        let alpha = runtime.scheduler().learned_alpha(kernel_id("SM"));
+        let alpha = runtime
+            .scheduler()
+            .learned_alpha(kernel_id_of(workload.as_ref()));
         println!(
             "{:<16} {:>10.3} {:>12.2} {:>10.1} {:>8}",
             name,
@@ -50,12 +53,4 @@ fn main() {
         );
     }
     println!("\nhigher power-sensitivity pushes the split toward the 30 W GPU");
-}
-
-/// The runtime keys kernels by an FNV hash of the abbreviation (see
-/// `easched_runtime::sim_backend`).
-fn kernel_id(abbrev: &str) -> u64 {
-    abbrev.bytes().fold(0xcbf29ce484222325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
-    })
 }

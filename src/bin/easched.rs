@@ -43,14 +43,13 @@
 
 use easched::core::{
     characterize, load_model, save_model, CharacterizationConfig, EasConfig, EasRuntime, Evaluator,
-    HealthReport, Objective, PowerModel, RunSeed, TableStore, TenantFrontend,
+    Objective, PowerModel, RunSeed, TableStore,
 };
 use easched::fleet::{
     expose_fleet, expose_fleet_store, replay_fleet, run_fleet, ChaosConfig, CrashPlan, FleetSpec,
     Partition, TaintPlan,
 };
 use easched::kernels::{suite, Workload};
-use easched::replay::overload::overload_registry;
 use easched::replay::{
     bisect_storm, record_chaos_storm, record_overload_storm, record_overload_storm_observed_with,
     replay_chaos_storm, replay_overload_storm, OverloadSpec, RunLog, StormSpec,
@@ -449,10 +448,8 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
 fn obtain_model(platform: &Platform, path: Option<&str>) -> PowerModel {
     match path {
         Some(p) => {
-            let model = load_model(p).unwrap_or_else(|e| {
-                eprintln!("cannot load model from {p}: {e}");
-                std::process::exit(1);
-            });
+            let model = load_model(p)
+                .unwrap_or_else(|e| fail(1, format!("cannot load model from {p}: {e}")));
             if model.platform_name() != platform.name {
                 eprintln!(
                     "warning: model characterizes {:?}, running on {:?}",
@@ -512,10 +509,8 @@ fn cmd_characterize(platform: PlatformArg, save: Option<String>) {
         println!("  {curve}");
     }
     if let Some(path) = save {
-        save_model(&model, &path).unwrap_or_else(|e| {
-            eprintln!("cannot save model to {path}: {e}");
-            std::process::exit(1);
-        });
+        save_model(&model, &path)
+            .unwrap_or_else(|e| fail(1, format!("cannot save model to {path}: {e}")));
         println!("model saved to {path}");
     }
 }
@@ -546,10 +541,8 @@ fn cmd_run(
         },
     );
     if let Some(path) = decisions {
-        std::fs::write(&path, runtime.scheduler().decision_log_csv()).unwrap_or_else(|e| {
-            eprintln!("cannot write decisions to {path}: {e}");
-            std::process::exit(1);
-        });
+        std::fs::write(&path, runtime.scheduler().decision_log_csv())
+            .unwrap_or_else(|e| fail(1, format!("cannot write decisions to {path}: {e}")));
         println!("decision log written to {path}");
     }
     if !outcome.verification.is_passed() {
@@ -596,6 +589,20 @@ fn cmd_compare(
     }
 }
 
+/// Reports `msg` on stderr and exits: 1 when a run failed or diverged,
+/// 2 when it could not be attempted.
+fn fail(code: i32, msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(code)
+}
+
+/// Writes `text` to `path`, or reports the failure and exits 2.
+fn write_or_exit(what: &str, path: &str, text: String) {
+    if let Err(e) = std::fs::write(path, text) {
+        fail(2, format!("cannot write {what} to {path}: {e}"));
+    }
+}
+
 fn cmd_record(
     out: &str,
     seed: u64,
@@ -632,10 +639,7 @@ fn cmd_record(
     let decisions = log.decisions().len();
     let events = log.events.len();
     match chaos_fs {
-        None => std::fs::write(out, log.to_text()).unwrap_or_else(|e| {
-            eprintln!("cannot write log to {out}: {e}");
-            std::process::exit(2);
-        }),
+        None => write_or_exit("log", out, log.to_text()),
         // Storage chaos on the save path (DESIGN.md §16): the log is
         // written through a deterministic fault-injecting filesystem,
         // retried until the fault window passes. The log *contents* are
@@ -654,8 +658,10 @@ fn cmd_record(
                      before the log landed"
                 ),
                 Err(e) => {
-                    eprintln!("cannot write log to {out} (after 32 chaotic attempts): {e}");
-                    std::process::exit(2);
+                    fail(
+                        2,
+                        format!("cannot write log to {out} (after 32 chaotic attempts): {e}"),
+                    );
                 }
             }
         }
@@ -667,72 +673,6 @@ fn cmd_record(
 fn wall_time() -> TimeSource {
     let origin = std::time::Instant::now();
     Arc::new(move || origin.elapsed().as_secs_f64())
-}
-
-/// Renders a [`HealthReport`] as JSON for the `/health` page.
-fn health_json(h: &HealthReport) -> String {
-    format!(
-        "{{\"fault_free\":{},\"observations_accepted\":{},\"observations_rejected\":{},\
-         \"retries\":{},\"degraded_invocations\":{},\"breaker_trips\":{},\"probes\":{},\
-         \"recoveries\":{},\"taints\":{},\"quarantined_invocations\":{},\
-         \"drift_reprofiles\":{},\"reprofiles_suppressed\":{},\"watchdog_trips\":{},\
-         \"split_overruns\":{},\"throttled_invocations\":{},\"requests_shed\":{},\
-         \"requests_queued\":{},\"quota_denials\":{},\"brownout_transitions\":{},\
-         \"store_io_errors\":{},\"store_degraded\":{},\"store_bytes\":{}}}",
-        h.fault_free(),
-        h.observations_accepted,
-        h.observations_rejected,
-        h.retries,
-        h.degraded_invocations,
-        h.breaker_trips,
-        h.probes,
-        h.recoveries,
-        h.taints,
-        h.quarantined_invocations,
-        h.drift_reprofiles,
-        h.reprofiles_suppressed,
-        h.watchdog_trips,
-        h.split_overruns,
-        h.throttled_invocations,
-        h.requests_shed,
-        h.requests_queued,
-        h.quota_denials,
-        h.brownout_transitions,
-        h.store_io_errors,
-        h.store_degraded,
-        h.store_bytes,
-    )
-}
-
-/// Renders the per-tenant admission counters as JSON for `/tenants`.
-fn tenants_json(frontend: &TenantFrontend) -> String {
-    let registry = overload_registry();
-    let mut out = format!(
-        "{{\"brownout_level\":{},\"tenants\":[",
-        frontend.level().code()
-    );
-    for tenant in 0..registry.len() {
-        let stats = frontend.tenant_stats(tenant);
-        if tenant > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"id\":{tenant},\"name\":{:?},\"offered\":{},\"admitted\":{},\"queued\":{},\
-             \"shed\":{},\"quota_denials\":{},\"gpu_seconds\":{:.6},\"queue_len\":{},\
-             \"queue_high_water\":{}}}",
-            registry.spec(tenant).name,
-            stats.offered,
-            stats.admitted,
-            stats.queued,
-            stats.shed,
-            stats.quota_denials,
-            stats.gpu_seconds,
-            stats.queue_len,
-            stats.queue_high_water,
-        ));
-    }
-    out.push_str("]}");
-    out
 }
 
 fn cmd_serve(
@@ -770,7 +710,7 @@ fn cmd_serve(
             };
             let health_page = {
                 let frontend = Arc::clone(&live.frontend);
-                move || Page::json(health_json(&frontend.shared().health()))
+                move || Page::json(frontend.shared().health().render_json())
             };
             let slo_page = {
                 let slo = Arc::clone(&live.slo);
@@ -780,7 +720,7 @@ fn cmd_serve(
             };
             let tenants_page = {
                 let frontend = Arc::clone(&live.frontend);
-                move || Page::json(tenants_json(&frontend))
+                move || Page::json(frontend.render_json())
             };
             Router::new()
                 .route("/metrics", metrics_page)
@@ -804,10 +744,7 @@ fn cmd_serve(
                 let _ = std::io::stdout().flush();
                 server = Some(s);
             }
-            Err(e) => {
-                eprintln!("cannot bind scrape server: {e}");
-                std::process::exit(2);
-            }
+            Err(e) => fail(2, format!("cannot bind scrape server: {e}")),
         }
     });
 
@@ -838,18 +775,12 @@ fn cmd_serve(
         );
     }
     if let Some(out) = out {
-        std::fs::write(&out, recorded.log.to_text()).unwrap_or_else(|e| {
-            eprintln!("cannot write log to {out}: {e}");
-            std::process::exit(2);
-        });
+        write_or_exit("log", &out, recorded.log.to_text());
         println!("run log written to {out}");
     }
     if let Some(trace) = trace {
         let text = to_trace_with_spans(&observed.ring.snapshot(), &observed.ring.span_snapshot());
-        std::fs::write(&trace, text).unwrap_or_else(|e| {
-            eprintln!("cannot write span trace to {trace}: {e}");
-            std::process::exit(2);
-        });
+        write_or_exit("span trace", &trace, text);
         println!("span trace written to {trace} (open in Perfetto)");
     }
     use std::io::Write;
@@ -872,10 +803,7 @@ fn cmd_scrape(addr: Option<&str>, socket: Option<&str>, path: &str) {
             let resolved = addr.to_socket_addrs().ok().and_then(|mut it| it.next());
             match resolved {
                 Some(sa) => http_get(&sa, path, timeout),
-                None => {
-                    eprintln!("cannot resolve {addr}");
-                    std::process::exit(2);
-                }
+                None => fail(2, format!("cannot resolve {addr}")),
             }
         }
         (None, None) => unreachable!("parse_args enforces --addr or --socket"),
@@ -887,22 +815,15 @@ fn cmd_scrape(addr: Option<&str>, socket: Option<&str>, path: &str) {
             print!("{body}");
             std::process::exit(1);
         }
-        Err(e) => {
-            eprintln!("scrape failed: {e}");
-            std::process::exit(2);
-        }
+        Err(e) => fail(2, format!("scrape failed: {e}")),
     }
 }
 
 fn load_log(path: &str) -> RunLog {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read log {path}: {e}");
-        std::process::exit(2);
-    });
-    let log = RunLog::from_text(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse log {path}: {e}");
-        std::process::exit(2);
-    });
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(2, format!("cannot read log {path}: {e}")));
+    let log = RunLog::from_text(&text)
+        .unwrap_or_else(|e| fail(2, format!("cannot parse log {path}: {e}")));
     if !log.complete {
         eprintln!(
             "warning: {path} has a torn tail; replaying the {} sealed events",
@@ -920,18 +841,15 @@ fn cmd_replay(
     emit_fixture: Option<String>,
 ) {
     if emit_fixture.is_some() && !bisect {
-        eprintln!("--emit-fixture requires --bisect");
-        std::process::exit(2);
+        fail(2, "--emit-fixture requires --bisect");
     }
     if at.is_some() && bisect {
-        eprintln!("--at and --bisect are mutually exclusive");
-        std::process::exit(2);
+        fail(2, "--at and --bisect are mutually exclusive");
     }
     let mut log = load_log(path);
     if let Some(step) = perturb {
         if !log.perturb_step(step) {
-            eprintln!("--perturb {step}: log has no such step");
-            std::process::exit(2);
+            fail(2, format!("--perturb {step}: log has no such step"));
         }
         eprintln!("perturbed recorded step {step} (energy scaled; intentional divergence)");
     }
@@ -946,14 +864,10 @@ fn cmd_replay(
 
     if log.version == FORMAT_VERSION_ADMISSION {
         if bisect {
-            eprintln!("--bisect does not support overload (v2) logs yet");
-            std::process::exit(2);
+            fail(2, "--bisect does not support overload (v2) logs yet");
         }
         match replay_overload_storm(&log) {
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
+            Err(e) => fail(2, e),
             Ok(outcome) => {
                 if at.is_some() {
                     // A slice cuts mid-tick: the replay regenerates the
@@ -1003,18 +917,12 @@ fn cmd_replay(
 
     if bisect {
         match bisect_storm(&log) {
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
+            Err(e) => fail(2, e),
             Ok(None) => println!("{path}: replay is byte-identical; nothing to bisect"),
             Ok(Some(report)) => {
                 println!("{}", report.render());
                 if let Some(fixture) = emit_fixture {
-                    std::fs::write(&fixture, report.minimal.to_text()).unwrap_or_else(|e| {
-                        eprintln!("cannot write fixture to {fixture}: {e}");
-                        std::process::exit(2);
-                    });
+                    write_or_exit("fixture", &fixture, report.minimal.to_text());
                     println!(
                         "minimal reproducer ({} of {} invocations) written to {fixture}",
                         report.kept_invocations, report.original_invocations
@@ -1025,10 +933,7 @@ fn cmd_replay(
         }
     } else {
         match replay_chaos_storm(&log) {
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
+            Err(e) => fail(2, e),
             Ok(outcome) => {
                 if let Some(divergence) = outcome.divergence {
                     println!("{}", divergence.render());
@@ -1059,15 +964,11 @@ fn verify_fleet_recovery(dir: &str) {
                         .is_some_and(|n| n.starts_with("node"))
             })
             .collect(),
-        Err(e) => {
-            eprintln!("cannot read {dir}: {e}");
-            std::process::exit(2);
-        }
+        Err(e) => fail(2, format!("cannot read {dir}: {e}")),
     };
     node_dirs.sort();
     if node_dirs.is_empty() {
-        eprintln!("no node* journals under {dir}");
-        std::process::exit(2);
+        fail(2, format!("no node* journals under {dir}"));
     }
     let mut failed = false;
     for d in &node_dirs {
@@ -1174,10 +1075,7 @@ fn cmd_fleet(args: FleetArgs) {
         spec.chaos_fs
             .map_or(String::new(), |p| format!(", storage chaos {p}\u{2030}")),
     );
-    let report = run_fleet(&spec).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let report = run_fleet(&spec).unwrap_or_else(|e| fail(2, e));
     println!(
         "{:<5} {:<16} {:>8} {:>6} {:>4} {:>6} {:>6} {:>6} {:>7} digest",
         "node", "platform", "applied", "stale", "gap", "confl", "prior", "taint", "dropped"
@@ -1230,10 +1128,7 @@ fn cmd_fleet(args: FleetArgs) {
         print!("{}", expose_fleet_store(&stores));
     }
     if let Some(out) = args.record {
-        std::fs::write(&out, report.log.to_text()).unwrap_or_else(|e| {
-            eprintln!("cannot write log to {out}: {e}");
-            std::process::exit(2);
-        });
+        write_or_exit("log", &out, report.log.to_text());
         println!("fleet log written to {out}");
     }
     if report.converged {
@@ -1325,10 +1220,7 @@ fn main() {
             replay,
             verify_recovery,
         }),
-        Err(message) => {
-            eprintln!("{message}");
-            std::process::exit(2);
-        }
+        Err(message) => fail(2, message),
     }
 }
 
