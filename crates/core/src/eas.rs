@@ -19,27 +19,29 @@
 //! The policy observes nothing but times, the energy register, and two
 //! hardware counters — black-box end to end.
 //!
-//! Since the layering refactor this module is a thin *composition*: the
-//! pure per-observation policy lives in [`DecisionEngine`], the global
-//! table G in [`KernelTable`](crate::KernelTable), and the Figure 7
-//! control flow in `profile_loop`. [`EasScheduler`] wires them behind the
-//! classic exclusive `&mut self` [`Scheduler`] API;
-//! [`SharedEas`](crate::SharedEas) wires the same layers behind an
-//! `Arc`-shared concurrent API.
+//! This module is a thin *composition*: the pure per-observation policy
+//! lives in [`DecisionEngine`](crate::DecisionEngine), the global table G
+//! in [`KernelTable`](crate::KernelTable), the Figure 7 control flow in
+//! `profile_loop`, and the state that ties them together in one struct,
+//! [`SharedEas`]. [`EasScheduler`] is that struct's exclusive face — the
+//! classic `&mut self` [`Scheduler`] API single-stream drivers and the
+//! figures use — and derefs to it for every accessor; an `Arc<SharedEas>`
+//! is the `&self` face tenants, fleet nodes and threads share.
 
 use crate::classify::{Classifier, WorkloadClass};
-use crate::engine::DecisionEngine;
-use crate::health::{merge_store_health, FaultPolicy, Health, HealthReport};
-use crate::journal::{Recovered, StoreError, TableStore};
-use crate::kernel_table::KernelTable;
+use crate::health::FaultPolicy;
+use crate::journal::{StoreError, TableStore};
 use crate::objective::Objective;
 use crate::power_model::PowerModel;
-use crate::profile_loop;
 use crate::seed::RunSeed;
 use crate::selfheal::{DriftPolicy, WatchdogPolicy};
+use crate::shared::SharedEas;
 use easched_runtime::vfs::{StdFs, Vfs};
-use easched_runtime::{Backend, Clock, InvocationCtx, KernelId, Scheduler, WallClock};
+use easched_runtime::{
+    Backend, Clock, ConcurrentScheduler, InvocationCtx, KernelId, Observation, Scheduler,
+};
 use easched_telemetry::TelemetrySink;
+use std::ops::Deref;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -166,56 +168,31 @@ pub struct Decision {
     pub alpha: f64,
 }
 
-/// Serializes a decision log as CSV (shared by the exclusive and
-/// concurrent frontends).
-pub(crate) fn decision_log_csv(log: &[Decision]) -> String {
-    let mut out = String::from("kernel,r_c,r_g,class,n_remaining,alpha\n");
-    for d in log {
-        out.push_str(&format!(
-            "{},{:.3},{:.3},{},{},{:.3}\n",
-            d.kernel,
-            d.r_c,
-            d.r_g,
-            d.class.index(),
-            d.n_remaining,
-            d.alpha
-        ));
-    }
-    out
-}
-
-/// The scheduler's layers, decomposed: policy, memory, health, telemetry,
-/// and persistence — what [`EasScheduler::into_parts`] hands to
-/// [`into_shared`](EasScheduler::into_shared).
-pub(crate) type SchedulerParts = (
-    DecisionEngine,
-    KernelTable,
-    Health,
-    Option<Arc<dyn TelemetrySink>>,
-    Option<Arc<TableStore>>,
-    Arc<dyn Clock>,
-);
-
-/// The energy-aware scheduler. One instance per platform; carries the
-/// kernel table G across invocations and workloads.
+/// The energy-aware scheduler behind the classic exclusive (`&mut self`)
+/// [`Scheduler`] API: one workload stream, one scheduler.
 ///
-/// This is the exclusive (`&mut self`) frontend over the layered engine:
-/// a [`DecisionEngine`] (policy) plus a [`KernelTable`] (memory) plus a
-/// local decision log. For N concurrent workload streams sharing one
-/// learned table, use [`SharedEas`](crate::SharedEas) instead.
+/// This is the exclusive face of [`SharedEas`], the one struct that owns
+/// scheduler state: it holds a `SharedEas` by value and derefs to it, so
+/// `health`, `table`, `decisions`, `learned_alpha`, `store`, `checkpoint`,
+/// `decision_log` and the rest are the same methods both faces answer,
+/// and scheduling runs the same invocation path. For N concurrent
+/// workload streams sharing one learned table, build a [`SharedEas`]
+/// directly or convert with [`into_shared`](EasScheduler::into_shared).
+///
+/// `Clone` forks: the copy learns into its own table, health state,
+/// decision log and counter.
 #[derive(Debug, Clone)]
 pub struct EasScheduler {
-    engine: DecisionEngine,
-    table: KernelTable,
-    health: Health,
-    name: String,
-    /// Total decision-making invocations, for diagnostics.
-    decisions: u64,
-    log: Vec<Decision>,
+    pub(crate) state: SharedEas,
     current_kernel: KernelId,
-    telemetry: Option<Arc<dyn TelemetrySink>>,
-    store: Option<Arc<TableStore>>,
-    clock: Arc<dyn Clock>,
+}
+
+impl Deref for EasScheduler {
+    type Target = SharedEas;
+
+    fn deref(&self) -> &SharedEas {
+        &self.state
+    }
 }
 
 impl EasScheduler {
@@ -227,19 +204,9 @@ impl EasScheduler {
     /// fraction would silently disable profiling and degenerate every
     /// first-seen kernel to CPU-only execution.
     pub fn new(model: PowerModel, config: EasConfig) -> EasScheduler {
-        let name = format!("EAS({})", config.objective.name());
-        let health = Health::new(&config.fault, config.drift, config.watchdog);
         EasScheduler {
-            engine: DecisionEngine::new(model, config),
-            table: KernelTable::new(),
-            health,
-            name,
-            decisions: 0,
-            log: Vec::new(),
+            state: SharedEas::build(model, config, "EAS", None, None),
             current_kernel: 0,
-            telemetry: None,
-            store: None,
-            clock: Arc::new(WallClock),
         }
     }
 
@@ -266,29 +233,11 @@ impl EasScheduler {
         dir: impl AsRef<Path>,
         vfs: Arc<dyn Vfs>,
     ) -> Result<EasScheduler, StoreError> {
-        let (store, recovered) = TableStore::open_with(dir, vfs)?;
-        let mut s = EasScheduler::new(model, config);
-        let Recovered { table, breaker, .. } = recovered;
-        s.table = table;
-        s.health.breaker.restore(breaker);
-        s.store = Some(Arc::new(store));
-        Ok(s)
-    }
-
-    /// The persistence store, if this scheduler was built with one.
-    pub fn store(&self) -> Option<&Arc<TableStore>> {
-        self.store.as_ref()
-    }
-
-    /// Forces a snapshot + journal compaction now (also happens
-    /// automatically every
-    /// [`compact_every`](TableStore::compact_every) journal appends).
-    /// No-op without a store.
-    pub fn checkpoint(&self) -> Result<(), StoreError> {
-        match &self.store {
-            Some(store) => store.checkpoint(&self.table, self.health.breaker.state()),
-            None => Ok(()),
-        }
+        let opened = TableStore::open_with(dir, vfs)?;
+        Ok(EasScheduler {
+            state: SharedEas::build(model, config, "EAS", None, Some(opened)),
+            current_kernel: 0,
+        })
     }
 
     /// Attaches a telemetry sink: every subsequent invocation emits one
@@ -297,12 +246,7 @@ impl EasScheduler {
     /// platform realized (DESIGN.md §10). Pass `None` to detach; with no
     /// sink the scheduling path is identical to the untelemetered one.
     pub fn set_telemetry(&mut self, sink: Option<Arc<dyn TelemetrySink>>) {
-        self.telemetry = sink;
-    }
-
-    /// The attached telemetry sink, if any.
-    pub fn telemetry(&self) -> Option<&Arc<dyn TelemetrySink>> {
-        self.telemetry.as_ref()
+        self.state.telemetry = sink;
     }
 
     /// Replaces the scheduler's time source. The clock only times the
@@ -310,14 +254,10 @@ impl EasScheduler {
     /// with a deterministic clock — e.g.
     /// [`TickClock`](easched_runtime::TickClock) — a simulated run's
     /// telemetry stream is bit-reproducible; record/replay installs one
-    /// on both sides. Defaults to [`WallClock`].
+    /// on both sides. Defaults to
+    /// [`WallClock`](easched_runtime::WallClock).
     pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {
-        self.clock = clock;
-    }
-
-    /// The scheduler's time source.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
+        self.state.clock = clock;
     }
 
     /// An *online* performance-oriented variant: the same profiling
@@ -328,103 +268,21 @@ impl EasScheduler {
     /// online variant is used by the ablation study.
     pub fn perf_online(model: PowerModel) -> EasScheduler {
         let mut s = EasScheduler::new(model, EasConfig::new(Objective::Time));
-        s.name = "PERF-online".into();
+        s.state.name = "PERF-online".into();
         s
-    }
-
-    /// The learned offload ratio for a kernel, if any.
-    pub fn learned_alpha(&self, kernel: KernelId) -> Option<f64> {
-        self.table.lookup(kernel)
-    }
-
-    /// Number of α decisions made so far (profiling rounds across all
-    /// invocations).
-    pub fn decisions(&self) -> u64 {
-        self.decisions
-    }
-
-    /// Every α decision made so far, in order.
-    pub fn decision_log(&self) -> &[Decision] {
-        &self.log
-    }
-
-    /// The underlying decision engine (policy layer).
-    pub fn engine(&self) -> &DecisionEngine {
-        &self.engine
-    }
-
-    /// The kernel table G (memory layer).
-    pub fn table(&self) -> &KernelTable {
-        &self.table
-    }
-
-    /// Fault-pipeline telemetry: guard rejections, retries, degraded
-    /// invocations, circuit-breaker activity (see
-    /// [`HealthReport`]). All zeros on a healthy platform.
-    pub fn health(&self) -> HealthReport {
-        let mut report = self.health.report();
-        if let Some(store) = &self.store {
-            merge_store_health(&mut report, store.health());
-        }
-        report
-    }
-
-    /// The fault-handling state (breaker inspection for diagnostics).
-    pub fn health_state(&self) -> &Health {
-        &self.health
-    }
-
-    /// Decomposes the scheduler into its policy, memory, health, and
-    /// telemetry layers (consumed by
-    /// [`into_shared`](EasScheduler::into_shared)).
-    pub(crate) fn into_parts(self) -> SchedulerParts {
-        (
-            self.engine,
-            self.table,
-            self.health,
-            self.telemetry,
-            self.store,
-            self.clock,
-        )
-    }
-
-    /// Serializes the decision log as CSV (for the harness and post-hoc
-    /// analysis).
-    ///
-    /// ```
-    /// # use easched_core::{EasConfig, EasScheduler, Objective, PowerModel, PowerCurve, WorkloadClass};
-    /// # use easched_num::Polynomial;
-    /// # let curves = WorkloadClass::all().into_iter()
-    /// #     .map(|c| PowerCurve::new(c, Polynomial::constant(50.0), 0.0, 11)).collect();
-    /// # let model = PowerModel::new("x", curves);
-    /// let eas = EasScheduler::new(model, EasConfig::new(Objective::Energy));
-    /// assert!(eas.decision_log_csv().starts_with("kernel,r_c,r_g,"));
-    /// ```
-    pub fn decision_log_csv(&self) -> String {
-        decision_log_csv(&self.log)
-    }
-
-    /// Sample-weighted accumulation of a newly computed α (step 26; the
-    /// technique from Kaleem et al.).
-    #[cfg(test)]
-    fn accumulate(&mut self, kernel: KernelId, alpha: f64, weight: f64) {
-        self.table
-            .accumulate(kernel, alpha, weight, self.engine.config().accumulation);
     }
 
     /// One α decision from a profiling observation (Fig 7 steps 15–20):
     /// derive R_C/R_G, classify, pick the power curve, and grid-minimize the
     /// objective over the remaining iterations. Public so the overhead
     /// benchmark can time the paper's "1–2 µs" decision path directly.
-    pub fn decide_alpha(&mut self, obs: &easched_runtime::Observation, n_remaining: u64) -> f64 {
-        self.decisions += 1;
-        let decision = self.engine.decide(self.current_kernel, obs, n_remaining);
-        self.log.push(decision);
+    pub fn decide_alpha(&mut self, obs: &Observation, n_remaining: u64) -> f64 {
+        let engine = &self.state.engine;
+        let decision = engine.decide(self.current_kernel, obs, n_remaining);
+        self.state.note_decision_mut(decision);
         decision.alpha
     }
-}
 
-impl EasScheduler {
     /// [`Scheduler::schedule`] under an explicit admission context: the
     /// ctx's GPU policy gates offloading (brownout throttling) and its
     /// deadline budget composes with the watchdog's own deadlines. The
@@ -437,29 +295,13 @@ impl EasScheduler {
         ctx: InvocationCtx,
     ) {
         self.current_kernel = kernel;
-        let (engine, table, health) = (&self.engine, &self.table, &self.health);
-        let (decisions, log) = (&mut self.decisions, &mut self.log);
-        profile_loop::schedule_invocation(
-            engine,
-            table,
-            health,
-            kernel,
-            backend,
-            |d| {
-                *decisions += 1;
-                log.push(d);
-            },
-            self.telemetry.as_deref(),
-            self.store.as_deref(),
-            self.clock.as_ref(),
-            ctx,
-        );
+        self.state.schedule_shared_ctx(kernel, backend, ctx);
     }
 }
 
 impl Scheduler for EasScheduler {
     fn name(&self) -> &str {
-        &self.name
+        &self.state.name
     }
 
     fn schedule(&mut self, kernel: KernelId, backend: &mut dyn Backend) {
@@ -562,15 +404,20 @@ mod tests {
 
     #[test]
     fn sample_weighted_accumulation_converges() {
-        let mut eas = EasScheduler::new(linear_model(50.0, 0.0), EasConfig::new(Objective::Time));
-        eas.accumulate(5, 1.0, 100.0);
-        eas.accumulate(5, 0.0, 100.0);
+        let eas = EasScheduler::new(linear_model(50.0, 0.0), EasConfig::new(Objective::Time));
+        // Step 26 as the loop performs it, under the configured strategy.
+        let accumulate = |kernel, alpha, weight| {
+            let strategy = eas.engine().config().accumulation;
+            eas.table().accumulate(kernel, alpha, weight, strategy);
+        };
+        accumulate(5, 1.0, 100.0);
+        accumulate(5, 0.0, 100.0);
         assert!((eas.learned_alpha(5).unwrap() - 0.5).abs() < 1e-9);
-        eas.accumulate(5, 0.5, 200.0);
+        accumulate(5, 0.5, 200.0);
         assert!((eas.learned_alpha(5).unwrap() - 0.5).abs() < 1e-9);
         // Weighting matters: a heavy sample dominates.
-        eas.accumulate(6, 0.0, 1.0);
-        eas.accumulate(6, 1.0, 999.0);
+        accumulate(6, 0.0, 1.0);
+        accumulate(6, 1.0, 999.0);
         assert!(eas.learned_alpha(6).unwrap() > 0.99);
     }
 
@@ -614,11 +461,21 @@ mod tests {
         let mut eas = EasScheduler::new(linear_model(50.0, 0.0), EasConfig::new(Objective::Time));
         let mut b = FakeBackend::new(100_000, 1.0e6, 2.0e6);
         eas.schedule(7, &mut b);
-        let fork = eas.clone();
+        let mut fork = eas.clone();
         let mut b2 = FakeBackend::new(100_000, 1.0e6, 2.0e6);
         eas.schedule(8, &mut b2);
         assert!(eas.learned_alpha(8).is_some());
         assert_eq!(fork.learned_alpha(8), None, "clone must be independent");
         assert_eq!(fork.learned_alpha(7), eas.learned_alpha(7));
+
+        // The fork owns its decision log and counter too: `bisect` clones
+        // a pristine scheduler per candidate and replays each one alone.
+        let (decisions, logged) = (eas.decisions(), eas.decision_log().len());
+        let mut b3 = FakeBackend::new(100_000, 1.0e6, 2.0e6);
+        fork.schedule(9, &mut b3);
+        assert!(fork.learned_alpha(9).is_some());
+        assert_eq!(eas.learned_alpha(9), None);
+        assert_eq!(eas.decisions(), decisions);
+        assert_eq!(eas.decision_log().len(), logged);
     }
 }

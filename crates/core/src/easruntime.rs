@@ -1,18 +1,19 @@
 //! High-level user-facing runtime: characterize once, then run workloads
 //! under the energy-aware scheduler.
 //!
-//! A runtime drives one workload stream. It either owns its scheduler
-//! exclusively ([`EasRuntime::new`]) or holds a handle to an
-//! [`Arc<SharedEas>`] ([`EasRuntime::with_shared`]), in which case any
-//! number of runtimes — typically one per thread — learn into and reuse
-//! one global kernel table G.
+//! A runtime drives one workload stream through a handle onto the one
+//! scheduler state, [`SharedEas`]. The state is either the runtime's own
+//! ([`EasRuntime::new`], [`EasRuntime::with_scheduler`]) or an
+//! [`Arc<SharedEas>`] the caller keeps ([`EasRuntime::with_shared`]), in
+//! which case any number of runtimes — typically one per thread — learn
+//! into and reuse one global kernel table G.
 
 use crate::eas::{EasConfig, EasScheduler};
 use crate::journal::StoreError;
 use crate::power_model::PowerModel;
 use crate::shared::{SharedEas, SharedEasExt};
 use easched_kernels::{Verification, Workload};
-use easched_runtime::{run_workload, Backend, KernelId, RunMetrics, Scheduler, Shared};
+use easched_runtime::{run_workload, KernelId, RunMetrics, Shared};
 use easched_sim::{Machine, Platform};
 use std::path::Path;
 use std::sync::Arc;
@@ -32,32 +33,8 @@ pub struct RunOutcome {
     pub metrics: RunMetrics,
 }
 
-/// The scheduling frontend a runtime drives: an owned exclusive scheduler,
-/// or a per-stream handle onto a shared one.
-#[derive(Debug)]
-enum Driver {
-    Exclusive(Box<EasScheduler>),
-    Shared(Shared<SharedEas>),
-}
-
-impl Scheduler for Driver {
-    fn name(&self) -> &str {
-        match self {
-            Driver::Exclusive(s) => s.name(),
-            Driver::Shared(s) => s.name(),
-        }
-    }
-
-    fn schedule(&mut self, kernel: KernelId, backend: &mut dyn Backend) {
-        match self {
-            Driver::Exclusive(s) => s.schedule(kernel, backend),
-            Driver::Shared(s) => s.schedule(kernel, backend),
-        }
-    }
-}
-
-/// The user-facing energy-aware runtime: a machine plus an
-/// [`EasScheduler`] with its cross-workload kernel table.
+/// The user-facing energy-aware runtime: a machine plus a scheduler
+/// with its cross-workload kernel table.
 ///
 /// # Examples
 ///
@@ -76,17 +53,14 @@ impl Scheduler for Driver {
 #[derive(Debug)]
 pub struct EasRuntime {
     machine: Machine,
-    driver: Driver,
+    driver: Shared<SharedEas>,
 }
 
 impl EasRuntime {
     /// Creates a runtime for `platform` from its characterized `model`,
-    /// with an exclusively owned scheduler.
+    /// with a scheduler of its own.
     pub fn new(platform: Platform, model: PowerModel, config: EasConfig) -> EasRuntime {
-        EasRuntime {
-            machine: Machine::new(platform),
-            driver: Driver::Exclusive(Box::new(EasScheduler::new(model, config))),
-        }
+        EasRuntime::with_scheduler(platform, EasScheduler::new(model, config))
     }
 
     /// Creates a runtime driving a *shared* scheduler: every runtime
@@ -117,7 +91,7 @@ impl EasRuntime {
     pub fn with_shared(platform: Platform, scheduler: Arc<SharedEas>) -> EasRuntime {
         EasRuntime {
             machine: Machine::new(platform),
-            driver: Driver::Shared(scheduler.handle()),
+            driver: scheduler.handle(),
         }
     }
 
@@ -128,7 +102,7 @@ impl EasRuntime {
     pub fn with_scheduler(platform: Platform, scheduler: EasScheduler) -> EasRuntime {
         EasRuntime {
             machine: Machine::new(platform),
-            driver: Driver::Exclusive(Box::new(scheduler)),
+            driver: Arc::new(scheduler.state).handle(),
         }
     }
 
@@ -143,21 +117,14 @@ impl EasRuntime {
         config: EasConfig,
         dir: impl AsRef<Path>,
     ) -> Result<EasRuntime, StoreError> {
-        Ok(EasRuntime {
-            machine: Machine::new(platform),
-            driver: Driver::Exclusive(Box::new(EasScheduler::with_persistence(
-                model, config, dir,
-            )?)),
-        })
+        let scheduler = EasScheduler::with_persistence(model, config, dir)?;
+        Ok(EasRuntime::with_scheduler(platform, scheduler))
     }
 
-    /// Forces a snapshot + journal compaction of the underlying store —
-    /// mode-agnostic; no-op when the scheduler has no persistence.
+    /// Forces a snapshot + journal compaction of the underlying store;
+    /// no-op when the scheduler has no persistence.
     pub fn checkpoint(&self) -> Result<(), StoreError> {
-        match &self.driver {
-            Driver::Exclusive(s) => s.checkpoint(),
-            Driver::Shared(s) => s.policy().checkpoint(),
-        }
+        self.scheduler().checkpoint()
     }
 
     /// Runs a workload to completion (functional execution + verification),
@@ -173,39 +140,23 @@ impl EasRuntime {
         }
     }
 
-    /// Access to the scheduler (e.g. to inspect learned ratios).
-    ///
-    /// # Panics
-    ///
-    /// Panics for a shared runtime ([`EasRuntime::with_shared`]) — the
-    /// scheduler is not exclusively owned there; inspect it through the
-    /// `Arc<SharedEas>` instead, or use [`learned_alpha`](Self::learned_alpha),
-    /// which works in both modes.
-    pub fn scheduler(&self) -> &EasScheduler {
-        match &self.driver {
-            Driver::Exclusive(s) => s,
-            Driver::Shared(_) => {
-                panic!("shared runtime: inspect the Arc<SharedEas> instead")
-            }
-        }
+    /// Access to the scheduler state (e.g. to inspect learned ratios or
+    /// the decision log) — the runtime's own, or for a shared runtime
+    /// ([`EasRuntime::with_shared`]) the one every stream drives.
+    pub fn scheduler(&self) -> &SharedEas {
+        self.driver.policy()
     }
 
-    /// The learned offload ratio for a kernel, if any — mode-agnostic.
+    /// The learned offload ratio for a kernel, if any.
     pub fn learned_alpha(&self, kernel: KernelId) -> Option<f64> {
-        match &self.driver {
-            Driver::Exclusive(s) => s.learned_alpha(kernel),
-            Driver::Shared(s) => s.policy().learned_alpha(kernel),
-        }
+        self.scheduler().learned_alpha(kernel)
     }
 
-    /// Fault-pipeline telemetry from the underlying scheduler —
-    /// mode-agnostic (for a shared runtime the report aggregates every
-    /// stream driving the same `Arc<SharedEas>`).
+    /// Fault-pipeline telemetry from the underlying scheduler (for a
+    /// shared runtime the report aggregates every stream driving the same
+    /// `Arc<SharedEas>`).
     pub fn health(&self) -> crate::health::HealthReport {
-        match &self.driver {
-            Driver::Exclusive(s) => s.health(),
-            Driver::Shared(s) => s.policy().health(),
-        }
+        self.scheduler().health()
     }
 
     /// The machine's current virtual time, seconds.
@@ -316,12 +267,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shared runtime")]
-    fn shared_runtime_has_no_exclusive_scheduler() {
+    fn scheduler_is_inspectable_on_both_kinds_of_runtime() {
         let platform = quiet_platform();
         let model = model_for(&platform);
-        let eas = SharedEas::new(model, EasConfig::new(Objective::EnergyDelay));
-        let rt = EasRuntime::with_shared(platform, eas);
-        let _ = rt.scheduler();
+        let cfg = EasConfig::new(Objective::EnergyDelay);
+        let mut own = EasRuntime::new(platform.clone(), model.clone(), cfg.clone());
+        let mut shared = EasRuntime::with_shared(platform, SharedEas::new(model, cfg));
+        for rt in [&mut own, &mut shared] {
+            rt.run(suite::mandelbrot_small().as_ref());
+        }
+        assert!(own.scheduler().decisions() > 0);
+        assert_eq!(own.scheduler().decisions(), shared.scheduler().decisions());
+        assert_eq!(own.scheduler().health(), shared.scheduler().health());
     }
 }

@@ -1,6 +1,6 @@
-//! The per-invocation Figure 7 control flow, shared by the exclusive
-//! ([`EasScheduler`](crate::EasScheduler)) and concurrent
-//! ([`SharedEas`](crate::SharedEas)) frontends.
+//! The per-invocation Figure 7 control flow over the one scheduler state,
+//! [`SharedEas`] — reached from both of its faces
+//! through `schedule_shared_ctx`, the loop's only caller.
 //!
 //! This is the *observation-driven* loop: reuse a learned ratio from the
 //! kernel table when one exists (steps 2–4), run tiny invocations CPU-only
@@ -9,7 +9,7 @@
 //! fold it into G with sample weighting (steps 23–26). The loop itself
 //! owns no state — it reads the engine (policy), reads/writes the table
 //! (memory), drives the backend (observation), and reports every decision
-//! through a callback so each frontend can keep its own log.
+//! to the state's counter and log.
 //!
 //! # Fault handling (DESIGN.md §9)
 //!
@@ -39,12 +39,10 @@
 //! *and* cost-identical to the pre-telemetry loop.
 
 use crate::eas::Decision;
-use crate::engine::DecisionEngine;
 use crate::guard::FaultKind;
-use crate::health::{BreakerGate, Health};
-use crate::journal::TableStore;
-use crate::kernel_table::KernelTable;
+use crate::health::BreakerGate;
 use crate::selfheal::DriftAction;
+use crate::shared::SharedEas;
 use easched_runtime::telemetry::InstrumentedBackend;
 use easched_runtime::{Backend, Clock, GpuPolicy, InvocationCtx, KernelId, Observation};
 use easched_telemetry::{
@@ -79,54 +77,26 @@ impl InvocationSummary {
 
 /// Executes one kernel invocation under the EAS policy.
 ///
-/// `on_decision` fires once per profiling-round α decision, in order —
-/// frontends use it to maintain their decision logs and counters. With a
-/// `sink`, one [`DecisionRecord`] is emitted after the invocation
-/// completes; with `None` the loop runs the exact untelemetered path.
-#[allow(clippy::too_many_arguments)]
+/// Every profiling-round α decision is counted and logged on `eas`, in
+/// order. With a telemetry sink attached, one [`DecisionRecord`] is
+/// emitted after the invocation completes; without one the loop runs the
+/// exact untelemetered path.
 pub(crate) fn schedule_invocation(
-    engine: &DecisionEngine,
-    table: &KernelTable,
-    health: &Health,
+    eas: &SharedEas,
     kernel: KernelId,
     backend: &mut dyn Backend,
-    mut on_decision: impl FnMut(Decision),
-    sink: Option<&dyn TelemetrySink>,
-    store: Option<&TableStore>,
-    clock: &dyn Clock,
     ctx: InvocationCtx,
 ) {
+    let sink = eas.telemetry.as_deref();
     match sink {
         None => {
-            drive(
-                engine,
-                table,
-                health,
-                kernel,
-                backend,
-                &mut on_decision,
-                None,
-                store,
-                clock,
-                ctx,
-            );
+            drive(eas, kernel, backend, ctx);
         }
         Some(sink) => {
             let items = backend.remaining();
             let mut instrumented = InstrumentedBackend::new(backend);
-            if let Some(summary) = drive(
-                engine,
-                table,
-                health,
-                kernel,
-                &mut instrumented,
-                &mut on_decision,
-                Some(sink),
-                store,
-                clock,
-                ctx,
-            ) {
-                let record = build_record(engine, health, kernel, items, &instrumented, summary);
+            if let Some(summary) = drive(eas, kernel, &mut instrumented, ctx) {
+                let record = build_record(eas, kernel, items, &instrumented, summary);
                 sink.record(&record);
                 if sink.wants_spans() {
                     emit_invocation_spans(sink, kernel, ctx, &record, &instrumented);
@@ -134,9 +104,9 @@ pub(crate) fn schedule_invocation(
             }
         }
     }
-    if let Some(store) = store {
+    if let Some(store) = eas.store.as_deref() {
         // Deduplicated inside the store: only actual transitions append.
-        store.record_breaker(health.breaker.state());
+        store.record_breaker(eas.health.breaker.state());
         // Storage faults the store absorbed this invocation surface as
         // control events — never as decision records, so fault-free runs
         // and chaos runs record byte-identical rings (DESIGN.md §16).
@@ -176,18 +146,15 @@ fn emit(sink: Option<&dyn TelemetrySink>, event: &ControlEvent) {
 /// `Suppressed` only counts (the token bucket was empty). Implausible
 /// observations are vetted out before they can steer the loop, so none
 /// of the §9 fault signatures ever reach the drift monitor.
-#[allow(clippy::too_many_arguments)]
 fn after_split(
-    engine: &DecisionEngine,
-    table: &KernelTable,
-    health: &Health,
+    eas: &SharedEas,
     kernel: KernelId,
-    sink: Option<&dyn TelemetrySink>,
-    store: Option<&TableStore>,
     obs: &Observation,
     deadline: Option<f64>,
     drift: Option<(Option<f64>, u64)>,
 ) {
+    let (engine, table, health) = (&eas.engine, &eas.table, &eas.health);
+    let (sink, store) = (eas.telemetry.as_deref(), eas.store.as_deref());
     if health
         .watchdog()
         .split_overrun_within(obs.elapsed, deadline)
@@ -261,21 +228,17 @@ fn after_split(
 /// invocations (nothing ran, nothing to record). The decide timer — read
 /// from `clock`, wall by default, deterministic under record/replay —
 /// runs only when a sink is attached (only the telemetry path pays for
-/// it); `store`, when present, journals every table mutation so the
+/// it); the store, when present, journals every table mutation so the
 /// invocation's learning survives a crash (DESIGN.md §11).
-#[allow(clippy::too_many_arguments)]
 fn drive(
-    engine: &DecisionEngine,
-    table: &KernelTable,
-    health: &Health,
+    eas: &SharedEas,
     kernel: KernelId,
     backend: &mut dyn Backend,
-    on_decision: &mut dyn FnMut(Decision),
-    sink: Option<&dyn TelemetrySink>,
-    store: Option<&TableStore>,
-    clock: &dyn Clock,
     ctx: InvocationCtx,
 ) -> Option<InvocationSummary> {
+    let (engine, table, health) = (&eas.engine, &eas.table, &eas.health);
+    let (sink, store) = (eas.telemetry.as_deref(), eas.store.as_deref());
+    let clock = eas.clock.as_ref();
     let timed = sink.is_some();
     let n = backend.remaining();
     if n == 0 {
@@ -342,17 +305,7 @@ fn drive(
                 // Sub-occupancy slivers ran CPU-only regardless of the
                 // learned ratio, so they carry no drift signal.
                 let drift = (n >= profile_size).then_some((None, n));
-                after_split(
-                    engine,
-                    table,
-                    health,
-                    kernel,
-                    sink,
-                    store,
-                    &obs,
-                    ctx.deadline,
-                    drift,
-                );
+                after_split(eas, kernel, &obs, ctx.deadline, drift);
                 return Some(InvocationSummary::new(InvocationPath::TableHit, alpha));
             }
             // Fall through to a fresh profiling pass that re-accumulates.
@@ -370,17 +323,7 @@ fn drive(
         // Watchdog only: a CPU-only sliver carries no drift signal, but a
         // hung chunk still has to be caught. Ordered after the accumulate
         // so an overrun's taint is not immediately cleared by it.
-        after_split(
-            engine,
-            table,
-            health,
-            kernel,
-            sink,
-            store,
-            &obs,
-            ctx.deadline,
-            None,
-        );
+        after_split(eas, kernel, &obs, ctx.deadline, None);
         return Some(InvocationSummary::new(InvocationPath::SmallN, 0.0));
     }
 
@@ -478,7 +421,7 @@ fn drive(
         rounds += 1;
         last = Some(decision);
         let decided = decision.alpha;
-        on_decision(decision);
+        eas.note_decision(decision);
         streak = if (decided - alpha).abs() < 1e-9 && alpha_weight > 0.0 {
             streak + 1
         } else {
@@ -558,17 +501,7 @@ fn drive(
         });
         let items = obs.cpu_items + obs.gpu_items;
         let drift = predicted_edp.map(|edp| (Some(edp), items));
-        after_split(
-            engine,
-            table,
-            health,
-            kernel,
-            sink,
-            store,
-            obs,
-            ctx.deadline,
-            drift,
-        );
+        after_split(eas, kernel, obs, ctx.deadline, drift);
     }
     let path = if probing {
         InvocationPath::Probe
@@ -673,8 +606,7 @@ fn emit_invocation_spans(
 /// realized totals, the engine's model prediction at the executed α, and
 /// the breaker's state after the invocation.
 fn build_record(
-    engine: &DecisionEngine,
-    health: &Health,
+    eas: &SharedEas,
     kernel: KernelId,
     items: u64,
     backend: &InstrumentedBackend<'_>,
@@ -686,7 +618,7 @@ fn build_record(
     let prediction = summary
         .last
         .filter(|_| summary.path.has_prediction())
-        .map(|d| engine.predict(&d))
+        .map(|d| eas.engine.predict(&d))
         .unwrap_or_default();
     let profile = backend.profile_totals();
     let split = backend.split_totals();
@@ -695,7 +627,7 @@ fn build_record(
         kernel,
         path: summary.path,
         class: summary.last.map(|d| d.class.index() as u8),
-        breaker: health.breaker().state().code(),
+        breaker: eas.health.breaker().state().code(),
         last_fault: summary.last_fault.map(FaultKind::code),
         rounds: summary.rounds,
         fault_rounds: summary.fault_rounds,

@@ -1,22 +1,26 @@
-//! The concurrent EAS frontend: one learned kernel table shared by N
-//! workload streams.
+//! The one scheduler state, and its shared (`&self`) face.
 //!
-//! [`EasScheduler`](crate::EasScheduler) is exclusive — its `&mut self`
-//! [`Scheduler`](easched_runtime::Scheduler) API means one workload stream
-//! per scheduler, so two runtimes each learn their own table G from
-//! scratch. [`SharedEas`] wires the *same* layers (pure
-//! [`DecisionEngine`] policy, sharded [`KernelTable`] memory) behind the
-//! `&self` [`ConcurrentScheduler`] API: wrap it in an `Arc`, hand a
-//! [`handle()`](SharedEasExt::handle) to each stream, and every stream
-//! both benefits from and contributes to one global table — the paper's
-//! "global table G" made literal for multi-programmed workloads.
+//! [`SharedEas`] is the only struct that owns EAS scheduler state: the
+//! pure [`DecisionEngine`] policy, the sharded [`KernelTable`] G, the
+//! atomic [`Health`] pipeline, the decision counter and log, and the
+//! telemetry sink, store and clock the Figure 7 loop (`profile_loop`)
+//! reads. Every piece is interior-synchronized, so the struct is driven
+//! through the `&self` [`ConcurrentScheduler`] API: wrap it in an `Arc`,
+//! hand a [`handle()`](SharedEasExt::handle) to each stream, and every
+//! stream both benefits from and contributes to one global table — the
+//! paper's "global table G" made literal for multi-programmed workloads.
+//!
+//! [`EasScheduler`] is the exclusive (`&mut self`) face of the same
+//! struct: it owns one `SharedEas` by value and derefs to it, so a
+//! single-stream driver and N tenants run the identical invocation path
+//! and [`EasScheduler::into_shared`] is a move.
 //!
 //! The reuse path (a known kernel arriving again) takes only a shard read
 //! lock plus one atomic increment, so concurrent streams re-invoking
 //! learned kernels scale with reader parallelism; see
 //! `crates/bench/benches/decision.rs` for the contended-lookup numbers.
 
-use crate::eas::{decision_log_csv, Decision, EasConfig, EasScheduler};
+use crate::eas::{Decision, EasConfig, EasScheduler};
 use crate::engine::DecisionEngine;
 use crate::health::{merge_store_health, Health, HealthReport};
 use crate::journal::{Recovered, StoreError, TableStore};
@@ -32,9 +36,23 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// The energy-aware scheduler with interior synchronization: the same
-/// Figure 7 policy as [`EasScheduler`], drivable through `&self` from any
-/// number of threads sharing one `Arc`.
+/// The scheme a shared scheduler reports itself as.
+const SHARED: &str = "EAS-shared";
+
+/// `<scheme>(<objective>)`: the name a scheduler reports to its drivers.
+fn scheme_name(scheme: &str, config: &EasConfig) -> String {
+    format!("{scheme}({})", config.objective.name())
+}
+
+/// The energy-aware scheduler's state — one instance per platform, carrying
+/// the kernel table G across invocations and workloads — with interior
+/// synchronization: the Figure 7 policy drivable through `&self` from any
+/// number of threads sharing one `Arc`, or through `&mut self` behind an
+/// [`EasScheduler`].
+///
+/// `Clone` is a *fork*: the copy owns its own table, health state,
+/// decision log and counter (and shares the sink, store and clock
+/// handles), so schedulers cloned from a pristine one learn independently.
 ///
 /// # Examples
 ///
@@ -63,15 +81,32 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// ```
 #[derive(Debug)]
 pub struct SharedEas {
-    engine: DecisionEngine,
-    table: KernelTable,
-    health: Health,
-    name: String,
+    pub(crate) engine: DecisionEngine,
+    pub(crate) table: KernelTable,
+    pub(crate) health: Health,
+    pub(crate) name: String,
+    /// Total decision-making profiling rounds, for diagnostics.
     decisions: AtomicU64,
     log: Mutex<Vec<Decision>>,
-    telemetry: Option<Arc<dyn TelemetrySink>>,
-    store: Option<Arc<TableStore>>,
-    clock: Arc<dyn Clock>,
+    pub(crate) telemetry: Option<Arc<dyn TelemetrySink>>,
+    pub(crate) store: Option<Arc<TableStore>>,
+    pub(crate) clock: Arc<dyn Clock>,
+}
+
+impl Clone for SharedEas {
+    fn clone(&self) -> SharedEas {
+        SharedEas {
+            engine: self.engine.clone(),
+            table: self.table.clone(),
+            health: self.health.clone(),
+            name: self.name.clone(),
+            decisions: AtomicU64::new(self.decisions()),
+            log: Mutex::new(self.decision_log()),
+            telemetry: self.telemetry.clone(),
+            store: self.store.clone(),
+            clock: Arc::clone(&self.clock),
+        }
+    }
 }
 
 impl SharedEas {
@@ -80,10 +115,11 @@ impl SharedEas {
     ///
     /// # Panics
     ///
-    /// Panics if `config.profile_fraction` is outside (0, 1], exactly as
-    /// [`EasScheduler::new`] does.
+    /// Panics if `config.profile_fraction` is outside (0, 1] — a zero
+    /// fraction would silently disable profiling and degenerate every
+    /// first-seen kernel to CPU-only execution.
     pub fn new(model: PowerModel, config: EasConfig) -> Arc<SharedEas> {
-        SharedEas::build(model, config, None)
+        Arc::new(SharedEas::build(model, config, SHARED, None, None))
     }
 
     /// Like [`SharedEas::new`] but with a telemetry sink attached from the
@@ -95,19 +131,20 @@ impl SharedEas {
         config: EasConfig,
         sink: Arc<dyn TelemetrySink>,
     ) -> Arc<SharedEas> {
-        SharedEas::build(model, config, Some(sink))
+        Arc::new(SharedEas::build(model, config, SHARED, Some(sink), None))
     }
 
     /// Like [`SharedEas::new`], but with crash-safe persistence rooted at
-    /// `dir` (see [`EasScheduler::with_persistence`]): every stream's
-    /// table mutations are journaled, and the recovered table — taint and
-    /// breaker state included — seeds the shared scheduler.
+    /// `dir`: the kernel table — including taint and breaker state — is
+    /// recovered from the store's snapshot + journal, and every stream's
+    /// subsequent table mutations are journaled so a `kill -9` at any
+    /// point loses at most the invocations in flight (DESIGN.md §11).
     pub fn with_persistence(
         model: PowerModel,
         config: EasConfig,
         dir: impl AsRef<Path>,
     ) -> Result<Arc<SharedEas>, StoreError> {
-        SharedEas::build_persistent(model, config, dir, None, Arc::new(StdFs))
+        SharedEas::with_persistence_vfs(model, config, dir, Arc::new(StdFs))
     }
 
     /// [`SharedEas::with_persistence`] with an explicit [`Vfs`], so
@@ -119,23 +156,13 @@ impl SharedEas {
         dir: impl AsRef<Path>,
         vfs: Arc<dyn Vfs>,
     ) -> Result<Arc<SharedEas>, StoreError> {
-        SharedEas::build_persistent(model, config, dir, None, vfs)
+        let opened = TableStore::open_with(dir, vfs)?;
+        let eas = SharedEas::build(model, config, SHARED, None, Some(opened));
+        Ok(Arc::new(eas))
     }
 
-    /// [`SharedEas::with_persistence`] plus a telemetry sink attached from
-    /// the start — crash-safe learning *and* per-invocation
-    /// [`DecisionRecord`](easched_telemetry::DecisionRecord)s.
-    pub fn with_telemetry_and_persistence(
-        model: PowerModel,
-        config: EasConfig,
-        dir: impl AsRef<Path>,
-        sink: Arc<dyn TelemetrySink>,
-    ) -> Result<Arc<SharedEas>, StoreError> {
-        SharedEas::build_persistent(model, config, dir, Some(sink), Arc::new(StdFs))
-    }
-
-    /// [`SharedEas::with_telemetry_and_persistence`] with an explicit
-    /// [`Vfs`] — the full chaos wiring: journaled learning, typed
+    /// [`SharedEas::with_persistence_vfs`] plus a telemetry sink attached
+    /// from the start — the full chaos wiring: journaled learning, typed
     /// `StorageFault` control events on the sink, injected I/O faults.
     pub fn with_telemetry_persistence_vfs(
         model: PowerModel,
@@ -144,22 +171,31 @@ impl SharedEas {
         sink: Arc<dyn TelemetrySink>,
         vfs: Arc<dyn Vfs>,
     ) -> Result<Arc<SharedEas>, StoreError> {
-        SharedEas::build_persistent(model, config, dir, Some(sink), vfs)
+        let opened = TableStore::open_with(dir, vfs)?;
+        let eas = SharedEas::build(model, config, SHARED, Some(sink), Some(opened));
+        Ok(Arc::new(eas))
     }
 
-    fn build_persistent(
+    /// The one constructor under every `new`/`with_*` on both faces: a
+    /// fresh state named `<scheme>(<objective>)`, seeded with the table
+    /// and breaker state an opened store recovered, if any.
+    pub(crate) fn build(
         model: PowerModel,
         config: EasConfig,
-        dir: impl AsRef<Path>,
+        scheme: &str,
         telemetry: Option<Arc<dyn TelemetrySink>>,
-        vfs: Arc<dyn Vfs>,
-    ) -> Result<Arc<SharedEas>, StoreError> {
-        let (store, recovered) = TableStore::open_with(dir, vfs)?;
-        let name = format!("EAS-shared({})", config.objective.name());
+        opened: Option<(TableStore, Recovered)>,
+    ) -> SharedEas {
+        let name = scheme_name(scheme, &config);
         let health = Health::new(&config.fault, config.drift, config.watchdog);
-        let Recovered { table, breaker, .. } = recovered;
-        health.breaker.restore(breaker);
-        Ok(Arc::new(SharedEas {
+        let (store, table) = match opened {
+            Some((store, Recovered { table, breaker, .. })) => {
+                health.breaker.restore(breaker);
+                (Some(Arc::new(store)), table)
+            }
+            None => (None, KernelTable::new()),
+        };
+        SharedEas {
             engine: DecisionEngine::new(model, config),
             table,
             health,
@@ -167,29 +203,9 @@ impl SharedEas {
             decisions: AtomicU64::new(0),
             log: Mutex::new(Vec::new()),
             telemetry,
-            store: Some(Arc::new(store)),
+            store,
             clock: Arc::new(WallClock),
-        }))
-    }
-
-    fn build(
-        model: PowerModel,
-        config: EasConfig,
-        telemetry: Option<Arc<dyn TelemetrySink>>,
-    ) -> Arc<SharedEas> {
-        let name = format!("EAS-shared({})", config.objective.name());
-        let health = Health::new(&config.fault, config.drift, config.watchdog);
-        Arc::new(SharedEas {
-            engine: DecisionEngine::new(model, config),
-            table: KernelTable::new(),
-            health,
-            name,
-            decisions: AtomicU64::new(0),
-            log: Mutex::new(Vec::new()),
-            telemetry,
-            store: None,
-            clock: Arc::new(WallClock),
-        })
+        }
     }
 
     /// The persistence store, if this scheduler was built with one.
@@ -233,10 +249,51 @@ impl SharedEas {
             .clone()
     }
 
-    /// Serializes the decision log as CSV (same format as
-    /// [`EasScheduler::decision_log_csv`]).
+    /// Serializes the decision log as CSV (for the harness and post-hoc
+    /// analysis).
+    ///
+    /// ```
+    /// # use easched_core::{EasConfig, EasScheduler, Objective, PowerModel, PowerCurve, WorkloadClass};
+    /// # use easched_num::Polynomial;
+    /// # let curves = WorkloadClass::all().into_iter()
+    /// #     .map(|c| PowerCurve::new(c, Polynomial::constant(50.0), 0.0, 11)).collect();
+    /// # let model = PowerModel::new("x", curves);
+    /// let eas = EasScheduler::new(model, EasConfig::new(Objective::Energy));
+    /// assert!(eas.decision_log_csv().starts_with("kernel,r_c,r_g,"));
+    /// ```
     pub fn decision_log_csv(&self) -> String {
-        decision_log_csv(&self.decision_log())
+        let mut out = String::from("kernel,r_c,r_g,class,n_remaining,alpha\n");
+        for d in self.decision_log() {
+            out.push_str(&format!(
+                "{},{:.3},{:.3},{},{},{:.3}\n",
+                d.kernel,
+                d.r_c,
+                d.r_g,
+                d.class.index(),
+                d.n_remaining,
+                d.alpha
+            ));
+        }
+        out
+    }
+
+    /// Counts and logs one profiling-round α decision (the Figure 7 loop
+    /// calls this once per round, in order).
+    pub(crate) fn note_decision(&self, decision: Decision) {
+        self.decisions.fetch_add(1, Ordering::Relaxed);
+        // Poisoning is recovered from for the reason `decision_log` gives.
+        self.log
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(decision);
+    }
+
+    /// [`note_decision`](Self::note_decision) for a caller with exclusive
+    /// access, which reaches the counter and log without locking.
+    pub(crate) fn note_decision_mut(&mut self, decision: Decision) {
+        *self.decisions.get_mut() += 1;
+        let log = self.log.get_mut();
+        log.unwrap_or_else(PoisonError::into_inner).push(decision);
     }
 
     /// The underlying decision engine (policy layer).
@@ -276,24 +333,7 @@ impl ConcurrentScheduler for SharedEas {
     }
 
     fn schedule_shared_ctx(&self, kernel: KernelId, backend: &mut dyn Backend, ctx: InvocationCtx) {
-        profile_loop::schedule_invocation(
-            &self.engine,
-            &self.table,
-            &self.health,
-            kernel,
-            backend,
-            |d| {
-                self.decisions.fetch_add(1, Ordering::Relaxed);
-                self.log
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(d);
-            },
-            self.telemetry.as_deref(),
-            self.store.as_deref(),
-            self.clock.as_ref(),
-            ctx,
-        );
+        profile_loop::schedule_invocation(self, kernel, backend, ctx);
     }
 }
 
@@ -313,25 +353,14 @@ impl SharedEasExt for Arc<SharedEas> {
 }
 
 impl EasScheduler {
-    /// Converts an exclusive scheduler into a shareable one, carrying the
-    /// already-learned table (and decision history) across. Useful for
-    /// warming a table single-threaded, then serving it to N streams.
+    /// Converts an exclusive scheduler into a shareable one — a move of
+    /// the one state struct, so the learned table, health, decision
+    /// history, sink, store and clock all arrive. Useful for warming a
+    /// table single-threaded, then serving it to N streams.
     pub fn into_shared(self) -> Arc<SharedEas> {
-        let name = format!("EAS-shared({})", self.engine().config().objective.name());
-        let decisions = self.decisions();
-        let log = self.decision_log().to_vec();
-        let (engine, table, health, telemetry, store, clock) = self.into_parts();
-        Arc::new(SharedEas {
-            engine,
-            table,
-            health,
-            name,
-            decisions: AtomicU64::new(decisions),
-            log: Mutex::new(log),
-            telemetry,
-            store,
-            clock,
-        })
+        let mut state = self.state;
+        state.name = scheme_name(SHARED, state.engine.config());
+        Arc::new(state)
     }
 }
 
@@ -349,7 +378,12 @@ mod tests {
     use crate::power_model::PowerCurve;
     use easched_num::Polynomial;
     use easched_runtime::backend::test_support::FakeBackend;
-    use easched_runtime::Scheduler;
+    use easched_runtime::{Scheduler, TickClock};
+    use easched_telemetry::RingSink;
+
+    fn ring() -> Arc<RingSink> {
+        Arc::new(RingSink::with_capacity(64))
+    }
 
     fn flat_model(watts: f64) -> PowerModel {
         let curves = WorkloadClass::all()
@@ -362,41 +396,74 @@ mod tests {
     #[test]
     fn shared_matches_exclusive_single_stream() {
         let cfg = EasConfig::new(Objective::Time);
+        let (sink_x, sink_s) = (ring(), ring());
         let mut exclusive = EasScheduler::new(flat_model(50.0), cfg.clone());
-        let shared = SharedEas::new(flat_model(50.0), cfg);
+        exclusive.set_telemetry(Some(sink_x.clone()));
+        exclusive.set_clock(Arc::new(TickClock::new()));
+        let mut state = SharedEas::build(flat_model(50.0), cfg, SHARED, Some(sink_s.clone()), None);
+        state.clock = Arc::new(TickClock::new());
+        let shared = Arc::new(state);
 
-        let mut b1 = FakeBackend::new(100_000, 1.0e6, 2.0e6);
-        exclusive.schedule(7, &mut b1);
-        let mut b2 = FakeBackend::new(100_000, 1.0e6, 2.0e6);
-        shared.handle().schedule(7, &mut b2);
+        // Profile, reuse, then a sub-occupancy sliver on a second kernel.
+        for (kernel, n) in [(7, 100_000), (7, 100_000), (8, 100)] {
+            let mut b1 = FakeBackend::new(n, 1.0e6, 2.0e6);
+            exclusive.schedule(kernel, &mut b1);
+            let mut b2 = FakeBackend::new(n, 1.0e6, 2.0e6);
+            shared.handle().schedule(kernel, &mut b2);
+            assert_eq!(b1.log, b2.log, "identical backend traffic");
+        }
 
-        assert_eq!(b1.log, b2.log, "identical backend traffic");
+        // One state, one loop: the faces emit the same record stream...
+        let (rec_x, rec_s) = (sink_x.snapshot(), sink_s.snapshot());
+        assert_eq!(rec_x.len(), 3);
+        assert_eq!(rec_x.len(), rec_s.len());
+        for (x, s) in rec_x.iter().zip(&rec_s) {
+            assert!(x.bitwise_eq(s), "{x:?} vs {s:?}");
+        }
         assert_eq!(exclusive.learned_alpha(7), shared.learned_alpha(7));
         assert_eq!(exclusive.decisions(), shared.decisions());
-        assert_eq!(exclusive.decision_log(), &shared.decision_log()[..]);
+        assert_eq!(exclusive.decision_log(), shared.decision_log());
         assert_eq!(exclusive.decision_log_csv(), shared.decision_log_csv());
+        assert_eq!(exclusive.health(), shared.health());
+        // ...and differ only in what they call themselves.
+        assert_eq!(Scheduler::name(&exclusive), "EAS(time)");
+        assert_eq!(ConcurrentScheduler::name(&*shared), "EAS-shared(time)");
     }
 
     #[test]
     fn into_shared_carries_learned_state() {
-        let mut eas = EasScheduler::new(flat_model(50.0), EasConfig::new(Objective::Time));
+        let dir = std::env::temp_dir().join(format!("easched-into-shared-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sink = ring();
+        let clock: Arc<dyn Clock> = Arc::new(TickClock::new());
+        let cfg = EasConfig::new(Objective::Time);
+        let mut eas = EasScheduler::with_persistence(flat_model(50.0), cfg, &dir).unwrap();
+        eas.set_telemetry(Some(sink.clone()));
+        eas.set_clock(Arc::clone(&clock));
         let mut b = FakeBackend::new(100_000, 1.0e6, 2.0e6);
         eas.schedule(7, &mut b);
         let alpha = eas.learned_alpha(7);
         let decisions = eas.decisions();
+        let log = eas.decision_log();
+        let store = Arc::clone(eas.store().unwrap());
 
         let shared = eas.into_shared();
         assert_eq!(shared.learned_alpha(7), alpha);
         assert_eq!(shared.decisions(), decisions);
-        assert_eq!(
-            easched_runtime::ConcurrentScheduler::name(&*shared),
-            "EAS-shared(time)"
-        );
+        assert_eq!(shared.decision_log(), log);
+        assert_eq!(ConcurrentScheduler::name(&*shared), "EAS-shared(time)");
+        // The sink, store and clock arrive too (the overload harness
+        // records through exactly these after `into_shared`).
+        assert!(Arc::ptr_eq(shared.store().unwrap(), &store));
+        assert!(Arc::ptr_eq(&shared.clock, &clock));
 
-        // The carried table is reused, not re-profiled.
+        // The carried table is reused, not re-profiled — and the reuse is
+        // recorded on the carried sink.
         let mut b2 = FakeBackend::new(100_000, 1.0e6, 2.0e6);
         shared.handle().schedule(7, &mut b2);
         assert_eq!(b2.log.len(), 1, "{:?}", b2.log);
+        assert_eq!(sink.recorded(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

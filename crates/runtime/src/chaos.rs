@@ -21,10 +21,9 @@
 
 use crate::backend::Backend;
 use crate::observation::{Observation, RunMetrics};
-use crate::scheduler::{KernelId, Scheduler};
-use crate::sim_backend::{kernel_id_of, SimBackend};
-use easched_kernels::{InvocationTrace, Invoker};
-use easched_sim::{EnergyCounter, KernelTraits, Machine};
+use crate::scheduler::Scheduler;
+use crate::sim_backend::run_workload_with;
+use easched_sim::Machine;
 
 /// How long a hung GPU offload "takes" before the driver times out,
 /// seconds of virtual time attributed to the observation.
@@ -368,101 +367,16 @@ impl Backend for ChaosBackend<'_> {
 }
 
 /// Runs a full workload under `scheduler` with observations filtered
-/// through `injector` — the chaos-testing analogue of
-/// [`run_workload`](crate::run_workload). Functional execution and
-/// verification are unaffected by the injected faults.
+/// through `injector` — [`run_workload`](crate::run_workload) with the
+/// injector wrapped around each invocation's backend. Functional
+/// execution and verification are unaffected by the injected faults.
 pub fn run_workload_chaos<S: Scheduler>(
     machine: &mut Machine,
     workload: &dyn easched_kernels::Workload,
     scheduler: &mut S,
     injector: &mut ChaosInjector,
 ) -> (RunMetrics, easched_kernels::Verification) {
-    let traits = workload.traits_for(machine.platform());
-    let mut invoker = ChaosInvoker {
-        machine,
-        traits: &traits,
-        scheduler,
-        kernel: kernel_id_of(workload),
-        injector,
-        invocation_index: 0,
-        metrics: RunMetrics::default(),
-    };
-    let verification = workload.drive(&mut invoker);
-    (invoker.metrics, verification)
-}
-
-/// Replays a recorded invocation trace under `scheduler` with chaos
-/// injection — the chaos-testing analogue of
-/// [`replay_trace`](crate::replay_trace).
-pub fn replay_trace_chaos<S: Scheduler>(
-    machine: &mut Machine,
-    traits: &KernelTraits,
-    kernel: KernelId,
-    trace: &InvocationTrace,
-    scheduler: &mut S,
-    injector: &mut ChaosInjector,
-) -> RunMetrics {
-    let mut metrics = RunMetrics::default();
-    for (idx, &n) in trace.sizes.iter().enumerate() {
-        let t0 = machine.now();
-        let e0 = machine.read_energy_raw();
-        {
-            let mut backend = SimBackend::new(machine, traits, n, None, idx as u64 + 1);
-            let mut chaos = injector.wrap(&mut backend);
-            scheduler.schedule(kernel, &mut chaos);
-            assert_eq!(
-                backend.remaining(),
-                0,
-                "scheduler {} left items unconsumed",
-                scheduler.name()
-            );
-        }
-        metrics.time += machine.now() - t0;
-        metrics.energy_joules += EnergyCounter::delta_joules(e0, machine.read_energy_raw());
-        metrics.invocations += 1;
-        metrics.items += n;
-    }
-    metrics
-}
-
-struct ChaosInvoker<'a, S: Scheduler> {
-    machine: &'a mut Machine,
-    traits: &'a KernelTraits,
-    scheduler: &'a mut S,
-    kernel: KernelId,
-    injector: &'a mut ChaosInjector,
-    invocation_index: u64,
-    metrics: RunMetrics,
-}
-
-impl<S: Scheduler> Invoker for ChaosInvoker<'_, S> {
-    fn invoke(&mut self, n: u64, process: &(dyn Fn(usize) + Sync)) {
-        self.invocation_index += 1;
-        let t0 = self.machine.now();
-        let e0 = self.machine.read_energy_raw();
-        {
-            let mut backend = SimBackend::new(
-                self.machine,
-                self.traits,
-                n,
-                Some(process),
-                self.invocation_index,
-            );
-            let mut chaos = self.injector.wrap(&mut backend);
-            self.scheduler.schedule(self.kernel, &mut chaos);
-            assert_eq!(
-                backend.remaining(),
-                0,
-                "scheduler {} left items unconsumed",
-                self.scheduler.name()
-            );
-        }
-        self.metrics.time += self.machine.now() - t0;
-        self.metrics.energy_joules +=
-            EnergyCounter::delta_joules(e0, self.machine.read_energy_raw());
-        self.metrics.invocations += 1;
-        self.metrics.items += n;
-    }
+    run_workload_with(machine, workload, scheduler, Some(injector))
 }
 
 #[cfg(test)]

@@ -51,9 +51,7 @@ pub use admission::{
     TrafficModel,
 };
 pub use backend::Backend;
-pub use chaos::{
-    replay_trace_chaos, run_workload_chaos, ChaosBackend, ChaosInjector, Fault, FaultPlan,
-};
+pub use chaos::{run_workload_chaos, ChaosBackend, ChaosInjector, Fault, FaultPlan};
 pub use clock::{Clock, TickClock, WallClock};
 pub use energy_probe::{EnergyProbe, MachineProbe, RaplProbe};
 pub use observation::{Observation, RunMetrics};

@@ -9,9 +9,12 @@
 //! [`SchedulerInvoker`] adapts a [`Scheduler`] to the
 //! [`easched_kernels::Invoker`] interface so a workload can be
 //! driven end to end; [`replay_trace`] re-runs a recorded invocation trace
-//! without functional execution (the evaluation fast path).
+//! without functional execution (the evaluation fast path). Both — and
+//! the chaos driver, which only adds an injector around the backend — run
+//! the invoker's one metering body.
 
 use crate::backend::Backend;
+use crate::chaos::ChaosInjector;
 use crate::observation::{Observation, RunMetrics};
 use crate::scheduler::{KernelId, Scheduler};
 use easched_kernels::{InvocationTrace, Invoker};
@@ -164,6 +167,9 @@ pub struct SchedulerInvoker<'a, S: Scheduler> {
     traits: &'a KernelTraits,
     scheduler: &'a mut S,
     kernel: KernelId,
+    /// When set, the scheduler sees every observation through this
+    /// injector (see [`run_workload_chaos`](crate::run_workload_chaos)).
+    chaos: Option<&'a mut ChaosInjector>,
     invocation_index: u64,
     metrics: RunMetrics,
 }
@@ -181,6 +187,7 @@ impl<'a, S: Scheduler> SchedulerInvoker<'a, S> {
             traits,
             scheduler,
             kernel,
+            chaos: None,
             invocation_index: 0,
             metrics: RunMetrics::default(),
         }
@@ -190,22 +197,24 @@ impl<'a, S: Scheduler> SchedulerInvoker<'a, S> {
     pub fn metrics(&self) -> RunMetrics {
         self.metrics
     }
-}
 
-impl<S: Scheduler> Invoker for SchedulerInvoker<'_, S> {
-    fn invoke(&mut self, n: u64, process: &(dyn Fn(usize) + Sync)) {
+    /// Schedules one invocation of `n` items and meters it: virtual time
+    /// and package energy across the call, plus the item count, land in
+    /// the run totals. Every driver's per-invocation body.
+    fn invoke_metered(&mut self, n: u64, process: Option<&(dyn Fn(usize) + Sync)>) {
         self.invocation_index += 1;
         let t0 = self.machine.now();
         let e0 = self.machine.read_energy_raw();
         {
-            let mut backend = SimBackend::new(
-                self.machine,
-                self.traits,
-                n,
-                Some(process),
-                self.invocation_index,
-            );
-            self.scheduler.schedule(self.kernel, &mut backend);
+            let mut backend =
+                SimBackend::new(self.machine, self.traits, n, process, self.invocation_index);
+            match self.chaos.as_deref_mut() {
+                Some(injector) => {
+                    let mut chaos = injector.wrap(&mut backend);
+                    self.scheduler.schedule(self.kernel, &mut chaos);
+                }
+                None => self.scheduler.schedule(self.kernel, &mut backend),
+            }
             assert_eq!(
                 backend.remaining(),
                 0,
@@ -218,6 +227,12 @@ impl<S: Scheduler> Invoker for SchedulerInvoker<'_, S> {
             EnergyCounter::delta_joules(e0, self.machine.read_energy_raw());
         self.metrics.invocations += 1;
         self.metrics.items += n;
+    }
+}
+
+impl<S: Scheduler> Invoker for SchedulerInvoker<'_, S> {
+    fn invoke(&mut self, n: u64, process: &(dyn Fn(usize) + Sync)) {
+        self.invoke_metered(n, Some(process));
     }
 }
 
@@ -245,8 +260,21 @@ pub fn run_workload<S: Scheduler>(
     workload: &dyn easched_kernels::Workload,
     scheduler: &mut S,
 ) -> (RunMetrics, easched_kernels::Verification) {
+    run_workload_with(machine, workload, scheduler, None)
+}
+
+/// [`run_workload`], optionally with a chaos injector around every
+/// invocation's backend (the body of
+/// [`run_workload_chaos`](crate::run_workload_chaos)).
+pub(crate) fn run_workload_with<S: Scheduler>(
+    machine: &mut Machine,
+    workload: &dyn easched_kernels::Workload,
+    scheduler: &mut S,
+    chaos: Option<&mut ChaosInjector>,
+) -> (RunMetrics, easched_kernels::Verification) {
     let traits = workload.traits_for(machine.platform());
     let mut invoker = SchedulerInvoker::new(machine, &traits, scheduler, kernel_id_of(workload));
+    invoker.chaos = chaos;
     let verification = workload.drive(&mut invoker);
     (invoker.metrics(), verification)
 }
@@ -261,26 +289,11 @@ pub fn replay_trace<S: Scheduler>(
     trace: &InvocationTrace,
     scheduler: &mut S,
 ) -> RunMetrics {
-    let mut metrics = RunMetrics::default();
-    for (idx, &n) in trace.sizes.iter().enumerate() {
-        let t0 = machine.now();
-        let e0 = machine.read_energy_raw();
-        {
-            let mut backend = SimBackend::new(machine, traits, n, None, idx as u64 + 1);
-            scheduler.schedule(kernel, &mut backend);
-            assert_eq!(
-                backend.remaining(),
-                0,
-                "scheduler {} left items unconsumed",
-                scheduler.name()
-            );
-        }
-        metrics.time += machine.now() - t0;
-        metrics.energy_joules += EnergyCounter::delta_joules(e0, machine.read_energy_raw());
-        metrics.invocations += 1;
-        metrics.items += n;
+    let mut invoker = SchedulerInvoker::new(machine, traits, scheduler, kernel);
+    for &n in &trace.sizes {
+        invoker.invoke_metered(n, None);
     }
-    metrics
+    invoker.metrics()
 }
 
 /// Stable kernel id for a workload (hash of its abbreviation — the analogue

@@ -36,10 +36,14 @@
 //! assert!(outcome.energy_joules > 0.0);
 //! ```
 //!
-//! To serve several concurrent workload streams from one learned kernel
-//! table, build the scheduler as [`core::SharedEas`] and give each stream
-//! an [`core::EasRuntime::with_shared`] runtime (see the `shared_runtime`
-//! example and DESIGN.md §8 for the layer diagram).
+//! Every runtime drives the one scheduler state, [`core::SharedEas`]
+//! ([`core::EasRuntime::scheduler`] inspects it). [`core::EasRuntime::new`]
+//! gives the runtime a state of its own; to serve several concurrent
+//! workload streams from one learned kernel table, build the state with
+//! [`core::SharedEas::new`] and give each stream an
+//! [`core::EasRuntime::with_shared`] runtime (see the `shared_runtime`
+//! example and DESIGN.md §8 for the layer diagram and the scheduler's
+//! exclusive and shared faces).
 
 pub use easched_core as core;
 pub use easched_fleet as fleet;
