@@ -18,29 +18,15 @@
 //! table.journal   — mutations since that snapshot (append-only)
 //! ```
 //!
-//! The snapshot is the v2 text format extended with generation, breaker,
-//! and taint state, under the same trailing-checksum envelope:
-//!
-//! ```text
-//! easched-kernel-table v3
-//! generation 4
-//! breaker 0
-//! kernel 7 alpha 6.5e-1 weight 5e4 seen 12 tainted 0
-//! checksum 41c09f22e6b7d530
-//! ```
-//!
-//! The journal is line-oriented; every line — header included — carries
-//! its own FNV-1a digest so each record validates independently:
-//!
-//! ```text
-//! easched-table-journal v1 gen 4 crc 9f0c21d55ab3e847
-//! put 7 alpha 6.5e-1 weight 5e4 seen 12 tainted 0 crc 1c22b06f9d4e7a35
-//! taint 7 crc e5b91f20c6a4d713
-//! breaker 1 crc 07d4f8a2c91b63e5
-//! ```
-//!
-//! `put` records carry the kernel's *absolute* state (not a delta), so
-//! replay is idempotent and a lost record costs only that one update.
+//! What is *in* them — the v3 snapshot text, the sealed journal header
+//! and the `put`/`taint`/`breaker` record lines — is defined, written and
+//! parsed by [`persist`] alone. This module holds no
+//! grammar: it owns the files, the order of `Vfs` operations, recovery,
+//! compaction and the degrade state machine, and it relies on two
+//! properties of the format. Every journal line carries its own digest,
+//! so each record validates independently; and `put` records carry the
+//! kernel's *absolute* state (not a delta), so replay is idempotent and a
+//! lost record costs only that one update.
 //!
 //! # Recovery
 //!
@@ -95,11 +81,8 @@
 
 use crate::guard::FaultKind;
 use crate::health::BreakerState;
-use crate::kernel_table::{AlphaStat, KernelTable};
-use crate::persist::{
-    self, seal, verify_sealed, ModelParseError, TABLE_HEADER_V1, TABLE_HEADER_V2,
-};
-use easched_runtime::sealed::{sealed, unseal};
+use crate::kernel_table::KernelTable;
+use crate::persist::{self, JournalRecord, JournalScan, ModelParseError};
 use easched_runtime::vfs::{StdFs, Vfs, VfsFile};
 use easched_runtime::KernelId;
 use std::error::Error;
@@ -113,10 +96,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 const SNAPSHOT_FILE: &str = "table.snap";
 /// Journal file name inside a store directory.
 const JOURNAL_FILE: &str = "table.journal";
-/// Header of the v3 snapshot format.
-const TABLE_HEADER_V3: &str = "easched-kernel-table v3";
-/// Magic prefix of the journal header line.
-const JOURNAL_MAGIC: &str = "easched-table-journal v1";
 /// Default journal appends between automatic snapshot+compactions.
 const DEFAULT_COMPACT_EVERY: u64 = 256;
 /// Bound on in-RAM journal lines held while degraded; beyond it the
@@ -191,17 +170,6 @@ pub struct Recovered {
     pub discarded: u64,
 }
 
-/// Journal-side representation of one mutation.
-enum JournalRecord {
-    Put {
-        kernel: KernelId,
-        stat: AlphaStat,
-        tainted: bool,
-    },
-    Taint(KernelId),
-    Breaker(BreakerState),
-}
-
 /// Durability mode of a [`TableStore`] (DESIGN.md §16).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreMode {
@@ -251,18 +219,6 @@ pub struct StoreHealth {
     pub dir_sync_unsupported: bool,
 }
 
-/// What one append attempt did, so entry recording can route ENOSPC
-/// into emergency compaction (the one call site holding the table).
-enum AppendOutcome {
-    /// The line is on disk.
-    Written,
-    /// The line went to the RAM buffer (store degraded).
-    Buffered,
-    /// The disk is full and the line is not yet safe anywhere; the
-    /// caller must compact or degrade.
-    DiskFull,
-}
-
 /// Mutable store state behind the mutex: the append handle plus the
 /// bookkeeping compaction and degradation need.
 #[derive(Debug)]
@@ -270,7 +226,7 @@ struct StoreInner {
     file: Option<Box<dyn VfsFile>>,
     generation: u64,
     appends: u64,
-    last_breaker: u8,
+    last_breaker: BreakerState,
     mode: StoreMode,
     buffered: Vec<String>,
     buffered_dropped: u64,
@@ -337,105 +293,71 @@ impl TableStore {
     ) -> Result<(TableStore, Recovered), StoreError> {
         let dir = dir.as_ref().to_path_buf();
         vfs.create_dir_all(&dir)?;
-        let snap_path = dir.join(SNAPSHOT_FILE);
-        let journal_path = dir.join(JOURNAL_FILE);
-
-        let (table, mut breaker, generation) = match vfs.read(&snap_path) {
-            Ok(bytes) => parse_snapshot(&String::from_utf8_lossy(&bytes))?,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                (KernelTable::new(), BreakerState::Closed, 0)
-            }
-            Err(e) => return Err(StoreError::Io(e)),
-        };
+        let (table, mut breaker, generation) = read_snapshot(&*vfs, &dir)?;
 
         let mut replayed = 0u64;
         let mut discarded = 0u64;
         let mut resume_at: Option<u64> = None;
-        let mut open_faults: Vec<StorageEvent> = Vec::new();
-        let mut journal_readable = true;
-        match vfs.read(&journal_path) {
-            Ok(bytes) => {
-                let text = String::from_utf8_lossy(&bytes);
-                let scan = scan_journal(&text);
-                match scan.gen {
-                    Some(g) if g == generation => {
-                        for record in scan.records {
-                            match record {
-                                JournalRecord::Put {
-                                    kernel,
-                                    stat,
-                                    tainted,
-                                } => {
-                                    table.insert(kernel, stat);
-                                    if tainted {
-                                        table.taint(kernel);
-                                    }
+        let mut open_faults: Vec<String> = Vec::new();
+        let mut recovery_partial = false;
+        match read_journal(&*vfs, &dir) {
+            Ok(Some(scan)) => match scan.gen {
+                Some(g) if g == generation => {
+                    for record in scan.records {
+                        match record {
+                            JournalRecord::Put {
+                                kernel,
+                                stat,
+                                tainted,
+                            } => {
+                                table.insert(kernel, stat);
+                                if tainted {
+                                    table.taint(kernel);
                                 }
-                                JournalRecord::Taint(kernel) => table.taint(kernel),
-                                JournalRecord::Breaker(state) => breaker = state,
                             }
-                            replayed += 1;
+                            JournalRecord::Taint(kernel) => table.taint(kernel),
+                            JournalRecord::Breaker(state) => breaker = state,
                         }
-                        discarded = scan.discarded;
-                        resume_at = Some(scan.valid_len as u64);
+                        replayed += 1;
                     }
-                    Some(g) if g > generation => {
-                        return Err(StoreError::GenerationAhead {
-                            journal: g,
-                            snapshot: generation,
-                        });
-                    }
-                    // Stale (pre-snapshot) or unreadable header: the
-                    // snapshot supersedes it; start a fresh journal.
-                    _ => {}
+                    discarded = scan.discarded;
+                    resume_at = Some(scan.valid_len as u64);
                 }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Some(g) if g > generation => {
+                    return Err(StoreError::GenerationAhead {
+                        journal: g,
+                        snapshot: generation,
+                    });
+                }
+                // Stale (pre-snapshot) or unreadable header: the
+                // snapshot supersedes it; start a fresh journal.
+                _ => {}
+            },
+            Ok(None) => {}
             Err(e) => {
                 // The journal exists but won't read back. Failing open
                 // would take the scheduler down for a durability-only
                 // problem: open degraded on the snapshot alone instead,
                 // leaving the journal bytes untouched for forensics.
-                journal_readable = false;
-                open_faults.push(StorageEvent {
-                    kind: FaultKind::StorageWrite,
-                    detail: format!("journal read at open: {e}"),
-                });
+                recovery_partial = true;
+                open_faults.push(format!("journal read at open: {e}"));
             }
         }
 
-        let mut mode = StoreMode::Durable;
-        let file = if journal_readable {
-            let attempt: io::Result<Box<dyn VfsFile>> = match resume_at {
-                Some(len) => (|| {
-                    let mut file = vfs.open_write(&journal_path)?;
-                    // Drop the torn tail so appends extend a valid prefix.
-                    file.set_len(len)?;
-                    file.seek_end()?;
-                    Ok(file)
-                })(),
-                None => (|| {
-                    let mut file = vfs.create(&journal_path)?;
-                    file.write_all(
-                        sealed(&format!("{JOURNAL_MAGIC} gen {generation}")).as_bytes(),
-                    )?;
-                    Ok(file)
-                })(),
-            };
-            match attempt {
+        let file = if recovery_partial {
+            None
+        } else {
+            match open_journal(&*vfs, &dir, generation, resume_at) {
                 Ok(file) => Some(file),
                 Err(e) => {
-                    open_faults.push(StorageEvent {
-                        kind: FaultKind::StorageWrite,
-                        detail: format!("journal open: {e}"),
-                    });
-                    mode = StoreMode::Degraded;
+                    open_faults.push(format!("journal open: {e}"));
                     None
                 }
             }
-        } else {
-            mode = StoreMode::Degraded;
-            None
+        };
+        let mode = match file {
+            Some(_) => StoreMode::Durable,
+            None => StoreMode::Degraded,
         };
 
         let store = TableStore {
@@ -445,11 +367,11 @@ impl TableStore {
                 file,
                 generation,
                 appends: 0,
-                last_breaker: breaker.code(),
+                last_breaker: breaker,
                 mode,
                 buffered: Vec::new(),
                 buffered_dropped: 0,
-                recovery_partial: !journal_readable,
+                recovery_partial,
             }),
             compact_every: DEFAULT_COMPACT_EVERY,
             write_errors: AtomicU64::new(0),
@@ -461,8 +383,8 @@ impl TableStore {
             events: Mutex::new(Vec::new()),
             events_pending: AtomicBool::new(false),
         };
-        for event in open_faults {
-            store.note_fault(event.kind, event.detail);
+        for detail in open_faults {
+            store.note_fault(FaultKind::StorageWrite, detail);
         }
         if mode == StoreMode::Degraded {
             store.degraded_transitions.fetch_add(1, Ordering::Relaxed);
@@ -554,25 +476,23 @@ impl TableStore {
             return;
         };
         let tainted = table.is_tainted(kernel);
-        let body = format!(
-            "put {kernel} alpha {:e} weight {:e} seen {} tainted {}",
-            stat.alpha,
-            stat.weight,
-            stat.invocations_seen,
-            u8::from(tainted)
-        );
+        let line = JournalRecord::Put {
+            kernel,
+            stat,
+            tainted,
+        }
+        .to_line();
         let mut inner = lock(&self.inner);
-        if let AppendOutcome::DiskFull = self.append(&mut inner, &body) {
+        let breaker = inner.last_breaker;
+        if let Err(line) = self.append(&mut inner, line) {
             // ENOSPC with the table in hand: an emergency
             // snapshot+compaction both frees space (snapshot replaces
             // snapshot + journal) and carries this very mutation.
-            let breaker =
-                BreakerState::from_code(inner.last_breaker).unwrap_or(BreakerState::Closed);
             if self.compact_locked(&mut inner, table, breaker).is_err() {
                 self.write_errors.fetch_add(1, Ordering::Relaxed);
                 self.degrade(
                     &mut inner,
-                    Some(sealed(&body)),
+                    Some(line),
                     "ENOSPC and emergency compaction failed",
                 );
             }
@@ -580,8 +500,6 @@ impl TableStore {
         }
         inner.appends += 1;
         if inner.appends >= self.compact_every {
-            let breaker =
-                BreakerState::from_code(inner.last_breaker).unwrap_or(BreakerState::Closed);
             // In durable mode this is routine compaction; in degraded
             // mode it doubles as the re-arm probe (DESIGN.md §16).
             let ok = self.compact_locked(&mut inner, table, breaker).is_ok();
@@ -597,17 +515,7 @@ impl TableStore {
     /// Journals a taint mark for a kernel.
     pub fn record_taint(&self, kernel: KernelId) {
         let mut inner = lock(&self.inner);
-        let body = format!("taint {kernel}");
-        if let AppendOutcome::DiskFull = self.append(&mut inner, &body) {
-            // No table in hand, so no emergency compaction here: buffer
-            // the line and let the next entry append or checkpoint probe
-            // the disk.
-            self.degrade(
-                &mut inner,
-                Some(sealed(&body)),
-                "ENOSPC outside the entry path",
-            );
-        }
+        self.append_without_table(&mut inner, JournalRecord::Taint(kernel));
     }
 
     /// Journals a circuit-breaker transition; no-op when the state
@@ -615,17 +523,19 @@ impl TableStore {
     /// unconditionally.
     pub fn record_breaker(&self, state: BreakerState) {
         let mut inner = lock(&self.inner);
-        if inner.last_breaker == state.code() {
+        if inner.last_breaker == state {
             return;
         }
-        inner.last_breaker = state.code();
-        let body = format!("breaker {}", state.code());
-        if let AppendOutcome::DiskFull = self.append(&mut inner, &body) {
-            self.degrade(
-                &mut inner,
-                Some(sealed(&body)),
-                "ENOSPC outside the entry path",
-            );
+        inner.last_breaker = state;
+        self.append_without_table(&mut inner, JournalRecord::Breaker(state));
+    }
+
+    /// Appends a record on a path that holds no table, so ENOSPC cannot
+    /// compact here: buffer the line and let the next entry append or
+    /// checkpoint probe the disk.
+    fn append_without_table(&self, inner: &mut StoreInner, record: JournalRecord) {
+        if let Err(line) = self.append(inner, record.to_line()) {
+            self.degrade(inner, Some(line), "ENOSPC outside the entry path");
         }
     }
 
@@ -641,71 +551,64 @@ impl TableStore {
     /// rename is the commit point).
     pub fn checkpoint(&self, table: &KernelTable, breaker: BreakerState) -> Result<(), StoreError> {
         let mut inner = lock(&self.inner);
-        inner.last_breaker = breaker.code();
+        inner.last_breaker = breaker;
         let result = self.compact_locked(&mut inner, table, breaker);
         self.rearm_after(&mut inner, result.is_ok());
         result
     }
 
-    /// Best-effort sealed append; failures are absorbed (counted, typed,
-    /// degraded), never raised — except ENOSPC, which is returned so the
-    /// entry path can compact.
-    fn append(&self, inner: &mut StoreInner, body: &str) -> AppendOutcome {
-        let line = sealed(body);
+    /// Best-effort append of one sealed line; failures are absorbed
+    /// (counted, typed, degraded), never raised — except ENOSPC, which
+    /// hands the line back (`Err`: not yet safe anywhere) so the entry
+    /// path, the one call site holding the table, can compact.
+    fn append(&self, inner: &mut StoreInner, line: String) -> Result<(), String> {
         if inner.mode == StoreMode::Degraded {
             self.buffer_line(inner, line);
-            return AppendOutcome::Buffered;
+            return Ok(());
         }
-        let Some(file) = inner.file.as_mut() else {
-            self.degrade(inner, Some(line), "append with no journal handle");
-            return AppendOutcome::Buffered;
+        let why = match self.write_line(inner, &line, "journal append") {
+            Ok(()) => return Ok(()),
+            Err(None) => "append with no journal handle",
+            Err(Some(e))
+                if e.raw_os_error() == Some(28) // ENOSPC
+                || e.kind() == io::ErrorKind::StorageFull =>
+            {
+                return Err(line);
+            }
+            // EIO or a short write: the handle may have torn bytes on
+            // disk. Poison it, rescan the sealed prefix from disk, and
+            // land the line on the fresh handle. No further retries: a
+            // second failure immediately degrades.
+            Err(Some(_)) if !self.resync_handle(inner) => "journal handle lost after write error",
+            Err(Some(_)) => match self.write_line(inner, &line, "append after resync") {
+                Ok(()) => return Ok(()),
+                Err(None) => "resync produced no handle",
+                Err(Some(_)) => "append failed twice",
+            },
         };
-        match file.write_all(line.as_bytes()) {
-            Ok(()) => {
-                self.bytes_written
-                    .fetch_add(line.len() as u64, Ordering::Relaxed);
-                AppendOutcome::Written
-            }
-            Err(e) => {
-                self.write_errors.fetch_add(1, Ordering::Relaxed);
-                let disk_full = e.raw_os_error() == Some(28) // ENOSPC
-                    || e.kind() == io::ErrorKind::StorageFull;
-                self.note_fault(FaultKind::StorageWrite, format!("journal append: {e}"));
-                if disk_full {
-                    AppendOutcome::DiskFull
-                } else {
-                    // EIO or a short write: the handle may have torn
-                    // bytes on disk. Poison it, rescan the sealed prefix
-                    // from disk, and land the line on the fresh handle.
-                    if self.resync_handle(inner) {
-                        self.append_resynced(inner, line)
-                    } else {
-                        self.degrade(inner, Some(line), "journal handle lost after write error");
-                        AppendOutcome::Buffered
-                    }
-                }
-            }
-        }
+        self.degrade(inner, Some(line), why);
+        Ok(())
     }
 
-    /// One append on a freshly resynced handle. No further retries: a
-    /// second failure immediately degrades.
-    fn append_resynced(&self, inner: &mut StoreInner, line: String) -> AppendOutcome {
-        let Some(file) = inner.file.as_mut() else {
-            self.degrade(inner, Some(line), "resync produced no handle");
-            return AppendOutcome::Buffered;
-        };
+    /// One write on the live handle (`Err(None)` without one): counts the
+    /// bytes, or counts the failure and queues its typed event.
+    fn write_line(
+        &self,
+        inner: &mut StoreInner,
+        line: &str,
+        what: &str,
+    ) -> Result<(), Option<io::Error>> {
+        let file = inner.file.as_mut().ok_or(None)?;
         match file.write_all(line.as_bytes()) {
             Ok(()) => {
                 self.bytes_written
                     .fetch_add(line.len() as u64, Ordering::Relaxed);
-                AppendOutcome::Written
+                Ok(())
             }
             Err(e) => {
                 self.write_errors.fetch_add(1, Ordering::Relaxed);
-                self.note_fault(FaultKind::StorageWrite, format!("append after resync: {e}"));
-                self.degrade(inner, Some(line), "append failed twice");
-                AppendOutcome::Buffered
+                self.note_fault(FaultKind::StorageWrite, format!("{what}: {e}"));
+                Err(Some(e))
             }
         }
     }
@@ -776,40 +679,15 @@ impl TableStore {
     /// the disk refuses — the caller degrades.
     fn resync_handle(&self, inner: &mut StoreInner) -> bool {
         inner.file = None;
-        let journal_path = self.dir.join(JOURNAL_FILE);
         let attempt = (|| -> io::Result<(Box<dyn VfsFile>, u64)> {
-            let snap_gen = match self.vfs.read(&self.dir.join(SNAPSHOT_FILE)) {
-                Ok(bytes) => parse_snapshot(&String::from_utf8_lossy(&bytes))
-                    .map(|(_, _, generation)| generation)
-                    .map_err(|e| {
-                        io::Error::new(io::ErrorKind::InvalidData, format!("snapshot: {e}"))
-                    })?,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
-                Err(e) => return Err(e),
-            };
-            let resume = match self.vfs.read(&journal_path) {
-                Ok(bytes) => {
-                    let text = String::from_utf8_lossy(&bytes);
-                    let scan = scan_journal(&text);
-                    (scan.gen == Some(snap_gen)).then_some(scan.valid_len as u64)
-                }
-                Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-                Err(e) => return Err(e),
-            };
-            let file = match resume {
-                Some(len) => {
-                    let mut file = self.vfs.open_write(&journal_path)?;
-                    file.set_len(len)?;
-                    file.seek_end()?;
-                    file
-                }
-                None => {
-                    let mut file = self.vfs.create(&journal_path)?;
-                    file.write_all(sealed(&format!("{JOURNAL_MAGIC} gen {snap_gen}")).as_bytes())?;
-                    file
-                }
-            };
-            Ok((file, snap_gen))
+            let (_, _, generation) = read_snapshot(&*self.vfs, &self.dir).map_err(|e| match e {
+                StoreError::Io(e) => e,
+                corrupt => io::Error::new(io::ErrorKind::InvalidData, corrupt.to_string()),
+            })?;
+            let resume = read_journal(&*self.vfs, &self.dir)?
+                .and_then(|scan| (scan.gen == Some(generation)).then_some(scan.valid_len as u64));
+            let file = open_journal(&*self.vfs, &self.dir, generation, resume)?;
+            Ok((file, generation))
         })();
         match attempt {
             Ok((file, generation)) => {
@@ -824,10 +702,6 @@ impl TableStore {
         }
     }
 
-    /// Directory fsync with the §16 classification: unsupported mounts
-    /// are tolerated (noted once — they could never make renames
-    /// power-loss-durable anyway); real failures propagate so the
-    /// checkpoint reports honestly.
     /// When open could not *read* the journal, records the caller's
     /// table never saw may still be sitting on disk — and compaction is
     /// about to reset that file. Recover them first: puts land only for
@@ -842,47 +716,44 @@ impl TableStore {
         inner: &mut StoreInner,
         table: &KernelTable,
     ) -> Result<(), StoreError> {
-        match self.vfs.read(&self.dir.join(JOURNAL_FILE)) {
-            Ok(bytes) => {
-                let text = String::from_utf8_lossy(&bytes);
-                let scan = scan_journal(&text);
-                if scan.gen == Some(inner.generation) {
-                    for record in scan.records {
-                        match record {
-                            JournalRecord::Put {
-                                kernel,
-                                stat,
-                                tainted,
-                            } => {
-                                if table.stat(kernel).is_none() {
-                                    table.insert(kernel, stat);
-                                    if tainted {
-                                        table.taint(kernel);
-                                    }
-                                }
-                            }
-                            JournalRecord::Taint(kernel) => table.taint(kernel),
-                            JournalRecord::Breaker(_) => {}
-                        }
-                    }
-                }
-                inner.recovery_partial = false;
-                Ok(())
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                inner.recovery_partial = false;
-                Ok(())
-            }
+        let scan = match read_journal(&*self.vfs, &self.dir) {
+            Ok(scan) => scan,
             Err(e) => {
                 self.note_fault(
                     FaultKind::StorageWrite,
                     format!("compaction refused, unread journal still unreadable: {e}"),
                 );
-                Err(StoreError::Io(e))
+                return Err(StoreError::Io(e));
+            }
+        };
+        if let Some(scan) = scan.filter(|scan| scan.gen == Some(inner.generation)) {
+            for record in scan.records {
+                match record {
+                    JournalRecord::Put {
+                        kernel,
+                        stat,
+                        tainted,
+                    } => {
+                        if table.stat(kernel).is_none() {
+                            table.insert(kernel, stat);
+                            if tainted {
+                                table.taint(kernel);
+                            }
+                        }
+                    }
+                    JournalRecord::Taint(kernel) => table.taint(kernel),
+                    JournalRecord::Breaker(_) => {}
+                }
             }
         }
+        inner.recovery_partial = false;
+        Ok(())
     }
 
+    /// Directory fsync with the §16 classification: unsupported mounts
+    /// are tolerated (noted once — they could never make renames
+    /// power-loss-durable anyway); real failures propagate so the
+    /// checkpoint reports honestly.
     fn sync_dir_counted(&self) -> io::Result<()> {
         match classify_dir_sync(self.vfs.sync_dir(&self.dir)) {
             DirSyncOutcome::Synced => Ok(()),
@@ -909,7 +780,7 @@ impl TableStore {
             self.merge_unread_journal(inner, table)?;
         }
         let generation = inner.generation + 1;
-        let text = snapshot_to_text(table, breaker, generation);
+        let text = persist::snapshot_to_text(table, breaker, generation);
         let tmp = self.dir.join("table.snap.tmp");
         // Once the rename commits, the *old* journal is stale (its
         // generation lags the snapshot) and the live handle must not be
@@ -939,9 +810,7 @@ impl TableStore {
             step = "fsync directory";
             self.sync_dir_counted()?;
             step = "reset journal";
-            let mut file = self.vfs.create(&self.dir.join(JOURNAL_FILE))?;
-            step = "write journal header";
-            file.write_all(sealed(&format!("{JOURNAL_MAGIC} gen {generation}")).as_bytes())?;
+            let mut file = open_journal(&*self.vfs, &self.dir, generation, None)?;
             step = "fsync journal";
             file.sync_all()?;
             // Same reasoning for the journal reset: the first compaction
@@ -1010,229 +879,53 @@ fn classify_dir_sync(result: io::Result<()>) -> DirSyncOutcome {
     }
 }
 
-/// Serializes the v3 snapshot text (sorted kernel lines under the
-/// checksum envelope).
-fn snapshot_to_text(table: &KernelTable, breaker: BreakerState, generation: u64) -> String {
-    let mut out = String::new();
-    out.push_str(TABLE_HEADER_V3);
-    out.push('\n');
-    out.push_str(&format!("generation {generation}\n"));
-    out.push_str(&format!("breaker {}\n", breaker.code()));
-    for (kernel, stat, tainted) in table.snapshot_with_taint() {
-        out.push_str(&format!(
-            "kernel {} alpha {:e} weight {:e} seen {} tainted {}\n",
-            kernel,
-            stat.alpha,
-            stat.weight,
-            stat.invocations_seen,
-            u8::from(tainted)
-        ));
+/// Reads the snapshot into the table, the breaker state and the
+/// generation; an absent file is the empty store at generation 0.
+fn read_snapshot(
+    vfs: &dyn Vfs,
+    dir: &Path,
+) -> Result<(KernelTable, BreakerState, u64), StoreError> {
+    match vfs.read(&dir.join(SNAPSHOT_FILE)) {
+        Ok(bytes) => persist::parse_snapshot(&bytes).map_err(StoreError::Snapshot),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            Ok((KernelTable::new(), BreakerState::Closed, 0))
+        }
+        Err(e) => Err(StoreError::Io(e)),
     }
-    seal(out)
 }
 
-/// Parses a snapshot file of any supported version; v1/v2 load with
-/// generation 0, a closed breaker, and no taint state (those formats
-/// never carried it).
-fn parse_snapshot(text: &str) -> Result<(KernelTable, BreakerState, u64), StoreError> {
-    let header = text.lines().next().unwrap_or("").trim();
-    if header == TABLE_HEADER_V1 || header == TABLE_HEADER_V2 {
-        let table = persist::table_from_text(text).map_err(StoreError::Snapshot)?;
-        return Ok((table, BreakerState::Closed, 0));
+/// Reads and scans the journal; `None` when the file does not exist.
+fn read_journal(vfs: &dyn Vfs, dir: &Path) -> io::Result<Option<JournalScan>> {
+    match vfs.read(&dir.join(JOURNAL_FILE)) {
+        Ok(bytes) => Ok(Some(persist::scan_journal(&bytes))),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
     }
-    let body = verify_sealed(text, TABLE_HEADER_V3).map_err(StoreError::Snapshot)?;
-    let table = KernelTable::new();
-    let mut breaker = BreakerState::Closed;
-    let mut generation = 0u64;
-    let mut lines = body.lines().enumerate();
-    lines.next(); // header, validated by the envelope
-    for (idx, raw) in lines {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let bad = |message: String| {
-            StoreError::Snapshot(ModelParseError::BadLine {
-                line: line_no,
-                message,
-            })
-        };
-        let mut tokens = line.split_whitespace();
-        match tokens.next() {
-            Some("generation") => {
-                generation = tokens
-                    .next()
-                    .ok_or_else(|| bad("missing generation".into()))?
-                    .parse()
-                    .map_err(|e| bad(format!("generation: {e}")))?;
-            }
-            Some("breaker") => {
-                let code: u8 = tokens
-                    .next()
-                    .ok_or_else(|| bad("missing breaker code".into()))?
-                    .parse()
-                    .map_err(|e| bad(format!("breaker code: {e}")))?;
-                breaker = BreakerState::from_code(code)
-                    .ok_or_else(|| bad(format!("unknown breaker code {code}")))?;
-            }
-            Some("kernel") => {
-                let (kernel, stat, tainted) = parse_entry_fields(&mut tokens).map_err(bad)?;
-                if table.stat(kernel).is_some() {
-                    return Err(bad(format!("kernel {kernel} listed twice")));
-                }
-                table.insert(kernel, stat);
-                if tainted {
-                    table.taint(kernel);
-                }
-            }
-            other => return Err(bad(format!("unknown record {other:?}"))),
-        }
-    }
-    Ok((table, breaker, generation))
 }
 
-/// Parses `<id> alpha <a> weight <w> seen <n> tainted <0|1>` — the field
-/// list shared by snapshot `kernel` lines and journal `put` records.
-fn parse_entry_fields<'a>(
-    tokens: &mut impl Iterator<Item = &'a str>,
-) -> Result<(KernelId, AlphaStat, bool), String> {
-    let kernel: KernelId = tokens
-        .next()
-        .ok_or("missing kernel id")?
-        .parse()
-        .map_err(|e| format!("kernel id: {e}"))?;
-    let keyword = |tokens: &mut dyn Iterator<Item = &'a str>, want: &str| match tokens.next() {
-        Some(t) if t == want => Ok(()),
-        other => Err(format!("expected {want:?}, found {other:?}")),
-    };
-    keyword(tokens, "alpha")?;
-    let alpha: f64 = tokens
-        .next()
-        .ok_or("missing alpha")?
-        .parse()
-        .map_err(|e| format!("alpha: {e}"))?;
-    if !(0.0..=1.0).contains(&alpha) {
-        return Err(format!("alpha {alpha} out of [0, 1]"));
-    }
-    keyword(tokens, "weight")?;
-    let weight: f64 = tokens
-        .next()
-        .ok_or("missing weight")?
-        .parse()
-        .map_err(|e| format!("weight: {e}"))?;
-    if !weight.is_finite() || weight < 0.0 {
-        return Err(format!("weight {weight} not a finite non-negative value"));
-    }
-    keyword(tokens, "seen")?;
-    let invocations_seen: u64 = tokens
-        .next()
-        .ok_or("missing seen count")?
-        .parse()
-        .map_err(|e| format!("seen count: {e}"))?;
-    keyword(tokens, "tainted")?;
-    let tainted = match tokens.next() {
-        Some("0") => false,
-        Some("1") => true,
-        other => return Err(format!("tainted flag: found {other:?}")),
-    };
-    if tokens.next().is_some() {
-        return Err("trailing tokens after tainted flag".into());
-    }
-    Ok((
-        kernel,
-        AlphaStat {
-            alpha,
-            weight,
-            invocations_seen,
-        },
-        tainted,
-    ))
-}
-
-/// Result of scanning a journal file: the records of the valid prefix
-/// and where that prefix ends.
-struct JournalScan {
-    /// Header generation, if the header line validated.
-    gen: Option<u64>,
-    records: Vec<JournalRecord>,
-    /// Byte length of the valid prefix (header + intact records).
-    valid_len: usize,
-    /// Lines abandoned after the first invalid one.
-    discarded: u64,
-}
-
-/// Walks the journal line by line, stopping at the first line that is
-/// torn (no trailing newline), fails its digest, or fails to parse.
-fn scan_journal(text: &str) -> JournalScan {
-    let mut scan = JournalScan {
-        gen: None,
-        records: Vec::new(),
-        valid_len: 0,
-        discarded: 0,
-    };
-    let mut offset = 0usize;
-    let mut lines = text.split_inclusive('\n');
-    for line in &mut lines {
-        let intact = line.ends_with('\n');
-        let parsed = intact
-            .then(|| unseal(line.trim_end_matches('\n')))
-            .flatten()
-            .and_then(|body| {
-                if scan.gen.is_none() {
-                    let gen = body
-                        .strip_prefix(JOURNAL_MAGIC)?
-                        .trim()
-                        .strip_prefix("gen ")?
-                        .trim()
-                        .parse()
-                        .ok()?;
-                    scan.gen = Some(gen);
-                    Some(())
-                } else {
-                    scan.records.push(parse_record(body)?);
-                    Some(())
-                }
-            });
-        if parsed.is_none() {
-            scan.discarded += 1;
-            break;
+/// Opens the journal of `generation` for appending: at `Some(len)` it
+/// resumes the existing file, dropping whatever follows that valid prefix
+/// so appends extend sealed lines; at `None` it starts the file afresh
+/// with only the sealed header.
+fn open_journal(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    generation: u64,
+    resume_at: Option<u64>,
+) -> io::Result<Box<dyn VfsFile>> {
+    let path = dir.join(JOURNAL_FILE);
+    match resume_at {
+        Some(len) => {
+            let mut file = vfs.open_write(&path)?;
+            file.set_len(len)?;
+            file.seek_end()?;
+            Ok(file)
         }
-        offset += line.len();
-    }
-    scan.discarded += lines.count() as u64;
-    scan.valid_len = offset;
-    scan
-}
-
-/// Parses one verified journal record body.
-fn parse_record(body: &str) -> Option<JournalRecord> {
-    let mut tokens = body.split_whitespace();
-    match tokens.next()? {
-        "put" => {
-            let (kernel, stat, tainted) = parse_entry_fields(&mut tokens).ok()?;
-            Some(JournalRecord::Put {
-                kernel,
-                stat,
-                tainted,
-            })
+        None => {
+            let mut file = vfs.create(&path)?;
+            file.write_all(persist::journal_header(generation).as_bytes())?;
+            Ok(file)
         }
-        "taint" => {
-            let kernel = tokens.next()?.parse().ok()?;
-            tokens
-                .next()
-                .is_none()
-                .then_some(JournalRecord::Taint(kernel))
-        }
-        "breaker" => {
-            let code: u8 = tokens.next()?.parse().ok()?;
-            let state = BreakerState::from_code(code)?;
-            tokens
-                .next()
-                .is_none()
-                .then_some(JournalRecord::Breaker(state))
-        }
-        _ => None,
     }
 }
 
@@ -1240,6 +933,7 @@ fn parse_record(body: &str) -> Option<JournalRecord> {
 mod tests {
     use super::*;
     use crate::eas::Accumulation;
+    use easched_runtime::sealed::sealed;
     use easched_runtime::vfs::{ChaosFs, ChaosFsPlan, StorageFault};
     use easched_runtime::TickClock;
     use std::fs;
@@ -1419,7 +1113,7 @@ mod tests {
         // Simulate the crash window: restore a pre-checkpoint journal
         // (generation 0) next to the generation-1 snapshot.
         let path = dir.path().join(JOURNAL_FILE);
-        let mut text = sealed(&format!("{JOURNAL_MAGIC} gen 0"));
+        let mut text = persist::journal_header(0);
         text.push_str(&sealed("put 5 alpha 5e-1 weight 1e0 seen 0 tainted 0"));
         fs::write(&path, text).unwrap();
         let (_, recovered) = TableStore::open(dir.path()).unwrap();
@@ -1437,7 +1131,7 @@ mod tests {
     fn journal_ahead_of_snapshot_is_refused() {
         let dir = TempDir::new();
         let path = dir.path().join(JOURNAL_FILE);
-        fs::write(&path, sealed(&format!("{JOURNAL_MAGIC} gen 3"))).unwrap();
+        fs::write(&path, persist::journal_header(3)).unwrap();
         let err = TableStore::open(dir.path()).unwrap_err();
         assert!(
             matches!(
@@ -1503,19 +1197,6 @@ mod tests {
             2,
             "{text}"
         );
-    }
-
-    #[test]
-    fn snapshot_text_is_stable_and_checksummed() {
-        let text = snapshot_to_text(&learned_table(), BreakerState::Open, 7);
-        assert!(text.starts_with("easched-kernel-table v3\ngeneration 7\nbreaker 1\n"));
-        let last = text.lines().last().unwrap();
-        assert!(last.starts_with("checksum "), "{last}");
-        let (table, breaker, generation) = parse_snapshot(&text).unwrap();
-        assert_eq!(table.snapshot(), learned_table().snapshot());
-        assert!(table.is_tainted(900));
-        assert_eq!(breaker, BreakerState::Open);
-        assert_eq!(generation, 7);
     }
 
     /// A chaos store over `dir` with the given plan (seed fixed: the

@@ -74,8 +74,7 @@ pub use journal::{Recovered, StorageEvent, StoreError, StoreHealth, StoreMode, T
 pub use kernel_table::{AlphaStat, KernelTable, ReuseProbe};
 pub use objective::Objective;
 pub use persist::{
-    fnv1a64, load_model, load_model_with, load_table, load_table_with, model_from_text,
-    model_to_text, save_model, save_model_with, save_table, save_table_with, table_from_text,
+    fnv1a64, load_model, model_from_text, model_to_text, save_model, table_from_text,
     table_to_text, ModelParseError,
 };
 pub use power_model::{PowerCurve, PowerModel};

@@ -1,4 +1,5 @@
-//! Power-model and kernel-table persistence.
+//! Power-model and kernel-table persistence: every byte either one puts
+//! on disk is formatted and parsed here, and nowhere else.
 //!
 //! The characterization step is "computed once for each processor"
 //! (abstract): on a real deployment the fitted model is saved and reloaded
@@ -25,6 +26,36 @@
 //! checksum 41c09f22e6b7d530
 //! ```
 //!
+//! # One entry grammar, three carriers
+//!
+//! A table entry is the field list `<id> alpha <a> weight <w> seen <n>`,
+//! followed by `tainted <0|1>` in the formats that carry taint. It has one
+//! writer and one strict parser here (α in [0, 1], weight finite and
+//! non-negative, no trailing tokens — for every version) under three
+//! carriers: the whole-file table above (v1/v2, no taint), and the two
+//! files of the crash-safe store in [`journal`](crate::journal), which
+//! holds the recovery rules and the degrade state machine but no grammar.
+//! Its snapshot is v2 extended with generation, breaker, and taint state
+//! under the same trailing-checksum envelope:
+//!
+//! ```text
+//! easched-kernel-table v3
+//! generation 4
+//! breaker 0
+//! kernel 7 alpha 6.5e-1 weight 5e4 seen 12 tainted 0
+//! checksum 41c09f22e6b7d530
+//! ```
+//!
+//! Its journal is line-oriented; every line — header included — is sealed
+//! with its own FNV-1a digest:
+//!
+//! ```text
+//! easched-table-journal v1 gen 4 crc 9f0c21d55ab3e847
+//! put 7 alpha 6.5e-1 weight 5e4 seen 12 tainted 0 crc 1c22b06f9d4e7a35
+//! taint 7 crc e5b91f20c6a4d713
+//! breaker 1 crc 07d4f8a2c91b63e5
+//! ```
+//!
 //! # Integrity (DESIGN.md §9)
 //!
 //! Version 2 appends a trailing `checksum` line: an FNV-1a 64-bit digest
@@ -36,16 +67,19 @@
 //! files (no checksum) are still accepted for migration.
 
 use crate::classify::WorkloadClass;
+use crate::health::BreakerState;
 use crate::kernel_table::{AlphaStat, KernelTable};
 use crate::power_model::{PowerCurve, PowerModel};
 use easched_num::Polynomial;
 pub use easched_runtime::sealed::fnv1a64;
-use easched_runtime::vfs::Vfs;
+use easched_runtime::sealed::{sealed, unseal};
+use easched_runtime::KernelId;
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::io;
 use std::path::Path;
+use std::str::{FromStr, SplitWhitespace};
 
 /// Format header of the legacy (checksum-less) version 1.
 const HEADER_V1: &str = "easched-power-model v1";
@@ -120,7 +154,7 @@ impl From<io::Error> for ModelParseError {
 }
 
 /// Appends the v2 trailing checksum line over everything written so far.
-pub(crate) fn seal(mut body: String) -> String {
+fn seal(mut body: String) -> String {
     let digest = fnv1a64(body.as_bytes());
     body.push_str(&format!("checksum {digest:016x}\n"));
     body
@@ -135,7 +169,7 @@ pub(crate) fn seal(mut body: String) -> String {
 /// matches every preceding byte; anything else is [`BadHeader`].
 ///
 /// [`BadHeader`]: ModelParseError::BadHeader
-pub(crate) fn verify_envelope<'a>(
+fn verify_envelope<'a>(
     text: &'a str,
     header_v1: &str,
     header_v2: &str,
@@ -149,9 +183,9 @@ pub(crate) fn verify_envelope<'a>(
 
 /// The checksum-required half of [`verify_envelope`]: accepts only files
 /// whose first line is exactly `header` and whose trailing `checksum`
-/// line digests every preceding byte (also used by the v3 journal
-/// snapshot, which has no unchecked legacy form).
-pub(crate) fn verify_sealed<'a>(text: &'a str, header: &str) -> Result<&'a str, ModelParseError> {
+/// line digests every preceding byte (also used by the v3 snapshot, which
+/// has no unchecked legacy form).
+fn verify_sealed<'a>(text: &'a str, header: &str) -> Result<&'a str, ModelParseError> {
     let found = text.lines().next().unwrap_or("").trim();
     if found != header {
         return Err(ModelParseError::BadHeader(found.to_string()));
@@ -220,6 +254,38 @@ pub fn model_to_text(model: &PowerModel) -> String {
     seal(out)
 }
 
+/// The records of a verified body: every line after the header that is
+/// neither blank nor a `#` comment, as its 1-based line number and its
+/// tokens.
+fn records(body: &str) -> impl Iterator<Item = (usize, SplitWhitespace<'_>)> {
+    body.lines()
+        .enumerate()
+        .skip(1) // header, already validated by the envelope check
+        .map(|(idx, raw)| (idx + 1, raw.trim()))
+        .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
+        .map(|(line_no, line)| (line_no, line.split_whitespace()))
+}
+
+/// Parses the next token as the value called `what`.
+fn value<T: FromStr>(tokens: &mut SplitWhitespace<'_>, what: &str) -> Result<T, String>
+where
+    T::Err: fmt::Display,
+{
+    tokens
+        .next()
+        .ok_or_else(|| format!("missing {what}"))?
+        .parse()
+        .map_err(|e| format!("{what}: {e}"))
+}
+
+/// Consumes the next token, which must be `want`.
+fn keyword(tokens: &mut SplitWhitespace<'_>, want: &str) -> Result<(), String> {
+    match tokens.next() {
+        Some(t) if t == want => Ok(()),
+        other => Err(format!("expected {want:?}, found {other:?}")),
+    }
+}
+
 /// Parses the text format: v2 (checksum verified) or legacy v1.
 ///
 /// # Errors
@@ -228,36 +294,19 @@ pub fn model_to_text(model: &PowerModel) -> String {
 /// Never panics, whatever the bytes.
 pub fn model_from_text(text: &str) -> Result<PowerModel, ModelParseError> {
     let body = verify_envelope(text, HEADER_V1, HEADER_V2)?;
-    let mut lines = body.lines().enumerate();
-    lines.next(); // header, already validated by the envelope check
     let mut platform = String::new();
     let mut curves: Vec<PowerCurve> = Vec::new();
-    for (idx, raw) in lines {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut tokens = line.split_whitespace();
+    for (line, mut tokens) in records(body) {
+        let bad = |message: String| ModelParseError::BadLine { line, message };
         match tokens.next() {
             Some("platform") => {
                 platform = tokens.collect::<Vec<_>>().join(" ");
                 if platform.is_empty() {
-                    return Err(ModelParseError::BadLine {
-                        line: line_no,
-                        message: "platform name missing".into(),
-                    });
+                    return Err(bad("platform name missing".into()));
                 }
             }
-            Some("curve") => {
-                curves.push(parse_curve(line_no, &mut tokens)?);
-            }
-            other => {
-                return Err(ModelParseError::BadLine {
-                    line: line_no,
-                    message: format!("unknown record {other:?}"),
-                });
-            }
+            Some("curve") => curves.push(parse_curve(&mut tokens).map_err(bad)?),
+            other => return Err(bad(format!("unknown record {other:?}"))),
         }
     }
     if curves.len() != 8 {
@@ -276,36 +325,20 @@ pub fn model_from_text(text: &str) -> Result<PowerModel, ModelParseError> {
     Ok(PowerModel::new(platform, curves))
 }
 
-fn parse_curve<'a>(
-    line: usize,
-    tokens: &mut impl Iterator<Item = &'a str>,
-) -> Result<PowerCurve, ModelParseError> {
-    let bad = |message: String| ModelParseError::BadLine { line, message };
-    let index: usize = tokens
-        .next()
-        .ok_or_else(|| bad("missing class index".into()))?
-        .parse()
-        .map_err(|e| bad(format!("class index: {e}")))?;
+fn parse_curve(tokens: &mut SplitWhitespace<'_>) -> Result<PowerCurve, String> {
+    let index: usize = value(tokens, "class index")?;
     if index >= 8 {
-        return Err(bad(format!("class index {index} out of range")));
+        return Err(format!("class index {index} out of range"));
     }
-    expect_keyword(line, tokens, "rmse")?;
-    let rmse: f64 = tokens
-        .next()
-        .ok_or_else(|| bad("missing rmse".into()))?
-        .parse()
-        .map_err(|e| bad(format!("rmse: {e}")))?;
-    expect_keyword(line, tokens, "samples")?;
-    let samples: usize = tokens
-        .next()
-        .ok_or_else(|| bad("missing samples".into()))?
-        .parse()
-        .map_err(|e| bad(format!("samples: {e}")))?;
-    expect_keyword(line, tokens, "coeffs")?;
+    keyword(tokens, "rmse")?;
+    let rmse = value(tokens, "rmse")?;
+    keyword(tokens, "samples")?;
+    let samples = value(tokens, "samples")?;
+    keyword(tokens, "coeffs")?;
     let coeffs: Result<Vec<f64>, _> = tokens.map(str::parse).collect();
-    let coeffs = coeffs.map_err(|e| bad(format!("coefficient: {e}")))?;
+    let coeffs = coeffs.map_err(|e| format!("coefficient: {e}"))?;
     if coeffs.is_empty() {
-        return Err(bad("curve has no coefficients".into()));
+        return Err("curve has no coefficients".into());
     }
     Ok(PowerCurve::new(
         WorkloadClass::from_index(index),
@@ -313,20 +346,6 @@ fn parse_curve<'a>(
         rmse,
         samples,
     ))
-}
-
-fn expect_keyword<'a>(
-    line: usize,
-    tokens: &mut impl Iterator<Item = &'a str>,
-    keyword: &str,
-) -> Result<(), ModelParseError> {
-    match tokens.next() {
-        Some(t) if t == keyword => Ok(()),
-        other => Err(ModelParseError::BadLine {
-            line,
-            message: format!("expected {keyword:?}, found {other:?}"),
-        }),
-    }
 }
 
 /// Saves a model to a file.
@@ -338,19 +357,6 @@ pub fn save_model(model: &PowerModel, path: impl AsRef<Path>) -> io::Result<()> 
     fs::write(path, model_to_text(model))
 }
 
-/// [`save_model`] through an explicit [`Vfs`] (the storage-chaos seam).
-///
-/// # Errors
-///
-/// Propagates filesystem errors, injected or real.
-pub fn save_model_with(
-    vfs: &dyn Vfs,
-    model: &PowerModel,
-    path: impl AsRef<Path>,
-) -> io::Result<()> {
-    vfs.write(path.as_ref(), model_to_text(model).as_bytes())
-}
-
 /// Loads a model from a file.
 ///
 /// # Errors
@@ -360,23 +366,78 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<PowerModel, ModelParseError>
     model_from_text(&fs::read_to_string(path)?)
 }
 
-/// [`load_model`] through an explicit [`Vfs`].
-///
-/// # Errors
-///
-/// [`ModelParseError`] on I/O or format problems.
-pub fn load_model_with(
-    vfs: &dyn Vfs,
-    path: impl AsRef<Path>,
-) -> Result<PowerModel, ModelParseError> {
-    let bytes = vfs.read(path.as_ref())?;
-    model_from_text(&String::from_utf8_lossy(&bytes))
+/// Format header of the legacy kernel-table format, version 1.
+const TABLE_HEADER_V1: &str = "easched-kernel-table v1";
+/// Format header of the kernel-table format, version 2 (checksummed).
+const TABLE_HEADER_V2: &str = "easched-kernel-table v2";
+/// Format header of the store's snapshot, version 3 (generation, breaker
+/// and taint state added).
+const TABLE_HEADER_V3: &str = "easched-kernel-table v3";
+/// Magic prefix of the journal header line.
+const JOURNAL_MAGIC: &str = "easched-table-journal v1";
+
+/// The one writer of the entry field list: `<record> <id> alpha <a>
+/// weight <w> seen <n>`, then ` tainted <0|1>` when the carrier has taint
+/// (`Some`). Floats print with `{:e}` — full round-trip precision.
+fn push_entry(
+    out: &mut String,
+    record: &str,
+    kernel: KernelId,
+    stat: &AlphaStat,
+    tainted: Option<bool>,
+) {
+    let _ = write!(
+        out,
+        "{record} {kernel} alpha {:e} weight {:e} seen {}",
+        stat.alpha, stat.weight, stat.invocations_seen
+    );
+    if let Some(tainted) = tainted {
+        let _ = write!(out, " tainted {}", u8::from(tainted));
+    }
 }
 
-/// Format header of the legacy kernel-table format, version 1.
-pub(crate) const TABLE_HEADER_V1: &str = "easched-kernel-table v1";
-/// Format header of the kernel-table format, version 2 (checksummed).
-pub(crate) const TABLE_HEADER_V2: &str = "easched-kernel-table v2";
+/// The one parser of the field list [`push_entry`] wrote, record keyword
+/// already consumed; `with_taint` says whether the carrier's version has
+/// the `tainted` flag (without it entries read as untainted). Strict for
+/// every version: α in [0, 1], nothing after the last field, and a weight
+/// that is finite and non-negative — after `inf` the kernel's next
+/// [`KernelTable::accumulate`] computes α = NaN, after `NaN` none can
+/// ever move its α again.
+fn parse_entry(
+    tokens: &mut SplitWhitespace<'_>,
+    with_taint: bool,
+) -> Result<(KernelId, AlphaStat, bool), String> {
+    let kernel = value(tokens, "kernel id")?;
+    keyword(tokens, "alpha")?;
+    let alpha: f64 = value(tokens, "alpha")?;
+    if !(0.0..=1.0).contains(&alpha) {
+        return Err(format!("alpha {alpha} out of [0, 1]"));
+    }
+    keyword(tokens, "weight")?;
+    let weight: f64 = value(tokens, "weight")?;
+    if !weight.is_finite() || weight < 0.0 {
+        return Err(format!("weight {weight} not a finite non-negative value"));
+    }
+    keyword(tokens, "seen")?;
+    let invocations_seen = value(tokens, "seen count")?;
+    let tainted = with_taint && {
+        keyword(tokens, "tainted")?;
+        match tokens.next() {
+            Some("0") => false,
+            Some("1") => true,
+            other => return Err(format!("tainted flag: found {other:?}")),
+        }
+    };
+    if tokens.next().is_some() {
+        return Err("trailing tokens after the last field".into());
+    }
+    let stat = AlphaStat {
+        alpha,
+        weight,
+        invocations_seen,
+    };
+    Ok((kernel, stat, tainted))
+}
 
 /// Serializes a learned kernel table to the v2 text format. Lines are in
 /// kernel-id order, so equal tables serialize identically.
@@ -394,15 +455,28 @@ pub(crate) const TABLE_HEADER_V2: &str = "easched-kernel-table v2";
 /// # Ok::<(), easched_core::persist::ModelParseError>(())
 /// ```
 pub fn table_to_text(table: &KernelTable) -> String {
-    let mut out = String::new();
-    out.push_str(TABLE_HEADER_V2);
-    out.push('\n');
+    let mut out = format!("{TABLE_HEADER_V2}\n");
     for (kernel, stat) in table.snapshot() {
-        // Full round-trip precision on the floats.
-        out.push_str(&format!(
-            "kernel {} alpha {:e} weight {:e} seen {}\n",
-            kernel, stat.alpha, stat.weight, stat.invocations_seen
-        ));
+        push_entry(&mut out, "kernel", kernel, &stat, None);
+        out.push('\n');
+    }
+    seal(out)
+}
+
+/// Serializes the store's v3 snapshot: generation and breaker state, then
+/// the sorted kernel lines with taint, under the checksum envelope.
+pub(crate) fn snapshot_to_text(
+    table: &KernelTable,
+    breaker: BreakerState,
+    generation: u64,
+) -> String {
+    let mut out = format!(
+        "{TABLE_HEADER_V3}\ngeneration {generation}\nbreaker {}\n",
+        breaker.code()
+    );
+    for (kernel, stat, tainted) in table.snapshot_with_taint() {
+        push_entry(&mut out, "kernel", kernel, &stat, Some(tainted));
+        out.push('\n');
     }
     seal(out)
 }
@@ -414,113 +488,181 @@ pub fn table_to_text(table: &KernelTable) -> String {
 ///
 /// [`ModelParseError`] on malformed, truncated, or corrupted input
 /// (including a duplicated kernel id, which would silently drop learned
-/// weight). Never panics, whatever the bytes.
+/// weight, and a weight no accumulation could recover from). Never
+/// panics, whatever the bytes.
 pub fn table_from_text(text: &str) -> Result<KernelTable, ModelParseError> {
     let body = verify_envelope(text, TABLE_HEADER_V1, TABLE_HEADER_V2)?;
-    let mut lines = body.lines().enumerate();
-    lines.next(); // header, already validated by the envelope check
+    parse_table_body(body, false).map(|(table, _, _)| table)
+}
+
+/// Parses a snapshot file of any supported version into the table, the
+/// breaker state and the generation; v1/v2 load with generation 0, a
+/// closed breaker, and no taint state (those formats never carried it).
+pub(crate) fn parse_snapshot(
+    bytes: &[u8],
+) -> Result<(KernelTable, BreakerState, u64), ModelParseError> {
+    let text = &*String::from_utf8_lossy(bytes);
+    let v3 = text.lines().next().unwrap_or("").trim() == TABLE_HEADER_V3;
+    let body = if v3 {
+        verify_sealed(text, TABLE_HEADER_V3)?
+    } else {
+        verify_envelope(text, TABLE_HEADER_V1, TABLE_HEADER_V2)?
+    };
+    parse_table_body(body, v3)
+}
+
+/// The record walk under every table version; `v3` admits the
+/// `generation` and `breaker` records and the per-entry taint flag.
+fn parse_table_body(
+    body: &str,
+    v3: bool,
+) -> Result<(KernelTable, BreakerState, u64), ModelParseError> {
     let table = KernelTable::new();
-    for (idx, raw) in lines {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let bad = |message: String| ModelParseError::BadLine {
-            line: line_no,
-            message,
-        };
-        let mut tokens = line.split_whitespace();
+    let mut breaker = BreakerState::Closed;
+    let mut generation = 0u64;
+    for (line, mut tokens) in records(body) {
+        let bad = |message: String| ModelParseError::BadLine { line, message };
         match tokens.next() {
+            Some("generation") if v3 => {
+                generation = value(&mut tokens, "generation").map_err(bad)?;
+            }
+            Some("breaker") if v3 => {
+                let code: u8 = value(&mut tokens, "breaker code").map_err(bad)?;
+                breaker = BreakerState::from_code(code)
+                    .ok_or_else(|| bad(format!("unknown breaker code {code}")))?;
+            }
             Some("kernel") => {
-                let kernel: u64 = tokens
-                    .next()
-                    .ok_or_else(|| bad("missing kernel id".into()))?
-                    .parse()
-                    .map_err(|e| bad(format!("kernel id: {e}")))?;
-                expect_keyword(line_no, &mut tokens, "alpha")?;
-                let alpha: f64 = tokens
-                    .next()
-                    .ok_or_else(|| bad("missing alpha".into()))?
-                    .parse()
-                    .map_err(|e| bad(format!("alpha: {e}")))?;
-                if !(0.0..=1.0).contains(&alpha) {
-                    return Err(bad(format!("alpha {alpha} out of [0, 1]")));
-                }
-                expect_keyword(line_no, &mut tokens, "weight")?;
-                let weight: f64 = tokens
-                    .next()
-                    .ok_or_else(|| bad("missing weight".into()))?
-                    .parse()
-                    .map_err(|e| bad(format!("weight: {e}")))?;
-                expect_keyword(line_no, &mut tokens, "seen")?;
-                let invocations_seen: u64 = tokens
-                    .next()
-                    .ok_or_else(|| bad("missing seen count".into()))?
-                    .parse()
-                    .map_err(|e| bad(format!("seen count: {e}")))?;
+                let (kernel, stat, tainted) = parse_entry(&mut tokens, v3).map_err(bad)?;
                 if table.stat(kernel).is_some() {
                     return Err(bad(format!("kernel {kernel} listed twice")));
                 }
-                table.insert(
-                    kernel,
-                    AlphaStat {
-                        alpha,
-                        weight,
-                        invocations_seen,
-                    },
-                );
+                table.insert(kernel, stat);
+                if tainted {
+                    table.taint(kernel);
+                }
             }
-            other => {
-                return Err(bad(format!("unknown record {other:?}")));
-            }
+            other => return Err(bad(format!("unknown record {other:?}"))),
         }
     }
-    Ok(table)
+    Ok((table, breaker, generation))
 }
 
-/// Saves a kernel table to a file.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn save_table(table: &KernelTable, path: impl AsRef<Path>) -> io::Result<()> {
-    fs::write(path, table_to_text(table))
+/// One journal record: a table mutation or a breaker transition. `Put`
+/// carries the kernel's *absolute* state (not a delta), so replay is
+/// idempotent and a lost record costs only that one update.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum JournalRecord {
+    Put {
+        kernel: KernelId,
+        stat: AlphaStat,
+        tainted: bool,
+    },
+    Taint(KernelId),
+    Breaker(BreakerState),
 }
 
-/// [`save_table`] through an explicit [`Vfs`] (the storage-chaos seam).
-///
-/// # Errors
-///
-/// Propagates filesystem errors, injected or real.
-pub fn save_table_with(
-    vfs: &dyn Vfs,
-    table: &KernelTable,
-    path: impl AsRef<Path>,
-) -> io::Result<()> {
-    vfs.write(path.as_ref(), table_to_text(table).as_bytes())
+impl JournalRecord {
+    /// The record as one sealed journal line.
+    pub(crate) fn to_line(self) -> String {
+        let mut body = String::new();
+        match self {
+            JournalRecord::Put {
+                kernel,
+                stat,
+                tainted,
+            } => push_entry(&mut body, "put", kernel, &stat, Some(tainted)),
+            JournalRecord::Taint(kernel) => {
+                let _ = write!(body, "taint {kernel}");
+            }
+            JournalRecord::Breaker(state) => {
+                let _ = write!(body, "breaker {}", state.code());
+            }
+        }
+        sealed(&body)
+    }
+
+    /// Parses one verified record body.
+    fn parse(body: &str) -> Option<JournalRecord> {
+        let mut tokens = body.split_whitespace();
+        let record = match tokens.next()? {
+            "put" => {
+                let (kernel, stat, tainted) = parse_entry(&mut tokens, true).ok()?;
+                JournalRecord::Put {
+                    kernel,
+                    stat,
+                    tainted,
+                }
+            }
+            "taint" => JournalRecord::Taint(value(&mut tokens, "kernel id").ok()?),
+            "breaker" => {
+                let code: u8 = value(&mut tokens, "breaker code").ok()?;
+                JournalRecord::Breaker(BreakerState::from_code(code)?)
+            }
+            _ => return None,
+        };
+        tokens.next().is_none().then_some(record)
+    }
 }
 
-/// Loads a kernel table from a file.
-///
-/// # Errors
-///
-/// [`ModelParseError`] on I/O or format problems.
-pub fn load_table(path: impl AsRef<Path>) -> Result<KernelTable, ModelParseError> {
-    table_from_text(&fs::read_to_string(path)?)
+/// The sealed header line that opens a journal of `generation`.
+pub(crate) fn journal_header(generation: u64) -> String {
+    sealed(&format!("{JOURNAL_MAGIC} gen {generation}"))
 }
 
-/// [`load_table`] through an explicit [`Vfs`].
-///
-/// # Errors
-///
-/// [`ModelParseError`] on I/O or format problems.
-pub fn load_table_with(
-    vfs: &dyn Vfs,
-    path: impl AsRef<Path>,
-) -> Result<KernelTable, ModelParseError> {
-    let bytes = vfs.read(path.as_ref())?;
-    table_from_text(&String::from_utf8_lossy(&bytes))
+/// Result of scanning a journal file: the records of the valid prefix
+/// and where that prefix ends.
+pub(crate) struct JournalScan {
+    /// Header generation, if the header line validated.
+    pub(crate) gen: Option<u64>,
+    pub(crate) records: Vec<JournalRecord>,
+    /// Byte length of the valid prefix (header + intact records).
+    pub(crate) valid_len: usize,
+    /// Lines abandoned after the first invalid one.
+    pub(crate) discarded: u64,
+}
+
+/// Walks the journal line by line, stopping at the first line that is
+/// torn (no trailing newline), fails its digest, or fails to parse.
+pub(crate) fn scan_journal(bytes: &[u8]) -> JournalScan {
+    let text = String::from_utf8_lossy(bytes);
+    let mut scan = JournalScan {
+        gen: None,
+        records: Vec::new(),
+        valid_len: 0,
+        discarded: 0,
+    };
+    let mut offset = 0usize;
+    let mut lines = text.split_inclusive('\n');
+    for line in &mut lines {
+        let intact = line.ends_with('\n');
+        let parsed = intact
+            .then(|| unseal(line.trim_end_matches('\n')))
+            .flatten()
+            .and_then(|body| {
+                if scan.gen.is_none() {
+                    let gen = body
+                        .strip_prefix(JOURNAL_MAGIC)?
+                        .trim()
+                        .strip_prefix("gen ")?
+                        .trim()
+                        .parse()
+                        .ok()?;
+                    scan.gen = Some(gen);
+                    Some(())
+                } else {
+                    scan.records.push(JournalRecord::parse(body)?);
+                    Some(())
+                }
+            });
+        if parsed.is_none() {
+            scan.discarded += 1;
+            break;
+        }
+        offset += line.len();
+    }
+    scan.discarded += lines.count() as u64;
+    scan.valid_len = offset;
+    scan
 }
 
 #[cfg(test)]
@@ -731,16 +873,6 @@ mod tests {
     }
 
     #[test]
-    fn table_file_roundtrip() {
-        let table = learned_table();
-        let path = std::env::temp_dir().join(format!("easched_table_{}.txt", std::process::id()));
-        save_table(&table, &path).unwrap();
-        let back = load_table(&path).unwrap();
-        assert_eq!(back.snapshot(), table.snapshot());
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
     fn empty_table_roundtrips() {
         let back = table_from_text(&table_to_text(&KernelTable::new())).unwrap();
         assert!(back.is_empty());
@@ -756,6 +888,9 @@ mod tests {
             "kernel x alpha 0.5 weight 1 seen 0",
             "kernel 1 alpha 1.5 weight 1 seen 0",
             "kernel 1 alpha 0.5 weight abc seen 0",
+            "kernel 1 alpha 0.5 weight NaN seen 0",
+            "kernel 1 alpha 0.5 weight inf seen 0",
+            "kernel 1 alpha 0.5 weight -1 seen 0",
             "kernel 1 alpha 0.5 weight 1 seen -3",
             "kernel 1 alpha 0.5 weight 1",
             "kernel 1 weight 1 alpha 0.5 seen 0",
@@ -786,5 +921,20 @@ mod tests {
                 invocations_seen: 2
             }
         );
+    }
+
+    #[test]
+    fn snapshot_text_is_stable_and_checksummed() {
+        let table = learned_table();
+        table.taint(900);
+        let text = snapshot_to_text(&table, BreakerState::Open, 7);
+        assert!(text.starts_with("easched-kernel-table v3\ngeneration 7\nbreaker 1\n"));
+        let last = text.lines().last().unwrap();
+        assert!(last.starts_with("checksum "), "{last}");
+        let (back, breaker, generation) = parse_snapshot(text.as_bytes()).unwrap();
+        assert_eq!(back.snapshot(), table.snapshot());
+        assert!(back.is_tainted(900));
+        assert_eq!(breaker, BreakerState::Open);
+        assert_eq!(generation, 7);
     }
 }

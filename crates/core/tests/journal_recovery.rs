@@ -9,11 +9,13 @@ use easched_core::{
 };
 use easched_runtime::backend::test_support::FakeBackend;
 use easched_runtime::chaos::{ChaosInjector, Fault, FaultPlan};
-use easched_runtime::Scheduler;
+use easched_runtime::vfs::{ChaosFs, ChaosFsPlan, StdFs, Vfs};
+use easched_runtime::{Scheduler, TickClock};
 use proptest::prelude::*;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// A unique scratch directory removed on drop.
 struct TempDir(PathBuf);
@@ -408,4 +410,69 @@ proptest! {
         let a2 = rec.table.stat(2).expect("kernel 2").alpha;
         prop_assert_eq!(a2, 0.5);
     }
+}
+
+/// The fixed script behind `fixtures/golden_store/`, whose files were
+/// written by the commit *before* the on-disk grammar moved into
+/// `persist.rs`: three entries (one tainted), their `put`s, a taint and
+/// a breaker record, a checkpoint, then two more `put`s so the journal
+/// is not header-only. Returns the table the script ends on.
+fn golden_store_script(dir: &Path, vfs: Arc<dyn Vfs>) -> KernelTable {
+    let (store, _) = TableStore::open_with(dir, vfs).expect("fresh store");
+    let table = KernelTable::new();
+    table.insert(7, stat(2.0 / 3.0, 5.0e4, 12));
+    table.insert(1, stat(0.0, 17.0, 0));
+    table.insert(900, stat(1.0, 1.0e9, 3));
+    table.taint(900);
+    for kernel in [7, 1, 900] {
+        store.record_entry(&table, kernel);
+    }
+    store.record_taint(900);
+    store.record_breaker(BreakerState::Open);
+    store
+        .checkpoint(&table, BreakerState::Open)
+        .expect("checkpoint");
+    table.insert(7, stat(0.7, 6.25e4, 13));
+    store.record_entry(&table, 7);
+    store.record_entry(&table, 900);
+    table
+}
+
+#[test]
+fn golden_store_bytes_and_vfs_ops_match_the_parent_commit() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_store");
+    let fixture = |name: &str| fs::read(golden.join(name)).expect("committed fixture");
+
+    // (a) The script writes the parent's bytes.
+    let dir = TempDir::new("golden");
+    let table = golden_store_script(&dir.0, Arc::new(StdFs));
+    for name in ["table.snap", "table.journal"] {
+        assert_eq!(fs::read(dir.0.join(name)).unwrap(), fixture(name), "{name}");
+    }
+    assert_eq!(
+        easched_core::persist::table_to_text(&table).into_bytes(),
+        fixture("table_v2.txt")
+    );
+
+    // (b) The parent's files open to the script's state (from a copy:
+    // open truncates the journal to its valid prefix in place).
+    let copy = TempDir::new("golden_open");
+    fs::create_dir_all(&copy.0).unwrap();
+    for name in ["table.snap", "table.journal"] {
+        fs::write(copy.0.join(name), fixture(name)).unwrap();
+    }
+    let (_, rec) = TableStore::open(&copy.0).expect("parent-written store");
+    assert_eq!(rec.table.snapshot_with_taint(), table.snapshot_with_taint());
+    assert_eq!(rec.breaker, BreakerState::Open);
+    assert_eq!((rec.generation, rec.replayed, rec.discarded), (1, 2, 0));
+    let v2 = String::from_utf8(fixture("table_v2.txt")).unwrap();
+    let loaded = easched_core::persist::table_from_text(&v2).expect("parent-written v2 table");
+    assert_eq!(loaded.snapshot(), table.snapshot());
+
+    // (c) The store issues the parent's number of `Vfs` operations.
+    let chaos_dir = TempDir::new("golden_ops");
+    let vfs = ChaosFs::new(7, ChaosFsPlan::default(), Arc::new(TickClock::new()));
+    golden_store_script(&chaos_dir.0, Arc::new(vfs.clone()));
+    let ops = String::from_utf8(fixture("ops.txt")).unwrap();
+    assert_eq!(vfs.op_count(), ops.trim().parse::<u64>().unwrap());
 }

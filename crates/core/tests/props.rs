@@ -231,6 +231,15 @@ mod persist_props {
             if pos < covered_len(&text) {
                 prop_assert!(table_from_text(&mutated).is_err(), "body flip at {} accepted", pos);
             }
+            // A mutation no digest covers (legacy v1 has none): a weight
+            // that would poison every later accumulation of the kernel
+            // is rejected by the grammar itself.
+            let poison = ["NaN", "inf", "-1"][bit as usize % 3];
+            let v1 = text[..covered_len(&text)].replacen("v2", "v1", 1);
+            let weight = ["weight 1e3", "weight 5e4", "weight 1e9"][pos % 3];
+            let poisoned = v1.replacen(weight, &format!("weight {poison}"), 1);
+            prop_assert!(table_from_text(&v1).is_ok() && poisoned != v1);
+            prop_assert!(table_from_text(&poisoned).is_err(), "{} accepted", poisoned);
         }
 
         /// Truncating a table file at any byte never panics; anything short

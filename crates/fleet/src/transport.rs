@@ -10,6 +10,7 @@
 //! deterministically, so every chaos run is byte-for-byte replayable.
 
 use crate::frame::NodeId;
+use easched_sim::noise::splitmix64;
 
 /// A message fabric between fleet nodes.
 ///
@@ -176,7 +177,7 @@ impl ChaosTransport {
         ChaosTransport {
             config,
             // splitmix64 must not start at 0 (it would stay 0 for one
-            // step); the increment below fixes that on first use.
+            // step); the mixer's own increment fixes that on first use.
             rng: seed,
             now: 0,
             in_flight: Vec::new(),
@@ -197,14 +198,13 @@ impl ChaosTransport {
         self.now
     }
 
-    /// splitmix64 — the repo's standard derivation PRNG (see
-    /// `easched_core::seed`).
+    /// The sequential form of [`splitmix64`], the repo's standard
+    /// derivation PRNG (see `easched_core::seed`): the state steps by
+    /// the golden-ratio increment the mixer adds.
     fn next_u64(&mut self) -> u64 {
+        let out = splitmix64(self.rng);
         self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        out
     }
 
     fn chance(&mut self, per_mille: u16) -> bool {
@@ -326,6 +326,12 @@ mod tests {
         };
         assert_eq!(run(7), run(7), "same seed, same stream");
         assert_ne!(run(7).0, run(8).0, "different seed, different stream");
+        // The stream itself is pinned: fleet logs replay against it.
+        let mut t = ChaosTransport::new(2, 7, ChaosConfig::default());
+        assert_eq!(
+            [t.next_u64(), t.next_u64()],
+            [0x63cb_e1e4_5932_0dd7, 0x044c_3cd7_f43c_661c]
+        );
     }
 
     #[test]

@@ -251,7 +251,7 @@ where
         edps: Vec::new(),
     };
     for tick in 0..ticks {
-        let tick_start = recorder.decisions().len();
+        let tick_start = recorder.decision_count();
         for tenant in 0..tenants {
             for _ in 0..traffic.arrivals(tenant, tick) {
                 let level = frontend.level().code();
@@ -278,9 +278,9 @@ where
                 verdict: VERDICT_EXEC,
                 arg: req.ticket,
             });
-            let before = recorder.decisions().len();
+            let before = recorder.decision_count();
             let edp = exec(req.tenant, req.ticket, ctx);
-            let records = recorder.decisions().split_off(before);
+            let records = recorder.decisions_since(before);
             // Proxy occupancy: the drain slot held the shared package for
             // the run's scheduler-visible time, so that is what the
             // fair-share ledger and quota window are charged — clamped
@@ -309,7 +309,7 @@ where
         // as one ~0 W sample instead of crushing the whole tick), while
         // surge-corrupted samples still pull the mean up — exactly the
         // sustained-pressure signal the ladder hystereses over.
-        let records = recorder.decisions().split_off(tick_start);
+        let records = recorder.decisions_since(tick_start);
         let samples: Vec<f64> = records
             .iter()
             .filter(|r| r.profile_time + r.split_time > 0.0)

@@ -129,20 +129,32 @@ impl Recorder {
         self.push(Event::Fleet { line });
     }
 
-    /// The decision records captured so far, in publication order. The
-    /// overload harness derives its simulated power samples and GPU-proxy
-    /// debits from these — on both the record and the replay side, which
-    /// is what makes the admission controller's inputs reproducible.
-    pub fn decisions(&self) -> Vec<DecisionRecord> {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    /// Decision records captured so far: the cursor a caller reads before
+    /// a step whose records it will collect with
+    /// [`decisions_since`](Recorder::decisions_since).
+    pub(crate) fn decision_count(&self) -> u64 {
+        self.seq.load(Ordering::Relaxed)
+    }
+
+    /// The decision records captured after the first `n`, in publication
+    /// order, found by walking back from the newest event — the cost is
+    /// the tail's, not the log's. The overload harness derives its
+    /// simulated power samples and GPU-proxy debits from these — on both
+    /// the record and the replay side, which is what makes the admission
+    /// controller's inputs reproducible.
+    pub fn decisions_since(&self, n: u64) -> Vec<DecisionRecord> {
+        let events = self.events.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut tail: Vec<DecisionRecord> = events
             .iter()
+            .rev()
             .filter_map(|e| match e {
                 Event::Decision(r) => Some(*r),
                 _ => None,
             })
-            .collect()
+            .take_while(|r| r.seq >= n)
+            .collect();
+        tail.reverse();
+        tail
     }
 
     /// Events recorded so far.
@@ -324,6 +336,14 @@ mod tests {
         let sink: &dyn TelemetrySink = &*rec;
         sink.record(&DecisionRecord::default());
         sink.record(&DecisionRecord::default());
+        assert_eq!(rec.decision_count(), 2);
+        let tail = |n| {
+            rec.decisions_since(n)
+                .iter()
+                .map(|d| d.seq)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!((tail(0), tail(1), tail(2)), (vec![0, 1], vec![1], vec![]));
         let seqs: Vec<u64> = rec.finish().decisions().iter().map(|d| d.seq).collect();
         assert_eq!(seqs, vec![0, 1]);
     }

@@ -405,33 +405,37 @@ mod tests {
     }
 
     #[test]
-    fn virtual_clock_runs_are_deterministic_and_unpaced() {
+    fn virtual_clock_runs_are_unpaced_and_consistent() {
         use crate::clock::TickClock;
         let platform = Platform::haswell_desktop();
         let t = traits();
         let f = |_: usize| {};
-        // A single worker makes the clock-call sequence fixed; the virtual
-        // clock then makes the observations bit-identical run over run —
-        // and nothing actually sleeps, so a "slow" 1 items/s GPU finishes
-        // instantly in wall time.
-        let run = || {
+        // The GPU proxy and the CPU worker read one `TickClock` that
+        // advances per read, so the interleaving of their reads — and
+        // with it every timestamp's bit pattern and the worker's share
+        // of the pool — is a race. What two threads on a virtual clock
+        // can promise is asserted instead: nothing actually sleeps (a
+        // "slow" 1 item/s GPU finishes instantly in wall time), every
+        // item is consumed once, and the pacing shows up in virtual time.
+        let wall0 = std::time::Instant::now();
+        for _ in 0..2 {
             let cfg =
                 ThreadBackendConfig::new(1, 1.0).with_clock(std::sync::Arc::new(TickClock::new()));
             let mut b = ThreadBackend::new(cfg, &platform, &t, 4_000, &f);
             let o1 = b.profile_step(1_000);
             let o2 = b.run_split(0.5);
             assert_eq!(b.remaining(), 0);
-            [
-                o1.elapsed.to_bits(),
-                o1.gpu_time.to_bits(),
-                o1.energy_joules.to_bits(),
-                o2.elapsed.to_bits(),
-                o2.gpu_time.to_bits(),
-                o2.energy_joules.to_bits(),
-            ]
-        };
-        let wall0 = std::time::Instant::now();
-        assert_eq!(run(), run());
+            assert_eq!(o1.gpu_items, 1_000);
+            assert_eq!(o1.cpu_items + o2.cpu_items + o2.gpu_items, 3_000);
+            for o in [o1, o2] {
+                for v in [o.elapsed, o.cpu_time, o.gpu_time, o.energy_joules] {
+                    assert!(v.is_finite() && v >= 0.0, "{o:?}");
+                }
+                // Paced at 1 item/s on a clock both threads only advance.
+                assert!(o.gpu_time >= o.gpu_items as f64, "{o:?}");
+                assert!(o.elapsed >= o.gpu_time, "{o:?}");
+            }
+        }
         // 5k items at 1 item/s would be ~83 minutes of real pacing.
         assert!(wall0.elapsed() < std::time::Duration::from_secs(30));
     }

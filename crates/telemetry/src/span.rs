@@ -327,6 +327,8 @@ impl SpanSink {
 
 /// splitmix64-style finalizer — kept identical to `RunSeed`'s mix (and
 /// the chaos injector's) so trace ids equal `derive_indexed` output.
+/// A copy of `easched_sim::noise::splitmix64`: this crate has no
+/// dependencies, by design.
 fn mix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
