@@ -48,9 +48,24 @@ wait "$CRASH_PID" 2>/dev/null || true
 echo "==> storm chaos: hang + power-surge storm, release"
 cargo test -q --release --test selfheal
 
+# Torn-tail probe (DESIGN.md §12): `head -n` cuts of a recorded storm log —
+# one mid-invocation (ending on a `step` line), one right after a
+# `decision` line — must replay their sealed prefix and exit 0.
+torn_probe() {
+    for kind in step decision; do
+        cut=$(grep -n "^$kind " "$1" | sed -n '20p' | cut -d: -f1)
+        head -n "$cut" "$1" > target/ci-torn.runlog
+        ./target/release/easched replay --log target/ci-torn.runlog > /dev/null 2>&1
+    done
+}
+
 echo "==> replay smoke: record a chaos storm, replay must be byte-identical"
 ./target/release/easched record --out target/ci-replay.runlog --seed 7 > /dev/null
 ./target/release/easched replay --log target/ci-replay.runlog
+torn_probe target/ci-replay.runlog
+
+echo "==> torn tails: every line cut of a v1 and a v2 storm log replays its prefix"
+cargo test -q --release -p easched-replay --test torn_tails
 
 echo "==> replay bisect: perturbed log must diverge and shrink to a reproducer"
 if ./target/release/easched replay --log target/ci-replay.runlog \
@@ -71,6 +86,7 @@ done
 echo "==> overload replay: record one overloaded run, byte-identical via easched replay"
 ./target/release/easched record --out target/ci-overload.runlog --overload --seed 7 > /dev/null
 ./target/release/easched replay --log target/ci-overload.runlog
+torn_probe target/ci-overload.runlog
 
 echo "==> observability plane: live scrape during a storm + SLO exemplar replay"
 rm -f target/ci-serve.out
@@ -130,6 +146,13 @@ wait "$FLEET_PID" 2>/dev/null || true
 
 echo "==> fleet replay: recorded chaos run must be byte-identical"
 ./target/release/easched fleet --replay target/ci-fleet-7.runlog
+head -n 10 target/ci-fleet-7.runlog > target/ci-torn.runlog
+./target/release/easched fleet --replay target/ci-torn.runlog > /dev/null 2>&1
+# The wrong subcommand is unusable input (2), and says where to go.
+code=0
+./target/release/easched replay --log target/ci-fleet-7.runlog 2> target/ci-fleet-wrong.err || code=$?
+test "$code" -eq 2
+grep -q "fleet --replay" target/ci-fleet-wrong.err
 
 echo "==> storage chaos: every-fault-point sweep (DESIGN.md §16)"
 cargo test -q --release -p easched-core --test storage_chaos

@@ -338,6 +338,9 @@ pub enum FleetError {
     BadSpec(String),
     /// A node's journal failed to open or recover.
     Store(StoreError),
+    /// A replay ran but did not reproduce the recorded log; carries the
+    /// first difference ([`RunLog::first_difference`]).
+    Diverged(String),
 }
 
 impl std::fmt::Display for FleetError {
@@ -346,6 +349,7 @@ impl std::fmt::Display for FleetError {
             FleetError::UnknownPlatform(name) => write!(f, "unknown platform preset {name:?}"),
             FleetError::BadSpec(why) => write!(f, "bad fleet spec: {why}"),
             FleetError::Store(e) => write!(f, "journal error: {e}"),
+            FleetError::Diverged(diff) => write!(f, "first divergence at {diff}"),
         }
     }
 }
@@ -703,34 +707,24 @@ fn anti_entropy_round(state: &mut RunState, tick: u64) {
     }
 }
 
-/// Re-runs a recorded fleet log and byte-compares the regenerated event
-/// stream. `Ok` carries the fresh report; `Err` names the first
-/// divergence (or why the log is not a fleet log).
-pub fn replay_fleet(recorded: &RunLog, store_root: PathBuf) -> Result<FleetReport, String> {
+/// Re-runs a recorded fleet log and holds the regenerated log to the
+/// replay identity rule ([`RunLog::first_difference`]: byte-identical for
+/// a complete log, identical up to the cut for a torn one). `Ok` carries
+/// the fresh report; [`FleetError::Diverged`] names the first difference,
+/// every other error means the log could not be re-run at all.
+pub fn replay_fleet(recorded: &RunLog, store_root: PathBuf) -> Result<FleetReport, FleetError> {
     let lines = recorded.fleet_lines();
     let first = lines
         .first()
-        .ok_or_else(|| "log carries no fleet events".to_string())?;
-    let mut spec =
-        FleetSpec::from_line(first).ok_or_else(|| format!("unparseable fleet spec: {first}"))?;
+        .ok_or_else(|| FleetError::BadSpec("log carries no fleet events".into()))?;
+    let mut spec = FleetSpec::from_line(first)
+        .ok_or_else(|| FleetError::BadSpec(format!("unparseable spec line: {first}")))?;
     spec.store_root = store_root;
-    let report = run_fleet(&spec).map_err(|e| e.to_string())?;
-    let fresh = report.log.fleet_lines();
-    if fresh.len() != lines.len() {
-        return Err(format!(
-            "event count diverged: recorded {} vs replayed {}",
-            lines.len(),
-            fresh.len()
-        ));
+    let report = run_fleet(&spec)?;
+    match recorded.first_difference(&report.log) {
+        Some(diff) => Err(FleetError::Diverged(diff)),
+        None => Ok(report),
     }
-    for (i, (a, b)) in lines.iter().zip(&fresh).enumerate() {
-        if a != b {
-            return Err(format!(
-                "first divergence at fleet event {i}:\n  recorded: {a}\n  replayed: {b}"
-            ));
-        }
-    }
-    Ok(report)
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! is carried verbatim.
 
 use crate::harness::{scheduler_for_log, ReplayError};
-use crate::log::{Event, RunLog};
+use crate::log::{Event, LoggedInvocation, RunLog};
 use crate::replay::{replay_log, Divergence};
 use easched_runtime::TickClock;
 use easched_telemetry::DecisionRecord;
@@ -74,13 +74,14 @@ fn diverges(log: &RunLog, pristine: &easched_core::EasScheduler) -> Option<Diver
 /// Returns `Ok(None)` when the log replays cleanly (nothing to bisect);
 /// [`ReplayError`] when the log's fingerprints do not match this build.
 pub fn bisect_storm(log: &RunLog) -> Result<Option<BisectReport>, ReplayError> {
-    let pristine = scheduler_for_log(log)?;
+    let (pristine, _) = scheduler_for_log(log)?;
     let Some(divergence) = diverges(log, &pristine) else {
         return Ok(None);
     };
     let target = signature(&divergence);
 
-    let (preamble, groups) = invocation_groups(&log.events);
+    // One group per invocation: its header, steps, and decisions.
+    let groups = log.invocations();
     let original_invocations = groups.len();
 
     // Phase 1: truncate to the prefix ending at the divergent invocation
@@ -94,7 +95,7 @@ pub fn bisect_storm(log: &RunLog) -> Result<Option<BisectReport>, ReplayError> {
     while i > 0 {
         i -= 1;
         let candidate_kept: Vec<usize> = kept.iter().copied().filter(|&k| k != kept[i]).collect();
-        let candidate = rebuild(log, &preamble, &groups, &candidate_kept);
+        let candidate = rebuild(log, &groups, &candidate_kept);
         if let Some(d) = diverges(&candidate, &pristine) {
             if signature(&d) == target {
                 kept = candidate_kept;
@@ -102,7 +103,7 @@ pub fn bisect_storm(log: &RunLog) -> Result<Option<BisectReport>, ReplayError> {
         }
     }
 
-    let minimal = rebuild(log, &preamble, &groups, &kept);
+    let minimal = rebuild(log, &groups, &kept);
     let minimal_divergence = diverges(&minimal, &pristine)
         .expect("minimal log diverged during shrinking and must still diverge");
     Ok(Some(BisectReport {
@@ -114,30 +115,14 @@ pub fn bisect_storm(log: &RunLog) -> Result<Option<BisectReport>, ReplayError> {
     }))
 }
 
-/// Splits the event stream into the pre-invocation preamble (seed
-/// derivations) and one group per invocation (its header, steps, and
-/// decisions, in order).
-fn invocation_groups(events: &[Event]) -> (Vec<Event>, Vec<Vec<Event>>) {
-    let mut preamble = Vec::new();
-    let mut groups: Vec<Vec<Event>> = Vec::new();
-    for event in events {
-        match event {
-            Event::Invocation { .. } => groups.push(vec![event.clone()]),
-            _ => match groups.last_mut() {
-                Some(group) => group.push(event.clone()),
-                None => preamble.push(event.clone()),
-            },
-        }
-    }
-    (preamble, groups)
-}
-
-/// Reassembles a log from a subset of invocation groups, renumbering the
-/// decision stream from zero.
-fn rebuild(log: &RunLog, preamble: &[Event], groups: &[Vec<Event>], kept: &[usize]) -> RunLog {
-    let mut events: Vec<Event> = preamble.to_vec();
+/// Reassembles a log from the pre-invocation preamble (seed derivations)
+/// and a subset of invocation groups, renumbering the decision stream
+/// from zero.
+fn rebuild(log: &RunLog, groups: &[LoggedInvocation<'_>], kept: &[usize]) -> RunLog {
+    let preamble = groups.first().map_or(log.events.len(), |g| g.span.start);
+    let mut events: Vec<Event> = log.events[..preamble].to_vec();
     for &k in kept {
-        events.extend(groups[k].iter().cloned());
+        events.extend_from_slice(&log.events[groups[k].span.clone()]);
     }
     let mut seq = 0;
     for event in &mut events {
@@ -180,6 +165,18 @@ mod tests {
             .expect("perturbed log diverges");
         assert!(report.kept_invocations <= report.original_invocations);
         assert!(report.kept_invocations >= 1);
+        // Captured from the commit before bisection read its groups off
+        // `RunLog::invocations`: the shared nesting walk and the
+        // renumbering must shrink to the same reproducer.
+        assert_eq!(report.original_invocations, 182);
+        assert_eq!(report.kept_invocations, 66);
+        assert_eq!(report.divergence.decision_index, 91);
+        assert_eq!(
+            signature(&report.divergence),
+            (Some(1572087333288760702), vec!["split_energy"])
+        );
+        assert_eq!(report.minimal_divergence.decision_index, 65);
+        assert_eq!(report.minimal_divergence.invocation, 65);
         // The minimal log is a self-contained reproducer with the same
         // failure signature.
         assert_eq!(
@@ -190,17 +187,5 @@ mod tests {
         let reparsed = RunLog::from_text(&text).unwrap();
         let again = bisect_storm(&reparsed).unwrap().expect("fixture diverges");
         assert_eq!(signature(&again.divergence), signature(&report.divergence));
-    }
-
-    #[test]
-    fn groups_partition_the_stream() {
-        let recorded = record_chaos_storm(&StormSpec::new(23));
-        let (preamble, groups) = invocation_groups(&recorded.log.events);
-        let total: usize = preamble.len() + groups.iter().map(Vec::len).sum::<usize>();
-        assert_eq!(total, recorded.log.events.len());
-        assert!(preamble.iter().all(|e| matches!(e, Event::Derive { .. })));
-        assert!(groups
-            .iter()
-            .all(|g| matches!(g[0], Event::Invocation { .. })));
     }
 }

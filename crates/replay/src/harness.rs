@@ -99,8 +99,9 @@ impl std::fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// The storm's workload rotation (labels are suite abbreviations).
-fn storm_workloads() -> Vec<Box<dyn easched_kernels::Workload>> {
+/// The workload rotation of both storms (labels are suite abbreviations;
+/// the overload storm selects per request by ticket).
+pub(crate) fn storm_workloads() -> Vec<Box<dyn easched_kernels::Workload>> {
     vec![
         suite::bfs_small(),
         suite::blackscholes_small(),
@@ -119,14 +120,6 @@ pub fn storm_platform() -> Platform {
     p
 }
 
-fn storm_model(platform: &Platform) -> PowerModel {
-    characterize(platform, &CharacterizationConfig::default())
-}
-
-fn storm_config(seed: RunSeed) -> EasConfig {
-    EasConfig::new(Objective::EnergyDelay).with_seed(seed)
-}
-
 /// Fingerprints `(platform, config)` the way logs record them.
 fn fingerprints(model: &PowerModel, config: &EasConfig) -> (u64, u64) {
     (
@@ -142,9 +135,8 @@ fn fingerprints(model: &PowerModel, config: &EasConfig) -> (u64, u64) {
 /// [`scheduler_for_log`] will accept. Shared by [`record_chaos_storm`],
 /// the CLI, and the `shared_runtime` example.
 pub fn recording_setup(seed: RunSeed) -> (EasScheduler, Arc<Recorder>) {
-    let platform = storm_platform();
-    let model = storm_model(&platform);
-    let config = storm_config(seed);
+    let model = characterize(&storm_platform(), &CharacterizationConfig::default());
+    let config = EasConfig::new(Objective::EnergyDelay).with_seed(seed);
     let (platform_fp, config_fp) = fingerprints(&model, &config);
 
     let recorder = Recorder::new(seed, platform_fp, config_fp);
@@ -220,13 +212,13 @@ pub fn record_chaos_storm(spec: &StormSpec) -> RecordedStorm {
     }
 }
 
-/// Builds the scheduler a storm log replays against, verifying the log's
-/// platform and config fingerprints first.
-pub fn scheduler_for_log(log: &RunLog) -> Result<EasScheduler, ReplayError> {
-    let platform = storm_platform();
-    let model = storm_model(&platform);
-    let config = storm_config(RunSeed::new(log.root));
-    let (platform_fp, config_fp) = fingerprints(&model, &config);
+/// Replay set-up is record set-up: [`recording_setup`] for the log's
+/// root seed — the scheduler a storm log replays against and the
+/// [`Recorder`] a replay re-records into — once the fingerprints this
+/// build produces are verified against the log's.
+pub fn scheduler_for_log(log: &RunLog) -> Result<(EasScheduler, Arc<Recorder>), ReplayError> {
+    let (eas, recorder) = recording_setup(RunSeed::new(log.root));
+    let (platform_fp, config_fp) = recorder.fingerprints();
     if platform_fp != log.platform_fp {
         return Err(ReplayError::PlatformMismatch {
             recorded: log.platform_fp,
@@ -239,15 +231,13 @@ pub fn scheduler_for_log(log: &RunLog) -> Result<EasScheduler, ReplayError> {
             live: config_fp,
         });
     }
-    let mut eas = EasScheduler::new(model, config);
-    eas.set_clock(Arc::new(TickClock::new()));
-    Ok(eas)
+    Ok((eas, recorder))
 }
 
 /// Replays a storm log recorded by [`record_chaos_storm`] and diffs the
 /// decision streams.
 pub fn replay_chaos_storm(log: &RunLog) -> Result<ReplayOutcome, ReplayError> {
-    let mut eas = scheduler_for_log(log)?;
+    let (mut eas, _) = scheduler_for_log(log)?;
     Ok(replay_log(log, &mut eas))
 }
 

@@ -11,14 +11,15 @@
 //!
 //! The crate is layered:
 //!
-//! - [`log`] — the `RunLog` container and its torn-tail-tolerant codec;
+//! - [`log`] — the `RunLog` container, its torn-tail-tolerant codec, the
+//!   invocation nesting and the replay identity rule;
 //! - [`record`] — [`Recorder`] (a [`easched_telemetry::TelemetrySink`])
 //!   plus the scheduler/backend shims that tap live runs;
 //! - [`replay`] — [`ReplayBackend`] and [`replay_log`], diffing the live
 //!   decision stream against the recording and snapshotting engine state
 //!   at the first divergence (time-travel debugging);
-//! - [`harness`] — the canonical chaos-storm scenario: record, replay,
-//!   fingerprint-check;
+//! - [`harness`] — the canonical chaos-storm scenario and the one set-up
+//!   recording and replay share: record, fingerprint-check, replay;
 //! - [`overload`] — the multi-tenant overload storm (admission control,
 //!   backpressure, brownout) recorded as a v2 log and replayed by
 //!   re-running the admission controller against the replayed decision
@@ -50,6 +51,4 @@ pub use overload::{
     OverloadSpec, RecordedOverload,
 };
 pub use record::{Recorder, RecordingBackend, RecordingScheduler};
-pub use replay::{
-    differing_fields, replay_log, CollectorSink, Divergence, ReplayBackend, ReplayOutcome,
-};
+pub use replay::{differing_fields, replay_log, Divergence, ReplayBackend, ReplayOutcome};

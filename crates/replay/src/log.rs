@@ -17,13 +17,19 @@
 //! included). Parsing truncates at the first unsealed line, so a log torn
 //! mid-write by a crash loses only its tail; the `end` footer
 //! distinguishes a truncated log from a complete one.
+//!
+//! Every replay path reads two more things off a log here: the nesting
+//! ([`RunLog::invocations`]) and the identity rule
+//! ([`RunLog::first_difference`]).
 
 use easched_runtime::sealed::{end_of, next_bits, sanitize, seal_line, unseal, Bits};
 use easched_runtime::vfs::Vfs;
 use easched_runtime::Observation;
 use easched_sim::CounterSnapshot;
 use easched_telemetry::DecisionRecord;
+use std::borrow::Cow;
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 
 /// Format version written in the header. Bump when the line grammar
@@ -43,6 +49,14 @@ pub const FORMAT_VERSION_ADMISSION: u32 = 2;
 /// writing v1/v2, so every pre-fleet log — committed fixtures included —
 /// stays byte-stable.
 pub const FORMAT_VERSION_FLEET: u32 = 3;
+
+/// Wire verdict marking the start of one drained request's execution in
+/// the admission event stream (codes 0..=2 are the offer outcomes —
+/// see [`AdmissionOutcome::code`](easched_runtime::AdmissionOutcome::code)).
+/// The invocations recorded between
+/// consecutive markers belong to the marked request, which is how replay
+/// regroups a multi-invocation workload run under its admission ticket.
+pub const VERDICT_EXEC: u8 = 3;
 
 /// One backend call a scheduler made during an invocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,8 +176,12 @@ pub struct RunLog {
     /// The ordered event stream.
     pub events: Vec<Event>,
     /// Whether the `end` footer was present and consistent. A `false`
-    /// here means the tail was torn (crash mid-record): the surviving
-    /// prefix is still replayable.
+    /// here means the log is a *prefix* of a run — the tail was torn
+    /// (crash mid-record), or [`slice_at`](RunLog::slice_at) cut an
+    /// admission tick short. Every replay path backs a prefix off to its
+    /// last complete invocation, replays that, and lets the re-run go past
+    /// the cut ([`first_difference`](RunLog::first_difference)); at the CLI
+    /// that is a warning, the prefix replayed, and exit 0.
     pub complete: bool,
 }
 
@@ -235,7 +253,8 @@ impl RunLog {
 
     /// Parses a log, tolerating a torn tail: the first line whose seal or
     /// grammar fails truncates the event stream there (and clears
-    /// [`complete`](RunLog::complete)). Only a broken *header* is a hard
+    /// [`complete`](RunLog::complete), so replay holds the log to prefix
+    /// identity only). Only a broken *header* is a hard
     /// error — without root and fingerprints there is nothing to replay.
     pub fn from_text(text: &str) -> Result<RunLog, LogError> {
         let mut lines = text.lines();
@@ -318,62 +337,82 @@ impl RunLog {
             .collect()
     }
 
-    /// The recorded invocations, each with its backend-call steps in
-    /// order — the replay backend's feed.
+    /// The log's nesting, in one walk: each recorded invocation with its
+    /// backend-call steps in order (the replay backend's feed), the span
+    /// of the event stream it owns, and the drained request it belongs
+    /// to. Bisection's groups, the overload replay's per-request groups
+    /// and the back-off to the last complete invocation are all read off
+    /// this.
     pub fn invocations(&self) -> Vec<LoggedInvocation<'_>> {
-        let mut out: Vec<LoggedInvocation<'_>> = Vec::new();
-        for event in &self.events {
-            match event {
-                Event::Invocation {
-                    kernel,
-                    items,
-                    profile_size,
-                    label,
-                } => out.push(LoggedInvocation {
-                    kernel: *kernel,
-                    items: *items,
-                    profile_size: *profile_size,
-                    label,
-                    steps: Vec::new(),
-                }),
-                Event::Step(step) => {
-                    if let Some(inv) = out.last_mut() {
-                        inv.steps.push(*step);
-                    }
-                }
-                Event::Derive { .. }
-                | Event::Decision(_)
-                | Event::Admission(_)
-                | Event::Fleet { .. } => {}
-            }
-        }
-        out
+        nest(&self.events)
     }
 
     /// Cuts the log to its first `offset` events — the prefix an SLO
     /// exemplar names (`easched replay --at <offset>`) — then backs the
-    /// cut off to the last complete invocation boundary, dropping any
-    /// trailing `Invocation`/`Step` events whose [`DecisionRecord`] the
-    /// prefix does not contain. The slice is a well-formed, complete log
-    /// in its own right: every invocation it carries replays, and an
-    /// overload replay of the slice reproduces the sliced stream line
-    /// for line before running past the cut.
+    /// cut off to the last complete invocation boundary, dropping a
+    /// trailing invocation whose [`DecisionRecord`] the prefix does not
+    /// contain. Every invocation the slice carries replays. A v1 replay
+    /// consumes exactly those invocations, so a v1 slice is a complete log
+    /// in its own right; a v2 run is replayed in whole admission ticks, so
+    /// cutting one leaves a prefix ([`complete`](RunLog::complete) is
+    /// `false`) that the replay reproduces line for line before running
+    /// past the cut — which is also what a torn tail gets.
     pub fn slice_at(&self, offset: u64) -> RunLog {
         let take = (offset as usize).min(self.events.len());
-        let mut events: Vec<Event> = self.events[..take].to_vec();
-        while matches!(
-            events.last(),
-            Some(Event::Invocation { .. } | Event::Step(_))
-        ) {
-            events.pop();
-        }
+        let prefix = &self.events[..take];
+        let decided = |owned: &[Event]| owned.iter().any(|e| matches!(e, Event::Decision(_)));
+        let keep = match nest(prefix).last() {
+            Some(last) if !decided(&prefix[last.span.clone()]) => last.span.start,
+            _ => take,
+        };
         RunLog {
-            version: self.version,
-            root: self.root,
-            platform_fp: self.platform_fp,
-            config_fp: self.config_fp,
-            events,
-            complete: true,
+            events: prefix[..keep].to_vec(),
+            complete: self.version == FORMAT_VERSION
+                || (self.complete && keep == self.events.len()),
+            ..*self
+        }
+    }
+
+    /// The log a replay feeds from: `self` when complete, otherwise the
+    /// prefix backed off exactly as [`slice_at`](RunLog::slice_at) would.
+    pub(crate) fn replayable(&self) -> Cow<'_, RunLog> {
+        if self.complete {
+            Cow::Borrowed(self)
+        } else {
+            Cow::Owned(self.slice_at(self.events.len() as u64))
+        }
+    }
+
+    /// The replay identity rule (DESIGN.md §12), stated once for every
+    /// log version: `replayed` reproduces every recorded event, in order,
+    /// under the same root and fingerprints; a complete log admits
+    /// nothing more, a prefix log may be run past its cut. Events compare
+    /// as their serialized lines (bitwise, NaN included). Returns the
+    /// first violation, human-readable, or `None` when the replay is
+    /// identical.
+    pub fn first_difference(&self, replayed: &RunLog) -> Option<String> {
+        let header = |log: &RunLog| (log.root, log.platform_fp, log.config_fp);
+        if header(self) != header(replayed) {
+            return Some(format!(
+                "header (root, platform, config): recorded {:x?} / replayed {:x?}",
+                header(self),
+                header(replayed)
+            ));
+        }
+        let mut theirs = replayed.events.iter().map(event_line);
+        for (i, mine) in self.events.iter().map(event_line).enumerate() {
+            let got = theirs.next();
+            if got.as_ref() != Some(&mine) {
+                let got = got.unwrap_or_else(|| "<replay ended>".to_string());
+                return Some(format!("event {i}: recorded `{mine}` / replayed `{got}`"));
+            }
+        }
+        match theirs.next() {
+            Some(extra) if self.complete => Some(format!(
+                "event {}: recorded log ends / replayed `{extra}`",
+                self.events.len()
+            )),
+            _ => None,
         }
     }
 
@@ -409,6 +448,56 @@ pub struct LoggedInvocation<'a> {
     pub label: &'a str,
     /// Backend calls, in order.
     pub steps: Vec<RecordedStep>,
+    /// The events this invocation owns: from its `Invocation` event up to
+    /// the next one (or the end of the stream) — steps, decisions and
+    /// whatever was logged in between.
+    pub span: Range<usize>,
+    /// Which drained request it ran under: the ordinal of the last
+    /// [`VERDICT_EXEC`] marker before it (`None` ahead of the first
+    /// marker — every invocation of a v1 log).
+    pub request: Option<usize>,
+}
+
+/// The one nesting walk behind [`RunLog::invocations`].
+fn nest(events: &[Event]) -> Vec<LoggedInvocation<'_>> {
+    let mut out: Vec<LoggedInvocation<'_>> = Vec::new();
+    let mut request = None;
+    for (at, event) in events.iter().enumerate() {
+        match event {
+            Event::Invocation {
+                kernel,
+                items,
+                profile_size,
+                label,
+            } => {
+                if let Some(open) = out.last_mut() {
+                    open.span.end = at;
+                }
+                out.push(LoggedInvocation {
+                    kernel: *kernel,
+                    items: *items,
+                    profile_size: *profile_size,
+                    label,
+                    steps: Vec::new(),
+                    span: at..events.len(),
+                    request,
+                });
+            }
+            Event::Step(step) => {
+                if let Some(inv) = out.last_mut() {
+                    inv.steps.push(*step);
+                }
+            }
+            Event::Admission(r) if r.verdict == VERDICT_EXEC => {
+                request = Some(request.map_or(0, |k| k + 1));
+            }
+            Event::Derive { .. }
+            | Event::Decision(_)
+            | Event::Admission(_)
+            | Event::Fleet { .. } => {}
+        }
+    }
+    out
 }
 
 fn event_line(event: &Event) -> String {
@@ -790,6 +879,118 @@ mod tests {
         let back = RunLog::from_text(&full.to_text()).unwrap();
         assert!(back.complete);
         assert_eq!(back.events.len(), 5);
+    }
+
+    #[test]
+    fn groups_partition_the_stream() {
+        let recorded = crate::harness::record_chaos_storm(&crate::harness::StormSpec::new(23));
+        let events = &recorded.log.events;
+        let groups = recorded.log.invocations();
+        let preamble = &events[..groups[0].span.start];
+        let total: usize = preamble.len() + groups.iter().map(|g| g.span.len()).sum::<usize>();
+        assert_eq!(total, recorded.log.events.len());
+        assert!(preamble.iter().all(|e| matches!(e, Event::Derive { .. })));
+        assert!(groups
+            .iter()
+            .all(|g| matches!(events[g.span.start], Event::Invocation { .. })));
+        // Added with the move: spans tile the stream in order, and a v1
+        // log has no requests.
+        for pair in groups.windows(2) {
+            assert_eq!(pair[0].span.end, pair[1].span.start);
+        }
+        assert_eq!(groups.last().unwrap().span.end, events.len());
+        assert!(groups.iter().all(|g| g.request.is_none()));
+    }
+
+    #[test]
+    fn invocations_follow_their_execution_marker() {
+        let exec = |ticket| {
+            Event::Admission(AdmissionRecord {
+                tick: 0,
+                tenant: 1,
+                level: 0,
+                verdict: VERDICT_EXEC,
+                arg: ticket,
+            })
+        };
+        let sample = sample_log();
+        let invocation = &sample.events[1..];
+        let mut log = sample.clone();
+        log.version = FORMAT_VERSION_ADMISSION;
+        // [derive, inv(no request), exec 0, exec 1, inv, inv]
+        log.events.push(exec(0));
+        log.events.push(exec(1));
+        log.events.extend_from_slice(invocation);
+        log.events.extend_from_slice(invocation);
+        let requests: Vec<_> = log.invocations().iter().map(|i| i.request).collect();
+        assert_eq!(requests, vec![None, Some(1), Some(1)]);
+    }
+
+    #[test]
+    fn identity_is_prefix_identity_for_a_prefix_and_equality_for_a_whole_log() {
+        let whole = sample_log();
+        assert_eq!(
+            whole.first_difference(&whole),
+            None,
+            "NaN steps compare bitwise"
+        );
+
+        // Recorded ⊑ replayed: a prefix log may be run past its cut ...
+        let mut prefix = whole.clone();
+        prefix.events.truncate(3);
+        prefix.complete = false;
+        assert_eq!(prefix.first_difference(&whole), None);
+        // ... a complete log admits nothing more ...
+        prefix.complete = true;
+        let extra = prefix.first_difference(&whole).expect("extra event");
+        assert!(extra.starts_with("event 3: recorded log ends"), "{extra}");
+        // ... and every recorded event must be reproduced, in order.
+        let short = whole.first_difference(&prefix).expect("replay ended early");
+        assert!(
+            short.starts_with("event 3:") && short.contains("<replay ended>"),
+            "{short}"
+        );
+        let mut perturbed = whole.clone();
+        assert!(perturbed.perturb_step(1));
+        let diff = whole
+            .first_difference(&perturbed)
+            .expect("one step differs");
+        assert!(diff.starts_with("event 3: recorded `step split"), "{diff}");
+        // The header is part of the identity.
+        let mut foreign = whole.clone();
+        foreign.platform_fp ^= 1;
+        assert!(whole
+            .first_difference(&foreign)
+            .unwrap()
+            .starts_with("header"));
+    }
+
+    #[test]
+    fn a_torn_tail_gets_the_back_off_a_slice_gets() {
+        let mut torn = sample_log();
+        torn.events.truncate(3); // derive, invocation, one step — no decision
+        torn.complete = false;
+        let fed = torn.replayable();
+        assert_eq!(
+            fed.events.len(),
+            1,
+            "the undecided invocation is not replayed"
+        );
+        assert_eq!(fed.events, torn.slice_at(3).events);
+        // A complete log is fed as it stands, undecided tail included.
+        let whole = RunLog {
+            complete: true,
+            ..torn.clone()
+        };
+        assert_eq!(whole.replayable().events.len(), 3);
+        // A v2 slice that cut something is a prefix; the identity slice of
+        // a complete v2 log is still a whole run.
+        let v2 = RunLog {
+            version: FORMAT_VERSION_ADMISSION,
+            ..sample_log()
+        };
+        assert!(!v2.slice_at(3).complete);
+        assert!(v2.slice_at(99).complete);
     }
 
     #[test]

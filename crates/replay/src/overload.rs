@@ -23,30 +23,24 @@
 //! the same telemetry an operator would, not simulator ground truth.
 
 use crate::harness::{
-    recording_setup, recording_setup_observed, scheduler_for_log, storm_platform, ReplayError,
+    recording_setup, recording_setup_observed, scheduler_for_log, storm_platform, storm_workloads,
+    ReplayError,
 };
-use crate::log::{AdmissionRecord, Event, RunLog};
+use crate::log::{AdmissionRecord, RunLog};
 use crate::record::{Recorder, RecordingScheduler};
 use crate::replay::ReplayBackend;
 use easched_core::{
     table_to_text, EasScheduler, HealthReport, RunSeed, SharedEasExt, TenantFrontend,
 };
-use easched_kernels::suite;
 use easched_runtime::{
     run_workload, run_workload_chaos, AdmissionConfig, BrownoutLevel, ChaosInjector, FaultPlan,
     InvocationCtx, Scheduler, TenantRegistry, TenantSpec, TenantStats, TenantTraffic, TrafficModel,
 };
 use easched_sim::Machine;
-use easched_telemetry::{RingSink, SloConfig, SloTracker, TelemetrySink};
+use easched_telemetry::{RingSink, SloConfig, SloTracker};
 use std::sync::Arc;
 
-/// Wire verdict marking the start of one drained request's execution in
-/// the admission event stream (codes 0..=2 are the offer outcomes —
-/// see [`AdmissionOutcome::code`](easched_runtime::AdmissionOutcome::code)).
-/// The invocations recorded between
-/// consecutive markers belong to the marked request, which is how replay
-/// regroups a multi-invocation workload run under its admission ticket.
-pub const VERDICT_EXEC: u8 = 3;
+pub use crate::log::VERDICT_EXEC;
 
 /// Billing-quantum band, seconds, for one request's fair-share debit:
 /// the measured scheduler-visible occupancy is clamped into
@@ -147,15 +141,6 @@ pub fn overload_admission() -> AdmissionConfig {
     }
 }
 
-/// The storm's workload rotation, selected per request by ticket.
-fn overload_workloads() -> Vec<Box<dyn easched_kernels::Workload>> {
-    vec![
-        suite::bfs_small(),
-        suite::blackscholes_small(),
-        suite::mandelbrot_small(),
-    ]
-}
-
 /// A finished overload recording plus the run's final state and the
 /// acceptance-gate measurements.
 #[derive(Debug)]
@@ -209,10 +194,11 @@ impl RecordedOverload {
 pub struct OverloadReplayOutcome {
     /// The log the replay re-recorded.
     pub replayed: RunLog,
-    /// Whether the replayed log is byte-identical to the input.
+    /// Whether the replay reproduced the input under the identity rule
+    /// ([`RunLog::first_difference`]): byte-identical for a complete log,
+    /// identical up to the cut for a prefix.
     pub identical: bool,
-    /// First differing line between the two logs, if any
-    /// (`line number: recorded / replayed`, human-readable).
+    /// The first violation of that rule, if any (human-readable).
     pub first_difference: Option<String>,
     /// Final health counters of the replaying scheduler.
     pub health: HealthReport,
@@ -442,7 +428,7 @@ fn record_storm_with(
     }
     let traffic = TrafficModel::new(traffic_seed, overload_traffic());
 
-    let workloads = overload_workloads();
+    let workloads = storm_workloads();
     let mut machine = Machine::new(storm_platform());
     // Burst geometry is in backend steps; one admission tick executes
     // roughly 60-100 steps, so these windows give the run distinct
@@ -521,7 +507,7 @@ fn clean_mean_edp(seed: RunSeed, kinds: &[usize]) -> f64 {
     }
     let (mut eas, _recorder) = recording_setup(seed);
     eas.set_telemetry(None);
-    let workloads = overload_workloads();
+    let workloads = storm_workloads();
     let mut machine = Machine::new(storm_platform());
     let edps: Vec<f64> = kinds
         .iter()
@@ -543,42 +529,19 @@ fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Groups the log's invocation ordinals by the execution marker
-/// (verdict [`VERDICT_EXEC`]) they follow: `groups[k]` holds the
-/// invocations belonging to the `k`-th drained request.
-fn invocation_groups(log: &RunLog) -> Vec<Vec<usize>> {
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut ordinal = 0usize;
-    for event in &log.events {
-        match event {
-            Event::Admission(r) if r.verdict == VERDICT_EXEC => groups.push(Vec::new()),
-            Event::Invocation { .. } => {
-                if let Some(group) = groups.last_mut() {
-                    group.push(ordinal);
-                }
-                ordinal += 1;
-            }
-            _ => {}
-        }
-    }
-    groups
-}
-
 /// Replays an overload log recorded by [`record_overload_storm`]: checks
-/// the fingerprints, rebuilds the scheduler, re-derives traffic from the
-/// log's root seed, re-runs the admission controller against the
-/// replayed decision stream, and re-records the whole run. Byte-equality
-/// of the re-recorded log against the input is the identity check — it
-/// covers every admission verdict, every brownout transition, and every
-/// scheduler decision at once.
+/// the fingerprints, rebuilds the recording set-up, re-derives traffic
+/// from the log's root seed, re-runs the admission controller against the
+/// replayed decision stream, and re-records the whole run. The identity
+/// check is [`RunLog::first_difference`] of the input against the
+/// re-recorded log — it covers every admission verdict, every brownout
+/// transition, and every scheduler decision at once. A prefix log (torn
+/// tail, or a slice) is held to prefix identity: the re-run regenerates
+/// the rest of its final tick past the cut.
 pub fn replay_overload_storm(log: &RunLog) -> Result<OverloadReplayOutcome, ReplayError> {
-    let mut eas = scheduler_for_log(log)?;
+    let log = &*log.replayable();
+    let (eas, recorder) = scheduler_for_log(log)?;
     let seed = RunSeed::new(log.root);
-    let recorder = Recorder::new(seed, log.platform_fp, log.config_fp);
-    for (name, value) in suite::seeds::manifest() {
-        recorder.note_seed(name, value);
-    }
-    eas.set_telemetry(Some(Arc::clone(&recorder) as Arc<dyn TelemetrySink>));
     // Mirror the record side's derivation order so the event streams
     // align line for line (the chaos seed steers no replay decisions —
     // faults are baked into the recorded observations).
@@ -594,7 +557,12 @@ pub fn replay_overload_storm(log: &RunLog) -> Result<OverloadReplayOutcome, Repl
     let traffic = TrafficModel::new(traffic_seed, overload_traffic());
 
     let invocations = log.invocations();
-    let groups = invocation_groups(log);
+    // Invocations ahead of the first execution marker belong to no
+    // request and are never re-fed.
+    let mut feed = invocations
+        .iter()
+        .filter(|i| i.request.is_some())
+        .peekable();
     // Ticks with no offers and no drains leave no trace in the log and
     // change no later admission state, so replaying up to the last
     // eventful tick reproduces the stream exactly.
@@ -605,7 +573,7 @@ pub fn replay_overload_storm(log: &RunLog) -> Result<OverloadReplayOutcome, Repl
         .max()
         .unwrap_or(0);
 
-    let mut exec_index = 0usize;
+    let mut request = 0usize;
     drive_overload(
         ticks,
         slots,
@@ -614,42 +582,23 @@ pub fn replay_overload_storm(log: &RunLog) -> Result<OverloadReplayOutcome, Repl
         &traffic,
         &recorder,
         |_tenant, _ticket, ctx| {
-            let group = groups.get(exec_index).cloned().unwrap_or_default();
-            exec_index += 1;
-            for ordinal in group {
-                let invocation = &invocations[ordinal];
+            while let Some(invocation) = feed.next_if(|i| i.request == Some(request)) {
                 let mut backend = ReplayBackend::new(invocation);
                 let mut handle = shared.handle().with_ctx(ctx);
                 let mut recording =
                     RecordingScheduler::new(&mut handle, Arc::clone(&recorder), invocation.label);
                 recording.schedule(invocation.kernel, &mut backend);
             }
+            request += 1;
             0.0
         },
     );
 
     let replayed = recorder.finish();
-    let (recorded_text, replayed_text) = (log.to_text(), replayed.to_text());
-    let identical = replayed_text == recorded_text;
-    let first_difference = (!identical).then(|| {
-        recorded_text
-            .lines()
-            .zip(replayed_text.lines())
-            .enumerate()
-            .find(|(_, (a, b))| a != b)
-            .map(|(i, (a, b))| format!("line {}: recorded `{a}` / replayed `{b}`", i + 1))
-            .unwrap_or_else(|| {
-                format!(
-                    "length mismatch: recorded {} lines, replayed {}",
-                    recorded_text.lines().count(),
-                    replayed_text.lines().count()
-                )
-            })
-    });
-
+    let first_difference = log.first_difference(&replayed);
     Ok(OverloadReplayOutcome {
         replayed,
-        identical,
+        identical: first_difference.is_none(),
         first_difference,
         health: shared.health(),
         table: table_to_text(shared.table()),
@@ -743,18 +692,11 @@ mod tests {
         // Replaying the slice reproduces it line for line up to the cut
         // (the replay then runs past it, regenerating the rest of the
         // final tick — that tail is beyond the exemplar's claim).
+        assert!(!slice.complete, "a cut tick is a prefix, not a whole run");
         let outcome = replay_overload_storm(&slice).unwrap();
-        let slice_text = slice.to_text();
-        let replay_text = outcome.replayed.to_text();
-        let body_lines = slice_text.lines().count() - 1; // drop `end` footer
-        for (i, (want, got)) in slice_text
-            .lines()
-            .zip(replay_text.lines())
-            .take(body_lines)
-            .enumerate()
-        {
-            assert_eq!(want, got, "replayed slice diverged at line {}", i + 1);
-        }
+        assert!(outcome.replayed.events.len() > slice.events.len());
+        assert_eq!(slice.first_difference(&outcome.replayed), None);
+        assert!(outcome.identical);
     }
 
     #[test]

@@ -129,6 +129,11 @@ impl Recorder {
         self.push(Event::Fleet { line });
     }
 
+    /// The `(platform, config)` fingerprints this recording is stamped with.
+    pub(crate) fn fingerprints(&self) -> (u64, u64) {
+        (self.platform_fp, self.config_fp)
+    }
+
     /// Decision records captured so far: the cursor a caller reads before
     /// a step whose records it will collect with
     /// [`decisions_since`](Recorder::decisions_since).

@@ -21,11 +21,11 @@
 //! diff can still be reported.
 
 use crate::log::{LoggedInvocation, RecordedStep, RunLog, StepCall};
-use easched_core::{table_to_text, EasScheduler, HealthReport};
+use crate::record::Recorder;
+use easched_core::{table_to_text, EasScheduler, HealthReport, RunSeed};
 use easched_runtime::{Backend, Observation, Scheduler};
 use easched_telemetry::{DecisionRecord, TelemetrySink};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// Nominal device rates for free-running synthesized observations after a
 /// structural divergence (same constants the test fake uses).
@@ -148,39 +148,6 @@ impl Backend for ReplayBackend<'_> {
     }
 }
 
-/// A telemetry sink that just collects records (publication-order seqs,
-/// like the ring sink) for the replay-side diff.
-#[derive(Debug, Default)]
-pub struct CollectorSink {
-    records: Mutex<Vec<DecisionRecord>>,
-    seq: AtomicU64,
-}
-
-impl CollectorSink {
-    /// An empty collector ready to attach.
-    pub fn new() -> Arc<CollectorSink> {
-        Arc::new(CollectorSink::default())
-    }
-
-    /// The records collected so far, in publication order.
-    pub fn records(&self) -> Vec<DecisionRecord> {
-        self.records
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-}
-
-impl TelemetrySink for CollectorSink {
-    fn record(&self, record: &DecisionRecord) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.records
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(DecisionRecord { seq, ..*record });
-    }
-}
-
 /// The first point where a replay's decision stream left the recording.
 #[derive(Debug, Clone)]
 pub struct Divergence {
@@ -271,16 +238,24 @@ impl ReplayOutcome {
 /// the same model + config the recording used — see the fingerprints in
 /// the log header) and diffs the decision streams.
 ///
-/// The scheduler's telemetry sink is replaced with a collector for the
-/// duration; the first divergent decision stops the replay so the
-/// reported table/health are the state *at* the divergence.
+/// Replay is recording with the backend swapped: the scheduler's
+/// telemetry sink is replaced with a fresh [`Recorder`] for the duration,
+/// and each invocation's new records are compared against the recorded
+/// stream where the last comparison stopped. The first divergent decision
+/// stops the replay so the reported table/health are the state *at* the
+/// divergence. A torn log replays its last complete invocation boundary
+/// (see [`RunLog::complete`]).
 pub fn replay_log(log: &RunLog, scheduler: &mut EasScheduler) -> ReplayOutcome {
-    let collector = CollectorSink::new();
+    let log = &*log.replayable();
+    let collector = Recorder::new(RunSeed::new(log.root), log.platform_fp, log.config_fp);
     scheduler.set_telemetry(Some(Arc::clone(&collector) as Arc<dyn TelemetrySink>));
 
     let recorded = log.decisions();
     let invocations = log.invocations();
     let mut divergence = None;
+    // Live decisions compared so far: each one that has a recorded
+    // counterpart was found bitwise-equal to it.
+    let mut seen: usize = 0;
     let mut replayed: usize = 0;
 
     for (ordinal, invocation) in invocations.iter().enumerate() {
@@ -289,45 +264,43 @@ pub fn replay_log(log: &RunLog, scheduler: &mut EasScheduler) -> ReplayOutcome {
         let structural = backend.divergence().map(String::from);
         replayed += 1;
 
-        let live = collector.records();
-        if let Some(index) = first_divergent(&recorded, &live) {
-            divergence = Some(build_divergence(
-                index,
-                ordinal,
-                invocation.label,
-                &recorded,
-                &live,
-                structural,
-                scheduler,
-            ));
-            break;
-        }
-        if let Some(s) = structural {
+        let fresh = collector.decisions_since(seen as u64);
+        let mismatch = fresh
+            .iter()
+            .zip(recorded.get(seen..).unwrap_or_default())
+            .position(|(live, rec)| !rec.bitwise_eq(live));
+        let (index, live) = match mismatch {
+            Some(offset) => (seen + offset, Some(fresh[offset])),
             // The backend calls diverged but every decision so far still
             // matches (possible when corruption cancels out downstream) —
             // report it anchored at the next decision index.
-            divergence = Some(build_divergence(
-                live.len(),
-                ordinal,
-                invocation.label,
-                &recorded,
-                &live,
-                Some(s),
-                scheduler,
-            ));
-            break;
-        }
+            None if structural.is_some() => (seen + fresh.len(), None),
+            None => {
+                seen += fresh.len();
+                continue;
+            }
+        };
+        divergence = Some(build_divergence(
+            index,
+            ordinal,
+            invocation.label,
+            recorded.get(index).copied(),
+            live,
+            structural,
+            scheduler,
+        ));
+        break;
     }
 
-    let live = collector.records();
+    let live = collector.decisions_since(0);
     if divergence.is_none() && live.len() != recorded.len() {
         let index = live.len().min(recorded.len());
         divergence = Some(build_divergence(
             index,
             replayed.saturating_sub(1),
             invocations.last().map_or("", |i| i.label),
-            &recorded,
-            &live,
+            recorded.get(index).copied(),
+            live.get(index).copied(),
             None,
             scheduler,
         ));
@@ -347,14 +320,12 @@ fn build_divergence(
     index: usize,
     invocation: usize,
     label: &str,
-    recorded: &[DecisionRecord],
-    live: &[DecisionRecord],
+    recorded: Option<DecisionRecord>,
+    live: Option<DecisionRecord>,
     structural: Option<String>,
     scheduler: &EasScheduler,
 ) -> Divergence {
-    let rec = recorded.get(index).copied();
-    let liv = live.get(index).copied();
-    let fields = match (&rec, &liv) {
+    let fields = match (&recorded, &live) {
         (Some(r), Some(l)) => differing_fields(r, l),
         _ => Vec::new(),
     };
@@ -362,22 +333,13 @@ fn build_divergence(
         decision_index: index,
         invocation,
         label: label.to_string(),
-        recorded: rec,
-        live: liv,
+        recorded,
+        live,
         fields,
         structural,
         table: table_to_text(scheduler.table()),
         health: scheduler.health(),
     }
-}
-
-/// Index of the first pair that is not bitwise-equal, if any (only over
-/// the common prefix; length mismatch is handled by the caller).
-fn first_divergent(recorded: &[DecisionRecord], live: &[DecisionRecord]) -> Option<usize> {
-    recorded
-        .iter()
-        .zip(live.iter())
-        .position(|(r, l)| !r.bitwise_eq(l))
 }
 
 /// Field names of the encoded words where two records differ.
@@ -507,6 +469,79 @@ mod tests {
             ..Default::default()
         };
         assert!(differing_fields(&n1, &n2).is_empty());
+    }
+
+    /// Divergences of edited seed-7 storms as `(decision_index, invocation,
+    /// label, fields, structural?, recorded?, live?)`, captured from the
+    /// commit before `replay_log` got its compared-up-to cursor (it zipped
+    /// the whole stream from index 0 after every invocation):
+    /// the cursor arithmetic must land on the same index, invocation,
+    /// field set and missing side.
+    #[test]
+    fn divergence_goldens_from_the_whole_stream_differ() {
+        use crate::harness::{record_chaos_storm, replay_chaos_storm, StormSpec};
+        type Edit = fn(&mut RunLog, &[usize], &[usize]);
+        type Golden<'a> = (usize, usize, &'a str, &'a [&'static str], bool, bool, bool);
+        const PROFILE: &[&str] = &[
+            "path/class/breaker/rounds",
+            "r_c",
+            "r_g",
+            "predicted_power",
+            "profile_energy",
+        ];
+        const SHIFTED: &[&str] = &["seq", "split_time", "split_energy"];
+        #[rustfmt::skip]
+        let cases: [(&str, Edit, Golden<'static>); 8] = [
+            // A perturbed observation: the first step, a profile step in
+            // the middle of BFS's profiling rounds, the last step.
+            ("perturb first step", |l, _, _| assert!(l.perturb_step(0)),
+                (0, 0, "BFS", PROFILE, false, true, true)),
+            ("perturb a mid-log profile step", |l, _, _| assert!(l.perturb_step(101)),
+                (101, 101, "BFS", PROFILE, false, true, true)),
+            ("perturb last step", |l, _, _| assert!(l.perturb_step(181)),
+                (181, 181, "MB", &["split_energy"], false, true, true)),
+            // One decision removed / duplicated mid-log: every later
+            // recorded seq is off by one, so the first shifted pair diverges.
+            ("remove decision 10", |l, _, d| drop(l.events.remove(d[10])),
+                (10, 10, "BFS", SHIFTED, false, true, true)),
+            ("duplicate decision 10", |l, _, d| l.events.insert(d[10], l.events[d[10]].clone()),
+                (11, 11, "BFS", SHIFTED, false, true, true)),
+            // The same at the very end: only the length check can see it,
+            // and a *complete* log gets no back-off — the live run emitted
+            // an extra decision / ended early.
+            ("remove last decision", |l, _, d| drop(l.events.remove(d[181])),
+                (181, 181, "MB", &[], false, false, true)),
+            ("duplicate last decision", |l, _, d| l.events.insert(d[181], l.events[d[181]].clone()),
+                (182, 181, "MB", &[], false, true, false)),
+            // A missing step: structural mismatch, free-run, decision diff.
+            ("remove step 10", |l, s, _| drop(l.events.remove(s[10])),
+                (10, 10, "BFS", &["split_time", "split_energy"], true, true, true)),
+        ];
+
+        let base = record_chaos_storm(&StormSpec::new(7)).log;
+        let positions = |want: fn(&Event) -> bool| -> Vec<usize> {
+            let hits = base.events.iter().enumerate().filter(|(_, e)| want(e));
+            hits.map(|(i, _)| i).collect()
+        };
+        let steps = positions(|e| matches!(e, Event::Step(_)));
+        let decisions = positions(|e| matches!(e, Event::Decision(_)));
+        assert_eq!((steps.len(), decisions.len()), (182, 182));
+        for (what, edit, want) in cases {
+            let mut log = base.clone();
+            edit(&mut log, &steps, &decisions);
+            let outcome = replay_chaos_storm(&log).unwrap();
+            let d = outcome.divergence.expect(what);
+            let got: Golden<'_> = (
+                d.decision_index,
+                d.invocation,
+                &d.label,
+                &d.fields,
+                d.structural.is_some(),
+                d.recorded.is_some(),
+                d.live.is_some(),
+            );
+            assert_eq!(got, want, "{what}");
+        }
     }
 
     #[test]

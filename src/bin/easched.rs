@@ -23,10 +23,12 @@
 //!
 //! `replay` inspects the log's format version: a v2 (admission-event)
 //! log re-runs the multi-tenant overload storm, a v1 log the
-//! single-tenant chaos storm. Exit codes are part of the contract:
-//! 0 byte-identical, 1 divergence, 2 unusable input. `--at N` slices the
-//! log to its first `N` events (an SLO exemplar offset) and replays just
-//! that prefix.
+//! single-tenant chaos storm, a v3 log belongs to `fleet --replay`. Exit
+//! codes are part of the contract: 0 byte-identical, 1 divergence,
+//! 2 unusable input. A torn tail is a warning, not an error: the sealed
+//! prefix replays and must be reproduced up to its cut. `--at N` slices
+//! the log to its first `N` events (an SLO exemplar offset) and replays
+//! just that prefix.
 //!
 //! `fleet` runs a simulated multi-node fleet — each node a full scheduler
 //! on its own platform and journal — replicating via chaos-hardened
@@ -46,8 +48,8 @@ use easched::core::{
     Objective, PowerModel, RunSeed, TableStore,
 };
 use easched::fleet::{
-    expose_fleet, expose_fleet_store, replay_fleet, run_fleet, ChaosConfig, CrashPlan, FleetSpec,
-    Partition, TaintPlan,
+    expose_fleet, expose_fleet_store, replay_fleet, run_fleet, ChaosConfig, CrashPlan, FleetError,
+    FleetSpec, Partition, TaintPlan,
 };
 use easched::kernels::{suite, Workload};
 use easched::replay::{
@@ -847,6 +849,12 @@ fn cmd_replay(
         fail(2, "--at and --bisect are mutually exclusive");
     }
     let mut log = load_log(path);
+    if log.version == FORMAT_VERSION_FLEET {
+        fail(
+            2,
+            format!("{path} is a fleet (v3) log; replay it with: easched fleet --replay {path}"),
+        );
+    }
     if let Some(step) = perturb {
         if !log.perturb_step(step) {
             fail(2, format!("--perturb {step}: log has no such step"));
@@ -866,56 +874,18 @@ fn cmd_replay(
         if bisect {
             fail(2, "--bisect does not support overload (v2) logs yet");
         }
-        match replay_overload_storm(&log) {
-            Err(e) => fail(2, e),
-            Ok(outcome) => {
-                if at.is_some() {
-                    // A slice cuts mid-tick: the replay regenerates the
-                    // rest of the final tick, so the identity claim is
-                    // prefix equality up to the cut.
-                    let slice_text = log.to_text();
-                    let replay_text = outcome.replayed.to_text();
-                    let body_lines = slice_text.lines().count().saturating_sub(1);
-                    let divergence = slice_text
-                        .lines()
-                        .zip(replay_text.lines())
-                        .take(body_lines)
-                        .enumerate()
-                        .find(|(_, (a, b))| a != b);
-                    match divergence {
-                        Some((i, (a, b))) => {
-                            println!(
-                                "sliced overload replay diverged:\nline {}: recorded `{a}` / \
-                                 replayed `{b}`",
-                                i + 1
-                            );
-                            std::process::exit(1);
-                        }
-                        None => println!(
-                            "{path}: overload slice replayed byte-identically up to the cut \
-                             ({} events)",
-                            log.events.len()
-                        ),
-                    }
-                    return;
-                }
-                if !outcome.identical {
-                    println!(
-                        "overload replay diverged:\n{}",
-                        outcome.first_difference.as_deref().unwrap_or("?")
-                    );
-                    std::process::exit(1);
-                }
-                println!(
-                    "{path}: overload run replayed byte-identically ({} events)",
-                    outcome.replayed.events.len()
-                );
-            }
+        let outcome = replay_overload_storm(&log).unwrap_or_else(|e| fail(2, e));
+        if let Some(difference) = outcome.first_difference {
+            println!("overload replay diverged:\n{difference}");
+            std::process::exit(1);
         }
-        return;
-    }
-
-    if bisect {
+        // A prefix (torn tail, or a slice that cut a tick) is reproduced
+        // up to its cut; the re-run then finishes the tick on its own.
+        println!(
+            "{path}: overload run replayed byte-identically ({} events)",
+            log.events.len()
+        );
+    } else if bisect {
         match bisect_storm(&log) {
             Err(e) => fail(2, e),
             Ok(None) => println!("{path}: replay is byte-identical; nothing to bisect"),
@@ -932,20 +902,16 @@ fn cmd_replay(
             }
         }
     } else {
-        match replay_chaos_storm(&log) {
-            Err(e) => fail(2, e),
-            Ok(outcome) => {
-                if let Some(divergence) = outcome.divergence {
-                    println!("{}", divergence.render());
-                    std::process::exit(1);
-                }
-                println!(
-                    "{path}: replayed {} invocations, {} decisions byte-identical",
-                    outcome.invocations_replayed,
-                    outcome.live.len()
-                );
-            }
+        let outcome = replay_chaos_storm(&log).unwrap_or_else(|e| fail(2, e));
+        if let Some(divergence) = outcome.divergence {
+            println!("{}", divergence.render());
+            std::process::exit(1);
         }
+        println!(
+            "{path}: replayed {} invocations, {} decisions byte-identical",
+            outcome.invocations_replayed,
+            outcome.live.len()
+        );
     }
 }
 
@@ -1028,13 +994,14 @@ fn cmd_fleet(args: FleetArgs) {
             Ok(report) => println!(
                 "{path}: fleet run replayed byte-identically \
                  ({} fleet events, digest {:016x})",
-                report.log.fleet_lines().len(),
+                log.fleet_lines().len(),
                 report.digest,
             ),
-            Err(e) => {
-                println!("fleet replay diverged:\n{e}");
+            Err(FleetError::Diverged(difference)) => {
+                println!("fleet replay diverged:\n{difference}");
                 std::process::exit(1);
             }
+            Err(e) => fail(2, format!("cannot replay {path}: {e}")),
         }
         return;
     }

@@ -3,7 +3,9 @@
 //! is already pinned by `tests/replay_fixture.rs` at the library level;
 //! these tests pin the *boundary* — a torn header and a wrong platform
 //! fingerprint must exit 2 (the log cannot be used at all), never 1
-//! (the log replayed and disagreed).
+//! (the log replayed and disagreed); a torn *tail* replays its sealed
+//! prefix and exits 0; a fleet log handed to the wrong subcommand, or a
+//! fleet log with nothing in it, exits 2.
 
 use easched::replay::RunLog;
 use std::process::Command;
@@ -11,13 +13,40 @@ use std::process::Command;
 const FIXTURE: &str = include_str!("fixtures/divergent_min.runlog");
 
 fn replay(dir: &std::path::Path, name: &str, text: &str) -> std::process::Output {
+    easched(&["replay", "--log"], dir, name, text)
+}
+
+/// Writes `text` to `dir/name` and runs `easched <args> dir/name`.
+fn easched(args: &[&str], dir: &std::path::Path, name: &str, text: &str) -> std::process::Output {
     let path = dir.join(name);
     std::fs::write(&path, text).expect("write log");
     Command::new(env!("CARGO_BIN_EXE_easched"))
-        .args(["replay", "--log"])
+        .args(args)
         .arg(&path)
         .output()
         .expect("run easched")
+}
+
+/// The first `lines` lines of `text` — `head -n`.
+fn head(text: &str, lines: usize) -> String {
+    text.split_inclusive('\n').take(lines).collect()
+}
+
+fn assert_torn_tail_exits_0(out: &std::process::Output, what: &str) {
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{what} must replay its prefix and exit 0; stdout: {stdout} stderr: {stderr}"
+    );
+    assert!(
+        stderr.contains("torn tail"),
+        "{what} is warned about: {stderr}"
+    );
+    assert!(stdout.contains("byte-identical"), "{what}: {stdout}");
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -79,4 +108,68 @@ fn wrong_platform_fingerprint_exits_2() {
         "stderr names the mismatch: {}",
         String::from_utf8_lossy(&out.stderr),
     );
+}
+
+#[test]
+fn torn_v1_tail_exits_0() {
+    // Cut between an invocation's `step` and its `decision`, and right
+    // after an `invocation` line: the undecided invocation is backed off.
+    let text = easched::replay::record_chaos_storm(&easched::replay::StormSpec::new(7))
+        .log
+        .to_text();
+    let dir = temp_dir("torn-v1");
+    for lines in [44, 43] {
+        let out = replay(&dir, "torn_v1.runlog", &head(&text, lines));
+        assert_torn_tail_exits_0(&out, &format!("head -n {lines} of a v1 log"));
+    }
+}
+
+#[test]
+fn torn_v2_tail_exits_0() {
+    let spec = easched::replay::OverloadSpec {
+        ticks: 4,
+        ..easched::replay::OverloadSpec::new(7)
+    };
+    let text = easched::replay::record_overload_storm(&spec).log.to_text();
+    let total = text.lines().count();
+    let dir = temp_dir("torn-v2");
+    for lines in [total / 2, total - 1] {
+        let out = replay(&dir, "torn_v2.runlog", &head(&text, lines));
+        assert_torn_tail_exits_0(&out, &format!("head -n {lines} of a v2 log"));
+    }
+}
+
+/// A short recorded fleet run, journals under `dir` (tests run in
+/// parallel; the default scratch root is per seed and process).
+fn fleet_log_text(dir: &std::path::Path) -> String {
+    let mut spec = easched::fleet::FleetSpec::three_nodes(7);
+    spec.ticks = 2;
+    spec.store_root = dir.join("store");
+    let report = easched::fleet::run_fleet(&spec).expect("fleet runs");
+    report.log.to_text()
+}
+
+#[test]
+fn fleet_log_to_replay_exits_2_and_names_the_right_subcommand() {
+    let dir = temp_dir("fleet-to-replay");
+    let out = replay(&dir, "fleet.runlog", &fleet_log_text(&dir));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("fleet --replay"), "stderr: {stderr}");
+    assert!(
+        !stderr.contains("fingerprint"),
+        "not the platform's fault: {stderr}"
+    );
+}
+
+#[test]
+fn header_only_fleet_log_exits_2() {
+    // A fleet log with no fleet events in it cannot be re-run at all:
+    // unusable (2), not divergent (1).
+    let dir = temp_dir("fleet-header-only");
+    let text = head(&fleet_log_text(&dir), 4);
+    let out = easched(&["fleet", "--replay"], &dir, "header_only.runlog", &text);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("no fleet events"), "stderr: {stderr}");
 }

@@ -4,8 +4,8 @@
 
 use easched::core::{EasConfig, Objective, TableStore};
 use easched::fleet::{
-    kernel_traits, replay_fleet, run_fleet, ChaosConfig, CrashPlan, FleetNode, FleetSpec,
-    FramePayload, Partition, TaintPlan,
+    kernel_traits, replay_fleet, run_fleet, ChaosConfig, CrashPlan, FleetError, FleetNode,
+    FleetSpec, FramePayload, Partition, TaintPlan,
 };
 use easched::replay::{RunLog, FORMAT_VERSION_FLEET};
 use easched::sim::Platform;
@@ -239,7 +239,38 @@ fn fleet_record_replay_is_byte_identical() {
         *line = line.replace("digest", "digset");
     }
     let err = replay_fleet(&tampered, scratch("replay-tampered")).unwrap_err();
-    assert!(err.contains("divergence"), "got: {err}");
+    assert!(err.to_string().contains("divergence"), "got: {err}");
+    assert!(matches!(err, FleetError::Diverged(_)), "got: {err:?}");
+}
+
+#[test]
+fn every_cut_of_a_fleet_log_replays_its_prefix() {
+    // The v3 third of the torn-tail sweep (v1/v2 live in
+    // `crates/replay/tests/torn_tails.rs`): a fleet log cut at any line
+    // boundary behind the header still names its spec, so the re-run is
+    // held to the lines that survived — recorded ⊑ replayed.
+    let mut spec = FleetSpec::three_nodes(7);
+    spec.chaos = ChaosConfig::quiet();
+    spec.store_root = scratch("torn-record");
+    let report = run_fleet(&spec).expect("fleet runs");
+    let _ = std::fs::remove_dir_all(&spec.store_root);
+    let text = report.log.to_text();
+    let lines: Vec<&str> = text.split_inclusive('\n').collect();
+    // Header is 4 lines; the last line is the `end` footer.
+    for keep in 4..lines.len() {
+        let torn = RunLog::from_text(&lines[..keep].concat()).expect("a torn tail still parses");
+        assert!(!torn.complete);
+        assert_eq!(torn.events.len(), keep - 4);
+        let root = scratch(&format!("torn-replay-{keep}"));
+        let outcome = replay_fleet(&torn, root.clone());
+        let _ = std::fs::remove_dir_all(&root);
+        match outcome {
+            // Not even the spec line survived: unusable, not divergent.
+            Err(FleetError::BadSpec(_)) => assert_eq!(keep, 4),
+            Err(e) => panic!("head -n {keep} diverged: {e}"),
+            Ok(fresh) => assert_eq!(fresh.log.to_text(), text, "head -n {keep}"),
+        }
+    }
 }
 
 #[test]
