@@ -205,6 +205,15 @@ fi
 echo "==> benchmark package: spec <-> BENCHMARK.json check and lane unit tests"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+echo "==> benchmark workloads: the sched_* output checks gate the memory layer"
+# Each run checks its own output (decide count equals the closed form, one
+# ring record per invocation, alpha on the 0.1 grid, the store reopens to
+# exactly the final table) and exits nonzero when a check fails.
+for w in sched_miss sched_hit sched_durable; do
+    echo "    benchmark/run.sh --workload $w"
+    bash benchmark/run.sh --workload "$w" --seed 7 --seconds 2 --trace 0 > /dev/null
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -74,14 +74,14 @@
 //! * **Degrade-to-memory** — when the disk stays broken, the store
 //!   trips into [`StoreMode::Degraded`]: mutations land in a bounded
 //!   in-RAM buffer, counters and typed [`StorageEvent`]s surface the
-//!   state, and every [`compact_every`](TableStore::compact_every)
-//!   appends (or any explicit checkpoint) the store probes the disk
-//!   with a compaction; success **re-arms** durability. Buffered lines
-//!   are superseded by that snapshot, never replayed on top of it.
+//!   state, and every `DEFAULT_COMPACT_EVERY` appends (or any explicit
+//!   checkpoint) the store probes the disk with a compaction; success
+//!   **re-arms** durability. Buffered lines are superseded by that
+//!   snapshot, never replayed on top of it.
 
 use crate::guard::FaultKind;
 use crate::health::BreakerState;
-use crate::kernel_table::KernelTable;
+use crate::kernel_table::{AlphaStat, KernelTable};
 use crate::persist::{self, JournalRecord, JournalScan, ModelParseError};
 use easched_runtime::vfs::{StdFs, Vfs, VfsFile};
 use easched_runtime::KernelId;
@@ -96,7 +96,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 const SNAPSHOT_FILE: &str = "table.snap";
 /// Journal file name inside a store directory.
 const JOURNAL_FILE: &str = "table.journal";
-/// Default journal appends between automatic snapshot+compactions.
+/// Journal appends between automatic snapshot+compactions — a constant
+/// until the trigger is derived from journal bytes (ROADMAP, compaction
+/// item).
 const DEFAULT_COMPACT_EVERY: u64 = 256;
 /// Bound on in-RAM journal lines held while degraded; beyond it the
 /// oldest line is dropped (puts are absolute, so newest state wins).
@@ -250,7 +252,6 @@ pub struct TableStore {
     dir: PathBuf,
     vfs: Arc<dyn Vfs>,
     inner: Mutex<StoreInner>,
-    compact_every: u64,
     write_errors: AtomicU64,
     io_errors: AtomicU64,
     bytes_written: AtomicU64,
@@ -303,23 +304,8 @@ impl TableStore {
         match read_journal(&*vfs, &dir) {
             Ok(Some(scan)) => match scan.gen {
                 Some(g) if g == generation => {
-                    for record in scan.records {
-                        match record {
-                            JournalRecord::Put {
-                                kernel,
-                                stat,
-                                tainted,
-                            } => {
-                                table.insert(kernel, stat);
-                                if tainted {
-                                    table.taint(kernel);
-                                }
-                            }
-                            JournalRecord::Taint(kernel) => table.taint(kernel),
-                            JournalRecord::Breaker(state) => breaker = state,
-                        }
-                        replayed += 1;
-                    }
+                    replayed = scan.records.len() as u64;
+                    breaker = replay(&table, scan.records, false).unwrap_or(breaker);
                     discarded = scan.discarded;
                     resume_at = Some(scan.valid_len as u64);
                 }
@@ -373,7 +359,6 @@ impl TableStore {
                 buffered_dropped: 0,
                 recovery_partial,
             }),
-            compact_every: DEFAULT_COMPACT_EVERY,
             write_errors: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
@@ -406,17 +391,6 @@ impl TableStore {
     /// The directory this store persists into.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Journal appends between automatic snapshot+compactions.
-    pub fn compact_every(&self) -> u64 {
-        self.compact_every
-    }
-
-    /// Adjusts the auto-compaction threshold (values below 1 are clamped
-    /// to 1). Call before sharing the store across threads.
-    pub fn set_compact_every(&mut self, every: u64) {
-        self.compact_every = every.max(1);
     }
 
     /// Append or checkpoint failures absorbed on the scheduling path
@@ -467,15 +441,26 @@ impl TableStore {
         std::mem::take(&mut *self.events.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Journals the current state of one kernel's table entry (called
-    /// after every accumulation). Triggers an automatic
-    /// snapshot+compaction once
-    /// [`compact_every`](TableStore::compact_every) appends accumulate.
+    /// Journals the current state of one kernel's table entry, read from
+    /// `table`; no-op for a kernel it does not hold. The scheduler's own
+    /// writes go through [`SharedEas`](crate::SharedEas)'s door, which
+    /// already holds the state and appends it without this re-read.
     pub fn record_entry(&self, table: &KernelTable, kernel: KernelId) {
-        let Some(stat) = table.stat(kernel) else {
-            return;
-        };
-        let tainted = table.is_tainted(kernel);
+        if let Some(stat) = table.stat(kernel) {
+            self.record_put(table, kernel, stat, table.is_tainted(kernel));
+        }
+    }
+
+    /// Journals one kernel's absolute state as a `put`. Triggers an
+    /// automatic snapshot+compaction of `table` once
+    /// `DEFAULT_COMPACT_EVERY` appends accumulate.
+    pub(crate) fn record_put(
+        &self,
+        table: &KernelTable,
+        kernel: KernelId,
+        stat: AlphaStat,
+        tainted: bool,
+    ) {
         let line = JournalRecord::Put {
             kernel,
             stat,
@@ -499,7 +484,7 @@ impl TableStore {
             return;
         }
         inner.appends += 1;
-        if inner.appends >= self.compact_every {
+        if inner.appends >= DEFAULT_COMPACT_EVERY {
             // In durable mode this is routine compaction; in degraded
             // mode it doubles as the re-arm probe (DESIGN.md §16).
             let ok = self.compact_locked(&mut inner, table, breaker).is_ok();
@@ -727,24 +712,7 @@ impl TableStore {
             }
         };
         if let Some(scan) = scan.filter(|scan| scan.gen == Some(inner.generation)) {
-            for record in scan.records {
-                match record {
-                    JournalRecord::Put {
-                        kernel,
-                        stat,
-                        tainted,
-                    } => {
-                        if table.stat(kernel).is_none() {
-                            table.insert(kernel, stat);
-                            if tainted {
-                                table.taint(kernel);
-                            }
-                        }
-                    }
-                    JournalRecord::Taint(kernel) => table.taint(kernel),
-                    JournalRecord::Breaker(_) => {}
-                }
-            }
+            replay(table, scan.records, true);
         }
         inner.recovery_partial = false;
         Ok(())
@@ -877,6 +845,32 @@ fn classify_dir_sync(result: io::Result<()>) -> DirSyncOutcome {
         Err(e) if e.kind() == io::ErrorKind::Unsupported => DirSyncOutcome::Unsupported,
         Err(e) => DirSyncOutcome::Failed(e),
     }
+}
+
+/// Replays journal records onto `table` in order and returns the last
+/// breaker transition among them, if any: the one restore routine under
+/// recovery at open and the unread-journal merge. With `only_missing`,
+/// puts land only for kernels the table does not hold; taints always
+/// apply.
+fn replay(
+    table: &KernelTable,
+    records: Vec<JournalRecord>,
+    only_missing: bool,
+) -> Option<BreakerState> {
+    let mut breaker = None;
+    for record in records {
+        match record {
+            JournalRecord::Put { kernel, .. } if only_missing && table.stat(kernel).is_some() => {}
+            JournalRecord::Put {
+                kernel,
+                stat,
+                tainted,
+            } => table.restore(kernel, stat, tainted),
+            JournalRecord::Taint(kernel) => table.taint(kernel),
+            JournalRecord::Breaker(state) => breaker = Some(state),
+        }
+    }
+    breaker
 }
 
 /// Reads the snapshot into the table, the breaker state and the
@@ -1034,12 +1028,13 @@ mod tests {
     fn auto_compaction_fires_at_threshold() {
         let dir = TempDir::new();
         let table = learned_table();
-        let (mut store, _) = TableStore::open(dir.path()).unwrap();
-        store.set_compact_every(4);
-        for _ in 0..4 {
+        let (store, _) = TableStore::open(dir.path()).unwrap();
+        for _ in 1..DEFAULT_COMPACT_EVERY {
             store.record_entry(&table, 7);
         }
-        assert_eq!(store.generation(), 1, "4th append compacted");
+        assert_eq!(store.generation(), 0, "one append short of the threshold");
+        store.record_entry(&table, 7);
+        assert_eq!(store.generation(), 1, "the threshold append compacted");
         let (_, recovered) = TableStore::open(dir.path()).unwrap();
         assert_eq!(recovered.generation, 1);
         assert_eq!(recovered.table.lookup(7), table.lookup(7));

@@ -1,26 +1,32 @@
 //! The global kernel table G (paper Fig 7, step 26) as a concurrently
 //! readable, sharded structure — the *memory* layer of the scheduling
-//! engine.
+//! engine, and the only per-kernel memory the scheduler has.
 //!
 //! The paper stores one learned offload ratio per kernel in a global table
 //! keyed by the kernel's CPU function pointer. A single `HashMap` behind a
 //! lock would serialize every scheduling decision once several workload
-//! streams share the table, so entries are distributed over a fixed set of
-//! shards, each behind its own `RwLock`:
+//! streams share the table, so kernels are distributed over a fixed set of
+//! shards, each behind its own `RwLock`. A shard holds everything G knows
+//! about its kernels — the learned entries, each with the [`DriftCell`]
+//! the self-healing loop folds into, and the warm-start priors of kernels
+//! not learned yet — so no operation takes a table-wide lock, or two:
 //!
-//! * **Reuse-path lookups** ([`lookup`](KernelTable::lookup),
-//!   [`note_reuse`](KernelTable::note_reuse)) take a *read* lock on one
-//!   shard only — concurrent readers of the same or different kernels
-//!   never contend on a global lock, and the per-invocation counter is an
-//!   atomic bumped under the read lock.
-//! * **Sample-weighted accumulation** ([`accumulate`](KernelTable::accumulate))
-//!   takes a *write* lock on the owning shard only, so learning about one
-//!   kernel never blocks lookups of kernels in other shards.
+//! * **Reuse-path reads** ([`lookup`](KernelTable::lookup),
+//!   [`note_reuse`](KernelTable::note_reuse), the drift fold through
+//!   [`drift`](KernelTable::drift)) take a *read* lock on one shard, and
+//!   everything they flip (invocation counter, taint flag, drift cell) is
+//!   an atomic — concurrent readers never contend on a global lock.
+//! * **Writes** ([`accumulate`](KernelTable::accumulate),
+//!   [`set_prior`](KernelTable::set_prior), [`insert`](KernelTable::insert))
+//!   take a *write* lock on the owning shard, deciding and installing in
+//!   one hold, so learning about one kernel never blocks lookups of
+//!   kernels in other shards.
 //!
-//! Shard choice is a multiplicative hash of the kernel id; the shard count
-//! is fixed at construction so lookups are a mask, not a modulo.
+//! Shard choice is a multiplicative hash of the kernel id over a
+//! power-of-two constant, so selection is a mask, not a modulo.
 
 use crate::eas::Accumulation;
+use crate::selfheal::DriftCell;
 use easched_runtime::KernelId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -39,13 +45,13 @@ fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Default shard count — comfortably above the core counts of the paper's
+/// Shard count — comfortably above the core counts of the paper's
 /// platforms (4-core Haswell, 4-core Bay Trail) and cheap enough that a
 /// single-stream table wastes no measurable memory.
-const DEFAULT_SHARDS: usize = 16;
+const SHARDS: usize = 16;
 
-/// An entry of G: the learned ratio, its sample weight, and how many times
-/// the kernel has been invoked since first seen.
+/// An entry of G: the learned ratio, its sample weight, how many times
+/// the kernel has been invoked since first seen, and its runtime state.
 #[derive(Debug)]
 struct AlphaEntry {
     alpha: f64,
@@ -56,17 +62,53 @@ struct AlphaEntry {
     /// [`KernelTable::taint`]); flipped under a shard *read* lock, hence
     /// atomic. Cleared by the next clean accumulation.
     tainted: AtomicBool,
+    /// Predicted-vs-realized drift state (DESIGN.md §11), folded under a
+    /// shard *read* lock. Outlives accumulation and taint; not persisted.
+    drift: DriftCell,
+}
+
+impl AlphaEntry {
+    fn new(stat: AlphaStat, tainted: bool) -> AlphaEntry {
+        AlphaEntry {
+            alpha: stat.alpha,
+            weight: stat.weight,
+            invocations_seen: AtomicU64::new(stat.invocations_seen),
+            tainted: AtomicBool::new(tainted),
+            drift: DriftCell::default(),
+        }
+    }
+
+    fn stat(&self) -> AlphaStat {
+        AlphaStat {
+            alpha: self.alpha,
+            weight: self.weight,
+            invocations_seen: self.invocations_seen.load(Ordering::Relaxed),
+        }
+    }
 }
 
 impl Clone for AlphaEntry {
     fn clone(&self) -> AlphaEntry {
         AlphaEntry {
-            alpha: self.alpha,
-            weight: self.weight,
-            invocations_seen: AtomicU64::new(self.invocations_seen.load(Ordering::Relaxed)),
-            tainted: AtomicBool::new(self.tainted.load(Ordering::Relaxed)),
+            drift: self.drift.clone(),
+            ..AlphaEntry::new(self.stat(), self.tainted.load(Ordering::Relaxed))
         }
     }
+}
+
+/// Everything G holds for the kernels that hash to one shard, under the
+/// shard's one lock.
+#[derive(Debug, Default, Clone)]
+struct Shard {
+    entries: HashMap<KernelId, AlphaEntry>,
+    /// Cross-platform warm-start hints (fleet replication, DESIGN.md
+    /// §15): kernel id → α the same kernel learned on *another*
+    /// platform. Never served as truth — `lookup`/`note_reuse` ignore
+    /// this map entirely — a prior only narrows the α search window
+    /// while this platform profiles the kernel itself. A kernel is in at
+    /// most one of the two maps: a prior is refused once the kernel has
+    /// an entry, and learning the entry erases it, in the same hold.
+    priors: HashMap<KernelId, f64>,
 }
 
 /// A point-in-time copy of one kernel's learned state.
@@ -106,40 +148,15 @@ pub struct ReuseProbe {
 /// assert_eq!(table.lookup(7), Some(0.5));
 /// assert_eq!(table.lookup(8), None);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct KernelTable {
-    shards: Box<[RwLock<HashMap<KernelId, AlphaEntry>>]>,
-    /// `shard_count - 1`; the count is a power of two so selection is a
-    /// single mask.
-    mask: u64,
-    /// Cross-platform warm-start hints (fleet replication, DESIGN.md
-    /// §15): kernel id → α the same kernel learned on *another*
-    /// platform. Never served as truth — `lookup`/`note_reuse` ignore
-    /// this map entirely — a prior only narrows the α search window
-    /// while this platform profiles the kernel itself, and local
-    /// learning ([`accumulate`](KernelTable::accumulate)) erases it.
-    /// One lock for the whole map: priors are consulted once per
-    /// *profiling* invocation, never on the reuse path.
-    priors: RwLock<HashMap<KernelId, f64>>,
-}
-
-impl Default for KernelTable {
-    fn default() -> KernelTable {
-        KernelTable::new()
-    }
+    shards: [RwLock<Shard>; SHARDS],
 }
 
 impl Clone for KernelTable {
     fn clone(&self) -> KernelTable {
-        let shards: Vec<RwLock<HashMap<KernelId, AlphaEntry>>> = self
-            .shards
-            .iter()
-            .map(|s| RwLock::new(read_lock(s).clone()))
-            .collect();
         KernelTable {
-            shards: shards.into_boxed_slice(),
-            mask: self.mask,
-            priors: RwLock::new(read_lock(&self.priors).clone()),
+            shards: std::array::from_fn(|i| RwLock::new(read_lock(&self.shards[i]).clone())),
         }
     }
 }
@@ -151,55 +168,31 @@ impl PartialEq for KernelTable {
 }
 
 impl KernelTable {
-    /// An empty table with the default shard count.
+    /// An empty table.
     pub fn new() -> KernelTable {
-        KernelTable::with_shards(DEFAULT_SHARDS)
+        KernelTable::default()
     }
 
-    /// An empty table with at least `shards` shards (rounded up to a power
-    /// of two).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_shards(shards: usize) -> KernelTable {
-        assert!(shards > 0, "need at least one shard");
-        let n = shards.next_power_of_two();
-        let shards: Vec<RwLock<HashMap<KernelId, AlphaEntry>>> =
-            (0..n).map(|_| RwLock::new(HashMap::new())).collect();
-        KernelTable {
-            shards: shards.into_boxed_slice(),
-            mask: (n - 1) as u64,
-            priors: RwLock::new(HashMap::new()),
-        }
-    }
-
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, kernel: KernelId) -> &RwLock<HashMap<KernelId, AlphaEntry>> {
+    fn shard(&self, kernel: KernelId) -> &RwLock<Shard> {
         // Fibonacci hashing spreads consecutive kernel ids across shards.
         let h = kernel.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        &self.shards[(h & self.mask) as usize]
+        &self.shards[h as usize % SHARDS]
     }
 
-    /// The learned offload ratio for a kernel, if any. Takes one shard
-    /// read lock; never blocks operations on other shards.
+    /// Reads a kernel's entry under its shard's read lock — the one lock
+    /// a reuse-path operation takes; never blocks other shards.
+    fn read<R>(&self, kernel: KernelId, f: impl FnOnce(&AlphaEntry) -> R) -> Option<R> {
+        read_lock(self.shard(kernel)).entries.get(&kernel).map(f)
+    }
+
+    /// The learned offload ratio for a kernel, if any.
     pub fn lookup(&self, kernel: KernelId) -> Option<f64> {
-        read_lock(self.shard(kernel)).get(&kernel).map(|e| e.alpha)
+        self.read(kernel, |e| e.alpha)
     }
 
     /// Full learned state for a kernel, if any.
     pub fn stat(&self, kernel: KernelId) -> Option<AlphaStat> {
-        read_lock(self.shard(kernel))
-            .get(&kernel)
-            .map(|e| AlphaStat {
-                alpha: e.alpha,
-                weight: e.weight,
-                invocations_seen: e.invocations_seen.load(Ordering::Relaxed),
-            })
+        self.read(kernel, AlphaEntry::stat)
     }
 
     /// The reuse-path probe (Fig 7 steps 2–4): if the kernel is known,
@@ -207,13 +200,22 @@ impl KernelTable {
     /// shard; the invocation counter is atomic, so concurrent streams
     /// reusing the same kernel proceed in parallel.
     pub fn note_reuse(&self, kernel: KernelId) -> Option<ReuseProbe> {
-        read_lock(self.shard(kernel))
-            .get(&kernel)
-            .map(|e| ReuseProbe {
+        self.probe(kernel).ok()
+    }
+
+    /// [`note_reuse`](KernelTable::note_reuse) whose miss answer carries
+    /// the kernel's warm-start prior, if one is installed — everything
+    /// the Figure 7 loop needs from G before it executes, in one hold.
+    pub(crate) fn probe(&self, kernel: KernelId) -> Result<ReuseProbe, Option<f64>> {
+        let shard = read_lock(self.shard(kernel));
+        match shard.entries.get(&kernel) {
+            Some(e) => Ok(ReuseProbe {
                 alpha: e.alpha,
                 invocations_seen: e.invocations_seen.fetch_add(1, Ordering::Relaxed) + 1,
                 tainted: e.tainted.load(Ordering::Relaxed),
-            })
+            }),
+            None => Err(shard.priors.get(&kernel).copied()),
+        }
     }
 
     /// Marks a kernel's entry as learned from suspect observations: the
@@ -223,64 +225,87 @@ impl KernelTable {
     /// unknown kernels. Takes only a shard *read* lock (the flag is
     /// atomic).
     pub fn taint(&self, kernel: KernelId) {
-        if let Some(e) = read_lock(self.shard(kernel)).get(&kernel) {
-            e.tainted.store(true, Ordering::Relaxed);
-        }
+        self.read(kernel, |e| e.tainted.store(true, Ordering::Relaxed));
     }
 
     /// Whether a kernel's entry is currently marked suspect.
     pub fn is_tainted(&self, kernel: KernelId) -> bool {
-        read_lock(self.shard(kernel))
-            .get(&kernel)
-            .is_some_and(|e| e.tainted.load(Ordering::Relaxed))
+        self.read(kernel, |e| e.tainted.load(Ordering::Relaxed)) == Some(true)
+    }
+
+    /// Hands `read` the kernel's [`DriftCell`] under the shard *read*
+    /// lock; the cell is all atomics, so
+    /// [`DriftMonitor::observe`](crate::DriftMonitor::observe) folds
+    /// through it. `None` for a kernel with no entry: there is no learned
+    /// ratio to have drifted.
+    pub fn drift<R>(&self, kernel: KernelId, read: impl FnOnce(&DriftCell) -> R) -> Option<R> {
+        self.read(kernel, |e| read(&e.drift))
     }
 
     /// Installs a cross-platform warm-start prior for a kernel the fleet
-    /// has seen elsewhere (DESIGN.md §15). The prior is a *hint*, never
-    /// truth: it does not create a table entry, never skips profiling,
-    /// and only narrows the α window the
+    /// has seen elsewhere (DESIGN.md §15), and says whether it did. The
+    /// prior is a *hint*, never truth: it does not create a table entry,
+    /// never skips profiling, and only narrows the α window the
     /// [`DecisionEngine`](crate::DecisionEngine) searches while this
-    /// platform profiles the kernel for itself. No-op once the kernel
+    /// platform profiles the kernel for itself. Refused once the kernel
     /// has locally learned state — a foreign ratio must not displace a
-    /// measured one. `alpha` is clamped to [0, 1]; non-finite values are
-    /// refused (a chaos-corrupted replica entry must not steer search).
-    pub fn set_prior(&self, kernel: KernelId, alpha: f64) {
-        if !alpha.is_finite() || self.stat(kernel).is_some() {
-            return;
+    /// measured one — and while an earlier prior stands, both decided
+    /// under the write lock that installs. `alpha` is clamped to [0, 1];
+    /// non-finite values are refused (a chaos-corrupted replica entry
+    /// must not steer search).
+    pub fn set_prior(&self, kernel: KernelId, alpha: f64) -> bool {
+        if !alpha.is_finite() {
+            return false;
         }
-        write_lock(&self.priors).insert(kernel, alpha.clamp(0.0, 1.0));
+        let mut shard = write_lock(self.shard(kernel));
+        if shard.entries.contains_key(&kernel) || shard.priors.contains_key(&kernel) {
+            return false;
+        }
+        shard.priors.insert(kernel, alpha.clamp(0.0, 1.0));
+        true
     }
 
     /// The warm-start prior for a kernel, if one is installed and the
     /// kernel has no locally learned state yet.
     pub fn prior(&self, kernel: KernelId) -> Option<f64> {
-        read_lock(&self.priors).get(&kernel).copied()
+        read_lock(self.shard(kernel)).priors.get(&kernel).copied()
     }
 
     /// Drops a kernel's warm-start prior (e.g. when the fleet replicates
     /// a taint for the entry it came from — a suspect ratio must not
     /// seed anyone's search window).
     pub fn clear_prior(&self, kernel: KernelId) {
-        write_lock(&self.priors).remove(&kernel);
+        write_lock(self.shard(kernel)).priors.remove(&kernel);
     }
 
     /// Number of installed warm-start priors.
     pub fn prior_count(&self) -> usize {
-        read_lock(&self.priors).len()
+        self.shards.iter().map(|s| read_lock(s).priors.len()).sum()
     }
 
-    /// Folds a newly computed α into the table (Fig 7 step 26).
-    /// Write-locks the owning shard only. Local learning supersedes any
-    /// cross-platform warm-start prior for the kernel.
-    pub fn accumulate(&self, kernel: KernelId, alpha: f64, weight: f64, mode: Accumulation) {
-        write_lock(&self.priors).remove(&kernel);
-        let mut shard = write_lock(self.shard(kernel));
-        let entry = shard.entry(kernel).or_insert(AlphaEntry {
+    /// Folds a newly computed α into the table (Fig 7 step 26) and
+    /// returns the entry's state after the fold. Write-locks the owning
+    /// shard only, once: local learning supersedes any cross-platform
+    /// warm-start prior for the kernel, erased in the same hold.
+    pub fn accumulate(
+        &self,
+        kernel: KernelId,
+        alpha: f64,
+        weight: f64,
+        mode: Accumulation,
+    ) -> AlphaStat {
+        let mut guard = write_lock(self.shard(kernel));
+        let shard = &mut *guard;
+        shard.priors.remove(&kernel);
+        let fresh = AlphaStat {
             alpha,
             weight: 0.0,
-            invocations_seen: AtomicU64::new(0),
-            tainted: AtomicBool::new(false),
-        });
+            invocations_seen: 0,
+        };
+        let entry = shard
+            .entries
+            .entry(kernel)
+            .or_insert_with(|| AlphaEntry::new(fresh, false));
         // Fresh learning supersedes suspicion from earlier faulty rounds.
         entry.tainted.store(false, Ordering::Relaxed);
         match mode {
@@ -296,26 +321,28 @@ impl KernelTable {
                 entry.weight = weight;
             }
         }
+        entry.stat()
     }
 
-    /// Installs a kernel's learned state verbatim (used when loading a
-    /// persisted table).
+    /// Installs a kernel's learned state verbatim, untainted (used when
+    /// loading a persisted table).
     pub fn insert(&self, kernel: KernelId, stat: AlphaStat) {
+        self.restore(kernel, stat, false);
+    }
+
+    /// Installs a kernel's recovered state — learned state and quarantine
+    /// flag — in one hold: the one routine under snapshot load, journal
+    /// replay and the unread-journal merge. The record starts over: a
+    /// fresh drift cell, and no prior beside the entry.
+    pub(crate) fn restore(&self, kernel: KernelId, stat: AlphaStat, tainted: bool) {
         let mut shard = write_lock(self.shard(kernel));
-        shard.insert(
-            kernel,
-            AlphaEntry {
-                alpha: stat.alpha,
-                weight: stat.weight,
-                invocations_seen: AtomicU64::new(stat.invocations_seen),
-                tainted: AtomicBool::new(false),
-            },
-        );
+        shard.priors.remove(&kernel);
+        shard.entries.insert(kernel, AlphaEntry::new(stat, tainted));
     }
 
     /// Number of kernels with learned state.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| read_lock(s).len()).sum()
+        self.shards.iter().map(|s| read_lock(s).entries.len()).sum()
     }
 
     /// Whether no kernel has learned state yet.
@@ -323,32 +350,11 @@ impl KernelTable {
         self.len() == 0
     }
 
-    /// Removes all learned state.
-    pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            write_lock(shard).clear();
-        }
-    }
-
     /// A consistent-per-shard copy of the whole table, sorted by kernel id
     /// (deterministic — used by persistence and diagnostics).
     pub fn snapshot(&self) -> Vec<(KernelId, AlphaStat)> {
-        let mut out: Vec<(KernelId, AlphaStat)> = Vec::with_capacity(self.len());
-        for shard in self.shards.iter() {
-            let shard = read_lock(shard);
-            out.extend(shard.iter().map(|(&k, e)| {
-                (
-                    k,
-                    AlphaStat {
-                        alpha: e.alpha,
-                        weight: e.weight,
-                        invocations_seen: e.invocations_seen.load(Ordering::Relaxed),
-                    },
-                )
-            }));
-        }
-        out.sort_unstable_by_key(|&(k, _)| k);
-        out
+        let with_taint = self.snapshot_with_taint();
+        with_taint.into_iter().map(|(k, s, _)| (k, s)).collect()
     }
 
     /// Like [`snapshot`](KernelTable::snapshot) but carrying each entry's
@@ -359,17 +365,8 @@ impl KernelTable {
         let mut out: Vec<(KernelId, AlphaStat, bool)> = Vec::with_capacity(self.len());
         for shard in self.shards.iter() {
             let shard = read_lock(shard);
-            out.extend(shard.iter().map(|(&k, e)| {
-                (
-                    k,
-                    AlphaStat {
-                        alpha: e.alpha,
-                        weight: e.weight,
-                        invocations_seen: e.invocations_seen.load(Ordering::Relaxed),
-                    },
-                    e.tainted.load(Ordering::Relaxed),
-                )
-            }));
+            let entries = shard.entries.iter();
+            out.extend(entries.map(|(&k, e)| (k, e.stat(), e.tainted.load(Ordering::Relaxed))));
         }
         out.sort_unstable_by_key(|&(k, _, _)| k);
         out
@@ -419,7 +416,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_complete() {
-        let t = KernelTable::with_shards(4);
+        let t = KernelTable::new();
         for k in [9u64, 2, 700, 44] {
             t.accumulate(k, 0.5, 1.0, Accumulation::SampleWeighted);
         }
@@ -441,10 +438,14 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(KernelTable::with_shards(5).shard_count(), 8);
-        assert_eq!(KernelTable::with_shards(16).shard_count(), 16);
-        assert_eq!(KernelTable::with_shards(1).shard_count(), 1);
+    fn consecutive_kernel_ids_spread_over_every_shard() {
+        let t = KernelTable::new();
+        for k in 0..SHARDS as u64 * 8 {
+            t.accumulate(k, 0.5, 1.0, Accumulation::SampleWeighted);
+        }
+        for shard in &t.shards {
+            assert!(!read_lock(shard).entries.is_empty());
+        }
     }
 
     #[test]
@@ -499,9 +500,15 @@ mod tests {
     #[test]
     fn priors_are_hints_not_truth() {
         let t = KernelTable::new();
-        t.set_prior(4, 0.8);
+        assert!(t.set_prior(4, 0.8));
         assert_eq!(t.prior(4), Some(0.8));
         assert_eq!(t.prior_count(), 1);
+        // The first hint stands until it is cleared or superseded.
+        assert!(!t.set_prior(4, 0.2));
+        assert_eq!(t.prior(4), Some(0.8));
+        // The loop's probe reads it off the miss.
+        assert_eq!(t.probe(4), Err(Some(0.8)));
+        assert_eq!(t.probe(5), Err(None));
         // A prior is invisible to the reuse and lookup paths.
         assert_eq!(t.lookup(4), None);
         assert_eq!(t.note_reuse(4), None);
@@ -509,7 +516,7 @@ mod tests {
         // Out-of-range priors clamp; corrupt ones are refused.
         t.set_prior(5, 1.5);
         assert_eq!(t.prior(5), Some(1.0));
-        t.set_prior(6, f64::NAN);
+        assert!(!t.set_prior(6, f64::NAN));
         assert_eq!(t.prior(6), None);
     }
 
@@ -520,13 +527,30 @@ mod tests {
         t.accumulate(4, 0.3, 10.0, Accumulation::SampleWeighted);
         assert_eq!(t.prior(4), None, "accumulate erases the prior");
         // And a learned kernel refuses new priors outright.
-        t.set_prior(4, 0.9);
+        assert!(!t.set_prior(4, 0.9));
         assert_eq!(t.prior(4), None);
         assert_eq!(t.lookup(4), Some(0.3));
         // clear_prior drops an installed hint (taint replication path).
         t.set_prior(7, 0.6);
         t.clear_prior(7);
         assert_eq!(t.prior(7), None);
+    }
+
+    #[test]
+    fn restore_installs_entry_and_flag_and_starts_the_record_over() {
+        let t = KernelTable::new();
+        t.set_prior(2, 0.9);
+        let stat = AlphaStat {
+            alpha: 0.3,
+            weight: 5.0,
+            invocations_seen: 4,
+        };
+        t.restore(2, stat, true);
+        assert_eq!(t.stat(2), Some(stat));
+        assert!(t.is_tainted(2));
+        assert_eq!(t.prior(2), None, "no prior beside a learned entry");
+        assert_eq!(t.drift(2, DriftCell::ewma), Some(None));
+        assert_eq!(t.drift(3, DriftCell::ewma), None, "no entry, no cell");
     }
 
     #[test]
@@ -541,20 +565,23 @@ mod tests {
 
     #[test]
     fn thread_panicking_mid_write_leaves_table_usable() {
-        let t = KernelTable::with_shards(1);
+        let t = KernelTable::new();
         t.accumulate(1, 0.5, 10.0, Accumulation::SampleWeighted);
 
-        // A tenant dies while holding the single shard's write lock,
-        // poisoning it.
+        // A tenant dies while holding every shard's write lock, poisoning
+        // them all.
         let result = std::thread::scope(|s| {
             s.spawn(|| {
-                let _guard = t.shards[0].write().unwrap();
+                let _guards: Vec<_> = t.shards.iter().map(|s| s.write().unwrap()).collect();
                 panic!("tenant dies mid-write");
             })
             .join()
         });
         assert!(result.is_err(), "the tenant must have panicked");
-        assert!(t.shards[0].is_poisoned(), "the shard must be poisoned");
+        assert!(
+            t.shards.iter().all(RwLock::is_poisoned),
+            "every shard must be poisoned"
+        );
 
         // Every operation still works for the surviving streams.
         assert_eq!(t.lookup(1), Some(0.5));
@@ -574,8 +601,11 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.clone().lookup(7), Some(0.25));
         assert_eq!(t.snapshot().len(), 2);
-        t.clear();
-        assert!(t.is_empty());
+        assert!(t.set_prior(8, 0.5));
+        assert_eq!(t.prior(8), Some(0.5));
+        t.clear_prior(8);
+        assert_eq!(t.prior_count(), 0);
+        t.drift(1, |cell| assert_eq!(cell.ewma(), None)).unwrap();
     }
 
     #[test]

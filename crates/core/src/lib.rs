@@ -81,7 +81,7 @@ pub use power_model::{PowerCurve, PowerModel};
 pub use schemes::{Evaluator, SchemeResult, WorkloadComparison};
 pub use seed::{RunSeed, DEFAULT_ROOT};
 pub use selfheal::{
-    DriftAction, DriftMonitor, DriftOutcome, DriftPolicy, Watchdog, WatchdogPolicy,
+    DriftAction, DriftCell, DriftMonitor, DriftOutcome, DriftPolicy, Watchdog, WatchdogPolicy,
 };
 pub use shared::{SharedEas, SharedEasExt};
 pub use tenancy::{AdmittedRequest, TenantFrontend};

@@ -536,10 +536,7 @@ fn parse_table_body(
                 if table.stat(kernel).is_some() {
                     return Err(bad(format!("kernel {kernel} listed twice")));
                 }
-                table.insert(kernel, stat);
-                if tainted {
-                    table.taint(kernel);
-                }
+                table.restore(kernel, stat, tainted);
             }
             other => return Err(bad(format!("unknown record {other:?}"))),
         }

@@ -39,6 +39,7 @@
 //! *and* cost-identical to the pre-telemetry loop.
 
 use crate::eas::Decision;
+use crate::engine::Prediction;
 use crate::guard::FaultKind;
 use crate::health::BreakerGate;
 use crate::selfheal::DriftAction;
@@ -53,6 +54,9 @@ use easched_telemetry::{
 struct InvocationSummary {
     path: InvocationPath,
     last: Option<Decision>,
+    /// The model's prediction for `last`, on the exits whose final split
+    /// ran at its α.
+    prediction: Option<Prediction>,
     rounds: u32,
     fault_rounds: u32,
     last_fault: Option<FaultKind>,
@@ -66,6 +70,7 @@ impl InvocationSummary {
         InvocationSummary {
             path,
             last: None,
+            prediction: None,
             rounds: 0,
             fault_rounds: 0,
             last_fault: None,
@@ -154,7 +159,7 @@ fn after_split(
     drift: Option<(Option<f64>, u64)>,
 ) {
     let (engine, table, health) = (&eas.engine, &eas.table, &eas.health);
-    let (sink, store) = (eas.telemetry.as_deref(), eas.store.as_deref());
+    let sink = eas.telemetry.as_deref();
     if health
         .watchdog()
         .split_overrun_within(obs.elapsed, deadline)
@@ -173,10 +178,7 @@ fn after_split(
         if health.breaker.record_gpu_fault() {
             health.stats.breaker_trips.inc();
         }
-        table.taint(kernel);
-        if let Some(store) = store {
-            store.record_taint(kernel);
-        }
+        eas.taint(kernel);
         return;
     }
     let Some((predicted_edp, items)) = drift else {
@@ -186,10 +188,11 @@ fn after_split(
         return; // §9 territory: faults must not steer the drift loop
     }
     let realized_edp = obs.energy_joules * obs.elapsed;
-    let Some(outcome) = health
-        .drift()
-        .observe(kernel, predicted_edp, realized_edp, items)
-    else {
+    // Every caller holds an entry — table hits by definition, profiled
+    // passes because step 26 ran first — so the cell is there to fold.
+    let monitor = health.drift();
+    let fold = |cell: &_| monitor.observe(cell, predicted_edp, realized_edp, items);
+    let Some(outcome) = table.drift(kernel, fold).flatten() else {
         return;
     };
     emit(
@@ -205,10 +208,7 @@ fn after_split(
             // Adaptation, not a fault: the entry goes stale so the next
             // invocation re-profiles, but `fault_free()` stays true.
             health.stats.drift_reprofiles.inc();
-            table.taint(kernel);
-            if let Some(store) = store {
-                store.record_taint(kernel);
-            }
+            eas.taint(kernel);
             emit(
                 sink,
                 &ControlEvent::Reprofile {
@@ -228,7 +228,8 @@ fn after_split(
 /// invocations (nothing ran, nothing to record). The decide timer — read
 /// from `clock`, wall by default, deterministic under record/replay —
 /// runs only when a sink is attached (only the telemetry path pays for
-/// it); the store, when present, journals every table mutation so the
+/// it); every write to G goes through [`SharedEas::learn`] and
+/// [`SharedEas::taint`], which journal it when a store is present so the
 /// invocation's learning survives a crash (DESIGN.md §11).
 fn drive(
     eas: &SharedEas,
@@ -237,7 +238,7 @@ fn drive(
     ctx: InvocationCtx,
 ) -> Option<InvocationSummary> {
     let (engine, table, health) = (&eas.engine, &eas.table, &eas.health);
-    let (sink, store) = (eas.telemetry.as_deref(), eas.store.as_deref());
+    let sink = eas.telemetry.as_deref();
     let clock = eas.clock.as_ref();
     let timed = sink.is_some();
     let n = backend.remaining();
@@ -285,9 +286,21 @@ fn drive(
     // would waste both time and energy (this is the reason the guard
     // exists, and it matters for cascade-style kernels like FD whose
     // invocation sizes swing by orders of magnitude).
-    let mut reprofiling = false;
-    if !probing {
-        if let Some(probe) = table.note_reuse(kernel) {
+    //
+    // The loop's one read of G before it executes: a miss answers with
+    // the kernel's fleet warm-start prior (DESIGN.md §15), a ratio the
+    // same kernel learned on another platform, which narrows the α search
+    // window below. Profiling still runs in full — the prior is a hint,
+    // never truth. With no fleet attached there are no priors and this
+    // path is byte-identical to the unprimed loop. A probing invocation
+    // skips reuse, so it must not count as one either.
+    let probe = if probing {
+        Err(table.prior(kernel))
+    } else {
+        table.probe(kernel)
+    };
+    let (reprofiling, prior) = match probe {
+        Ok(probe) => {
             // DenyNew (brownout stage 1) suppresses a due re-profile: the
             // learned ratio is still served, but no *new* GPU profiling
             // work starts while the package is hot.
@@ -309,17 +322,15 @@ fn drive(
                 return Some(InvocationSummary::new(InvocationPath::TableHit, alpha));
             }
             // Fall through to a fresh profiling pass that re-accumulates.
-            reprofiling = true;
+            (true, None)
         }
-    }
+        Err(prior) => (false, prior),
+    };
 
     // Steps 6–10: tiny invocations cannot fill the GPU — CPU alone.
     if n < profile_size {
         let obs = backend.run_split(0.0);
-        table.accumulate(kernel, 0.0, n as f64, config.accumulation);
-        if let Some(store) = store {
-            store.record_entry(table, kernel);
-        }
+        eas.learn(kernel, 0.0, n as f64, false);
         // Watchdog only: a CPU-only sliver carries no drift signal, but a
         // hung chunk still has to be caught. Ordered after the accumulate
         // so an overrun's taint is not immediately cleared by it.
@@ -342,13 +353,6 @@ fn drive(
     // with a backed-off chunk; sustained rejection degrades the
     // invocation.
     let profile_until = ((n as f64) * (1.0 - config.profile_fraction)) as u64;
-    // Fleet warm start (DESIGN.md §15): a ratio the same kernel learned
-    // on another platform narrows the α search window. Profiling still
-    // runs in full — the prior is a hint, never truth — the minimizer
-    // just searches near the foreign optimum at finer resolution. With
-    // no fleet attached the map is empty and this path is byte-identical
-    // to the unprimed loop.
-    let prior = table.prior(kernel);
     let mut alpha = 0.0;
     let mut alpha_weight = 0.0;
     let mut streak = 0usize;
@@ -434,6 +438,19 @@ fn drive(
         }
     }
 
+    // What the profiling pass leaves for the record, whichever way it
+    // exits.
+    let summary = |path, alpha, prediction| InvocationSummary {
+        path,
+        last,
+        prediction,
+        rounds,
+        fault_rounds: faulty_rounds as u32,
+        last_fault,
+        alpha,
+        decide_nanos,
+    };
+
     if gave_up {
         // Degraded finish: trust the last clean decision if there was one
         // and the GPU is not implicated; otherwise fall back to CPU-only.
@@ -449,56 +466,36 @@ fn drive(
         // Learn only what clean rounds support — and mark it suspect so
         // the next invocation re-profiles instead of reusing it.
         if alpha_weight > 0.0 && !health.breaker.is_open() {
-            table.accumulate(kernel, fallback, alpha_weight, config.accumulation);
-            table.taint(kernel);
+            eas.learn(kernel, fallback, alpha_weight, true);
             health.stats.taints.inc();
-            if let Some(store) = store {
-                store.record_entry(table, kernel);
-                store.record_taint(kernel);
-            }
         }
-        return Some(InvocationSummary {
-            path: InvocationPath::Degraded,
-            last,
-            rounds,
-            fault_rounds: faulty_rounds as u32,
-            last_fault,
-            alpha: fallback,
-            decide_nanos,
-        });
+        // No prediction: the fallback may differ from the last decision's
+        // α, so the comparison would be apples to oranges.
+        return Some(summary(InvocationPath::Degraded, fallback, None));
     }
 
     // Steps 23–25: run the remainder at the decided ratio.
     let split_obs = (backend.remaining() > 0).then(|| backend.run_split(alpha));
     // Step 26: sample-weighted accumulation into G.
-    table.accumulate(
-        kernel,
-        alpha,
-        alpha_weight.max(n as f64 * 0.5),
-        config.accumulation,
-    );
-    if let Some(store) = store {
-        store.record_entry(table, kernel);
-    }
+    eas.learn(kernel, alpha, alpha_weight.max(n as f64 * 0.5), false);
     if faulty_rounds > 0 {
         // Some rounds were rejected even though profiling finished: the
         // learned ratio rests on a suspect invocation — re-profile next
         // time rather than reuse it.
-        table.taint(kernel);
+        eas.taint(kernel);
         health.stats.taints.inc();
-        if let Some(store) = store {
-            store.record_taint(kernel);
-        }
     }
+    // Predicted once per invocation, for the drift fold here and the
+    // telemetry record after.
+    let prediction = last.map(|d| engine.predict(&d));
     if let Some(obs) = &split_obs {
         // A freshly profiled split has a model prediction to drift
         // against (P(α)·T(α)² — the same EDP form `figures telemetry`
         // reports); fold it only for clean invocations, ordered after the
         // accumulate so a drift taint survives it.
-        let predicted_edp = last.filter(|_| faulty_rounds == 0).map(|d| {
-            let p = engine.predict(&d);
-            p.power * p.time * p.time
-        });
+        let predicted_edp = prediction
+            .filter(|_| faulty_rounds == 0)
+            .map(|p| p.power * p.time * p.time);
         let items = obs.cpu_items + obs.gpu_items;
         let drift = predicted_edp.map(|edp| (Some(edp), items));
         after_split(eas, kernel, obs, ctx.deadline, drift);
@@ -510,15 +507,7 @@ fn drive(
     } else {
         InvocationPath::Profiled
     };
-    Some(InvocationSummary {
-        path,
-        last,
-        rounds,
-        fault_rounds: faulty_rounds as u32,
-        last_fault,
-        alpha,
-        decide_nanos,
-    })
+    Some(summary(path, alpha, prediction))
 }
 
 /// Emits the execution subtree of one invocation's trace: `decide` roots
@@ -613,12 +602,10 @@ fn build_record(
     summary: InvocationSummary,
 ) -> DecisionRecord {
     // Predictions are only meaningful on paths whose final split executed
-    // at the last decision's α (on a degraded path the fallback may
-    // differ, so the comparison would be apples to oranges).
+    // at the last decision's α.
     let prediction = summary
-        .last
+        .prediction
         .filter(|_| summary.path.has_prediction())
-        .map(|d| eas.engine.predict(&d))
         .unwrap_or_default();
     let profile = backend.profile_totals();
     let split = backend.split_totals();

@@ -27,28 +27,14 @@
 //! The monitor is deliberately black-box, like everything else in this
 //! reproduction: it sees only predicted and realized energy-delay product,
 //! never kernel internals.
+//!
+//! The monitor owns the policy and the global bucket, nothing per kernel:
+//! a kernel's EWMA, reference, breach count, cooldown and latch are its
+//! [`DriftCell`], which lives in the kernel's entry of G
+//! ([`KernelTable::drift`](crate::KernelTable::drift)) and is not
+//! persisted.
 
-use easched_runtime::KernelId;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// Read-locks a shard, recovering from poisoning (same policy as the
-/// kernel table: entries are plain atomics, so a poisoned shard's data is
-/// still coherent and one panicked tenant must not disable drift
-/// monitoring for every other stream).
-fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Write-locks a shard, recovering from poisoning (see [`read_lock`]).
-fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Shard count for the per-kernel state map — matches the kernel table's
-/// default so the two structures contend comparably.
-const SHARDS: usize = 16;
 
 /// Tokens are stored in integer milli-tokens so the bucket can be a plain
 /// atomic (no float CAS loops over bit patterns needed for refill math).
@@ -134,12 +120,12 @@ pub struct DriftOutcome {
     pub action: DriftAction,
 }
 
-/// Per-kernel monitoring state. All fields are atomics flipped under a
-/// shard *read* lock, so concurrent streams folding different kernels —
-/// or even the same kernel — never take a write lock after the entry
-/// exists.
+/// One kernel's monitoring state: the cell of its G entry that
+/// [`DriftMonitor::observe`] folds into. All fields are atomics flipped
+/// under a shard *read* lock, so concurrent streams folding different
+/// kernels — or even the same kernel — never take a write lock.
 #[derive(Debug)]
-struct KernelDriftState {
+pub struct DriftCell {
     /// EWMA of relative EDP error, as f64 bits; NAN bits mean "no sample
     /// folded yet".
     ewma_bits: AtomicU64,
@@ -157,9 +143,9 @@ struct KernelDriftState {
     disarmed: AtomicBool,
 }
 
-impl Default for KernelDriftState {
-    fn default() -> KernelDriftState {
-        KernelDriftState {
+impl Default for DriftCell {
+    fn default() -> DriftCell {
+        DriftCell {
             ewma_bits: AtomicU64::new(f64::NAN.to_bits()),
             reference_bits: AtomicU64::new(f64::NAN.to_bits()),
             breaches: AtomicU32::new(0),
@@ -169,9 +155,9 @@ impl Default for KernelDriftState {
     }
 }
 
-impl Clone for KernelDriftState {
-    fn clone(&self) -> KernelDriftState {
-        KernelDriftState {
+impl Clone for DriftCell {
+    fn clone(&self) -> DriftCell {
+        DriftCell {
             ewma_bits: AtomicU64::new(self.ewma_bits.load(Ordering::Relaxed)),
             reference_bits: AtomicU64::new(self.reference_bits.load(Ordering::Relaxed)),
             breaches: AtomicU32::new(self.breaches.load(Ordering::Relaxed)),
@@ -181,29 +167,28 @@ impl Clone for KernelDriftState {
     }
 }
 
-/// Folds predicted-vs-realized EDP into per-kernel EWMAs and decides when
-/// sustained drift warrants re-profiling, under the triple guard described
-/// in the module docs.
+impl DriftCell {
+    /// Current EWMA of relative EDP error, if any sample has been folded.
+    pub fn ewma(&self) -> Option<f64> {
+        let v = f64::from_bits(self.ewma_bits.load(Ordering::Relaxed));
+        v.is_finite().then_some(v)
+    }
+}
+
+/// Folds predicted-vs-realized EDP into a kernel's [`DriftCell`] and
+/// decides when sustained drift warrants re-profiling, under the triple
+/// guard described in the module docs.
 #[derive(Debug)]
 pub struct DriftMonitor {
     policy: DriftPolicy,
-    shards: Box<[RwLock<HashMap<KernelId, KernelDriftState>>]>,
-    mask: u64,
     /// Global reprofile budget in milli-tokens.
     bucket_milli: AtomicU64,
 }
 
 impl Clone for DriftMonitor {
     fn clone(&self) -> DriftMonitor {
-        let shards: Vec<RwLock<HashMap<KernelId, KernelDriftState>>> = self
-            .shards
-            .iter()
-            .map(|s| RwLock::new(read_lock(s).clone()))
-            .collect();
         DriftMonitor {
             policy: self.policy,
-            shards: shards.into_boxed_slice(),
-            mask: self.mask,
             bucket_milli: AtomicU64::new(self.bucket_milli.load(Ordering::Relaxed)),
         }
     }
@@ -218,13 +203,8 @@ impl Default for DriftMonitor {
 impl DriftMonitor {
     /// A monitor with the given policy; the token bucket starts full.
     pub fn new(policy: DriftPolicy) -> DriftMonitor {
-        let n = SHARDS.next_power_of_two();
-        let shards: Vec<RwLock<HashMap<KernelId, KernelDriftState>>> =
-            (0..n).map(|_| RwLock::new(HashMap::new())).collect();
         DriftMonitor {
             policy,
-            shards: shards.into_boxed_slice(),
-            mask: (n - 1) as u64,
             bucket_milli: AtomicU64::new(to_milli(policy.bucket_capacity)),
         }
     }
@@ -234,30 +214,14 @@ impl DriftMonitor {
         &self.policy
     }
 
-    fn shard(&self, kernel: KernelId) -> &RwLock<HashMap<KernelId, KernelDriftState>> {
-        // Same Fibonacci hash as the kernel table.
-        let h = kernel.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        &self.shards[(h & self.mask) as usize]
-    }
-
-    /// Current EWMA of relative EDP error for a kernel, if any sample has
-    /// been folded.
-    pub fn ewma(&self, kernel: KernelId) -> Option<f64> {
-        let bits = read_lock(self.shard(kernel))
-            .get(&kernel)?
-            .ewma_bits
-            .load(Ordering::Relaxed);
-        let v = f64::from_bits(bits);
-        v.is_finite().then_some(v)
-    }
-
     /// Tokens currently in the global reprofile bucket.
     pub fn tokens(&self) -> f64 {
         self.bucket_milli.load(Ordering::Relaxed) as f64 / MILLI as f64
     }
 
-    /// Folds one invocation's EDP into the kernel's EWMA and applies the
-    /// breach/cooldown/budget machinery.
+    /// Folds one invocation's EDP into the kernel's EWMA — `state`, the
+    /// cell of its table entry — and applies the breach/cooldown/budget
+    /// machinery.
     ///
     /// `predicted_edp` is `Some` on invocations that carried a fresh model
     /// prediction (profiling finishes); those also refresh the kernel's
@@ -270,7 +234,7 @@ impl DriftMonitor {
     /// or a table hit arrives before any reference exists.
     pub fn observe(
         &self,
-        kernel: KernelId,
+        state: &DriftCell,
         predicted_edp: Option<f64>,
         realized_edp: f64,
         items: u64,
@@ -279,14 +243,6 @@ impl DriftMonitor {
             return None;
         }
         self.refill();
-
-        // Fast path: the entry almost always exists after the first
-        // observation, so try under the read lock before escalating.
-        if !read_lock(self.shard(kernel)).contains_key(&kernel) {
-            write_lock(self.shard(kernel)).entry(kernel).or_default();
-        }
-        let shard = read_lock(self.shard(kernel));
-        let state = shard.get(&kernel)?;
 
         let items_sq = (items as f64) * (items as f64);
         let expected = match predicted_edp {
@@ -567,8 +523,9 @@ mod tests {
     #[test]
     fn no_action_below_the_bound() {
         let m = DriftMonitor::new(tight_policy());
+        let cell = DriftCell::default();
         for _ in 0..50 {
-            let out = m.observe(1, Some(100.0), 150.0, 10).unwrap();
+            let out = m.observe(&cell, Some(100.0), 150.0, 10).unwrap();
             assert_eq!(out.action, DriftAction::Observed);
             assert!((out.ewma - 0.5 / 1.5).abs() < 1e-12);
         }
@@ -578,12 +535,13 @@ mod tests {
     #[test]
     fn sustained_breach_triggers_reprofile_after_k() {
         let m = DriftMonitor::new(tight_policy());
+        let cell = DriftCell::default();
         // Prediction 100, realized 25: relative error 3.0 > bound 1.0.
         for i in 1..=2 {
-            let out = m.observe(1, Some(100.0), 25.0, 10).unwrap();
+            let out = m.observe(&cell, Some(100.0), 25.0, 10).unwrap();
             assert_eq!(out.action, DriftAction::Observed, "breach {i} under K");
         }
-        let out = m.observe(1, Some(100.0), 25.0, 10).unwrap();
+        let out = m.observe(&cell, Some(100.0), 25.0, 10).unwrap();
         assert_eq!(out.action, DriftAction::Reprofile);
         assert_eq!(m.tokens(), 1.0);
     }
@@ -591,15 +549,16 @@ mod tests {
     #[test]
     fn single_spike_does_not_fire() {
         let m = DriftMonitor::new(tight_policy());
-        m.observe(1, Some(100.0), 25.0, 10).unwrap();
-        m.observe(1, Some(100.0), 25.0, 10).unwrap();
+        let cell = DriftCell::default();
+        m.observe(&cell, Some(100.0), 25.0, 10).unwrap();
+        m.observe(&cell, Some(100.0), 25.0, 10).unwrap();
         // A clean sample between breaches resets the consecutive count.
-        let out = m.observe(1, Some(100.0), 100.0, 10).unwrap();
+        let out = m.observe(&cell, Some(100.0), 100.0, 10).unwrap();
         assert_eq!(out.action, DriftAction::Observed);
         for _ in 0..2 {
-            m.observe(1, Some(100.0), 25.0, 10).unwrap();
+            m.observe(&cell, Some(100.0), 25.0, 10).unwrap();
         }
-        let out = m.observe(1, Some(100.0), 25.0, 10).unwrap();
+        let out = m.observe(&cell, Some(100.0), 25.0, 10).unwrap();
         assert_eq!(
             out.action,
             DriftAction::Reprofile,
@@ -610,26 +569,27 @@ mod tests {
     #[test]
     fn cooldown_and_hysteresis_gate_refiring() {
         let m = DriftMonitor::new(tight_policy());
+        let cell = DriftCell::default();
         for _ in 0..3 {
-            m.observe(1, Some(100.0), 25.0, 10).unwrap();
+            m.observe(&cell, Some(100.0), 25.0, 10).unwrap();
         }
         // Fired once; stays quiet through the cooldown even under
         // continued breach.
         for _ in 0..4 {
-            let out = m.observe(1, Some(100.0), 25.0, 10).unwrap();
+            let out = m.observe(&cell, Some(100.0), 25.0, 10).unwrap();
             assert_eq!(out.action, DriftAction::Observed, "cooling down");
         }
         // Cooldown over but still disarmed: breaching samples do nothing.
         for _ in 0..6 {
-            let out = m.observe(1, Some(100.0), 25.0, 10).unwrap();
+            let out = m.observe(&cell, Some(100.0), 25.0, 10).unwrap();
             assert_eq!(out.action, DriftAction::Observed, "disarmed");
         }
         // Drop below bound*rearm_ratio to re-arm, then breach again.
-        m.observe(1, Some(100.0), 100.0, 10).unwrap();
+        m.observe(&cell, Some(100.0), 100.0, 10).unwrap();
         for _ in 0..2 {
-            m.observe(1, Some(100.0), 25.0, 10).unwrap();
+            m.observe(&cell, Some(100.0), 25.0, 10).unwrap();
         }
-        let out = m.observe(1, Some(100.0), 25.0, 10).unwrap();
+        let out = m.observe(&cell, Some(100.0), 25.0, 10).unwrap();
         assert_eq!(
             out.action,
             DriftAction::Reprofile,
@@ -644,14 +604,15 @@ mod tests {
         p.cooldown = 0;
         p.rearm_ratio = 10.0; // re-arm immediately (ewma always < 10·bound)
         let m = DriftMonitor::new(p);
+        let (cell, other) = (DriftCell::default(), DriftCell::default());
         for _ in 0..3 {
-            m.observe(1, Some(100.0), 25.0, 10).unwrap();
+            m.observe(&cell, Some(100.0), 25.0, 10).unwrap();
         }
         assert_eq!(m.tokens(), 0.0);
         for _ in 0..2 {
-            m.observe(2, Some(100.0), 25.0, 10).unwrap();
+            m.observe(&other, Some(100.0), 25.0, 10).unwrap();
         }
-        let out = m.observe(2, Some(100.0), 25.0, 10).unwrap();
+        let out = m.observe(&other, Some(100.0), 25.0, 10).unwrap();
         assert_eq!(
             out.action,
             DriftAction::Suppressed,
@@ -663,14 +624,15 @@ mod tests {
             bucket_refill: 0.5,
             ..p
         });
+        let (cell, other) = (DriftCell::default(), DriftCell::default());
         for _ in 0..3 {
-            m.observe(1, Some(100.0), 25.0, 10).unwrap();
+            m.observe(&cell, Some(100.0), 25.0, 10).unwrap();
         }
         for _ in 0..2 {
-            m.observe(2, Some(100.0), 25.0, 10).unwrap();
+            m.observe(&other, Some(100.0), 25.0, 10).unwrap();
         }
         assert_eq!(
-            m.observe(2, Some(100.0), 25.0, 10).unwrap().action,
+            m.observe(&other, Some(100.0), 25.0, 10).unwrap().action,
             DriftAction::Reprofile,
             "refill restored the budget"
         );
@@ -679,39 +641,49 @@ mod tests {
     #[test]
     fn table_hits_scored_against_scaled_reference() {
         let m = DriftMonitor::new(tight_policy());
+        let cell = DriftCell::default();
         // No reference yet: table hits are unscorable.
-        assert_eq!(m.observe(1, None, 50.0, 10), None);
+        assert_eq!(m.observe(&cell, None, 50.0, 10), None);
         // A prediction-carrying invocation sets reference = 400/100 = 4
         // per item².
-        m.observe(1, Some(400.0), 400.0, 10).unwrap();
+        m.observe(&cell, Some(400.0), 400.0, 10).unwrap();
         // Table hit at N=20: expected 4·400 = 1600. Realized matches.
-        let out = m.observe(1, None, 1600.0, 20).unwrap();
+        let out = m.observe(&cell, None, 1600.0, 20).unwrap();
         assert!((out.ewma - 0.0).abs() < 1e-12);
         // Realized collapses to a quarter of expected: error 3.0.
-        let out = m.observe(1, None, 400.0, 20).unwrap();
+        let out = m.observe(&cell, None, 400.0, 20).unwrap();
         assert!((out.ewma - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn disabled_monitor_and_bad_inputs_return_none() {
         let m = DriftMonitor::new(DriftPolicy::disabled());
-        assert_eq!(m.observe(1, Some(100.0), 25.0, 10), None);
+        let cell = DriftCell::default();
+        assert_eq!(m.observe(&cell, Some(100.0), 25.0, 10), None);
         let m = DriftMonitor::new(tight_policy());
-        assert_eq!(m.observe(1, Some(100.0), f64::NAN, 10), None);
-        assert_eq!(m.observe(1, Some(100.0), -1.0, 10), None);
-        assert_eq!(m.observe(1, Some(100.0), 25.0, 0), None);
-        assert_eq!(m.observe(1, Some(f64::INFINITY), 25.0, 10), None);
-        assert_eq!(m.ewma(1), None, "rejected inputs fold nothing");
+        let cell = DriftCell::default();
+        assert_eq!(m.observe(&cell, Some(100.0), f64::NAN, 10), None);
+        assert_eq!(m.observe(&cell, Some(100.0), -1.0, 10), None);
+        assert_eq!(m.observe(&cell, Some(100.0), 25.0, 0), None);
+        assert_eq!(m.observe(&cell, Some(f64::INFINITY), 25.0, 10), None);
+        assert_eq!(cell.ewma(), None, "rejected inputs fold nothing");
     }
 
     #[test]
     fn clone_is_deep() {
         let m = DriftMonitor::new(tight_policy());
-        m.observe(1, Some(100.0), 25.0, 10).unwrap();
-        let c = m.clone();
-        m.observe(1, Some(100.0), 100.0, 10).unwrap();
-        assert!((c.ewma(1).unwrap() - 3.0).abs() < 1e-12);
-        assert!((m.ewma(1).unwrap() - 0.0).abs() < 1e-12);
+        let cell = DriftCell::default();
+        m.observe(&cell, Some(100.0), 25.0, 10).unwrap();
+        let c = cell.clone();
+        m.observe(&cell, Some(100.0), 100.0, 10).unwrap();
+        assert!((c.ewma().unwrap() - 3.0).abs() < 1e-12);
+        assert!((cell.ewma().unwrap() - 0.0).abs() < 1e-12);
+        // The monitor's clone carries the bucket's level, not the bucket.
+        let fork = m.clone();
+        for _ in 0..3 {
+            m.observe(&cell, Some(100.0), 25.0, 10).unwrap();
+        }
+        assert_eq!((m.tokens(), fork.tokens()), (1.0, 2.0));
     }
 
     #[test]

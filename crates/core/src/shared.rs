@@ -15,6 +15,11 @@
 //! single-stream driver and N tenants run the identical invocation path
 //! and [`EasScheduler::into_shared`] is a move.
 //!
+//! It is also the one door into G: every write to the table — the loop's
+//! and the fleet's — is a `SharedEas::learn` or a [`SharedEas::taint`],
+//! which mutate the table and then journal the mutation when a store is
+//! attached, so nothing the scheduler remembers can skip the journal.
+//!
 //! The reuse path (a known kernel arriving again) takes only a shard read
 //! lock plus one atomic increment, so concurrent streams re-invoking
 //! learned kernels scale with reader parallelism; see
@@ -304,6 +309,36 @@ impl SharedEas {
     /// The shared kernel table G (memory layer).
     pub fn table(&self) -> &KernelTable {
         &self.table
+    }
+
+    /// Step 26, and half of the one door into G: folds α into the
+    /// kernel's entry under the configured accumulation, then journals
+    /// the state the fold returned. A `suspect` fold (a degraded pass's)
+    /// is marked before it is journaled, so its `put` already says
+    /// tainted ahead of the `taint` record.
+    pub(crate) fn learn(&self, kernel: KernelId, alpha: f64, weight: f64, suspect: bool) {
+        let mode = self.engine.config().accumulation;
+        let stat = self.table.accumulate(kernel, alpha, weight, mode);
+        if suspect {
+            self.table.taint(kernel);
+        }
+        if let Some(store) = &self.store {
+            store.record_put(&self.table, kernel, stat, suspect);
+            if suspect {
+                store.record_taint(kernel);
+            }
+        }
+    }
+
+    /// The other half of the door: marks the kernel's entry suspect, so
+    /// its next invocation re-profiles, then journals the mark so the
+    /// quarantine survives a `kill -9`. Every taint — fault pipeline,
+    /// watchdog, drift monitor, fleet — comes through here.
+    pub fn taint(&self, kernel: KernelId) {
+        self.table.taint(kernel);
+        if let Some(store) = &self.store {
+            store.record_taint(kernel);
+        }
     }
 
     /// Fault-pipeline telemetry aggregated across all streams (see

@@ -4,8 +4,8 @@
 //! through the scheduler frontend.
 
 use easched_core::{
-    characterize, AlphaStat, BreakerState, CharacterizationConfig, EasConfig, EasScheduler,
-    KernelTable, Objective, PowerModel, TableStore,
+    characterize, AlphaStat, BreakerState, CharacterizationConfig, DriftPolicy, EasConfig,
+    EasScheduler, KernelTable, Objective, PowerModel, TableStore, WatchdogPolicy,
 };
 use easched_runtime::backend::test_support::FakeBackend;
 use easched_runtime::chaos::{ChaosInjector, Fault, FaultPlan};
@@ -475,4 +475,66 @@ fn golden_store_bytes_and_vfs_ops_match_the_parent_commit() {
     golden_store_script(&chaos_dir.0, Arc::new(vfs.clone()));
     let ops = String::from_utf8(fixture("ops.txt")).unwrap();
     assert_eq!(vfs.op_count(), ops.trim().parse::<u64>().unwrap());
+}
+
+/// One invocation of `items` items on a 1:2 machine, its observation
+/// steps corrupted per `script`.
+fn run_scripted(eas: &mut EasScheduler, kernel: u64, items: u64, script: Vec<(u64, Fault)>) {
+    let mut injector = ChaosInjector::new(FaultPlan::Scripted(script));
+    let mut b = FakeBackend::new(items, 1.0e6, 2.0e6);
+    let mut chaos = injector.wrap(&mut b);
+    eas.schedule(kernel, &mut chaos);
+    assert_eq!(b.remaining, 0, "kernel {kernel} lost work");
+}
+
+/// The fixed script behind `fixtures/door_paths.journal`, whose bytes were
+/// written by the commit *before* every write to G moved behind
+/// `SharedEas::learn` / `SharedEas::taint`: one persistent scheduler
+/// lifetime driven through every path of the Figure 7 loop that writes G,
+/// so the journal pins which records each path appends, in which order.
+fn door_paths_script(dir: &Path) {
+    let mut config = EasConfig::new(Objective::Time);
+    config.drift = DriftPolicy {
+        bound: 0.5,
+        breach_invocations: 2,
+        ewma_weight: 1.0,
+        ..DriftPolicy::default()
+    };
+    config.watchdog = WatchdogPolicy::with_deadlines(1.0, 1.0);
+    let eas = &mut EasScheduler::with_persistence(desktop_model(), config, dir).expect("fresh");
+    // Clean profile: `put … tainted 0`.
+    run_scripted(eas, 1, 100_000, vec![]);
+    // Small-N: a CPU-only `put`.
+    run_scripted(eas, 2, 100, vec![]);
+    // Profiling finishes despite a rejected round: `put … tainted 0`,
+    // then `taint`.
+    run_scripted(eas, 3, 100_000, vec![(0, Fault::EnergyDropout)]);
+    // One clean round, then sensor faults past the retry budget: the
+    // degraded finish learns what the clean round supports, marked
+    // before it is journaled — `put … tainted 1`, then `taint`.
+    let dropouts = (1..=4).map(|step| (step, Fault::EnergyDropout)).collect();
+    run_scripted(eas, 4, 100_000, dropouts);
+    // Surging table hits until the drift monitor fires: `taint`. The
+    // next invocation re-profiles: `put … tainted 0`.
+    while !eas.table().is_tainted(1) {
+        run_scripted(eas, 1, 100_000, vec![(0, Fault::PowerSurge)]);
+    }
+    run_scripted(eas, 1, 100_000, vec![]);
+    // A reused split that busts the chunk deadline: `taint`.
+    run_scripted(eas, 1, 100_000, vec![(0, Fault::Hang)]);
+    // The same overrun on a small-N pass lands after its `put`.
+    run_scripted(eas, 5, 100, vec![(0, Fault::Hang)]);
+    let h = eas.health();
+    let fired = (h.degraded_invocations, h.drift_reprofiles, h.split_overruns);
+    assert_eq!((h.taints, fired), (2, (1, 1, 2)), "{h:?}");
+}
+
+#[test]
+fn door_paths_journal_matches_the_parent_commit() {
+    let dir = TempDir::new("door");
+    door_paths_script(&dir.0);
+    let journal = fs::read_to_string(dir.0.join("table.journal")).expect("journal");
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/door_paths.journal");
+    let want = fs::read_to_string(&fixture).expect("committed fixture");
+    assert_eq!(journal, want);
 }

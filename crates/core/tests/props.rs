@@ -290,3 +290,218 @@ mod persist_props {
         }
     }
 }
+
+/// Model-based test of G's merged record: random operation sequences run
+/// against the sharded [`KernelTable`](easched_core::KernelTable) and
+/// against a reference of three plain maps — entries, priors, drift cells —
+/// that follows the rules the scheduler relied on when those lived in
+/// three separately locked structures.
+mod record_model {
+    use easched_core::{
+        Accumulation, AlphaStat, DriftCell, DriftMonitor, DriftOutcome, DriftPolicy, KernelTable,
+        ReuseProbe,
+    };
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Small enough that every operation keeps hitting the same kernels.
+    const KEYS: u64 = 5;
+
+    #[derive(Default, Clone)]
+    struct Reference {
+        entries: BTreeMap<u64, (AlphaStat, bool)>,
+        priors: BTreeMap<u64, f64>,
+        drift: BTreeMap<u64, DriftCell>,
+    }
+
+    impl Reference {
+        fn accumulate(&mut self, k: u64, alpha: f64, weight: f64, mode: Accumulation) -> AlphaStat {
+            // Local learning erases the prior and clears the taint.
+            self.priors.remove(&k);
+            let fresh = AlphaStat {
+                alpha,
+                weight: 0.0,
+                invocations_seen: 0,
+            };
+            let (stat, tainted) = self.entries.entry(k).or_insert((fresh, false));
+            *tainted = false;
+            match mode {
+                Accumulation::SampleWeighted => {
+                    let total = stat.weight + weight;
+                    if total > 0.0 {
+                        stat.alpha = (stat.alpha * stat.weight + alpha * weight) / total;
+                        stat.weight = total;
+                    }
+                }
+                Accumulation::LastValue => {
+                    stat.alpha = alpha;
+                    stat.weight = weight;
+                }
+            }
+            *stat
+        }
+
+        fn taint(&mut self, k: u64) {
+            // A no-op on an unknown kernel.
+            if let Some((_, tainted)) = self.entries.get_mut(&k) {
+                *tainted = true;
+            }
+        }
+
+        fn set_prior(&mut self, k: u64, alpha: f64) -> bool {
+            // Refused once learned, and while an earlier prior stands.
+            let install = alpha.is_finite()
+                && !self.entries.contains_key(&k)
+                && !self.priors.contains_key(&k);
+            if install {
+                self.priors.insert(k, alpha.clamp(0.0, 1.0));
+            }
+            install
+        }
+
+        fn note_reuse(&mut self, k: u64) -> Option<ReuseProbe> {
+            // Priors are invisible to the reuse path.
+            let (stat, tainted) = self.entries.get_mut(&k)?;
+            stat.invocations_seen += 1;
+            Some(ReuseProbe {
+                alpha: stat.alpha,
+                invocations_seen: stat.invocations_seen,
+                tainted: *tainted,
+            })
+        }
+
+        fn insert(&mut self, k: u64, stat: AlphaStat) {
+            // A verbatim install starts the record over.
+            self.entries.insert(k, (stat, false));
+            self.priors.remove(&k);
+            self.drift.remove(&k);
+        }
+
+        fn fold(
+            &mut self,
+            monitor: &DriftMonitor,
+            k: u64,
+            predicted: Option<f64>,
+            realized: f64,
+        ) -> Option<DriftOutcome> {
+            // Drift is judged against a learned ratio: no entry, no fold.
+            if !self.entries.contains_key(&k) {
+                return None;
+            }
+            monitor.observe(self.drift.entry(k).or_default(), predicted, realized, 10)
+        }
+    }
+
+    /// Everything observable about `table` equals the reference.
+    fn assert_same(table: &KernelTable, reference: &Reference) {
+        for k in 0..KEYS {
+            let entry = reference.entries.get(&k);
+            assert_eq!(table.stat(k), entry.map(|e| e.0), "stat {k}");
+            assert_eq!(table.lookup(k), entry.map(|e| e.0.alpha), "lookup {k}");
+            assert_eq!(table.is_tainted(k), entry.is_some_and(|e| e.1), "taint {k}");
+            assert_eq!(
+                table.prior(k),
+                reference.priors.get(&k).copied(),
+                "prior {k}"
+            );
+            let ewma = reference.drift.get(&k).and_then(DriftCell::ewma);
+            assert_eq!(table.drift(k, DriftCell::ewma).flatten(), ewma, "ewma {k}");
+            assert_eq!(
+                table.drift(k, |_| ()).is_some(),
+                entry.is_some(),
+                "cell {k}"
+            );
+        }
+        let snapshot: Vec<_> = reference
+            .entries
+            .iter()
+            .map(|(&k, &(stat, tainted))| (k, stat, tainted))
+            .collect();
+        assert_eq!(table.snapshot_with_taint(), snapshot);
+        let plain: Vec<_> = snapshot.iter().map(|&(k, stat, _)| (k, stat)).collect();
+        assert_eq!(table.snapshot(), plain);
+        assert_eq!(table.len(), reference.entries.len());
+        assert_eq!(table.is_empty(), reference.entries.is_empty());
+        assert_eq!(table.prior_count(), reference.priors.len());
+    }
+
+    proptest! {
+        #[test]
+        fn merged_record_matches_three_plain_maps(
+            ops in prop::collection::vec((0u8..8, 0u64..KEYS, 0u32..=12, 0u32..4), 1..80),
+            fork_at in 0usize..80,
+        ) {
+            // EWMA = latest sample, two breaches fire, a small bucket: the
+            // fold's every branch is reachable within a short sequence.
+            let policy = DriftPolicy {
+                bound: 0.5,
+                breach_invocations: 2,
+                ewma_weight: 1.0,
+                cooldown: 2,
+                bucket_capacity: 2.0,
+                ..DriftPolicy::default()
+            };
+            let (monitor, ref_monitor) = (DriftMonitor::new(policy), DriftMonitor::new(policy));
+            let table = KernelTable::new();
+            let mut reference = Reference::default();
+            let mut fork = None;
+            for (i, &(op, k, a, w)) in ops.iter().enumerate() {
+                if i == fork_at {
+                    fork = Some((table.clone(), reference.clone()));
+                }
+                // α on and off [0, 1], weights from zero up.
+                let alpha = f64::from(a) / 10.0;
+                let weight = f64::from(w) * 50.0;
+                match op {
+                    0 | 1 => {
+                        let mode = if op == 0 {
+                            Accumulation::SampleWeighted
+                        } else {
+                            Accumulation::LastValue
+                        };
+                        let got = table.accumulate(k, alpha.min(1.0), weight, mode);
+                        prop_assert_eq!(got, reference.accumulate(k, alpha.min(1.0), weight, mode));
+                    }
+                    2 => {
+                        table.taint(k);
+                        reference.taint(k);
+                    }
+                    3 => {
+                        let hint = if w == 3 { f64::NAN } else { alpha };
+                        prop_assert_eq!(table.set_prior(k, hint), reference.set_prior(k, hint));
+                    }
+                    4 => {
+                        table.clear_prior(k);
+                        reference.priors.remove(&k);
+                    }
+                    5 => prop_assert_eq!(table.note_reuse(k), reference.note_reuse(k)),
+                    6 => {
+                        let stat = AlphaStat {
+                            alpha: alpha.min(1.0),
+                            weight,
+                            invocations_seen: u64::from(a),
+                        };
+                        table.insert(k, stat);
+                        reference.insert(k, stat);
+                    }
+                    _ => {
+                        // Profiled folds carry a prediction, table hits
+                        // score against the stored reference.
+                        let predicted = (w % 2 == 0).then_some(100.0);
+                        let realized = 25.0 * f64::from(a + 1);
+                        let fold = |cell: &_| monitor.observe(cell, predicted, realized, 10);
+                        let got = table.drift(k, fold).flatten();
+                        prop_assert_eq!(got, reference.fold(&ref_monitor, k, predicted, realized));
+                        prop_assert_eq!(monitor.tokens(), ref_monitor.tokens());
+                    }
+                }
+                assert_same(&table, &reference);
+            }
+            // `Clone` is deep for all three: whatever ran after the fork
+            // left the fork as it was.
+            if let Some((table, reference)) = fork {
+                assert_same(&table, &reference);
+            }
+        }
+    }
+}

@@ -3,15 +3,15 @@
 //! accumulated weight, and reuse each other's profiling work.
 
 use easched_core::{
-    Accumulation, EasConfig, EasRuntime, EasScheduler, Objective, PowerCurve, PowerModel,
-    SharedEas, SharedEasExt, WorkloadClass,
+    Accumulation, EasConfig, EasRuntime, EasScheduler, KernelTable, Objective, PowerCurve,
+    PowerModel, SharedEas, SharedEasExt, WorkloadClass,
 };
 use easched_kernels::suite;
 use easched_num::Polynomial;
 use easched_runtime::backend::test_support::FakeBackend;
 use easched_runtime::{Backend, Scheduler};
 use easched_sim::Platform;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const THREADS: usize = 8;
 
@@ -114,6 +114,48 @@ fn accumulated_weight_is_sum_of_contributions() {
     assert_eq!(stat.weight, (THREADS as u64 * per_thread) as f64);
     // Half the weight at α=1, half at α=0 → weighted mean exactly 0.5.
     assert!((stat.alpha - 0.5).abs() < 1e-12, "alpha {}", stat.alpha);
+}
+
+/// A prior is a hint for a kernel *not learned yet*: `set_prior` decides
+/// and installs under the one shard lock `accumulate` erases and folds
+/// under, so however eight threads interleave the two on a small key set,
+/// no kernel ends up holding both an entry and a prior. Each round races
+/// on fresh keys, released together by a barrier.
+#[test]
+fn racing_priors_never_land_beside_a_learned_entry() {
+    const ROUNDS: u64 = 500;
+    const KEYS: u64 = 4;
+    let table = KernelTable::new();
+    let barrier = Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for t in 0..THREADS as u64 {
+            let (table, barrier) = (&table, &barrier);
+            s.spawn(move || {
+                for round in 0..ROUNDS {
+                    barrier.wait();
+                    for i in 0..KEYS {
+                        // Threads walk the round's keys from different
+                        // starting points, half hinting, half learning.
+                        let k = round * KEYS + (i + t) % KEYS;
+                        if t % 2 == 0 {
+                            table.set_prior(k, 0.5);
+                        } else {
+                            table.accumulate(k, 0.5, 1.0, Accumulation::SampleWeighted);
+                        }
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(table.len() as u64, ROUNDS * KEYS, "every key was learned");
+    for k in 0..ROUNDS * KEYS {
+        assert_eq!(
+            table.prior(k),
+            None,
+            "kernel {k} holds an entry and a prior"
+        );
+    }
+    assert_eq!(table.prior_count(), 0);
 }
 
 /// The full stack: eight `EasRuntime`s (one simulated machine each) share

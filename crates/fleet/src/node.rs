@@ -232,10 +232,11 @@ impl FleetNode {
             .health()
     }
 
-    /// Quarantines a kernel locally (the fault pipeline's taint) so the
-    /// next [`publish_local`](FleetNode::publish_local) streams it out.
+    /// Quarantines a kernel locally (the fault pipeline's taint, journaled
+    /// like it) so the next [`publish_local`](FleetNode::publish_local)
+    /// streams it out.
     pub fn taint_local(&mut self, kernel: u64) {
-        self.shared.table().taint(kernel);
+        self.shared.taint(kernel);
     }
 
     /// Diffs the local table against what was last published and emits
@@ -244,11 +245,9 @@ impl FleetNode {
     /// self-apply immediately, so a node's own knowledge is part of its
     /// replica (and digest) without a network round-trip.
     pub fn publish_local(&mut self) {
-        let mut snapshot = self.shared.table().snapshot_with_taint();
-        // Shard iteration order is not deterministic; the wire order
-        // must be.
-        snapshot.sort_by_key(|(kernel, _, _)| *kernel);
-        for (kernel, stat, tainted) in snapshot {
+        // Sorted by kernel id: shard iteration order is not deterministic;
+        // the wire order must be.
+        for (kernel, stat, tainted) in self.shared.table().snapshot_with_taint() {
             let state = PublishedState {
                 alpha_bits: stat.alpha.to_bits(),
                 weight_bits: stat.weight.to_bits(),
@@ -395,7 +394,7 @@ impl FleetNode {
             // the node.
             self.shared.table().clear_prior(kernel);
             if env.platform == self.platform.name {
-                self.shared.table().taint(kernel);
+                self.shared.taint(kernel);
             }
             if self.reprofile.enqueue(kernel) {
                 self.stats.reprofiles_scheduled += 1;
@@ -403,9 +402,7 @@ impl FleetNode {
             return;
         }
         if let Op::Put { alpha, .. } = env.op {
-            let table = self.shared.table();
-            if alpha.is_finite() && table.stat(kernel).is_none() && table.prior(kernel).is_none() {
-                table.set_prior(kernel, alpha);
+            if self.shared.table().set_prior(kernel, alpha) {
                 self.stats.priors_applied += 1;
             }
         }
@@ -417,7 +414,7 @@ impl FleetNode {
     pub fn release_reprofiles(&mut self) {
         for kernel in self.reprofile.take_batch() {
             if self.shared.table().stat(kernel).is_some() {
-                self.shared.table().taint(kernel);
+                self.shared.taint(kernel);
             }
         }
     }

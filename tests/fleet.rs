@@ -301,3 +301,25 @@ fn journals_survive_the_fleet_run_for_cold_recovery() {
     }
     let _ = std::fs::remove_dir_all(&spec.store_root);
 }
+
+/// Quarantine is journaled like any other taint (DESIGN.md §11): a node
+/// that taints an entry locally and is killed before any checkpoint comes
+/// back with the entry recovered *and* still quarantined.
+#[test]
+fn local_taint_survives_a_kill_without_checkpoint() {
+    let root = scratch("taint-kill");
+    let (kernel, traits) = kernel_traits(0);
+    let mut n = node(0, Platform::haswell_desktop(), &root);
+    n.run_invocation(kernel, &traits, 120_000, 1);
+    let alpha = n.shared().learned_alpha(kernel).expect("learned");
+    n.taint_local(kernel);
+    drop(n); // kill -9: no checkpoint
+
+    let n = node(0, Platform::haswell_desktop(), &root);
+    assert_eq!(n.shared().learned_alpha(kernel), Some(alpha), "recovered");
+    assert!(
+        n.shared().table().is_tainted(kernel),
+        "the quarantine must survive the restart"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
