@@ -232,6 +232,32 @@ echo "==> rustdoc: broken intra-doc links fail the build"
 # The vendored stand-ins are excluded: proptest's trips rustdoc on its own
 # `vec` fn/macro ambiguity.
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline -q \
-    --exclude rand --exclude proptest --exclude criterion --exclude crossbeam
+    --exclude rand --exclude proptest --exclude crossbeam
+
+echo "==> one stopwatch: EXPERIMENTS.md §5 cites only lanes BENCHMARK.json declares"
+# Every backticked dotted or snake_case name in the §5 overhead section
+# that looks like a lane, metric or workload must be a "name" in
+# BENCHMARK.json, so the table cannot keep citing a lane renamed away.
+sed -n '/^## §5 /,/^## Shared kernel table/p' EXPERIMENTS.md \
+    | grep -o '`[a-z0-9_]*[._][a-z0-9_.]*`' | tr -d '`' | sort -u > target/ci-s5-names.txt
+test -s target/ci-s5-names.txt
+while read -r name; do
+    grep -q "\"name\": \"$name\"" BENCHMARK.json || {
+        echo "EXPERIMENTS.md §5 cites \`$name\`, which BENCHMARK.json does not declare"
+        exit 1
+    }
+done < target/ci-s5-names.txt
+
+echo "==> one stopwatch: no bench harness in the lockfile"
+# The workspace's own crates plus the three vendored stand-ins (DESIGN.md
+# §7) are all Cargo.lock may name: benchmark/ is the only bench harness,
+# so a fourth external package is either a stopwatch coming back or a
+# dependency this offline build cannot fetch.
+extra=$(grep '^name = ' Cargo.lock | grep -v -e '"easched' \
+    -e '"rand"' -e '"proptest"' -e '"crossbeam"' || true)
+if [ -n "$extra" ]; then
+    echo "unexpected package in Cargo.lock: $extra"
+    exit 1
+fi
 
 echo "CI green."

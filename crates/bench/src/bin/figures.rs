@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! figures <experiment>...       # fig1 fig2 fig3 fig4 fig5 fig6 table1
-//!                               # fig9 fig10 fig11 fig12 overhead
+//!                               # fig9 fig10 fig11 fig12
 //!                               # ablation-poly ablation-grid
 //!                               # ablation-categories ablation-profile
 //!                               # ablation-accum ablation-thresholds
@@ -36,7 +36,6 @@ fn run_one(lab: &mut Lab, name: &str) -> Option<Vec<Report>> {
         "tdp" => experiments::tdp(lab),
         "model-error" => experiments::model_error(lab),
         "trace-eas" => experiments::trace_eas(lab),
-        "overhead" => experiments::overhead(lab),
         "ablation-poly" => ablations::poly_order(lab),
         "ablation-grid" => ablations::grid_resolution(lab),
         "ablation-categories" => ablations::categories(lab),
@@ -69,7 +68,6 @@ const EXPERIMENTS: &[&str] = &[
     "tdp",
     "model-error",
     "trace-eas",
-    "overhead",
     "ablation-poly",
     "ablation-grid",
     "ablation-categories",

@@ -5,6 +5,7 @@
 //! the paper's figures; `EXPERIMENTS.md` records the comparisons.
 
 use crate::report::{compare_line, csv, md_table, pct, Report};
+use easched_core::telemetry::DecisionCsvSink;
 use easched_core::{
     characterize_with_sweeps, CharacterizationConfig, Classifier, EasConfig, EasScheduler,
     Evaluator, Objective, PowerModel, WorkloadComparison,
@@ -14,9 +15,10 @@ use easched_kernels::suite;
 use easched_kernels::workload::{record_trace, InvocationTrace, Workload};
 use easched_num::stats::mean;
 use easched_runtime::scheduler::FixedAlpha;
-use easched_runtime::{replay_trace, Backend, RunMetrics, SimBackend};
+use easched_runtime::{replay_trace, Backend, SimBackend};
 use easched_sim::{Machine, PhasePlan, Platform};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Cached platforms, power models, and workload traces shared by the
 /// experiments (characterization runs once per platform; each workload
@@ -843,10 +845,12 @@ pub fn trace_eas(lab: &mut Lab) -> Report {
         lab.desktop_model.clone(),
         EasConfig::new(Objective::EnergyDelay),
     );
+    let decisions = Arc::new(DecisionCsvSink::default());
+    eas.set_telemetry(Some(decisions.clone()));
     let metrics = replay_trace(&mut machine, &traits, 1, &trace, &mut eas);
     let power_trace = machine.take_trace();
     report.attach_csv("trace-eas", power_trace.resample(0.010).to_csv());
-    report.attach_csv("trace-eas_decisions", eas.decision_log_csv());
+    report.attach_csv("trace-eas_decisions", decisions.csv());
     report.line(format!(
         "- SM under EAS: {:.2} s, {:.1} J, mean {:.1} W, learned α = {:?}, {} α decisions",
         metrics.time,
@@ -854,42 +858,6 @@ pub fn trace_eas(lab: &mut Lab) -> Report {
         metrics.mean_power(),
         eas.learned_alpha(1),
         eas.decisions(),
-    ));
-    report
-}
-
-/// §5 "Online profiling overhead": wall-clock cost of one EAS α decision.
-pub fn overhead(lab: &mut Lab) -> Report {
-    let mut report = Report::new("overhead", "Per-decision scheduling overhead");
-    let mut eas = EasScheduler::new(
-        lab.desktop_model.clone(),
-        EasConfig::new(Objective::EnergyDelay),
-    );
-    let obs = easched_runtime::Observation {
-        elapsed: 0.001,
-        cpu_items: 1_000,
-        gpu_items: 2_048,
-        cpu_time: 0.001,
-        gpu_time: 0.001,
-        energy_joules: 0.05,
-        counters: easched_sim::CounterSnapshot {
-            instructions: 1e6,
-            loads: 2e5,
-            l3_misses: 1e5,
-        },
-    };
-    let iterations = 100_000u32;
-    let t0 = std::time::Instant::now();
-    let mut acc = 0.0;
-    for i in 0..iterations {
-        acc += eas.decide_alpha(&obs, 100_000 + u64::from(i));
-    }
-    let per_decision = t0.elapsed().as_secs_f64() / f64::from(iterations);
-    std::hint::black_box(acc);
-    report.line(compare_line(
-        "per-decision overhead",
-        "1–2 µs",
-        &format!("{:.2} µs", per_decision * 1e6),
     ));
     report
 }
@@ -912,20 +880,7 @@ pub fn all(lab: &mut Lab) -> Vec<Report> {
         tdp(lab),
         model_error(lab),
         trace_eas(lab),
-        overhead(lab),
     ]
-}
-
-/// Total run metrics of a scheduler on a workload trace — helper for the
-/// ablation studies.
-pub fn run_metrics<S: easched_runtime::Scheduler>(
-    platform: &Platform,
-    traits: &easched_sim::KernelTraits,
-    trace: &InvocationTrace,
-    scheduler: &mut S,
-) -> RunMetrics {
-    let mut machine = Machine::new(platform.clone());
-    replay_trace(&mut machine, traits, 1, trace, scheduler)
 }
 
 #[cfg(test)]
@@ -954,7 +909,6 @@ mod tests {
             (fig4(&mut lab), "GPU bursts"),
             (fig5(&mut lab), "sixth-order"),
             (fig6(&mut lab), "memory-bound draws less"),
-            (overhead(&mut lab), "per-decision"),
         ] {
             assert!(!report.markdown.is_empty(), "{}", report.id);
             assert!(

@@ -11,6 +11,11 @@
 //! ```
 //!
 //! Results are written under `results/` as CSV + markdown.
+//!
+//! Nothing in this crate reads a clock to measure the scheduler: host-time
+//! numbers — the paper's §5 overhead budget included — come from the
+//! `benchmark/` package (`bash benchmark/run.sh [--traced]`), the repo's
+//! only stopwatch, and EXPERIMENTS.md §5 quotes its lanes by name.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

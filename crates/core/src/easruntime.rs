@@ -141,7 +141,7 @@ impl EasRuntime {
     }
 
     /// Access to the scheduler state (e.g. to inspect learned ratios or
-    /// the decision log) — the runtime's own, or for a shared runtime
+    /// the decision count) — the runtime's own, or for a shared runtime
     /// ([`EasRuntime::with_shared`]) the one every stream drives.
     pub fn scheduler(&self) -> &SharedEas {
         self.driver.policy()

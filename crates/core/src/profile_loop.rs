@@ -9,7 +9,7 @@
 //! fold it into G with sample weighting (steps 23–26). The loop itself
 //! owns no state — it reads the engine (policy), reads/writes the table
 //! (memory), drives the backend (observation), and reports every decision
-//! to the state's counter and log.
+//! to the state's counter and sink.
 //!
 //! # Fault handling (DESIGN.md §9)
 //!
@@ -82,10 +82,10 @@ impl InvocationSummary {
 
 /// Executes one kernel invocation under the EAS policy.
 ///
-/// Every profiling-round α decision is counted and logged on `eas`, in
-/// order. With a telemetry sink attached, one [`DecisionRecord`] is
-/// emitted after the invocation completes; without one the loop runs the
-/// exact untelemetered path.
+/// Every profiling-round α decision is counted on `eas` and reported to
+/// its sink, in order. With a telemetry sink attached, one
+/// [`DecisionRecord`] is emitted after the invocation completes; without
+/// one the loop runs the exact untelemetered path.
 pub(crate) fn schedule_invocation(
     eas: &SharedEas,
     kernel: KernelId,
@@ -135,7 +135,7 @@ fn elapsed_nanos(clock: &dyn Clock, started: f64) -> u64 {
 }
 
 /// Emits a control-loop event when a sink is attached (no-op otherwise).
-fn emit(sink: Option<&dyn TelemetrySink>, event: &ControlEvent) {
+pub(crate) fn emit(sink: Option<&dyn TelemetrySink>, event: &ControlEvent) {
     if let Some(sink) = sink {
         sink.control(event);
     }
@@ -425,7 +425,7 @@ fn drive(
         rounds += 1;
         last = Some(decision);
         let decided = decision.alpha;
-        eas.note_decision(decision);
+        eas.note_decision(&decision);
         streak = if (decided - alpha).abs() < 1e-9 && alpha_weight > 0.0 {
             streak + 1
         } else {

@@ -2,13 +2,17 @@
 //!
 //! [`SharedEas`] is the only struct that owns EAS scheduler state: the
 //! pure [`DecisionEngine`] policy, the sharded [`KernelTable`] G, the
-//! atomic [`Health`] pipeline, the decision counter and log, and the
-//! telemetry sink, store and clock the Figure 7 loop (`profile_loop`)
-//! reads. Every piece is interior-synchronized, so the struct is driven
-//! through the `&self` [`ConcurrentScheduler`] API: wrap it in an `Arc`,
-//! hand a [`handle()`](SharedEasExt::handle) to each stream, and every
-//! stream both benefits from and contributes to one global table — the
-//! paper's "global table G" made literal for multi-programmed workloads.
+//! atomic [`Health`] pipeline, the decision counter, and the telemetry
+//! sink, store and clock the Figure 7 loop (`profile_loop`) reads. Every
+//! piece is interior-synchronized, so the struct is driven through the
+//! `&self` [`ConcurrentScheduler`] API: wrap it in an `Arc`, hand a
+//! [`handle()`](SharedEasExt::handle) to each stream, and every stream
+//! both benefits from and contributes to one global table — the paper's
+//! "global table G" made literal for multi-programmed workloads.
+//!
+//! It keeps no per-decision history: a profiling round bumps the counter
+//! and is reported to the sink as a [`ControlEvent::Decided`], so what a
+//! run remembers of its decisions is what its sink keeps (DESIGN.md §10).
 //!
 //! [`EasScheduler`] is the exclusive (`&mut self`) face of the same
 //! struct: it owns one `SharedEas` by value and derefs to it, so a
@@ -22,8 +26,8 @@
 //!
 //! The reuse path (a known kernel arriving again) takes only a shard read
 //! lock plus one atomic increment, so concurrent streams re-invoking
-//! learned kernels scale with reader parallelism; see
-//! `crates/bench/benches/decision.rs` for the contended-lookup numbers.
+//! learned kernels scale with reader parallelism; EXPERIMENTS.md §5
+//! carries the contended-lookup numbers.
 
 use crate::eas::{Decision, EasConfig, EasScheduler};
 use crate::engine::DecisionEngine;
@@ -31,15 +35,15 @@ use crate::health::{merge_store_health, Health, HealthReport};
 use crate::journal::{Recovered, StoreError, TableStore};
 use crate::kernel_table::KernelTable;
 use crate::power_model::PowerModel;
-use crate::profile_loop;
+use crate::profile_loop::{self, emit};
 use easched_runtime::vfs::{StdFs, Vfs};
 use easched_runtime::{
     Backend, Clock, ConcurrentScheduler, InvocationCtx, KernelId, Shared, WallClock,
 };
-use easched_telemetry::TelemetrySink;
+use easched_telemetry::{ControlEvent, TelemetrySink};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// The scheme a shared scheduler reports itself as.
 const SHARED: &str = "EAS-shared";
@@ -55,9 +59,9 @@ fn scheme_name(scheme: &str, config: &EasConfig) -> String {
 /// number of threads sharing one `Arc`, or through `&mut self` behind an
 /// [`EasScheduler`].
 ///
-/// `Clone` is a *fork*: the copy owns its own table, health state,
-/// decision log and counter (and shares the sink, store and clock
-/// handles), so schedulers cloned from a pristine one learn independently.
+/// `Clone` is a *fork*: the copy owns its own table, health state and
+/// decision counter (and shares the sink, store and clock handles), so
+/// schedulers cloned from a pristine one learn independently.
 ///
 /// # Examples
 ///
@@ -92,7 +96,6 @@ pub struct SharedEas {
     pub(crate) name: String,
     /// Total decision-making profiling rounds, for diagnostics.
     decisions: AtomicU64,
-    log: Mutex<Vec<Decision>>,
     pub(crate) telemetry: Option<Arc<dyn TelemetrySink>>,
     pub(crate) store: Option<Arc<TableStore>>,
     pub(crate) clock: Arc<dyn Clock>,
@@ -106,7 +109,6 @@ impl Clone for SharedEas {
             health: self.health.clone(),
             name: self.name.clone(),
             decisions: AtomicU64::new(self.decisions()),
-            log: Mutex::new(self.decision_log()),
             telemetry: self.telemetry.clone(),
             store: self.store.clone(),
             clock: Arc::clone(&self.clock),
@@ -206,7 +208,6 @@ impl SharedEas {
             health,
             name,
             decisions: AtomicU64::new(0),
-            log: Mutex::new(Vec::new()),
             telemetry,
             store,
             clock: Arc::new(WallClock),
@@ -241,64 +242,22 @@ impl SharedEas {
         self.decisions.load(Ordering::Relaxed)
     }
 
-    /// A copy of every α decision made so far. Decisions from one stream
-    /// stay in that stream's order; interleaving across streams follows
-    /// lock-acquisition order.
-    pub fn decision_log(&self) -> Vec<Decision> {
-        // Recover from poisoning: a stream that panicked mid-push leaves a
-        // fully written Vec (push is not observable half-done here), and
-        // one dead tenant must not take down the other streams.
-        self.log
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Serializes the decision log as CSV (for the harness and post-hoc
-    /// analysis).
-    ///
-    /// ```
-    /// # use easched_core::{EasConfig, EasScheduler, Objective, PowerModel, PowerCurve, WorkloadClass};
-    /// # use easched_num::Polynomial;
-    /// # let curves = WorkloadClass::all().into_iter()
-    /// #     .map(|c| PowerCurve::new(c, Polynomial::constant(50.0), 0.0, 11)).collect();
-    /// # let model = PowerModel::new("x", curves);
-    /// let eas = EasScheduler::new(model, EasConfig::new(Objective::Energy));
-    /// assert!(eas.decision_log_csv().starts_with("kernel,r_c,r_g,"));
-    /// ```
-    pub fn decision_log_csv(&self) -> String {
-        let mut out = String::from("kernel,r_c,r_g,class,n_remaining,alpha\n");
-        for d in self.decision_log() {
-            out.push_str(&format!(
-                "{},{:.3},{:.3},{},{},{:.3}\n",
-                d.kernel,
-                d.r_c,
-                d.r_g,
-                d.class.index(),
-                d.n_remaining,
-                d.alpha
-            ));
-        }
-        out
-    }
-
-    /// Counts and logs one profiling-round α decision (the Figure 7 loop
-    /// calls this once per round, in order).
-    pub(crate) fn note_decision(&self, decision: Decision) {
+    /// Counts one profiling-round α decision and reports it to the sink
+    /// (the Figure 7 loop calls this once per round, in order). With no
+    /// sink attached the scheduler stores nothing per decision.
+    pub(crate) fn note_decision(&self, decision: &Decision) {
         self.decisions.fetch_add(1, Ordering::Relaxed);
-        // Poisoning is recovered from for the reason `decision_log` gives.
-        self.log
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(decision);
-    }
-
-    /// [`note_decision`](Self::note_decision) for a caller with exclusive
-    /// access, which reaches the counter and log without locking.
-    pub(crate) fn note_decision_mut(&mut self, decision: Decision) {
-        *self.decisions.get_mut() += 1;
-        let log = self.log.get_mut();
-        log.unwrap_or_else(PoisonError::into_inner).push(decision);
+        emit(
+            self.telemetry.as_deref(),
+            &ControlEvent::Decided {
+                kernel: decision.kernel,
+                r_c: decision.r_c,
+                r_g: decision.r_g,
+                class: decision.class.index() as u8,
+                n_remaining: decision.n_remaining,
+                alpha: decision.alpha,
+            },
+        );
     }
 
     /// The underlying decision engine (policy layer).
@@ -390,7 +349,7 @@ impl SharedEasExt for Arc<SharedEas> {
 impl EasScheduler {
     /// Converts an exclusive scheduler into a shareable one — a move of
     /// the one state struct, so the learned table, health, decision
-    /// history, sink, store and clock all arrive. Useful for warming a
+    /// count, sink, store and clock all arrive. Useful for warming a
     /// table single-threaded, then serving it to N streams.
     pub fn into_shared(self) -> Arc<SharedEas> {
         let mut state = self.state;
@@ -414,10 +373,18 @@ mod tests {
     use easched_num::Polynomial;
     use easched_runtime::backend::test_support::FakeBackend;
     use easched_runtime::{Scheduler, TickClock};
-    use easched_telemetry::RingSink;
+    use easched_telemetry::{DecisionCsvSink, FanoutSink, RingSink};
 
     fn ring() -> Arc<RingSink> {
         Arc::new(RingSink::with_capacity(64))
+    }
+
+    /// A ring for the per-invocation records and a collector for the
+    /// per-round decisions, behind the one sink a scheduler takes.
+    fn ring_and_rounds() -> (Arc<RingSink>, Arc<DecisionCsvSink>, Arc<dyn TelemetrySink>) {
+        let (ring, rounds) = (ring(), Arc::new(DecisionCsvSink::default()));
+        let both = FanoutSink::new(vec![ring.clone(), rounds.clone()]);
+        (ring, rounds, Arc::new(both))
     }
 
     fn flat_model(watts: f64) -> PowerModel {
@@ -431,11 +398,12 @@ mod tests {
     #[test]
     fn shared_matches_exclusive_single_stream() {
         let cfg = EasConfig::new(Objective::Time);
-        let (sink_x, sink_s) = (ring(), ring());
+        let (sink_x, rounds_x, both_x) = ring_and_rounds();
+        let (sink_s, rounds_s, both_s) = ring_and_rounds();
         let mut exclusive = EasScheduler::new(flat_model(50.0), cfg.clone());
-        exclusive.set_telemetry(Some(sink_x.clone()));
+        exclusive.set_telemetry(Some(both_x));
         exclusive.set_clock(Arc::new(TickClock::new()));
-        let mut state = SharedEas::build(flat_model(50.0), cfg, SHARED, Some(sink_s.clone()), None);
+        let mut state = SharedEas::build(flat_model(50.0), cfg, SHARED, Some(both_s), None);
         state.clock = Arc::new(TickClock::new());
         let shared = Arc::new(state);
 
@@ -457,8 +425,11 @@ mod tests {
         }
         assert_eq!(exclusive.learned_alpha(7), shared.learned_alpha(7));
         assert_eq!(exclusive.decisions(), shared.decisions());
-        assert_eq!(exclusive.decision_log(), shared.decision_log());
-        assert_eq!(exclusive.decision_log_csv(), shared.decision_log_csv());
+        // ...and decide identically round by round, one row per decision.
+        assert_eq!(rounds_x.csv(), rounds_s.csv());
+        let rows = rounds_s.csv().lines().count() as u64 - 1;
+        assert_eq!(rows, shared.decisions());
+        assert!(rows > 0);
         assert_eq!(exclusive.health(), shared.health());
         // ...and differ only in what they call themselves.
         assert_eq!(Scheduler::name(&exclusive), "EAS(time)");
@@ -479,13 +450,11 @@ mod tests {
         eas.schedule(7, &mut b);
         let alpha = eas.learned_alpha(7);
         let decisions = eas.decisions();
-        let log = eas.decision_log();
         let store = Arc::clone(eas.store().unwrap());
 
         let shared = eas.into_shared();
         assert_eq!(shared.learned_alpha(7), alpha);
         assert_eq!(shared.decisions(), decisions);
-        assert_eq!(shared.decision_log(), log);
         assert_eq!(ConcurrentScheduler::name(&*shared), "EAS-shared(time)");
         // The sink, store and clock arrive too (the overload harness
         // records through exactly these after `into_shared`).

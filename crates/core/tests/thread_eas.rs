@@ -42,10 +42,7 @@ fn eas_schedules_real_threads_end_to_end() {
         "every item exactly once across CPU workers and GPU proxy"
     );
     assert!(eas.learned_alpha(7).is_some());
-    assert!(
-        !eas.decision_log().is_empty(),
-        "profiling rounds were recorded"
-    );
+    assert!(eas.decisions() > 0, "profiling rounds were counted");
 
     // Second invocation reuses the learned ratio (no new decisions).
     let decisions = eas.decisions();

@@ -49,6 +49,4 @@ pub use run::{
     FleetSpec, NodeReport, TaintPlan, MAX_DRAIN_ROUNDS,
 };
 pub use stats::{expose_fleet, expose_fleet_store, FleetStats};
-pub use transport::{
-    ChaosConfig, ChaosTransport, LinkStats, Partition, PerfectTransport, Transport,
-};
+pub use transport::{ChaosConfig, ChaosTransport, LinkStats, Partition};

@@ -24,7 +24,7 @@ use easched_runtime::ConcurrentScheduler;
 use easched_sim::{KernelTraits, Machine, Platform};
 use easched_telemetry::{Span, SpanKind, SpanSink};
 use std::collections::{BTreeMap, HashMap};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Cap on envelopes per entries frame — the batching knob. Leftovers go
@@ -57,7 +57,6 @@ pub struct FleetNode {
     pub stats: FleetStats,
     machine: Machine,
     shared: Arc<SharedEas>,
-    store_dir: PathBuf,
     /// Node epoch: strictly increases across restarts (fenced by the
     /// journal's snapshot generation via the start-time checkpoint).
     generation: u64,
@@ -157,7 +156,6 @@ impl FleetNode {
             stats: FleetStats::default(),
             machine,
             shared,
-            store_dir,
             generation,
             next_seq: 1,
             logs: BTreeMap::new(),
@@ -177,11 +175,6 @@ impl FleetNode {
     /// The scheduler (for table/health inspection in tests and reports).
     pub fn shared(&self) -> &Arc<SharedEas> {
         &self.shared
-    }
-
-    /// The node's journal directory.
-    pub fn store_dir(&self) -> &Path {
-        &self.store_dir
     }
 
     /// The node's current epoch.

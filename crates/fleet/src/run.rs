@@ -12,13 +12,15 @@
 use crate::frame::{Frame, FramePayload, NodeId};
 use crate::node::FleetNode;
 use crate::stats::FleetStats;
-use crate::transport::{ChaosConfig, ChaosTransport, Partition, Transport};
+use crate::transport::{colon_fields, node_id, ChaosConfig, ChaosTransport};
 use easched_core::{fnv1a64, EasConfig, Objective, RunSeed, StoreError, StoreHealth};
 use easched_replay::{Event, RunLog, FORMAT_VERSION_FLEET};
 use easched_runtime::vfs::{ChaosFs, ChaosFsPlan, StdFs, Vfs};
 use easched_runtime::TickClock;
 use easched_sim::{KernelTraits, Platform};
+use std::fmt;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::Arc;
 
 /// Drain rounds allowed after the workload before declaring
@@ -36,6 +38,26 @@ pub struct CrashPlan {
     pub restart_at_tick: u64,
 }
 
+/// `node:at:restart`, as the spec line and `--crash` write it.
+impl fmt::Display for CrashPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}:{}:{}", self.node, self.at_tick, self.restart_at_tick)
+    }
+}
+
+impl FromStr for CrashPlan {
+    type Err = String;
+
+    fn from_str(text: &str) -> Result<CrashPlan, String> {
+        let [node, at_tick, restart_at_tick] = colon_fields(text)?;
+        Ok(CrashPlan {
+            node: node_id(node)?,
+            at_tick,
+            restart_at_tick,
+        })
+    }
+}
+
 /// An injected taint (the fault pipeline quarantining an entry) used to
 /// exercise fleet-wide quarantine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +68,26 @@ pub struct TaintPlan {
     pub node: NodeId,
     /// Index into the synthetic kernel set.
     pub kernel_index: u64,
+}
+
+/// `tick:node:kernel`, as the spec line and `--taint` write it.
+impl fmt::Display for TaintPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}:{}:{}", self.at_tick, self.node, self.kernel_index)
+    }
+}
+
+impl FromStr for TaintPlan {
+    type Err = String;
+
+    fn from_str(text: &str) -> Result<TaintPlan, String> {
+        let [at_tick, node, kernel_index] = colon_fields(text)?;
+        Ok(TaintPlan {
+            at_tick,
+            node: node_id(node)?,
+            kernel_index,
+        })
+    }
 }
 
 /// Everything a fleet run depends on. Two runs with equal specs produce
@@ -114,19 +156,11 @@ impl FleetSpec {
         let partitions = if self.chaos.partitions.is_empty() {
             "-".to_string()
         } else {
-            self.chaos
-                .partitions
-                .iter()
-                .map(|p| format!("{}:{}:{}:{}", p.a, p.b, p.from_tick, p.to_tick))
-                .collect::<Vec<_>>()
-                .join(",")
+            let parts = self.chaos.partitions.iter().map(ToString::to_string);
+            parts.collect::<Vec<_>>().join(",")
         };
-        let crash = self.crash.map_or("-".to_string(), |c| {
-            format!("{}:{}:{}", c.node, c.at_tick, c.restart_at_tick)
-        });
-        let taint = self.taint.map_or("-".to_string(), |t| {
-            format!("{}:{}:{}", t.at_tick, t.node, t.kernel_index)
-        });
+        let crash = self.crash.map_or("-".to_string(), |c| c.to_string());
+        let taint = self.taint.map_or("-".to_string(), |t| t.to_string());
         let mut line = format!(
             "spec v1 seed {:016x} platforms {platforms} ticks {} inv {} items {} kernels {} \
              budget {} chaos {} {} {} {} {} partitions {partitions} crash {crash} taint {taint}",
@@ -190,49 +224,18 @@ impl FleetSpec {
         let mut chaos = chaos;
         if partitions_word != "-" {
             for part in partitions_word.split(',') {
-                let mut f = part.split(':');
-                chaos.partitions.push(Partition {
-                    a: f.next()?.parse().ok()?,
-                    b: f.next()?.parse().ok()?,
-                    from_tick: f.next()?.parse().ok()?,
-                    to_tick: f.next()?.parse().ok()?,
-                });
-                if f.next().is_some() {
-                    return None;
-                }
+                chaos.partitions.push(part.parse().ok()?);
             }
         }
         expect(&mut p, "crash")?;
-        let crash_word = p.next()?;
-        let crash = if crash_word == "-" {
-            None
-        } else {
-            let mut f = crash_word.split(':');
-            let plan = CrashPlan {
-                node: f.next()?.parse().ok()?,
-                at_tick: f.next()?.parse().ok()?,
-                restart_at_tick: f.next()?.parse().ok()?,
-            };
-            if f.next().is_some() {
-                return None;
-            }
-            Some(plan)
+        let crash = match p.next()? {
+            "-" => None,
+            plan => Some(plan.parse().ok()?),
         };
         expect(&mut p, "taint")?;
-        let taint_word = p.next()?;
-        let taint = if taint_word == "-" {
-            None
-        } else {
-            let mut f = taint_word.split(':');
-            let plan = TaintPlan {
-                at_tick: f.next()?.parse().ok()?,
-                node: f.next()?.parse().ok()?,
-                kernel_index: f.next()?.parse().ok()?,
-            };
-            if f.next().is_some() {
-                return None;
-            }
-            Some(plan)
+        let taint = match p.next()? {
+            "-" => None,
+            plan => Some(plan.parse().ok()?),
         };
         let chaos_fs = match p.next() {
             None => None,
@@ -388,16 +391,28 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
     if spec.kernels == 0 {
         return Err(FleetError::BadSpec("no kernels".into()));
     }
-    if let Some(c) = spec.crash {
-        if usize::from(c.node) >= spec.platforms.len() {
-            return Err(FleetError::BadSpec(format!(
-                "crash node {} out of range",
-                c.node
-            )));
+    // Every scheduled fault indexes the node list; a spec naming an
+    // absent node — from the CLI or an edited log — is unusable input.
+    let present = |field: &str, node: NodeId| {
+        if usize::from(node) < spec.platforms.len() {
+            Ok(())
+        } else {
+            let why = format!("{field} node {node} out of range");
+            Err(FleetError::BadSpec(why))
         }
+    };
+    if let Some(c) = spec.crash {
+        present("crash", c.node)?;
         if c.restart_at_tick <= c.at_tick {
             return Err(FleetError::BadSpec("restart before crash".into()));
         }
+    }
+    if let Some(t) = spec.taint {
+        present("taint", t.node)?;
+    }
+    for p in &spec.chaos.partitions {
+        present("partition", p.a)?;
+        present("partition", p.b)?;
     }
     let seed = RunSeed::new(spec.seed);
     let (store_root, scratch) = if spec.store_root.as_os_str().is_empty() {
@@ -730,16 +745,19 @@ pub fn replay_fleet(recorded: &RunLog, store_root: PathBuf) -> Result<FleetRepor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Partition;
 
     #[test]
     fn spec_line_round_trips() {
         let mut spec = FleetSpec::three_nodes(0x2a);
-        spec.chaos.partitions.push(Partition {
-            a: 0,
-            b: 2,
-            from_tick: 1,
-            to_tick: 4,
-        });
+        for (a, b, from_tick, to_tick) in [(0, 2, 1, 4), (1, 2, 0, 2)] {
+            spec.chaos.partitions.push(Partition {
+                a,
+                b,
+                from_tick,
+                to_tick,
+            });
+        }
         spec.crash = Some(CrashPlan {
             node: 1,
             at_tick: 2,
@@ -750,10 +768,38 @@ mod tests {
             node: 0,
             kernel_index: 1,
         });
+        spec.chaos_fs = Some(150);
         let line = spec.to_line();
+        // The bytes the commit before the colon codec wrote for this spec
+        // (`easched fleet --seed 42 --partition 0:2:1:4 --partition
+        // 1:2:0:2 --crash 1:2:4 --taint 3:0:1 --chaos-fs 150 --record`):
+        // recorded v3 logs carry this line, so it may not move.
+        assert_eq!(
+            line,
+            "spec v1 seed 000000000000002a platforms \
+             haswell-desktop,baytrail-tablet,skylake-minipc ticks 6 inv 2 items 60000 \
+             kernels 4 budget 2 chaos 150 100 150 80 2 partitions 0:2:1:4,1:2:0:2 \
+             crash 1:2:4 taint 3:0:1 chaosfs 150"
+        );
         let back = FleetSpec::from_line(&line).expect("parses");
         assert_eq!(back, spec);
         assert_eq!(back.to_line(), line);
+        // Trailing fields are rejected, in every one of the three forms.
+        for (good, bad) in [
+            ("0:2:1:4,1:2:0:2", "0:2:1:4:9,1:2:0:2"),
+            ("crash 1:2:4", "crash 1:2:4:9"),
+            ("taint 3:0:1", "taint 3:0:1:9"),
+        ] {
+            assert_eq!(
+                FleetSpec::from_line(&line.replace(good, bad)),
+                None,
+                "{bad}"
+            );
+        }
+        // The pre-chaos wire format stays accepted (old fixtures).
+        spec.chaos_fs = None;
+        assert!(!spec.to_line().contains("chaosfs"));
+        assert_eq!(FleetSpec::from_line(&spec.to_line()), Some(spec));
     }
 
     #[test]
@@ -763,19 +809,6 @@ mod tests {
         assert_ne!(id0, id1);
         assert_ne!(t0.cpu_rate(), t1.cpu_rate());
         assert_eq!(kernel_traits(0).1.cpu_rate(), t0.cpu_rate());
-    }
-
-    #[test]
-    fn spec_line_round_trips_with_chaos_fs() {
-        let mut spec = FleetSpec::three_nodes(0x2b);
-        spec.chaos_fs = Some(150);
-        let line = spec.to_line();
-        assert!(line.ends_with("chaosfs 150"), "{line}");
-        let back = FleetSpec::from_line(&line).expect("parses");
-        assert_eq!(back, spec);
-        // The pre-chaos wire format stays accepted (old fixtures).
-        spec.chaos_fs = None;
-        assert_eq!(FleetSpec::from_line(&spec.to_line()), Some(spec));
     }
 
     #[test]

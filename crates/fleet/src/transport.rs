@@ -1,76 +1,37 @@
-//! In-process transports: a perfect one and a seeded chaos one.
+//! The in-process fabric between fleet nodes: one seeded chaos transport.
 //!
-//! The anti-entropy protocol (DESIGN.md §15) is transport-agnostic: nodes
-//! hand encoded frames to a [`Transport`] and poll their inbox. The
-//! [`PerfectTransport`] delivers everything next tick, in order — the
-//! baseline the convergence tests calibrate against. The
-//! [`ChaosTransport`] is the adversary: seeded from
-//! `RunSeed::derive("fleet")`, it drops, duplicates, reorders, delays and
-//! tears frames, and enforces scheduled link partitions — all
+//! The anti-entropy protocol (DESIGN.md §15) hands encoded frames to a
+//! [`ChaosTransport`] and polls each node's inbox. Seeded from
+//! `RunSeed::derive("fleet")`, the transport drops, duplicates, reorders,
+//! delays and tears frames, and enforces scheduled link partitions — all
 //! deterministically, so every chaos run is byte-for-byte replayable.
+//! Under [`ChaosConfig::quiet`] it delivers everything next tick, in
+//! order: the control condition the convergence tests calibrate against.
 
 use crate::frame::NodeId;
 use easched_sim::noise::splitmix64;
+use std::fmt;
+use std::str::FromStr;
 
-/// A message fabric between fleet nodes.
-///
-/// Implementations are single-threaded and tick-driven: `send` enqueues,
-/// [`tick`](Transport::tick) advances virtual time, and
-/// [`poll`](Transport::poll) drains whatever has arrived for a node.
-pub trait Transport {
-    /// Enqueues an encoded frame from `src` to `dst`.
-    fn send(&mut self, src: NodeId, dst: NodeId, frame: String);
-    /// Drains every frame that has arrived for `dst`, in delivery order.
-    fn poll(&mut self, dst: NodeId) -> Vec<String>;
-    /// Advances virtual time one tick (delays count down, partitions
-    /// open and heal).
-    fn tick(&mut self);
-    /// Drops everything in flight to or from a crashed node — a kill -9
-    /// takes its socket buffers with it.
-    fn reset(&mut self, node: NodeId);
+/// Splits a scheduled fault's `a:b:c` text form into exactly `N` numeric
+/// fields — the one codec under the spec line and the CLI flags of
+/// [`Partition`], [`CrashPlan`](crate::CrashPlan) and
+/// [`TaintPlan`](crate::TaintPlan).
+pub(crate) fn colon_fields<const N: usize>(text: &str) -> Result<[u64; N], String> {
+    let parts: Vec<&str> = text.split(':').collect();
+    if parts.len() != N {
+        return Err(format!("wants {N} colon-separated fields, got {text:?}"));
+    }
+    let mut out = [0u64; N];
+    for (slot, part) in out.iter_mut().zip(&parts) {
+        *slot = part.parse().map_err(|e| format!("field {part:?}: {e}"))?;
+    }
+    Ok(out)
 }
 
-/// Delivers every frame on the next tick, in send order. No loss, no
-/// reordering — the control condition.
-#[derive(Debug, Default)]
-pub struct PerfectTransport {
-    in_flight: Vec<(NodeId, String)>,
-    arrived: Vec<(NodeId, String)>,
-}
-
-impl PerfectTransport {
-    /// An empty fabric.
-    pub fn new() -> PerfectTransport {
-        PerfectTransport::default()
-    }
-}
-
-impl Transport for PerfectTransport {
-    fn send(&mut self, _src: NodeId, dst: NodeId, frame: String) {
-        self.in_flight.push((dst, frame));
-    }
-
-    fn poll(&mut self, dst: NodeId) -> Vec<String> {
-        let mut out = Vec::new();
-        self.arrived.retain(|(d, f)| {
-            if *d == dst {
-                out.push(f.clone());
-                false
-            } else {
-                true
-            }
-        });
-        out
-    }
-
-    fn tick(&mut self) {
-        self.arrived.append(&mut self.in_flight);
-    }
-
-    fn reset(&mut self, node: NodeId) {
-        self.in_flight.retain(|(d, _)| *d != node);
-        self.arrived.retain(|(d, _)| *d != node);
-    }
+/// Narrows a parsed field to a node id.
+pub(crate) fn node_id(field: u64) -> Result<NodeId, String> {
+    NodeId::try_from(field).map_err(|_| format!("node {field} out of range"))
 }
 
 /// A scheduled bidirectional link cut between two nodes.
@@ -91,6 +52,31 @@ impl Partition {
     fn cuts(&self, src: NodeId, dst: NodeId, tick: u64) -> bool {
         let on_link = (src == self.a && dst == self.b) || (src == self.b && dst == self.a);
         on_link && tick >= self.from_tick && tick < self.to_tick
+    }
+}
+
+/// `a:b:from:to`, as the spec line and `--partition` write it.
+impl fmt::Display for Partition {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}:{}:{}:{}",
+            self.a, self.b, self.from_tick, self.to_tick
+        )
+    }
+}
+
+impl FromStr for Partition {
+    type Err = String;
+
+    fn from_str(text: &str) -> Result<Partition, String> {
+        let [a, b, from_tick, to_tick] = colon_fields(text)?;
+        Ok(Partition {
+            a: node_id(a)?,
+            b: node_id(b)?,
+            from_tick,
+            to_tick,
+        })
     }
 }
 
@@ -130,8 +116,8 @@ impl Default for ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// No faults at all — a [`PerfectTransport`] with the chaos plumbing
-    /// (useful for isolating partition behavior).
+    /// No faults at all: every frame arrives next tick, in send order —
+    /// the control condition (useful for isolating partition behavior).
     pub fn quiet() -> ChaosConfig {
         ChaosConfig {
             drop_per_mille: 0,
@@ -158,6 +144,9 @@ pub struct LinkStats {
 }
 
 /// The adversarial fabric: deterministic seeded fault injection.
+/// Single-threaded and tick-driven: [`send`](ChaosTransport::send)
+/// enqueues, [`tick`](ChaosTransport::tick) advances virtual time, and
+/// [`poll`](ChaosTransport::poll) drains whatever has arrived for a node.
 #[derive(Debug)]
 pub struct ChaosTransport {
     config: ChaosConfig,
@@ -218,10 +207,9 @@ impl ChaosTransport {
         }
         &mut self.stats[idx]
     }
-}
 
-impl Transport for ChaosTransport {
-    fn send(&mut self, src: NodeId, dst: NodeId, frame: String) {
+    /// Enqueues an encoded frame from `src` to `dst`.
+    pub fn send(&mut self, src: NodeId, dst: NodeId, frame: String) {
         if self
             .config
             .partitions
@@ -270,7 +258,8 @@ impl Transport for ChaosTransport {
         }
     }
 
-    fn poll(&mut self, dst: NodeId) -> Vec<String> {
+    /// Drains every frame that has arrived for `dst`, in delivery order.
+    pub fn poll(&mut self, dst: NodeId) -> Vec<String> {
         let now = self.now;
         let mut out = Vec::new();
         self.in_flight.retain(|(at, d, f)| {
@@ -284,11 +273,15 @@ impl Transport for ChaosTransport {
         out
     }
 
-    fn tick(&mut self) {
+    /// Advances virtual time one tick (delays count down, partitions
+    /// open and heal).
+    pub fn tick(&mut self) {
         self.now += 1;
     }
 
-    fn reset(&mut self, node: NodeId) {
+    /// Drops everything in flight to a crashed node — a kill -9 takes
+    /// its socket buffers with it.
+    pub fn reset(&mut self, node: NodeId) {
         self.in_flight.retain(|(_, d, _)| *d != node);
     }
 }
@@ -299,7 +292,7 @@ mod tests {
 
     #[test]
     fn perfect_transport_delivers_next_tick_in_order() {
-        let mut t = PerfectTransport::new();
+        let mut t = ChaosTransport::new(2, 1, ChaosConfig::quiet());
         t.send(0, 1, "a".into());
         t.send(0, 1, "b".into());
         assert!(t.poll(1).is_empty(), "nothing before the tick");

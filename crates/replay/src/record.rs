@@ -26,7 +26,7 @@
 
 use crate::log::{
     AdmissionRecord, Event, RecordedStep, RunLog, StepCall, FORMAT_VERSION,
-    FORMAT_VERSION_ADMISSION, FORMAT_VERSION_FLEET,
+    FORMAT_VERSION_ADMISSION,
 };
 use easched_core::RunSeed;
 use easched_runtime::{Backend, KernelId, Observation, Scheduler};
@@ -119,16 +119,6 @@ impl Recorder {
         self.push(Event::Admission(record));
     }
 
-    /// Logs one fleet replication event (an opaque single line owned by
-    /// `easched-fleet`, DESIGN.md §15). Any fleet event promotes the
-    /// finished log to the v3 format; non-fleet recordings that never
-    /// call this keep serializing as v1/v2, byte-identically.
-    pub fn note_fleet(&self, line: impl Into<String>) {
-        let line: String = line.into();
-        debug_assert!(!line.contains('\n'), "fleet events are single lines");
-        self.push(Event::Fleet { line });
-    }
-
     /// The `(platform, config)` fingerprints this recording is stamped with.
     pub(crate) fn fingerprints(&self) -> (u64, u64) {
         (self.platform_fp, self.config_fp)
@@ -184,9 +174,7 @@ impl Recorder {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
-        let version = if events.iter().any(|e| matches!(e, Event::Fleet { .. })) {
-            FORMAT_VERSION_FLEET
-        } else if events.iter().any(|e| matches!(e, Event::Admission(_))) {
+        let version = if events.iter().any(|e| matches!(e, Event::Admission(_))) {
             FORMAT_VERSION_ADMISSION
         } else {
             FORMAT_VERSION

@@ -194,11 +194,6 @@ impl<S: ConcurrentScheduler + ?Sized> Shared<S> {
         self.ctx = ctx;
         self
     }
-
-    /// Replaces this handle's admission context in place.
-    pub fn set_ctx(&mut self, ctx: InvocationCtx) {
-        self.ctx = ctx;
-    }
 }
 
 impl<S: ConcurrentScheduler + ?Sized> Scheduler for Shared<S> {

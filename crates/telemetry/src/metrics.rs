@@ -351,9 +351,12 @@ impl MetricsRegistry {
         self.alpha[bucket.min(ALPHA_BUCKETS - 1)].inc();
     }
 
-    /// Folds one self-healing control event into the derived metrics.
+    /// Folds one control event into the derived metrics. A round's
+    /// `Decided` moves none: decisions are counted per invocation, from
+    /// its record.
     pub fn control(&self, event: &ControlEvent) {
         match *event {
+            ControlEvent::Decided { .. } => {}
             ControlEvent::Drift { kernel, ewma } => self.set_kernel_drift(kernel, ewma),
             ControlEvent::Reprofile { kernel, ewma } => {
                 self.drift_reprofiles.inc();

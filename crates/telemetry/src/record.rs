@@ -243,11 +243,6 @@ impl DecisionRecord {
     pub fn total_time(&self) -> f64 {
         self.profile_time + self.split_time
     }
-
-    /// Total realized energy of the invocation, joules.
-    pub fn total_energy(&self) -> f64 {
-        self.profile_energy + self.split_energy
-    }
 }
 
 /// `items` and `decide_nanos` share the last word: `items` in the low 40

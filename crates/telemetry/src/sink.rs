@@ -7,21 +7,46 @@
 //! keeps telemetry zero-cost when disabled. With a sink attached, one
 //! [`DecisionRecord`] per invocation flows in on the scheduling thread,
 //! so implementations must be cheap, lock-free, and must never panic.
+//!
+//! The sink is also the scheduler's only decision history: each
+//! profiling round's α arrives as a [`ControlEvent::Decided`], which the
+//! metrics and run-log sinks ignore and a [`DecisionCsvSink`] collects
+//! (the one sink here that locks — it is for dumping short runs, not for
+//! serving).
 
 use crate::metrics::MetricsRegistry;
 use crate::record::DecisionRecord;
 use crate::ring::AtomicRing;
 use crate::span::{Span, SpanSink};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-/// An out-of-band event from the self-healing control loop (DESIGN.md
-/// §11): drift-monitor folds, reprofile scheduling, and watchdog
-/// cancellations. Unlike [`DecisionRecord`]s these are not one-per-
-/// invocation — they fire only when the loop observes or acts — and they
-/// never enter the record ring; sinks fold them into metrics instead.
+/// An out-of-band event from the scheduling loop: each profiling round's
+/// α decision, and what the self-healing, admission and storage layers
+/// observe or do (DESIGN.md §10, §11) — drift-monitor folds, reprofile
+/// scheduling, watchdog cancellations. Unlike [`DecisionRecord`]s these
+/// are not one-per-invocation — they fire only when the loop decides,
+/// observes or acts — and they never enter the record ring; sinks fold
+/// them into metrics or ignore them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ControlEvent {
+    /// A profiling round decided an offload ratio (Fig 7 steps 15–20):
+    /// the scheduler's only per-round history. It keeps none itself, so
+    /// a run that wants the rounds attaches a [`DecisionCsvSink`].
+    Decided {
+        /// The kernel the decision was made for.
+        kernel: u64,
+        /// Measured combined-mode CPU throughput, items/s.
+        r_c: f64,
+        /// Measured combined-mode GPU throughput, items/s.
+        r_g: f64,
+        /// Index of the workload class the observation mapped to.
+        class: u8,
+        /// Iterations remaining when the decision was made.
+        n_remaining: u64,
+        /// The chosen offload ratio.
+        alpha: f64,
+    },
     /// The drift monitor folded a predicted-vs-realized EDP sample into a
     /// kernel's EWMA (fires once per monitored split).
     Drift {
@@ -112,8 +137,9 @@ pub trait TelemetrySink: Send + Sync + fmt::Debug {
     /// Called once per invocation, after the remainder has executed.
     fn record(&self, record: &DecisionRecord);
 
-    /// Called when the self-healing control loop observes or acts
-    /// (DESIGN.md §11). Default is a no-op so pre-existing sinks keep
+    /// Called when the loop decides a round's α, or when the
+    /// self-healing control loop observes or acts (DESIGN.md §10, §11).
+    /// Default is a no-op so sinks that only implement `record` keep
     /// compiling; like [`record`](TelemetrySink::record), implementations
     /// must be cheap and must never panic.
     fn control(&self, event: &ControlEvent) {
@@ -156,6 +182,50 @@ pub struct NullSink;
 
 impl TelemetrySink for NullSink {
     fn record(&self, _record: &DecisionRecord) {}
+}
+
+/// A sink that collects every [`ControlEvent::Decided`] as one CSV row
+/// and drops the rest — what `easched run --decisions` and `figures
+/// trace-eas` attach to dump the per-round α history of a short run. It
+/// grows with the run and takes a lock per round, which is why the
+/// scheduler does not keep this history itself.
+#[derive(Debug, Default)]
+pub struct DecisionCsvSink {
+    rows: Mutex<String>,
+}
+
+impl DecisionCsvSink {
+    /// The decisions collected so far, under a header line, in arrival
+    /// order (one stream's rounds stay in that stream's order).
+    pub fn csv(&self) -> String {
+        let rows = self.rows.lock().unwrap_or_else(PoisonError::into_inner);
+        format!("kernel,r_c,r_g,class,n_remaining,alpha\n{rows}")
+    }
+}
+
+impl TelemetrySink for DecisionCsvSink {
+    fn record(&self, _record: &DecisionRecord) {}
+
+    fn control(&self, event: &ControlEvent) {
+        let ControlEvent::Decided {
+            kernel,
+            r_c,
+            r_g,
+            class,
+            n_remaining,
+            alpha,
+        } = *event
+        else {
+            return;
+        };
+        let row = format!("{kernel},{r_c:.3},{r_g:.3},{class},{n_remaining},{alpha:.3}\n");
+        // A sink must not panic, and the only write is a whole-row
+        // append, so a poisoned lock still guards well-formed rows.
+        self.rows
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push_str(&row);
+    }
 }
 
 /// The standard sink: a bounded lock-free ring of the most recent
@@ -438,6 +508,33 @@ mod tests {
         assert_eq!(b.span_snapshot().len(), 1, "span owner is the traced child");
         assert!(a.span_snapshot().is_empty());
         assert_eq!(fan.offset(), 0, "no log-keeping child attached");
+    }
+
+    #[test]
+    fn decided_reaches_the_collector_and_moves_no_metric() {
+        let rounds = Arc::new(DecisionCsvSink::default());
+        let ring = Arc::new(RingSink::with_capacity(8));
+        let fan = FanoutSink::new(vec![rounds.clone() as Arc<dyn TelemetrySink>, ring.clone()]);
+        let page = ring.metrics().expose();
+        fan.control(&ControlEvent::Decided {
+            kernel: 7,
+            r_c: 1.0e6,
+            r_g: 2.5e6,
+            class: 3,
+            n_remaining: 97_952,
+            alpha: 0.7,
+        });
+        assert_eq!(
+            rounds.csv(),
+            "kernel,r_c,r_g,class,n_remaining,alpha\n\
+             7,1000000.000,2500000.000,3,97952,0.700\n"
+        );
+        assert_eq!(ring.metrics().expose(), page, "/metrics did not move");
+        assert!(ring.snapshot().is_empty(), "events never enter the ring");
+        // Every other event is the ring's business, not the collector's.
+        fan.control(&ControlEvent::ReprofileSuppressed { kernel: 7 });
+        assert_eq!(rounds.csv().lines().count(), 2);
+        assert_eq!(ring.metrics().reprofiles_suppressed.get(), 1);
     }
 
     #[test]

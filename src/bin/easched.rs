@@ -44,8 +44,8 @@
 //! dependency-free client.
 
 use easched::core::{
-    characterize, load_model, save_model, CharacterizationConfig, EasConfig, EasRuntime, Evaluator,
-    Objective, PowerModel, RunSeed, TableStore,
+    characterize, load_model, save_model, CharacterizationConfig, EasConfig, EasRuntime,
+    EasScheduler, Evaluator, Objective, PowerModel, RunSeed, TableStore,
 };
 use easched::fleet::{
     expose_fleet, expose_fleet_store, replay_fleet, run_fleet, ChaosConfig, CrashPlan, FleetError,
@@ -61,7 +61,8 @@ use easched::runtime::vfs::{ChaosFs, ChaosFsPlan};
 use easched::runtime::TickClock;
 use easched::sim::Platform;
 use easched::telemetry::{
-    http_get, to_trace_with_spans, uds_get, Page, Router, ScrapeServer, ServeConfig, TimeSource,
+    http_get, to_trace_with_spans, uds_get, DecisionCsvSink, Page, Router, ScrapeServer,
+    ServeConfig, TimeSource,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -195,21 +196,10 @@ usage:
   easched fleet --replay FILE [--store DIR]
   easched fleet --verify-recovery DIR";
 
-/// Parses an `a:b:c`-shaped flag value into its colon-separated fields.
-fn colon_fields<const N: usize>(flag: &str, value: &str) -> Result<[u64; N], String> {
-    let parts: Vec<&str> = value.split(':').collect();
-    if parts.len() != N {
-        return Err(format!(
-            "{flag} wants {N} colon-separated fields, got {value:?}"
-        ));
-    }
-    let mut out = [0u64; N];
-    for (slot, part) in out.iter_mut().zip(&parts) {
-        *slot = part
-            .parse()
-            .map_err(|e| format!("{flag} field {part:?}: {e}"))?;
-    }
-    Ok(out)
+/// Parses a scheduled-fault flag (`--partition`, `--crash`, `--taint`)
+/// through the fleet spec line's colon codec, naming the flag on error.
+fn fault_flag<T: std::str::FromStr<Err = String>>(flag: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|e| format!("{flag} {e}"))
 }
 
 fn parse_args(args: &[String]) -> Result<Command, String> {
@@ -309,34 +299,9 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                     .map_err(|e| format!("--nodes: {e}"))?
             }
             "--quiet-fabric" => quiet_fabric = true,
-            "--partition" => {
-                let [a, b, from_tick, to_tick] =
-                    colon_fields::<4>("--partition", &value("--partition")?)?;
-                partitions.push(Partition {
-                    a: a.try_into().map_err(|_| "--partition: node out of range")?,
-                    b: b.try_into().map_err(|_| "--partition: node out of range")?,
-                    from_tick,
-                    to_tick,
-                });
-            }
-            "--crash" => {
-                let [node, at_tick, restart_at_tick] =
-                    colon_fields::<3>("--crash", &value("--crash")?)?;
-                crash = Some(CrashPlan {
-                    node: node.try_into().map_err(|_| "--crash: node out of range")?,
-                    at_tick,
-                    restart_at_tick,
-                });
-            }
-            "--taint" => {
-                let [at_tick, node, kernel_index] =
-                    colon_fields::<3>("--taint", &value("--taint")?)?;
-                taint = Some(TaintPlan {
-                    at_tick,
-                    node: node.try_into().map_err(|_| "--taint: node out of range")?,
-                    kernel_index,
-                });
-            }
+            "--partition" => partitions.push(fault_flag(flag, &value(flag)?)?),
+            "--crash" => crash = Some(fault_flag(flag, &value(flag)?)?),
+            "--taint" => taint = Some(fault_flag(flag, &value(flag)?)?),
             "--store" => store = Some(value("--store")?),
             "--record" => record = Some(value("--record")?),
             "--metrics" => metrics = true,
@@ -527,7 +492,14 @@ fn cmd_run(
     let p = platform.build();
     let model = obtain_model(&p, model.as_deref());
     let w = find_workload(platform.suite(), workload);
-    let mut runtime = EasRuntime::new(p, model, EasConfig::new(objective.build()));
+    let mut scheduler = EasScheduler::new(model, EasConfig::new(objective.build()));
+    // The scheduler keeps no per-round history; `--decisions` collects it
+    // from the sink (observing a run never changes it, DESIGN.md §10).
+    let decisions = decisions.map(|path| (path, Arc::new(DecisionCsvSink::default())));
+    if let Some((_, sink)) = &decisions {
+        scheduler.set_telemetry(Some(sink.clone()));
+    }
+    let mut runtime = EasRuntime::with_scheduler(p, scheduler);
     let outcome = runtime.run(w.as_ref());
     println!(
         "{}: {:.4} s, {:.3} J, EDP {:.4}, mean power {:.2} W, output {}",
@@ -542,8 +514,8 @@ fn cmd_run(
             "WRONG"
         },
     );
-    if let Some(path) = decisions {
-        std::fs::write(&path, runtime.scheduler().decision_log_csv())
+    if let Some((path, sink)) = decisions {
+        std::fs::write(&path, sink.csv())
             .unwrap_or_else(|e| fail(1, format!("cannot write decisions to {path}: {e}")));
         println!("decision log written to {path}");
     }

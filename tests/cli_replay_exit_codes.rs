@@ -4,8 +4,10 @@
 //! these tests pin the *boundary* — a torn header and a wrong platform
 //! fingerprint must exit 2 (the log cannot be used at all), never 1
 //! (the log replayed and disagreed); a torn *tail* replays its sealed
-//! prefix and exits 0; a fleet log handed to the wrong subcommand, or a
-//! fleet log with nothing in it, exits 2.
+//! prefix and exits 0; a fleet log handed to the wrong subcommand, a
+//! fleet log with nothing in it, or a fleet flag naming a node the fleet
+//! does not have, exits 2. One more pin rides the same binary: the bytes
+//! `easched run --decisions` writes.
 
 use easched::replay::RunLog;
 use std::process::Command;
@@ -172,4 +174,33 @@ fn header_only_fleet_log_exits_2() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("no fleet events"), "stderr: {stderr}");
+}
+
+#[test]
+fn fleet_flag_naming_an_absent_node_exits_2_and_names_the_field() {
+    // Three nodes by default, so node 7 is nobody: unusable input (2)
+    // that says which flag was wrong — not a bounds-check panic (101).
+    let out = Command::new(env!("CARGO_BIN_EXE_easched"))
+        .args(["fleet", "--seed", "7", "--ticks", "3", "--taint", "1:7:0"])
+        .output()
+        .expect("run easched");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("taint node 7"), "stderr: {stderr}");
+}
+
+#[test]
+fn run_decisions_csv_matches_the_parent_commit() {
+    // Captured from the commit before the scheduler stopped keeping its
+    // own decision log: the collecting sink must render the same bytes.
+    let dir = temp_dir("decisions");
+    let path = dir.join("bs.csv");
+    let out = Command::new(env!("CARGO_BIN_EXE_easched"))
+        .args(["run", "--workload", "BS", "--decisions"])
+        .arg(&path)
+        .output()
+        .expect("run easched");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let csv = std::fs::read_to_string(&path).expect("decisions written");
+    assert_eq!(csv, include_str!("fixtures/bs_decisions.csv"));
 }

@@ -244,6 +244,64 @@ fn fleet_record_replay_is_byte_identical() {
 }
 
 #[test]
+fn a_spec_naming_an_absent_node_is_a_bad_spec_not_a_panic() {
+    // Every scheduled fault indexes the node list. Three nodes here, so
+    // node 7 does not exist — whichever field names it.
+    let absent = |edit: &dyn Fn(&mut FleetSpec)| {
+        let mut spec = FleetSpec::three_nodes(7);
+        spec.ticks = 3;
+        edit(&mut spec);
+        match run_fleet(&spec) {
+            Err(FleetError::BadSpec(why)) => why,
+            other => panic!("expected BadSpec, got {:?}", other.map(|r| r.digest)),
+        }
+    };
+    let taint = absent(&|s| {
+        s.taint = Some(TaintPlan {
+            at_tick: 1,
+            node: 7,
+            kernel_index: 0,
+        })
+    });
+    assert!(taint.contains("taint node 7"), "{taint}");
+    for (a, b) in [(0, 7), (7, 0)] {
+        let cut = absent(&|s| {
+            s.chaos.partitions.push(Partition {
+                a,
+                b,
+                from_tick: 0,
+                to_tick: 2,
+            })
+        });
+        assert!(cut.contains("partition node 7"), "{cut}");
+    }
+}
+
+#[test]
+fn an_edited_spec_line_naming_an_absent_node_is_unusable_on_replay() {
+    // A recorded log whose spec line was edited meets `run_fleet`'s guard
+    // on replay: unusable input, not a divergence and not a panic.
+    let mut spec = FleetSpec::three_nodes(7);
+    spec.ticks = 3;
+    spec.taint = Some(TaintPlan {
+        at_tick: 1,
+        node: 0,
+        kernel_index: 0,
+    });
+    spec.store_root = scratch("absent-record");
+    let mut log = run_fleet(&spec).expect("fleet runs").log;
+    let _ = std::fs::remove_dir_all(&spec.store_root);
+    let Some(easched::replay::Event::Fleet { line }) = log.events.first_mut() else {
+        panic!("a fleet log opens with its spec line");
+    };
+    assert!(line.contains("taint 1:0:0"), "{line}");
+    *line = line.replace("taint 1:0:0", "taint 1:7:0");
+    let err = replay_fleet(&log, scratch("absent-replay")).unwrap_err();
+    assert!(matches!(err, FleetError::BadSpec(_)), "got: {err:?}");
+    assert!(err.to_string().contains("taint node 7"), "got: {err}");
+}
+
+#[test]
 fn every_cut_of_a_fleet_log_replays_its_prefix() {
     // The v3 third of the torn-tail sweep (v1/v2 live in
     // `crates/replay/tests/torn_tails.rs`): a fleet log cut at any line
