@@ -29,6 +29,14 @@ test -s target/ci-chaos.trace.json
 cargo run --release -p easched-bench --bin figures -- --out target/ci-results telemetry > /dev/null
 test -s target/ci-results/telemetry.csv
 
+echo "==> figures: fig9/fig10 regenerate byte-identically to results/"
+# The harness is deterministic, so a byte of difference is a behaviour
+# change in the scheduler, the simulator or the five-scheme comparison.
+cargo run --release -p easched-bench --bin figures -- --out target/ci-results fig9 fig10 > /dev/null
+for f in fig9 fig10; do
+    cmp "target/ci-results/$f.csv" "results/$f.csv"
+done
+
 echo "==> self-healing smoke: drift injection -> auto-reprofile -> convergence"
 cargo run --release --example self_healing > /dev/null
 
@@ -153,6 +161,11 @@ code=0
 ./target/release/easched replay --log target/ci-fleet-7.runlog 2> target/ci-fleet-wrong.err || code=$?
 test "$code" -eq 2
 grep -q "fleet --replay" target/ci-fleet-wrong.err
+# So is a flag of another subcommand, and the message names both.
+code=0
+./target/release/easched list --nodes 0 > /dev/null 2> target/ci-foreign-flag.err || code=$?
+test "$code" -eq 2
+grep -q -e "easched list.*--nodes" target/ci-foreign-flag.err
 
 echo "==> storage chaos: every-fault-point sweep (DESIGN.md §16)"
 cargo test -q --release -p easched-core --test storage_chaos

@@ -31,8 +31,9 @@ impl Ctx {
             let key = format!("{}-desktop", w.spec().abbrev.to_lowercase());
             let trace = lab.trace(&key, w.as_ref());
             let traits = w.traits_for(&lab.desktop);
-            let (_, oracle_edp) = ev.oracle(&traits, &trace, &Objective::EnergyDelay);
-            let (_, oracle_e) = ev.oracle(&traits, &trace, &Objective::Energy);
+            let sweep = ev.fixed_sweep(&traits, &trace);
+            let (_, oracle_edp) = sweep.oracle(&Objective::EnergyDelay);
+            let (_, oracle_e) = sweep.oracle(&Objective::Energy);
             items.push((
                 w.spec().abbrev.to_string(),
                 traits,

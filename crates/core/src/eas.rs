@@ -129,14 +129,6 @@ impl EasConfig {
         self.seed = seed;
         self
     }
-
-    /// The same configuration with a different watchdog policy (builder
-    /// style) — e.g. [`WatchdogPolicy::with_deadlines`] to tighten the
-    /// 60 s / 600 s defaults for latency-sensitive deployments.
-    pub fn with_watchdog(mut self, watchdog: WatchdogPolicy) -> EasConfig {
-        self.watchdog = watchdog;
-        self
-    }
 }
 
 /// Strategy for folding newly computed offload ratios into the kernel
@@ -245,8 +237,8 @@ impl EasScheduler {
     /// Attaches a telemetry sink: every subsequent invocation emits one
     /// [`DecisionRecord`](easched_telemetry::DecisionRecord) describing
     /// which Figure 7 path ran, what the model predicted, and what the
-    /// platform realized (DESIGN.md §10). Pass `None` to detach; with no
-    /// sink the scheduling path is identical to the untelemetered one.
+    /// platform realized (DESIGN.md §10). Pass `None` to detach; the
+    /// scheduling path is the same with or without a sink.
     pub fn set_telemetry(&mut self, sink: Option<Arc<dyn TelemetrySink>>) {
         self.state.telemetry = sink;
     }

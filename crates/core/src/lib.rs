@@ -78,7 +78,7 @@ pub use persist::{
     table_to_text, ModelParseError,
 };
 pub use power_model::{PowerCurve, PowerModel};
-pub use schemes::{Evaluator, SchemeResult, WorkloadComparison};
+pub use schemes::{Evaluator, FixedSweep, SchemeResult, WorkloadComparison};
 pub use seed::{RunSeed, DEFAULT_ROOT};
 pub use selfheal::{
     DriftAction, DriftCell, DriftMonitor, DriftOutcome, DriftPolicy, Watchdog, WatchdogPolicy,
@@ -92,6 +92,6 @@ pub use time_model::TimeModel;
 /// export, and model-drift analysis. See DESIGN.md §10.
 pub use easched_telemetry as telemetry;
 pub use easched_telemetry::{
-    ControlEvent, DecisionRecord, InvocationPath, MetricsRegistry, NullSink, RingSink, SloConfig,
-    SloEvent, SloTracker, Span, SpanKind, SpanSink, TelemetrySink,
+    ControlEvent, DecisionRecord, InvocationPath, MetricsRegistry, RingSink, SloConfig, SloEvent,
+    SloTracker, Span, SpanKind, SpanSink, TelemetrySink,
 };

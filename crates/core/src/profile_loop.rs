@@ -29,14 +29,14 @@
 //!
 //! # Telemetry (DESIGN.md §10)
 //!
-//! With a [`TelemetrySink`] attached, the loop emits one
-//! [`DecisionRecord`] per invocation: the backend is wrapped in an
-//! [`InstrumentedBackend`] that totals what each phase observed, the
-//! vet+decide path is wall-clock timed, and the exit path tags which
-//! Figure 7 branch ran. With no sink (the default) none of that exists —
-//! the backend is driven directly and the only residue is a handful of
-//! dead local stores, keeping the disabled path behavior-identical
-//! *and* cost-identical to the pre-telemetry loop.
+//! The loop totals what each phase observed as it goes — every
+//! [`Observation`] a backend call returns, rejected rounds included, in
+//! call order — and tags which Figure 7 branch ran. With a
+//! [`TelemetrySink`] attached, the vet+decide path is also timed on the
+//! state's clock and one [`DecisionRecord`] per invocation is built from
+//! those totals. With no sink (the default) the same loop runs and its
+//! summary is dropped: no clock read, no record, and the totals cost a
+//! few float adds per backend call.
 
 use crate::eas::Decision;
 use crate::engine::Prediction;
@@ -44,7 +44,6 @@ use crate::guard::FaultKind;
 use crate::health::BreakerGate;
 use crate::selfheal::DriftAction;
 use crate::shared::SharedEas;
-use easched_runtime::telemetry::InstrumentedBackend;
 use easched_runtime::{Backend, Clock, GpuPolicy, InvocationCtx, KernelId, Observation};
 use easched_telemetry::{
     ControlEvent, DecisionRecord, InvocationPath, Span, SpanKind, TelemetrySink,
@@ -63,29 +62,44 @@ struct InvocationSummary {
     /// The α the remainder actually executed at.
     alpha: f64,
     decide_nanos: u64,
+    /// Total of every profiling round's observation, rejected ones
+    /// included.
+    profile: Observation,
+    /// Total of the split runs (one, or none when profiling consumed the
+    /// whole invocation).
+    split: Observation,
 }
 
-impl InvocationSummary {
-    fn new(path: InvocationPath, alpha: f64) -> InvocationSummary {
-        InvocationSummary {
-            path,
-            last: None,
-            prediction: None,
-            rounds: 0,
-            fault_rounds: 0,
-            last_fault: None,
-            alpha,
-            decide_nanos: 0,
-        }
-    }
+/// The summary of an invocation that skipped profiling: one split at
+/// `alpha`.
+fn one_split(path: InvocationPath, alpha: f64, split: &Observation) -> Option<InvocationSummary> {
+    Some(InvocationSummary {
+        path,
+        last: None,
+        prediction: None,
+        rounds: 0,
+        fault_rounds: 0,
+        last_fault: None,
+        alpha,
+        decide_nanos: 0,
+        profile: Observation::default(),
+        split: total(split),
+    })
+}
+
+/// `obs` accumulated onto zero, so a phase of one call carries the same
+/// bits as a phase of many.
+fn total(obs: &Observation) -> Observation {
+    let mut sum = Observation::default();
+    sum.accumulate(obs);
+    sum
 }
 
 /// Executes one kernel invocation under the EAS policy.
 ///
 /// Every profiling-round α decision is counted on `eas` and reported to
 /// its sink, in order. With a telemetry sink attached, one
-/// [`DecisionRecord`] is emitted after the invocation completes; without
-/// one the loop runs the exact untelemetered path.
+/// [`DecisionRecord`] is emitted after the invocation completes.
 pub(crate) fn schedule_invocation(
     eas: &SharedEas,
     kernel: KernelId,
@@ -93,20 +107,12 @@ pub(crate) fn schedule_invocation(
     ctx: InvocationCtx,
 ) {
     let sink = eas.telemetry.as_deref();
-    match sink {
-        None => {
-            drive(eas, kernel, backend, ctx);
-        }
-        Some(sink) => {
-            let items = backend.remaining();
-            let mut instrumented = InstrumentedBackend::new(backend);
-            if let Some(summary) = drive(eas, kernel, &mut instrumented, ctx) {
-                let record = build_record(eas, kernel, items, &instrumented, summary);
-                sink.record(&record);
-                if sink.wants_spans() {
-                    emit_invocation_spans(sink, kernel, ctx, &record, &instrumented);
-                }
-            }
+    let items = backend.remaining();
+    if let (Some(summary), Some(sink)) = (drive(eas, kernel, backend, ctx), sink) {
+        let record = build_record(eas, kernel, items, &summary);
+        sink.record(&record);
+        if sink.wants_spans() {
+            emit_invocation_spans(sink, kernel, ctx, &record, &summary);
         }
     }
     if let Some(store) = eas.store.as_deref() {
@@ -256,8 +262,8 @@ fn drive(
     // was never going to touch the GPU.
     if ctx.gpu == GpuPolicy::Deny {
         health.stats.throttled_invocations.inc();
-        backend.run_split(0.0);
-        return Some(InvocationSummary::new(InvocationPath::Throttled, 0.0));
+        let obs = backend.run_split(0.0);
+        return one_split(InvocationPath::Throttled, 0.0, &obs);
     }
 
     // §9 gate: with the breaker open the GPU is quarantined — run the
@@ -273,8 +279,8 @@ fn drive(
         }
         BreakerGate::CpuOnly => {
             health.stats.quarantined_invocations.inc();
-            backend.run_split(0.0);
-            return Some(InvocationSummary::new(InvocationPath::Quarantined, 0.0));
+            let obs = backend.run_split(0.0);
+            return one_split(InvocationPath::Quarantined, 0.0, &obs);
         }
     };
 
@@ -319,7 +325,7 @@ fn drive(
                 // learned ratio, so they carry no drift signal.
                 let drift = (n >= profile_size).then_some((None, n));
                 after_split(eas, kernel, &obs, ctx.deadline, drift);
-                return Some(InvocationSummary::new(InvocationPath::TableHit, alpha));
+                return one_split(InvocationPath::TableHit, alpha, &obs);
             }
             // Fall through to a fresh profiling pass that re-accumulates.
             (true, None)
@@ -335,7 +341,7 @@ fn drive(
         // hung chunk still has to be caught. Ordered after the accumulate
         // so an overrun's taint is not immediately cleared by it.
         after_split(eas, kernel, &obs, ctx.deadline, None);
-        return Some(InvocationSummary::new(InvocationPath::SmallN, 0.0));
+        return one_split(InvocationPath::SmallN, 0.0, &obs);
     }
 
     // DenyNew with nothing to reuse: profiling would be fresh GPU work,
@@ -344,8 +350,8 @@ fn drive(
     // during a quarantine).
     if ctx.gpu != GpuPolicy::Allow {
         health.stats.throttled_invocations.inc();
-        backend.run_split(0.0);
-        return Some(InvocationSummary::new(InvocationPath::Throttled, 0.0));
+        let obs = backend.run_split(0.0);
+        return one_split(InvocationPath::Throttled, 0.0, &obs);
     }
 
     // Steps 11–22: repeat profiling for `profile_fraction` of the
@@ -363,12 +369,14 @@ fn drive(
     let mut last = None;
     let mut last_fault = None;
     let mut decide_nanos: u64 = 0;
+    let mut profile = Observation::default();
     while backend.remaining() > profile_until.max(profile_size) {
         let before = backend.remaining();
         // Bounded backoff: each consecutive rejection halves the chunk so
         // a misbehaving device wastes geometrically less work per retry.
         let chunk = (profile_size >> rejected_streak.min(16)).max(1);
         let obs = backend.profile_step(chunk);
+        profile.accumulate(&obs);
         let consumed = before - backend.remaining();
         if consumed == 0 {
             break; // safety: no progress (degenerate backend)
@@ -440,7 +448,7 @@ fn drive(
 
     // What the profiling pass leaves for the record, whichever way it
     // exits.
-    let summary = |path, alpha, prediction| InvocationSummary {
+    let summary = |path, alpha, prediction, split: Option<Observation>| InvocationSummary {
         path,
         last,
         prediction,
@@ -449,6 +457,8 @@ fn drive(
         last_fault,
         alpha,
         decide_nanos,
+        profile,
+        split: split.as_ref().map(total).unwrap_or_default(),
     };
 
     if gave_up {
@@ -460,9 +470,7 @@ fn drive(
         } else {
             alpha
         };
-        if backend.remaining() > 0 {
-            backend.run_split(fallback);
-        }
+        let split_obs = (backend.remaining() > 0).then(|| backend.run_split(fallback));
         // Learn only what clean rounds support — and mark it suspect so
         // the next invocation re-profiles instead of reusing it.
         if alpha_weight > 0.0 && !health.breaker.is_open() {
@@ -471,7 +479,7 @@ fn drive(
         }
         // No prediction: the fallback may differ from the last decision's
         // α, so the comparison would be apples to oranges.
-        return Some(summary(InvocationPath::Degraded, fallback, None));
+        return Some(summary(InvocationPath::Degraded, fallback, None, split_obs));
     }
 
     // Steps 23–25: run the remainder at the decided ratio.
@@ -507,12 +515,12 @@ fn drive(
     } else {
         InvocationPath::Profiled
     };
-    Some(summary(path, alpha, prediction))
+    Some(summary(path, alpha, prediction, split_obs))
 }
 
 /// Emits the execution subtree of one invocation's trace: `decide` roots
 /// the batch, with `cpu-phase` / `gpu-phase` children carrying the
-/// instrumented per-phase totals and a zero-width `fold` closing it. The
+/// loop's per-phase totals and a zero-width `fold` closing it. The
 /// batch uses batch-relative ids and starts; the sink rebases them onto
 /// the trace's cursor, so multi-invocation requests chain their subtrees
 /// end to end. A context without a trace (direct, untenanted calls)
@@ -526,7 +534,7 @@ fn emit_invocation_spans(
     kernel: KernelId,
     ctx: InvocationCtx,
     record: &DecisionRecord,
-    backend: &InstrumentedBackend<'_>,
+    summary: &InvocationSummary,
 ) {
     let trace = if ctx.trace != 0 {
         ctx.trace
@@ -536,8 +544,7 @@ fn emit_invocation_spans(
     if trace == 0 {
         return; // sink advertises spans but has no trace allocator
     }
-    let profile = backend.profile_totals();
-    let split = backend.split_totals();
+    let (profile, split) = (&summary.profile, &summary.split);
     let decide_dur = record.decide_nanos as f64 * 1e-9;
     let cpu_dur = profile.cpu_time + split.cpu_time;
     let gpu_dur = profile.gpu_time + split.gpu_time;
@@ -591,15 +598,14 @@ fn emit_invocation_spans(
 }
 
 /// Assembles the per-invocation telemetry record: the summary's control
-/// flow and decision context, the instrumented backend's per-phase
-/// realized totals, the engine's model prediction at the executed α, and
-/// the breaker's state after the invocation.
+/// flow, decision context and per-phase realized totals, the engine's
+/// model prediction at the executed α, and the breaker's state after the
+/// invocation.
 fn build_record(
     eas: &SharedEas,
     kernel: KernelId,
     items: u64,
-    backend: &InstrumentedBackend<'_>,
-    summary: InvocationSummary,
+    summary: &InvocationSummary,
 ) -> DecisionRecord {
     // Predictions are only meaningful on paths whose final split executed
     // at the last decision's α.
@@ -607,8 +613,7 @@ fn build_record(
         .prediction
         .filter(|_| summary.path.has_prediction())
         .unwrap_or_default();
-    let profile = backend.profile_totals();
-    let split = backend.split_totals();
+    let (profile, split) = (&summary.profile, &summary.split);
     DecisionRecord {
         seq: 0, // assigned by the sink
         kernel,

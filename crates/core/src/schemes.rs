@@ -15,6 +15,13 @@
 //! Evaluation is trace-driven: the workload executes functionally once to
 //! record its invocation sizes (and verify its output), then each scheme
 //! replays the trace on a fresh machine.
+//!
+//! Four of the five are fixed-α replays on the same grid, and a replay's
+//! [`RunMetrics`] do not depend on the objective that later scores them,
+//! so they are all reads of one [`FixedSweep`]: CPU is its first point,
+//! GPU its last, PERF the interior arg-min of time, Oracle the arg-min of
+//! the objective. A comparison replays the trace `oracle_steps + 2`
+//! times — the sweep plus EAS.
 
 use crate::eas::{EasConfig, EasScheduler};
 use crate::objective::Objective;
@@ -68,6 +75,41 @@ impl WorkloadComparison {
     }
 }
 
+fn scored(metrics: RunMetrics, objective: &Objective) -> SchemeResult {
+    SchemeResult {
+        metrics,
+        score: objective.of_totals(metrics.energy_joules, metrics.time),
+    }
+}
+
+/// The first point minimizing `select`, scored under `objective`.
+fn best(
+    points: &[(f64, RunMetrics)],
+    select: &Objective,
+    objective: &Objective,
+) -> (f64, SchemeResult) {
+    let key = |m: &RunMetrics| select.of_totals(m.energy_joules, m.time);
+    let mut best = points.first().expect("fixed-alpha sweep is non-empty");
+    for point in points {
+        if key(&point.1) < key(&best.1) {
+            best = point;
+        }
+    }
+    (best.0, scored(best.1, objective))
+}
+
+/// One replay of a trace per point of the α grid, `(α, totals)` in grid
+/// order (see [`Evaluator::fixed_sweep`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct FixedSweep(Vec<(f64, RunMetrics)>);
+
+impl FixedSweep {
+    /// Oracle: the grid point with the best objective value.
+    pub fn oracle(&self, objective: &Objective) -> (f64, SchemeResult) {
+        best(&self.0, objective, objective)
+    }
+}
+
 /// The evaluation driver: a platform plus its characterized power model.
 #[derive(Debug, Clone)]
 pub struct Evaluator {
@@ -103,12 +145,17 @@ impl Evaluator {
         scheduler: &mut S,
         objective: &Objective,
     ) -> SchemeResult {
+        scored(self.replay(traits, trace, scheduler), objective)
+    }
+
+    fn replay<S: Scheduler>(
+        &self,
+        traits: &easched_sim::KernelTraits,
+        trace: &InvocationTrace,
+        scheduler: &mut S,
+    ) -> RunMetrics {
         let mut machine = Machine::with_seed(self.platform.clone(), self.seed);
-        let metrics = replay_trace(&mut machine, traits, 1, trace, scheduler);
-        SchemeResult {
-            metrics,
-            score: objective.of_totals(metrics.energy_joules, metrics.time),
-        }
+        replay_trace(&mut machine, traits, 1, trace, scheduler)
     }
 
     /// Exhaustive Oracle search: best fixed α for the objective.
@@ -118,11 +165,11 @@ impl Evaluator {
         trace: &InvocationTrace,
         objective: &Objective,
     ) -> (f64, SchemeResult) {
-        self.best_fixed(traits, trace, objective, 0..=self.oracle_steps)
+        self.fixed_sweep(traits, trace).oracle(objective)
     }
 
     /// The PERF scheme: the fixed distribution with the best *execution
-    /// time* that keeps both devices busy (interior grid points only), then
+    /// time* that keeps both devices busy (interior grid points only),
     /// scored under `objective`.
     pub fn perf_scheme(
         &self,
@@ -130,28 +177,34 @@ impl Evaluator {
         trace: &InvocationTrace,
         objective: &Objective,
     ) -> (f64, SchemeResult) {
-        let (alpha, _) =
-            self.best_fixed(traits, trace, &Objective::Time, 1..=self.oracle_steps - 1);
-        let result = self.score_trace(traits, trace, &mut FixedAlpha::new(alpha), objective);
-        (alpha, result)
+        let interior = self.replay_grid(traits, trace, 1..=self.oracle_steps - 1);
+        best(&interior, &Objective::Time, objective)
     }
 
-    fn best_fixed(
+    /// Replays the trace once per point of the whole α grid
+    /// {0, 1/steps, …, 1}; every fixed-α scheme is read off the result.
+    pub fn fixed_sweep(
         &self,
         traits: &easched_sim::KernelTraits,
         trace: &InvocationTrace,
-        objective: &Objective,
+    ) -> FixedSweep {
+        FixedSweep(self.replay_grid(traits, trace, 0..=self.oracle_steps))
+    }
+
+    fn replay_grid(
+        &self,
+        traits: &easched_sim::KernelTraits,
+        trace: &InvocationTrace,
         grid: std::ops::RangeInclusive<usize>,
-    ) -> (f64, SchemeResult) {
-        let mut best: Option<(f64, SchemeResult)> = None;
-        for i in grid {
+    ) -> Vec<(f64, RunMetrics)> {
+        grid.map(|i| {
             let alpha = i as f64 / self.oracle_steps as f64;
-            let result = self.score_trace(traits, trace, &mut FixedAlpha::new(alpha), objective);
-            if best.as_ref().is_none_or(|(_, b)| result.score < b.score) {
-                best = Some((alpha, result));
-            }
-        }
-        best.expect("fixed-alpha sweep is non-empty")
+            (
+                alpha,
+                self.replay(traits, trace, &mut FixedAlpha::new(alpha)),
+            )
+        })
+        .collect()
     }
 
     /// Runs the full five-scheme comparison for one workload.
@@ -179,24 +232,20 @@ impl Evaluator {
         objective: &Objective,
     ) -> WorkloadComparison {
         let traits = workload.traits_for(&self.platform);
-
-        let cpu = self.score_trace(&traits, trace, &mut FixedAlpha::new(0.0), objective);
-        let gpu = self.score_trace(&traits, trace, &mut FixedAlpha::new(1.0), objective);
-
-        let (_, perf) = self.perf_scheme(&traits, trace, objective);
+        let sweep = self.fixed_sweep(&traits, trace);
+        let (points, steps) = (&sweep.0, self.oracle_steps);
+        let (oracle_alpha, oracle) = sweep.oracle(objective);
 
         let mut eas_sched =
             EasScheduler::new(self.model.clone(), EasConfig::new(objective.clone()));
         let eas = self.score_trace(&traits, trace, &mut eas_sched, objective);
 
-        let (oracle_alpha, oracle) = self.oracle(&traits, trace, objective);
-
         WorkloadComparison {
             abbrev: workload.spec().abbrev.to_string(),
             objective_name: objective.name().to_string(),
-            cpu,
-            gpu,
-            perf,
+            cpu: scored(points[0].1, objective),
+            gpu: scored(points[steps].1, objective),
+            perf: best(&points[1..steps], &Objective::Time, objective).1,
             eas,
             oracle,
             oracle_alpha,
@@ -265,6 +314,62 @@ mod tests {
         // CPU-alone scheme really is α=0: no GPU time anywhere... verified
         // indirectly: its run is slower or equal to oracle's.
         assert!(c.cpu.metrics.time >= c.oracle.metrics.time * 0.999);
+    }
+
+    #[test]
+    fn comparison_equals_the_one_assembled_replay_by_replay() {
+        // The reference: every scheme from its own `score_trace` replays,
+        // PERF's time arg-min re-scored by one more — 24 replays for what
+        // `compare_trace` reads off one sweep. `==` on the whole
+        // comparison, first-minimum tie rule included.
+        let ev = evaluator();
+        for w in [suite::blackscholes_small(), suite::mandelbrot_small()] {
+            let (trace, _) = record_trace(w.as_ref());
+            let traits = w.traits_for(ev.platform());
+            for objective in [Objective::EnergyDelay, Objective::Energy] {
+                let fixed = |alpha: f64, objective: &Objective| {
+                    ev.score_trace(&traits, &trace, &mut FixedAlpha::new(alpha), objective)
+                };
+                let best = |grid: std::ops::RangeInclusive<usize>, objective: &Objective| {
+                    let mut best: Option<(f64, SchemeResult)> = None;
+                    for i in grid {
+                        let alpha = i as f64 / ev.oracle_steps as f64;
+                        let result = fixed(alpha, objective);
+                        if best.as_ref().is_none_or(|(_, b)| result.score < b.score) {
+                            best = Some((alpha, result));
+                        }
+                    }
+                    best.unwrap()
+                };
+                let (perf_alpha, _) = best(1..=ev.oracle_steps - 1, &Objective::Time);
+                let perf = fixed(perf_alpha, &objective);
+                let (oracle_alpha, oracle) = best(0..=ev.oracle_steps, &objective);
+                assert_eq!(
+                    ev.perf_scheme(&traits, &trace, &objective),
+                    (perf_alpha, perf)
+                );
+                assert_eq!(
+                    ev.oracle(&traits, &trace, &objective),
+                    (oracle_alpha, oracle)
+                );
+
+                let mut eas_sched =
+                    EasScheduler::new(ev.model.clone(), EasConfig::new(objective.clone()));
+                let eas = ev.score_trace(&traits, &trace, &mut eas_sched, &objective);
+                let reference = WorkloadComparison {
+                    abbrev: w.spec().abbrev.to_string(),
+                    objective_name: objective.name().to_string(),
+                    cpu: fixed(0.0, &objective),
+                    gpu: fixed(1.0, &objective),
+                    perf,
+                    eas,
+                    oracle,
+                    oracle_alpha,
+                    eas_alpha: eas_sched.learned_alpha(1),
+                };
+                assert_eq!(ev.compare_trace(w.as_ref(), &trace, &objective), reference);
+            }
+        }
     }
 
     #[test]

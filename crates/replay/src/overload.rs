@@ -669,6 +669,16 @@ mod tests {
                 .any(|s| s.kind == SpanKind::Decide && admit_traces.contains(&s.trace)),
             "execution spans must join their admission traces"
         );
+        // Spans are not in run logs, so nothing else pins the per-phase
+        // totals they carry. Captured at the commit before the profile
+        // loop totalled the phases itself.
+        let trace = easched_telemetry::to_trace_with_spans(&observed.ring.snapshot(), &spans);
+        assert_eq!(
+            easched_core::fnv1a64(trace.as_bytes()),
+            0xe464_c961_f534_c570,
+            "span trace bytes moved ({} bytes)",
+            trace.len()
+        );
     }
 
     #[test]

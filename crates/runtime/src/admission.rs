@@ -13,7 +13,10 @@
 //! * **Weighted fair share.** The GPU proxy is one resource. Draining
 //!   picks the backlogged tenant with the smallest credit-normalized
 //!   debt (`gpu_seconds / weight`), so long-run GPU time converges to
-//!   the weight vector for saturated tenants.
+//!   the weight vector for saturated tenants. What a request is debited
+//!   is its caller's to measure and hand to
+//!   [`AdmissionController::complete`] — the overload storm reads it off
+//!   the request's decision records — so no backend carries a meter.
 //! * **Degrade before deny.** Under package-power pressure the brownout
 //!   ladder first stops *new* GPU offload (learned splits still run),
 //!   then forces α = 0 for everyone, and only as a last resort sheds the
@@ -27,7 +30,6 @@
 use crate::scheduler::{GpuPolicy, InvocationCtx};
 use easched_sim::noise::splitmix64;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One tenant's contract with the frontend.
 #[derive(Debug, Clone, PartialEq)]
@@ -696,46 +698,6 @@ impl AdmissionController {
     }
 }
 
-/// Lock-free meter for GPU-proxy busy time, shared between the thread
-/// backend's proxy and the admission layer (f64 seconds carried as bits
-/// in an atomic word).
-#[derive(Debug, Default)]
-pub struct GpuProxyMeter {
-    bits: AtomicU64,
-}
-
-impl GpuProxyMeter {
-    /// A meter at zero.
-    pub fn new() -> GpuProxyMeter {
-        GpuProxyMeter::default()
-    }
-
-    /// Adds `seconds` of proxy busy time (CAS loop; lock-free).
-    pub fn add(&self, seconds: f64) {
-        if !seconds.is_finite() || seconds <= 0.0 {
-            return;
-        }
-        let mut current = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + seconds).to_bits();
-            match self.bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => current = seen,
-            }
-        }
-    }
-
-    /// Total busy seconds accumulated.
-    pub fn total(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Acquire))
-    }
-}
-
 /// [`splitmix64`] of `(seed, step)`: independent per-step randomness
 /// from one seed.
 fn mix(seed: u64, step: u64) -> u64 {
@@ -1050,24 +1012,6 @@ mod tests {
             .map(|t| model.arrivals(0, t))
             .sum();
         assert!(burst > calm, "burst windows must dominate arrivals");
-    }
-
-    #[test]
-    fn gpu_proxy_meter_accumulates_across_threads() {
-        let meter = GpuProxyMeter::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        meter.add(0.001);
-                    }
-                });
-            }
-        });
-        assert!((meter.total() - 4.0).abs() < 1e-9);
-        meter.add(f64::NAN); // ignored
-        meter.add(-1.0); // ignored
-        assert!((meter.total() - 4.0).abs() < 1e-9);
     }
 
     #[test]

@@ -36,32 +36,24 @@ pub mod chaos;
 pub mod clock;
 pub mod energy_probe;
 pub mod observation;
-pub mod parallel_invoker;
 pub mod pool;
 pub mod scheduler;
 pub mod sealed;
 pub mod sim_backend;
-pub mod telemetry;
 pub mod thread_backend;
 pub mod vfs;
 
 pub use admission::{
     AdmissionConfig, AdmissionController, AdmissionOutcome, BrownoutConfig, BrownoutController,
-    BrownoutLevel, GpuProxyMeter, TenantRegistry, TenantSpec, TenantStats, TenantTraffic,
-    TrafficModel,
+    BrownoutLevel, TenantRegistry, TenantSpec, TenantStats, TenantTraffic, TrafficModel,
 };
 pub use backend::Backend;
 pub use chaos::{run_workload_chaos, ChaosBackend, ChaosInjector, Fault, FaultPlan};
 pub use clock::{Clock, TickClock, WallClock};
 pub use energy_probe::{EnergyProbe, MachineProbe, RaplProbe};
 pub use observation::{Observation, RunMetrics};
-pub use parallel_invoker::ParallelInvoker;
-pub use pool::{
-    parallel_for, parallel_for_clocked, parallel_for_deadline_clocked, parallel_for_until_clocked,
-    PoolReport,
-};
+pub use pool::{parallel_for, parallel_for_clocked, PoolReport};
 pub use scheduler::{ConcurrentScheduler, GpuPolicy, InvocationCtx, KernelId, Scheduler, Shared};
 pub use sim_backend::{kernel_id_of, replay_trace, run_workload, SchedulerInvoker, SimBackend};
-pub use telemetry::InstrumentedBackend;
 pub use thread_backend::{ThreadBackend, ThreadBackendConfig};
 pub use vfs::{ChaosFs, ChaosFsPlan, StdFs, StorageFault, Vfs, VfsFile};

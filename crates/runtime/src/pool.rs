@@ -6,10 +6,15 @@
 //! steal from victims. Per-worker item counts and busy times are collected
 //! locally — the "CPU workers locally collect profiling information" part of
 //! the paper's adaptive profiling — and returned in a [`PoolReport`].
+//!
+//! The pool has one mode: run every index to completion. Profiling rounds
+//! do not come through here — `ThreadBackend::profile_step` drains the
+//! paper's shared atomic counter until the GPU proxy finishes — and
+//! deadlines belong to the scheduler's watchdog, which judges a chunk by
+//! the observation it returns.
 
 use crate::clock::{Clock, WallClock};
 use crossbeam::deque::{Steal, Stealer, Worker};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Per-worker and aggregate statistics from one `parallel_for`.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -47,83 +52,23 @@ struct Chunk {
     end: u64,
 }
 
-/// Executes `f(i)` for every `i < n` on `workers` threads with work
-/// stealing, optionally aborting early when `stop` becomes true (used by
-/// the profiling path, where CPU workers quit once the GPU chunk
-/// completes). Returns per-worker statistics; when stopped early, the
-/// report's `total_items` tells how far the pool got, and every index below
-/// that boundary *within completed chunks* has been executed.
-///
-/// Chunks are `chunk` indices each (the shared-counter granularity).
-///
-/// # Panics
-///
-/// Panics if `workers` or `chunk` is zero.
-pub fn parallel_for_until(
-    n: u64,
-    workers: usize,
-    chunk: u64,
-    stop: Option<&AtomicBool>,
-    f: &(dyn Fn(usize) + Sync),
-) -> PoolReport {
-    parallel_for_until_clocked(n, workers, chunk, stop, &WallClock, f)
-}
-
-/// [`parallel_for_until`] with an explicit time source: all timing in the
+/// [`parallel_for`] with an explicit time source: all timing in the
 /// report (wall elapsed, per-worker busy seconds) is read from `clock`
 /// instead of the host's `Instant`. With a deterministic clock the report
 /// is reproducible call-for-call — the seam the record/replay layer
-/// depends on. `parallel_for_until` is this with [`WallClock`].
+/// depends on.
 ///
 /// # Panics
 ///
-/// Panics if `workers` or `chunk` is zero.
-pub fn parallel_for_until_clocked(
+/// Panics if `workers` is zero.
+pub fn parallel_for_clocked(
     n: u64,
     workers: usize,
-    chunk: u64,
-    stop: Option<&AtomicBool>,
-    clock: &dyn Clock,
-    f: &(dyn Fn(usize) + Sync),
-) -> PoolReport {
-    run_pool(n, workers, chunk, stop, None, clock, f)
-}
-
-/// [`parallel_for_until_clocked`] with a deadline budget: workers stop
-/// picking up new chunks once `clock` has advanced more than `deadline`
-/// seconds past the call start. In-flight chunks finish (the pool never
-/// interrupts an item), so the overrun is bounded by one chunk per
-/// worker — the same granularity the stop flag has. This is the
-/// substrate for per-request deadline budgets in the admission layer:
-/// a request past its budget degrades to partial work instead of holding
-/// a drain slot indefinitely.
-///
-/// # Panics
-///
-/// Panics if `workers` or `chunk` is zero, or `deadline` is negative.
-pub fn parallel_for_deadline_clocked(
-    n: u64,
-    workers: usize,
-    chunk: u64,
-    deadline: f64,
-    clock: &dyn Clock,
-    f: &(dyn Fn(usize) + Sync),
-) -> PoolReport {
-    assert!(deadline >= 0.0, "deadline must be non-negative");
-    run_pool(n, workers, chunk, None, Some(deadline), clock, f)
-}
-
-fn run_pool(
-    n: u64,
-    workers: usize,
-    chunk: u64,
-    stop: Option<&AtomicBool>,
-    deadline: Option<f64>,
     clock: &dyn Clock,
     f: &(dyn Fn(usize) + Sync),
 ) -> PoolReport {
     assert!(workers > 0, "need at least one worker");
-    assert!(chunk > 0, "chunk size must be positive");
+    let chunk = (n / (workers as u64 * 8)).clamp(1, 4096);
     let start = clock.now();
 
     // Build one deque per worker and seed chunks round-robin.
@@ -150,13 +95,7 @@ fn run_pool(
                 let t0 = clock.now();
                 let mut my_items = 0u64;
                 let mut my_steals = 0u64;
-                'outer: loop {
-                    if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
-                        break;
-                    }
-                    if deadline.is_some_and(|d| clock.now() - start > d) {
-                        break;
-                    }
+                loop {
                     // Local work first, then steal.
                     let job = local.pop().or_else(|| {
                         for (v, st) in stealers.iter().enumerate() {
@@ -176,7 +115,7 @@ fn run_pool(
                         }
                         None
                     });
-                    let Some(c) = job else { break 'outer };
+                    let Some(c) = job else { break };
                     for i in c.start..c.end {
                         f(i as usize);
                     }
@@ -226,27 +165,10 @@ pub fn parallel_for(n: u64, workers: usize, f: &(dyn Fn(usize) + Sync)) -> PoolR
     parallel_for_clocked(n, workers, &WallClock, f)
 }
 
-/// [`parallel_for`] with an explicit time source (see
-/// [`parallel_for_until_clocked`]).
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn parallel_for_clocked(
-    n: u64,
-    workers: usize,
-    clock: &dyn Clock,
-    f: &(dyn Fn(usize) + Sync),
-) -> PoolReport {
-    assert!(workers > 0, "need at least one worker");
-    let chunk = (n / (workers as u64 * 8)).clamp(1, 4096);
-    parallel_for_until_clocked(n, workers, chunk, None, clock, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Instant;
 
     #[test]
@@ -297,33 +219,16 @@ mod tests {
 
     #[test]
     fn stealing_rebalances_skewed_work() {
-        // Make the chunks in worker 0's deque extremely slow; others must
-        // steal to finish.
-        let r = parallel_for_until(1_000, 4, 10, None, &|i| {
-            if i < 250 {
-                // Worker 0's initial share is slow.
-                std::thread::sleep(std::time::Duration::from_micros(50));
+        // Index 0 opens worker 0's deque and stalls whoever runs it: the
+        // idle workers finish their own shares long before the stall ends
+        // and must steal the chunks queued behind it.
+        let r = parallel_for(1_000, 4, &|i| {
+            if i == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(20));
             }
         });
         assert_eq!(r.total_items(), 1_000);
         assert!(r.steals > 0, "expected steals, got {:?}", r);
-    }
-
-    #[test]
-    fn stop_flag_aborts_early() {
-        let stop = AtomicBool::new(false);
-        let count = AtomicU64::new(0);
-        let r = parallel_for_until(1_000_000, 2, 64, Some(&stop), &|_| {
-            if count.fetch_add(1, Ordering::Relaxed) == 1_000 {
-                stop.store(true, Ordering::Relaxed);
-            }
-            std::hint::spin_loop();
-        });
-        assert!(
-            r.total_items() < 1_000_000,
-            "should have stopped early: {}",
-            r.total_items()
-        );
     }
 
     #[test]
@@ -333,32 +238,13 @@ mod tests {
     }
 
     #[test]
-    fn deadline_bounds_work_without_interrupting_chunks() {
-        use crate::clock::TickClock;
-        // TickClock advances one tick per read; each chunk pickup reads
-        // the clock once, so a zero deadline admits at most the chunks
-        // already claimed before the first check fires.
-        let clock = TickClock::new();
-        let r = parallel_for_deadline_clocked(100_000, 1, 64, 0.0, &clock, &|_| {});
-        assert!(
-            r.total_items() < 100_000,
-            "zero deadline must cut the run short: {}",
-            r.total_items()
-        );
-        // A generous deadline runs to completion.
-        let clock = TickClock::new();
-        let r = parallel_for_deadline_clocked(1_000, 2, 64, 1e12, &clock, &|_| {});
-        assert_eq!(r.total_items(), 1_000);
-    }
-
-    #[test]
     fn tick_clock_makes_reports_deterministic() {
         use crate::clock::TickClock;
         // One worker → a fixed sequence of clock reads → bit-identical
         // timing in the report, run after run.
         let run = || {
             let clock = TickClock::new();
-            parallel_for_until_clocked(1_000, 1, 64, None, &clock, &|_| {})
+            parallel_for_clocked(1_000, 1, &clock, &|_| {})
         };
         assert_eq!(run(), run());
     }

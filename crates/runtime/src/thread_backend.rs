@@ -5,14 +5,15 @@
 //! proxy thread "runs on a CPU core and controls the GPU's operation" —
 //! here it *emulates* the integrated GPU by executing the kernel
 //! functionally while pacing itself to a configured device throughput (we
-//! have no OpenCL device; see DESIGN.md §2). CPU workers drain a shared
-//! atomic counter exactly as in the paper's `OnlineProfile`.
+//! have no OpenCL device; see DESIGN.md §2). During a profiling round CPU
+//! workers drain a shared atomic counter exactly as in the paper's
+//! `OnlineProfile`, stopping when the proxy's chunk completes; a split's
+//! CPU share runs to completion on the work-stealing [`pool`].
 //!
 //! Energy for wall-clock runs is estimated from the platform's calibrated
 //! power table (steady-state operating points × phase durations): the
 //! demo path trades the PCU transient model for real parallel execution.
 
-use crate::admission::GpuProxyMeter;
 use crate::backend::Backend;
 use crate::clock::{Clock, WallClock};
 use crate::observation::Observation;
@@ -36,10 +37,6 @@ pub struct ThreadBackendConfig {
     /// (defaults to [`WallClock`]; inject a deterministic clock for
     /// record/replay and tests).
     pub clock: Arc<dyn Clock>,
-    /// Optional GPU-proxy busy-time meter, debited with every proxy
-    /// phase so the admission layer can charge fair-share credits for
-    /// wall-clock runs (`None` by default: zero-cost when unmetered).
-    pub gpu_meter: Option<Arc<GpuProxyMeter>>,
 }
 
 impl ThreadBackendConfig {
@@ -61,19 +58,12 @@ impl ThreadBackendConfig {
             pacing_batch: 256,
             cpu_chunk: 256,
             clock: Arc::new(WallClock),
-            gpu_meter: None,
         }
     }
 
     /// Replaces the backend's time source (builder style).
     pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> ThreadBackendConfig {
         self.clock = clock;
-        self
-    }
-
-    /// Attaches a GPU-proxy busy-time meter (builder style).
-    pub fn with_gpu_meter(mut self, meter: Arc<GpuProxyMeter>) -> ThreadBackendConfig {
-        self.gpu_meter = Some(meter);
         self
     }
 }
@@ -136,11 +126,7 @@ impl<'a> ThreadBackend<'a> {
                 clock.sleep(target - actual);
             }
         }
-        let busy = clock.now() - t0;
-        if let Some(meter) = &self.config.gpu_meter {
-            meter.add(busy);
-        }
-        busy
+        clock.now() - t0
     }
 
     /// Steady-state energy estimate for a step with the given phase
@@ -384,24 +370,6 @@ mod tests {
     #[should_panic(expected = "gpu_rate must be positive")]
     fn config_rejects_bad_rate() {
         ThreadBackendConfig::new(2, 0.0);
-    }
-
-    #[test]
-    fn gpu_meter_accumulates_proxy_busy_time() {
-        let platform = Platform::haswell_desktop();
-        let t = traits();
-        let f = |_: usize| {};
-        let meter = Arc::new(GpuProxyMeter::new());
-        let cfg = ThreadBackendConfig::new(1, 1.0e6).with_gpu_meter(Arc::clone(&meter));
-        let mut b = ThreadBackend::new(cfg, &platform, &t, 10_000, &f);
-        let obs = b.run_split(1.0);
-        assert!(obs.gpu_time > 0.0);
-        assert!(
-            (meter.total() - obs.gpu_time).abs() < 1e-9,
-            "meter {} vs observed {}",
-            meter.total(),
-            obs.gpu_time
-        );
     }
 
     #[test]

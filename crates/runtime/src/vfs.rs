@@ -288,9 +288,35 @@ impl ChaosFsCore {
         None
     }
 
-    fn stall(&self) {
-        if self.plan.latency_seconds > 0.0 {
-            self.clock.sleep(self.plan.latency_seconds);
+    /// The one injection body under every fault point: draws this
+    /// operation's fault from `candidates`, then carries it out around
+    /// `op`.
+    fn inject<T>(
+        &self,
+        candidates: &[StorageFault],
+        op: impl FnOnce() -> io::Result<T>,
+    ) -> io::Result<T> {
+        self.apply(self.decide(candidates), op)
+    }
+
+    /// Carries out a decided fault: fail with its errno without touching
+    /// the disk, stall and then run `op`, or just run `op`.
+    fn apply<T>(
+        &self,
+        fault: Option<StorageFault>,
+        op: impl FnOnce() -> io::Result<T>,
+    ) -> io::Result<T> {
+        use StorageFault::*;
+        match fault {
+            Some(Enospc) => Err(enospc()),
+            Some(Eio | FsyncFail | ShortWrite) => Err(eio()),
+            Some(Latency) => {
+                if self.plan.latency_seconds > 0.0 {
+                    self.clock.sleep(self.plan.latency_seconds);
+                }
+                op()
+            }
+            None => op(),
         }
     }
 }
@@ -332,7 +358,6 @@ impl VfsFile for ChaosFile {
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
         use StorageFault::*;
         match self.core.decide(&[Enospc, ShortWrite]) {
-            Some(Enospc) => Err(enospc()),
             Some(ShortWrite) => {
                 // Land a torn prefix, then fail: the sealed-line scan
                 // must discard it on recovery.
@@ -340,36 +365,18 @@ impl VfsFile for ChaosFile {
                 let _ = self.inner.write_all(&buf[..half]);
                 Err(eio())
             }
-            Some(Latency) => {
-                self.core.stall();
-                self.inner.write_all(buf)
-            }
-            _ => self.inner.write_all(buf),
+            fault => self.core.apply(fault, || self.inner.write_all(buf)),
         }
     }
 
     fn sync_all(&mut self) -> io::Result<()> {
-        use StorageFault::*;
-        match self.core.decide(&[FsyncFail]) {
-            Some(FsyncFail) => Err(eio()),
-            Some(Latency) => {
-                self.core.stall();
-                self.inner.sync_all()
-            }
-            _ => self.inner.sync_all(),
-        }
+        self.core
+            .inject(&[StorageFault::FsyncFail], || self.inner.sync_all())
     }
 
     fn set_len(&mut self, len: u64) -> io::Result<()> {
-        use StorageFault::*;
-        match self.core.decide(&[Eio]) {
-            Some(Eio) => Err(eio()),
-            Some(Latency) => {
-                self.core.stall();
-                self.inner.set_len(len)
-            }
-            _ => self.inner.set_len(len),
-        }
+        self.core
+            .inject(&[StorageFault::Eio], || self.inner.set_len(len))
     }
 
     fn seek_end(&mut self) -> io::Result<u64> {
@@ -385,70 +392,35 @@ impl Vfs for ChaosFs {
     }
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        use StorageFault::*;
-        match self.core.decide(&[Eio]) {
-            Some(Eio) => Err(eio()),
-            Some(Latency) => {
-                self.core.stall();
-                std::fs::read(path)
-            }
-            _ => std::fs::read(path),
-        }
+        self.core
+            .inject(&[StorageFault::Eio], || std::fs::read(path))
     }
 
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
-        use StorageFault::*;
-        match self.core.decide(&[Enospc]) {
-            Some(Enospc) => Err(enospc()),
-            Some(Latency) => {
-                self.core.stall();
-                self.open_raw(path, true)
-            }
-            _ => self.open_raw(path, true),
-        }
+        self.core
+            .inject(&[StorageFault::Enospc], || self.open_raw(path, true))
     }
 
     fn open_write(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
-        use StorageFault::*;
-        match self.core.decide(&[Eio]) {
-            Some(Eio) => Err(eio()),
-            Some(Latency) => {
-                self.core.stall();
-                self.open_raw(path, false)
-            }
-            _ => self.open_raw(path, false),
-        }
+        self.core
+            .inject(&[StorageFault::Eio], || self.open_raw(path, false))
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         use StorageFault::*;
-        match self.core.decide(&[Enospc, Eio]) {
-            Some(Enospc) => Err(enospc()),
-            Some(Eio) => Err(eio()),
-            Some(Latency) => {
-                self.core.stall();
-                std::fs::rename(from, to)
-            }
-            _ => std::fs::rename(from, to),
-        }
+        self.core
+            .inject(&[Enospc, Eio], || std::fs::rename(from, to))
     }
 
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
-        use StorageFault::*;
         if self.core.plan.dir_sync_unsupported {
             return Err(io::Error::new(
                 io::ErrorKind::Unsupported,
                 "injected: directory fsync unsupported",
             ));
         }
-        match self.core.decide(&[FsyncFail]) {
-            Some(FsyncFail) => Err(eio()),
-            Some(Latency) => {
-                self.core.stall();
-                StdFs.sync_dir(dir)
-            }
-            _ => StdFs.sync_dir(dir),
-        }
+        self.core
+            .inject(&[StorageFault::FsyncFail], || StdFs.sync_dir(dir))
     }
 }
 

@@ -1,7 +1,6 @@
 //! Property-based tests for the work-stealing pool and the sim backend's
 //! item accounting.
 
-use easched_runtime::pool::parallel_for_until;
 use easched_runtime::{parallel_for, Backend, SimBackend};
 use easched_sim::{KernelTraits, Machine, Platform};
 use proptest::prelude::*;
@@ -11,15 +10,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every index executes exactly once, regardless of worker count and
-    /// chunking.
+    /// the chunking the item count implies.
     #[test]
-    fn pool_executes_each_index_once(
-        n in 0u64..5_000,
-        workers in 1usize..6,
-        chunk in 1u64..512,
-    ) {
+    fn pool_executes_each_index_once(n in 0u64..5_000, workers in 1usize..6) {
         let hits: Vec<AtomicU32> = (0..n as usize).map(|_| AtomicU32::new(0)).collect();
-        let report = parallel_for_until(n, workers, chunk, None, &|i| {
+        let report = parallel_for(n, workers, &|i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         prop_assert_eq!(report.total_items(), n);

@@ -57,7 +57,7 @@ pub mod traits;
 
 pub use counters::CounterSnapshot;
 pub use energy::EnergyCounter;
-pub use machine::{EnergyFault, Machine, PhasePlan, PhaseReport};
+pub use machine::{Machine, PhasePlan, PhaseReport};
 pub use platform::{CpuSpec, GpuSpec, MemorySpec, Platform};
 pub use power::PowerTable;
 pub use trace::{PowerTrace, TracePoint};

@@ -7,6 +7,10 @@
 //! and accounting per-item hardware-counter footprints. The heterogeneous
 //! runtime composes phases into the paper's execution structure (profiling
 //! phase, combined phase, single-device tail).
+//!
+//! The machine has no fault hook: it always reports what it simulated.
+//! Sensor and driver misbehaviour is injected one layer up, on the
+//! observations a backend returns (`easched_runtime::chaos`).
 
 use crate::bandwidth::{contended_rates, BwDemand};
 use crate::counters::{CounterBank, CounterSnapshot};
@@ -16,7 +20,6 @@ use crate::pcu::{PcuInput, PcuState};
 use crate::platform::Platform;
 use crate::trace::PowerTrace;
 use crate::traits::KernelTraits;
-use std::cell::Cell;
 
 /// Remaining-item threshold below which a device side counts as finished.
 const EPS_ITEMS: f64 = 1e-9;
@@ -169,36 +172,6 @@ impl PhaseReport {
     }
 }
 
-/// An injectable malfunction of the package energy register, for chaos
-/// testing (see [`Machine::inject_energy_fault`]).
-///
-/// Real `MSR_PKG_ENERGY_STATUS` reads occasionally come back stale
-/// (firmware not updating the MSR) or torn across the 32-bit wrap; these
-/// variants reproduce both failure shapes at the register-read boundary so
-/// everything downstream — delta arithmetic, observations, the scheduler —
-/// sees exactly what broken hardware would produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnergyFault {
-    /// The next `reads` register reads return the value latched at
-    /// injection time: a stuck sensor, so energy deltas over the faulty
-    /// window measure zero.
-    Stuck {
-        /// How many consecutive reads return the stuck value.
-        reads: u32,
-    },
-    /// The next read returns the true value with the top bit flipped,
-    /// which delta arithmetic sees as a spurious half-range wrap
-    /// (2³¹ × 2⁻¹⁶ J ≈ 32.8 kJ of phantom energy).
-    SpuriousWrap,
-}
-
-/// Internal latched state for an injected [`EnergyFault`].
-#[derive(Debug, Clone, Copy)]
-enum SensorFault {
-    Stuck { left: u32, value: u32 },
-    Wrap,
-}
-
 /// A simulated integrated CPU-GPU machine.
 ///
 /// See the [crate docs](crate) for the modelling rationale. All state
@@ -215,10 +188,6 @@ pub struct Machine {
     total_joules: f64,
     seed: u64,
     phase_counter: u64,
-    /// Pending injected register fault; `Cell` because faults fire on
-    /// `read_energy_raw(&self)`, the same immutable path real MSR reads
-    /// take.
-    energy_fault: Cell<Option<SensorFault>>,
 }
 
 impl Machine {
@@ -241,7 +210,6 @@ impl Machine {
             total_joules: 0.0,
             seed,
             phase_counter: 0,
-            energy_fault: Cell::new(None),
         }
     }
 
@@ -257,46 +225,8 @@ impl Machine {
 
     /// Reads the raw 32-bit package energy register (wrapping), as the
     /// paper's runtime reads `MSR_PKG_ENERGY_STATUS`.
-    ///
-    /// If a fault was injected with
-    /// [`inject_energy_fault`](Machine::inject_energy_fault), the read
-    /// misbehaves accordingly; the underlying accumulation is unaffected,
-    /// so the register recovers once the fault expires.
     pub fn read_energy_raw(&self) -> u32 {
-        match self.energy_fault.get() {
-            Some(SensorFault::Stuck { left, value }) => {
-                self.energy_fault.set(if left > 1 {
-                    Some(SensorFault::Stuck {
-                        left: left - 1,
-                        value,
-                    })
-                } else {
-                    None
-                });
-                value
-            }
-            Some(SensorFault::Wrap) => {
-                self.energy_fault.set(None);
-                self.energy.read_raw() ^ 0x8000_0000
-            }
-            None => self.energy.read_raw(),
-        }
-    }
-
-    /// Injects a one-shot malfunction into the energy register — the sim's
-    /// hook for fault-injection tests. The fault affects only subsequent
-    /// [`read_energy_raw`](Machine::read_energy_raw) calls, never the
-    /// energy actually accumulated.
-    pub fn inject_energy_fault(&mut self, fault: EnergyFault) {
-        let state = match fault {
-            EnergyFault::Stuck { reads: 0 } => None,
-            EnergyFault::Stuck { reads } => Some(SensorFault::Stuck {
-                left: reads,
-                value: self.energy.read_raw(),
-            }),
-            EnergyFault::SpuriousWrap => Some(SensorFault::Wrap),
-        };
-        self.energy_fault.set(state);
+        self.energy.read_raw()
     }
 
     /// Joules per energy register unit.
@@ -523,50 +453,6 @@ mod tests {
             .working_set_bytes(1 << 30)
             .bw_bytes_per_item(64.0)
             .build()
-    }
-
-    #[test]
-    fn stuck_energy_fault_freezes_reads_then_recovers() {
-        let mut m = Machine::new(quiet_haswell());
-        let k = compute_kernel();
-        m.run_phase(&k, &PhasePlan::cpu_only(100_000));
-        let latched = m.read_energy_raw();
-        // Re-inject against the latched value after the read above.
-        m.inject_energy_fault(EnergyFault::Stuck { reads: 2 });
-        m.run_phase(&k, &PhasePlan::cpu_only(100_000));
-        // The two faulty reads both return the injection-time value: the
-        // window's delta measures zero despite real energy flowing.
-        assert_eq!(m.read_energy_raw(), latched);
-        assert_eq!(m.read_energy_raw(), latched);
-        // Fault expired: the true (accumulated) value is visible again.
-        assert!(m.read_energy_raw() > latched);
-    }
-
-    #[test]
-    fn spurious_wrap_fault_flips_the_top_bit_once() {
-        let mut m = Machine::new(quiet_haswell());
-        let k = compute_kernel();
-        m.run_phase(&k, &PhasePlan::cpu_only(100_000));
-        let truth = m.read_energy_raw();
-        m.inject_energy_fault(EnergyFault::SpuriousWrap);
-        assert_eq!(m.read_energy_raw(), truth ^ 0x8000_0000);
-        // One-shot: the next read is sane again.
-        assert_eq!(m.read_energy_raw(), truth);
-    }
-
-    #[test]
-    fn energy_faults_never_touch_accumulation() {
-        let run = |fault: Option<EnergyFault>| {
-            let mut m = Machine::new(quiet_haswell());
-            if let Some(f) = fault {
-                m.inject_energy_fault(f);
-            }
-            m.run_phase(&compute_kernel(), &PhasePlan::cpu_only(200_000));
-            m.total_joules()
-        };
-        let clean = run(None);
-        assert_eq!(clean, run(Some(EnergyFault::Stuck { reads: 10 })));
-        assert_eq!(clean, run(Some(EnergyFault::SpuriousWrap)));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   P(α)/T(α)/objective, realized time and energy, fault and breaker
 //!   context ([`record`]).
 //! - [`TelemetrySink`] — the trait the scheduling frontends report
-//!   through; `None` means the scheduler runs the exact pre-telemetry
-//!   code path ([`sink`]).
+//!   through; `None` means the same loop runs with no clock read and no
+//!   record built ([`sink`]).
 //! - [`ControlEvent`] — what the loop reports between records: each
 //!   profiling round's α (`Decided`, the scheduler's only per-round
 //!   history — [`DecisionCsvSink`] collects it) and the self-healing,
@@ -65,7 +65,7 @@ pub use ring::AtomicRing;
 #[cfg(unix)]
 pub use serve::uds_get;
 pub use serve::{http_get, Page, Router, ScrapeServer, ServeConfig, TimeSource};
-pub use sink::{ControlEvent, DecisionCsvSink, FanoutSink, NullSink, RingSink, TelemetrySink};
+pub use sink::{ControlEvent, DecisionCsvSink, FanoutSink, RingSink, TelemetrySink};
 pub use slo::{BurnStatus, SloConfig, SloEvent, SloKind, SloTracker};
 pub use span::{Span, SpanKind, SpanSink, DEFAULT_SPAN_CAPACITY, NO_TENANT};
 pub use trace::{parse_spans, parse_trace, to_trace, to_trace_with_spans, TraceParseError};

@@ -2,11 +2,12 @@
 //! lock-free ring-backed implementation.
 //!
 //! Frontends hold an `Option<Arc<dyn TelemetrySink>>`. With `None`
-//! (the default) the scheduler takes the exact pre-telemetry code path —
-//! no wrapper backend, no timing, no record construction — which is what
-//! keeps telemetry zero-cost when disabled. With a sink attached, one
-//! [`DecisionRecord`] per invocation flows in on the scheduling thread,
-//! so implementations must be cheap, lock-free, and must never panic.
+//! (the default) the scheduler runs the same loop and drops its summary —
+//! no timing, no record construction; the per-phase totals it keeps
+//! either way are a few float adds per backend call. With a sink
+//! attached, one [`DecisionRecord`] per invocation flows in on the
+//! scheduling thread, so implementations must be cheap, lock-free, and
+//! must never panic.
 //!
 //! The sink is also the scheduler's only decision history: each
 //! profiling round's α arrives as a [`ControlEvent::Decided`], which the
@@ -173,15 +174,6 @@ pub trait TelemetrySink: Send + Sync + fmt::Debug {
     fn offset(&self) -> u64 {
         0
     }
-}
-
-/// A sink that discards everything — for tests and for measuring the
-/// overhead of record construction itself.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TelemetrySink for NullSink {
-    fn record(&self, _record: &DecisionRecord) {}
 }
 
 /// A sink that collects every [`ControlEvent::Decided`] as one CSV row
@@ -454,16 +446,6 @@ mod tests {
         assert_eq!(sink.metrics().watchdog_trips.get(), 1);
         assert_eq!(sink.metrics().split_overruns.get(), 1);
         assert_eq!(sink.metrics().kernel_drift(7), Some(2.5));
-    }
-
-    #[test]
-    fn null_sink_ignores_control_events() {
-        // The default trait method: attaching a sink that only implements
-        // record() must not break when the control loop speaks.
-        NullSink.control(&ControlEvent::Drift {
-            kernel: 1,
-            ewma: 0.1,
-        });
     }
 
     #[test]

@@ -118,21 +118,24 @@ enum Command {
         socket: Option<String>,
         path: String,
     },
-    Fleet {
-        nodes: u16,
-        seed: u64,
-        ticks: u64,
-        quiet_fabric: bool,
-        partitions: Vec<Partition>,
-        crash: Option<CrashPlan>,
-        taint: Option<TaintPlan>,
-        chaos_fs: Option<u16>,
-        store: Option<String>,
-        record: Option<String>,
-        metrics: bool,
-        replay: Option<String>,
-        verify_recovery: Option<String>,
-    },
+    Fleet(FleetArgs),
+}
+
+#[derive(Debug, Clone, PartialEq)]
+struct FleetArgs {
+    nodes: u16,
+    seed: u64,
+    ticks: u64,
+    quiet_fabric: bool,
+    partitions: Vec<Partition>,
+    crash: Option<CrashPlan>,
+    taint: Option<TaintPlan>,
+    chaos_fs: Option<u16>,
+    store: Option<String>,
+    record: Option<String>,
+    metrics: bool,
+    replay: Option<String>,
+    verify_recovery: Option<String>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,6 +199,23 @@ usage:
   easched fleet --replay FILE [--store DIR]
   easched fleet --verify-recovery DIR";
 
+/// Which flags each subcommand owns: exactly the ones its `USAGE` lines
+/// name. A flag is parsed only under a subcommand that owns it.
+#[rustfmt::skip]
+const FLAGS: &[(&str, &[&str])] = &[
+    ("list", &[]),
+    ("characterize", &["--platform", "--save"]),
+    ("run", &["--workload", "--platform", "--objective", "--model", "--decisions"]),
+    ("compare", &["--workload", "--platform", "--objective", "--model"]),
+    ("record", &["--out", "--seed", "--rounds", "--rate", "--chaos-fs", "--overload", "--ticks"]),
+    ("replay", &["--log", "--at", "--bisect", "--perturb", "--emit-fixture"]),
+    ("serve", &["--addr", "--socket", "--seed", "--ticks", "--out", "--trace", "--hold"]),
+    ("scrape", &["--addr", "--socket", "--path"]),
+    ("fleet", &["--nodes", "--seed", "--ticks", "--quiet-fabric", "--partition", "--crash",
+                "--taint", "--chaos-fs", "--store", "--record", "--metrics", "--replay",
+                "--verify-recovery"]),
+];
+
 /// Parses a scheduled-fault flag (`--partition`, `--crash`, `--taint`)
 /// through the fleet spec line's colon codec, naming the flag on error.
 fn fault_flag<T: std::str::FromStr<Err = String>>(flag: &str, value: &str) -> Result<T, String> {
@@ -205,6 +225,11 @@ fn fault_flag<T: std::str::FromStr<Err = String>>(flag: &str, value: &str) -> Re
 fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter().map(String::as_str);
     let sub = it.next().ok_or_else(|| USAGE.to_string())?;
+    let owned = FLAGS
+        .iter()
+        .find(|(name, _)| *name == sub)
+        .map(|(_, flags)| *flags)
+        .ok_or_else(|| format!("unknown command {sub:?}\n{USAGE}"))?;
 
     let mut platform = PlatformArg::Desktop;
     let mut objective = ObjectiveArg::Edp;
@@ -221,7 +246,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut perturb: Option<usize> = None;
     let mut emit_fixture: Option<String> = None;
     let mut overload = false;
-    let mut ticks: u64 = OverloadSpec::new(0).ticks;
+    let mut ticks: Option<u64> = None;
     let mut at: Option<u64> = None;
     let mut addr: Option<String> = None;
     let mut socket: Option<String> = None;
@@ -239,7 +264,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut replay: Option<String> = None;
     let mut verify_recovery: Option<String> = None;
     let mut chaos_fs: Option<u16> = None;
-    let mut ticks_set = false;
 
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -247,6 +271,9 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 .map(str::to_string)
                 .ok_or_else(|| format!("{name} requires a value"))
         };
+        if !owned.contains(&flag) {
+            return Err(format!("`easched {sub}` has no flag {flag:?}\n{USAGE}"));
+        }
         match flag {
             "--platform" => {
                 platform = match value("--platform")?.as_str() {
@@ -288,10 +315,11 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             "--bisect" => bisect = true,
             "--overload" => overload = true,
             "--ticks" => {
-                ticks = value("--ticks")?
-                    .parse()
-                    .map_err(|e| format!("--ticks: {e}"))?;
-                ticks_set = true;
+                ticks = Some(
+                    value("--ticks")?
+                        .parse()
+                        .map_err(|e| format!("--ticks: {e}"))?,
+                )
             }
             "--nodes" => {
                 nodes = value("--nodes")?
@@ -334,7 +362,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                     .parse()
                     .map_err(|e| format!("--hold: {e}"))?
             }
-            other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
+            other => unreachable!("{other} is in FLAGS but has no parser"),
         }
     }
 
@@ -360,7 +388,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             rounds,
             rate,
             overload,
-            ticks,
+            ticks: ticks.unwrap_or(OverloadSpec::new(0).ticks),
             chaos_fs,
         }),
         "replay" => Ok(Command::Replay {
@@ -374,7 +402,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             addr: addr.unwrap_or_else(|| "127.0.0.1:0".to_string()),
             socket,
             seed,
-            ticks,
+            ticks: ticks.unwrap_or(OverloadSpec::new(0).ticks),
             out,
             trace,
             hold,
@@ -392,10 +420,10 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             if nodes == 0 {
                 return Err("--nodes must be at least 1".to_string());
             }
-            Ok(Command::Fleet {
+            Ok(Command::Fleet(FleetArgs {
                 nodes,
                 seed,
-                ticks: if ticks_set { ticks } else { 6 },
+                ticks: ticks.unwrap_or(6),
                 quiet_fabric,
                 partitions,
                 crash,
@@ -406,9 +434,9 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 metrics,
                 replay,
                 verify_recovery,
-            })
+            }))
         }
-        other => Err(format!("unknown command {other:?}\n{USAGE}")),
+        other => unreachable!("{other} is in FLAGS but has no command"),
     }
 }
 
@@ -931,22 +959,6 @@ fn verify_fleet_recovery(dir: &str) {
     println!("all {} journal(s) recovered cleanly", node_dirs.len());
 }
 
-struct FleetArgs {
-    nodes: u16,
-    seed: u64,
-    ticks: u64,
-    quiet_fabric: bool,
-    partitions: Vec<Partition>,
-    crash: Option<CrashPlan>,
-    taint: Option<TaintPlan>,
-    chaos_fs: Option<u16>,
-    store: Option<String>,
-    record: Option<String>,
-    metrics: bool,
-    replay: Option<String>,
-    verify_recovery: Option<String>,
-}
-
 fn cmd_fleet(args: FleetArgs) {
     if let Some(dir) = args.verify_recovery {
         verify_fleet_recovery(&dir);
@@ -1130,35 +1142,7 @@ fn main() {
         Ok(Command::Scrape { addr, socket, path }) => {
             cmd_scrape(addr.as_deref(), socket.as_deref(), &path)
         }
-        Ok(Command::Fleet {
-            nodes,
-            seed,
-            ticks,
-            quiet_fabric,
-            partitions,
-            crash,
-            taint,
-            chaos_fs,
-            store,
-            record,
-            metrics,
-            replay,
-            verify_recovery,
-        }) => cmd_fleet(FleetArgs {
-            nodes,
-            seed,
-            ticks,
-            quiet_fabric,
-            partitions,
-            crash,
-            taint,
-            chaos_fs,
-            store,
-            record,
-            metrics,
-            replay,
-            verify_recovery,
-        }),
+        Ok(Command::Fleet(args)) => cmd_fleet(args),
         Err(message) => fail(2, message),
     }
 }
@@ -1402,7 +1386,7 @@ mod tests {
         let c = parse(&["fleet"]).unwrap();
         assert_eq!(
             c,
-            Command::Fleet {
+            Command::Fleet(FleetArgs {
                 nodes: 3,
                 seed: 7,
                 ticks: 6,
@@ -1416,7 +1400,7 @@ mod tests {
                 metrics: false,
                 replay: None,
                 verify_recovery: None,
-            }
+            })
         );
         let c = parse(&[
             "fleet",
@@ -1443,7 +1427,7 @@ mod tests {
         ])
         .unwrap();
         match c {
-            Command::Fleet {
+            Command::Fleet(FleetArgs {
                 nodes,
                 seed,
                 ticks,
@@ -1456,7 +1440,7 @@ mod tests {
                 record,
                 metrics,
                 ..
-            } => {
+            }) => {
                 assert_eq!((nodes, seed, ticks), (5, 1009, 8));
                 assert!(quiet_fabric && metrics);
                 assert_eq!(
@@ -1509,7 +1493,7 @@ mod tests {
         );
         let c = parse(&["fleet", "--replay", "f.log"]).unwrap();
         match c {
-            Command::Fleet { replay, .. } => assert_eq!(replay.as_deref(), Some("f.log")),
+            Command::Fleet(args) => assert_eq!(args.replay.as_deref(), Some("f.log")),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -1521,6 +1505,18 @@ mod tests {
         assert!(parse(&["run", "--workload", "MB", "--platform", "phone"]).is_err());
         assert!(parse(&["list", "--what"]).is_err());
         assert!(parse(&[]).is_err());
+    }
+
+    #[test]
+    fn every_owned_flag_has_a_parser() {
+        // The `unreachable!`s in `parse_args` hold only while `FLAGS` and
+        // its two matches agree.
+        for (sub, flags) in FLAGS {
+            let _ = parse(&[sub]);
+            for flag in *flags {
+                let _ = parse(&[sub, flag]);
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use easched::kernels::suite;
 use easched::runtime::backend::test_support::FakeBackend;
 use easched::runtime::chaos::{run_workload_chaos, ChaosInjector, Fault, FaultPlan};
 use easched::runtime::{run_workload, Backend, Scheduler};
-use easched::sim::{EnergyFault, Machine, Platform};
+use easched::sim::{Machine, Platform};
 
 fn chaos_seed() -> u64 {
     std::env::var("EASCHED_CHAOS_SEED")
@@ -247,15 +247,20 @@ fn shared_scheduler_aggregates_health_across_streams() {
 
 #[test]
 fn stuck_energy_register_is_detected_and_survived() {
-    // Fault injected at the simulator's register-read boundary, not the
-    // backend wrapper: the guard must flag the zero-joule windows, the
-    // run must verify, and measurements recover when the sensor does.
+    // A register stuck for the whole run — every observation window sees
+    // zero joules: the guard must flag them, the run must verify, and
+    // measurements recover when the sensor does.
     let mut machine = Machine::new(quiet_desktop());
-    machine.inject_energy_fault(EnergyFault::Stuck { reads: 10_000 });
+    let mut stuck = ChaosInjector::new(FaultPlan::Random {
+        seed: 0,
+        rate: 1.0,
+        kinds: vec![Fault::EnergyDropout],
+    });
     let mut eas = EasScheduler::new(desktop_model(), EasConfig::new(Objective::EnergyDelay));
     // bfs_small actually reaches the profiling loop (its mid frontiers
     // exceed the GPU profile size), so the dead register is observed.
-    let (metrics, v) = run_workload(&mut machine, suite::bfs_small().as_ref(), &mut eas);
+    let w = suite::bfs_small();
+    let (metrics, v) = run_workload_chaos(&mut machine, w.as_ref(), &mut eas, &mut stuck);
     assert!(v.is_passed(), "{v:?}");
     assert!(metrics.items > 0);
     let h = eas.health();
@@ -269,9 +274,8 @@ fn stuck_energy_register_is_detected_and_survived() {
     );
 
     // Once the sensor recovers, a fresh run on the same machine measures
-    // sane energy again (reads: 0 clears the injected fault).
-    machine.inject_energy_fault(EnergyFault::Stuck { reads: 0 });
-    let (metrics2, v2) = run_workload(&mut machine, suite::bfs_small().as_ref(), &mut eas);
+    // sane energy again.
+    let (metrics2, v2) = run_workload(&mut machine, w.as_ref(), &mut eas);
     assert!(v2.is_passed());
     assert!(metrics2.energy_joules > 0.0);
 }

@@ -6,7 +6,8 @@
 //! (the log replayed and disagreed); a torn *tail* replays its sealed
 //! prefix and exits 0; a fleet log handed to the wrong subcommand, a
 //! fleet log with nothing in it, or a fleet flag naming a node the fleet
-//! does not have, exits 2. One more pin rides the same binary: the bytes
+//! does not have, exits 2 — and so does a flag that belongs to another
+//! subcommand. One more pin rides the same binary: the bytes
 //! `easched run --decisions` writes.
 
 use easched::replay::RunLog;
@@ -187,6 +188,40 @@ fn fleet_flag_naming_an_absent_node_exits_2_and_names_the_field() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(stderr.contains("taint node 7"), "stderr: {stderr}");
+}
+
+#[test]
+fn a_flag_of_another_subcommand_exits_2_and_names_both() {
+    // Each of these used to exit 0: `list` ran, `replay` and `fleet`
+    // silently ignored a flag they do not have.
+    let dir = temp_dir("foreign-flag");
+    let log = dir.join("storm.runlog");
+    let text = easched::replay::record_chaos_storm(&easched::replay::StormSpec::new(7))
+        .log
+        .to_text();
+    std::fs::write(&log, text).expect("write log");
+    let log = log.to_str().expect("utf-8 temp path");
+    for (args, flag, sub) in [
+        (&["list", "--nodes", "0"][..], "--nodes", "easched list"),
+        (
+            &["replay", "--log", log, "--seed", "9"][..],
+            "--seed",
+            "easched replay",
+        ),
+        (&["fleet", "--rounds", "3"][..], "--rounds", "easched fleet"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_easched"))
+            .args(args)
+            .output()
+            .expect("run easched");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.contains(flag) && first.contains(sub),
+            "{args:?} must name the flag and the subcommand: {first}"
+        );
+    }
 }
 
 #[test]

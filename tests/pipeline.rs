@@ -115,10 +115,15 @@ fn kernel_table_survives_across_applications() {
 fn whole_small_suite_verifies_under_real_parallelism() {
     // Every workload's item function must be thread-safe: run the full
     // reduced suite with actual work-stealing threads.
+    struct PoolInvoker(usize);
+    impl easched::kernels::Invoker for PoolInvoker {
+        fn invoke(&mut self, n: u64, process: &(dyn Fn(usize) + Sync)) {
+            easched::runtime::parallel_for(n, self.0, process);
+        }
+    }
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get().clamp(2, 8));
     for workload in suite::small_suite() {
-        let mut invoker = easched::runtime::ParallelInvoker::new(workers);
-        let v = workload.drive(&mut invoker);
+        let v = workload.drive(&mut PoolInvoker(workers));
         assert!(
             v.is_passed(),
             "{} under parallel execution: {v:?}",
