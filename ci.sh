@@ -17,15 +17,14 @@ cargo test --workspace -q
 echo "==> chaos matrix: release, full desktop suite"
 cargo test -q --release --test chaos
 
-echo "==> chaos matrix: debug seed sweep"
-for seed in 7 23 1009; do
-    echo "    EASCHED_CHAOS_SEED=$seed"
-    EASCHED_CHAOS_SEED=$seed cargo test -q --test chaos
+echo "==> examples smoke: the four narrated demonstrations run as shipped"
+# No arguments: the gates are the easched subcommands and the seed-matrix
+# tests below; these only have to run to completion.
+for example in chaos_runtime self_healing multi_tenant shared_runtime; do
+    cargo run --release --example "$example" > /dev/null
 done
 
-echo "==> telemetry smoke: traced example round-trips, drift study emits CSV"
-cargo run --release --example chaos_runtime -- --trace target/ci-chaos.trace.json > /dev/null
-test -s target/ci-chaos.trace.json
+echo "==> telemetry smoke: drift study emits CSV"
 cargo run --release -p easched-bench --bin figures -- --out target/ci-results telemetry > /dev/null
 test -s target/ci-results/telemetry.csv
 
@@ -36,22 +35,6 @@ cargo run --release -p easched-bench --bin figures -- --out target/ci-results fi
 for f in fig9 fig10; do
     cmp "target/ci-results/$f.csv" "results/$f.csv"
 done
-
-echo "==> self-healing smoke: drift injection -> auto-reprofile -> convergence"
-cargo run --release --example self_healing > /dev/null
-
-echo "==> crash-recovery smoke: SIGKILL mid-run, journal must restore the table"
-rm -rf target/ci-crash.d
-cargo build --release --example shared_runtime
-# One completed run guarantees the store has content, then a long run is
-# killed hard mid-flight; recovery must still produce a clean table.
-./target/release/examples/shared_runtime --store target/ci-crash.d > /dev/null
-./target/release/examples/shared_runtime --store target/ci-crash.d --repeat 5000 > /dev/null 2>&1 &
-CRASH_PID=$!
-sleep 2
-kill -9 "$CRASH_PID" 2>/dev/null || true
-wait "$CRASH_PID" 2>/dev/null || true
-./target/release/examples/shared_runtime --store target/ci-crash.d --verify-recovery
 
 echo "==> storm chaos: hang + power-surge storm, release"
 cargo test -q --release --test selfheal
@@ -83,13 +66,6 @@ if ./target/release/easched replay --log target/ci-replay.runlog \
 fi
 grep -q "first divergent decision" target/ci-bisect.out
 test -s target/ci-replay-min.runlog
-
-echo "==> overload storm: 8 tenants at 2x load, seed matrix, all gates"
-cargo build --release --example multi_tenant
-for seed in 7 23 1009; do
-    echo "    multi_tenant --seed $seed --ci"
-    ./target/release/examples/multi_tenant --seed "$seed" --ci > /dev/null
-done
 
 echo "==> overload replay: record one overloaded run, byte-identical via easched replay"
 ./target/release/easched record --out target/ci-overload.runlog --overload --seed 7 > /dev/null
@@ -144,11 +120,13 @@ rm -rf target/ci-fleet-crash.d
 # One completed run seeds the stores; the long run then dies mid-flight.
 ./target/release/easched fleet --seed 7 --quiet-fabric --ticks 3 \
     --store target/ci-fleet-crash.d > /dev/null
-./target/release/easched fleet --seed 7 --quiet-fabric --ticks 5000 \
+# 100000 ticks run ~40 s, and the kill may not fail: this is the only
+# SIGKILL smoke, so it must land on a live process.
+./target/release/easched fleet --seed 7 --quiet-fabric --ticks 100000 \
     --store target/ci-fleet-crash.d > /dev/null 2>&1 &
 FLEET_PID=$!
 sleep 2
-kill -9 "$FLEET_PID" 2>/dev/null || true
+kill -9 "$FLEET_PID"
 wait "$FLEET_PID" 2>/dev/null || true
 ./target/release/easched fleet --verify-recovery target/ci-fleet-crash.d
 
@@ -170,14 +148,16 @@ grep -q -e "easched list.*--nodes" target/ci-foreign-flag.err
 echo "==> storage chaos: every-fault-point sweep (DESIGN.md §16)"
 cargo test -q --release -p easched-core --test storage_chaos
 
-echo "==> storage chaos: seeded write-fault storms through the shared store"
+echo "==> storage chaos: seeded write-fault storms under every node's journal"
+# The 8-thread shared-store storm is storage_chaos.rs's; this is the
+# binary's half: the run exits 0 and what reached disk audits clean (each
+# node's shutdown checkpoint gets a bounded retry, so none ends empty).
 for seed in 7 23 1009; do
-    echo "    shared_runtime --chaos-fs 150 --seed $seed"
+    echo "    fleet --chaos-fs 150 --seed $seed"
     rm -rf "target/ci-schaos-$seed.d"
-    ./target/release/examples/shared_runtime --store "target/ci-schaos-$seed.d" \
-        --chaos-fs 150 --seed "$seed" > /dev/null
-    ./target/release/examples/shared_runtime --store "target/ci-schaos-$seed.d" \
-        --verify-recovery > /dev/null
+    ./target/release/easched fleet --seed "$seed" --chaos-fs 150 \
+        --store "target/ci-schaos-$seed.d" > /dev/null 2>&1
+    ./target/release/easched fleet --verify-recovery "target/ci-schaos-$seed.d" > /dev/null
 done
 
 echo "==> storage chaos: recorded run under injected faults replays byte-identically"
@@ -198,17 +178,17 @@ if mount -t tmpfs -o size=256k tmpfs "$ENOSPC_DIR" 2>/dev/null; then
     # `--chaos-fs 0` injects nothing but enables the tolerant
     # checkpoint path — the run must survive (degrade-to-memory), and
     # once the filler is gone, recovery must audit the seeded state.
-    ./target/release/examples/shared_runtime --store "$ENOSPC_DIR/table.d" \
+    ./target/release/easched fleet --nodes 1 --store "$ENOSPC_DIR/table.d" \
         > /dev/null 2>&1 || { umount "$ENOSPC_DIR"; exit 1; }
     dd if=/dev/zero of="$ENOSPC_DIR/filler" bs=1k count=300 2>/dev/null || true
-    ./target/release/examples/shared_runtime --store "$ENOSPC_DIR/table.d" \
-        --chaos-fs 0 --repeat 3 > /dev/null 2>&1 || {
+    ./target/release/easched fleet --nodes 1 --store "$ENOSPC_DIR/table.d" \
+        --chaos-fs 0 > /dev/null 2>&1 || {
         echo "run on a full tmpfs must not fail hard"
         umount "$ENOSPC_DIR"; exit 1
     }
     rm -f "$ENOSPC_DIR/filler"
-    ./target/release/examples/shared_runtime --store "$ENOSPC_DIR/table.d" \
-        --verify-recovery > /dev/null || { umount "$ENOSPC_DIR"; exit 1; }
+    ./target/release/easched fleet --verify-recovery "$ENOSPC_DIR/table.d" \
+        > /dev/null || { umount "$ENOSPC_DIR"; exit 1; }
     umount "$ENOSPC_DIR"
     echo "    ENOSPC smoke passed"
 else
@@ -270,6 +250,19 @@ extra=$(grep '^name = ' Cargo.lock | grep -v -e '"easched' \
     -e '"rand"' -e '"proptest"' -e '"crossbeam"' || true)
 if [ -n "$extra" ]; then
     echo "unexpected package in Cargo.lock: $extra"
+    exit 1
+fi
+
+echo "==> one harness: examples take no arguments, nothing outside the binaries reads argv or the environment"
+# Gates live in `easched` and the test suite: no line above may hand an
+# example an argument, and a seed matrix is a loop in a test, not a knob.
+if grep -n -E -e '--example [a-z_]+ +--' -e 'examples/[a-z_]+ +[^>|&;]' ci.sh; then
+    echo "ci.sh passes an argument to an example"
+    exit 1
+fi
+if grep -rn -E 'env::(args|var)' examples tests crates --include='*.rs' \
+    | grep -v '^crates/bench/src/bin/figures.rs:'; then
+    echo "a private flag parser or environment knob is back"
     exit 1
 fi
 

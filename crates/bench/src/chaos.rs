@@ -8,66 +8,20 @@
 //! while rejecting faulty rounds, quarantining the GPU, or re-profiling
 //! tainted table entries.
 //!
-//! Regenerate with `figures chaos`; the seed for the random plans comes
-//! from `EASCHED_CHAOS_SEED` (default 42) so CI can sweep a seed matrix.
+//! Regenerate with `figures chaos`; the random plans draw from
+//! `CHAOS_SEED`.
 
 use crate::report::{csv, md_table, pct, Report};
 use crate::Lab;
 use easched_core::{EasConfig, EasScheduler, Objective};
 use easched_kernels::suite;
 use easched_num::stats::mean;
-use easched_runtime::chaos::{run_workload_chaos, ChaosInjector, Fault, FaultPlan};
+use easched_runtime::chaos::{run_workload_chaos, ChaosInjector, FaultPlan};
 use easched_sim::Machine;
 
-/// Seed for the random fault plans: `EASCHED_CHAOS_SEED` or 42.
-fn chaos_seed() -> u64 {
-    std::env::var("EASCHED_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
-
-/// The fault plans the study sweeps: a clean baseline, each fault kind
-/// injected randomly on 30% of observation steps, a mixed storm, and a
-/// sustained GPU outage across the first profiling rounds.
-fn plans(seed: u64) -> Vec<(String, FaultPlan)> {
-    let mut out = vec![("clean".to_string(), FaultPlan::None)];
-    for fault in Fault::ALL {
-        let name = format!("{fault:?}")
-            .chars()
-            .flat_map(|c| {
-                if c.is_uppercase() {
-                    vec!['-', c.to_ascii_lowercase()]
-                } else {
-                    vec![c]
-                }
-            })
-            .collect::<String>()
-            .trim_start_matches('-')
-            .to_string();
-        out.push((
-            name,
-            FaultPlan::Random {
-                seed,
-                rate: 0.3,
-                kinds: vec![fault],
-            },
-        ));
-    }
-    out.push((
-        "mixed-storm".to_string(),
-        FaultPlan::Random {
-            seed,
-            rate: 0.4,
-            kinds: Fault::ALL.to_vec(),
-        },
-    ));
-    out.push((
-        "gpu-outage".to_string(),
-        FaultPlan::GpuOutage { from: 0, until: 6 },
-    ));
-    out
-}
+/// Seed of the study's random fault plans; `results/chaos.csv` is a
+/// function of it.
+const CHAOS_SEED: u64 = 42;
 
 /// Aggregate health counters for one plan across the whole suite.
 #[derive(Default)]
@@ -86,18 +40,18 @@ struct Tally {
 /// mean EDP efficiency vs the fault-free scheduler, plus the health
 /// telemetry that explains where the lost energy went.
 pub fn chaos(lab: &mut Lab) -> Report {
-    let seed = chaos_seed();
     let objective = Objective::EnergyDelay;
     let mut report = Report::new(
         "chaos",
         "EDP efficiency and health telemetry under injected observation faults",
     );
 
-    // Fault-free EDP per workload: the baseline every plan is scored
-    // against (plans() always lists it first).
+    // Fault-free EDP per workload: the baseline every plan of the shared
+    // matrix is scored against, so it runs first.
     let mut clean_scores: Vec<f64> = Vec::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
-    for (name, plan) in plans(seed) {
+    let clean = ("clean".to_string(), FaultPlan::None);
+    for (name, plan) in std::iter::once(clean).chain(FaultPlan::matrix(CHAOS_SEED)) {
         let mut effs = Vec::new();
         let mut scores = Vec::new();
         let mut tally = Tally::default();
@@ -169,7 +123,7 @@ pub fn chaos(lab: &mut Lab) -> Report {
         ),
     );
     report.line(format!(
-        "Desktop suite under each fault plan (seed {seed}); every run is \
+        "Desktop suite under each fault plan (seed {CHAOS_SEED}); every run is \
          verified functionally correct. EDP efficiency is the fault-free \
          scheduler's EDP over the faulted run's EDP, per workload."
     ));

@@ -254,18 +254,6 @@ impl EasScheduler {
         self.state.clock = clock;
     }
 
-    /// An *online* performance-oriented variant: the same profiling
-    /// machinery minimizing pure execution time, which lands on
-    /// α_PERF = R_G/(R_C+R_G) (Eq. 2). The paper's PERF comparison scheme
-    /// is an offline best-time fixed split
-    /// ([`Evaluator::perf_scheme`](crate::Evaluator::perf_scheme)); this
-    /// online variant is available for comparison, but no study uses it.
-    pub fn perf_online(model: PowerModel) -> EasScheduler {
-        let mut s = EasScheduler::new(model, EasConfig::new(Objective::Time));
-        s.state.name = "PERF-online".into();
-        s
-    }
-
     /// One α decision from a profiling observation (Fig 7 steps 15–20):
     /// derive R_C/R_G, classify, pick the power curve, and grid-minimize the
     /// objective over the remaining iterations. Public so the overhead
@@ -373,13 +361,13 @@ mod tests {
         assert!(a > 0.6, "energy objective should go GPU-heavy, got {a}");
 
         // Same machine, time objective: balanced split.
-        let mut perf = EasScheduler::perf_online(linear_model(80.0, 60.0));
+        let mut perf = EasScheduler::new(linear_model(80.0, 60.0), EasConfig::new(Objective::Time));
         let mut b = FakeBackend::new(100_000, 1.0e6, 1.0e6);
         perf.schedule(3, &mut b);
         let a = perf.learned_alpha(3).unwrap();
         assert!(
             (a - 0.5).abs() < 0.01,
-            "PERF balances equal devices, got {a}"
+            "time objective balances equal devices, got {a}"
         );
     }
 

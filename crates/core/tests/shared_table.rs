@@ -204,3 +204,32 @@ fn eight_shared_runtimes_run_real_workloads() {
         solo_decisions
     );
 }
+
+/// Two scheduler lifetimes over one store directory: the first profiles
+/// and checkpoints, the second recovers the table and its eight streams
+/// make no α decision at all.
+#[test]
+fn a_warm_start_over_the_same_store_decides_nothing() {
+    let mut platform = Platform::haswell_desktop();
+    platform.pcu.measurement_noise = 0.0;
+    let model = easched_core::characterize(&platform, &Default::default());
+    let dir = std::env::temp_dir().join(format!("easched-warm-start-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for warm in [false, true] {
+        let config = EasConfig::new(Objective::EnergyDelay);
+        let shared = SharedEas::with_persistence(model.clone(), config, &dir).expect("open store");
+        assert_eq!(shared.table().is_empty(), !warm);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    let mut rt = EasRuntime::with_shared(platform.clone(), Arc::clone(&shared));
+                    let out = rt.run(suite::mandelbrot_small().as_ref());
+                    assert!(out.verification.is_passed());
+                });
+            }
+        });
+        assert_eq!(shared.decisions() == 0, warm, "{}", shared.decisions());
+        shared.checkpoint().expect("checkpoint");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

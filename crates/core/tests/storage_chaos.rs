@@ -4,15 +4,17 @@
 //! later clean-disk life from appending and checkpointing again. A
 //! second suite drives the full scheduler frontend through a write-fault
 //! storm and asserts decisions keep full fidelity (`fault_free()` stays
-//! true — a broken disk degrades durability, not scheduling). The
+//! true — a broken disk degrades durability, not scheduling), once on
+//! the exclusive face and once with eight threads on the shared one. The
 //! property test is the checkpoint half: a fault at any point during
 //! snapshot write / fsync / rename leaves the previous snapshot and
 //! journal fully loadable.
 
 use easched_core::{
-    characterize, AlphaStat, BreakerState, CharacterizationConfig, EasConfig, EasScheduler,
-    KernelTable, Objective, TableStore,
+    characterize, table_to_text, AlphaStat, BreakerState, CharacterizationConfig, EasConfig,
+    EasRuntime, EasScheduler, KernelTable, Objective, PowerModel, RunSeed, SharedEas, TableStore,
 };
+use easched_kernels::suite;
 use easched_runtime::backend::test_support::FakeBackend;
 use easched_runtime::vfs::{ChaosFs, ChaosFsPlan, StorageFault, Vfs};
 use easched_runtime::{Scheduler, TickClock};
@@ -50,6 +52,16 @@ fn stat(alpha: f64, weight: f64, seen: u64) -> AlphaStat {
         weight,
         invocations_seen: seen,
     }
+}
+
+fn desktop_model() -> PowerModel {
+    characterize(
+        &easched_sim::Platform::haswell_desktop(),
+        &CharacterizationConfig {
+            alpha_steps: 10,
+            ..Default::default()
+        },
+    )
 }
 
 fn chaos(plan: ChaosFsPlan) -> ChaosFs {
@@ -199,13 +211,7 @@ fn every_fault_point_recovers_and_rearms() {
 /// scheduler fault plane.
 #[test]
 fn scheduler_decides_at_full_fidelity_through_a_write_fault_storm() {
-    let model = characterize(
-        &easched_sim::Platform::haswell_desktop(),
-        &CharacterizationConfig {
-            alpha_steps: 10,
-            ..Default::default()
-        },
-    );
+    let model = desktop_model();
     let config = EasConfig::new(Objective::Time);
 
     // Reference life: same workload on a quiet disk.
@@ -268,6 +274,71 @@ fn scheduler_decides_at_full_fidelity_through_a_write_fault_storm() {
         "kernel 7 must survive the storm once checkpointed"
     );
     assert!(rec.table.stat(9).is_some());
+}
+
+/// The shared face under the same weather, on the three CI seed roots:
+/// eight threads drive real workloads through one `SharedEas` whose store
+/// sits on a 150‰ storm. Outputs verify, the scheduler's fault plane
+/// stays clean while store health shows the absorbed errors, a bounded
+/// checkpoint retry re-arms durability, and a clean-disk reopen recovers
+/// exactly the final table.
+#[test]
+fn eight_streams_learn_through_a_storming_shared_store() {
+    let platform = easched_sim::Platform::haswell_desktop();
+    let model = desktop_model();
+    for seed in [7u64, 23, 1009] {
+        let dir = TempDir::new("shared");
+        let fs = ChaosFs::new(
+            RunSeed::new(seed).derive("chaos-fs"),
+            ChaosFsPlan::storm(150),
+            Arc::new(TickClock::new()),
+        );
+        let eas = SharedEas::with_persistence_vfs(
+            model.clone(),
+            EasConfig::new(Objective::EnergyDelay),
+            &dir.0,
+            Arc::new(fs),
+        )
+        .expect("storm open (storm plans never fault reads)");
+        // Each attempt advances the fault stream, so a bounded retry gets
+        // past any fault window.
+        let checkpoint_lands = || (0..32).any(|_| eas.checkpoint().is_ok());
+        // Still single-threaded, so a pure function of the seed: walk the
+        // stream until one checkpoint is refused, then until one lands. The
+        // racing streams start on a durable store that has absorbed an I/O
+        // error, however few journal appends their interleaving issues.
+        assert!(
+            (0..32).any(|_| eas.checkpoint().is_err()),
+            "seed {seed}: 32 checkpoints met no fault"
+        );
+        assert!(checkpoint_lands(), "seed {seed}: store never re-armed");
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    let mut rt = EasRuntime::with_shared(platform.clone(), Arc::clone(&eas));
+                    for workload in [suite::blackscholes_small(), suite::mandelbrot_small()] {
+                        let outcome = rt.run(workload.as_ref());
+                        assert!(outcome.verification.is_passed(), "seed {seed}");
+                    }
+                });
+            }
+        });
+
+        assert!(
+            checkpoint_lands(),
+            "seed {seed}: checkpoint still failing after 32 attempts"
+        );
+        let health = eas.health();
+        assert!(health.fault_free(), "seed {seed}: {health:?}");
+        assert!(
+            health.store_io_errors > 0,
+            "seed {seed}: the storm's faults must show in store health"
+        );
+        let learned = table_to_text(eas.table());
+        drop(eas);
+        let (_, rec) = TableStore::open(&dir.0).expect("clean-disk recovery");
+        assert_eq!(table_to_text(&rec.table), learned, "seed {seed}");
+    }
 }
 
 /// Degrade-to-memory endurance: a disk that is *permanently* broken

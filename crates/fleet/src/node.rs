@@ -31,9 +31,24 @@ use std::sync::Arc;
 /// out on the next pull round.
 pub const MAX_ENTRIES_PER_FRAME: usize = 128;
 
-/// Attempts the start-time fencing checkpoint gets under injected I/O
-/// faults before the node settles for an in-memory epoch bump.
-const START_CHECKPOINT_RETRIES: usize = 8;
+/// Attempts a node's start-time fencing checkpoint and its shutdown
+/// checkpoint each get under I/O faults (every attempt advances the chaos
+/// op stream) before the node settles for an in-memory epoch bump, or
+/// ends the run degraded.
+const CHECKPOINT_RETRIES: usize = 8;
+
+/// One checkpoint, tried up to [`CHECKPOINT_RETRIES`] times; the last
+/// error is the answer when none lands.
+fn checkpoint_with_retries(shared: &SharedEas) -> Result<(), StoreError> {
+    let mut result = shared.checkpoint();
+    for _ in 1..CHECKPOINT_RETRIES {
+        if result.is_ok() {
+            break;
+        }
+        result = shared.checkpoint();
+    }
+    result
+}
 
 /// Last state published for a kernel, used to detect changes worth an
 /// envelope (bit-exact float comparison, so re-publishing is silent only
@@ -136,13 +151,7 @@ impl FleetNode {
         let store_dir = store_root.join(format!("node{id}"));
         let model = characterize(&platform, &CharacterizationConfig::default());
         let shared = SharedEas::with_persistence_vfs(model, config, &store_dir, vfs)?;
-        let mut fenced = false;
-        for _ in 0..START_CHECKPOINT_RETRIES {
-            if shared.checkpoint().is_ok() {
-                fenced = true;
-                break;
-            }
-        }
+        let fenced = checkpoint_with_retries(&shared).is_ok();
         let store = shared.store().expect("with_persistence attaches a store");
         let generation = if fenced {
             store.generation()
@@ -212,9 +221,12 @@ impl FleetNode {
         self.shared.schedule_shared(kernel, &mut backend);
     }
 
-    /// Checkpoints the journal (normal shutdown; a crash skips this).
+    /// Checkpoints the journal (normal shutdown; a crash skips this),
+    /// with the same bounded retry as the start-time checkpoint: a
+    /// success re-arms a degraded store, so a fault storm does not leave
+    /// the disk behind the table the node ends with.
     pub fn checkpoint(&self) -> Result<(), StoreError> {
-        self.shared.checkpoint()
+        checkpoint_with_retries(&self.shared)
     }
 
     /// This node's storage-health counters (DESIGN.md §16).

@@ -621,8 +621,8 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
             ));
         }
         // Normal shutdown checkpoints; tests reopen the stores. Under
-        // injected storage faults the checkpoint may legitimately fail —
-        // the node ends degraded rather than failing the whole run.
+        // injected storage faults the (retried) checkpoint may still
+        // fail — the node ends degraded rather than failing the whole run.
         match node.checkpoint() {
             Ok(()) => {}
             Err(e) if spec.chaos_fs.is_some() => {

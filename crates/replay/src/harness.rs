@@ -109,11 +109,10 @@ pub(crate) fn storm_workloads() -> Vec<Box<dyn easched_kernels::Workload>> {
     ]
 }
 
-/// The platform every replayable recording runs on (the storm harness,
-/// the CLI `record` subcommand, the `shared_runtime` example's `--record`
-/// mode). Measurement noise is zeroed: the sim is deterministic either
-/// way, but a noiseless platform keeps recorded energies bit-stable
-/// across refactors of the noise model itself.
+/// The platform every replayable recording runs on (the storm harness
+/// and the CLI `record` subcommand). Measurement noise is zeroed: the sim
+/// is deterministic either way, but a noiseless platform keeps recorded
+/// energies bit-stable across refactors of the noise model itself.
 pub fn storm_platform() -> Platform {
     let mut p = Platform::haswell_desktop();
     p.pcu.measurement_noise = 0.0;
@@ -132,8 +131,8 @@ fn fingerprints(model: &PowerModel, config: &EasConfig) -> (u64, u64) {
 /// [`EasScheduler`] on the [`storm_platform`] model with a virtual
 /// [`TickClock`] and a [`Recorder`] (already attached as the telemetry
 /// sink, seed manifest logged) whose fingerprints
-/// [`scheduler_for_log`] will accept. Shared by [`record_chaos_storm`],
-/// the CLI, and the `shared_runtime` example.
+/// [`scheduler_for_log`] will accept. Shared by [`record_chaos_storm`]
+/// and the overload storm.
 pub fn recording_setup(seed: RunSeed) -> (EasScheduler, Arc<Recorder>) {
     let model = characterize(&storm_platform(), &CharacterizationConfig::default());
     let config = EasConfig::new(Objective::EnergyDelay).with_seed(seed);

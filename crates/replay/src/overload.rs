@@ -38,7 +38,7 @@ use easched_runtime::{
 };
 use easched_sim::Machine;
 use easched_telemetry::{RingSink, SloConfig, SloTracker};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 pub use crate::log::VERDICT_EXEC;
 
@@ -165,9 +165,6 @@ pub struct RecordedOverload {
     /// Mean energy-delay product of the executed (admitted) requests,
     /// simulator ground truth.
     pub mean_admitted_edp: f64,
-    /// Mean EDP of the same workload sequence on an unloaded, fault-free
-    /// frontend — the denominator of the degradation gate.
-    pub clean_mean_edp: f64,
     /// Brownout rung at end of run.
     pub final_level: BrownoutLevel,
     /// Ladder transitions over the run.
@@ -175,14 +172,26 @@ pub struct RecordedOverload {
     /// Final per-tenant admission counters, `(name, stats)` in registry
     /// order.
     pub tenant_stats: Vec<(String, TenantStats)>,
+    /// The run's root seed and the workload-rotation index of each
+    /// executed request, in order: what the clean baseline re-runs.
+    seed: RunSeed,
+    executed_kinds: Vec<usize>,
+    /// The clean baseline, simulated by the first caller that asks.
+    clean_mean_edp: OnceLock<f64>,
 }
 
 impl RecordedOverload {
     /// Clean-to-overloaded EDP ratio for admitted work (1.0 = no
-    /// degradation; the ci gate asserts ≥ 0.7).
+    /// degradation; the storm-seeds gate asserts ≥ 0.7). The denominator
+    /// is the mean EDP of the same workload sequence on an unloaded,
+    /// fault-free scheduler — a second simulation of every executed
+    /// request, so it runs on the first call and is kept.
     pub fn edp_efficiency(&self) -> f64 {
-        if self.mean_admitted_edp > 0.0 && self.clean_mean_edp > 0.0 {
-            self.clean_mean_edp / self.mean_admitted_edp
+        let clean = *self
+            .clean_mean_edp
+            .get_or_init(|| clean_mean_edp(self.seed, &self.executed_kinds));
+        if self.mean_admitted_edp > 0.0 && clean > 0.0 {
+            clean / self.mean_admitted_edp
         } else {
             1.0
         }
@@ -477,7 +486,6 @@ fn record_storm_with(
         .fold((0, 0), |(o, s), (_, st)| (o + st.offered, s + st.shed));
     let executed = totals.kinds.len();
     let mean_admitted_edp = mean(&totals.edps);
-    let clean_mean_edp = clean_mean_edp(spec.seed, &totals.kinds);
     let health = shared.health();
 
     RecordedOverload {
@@ -489,18 +497,20 @@ fn record_storm_with(
         shed,
         executed,
         mean_admitted_edp,
-        clean_mean_edp,
         final_level: frontend.level(),
         brownout_transitions: health.brownout_transitions,
         tenant_stats,
         health,
+        seed: spec.seed,
+        executed_kinds: totals.kinds,
+        clean_mean_edp: OnceLock::new(),
     }
 }
 
 /// Mean EDP of the executed workload sequence on an unloaded frontend:
 /// same seed, same scheduler construction, same workload order — but no
-/// chaos, no admission gating, no brownout. The denominator of the
-/// "admitted work keeps ≥ 70 % efficiency" gate.
+/// chaos, no admission gating, no brownout. The denominator of
+/// [`RecordedOverload::edp_efficiency`].
 fn clean_mean_edp(seed: RunSeed, kinds: &[usize]) -> f64 {
     if kinds.is_empty() {
         return 0.0;
@@ -722,10 +732,9 @@ mod tests {
         );
         assert!(
             r.edp_efficiency() >= 0.7,
-            "admitted-work EDP efficiency {} < 0.7 (overloaded {}, clean {})",
+            "admitted-work EDP efficiency {} < 0.7 (overloaded mean EDP {})",
             r.edp_efficiency(),
-            r.mean_admitted_edp,
-            r.clean_mean_edp
+            r.mean_admitted_edp
         );
         // Chaos faults legitimately disturb `fault_free()` here; the
         // overload-protection-is-not-a-fault invariant is pinned by the

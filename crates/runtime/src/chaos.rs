@@ -195,6 +195,31 @@ pub enum FaultPlan {
 }
 
 impl FaultPlan {
+    /// The labelled plan matrix the chaos tests and `figures chaos` both
+    /// sweep: each of [`Fault::ALL`] injected randomly on 30 % of
+    /// observation steps (`gpu-hang` … `implausible-throughput`), a
+    /// `mixed-storm` drawing from all six at 40 %, and a `gpu-outage`
+    /// sustained across the first profiling rounds. The random plans draw
+    /// from `seed`.
+    pub fn matrix(seed: u64) -> Vec<(String, FaultPlan)> {
+        let random = |rate, kinds| FaultPlan::Random { seed, rate, kinds };
+        let mut plans = Vec::new();
+        for fault in Fault::ALL {
+            let mut label = String::new();
+            for c in format!("{fault:?}").chars() {
+                if c.is_uppercase() && !label.is_empty() {
+                    label.push('-');
+                }
+                label.push(c.to_ascii_lowercase());
+            }
+            plans.push((label, random(0.3, vec![fault])));
+        }
+        plans.push(("mixed-storm".into(), random(0.4, Fault::ALL.to_vec())));
+        let outage = FaultPlan::GpuOutage { from: 0, until: 6 };
+        plans.push(("gpu-outage".into(), outage));
+        plans
+    }
+
     fn fault_at(&self, step: u64) -> Option<Fault> {
         match self {
             FaultPlan::None => None,

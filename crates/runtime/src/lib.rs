@@ -15,8 +15,6 @@
 //!   integrated GPU's throughput (wall-clock demo path);
 //! * [`pool`] — the work-stealing `parallel_for` substrate (crossbeam
 //!   deques);
-//! * [`energy_probe`] — the porting seam for package-energy measurement:
-//!   the simulated register or a real Linux RAPL powercap zone;
 //! * [`SchedulerInvoker`] / [`replay_trace`] — adapters connecting
 //!   [`Workload`](easched_kernels::Workload)s and recorded invocation traces
 //!   to a [`Scheduler`].
@@ -34,7 +32,6 @@ pub mod admission;
 pub mod backend;
 pub mod chaos;
 pub mod clock;
-pub mod energy_probe;
 pub mod observation;
 pub mod pool;
 pub mod scheduler;
@@ -50,7 +47,6 @@ pub use admission::{
 pub use backend::Backend;
 pub use chaos::{run_workload_chaos, ChaosBackend, ChaosInjector, Fault, FaultPlan};
 pub use clock::{Clock, TickClock, WallClock};
-pub use energy_probe::{EnergyProbe, MachineProbe, RaplProbe};
 pub use observation::{Observation, RunMetrics};
 pub use pool::{parallel_for, parallel_for_clocked, PoolReport};
 pub use scheduler::{ConcurrentScheduler, GpuPolicy, InvocationCtx, KernelId, Scheduler, Shared};

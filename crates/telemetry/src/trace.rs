@@ -229,11 +229,11 @@ pub fn parse_trace(text: &str) -> Result<Vec<DecisionRecord>, TraceParseError> {
             kernel: int_field(line, "kernel").ok_or_else(|| err("missing kernel"))?,
             path,
             class: byte_field(line, "class").ok_or_else(|| err("missing class"))?,
-            breaker: int_field(line, "breaker").ok_or_else(|| err("missing breaker"))? as u8,
+            breaker: int_field(line, "breaker").ok_or_else(|| err("missing breaker"))?,
             last_fault: byte_field(line, "last_fault").ok_or_else(|| err("missing last_fault"))?,
-            rounds: int_field(line, "rounds").ok_or_else(|| err("missing rounds"))? as u32,
+            rounds: int_field(line, "rounds").ok_or_else(|| err("missing rounds"))?,
             fault_rounds: int_field(line, "fault_rounds")
-                .ok_or_else(|| err("missing fault_rounds"))? as u32,
+                .ok_or_else(|| err("missing fault_rounds"))?,
             r_c: f64_field(line, "r_c").ok_or_else(|| err("missing r_c"))?,
             r_g: f64_field(line, "r_g").ok_or_else(|| err("missing r_g"))?,
             alpha: f64_field(line, "alpha").ok_or_else(|| err("missing alpha"))?,
@@ -279,10 +279,10 @@ pub fn parse_spans(text: &str) -> Result<Vec<Span>, TraceParseError> {
             seq: int_field(line, "seq").ok_or_else(|| err("missing seq"))?,
             trace: int_field(line, "trace").ok_or_else(|| err("missing trace"))?,
             kernel: int_field(line, "kernel").ok_or_else(|| err("missing kernel"))?,
-            id: int_field(line, "id").ok_or_else(|| err("missing id"))? as u16,
-            parent: int_field(line, "parent").ok_or_else(|| err("missing parent"))? as u16,
+            id: int_field(line, "id").ok_or_else(|| err("missing id"))?,
+            parent: int_field(line, "parent").ok_or_else(|| err("missing parent"))?,
             kind,
-            tenant: int_field(line, "tenant").ok_or_else(|| err("missing tenant"))? as u16,
+            tenant: int_field(line, "tenant").ok_or_else(|| err("missing tenant"))?,
             start: f64_field(line, "start").ok_or_else(|| err("missing start"))?,
             dur: f64_field(line, "dur_s").ok_or_else(|| err("missing dur_s"))?,
             payload: f64_field(line, "payload").ok_or_else(|| err("missing payload"))?,
@@ -308,7 +308,9 @@ fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
         .and_then(|s| s.strip_suffix('"'))
 }
 
-fn int_field(line: &str, key: &str) -> Option<u64> {
+/// An integer field, parsed at the width of the record field it fills: a
+/// value that does not fit is as unusable as one that is absent.
+fn int_field<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
     raw_field(line, key)?.parse().ok()
 }
 
@@ -505,5 +507,13 @@ mod tests {
         let err = parse_trace("[\n{\"ph\":\"X\",\"args\":{}}\n]\n").unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.reason.contains("path"));
+        // A value wider than its field is refused, not truncated to 0.
+        let wide = to_trace(&[sample(0, 1)]).replace("\"breaker\":0", "\"breaker\":256");
+        let err = parse_trace(&wide).unwrap_err();
+        assert_eq!(err.line, 3, "{wide}");
+        assert!(err.reason.contains("breaker"));
+        let wide = to_trace_with_spans(&[], &[sample_span(0, 1, SpanKind::Decide)])
+            .replace("\"tenant\":3", "\"tenant\":65539");
+        assert!(parse_spans(&wide).unwrap_err().reason.contains("tenant"));
     }
 }

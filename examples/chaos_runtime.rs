@@ -9,51 +9,26 @@
 //!
 //! ```text
 //! cargo run --release --example chaos_runtime
-//! cargo run --release --example chaos_runtime -- --trace chaos.trace.json
 //! ```
 //!
-//! With `--trace <path>`, every invocation's `DecisionRecord` is dumped as
-//! a Chrome Trace Event file — open it in Perfetto (ui.perfetto.dev) or
-//! chrome://tracing to see the degraded/quarantined/probe invocations on
-//! per-kernel tracks (see README "Inspecting decision traces").
+//! For a Perfetto-loadable dump of a run's `DecisionRecord`s, attach a
+//! `RingSink` and write `to_trace` of its snapshot (README "Inspecting
+//! decision traces").
 
-use easched::core::telemetry::{parse_trace, to_trace};
-use easched::core::{
-    characterize, CharacterizationConfig, EasConfig, EasScheduler, Objective, RingSink,
-    TelemetrySink,
-};
+use easched::core::{characterize, CharacterizationConfig, EasConfig, EasScheduler, Objective};
 use easched::kernels::suite;
 use easched::runtime::chaos::{run_workload_chaos, ChaosInjector, Fault, FaultPlan};
 use easched::sim::{Machine, Platform};
-use std::path::PathBuf;
-use std::sync::Arc;
-
-/// `--trace <path>` from argv, if given.
-fn trace_path() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            return Some(PathBuf::from(
-                args.next().expect("--trace requires a file path"),
-            ));
-        }
-    }
-    None
-}
 
 fn main() {
     let platform = Platform::haswell_desktop();
     println!("characterizing {} ...", platform.name);
     let model = characterize(&platform, &CharacterizationConfig::default());
-    let tracing = trace_path().map(|p| (p, Arc::new(RingSink::with_capacity(1 << 14))));
 
     // --- Act 1: a GPU driver outage that later clears. -------------------
     // The first observation steps all hang; the breaker trips, quarantines
     // the GPU, and a probe invocation discovers the recovery.
     let mut eas = EasScheduler::new(model.clone(), EasConfig::new(Objective::EnergyDelay));
-    if let Some((_, sink)) = &tracing {
-        eas.set_telemetry(Some(sink.clone() as Arc<dyn TelemetrySink>));
-    }
     let mut injector = ChaosInjector::new(FaultPlan::GpuOutage { from: 0, until: 4 });
     println!("\n== GPU outage across the first observation steps ==");
     for round in 0..10 {
@@ -86,9 +61,6 @@ fn main() {
     // backed-off chunks, learned entries are tainted and re-profiled, and
     // the workload still verifies.
     let mut eas = EasScheduler::new(model, EasConfig::new(Objective::EnergyDelay));
-    if let Some((_, sink)) = &tracing {
-        eas.set_telemetry(Some(sink.clone() as Arc<dyn TelemetrySink>));
-    }
     let mut injector = ChaosInjector::new(FaultPlan::Random {
         seed: 42,
         rate: 0.3,
@@ -128,24 +100,4 @@ fn main() {
         injector.steps()
     );
     assert_eq!(h.breaker_trips, 0, "sensor faults never quarantine the GPU");
-
-    if let Some((path, sink)) = &tracing {
-        let records = sink.snapshot();
-        let trace = to_trace(&records);
-        // Self-check: the exported trace must round-trip through the
-        // analyzer before we hand it to the user (bit-level: fault runs
-        // legitimately record NaN phase totals, and NaN != NaN).
-        let reparsed = parse_trace(&trace).expect("exported trace must parse");
-        assert!(
-            reparsed.len() == records.len()
-                && reparsed.iter().zip(&records).all(|(a, b)| a.bitwise_eq(b)),
-            "trace round-trip must be lossless"
-        );
-        std::fs::write(path, trace).expect("write trace file");
-        println!(
-            "\nwrote {} decision records to {} (open in Perfetto or chrome://tracing)",
-            records.len(),
-            path.display()
-        );
-    }
 }

@@ -5,19 +5,20 @@
 //! The canonical overload storm drives a `TenantFrontend` — bounded
 //! per-tenant queues, weighted fair-share draining, quota windows, and
 //! the three-rung brownout ladder — in front of one shared scheduler
-//! while a bursty co-tenant fault plan hammers the package. The run is
-//! recorded as a v2 run log; `--ci` additionally asserts the
-//! acceptance gates (bounded queues, fair-share deficit ≤ 5 %,
-//! admitted-work EDP ≥ 70 % of clean) and replays the log
-//! byte-identically.
+//! while a bursty co-tenant fault plan hammers the package, and this
+//! example prints the admission counters and the per-tenant fairness
+//! ledger of the seed-7 run. The acceptance gates (bounded queues,
+//! fair-share deficit ≤ 5 %, admitted-work EDP ≥ 70 % of clean,
+//! byte-identical replay) are asserted over the CI seed matrix by
+//! `crates/replay/tests/storm_seeds.rs`; `easched record --overload
+//! --seed N` records the storm under any other seed.
 //!
 //! ```text
 //! cargo run --release --example multi_tenant
-//! cargo run --release --example multi_tenant -- --seed 23 --ci
 //! ```
 
 use easched::replay::overload::{overload_registry, overload_traffic};
-use easched::replay::{record_overload_storm, replay_overload_storm, OverloadSpec};
+use easched::replay::{record_overload_storm, OverloadSpec};
 
 fn traffic_desc(t: &easched::runtime::TenantTraffic) -> String {
     if t.burst_every > 0 {
@@ -30,27 +31,8 @@ fn traffic_desc(t: &easched::runtime::TenantTraffic) -> String {
     }
 }
 
-fn args() -> (u64, bool) {
-    let mut seed = 7u64;
-    let mut ci = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed requires an integer")
-            }
-            "--ci" => ci = true,
-            other => panic!("unknown flag {other:?} (usage: multi_tenant [--seed N] [--ci])"),
-        }
-    }
-    (seed, ci)
-}
-
 fn main() {
-    let (seed, ci) = args();
+    let seed = 7;
     let spec = OverloadSpec::new(seed);
     let registry = overload_registry();
     let traffic = overload_traffic();
@@ -117,28 +99,5 @@ fn main() {
             st.shed,
             traffic_desc(&traffic[t]),
         );
-    }
-
-    if ci {
-        assert!(r.queues_bounded, "queues must stay bounded");
-        assert!(r.offered > r.executed as u64, "storm must oversubscribe");
-        assert!(
-            r.fair_share_deficit <= 0.05,
-            "fair-share deficit {} exceeds 5%",
-            r.fair_share_deficit
-        );
-        assert!(
-            r.edp_efficiency() >= 0.7,
-            "admitted-work EDP efficiency {} below 0.7",
-            r.edp_efficiency()
-        );
-        println!("\nreplaying the recorded run ...");
-        let outcome = replay_overload_storm(&r.log).expect("log is replayable");
-        assert!(
-            outcome.identical,
-            "overload replay diverged: {}",
-            outcome.first_difference.as_deref().unwrap_or("?")
-        );
-        println!("byte-identical; all overload gates hold");
     }
 }

@@ -12,13 +12,8 @@
 //!
 //! ```text
 //! cargo run --release --example self_healing
-//! cargo run --release --example self_healing -- --trace selfheal.trace.json
 //! ```
-//!
-//! With `--trace <path>`, every invocation's `DecisionRecord` is dumped as
-//! a Chrome Trace Event file (see README "Inspecting decision traces").
 
-use easched::core::telemetry::{parse_trace, to_trace};
 use easched::core::{
     characterize, CharacterizationConfig, DriftPolicy, EasConfig, EasScheduler, Objective,
     RingSink, TelemetrySink,
@@ -27,21 +22,7 @@ use easched::kernels::suite;
 use easched::runtime::chaos::{run_workload_chaos, ChaosInjector, FaultPlan};
 use easched::runtime::kernel_id_of;
 use easched::sim::{Machine, Platform};
-use std::path::PathBuf;
 use std::sync::Arc;
-
-/// `--trace <path>` from argv, if given.
-fn trace_path() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            return Some(PathBuf::from(
-                args.next().expect("--trace requires a file path"),
-            ));
-        }
-    }
-    None
-}
 
 fn main() {
     // A quiet machine: zero measurement noise keeps the EWMA story crisp.
@@ -133,21 +114,4 @@ fn main() {
         healed.drift_reprofiles, healed.reprofiles_suppressed, healed.watchdog_trips, healed.taints,
     );
     println!("\nprometheus exposition:\n{}", sink.metrics().expose());
-
-    if let Some(path) = trace_path() {
-        let records = sink.snapshot();
-        let trace = to_trace(&records);
-        let reparsed = parse_trace(&trace).expect("exported trace must parse");
-        assert!(
-            reparsed.len() == records.len()
-                && reparsed.iter().zip(&records).all(|(a, b)| a.bitwise_eq(b)),
-            "trace round-trip must be lossless"
-        );
-        std::fs::write(&path, trace).expect("write trace file");
-        println!(
-            "wrote {} decision records to {} (open in Perfetto or chrome://tracing)",
-            records.len(),
-            path.display()
-        );
-    }
 }

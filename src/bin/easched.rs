@@ -1,25 +1,6 @@
 //! `easched` — command-line interface to the energy-aware scheduler.
 //!
-//! ```text
-//! easched list
-//! easched characterize [--platform desktop|tablet] [--save FILE]
-//! easched run --workload MB [--platform P] [--objective edp|energy|ed2|time]
-//!              [--model FILE] [--decisions FILE]
-//! easched compare --workload SM|all [--platform P] [--objective O] [--model FILE]
-//! easched record --out FILE [--seed N] [--rounds N] [--rate F]
-//!                [--chaos-fs PERMILLE]
-//! easched record --out FILE --overload [--seed N] [--ticks N]
-//! easched replay --log FILE [--at N] [--bisect] [--perturb N] [--emit-fixture FILE]
-//! easched serve [--addr HOST:PORT] [--socket PATH] [--seed N] [--ticks N]
-//!               [--out FILE] [--trace FILE] [--hold SECS]
-//! easched scrape (--addr HOST:PORT | --socket PATH) [--path /metrics]
-//! easched fleet [--nodes N] [--seed N] [--ticks N] [--quiet-fabric]
-//!               [--partition A:B:FROM:TO] [--crash NODE:AT:RESTART]
-//!               [--taint TICK:NODE:KERNEL] [--chaos-fs PERMILLE]
-//!               [--store DIR] [--record FILE] [--metrics]
-//! easched fleet --replay FILE [--store DIR]
-//! easched fleet --verify-recovery DIR
-//! ```
+//! The synopsis is `USAGE`: `easched` with no arguments prints it.
 //!
 //! `replay` inspects the log's format version: a v2 (admission-event)
 //! log re-runs the multi-tenant overload storm, a v1 log the
@@ -187,7 +168,7 @@ usage:
                [--model FILE] [--decisions FILE]
   easched compare --workload ABBREV|all [--platform P] [--objective O] [--model FILE]
   easched record --out FILE [--seed N] [--rounds N] [--rate F] [--chaos-fs PERMILLE]
-  easched record --out FILE --overload [--seed N] [--ticks N]
+  easched record --out FILE --overload [--seed N] [--ticks N] [--chaos-fs PERMILLE]
   easched replay --log FILE [--at N] [--bisect] [--perturb N] [--emit-fixture FILE]
   easched serve [--addr HOST:PORT] [--socket PATH] [--seed N] [--ticks N]
                 [--out FILE] [--trace FILE] [--hold SECS]
@@ -199,21 +180,25 @@ usage:
   easched fleet --replay FILE [--store DIR]
   easched fleet --verify-recovery DIR";
 
-/// Which flags each subcommand owns: exactly the ones its `USAGE` lines
-/// name. A flag is parsed only under a subcommand that owns it.
+/// Which flags each usage line owns: exactly the ones `USAGE` names on
+/// it, one `(subcommand, mode, flags)` row per line. A subcommand's first
+/// row is its plain form; a later row is in force when its `mode` flag is
+/// given. A flag is accepted only on a line that names it.
 #[rustfmt::skip]
-const FLAGS: &[(&str, &[&str])] = &[
-    ("list", &[]),
-    ("characterize", &["--platform", "--save"]),
-    ("run", &["--workload", "--platform", "--objective", "--model", "--decisions"]),
-    ("compare", &["--workload", "--platform", "--objective", "--model"]),
-    ("record", &["--out", "--seed", "--rounds", "--rate", "--chaos-fs", "--overload", "--ticks"]),
-    ("replay", &["--log", "--at", "--bisect", "--perturb", "--emit-fixture"]),
-    ("serve", &["--addr", "--socket", "--seed", "--ticks", "--out", "--trace", "--hold"]),
-    ("scrape", &["--addr", "--socket", "--path"]),
-    ("fleet", &["--nodes", "--seed", "--ticks", "--quiet-fabric", "--partition", "--crash",
-                "--taint", "--chaos-fs", "--store", "--record", "--metrics", "--replay",
-                "--verify-recovery"]),
+const FLAGS: &[(&str, &str, &[&str])] = &[
+    ("list", "", &[]),
+    ("characterize", "", &["--platform", "--save"]),
+    ("run", "", &["--workload", "--platform", "--objective", "--model", "--decisions"]),
+    ("compare", "", &["--workload", "--platform", "--objective", "--model"]),
+    ("record", "", &["--out", "--seed", "--rounds", "--rate", "--chaos-fs"]),
+    ("record", "--overload", &["--out", "--overload", "--seed", "--ticks", "--chaos-fs"]),
+    ("replay", "", &["--log", "--at", "--bisect", "--perturb", "--emit-fixture"]),
+    ("serve", "", &["--addr", "--socket", "--seed", "--ticks", "--out", "--trace", "--hold"]),
+    ("scrape", "", &["--addr", "--socket", "--path"]),
+    ("fleet", "", &["--nodes", "--seed", "--ticks", "--quiet-fabric", "--partition", "--crash",
+                    "--taint", "--chaos-fs", "--store", "--record", "--metrics"]),
+    ("fleet", "--replay", &["--replay", "--store"]),
+    ("fleet", "--verify-recovery", &["--verify-recovery"]),
 ];
 
 /// Parses a scheduled-fault flag (`--partition`, `--crash`, `--taint`)
@@ -225,11 +210,11 @@ fn fault_flag<T: std::str::FromStr<Err = String>>(flag: &str, value: &str) -> Re
 fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter().map(String::as_str);
     let sub = it.next().ok_or_else(|| USAGE.to_string())?;
-    let owned = FLAGS
-        .iter()
-        .find(|(name, _)| *name == sub)
-        .map(|(_, flags)| *flags)
-        .ok_or_else(|| format!("unknown command {sub:?}\n{USAGE}"))?;
+    let lines: Vec<_> = FLAGS.iter().filter(|(name, ..)| *name == sub).collect();
+    if lines.is_empty() {
+        return Err(format!("unknown command {sub:?}\n{USAGE}"));
+    }
+    let mut given: Vec<&str> = Vec::new();
 
     let mut platform = PlatformArg::Desktop;
     let mut objective = ObjectiveArg::Edp;
@@ -271,9 +256,10 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 .map(str::to_string)
                 .ok_or_else(|| format!("{name} requires a value"))
         };
-        if !owned.contains(&flag) {
+        if !lines.iter().any(|(.., flags)| flags.contains(&flag)) {
             return Err(format!("`easched {sub}` has no flag {flag:?}\n{USAGE}"));
         }
+        given.push(flag);
         match flag {
             "--platform" => {
                 platform = match value("--platform")?.as_str() {
@@ -366,6 +352,34 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
         }
     }
 
+    // The usage line in force: the one whose mode flag was given, else the
+    // subcommand's plain form. Every flag given must be on that line.
+    let mut modes = lines.iter().filter(|(_, mode, _)| given.contains(mode));
+    let (_, mode, allowed) = match (modes.next(), modes.next()) {
+        (Some((_, a, _)), Some((_, b, _))) => {
+            return Err(format!("{a} and {b} are mutually exclusive"));
+        }
+        (Some(line), _) => **line,
+        (None, _) => *lines[0],
+    };
+    if let Some(stray) = given.iter().find(|flag| !allowed.contains(flag)) {
+        // On the plain form a stray flag belongs to a mode: say which.
+        let line = if mode.is_empty() {
+            let owners: Vec<&str> = lines
+                .iter()
+                .filter(|(_, m, flags)| !m.is_empty() && flags.contains(stray))
+                .map(|(_, m, _)| *m)
+                .collect();
+            format!(
+                "`easched {sub}` has no flag {stray:?} without {}",
+                owners.join(" or ")
+            )
+        } else {
+            format!("`easched {sub} {mode}` has no flag {stray:?}")
+        };
+        return Err(format!("{line}\n{USAGE}"));
+    }
+
     match sub {
         "list" => Ok(Command::List),
         "characterize" => Ok(Command::Characterize { platform, save }),
@@ -414,9 +428,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             Ok(Command::Scrape { addr, socket, path })
         }
         "fleet" => {
-            if replay.is_some() && verify_recovery.is_some() {
-                return Err("--replay and --verify-recovery are mutually exclusive".to_string());
-            }
             if nodes == 0 {
                 return Err("--nodes must be at least 1".to_string());
             }
@@ -916,8 +927,12 @@ fn cmd_replay(
 }
 
 /// Reopens every `node*` journal under `dir` and reports what recovered —
-/// the cold half of the kill -9 smoke: a crashed fleet's stores must come
-/// back without manual repair.
+/// the cold half of the kill -9 and `--chaos-fs` smokes: a crashed or
+/// fault-stormed fleet's stores must come back without manual repair.
+/// Exits 1 when a journal fails to open *or recovers an empty table*:
+/// every node of a run learns, so an empty table means none of it reached
+/// the disk (under `--chaos-fs`, that the node's retried shutdown
+/// checkpoint never landed and it ended degraded-to-memory).
 fn verify_fleet_recovery(dir: &str) {
     let mut node_dirs: Vec<std::path::PathBuf> = match std::fs::read_dir(dir) {
         Ok(rd) => rd
@@ -939,14 +954,23 @@ fn verify_fleet_recovery(dir: &str) {
     let mut failed = false;
     for d in &node_dirs {
         match TableStore::open(d) {
-            Ok((_store, rec)) => println!(
-                "{}: generation {}, {} entry(ies), {} replayed, {} discarded",
-                d.display(),
-                rec.generation,
-                rec.table.len(),
-                rec.replayed,
-                rec.discarded,
-            ),
+            Ok((_store, rec)) => {
+                println!(
+                    "{}: generation {}, {} entry(ies), {} replayed, {} discarded",
+                    d.display(),
+                    rec.generation,
+                    rec.table.len(),
+                    rec.replayed,
+                    rec.discarded,
+                );
+                if rec.table.is_empty() {
+                    failed = true;
+                    eprintln!(
+                        "{}: recovered an empty table — the journal never made it to disk",
+                        d.display()
+                    );
+                }
+            }
             Err(e) => {
                 failed = true;
                 eprintln!("{}: FAILED to recover: {e}", d.display());
@@ -1511,12 +1535,47 @@ mod tests {
     fn every_owned_flag_has_a_parser() {
         // The `unreachable!`s in `parse_args` hold only while `FLAGS` and
         // its two matches agree.
-        for (sub, flags) in FLAGS {
+        for (sub, _, flags) in FLAGS {
             let _ = parse(&[sub]);
             for flag in *flags {
                 let _ = parse(&[sub, flag]);
             }
         }
+    }
+
+    #[test]
+    fn flags_rows_are_the_usage_lines() {
+        // A usage entry opens with `  easched <sub>`; deeper-indented lines
+        // continue it. Its `--flags`, in order, are its FLAGS row.
+        let mut entries: Vec<(&str, Vec<&str>)> = Vec::new();
+        for line in USAGE.lines().skip(1) {
+            let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+            let flags = words.filter(|w| w.starts_with("--"));
+            match line.strip_prefix("  easched ") {
+                Some(rest) => {
+                    let sub = rest.split(' ').next().expect("a subcommand");
+                    entries.push((sub, flags.collect()));
+                }
+                None => entries.last_mut().expect("an open entry").1.extend(flags),
+            }
+        }
+        let rows: Vec<(&str, Vec<&str>)> = FLAGS
+            .iter()
+            .map(|(sub, _, flags)| (*sub, flags.to_vec()))
+            .collect();
+        assert_eq!(rows, entries);
+        for (_, mode, flags) in FLAGS {
+            assert!(mode.is_empty() || flags.contains(mode), "{mode}");
+        }
+    }
+
+    #[test]
+    fn the_mode_flag_selects_the_usage_line_wherever_it_stands() {
+        let args = ["fleet", "--nodes", "2", "--replay", "f.log"];
+        let err = parse(&args).unwrap_err();
+        assert!(err.starts_with("`easched fleet --replay` has no flag \"--nodes\""));
+        assert!(parse(&["fleet", "--store", "d", "--replay", "f.log"]).is_ok());
+        assert!(parse(&["record", "--out", "r", "--chaos-fs", "9", "--overload"]).is_ok());
     }
 
     #[test]

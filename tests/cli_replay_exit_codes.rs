@@ -7,8 +7,9 @@
 //! prefix and exits 0; a fleet log handed to the wrong subcommand, a
 //! fleet log with nothing in it, or a fleet flag naming a node the fleet
 //! does not have, exits 2 — and so does a flag that belongs to another
-//! subcommand. One more pin rides the same binary: the bytes
-//! `easched run --decisions` writes.
+//! subcommand or to another usage line of its own. `fleet
+//! --verify-recovery` exits 1 on a journal that recovers nothing. One more
+//! pin rides the same binary: the bytes `easched run --decisions` writes.
 
 use easched::replay::RunLog;
 use std::process::Command;
@@ -192,8 +193,11 @@ fn fleet_flag_naming_an_absent_node_exits_2_and_names_the_field() {
 
 #[test]
 fn a_flag_of_another_subcommand_exits_2_and_names_both() {
-    // Each of these used to exit 0: `list` ran, `replay` and `fleet`
-    // silently ignored a flag they do not have.
+    // Each of these used to be accepted and dropped: `list` ran, `replay`
+    // and `fleet` ignored a flag they do not have — and one level down,
+    // the overload storm has no rate or rounds, the chaos storm no ticks,
+    // a fleet replay takes its shape from the log and a recovery audit
+    // from the disk.
     let dir = temp_dir("foreign-flag");
     let log = dir.join("storm.runlog");
     let text = easched::replay::record_chaos_storm(&easched::replay::StormSpec::new(7))
@@ -201,7 +205,9 @@ fn a_flag_of_another_subcommand_exits_2_and_names_both() {
         .to_text();
     std::fs::write(&log, text).expect("write log");
     let log = log.to_str().expect("utf-8 temp path");
-    for (args, flag, sub) in [
+    let out = dir.join("never-written.runlog");
+    let out = out.to_str().expect("utf-8 temp path");
+    for (args, flag, line) in [
         (&["list", "--nodes", "0"][..], "--nodes", "easched list"),
         (
             &["replay", "--log", log, "--seed", "9"][..],
@@ -209,19 +215,70 @@ fn a_flag_of_another_subcommand_exits_2_and_names_both() {
             "easched replay",
         ),
         (&["fleet", "--rounds", "3"][..], "--rounds", "easched fleet"),
+        (
+            &["record", "--out", out, "--overload", "--rate", "0.5"][..],
+            "--rate",
+            "`easched record --overload`",
+        ),
+        (
+            &["record", "--out", out, "--overload", "--rounds", "3"][..],
+            "--rounds",
+            "`easched record --overload`",
+        ),
+        (
+            &["record", "--out", out, "--ticks", "4"][..],
+            "--ticks",
+            "`easched record` has no flag \"--ticks\" without --overload",
+        ),
+        (
+            &["fleet", "--replay", log, "--nodes", "9"][..],
+            "--nodes",
+            "`easched fleet --replay`",
+        ),
+        (
+            &["fleet", "--verify-recovery", out, "--seed", "3"][..],
+            "--seed",
+            "`easched fleet --verify-recovery`",
+        ),
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_easched"))
+        let run = Command::new(env!("CARGO_BIN_EXE_easched"))
             .args(args)
             .output()
             .expect("run easched");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{args:?}: {stderr}");
         let first = stderr.lines().next().unwrap_or_default();
         assert!(
-            first.contains(flag) && first.contains(sub),
-            "{args:?} must name the flag and the subcommand: {first}"
+            first.contains(flag) && first.contains(line),
+            "{args:?} must name the flag and the usage line: {first}"
         );
     }
+    assert!(
+        !std::path::Path::new(out).exists(),
+        "a refused `record` ran its storm anyway"
+    );
+}
+
+#[test]
+fn verify_recovery_of_an_empty_table_exits_1_and_names_the_directory() {
+    // What a node whose disk refused every write leaves behind: a journal
+    // with nothing in it. It opens cleanly, and recovers nothing.
+    let dir = temp_dir("empty-recovery");
+    let node = dir.join("node0");
+    std::fs::create_dir_all(&node).expect("create node dir");
+    std::fs::write(node.join("table.journal"), "").expect("write empty journal");
+    let out = Command::new(env!("CARGO_BIN_EXE_easched"))
+        .args(["fleet", "--verify-recovery"])
+        .arg(&dir)
+        .output()
+        .expect("run easched");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let node = node.display().to_string();
+    assert!(
+        stderr.contains(&node) && stderr.contains("empty table"),
+        "{stderr}"
+    );
 }
 
 #[test]
