@@ -198,11 +198,13 @@ fi
 echo "==> benchmark package: spec <-> BENCHMARK.json check and lane unit tests"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> benchmark workloads: the sched_* output checks gate the memory layer"
-# Each run checks its own output (decide count equals the closed form, one
-# ring record per invocation, alpha on the 0.1 grid, the store reopens to
-# exactly the final table) and exits nonzero when a check fails.
-for w in sched_miss sched_hit sched_durable; do
+echo "==> benchmark workloads: output checks gate the memory layer and the sealed-line codec"
+# Each run checks its own output and exits nonzero when a check fails.
+# sched_*: decide count equals the closed form, one ring record per
+# invocation, alpha on the 0.1 grid, the store reopens to exactly the
+# final table. fleet_gossip: converged, one digest, the same digest every
+# unit. replay_storm: the log parses back whole and replays identically.
+for w in sched_miss sched_hit sched_durable fleet_gossip replay_storm; do
     echo "    benchmark/run.sh --workload $w"
     bash benchmark/run.sh --workload "$w" --seed 7 --seconds 2 --trace 0 > /dev/null
 done
@@ -250,6 +252,20 @@ extra=$(grep '^name = ' Cargo.lock | grep -v -e '"easched' \
     -e '"rand"' -e '"proptest"' -e '"crossbeam"' || true)
 if [ -n "$extra" ]; then
     echo "unexpected package in Cargo.lock: $extra"
+    exit 1
+fi
+
+echo "==> one codec: fleet and replay write sealed lines field by field, read them through Fields"
+# DESIGN.md §12: a line is appended to the caller's buffer by a
+# `LineWriter` and read back by `Fields`. A `format!` handed to a seal is
+# the per-line allocation coming back; a `split_whitespace` in the two
+# grammars is a second reader.
+if grep -rn -E 'seal(ed|_line)\(.*format!' crates/fleet/src crates/replay/src; then
+    echo "a sealed line is built with format! again"
+    exit 1
+fi
+if grep -n -i 'split_\?whitespace' crates/fleet/src/frame.rs crates/replay/src/log.rs; then
+    echo "frame.rs or log.rs splits a line by hand again"
     exit 1
 fi
 

@@ -15,7 +15,8 @@
 //! * `ent` — a batch of [`Envelope`]s, each a single sealed line, in
 //!   strictly increasing `(generation, seq)` order per origin.
 
-use easched_runtime::sealed::{end_of, next_bits, sanitize, seal_line, unseal, Bits};
+use crate::node::MAX_ENTRIES_PER_FRAME;
+use easched_runtime::sealed::{unseal, Fields, LineWriter};
 
 /// A node's identity within the fleet (dense, 0-based).
 pub type NodeId = u16;
@@ -101,64 +102,64 @@ impl Envelope {
         }
     }
 
-    fn to_line(&self) -> String {
+    /// Starts this envelope's line at the end of `out`; the caller seals it.
+    fn line<'a>(&self, out: &'a mut String) -> LineWriter<'a> {
+        let tag = match self.op {
+            Op::Put { .. } => "put",
+            Op::Taint { .. } => "taint",
+        };
+        let line = LineWriter::begin(out, tag)
+            .dec(u64::from(self.origin))
+            .name(&self.platform)
+            .dec(self.generation)
+            .dec(self.seq)
+            .hex16(self.op.kernel());
         match self.op {
             Op::Put {
-                kernel,
                 alpha,
                 weight,
                 seen,
                 tainted,
-            } => format!(
-                "put {} {} {} {} {kernel:016x} {} {} {seen} {}",
-                self.origin,
-                sanitize(&self.platform),
-                self.generation,
-                self.seq,
-                Bits(alpha),
-                Bits(weight),
-                u8::from(tainted),
-            ),
-            Op::Taint { kernel } => format!(
-                "taint {} {} {} {} {kernel:016x}",
-                self.origin,
-                sanitize(&self.platform),
-                self.generation,
-                self.seq,
-            ),
+                ..
+            } => line
+                .bits(alpha)
+                .bits(weight)
+                .dec(seen)
+                .dec(u64::from(tainted)),
+            Op::Taint { .. } => line,
         }
     }
 
     fn from_line(body: &str) -> Option<Envelope> {
-        let mut parts = body.split_whitespace();
-        let word = parts.next()?;
-        let origin = parts.next()?.parse().ok()?;
-        let platform = parts.next()?.to_string();
-        let generation = parts.next()?.parse().ok()?;
-        let seq = parts.next()?.parse().ok()?;
-        let kernel = u64::from_str_radix(parts.next()?, 16).ok()?;
-        let op = match word {
-            "put" => Op::Put {
-                kernel,
-                alpha: next_bits(&mut parts)?,
-                weight: next_bits(&mut parts)?,
-                seen: parts.next()?.parse().ok()?,
-                tainted: match parts.next()? {
-                    "0" => false,
-                    "1" => true,
-                    _ => return None,
+        Fields::parse(body, |fields| {
+            let word = fields.word()?;
+            let origin = fields.dec()?;
+            let platform = fields.word()?.to_string();
+            let generation = fields.dec()?;
+            let seq = fields.dec()?;
+            let kernel = fields.hex()?;
+            let op = match word {
+                "put" => Op::Put {
+                    kernel,
+                    alpha: fields.bits()?,
+                    weight: fields.bits()?,
+                    seen: fields.dec()?,
+                    tainted: match fields.word()? {
+                        "0" => false,
+                        "1" => true,
+                        _ => return None,
+                    },
                 },
-            },
-            "taint" => Op::Taint { kernel },
-            _ => return None,
-        };
-        end_of(parts)?;
-        Some(Envelope {
-            origin,
-            platform,
-            generation,
-            seq,
-            op,
+                "taint" => Op::Taint { kernel },
+                _ => return None,
+            };
+            Some(Envelope {
+                origin,
+                platform,
+                generation,
+                seq,
+                op,
+            })
         })
     }
 }
@@ -236,23 +237,31 @@ impl Frame {
             FramePayload::Request(wants) => ("req", wants.len()),
             FramePayload::Entries(envs) => ("ent", envs.len()),
         };
-        seal_line(
-            &mut out,
-            &format!("frame {} {} {kind} {n}", self.from, self.to),
-        );
+        LineWriter::begin(&mut out, "frame")
+            .dec(u64::from(self.from))
+            .dec(u64::from(self.to))
+            .word(kind)
+            .dec(n as u64)
+            .seal();
         match &self.payload {
             FramePayload::Request(wants) => {
-                for (origin, generation, seq) in wants {
-                    seal_line(&mut out, &format!("want {origin} {generation} {seq}"));
+                for &(origin, generation, seq) in wants {
+                    LineWriter::begin(&mut out, "want")
+                        .dec(u64::from(origin))
+                        .dec(generation)
+                        .dec(seq)
+                        .seal();
                 }
             }
             FramePayload::Entries(envs) => {
                 for env in envs {
-                    seal_line(&mut out, &env.to_line());
+                    env.line(&mut out).seal();
                 }
             }
         }
-        seal_line(&mut out, &format!("frame-end {n}"));
+        LineWriter::begin(&mut out, "frame-end")
+            .dec(n as u64)
+            .seal();
         out
     }
 
@@ -260,42 +269,23 @@ impl Frame {
     pub fn decode(text: &str) -> Result<Frame, FrameError> {
         let mut lines = text.lines();
         let header = lines.next().and_then(unseal).ok_or(FrameError::BadHeader)?;
-        let mut parts = header.split_whitespace();
-        if parts.next() != Some("frame") {
-            return Err(FrameError::BadHeader);
-        }
-        let from: NodeId = parse_field(parts.next()).ok_or(FrameError::BadHeader)?;
-        let to: NodeId = parse_field(parts.next()).ok_or(FrameError::BadHeader)?;
-        let kind = parts.next().ok_or(FrameError::BadHeader)?.to_string();
-        let n: usize = parse_field(parts.next()).ok_or(FrameError::BadHeader)?;
-        if parts.next().is_some() {
-            return Err(FrameError::BadHeader);
-        }
-
-        let payload = match kind.as_str() {
+        let (from, to, kind, n) = parse_header(header).ok_or(FrameError::BadHeader)?;
+        let mut body = || lines.next().and_then(unseal).ok_or(FrameError::TornBody);
+        // `n` is whatever the header claims: it bounds the loop, which a
+        // missing line ends, and never sizes an allocation by itself.
+        let reserve = n.min(MAX_ENTRIES_PER_FRAME);
+        let payload = match kind {
             "req" => {
-                let mut wants = Vec::with_capacity(n);
+                let mut wants = Vec::with_capacity(reserve);
                 for _ in 0..n {
-                    let body = lines.next().and_then(unseal).ok_or(FrameError::TornBody)?;
-                    let mut p = body.split_whitespace();
-                    if p.next() != Some("want") {
-                        return Err(FrameError::TornBody);
-                    }
-                    let origin = parse_field(p.next()).ok_or(FrameError::TornBody)?;
-                    let generation = parse_field(p.next()).ok_or(FrameError::TornBody)?;
-                    let seq = parse_field(p.next()).ok_or(FrameError::TornBody)?;
-                    if p.next().is_some() {
-                        return Err(FrameError::TornBody);
-                    }
-                    wants.push((origin, generation, seq));
+                    wants.push(parse_want(body()?).ok_or(FrameError::TornBody)?);
                 }
                 FramePayload::Request(wants)
             }
             "ent" => {
-                let mut envs = Vec::with_capacity(n);
+                let mut envs = Vec::with_capacity(reserve);
                 for _ in 0..n {
-                    let body = lines.next().and_then(unseal).ok_or(FrameError::TornBody)?;
-                    envs.push(Envelope::from_line(body).ok_or(FrameError::TornBody)?);
+                    envs.push(Envelope::from_line(body()?).ok_or(FrameError::TornBody)?);
                 }
                 FramePayload::Entries(envs)
             }
@@ -306,24 +296,38 @@ impl Frame {
             .next()
             .and_then(unseal)
             .ok_or(FrameError::TornFooter)?;
-        let count = footer
-            .strip_prefix("frame-end ")
-            .and_then(|c| c.trim().parse::<usize>().ok())
-            .ok_or(FrameError::TornFooter)?;
-        if count != n || lines.next().is_some() {
+        if parse_footer(footer) != Some(n) || lines.next().is_some() {
             return Err(FrameError::TornFooter);
         }
         Ok(Frame { from, to, payload })
     }
 }
 
-fn parse_field<T: std::str::FromStr>(field: Option<&str>) -> Option<T> {
-    field?.parse().ok()
+/// `frame <from> <to> <kind> <n>`.
+fn parse_header(header: &str) -> Option<(NodeId, NodeId, &str, usize)> {
+    Fields::parse(header, |f| {
+        f.tag("frame")?;
+        Some((f.dec()?, f.dec()?, f.word()?, f.dec()?))
+    })
+}
+
+/// `want <origin> <generation> <seq>`.
+fn parse_want(body: &str) -> Option<(NodeId, u64, u64)> {
+    Fields::parse(body, |f| {
+        f.tag("want")?;
+        Some((f.dec()?, f.dec()?, f.dec()?))
+    })
+}
+
+/// `frame-end <n>`; the tag ends at a space, not at any blank.
+fn parse_footer(footer: &str) -> Option<usize> {
+    Fields::parse(footer.strip_prefix("frame-end ")?, Fields::dec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use easched_runtime::sealed::sealed;
 
     fn sample_entries() -> Frame {
         Frame::entries(
@@ -439,6 +443,20 @@ mod tests {
             .map(|l| format!("{l}\n"))
             .collect();
         assert_eq!(Frame::decode(&shorter), Err(FrameError::TornBody));
+    }
+
+    #[test]
+    fn a_header_count_the_body_cannot_back_is_rejected_whole() {
+        // The count is input: neither one `Vec::with_capacity` panics on
+        // nor one the allocator gives up on may take the process down.
+        for count in ["18446744073709551615", "100000000000000"] {
+            for kind in ["ent", "req"] {
+                let header = format!("frame 0 1 {kind} {count}");
+                let footer = format!("frame-end {count}");
+                let text = sealed(&header) + &sealed(&footer);
+                assert_eq!(Frame::decode(&text), Err(FrameError::TornBody));
+            }
+        }
     }
 
     #[test]

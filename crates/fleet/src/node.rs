@@ -16,7 +16,7 @@ use crate::replica::{Applied, ReplicaTable};
 use crate::reprofile::ReprofileScheduler;
 use crate::stats::FleetStats;
 use easched_core::{
-    characterize, CharacterizationConfig, EasConfig, SharedEas, StoreError, StoreHealth,
+    characterize, CharacterizationConfig, EasConfig, PowerModel, SharedEas, StoreError, StoreHealth,
 };
 use easched_runtime::sim_backend::SimBackend;
 use easched_runtime::vfs::{StdFs, Vfs};
@@ -148,8 +148,31 @@ impl FleetNode {
         reprofile_budget: usize,
         vfs: Arc<dyn Vfs>,
     ) -> Result<FleetNode, StoreError> {
-        let store_dir = store_root.join(format!("node{id}"));
         let model = characterize(&platform, &CharacterizationConfig::default());
+        FleetNode::start_fitted(
+            id,
+            (platform, model),
+            config,
+            store_root,
+            machine_seed,
+            reprofile_budget,
+            vfs,
+        )
+    }
+
+    /// [`start_with`](FleetNode::start_with) over a model the caller
+    /// already fitted for the platform: the fit is a pure function of the
+    /// preset, so a fleet run makes it once per platform, not per node.
+    pub(crate) fn start_fitted(
+        id: NodeId,
+        (platform, model): (Platform, PowerModel),
+        config: EasConfig,
+        store_root: &Path,
+        machine_seed: u64,
+        reprofile_budget: usize,
+        vfs: Arc<dyn Vfs>,
+    ) -> Result<FleetNode, StoreError> {
+        let store_dir = store_root.join(format!("node{id}"));
         let shared = SharedEas::with_persistence_vfs(model, config, &store_dir, vfs)?;
         let fenced = checkpoint_with_retries(&shared).is_ok();
         let store = shared.store().expect("with_persistence attaches a store");

@@ -15,6 +15,7 @@
 
 use crate::frame::{Envelope, NodeId, Op, Version};
 use easched_core::fnv1a64;
+use easched_runtime::sealed::LineWriter;
 use std::collections::BTreeMap;
 
 /// The max-version `Put` body for one `(platform, kernel)`.
@@ -180,15 +181,13 @@ impl ReplicaTable {
     pub fn digest_text(&self) -> String {
         let mut out = String::new();
         for e in self.effective() {
-            let alpha = e.alpha.map_or(u64::MAX, f64::to_bits);
-            out.push_str(&format!(
-                "{} {:016x} {alpha:016x} {:016x} {} {}\n",
-                e.platform,
-                e.kernel,
-                e.weight.to_bits(),
-                e.seen,
-                u8::from(e.tainted),
-            ));
+            LineWriter::begin(&mut out, &e.platform)
+                .hex16(e.kernel)
+                .hex16(e.alpha.map_or(u64::MAX, f64::to_bits))
+                .bits(e.weight)
+                .dec(e.seen)
+                .dec(u64::from(e.tainted))
+                .end();
         }
         out
     }

@@ -13,11 +13,16 @@ use crate::frame::{Frame, FramePayload, NodeId};
 use crate::node::FleetNode;
 use crate::stats::FleetStats;
 use crate::transport::{colon_fields, node_id, ChaosConfig, ChaosTransport};
-use easched_core::{fnv1a64, EasConfig, Objective, RunSeed, StoreError, StoreHealth};
+use easched_core::{
+    characterize, fnv1a64, CharacterizationConfig, EasConfig, Objective, PowerModel, RunSeed,
+    StoreError, StoreHealth,
+};
 use easched_replay::{Event, RunLog, FORMAT_VERSION_FLEET};
+use easched_runtime::sealed::Fields;
 use easched_runtime::vfs::{ChaosFs, ChaosFsPlan, StdFs, Vfs};
 use easched_runtime::TickClock;
 use easched_sim::{KernelTraits, Platform};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -189,75 +194,68 @@ impl FleetSpec {
     /// store root is *not* carried on the wire — replay supplies its own.
     pub fn from_line(line: &str) -> Option<FleetSpec> {
         // Grammar is positional keyword-value; walk it directly.
-        let mut p = line.split_whitespace();
-        if p.next() != Some("spec") || p.next() != Some("v1") {
-            return None;
-        }
-        fn expect(p: &mut std::str::SplitWhitespace<'_>, word: &str) -> Option<()> {
-            (p.next()? == word).then_some(())
-        }
-        expect(&mut p, "seed")?;
-        let seed = u64::from_str_radix(p.next()?, 16).ok()?;
-        expect(&mut p, "platforms")?;
-        let platforms: Vec<String> = p.next()?.split(',').map(str::to_string).collect();
-        expect(&mut p, "ticks")?;
-        let ticks = p.next()?.parse().ok()?;
-        expect(&mut p, "inv")?;
-        let invocations_per_tick = p.next()?.parse().ok()?;
-        expect(&mut p, "items")?;
-        let items_per_invocation = p.next()?.parse().ok()?;
-        expect(&mut p, "kernels")?;
-        let kernels = p.next()?.parse().ok()?;
-        expect(&mut p, "budget")?;
-        let reprofile_budget = p.next()?.parse().ok()?;
-        expect(&mut p, "chaos")?;
-        let chaos = ChaosConfig {
-            drop_per_mille: p.next()?.parse().ok()?,
-            duplicate_per_mille: p.next()?.parse().ok()?,
-            reorder_per_mille: p.next()?.parse().ok()?,
-            torn_per_mille: p.next()?.parse().ok()?,
-            max_delay_ticks: p.next()?.parse().ok()?,
-            partitions: Vec::new(),
-        };
-        expect(&mut p, "partitions")?;
-        let partitions_word = p.next()?;
-        let mut chaos = chaos;
-        if partitions_word != "-" {
-            for part in partitions_word.split(',') {
-                chaos.partitions.push(part.parse().ok()?);
+        Fields::parse(line, |p| {
+            p.tag("spec")?;
+            p.tag("v1")?;
+            p.tag("seed")?;
+            let seed = p.hex()?;
+            p.tag("platforms")?;
+            let platforms: Vec<String> = p.word()?.split(',').map(str::to_string).collect();
+            p.tag("ticks")?;
+            let ticks = p.dec()?;
+            p.tag("inv")?;
+            let invocations_per_tick = p.dec()?;
+            p.tag("items")?;
+            let items_per_invocation = p.dec()?;
+            p.tag("kernels")?;
+            let kernels = p.dec()?;
+            p.tag("budget")?;
+            let reprofile_budget = p.dec()?;
+            p.tag("chaos")?;
+            let mut chaos = ChaosConfig {
+                drop_per_mille: p.dec()?,
+                duplicate_per_mille: p.dec()?,
+                reorder_per_mille: p.dec()?,
+                torn_per_mille: p.dec()?,
+                max_delay_ticks: p.dec()?,
+                partitions: Vec::new(),
+            };
+            p.tag("partitions")?;
+            let partitions_word = p.word()?;
+            if partitions_word != "-" {
+                for part in partitions_word.split(',') {
+                    chaos.partitions.push(part.parse().ok()?);
+                }
             }
-        }
-        expect(&mut p, "crash")?;
-        let crash = match p.next()? {
-            "-" => None,
-            plan => Some(plan.parse().ok()?),
-        };
-        expect(&mut p, "taint")?;
-        let taint = match p.next()? {
-            "-" => None,
-            plan => Some(plan.parse().ok()?),
-        };
-        let chaos_fs = match p.next() {
-            None => None,
-            Some("chaosfs") => Some(p.next()?.parse().ok()?),
-            Some(_) => return None,
-        };
-        if p.next().is_some() {
-            return None;
-        }
-        Some(FleetSpec {
-            seed,
-            platforms,
-            ticks,
-            invocations_per_tick,
-            items_per_invocation,
-            kernels,
-            reprofile_budget,
-            chaos,
-            crash,
-            taint,
-            chaos_fs,
-            store_root: PathBuf::new(),
+            p.tag("crash")?;
+            let crash = match p.word()? {
+                "-" => None,
+                plan => Some(plan.parse().ok()?),
+            };
+            p.tag("taint")?;
+            let taint = match p.word()? {
+                "-" => None,
+                plan => Some(plan.parse().ok()?),
+            };
+            let chaos_fs = match p.word() {
+                None => None,
+                Some("chaosfs") => Some(p.dec()?),
+                Some(_) => return None,
+            };
+            Some(FleetSpec {
+                seed,
+                platforms,
+                ticks,
+                invocations_per_tick,
+                items_per_invocation,
+                kernels,
+                reprofile_budget,
+                chaos,
+                crash,
+                taint,
+                chaos_fs,
+                store_root: PathBuf::new(),
+            })
         })
     }
 }
@@ -426,11 +424,20 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
         (spec.store_root.clone(), false)
     };
 
+    // The power model is a pure function of the preset: fit each distinct
+    // platform once, for every node and every restart that runs on it.
+    let mut fitted: BTreeMap<&str, (Platform, PowerModel)> = BTreeMap::new();
+    for name in &spec.platforms {
+        if !fitted.contains_key(name.as_str()) {
+            let platform =
+                platform_by_name(name).ok_or_else(|| FleetError::UnknownPlatform(name.clone()))?;
+            let model = characterize(&platform, &CharacterizationConfig::default());
+            fitted.insert(name, (platform, model));
+        }
+    }
+
     let config = EasConfig::new(Objective::EnergyDelay);
     let start_node = |id: NodeId| -> Result<FleetNode, FleetError> {
-        let name = &spec.platforms[usize::from(id)];
-        let platform =
-            platform_by_name(name).ok_or_else(|| FleetError::UnknownPlatform(name.clone()))?;
         // Per-node fault stream, reseeded (deterministically) on every
         // start: a restarted node replays the same fault schedule its
         // previous life saw, so crash/restart plans stay byte-stable.
@@ -442,9 +449,9 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
                 Arc::new(TickClock::new()),
             )),
         };
-        Ok(FleetNode::start_with(
+        Ok(FleetNode::start_fitted(
             id,
-            platform,
+            fitted[spec.platforms[usize::from(id)].as_str()].clone(),
             config.clone(),
             &store_root,
             seed.derive_indexed("fleet/machine", u64::from(id)),

@@ -262,13 +262,12 @@ impl ChaosTransport {
     pub fn poll(&mut self, dst: NodeId) -> Vec<String> {
         let now = self.now;
         let mut out = Vec::new();
-        self.in_flight.retain(|(at, d, f)| {
-            if *d == dst && *at <= now {
-                out.push(f.clone());
-                false
-            } else {
-                true
+        self.in_flight.retain_mut(|(at, d, frame)| {
+            let arrived = *d == dst && *at <= now;
+            if arrived {
+                out.push(std::mem::take(frame));
             }
+            !arrived
         });
         out
     }

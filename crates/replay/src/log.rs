@@ -22,7 +22,7 @@
 //! ([`RunLog::invocations`]) and the identity rule
 //! ([`RunLog::first_difference`]).
 
-use easched_runtime::sealed::{end_of, next_bits, sanitize, seal_line, unseal, Bits};
+use easched_runtime::sealed::{unseal, Fields, LineWriter};
 use easched_runtime::vfs::Vfs;
 use easched_runtime::Observation;
 use easched_sim::CounterSnapshot;
@@ -214,14 +214,22 @@ impl RunLog {
     /// Serializes the log, every line sealed.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        seal_line(&mut out, &format!("easched-runlog v{}", self.version));
-        seal_line(&mut out, &format!("root {:016x}", self.root));
-        seal_line(&mut out, &format!("platform {:016x}", self.platform_fp));
-        seal_line(&mut out, &format!("config {:016x}", self.config_fp));
-        for event in &self.events {
-            seal_line(&mut out, &event_line(event));
+        // The one field that is glued to its tag (`v1`, no space).
+        let magic = format!("easched-runlog v{}", self.version);
+        LineWriter::begin(&mut out, &magic).seal();
+        for (tag, value) in [
+            ("root", self.root),
+            ("platform", self.platform_fp),
+            ("config", self.config_fp),
+        ] {
+            LineWriter::begin(&mut out, tag).hex16(value).seal();
         }
-        seal_line(&mut out, &format!("end {}", self.events.len()));
+        for event in &self.events {
+            event_line(&mut out, event).seal();
+        }
+        LineWriter::begin(&mut out, "end")
+            .dec(self.events.len() as u64)
+            .seal();
         out
     }
 
@@ -272,7 +280,7 @@ impl RunLog {
         let mut header = |tag: &str| -> Result<u64, LogError> {
             let line = lines.next().and_then(unseal).ok_or(LogError::NotARunLog)?;
             line.strip_prefix(tag)
-                .and_then(|rest| u64::from_str_radix(rest.trim(), 16).ok())
+                .and_then(|rest| Fields::parse(rest, Fields::hex))
                 .ok_or_else(|| LogError::MalformedHeader(line.to_string()))
         };
         let root = header("root ")?;
@@ -284,7 +292,7 @@ impl RunLog {
         for line in lines {
             let Some(body) = unseal(line) else { break };
             if let Some(count) = body.strip_prefix("end ") {
-                complete = count.trim().parse::<usize>() == Ok(events.len());
+                complete = Fields::parse(count, Fields::dec) == Some(events.len());
                 break;
             }
             match parse_event(body) {
@@ -399,19 +407,28 @@ impl RunLog {
                 header(replayed)
             ));
         }
-        let mut theirs = replayed.events.iter().map(event_line);
-        for (i, mine) in self.events.iter().map(event_line).enumerate() {
-            let got = theirs.next();
-            if got.as_ref() != Some(&mine) {
-                let got = got.unwrap_or_else(|| "<replay ended>".to_string());
-                return Some(format!("event {i}: recorded `{mine}` / replayed `{got}`"));
+        let (mut mine, mut theirs) = (String::new(), String::new());
+        let mut replayed = replayed.events.iter();
+        for (i, event) in self.events.iter().enumerate() {
+            event_body(&mut mine, event);
+            match replayed.next() {
+                Some(got) => event_body(&mut theirs, got),
+                None => "<replay ended>".clone_into(&mut theirs),
+            }
+            if mine != theirs {
+                return Some(format!(
+                    "event {i}: recorded `{mine}` / replayed `{theirs}`"
+                ));
             }
         }
-        match theirs.next() {
-            Some(extra) if self.complete => Some(format!(
-                "event {}: recorded log ends / replayed `{extra}`",
-                self.events.len()
-            )),
+        match replayed.next() {
+            Some(extra) if self.complete => {
+                event_body(&mut theirs, extra);
+                Some(format!(
+                    "event {}: recorded log ends / replayed `{theirs}`",
+                    self.events.len()
+                ))
+            }
             _ => None,
         }
     }
@@ -500,68 +517,75 @@ fn nest(events: &[Event]) -> Vec<LoggedInvocation<'_>> {
     out
 }
 
-fn event_line(event: &Event) -> String {
+/// Starts `event`'s line at the end of `out`: [`RunLog::to_text`] seals
+/// it, [`RunLog::first_difference`] compares the bare body.
+fn event_line<'a>(out: &'a mut String, event: &Event) -> LineWriter<'a> {
     match event {
         Event::Derive {
             domain,
             index,
             seed,
         } => {
-            let idx = index.map_or("-".to_string(), |i| i.to_string());
-            format!("derive {} {idx} {seed:016x}", sanitize(domain))
+            let line = LineWriter::begin(out, "derive").name(domain);
+            match *index {
+                Some(i) => line.dec(i),
+                None => line.word("-"),
+            }
+            .hex16(*seed)
         }
         Event::Invocation {
             kernel,
             items,
             profile_size,
             label,
-        } => format!(
-            "invocation {kernel:016x} {items} {profile_size} {}",
-            sanitize(label)
-        ),
+        } => LineWriter::begin(out, "invocation")
+            .hex16(*kernel)
+            .dec(*items)
+            .dec(*profile_size)
+            .name(label),
         Event::Step(step) => {
-            let call = match step.call {
-                StepCall::Profile { chunk } => format!("profile {chunk}"),
-                StepCall::Split { alpha } => format!("split {}", Bits(alpha)),
+            let line = LineWriter::begin(out, "step");
+            let line = match step.call {
+                StepCall::Profile { chunk } => line.word("profile").dec(chunk),
+                StepCall::Split { alpha } => line.word("split").bits(alpha),
             };
-            format!(
-                "step {call} {} {}",
-                step.remaining_after,
-                obs_words(&step.obs)
-            )
+            obs_words(line.dec(step.remaining_after), &step.obs)
         }
         Event::Decision(record) => {
-            let words: Vec<String> = record
-                .encode()
-                .iter()
-                .map(|w| format!("{w:016x}"))
-                .collect();
-            format!("decision {} {}", record.seq, words.join(" "))
+            let line = LineWriter::begin(out, "decision").dec(record.seq);
+            record.encode().into_iter().fold(line, LineWriter::hex16)
         }
-        Event::Admission(r) => format!(
-            "admission {} {} {} {} {:016x}",
-            r.tick, r.tenant, r.level, r.verdict, r.arg
-        ),
+        Event::Admission(r) => LineWriter::begin(out, "admission")
+            .dec(r.tick)
+            .dec(r.tenant)
+            .dec(u64::from(r.level))
+            .dec(u64::from(r.verdict))
+            .hex16(r.arg),
         // The payload is verbatim (it may itself carry an inner seal);
-        // only newlines would break the line grammar, and the fleet
-        // writer never produces them.
-        Event::Fleet { line } => format!("fleet {}", line.replace('\n', " ")),
+        // only newlines would break the line grammar — each becomes a
+        // space — and the fleet writer never produces them.
+        Event::Fleet { line } => line
+            .split('\n')
+            .fold(LineWriter::begin(out, "fleet"), LineWriter::word),
     }
 }
 
-fn obs_words(obs: &Observation) -> String {
-    format!(
-        "{} {} {} {} {} {} {} {} {}",
-        Bits(obs.elapsed),
-        obs.cpu_items,
-        obs.gpu_items,
-        Bits(obs.cpu_time),
-        Bits(obs.gpu_time),
-        Bits(obs.energy_joules),
-        Bits(obs.counters.instructions),
-        Bits(obs.counters.loads),
-        Bits(obs.counters.l3_misses),
-    )
+/// `event`'s bare line, replacing whatever `out` held.
+fn event_body(out: &mut String, event: &Event) {
+    out.clear();
+    let _unsealed = event_line(out, event);
+}
+
+fn obs_words<'a>(line: LineWriter<'a>, obs: &Observation) -> LineWriter<'a> {
+    line.bits(obs.elapsed)
+        .dec(obs.cpu_items)
+        .dec(obs.gpu_items)
+        .bits(obs.cpu_time)
+        .bits(obs.gpu_time)
+        .bits(obs.energy_joules)
+        .bits(obs.counters.instructions)
+        .bits(obs.counters.loads)
+        .bits(obs.counters.l3_misses)
 }
 
 fn parse_event(body: &str) -> Option<Event> {
@@ -573,94 +597,67 @@ fn parse_event(body: &str) -> Option<Event> {
             line: line.to_string(),
         });
     }
-    let mut parts = body.split_whitespace();
-    match parts.next()? {
-        "derive" => {
-            let domain = parts.next()?.to_string();
-            let index = match parts.next()? {
-                "-" => None,
-                i => Some(i.parse().ok()?),
-            };
-            let seed = u64::from_str_radix(parts.next()?, 16).ok()?;
-            end_of(parts)?;
-            Some(Event::Derive {
-                domain,
-                index,
-                seed,
-            })
-        }
-        "invocation" => {
-            let kernel = u64::from_str_radix(parts.next()?, 16).ok()?;
-            let items = parts.next()?.parse().ok()?;
-            let profile_size = parts.next()?.parse().ok()?;
-            let label = parts.next()?.to_string();
-            end_of(parts)?;
-            Some(Event::Invocation {
-                kernel,
-                items,
-                profile_size,
-                label,
-            })
-        }
-        "step" => {
-            let call = match parts.next()? {
-                "profile" => StepCall::Profile {
-                    chunk: parts.next()?.parse().ok()?,
+    Fields::parse(body, |fields| {
+        Some(match fields.word()? {
+            "derive" => Event::Derive {
+                domain: fields.word()?.to_string(),
+                index: match fields.word()? {
+                    "-" => None,
+                    index => Some(Fields::parse(index, Fields::dec)?),
                 },
-                "split" => StepCall::Split {
-                    alpha: next_bits(&mut parts)?,
+                seed: fields.hex()?,
+            },
+            "invocation" => Event::Invocation {
+                kernel: fields.hex()?,
+                items: fields.dec()?,
+                profile_size: fields.dec()?,
+                label: fields.word()?.to_string(),
+            },
+            "step" => Event::Step(RecordedStep {
+                call: match fields.word()? {
+                    "profile" => StepCall::Profile {
+                        chunk: fields.dec()?,
+                    },
+                    "split" => StepCall::Split {
+                        alpha: fields.bits()?,
+                    },
+                    _ => return None,
                 },
-                _ => return None,
-            };
-            let remaining_after = parts.next()?.parse().ok()?;
-            let obs = parse_obs(&mut parts)?;
-            end_of(parts)?;
-            Some(Event::Step(RecordedStep {
-                call,
-                obs,
-                remaining_after,
-            }))
-        }
-        "decision" => {
-            let seq = parts.next()?.parse().ok()?;
-            let mut words = [0u64; DecisionRecord::WORDS];
-            for w in &mut words {
-                *w = u64::from_str_radix(parts.next()?, 16).ok()?;
+                remaining_after: fields.dec()?,
+                obs: parse_obs(fields)?,
+            }),
+            "decision" => {
+                let seq = fields.dec()?;
+                let mut words = [0u64; DecisionRecord::WORDS];
+                for w in &mut words {
+                    *w = fields.hex()?;
+                }
+                Event::Decision(DecisionRecord::decode(seq, &words))
             }
-            end_of(parts)?;
-            Some(Event::Decision(DecisionRecord::decode(seq, &words)))
-        }
-        "admission" => {
-            let tick = parts.next()?.parse().ok()?;
-            let tenant = parts.next()?.parse().ok()?;
-            let level = parts.next()?.parse().ok()?;
-            let verdict = parts.next()?.parse().ok()?;
-            let arg = u64::from_str_radix(parts.next()?, 16).ok()?;
-            end_of(parts)?;
-            Some(Event::Admission(AdmissionRecord {
-                tick,
-                tenant,
-                level,
-                verdict,
-                arg,
-            }))
-        }
-        _ => None,
-    }
+            "admission" => Event::Admission(AdmissionRecord {
+                tick: fields.dec()?,
+                tenant: fields.dec()?,
+                level: fields.dec()?,
+                verdict: fields.dec()?,
+                arg: fields.hex()?,
+            }),
+            _ => return None,
+        })
+    })
 }
 
-fn parse_obs(parts: &mut std::str::SplitWhitespace<'_>) -> Option<Observation> {
+fn parse_obs(fields: &mut Fields<'_>) -> Option<Observation> {
     Some(Observation {
-        elapsed: next_bits(parts)?,
-        cpu_items: parts.next()?.parse().ok()?,
-        gpu_items: parts.next()?.parse().ok()?,
-        cpu_time: next_bits(parts)?,
-        gpu_time: next_bits(parts)?,
-        energy_joules: next_bits(parts)?,
+        elapsed: fields.bits()?,
+        cpu_items: fields.dec()?,
+        gpu_items: fields.dec()?,
+        cpu_time: fields.bits()?,
+        gpu_time: fields.bits()?,
+        energy_joules: fields.bits()?,
         counters: CounterSnapshot {
-            instructions: next_bits(parts)?,
-            loads: next_bits(parts)?,
-            l3_misses: next_bits(parts)?,
+            instructions: fields.bits()?,
+            loads: fields.bits()?,
+            l3_misses: fields.bits()?,
         },
     })
 }
@@ -792,8 +789,7 @@ mod tests {
 
     #[test]
     fn unknown_version_is_refused() {
-        let mut out = String::new();
-        seal_line(&mut out, "easched-runlog v99");
+        let out = easched_runtime::sealed::sealed("easched-runlog v99");
         assert_eq!(RunLog::from_text(&out), Err(LogError::UnknownVersion(99)));
     }
 

@@ -7,9 +7,11 @@
 //! A sealed line is `<body> crc <16 hex digits>\n`. A reader that finds
 //! no seal, a malformed seal or a digest mismatch treats the line — and
 //! everything after it — as a torn tail.
-
-use std::fmt::{self, Display, Write};
-use std::str::SplitWhitespace;
+//!
+//! A body is a tag and space-separated fields. [`LineWriter`] appends
+//! them straight into the caller's buffer and seals the bytes where they
+//! lie; [`unseal`] checks the seal at its fixed offset from the end and
+//! [`Fields`] walks the body word by word. Neither allocates.
 
 /// FNV-1a, 64-bit. Not cryptographic — it guards against truncation and
 /// bit rot, not adversaries — but the per-byte xor-then-multiply step is
@@ -24,59 +26,257 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Appends `body`, its seal and a newline to `out`.
-pub fn seal_line(out: &mut String, body: &str) {
-    debug_assert!(!body.contains('\n'), "sealed lines are single lines");
-    out.push_str(body);
-    let _ = writeln!(out, " crc {:016x}", fnv1a64(body.as_bytes()));
+/// One line under construction at the end of a caller's buffer. Every
+/// field method appends a space and the field; [`seal`](LineWriter::seal)
+/// or [`end`](LineWriter::end) finishes the line, and dropping the writer
+/// leaves the bare body.
+#[derive(Debug)]
+pub struct LineWriter<'a> {
+    out: &'a mut String,
+    start: usize,
+}
+
+impl<'a> LineWriter<'a> {
+    /// Starts a line at the end of `out` with `tag`, verbatim.
+    #[inline]
+    pub fn begin(out: &'a mut String, tag: &str) -> LineWriter<'a> {
+        let start = out.len();
+        out.push_str(tag);
+        LineWriter { out, start }
+    }
+
+    /// A field written verbatim.
+    #[inline]
+    pub fn word(self, word: &str) -> Self {
+        self.out.push(' ');
+        self.out.push_str(word);
+        self
+    }
+
+    /// A code-chosen name. Whitespace would break the line grammar, so
+    /// any stray blank is squashed to `_`.
+    #[inline]
+    pub fn name(self, name: &str) -> Self {
+        let mut parts = name.split(char::is_whitespace);
+        let line = self.word(parts.next().unwrap_or_default());
+        for part in parts {
+            line.out.push('_');
+            line.out.push_str(part);
+        }
+        line
+    }
+
+    /// An integer in decimal.
+    #[inline]
+    pub fn dec(self, mut value: u64) -> Self {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (value % 10) as u8;
+            value /= 10;
+            if value == 0 {
+                break;
+            }
+        }
+        self.ascii(&digits[at..])
+    }
+
+    /// A word as exactly 16 lower-case hex digits.
+    #[inline]
+    pub fn hex16(self, value: u64) -> Self {
+        let mut digits = [0u8; 16];
+        for (i, d) in digits.iter_mut().enumerate() {
+            *d = b"0123456789abcdef"[(value >> (60 - 4 * i)) as usize & 0xf];
+        }
+        self.ascii(&digits)
+    }
+
+    /// An `f64` as its bit pattern ([`hex16`](LineWriter::hex16)): byte
+    /// exact, NaN payloads included.
+    #[inline]
+    pub fn bits(self, value: f64) -> Self {
+        self.hex16(value.to_bits())
+    }
+
+    #[inline]
+    fn ascii(self, digits: &[u8]) -> Self {
+        self.word(std::str::from_utf8(digits).expect("digits are ASCII"))
+    }
+
+    /// Appends the seal over everything written since
+    /// [`begin`](LineWriter::begin), and the newline.
+    #[inline]
+    pub fn seal(self) {
+        let body = &self.out.as_bytes()[self.start..];
+        debug_assert!(!body.contains(&b'\n'), "sealed lines are single lines");
+        let digest = fnv1a64(body);
+        self.word("crc").hex16(digest).end();
+    }
+
+    /// Ends the line unsealed.
+    #[inline]
+    pub fn end(self) {
+        self.out.push('\n');
+    }
 }
 
 /// One sealed line as its own string.
 pub fn sealed(body: &str) -> String {
     let mut line = String::with_capacity(body.len() + 22);
-    seal_line(&mut line, body);
+    LineWriter::begin(&mut line, body).seal();
     line
 }
 
 /// Strips and verifies the trailing seal: `None` unless the line ends in
 /// ` crc ` plus exactly 16 hex digits that match the body's digest.
+/// Blanks after the digits, and extra ones between the tag and the
+/// digits, are tolerated.
 pub fn unseal(line: &str) -> Option<&str> {
-    let (body, hex) = line.rsplit_once(" crc ")?;
-    let hex = hex.trim();
-    if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+    let line = line.trim_end();
+    let digits_at = line.len().checked_sub(16)?;
+    let (stored, 16) = leading_digits(&line.as_bytes()[digits_at..], 16)? else {
+        return None;
+    };
+    // Sixteen ASCII digits were just read there, so it is a char boundary.
+    let head = &line[..digits_at];
+    let tagged = head.trim_end();
+    if !head[tagged.len()..].starts_with(' ') {
         return None;
     }
-    let stored = u64::from_str_radix(hex, 16).ok()?;
+    let body = tagged.strip_suffix(" crc")?;
     (fnv1a64(body.as_bytes()) == stored).then_some(body)
 }
 
-/// Displays an `f64` as its bit pattern in 16 hex digits.
-#[derive(Debug, Clone, Copy)]
-pub struct Bits(pub f64);
-
-impl Display for Bits {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:016x}", self.0.to_bits())
+/// Each byte's value as a digit of either case, `0xff` for anything else.
+const DIGIT: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut d = 0;
+    while d < 16 {
+        table[b"0123456789abcdef"[d] as usize] = d as u8;
+        table[b"0123456789ABCDEF"[d] as usize] = d as u8;
+        d += 1;
     }
+    table
+};
+
+/// The value of the run of digits in `radix` (10 or 16) that `bytes`
+/// starts with, and the run's length. Leading zeros are free, as they are
+/// to `from_str_radix`; `None` when the value passes 64 bits.
+#[inline]
+fn leading_digits(bytes: &[u8], radix: u64) -> Option<(u64, usize)> {
+    let mut value = 0u64;
+    for (at, &b) in bytes.iter().enumerate() {
+        let d = u64::from(DIGIT[usize::from(b)]);
+        if d >= radix {
+            return Some((value, at));
+        }
+        value = value.checked_mul(radix)?.checked_add(d)?;
+    }
+    Some((value, bytes.len()))
 }
 
-/// Parses the next word as the hex bit pattern [`Bits`] wrote.
-pub fn next_bits(parts: &mut SplitWhitespace<'_>) -> Option<f64> {
-    u64::from_str_radix(parts.next()?, 16)
-        .ok()
-        .map(f64::from_bits)
+/// The length of the run of blank (or, with `blank` false, non-blank)
+/// characters `s` starts with. The run is walked character by character
+/// with `char::is_whitespace` deciding, as `str::split_whitespace` does,
+/// so it ends on a char boundary.
+#[inline]
+fn run_len(s: &str, blank: bool) -> usize {
+    let mut at = 0;
+    while at < s.len() {
+        let (is_blank, len) = match s.as_bytes()[at] {
+            b'\t'..=b'\r' | b' ' => (true, 1),
+            0x80.. => {
+                let c = s[at..].chars().next().expect("`at` is inside `s`");
+                (c.is_whitespace(), c.len_utf8())
+            }
+            _ => (false, 1),
+        };
+        if is_blank != blank {
+            break;
+        }
+        at += len;
+    }
+    at
 }
 
-/// Names inside a line are code-chosen, but whitespace would break the
-/// line grammar: squash any stray space.
-pub fn sanitize(s: &str) -> String {
-    s.replace(char::is_whitespace, "_")
+/// A cursor over the whitespace-separated fields of a line body. Words
+/// are split exactly as `str::split_whitespace` splits them, and numbers
+/// are accepted exactly as `str::parse` / `from_str_radix` accept them
+/// (an optional leading `+`, leading zeros, `None` on overflow). After a
+/// `None` the cursor is wherever the field gave up.
+#[derive(Debug)]
+pub struct Fields<'a> {
+    /// What is left of the body; never starts with a blank.
+    rest: &'a str,
 }
 
-/// `Some(())` only when the iterator is exhausted (trailing junk on a
-/// line is treated as corruption).
-pub fn end_of(mut parts: SplitWhitespace<'_>) -> Option<()> {
-    parts.next().is_none().then_some(())
+impl<'a> Fields<'a> {
+    /// Reads a whole `body` with `read`: `None` when `read` gives up or
+    /// leaves a word unread (trailing junk on a line is corruption).
+    #[inline]
+    pub fn parse<T>(body: &'a str, read: impl FnOnce(&mut Fields<'a>) -> Option<T>) -> Option<T> {
+        let mut fields = Fields {
+            rest: &body[run_len(body, true)..],
+        };
+        let value = read(&mut fields)?;
+        fields.rest.is_empty().then_some(value)
+    }
+
+    /// Steps over the `len`-byte word `rest` starts with and the blanks
+    /// behind it: `None` when the word is longer than that.
+    #[inline]
+    fn take(&mut self, len: usize) -> Option<&'a str> {
+        let (word, rest) = self.rest.split_at(len);
+        let next = run_len(rest, true);
+        if next == 0 && !rest.is_empty() {
+            return None;
+        }
+        self.rest = &rest[next..];
+        Some(word)
+    }
+
+    /// The next word, `None` at the end of the line.
+    #[inline]
+    pub fn word(&mut self) -> Option<&'a str> {
+        let word = self.take(run_len(self.rest, false))?;
+        (!word.is_empty()).then_some(word)
+    }
+
+    /// Consumes the next word if it is `tag`; `None` otherwise.
+    #[inline]
+    pub fn tag(&mut self, tag: &str) -> Option<()> {
+        (self.word()? == tag).then_some(())
+    }
+
+    /// The next word as an integer in `radix`, read as it is found.
+    #[inline]
+    fn number(&mut self, radix: u64) -> Option<u64> {
+        let bytes = self.rest.as_bytes();
+        let sign = usize::from(bytes.first() == Some(&b'+'));
+        let (value, digits) = leading_digits(&bytes[sign..], radix)?;
+        self.take(sign + digits)?;
+        (digits > 0).then_some(value)
+    }
+
+    /// The next word as a decimal integer that fits `T`.
+    #[inline]
+    pub fn dec<T: TryFrom<u64>>(&mut self) -> Option<T> {
+        T::try_from(self.number(10)?).ok()
+    }
+
+    /// The next word as a hex integer ([`LineWriter::hex16`] writes 16
+    /// digits; any count that fits 64 bits reads back).
+    #[inline]
+    pub fn hex(&mut self) -> Option<u64> {
+        self.number(16)
+    }
+
+    /// The next word as the bit pattern [`LineWriter::bits`] wrote.
+    #[inline]
+    pub fn bits(&mut self) -> Option<f64> {
+        self.hex().map(f64::from_bits)
+    }
 }
 
 #[cfg(test)]
@@ -101,19 +301,26 @@ mod tests {
     }
 
     #[test]
-    fn bits_survive_the_round_trip_exactly() {
-        for v in [0.1, -0.0, f64::MIN_POSITIVE, f64::INFINITY] {
-            let text = format!("{} tail", Bits(v));
-            let mut parts = text.split_whitespace();
-            assert_eq!(next_bits(&mut parts).map(f64::to_bits), Some(v.to_bits()));
-            assert_eq!(end_of(parts), None);
-        }
+    fn fields_survive_the_round_trip_exactly() {
         let nan = f64::from_bits(0x7ff8_0000_dead_beef);
-        let text = Bits(nan).to_string();
-        assert_eq!(text, "7ff80000deadbeef");
-        let mut parts = text.split_whitespace();
-        assert_eq!(next_bits(&mut parts).map(f64::to_bits), Some(nan.to_bits()));
-        assert_eq!(end_of(parts), Some(()));
-        assert_eq!(sanitize("a b\tc"), "a_b_c");
+        for v in [0.1, -0.0, f64::MIN_POSITIVE, f64::INFINITY, nan] {
+            let mut text = String::new();
+            LineWriter::begin(&mut text, "v").bits(v).word("tail").end();
+            let read = Fields::parse(&text, |f| {
+                f.tag("v")?;
+                let bits = f.bits()?;
+                f.tag("tail").map(|()| bits)
+            });
+            assert_eq!(read.map(f64::to_bits), Some(v.to_bits()));
+            let short = Fields::parse(&text, |f| f.tag("v").and_then(|()| f.bits()));
+            assert_eq!(short, None, "a word left unread refuses the line");
+        }
+        let mut text = String::new();
+        let line = LineWriter::begin(&mut text, "t").bits(nan).dec(0);
+        line.dec(u64::MAX).hex16(0xab).name("a b\tc\u{a0}").name("");
+        assert_eq!(
+            text,
+            "t 7ff80000deadbeef 0 18446744073709551615 00000000000000ab a_b_c_ "
+        );
     }
 }
