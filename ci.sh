@@ -209,6 +209,30 @@ for w in sched_miss sched_hit sched_durable fleet_gossip replay_storm; do
     bash benchmark/run.sh --workload "$w" --seed 7 --seconds 2 --trace 0 > /dev/null
 done
 
+echo "==> decide by lookup: table and search agree to the bit (release: the dense rho sweep)"
+# Debug builds re-run the search behind every lookup (every stage above
+# that ran a debug test was an equivalence check on its own traffic);
+# this is the sweep too dense for one.
+cargo test -q --release -p easched-core --test decide_lookup
+
+echo "==> one minimiser: only DecisionEngine::minimize sweeps OBJ over alpha"
+# The table is built from `minimize` and checked against it. A second
+# call site of either search under crates/core/src is a second
+# implementation of the decision.
+stray=$(awk '
+    FNR == 1 { fn = "" }
+    /^ *(pub(\([a-z]+\))? +)?fn +[a-z_0-9]+/ {
+        fn = $0; sub(/^.*fn +/, "", fn); sub(/[^a-z_0-9].*$/, "", fn)
+    }
+    /(grid_min|golden_section_min)\(/ && !/^ *\/\// {
+        if (!(FILENAME ~ /engine\.rs$/ && fn == "minimize")) print FILENAME ":" FNR ": " $0
+    }' $(find crates/core/src -name '*.rs'))
+if [ -n "$stray" ]; then
+    echo "$stray"
+    echo "grid_min / golden_section_min called outside DecisionEngine::minimize"
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

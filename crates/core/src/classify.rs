@@ -121,7 +121,24 @@ impl Classifier {
     /// assert!(class.cpu_short); // 10k items at 100k items/s = 0.1s... just at threshold
     /// ```
     pub fn classify(&self, obs: &Observation, n_remaining: u64) -> WorkloadClass {
-        let memory_bound = obs.counters.miss_per_load() > self.memory_threshold;
+        self.classify_rates(
+            obs.counters.miss_per_load(),
+            obs.cpu_rate(),
+            obs.gpu_rate(),
+            n_remaining,
+        )
+    }
+
+    /// [`classify`](Self::classify) for a caller that already holds the
+    /// observation's miss ratio and device rates (the decision engine
+    /// derives both rates itself).
+    pub(crate) fn classify_rates(
+        &self,
+        miss_per_load: f64,
+        r_c: f64,
+        r_g: f64,
+        n_remaining: u64,
+    ) -> WorkloadClass {
         let est = |rate: f64| {
             if rate > 0.0 {
                 n_remaining as f64 / rate
@@ -130,9 +147,9 @@ impl Classifier {
             }
         };
         WorkloadClass {
-            memory_bound,
-            cpu_short: est(obs.cpu_rate()) <= self.short_threshold,
-            gpu_short: est(obs.gpu_rate()) <= self.short_threshold,
+            memory_bound: miss_per_load > self.memory_threshold,
+            cpu_short: est(r_c) <= self.short_threshold,
+            gpu_short: est(r_g) <= self.short_threshold,
         }
     }
 }

@@ -9,6 +9,15 @@
 //! immutable configuration and the characterized power model — no kernel
 //! table, no log, no counters — so one engine is freely shared across
 //! threads (`Send + Sync`) and a decision never takes a lock.
+//!
+//! The common decision does not run the minimization at all. T(α) is
+//! (N/R_C)·max(1−α, α/ρ) with ρ = R_G/R_C, and a built-in objective is
+//! P·Tᵏ, so given the class the grid optimum is a step function of ρ
+//! alone. The engine tabulates that function per class the first time a
+//! class is decided ([`DecisionEngine::alpha_table`]) and answers from it
+//! wherever the table is certain; `minimize` remains the one place OBJ is
+//! evaluated over α, decides every other call, and is what each table
+//! entry is checked against (DESIGN.md §8).
 
 use crate::classify::WorkloadClass;
 use crate::eas::{AlphaSearch, Decision, EasConfig};
@@ -17,6 +26,7 @@ use crate::power_model::PowerModel;
 use crate::time_model::TimeModel;
 use easched_num::{golden_section_min, grid_min};
 use easched_runtime::{KernelId, Observation};
+use std::sync::OnceLock;
 
 /// Half-width of the α window a cross-platform warm-start prior narrows
 /// the search to (fleet replication, DESIGN.md §15). Wide enough that a
@@ -26,6 +36,46 @@ use easched_runtime::{KernelId, Observation};
 /// so a bad prior costs search resolution for a few rounds, never a
 /// wrong table entry.
 pub const PRIOR_WINDOW: f64 = 0.25;
+
+/// The α window of a decision made without a warm-start prior.
+const FULL_WINDOW: (f64, f64) = (0.0, 1.0);
+
+/// A stored ρ has every other grid point's score at least this far,
+/// relatively, above the winner's. The evaluated scores carry a relative
+/// rounding error below 1e-12 over the table's domain, so inside a
+/// segment the sweep cannot pick a different sample; a ρ nearer than this
+/// to a crossing (or a class with two near-equal samples) is in no
+/// segment and is evaluated.
+const SCORE_MARGIN: f64 = 1e-7;
+
+/// Finest grid that is tabulated: building is O(steps²) and a sample's
+/// T(α) carries a relative error that grows with `steps`.
+const MAX_TABLE_STEPS: usize = 256;
+
+/// ρ = R_G/R_C covered by a table, 2⁻³² to 2³².
+const RHO_DOMAIN: (f64, f64) = (1.0 / (1u64 << 32) as f64, (1u64 << 32) as f64);
+
+/// N/R_C — the CPU-alone time, seconds — covered by a table, 2⁻¹⁰⁰ to
+/// 2¹⁰⁰; with [`RHO_DOMAIN`] and [`POWER_DOMAIN`] it keeps P·T³ and every
+/// intermediate of T(α) a normal number (between 2⁻⁴⁹⁶ and 2⁴⁹⁶).
+const SPAN_DOMAIN: (f64, f64) = (1.0 / (1u128 << 100) as f64, (1u128 << 100) as f64);
+
+/// Watts a curve may predict at a grid sample of a tabulated class,
+/// 2⁻¹⁰⁰ to 2¹⁰⁰.
+const POWER_DOMAIN: (f64, f64) = SPAN_DOMAIN;
+
+/// One step of a class's tabulated α\*(ρ): every ρ = R_G/R_C in
+/// `[rho_lo, rho_hi]` decides `alpha`. What lies between two segments is
+/// evaluated, not looked up.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AlphaSegment {
+    /// Smallest ρ the segment answers.
+    pub rho_lo: f64,
+    /// Largest ρ the segment answers.
+    pub rho_hi: f64,
+    /// The grid sample the evaluated search returns over the segment.
+    pub alpha: f64,
+}
 
 /// The pure per-observation decision procedure: configuration + power
 /// model, nothing mutable.
@@ -61,6 +111,11 @@ pub struct DecisionEngine {
     config: EasConfig,
     model: PowerModel,
     guard: ObservationGuard,
+    /// `(steps, k)` when the configuration is one a table can answer: a
+    /// grid search and a built-in P·Tᵏ objective.
+    tabulated: Option<(usize, u8)>,
+    /// α\*(ρ) per class index, built on the class's first decision.
+    tables: [OnceLock<Box<[AlphaSegment]>>; 8],
 }
 
 impl DecisionEngine {
@@ -77,10 +132,18 @@ impl DecisionEngine {
             "profile_fraction must be in (0, 1]"
         );
         let guard = ObservationGuard::from_model(&model);
+        let tabulated = match config.alpha_search {
+            AlphaSearch::Grid(steps) if steps <= MAX_TABLE_STEPS => {
+                config.objective.time_exponent().map(|k| (steps.max(1), k))
+            }
+            _ => None,
+        };
         DecisionEngine {
             config,
             model,
             guard,
+            tabulated,
+            tables: Default::default(),
         }
     }
 
@@ -127,7 +190,12 @@ impl DecisionEngine {
     ) -> Decision {
         let r_c = obs.cpu_rate();
         let r_g = obs.gpu_rate();
-        let class = self.config.classifier.classify(obs, n_remaining);
+        let class = self.config.classifier.classify_rates(
+            obs.counters.miss_per_load(),
+            r_c,
+            r_g,
+            n_remaining,
+        );
         let decision = |alpha: f64| Decision {
             kernel,
             r_c,
@@ -143,14 +211,134 @@ impl DecisionEngine {
         if r_c <= 0.0 {
             return decision(1.0);
         }
+        if prior.is_none() {
+            if let Some(alpha) = self.lookup(class, r_c, r_g, n_remaining) {
+                // Debug builds re-run the search behind every lookup.
+                debug_assert_eq!(
+                    alpha.to_bits(),
+                    self.minimize(class, r_c, r_g, n_remaining, FULL_WINDOW)
+                        .to_bits(),
+                    "table and search disagree: {class:?} r_c={r_c:e} r_g={r_g:e} n={n_remaining}"
+                );
+                return decision(alpha);
+            }
+        }
         let window = match prior {
             Some(p) if p.is_finite() => {
                 let p = p.clamp(0.0, 1.0);
                 ((p - PRIOR_WINDOW).max(0.0), (p + PRIOR_WINDOW).min(1.0))
             }
-            _ => (0.0, 1.0),
+            _ => FULL_WINDOW,
         };
         decision(self.minimize(class, r_c, r_g, n_remaining, window))
+    }
+
+    /// The tabulated α\*(ρ) of `class`, ascending in ρ and built on first
+    /// use: what an unprimed [`decide`](DecisionEngine::decide) answers
+    /// from when both rates are positive and N/R_C is between 2⁻¹⁰⁰ and
+    /// 2¹⁰⁰ seconds. Empty when nothing is tabulated: a custom objective,
+    /// a golden-section or finer-than-256-step search, or a class whose
+    /// power curve leaves 2⁻¹⁰⁰..2¹⁰⁰ W at a grid sample.
+    pub fn alpha_table(&self, class: WorkloadClass) -> &[AlphaSegment] {
+        match self.tabulated {
+            Some((steps, k)) => {
+                self.tables[class.index()].get_or_init(|| self.build_table(class, steps, k))
+            }
+            None => &[],
+        }
+    }
+
+    /// The table's answer for an unprimed decision between two live
+    /// devices, or `None` where the search has to run.
+    fn lookup(&self, class: WorkloadClass, r_c: f64, r_g: f64, n_remaining: u64) -> Option<f64> {
+        let table = self.alpha_table(class);
+        if n_remaining == 0 {
+            // Every sample scores 0 and the search keeps its first.
+            return (!table.is_empty()).then_some(FULL_WINDOW.0);
+        }
+        let span = n_remaining as f64 / r_c;
+        if !(SPAN_DOMAIN.0..=SPAN_DOMAIN.1).contains(&span) {
+            return None;
+        }
+        // Segments lie inside RHO_DOMAIN, so a ρ outside it — or the NaN
+        // of two infinite rates — is in none.
+        let rho = r_g / r_c;
+        let at = table.partition_point(|s| s.rho_hi < rho);
+        table.get(at).filter(|s| s.rho_lo <= rho).map(|s| s.alpha)
+    }
+
+    /// Tabulates `class` for a `steps`-step grid under P·Tᵏ.
+    ///
+    /// Over the common factor (N/R_C)ᵏ sample i scores max(Aᵢ, Bᵢ/ρᵏ)
+    /// with Aᵢ = OBJ(Pᵢ, 1−αᵢ) and Bᵢ = OBJ(Pᵢ, αᵢ): falling in ρ while
+    /// the GPU is what the sample waits for, level once the CPU is. The
+    /// level starts at ρ = αᵢ/(1−αᵢ), later for a later sample, so the
+    /// log-ratio of any two samples' scores is monotone in ρ and the ρ
+    /// where sample w leads sample j by [`SCORE_MARGIN`] form a half-line:
+    /// from (M·B_w/Aⱼ)^(1/k) up for an earlier j, up to (Bⱼ/(M·A_w))^(1/k)
+    /// for a later one, M = 1 + margin. Their intersection is w's
+    /// segment. Both ends are then put to the search; a segment it does
+    /// not confirm is not stored.
+    fn build_table(&self, class: WorkloadClass, steps: usize, k: u8) -> Box<[AlphaSegment]> {
+        let curve = self.model.curve(class);
+        let objective = &self.config.objective;
+        let mut level = Vec::with_capacity(steps + 1);
+        let mut fall = Vec::with_capacity(steps + 1);
+        for i in 0..=steps {
+            // The sample `grid_min` takes over the full window.
+            let alpha = i as f64 / steps as f64;
+            let watts = curve.predict(alpha);
+            if !(POWER_DOMAIN.0..=POWER_DOMAIN.1).contains(&watts) {
+                return Box::default();
+            }
+            level.push(objective.evaluate(watts, 1.0 - alpha));
+            fall.push(objective.evaluate(watts, alpha));
+        }
+        let root = |x: f64| match k {
+            1 => x,
+            2 => x.sqrt(),
+            _ => x.cbrt(),
+        };
+        let m = 1.0 + SCORE_MARGIN;
+        let mut table = Vec::with_capacity(steps + 1);
+        'sample: for w in 0..=steps {
+            // Bounds on ρᵏ.
+            let (mut lo, mut hi) = (0.0f64, f64::INFINITY);
+            for j in 0..w {
+                if fall[j] >= fall[w] * m {
+                    continue; // clear of w at every ρ
+                }
+                if level[j] < level[w] * m {
+                    continue 'sample; // never clear of w
+                }
+                lo = lo.max(fall[w] * m / level[j]);
+            }
+            for j in w + 1..=steps {
+                if level[j] >= level[w] * m {
+                    continue;
+                }
+                if fall[j] < fall[w] * m {
+                    continue 'sample;
+                }
+                hi = hi.min(fall[j] / (level[w] * m));
+            }
+            let rho_lo = root(lo).max(RHO_DOMAIN.0);
+            let rho_hi = root(hi).min(RHO_DOMAIN.1);
+            if rho_lo > rho_hi {
+                continue;
+            }
+            let search = |rho: f64| self.minimize(class, 1.0, rho, 1 << 20, FULL_WINDOW);
+            let alpha = search(rho_lo);
+            if alpha == w as f64 / steps as f64 && search(rho_hi) == alpha {
+                table.push(AlphaSegment {
+                    rho_lo,
+                    rho_hi,
+                    alpha,
+                });
+            }
+        }
+        debug_assert!(table.windows(2).all(|p| p[0].rho_hi < p[1].rho_lo));
+        table.into()
     }
 
     /// The model outputs backing a decision: re-evaluates P(α), T(α), and

@@ -67,7 +67,7 @@ pub use characterize::{
 pub use classify::{Classifier, WorkloadClass};
 pub use eas::{Accumulation, AlphaSearch, Decision, EasConfig, EasScheduler};
 pub use easruntime::{EasRuntime, RunOutcome};
-pub use engine::{DecisionEngine, Prediction, PRIOR_WINDOW};
+pub use engine::{AlphaSegment, DecisionEngine, Prediction, PRIOR_WINDOW};
 pub use guard::{FaultKind, ObservationGuard};
 pub use health::{BreakerGate, BreakerState, CircuitBreaker, FaultPolicy, Health, HealthReport};
 pub use journal::{Recovered, StorageEvent, StoreError, StoreHealth, StoreMode, TableStore};

@@ -53,6 +53,20 @@ impl Objective {
         }
     }
 
+    /// The `k` of a built-in metric, every one of which is `c · secondsᵏ`
+    /// with `c` free of `seconds`; `None` for a custom metric, whose
+    /// shape is unknown. Scaling every candidate's time by one factor
+    /// leaves the order of such scores unchanged, which is what lets the
+    /// decision engine tabulate its optimum against R_G/R_C alone.
+    pub(crate) fn time_exponent(&self) -> Option<u8> {
+        match self {
+            Objective::Energy | Objective::Time => Some(1),
+            Objective::EnergyDelay => Some(2),
+            Objective::EnergyDelaySquared => Some(3),
+            Objective::Custom { .. } => None,
+        }
+    }
+
     /// Evaluates the metric from whole-run totals (energy in joules, time
     /// in seconds) — used to score completed runs and the Oracle sweep.
     ///
