@@ -91,6 +91,11 @@ grep -q '^easched_invocations_total' target/ci-serve-metrics.txt
 grep -q '^easched_slo_breaches_total' target/ci-serve-metrics.txt
 grep -q '^easched_build_info{' target/ci-serve-metrics.txt
 grep -q '^easched_uptime_seconds' target/ci-serve-metrics.txt
+# /metrics is composed from the counters' owners: registry, health,
+# admission controller.
+grep -q '^easched_tenant_requests_shed_total{tenant=' target/ci-serve-metrics.txt
+grep -q '^easched_brownout_level ' target/ci-serve-metrics.txt
+grep -q '^easched_store_bytes ' target/ci-serve-metrics.txt
 grep -q '"fault_free"' target/ci-serve-health.txt
 grep -q '"burn_threshold"' target/ci-serve-slo.txt
 # Wait for the post-storm artifacts (run log, then span trace) so a
@@ -99,6 +104,24 @@ for _ in $(seq 1 150); do
     grep -q '^span trace written' target/ci-serve.out 2>/dev/null && break
     sleep 0.2
 done
+# The storm is over and the server still holds: each count has one owner,
+# so /metrics and /health must read it the same.
+./target/release/easched scrape --addr "$SERVE_ADDR" --path /metrics > target/ci-serve-metrics.txt
+./target/release/easched scrape --addr "$SERVE_ADDR" --path /health > target/ci-serve-health.txt
+awk -F'[{},:"]+' '
+    FNR == NR { split($0, s, " "); page[s[1]] = s[2]; next }
+    { for (i = 2; i < NF; i += 2) health[$i] = $(i + 1) }
+    END {
+        n = split("requests_shed brownout_transitions", keys, " ")
+        for (j = 1; j <= n; j++) {
+            m = page["easched_" keys[j] "_total"]
+            if (m == "" || m != health[keys[j]]) {
+                print "/metrics " keys[j] " " m " != /health " health[keys[j]]
+                bad = 1
+            }
+        }
+        exit bad
+    }' target/ci-serve-metrics.txt target/ci-serve-health.txt
 kill "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_OFFSET=$(sed -n 's/.*--at \([0-9]*\)$/\1/p' target/ci-serve.out | head -n 1)

@@ -68,19 +68,6 @@ pub enum FaultKind {
     /// when a round overruns — but it flows through the same rejection
     /// path: retry with a backed-off chunk, degrade past the budget.
     DeadlineExceeded,
-    /// A journal or snapshot I/O operation failed (ENOSPC, EIO, short
-    /// write) and was absorbed by the store (DESIGN.md §16). Like
-    /// `DeadlineExceeded`, never produced by `vet` — the table store
-    /// emits it — but it shares the typed-fault pipeline so telemetry
-    /// sees one fault vocabulary.
-    StorageWrite,
-    /// A file or directory fsync failed; the handle was poisoned and
-    /// re-derived from the on-disk sealed prefix (never retried).
-    StorageSync,
-    /// The store changed degradation state: entered degrade-to-memory
-    /// after unrecoverable I/O failures, or re-armed durability after a
-    /// successful compaction.
-    StorageDegraded,
 }
 
 impl FaultKind {
@@ -105,9 +92,6 @@ impl FaultKind {
             FaultKind::EnergyImplausible => 5,
             FaultKind::CounterCorrupt => 6,
             FaultKind::DeadlineExceeded => 7,
-            FaultKind::StorageWrite => 8,
-            FaultKind::StorageSync => 9,
-            FaultKind::StorageDegraded => 10,
         }
     }
 
@@ -122,9 +106,6 @@ impl FaultKind {
             5 => FaultKind::EnergyImplausible,
             6 => FaultKind::CounterCorrupt,
             7 => FaultKind::DeadlineExceeded,
-            8 => FaultKind::StorageWrite,
-            9 => FaultKind::StorageSync,
-            10 => FaultKind::StorageDegraded,
             _ => return None,
         })
     }
@@ -141,9 +122,6 @@ impl fmt::Display for FaultKind {
             FaultKind::EnergyImplausible => "implausible package power",
             FaultKind::CounterCorrupt => "inconsistent hardware counters",
             FaultKind::DeadlineExceeded => "watchdog deadline exceeded",
-            FaultKind::StorageWrite => "storage write failed",
-            FaultKind::StorageSync => "storage fsync failed (handle poisoned)",
-            FaultKind::StorageDegraded => "store degradation state changed",
         };
         f.write_str(s)
     }
@@ -372,21 +350,16 @@ mod tests {
         assert!(!FaultKind::NonFinite.implicates_gpu());
         // A hung round is a GPU-side stall, not a sensor glitch.
         assert!(FaultKind::DeadlineExceeded.implicates_gpu());
-        // Storage faults are disk-side: they must never push the breaker
-        // toward CPU-only degradation.
-        assert!(!FaultKind::StorageWrite.implicates_gpu());
-        assert!(!FaultKind::StorageSync.implicates_gpu());
-        assert!(!FaultKind::StorageDegraded.implicates_gpu());
     }
 
     #[test]
     fn fault_codes_roundtrip() {
-        for code in 0..=10u8 {
+        for code in 0..=7u8 {
             let kind = FaultKind::from_code(code).unwrap();
             assert_eq!(kind.code(), code);
             assert!(!kind.to_string().is_empty());
         }
-        assert_eq!(FaultKind::from_code(11), None);
+        assert_eq!(FaultKind::from_code(8), None);
     }
 
     #[test]

@@ -51,7 +51,9 @@ easched_telemetry::counter_table! {
     /// [`EasScheduler::health`](crate::EasScheduler::health) and
     /// [`SharedEas::health`](crate::SharedEas::health). Rows marked `fault`
     /// are the ones [`fault_free`](HealthReport::fault_free) reads; the rest
-    /// are adaptation, overload protection or storage durability.
+    /// are adaptation, overload protection or storage durability. Rows
+    /// with a series name are this report's `/metrics` fragment
+    /// ([`expose`](HealthReport::expose)); every row is on `/health`.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub report HealthReport;
     /// Profiling observations that passed the guard.
@@ -75,40 +77,49 @@ easched_telemetry::counter_table! {
     /// Re-profiles scheduled by the drift monitor (DESIGN.md §11).
     /// Adaptation, not a fault: it does not disturb
     /// [`fault_free`](HealthReport::fault_free).
-    drift_reprofiles: counter,
+    drift_reprofiles: counter = "easched_drift_reprofiles_total",
+        "Re-profiles scheduled by the drift monitor",
     /// Drift re-profiles deferred because the global token bucket was
     /// empty.
-    reprofiles_suppressed: counter,
+    reprofiles_suppressed: counter = "easched_reprofiles_suppressed_total",
+        "Due re-profiles deferred by an empty token bucket",
     /// Profiling rounds cancelled by the watchdog deadline.
-    watchdog_trips: counter fault,
+    watchdog_trips: counter fault = "easched_watchdog_trips_total",
+        "Profiling rounds cancelled by the watchdog deadline",
     /// Chunk executions that overran the watchdog's split deadline.
-    split_overruns: counter fault,
+    split_overruns: counter fault = "easched_split_overruns_total",
+        "Chunk executions past the watchdog split deadline",
     /// Invocations forced CPU-only by their admission context (brownout
     /// or a denied GPU policy). Overload protection, not a fault: does
     /// not disturb [`fault_free`](HealthReport::fault_free).
     throttled_invocations: counter,
     /// Requests the admission layer shed (queue overflow, brownout
     /// stage 3). Adaptation, not a fault.
-    requests_shed: counter,
+    requests_shed: counter = "easched_requests_shed_total", "Requests shed by the admission layer",
     /// Requests the admission layer queued behind earlier arrivals.
-    requests_queued: counter,
+    requests_queued: counter = "easched_requests_queued_total",
+        "Requests queued by the admission layer",
     /// Requests refused because a tenant's GPU quota window was spent.
-    quota_denials: counter,
+    quota_denials: counter = "easched_quota_denials_total",
+        "Requests refused on an exhausted GPU quota",
     /// Brownout-ladder rung changes (either direction).
-    brownout_transitions: counter,
+    brownout_transitions: counter = "easched_brownout_transitions_total",
+        "Brownout-ladder rung changes",
     /// Journal/snapshot I/O failures absorbed by the table store
     /// (DESIGN.md §16). Reduced durability, not reduced scheduling
     /// fidelity: excluded from [`fault_free`](HealthReport::fault_free).
     /// The three `store_*` rows are filled from the
     /// [`TableStore`](crate::TableStore) when a frontend builds its
     /// report; their cells in [`HealthStats`] stay zero.
-    store_io_errors: counter,
+    store_io_errors: counter = "easched_store_io_errors",
+        "Storage I/O faults absorbed by the table store",
     /// 1 while the table store is in degrade-to-memory mode, else 0.
     /// Excluded from [`fault_free`](HealthReport::fault_free).
-    store_degraded: gauge,
+    store_degraded: gauge = "easched_store_degraded",
+        "1 while the table store is in degrade-to-memory mode",
     /// Bytes the table store successfully persisted (journal lines and
     /// snapshots).
-    store_bytes: counter,
+    store_bytes: counter = "easched_store_bytes", "Bytes the table store successfully persisted",
 }
 
 /// Fold a [`StoreHealth`](crate::journal::StoreHealth) snapshot into a
@@ -134,6 +145,14 @@ impl HealthReport {
         counters::push_json_field(&mut out, "fault_free", self.fault_free());
         counters::push_json_rows(&mut out, &Self::ROWS, &self.values());
         out.push('}');
+        out
+    }
+
+    /// This report's `/metrics` fragment: every row that declares a
+    /// series name, read at scrape time rather than re-counted by a sink.
+    pub fn expose(&self) -> String {
+        let mut out = String::new();
+        counters::expose_rows(&mut out, &Self::ROWS, &self.values());
         out
     }
 }

@@ -73,13 +73,12 @@
 //!   snapshot + journal, and carries the very mutation that failed).
 //! * **Degrade-to-memory** — when the disk stays broken, the store
 //!   trips into [`StoreMode::Degraded`]: mutations land in a bounded
-//!   in-RAM buffer, counters and typed [`StorageEvent`]s surface the
-//!   state, and every `DEFAULT_COMPACT_EVERY` appends (or any explicit
+//!   in-RAM buffer, the [`StoreHealth`] counters surface the state, and
+//!   every `DEFAULT_COMPACT_EVERY` appends (or any explicit
 //!   checkpoint) the store probes the disk with a compaction; success
 //!   **re-arms** durability. Buffered lines are superseded by that
 //!   snapshot, never replayed on top of it.
 
-use crate::guard::FaultKind;
 use crate::health::BreakerState;
 use crate::kernel_table::{AlphaStat, KernelTable};
 use crate::persist::{self, JournalRecord, JournalScan, ModelParseError};
@@ -103,8 +102,6 @@ const DEFAULT_COMPACT_EVERY: u64 = 256;
 /// Bound on in-RAM journal lines held while degraded; beyond it the
 /// oldest line is dropped (puts are absolute, so newest state wins).
 const MAX_BUFFERED_LINES: usize = 1024;
-/// Bound on queued [`StorageEvent`]s between telemetry drains.
-const MAX_EVENTS: usize = 64;
 
 /// Error opening or checkpointing a [`TableStore`].
 #[derive(Debug)]
@@ -182,23 +179,11 @@ pub enum StoreMode {
     Degraded,
 }
 
-/// One storage fault absorbed by the store, queued for telemetry (the
-/// profile loop drains these into [`ControlEvent`]s; they never enter
-/// the record ring, so recorded runs stay byte-identical).
-///
-/// [`ControlEvent`]: easched_telemetry::ControlEvent
-#[derive(Debug, Clone)]
-pub struct StorageEvent {
-    /// What failed (always one of the `FaultKind::Storage*` variants).
-    pub kind: FaultKind,
-    /// Human-readable context: operation and OS error.
-    pub detail: String,
-}
-
 /// Counter snapshot of a store's storage health, merged into
-/// [`HealthReport`](crate::HealthReport) by the scheduler frontends.
-/// None of these affect `fault_free()` — a broken disk degrades
-/// durability, not scheduling fidelity.
+/// [`HealthReport`](crate::HealthReport) by the scheduler frontends —
+/// the only place the store's faults are counted, and where `/metrics`
+/// reads them. None of these affect `fault_free()` — a broken disk
+/// degrades durability, not scheduling fidelity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreHealth {
     /// I/O operations that failed (append, snapshot, fsync, resync).
@@ -258,8 +243,6 @@ pub struct TableStore {
     degraded_transitions: AtomicU64,
     rearms: AtomicU64,
     dir_sync_unsupported: AtomicBool,
-    events: Mutex<Vec<StorageEvent>>,
-    events_pending: AtomicBool,
 }
 
 /// Locks the inner state, recovering from poisoning: a panicked tenant
@@ -299,7 +282,6 @@ impl TableStore {
         let mut replayed = 0u64;
         let mut discarded = 0u64;
         let mut resume_at: Option<u64> = None;
-        let mut open_faults: Vec<String> = Vec::new();
         let mut recovery_partial = false;
         match read_journal(&*vfs, &dir) {
             Ok(Some(scan)) => match scan.gen {
@@ -320,31 +302,26 @@ impl TableStore {
                 _ => {}
             },
             Ok(None) => {}
-            Err(e) => {
-                // The journal exists but won't read back. Failing open
-                // would take the scheduler down for a durability-only
-                // problem: open degraded on the snapshot alone instead,
-                // leaving the journal bytes untouched for forensics.
-                recovery_partial = true;
-                open_faults.push(format!("journal read at open: {e}"));
-            }
+            // The journal exists but won't read back. Failing open would
+            // take the scheduler down for a durability-only problem: open
+            // degraded on the snapshot alone instead, leaving the journal
+            // bytes untouched for forensics.
+            Err(_) => recovery_partial = true,
         }
 
+        // A store without a journal handle met exactly one I/O error here
+        // (the read or the open for appends): it opens degraded with that
+        // error counted.
         let file = if recovery_partial {
             None
         } else {
-            match open_journal(&*vfs, &dir, generation, resume_at) {
-                Ok(file) => Some(file),
-                Err(e) => {
-                    open_faults.push(format!("journal open: {e}"));
-                    None
-                }
-            }
+            open_journal(&*vfs, &dir, generation, resume_at).ok()
         };
         let mode = match file {
             Some(_) => StoreMode::Durable,
             None => StoreMode::Degraded,
         };
+        let degraded = u64::from(mode == StoreMode::Degraded);
 
         let store = TableStore {
             dir,
@@ -360,24 +337,12 @@ impl TableStore {
                 recovery_partial,
             }),
             write_errors: AtomicU64::new(0),
-            io_errors: AtomicU64::new(0),
+            io_errors: AtomicU64::new(degraded),
             bytes_written: AtomicU64::new(0),
-            degraded_transitions: AtomicU64::new(0),
+            degraded_transitions: AtomicU64::new(degraded),
             rearms: AtomicU64::new(0),
             dir_sync_unsupported: AtomicBool::new(false),
-            events: Mutex::new(Vec::new()),
-            events_pending: AtomicBool::new(false),
         };
-        for detail in open_faults {
-            store.note_fault(FaultKind::StorageWrite, detail);
-        }
-        if mode == StoreMode::Degraded {
-            store.degraded_transitions.fetch_add(1, Ordering::Relaxed);
-            store.note_event(
-                FaultKind::StorageDegraded,
-                "opened in degrade-to-memory mode".into(),
-            );
-        }
         let recovered = Recovered {
             table,
             breaker,
@@ -426,21 +391,6 @@ impl TableStore {
         }
     }
 
-    /// Whether [`take_events`](TableStore::take_events) has anything to
-    /// drain — one atomic load, safe on the hot path.
-    pub fn has_events(&self) -> bool {
-        self.events_pending.load(Ordering::Acquire)
-    }
-
-    /// Drains the queued storage events (bounded at [`MAX_EVENTS`];
-    /// overflow drops the newest, counters never lie).
-    pub fn take_events(&self) -> Vec<StorageEvent> {
-        if !self.events_pending.swap(false, Ordering::AcqRel) {
-            return Vec::new();
-        }
-        std::mem::take(&mut *self.events.lock().unwrap_or_else(PoisonError::into_inner))
-    }
-
     /// Journals the current state of one kernel's table entry, read from
     /// `table`; no-op for a kernel it does not hold. The scheduler's own
     /// writes go through [`SharedEas`](crate::SharedEas)'s door, which
@@ -475,11 +425,7 @@ impl TableStore {
             // snapshot + journal) and carries this very mutation.
             if self.compact_locked(&mut inner, table, breaker).is_err() {
                 self.write_errors.fetch_add(1, Ordering::Relaxed);
-                self.degrade(
-                    &mut inner,
-                    Some(line),
-                    "ENOSPC and emergency compaction failed",
-                );
+                self.degrade(&mut inner, Some(line));
             }
             return;
         }
@@ -520,7 +466,7 @@ impl TableStore {
     /// checkpoint probe the disk.
     fn append_without_table(&self, inner: &mut StoreInner, record: JournalRecord) {
         if let Err(line) = self.append(inner, record.to_line()) {
-            self.degrade(inner, Some(line), "ENOSPC outside the entry path");
+            self.degrade(inner, Some(line));
         }
     }
 
@@ -543,17 +489,16 @@ impl TableStore {
     }
 
     /// Best-effort append of one sealed line; failures are absorbed
-    /// (counted, typed, degraded), never raised — except ENOSPC, which
-    /// hands the line back (`Err`: not yet safe anywhere) so the entry
-    /// path, the one call site holding the table, can compact.
+    /// (counted, degraded), never raised — except ENOSPC, which hands the
+    /// line back (`Err`: not yet safe anywhere) so the entry path, the
+    /// one call site holding the table, can compact.
     fn append(&self, inner: &mut StoreInner, line: String) -> Result<(), String> {
         if inner.mode == StoreMode::Degraded {
             self.buffer_line(inner, line);
             return Ok(());
         }
-        let why = match self.write_line(inner, &line, "journal append") {
-            Ok(()) => return Ok(()),
-            Err(None) => "append with no journal handle",
+        let landed = match self.write_line(inner, &line) {
+            Ok(()) => true,
             Err(Some(e))
                 if e.raw_os_error() == Some(28) // ENOSPC
                 || e.kind() == io::ErrorKind::StorageFull =>
@@ -564,25 +509,19 @@ impl TableStore {
             // disk. Poison it, rescan the sealed prefix from disk, and
             // land the line on the fresh handle. No further retries: a
             // second failure immediately degrades.
-            Err(Some(_)) if !self.resync_handle(inner) => "journal handle lost after write error",
-            Err(Some(_)) => match self.write_line(inner, &line, "append after resync") {
-                Ok(()) => return Ok(()),
-                Err(None) => "resync produced no handle",
-                Err(Some(_)) => "append failed twice",
-            },
+            Err(Some(_)) => self.resync_handle(inner) && self.write_line(inner, &line).is_ok(),
+            // No journal handle to append with.
+            Err(None) => false,
         };
-        self.degrade(inner, Some(line), why);
+        if !landed {
+            self.degrade(inner, Some(line));
+        }
         Ok(())
     }
 
     /// One write on the live handle (`Err(None)` without one): counts the
-    /// bytes, or counts the failure and queues its typed event.
-    fn write_line(
-        &self,
-        inner: &mut StoreInner,
-        line: &str,
-        what: &str,
-    ) -> Result<(), Option<io::Error>> {
+    /// bytes, or counts the failure.
+    fn write_line(&self, inner: &mut StoreInner, line: &str) -> Result<(), Option<io::Error>> {
         let file = inner.file.as_mut().ok_or(None)?;
         match file.write_all(line.as_bytes()) {
             Ok(()) => {
@@ -592,39 +531,24 @@ impl TableStore {
             }
             Err(e) => {
                 self.write_errors.fetch_add(1, Ordering::Relaxed);
-                self.note_fault(FaultKind::StorageWrite, format!("{what}: {e}"));
+                self.count_io_error();
                 Err(Some(e))
             }
         }
     }
 
-    /// Queues a typed storage event without counting an I/O error
-    /// (degradation transitions and tolerated conditions).
-    fn note_event(&self, kind: FaultKind, detail: String) {
-        let mut events = self.events.lock().unwrap_or_else(PoisonError::into_inner);
-        if events.len() < MAX_EVENTS {
-            events.push(StorageEvent { kind, detail });
-        }
-        self.events_pending.store(true, Ordering::Release);
-    }
-
-    /// Counts an I/O error and queues its typed event.
-    fn note_fault(&self, kind: FaultKind, detail: String) {
+    /// Counts one absorbed I/O error.
+    fn count_io_error(&self) {
         self.io_errors.fetch_add(1, Ordering::Relaxed);
-        self.note_event(kind, detail);
     }
 
     /// Trips the store into degrade-to-memory mode (idempotent) and
     /// buffers the line that had nowhere safe to go.
-    fn degrade(&self, inner: &mut StoreInner, line: Option<String>, why: &str) {
+    fn degrade(&self, inner: &mut StoreInner, line: Option<String>) {
         if inner.mode != StoreMode::Degraded {
             inner.mode = StoreMode::Degraded;
             inner.file = None;
             self.degraded_transitions.fetch_add(1, Ordering::Relaxed);
-            self.note_event(
-                FaultKind::StorageDegraded,
-                format!("degrade-to-memory: {why}"),
-            );
         }
         if let Some(line) = line {
             self.buffer_line(inner, line);
@@ -640,10 +564,6 @@ impl TableStore {
             inner.mode = StoreMode::Durable;
             inner.buffered.clear();
             self.rearms.fetch_add(1, Ordering::Relaxed);
-            self.note_event(
-                FaultKind::StorageDegraded,
-                "durability re-armed after compaction".into(),
-            );
         }
     }
 
@@ -680,8 +600,8 @@ impl TableStore {
                 inner.generation = generation;
                 true
             }
-            Err(e) => {
-                self.note_fault(FaultKind::StorageWrite, format!("journal resync: {e}"));
+            Err(_) => {
+                self.count_io_error();
                 false
             }
         }
@@ -704,10 +624,7 @@ impl TableStore {
         let scan = match read_journal(&*self.vfs, &self.dir) {
             Ok(scan) => scan,
             Err(e) => {
-                self.note_fault(
-                    FaultKind::StorageWrite,
-                    format!("compaction refused, unread journal still unreadable: {e}"),
-                );
+                self.count_io_error();
                 return Err(StoreError::Io(e));
             }
         };
@@ -726,12 +643,7 @@ impl TableStore {
         match classify_dir_sync(self.vfs.sync_dir(&self.dir)) {
             DirSyncOutcome::Synced => Ok(()),
             DirSyncOutcome::Unsupported => {
-                if !self.dir_sync_unsupported.swap(true, Ordering::Relaxed) {
-                    self.note_event(
-                        FaultKind::StorageSync,
-                        "directory fsync unsupported on this filesystem (tolerated)".into(),
-                    );
-                }
+                self.dir_sync_unsupported.store(true, Ordering::Relaxed);
                 Ok(())
             }
             DirSyncOutcome::Failed(e) => Err(e),
@@ -754,19 +666,15 @@ impl TableStore {
         // generation lags the snapshot) and the live handle must not be
         // reused; track where the failure landed.
         let mut renamed = false;
-        let mut step = "write snapshot temp";
         let result = (|| -> io::Result<Box<dyn VfsFile>> {
             {
                 let mut f = self.vfs.create(&tmp)?;
-                step = "fill snapshot temp";
                 f.write_all(text.as_bytes())?;
-                step = "fsync snapshot temp";
                 f.sync_all()?;
             }
             // The commit point: a crash before this rename leaves the old
             // snapshot + full journal; after it, the journal is stale (its
             // generation lags) and recovery ignores it.
-            step = "rename snapshot";
             self.vfs.rename(&tmp, &self.dir.join(SNAPSHOT_FILE))?;
             renamed = true;
             // A rename is durable only once its *directory* is synced:
@@ -775,16 +683,12 @@ impl TableStore {
             // written below — a pair recovery refuses with
             // `GenerationAhead` (the journal claims a base the snapshot no
             // longer holds).
-            step = "fsync directory";
             self.sync_dir_counted()?;
-            step = "reset journal";
             let mut file = open_journal(&*self.vfs, &self.dir, generation, None)?;
-            step = "fsync journal";
             file.sync_all()?;
             // Same reasoning for the journal reset: the first compaction
             // *creates* the directory entry, and its durability needs the
             // directory synced too.
-            step = "fsync directory after reset";
             self.sync_dir_counted()?;
             Ok(file)
         })();
@@ -798,19 +702,14 @@ impl TableStore {
                 Ok(())
             }
             Err(e) => {
-                let kind = if step.contains("fsync") {
-                    FaultKind::StorageSync
-                } else {
-                    FaultKind::StorageWrite
-                };
-                self.note_fault(kind, format!("compaction, {step}: {e}"));
+                self.count_io_error();
                 if renamed {
                     // The snapshot committed but something after it
                     // failed: the old handle now points at a stale (or
                     // truncated) journal. Poison it and re-derive from
                     // the new on-disk state; if even that fails, degrade.
                     if !self.resync_handle(inner) {
-                        self.degrade(inner, None, "journal lost after snapshot commit");
+                        self.degrade(inner, None);
                     } else {
                         inner.appends = 0;
                     }
@@ -1242,14 +1141,9 @@ mod tests {
             .checkpoint(&table, BreakerState::Closed)
             .expect("tolerated");
         let health = store.health();
-        assert!(health.dir_sync_unsupported);
+        assert!(health.dir_sync_unsupported, "noted across four dir syncs");
         assert_eq!(health.io_errors, 0, "a capability gap is not an I/O error");
-        let syncs = store
-            .take_events()
-            .into_iter()
-            .filter(|e| e.kind == FaultKind::StorageSync)
-            .count();
-        assert_eq!(syncs, 1, "noted once across four dir syncs");
+        assert!(!health.degraded);
     }
 
     #[test]
@@ -1375,15 +1269,15 @@ mod tests {
     }
 
     #[test]
-    fn storage_events_drain_once_and_are_typed() {
+    fn an_absorbed_append_fault_is_counted_once() {
         let dir = TempDir::new();
         let (store, _, _) = chaos_store(dir.path(), ChaosFsPlan::at(4, StorageFault::Enospc));
-        assert!(!store.has_events());
+        assert_eq!(store.health().io_errors, 0);
         store.record_entry(&learned_table(), 7);
-        assert!(store.has_events());
-        let events = store.take_events();
-        assert!(events.iter().any(|e| e.kind == FaultKind::StorageWrite));
-        assert!(!store.has_events());
-        assert!(store.take_events().is_empty(), "drained");
+        // The emergency compaction carried the mutation: one error, no
+        // degradation.
+        let health = store.health();
+        assert_eq!(health.io_errors, 1);
+        assert!(!health.degraded && health.bytes_written > 0);
     }
 }

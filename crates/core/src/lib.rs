@@ -70,7 +70,7 @@ pub use easruntime::{EasRuntime, RunOutcome};
 pub use engine::{AlphaSegment, DecisionEngine, Prediction, PRIOR_WINDOW};
 pub use guard::{FaultKind, ObservationGuard};
 pub use health::{BreakerGate, BreakerState, CircuitBreaker, FaultPolicy, Health, HealthReport};
-pub use journal::{Recovered, StorageEvent, StoreError, StoreHealth, StoreMode, TableStore};
+pub use journal::{Recovered, StoreError, StoreHealth, StoreMode, TableStore};
 pub use kernel_table::{AlphaStat, KernelTable, ReuseProbe};
 pub use objective::Objective;
 pub use persist::{
@@ -84,7 +84,7 @@ pub use selfheal::{
     DriftAction, DriftCell, DriftMonitor, DriftOutcome, DriftPolicy, Watchdog, WatchdogPolicy,
 };
 pub use shared::{SharedEas, SharedEasExt};
-pub use tenancy::{AdmittedRequest, TenantFrontend};
+pub use tenancy::{expose_tenants, AdmittedRequest, TenantFrontend};
 pub use time_model::TimeModel;
 
 /// The telemetry subsystem (re-exported `easched-telemetry` crate):

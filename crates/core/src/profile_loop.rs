@@ -36,7 +36,9 @@
 //! state's clock and one [`DecisionRecord`] per invocation is built from
 //! those totals. With no sink (the default) the same loop runs and its
 //! summary is dropped: no clock read, no record, and the totals cost a
-//! few float adds per backend call.
+//! few float adds per backend call. Watchdog and drift outcomes are
+//! counted once, on the state's health counters, where `/metrics` reads
+//! them; the sink hears only each round's decision and each drift fold.
 
 use crate::eas::Decision;
 use crate::engine::Prediction;
@@ -118,20 +120,6 @@ pub(crate) fn schedule_invocation(
     if let Some(store) = eas.store.as_deref() {
         // Deduplicated inside the store: only actual transitions append.
         store.record_breaker(eas.health.breaker.state());
-        // Storage faults the store absorbed this invocation surface as
-        // control events — never as decision records, so fault-free runs
-        // and chaos runs record byte-identical rings (DESIGN.md §16).
-        if store.has_events() {
-            for ev in store.take_events() {
-                emit(
-                    sink,
-                    &ControlEvent::StorageFault {
-                        kind: ev.kind.code(),
-                        degraded: store.is_degraded(),
-                    },
-                );
-            }
-        }
     }
 }
 
@@ -165,19 +153,11 @@ fn after_split(
     drift: Option<(Option<f64>, u64)>,
 ) {
     let (engine, table, health) = (&eas.engine, &eas.table, &eas.health);
-    let sink = eas.telemetry.as_deref();
     if health
         .watchdog()
         .split_overrun_within(obs.elapsed, deadline)
     {
         health.stats.split_overruns.inc();
-        emit(
-            sink,
-            &ControlEvent::SplitOverrun {
-                kernel,
-                elapsed: obs.elapsed,
-            },
-        );
         // A chunk that busted its hard deadline implicates the GPU the
         // same way a hung profiling round does, and the learned ratio it
         // ran under is suspect — re-profile before the next reuse.
@@ -202,7 +182,7 @@ fn after_split(
         return;
     };
     emit(
-        sink,
+        eas.telemetry.as_deref(),
         &ControlEvent::Drift {
             kernel,
             ewma: outcome.ewma,
@@ -215,18 +195,8 @@ fn after_split(
             // invocation re-profiles, but `fault_free()` stays true.
             health.stats.drift_reprofiles.inc();
             eas.taint(kernel);
-            emit(
-                sink,
-                &ControlEvent::Reprofile {
-                    kernel,
-                    ewma: outcome.ewma,
-                },
-            );
         }
-        DriftAction::Suppressed => {
-            health.stats.reprofiles_suppressed.inc();
-            emit(sink, &ControlEvent::ReprofileSuppressed { kernel });
-        }
+        DriftAction::Suppressed => health.stats.reprofiles_suppressed.inc(),
     }
 }
 
@@ -244,9 +214,8 @@ fn drive(
     ctx: InvocationCtx,
 ) -> Option<InvocationSummary> {
     let (engine, table, health) = (&eas.engine, &eas.table, &eas.health);
-    let sink = eas.telemetry.as_deref();
     let clock = eas.clock.as_ref();
-    let timed = sink.is_some();
+    let timed = eas.telemetry.is_some();
     let n = backend.remaining();
     if n == 0 {
         return None;
@@ -392,13 +361,6 @@ fn drive(
             .profile_overrun_within(obs.elapsed, ctx.deadline)
         {
             health.stats.watchdog_trips.inc();
-            emit(
-                sink,
-                &ControlEvent::ProfileDeadline {
-                    kernel,
-                    elapsed: obs.elapsed,
-                },
-            );
             Err(FaultKind::DeadlineExceeded)
         } else {
             engine.vet(&obs)

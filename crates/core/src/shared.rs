@@ -169,8 +169,9 @@ impl SharedEas {
     }
 
     /// [`SharedEas::with_persistence_vfs`] plus a telemetry sink attached
-    /// from the start — the full chaos wiring: journaled learning, typed
-    /// `StorageFault` control events on the sink, injected I/O faults.
+    /// from the start — the full chaos wiring: journaled learning, a
+    /// recording sink, injected I/O faults counted in
+    /// [`health`](SharedEas::health).
     pub fn with_telemetry_persistence_vfs(
         model: PowerModel,
         config: EasConfig,

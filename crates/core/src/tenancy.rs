@@ -9,10 +9,9 @@
 //! request that survives admission executes through the shared table
 //! under an [`InvocationCtx`] derived from the current brownout rung and
 //! the tenant's deadline budget. Admission outcomes are folded into the
-//! scheduler's [`HealthReport`](crate::HealthReport) counters and, when a
-//! telemetry sink is attached, emitted as
-//! [`ControlEvent`](easched_telemetry::ControlEvent)s so Prometheus
-//! exposure carries per-tenant shed/queue/quota series.
+//! scheduler's [`HealthReport`](crate::HealthReport) counters; the
+//! per-tenant series and the brownout rung are read from the admission
+//! controller's own [`TenantStats`] at scrape time ([`expose_tenants`]).
 //!
 //! The frontend adds nothing to the single-tenant fast path: a
 //! [`SharedEas`] driven directly (no frontend) never constructs a
@@ -23,10 +22,52 @@ use easched_runtime::{
     AdmissionConfig, AdmissionController, AdmissionOutcome, Backend, BrownoutLevel,
     ConcurrentScheduler, InvocationCtx, KernelId, TenantRegistry, TenantStats,
 };
-use easched_telemetry::counters::push_json_field;
+use easched_telemetry::counters::{expose_rows, expose_rows_labelled, push_json_field};
 use easched_telemetry::slo::escape_json;
 use easched_telemetry::{ControlEvent, SloEvent, SloTracker, Span, SpanKind};
 use std::sync::{Arc, Mutex, PoisonError};
+
+easched_telemetry::counter_table! {
+    /// The admission controller's rung on a `/metrics` page.
+    pub report BrownoutSeries;
+    /// Current brownout rung (0 normal … 3 shed-load).
+    level: gauge = "easched_brownout_level",
+        "Brownout rung (0 normal, 1 deny-gpu, 2 force-cpu, 3 shed-load)",
+}
+
+easched_telemetry::counter_table! {
+    /// The [`TenantStats`] fields a `/metrics` page carries per tenant.
+    pub report TenantSeries;
+    /// Offers shed, all causes.
+    shed: counter = "easched_tenant_requests_shed_total",
+        "Requests shed by the admission layer, per tenant",
+    /// Offers queued behind earlier requests.
+    queued: counter = "easched_tenant_requests_queued_total",
+        "Requests queued by the admission layer, per tenant",
+    /// Sheds caused by an exhausted GPU quota.
+    quota_denials: counter = "easched_tenant_quota_denials_total",
+        "Requests refused on an exhausted GPU quota, per tenant",
+}
+
+/// Renders the admission controller's `/metrics` fragment: the brownout
+/// rung, then one `tenant="<name>"` sample per tenant of each
+/// [`TenantSeries`] row — read from the counters the controller keeps,
+/// never re-counted by a sink.
+pub fn expose_tenants(level: BrownoutLevel, tenants: &[(String, TenantStats)]) -> String {
+    let mut out = String::new();
+    expose_rows(&mut out, &BrownoutSeries::ROWS, &[u64::from(level.code())]);
+    let series = |s: &TenantStats| TenantSeries {
+        shed: s.shed,
+        queued: s.queued,
+        quota_denials: s.quota_denials,
+    };
+    let series: Vec<_> = tenants
+        .iter()
+        .map(|(n, s)| (n.as_str(), series(s).values()))
+        .collect();
+    expose_rows_labelled(&mut out, &TenantSeries::ROWS, "tenant", &series);
+    out
+}
 
 /// One request handed out by
 /// [`drain_detailed`](TenantFrontend::drain_detailed): the admission
@@ -104,18 +145,12 @@ impl TenantFrontend {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn emit(&self, event: ControlEvent) {
-        if let Some(sink) = self.shared.telemetry() {
-            sink.control(&event);
-        }
-    }
-
     /// Echoes a fired SLO alert into the control-event stream. The full
     /// event (burn rates, exemplar offset) stays queryable on the
     /// tracker; the control event is the metrics-exposure hook.
     fn fire(&self, event: Option<SloEvent>) {
-        if let Some(e) = event {
-            self.emit(ControlEvent::SloBreach {
+        if let (Some(e), Some(sink)) = (event, self.shared.telemetry()) {
+            sink.control(&ControlEvent::SloBreach {
                 tenant: e.tenant,
                 signal: e.kind.code(),
             });
@@ -130,9 +165,9 @@ impl TenantFrontend {
 
     /// Offers one request for `tenant`, returning the typed admission
     /// outcome — never an unbounded enqueue. Sheds, queues, and quota
-    /// denials are counted in the scheduler's health report and emitted
-    /// as control events (overload protection is adaptation, not a
-    /// fault: `fault_free()` is undisturbed).
+    /// denials are counted in the scheduler's health report (overload
+    /// protection is adaptation, not a fault: `fault_free()` is
+    /// undisturbed).
     pub fn offer(&self, tenant: usize) -> AdmissionOutcome {
         let (outcome, quota_denied, tick) = {
             let mut adm = self.lock();
@@ -151,23 +186,12 @@ impl TenantFrontend {
         let stats = &self.shared.health_state().stats;
         match outcome {
             AdmissionOutcome::Admit { .. } => {}
-            AdmissionOutcome::Queue { .. } => {
-                stats.requests_queued.inc();
-                self.emit(ControlEvent::RequestQueued {
-                    tenant: tenant as u64,
-                });
-            }
+            AdmissionOutcome::Queue { .. } => stats.requests_queued.inc(),
             AdmissionOutcome::Shed { .. } => {
                 if quota_denied {
                     stats.quota_denials.inc();
-                    self.emit(ControlEvent::QuotaDenied {
-                        tenant: tenant as u64,
-                    });
                 }
                 stats.requests_shed.inc();
-                self.emit(ControlEvent::RequestShed {
-                    tenant: tenant as u64,
-                });
             }
         }
         outcome
@@ -271,22 +295,14 @@ impl TenantFrontend {
     }
 
     /// Feeds one simulated package-power sample to the brownout ladder.
-    /// A rung change is counted and emitted; each request flushed by a
-    /// shed-load entry is counted and emitted as a shed of its tenant.
+    /// A rung change is counted; each request flushed by a shed-load
+    /// entry is counted as a shed.
     pub fn observe_power(&self, watts: f64) -> Option<(BrownoutLevel, BrownoutLevel)> {
         let transition = self.lock().observe_power(watts);
         let (from, to, flushed) = transition?;
         let stats = &self.shared.health_state().stats;
         stats.brownout_transitions.inc();
-        self.emit(ControlEvent::Brownout { level: to.code() });
-        for (tenant, &requests) in flushed.iter().enumerate() {
-            for _ in 0..requests {
-                stats.requests_shed.inc();
-                self.emit(ControlEvent::RequestShed {
-                    tenant: tenant as u64,
-                });
-            }
-        }
+        stats.requests_shed.add(flushed.iter().sum());
         Some((from, to))
     }
 
@@ -368,6 +384,18 @@ impl TenantFrontend {
         out
     }
 
+    /// This frontend's `/metrics` fragment ([`expose_tenants`]), read
+    /// under one lock so the rung and every tenant's row agree.
+    pub fn expose(&self) -> String {
+        let adm = self.lock();
+        let tenants: Vec<_> = adm
+            .registry()
+            .iter()
+            .map(|(tenant, spec)| (spec.name.clone(), adm.tenant_stats(tenant)))
+            .collect();
+        expose_tenants(adm.level(), &tenants)
+    }
+
     /// Executes one admitted request through the shared scheduler under
     /// the tenant's current context. The admission lock is *not* held
     /// during execution.
@@ -424,15 +452,30 @@ mod tests {
     }
 
     #[test]
-    fn control_events_reach_the_sink() {
-        let sink = Arc::new(RingSink::default());
-        let f = frontend(Some(Arc::clone(&sink)));
+    fn metrics_fragment_reads_the_controller_counters() {
+        let f = frontend(None);
         for _ in 0..3 {
             f.offer(1);
         }
-        assert_eq!(sink.metrics().requests_queued.get(), 1);
-        assert_eq!(sink.metrics().requests_shed.get(), 1);
-        assert_eq!(sink.metrics().tenant_sheds(), vec![(1, 1)]);
+        let page = f.expose();
+        assert!(page.starts_with(
+            "# HELP easched_brownout_level Brownout rung (0 normal, 1 deny-gpu, 2 force-cpu, \
+             3 shed-load)\n# TYPE easched_brownout_level gauge\neasched_brownout_level 0\n"
+        ));
+        for sample in [
+            "easched_tenant_requests_shed_total{tenant=\"a\"} 0\n",
+            "easched_tenant_requests_shed_total{tenant=\"b\"} 1\n",
+            "easched_tenant_requests_queued_total{tenant=\"b\"} 1\n",
+            "easched_tenant_quota_denials_total{tenant=\"b\"} 0\n",
+        ] {
+            assert!(page.contains(sample), "{sample} missing from\n{page}");
+        }
+        // The health fragment carries the totals of the same offers.
+        let health = f.shared().health().expose();
+        for total in ["shed", "queued"] {
+            let sample = format!("easched_requests_{total}_total 1\n");
+            assert!(health.contains(&sample), "{health}");
+        }
     }
 
     #[test]

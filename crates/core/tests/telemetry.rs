@@ -9,7 +9,8 @@ use easched_core::{
 use easched_num::Polynomial;
 use easched_runtime::backend::test_support::FakeBackend;
 use easched_runtime::chaos::{ChaosInjector, Fault, FaultPlan};
-use easched_runtime::{Backend, Scheduler};
+use easched_runtime::vfs::{ChaosFs, ChaosFsPlan, StorageFault};
+use easched_runtime::{Backend, Scheduler, TickClock};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -255,4 +256,51 @@ fn shared_streams_interleave_into_one_sink() {
     assert_eq!(sink.metrics().invocations.get(), total);
     let expo = sink.metrics().expose();
     assert!(expo.contains("easched_invocations_total"), "{expo}");
+}
+
+/// The value of the unlabelled sample `name` on an exposition page.
+fn sample(page: &str, name: &str) -> u64 {
+    let line = page
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '));
+    line.and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} sample on\n{page}"))
+}
+
+/// `/metrics` reads the store's counters from `health()`: an absorbed
+/// append fault counts once, a degradation or re-arm is not an I/O error,
+/// and every persisted byte shows. (The parent re-counted them from
+/// control events: 4, 0, 0 on its page against 2, 0, >0 on `/health`.)
+#[test]
+fn the_metrics_page_reports_the_store_health_counts() {
+    let dir = std::env::temp_dir().join(format!("easched-page-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let plan = ChaosFsPlan::at(4, StorageFault::Enospc).then(5, StorageFault::Enospc);
+    let sink = Arc::new(RingSink::default());
+    let eas = SharedEas::with_telemetry_persistence_vfs(
+        flat_model(50.0),
+        EasConfig::new(Objective::Time),
+        &dir,
+        sink.clone(),
+        Arc::new(ChaosFs::new(1, plan, Arc::new(TickClock::new()))),
+    )
+    .expect("open");
+    for kernel in 0..4 {
+        eas.handle().schedule(kernel, &mut fake());
+    }
+    eas.checkpoint().expect("the disk has recovered");
+    eas.handle().schedule(9, &mut fake());
+
+    let health = eas.health();
+    let page = sink.metrics().expose() + &health.expose();
+    assert_eq!(health.store_io_errors, 2, "{health:?}");
+    assert!(health.store_bytes > 0);
+    for (name, value) in [
+        ("easched_store_io_errors", health.store_io_errors),
+        ("easched_store_degraded", health.store_degraded),
+        ("easched_store_bytes", health.store_bytes),
+    ] {
+        assert_eq!(sample(&page, name), value, "{name}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

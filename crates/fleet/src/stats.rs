@@ -69,13 +69,23 @@ pub fn expose_fleet(nodes: &[(String, FleetStats)]) -> String {
 
 easched_telemetry::counter_table! {
     /// The [`StoreHealth`] fields a fleet page carries, as integer series.
-    report StoreSeries;
-    io_errors: counter = "easched_store_io_errors", "Storage I/O operations that failed",
-    degraded: gauge = "easched_store_degraded", "1 while the store is in degrade-to-memory mode",
-    bytes: counter = "easched_store_bytes", "Bytes the store successfully persisted",
+    /// The first three share their names with a single node's
+    /// [`HealthReport`](easched_core::HealthReport) rows, so they share
+    /// its help and kind too.
+    pub report StoreSeries;
+    /// I/O operations that failed.
+    io_errors: counter = "easched_store_io_errors", "Storage I/O faults absorbed by the table store",
+    /// 1 while degraded, else 0.
+    degraded: gauge = "easched_store_degraded",
+        "1 while the table store is in degrade-to-memory mode",
+    /// Bytes successfully written.
+    bytes: counter = "easched_store_bytes", "Bytes the table store successfully persisted",
+    /// Durable-to-degraded transitions.
     degraded_transitions: counter = "easched_store_degraded_transitions",
         "Durable-to-degraded transitions",
+    /// Degraded-to-durable recoveries.
     rearms: counter = "easched_store_rearms", "Degraded-to-durable recoveries",
+    /// Buffered lines dropped at the RAM bound.
     buffered_dropped: counter = "easched_store_buffered_dropped",
         "Buffered journal lines dropped at the RAM bound",
 }

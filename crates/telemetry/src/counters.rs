@@ -39,8 +39,7 @@ impl Kind {
 pub struct Row {
     /// The struct field, which is also the JSON key.
     pub field: &'static str,
-    /// The Prometheus series name (the field name when the table is
-    /// never rendered as a text page).
+    /// The Prometheus series name; empty for a row no text page carries.
     pub name: &'static str,
     /// The `# HELP` text.
     pub help: &'static str,
@@ -71,8 +70,8 @@ pub struct Row {
 /// assert_eq!(Reading::ROWS[1].name, "demo_failed_total");
 /// ```
 ///
-/// A row is `field: counter|gauge [fault] [= "series name", "help"]`.
-/// `bank Name(vis)` makes the fields `vis` [`Counter`]/[`Gauge`] cells
+/// A row is `field: counter|gauge [fault] [= "series name", "help"]`;
+/// a row without a series name is on no text page. `bank Name(vis)` makes the fields `vis` [`Counter`]/[`Gauge`] cells
 /// and may carry extra fields in braces; `report Name` makes them `pub
 /// u64` and adds `from_values`; naming both adds `Bank::report()`.
 ///
@@ -142,7 +141,7 @@ macro_rules! counter_table {
         /// The declaration rows, in order.
         pub const ROWS: [$crate::counters::Row; Self::N] = [$($crate::counters::Row {
             field: stringify!($field),
-            name: $crate::counter_table!(@or stringify!($field), $($name)?),
+            name: $crate::counter_table!(@or "", $($name)?),
             help: $crate::counter_table!(@or "", $($help)?),
             kind: $crate::counter_table!(@kind $kind),
             fault: $crate::counter_table!(@fault $($fault)?),
@@ -169,10 +168,13 @@ pub(crate) fn push_meta(out: &mut String, name: &str, help: &str, kind: &str) {
     let _ = write!(out, "# HELP {name} {help}\n# TYPE {name} {kind}\n");
 }
 
-/// Appends each row as a Prometheus family: `# HELP`, `# TYPE`, one
-/// unlabelled sample.
+/// Appends each row that declares a series name as a Prometheus family:
+/// `# HELP`, `# TYPE`, one unlabelled sample.
 pub fn expose_rows<const N: usize>(out: &mut String, rows: &[Row; N], values: &[u64; N]) {
     for (row, v) in rows.iter().zip(values) {
+        if row.name.is_empty() {
+            continue;
+        }
         push_meta(out, row.name, row.help, row.kind.as_str());
         let _ = writeln!(out, "{} {v}", row.name);
     }

@@ -15,14 +15,16 @@
 //! - [`TelemetrySink`] — the trait the scheduling frontends report
 //!   through; `None` means the same loop runs with no clock read and no
 //!   record built ([`sink`]).
-//! - [`ControlEvent`] — what the loop reports between records: each
-//!   profiling round's α (`Decided`, the scheduler's only per-round
-//!   history — [`DecisionCsvSink`] collects it) and the self-healing,
-//!   admission, SLO and storage events metrics are derived from
-//!   ([`sink`]).
+//! - [`ControlEvent`] — what the loop reports between records, three
+//!   kinds: each profiling round's α (`Decided`, the scheduler's only
+//!   per-round history — [`DecisionCsvSink`] collects it), each drift
+//!   fold and each fired SLO alert ([`sink`]).
 //! - [`RingSink`] — the standard sink: a bounded, lock-free,
 //!   overwrite-on-wrap ring ([`ring`]) plus an always-on
 //!   [`MetricsRegistry`] with Prometheus-style exposition ([`metrics`]).
+//!   The registry's page is one fragment of `/metrics`; the scheduler's
+//!   health, its store and the admission controller render their own
+//!   counters beside it at scrape time.
 //! - [`counter_table!`] — the one place a plain counter or gauge is
 //!   declared; banks, reports, text pages and JSON derive from its rows
 //!   ([`counters`]).

@@ -3,14 +3,17 @@
 //!
 //! Everything here is relaxed atomics: the registry is updated on the
 //! scheduling hot path (once per invocation, when a sink is attached), so
-//! it must never lock or allocate. [`MetricsRegistry::expose`] renders a
-//! Prometheus-style text page for scraping or snapshot diffing.
+//! it must never lock or allocate. [`MetricsRegistry::expose`] renders
+//! the registry's fragment of the Prometheus `/metrics` page; the counts
+//! the scheduler, its store and the admission controller already keep are
+//! rendered from those owners at scrape time and appended beside it
+//! (DESIGN.md §10), never re-counted here.
 //!
-//! The one exception to the no-locks rule is the per-kernel drift gauge
-//! map fed by [`ControlEvent`]s: after a kernel's first drift sample the
-//! gauge update is a read lock (a single uncontended atomic) plus one
-//! relaxed store; only the first sighting of a kernel takes the write
-//! lock to insert its slot.
+//! The exceptions to the no-locks rule are the two labelled maps fed by
+//! [`ControlEvent`]s — per-kernel drift EWMAs and per-tenant SLO breaches:
+//! after a key's first sighting an update is a read lock (a single
+//! uncontended atomic) plus one relaxed operation; only the first
+//! sighting takes the write lock to insert its slot.
 
 use crate::counters::{expose_rows, push_meta};
 use crate::record::{DecisionRecord, InvocationPath};
@@ -154,7 +157,8 @@ pub const ALPHA_BUCKETS: usize = 11;
 crate::counter_table! {
     /// Scheduler metrics derived from the decision stream: invocation-path
     /// counters, fault and breaker activity, decision latency, profiling
-    /// overhead, and the α distribution. Updated once per invocation via
+    /// overhead, the α distribution, and the SLO breaches no other bank
+    /// counts. Updated once per invocation via
     /// [`update`](MetricsRegistry::update); rendered with
     /// [`expose`](MetricsRegistry::expose), which opens with the rows below
     /// in declaration order.
@@ -170,13 +174,7 @@ crate::counter_table! {
         /// Latest drift EWMA per kernel, stored as `f64` bits (see
         /// [`kernel_drift`](MetricsRegistry::kernel_drift)).
         kernel_drift_ewma: Slots,
-        /// Per-tenant shed counts (tenant id → count).
-        tenant_sheds: Slots,
-        /// Per-tenant queued counts.
-        tenant_queued: Slots,
-        /// Per-tenant quota-denial counts.
-        tenant_quota_denials: Slots,
-        /// Per-tenant SLO breach counts.
+        /// Per-tenant SLO breach counts (tenant id → count).
         tenant_slo_breaches: Slots,
         /// Human-readable tenant names for labels (escaped at exposition).
         tenant_names: RwLock<BTreeMap<u64, String>>,
@@ -212,40 +210,12 @@ crate::counter_table! {
     /// Breaker state changes observed between consecutive records.
     breaker_transitions: counter = "easched_breaker_transitions_total",
         "Circuit-breaker state changes",
-    /// Re-profiles scheduled by the drift monitor (DESIGN.md §11).
-    drift_reprofiles: counter = "easched_drift_reprofiles_total",
-        "Re-profiles scheduled by the drift monitor",
-    /// Due re-profiles deferred by an empty token bucket.
-    reprofiles_suppressed: counter = "easched_reprofiles_suppressed_total",
-        "Due re-profiles deferred by an empty token bucket",
-    /// Profiling rounds cancelled by the watchdog deadline.
-    watchdog_trips: counter = "easched_watchdog_trips_total",
-        "Profiling rounds cancelled by the watchdog deadline",
-    /// Chunk executions that overran the watchdog's split deadline.
-    split_overruns: counter = "easched_split_overruns_total",
-        "Chunk executions past the watchdog split deadline",
     /// Invocations whose GPU use was gated by the admission layer's
     /// brownout ladder (ran CPU-only, learned nothing).
     throttled: counter = "easched_throttled_total", "Invocations GPU-gated by the brownout ladder",
-    /// Requests shed by the admission layer (queue overflow or brownout
-    /// stage 3), across tenants.
-    requests_shed: counter = "easched_requests_shed_total", "Requests shed by the admission layer",
-    /// Requests queued behind earlier ones, across tenants.
-    requests_queued: counter = "easched_requests_queued_total",
-        "Requests queued by the admission layer",
-    /// Requests refused on an exhausted GPU quota window, across tenants.
-    quota_denials: counter = "easched_quota_denials_total",
-        "Requests refused on an exhausted GPU quota",
-    /// Brownout-ladder rung changes.
-    brownout_transitions: counter = "easched_brownout_transitions_total",
-        "Brownout-ladder rung changes",
     /// SLO burn-rate breaches fired by the tracker, across tenants.
     slo_breaches: counter = "easched_slo_breaches_total",
         "SLO burn-rate breaches fired by the tracker",
-    /// Storage-layer I/O faults absorbed by the table store (DESIGN.md
-    /// §16): failed appends, poisoned fsyncs, degradation transitions.
-    store_io_errors: counter = "easched_store_io_errors",
-        "Storage I/O faults absorbed by the table store",
     /// Realized profiling-phase time, microseconds, summed.
     profile_time_us: counter = "easched_profile_time_microseconds_total",
         "Realized profiling-phase time",
@@ -254,15 +224,6 @@ crate::counter_table! {
         "Realized total invocation time",
     /// Most recent breaker state (0 closed, 1 open, 2 half-open).
     breaker_state: gauge = "easched_breaker_state", "Breaker state (0 closed, 1 open, 2 half-open)",
-    /// Current brownout rung (0 normal … 3 shed-load).
-    brownout_level: gauge = "easched_brownout_level",
-        "Brownout rung (0 normal, 1 deny-gpu, 2 force-cpu, 3 shed-load)",
-    /// 1 while the table store is in degrade-to-memory mode, else 0.
-    store_degraded: gauge = "easched_store_degraded",
-        "1 while the table store is in degrade-to-memory mode",
-    /// Bytes the table store successfully persisted (set from the health
-    /// report by the scrape frontends; control events do not carry it).
-    store_bytes: gauge = "easched_store_bytes", "Bytes the table store successfully persisted",
 }
 
 /// Escapes a string for use as a Prometheus label value: backslashes,
@@ -358,43 +319,16 @@ impl MetricsRegistry {
         match *event {
             ControlEvent::Decided { .. } => {}
             ControlEvent::Drift { kernel, ewma } => self.set_kernel_drift(kernel, ewma),
-            ControlEvent::Reprofile { kernel, ewma } => {
-                self.drift_reprofiles.inc();
-                self.set_kernel_drift(kernel, ewma);
-            }
-            ControlEvent::ReprofileSuppressed { .. } => self.reprofiles_suppressed.inc(),
-            ControlEvent::ProfileDeadline { .. } => self.watchdog_trips.inc(),
-            ControlEvent::SplitOverrun { .. } => self.split_overruns.inc(),
-            ControlEvent::RequestShed { tenant } => {
-                self.requests_shed.inc();
-                self.tenant_sheds.bump(tenant);
-            }
-            ControlEvent::RequestQueued { tenant } => {
-                self.requests_queued.inc();
-                self.tenant_queued.bump(tenant);
-            }
-            ControlEvent::QuotaDenied { tenant } => {
-                self.quota_denials.inc();
-                self.tenant_quota_denials.bump(tenant);
-            }
-            ControlEvent::Brownout { level } => {
-                self.brownout_transitions.inc();
-                self.brownout_level.swap(u64::from(level));
-            }
             ControlEvent::SloBreach { tenant, .. } => {
                 self.slo_breaches.inc();
                 self.tenant_slo_breaches.bump(tenant);
-            }
-            ControlEvent::StorageFault { degraded, .. } => {
-                self.store_io_errors.inc();
-                self.store_degraded.swap(u64::from(degraded));
             }
         }
     }
 
     /// Registers a human-readable tenant name; subsequent expositions
-    /// label that tenant's series `tenant="<escaped name>"` instead of
-    /// the bare registry index.
+    /// label that tenant's SLO-breach series `tenant="<escaped name>"`
+    /// instead of the bare registry index.
     pub fn set_tenant_name(&self, tenant: u64, name: &str) {
         self.tenant_names
             .write()
@@ -443,21 +377,6 @@ impl MetricsRegistry {
         (now - started).max(0.0)
     }
 
-    /// Per-tenant shed counts, sorted by tenant id.
-    pub fn tenant_sheds(&self) -> Vec<(u64, u64)> {
-        self.tenant_sheds.dump()
-    }
-
-    /// Per-tenant queued counts, sorted by tenant id.
-    pub fn tenant_queued(&self) -> Vec<(u64, u64)> {
-        self.tenant_queued.dump()
-    }
-
-    /// Per-tenant quota-denial counts, sorted by tenant id.
-    pub fn tenant_quota_denials(&self) -> Vec<(u64, u64)> {
-        self.tenant_quota_denials.dump()
-    }
-
     /// Per-tenant SLO breach counts, sorted by tenant id.
     pub fn tenant_slo_breaches(&self) -> Vec<(u64, u64)> {
         self.tenant_slo_breaches.dump()
@@ -495,7 +414,8 @@ impl MetricsRegistry {
     }
 
     /// Renders the registry as a Prometheus-style text exposition page
-    /// (`# HELP`/`# TYPE` preambles, `easched_`-prefixed series).
+    /// (`# HELP`/`# TYPE` preambles, `easched_`-prefixed series): the
+    /// `/metrics` fragment this registry owns.
     pub fn expose(&self) -> String {
         let mut out = String::with_capacity(4096);
         expose_rows(&mut out, &Self::ROWS, &self.values());
@@ -538,44 +458,27 @@ impl MetricsRegistry {
                 ));
             }
         }
-        let names = self
-            .tenant_names
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        let mut labeled = |name: &str, help: &str, entries: Vec<(u64, u64)>| {
-            if entries.is_empty() {
-                return;
-            }
-            push_meta(&mut out, name, help, "counter");
-            for (tenant, v) in entries {
+        let breaches = self.tenant_slo_breaches();
+        if !breaches.is_empty() {
+            let name = "easched_tenant_slo_breaches_total";
+            push_meta(
+                &mut out,
+                name,
+                "SLO burn-rate breaches, per tenant",
+                "counter",
+            );
+            let names = self
+                .tenant_names
+                .read()
+                .unwrap_or_else(PoisonError::into_inner);
+            for (tenant, v) in breaches {
                 let label = match names.get(&tenant) {
                     Some(n) => escape_label_value(n),
                     None => tenant.to_string(),
                 };
                 out.push_str(&format!("{name}{{tenant=\"{label}\"}} {v}\n"));
             }
-        };
-        labeled(
-            "easched_tenant_requests_shed_total",
-            "Requests shed by the admission layer, per tenant",
-            self.tenant_sheds(),
-        );
-        labeled(
-            "easched_tenant_requests_queued_total",
-            "Requests queued by the admission layer, per tenant",
-            self.tenant_queued(),
-        );
-        labeled(
-            "easched_tenant_quota_denials_total",
-            "Requests refused on an exhausted GPU quota, per tenant",
-            self.tenant_quota_denials(),
-        );
-        labeled(
-            "easched_tenant_slo_breaches_total",
-            "SLO burn-rate breaches, per tenant",
-            self.tenant_slo_breaches(),
-        );
+        }
         let (version, commit) = self
             .build_info
             .read()
@@ -719,43 +622,22 @@ mod tests {
         assert_eq!(reg.overhead_bp.count(), 1);
         assert_eq!(reg.overhead_bp.sum(), 5000);
         assert_eq!(reg.alpha[7].get(), 2);
+        reg.update(&DecisionRecord {
+            path: InvocationPath::Throttled,
+            ..DecisionRecord::default()
+        });
+        assert_eq!(reg.throttled.get(), 1);
     }
 
     #[test]
-    fn control_events_accumulate_and_track_latest_ewma() {
+    fn drift_events_track_the_latest_ewma_per_kernel() {
         let reg = MetricsRegistry::default();
         assert_eq!(reg.kernel_drift(7), None);
-        reg.control(&ControlEvent::Drift {
-            kernel: 7,
-            ewma: 0.4,
-        });
-        reg.control(&ControlEvent::Drift {
-            kernel: 7,
-            ewma: 0.8,
-        });
-        reg.control(&ControlEvent::Drift {
-            kernel: 2,
-            ewma: 0.1,
-        });
-        reg.control(&ControlEvent::Reprofile {
-            kernel: 7,
-            ewma: 2.1,
-        });
-        reg.control(&ControlEvent::ReprofileSuppressed { kernel: 7 });
-        reg.control(&ControlEvent::ProfileDeadline {
-            kernel: 2,
-            elapsed: 90.0,
-        });
-        reg.control(&ControlEvent::SplitOverrun {
-            kernel: 2,
-            elapsed: 900.0,
-        });
+        for (kernel, ewma) in [(7, 0.4), (7, 0.8), (2, 0.1), (7, 2.1)] {
+            reg.control(&ControlEvent::Drift { kernel, ewma });
+        }
         assert_eq!(reg.kernel_drift(7), Some(2.1), "last value wins");
         assert_eq!(reg.kernel_drifts(), vec![(2, 0.1), (7, 2.1)]);
-        assert_eq!(reg.drift_reprofiles.get(), 1);
-        assert_eq!(reg.reprofiles_suppressed.get(), 1);
-        assert_eq!(reg.watchdog_trips.get(), 1);
-        assert_eq!(reg.split_overruns.get(), 1);
         // A non-finite EWMA is clamped so the exposition stays parseable.
         reg.control(&ControlEvent::Drift {
             kernel: 9,
@@ -765,37 +647,13 @@ mod tests {
     }
 
     #[test]
-    fn admission_events_accumulate_per_tenant() {
-        let reg = MetricsRegistry::default();
-        reg.control(&ControlEvent::RequestShed { tenant: 3 });
-        reg.control(&ControlEvent::RequestShed { tenant: 3 });
-        reg.control(&ControlEvent::RequestShed { tenant: 0 });
-        reg.control(&ControlEvent::RequestQueued { tenant: 1 });
-        reg.control(&ControlEvent::QuotaDenied { tenant: 5 });
-        reg.control(&ControlEvent::Brownout { level: 2 });
-        assert_eq!(reg.requests_shed.get(), 3);
-        assert_eq!(reg.requests_queued.get(), 1);
-        assert_eq!(reg.quota_denials.get(), 1);
-        assert_eq!(reg.brownout_transitions.get(), 1);
-        assert_eq!(reg.brownout_level.get(), 2);
-        assert_eq!(reg.tenant_sheds(), vec![(0, 1), (3, 2)]);
-        assert_eq!(reg.tenant_queued(), vec![(1, 1)]);
-        assert_eq!(reg.tenant_quota_denials(), vec![(5, 1)]);
-        reg.update(&DecisionRecord {
-            path: InvocationPath::Throttled,
-            ..DecisionRecord::default()
-        });
-        assert_eq!(reg.throttled.get(), 1);
-    }
-
-    #[test]
     fn hostile_tenant_names_are_escaped_in_labels() {
         let reg = MetricsRegistry::default();
         reg.set_tenant_name(0, "evil\"} 666\nfake_metric 1");
         reg.set_tenant_name(1, "back\\slash");
-        reg.control(&ControlEvent::RequestShed { tenant: 0 });
-        reg.control(&ControlEvent::RequestShed { tenant: 1 });
-        reg.control(&ControlEvent::RequestShed { tenant: 2 });
+        for tenant in 0..3 {
+            reg.control(&ControlEvent::SloBreach { tenant, signal: 2 });
+        }
         let page = reg.expose();
         // The quote, newline, and backslash are all escaped: the hostile
         // name cannot close the label, inject a series, or truncate it.
@@ -863,26 +721,5 @@ mod tests {
         });
         assert_eq!(reg.slo_breaches.get(), 3);
         assert_eq!(reg.tenant_slo_breaches(), vec![(1, 1), (4, 2)]);
-    }
-
-    #[test]
-    fn storage_fault_events_count_and_track_degradation() {
-        let reg = MetricsRegistry::default();
-        reg.control(&ControlEvent::StorageFault {
-            kind: 8,
-            degraded: false,
-        });
-        reg.control(&ControlEvent::StorageFault {
-            kind: 10,
-            degraded: true,
-        });
-        assert_eq!(reg.store_io_errors.get(), 2);
-        assert_eq!(reg.store_degraded.get(), 1);
-        reg.control(&ControlEvent::StorageFault {
-            kind: 10,
-            degraded: false,
-        });
-        assert_eq!(reg.store_degraded.get(), 0, "re-arm clears the gauge");
-        assert_eq!(reg.store_io_errors.get(), 3);
     }
 }

@@ -13,7 +13,9 @@
 //! profiling round's α arrives as a [`ControlEvent::Decided`], which the
 //! metrics and run-log sinks ignore and a [`DecisionCsvSink`] collects
 //! (the one sink here that locks — it is for dumping short runs, not for
-//! serving).
+//! serving). The other two events, `Drift` and `SloBreach`, carry what no
+//! other bank keeps; a sink is never told what the scheduler, its store
+//! or the admission controller already count (DESIGN.md §10).
 
 use crate::metrics::MetricsRegistry;
 use crate::record::DecisionRecord;
@@ -23,12 +25,12 @@ use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// An out-of-band event from the scheduling loop: each profiling round's
-/// α decision, and what the self-healing, admission and storage layers
-/// observe or do (DESIGN.md §10, §11) — drift-monitor folds, reprofile
-/// scheduling, watchdog cancellations. Unlike [`DecisionRecord`]s these
-/// are not one-per-invocation — they fire only when the loop decides,
-/// observes or acts — and they never enter the record ring; sinks fold
-/// them into metrics or ignore them.
+/// α decision, each drift-monitor fold, and each fired SLO alert
+/// (DESIGN.md §10, §11, §14). Unlike [`DecisionRecord`]s these are not
+/// one-per-invocation, and they never enter the record ring; sinks fold
+/// them into metrics or ignore them. What the scheduler, its store and
+/// the admission controller count themselves is not an event: `/metrics`
+/// reads those counters from their owners at scrape time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ControlEvent {
     /// A profiling round decided an offload ratio (Fig 7 steps 15–20):
@@ -56,58 +58,6 @@ pub enum ControlEvent {
         /// The EWMA after folding this sample.
         ewma: f64,
     },
-    /// Sustained drift crossed the bound: the kernel's table entry was
-    /// marked stale and a re-profile scheduled.
-    Reprofile {
-        /// The kernel scheduled for re-profiling.
-        kernel: u64,
-        /// The EWMA that triggered the re-profile.
-        ewma: f64,
-    },
-    /// A re-profile was due but the global token bucket was empty — the
-    /// budget guard against reprofile storms.
-    ReprofileSuppressed {
-        /// The kernel whose re-profile was deferred.
-        kernel: u64,
-    },
-    /// The watchdog cancelled a profiling round that overran its
-    /// deadline (the round is treated as a typed fault).
-    ProfileDeadline {
-        /// The kernel whose round was cancelled.
-        kernel: u64,
-        /// The round's observed elapsed time, seconds.
-        elapsed: f64,
-    },
-    /// A chunk execution overran the watchdog's split deadline; the
-    /// kernel's entry was tainted and the breaker notified.
-    SplitOverrun {
-        /// The kernel whose split overran.
-        kernel: u64,
-        /// The split's observed elapsed time, seconds.
-        elapsed: f64,
-    },
-    /// The admission layer shed a tenant's request (queue overflow or
-    /// brownout stage 3). Adaptation, not a fault.
-    RequestShed {
-        /// The shedding tenant's id (registry index).
-        tenant: u64,
-    },
-    /// The admission layer queued a tenant's request behind earlier ones.
-    RequestQueued {
-        /// The queuing tenant's id (registry index).
-        tenant: u64,
-    },
-    /// The admission layer refused a request because the tenant's GPU
-    /// quota window was exhausted.
-    QuotaDenied {
-        /// The denied tenant's id (registry index).
-        tenant: u64,
-    },
-    /// The brownout ladder moved to a new rung.
-    Brownout {
-        /// The new rung's stable code (0 normal … 3 shed-load).
-        level: u8,
-    },
     /// An SLO burn-rate alert fired for a tenant (DESIGN.md §14). The
     /// full typed event — burn rates, exemplar offset — lives in the
     /// `SloTracker`; this control event is the metrics-exposure echo.
@@ -116,17 +66,6 @@ pub enum ControlEvent {
         tenant: u64,
         /// Stable signal code (0 queue-wait, 1 edp-ratio, 2 shed-rate).
         signal: u8,
-    },
-    /// The table store absorbed a storage-layer I/O fault (DESIGN.md
-    /// §16): a failed append, a poisoned fsync, or a degradation-state
-    /// transition. Reduced durability, never reduced scheduling fidelity.
-    StorageFault {
-        /// The stable `FaultKind` code (8 write, 9 fsync, 10
-        /// degradation transition).
-        kind: u8,
-        /// Whether the store is in degrade-to-memory mode after this
-        /// event.
-        degraded: bool,
     },
 }
 
@@ -138,8 +77,8 @@ pub trait TelemetrySink: Send + Sync + fmt::Debug {
     /// Called once per invocation, after the remainder has executed.
     fn record(&self, record: &DecisionRecord);
 
-    /// Called when the loop decides a round's α, or when the
-    /// self-healing control loop observes or acts (DESIGN.md §10, §11).
+    /// Called when the loop decides a round's α, folds a drift sample,
+    /// or fires an SLO alert (DESIGN.md §10, §11, §14).
     /// Default is a no-op so sinks that only implement `record` keep
     /// compiling; like [`record`](TelemetrySink::record), implementations
     /// must be cheap and must never panic.
@@ -425,27 +364,15 @@ mod tests {
         let sink = RingSink::with_capacity(8);
         sink.control(&ControlEvent::Drift {
             kernel: 7,
-            ewma: 0.5,
-        });
-        sink.control(&ControlEvent::Reprofile {
-            kernel: 7,
             ewma: 2.5,
         });
-        sink.control(&ControlEvent::ReprofileSuppressed { kernel: 9 });
-        sink.control(&ControlEvent::ProfileDeadline {
-            kernel: 7,
-            elapsed: 100.0,
-        });
-        sink.control(&ControlEvent::SplitOverrun {
-            kernel: 7,
-            elapsed: 900.0,
+        sink.control(&ControlEvent::SloBreach {
+            tenant: 9,
+            signal: 1,
         });
         assert!(sink.snapshot().is_empty(), "events never enter the ring");
-        assert_eq!(sink.metrics().drift_reprofiles.get(), 1);
-        assert_eq!(sink.metrics().reprofiles_suppressed.get(), 1);
-        assert_eq!(sink.metrics().watchdog_trips.get(), 1);
-        assert_eq!(sink.metrics().split_overruns.get(), 1);
         assert_eq!(sink.metrics().kernel_drift(7), Some(2.5));
+        assert_eq!(sink.metrics().tenant_slo_breaches(), vec![(9, 1)]);
     }
 
     #[test]
@@ -514,9 +441,12 @@ mod tests {
         assert_eq!(ring.metrics().expose(), page, "/metrics did not move");
         assert!(ring.snapshot().is_empty(), "events never enter the ring");
         // Every other event is the ring's business, not the collector's.
-        fan.control(&ControlEvent::ReprofileSuppressed { kernel: 7 });
+        fan.control(&ControlEvent::SloBreach {
+            tenant: 7,
+            signal: 0,
+        });
         assert_eq!(rounds.csv().lines().count(), 2);
-        assert_eq!(ring.metrics().reprofiles_suppressed.get(), 1);
+        assert_eq!(ring.metrics().slo_breaches.get(), 1);
     }
 
     #[test]

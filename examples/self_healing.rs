@@ -1,6 +1,7 @@
 //! The self-healing control loop closing end to end (DESIGN.md §11):
 //! injected model drift → EWMA breach → budgeted auto-reprofile →
-//! re-convergence, narrated through the telemetry control events.
+//! re-convergence, narrated through the drift gauge and the health
+//! counters.
 //!
 //! A `ChaosInjector` surges every observed energy reading by 2.5× — the
 //! readings stay internally plausible, so §9 vetting passes them and only
@@ -113,5 +114,9 @@ fn main() {
         "\nhealth: reprofiles={} suppressed={} watchdog_trips={} taints={}",
         healed.drift_reprofiles, healed.reprofiles_suppressed, healed.watchdog_trips, healed.taints,
     );
-    println!("\nprometheus exposition:\n{}", sink.metrics().expose());
+    println!(
+        "\nprometheus exposition:\n{}{}",
+        sink.metrics().expose(),
+        healed.expose()
+    );
 }

@@ -712,13 +712,18 @@ fn cmd_serve(
         );
         metrics.mark_started(time());
         let router = {
+            // `/metrics` is composed at scrape time from each owner of a
+            // count: the registry, the scheduler's health, the admission
+            // controller.
             let metrics_page = {
                 let ring = Arc::clone(&live.ring);
+                let frontend = Arc::clone(&live.frontend);
                 let time = Arc::clone(&time);
                 move || {
                     let m = ring.metrics();
                     m.observe_now(time());
-                    Page::metrics(m.expose())
+                    let health = frontend.shared().health();
+                    Page::metrics(m.expose() + &health.expose() + &frontend.expose())
                 }
             };
             let health_page = {

@@ -1,21 +1,28 @@
 //! Golden exposition pages, pinned at the commit before the counter
 //! table landed (DESIGN.md §10): a scripted, clock-free feed must render
-//! the same `/metrics` bytes and the same `/health` JSON as it did when
+//! the same `/metrics` lines and the same `/health` JSON as it did when
 //! every counter was enumerated by hand, and the fleet pages must keep
-//! every sample line.
+//! every sample line. `/metrics` is composed from the fragments of the
+//! counters' owners — registry, health report, admission controller — so
+//! the page is compared as a multiset of lines.
 
-use easched::core::HealthReport;
+use easched::core::tenancy::{BrownoutSeries, TenantSeries};
+use easched::core::{expose_tenants, HealthReport};
+use easched::fleet::stats::StoreSeries;
 use easched::fleet::{expose_fleet, expose_fleet_store, FleetStats};
 use easched::replay::{record_overload_storm_observed, OverloadSpec};
-use easched::telemetry::counters::Kind;
+use easched::runtime::{BrownoutLevel, TenantStats};
+use easched::telemetry::counters::Row;
 use easched::telemetry::{ControlEvent, DecisionRecord, InvocationPath, MetricsRegistry};
+use std::collections::BTreeMap;
 
 /// The label-escaping tests' hostile name (`a"b\c⏎d`) plus a control
 /// byte, which JSON must escape and a label must not choke on.
 const HOSTILE: &str = "a\"b\\c\nd\u{1b}";
 
-/// One record per invocation path, every control-event variant at a
-/// distinct multiplicity, two named tenants, fixed build info and clock.
+/// The registry's part of the parent's scripted feed: one record per
+/// invocation path, the drift EWMA its events left on kernel 42, ten SLO
+/// breaches of tenant 1, two named tenants, fixed build info and clock.
 fn scripted_registry() -> MetricsRegistry {
     let reg = MetricsRegistry::default();
     reg.set_build_info("9.9.9", "deadbeef");
@@ -35,55 +42,146 @@ fn scripted_registry() -> MetricsRegistry {
             ..DecisionRecord::default()
         });
     }
-    let events = [
-        ControlEvent::Drift {
-            kernel: 42,
-            ewma: 0.25,
-        },
-        ControlEvent::Reprofile {
-            kernel: 42,
-            ewma: 2.5,
-        },
-        ControlEvent::ReprofileSuppressed { kernel: 43 },
-        ControlEvent::ProfileDeadline {
-            kernel: 44,
-            elapsed: 90.0,
-        },
-        ControlEvent::SplitOverrun {
-            kernel: 45,
-            elapsed: 900.0,
-        },
-        ControlEvent::RequestShed { tenant: 1 },
-        ControlEvent::RequestQueued { tenant: 0 },
-        ControlEvent::QuotaDenied { tenant: 1 },
-        ControlEvent::Brownout { level: 2 },
-        ControlEvent::SloBreach {
+    for ewma in [0.25, 2.5] {
+        reg.control(&ControlEvent::Drift { kernel: 42, ewma });
+    }
+    for _ in 0..10 {
+        reg.control(&ControlEvent::SloBreach {
             tenant: 1,
             signal: 2,
-        },
-        ControlEvent::StorageFault {
-            kind: 8,
-            degraded: true,
-        },
-    ];
-    for (i, event) in events.iter().enumerate() {
-        for _ in 0..=i {
-            reg.control(event);
-        }
+        });
     }
-    reg.control(&ControlEvent::RequestShed { tenant: 0 });
     reg.set_tenant_name(0, "gold");
     reg.set_tenant_name(1, HOSTILE);
-    reg.store_bytes.swap(4096);
     reg.observe_now(107.5);
     reg
 }
 
+/// The rest of the parent's feed, read from the counters' owners: its
+/// event `i` fired `i + 1` times, plus one more shed of `gold`.
+fn scripted_page() -> String {
+    let health = HealthReport {
+        drift_reprofiles: 2,
+        reprofiles_suppressed: 3,
+        watchdog_trips: 4,
+        split_overruns: 5,
+        requests_shed: 7,
+        requests_queued: 7,
+        quota_denials: 8,
+        brownout_transitions: 9,
+        store_io_errors: 11,
+        store_degraded: 1,
+        store_bytes: 4096,
+        ..HealthReport::default()
+    };
+    let tenants = [
+        ("gold", 1, 7, 0),
+        (HOSTILE, 6, 0, 8), // name, shed, queued, quota denials
+    ]
+    .map(|(name, shed, queued, quota_denials)| {
+        let stats = TenantStats {
+            shed,
+            queued,
+            quota_denials,
+            ..TenantStats::default()
+        };
+        (name.to_string(), stats)
+    });
+    scripted_registry().expose()
+        + &health.expose()
+        + &expose_tenants(BrownoutLevel::ForceCpu, &tenants)
+}
+
+/// Lines of `page` missing from `parent`, then lines of `parent` missing
+/// from `page`, as multisets, over the lines `keep` selects.
+fn line_diff<'a>(
+    page: &'a str,
+    parent: &'a str,
+    keep: impl Fn(&str) -> bool,
+) -> (Vec<&'a str>, Vec<&'a str>) {
+    let mut count: BTreeMap<&str, i64> = BTreeMap::new();
+    for line in page.lines().filter(|l| keep(l)) {
+        *count.entry(line).or_default() += 1;
+    }
+    for line in parent.lines().filter(|l| keep(l)) {
+        *count.entry(line).or_default() -= 1;
+    }
+    let side = |sign: i64| {
+        let lines = count.iter().filter(|(_, &n)| n * sign > 0);
+        lines
+            .flat_map(|(&l, &n)| std::iter::repeat_n(l, n.unsigned_abs() as usize))
+            .collect()
+    };
+    (side(1), side(-1))
+}
+
 #[test]
 fn metrics_page_matches_the_parent_commit() {
-    let page = scripted_registry().expose();
-    assert_eq!(page, include_str!("fixtures/golden_metrics.prom"));
+    let page = scripted_page();
     check_exposition(&page);
+    let parent = include_str!("fixtures/golden_metrics.prom");
+    let (added, lost) = line_diff(&page, parent, |_| true);
+    // The bytes a store persisted only rise: a counter, as on the fleet
+    // page, where the parent's `/metrics` typed it a gauge.
+    assert_eq!(lost, ["# TYPE easched_store_bytes gauge"]);
+    let (typed, zeros): (Vec<&str>, Vec<&str>) =
+        added.into_iter().partition(|l| l.starts_with('#'));
+    assert_eq!(typed, ["# TYPE easched_store_bytes counter"]);
+    assert_eq!(
+        zeros,
+        [
+            "easched_tenant_quota_denials_total{tenant=\"gold\"} 0",
+            "easched_tenant_requests_queued_total{tenant=\"a\\\"b\\\\c\\nd\u{1b}\"} 0",
+        ]
+    );
+}
+
+/// The seed-7 storm's composed `/metrics` page carries every sample line
+/// the parent commit's registry rendered for it, with the same value.
+#[test]
+fn observed_storm_page_keeps_every_parent_sample() {
+    let observed = record_overload_storm_observed(&OverloadSpec::new(7));
+    let run = &observed.recorded;
+    let page = observed.ring.metrics().expose()
+        + &run.health.expose()
+        + &expose_tenants(run.final_level, &run.tenant_stats);
+    check_exposition(&page);
+    let parent = include_str!("fixtures/observed_storm_samples.prom");
+    let (added, lost) = line_diff(&page, parent, |l| !l.starts_with('#'));
+    assert!(lost.is_empty(), "parent samples lost: {lost:?}");
+    // Only per-tenant samples the parent left out because they read zero.
+    let zero = |l: &&str| l.starts_with("easched_tenant_") && l.ends_with("} 0");
+    assert!(added.iter().all(zero), "{added:?}");
+    assert!(run.health.requests_shed > 0 && run.health.brownout_transitions > 0);
+}
+
+/// A series name two tables declare means the same series on every page
+/// that carries it; the registry declares none the scheduler counts.
+#[test]
+fn every_series_name_is_declared_once() {
+    let tables: [&[Row]; 6] = [
+        &HealthReport::ROWS,
+        &MetricsRegistry::ROWS,
+        &FleetStats::ROWS,
+        &StoreSeries::ROWS,
+        &TenantSeries::ROWS,
+        &BrownoutSeries::ROWS,
+    ];
+    let mut seen: BTreeMap<&str, Row> = BTreeMap::new();
+    for row in tables.concat().into_iter().filter(|r| !r.name.is_empty()) {
+        if let Some(first) = seen.insert(row.name, row) {
+            assert_eq!(
+                (first.kind, first.help),
+                (row.kind, row.help),
+                "{}",
+                row.name
+            );
+        }
+    }
+    for row in &MetricsRegistry::ROWS {
+        let twin = HealthReport::ROWS.iter().find(|h| h.name == row.name);
+        assert!(twin.is_none(), "{} is counted twice", row.name);
+    }
 }
 
 #[test]
@@ -162,29 +260,4 @@ fn fleet_pages_keep_every_parent_sample_line() {
     check_exposition(&store);
     // A 0/1 flag is a gauge, not the counter the old page header implied.
     assert!(store.contains("# TYPE easched_store_degraded gauge\n"));
-}
-
-/// Health is primary state on the scheduler, metrics is derived from the
-/// control-event stream; a counter both tables declare must read the
-/// same from either when the sink dropped nothing.
-#[test]
-fn health_and_metrics_agree_on_every_shared_counter() {
-    let observed = record_overload_storm_observed(&OverloadSpec::new(7));
-    let health = observed.recorded.health;
-    let metrics = observed.ring.metrics().values();
-    assert_eq!(observed.ring.dropped(), 0);
-    let mut paired = Vec::new();
-    for (row, h) in HealthReport::ROWS.iter().zip(health.values()) {
-        let twin = MetricsRegistry::ROWS
-            .iter()
-            .position(|m| m.field == row.field && m.kind == Kind::Counter);
-        if let Some(m) = twin {
-            assert_eq!(h, metrics[m], "{} health vs metrics", row.field);
-            paired.push(row.field);
-        }
-    }
-    // The eight event-paired counters plus `probes` and `store_io_errors`.
-    assert!(paired.len() >= 8, "{paired:?}");
-    // The storm must reach the rung whose flush used to go unreported.
-    assert!(health.requests_shed > 0 && health.brownout_transitions > 0);
 }

@@ -35,11 +35,13 @@ fn concurrent_scrapes_ride_a_live_storm_without_perturbing_it() {
         let time: TimeSource = Arc::new(move || start.elapsed().as_secs_f64());
         let metrics_page = {
             let ring = Arc::clone(&live.ring);
+            let frontend = Arc::clone(&live.frontend);
             let time = Arc::clone(&time);
             move || {
                 let m = ring.metrics();
                 m.observe_now(time());
-                Page::metrics(m.expose())
+                let health = frontend.shared().health();
+                Page::metrics(m.expose() + &health.expose() + &frontend.expose())
             }
         };
         let slo_page = {
@@ -56,10 +58,15 @@ fn concurrent_scrapes_ride_a_live_storm_without_perturbing_it() {
             let stop = Arc::clone(&stop);
             scrapers.push(std::thread::spawn(move || {
                 let path = if t % 2 == 0 { "/metrics" } else { "/slo" };
-                let want = if t % 2 == 0 {
-                    "easched_invocations_total"
+                // One family from each fragment of the composed page.
+                let want: &[&str] = if t % 2 == 0 {
+                    &[
+                        "easched_invocations_total",
+                        "easched_requests_shed_total",
+                        "easched_tenant_requests_shed_total{tenant=",
+                    ]
                 } else {
-                    "burn_threshold"
+                    &["burn_threshold"]
                 };
                 let (mut ok, mut attempts) = (0u64, 0u64);
                 while !stop.load(Ordering::Relaxed) {
@@ -69,7 +76,8 @@ fn concurrent_scrapes_ride_a_live_storm_without_perturbing_it() {
                     // non-200 (or a malformed 200) is.
                     match http_get(&addr, path, Duration::from_secs(5)) {
                         Ok((200, body)) => {
-                            assert!(body.contains(want), "torn {path} scrape: {body:?}");
+                            let whole = want.iter().all(|w| body.contains(w));
+                            assert!(whole, "torn {path} scrape: {body:?}");
                             ok += 1;
                         }
                         Ok((503, _)) => {}

@@ -112,11 +112,11 @@ fn sustained_drift_triggers_one_budgeted_reprofile() {
     assert!(h.fault_free(), "{h:?}");
 
     // Satellite: the loop is observable end to end — per-kernel EWMA
-    // gauge plus both counters ride the Prometheus exposition.
+    // gauge from the sink, both counters from health, on one page.
     let metrics = sink.metrics();
     let ewma = metrics.kernel_drift(7).expect("drift gauge for kernel 7");
     assert!(ewma > 0.8, "last fold was a breach: {ewma}");
-    let text = metrics.expose();
+    let text = metrics.expose() + &h.expose();
     assert!(text.contains("easched_drift_reprofiles_total 1"), "{text}");
     assert!(
         text.contains("easched_reprofiles_suppressed_total"),
