@@ -91,8 +91,8 @@ grep -q '^easched_invocations_total' target/ci-serve-metrics.txt
 grep -q '^easched_slo_breaches_total' target/ci-serve-metrics.txt
 grep -q '^easched_build_info{' target/ci-serve-metrics.txt
 grep -q '^easched_uptime_seconds' target/ci-serve-metrics.txt
-# /metrics is composed from the counters' owners: registry, health,
-# admission controller.
+# /metrics is composed from the counts' owners: registry, scheduler
+# (health, drift), frontend (admission controller, SLO tracker).
 grep -q '^easched_tenant_requests_shed_total{tenant=' target/ci-serve-metrics.txt
 grep -q '^easched_brownout_level ' target/ci-serve-metrics.txt
 grep -q '^easched_store_bytes ' target/ci-serve-metrics.txt
@@ -104,24 +104,33 @@ for _ in $(seq 1 150); do
     grep -q '^span trace written' target/ci-serve.out 2>/dev/null && break
     sleep 0.2
 done
-# The storm is over and the server still holds: each count has one owner,
-# so /metrics and /health must read it the same.
+# The storm is over and the server still holds. Counts kept by different
+# owners must agree: the per-tenant admission counters (TenantStats) sum
+# to the scheduler's totals (HealthStats), and the SLO tracker's breach
+# count equals the events /slo lists (under its 256-event retention cap).
 ./target/release/easched scrape --addr "$SERVE_ADDR" --path /metrics > target/ci-serve-metrics.txt
-./target/release/easched scrape --addr "$SERVE_ADDR" --path /health > target/ci-serve-health.txt
-awk -F'[{},:"]+' '
-    FNR == NR { split($0, s, " "); page[s[1]] = s[2]; next }
-    { for (i = 2; i < NF; i += 2) health[$i] = $(i + 1) }
+./target/release/easched scrape --addr "$SERVE_ADDR" --path /slo > target/ci-serve-slo.txt
+SLO_EVENTS=$(grep -o '"exemplar_offset"' target/ci-serve-slo.txt | wc -l)
+awk -v slo_events="$SLO_EVENTS" '
+    /^#/ { next }
+    { split($1, name, "{"); value[name[1]] += $2; seen[name[1]] = 1 }
     END {
-        n = split("requests_shed brownout_transitions", keys, " ")
+        n = split("requests_shed requests_queued quota_denials", keys, " ")
         for (j = 1; j <= n; j++) {
-            m = page["easched_" keys[j] "_total"]
-            if (m == "" || m != health[keys[j]]) {
-                print "/metrics " keys[j] " " m " != /health " health[keys[j]]
+            total = "easched_" keys[j] "_total"
+            tenants = "easched_tenant_" keys[j] "_total"
+            if (!seen[total] || !seen[tenants] || value[total] != value[tenants]) {
+                print "/metrics " total " " value[total] " != sum of " tenants " " value[tenants]
                 bad = 1
             }
         }
+        if (!seen["easched_slo_breaches_total"] || value["easched_slo_breaches_total"] != slo_events) {
+            print "/metrics easched_slo_breaches_total " value["easched_slo_breaches_total"] \
+                " != /slo events " slo_events
+            bad = 1
+        }
         exit bad
-    }' target/ci-serve-metrics.txt target/ci-serve-health.txt
+    }' target/ci-serve-metrics.txt
 kill "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_OFFSET=$(sed -n 's/.*--at \([0-9]*\)$/\1/p' target/ci-serve.out | head -n 1)

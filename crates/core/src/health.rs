@@ -57,13 +57,14 @@ easched_telemetry::counter_table! {
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub report HealthReport;
     /// Profiling observations that passed the guard.
-    observations_accepted: counter,
+    observations_accepted: counter = "easched_profile_rounds_total", "Accepted profiling rounds",
     /// Profiling observations rejected as faults.
-    observations_rejected: counter fault,
+    observations_rejected: counter fault = "easched_fault_rounds_total", "Rejected profiling rounds",
     /// Rejected rounds that were retried (with a backed-off chunk).
     retries: counter fault,
     /// Invocations that gave up profiling and ran degraded.
-    degraded_invocations: counter fault,
+    degraded_invocations: counter fault = "easched_degraded_total",
+        "Invocations degraded after sustained faults",
     /// Times the GPU circuit breaker tripped open.
     breaker_trips: counter fault,
     /// Recovery probes attempted while half-open.
@@ -73,7 +74,8 @@ easched_telemetry::counter_table! {
     /// Kernel-table entries marked suspect after a faulty invocation.
     taints: counter fault,
     /// Invocations forced to CPU-only by an open breaker.
-    quarantined_invocations: counter fault,
+    quarantined_invocations: counter fault = "easched_quarantined_total",
+        "Invocations quarantined CPU-only by the breaker",
     /// Re-profiles scheduled by the drift monitor (DESIGN.md §11).
     /// Adaptation, not a fault: it does not disturb
     /// [`fault_free`](HealthReport::fault_free).
@@ -92,7 +94,8 @@ easched_telemetry::counter_table! {
     /// Invocations forced CPU-only by their admission context (brownout
     /// or a denied GPU policy). Overload protection, not a fault: does
     /// not disturb [`fault_free`](HealthReport::fault_free).
-    throttled_invocations: counter,
+    throttled_invocations: counter = "easched_throttled_total",
+        "Invocations GPU-gated by the brownout ladder",
     /// Requests the admission layer shed (queue overflow, brownout
     /// stage 3). Adaptation, not a fault.
     requests_shed: counter = "easched_requests_shed_total", "Requests shed by the admission layer",

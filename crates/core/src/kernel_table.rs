@@ -242,6 +242,20 @@ impl KernelTable {
         self.read(kernel, |e| read(&e.drift))
     }
 
+    /// Every kernel whose drift cell has folded a sample, with its EWMA,
+    /// sorted by kernel id: what `/metrics` renders
+    /// ([`expose_drift`](crate::expose_drift)), read at scrape time.
+    pub fn drifts(&self) -> Vec<(KernelId, f64)> {
+        let mut out = Vec::new();
+        for shard in &self.shards {
+            let shard = read_lock(shard);
+            let entries = shard.entries.iter();
+            out.extend(entries.filter_map(|(&k, e)| Some((k, e.drift.ewma()?))));
+        }
+        out.sort_unstable_by_key(|&(k, _)| k);
+        out
+    }
+
     /// Installs a cross-platform warm-start prior for a kernel the fleet
     /// has seen elsewhere (DESIGN.md §15), and says whether it did. The
     /// prior is a *hint*, never truth: it does not create a table entry,
@@ -551,6 +565,36 @@ mod tests {
         assert_eq!(t.prior(2), None, "no prior beside a learned entry");
         assert_eq!(t.drift(2, DriftCell::ewma), Some(None));
         assert_eq!(t.drift(3, DriftCell::ewma), None, "no entry, no cell");
+    }
+
+    #[test]
+    fn drifts_read_the_latest_ewma_per_kernel() {
+        use crate::selfheal::{expose_drift, DriftMonitor, DriftPolicy};
+        let t = KernelTable::new();
+        for k in [7, 2, 9] {
+            t.accumulate(k, 0.5, 1.0, Accumulation::SampleWeighted);
+        }
+        assert!(t.drifts().is_empty(), "no cell has folded a sample");
+        assert_eq!(expose_drift(&t.drifts()), "", "no family before a fold");
+        // The EWMA is the latest sample: |predicted − 1| / 1.
+        let monitor = DriftMonitor::new(DriftPolicy {
+            ewma_weight: 1.0,
+            ..DriftPolicy::default()
+        });
+        for (kernel, predicted) in [(7, 1.5), (7, 1.25), (2, 1.125), (7, 3.0)] {
+            t.drift(kernel, |cell| {
+                monitor.observe(cell, Some(predicted), 1.0, 1)
+            });
+        }
+        // Last value wins; kernel 9 never folded, so it has no sample.
+        assert_eq!(t.drifts(), vec![(2, 0.125), (7, 2.0)]);
+        assert_eq!(
+            expose_drift(&t.drifts()),
+            "# HELP easched_kernel_drift_ewma Latest per-kernel EDP drift EWMA from the \
+             control loop\n# TYPE easched_kernel_drift_ewma gauge\n\
+             easched_kernel_drift_ewma{kernel=\"2\"} 1.25e-1\n\
+             easched_kernel_drift_ewma{kernel=\"7\"} 2e0\n"
+        );
     }
 
     #[test]

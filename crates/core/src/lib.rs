@@ -81,7 +81,8 @@ pub use power_model::{PowerCurve, PowerModel};
 pub use schemes::{Evaluator, FixedSweep, SchemeResult, WorkloadComparison};
 pub use seed::{RunSeed, DEFAULT_ROOT};
 pub use selfheal::{
-    DriftAction, DriftCell, DriftMonitor, DriftOutcome, DriftPolicy, Watchdog, WatchdogPolicy,
+    expose_drift, DriftAction, DriftCell, DriftMonitor, DriftOutcome, DriftPolicy, Watchdog,
+    WatchdogPolicy, DRIFT_SERIES,
 };
 pub use shared::{SharedEas, SharedEasExt};
 pub use tenancy::{expose_tenants, AdmittedRequest, TenantFrontend};

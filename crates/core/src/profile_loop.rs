@@ -37,8 +37,9 @@
 //! those totals. With no sink (the default) the same loop runs and its
 //! summary is dropped: no clock read, no record, and the totals cost a
 //! few float adds per backend call. Watchdog and drift outcomes are
-//! counted once, on the state's health counters, where `/metrics` reads
-//! them; the sink hears only each round's decision and each drift fold.
+//! counted once, on the state's health counters, and each drift fold
+//! lands in the kernel's cell of G; `/metrics` reads both there. The sink
+//! hears only each round's decision.
 
 use crate::eas::Decision;
 use crate::engine::Prediction;
@@ -47,9 +48,7 @@ use crate::health::BreakerGate;
 use crate::selfheal::DriftAction;
 use crate::shared::SharedEas;
 use easched_runtime::{Backend, Clock, GpuPolicy, InvocationCtx, KernelId, Observation};
-use easched_telemetry::{
-    ControlEvent, DecisionRecord, InvocationPath, Span, SpanKind, TelemetrySink,
-};
+use easched_telemetry::{DecisionRecord, InvocationPath, Span, SpanKind, TelemetrySink};
 
 /// What `drive` learned about the invocation, for record construction.
 struct InvocationSummary {
@@ -128,13 +127,6 @@ fn elapsed_nanos(clock: &dyn Clock, started: f64) -> u64 {
     ((clock.now() - started).max(0.0) * 1.0e9) as u64
 }
 
-/// Emits a control-loop event when a sink is attached (no-op otherwise).
-pub(crate) fn emit(sink: Option<&dyn TelemetrySink>, event: &ControlEvent) {
-    if let Some(sink) = sink {
-        sink.control(event);
-    }
-}
-
 /// The §11 post-split control hook, shared by every path that executed a
 /// chunk: first the watchdog checks the chunk against its hard deadline —
 /// an overrun taints the entry and feeds the breaker exactly like a hung
@@ -181,13 +173,6 @@ fn after_split(
     let Some(outcome) = table.drift(kernel, fold).flatten() else {
         return;
     };
-    emit(
-        eas.telemetry.as_deref(),
-        &ControlEvent::Drift {
-            kernel,
-            ewma: outcome.ewma,
-        },
-    );
     match outcome.action {
         DriftAction::Observed => {}
         DriftAction::Reprofile => {

@@ -32,8 +32,12 @@
 //! a kernel's EWMA, reference, breach count, cooldown and latch are its
 //! [`DriftCell`], which lives in the kernel's entry of G
 //! ([`KernelTable::drift`](crate::KernelTable::drift)) and is not
-//! persisted.
+//! persisted. The cells are also the only copy of the EWMAs that
+//! `/metrics` shows: [`expose_drift`] renders them at scrape time.
 
+use easched_runtime::KernelId;
+use easched_telemetry::counters::{push_meta, Kind, Row};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 /// Tokens are stored in integer milli-tokens so the bucket can be a plain
@@ -173,6 +177,32 @@ impl DriftCell {
         let v = f64::from_bits(self.ewma_bits.load(Ordering::Relaxed));
         v.is_finite().then_some(v)
     }
+}
+
+/// The drift gauge's declaration on a `/metrics` page.
+pub const DRIFT_SERIES: Row = Row {
+    field: "ewma",
+    name: "easched_kernel_drift_ewma",
+    help: "Latest per-kernel EDP drift EWMA from the control loop",
+    kind: Kind::Gauge,
+    fault: false,
+};
+
+/// Renders the kernel table's `/metrics` fragment: one `kernel="<id>"`
+/// sample of [`DRIFT_SERIES`] per `(kernel, ewma)` — read from the cells
+/// by [`KernelTable::drifts`](crate::KernelTable::drifts) — and nothing
+/// before any kernel has folded a sample.
+pub fn expose_drift(drifts: &[(KernelId, f64)]) -> String {
+    let mut out = String::new();
+    if drifts.is_empty() {
+        return out;
+    }
+    let (name, help) = (DRIFT_SERIES.name, DRIFT_SERIES.help);
+    push_meta(&mut out, name, help, DRIFT_SERIES.kind.as_str());
+    for (kernel, ewma) in drifts {
+        let _ = writeln!(out, "{name}{{kernel=\"{kernel}\"}} {ewma:e}");
+    }
+    out
 }
 
 /// Folds predicted-vs-realized EDP into a kernel's [`DriftCell`] and

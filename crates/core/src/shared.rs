@@ -35,7 +35,8 @@ use crate::health::{merge_store_health, Health, HealthReport};
 use crate::journal::{Recovered, StoreError, TableStore};
 use crate::kernel_table::KernelTable;
 use crate::power_model::PowerModel;
-use crate::profile_loop::{self, emit};
+use crate::profile_loop;
+use crate::selfheal::expose_drift;
 use easched_runtime::vfs::{StdFs, Vfs};
 use easched_runtime::{
     Backend, Clock, ConcurrentScheduler, InvocationCtx, KernelId, Shared, WallClock,
@@ -248,17 +249,16 @@ impl SharedEas {
     /// sink attached the scheduler stores nothing per decision.
     pub(crate) fn note_decision(&self, decision: &Decision) {
         self.decisions.fetch_add(1, Ordering::Relaxed);
-        emit(
-            self.telemetry.as_deref(),
-            &ControlEvent::Decided {
+        if let Some(sink) = &self.telemetry {
+            sink.control(&ControlEvent::Decided {
                 kernel: decision.kernel,
                 r_c: decision.r_c,
                 r_g: decision.r_g,
                 class: decision.class.index() as u8,
                 n_remaining: decision.n_remaining,
                 alpha: decision.alpha,
-            },
-        );
+            });
+        }
     }
 
     /// The underlying decision engine (policy layer).
@@ -309,6 +309,15 @@ impl SharedEas {
             merge_store_health(&mut report, store.health());
         }
         report
+    }
+
+    /// This scheduler's `/metrics` fragment, read from its owners at
+    /// scrape time: the [`health`](SharedEas::health) rows that carry a
+    /// series name, then the drift EWMA of every kernel in G that has
+    /// folded a sample ([`expose_drift`]). A sink attached late misses
+    /// none of it.
+    pub fn expose(&self) -> String {
+        self.health().expose() + &expose_drift(&self.table.drifts())
     }
 
     /// The fault-handling state shared by all streams (breaker inspection

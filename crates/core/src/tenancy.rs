@@ -11,7 +11,8 @@
 //! the tenant's deadline budget. Admission outcomes are folded into the
 //! scheduler's [`HealthReport`](crate::HealthReport) counters; the
 //! per-tenant series and the brownout rung are read from the admission
-//! controller's own [`TenantStats`] at scrape time ([`expose_tenants`]).
+//! controller's own [`TenantStats`] at scrape time ([`expose_tenants`]),
+//! and the SLO breaches from the attached tracker's count.
 //!
 //! The frontend adds nothing to the single-tenant fast path: a
 //! [`SharedEas`] driven directly (no frontend) never constructs a
@@ -24,7 +25,7 @@ use easched_runtime::{
 };
 use easched_telemetry::counters::{expose_rows, expose_rows_labelled, push_json_field};
 use easched_telemetry::slo::escape_json;
-use easched_telemetry::{ControlEvent, SloEvent, SloTracker, Span, SpanKind};
+use easched_telemetry::{SloTracker, Span, SpanKind};
 use std::sync::{Arc, Mutex, PoisonError};
 
 easched_telemetry::counter_table! {
@@ -117,10 +118,9 @@ impl TenantFrontend {
     }
 
     /// Attaches an SLO burn-rate tracker (builder form): offers, drains,
-    /// and [`observe_request_edp`](Self::observe_request_edp) feed it,
-    /// and fired alerts are echoed as
-    /// [`ControlEvent::SloBreach`](easched_telemetry::ControlEvent)
-    /// control events.
+    /// and [`observe_request_edp`](Self::observe_request_edp) feed it. It
+    /// keeps and counts the alerts it fires; [`expose`](Self::expose)
+    /// renders its count beside the tenants.
     pub fn with_slo(mut self, slo: Arc<SloTracker>) -> TenantFrontend {
         self.slo = Some(slo);
         self
@@ -143,18 +143,6 @@ impl TenantFrontend {
         self.admission
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Echoes a fired SLO alert into the control-event stream. The full
-    /// event (burn rates, exemplar offset) stays queryable on the
-    /// tracker; the control event is the metrics-exposure hook.
-    fn fire(&self, event: Option<SloEvent>) {
-        if let (Some(e), Some(sink)) = (event, self.shared.telemetry()) {
-            sink.control(&ControlEvent::SloBreach {
-                tenant: e.tenant,
-                signal: e.kind.code(),
-            });
-        }
     }
 
     /// The current `RunLog` offset of the attached sink (0 without a
@@ -181,7 +169,7 @@ impl TenantFrontend {
         };
         if let Some(slo) = &self.slo {
             let shed = matches!(outcome, AdmissionOutcome::Shed { .. });
-            self.fire(slo.observe_shed(tenant as u64, shed, tick as f64, self.log_offset()));
+            slo.observe_shed(tenant as u64, shed, tick as f64, self.log_offset());
         }
         let stats = &self.shared.health_state().stats;
         match outcome {
@@ -255,12 +243,12 @@ impl TenantFrontend {
                     }
                 }
                 if let Some(slo) = &self.slo {
-                    self.fire(slo.observe_queue_wait(
+                    slo.observe_queue_wait(
                         d.tenant as u64,
                         d.waited_ticks as f64,
                         tick as f64,
                         offset,
-                    ));
+                    );
                 }
                 AdmittedRequest {
                     tenant: d.tenant,
@@ -278,13 +266,13 @@ impl TenantFrontend {
     pub fn observe_request_edp(&self, tenant: usize, predicted: f64, realized: f64) {
         if let Some(slo) = &self.slo {
             let tick = self.lock().tick();
-            self.fire(slo.observe_edp(
+            slo.observe_edp(
                 tenant as u64,
                 predicted,
                 realized,
                 tick as f64,
                 self.log_offset(),
-            ));
+            );
         }
     }
 
@@ -384,16 +372,23 @@ impl TenantFrontend {
         out
     }
 
-    /// This frontend's `/metrics` fragment ([`expose_tenants`]), read
-    /// under one lock so the rung and every tenant's row agree.
+    /// This frontend's `/metrics` fragment: [`expose_tenants`], read
+    /// under one lock so the rung and every tenant's row agree, then the
+    /// attached SLO tracker's breach counts, if any.
     pub fn expose(&self) -> String {
-        let adm = self.lock();
-        let tenants: Vec<_> = adm
-            .registry()
-            .iter()
-            .map(|(tenant, spec)| (spec.name.clone(), adm.tenant_stats(tenant)))
-            .collect();
-        expose_tenants(adm.level(), &tenants)
+        let mut page = {
+            let adm = self.lock();
+            let tenants: Vec<_> = adm
+                .registry()
+                .iter()
+                .map(|(tenant, spec)| (spec.name.clone(), adm.tenant_stats(tenant)))
+                .collect();
+            expose_tenants(adm.level(), &tenants)
+        };
+        if let Some(slo) = &self.slo {
+            page += &slo.expose();
+        }
+        page
     }
 
     /// Executes one admitted request through the shared scheduler under
@@ -541,17 +536,14 @@ mod tests {
     }
 
     #[test]
-    fn sustained_sheds_fire_an_slo_breach_control_event() {
-        let sink = Arc::new(RingSink::default());
+    fn sustained_sheds_put_slo_breaches_on_the_frontend_page() {
         let slo = Arc::new(SloTracker::default());
-        let f = {
-            let cfg = EasConfig::new(Objective::Time);
-            let slo_sink: Arc<RingSink> = Arc::clone(&sink);
-            let shared = SharedEas::with_telemetry(flat_model(50.0), cfg, slo_sink);
-            let registry = TenantRegistry::new(vec![TenantSpec::new("a", 1.0).with_queue_cap(1)]);
-            TenantFrontend::new(shared, registry, AdmissionConfig::default())
-                .with_slo(Arc::clone(&slo))
-        };
+        slo.set_tenant_name(0, "a");
+        let shared = SharedEas::new(flat_model(50.0), EasConfig::new(Objective::Time));
+        let registry = TenantRegistry::new(vec![TenantSpec::new("a", 1.0).with_queue_cap(1)]);
+        let f = TenantFrontend::new(shared, registry, AdmissionConfig::default())
+            .with_slo(Arc::clone(&slo));
+        assert!(f.expose().contains("easched_slo_breaches_total 0\n"));
         // Queue cap 1 and no drains: every offer past the first sheds.
         // 100 % shed rate burns 10× the 10 % budget in both windows.
         for _ in 0..64 {
@@ -560,11 +552,14 @@ mod tests {
         let events = slo.events();
         assert!(!events.is_empty(), "sustained sheds must fire");
         assert_eq!(events[0].kind, SloKind::ShedRate);
-        assert_eq!(sink.metrics().slo_breaches.get(), events.len() as u64);
-        assert_eq!(
-            sink.metrics().tenant_slo_breaches(),
-            vec![(0, events.len() as u64)]
-        );
+        let page = f.expose();
+        let n = events.len();
+        for sample in [
+            format!("easched_slo_breaches_total {n}\n"),
+            format!("easched_tenant_slo_breaches_total{{tenant=\"a\"}} {n}\n"),
+        ] {
+            assert!(page.contains(&sample), "{sample} missing from\n{page}");
+        }
     }
 
     #[test]

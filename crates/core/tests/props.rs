@@ -418,6 +418,9 @@ mod record_model {
             .map(|(&k, &(stat, tainted))| (k, stat, tainted))
             .collect();
         assert_eq!(table.snapshot_with_taint(), snapshot);
+        let drift = reference.drift.iter();
+        let drifts: Vec<_> = drift.filter_map(|(&k, c)| Some((k, c.ewma()?))).collect();
+        assert_eq!(table.drifts(), drifts);
         let plain: Vec<_> = snapshot.iter().map(|&(k, stat, _)| (k, stat)).collect();
         assert_eq!(table.snapshot(), plain);
         assert_eq!(table.len(), reference.entries.len());

@@ -3,8 +3,8 @@
 //! and concurrent streams interleave safely into one sink (DESIGN.md §10).
 
 use easched_core::{
-    BreakerState, EasConfig, EasScheduler, InvocationPath, Objective, PowerCurve, PowerModel,
-    RingSink, SharedEas, SharedEasExt, WorkloadClass,
+    BreakerState, DriftCell, EasConfig, EasScheduler, InvocationPath, Objective, PowerCurve,
+    PowerModel, RingSink, SharedEas, SharedEasExt, WorkloadClass,
 };
 use easched_num::Polynomial;
 use easched_runtime::backend::test_support::FakeBackend;
@@ -138,13 +138,13 @@ fn outage_tags_degraded_quarantined_and_probe_paths() {
     assert_eq!(records[8].path, InvocationPath::Degraded, "dead probe");
     assert!(records[8].fault_rounds > 0);
 
-    let m = sink.metrics();
-    assert_eq!(m.degraded.get(), 2);
-    assert_eq!(m.quarantined.get(), 7);
+    let health = eas.health();
+    assert_eq!(health.degraded_invocations, 2);
+    assert_eq!(health.quarantined_invocations, 7);
     // Record-granularity transitions: Closed→Open once; the probe's
     // HalfOpen excursion re-trips *within* invocation 8, so its
     // post-invocation state is Open again and no transition is visible.
-    assert_eq!(m.breaker_transitions.get(), 1);
+    assert_eq!(sink.metrics().breaker_transitions.get(), 1);
 }
 
 #[test]
@@ -195,7 +195,7 @@ fn tainted_entry_reprofile_is_tagged_reprofiled() {
     );
     assert_eq!(records[1].fault_rounds, 0);
     assert_eq!(sink.metrics().reprofiled.get(), 1);
-    assert_eq!(sink.metrics().fault_rounds.get(), 1);
+    assert_eq!(eas.health().observations_rejected, 1);
 }
 
 #[test]
@@ -292,7 +292,7 @@ fn the_metrics_page_reports_the_store_health_counts() {
     eas.handle().schedule(9, &mut fake());
 
     let health = eas.health();
-    let page = sink.metrics().expose() + &health.expose();
+    let page = sink.metrics().expose() + &eas.expose();
     assert_eq!(health.store_io_errors, 2, "{health:?}");
     assert!(health.store_bytes > 0);
     for (name, value) in [
@@ -303,4 +303,29 @@ fn the_metrics_page_reports_the_store_health_counts() {
         assert_eq!(sample(&page, name), value, "{name}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The drift gauge is read from the kernel table, so a sink attached after
+/// the folds still shows every one.
+#[test]
+fn a_sink_attached_late_still_sees_the_drift_gauge() {
+    let mut eas = EasScheduler::new(flat_model(50.0), EasConfig::new(Objective::Time));
+    // One profiling pass, then drift-eligible table hits — no sink.
+    for _ in 0..4 {
+        eas.schedule(7, &mut fake());
+    }
+    let sink = Arc::new(RingSink::default());
+    eas.set_telemetry(Some(sink.clone()));
+
+    let ewma = eas.table().drift(7, DriftCell::ewma).flatten();
+    let ewma = ewma.expect("the table hits folded into kernel 7's cell");
+    let page = sink.metrics().expose() + &eas.expose();
+    let line = page
+        .lines()
+        .find_map(|l| l.strip_prefix("easched_kernel_drift_ewma{kernel=\"7\"} "));
+    let shown: f64 = line
+        .unwrap_or_else(|| panic!("no drift line on\n{page}"))
+        .parse()
+        .expect("a float sample");
+    assert_eq!(shown.to_bits(), ewma.to_bits());
 }

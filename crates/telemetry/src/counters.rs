@@ -164,7 +164,8 @@ pub fn fault_free<const N: usize>(rows: &[Row; N], values: &[u64; N]) -> bool {
         .all(|(row, &v)| !row.fault || v == 0)
 }
 
-pub(crate) fn push_meta(out: &mut String, name: &str, help: &str, kind: &str) {
+/// Appends a family's `# HELP` and `# TYPE` lines.
+pub fn push_meta(out: &mut String, name: &str, help: &str, kind: &str) {
     let _ = write!(out, "# HELP {name} {help}\n# TYPE {name} {kind}\n");
 }
 

@@ -15,16 +15,16 @@
 //! - [`TelemetrySink`] — the trait the scheduling frontends report
 //!   through; `None` means the same loop runs with no clock read and no
 //!   record built ([`sink`]).
-//! - [`ControlEvent`] — what the loop reports between records, three
-//!   kinds: each profiling round's α (`Decided`, the scheduler's only
-//!   per-round history — [`DecisionCsvSink`] collects it), each drift
-//!   fold and each fired SLO alert ([`sink`]).
+//! - [`ControlEvent`] — what the loop reports between records: each
+//!   profiling round's α (`Decided`, the scheduler's only per-round
+//!   history — [`DecisionCsvSink`] collects it) ([`sink`]).
 //! - [`RingSink`] — the standard sink: a bounded, lock-free,
 //!   overwrite-on-wrap ring ([`ring`]) plus an always-on
-//!   [`MetricsRegistry`] with Prometheus-style exposition ([`metrics`]).
-//!   The registry's page is one fragment of `/metrics`; the scheduler's
-//!   health, its store and the admission controller render their own
-//!   counters beside it at scrape time.
+//!   [`MetricsRegistry`] folded from the records, with Prometheus-style
+//!   exposition ([`metrics`]). The registry's page is one fragment of
+//!   `/metrics`; the scheduler's health and drift EWMAs, its store, the
+//!   admission controller and the SLO tracker render their own beside it
+//!   at scrape time.
 //! - [`counter_table!`] — the one place a plain counter or gauge is
 //!   declared; banks, reports, text pages and JSON derive from its rows
 //!   ([`counters`]).
@@ -39,7 +39,8 @@
 //! - [`ScrapeServer`] — a dependency-free HTTP/1.0 responder for live
 //!   `/metrics`, `/health`, `/tenants`, and `/slo` pages ([`serve`]).
 //! - [`SloTracker`] — per-tenant multi-window burn-rate SLOs whose fired
-//!   events carry replay-offset exemplars ([`slo`]).
+//!   events carry replay-offset exemplars, and the one count of them
+//!   ([`slo`]).
 //!
 //! The crate is deliberately standalone — plain `std`, no dependency on
 //! the scheduler crates — so any layer (core, runtime, bench, a future
@@ -68,6 +69,6 @@ pub use ring::AtomicRing;
 pub use serve::uds_get;
 pub use serve::{http_get, Page, Router, ScrapeServer, ServeConfig, TimeSource};
 pub use sink::{ControlEvent, DecisionCsvSink, FanoutSink, RingSink, TelemetrySink};
-pub use slo::{BurnStatus, SloConfig, SloEvent, SloKind, SloTracker};
+pub use slo::{expose_slo, BurnStatus, SloConfig, SloEvent, SloKind, SloTracker};
 pub use span::{Span, SpanKind, SpanSink, DEFAULT_SPAN_CAPACITY, NO_TENANT};
 pub use trace::{parse_spans, parse_trace, to_trace, to_trace_with_spans, TraceParseError};

@@ -4,23 +4,15 @@
 //! Everything here is relaxed atomics: the registry is updated on the
 //! scheduling hot path (once per invocation, when a sink is attached), so
 //! it must never lock or allocate. [`MetricsRegistry::expose`] renders
-//! the registry's fragment of the Prometheus `/metrics` page; the counts
-//! the scheduler, its store and the admission controller already keep are
-//! rendered from those owners at scrape time and appended beside it
-//! (DESIGN.md §10), never re-counted here.
-//!
-//! The exceptions to the no-locks rule are the two labelled maps fed by
-//! [`ControlEvent`]s — per-kernel drift EWMAs and per-tenant SLO breaches:
-//! after a key's first sighting an update is a read lock (a single
-//! uncontended atomic) plus one relaxed operation; only the first
-//! sighting takes the write lock to insert its slot.
+//! the registry's fragment of the Prometheus `/metrics` page; what the
+//! scheduler, its kernel table, its store, the admission controller and
+//! the SLO tracker already keep is rendered from those owners at scrape
+//! time and appended beside it (DESIGN.md §10), never re-counted here.
 
 use crate::counters::{expose_rows, push_meta};
 use crate::record::{DecisionRecord, InvocationPath};
-use crate::sink::ControlEvent;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{PoisonError, RwLock};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -156,9 +148,8 @@ pub const ALPHA_BUCKETS: usize = 11;
 
 crate::counter_table! {
     /// Scheduler metrics derived from the decision stream: invocation-path
-    /// counters, fault and breaker activity, decision latency, profiling
-    /// overhead, the α distribution, and the SLO breaches no other bank
-    /// counts. Updated once per invocation via
+    /// counters, breaker activity, decision latency, profiling overhead
+    /// and the α distribution. Updated once per invocation via
     /// [`update`](MetricsRegistry::update); rendered with
     /// [`expose`](MetricsRegistry::expose), which opens with the rows below
     /// in declaration order.
@@ -171,13 +162,6 @@ crate::counter_table! {
         pub overhead_bp: LogHistogram,
         /// Executed α, bucketed on the paper's 0.1 grid.
         pub alpha: [Counter; ALPHA_BUCKETS],
-        /// Latest drift EWMA per kernel, stored as `f64` bits (see
-        /// [`kernel_drift`](MetricsRegistry::kernel_drift)).
-        kernel_drift_ewma: Slots,
-        /// Per-tenant SLO breach counts (tenant id → count).
-        tenant_slo_breaches: Slots,
-        /// Human-readable tenant names for labels (escaped at exposition).
-        tenant_names: RwLock<BTreeMap<u64, String>>,
         /// Build identity rendered as `easched_build_info` (version, commit);
         /// empty strings fall back to this crate's version / "unknown".
         build_info: RwLock<(String, String)>,
@@ -198,24 +182,9 @@ crate::counter_table! {
     reprofiled: counter = "easched_reprofiled_total", "Known kernels that re-profiled",
     /// Recovery-probe invocations (half-open breaker).
     probes: counter = "easched_probe_total", "Recovery-probe invocations",
-    /// Invocations that degraded after sustained faults.
-    degraded: counter = "easched_degraded_total", "Invocations degraded after sustained faults",
-    /// Invocations quarantined CPU-only by an open breaker.
-    quarantined: counter = "easched_quarantined_total",
-        "Invocations quarantined CPU-only by the breaker",
-    /// Accepted profiling rounds, summed over invocations.
-    profile_rounds: counter = "easched_profile_rounds_total", "Accepted profiling rounds",
-    /// Rejected (faulty) profiling rounds, summed over invocations.
-    fault_rounds: counter = "easched_fault_rounds_total", "Rejected profiling rounds",
     /// Breaker state changes observed between consecutive records.
     breaker_transitions: counter = "easched_breaker_transitions_total",
         "Circuit-breaker state changes",
-    /// Invocations whose GPU use was gated by the admission layer's
-    /// brownout ladder (ran CPU-only, learned nothing).
-    throttled: counter = "easched_throttled_total", "Invocations GPU-gated by the brownout ladder",
-    /// SLO burn-rate breaches fired by the tracker, across tenants.
-    slo_breaches: counter = "easched_slo_breaches_total",
-        "SLO burn-rate breaches fired by the tracker",
     /// Realized profiling-phase time, microseconds, summed.
     profile_time_us: counter = "easched_profile_time_microseconds_total",
         "Realized profiling-phase time",
@@ -245,41 +214,6 @@ pub fn escape_label_value(raw: &str) -> String {
     out
 }
 
-/// A labelled family: one relaxed-atomic slot per key. After a key's
-/// first sighting an update is a read lock plus one atomic operation;
-/// only the insert takes the write lock.
-#[derive(Debug, Default)]
-struct Slots(RwLock<BTreeMap<u64, AtomicU64>>);
-
-impl Slots {
-    fn with(&self, key: u64, update: impl Fn(&AtomicU64)) {
-        if let Some(slot) = self.read().get(&key) {
-            return update(slot);
-        }
-        let mut map = self.0.write().unwrap_or_else(PoisonError::into_inner);
-        update(map.entry(key).or_default());
-    }
-
-    fn bump(&self, key: u64) {
-        self.with(key, |slot| {
-            slot.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-
-    fn read(&self) -> RwLockReadGuard<'_, BTreeMap<u64, AtomicU64>> {
-        self.0.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Every slot's value, sorted by key.
-    fn dump(&self) -> Vec<(u64, u64)> {
-        let slots = self.read();
-        slots
-            .iter()
-            .map(|(&k, v)| (k, v.load(Ordering::Relaxed)))
-            .collect()
-    }
-}
-
 impl MetricsRegistry {
     /// Folds one record into every derived metric.
     pub fn update(&self, r: &DecisionRecord) {
@@ -290,12 +224,10 @@ impl MetricsRegistry {
             InvocationPath::Profiled => self.profiled.inc(),
             InvocationPath::Reprofiled => self.reprofiled.inc(),
             InvocationPath::Probe => self.probes.inc(),
-            InvocationPath::Degraded => self.degraded.inc(),
-            InvocationPath::Quarantined => self.quarantined.inc(),
-            InvocationPath::Throttled => self.throttled.inc(),
+            // The scheduler's health counters own these three, and the
+            // profiling rounds accepted and rejected (DESIGN.md §10).
+            InvocationPath::Degraded | InvocationPath::Quarantined | InvocationPath::Throttled => {}
         }
-        self.profile_rounds.add(u64::from(r.rounds));
-        self.fault_rounds.add(u64::from(r.fault_rounds));
         let previous = self.breaker_state.swap(u64::from(r.breaker));
         if previous != u64::from(r.breaker) {
             self.breaker_transitions.inc();
@@ -310,30 +242,6 @@ impl MetricsRegistry {
         }
         let bucket = (r.alpha.clamp(0.0, 1.0) * 10.0).round() as usize;
         self.alpha[bucket.min(ALPHA_BUCKETS - 1)].inc();
-    }
-
-    /// Folds one control event into the derived metrics. A round's
-    /// `Decided` moves none: decisions are counted per invocation, from
-    /// its record.
-    pub fn control(&self, event: &ControlEvent) {
-        match *event {
-            ControlEvent::Decided { .. } => {}
-            ControlEvent::Drift { kernel, ewma } => self.set_kernel_drift(kernel, ewma),
-            ControlEvent::SloBreach { tenant, .. } => {
-                self.slo_breaches.inc();
-                self.tenant_slo_breaches.bump(tenant);
-            }
-        }
-    }
-
-    /// Registers a human-readable tenant name; subsequent expositions
-    /// label that tenant's SLO-breach series `tenant="<escaped name>"`
-    /// instead of the bare registry index.
-    pub fn set_tenant_name(&self, tenant: u64, name: &str) {
-        self.tenant_names
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(tenant, name.to_string());
     }
 
     /// Sets the version/commit pair rendered in `easched_build_info`.
@@ -377,32 +285,6 @@ impl MetricsRegistry {
         (now - started).max(0.0)
     }
 
-    /// Per-tenant SLO breach counts, sorted by tenant id.
-    pub fn tenant_slo_breaches(&self) -> Vec<(u64, u64)> {
-        self.tenant_slo_breaches.dump()
-    }
-
-    /// The latest drift EWMA reported for a kernel, if any.
-    pub fn kernel_drift(&self, kernel: u64) -> Option<f64> {
-        let slots = self.kernel_drift_ewma.read();
-        let bits = slots.get(&kernel)?.load(Ordering::Relaxed);
-        Some(f64::from_bits(bits))
-    }
-
-    /// Every kernel's latest drift EWMA, sorted by kernel id.
-    pub fn kernel_drifts(&self) -> Vec<(u64, f64)> {
-        let bits = self.kernel_drift_ewma.dump().into_iter();
-        bits.map(|(k, bits)| (k, f64::from_bits(bits))).collect()
-    }
-
-    fn set_kernel_drift(&self, kernel: u64, ewma: f64) {
-        // Non-finite EWMAs are clamped at the source, but guard anyway:
-        // the exposition must stay parseable whatever arrives.
-        let bits = if ewma.is_finite() { ewma } else { 0.0 }.to_bits();
-        self.kernel_drift_ewma
-            .with(kernel, |slot| slot.store(bits, Ordering::Relaxed));
-    }
-
     /// Fraction of invocations served straight from the kernel table.
     pub fn hit_rate(&self) -> f64 {
         ratio(self.table_hits.get(), self.invocations.get())
@@ -443,41 +325,6 @@ impl MetricsRegistry {
                 i as f64 / 10.0,
                 c.get()
             ));
-        }
-        let drifts = self.kernel_drifts();
-        if !drifts.is_empty() {
-            push_meta(
-                &mut out,
-                "easched_kernel_drift_ewma",
-                "Latest per-kernel EDP drift EWMA from the control loop",
-                "gauge",
-            );
-            for (kernel, ewma) in drifts {
-                out.push_str(&format!(
-                    "easched_kernel_drift_ewma{{kernel=\"{kernel}\"}} {ewma:e}\n"
-                ));
-            }
-        }
-        let breaches = self.tenant_slo_breaches();
-        if !breaches.is_empty() {
-            let name = "easched_tenant_slo_breaches_total";
-            push_meta(
-                &mut out,
-                name,
-                "SLO burn-rate breaches, per tenant",
-                "counter",
-            );
-            let names = self
-                .tenant_names
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            for (tenant, v) in breaches {
-                let label = match names.get(&tenant) {
-                    Some(n) => escape_label_value(n),
-                    None => tenant.to_string(),
-                };
-                out.push_str(&format!("{name}{{tenant=\"{label}\"}} {v}\n"));
-            }
         }
         let (version, commit) = self
             .build_info
@@ -533,7 +380,8 @@ fn ratio(num: u64, den: u64) -> f64 {
 
 /// Renders a histogram in the Prometheus cumulative-bucket convention,
 /// truncated after the highest non-empty bucket (the `+Inf` bucket always
-/// closes the series).
+/// closes the series). Buckets, `+Inf` and `_count` come from one read of
+/// the buckets, so a record landing mid-render cannot set them apart.
 fn push_histogram(out: &mut String, name: &str, help: &str, h: &LogHistogram) {
     push_meta(out, name, help, "histogram");
     let counts = h.counts();
@@ -546,9 +394,10 @@ fn push_histogram(out: &mut String, name: &str, help: &str, h: &LogHistogram) {
             LogHistogram::bucket_bound(i)
         ));
     }
-    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
+    let count: u64 = counts.iter().sum();
+    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {count}\n"));
     out.push_str(&format!("{name}_sum {}\n", h.sum()));
-    out.push_str(&format!("{name}_count {}\n", h.count()));
+    out.push_str(&format!("{name}_count {count}\n"));
 }
 
 #[cfg(test)]
@@ -613,8 +462,6 @@ mod tests {
         assert_eq!(reg.invocations.get(), 2);
         assert_eq!(reg.profiled.get(), 1);
         assert_eq!(reg.table_hits.get(), 1);
-        assert_eq!(reg.profile_rounds.get(), 6);
-        assert_eq!(reg.fault_rounds.get(), 2);
         assert_eq!(reg.breaker_transitions.get(), 1);
         assert_eq!(reg.breaker_state.get(), 1);
         assert!((reg.hit_rate() - 0.5).abs() < 1e-12);
@@ -622,61 +469,14 @@ mod tests {
         assert_eq!(reg.overhead_bp.count(), 1);
         assert_eq!(reg.overhead_bp.sum(), 5000);
         assert_eq!(reg.alpha[7].get(), 2);
+        // A throttled invocation is counted here as an invocation only:
+        // its path is the scheduler's health counter.
         reg.update(&DecisionRecord {
             path: InvocationPath::Throttled,
             ..DecisionRecord::default()
         });
-        assert_eq!(reg.throttled.get(), 1);
-    }
-
-    #[test]
-    fn drift_events_track_the_latest_ewma_per_kernel() {
-        let reg = MetricsRegistry::default();
-        assert_eq!(reg.kernel_drift(7), None);
-        for (kernel, ewma) in [(7, 0.4), (7, 0.8), (2, 0.1), (7, 2.1)] {
-            reg.control(&ControlEvent::Drift { kernel, ewma });
-        }
-        assert_eq!(reg.kernel_drift(7), Some(2.1), "last value wins");
-        assert_eq!(reg.kernel_drifts(), vec![(2, 0.1), (7, 2.1)]);
-        // A non-finite EWMA is clamped so the exposition stays parseable.
-        reg.control(&ControlEvent::Drift {
-            kernel: 9,
-            ewma: f64::NAN,
-        });
-        assert_eq!(reg.kernel_drift(9), Some(0.0));
-    }
-
-    #[test]
-    fn hostile_tenant_names_are_escaped_in_labels() {
-        let reg = MetricsRegistry::default();
-        reg.set_tenant_name(0, "evil\"} 666\nfake_metric 1");
-        reg.set_tenant_name(1, "back\\slash");
-        for tenant in 0..3 {
-            reg.control(&ControlEvent::SloBreach { tenant, signal: 2 });
-        }
-        let page = reg.expose();
-        // The quote, newline, and backslash are all escaped: the hostile
-        // name cannot close the label, inject a series, or truncate it.
-        assert!(
-            page.contains("{tenant=\"evil\\\"} 666\\nfake_metric 1\"} 1"),
-            "{page}"
-        );
-        assert!(page.contains("{tenant=\"back\\\\slash\"} 1"), "{page}");
-        assert!(
-            !page.contains("fake_metric 1\n"),
-            "injected series:\n{page}"
-        );
-        // Unnamed tenants keep their numeric label.
-        assert!(page.contains("{tenant=\"2\"} 1"), "{page}");
-        // Every physical line still starts like a metric or a comment.
-        for line in page.lines() {
-            assert!(
-                line.starts_with("# ") || line.starts_with("easched_"),
-                "stray line: {line}"
-            );
-        }
-        assert_eq!(escape_label_value("plain-name"), "plain-name");
-        assert_eq!(escape_label_value("a\rb"), "ab");
+        assert_eq!(reg.invocations.get(), 3);
+        assert!(!reg.expose().contains("throttled"));
     }
 
     #[test]
@@ -702,24 +502,5 @@ mod tests {
             "{page}"
         );
         assert!(page.contains("easched_uptime_seconds 7.5\n"), "{page}");
-    }
-
-    #[test]
-    fn slo_breach_events_count_globally_and_per_tenant() {
-        let reg = MetricsRegistry::default();
-        reg.control(&ControlEvent::SloBreach {
-            tenant: 4,
-            signal: 2,
-        });
-        reg.control(&ControlEvent::SloBreach {
-            tenant: 4,
-            signal: 0,
-        });
-        reg.control(&ControlEvent::SloBreach {
-            tenant: 1,
-            signal: 1,
-        });
-        assert_eq!(reg.slo_breaches.get(), 3);
-        assert_eq!(reg.tenant_slo_breaches(), vec![(1, 1), (4, 2)]);
     }
 }

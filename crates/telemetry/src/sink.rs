@@ -13,9 +13,9 @@
 //! profiling round's α arrives as a [`ControlEvent::Decided`], which the
 //! metrics and run-log sinks ignore and a [`DecisionCsvSink`] collects
 //! (the one sink here that locks — it is for dumping short runs, not for
-//! serving). The other two events, `Drift` and `SloBreach`, carry what no
-//! other bank keeps; a sink is never told what the scheduler, its store
-//! or the admission controller already count (DESIGN.md §10).
+//! serving). That is the only control event: a sink is never told what
+//! the scheduler, its kernel table, its store, the admission controller
+//! or the SLO tracker already keep (DESIGN.md §10).
 
 use crate::metrics::MetricsRegistry;
 use crate::record::DecisionRecord;
@@ -25,12 +25,11 @@ use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// An out-of-band event from the scheduling loop: each profiling round's
-/// α decision, each drift-monitor fold, and each fired SLO alert
-/// (DESIGN.md §10, §11, §14). Unlike [`DecisionRecord`]s these are not
-/// one-per-invocation, and they never enter the record ring; sinks fold
-/// them into metrics or ignore them. What the scheduler, its store and
-/// the admission controller count themselves is not an event: `/metrics`
-/// reads those counters from their owners at scrape time.
+/// α decision (DESIGN.md §10). Unlike [`DecisionRecord`]s these are not
+/// one-per-invocation, and they never enter the record ring. What the
+/// loop's owners keep themselves — health counters, drift EWMAs in the
+/// kernel table, SLO breaches in the tracker — is not an event: `/metrics`
+/// reads it from those owners at scrape time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ControlEvent {
     /// A profiling round decided an offload ratio (Fig 7 steps 15–20):
@@ -50,23 +49,6 @@ pub enum ControlEvent {
         /// The chosen offload ratio.
         alpha: f64,
     },
-    /// The drift monitor folded a predicted-vs-realized EDP sample into a
-    /// kernel's EWMA (fires once per monitored split).
-    Drift {
-        /// The kernel observed.
-        kernel: u64,
-        /// The EWMA after folding this sample.
-        ewma: f64,
-    },
-    /// An SLO burn-rate alert fired for a tenant (DESIGN.md §14). The
-    /// full typed event — burn rates, exemplar offset — lives in the
-    /// `SloTracker`; this control event is the metrics-exposure echo.
-    SloBreach {
-        /// The breaching tenant's id (registry index).
-        tenant: u64,
-        /// Stable signal code (0 queue-wait, 1 edp-ratio, 2 shed-rate).
-        signal: u8,
-    },
 }
 
 /// Receives one structured event per kernel invocation.
@@ -77,8 +59,7 @@ pub trait TelemetrySink: Send + Sync + fmt::Debug {
     /// Called once per invocation, after the remainder has executed.
     fn record(&self, record: &DecisionRecord);
 
-    /// Called when the loop decides a round's α, folds a drift sample,
-    /// or fires an SLO alert (DESIGN.md §10, §11, §14).
+    /// Called when the loop decides a round's α (DESIGN.md §10).
     /// Default is a no-op so sinks that only implement `record` keep
     /// compiling; like [`record`](TelemetrySink::record), implementations
     /// must be cheap and must never panic.
@@ -115,8 +96,8 @@ pub trait TelemetrySink: Send + Sync + fmt::Debug {
     }
 }
 
-/// A sink that collects every [`ControlEvent::Decided`] as one CSV row
-/// and drops the rest — what `easched run --decisions` and `figures
+/// A sink that collects every [`ControlEvent::Decided`] as one CSV row —
+/// what `easched run --decisions` and `figures
 /// trace-eas` attach to dump the per-round α history of a short run. It
 /// grows with the run and takes a lock per round, which is why the
 /// scheduler does not keep this history itself.
@@ -145,10 +126,7 @@ impl TelemetrySink for DecisionCsvSink {
             class,
             n_remaining,
             alpha,
-        } = *event
-        else {
-            return;
-        };
+        } = *event;
         let row = format!("{kernel},{r_c:.3},{r_g:.3},{class},{n_remaining},{alpha:.3}\n");
         // A sink must not panic, and the only write is a whole-row
         // append, so a poisoned lock still guards well-formed rows.
@@ -249,10 +227,6 @@ impl TelemetrySink for RingSink {
     fn record(&self, record: &DecisionRecord) {
         self.metrics.update(record);
         self.ring.push(record.encode());
-    }
-
-    fn control(&self, event: &ControlEvent) {
-        self.metrics.control(event);
     }
 
     fn wants_spans(&self) -> bool {
@@ -360,22 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn control_events_feed_metrics_not_the_ring() {
-        let sink = RingSink::with_capacity(8);
-        sink.control(&ControlEvent::Drift {
-            kernel: 7,
-            ewma: 2.5,
-        });
-        sink.control(&ControlEvent::SloBreach {
-            tenant: 9,
-            signal: 1,
-        });
-        assert!(sink.snapshot().is_empty(), "events never enter the ring");
-        assert_eq!(sink.metrics().kernel_drift(7), Some(2.5));
-        assert_eq!(sink.metrics().tenant_slo_breaches(), vec![(9, 1)]);
-    }
-
-    #[test]
     fn span_tracing_is_opt_in_and_flows_through_the_sink() {
         use crate::span::SpanKind;
         let plain = RingSink::with_capacity(8);
@@ -440,13 +398,6 @@ mod tests {
         );
         assert_eq!(ring.metrics().expose(), page, "/metrics did not move");
         assert!(ring.snapshot().is_empty(), "events never enter the ring");
-        // Every other event is the ring's business, not the collector's.
-        fan.control(&ControlEvent::SloBreach {
-            tenant: 7,
-            signal: 0,
-        });
-        assert_eq!(rounds.csv().lines().count(), 2);
-        assert_eq!(ring.metrics().slo_breaches.get(), 1);
     }
 
     #[test]

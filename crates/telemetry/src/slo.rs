@@ -19,8 +19,13 @@
 //! are derived state — a faithful replay regenerates them from the same
 //! deterministic observation stream — so, like control events, they are
 //! never written to the log itself.
+//!
+//! The tracker is also the one counter of fired alerts: it keeps the
+//! last 256 events for `/slo` but counts every one per tenant, and
+//! renders the breach series of `/metrics` from those counts
+//! ([`expose_slo`]).
 
-use crate::counters::push_json_field;
+use crate::counters::{expose_rows, expose_rows_labelled, push_json_field};
 use crate::trace::json_f64;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -44,16 +49,6 @@ impl SloKind {
             SloKind::QueueWait => "queue_wait_p99",
             SloKind::EdpRatio => "edp_ratio",
             SloKind::ShedRate => "shed_rate",
-        }
-    }
-
-    /// Stable wire code (0..=2), used as the `SloBreach` control-event
-    /// signal byte.
-    pub fn code(self) -> u8 {
-        match self {
-            SloKind::QueueWait => 0,
-            SloKind::EdpRatio => 1,
-            SloKind::ShedRate => 2,
         }
     }
 
@@ -162,10 +157,47 @@ struct TrackerState {
     windows: BTreeMap<(u64, SloKind), Window>,
     names: BTreeMap<u64, String>,
     events: Vec<SloEvent>,
+    /// `tenant -> alerts fired`, every one, retained or not.
+    breaches: BTreeMap<u64, u64>,
 }
 
 /// Cap on retained fired events (oldest dropped first).
 const MAX_EVENTS: usize = 256;
+
+crate::counter_table! {
+    /// The tracker's total on a `/metrics` page.
+    pub report SloSeries;
+    /// Alerts fired, all tenants.
+    breaches: counter = "easched_slo_breaches_total",
+        "SLO burn-rate breaches fired by the tracker",
+}
+
+crate::counter_table! {
+    /// The tracker's per-tenant counts on a `/metrics` page.
+    pub report TenantSloSeries;
+    /// Alerts fired for one tenant.
+    breaches: counter = "easched_tenant_slo_breaches_total", "SLO burn-rate breaches, per tenant",
+}
+
+/// Renders the SLO tracker's `/metrics` fragment: the total of fired
+/// alerts, then — once any has fired — one `tenant="<name>"` sample per
+/// tenant with a breach, labelled with its registered name or, lacking
+/// one, its id.
+pub fn expose_slo(names: &BTreeMap<u64, String>, breaches: &BTreeMap<u64, u64>) -> String {
+    let mut out = String::new();
+    expose_rows(&mut out, &SloSeries::ROWS, &[breaches.values().sum()]);
+    if !breaches.is_empty() {
+        let label = |t: &u64| names.get(t).cloned().unwrap_or_else(|| t.to_string());
+        let labels: Vec<String> = breaches.keys().map(label).collect();
+        let series: Vec<_> = labels
+            .iter()
+            .map(String::as_str)
+            .zip(breaches.values().map(|&n| [n]))
+            .collect();
+        expose_rows_labelled(&mut out, &TenantSloSeries::ROWS, "tenant", &series);
+    }
+    out
+}
 
 /// Minimum samples a window needs before its burn rate can fire an
 /// alert: one bad first sample is a blip, not a breach.
@@ -311,6 +343,7 @@ impl SloTracker {
             state.events.remove(0);
         }
         state.events.push(event);
+        *state.breaches.entry(tenant).or_default() += 1;
         Some(event)
     }
 
@@ -397,6 +430,12 @@ impl SloTracker {
         out
     }
 
+    /// This tracker's `/metrics` fragment ([`expose_slo`]).
+    pub fn expose(&self) -> String {
+        let state = self.lock();
+        expose_slo(&state.names, &state.breaches)
+    }
+
     fn lock(&self) -> std::sync::MutexGuard<'_, TrackerState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -466,6 +505,7 @@ pub fn escape_json(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::escape_label_value;
 
     #[test]
     fn no_alert_without_sustained_burn() {
@@ -554,6 +594,98 @@ mod tests {
         }
         let rates = t.burn_rates(29.0);
         assert!(rates[0].burn_short > 0.0);
+    }
+
+    /// Fires one alert of `kind` for `tenant`: twenty bad samples.
+    fn breach(t: &SloTracker, tenant: u64, kind: SloKind) {
+        for i in 0..20u64 {
+            let fired = match kind {
+                SloKind::QueueWait => t.observe_queue_wait(tenant, 10.0, i as f64, i),
+                SloKind::EdpRatio => t.observe_edp(tenant, 1.0, 5.0, i as f64, i),
+                SloKind::ShedRate => t.observe_shed(tenant, true, i as f64, i),
+            };
+            assert_eq!(fired.is_some(), i == MIN_SAMPLES - 1, "{kind:?} sample {i}");
+        }
+    }
+
+    #[test]
+    fn breaches_count_globally_and_per_tenant() {
+        let t = SloTracker::default();
+        // The total is always on the page, the tenants once one fires.
+        let page = t.expose();
+        assert!(page.ends_with("\neasched_slo_breaches_total 0\n") && !page.contains("tenant"));
+        breach(&t, 4, SloKind::ShedRate);
+        breach(&t, 4, SloKind::QueueWait);
+        breach(&t, 1, SloKind::EdpRatio);
+        let page = t.expose();
+        for sample in [
+            "easched_slo_breaches_total 3\n",
+            "easched_tenant_slo_breaches_total{tenant=\"1\"} 1\n",
+            "easched_tenant_slo_breaches_total{tenant=\"4\"} 2\n",
+        ] {
+            assert!(page.contains(sample), "{sample} missing from\n{page}");
+        }
+    }
+
+    #[test]
+    fn breaches_are_counted_past_the_event_retention_cap() {
+        let cfg = SloConfig {
+            short_window: 10.0,
+            long_window: 20.0,
+            ..SloConfig::default()
+        };
+        let t = SloTracker::new(cfg);
+        // One breach episode per cycle: a bad stretch, then a clean one
+        // longer than both windows re-arms the alert.
+        let cycles = MAX_EVENTS as u64 + 44;
+        let mut now = 0u64;
+        for _ in 0..cycles {
+            for bad in [true, false, false] {
+                for _ in 0..20 {
+                    t.observe_shed(0, bad, now as f64, now);
+                    now += 1;
+                }
+            }
+        }
+        assert_eq!(t.events().len(), MAX_EVENTS, "retention is capped");
+        let page = t.expose();
+        for sample in [
+            format!("easched_slo_breaches_total {cycles}\n"),
+            format!("easched_tenant_slo_breaches_total{{tenant=\"0\"}} {cycles}\n"),
+        ] {
+            assert!(page.contains(&sample), "{sample} missing from\n{page}");
+        }
+    }
+
+    #[test]
+    fn hostile_tenant_names_are_escaped_in_labels() {
+        let names = BTreeMap::from([
+            (0, "evil\"} 666\nfake_metric 1".to_string()),
+            (1, "back\\slash".to_string()),
+        ]);
+        let page = expose_slo(&names, &BTreeMap::from([(0, 1), (1, 1), (2, 1)]));
+        // The quote, newline, and backslash are all escaped: the hostile
+        // name cannot close the label, inject a series, or truncate it.
+        assert!(
+            page.contains("{tenant=\"evil\\\"} 666\\nfake_metric 1\"} 1"),
+            "{page}"
+        );
+        assert!(page.contains("{tenant=\"back\\\\slash\"} 1"), "{page}");
+        assert!(
+            !page.contains("fake_metric 1\n"),
+            "injected series:\n{page}"
+        );
+        // Unnamed tenants keep their numeric label.
+        assert!(page.contains("{tenant=\"2\"} 1"), "{page}");
+        // Every physical line still starts like a metric or a comment.
+        for line in page.lines() {
+            assert!(
+                line.starts_with("# ") || line.starts_with("easched_"),
+                "stray line: {line}"
+            );
+        }
+        assert_eq!(escape_label_value("plain-name"), "plain-name");
+        assert_eq!(escape_label_value("a\rb"), "ab");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! ```
 
 use easched::core::{
-    characterize, CharacterizationConfig, DriftPolicy, EasConfig, EasScheduler, Objective,
-    RingSink, TelemetrySink,
+    characterize, CharacterizationConfig, DriftCell, DriftPolicy, EasConfig, EasScheduler,
+    Objective, RingSink, TelemetrySink,
 };
 use easched::kernels::suite;
 use easched::runtime::chaos::{run_workload_chaos, ChaosInjector, FaultPlan};
@@ -64,10 +64,8 @@ fn main() {
                 run_workload_chaos(&mut machine, workload.as_ref(), eas, &mut injector);
             assert!(v.is_passed(), "drift must never corrupt outputs");
             let h = eas.health();
-            let ewma = sink
-                .metrics()
-                .kernel_drift(kernel)
-                .map_or("   --".into(), |e| format!("{e:5.2}"));
+            let ewma = eas.table().drift(kernel, DriftCell::ewma).flatten();
+            let ewma = ewma.map_or("   --".into(), |e| format!("{e:5.2}"));
             println!(
                 "run {run}: {:>7.3} s  α {:.2}  drift EWMA {ewma}  reprofiles={} suppressed={}",
                 metrics.time,
@@ -117,6 +115,6 @@ fn main() {
     println!(
         "\nprometheus exposition:\n{}{}",
         sink.metrics().expose(),
-        healed.expose()
+        eas.expose()
     );
 }

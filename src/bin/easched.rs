@@ -713,8 +713,8 @@ fn cmd_serve(
         metrics.mark_started(time());
         let router = {
             // `/metrics` is composed at scrape time from each owner of a
-            // count: the registry, the scheduler's health, the admission
-            // controller.
+            // count: the registry, the scheduler (health and drift), the
+            // frontend (admission controller and SLO tracker).
             let metrics_page = {
                 let ring = Arc::clone(&live.ring);
                 let frontend = Arc::clone(&live.frontend);
@@ -722,8 +722,8 @@ fn cmd_serve(
                 move || {
                     let m = ring.metrics();
                     m.observe_now(time());
-                    let health = frontend.shared().health();
-                    Page::metrics(m.expose() + &health.expose() + &frontend.expose())
+                    let scheduler = frontend.shared().expose();
+                    Page::metrics(m.expose() + &scheduler + &frontend.expose())
                 }
             };
             let health_page = {

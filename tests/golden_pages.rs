@@ -3,17 +3,19 @@
 //! the same `/metrics` lines and the same `/health` JSON as it did when
 //! every counter was enumerated by hand, and the fleet pages must keep
 //! every sample line. `/metrics` is composed from the fragments of the
-//! counters' owners — registry, health report, admission controller — so
-//! the page is compared as a multiset of lines.
+//! counts' owners — registry, health report, kernel table, admission
+//! controller, SLO tracker — so the page is compared as a multiset of
+//! lines.
 
 use easched::core::tenancy::{BrownoutSeries, TenantSeries};
-use easched::core::{expose_tenants, HealthReport};
+use easched::core::{expose_drift, expose_tenants, HealthReport, DRIFT_SERIES};
 use easched::fleet::stats::StoreSeries;
 use easched::fleet::{expose_fleet, expose_fleet_store, FleetStats};
-use easched::replay::{record_overload_storm_observed, OverloadSpec};
+use easched::replay::{record_overload_storm_observed_with, OverloadSpec};
 use easched::runtime::{BrownoutLevel, TenantStats};
 use easched::telemetry::counters::Row;
-use easched::telemetry::{ControlEvent, DecisionRecord, InvocationPath, MetricsRegistry};
+use easched::telemetry::slo::{SloSeries, TenantSloSeries};
+use easched::telemetry::{expose_slo, DecisionRecord, InvocationPath, MetricsRegistry};
 use std::collections::BTreeMap;
 
 /// The label-escaping tests' hostile name (`a"b\c⏎d`) plus a control
@@ -21,8 +23,7 @@ use std::collections::BTreeMap;
 const HOSTILE: &str = "a\"b\\c\nd\u{1b}";
 
 /// The registry's part of the parent's scripted feed: one record per
-/// invocation path, the drift EWMA its events left on kernel 42, ten SLO
-/// breaches of tenant 1, two named tenants, fixed build info and clock.
+/// invocation path, fixed build info and clock.
 fn scripted_registry() -> MetricsRegistry {
     let reg = MetricsRegistry::default();
     reg.set_build_info("9.9.9", "deadbeef");
@@ -42,25 +43,21 @@ fn scripted_registry() -> MetricsRegistry {
             ..DecisionRecord::default()
         });
     }
-    for ewma in [0.25, 2.5] {
-        reg.control(&ControlEvent::Drift { kernel: 42, ewma });
-    }
-    for _ in 0..10 {
-        reg.control(&ControlEvent::SloBreach {
-            tenant: 1,
-            signal: 2,
-        });
-    }
-    reg.set_tenant_name(0, "gold");
-    reg.set_tenant_name(1, HOSTILE);
     reg.observe_now(107.5);
     reg
 }
 
-/// The rest of the parent's feed, read from the counters' owners: its
-/// event `i` fired `i + 1` times, plus one more shed of `gold`.
+/// The rest of the parent's feed, read from the counts' owners: the
+/// rounds and paths its records carried, its event `i` fired `i + 1`
+/// times plus one more shed of `gold`, the drift EWMA its events left on
+/// kernel 42, and ten SLO breaches of tenant 1 with two named tenants.
 fn scripted_page() -> String {
     let health = HealthReport {
+        observations_accepted: 36,
+        observations_rejected: 28,
+        degraded_invocations: 1,
+        quarantined_invocations: 1,
+        throttled_invocations: 1,
         drift_reprofiles: 2,
         reprofiles_suppressed: 3,
         watchdog_trips: 4,
@@ -87,9 +84,12 @@ fn scripted_page() -> String {
         };
         (name.to_string(), stats)
     });
+    let names = BTreeMap::from([(0, "gold".to_string()), (1, HOSTILE.to_string())]);
     scripted_registry().expose()
         + &health.expose()
+        + &expose_drift(&[(42, 2.5)])
         + &expose_tenants(BrownoutLevel::ForceCpu, &tenants)
+        + &expose_slo(&names, &BTreeMap::from([(1, 10)]))
 }
 
 /// Lines of `page` missing from `parent`, then lines of `parent` missing
@@ -136,15 +136,19 @@ fn metrics_page_matches_the_parent_commit() {
     );
 }
 
-/// The seed-7 storm's composed `/metrics` page carries every sample line
-/// the parent commit's registry rendered for it, with the same value.
+/// The seed-7 storm's `/metrics` page, composed as `easched serve`
+/// composes it, carries every sample line the parent commit's registry
+/// rendered for it, with the same value.
 #[test]
 fn observed_storm_page_keeps_every_parent_sample() {
-    let observed = record_overload_storm_observed(&OverloadSpec::new(7));
+    let mut live = None;
+    let observed = record_overload_storm_observed_with(&OverloadSpec::new(7), |l| {
+        live = Some(l.clone());
+    });
+    let live = live.expect("the storm hands out its live handles");
     let run = &observed.recorded;
-    let page = observed.ring.metrics().expose()
-        + &run.health.expose()
-        + &expose_tenants(run.final_level, &run.tenant_stats);
+    let page =
+        live.ring.metrics().expose() + &live.frontend.shared().expose() + &live.frontend.expose();
     check_exposition(&page);
     let parent = include_str!("fixtures/observed_storm_samples.prom");
     let (added, lost) = line_diff(&page, parent, |l| !l.starts_with('#'));
@@ -159,13 +163,16 @@ fn observed_storm_page_keeps_every_parent_sample() {
 /// that carries it; the registry declares none the scheduler counts.
 #[test]
 fn every_series_name_is_declared_once() {
-    let tables: [&[Row]; 6] = [
+    let tables: [&[Row]; 9] = [
         &HealthReport::ROWS,
         &MetricsRegistry::ROWS,
         &FleetStats::ROWS,
         &StoreSeries::ROWS,
         &TenantSeries::ROWS,
         &BrownoutSeries::ROWS,
+        &SloSeries::ROWS,
+        &TenantSloSeries::ROWS,
+        &[DRIFT_SERIES],
     ];
     let mut seen: BTreeMap<&str, Row> = BTreeMap::new();
     for row in tables.concat().into_iter().filter(|r| !r.name.is_empty()) {

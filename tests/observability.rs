@@ -7,7 +7,8 @@
 //! thread, asserting the three load-bearing properties at once:
 //!
 //! 1. every completed scrape is a well-formed `200` with the expected
-//!    families (readers never see a torn seqlock snapshot),
+//!    families (readers never see a torn seqlock snapshot), and every
+//!    histogram's `+Inf` bucket equals its `_count`,
 //! 2. the server survives the contention (no handler panics, bounded
 //!    connections hold), and
 //! 3. the storm's run log is byte-identical to an unobserved run — the
@@ -40,8 +41,8 @@ fn concurrent_scrapes_ride_a_live_storm_without_perturbing_it() {
             move || {
                 let m = ring.metrics();
                 m.observe_now(time());
-                let health = frontend.shared().health();
-                Page::metrics(m.expose() + &health.expose() + &frontend.expose())
+                let scheduler = frontend.shared().expose();
+                Page::metrics(m.expose() + &scheduler + &frontend.expose())
             }
         };
         let slo_page = {
@@ -64,6 +65,7 @@ fn concurrent_scrapes_ride_a_live_storm_without_perturbing_it() {
                         "easched_invocations_total",
                         "easched_requests_shed_total",
                         "easched_tenant_requests_shed_total{tenant=",
+                        "easched_slo_breaches_total",
                     ]
                 } else {
                     &["burn_threshold"]
@@ -78,6 +80,7 @@ fn concurrent_scrapes_ride_a_live_storm_without_perturbing_it() {
                         Ok((200, body)) => {
                             let whole = want.iter().all(|w| body.contains(w));
                             assert!(whole, "torn {path} scrape: {body:?}");
+                            assert_histograms_close(&body);
                             ok += 1;
                         }
                         Ok((503, _)) => {}
@@ -115,4 +118,25 @@ fn concurrent_scrapes_ride_a_live_storm_without_perturbing_it() {
         unobserved.log.to_text(),
         "concurrent scraping perturbed the run log"
     );
+}
+
+/// Every histogram on `page` closes with a `le="+Inf"` bucket equal to
+/// its `_count`, as one read of its buckets renders them.
+fn assert_histograms_close(page: &str) {
+    let families = page.lines().filter_map(|l| {
+        let rest = l.strip_prefix("# TYPE ")?;
+        rest.strip_suffix(" histogram")
+    });
+    for family in families {
+        let sample = |suffix: &str| {
+            let mut lines = page.lines();
+            lines.find_map(|l| l.strip_prefix(family)?.strip_prefix(suffix))
+        };
+        let inf = sample("_bucket{le=\"+Inf\"} ");
+        let count = sample("_count ");
+        assert!(
+            inf.is_some() && inf == count,
+            "{family}: +Inf bucket {inf:?} != _count {count:?}"
+        );
+    }
 }

@@ -3,8 +3,8 @@
 //! and chunk executions, and the fault-free identity guarantee.
 
 use easched::core::{
-    characterize, CharacterizationConfig, DriftPolicy, EasConfig, EasRuntime, EasScheduler,
-    Objective, PowerModel, RingSink, WatchdogPolicy,
+    characterize, CharacterizationConfig, DriftCell, DriftPolicy, EasConfig, EasRuntime,
+    EasScheduler, Objective, PowerModel, RingSink, WatchdogPolicy,
 };
 use easched::kernels::suite;
 use easched::runtime::backend::test_support::FakeBackend;
@@ -111,12 +111,13 @@ fn sustained_drift_triggers_one_budgeted_reprofile() {
     assert!(h.reprofiles_suppressed >= 1, "{h:?}");
     assert!(h.fault_free(), "{h:?}");
 
-    // Satellite: the loop is observable end to end — per-kernel EWMA
-    // gauge from the sink, both counters from health, on one page.
-    let metrics = sink.metrics();
-    let ewma = metrics.kernel_drift(7).expect("drift gauge for kernel 7");
+    // Satellite: the loop is observable end to end — the per-kernel EWMA
+    // from the table, both counters from health, on one page beside the
+    // sink's.
+    let ewma = eas.table().drift(7, DriftCell::ewma).flatten();
+    let ewma = ewma.expect("drift gauge for kernel 7");
     assert!(ewma > 0.8, "last fold was a breach: {ewma}");
-    let text = metrics.expose() + &h.expose();
+    let text = sink.metrics().expose() + &eas.expose();
     assert!(text.contains("easched_drift_reprofiles_total 1"), "{text}");
     assert!(
         text.contains("easched_reprofiles_suppressed_total"),
