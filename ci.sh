@@ -325,6 +325,15 @@ if grep -n -i 'split_\?whitespace' crates/fleet/src/frame.rs crates/replay/src/l
     exit 1
 fi
 
+echo "==> one scheduling seam: Scheduler is the only scheduling trait, SharedEas::schedule the only shared entry"
+# DESIGN.md §8: the two faces of the scheduler state differ by ownership,
+# not by trait. A second trait, a generic adapter or a second shared entry
+# point is the old seam coming back.
+if grep -rn -E 'ConcurrentScheduler|schedule_shared|Shared<' crates src tests examples; then
+    echo "a second scheduling seam is back"
+    exit 1
+fi
+
 echo "==> one harness: examples take no arguments, nothing outside the binaries reads argv or the environment"
 # Gates live in `easched` and the test suite: no line above may hand an
 # example an argument, and a seed matrix is a loop in a test, not a knob.

@@ -37,9 +37,7 @@ use crate::seed::RunSeed;
 use crate::selfheal::{DriftPolicy, WatchdogPolicy};
 use crate::shared::SharedEas;
 use easched_runtime::vfs::{StdFs, Vfs};
-use easched_runtime::{
-    Backend, Clock, ConcurrentScheduler, InvocationCtx, KernelId, Observation, Scheduler,
-};
+use easched_runtime::{Backend, Clock, InvocationCtx, KernelId, Observation, Scheduler};
 use easched_telemetry::TelemetrySink;
 use std::ops::Deref;
 use std::path::Path;
@@ -264,21 +262,6 @@ impl EasScheduler {
         self.state.note_decision(&decision);
         decision.alpha
     }
-
-    /// [`Scheduler::schedule`] under an explicit admission context: the
-    /// ctx's GPU policy gates offloading (brownout throttling) and its
-    /// deadline budget composes with the watchdog's own deadlines. The
-    /// default ctx runs the exact context-free path, so single-tenant
-    /// callers lose nothing by never touching this.
-    pub fn schedule_with(
-        &mut self,
-        kernel: KernelId,
-        backend: &mut dyn Backend,
-        ctx: InvocationCtx,
-    ) {
-        self.current_kernel = kernel;
-        self.state.schedule_shared_ctx(kernel, backend, ctx);
-    }
 }
 
 impl Scheduler for EasScheduler {
@@ -287,7 +270,9 @@ impl Scheduler for EasScheduler {
     }
 
     fn schedule(&mut self, kernel: KernelId, backend: &mut dyn Backend) {
-        self.schedule_with(kernel, backend, InvocationCtx::default());
+        self.current_kernel = kernel;
+        self.state
+            .schedule(kernel, backend, InvocationCtx::default());
     }
 }
 

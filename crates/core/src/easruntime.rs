@@ -11,11 +11,10 @@
 use crate::eas::{EasConfig, EasScheduler};
 use crate::journal::StoreError;
 use crate::power_model::PowerModel;
-use crate::shared::{SharedEas, SharedEasExt};
+use crate::shared::{EasHandle, SharedEas, SharedEasExt};
 use easched_kernels::{Verification, Workload};
-use easched_runtime::{run_workload, KernelId, RunMetrics, Shared};
+use easched_runtime::{run_workload, KernelId, RunMetrics};
 use easched_sim::{Machine, Platform};
-use std::path::Path;
 use std::sync::Arc;
 
 /// Outcome of running one workload under the energy-aware runtime.
@@ -53,7 +52,7 @@ pub struct RunOutcome {
 #[derive(Debug)]
 pub struct EasRuntime {
     machine: Machine,
-    driver: Shared<SharedEas>,
+    driver: EasHandle,
 }
 
 impl EasRuntime {
@@ -106,21 +105,6 @@ impl EasRuntime {
         }
     }
 
-    /// Like [`EasRuntime::new`], but the scheduler's kernel table is
-    /// recovered from — and journaled to — the crash-safe store rooted at
-    /// `dir` (see [`EasScheduler::with_persistence`]): after a `kill -9`,
-    /// a new runtime opened on the same directory resumes with every
-    /// learned α, taint mark, and the breaker state (DESIGN.md §11).
-    pub fn with_persistence(
-        platform: Platform,
-        model: PowerModel,
-        config: EasConfig,
-        dir: impl AsRef<Path>,
-    ) -> Result<EasRuntime, StoreError> {
-        let scheduler = EasScheduler::with_persistence(model, config, dir)?;
-        Ok(EasRuntime::with_scheduler(platform, scheduler))
-    }
-
     /// Forces a snapshot + journal compaction of the underlying store;
     /// no-op when the scheduler has no persistence.
     pub fn checkpoint(&self) -> Result<(), StoreError> {
@@ -144,7 +128,7 @@ impl EasRuntime {
     /// the decision count) — the runtime's own, or for a shared runtime
     /// ([`EasRuntime::with_shared`]) the one every stream drives.
     pub fn scheduler(&self) -> &SharedEas {
-        self.driver.policy()
+        self.driver.shared()
     }
 
     /// The learned offload ratio for a kernel, if any.

@@ -72,12 +72,13 @@
 //!   immediate snapshot+compaction (the snapshot is smaller than
 //!   snapshot + journal, and carries the very mutation that failed).
 //! * **Degrade-to-memory** — when the disk stays broken, the store
-//!   trips into [`StoreMode::Degraded`]: mutations land in a bounded
-//!   in-RAM buffer, the [`StoreHealth`] counters surface the state, and
-//!   every `DEFAULT_COMPACT_EVERY` appends (or any explicit
+//!   trips into [`StoreMode::Degraded`]: mutations live only in the
+//!   in-memory table, the [`StoreHealth`] counters surface the state
+//!   (the journal lines not written count as buffered, up to a bound),
+//!   and every `DEFAULT_COMPACT_EVERY` appends (or any explicit
 //!   checkpoint) the store probes the disk with a compaction; success
-//!   **re-arms** durability. Buffered lines are superseded by that
-//!   snapshot, never replayed on top of it.
+//!   **re-arms** durability. The snapshot carries every unwritten line's
+//!   state, so none is ever replayed on top of it.
 
 use crate::health::BreakerState;
 use crate::kernel_table::{AlphaStat, KernelTable};
@@ -99,9 +100,9 @@ const JOURNAL_FILE: &str = "table.journal";
 /// until the trigger is derived from journal bytes (ROADMAP, compaction
 /// item).
 const DEFAULT_COMPACT_EVERY: u64 = 256;
-/// Bound on in-RAM journal lines held while degraded; beyond it the
-/// oldest line is dropped (puts are absolute, so newest state wins).
-const MAX_BUFFERED_LINES: usize = 1024;
+/// Cap on the journal lines a degraded store counts as buffered; past it
+/// each new line counts as a dropped one.
+const MAX_BUFFERED_LINES: u64 = 1024;
 
 /// Error opening or checkpointing a [`TableStore`].
 #[derive(Debug)]
@@ -174,7 +175,7 @@ pub struct Recovered {
 pub enum StoreMode {
     /// The journal handle is live; mutations hit disk.
     Durable,
-    /// The disk is broken: mutations buffer in RAM (bounded) and every
+    /// The disk is broken: mutations stay in RAM (the table) and every
     /// compaction interval the store probes for recovery.
     Degraded,
 }
@@ -196,7 +197,8 @@ pub struct StoreHealth {
     pub degraded_transitions: u64,
     /// Degraded→durable recoveries (successful re-arm compactions).
     pub rearms: u64,
-    /// Journal lines currently buffered in RAM (degraded mode only).
+    /// Journal lines not written since the store degraded, up to the
+    /// bound (degraded mode only).
     pub buffered: u64,
     /// Buffered lines dropped at the RAM bound.
     pub buffered_dropped: u64,
@@ -215,7 +217,10 @@ struct StoreInner {
     appends: u64,
     last_breaker: BreakerState,
     mode: StoreMode,
-    buffered: Vec<String>,
+    /// Journal lines the disk did not take while degraded, up to
+    /// `MAX_BUFFERED_LINES`. Only counted, never kept: the table holds
+    /// their state, and the re-arm snapshot supersedes them all.
+    buffered: u64,
     buffered_dropped: u64,
     /// Open could not *read* the journal: the recovered table may be
     /// missing records that still exist on disk. Compaction must merge
@@ -332,7 +337,7 @@ impl TableStore {
                 appends: 0,
                 last_breaker: breaker,
                 mode,
-                buffered: Vec::new(),
+                buffered: 0,
                 buffered_dropped: 0,
                 recovery_partial,
             }),
@@ -385,7 +390,7 @@ impl TableStore {
             degraded: inner.mode == StoreMode::Degraded,
             degraded_transitions: self.degraded_transitions.load(Ordering::Relaxed),
             rearms: self.rearms.load(Ordering::Relaxed),
-            buffered: inner.buffered.len() as u64,
+            buffered: inner.buffered,
             buffered_dropped: inner.buffered_dropped,
             dir_sync_unsupported: self.dir_sync_unsupported.load(Ordering::Relaxed),
         }
@@ -419,13 +424,14 @@ impl TableStore {
         .to_line();
         let mut inner = lock(&self.inner);
         let breaker = inner.last_breaker;
-        if let Err(line) = self.append(&mut inner, line) {
+        if self.append(&mut inner, &line).is_err() {
             // ENOSPC with the table in hand: an emergency
             // snapshot+compaction both frees space (snapshot replaces
             // snapshot + journal) and carries this very mutation.
             if self.compact_locked(&mut inner, table, breaker).is_err() {
                 self.write_errors.fetch_add(1, Ordering::Relaxed);
-                self.degrade(&mut inner, Some(line));
+                self.degrade(&mut inner);
+                self.buffer_line(&mut inner);
             }
             return;
         }
@@ -465,8 +471,9 @@ impl TableStore {
     /// compact here: buffer the line and let the next entry append or
     /// checkpoint probe the disk.
     fn append_without_table(&self, inner: &mut StoreInner, record: JournalRecord) {
-        if let Err(line) = self.append(inner, record.to_line()) {
-            self.degrade(inner, Some(line));
+        if self.append(inner, &record.to_line()).is_err() {
+            self.degrade(inner);
+            self.buffer_line(inner);
         }
     }
 
@@ -474,7 +481,9 @@ impl TableStore {
     /// and resets the journal to the new generation. While degraded,
     /// a successful checkpoint is exactly the re-arm probe: it restores
     /// durability and clears the RAM buffer (superseded by the
-    /// snapshot).
+    /// snapshot). `breaker` counts as journaled only once the snapshot
+    /// carrying it commits, so a later `record_breaker` of the same state
+    /// after a failed checkpoint still lands.
     ///
     /// # Errors
     ///
@@ -482,39 +491,42 @@ impl TableStore {
     /// rename is the commit point).
     pub fn checkpoint(&self, table: &KernelTable, breaker: BreakerState) -> Result<(), StoreError> {
         let mut inner = lock(&self.inner);
-        inner.last_breaker = breaker;
         let result = self.compact_locked(&mut inner, table, breaker);
+        if result.is_ok() {
+            inner.last_breaker = breaker;
+        }
         self.rearm_after(&mut inner, result.is_ok());
         result
     }
 
     /// Best-effort append of one sealed line; failures are absorbed
-    /// (counted, degraded), never raised — except ENOSPC, which hands the
-    /// line back (`Err`: not yet safe anywhere) so the entry path, the
-    /// one call site holding the table, can compact.
-    fn append(&self, inner: &mut StoreInner, line: String) -> Result<(), String> {
+    /// (counted, degraded), never raised — except ENOSPC, which is handed
+    /// back (`Err`: the line is not yet safe anywhere) so the entry path,
+    /// the one call site holding the table, can compact.
+    fn append(&self, inner: &mut StoreInner, line: &str) -> io::Result<()> {
         if inner.mode == StoreMode::Degraded {
-            self.buffer_line(inner, line);
+            self.buffer_line(inner);
             return Ok(());
         }
-        let landed = match self.write_line(inner, &line) {
+        let landed = match self.write_line(inner, line) {
             Ok(()) => true,
             Err(Some(e))
                 if e.raw_os_error() == Some(28) // ENOSPC
                 || e.kind() == io::ErrorKind::StorageFull =>
             {
-                return Err(line);
+                return Err(e);
             }
             // EIO or a short write: the handle may have torn bytes on
             // disk. Poison it, rescan the sealed prefix from disk, and
             // land the line on the fresh handle. No further retries: a
             // second failure immediately degrades.
-            Err(Some(_)) => self.resync_handle(inner) && self.write_line(inner, &line).is_ok(),
+            Err(Some(_)) => self.resync_handle(inner) && self.write_line(inner, line).is_ok(),
             // No journal handle to append with.
             Err(None) => false,
         };
         if !landed {
-            self.degrade(inner, Some(line));
+            self.degrade(inner);
+            self.buffer_line(inner);
         }
         Ok(())
     }
@@ -542,16 +554,12 @@ impl TableStore {
         self.io_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Trips the store into degrade-to-memory mode (idempotent) and
-    /// buffers the line that had nowhere safe to go.
-    fn degrade(&self, inner: &mut StoreInner, line: Option<String>) {
+    /// Trips the store into degrade-to-memory mode (idempotent).
+    fn degrade(&self, inner: &mut StoreInner) {
         if inner.mode != StoreMode::Degraded {
             inner.mode = StoreMode::Degraded;
             inner.file = None;
             self.degraded_transitions.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(line) = line {
-            self.buffer_line(inner, line);
         }
     }
 
@@ -562,19 +570,20 @@ impl TableStore {
     fn rearm_after(&self, inner: &mut StoreInner, compacted: bool) {
         if compacted && inner.mode == StoreMode::Degraded {
             inner.mode = StoreMode::Durable;
-            inner.buffered.clear();
+            inner.buffered = 0;
             self.rearms.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Bounded RAM buffering while degraded: at the cap the *oldest*
-    /// line drops (puts carry absolute state, so newest wins).
-    fn buffer_line(&self, inner: &mut StoreInner, line: String) {
-        if inner.buffered.len() >= MAX_BUFFERED_LINES {
-            inner.buffered.remove(0);
+    /// Counts one line that had nowhere durable to go: `buffered` up to
+    /// the cap, `buffered_dropped` past it — what a bounded buffer that
+    /// drops its oldest line would report.
+    fn buffer_line(&self, inner: &mut StoreInner) {
+        if inner.buffered >= MAX_BUFFERED_LINES {
             inner.buffered_dropped += 1;
+        } else {
+            inner.buffered += 1;
         }
-        inner.buffered.push(line);
     }
 
     /// Re-derives a clean journal handle after a poisoned write or
@@ -709,7 +718,7 @@ impl TableStore {
                     // truncated) journal. Poison it and re-derive from
                     // the new on-disk state; if even that fails, degrade.
                     if !self.resync_handle(inner) {
-                        self.degrade(inner, None);
+                        self.degrade(inner);
                     } else {
                         inner.appends = 0;
                     }
@@ -1171,6 +1180,72 @@ mod tests {
             assert_eq!(recovered.table.lookup(7), learned_table().lookup(7));
         }
         assert_eq!(failures, 4, "one per fsync point, no more, no less");
+    }
+
+    #[test]
+    fn a_failed_checkpoint_leaves_its_breaker_state_to_be_journaled() {
+        // Count the checkpoint's ops on a fault-free disk first (open
+        // and one entry append come before it), then fail each of them
+        // with each fault class. Whatever the checkpoint left behind, a
+        // following `record_breaker` of the same state must make it
+        // durable: a failed checkpoint journaled nothing.
+        let table = learned_table();
+        let probe = TempDir::new();
+        let (store, _, vfs) = chaos_store(probe.path(), ChaosFsPlan::default());
+        store.record_entry(&table, 7);
+        let first = vfs.op_count();
+        store.checkpoint(&table, BreakerState::Open).unwrap();
+        let ops = first..vfs.op_count();
+        assert_eq!(ops.clone().count(), 9, "{ops:?}");
+
+        let mut closed = Vec::new();
+        for fault in [
+            StorageFault::Enospc,
+            StorageFault::Eio,
+            StorageFault::ShortWrite,
+            StorageFault::FsyncFail,
+        ] {
+            for op in ops.clone() {
+                let dir = TempDir::new();
+                let (store, _, _) = chaos_store(dir.path(), ChaosFsPlan::at(op, fault));
+                store.record_entry(&table, 7);
+                let _ = store.checkpoint(&table, BreakerState::Open);
+                store.record_breaker(BreakerState::Open);
+                drop(store);
+                let (_, recovered) = TableStore::open(dir.path()).expect("loadable");
+                if recovered.breaker != BreakerState::Open {
+                    closed.push((fault, op));
+                }
+            }
+        }
+        assert!(closed.is_empty(), "breaker state lost at {closed:?}");
+    }
+
+    #[test]
+    fn degraded_lines_are_counted_to_the_bound_and_cleared_by_a_rearm() {
+        let dir = TempDir::new();
+        let table = learned_table();
+        // As in `persistent_enospc_degrades_then_checkpoint_rearms`: the
+        // first append and its emergency compaction both hit ENOSPC.
+        let plan = ChaosFsPlan {
+            schedule: vec![(4, StorageFault::Enospc), (5, StorageFault::Enospc)],
+            ..ChaosFsPlan::default()
+        };
+        let (store, _, _) = chaos_store(dir.path(), plan);
+        store.record_entry(&table, 7);
+        assert!(store.is_degraded());
+        // Taints append without a table, so no compaction probe re-arms
+        // the store between them: 1 030 degraded lines in all.
+        for _ in 1..1030 {
+            store.record_taint(7);
+        }
+        let health = store.health();
+        assert_eq!((health.buffered, health.buffered_dropped), (1024, 6));
+        store
+            .checkpoint(&table, BreakerState::Closed)
+            .expect("re-arm");
+        let health = store.health();
+        assert_eq!((health.buffered, health.buffered_dropped), (0, 6));
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub use selfheal::{
     expose_drift, DriftAction, DriftCell, DriftMonitor, DriftOutcome, DriftPolicy, Watchdog,
     WatchdogPolicy, DRIFT_SERIES,
 };
-pub use shared::{SharedEas, SharedEasExt};
+pub use shared::{EasHandle, SharedEas, SharedEasExt};
 pub use tenancy::{expose_tenants, AdmittedRequest, TenantFrontend};
 pub use time_model::TimeModel;
 

@@ -1,6 +1,6 @@
 //! The per-invocation Figure 7 control flow over the one scheduler state,
-//! [`SharedEas`] — reached from both of its faces
-//! through `schedule_shared_ctx`, the loop's only caller.
+//! [`SharedEas`] — reached from both of its faces through
+//! [`SharedEas::schedule`], the loop's only caller.
 //!
 //! This is the *observation-driven* loop: reuse a learned ratio from the
 //! kernel table when one exists (steps 2–4), run tiny invocations CPU-only

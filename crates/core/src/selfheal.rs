@@ -37,6 +37,7 @@
 
 use easched_runtime::KernelId;
 use easched_telemetry::counters::{push_meta, Kind, Row};
+use easched_telemetry::drift::relative_error;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
@@ -396,16 +397,6 @@ fn to_milli(tokens: f64) -> u64 {
     } else {
         0
     }
-}
-
-/// |predicted − realized| / |realized|, with non-finite or near-zero
-/// denominators scored as zero drift (mirrors the telemetry crate's
-/// drift analysis so offline and online numbers agree).
-fn relative_error(predicted: f64, realized: f64) -> f64 {
-    if realized.abs() < f64::EPSILON || !realized.is_finite() || !predicted.is_finite() {
-        return 0.0;
-    }
-    ((predicted - realized) / realized).abs()
 }
 
 /// Tuning for the [`Watchdog`]. Both deadlines default far above the

@@ -4,11 +4,13 @@
 //! pure [`DecisionEngine`] policy, the sharded [`KernelTable`] G, the
 //! atomic [`Health`] pipeline, the decision counter, and the telemetry
 //! sink, store and clock the Figure 7 loop (`profile_loop`) reads. Every
-//! piece is interior-synchronized, so the struct is driven through the
-//! `&self` [`ConcurrentScheduler`] API: wrap it in an `Arc`, hand a
+//! piece is interior-synchronized, so [`SharedEas::schedule`] takes
+//! `&self`: wrap the struct in an `Arc`, hand a
 //! [`handle()`](SharedEasExt::handle) to each stream, and every stream
 //! both benefits from and contributes to one global table — the paper's
-//! "global table G" made literal for multi-programmed workloads.
+//! "global table G" made literal for multi-programmed workloads. An
+//! [`EasHandle`] is the stream's [`Scheduler`]; `SharedEas::schedule` is
+//! the loop's only caller.
 //!
 //! It keeps no per-decision history: a profiling round bumps the counter
 //! and is reported to the sink as a [`ControlEvent::Decided`], so what a
@@ -38,9 +40,7 @@ use crate::power_model::PowerModel;
 use crate::profile_loop;
 use crate::selfheal::expose_drift;
 use easched_runtime::vfs::{StdFs, Vfs};
-use easched_runtime::{
-    Backend, Clock, ConcurrentScheduler, InvocationCtx, KernelId, Shared, WallClock,
-};
+use easched_runtime::{Backend, Clock, InvocationCtx, KernelId, Scheduler, WallClock};
 use easched_telemetry::{ControlEvent, TelemetrySink};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -325,34 +325,64 @@ impl SharedEas {
     pub fn health_state(&self) -> &Health {
         &self.health
     }
-}
 
-impl ConcurrentScheduler for SharedEas {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn schedule_shared(&self, kernel: KernelId, backend: &mut dyn Backend) {
-        self.schedule_shared_ctx(kernel, backend, InvocationCtx::default());
-    }
-
-    fn schedule_shared_ctx(&self, kernel: KernelId, backend: &mut dyn Backend, ctx: InvocationCtx) {
+    /// Executes one kernel invocation under an admission context: the
+    /// ctx's GPU policy gates offloading (brownout throttling) and its
+    /// deadline budget composes with the watchdog's own deadlines. A
+    /// default ctx is the single-tenant path. Safe to call concurrently
+    /// from many threads, each with its own backend.
+    pub fn schedule(&self, kernel: KernelId, backend: &mut dyn Backend, ctx: InvocationCtx) {
         profile_loop::schedule_invocation(self, kernel, backend, ctx);
     }
 }
 
 /// `Arc<SharedEas>` conveniences.
 pub trait SharedEasExt {
-    /// A cheap per-stream handle implementing the exclusive
-    /// [`Scheduler`](easched_runtime::Scheduler) trait, so existing
-    /// drivers ([`EasRuntime`](crate::EasRuntime), harnesses, traces) can
-    /// run against the shared table unchanged.
-    fn handle(&self) -> Shared<SharedEas>;
+    /// A cheap per-stream [`EasHandle`] under the default (single-tenant)
+    /// context, so existing drivers ([`EasRuntime`](crate::EasRuntime),
+    /// harnesses, traces) run against the shared table unchanged.
+    fn handle(&self) -> EasHandle;
 }
 
 impl SharedEasExt for Arc<SharedEas> {
-    fn handle(&self) -> Shared<SharedEas> {
-        Shared::new(Arc::clone(self))
+    fn handle(&self) -> EasHandle {
+        EasHandle {
+            eas: Arc::clone(self),
+            ctx: InvocationCtx::default(),
+        }
+    }
+}
+
+/// One workload stream's [`Scheduler`] over an `Arc<SharedEas>`: every
+/// invocation it schedules runs [`SharedEas::schedule`] under the
+/// handle's admission context. Clone one per stream; every clone drives
+/// the same state and shares its learned table.
+#[derive(Debug, Clone)]
+pub struct EasHandle {
+    eas: Arc<SharedEas>,
+    ctx: InvocationCtx,
+}
+
+impl EasHandle {
+    /// The same handle under the given admission context (builder form).
+    pub fn with_ctx(mut self, ctx: InvocationCtx) -> EasHandle {
+        self.ctx = ctx;
+        self
+    }
+
+    /// The scheduler state this handle drives.
+    pub fn shared(&self) -> &Arc<SharedEas> {
+        &self.eas
+    }
+}
+
+impl Scheduler for EasHandle {
+    fn name(&self) -> &str {
+        &self.eas.name
+    }
+
+    fn schedule(&mut self, kernel: KernelId, backend: &mut dyn Backend) {
+        self.eas.schedule(kernel, backend, self.ctx);
     }
 }
 
@@ -382,7 +412,7 @@ mod tests {
     use crate::power_model::PowerCurve;
     use easched_num::Polynomial;
     use easched_runtime::backend::test_support::FakeBackend;
-    use easched_runtime::{Scheduler, TickClock};
+    use easched_runtime::TickClock;
     use easched_telemetry::{DecisionCsvSink, FanoutSink, RingSink};
 
     fn ring() -> Arc<RingSink> {
@@ -443,7 +473,7 @@ mod tests {
         assert_eq!(exclusive.health(), shared.health());
         // ...and differ only in what they call themselves.
         assert_eq!(Scheduler::name(&exclusive), "EAS(time)");
-        assert_eq!(ConcurrentScheduler::name(&*shared), "EAS-shared(time)");
+        assert_eq!(shared.handle().name(), "EAS-shared(time)");
     }
 
     #[test]
@@ -465,7 +495,7 @@ mod tests {
         let shared = eas.into_shared();
         assert_eq!(shared.learned_alpha(7), alpha);
         assert_eq!(shared.decisions(), decisions);
-        assert_eq!(ConcurrentScheduler::name(&*shared), "EAS-shared(time)");
+        assert_eq!(shared.handle().name(), "EAS-shared(time)");
         // The sink, store and clock arrive too (the overload harness
         // records through exactly these after `into_shared`).
         assert!(Arc::ptr_eq(shared.store().unwrap(), &store));

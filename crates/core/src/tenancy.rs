@@ -20,8 +20,8 @@
 
 use crate::shared::SharedEas;
 use easched_runtime::{
-    AdmissionConfig, AdmissionController, AdmissionOutcome, Backend, BrownoutLevel,
-    ConcurrentScheduler, InvocationCtx, KernelId, TenantRegistry, TenantStats,
+    AdmissionConfig, AdmissionController, AdmissionOutcome, Backend, BrownoutLevel, InvocationCtx,
+    KernelId, TenantRegistry, TenantStats,
 };
 use easched_telemetry::counters::{expose_rows, expose_rows_labelled, push_json_field};
 use easched_telemetry::slo::escape_json;
@@ -396,7 +396,7 @@ impl TenantFrontend {
     /// during execution.
     pub fn schedule(&self, tenant: usize, kernel: KernelId, backend: &mut dyn Backend) {
         let ctx = self.ctx_for(tenant);
-        self.shared.schedule_shared_ctx(kernel, backend, ctx);
+        self.shared.schedule(kernel, backend, ctx);
     }
 }
 
@@ -515,7 +515,7 @@ mod tests {
         let ctx = f.ctx_for_request(&req);
         assert_eq!(ctx.trace, req.trace);
         let mut b = FakeBackend::new(100_000, 1.0e6, 2.0e6);
-        f.shared().schedule_shared_ctx(7, &mut b, ctx);
+        f.shared().schedule(7, &mut b, ctx);
         let spans = sink.span_snapshot();
         assert!(spans.len() > 2, "execution subtree published");
         assert!(spans.iter().all(|s| s.trace == req.trace));

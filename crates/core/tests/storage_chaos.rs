@@ -377,14 +377,12 @@ fn permanently_broken_disk_never_panics_and_bounds_buffering() {
     );
     let health = store.health();
     assert!(health.io_errors > 0);
-    assert!(
-        health.buffered <= 1024,
-        "RAM buffering must stay bounded: {} lines held",
-        health.buffered
-    );
-    assert!(
-        health.buffered_dropped > 0,
-        "5000 appends through a 1024-line buffer must have dropped"
+    // Every append went unwritten and no probe re-armed the store: the
+    // 5000 lines fill the 1024-line bound and the rest count as dropped.
+    assert_eq!(
+        (health.buffered, health.buffered_dropped),
+        (1024, 5000 - 1024),
+        "RAM buffering must stay bounded"
     );
     // The seeded durable state is untouched by the whole ordeal.
     drop(store);

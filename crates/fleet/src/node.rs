@@ -20,7 +20,7 @@ use easched_core::{
 };
 use easched_runtime::sim_backend::SimBackend;
 use easched_runtime::vfs::{StdFs, Vfs};
-use easched_runtime::ConcurrentScheduler;
+use easched_runtime::InvocationCtx;
 use easched_sim::{KernelTraits, Machine, Platform};
 use easched_telemetry::{Span, SpanKind, SpanSink};
 use std::collections::{BTreeMap, HashMap};
@@ -118,36 +118,6 @@ impl FleetNode {
         machine_seed: u64,
         reprofile_budget: usize,
     ) -> Result<FleetNode, StoreError> {
-        FleetNode::start_with(
-            id,
-            platform,
-            config,
-            store_root,
-            machine_seed,
-            reprofile_budget,
-            Arc::new(StdFs),
-        )
-    }
-
-    /// [`start`](FleetNode::start) with an explicit [`Vfs`], so a fleet
-    /// run can put each node's journal on its own fault-injecting
-    /// filesystem (DESIGN.md §16).
-    ///
-    /// The start-time fencing checkpoint is retried a few times under
-    /// injected faults (each attempt advances the chaos op stream). If
-    /// the disk stays down the node still starts — degraded, with an
-    /// in-memory epoch bump standing in for the durable one, so this
-    /// life's envelopes cannot collide with the recovered generation.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_with(
-        id: NodeId,
-        platform: Platform,
-        config: EasConfig,
-        store_root: &Path,
-        machine_seed: u64,
-        reprofile_budget: usize,
-        vfs: Arc<dyn Vfs>,
-    ) -> Result<FleetNode, StoreError> {
         let model = characterize(&platform, &CharacterizationConfig::default());
         FleetNode::start_fitted(
             id,
@@ -156,13 +126,21 @@ impl FleetNode {
             store_root,
             machine_seed,
             reprofile_budget,
-            vfs,
+            Arc::new(StdFs),
         )
     }
 
-    /// [`start_with`](FleetNode::start_with) over a model the caller
-    /// already fitted for the platform: the fit is a pure function of the
-    /// preset, so a fleet run makes it once per platform, not per node.
+    /// [`start`](FleetNode::start) over a model the caller already fitted
+    /// for the platform (the fit is a pure function of the preset, so a
+    /// fleet run makes it once per platform, not per node), with an
+    /// explicit [`Vfs`], so a fleet run can put each node's journal on its
+    /// own fault-injecting filesystem (DESIGN.md §16).
+    ///
+    /// The start-time fencing checkpoint is retried a few times under
+    /// injected faults (each attempt advances the chaos op stream). If
+    /// the disk stays down the node still starts — degraded, with an
+    /// in-memory epoch bump standing in for the durable one, so this
+    /// life's envelopes cannot collide with the recovered generation.
     pub(crate) fn start_fitted(
         id: NodeId,
         (platform, model): (Platform, PowerModel),
@@ -241,7 +219,8 @@ impl FleetNode {
         invocation_seed: u64,
     ) {
         let mut backend = SimBackend::new(&mut self.machine, traits, items, None, invocation_seed);
-        self.shared.schedule_shared(kernel, &mut backend);
+        self.shared
+            .schedule(kernel, &mut backend, InvocationCtx::default());
     }
 
     /// Checkpoints the journal (normal shutdown; a crash skips this),

@@ -991,8 +991,6 @@ mod tests {
         let ctx = ctl.ctx_for(0);
         assert_eq!(ctx.gpu, GpuPolicy::Allow);
         assert_eq!(ctx.deadline, Some(5.0));
-        assert!(!ctx.is_default());
-        assert!(InvocationCtx::default().is_default());
     }
 
     #[test]

@@ -20,10 +20,9 @@
 //!   to a [`Scheduler`].
 //!
 //! Scheduling policies themselves (EAS, PERF, fixed-α) live in
-//! `easched-core`; this crate only defines the interfaces they implement:
-//! [`Scheduler`] for exclusive (`&mut self`) policies, and
-//! [`ConcurrentScheduler`] + the [`Shared`] adapter for policies that many
-//! workload streams drive concurrently through one `Arc`.
+//! `easched-core`; this crate only defines the one interface they
+//! implement, [`Scheduler`]. A policy many workload streams drive at once
+//! implements it on a per-stream handle over its shared state.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +48,7 @@ pub use chaos::{run_workload_chaos, ChaosBackend, ChaosInjector, Fault, FaultPla
 pub use clock::{Clock, TickClock, WallClock};
 pub use observation::{Observation, RunMetrics};
 pub use pool::{parallel_for, parallel_for_clocked, PoolReport};
-pub use scheduler::{ConcurrentScheduler, GpuPolicy, InvocationCtx, KernelId, Scheduler, Shared};
+pub use scheduler::{GpuPolicy, InvocationCtx, KernelId, Scheduler};
 pub use sim_backend::{kernel_id_of, replay_trace, run_workload, SchedulerInvoker, SimBackend};
 pub use thread_backend::{ThreadBackend, ThreadBackendConfig};
 pub use vfs::{ChaosFs, ChaosFsPlan, StdFs, StorageFault, Vfs, VfsFile};

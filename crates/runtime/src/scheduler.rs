@@ -1,18 +1,14 @@
-//! The scheduling-policy interface.
+//! The scheduling-policy interface: [`Scheduler`], the one trait a policy
+//! implements, and the [`InvocationCtx`] an admission layer threads into
+//! it.
 //!
-//! Two flavors exist:
-//!
-//! * [`Scheduler`] — the exclusive, `&mut self` policy the runtime has
-//!   always driven; one workload stream per policy instance.
-//! * [`ConcurrentScheduler`] — a shared, `&self` policy that many workload
-//!   streams can drive at once from separate threads (e.g. EAS with a
-//!   sharded kernel table). [`Shared`] adapts an `Arc` of one into a
-//!   regular [`Scheduler`], so every existing entry point
-//!   (`run_workload`, `replay_trace`, evaluators) works unchanged with a
-//!   shared policy.
+//! A policy whose state many workload streams share (EAS over its sharded
+//! kernel table) keeps that state interior and gives each stream its own
+//! handle implementing [`Scheduler`], so every entry point
+//! (`run_workload`, `replay_trace`, evaluators) drives an exclusive and a
+//! shared policy alike.
 
 use crate::backend::Backend;
-use std::sync::Arc;
 
 /// Identifies a kernel across invocations — the paper's global table G maps
 /// "CPU function pointer" to the learned offload ratio; we use a stable
@@ -69,16 +65,6 @@ impl Default for InvocationCtx {
     }
 }
 
-impl InvocationCtx {
-    /// True when this context changes nothing relative to a context-free
-    /// call (the single-tenant fast path). Trace/tenant labels are
-    /// observational and deliberately excluded: a traced invocation must
-    /// schedule byte-identically to an untraced one.
-    pub fn is_default(&self) -> bool {
-        self.gpu == GpuPolicy::Allow && self.deadline.is_none()
-    }
-}
-
 /// A work-partitioning policy.
 ///
 /// The runtime calls [`Scheduler::schedule`] once per kernel invocation with
@@ -101,108 +87,6 @@ impl<S: Scheduler + ?Sized> Scheduler for &mut S {
 
     fn schedule(&mut self, kernel: KernelId, backend: &mut dyn Backend) {
         (**self).schedule(kernel, backend)
-    }
-}
-
-/// A work-partitioning policy that can serve many workload streams
-/// concurrently.
-///
-/// Unlike [`Scheduler`], `schedule_shared` takes `&self`: all
-/// cross-invocation state (e.g. a learned kernel table) must be interior
-/// and thread-safe. One policy instance behind an `Arc` can then be driven
-/// from N threads at once, each with its own [`Backend`].
-pub trait ConcurrentScheduler: Send + Sync {
-    /// Human-readable policy name used in reports.
-    fn name(&self) -> &str;
-
-    /// Executes one kernel invocation; may be called concurrently from
-    /// many threads (with distinct backends).
-    fn schedule_shared(&self, kernel: KernelId, backend: &mut dyn Backend);
-
-    /// Executes one kernel invocation under an admission context.
-    ///
-    /// The default ignores the context, so existing policies keep
-    /// working; context-aware policies (EAS) override this and implement
-    /// brownout gating and deadline budgets.
-    fn schedule_shared_ctx(&self, kernel: KernelId, backend: &mut dyn Backend, ctx: InvocationCtx) {
-        let _ = ctx;
-        self.schedule_shared(kernel, backend);
-    }
-}
-
-/// Adapter presenting an `Arc<ConcurrentScheduler>` as a [`Scheduler`].
-///
-/// Clone one `Shared` per thread; every clone drives the same underlying
-/// policy and shares its learned state.
-///
-/// # Examples
-///
-/// ```
-/// use easched_runtime::scheduler::{ConcurrentScheduler, Shared};
-/// use easched_runtime::{Backend, KernelId, Scheduler};
-/// use std::sync::Arc;
-///
-/// struct AlwaysCpu;
-/// impl ConcurrentScheduler for AlwaysCpu {
-///     fn name(&self) -> &str { "cpu" }
-///     fn schedule_shared(&self, _k: KernelId, b: &mut dyn Backend) {
-///         if b.remaining() > 0 { b.run_split(0.0); }
-///     }
-/// }
-///
-/// let shared = Shared::new(Arc::new(AlwaysCpu));
-/// let mut per_thread = shared.clone(); // one clone per workload stream
-/// assert_eq!(per_thread.name(), "cpu");
-/// ```
-#[derive(Debug)]
-pub struct Shared<S: ?Sized> {
-    ctx: InvocationCtx,
-    policy: Arc<S>,
-}
-
-impl<S: ?Sized> Clone for Shared<S> {
-    fn clone(&self) -> Self {
-        Shared {
-            ctx: self.ctx,
-            policy: Arc::clone(&self.policy),
-        }
-    }
-}
-
-impl<S: ConcurrentScheduler + ?Sized> Shared<S> {
-    /// Wraps a shared policy with the default (single-tenant) context.
-    pub fn new(policy: Arc<S>) -> Shared<S> {
-        Shared {
-            ctx: InvocationCtx::default(),
-            policy,
-        }
-    }
-
-    /// The underlying shared policy.
-    pub fn policy(&self) -> &Arc<S> {
-        &self.policy
-    }
-
-    /// This handle's admission context, applied to every invocation it
-    /// schedules.
-    pub fn ctx(&self) -> InvocationCtx {
-        self.ctx
-    }
-
-    /// Returns a handle with the given admission context (builder form).
-    pub fn with_ctx(mut self, ctx: InvocationCtx) -> Shared<S> {
-        self.ctx = ctx;
-        self
-    }
-}
-
-impl<S: ConcurrentScheduler + ?Sized> Scheduler for Shared<S> {
-    fn name(&self) -> &str {
-        self.policy.name()
-    }
-
-    fn schedule(&mut self, kernel: KernelId, backend: &mut dyn Backend) {
-        self.policy.schedule_shared_ctx(kernel, backend, self.ctx)
     }
 }
 

@@ -93,8 +93,10 @@ pub fn model_drift(records: &[DecisionRecord]) -> Vec<KernelDrift> {
         .collect()
 }
 
-/// |predicted − realized| / realized, guarding degenerate denominators.
-fn relative_error(predicted: f64, realized: f64) -> f64 {
+/// |predicted − realized| / |realized|, with non-finite or near-zero
+/// denominators scored as zero drift. The online drift monitor scores
+/// with this same function, so offline and online numbers agree.
+pub fn relative_error(predicted: f64, realized: f64) -> f64 {
     if realized.abs() < f64::EPSILON || !realized.is_finite() || !predicted.is_finite() {
         return 0.0;
     }
