@@ -11,7 +11,7 @@
 
 use crate::experiments::Lab;
 use crate::report::{csv, md_table, pct, Report};
-use easched_core::telemetry::{model_drift, parse_trace, to_trace, DecisionRecord};
+use easched_core::telemetry::{model_drift, DecisionRecord};
 use easched_core::{EasConfig, EasRuntime, EasScheduler, Objective, RingSink, TelemetrySink};
 use easched_kernels::suite;
 use easched_runtime::kernel_id_of;
@@ -92,8 +92,7 @@ fn audit_or_abort(records: &[DecisionRecord]) {
 }
 
 /// The `figures telemetry` experiment: desktop suite under EAS with
-/// tracing on, per-kernel drift table, and a trace-format round-trip
-/// self-check.
+/// tracing on, and the per-kernel drift table.
 pub fn telemetry(lab: &mut Lab) -> Report {
     let mut report = Report::new(
         "telemetry",
@@ -134,12 +133,6 @@ pub fn telemetry(lab: &mut Lab) -> Report {
         "ring must hold every record (raise the capacity if the suite grew)"
     );
     assert_eq!(sink.dropped(), 0);
-
-    // Acceptance self-check: the exported trace round-trips bit-for-bit
-    // through the analyzer's parser.
-    let trace = to_trace(&records);
-    let reparsed = parse_trace(&trace).expect("exported trace must parse");
-    assert_eq!(reparsed, records, "trace round-trip must be lossless");
 
     // Audit before analysis: a structurally malformed record means the
     // telemetry plumbing itself broke — refuse to publish and exit

@@ -254,8 +254,10 @@ impl EasScheduler {
 
     /// One α decision from a profiling observation (Fig 7 steps 15–20):
     /// derive R_C/R_G, classify, pick the power curve, and grid-minimize the
-    /// objective over the remaining iterations. Public so the overhead
-    /// benchmark can time the paper's "1–2 µs" decision path directly.
+    /// objective over the remaining iterations, then count and report the
+    /// decision as a profiling round does. Public so the benchmark's
+    /// `core.eas.log_push_ns` lane can time the report against a bare
+    /// [`DecisionEngine::decide`](crate::DecisionEngine::decide).
     pub fn decide_alpha(&mut self, obs: &Observation, n_remaining: u64) -> f64 {
         let engine = &self.state.engine;
         let decision = engine.decide(self.current_kernel, obs, n_remaining);

@@ -49,11 +49,12 @@ easched_telemetry::counter_table! {
     pub bank HealthStats(pub(crate));
     /// Snapshot of [`HealthStats`] — the telemetry surfaced by
     /// [`EasScheduler::health`](crate::EasScheduler::health) and
-    /// [`SharedEas::health`](crate::SharedEas::health). Rows marked `fault`
-    /// are the ones [`fault_free`](HealthReport::fault_free) reads; the rest
-    /// are adaptation, overload protection or storage durability. Rows
-    /// with a series name are this report's `/metrics` fragment
-    /// ([`expose`](HealthReport::expose)); every row is on `/health`.
+    /// [`SharedEas::health`](crate::SharedEas::health): what the Figure 7
+    /// loop counts, and nothing else. Rows marked `fault` are the ones
+    /// [`fault_free`](HealthReport::fault_free) reads; the rest are
+    /// adaptation or overload protection. Rows with a series name are this
+    /// report's `/metrics` fragment ([`expose`](HealthReport::expose));
+    /// every row is on `/health`.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub report HealthReport;
     /// Profiling observations that passed the guard.
@@ -96,42 +97,6 @@ easched_telemetry::counter_table! {
     /// not disturb [`fault_free`](HealthReport::fault_free).
     throttled_invocations: counter = "easched_throttled_total",
         "Invocations GPU-gated by the brownout ladder",
-    /// Requests the admission layer shed (queue overflow, brownout
-    /// stage 3). Adaptation, not a fault.
-    requests_shed: counter = "easched_requests_shed_total", "Requests shed by the admission layer",
-    /// Requests the admission layer queued behind earlier arrivals.
-    requests_queued: counter = "easched_requests_queued_total",
-        "Requests queued by the admission layer",
-    /// Requests refused because a tenant's GPU quota window was spent.
-    quota_denials: counter = "easched_quota_denials_total",
-        "Requests refused on an exhausted GPU quota",
-    /// Brownout-ladder rung changes (either direction).
-    brownout_transitions: counter = "easched_brownout_transitions_total",
-        "Brownout-ladder rung changes",
-    /// Journal/snapshot I/O failures absorbed by the table store
-    /// (DESIGN.md §16). Reduced durability, not reduced scheduling
-    /// fidelity: excluded from [`fault_free`](HealthReport::fault_free).
-    /// The three `store_*` rows are filled from the
-    /// [`TableStore`](crate::TableStore) when a frontend builds its
-    /// report; their cells in [`HealthStats`] stay zero.
-    store_io_errors: counter = "easched_store_io_errors",
-        "Storage I/O faults absorbed by the table store",
-    /// 1 while the table store is in degrade-to-memory mode, else 0.
-    /// Excluded from [`fault_free`](HealthReport::fault_free).
-    store_degraded: gauge = "easched_store_degraded",
-        "1 while the table store is in degrade-to-memory mode",
-    /// Bytes the table store successfully persisted (journal lines and
-    /// snapshots).
-    store_bytes: counter = "easched_store_bytes", "Bytes the table store successfully persisted",
-}
-
-/// Fold a [`StoreHealth`](crate::journal::StoreHealth) snapshot into a
-/// report. The scheduler frontends call this so `health()` carries the
-/// store counters without the store writing into `HealthStats`.
-pub(crate) fn merge_store_health(report: &mut HealthReport, s: crate::journal::StoreHealth) {
-    report.store_io_errors = s.io_errors;
-    report.store_degraded = u64::from(s.degraded);
-    report.store_bytes = s.bytes_written;
 }
 
 impl HealthReport {
@@ -500,9 +465,8 @@ mod tests {
             ]
         );
         // One row at a time: a lone non-zero value breaks `fault_free`
-        // exactly when its row is declared a fault. Adaptation, overload
-        // protection and a failing disk (durability, not scheduling
-        // fidelity) never do.
+        // exactly when its row is declared a fault. Adaptation and
+        // overload protection never do.
         for (i, row) in HealthReport::ROWS.iter().enumerate() {
             let mut values = [0; HealthReport::N];
             values[i] = 1;

@@ -72,13 +72,13 @@
 //!   immediate snapshot+compaction (the snapshot is smaller than
 //!   snapshot + journal, and carries the very mutation that failed).
 //! * **Degrade-to-memory** — when the disk stays broken, the store
-//!   trips into [`StoreMode::Degraded`]: mutations live only in the
-//!   in-memory table, the [`StoreHealth`] counters surface the state
-//!   (the journal lines not written count as buffered, up to a bound),
-//!   and every `DEFAULT_COMPACT_EVERY` appends (or any explicit
-//!   checkpoint) the store probes the disk with a compaction; success
-//!   **re-arms** durability. The snapshot carries every unwritten line's
-//!   state, so none is ever replayed on top of it.
+//!   trips into degraded mode (its `degraded` gauge reads 1): mutations
+//!   live only in the in-memory table, the [`StoreHealth`] counters
+//!   surface the state (the journal lines not written count as
+//!   buffered, up to a bound), and every `DEFAULT_COMPACT_EVERY` appends
+//!   (or any explicit checkpoint) the store probes the disk with a
+//!   compaction; success **re-arms** durability. The snapshot carries
+//!   every unwritten line's state, so none is ever replayed on top of it.
 
 use crate::health::BreakerState;
 use crate::kernel_table::{AlphaStat, KernelTable};
@@ -89,7 +89,6 @@ use std::error::Error;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Snapshot file name inside a store directory.
@@ -170,58 +169,67 @@ pub struct Recovered {
     pub discarded: u64,
 }
 
-/// Durability mode of a [`TableStore`] (DESIGN.md §16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreMode {
-    /// The journal handle is live; mutations hit disk.
-    Durable,
-    /// The disk is broken: mutations stay in RAM (the table) and every
-    /// compaction interval the store probes for recovery.
-    Degraded,
-}
-
-/// Counter snapshot of a store's storage health, merged into
-/// [`HealthReport`](crate::HealthReport) by the scheduler frontends —
-/// the only place the store's faults are counted, and where `/metrics`
-/// reads them. None of these affect `fault_free()` — a broken disk
-/// degrades durability, not scheduling fidelity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StoreHealth {
+easched_telemetry::counter_table! {
+    /// A store's live counters: one relaxed-atomic cell per
+    /// [`StoreHealth`] row, bumped where the store absorbs a fault or
+    /// lands a byte. The `degraded` gauge is the store's durability mode.
+    #[derive(Debug, Default)]
+    pub(crate) bank StoreStats(pub(crate));
+    /// Snapshot of a store's storage health (DESIGN.md §16), read by
+    /// [`TableStore::health`] — the only place the store's faults are
+    /// counted. Rows with a series name are the store's `/metrics`
+    /// fragment ([`expose`](StoreHealth::expose)), node-labelled on a
+    /// fleet page. None of these affect `fault_free()`: a broken disk
+    /// degrades durability, not scheduling fidelity.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub report StoreHealth;
     /// I/O operations that failed (append, snapshot, fsync, resync).
-    pub io_errors: u64,
+    io_errors: counter = "easched_store_io_errors", "Storage I/O faults absorbed by the table store",
+    /// 1 while the store is in degrade-to-memory mode (mutations stay in
+    /// RAM and every compaction interval probes the disk), else 0.
+    degraded: gauge = "easched_store_degraded",
+        "1 while the table store is in degrade-to-memory mode",
     /// Bytes successfully written (journal lines + snapshots).
-    pub bytes_written: u64,
-    /// Whether the store is currently in degrade-to-memory mode.
-    pub degraded: bool,
+    bytes_written: counter = "easched_store_bytes", "Bytes the table store successfully persisted",
     /// Durable→degraded transitions over the store's lifetime.
-    pub degraded_transitions: u64,
+    degraded_transitions: counter = "easched_store_degraded_transitions",
+        "Durable-to-degraded transitions",
     /// Degraded→durable recoveries (successful re-arm compactions).
-    pub rearms: u64,
-    /// Journal lines not written since the store degraded, up to the
-    /// bound (degraded mode only).
-    pub buffered: u64,
+    rearms: counter = "easched_store_rearms", "Degraded-to-durable recoveries",
     /// Buffered lines dropped at the RAM bound.
-    pub buffered_dropped: u64,
-    /// The filesystem rejected directory fsync as unsupported
+    buffered_dropped: counter = "easched_store_buffered_dropped",
+        "Buffered journal lines dropped at the RAM bound",
+    /// Journal lines not written since the store degraded, up to
+    /// `MAX_BUFFERED_LINES`. Only counted, never kept: the table holds
+    /// their state, and the re-arm snapshot supersedes them all.
+    buffered: gauge,
+    /// Append or checkpoint failures absorbed on the scheduling path
+    /// ([`TableStore::write_errors`]).
+    write_errors: counter,
+    /// 1 once the filesystem rejected directory fsync as unsupported
     /// (tolerated, noted once: renames can't be made power-loss-durable
     /// on this mount).
-    pub dir_sync_unsupported: bool,
+    dir_sync_unsupported: gauge,
+}
+
+impl StoreHealth {
+    /// The store's `/metrics` fragment: every row that declares a series
+    /// name.
+    pub fn expose(&self) -> String {
+        let mut out = String::new();
+        easched_telemetry::counters::expose_rows(&mut out, &Self::ROWS, &self.values());
+        out
+    }
 }
 
 /// Mutable store state behind the mutex: the append handle plus the
-/// bookkeeping compaction and degradation need.
+/// bookkeeping compaction needs.
 #[derive(Debug)]
 struct StoreInner {
     file: Option<Box<dyn VfsFile>>,
     generation: u64,
     appends: u64,
     last_breaker: BreakerState,
-    mode: StoreMode,
-    /// Journal lines the disk did not take while degraded, up to
-    /// `MAX_BUFFERED_LINES`. Only counted, never kept: the table holds
-    /// their state, and the re-arm snapshot supersedes them all.
-    buffered: u64,
-    buffered_dropped: u64,
     /// Open could not *read* the journal: the recovered table may be
     /// missing records that still exist on disk. Compaction must merge
     /// (or refuse) before resetting the journal, else the loss becomes
@@ -241,13 +249,9 @@ struct StoreInner {
 pub struct TableStore {
     dir: PathBuf,
     vfs: Arc<dyn Vfs>,
+    /// Every count the store keeps; mutated only under `inner`'s lock.
+    stats: StoreStats,
     inner: Mutex<StoreInner>,
-    write_errors: AtomicU64,
-    io_errors: AtomicU64,
-    bytes_written: AtomicU64,
-    degraded_transitions: AtomicU64,
-    rearms: AtomicU64,
-    dir_sync_unsupported: AtomicBool,
 }
 
 /// Locks the inner state, recovering from poisoning: a panicked tenant
@@ -268,7 +272,7 @@ impl TableStore {
     /// or corrupt journal *tail* is not an error — the suffix is
     /// discarded and counted in [`Recovered::discarded`]. Journal-side
     /// *write* failures during open are not errors either: the store
-    /// opens in [`StoreMode::Degraded`] and probes its way back.
+    /// opens degraded and probes its way back.
     pub fn open(dir: impl AsRef<Path>) -> Result<(TableStore, Recovered), StoreError> {
         TableStore::open_with(dir, Arc::new(StdFs))
     }
@@ -322,31 +326,24 @@ impl TableStore {
         } else {
             open_journal(&*vfs, &dir, generation, resume_at).ok()
         };
-        let mode = match file {
-            Some(_) => StoreMode::Durable,
-            None => StoreMode::Degraded,
-        };
-        let degraded = u64::from(mode == StoreMode::Degraded);
+        let stats = StoreStats::default();
+        if file.is_none() {
+            stats.io_errors.inc();
+            stats.degraded.swap(1);
+            stats.degraded_transitions.inc();
+        }
 
         let store = TableStore {
             dir,
             vfs,
+            stats,
             inner: Mutex::new(StoreInner {
                 file,
                 generation,
                 appends: 0,
                 last_breaker: breaker,
-                mode,
-                buffered: 0,
-                buffered_dropped: 0,
                 recovery_partial,
             }),
-            write_errors: AtomicU64::new(0),
-            io_errors: AtomicU64::new(degraded),
-            bytes_written: AtomicU64::new(0),
-            degraded_transitions: AtomicU64::new(degraded),
-            rearms: AtomicU64::new(0),
-            dir_sync_unsupported: AtomicBool::new(false),
         };
         let recovered = Recovered {
             table,
@@ -368,7 +365,7 @@ impl TableStore {
     /// Superseded by the richer [`health`](TableStore::health) but kept
     /// as the stable quick check.
     pub fn write_errors(&self) -> u64 {
-        self.write_errors.load(Ordering::Relaxed)
+        self.stats.write_errors.get()
     }
 
     /// Current journal generation.
@@ -378,22 +375,12 @@ impl TableStore {
 
     /// Whether the store is currently in degrade-to-memory mode.
     pub fn is_degraded(&self) -> bool {
-        lock(&self.inner).mode == StoreMode::Degraded
+        self.stats.degraded.get() != 0
     }
 
     /// Snapshot of the store's storage-health counters.
     pub fn health(&self) -> StoreHealth {
-        let inner = lock(&self.inner);
-        StoreHealth {
-            io_errors: self.io_errors.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            degraded: inner.mode == StoreMode::Degraded,
-            degraded_transitions: self.degraded_transitions.load(Ordering::Relaxed),
-            rearms: self.rearms.load(Ordering::Relaxed),
-            buffered: inner.buffered,
-            buffered_dropped: inner.buffered_dropped,
-            dir_sync_unsupported: self.dir_sync_unsupported.load(Ordering::Relaxed),
-        }
+        self.stats.report()
     }
 
     /// Journals the current state of one kernel's table entry, read from
@@ -429,9 +416,9 @@ impl TableStore {
             // snapshot+compaction both frees space (snapshot replaces
             // snapshot + journal) and carries this very mutation.
             if self.compact_locked(&mut inner, table, breaker).is_err() {
-                self.write_errors.fetch_add(1, Ordering::Relaxed);
+                self.stats.write_errors.inc();
                 self.degrade(&mut inner);
-                self.buffer_line(&mut inner);
+                self.buffer_line();
             }
             return;
         }
@@ -440,9 +427,9 @@ impl TableStore {
             // In durable mode this is routine compaction; in degraded
             // mode it doubles as the re-arm probe (DESIGN.md §16).
             let ok = self.compact_locked(&mut inner, table, breaker).is_ok();
-            self.rearm_after(&mut inner, ok);
+            self.rearm_after(ok);
             if !ok {
-                self.write_errors.fetch_add(1, Ordering::Relaxed);
+                self.stats.write_errors.inc();
                 // Avoid retrying compaction on every subsequent append.
                 inner.appends = 0;
             }
@@ -473,7 +460,7 @@ impl TableStore {
     fn append_without_table(&self, inner: &mut StoreInner, record: JournalRecord) {
         if self.append(inner, &record.to_line()).is_err() {
             self.degrade(inner);
-            self.buffer_line(inner);
+            self.buffer_line();
         }
     }
 
@@ -495,7 +482,7 @@ impl TableStore {
         if result.is_ok() {
             inner.last_breaker = breaker;
         }
-        self.rearm_after(&mut inner, result.is_ok());
+        self.rearm_after(result.is_ok());
         result
     }
 
@@ -504,8 +491,8 @@ impl TableStore {
     /// back (`Err`: the line is not yet safe anywhere) so the entry path,
     /// the one call site holding the table, can compact.
     fn append(&self, inner: &mut StoreInner, line: &str) -> io::Result<()> {
-        if inner.mode == StoreMode::Degraded {
-            self.buffer_line(inner);
+        if self.is_degraded() {
+            self.buffer_line();
             return Ok(());
         }
         let landed = match self.write_line(inner, line) {
@@ -526,7 +513,7 @@ impl TableStore {
         };
         if !landed {
             self.degrade(inner);
-            self.buffer_line(inner);
+            self.buffer_line();
         }
         Ok(())
     }
@@ -537,29 +524,22 @@ impl TableStore {
         let file = inner.file.as_mut().ok_or(None)?;
         match file.write_all(line.as_bytes()) {
             Ok(()) => {
-                self.bytes_written
-                    .fetch_add(line.len() as u64, Ordering::Relaxed);
+                self.stats.bytes_written.add(line.len() as u64);
                 Ok(())
             }
             Err(e) => {
-                self.write_errors.fetch_add(1, Ordering::Relaxed);
-                self.count_io_error();
+                self.stats.write_errors.inc();
+                self.stats.io_errors.inc();
                 Err(Some(e))
             }
         }
     }
 
-    /// Counts one absorbed I/O error.
-    fn count_io_error(&self) {
-        self.io_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Trips the store into degrade-to-memory mode (idempotent).
     fn degrade(&self, inner: &mut StoreInner) {
-        if inner.mode != StoreMode::Degraded {
-            inner.mode = StoreMode::Degraded;
+        if self.stats.degraded.swap(1) == 0 {
             inner.file = None;
-            self.degraded_transitions.fetch_add(1, Ordering::Relaxed);
+            self.stats.degraded_transitions.inc();
         }
     }
 
@@ -567,22 +547,22 @@ impl TableStore {
     /// Buffered lines are *dropped*, not flushed: they predate the
     /// snapshot that just committed, and replaying absolute `put`s on
     /// top of it at recovery would regress newer state.
-    fn rearm_after(&self, inner: &mut StoreInner, compacted: bool) {
-        if compacted && inner.mode == StoreMode::Degraded {
-            inner.mode = StoreMode::Durable;
-            inner.buffered = 0;
-            self.rearms.fetch_add(1, Ordering::Relaxed);
+    fn rearm_after(&self, compacted: bool) {
+        if compacted && self.stats.degraded.swap(0) != 0 {
+            self.stats.buffered.swap(0);
+            self.stats.rearms.inc();
         }
     }
 
     /// Counts one line that had nowhere durable to go: `buffered` up to
     /// the cap, `buffered_dropped` past it — what a bounded buffer that
     /// drops its oldest line would report.
-    fn buffer_line(&self, inner: &mut StoreInner) {
-        if inner.buffered >= MAX_BUFFERED_LINES {
-            inner.buffered_dropped += 1;
+    fn buffer_line(&self) {
+        let buffered = self.stats.buffered.get();
+        if buffered >= MAX_BUFFERED_LINES {
+            self.stats.buffered_dropped.inc();
         } else {
-            inner.buffered += 1;
+            self.stats.buffered.swap(buffered + 1);
         }
     }
 
@@ -610,7 +590,7 @@ impl TableStore {
                 true
             }
             Err(_) => {
-                self.count_io_error();
+                self.stats.io_errors.inc();
                 false
             }
         }
@@ -633,7 +613,7 @@ impl TableStore {
         let scan = match read_journal(&*self.vfs, &self.dir) {
             Ok(scan) => scan,
             Err(e) => {
-                self.count_io_error();
+                self.stats.io_errors.inc();
                 return Err(StoreError::Io(e));
             }
         };
@@ -652,7 +632,7 @@ impl TableStore {
         match classify_dir_sync(self.vfs.sync_dir(&self.dir)) {
             DirSyncOutcome::Synced => Ok(()),
             DirSyncOutcome::Unsupported => {
-                self.dir_sync_unsupported.store(true, Ordering::Relaxed);
+                self.stats.dir_sync_unsupported.swap(1);
                 Ok(())
             }
             DirSyncOutcome::Failed(e) => Err(e),
@@ -703,15 +683,14 @@ impl TableStore {
         })();
         match result {
             Ok(file) => {
-                self.bytes_written
-                    .fetch_add(text.len() as u64, Ordering::Relaxed);
+                self.stats.bytes_written.add(text.len() as u64);
                 inner.file = Some(file);
                 inner.generation = generation;
                 inner.appends = 0;
                 Ok(())
             }
             Err(e) => {
-                self.count_io_error();
+                self.stats.io_errors.inc();
                 if renamed {
                     // The snapshot committed but something after it
                     // failed: the old handle now points at a stale (or
@@ -839,7 +818,7 @@ mod tests {
     use easched_runtime::vfs::{ChaosFs, ChaosFsPlan, StorageFault};
     use easched_runtime::TickClock;
     use std::fs;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     /// A unique, self-cleaning store directory per test.
     struct TempDir(PathBuf);
@@ -1150,9 +1129,12 @@ mod tests {
             .checkpoint(&table, BreakerState::Closed)
             .expect("tolerated");
         let health = store.health();
-        assert!(health.dir_sync_unsupported, "noted across four dir syncs");
+        assert_eq!(
+            health.dir_sync_unsupported, 1,
+            "noted across four dir syncs"
+        );
         assert_eq!(health.io_errors, 0, "a capability gap is not an I/O error");
-        assert!(!health.degraded);
+        assert_eq!(health.degraded, 0);
     }
 
     #[test]
@@ -1294,7 +1276,7 @@ mod tests {
             .checkpoint(&table, BreakerState::Closed)
             .expect("re-arm");
         let health = store.health();
-        assert!(!health.degraded);
+        assert_eq!(health.degraded, 0);
         assert_eq!(health.rearms, 1);
         assert_eq!(health.buffered, 0, "superseded by the snapshot");
         store.record_entry(&table, 900);
@@ -1353,6 +1335,6 @@ mod tests {
         // degradation.
         let health = store.health();
         assert_eq!(health.io_errors, 1);
-        assert!(!health.degraded && health.bytes_written > 0);
+        assert!(health.degraded == 0 && health.bytes_written > 0);
     }
 }

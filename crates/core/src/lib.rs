@@ -70,7 +70,7 @@ pub use easruntime::{EasRuntime, RunOutcome};
 pub use engine::{AlphaSegment, DecisionEngine, Prediction, PRIOR_WINDOW};
 pub use guard::{FaultKind, ObservationGuard};
 pub use health::{BreakerGate, BreakerState, CircuitBreaker, FaultPolicy, Health, HealthReport};
-pub use journal::{Recovered, StoreError, StoreHealth, StoreMode, TableStore};
+pub use journal::{Recovered, StoreError, StoreHealth, TableStore};
 pub use kernel_table::{AlphaStat, KernelTable, ReuseProbe};
 pub use objective::Objective;
 pub use persist::{

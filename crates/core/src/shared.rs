@@ -33,7 +33,7 @@
 
 use crate::eas::{Decision, EasConfig, EasScheduler};
 use crate::engine::DecisionEngine;
-use crate::health::{merge_store_health, Health, HealthReport};
+use crate::health::{Health, HealthReport};
 use crate::journal::{Recovered, StoreError, TableStore};
 use crate::kernel_table::KernelTable;
 use crate::power_model::PowerModel;
@@ -171,8 +171,8 @@ impl SharedEas {
 
     /// [`SharedEas::with_persistence_vfs`] plus a telemetry sink attached
     /// from the start — the full chaos wiring: journaled learning, a
-    /// recording sink, injected I/O faults counted in
-    /// [`health`](SharedEas::health).
+    /// recording sink, injected I/O faults counted in the store's
+    /// [`StoreHealth`](crate::StoreHealth).
     pub fn with_telemetry_persistence_vfs(
         model: PowerModel,
         config: EasConfig,
@@ -304,20 +304,18 @@ impl SharedEas {
     /// Fault-pipeline telemetry aggregated across all streams (see
     /// [`HealthReport`]). All zeros on a healthy platform.
     pub fn health(&self) -> HealthReport {
-        let mut report = self.health.report();
-        if let Some(store) = &self.store {
-            merge_store_health(&mut report, store.health());
-        }
-        report
+        self.health.report()
     }
 
     /// This scheduler's `/metrics` fragment, read from its owners at
     /// scrape time: the [`health`](SharedEas::health) rows that carry a
-    /// series name, then the drift EWMA of every kernel in G that has
-    /// folded a sample ([`expose_drift`]). A sink attached late misses
-    /// none of it.
+    /// series name, the store's [`StoreHealth`](crate::StoreHealth) rows
+    /// (zeros without a store), then the drift EWMA of every kernel in G
+    /// that has folded a sample ([`expose_drift`]). A sink attached late
+    /// misses none of it.
     pub fn expose(&self) -> String {
-        self.health().expose() + &expose_drift(&self.table.drifts())
+        let store = self.store.as_ref().map(|s| s.health()).unwrap_or_default();
+        self.health().expose() + &store.expose() + &expose_drift(&self.table.drifts())
     }
 
     /// The fault-handling state shared by all streams (breaker inspection

@@ -8,11 +8,13 @@
 //! and the three-rung brownout ladder — with an [`Arc<SharedEas>`]: every
 //! request that survives admission executes through the shared table
 //! under an [`InvocationCtx`] derived from the current brownout rung and
-//! the tenant's deadline budget. Admission outcomes are folded into the
-//! scheduler's [`HealthReport`](crate::HealthReport) counters; the
-//! per-tenant series and the brownout rung are read from the admission
-//! controller's own [`TenantStats`] at scrape time ([`expose_tenants`]),
-//! and the SLO breaches from the attached tracker's count.
+//! the tenant's deadline budget. Admission outcomes are counted once, by
+//! the admission controller, in its per-tenant [`TenantStats`]: the
+//! per-tenant series, their totals, the brownout rung and its transitions
+//! are read from the controller at scrape time ([`expose_tenants`]), and
+//! the SLO breaches from the attached tracker's count. The scheduler's
+//! [`HealthReport`](crate::HealthReport) counts only what its own loop
+//! does.
 //!
 //! The frontend adds nothing to the single-tenant fast path: a
 //! [`SharedEas`] driven directly (no frontend) never constructs a
@@ -29,11 +31,25 @@ use easched_telemetry::{SloTracker, Span, SpanKind};
 use std::sync::{Arc, Mutex, PoisonError};
 
 easched_telemetry::counter_table! {
-    /// The admission controller's rung on a `/metrics` page.
-    pub report BrownoutSeries;
+    /// The admission controller's unlabelled families on a `/metrics`
+    /// page: its rung, the totals of its per-tenant counts, and its
+    /// ladder transitions.
+    pub report AdmissionSeries;
     /// Current brownout rung (0 normal … 3 shed-load).
     level: gauge = "easched_brownout_level",
         "Brownout rung (0 normal, 1 deny-gpu, 2 force-cpu, 3 shed-load)",
+    /// Requests shed (queue overflow, quota, brownout stage 3), summed
+    /// over tenants. Adaptation, not a fault.
+    requests_shed: counter = "easched_requests_shed_total", "Requests shed by the admission layer",
+    /// Requests queued behind earlier arrivals, summed over tenants.
+    requests_queued: counter = "easched_requests_queued_total",
+        "Requests queued by the admission layer",
+    /// Requests refused on a spent GPU quota window, summed over tenants.
+    quota_denials: counter = "easched_quota_denials_total",
+        "Requests refused on an exhausted GPU quota",
+    /// Brownout-ladder rung changes (either direction).
+    brownout_transitions: counter = "easched_brownout_transitions_total",
+        "Brownout-ladder rung changes",
 }
 
 easched_telemetry::counter_table! {
@@ -50,13 +66,26 @@ easched_telemetry::counter_table! {
         "Requests refused on an exhausted GPU quota, per tenant",
 }
 
-/// Renders the admission controller's `/metrics` fragment: the brownout
-/// rung, then one `tenant="<name>"` sample per tenant of each
-/// [`TenantSeries`] row — read from the counters the controller keeps,
-/// never re-counted by a sink.
-pub fn expose_tenants(level: BrownoutLevel, tenants: &[(String, TenantStats)]) -> String {
+/// Renders the admission controller's `/metrics` fragment: the
+/// [`AdmissionSeries`] (the brownout rung, the per-tenant counts summed,
+/// the ladder's `transitions`), then one `tenant="<name>"` sample per
+/// tenant of each [`TenantSeries`] row — read from the counters the
+/// controller keeps, never re-counted by a sink.
+pub fn expose_tenants(
+    level: BrownoutLevel,
+    transitions: u64,
+    tenants: &[(String, TenantStats)],
+) -> String {
+    let sum = |count: fn(&TenantStats) -> u64| tenants.iter().map(|(_, s)| count(s)).sum();
+    let totals = AdmissionSeries {
+        level: u64::from(level.code()),
+        requests_shed: sum(|s| s.shed),
+        requests_queued: sum(|s| s.queued),
+        quota_denials: sum(|s| s.quota_denials),
+        brownout_transitions: transitions,
+    };
     let mut out = String::new();
-    expose_rows(&mut out, &BrownoutSeries::ROWS, &[u64::from(level.code())]);
+    expose_rows(&mut out, &AdmissionSeries::ROWS, &totals.values());
     let series = |s: &TenantStats| TenantSeries {
         shed: s.shed,
         queued: s.queued,
@@ -152,35 +181,17 @@ impl TenantFrontend {
     }
 
     /// Offers one request for `tenant`, returning the typed admission
-    /// outcome — never an unbounded enqueue. Sheds, queues, and quota
-    /// denials are counted in the scheduler's health report (overload
-    /// protection is adaptation, not a fault: `fault_free()` is
-    /// undisturbed).
+    /// outcome — never an unbounded enqueue. The controller counts it in
+    /// the tenant's [`TenantStats`] (overload protection is adaptation,
+    /// not a fault: the scheduler's `fault_free()` never sees it).
     pub fn offer(&self, tenant: usize) -> AdmissionOutcome {
-        let (outcome, quota_denied, tick) = {
+        let (outcome, tick) = {
             let mut adm = self.lock();
-            let before = adm.tenant_stats(tenant).quota_denials;
-            let outcome = adm.offer(tenant);
-            (
-                outcome,
-                adm.tenant_stats(tenant).quota_denials > before,
-                adm.tick(),
-            )
+            (adm.offer(tenant), adm.tick())
         };
         if let Some(slo) = &self.slo {
             let shed = matches!(outcome, AdmissionOutcome::Shed { .. });
             slo.observe_shed(tenant as u64, shed, tick as f64, self.log_offset());
-        }
-        let stats = &self.shared.health_state().stats;
-        match outcome {
-            AdmissionOutcome::Admit { .. } => {}
-            AdmissionOutcome::Queue { .. } => stats.requests_queued.inc(),
-            AdmissionOutcome::Shed { .. } => {
-                if quota_denied {
-                    stats.quota_denials.inc();
-                }
-                stats.requests_shed.inc();
-            }
         }
         outcome
     }
@@ -283,14 +294,10 @@ impl TenantFrontend {
     }
 
     /// Feeds one simulated package-power sample to the brownout ladder.
-    /// A rung change is counted; each request flushed by a shed-load
-    /// entry is counted as a shed.
+    /// The controller counts a rung change, and each request a shed-load
+    /// entry flushes as its tenant's shed.
     pub fn observe_power(&self, watts: f64) -> Option<(BrownoutLevel, BrownoutLevel)> {
-        let transition = self.lock().observe_power(watts);
-        let (from, to, flushed) = transition?;
-        let stats = &self.shared.health_state().stats;
-        stats.brownout_transitions.inc();
-        stats.requests_shed.add(flushed.iter().sum());
+        let (from, to, _flushed) = self.lock().observe_power(watts)?;
         Some((from, to))
     }
 
@@ -321,10 +328,9 @@ impl TenantFrontend {
         self.lock().level()
     }
 
-    /// The ladder's smoothed package-power estimate, watts (`None`
-    /// before the first sample).
-    pub fn power_ewma(&self) -> Option<f64> {
-        self.lock().power_ewma()
+    /// The ladder's rung changes so far, either direction.
+    pub fn brownout_transitions(&self) -> u64 {
+        self.lock().brownout_transitions()
     }
 
     /// The worst relative fair-share deficit across eligible tenants
@@ -373,8 +379,8 @@ impl TenantFrontend {
     }
 
     /// This frontend's `/metrics` fragment: [`expose_tenants`], read
-    /// under one lock so the rung and every tenant's row agree, then the
-    /// attached SLO tracker's breach counts, if any.
+    /// under one lock so the rung, the totals and every tenant's row
+    /// agree, then the attached SLO tracker's breach counts, if any.
     pub fn expose(&self) -> String {
         let mut page = {
             let adm = self.lock();
@@ -383,7 +389,7 @@ impl TenantFrontend {
                 .iter()
                 .map(|(tenant, spec)| (spec.name.clone(), adm.tenant_stats(tenant)))
                 .collect();
-            expose_tenants(adm.level(), &tenants)
+            expose_tenants(adm.level(), adm.brownout_transitions(), &tenants)
         };
         if let Some(slo) = &self.slo {
             page += &slo.expose();
@@ -434,15 +440,15 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_feed_health_counters_not_fault_free() {
+    fn outcomes_are_counted_by_the_controller_not_the_scheduler() {
         let f = frontend(None);
         assert!(matches!(f.offer(0), AdmissionOutcome::Admit { .. }));
         assert!(matches!(f.offer(0), AdmissionOutcome::Queue { .. }));
         assert!(matches!(f.offer(0), AdmissionOutcome::Shed { .. }));
+        let stats = f.tenant_stats(0);
+        assert_eq!((stats.queued, stats.shed, stats.quota_denials), (1, 1, 0));
         let report = f.shared().health();
-        assert_eq!(report.requests_queued, 1);
-        assert_eq!(report.requests_shed, 1);
-        assert_eq!(report.quota_denials, 0);
+        assert_eq!(report, crate::HealthReport::default());
         assert!(report.fault_free(), "overload protection is not a fault");
     }
 
@@ -465,11 +471,10 @@ mod tests {
         ] {
             assert!(page.contains(sample), "{sample} missing from\n{page}");
         }
-        // The health fragment carries the totals of the same offers.
-        let health = f.shared().health().expose();
+        // The same fragment carries the totals of the same offers.
         for total in ["shed", "queued"] {
             let sample = format!("easched_requests_{total}_total 1\n");
-            assert!(health.contains(&sample), "{health}");
+            assert!(page.contains(&sample), "{page}");
         }
     }
 
@@ -572,7 +577,11 @@ mod tests {
         let t = f.observe_power(90.0);
         assert_eq!(t, Some((BrownoutLevel::Normal, BrownoutLevel::DenyGpu)));
         assert_eq!(f.level(), BrownoutLevel::DenyGpu);
-        assert_eq!(f.shared().health().brownout_transitions, 1);
+        let page = f.expose();
+        assert!(
+            page.contains("\neasched_brownout_transitions_total 1\n"),
+            "{page}"
+        );
         let ctx = f.ctx_for(0);
         assert_ne!(ctx, InvocationCtx::default());
     }

@@ -294,7 +294,8 @@ pub struct NodeReport {
     pub platform: String,
     /// Label used in the Prometheus exposition (`node<id>`).
     pub label: String,
-    /// Replication counters, crash-carryover included.
+    /// Replication counters, crash-carryover included; the dropped,
+    /// duplicated and partitioned rows are the fabric's own counts.
     pub stats: FleetStats,
     /// Learned table entries at the end.
     pub table_len: usize,
@@ -600,6 +601,12 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
         }
         let mut stats = state.carryover[usize::from(node.id)];
         fold(&mut stats, node.stats);
+        // The fabric owns the frame faults it injected: its per-node
+        // levels span every life of the node, so they are read once, here.
+        let link = state.transport.link_stats(node.id);
+        stats.frames_dropped = link.dropped;
+        stats.frames_duplicated = link.duplicated;
+        stats.frames_partitioned = link.partitioned;
         let store = node.store_health();
         nodes_report.push(NodeReport {
             id: node.id,
@@ -621,7 +628,7 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
                 "storehealth node {} io {} degraded {} transitions {} rearms {} dropped {}",
                 node.id,
                 store.io_errors,
-                u8::from(store.degraded),
+                store.degraded,
                 store.degraded_transitions,
                 store.rearms,
                 store.buffered_dropped,
@@ -673,9 +680,9 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
     })
 }
 
-/// One full pull round: requests out, two delivery passes (so a
+/// One full pull round: requests out, then two delivery passes (so a
 /// request → entries exchange completes within the round on a quiet
-/// fabric), fabric stats folded back per node.
+/// fabric).
 fn anti_entropy_round(state: &mut RunState, tick: u64) {
     let live: Vec<NodeId> = state.nodes.iter().flatten().map(|n| n.id).collect();
     for &id in &live {
@@ -717,15 +724,6 @@ fn anti_entropy_round(state: &mut RunState, tick: u64) {
                 state.transport.send(id, to, text);
             }
         }
-    }
-    // Fold fabric-side attribution into node counters (levels, not
-    // deltas: the fabric keeps absolutes, so compute the difference).
-    for &id in &live {
-        let link = state.transport.link_stats(id);
-        let node = state.nodes[usize::from(id)].as_mut().expect("live");
-        node.stats.frames_dropped = link.dropped;
-        node.stats.frames_duplicated = link.duplicated;
-        node.stats.frames_partitioned = link.partitioned;
     }
 }
 

@@ -67,46 +67,15 @@ pub fn expose_fleet(nodes: &[(String, FleetStats)]) -> String {
     out
 }
 
-easched_telemetry::counter_table! {
-    /// The [`StoreHealth`] fields a fleet page carries, as integer series.
-    /// The first three share their names with a single node's
-    /// [`HealthReport`](easched_core::HealthReport) rows, so they share
-    /// its help and kind too.
-    pub report StoreSeries;
-    /// I/O operations that failed.
-    io_errors: counter = "easched_store_io_errors", "Storage I/O faults absorbed by the table store",
-    /// 1 while degraded, else 0.
-    degraded: gauge = "easched_store_degraded",
-        "1 while the table store is in degrade-to-memory mode",
-    /// Bytes successfully written.
-    bytes: counter = "easched_store_bytes", "Bytes the table store successfully persisted",
-    /// Durable-to-degraded transitions.
-    degraded_transitions: counter = "easched_store_degraded_transitions",
-        "Durable-to-degraded transitions",
-    /// Degraded-to-durable recoveries.
-    rearms: counter = "easched_store_rearms", "Degraded-to-durable recoveries",
-    /// Buffered lines dropped at the RAM bound.
-    buffered_dropped: counter = "easched_store_buffered_dropped",
-        "Buffered journal lines dropped at the RAM bound",
-}
-
 /// Renders every node's journal storage-health counters (DESIGN.md §16)
 /// as a page fragment beside [`expose_fleet`]: the single-node
-/// `easched_store_*` series, node-labelled.
+/// `easched_store_*` series of [`StoreHealth`], node-labelled.
 pub fn expose_fleet_store(nodes: &[(String, StoreHealth)]) -> String {
-    let series = |h: &StoreHealth| StoreSeries {
-        io_errors: h.io_errors,
-        degraded: u64::from(h.degraded),
-        bytes: h.bytes_written,
-        degraded_transitions: h.degraded_transitions,
-        rearms: h.rearms,
-        buffered_dropped: h.buffered_dropped,
-    };
     let series: Vec<_> = nodes
         .iter()
-        .map(|(n, h)| (n.as_str(), series(h).values()))
+        .map(|(n, h)| (n.as_str(), h.values()))
         .collect();
     let mut out = String::new();
-    expose_rows_labelled(&mut out, &StoreSeries::ROWS, "node", &series);
+    expose_rows_labelled(&mut out, &StoreHealth::ROWS, "node", &series);
     out
 }

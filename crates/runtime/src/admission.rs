@@ -309,11 +309,6 @@ impl BrownoutController {
         self.level
     }
 
-    /// Smoothed power estimate, watts (None before the first sample).
-    pub fn ewma(&self) -> Option<f64> {
-        self.ewma
-    }
-
     /// Folds one package-power sample; returns the transition if this
     /// sample moved the ladder.
     pub fn observe(&mut self, watts: f64) -> Option<(BrownoutLevel, BrownoutLevel)> {
@@ -382,7 +377,8 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// Per-tenant counters, reported alongside health telemetry.
+/// Per-tenant counters: the only count of each admission outcome (a
+/// page's totals are their sums).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TenantStats {
     /// Requests offered.
@@ -442,6 +438,7 @@ pub struct AdmissionController {
     debt: Vec<f64>,
     quota_used: Vec<f64>,
     stats: Vec<TenantStats>,
+    brownout_transitions: u64,
     tick: u64,
     next_ticket: u64,
     completions: u64,
@@ -459,6 +456,7 @@ impl AdmissionController {
             debt: vec![0.0; n],
             quota_used: vec![0.0; n],
             stats: vec![TenantStats::default(); n],
+            brownout_transitions: 0,
             tick: 0,
             next_ticket: 0,
             completions: 0,
@@ -615,6 +613,7 @@ impl AdmissionController {
         watts: f64,
     ) -> Option<(BrownoutLevel, BrownoutLevel, Vec<u64>)> {
         let (from, to) = self.brownout.observe(watts)?;
+        self.brownout_transitions += 1;
         let mut flushed = vec![0; self.queues.len()];
         if to == BrownoutLevel::ShedLoad {
             for (t, spec) in self.registry.specs.iter().enumerate() {
@@ -627,11 +626,6 @@ impl AdmissionController {
             }
         }
         Some((from, to, flushed))
-    }
-
-    /// Smoothed package-power estimate, watts.
-    pub fn power_ewma(&self) -> Option<f64> {
-        self.brownout.ewma()
     }
 
     /// Advances the controller's tick; quota windows reset on boundaries.
@@ -656,6 +650,11 @@ impl AdmissionController {
     /// Per-tenant counters.
     pub fn tenant_stats(&self, tenant: usize) -> TenantStats {
         self.stats[tenant]
+    }
+
+    /// Brownout-ladder rung changes so far, either direction.
+    pub fn brownout_transitions(&self) -> u64 {
+        self.brownout_transitions
     }
 
     /// Worst fair-share deficit across *eligible* tenants: those that
@@ -961,6 +960,8 @@ mod tests {
             (BrownoutLevel::ForceCpu, BrownoutLevel::ShedLoad)
         );
         assert_eq!(flushed, [2, 0], "queued batch requests are flushed");
+        assert_eq!(ctl.brownout_transitions(), 3);
+        assert_eq!(ctl.tenant_stats(0).shed, 2, "a flush counts as a shed");
         assert!(matches!(ctl.offer(0), AdmissionOutcome::Shed { .. }));
         assert!(matches!(ctl.offer(1), AdmissionOutcome::Admit { .. }));
         assert_eq!(ctl.ctx_for(1).gpu, GpuPolicy::Deny);

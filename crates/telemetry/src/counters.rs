@@ -181,9 +181,9 @@ pub fn expose_rows<const N: usize>(out: &mut String, rows: &[Row; N], values: &[
     }
 }
 
-/// Appends each row as a Prometheus family typed once, then one
-/// `name{label="<series label>"} value` sample per series. Series labels
-/// are escaped here.
+/// Appends each row that declares a series name as a Prometheus family
+/// typed once, then one `name{label="<series label>"} value` sample per
+/// series. Series labels are escaped here.
 pub fn expose_rows_labelled<const N: usize>(
     out: &mut String,
     rows: &[Row; N],
@@ -195,6 +195,9 @@ pub fn expose_rows_labelled<const N: usize>(
         .map(|(name, _)| crate::metrics::escape_label_value(name))
         .collect();
     for (i, row) in rows.iter().enumerate() {
+        if row.name.is_empty() {
+            continue;
+        }
         push_meta(out, row.name, row.help, row.kind.as_str());
         for (name, (_, values)) in names.iter().zip(series) {
             let _ = writeln!(out, "{}{{{label}=\"{name}\"}} {}", row.name, values[i]);

@@ -28,9 +28,9 @@
 //! - [`counter_table!`] — the one place a plain counter or gauge is
 //!   declared; banks, reports, text pages and JSON derive from its rows
 //!   ([`counters`]).
-//! - [`to_trace`] / [`parse_trace`] — Chrome-trace export (one event per
-//!   line, loadable in Perfetto / `chrome://tracing`) that round-trips
-//!   bit-for-bit ([`trace`]).
+//! - [`to_trace`] / [`to_trace_with_spans`] — Chrome-trace export (one
+//!   event per line, loadable in Perfetto / `chrome://tracing`) that
+//!   carries every record and span field exactly ([`trace`]).
 //! - [`model_drift`] — per-kernel predicted-vs-realized error analysis
 //!   ([`drift`]).
 //! - [`Span`] / [`SpanSink`] — causal per-request span tracing through
@@ -71,4 +71,4 @@ pub use serve::{http_get, Page, Router, ScrapeServer, ServeConfig, TimeSource};
 pub use sink::{ControlEvent, DecisionCsvSink, FanoutSink, RingSink, TelemetrySink};
 pub use slo::{expose_slo, BurnStatus, SloConfig, SloEvent, SloKind, SloTracker};
 pub use span::{Span, SpanKind, SpanSink, DEFAULT_SPAN_CAPACITY, NO_TENANT};
-pub use trace::{parse_spans, parse_trace, to_trace, to_trace_with_spans, TraceParseError};
+pub use trace::{to_trace, to_trace_with_spans};

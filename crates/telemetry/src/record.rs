@@ -83,21 +83,6 @@ impl InvocationPath {
         }
     }
 
-    /// Inverse of [`as_str`](InvocationPath::as_str).
-    pub fn parse(s: &str) -> Option<InvocationPath> {
-        Some(match s {
-            "table-hit" => InvocationPath::TableHit,
-            "small-n" => InvocationPath::SmallN,
-            "profiled" => InvocationPath::Profiled,
-            "reprofiled" => InvocationPath::Reprofiled,
-            "probe" => InvocationPath::Probe,
-            "degraded" => InvocationPath::Degraded,
-            "quarantined" => InvocationPath::Quarantined,
-            "throttled" => InvocationPath::Throttled,
-            _ => return None,
-        })
-    }
-
     /// Whether records on this path carry a model prediction (the paths
     /// that finished a profiling pass and executed at the decided α).
     pub fn has_prediction(self) -> bool {
@@ -329,9 +314,7 @@ mod tests {
         for code in 0..8 {
             let p = InvocationPath::from_code(code).unwrap();
             assert_eq!(p.code(), code);
-            assert_eq!(InvocationPath::parse(p.as_str()), Some(p));
         }
         assert_eq!(InvocationPath::from_code(8), None);
-        assert_eq!(InvocationPath::parse("bogus"), None);
     }
 }

@@ -97,20 +97,6 @@ impl SpanKind {
             SpanKind::Replication => "replication",
         }
     }
-
-    /// Inverse of [`as_str`](SpanKind::as_str).
-    pub fn parse(name: &str) -> Option<SpanKind> {
-        Some(match name {
-            "admit" => SpanKind::Admit,
-            "queue-wait" => SpanKind::QueueWait,
-            "decide" => SpanKind::Decide,
-            "cpu-phase" => SpanKind::CpuPhase,
-            "gpu-phase" => SpanKind::GpuPhase,
-            "fold" => SpanKind::Fold,
-            "replication" => SpanKind::Replication,
-            _ => return None,
-        })
-    }
 }
 
 /// One span of a request trace. Fixed-width like a
@@ -341,14 +327,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn codes_and_names_roundtrip() {
+    fn codes_roundtrip() {
         for code in 0..7 {
             let kind = SpanKind::from_code(code).unwrap();
             assert_eq!(kind.code(), code);
-            assert_eq!(SpanKind::parse(kind.as_str()), Some(kind));
         }
         assert_eq!(SpanKind::from_code(7), None);
-        assert_eq!(SpanKind::parse("???"), None);
     }
 
     #[test]

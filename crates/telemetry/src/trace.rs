@@ -1,42 +1,22 @@
 //! Chrome-trace export of the decision stream, loadable in Perfetto or
-//! `chrome://tracing`, and the matching parser used by the post-hoc
-//! analyzer.
+//! `chrome://tracing`.
 //!
 //! The format is the Trace Event JSON array with **one event object per
 //! line** (JSONL-style), so the file both loads in a trace viewer and
 //! streams through line-oriented tools. Each invocation becomes one
 //! complete (`"ph":"X"`) event on its kernel's track; every
 //! [`DecisionRecord`] field rides along in `args`, with floats printed in
-//! Rust's shortest round-trip decimal form so
-//! [`parse_trace`] reconstructs records bit-for-bit —
-//! `parse_trace(&to_trace(&records))` equals `records`.
+//! Rust's shortest round-trip decimal form, so the file carries each
+//! record exactly.
 //!
 //! Timestamps are *virtual*: each kernel's invocations are laid end to
 //! end from zero on its own track, using the realized (simulated)
 //! durations. The viewer shows where time and profiling overhead went,
 //! not wall-clock interleaving.
 
-use crate::record::{DecisionRecord, InvocationPath};
-use crate::span::{Span, SpanKind};
+use crate::record::DecisionRecord;
+use crate::span::Span;
 use std::collections::HashMap;
-use std::fmt;
-
-/// Why a trace line failed to parse back into a [`DecisionRecord`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceParseError {
-    /// 1-based line number in the trace text.
-    pub line: usize,
-    /// What was wrong with it.
-    pub reason: String,
-}
-
-impl fmt::Display for TraceParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for TraceParseError {}
 
 /// Serializes records as a Chrome-trace JSON array, one event per line.
 pub fn to_trace(records: &[DecisionRecord]) -> String {
@@ -93,9 +73,7 @@ pub fn to_trace(records: &[DecisionRecord]) -> String {
 /// (pid 2, one track per trace, `"cat":"span"`). Span ts/dur come from
 /// the sink-rebased starts, so the admit → queue-wait → decide →
 /// cpu-phase/gpu-phase → fold chain of each request renders nested on
-/// its own track; every span field rides bit-exactly in `args`, so
-/// [`parse_spans`] round-trips the span stream the way
-/// [`parse_trace`] round-trips the records.
+/// its own track; every span field rides exactly in `args`.
 pub fn to_trace_with_spans(records: &[DecisionRecord], spans: &[Span]) -> String {
     let base = to_trace(records);
     if spans.is_empty() {
@@ -190,8 +168,7 @@ fn opt_byte(v: Option<u8>) -> String {
 /// round-trips and never uses exponent notation, which is exactly valid
 /// JSON. Non-finite values — which fault-corrupted records *do* contain
 /// (a NaN observation poisons its phase total) — have no JSON number
-/// form, so they ride as the strings `"NaN"`/`"inf"`/`"-inf"` and parse
-/// back to the matching non-finite value.
+/// form, so they ride as the strings `"NaN"`/`"inf"`/`"-inf"`.
 pub(crate) fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
@@ -204,136 +181,11 @@ pub(crate) fn json_f64(v: f64) -> String {
     }
 }
 
-/// Parses a trace produced by [`to_trace`] back into records, in file
-/// order. Tolerates the array brackets, trailing commas, and skips
-/// metadata (`"ph":"M"`) events.
-pub fn parse_trace(text: &str) -> Result<Vec<DecisionRecord>, TraceParseError> {
-    let mut out = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim().trim_end_matches(',');
-        if line.is_empty() || line == "[" || line == "]" {
-            continue;
-        }
-        if line.contains("\"ph\":\"M\"") || line.contains("\"cat\":\"span\"") {
-            continue;
-        }
-        let err = |reason: &str| TraceParseError {
-            line: idx + 1,
-            reason: reason.to_string(),
-        };
-        let path_str = str_field(line, "path").ok_or_else(|| err("missing path"))?;
-        let path = InvocationPath::parse(path_str)
-            .ok_or_else(|| err(&format!("unknown path {path_str:?}")))?;
-        let record = DecisionRecord {
-            seq: int_field(line, "seq").ok_or_else(|| err("missing seq"))?,
-            kernel: int_field(line, "kernel").ok_or_else(|| err("missing kernel"))?,
-            path,
-            class: byte_field(line, "class").ok_or_else(|| err("missing class"))?,
-            breaker: int_field(line, "breaker").ok_or_else(|| err("missing breaker"))?,
-            last_fault: byte_field(line, "last_fault").ok_or_else(|| err("missing last_fault"))?,
-            rounds: int_field(line, "rounds").ok_or_else(|| err("missing rounds"))?,
-            fault_rounds: int_field(line, "fault_rounds")
-                .ok_or_else(|| err("missing fault_rounds"))?,
-            r_c: f64_field(line, "r_c").ok_or_else(|| err("missing r_c"))?,
-            r_g: f64_field(line, "r_g").ok_or_else(|| err("missing r_g"))?,
-            alpha: f64_field(line, "alpha").ok_or_else(|| err("missing alpha"))?,
-            predicted_power: f64_field(line, "pred_power")
-                .ok_or_else(|| err("missing pred_power"))?,
-            predicted_time: f64_field(line, "pred_time").ok_or_else(|| err("missing pred_time"))?,
-            predicted_objective: f64_field(line, "pred_obj")
-                .ok_or_else(|| err("missing pred_obj"))?,
-            profile_time: f64_field(line, "profile_time")
-                .ok_or_else(|| err("missing profile_time"))?,
-            profile_energy: f64_field(line, "profile_energy")
-                .ok_or_else(|| err("missing profile_energy"))?,
-            split_time: f64_field(line, "split_time").ok_or_else(|| err("missing split_time"))?,
-            split_energy: f64_field(line, "split_energy")
-                .ok_or_else(|| err("missing split_energy"))?,
-            items: int_field(line, "items").ok_or_else(|| err("missing items"))?,
-            decide_nanos: int_field(line, "decide_ns").ok_or_else(|| err("missing decide_ns"))?,
-        };
-        out.push(record);
-    }
-    Ok(out)
-}
-
-/// Parses the span events out of a trace produced by
-/// [`to_trace_with_spans`], in file order, ignoring decision events and
-/// metadata. `parse_spans(&to_trace_with_spans(&[], &spans))` equals
-/// `spans` bit-for-bit (the authoritative `start`/`dur` ride in `args`,
-/// not in the viewer's clamped `ts`/`dur`).
-pub fn parse_spans(text: &str) -> Result<Vec<Span>, TraceParseError> {
-    let mut out = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim().trim_end_matches(',');
-        if !line.contains("\"cat\":\"span\"") || line.contains("\"ph\":\"M\"") {
-            continue;
-        }
-        let err = |reason: &str| TraceParseError {
-            line: idx + 1,
-            reason: reason.to_string(),
-        };
-        let name = str_field(line, "name").ok_or_else(|| err("missing name"))?;
-        let kind = SpanKind::parse(name).ok_or_else(|| err(&format!("unknown kind {name:?}")))?;
-        out.push(Span {
-            seq: int_field(line, "seq").ok_or_else(|| err("missing seq"))?,
-            trace: int_field(line, "trace").ok_or_else(|| err("missing trace"))?,
-            kernel: int_field(line, "kernel").ok_or_else(|| err("missing kernel"))?,
-            id: int_field(line, "id").ok_or_else(|| err("missing id"))?,
-            parent: int_field(line, "parent").ok_or_else(|| err("missing parent"))?,
-            kind,
-            tenant: int_field(line, "tenant").ok_or_else(|| err("missing tenant"))?,
-            start: f64_field(line, "start").ok_or_else(|| err("missing start"))?,
-            dur: f64_field(line, "dur_s").ok_or_else(|| err("missing dur_s"))?,
-            payload: f64_field(line, "payload").ok_or_else(|| err("missing payload"))?,
-        });
-    }
-    Ok(out)
-}
-
-/// The raw value text of `"key":<value>` in a one-line JSON object. Our
-/// values are numbers, `null`, or plain strings without escapes, so the
-/// value ends at the next `,`, `}`, or (for strings) closing quote.
-fn raw_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    raw_field(line, key)?
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-}
-
-/// An integer field, parsed at the width of the record field it fills: a
-/// value that does not fit is as unusable as one that is absent.
-fn int_field<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
-    raw_field(line, key)?.parse().ok()
-}
-
-fn byte_field(line: &str, key: &str) -> Option<Option<u8>> {
-    match raw_field(line, key)? {
-        "null" => Some(None),
-        v => v.parse().ok().map(Some),
-    }
-}
-
-fn f64_field(line: &str, key: &str) -> Option<f64> {
-    match raw_field(line, key)? {
-        "null" => Some(0.0),
-        "\"NaN\"" => Some(f64::NAN),
-        "\"inf\"" => Some(f64::INFINITY),
-        "\"-inf\"" => Some(f64::NEG_INFINITY),
-        v => v.parse().ok(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::InvocationPath;
+    use crate::span::SpanKind;
 
     fn sample(seq: u64, kernel: u64) -> DecisionRecord {
         DecisionRecord {
@@ -360,9 +212,35 @@ mod tests {
         }
     }
 
+    fn sample_span(seq: u64, trace: u64, kind: SpanKind) -> Span {
+        Span {
+            seq,
+            trace,
+            kernel: 0xAB,
+            id: seq as u16 + 1,
+            parent: seq as u16,
+            kind,
+            tenant: 3,
+            start: 0.25 * seq as f64,
+            dur: 0.125,
+            payload: 1.5,
+        }
+    }
+
+    /// FNV-1a, 64-bit: the digest the workspace's pinned-bytes tests use.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The writer's bytes, pinned at the commit before the trace parsers
+    /// were deleted: every field of every path the writer takes — `null`
+    /// bytes, NaN and ±inf floats, records beside spans — as it wrote them
+    /// when a parser read each back bit for bit.
     #[test]
-    fn trace_roundtrips_bit_for_bit() {
-        let records = vec![
+    fn trace_bytes_match_the_parent_commit() {
+        let records = [
             sample(0, 0xAA),
             DecisionRecord {
                 path: InvocationPath::TableHit,
@@ -376,9 +254,43 @@ mod tests {
                 ..sample(2, 0xBB)
             },
         ];
-        let text = to_trace(&records);
-        let parsed = parse_trace(&text).expect("trace must parse");
-        assert_eq!(parsed, records);
+        let non_finite = DecisionRecord {
+            profile_time: f64::NAN,
+            split_time: f64::INFINITY,
+            r_c: f64::NEG_INFINITY,
+            ..sample(0, 1)
+        };
+        let spans = [
+            sample_span(0, 0xDEAD, SpanKind::Decide),
+            Span {
+                dur: f64::NAN,
+                payload: f64::NEG_INFINITY,
+                ..sample_span(1, 0xDEAD, SpanKind::CpuPhase)
+            },
+            sample_span(2, 0xBEEF, SpanKind::Fold),
+        ];
+        let combined = (
+            [sample(0, 0xAA), sample(1, 0xBB)],
+            [
+                sample_span(0, 0x11, SpanKind::Admit),
+                sample_span(1, 0x11, SpanKind::QueueWait),
+                sample_span(2, 0x22, SpanKind::GpuPhase),
+            ],
+        );
+        let digests = [
+            to_trace(&records),
+            to_trace(&[non_finite]),
+            to_trace_with_spans(&[], &spans),
+            to_trace_with_spans(&combined.0, &combined.1),
+        ]
+        .map(|text| fnv1a64(text.as_bytes()));
+        let parent = [
+            0x535f_4627_115e_4cee,
+            0x738f_a4f6_ca1a_499b,
+            0xce16_aed4_ee19_1761,
+            0x2ec5_fe81_77e0_a8a9,
+        ];
+        assert_eq!(digests, parent, "{digests:#018x?}");
     }
 
     #[test]
@@ -413,7 +325,7 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_floats_survive_the_trace() {
+    fn non_finite_floats_keep_the_trace_valid_json() {
         let r = DecisionRecord {
             profile_time: f64::NAN,
             split_time: f64::INFINITY,
@@ -427,68 +339,23 @@ mod tests {
             "{text}"
         );
         assert!(!text.contains(":NaN") && !text.contains(":inf"), "{text}");
-        let parsed = parse_trace(&text).expect("must stay parseable");
-        assert_eq!(parsed.len(), 1);
-        assert!(parsed[0].profile_time.is_nan());
-        assert_eq!(parsed[0].split_time, f64::INFINITY);
-        assert_eq!(parsed[0].r_c, f64::NEG_INFINITY);
-        // PartialEq can't see NaN == NaN; the bit-level check can.
-        assert!(parsed[0].bitwise_eq(&r));
-    }
-
-    fn sample_span(seq: u64, trace: u64, kind: SpanKind) -> Span {
-        Span {
-            seq,
-            trace,
-            kernel: 0xAB,
-            id: seq as u16 + 1,
-            parent: seq as u16,
-            kind,
-            tenant: 3,
-            start: 0.25 * seq as f64,
-            dur: 0.125,
-            payload: 1.5,
-        }
-    }
-
-    #[test]
-    fn spans_roundtrip_bit_for_bit_including_non_finite() {
-        let spans = vec![
-            sample_span(0, 0xDEAD, SpanKind::Decide),
-            Span {
-                dur: f64::NAN,
-                payload: f64::NEG_INFINITY,
-                ..sample_span(1, 0xDEAD, SpanKind::CpuPhase)
-            },
-            sample_span(2, 0xBEEF, SpanKind::Fold),
-        ];
-        let text = to_trace_with_spans(&[], &spans);
-        let parsed = parse_spans(&text).expect("spans must parse");
-        assert_eq!(parsed.len(), spans.len());
-        for (p, s) in parsed.iter().zip(&spans) {
-            assert!(p.bitwise_eq(s), "{p:?} vs {s:?}");
-        }
-        // Viewer-facing ts/dur stay valid JSON numbers despite the NaN.
+        let span = Span {
+            dur: f64::NAN,
+            ..sample_span(0, 1, SpanKind::CpuPhase)
+        };
+        let text = to_trace_with_spans(&[], &[span]);
         assert!(!text.contains("\"ts\":NaN") && !text.contains("\"dur\":NaN"));
     }
 
     #[test]
-    fn combined_trace_parses_both_ways() {
-        let records = vec![sample(0, 0xAA), sample(1, 0xBB)];
-        let spans = vec![
+    fn spans_ride_their_own_pid_one_track_per_trace() {
+        let records = [sample(0, 0xAA), sample(1, 0xBB)];
+        let spans = [
             sample_span(0, 0x11, SpanKind::Admit),
             sample_span(1, 0x11, SpanKind::QueueWait),
             sample_span(2, 0x22, SpanKind::GpuPhase),
         ];
         let text = to_trace_with_spans(&records, &spans);
-        // The record parser ignores span lines; the span parser ignores
-        // record lines. Both reconstruct their stream exactly.
-        assert_eq!(parse_trace(&text).expect("records"), records);
-        let parsed = parse_spans(&text).expect("spans");
-        assert_eq!(parsed.len(), 3);
-        for (p, s) in parsed.iter().zip(&spans) {
-            assert!(p.bitwise_eq(s));
-        }
         // pid 1 carries the kernels, pid 2 the traces; each trace gets a
         // thread-name metadata line.
         assert_eq!(text.matches("\"pid\":2").count(), 3 + 2, "{text}");
@@ -499,21 +366,5 @@ mod tests {
     fn spans_without_records_still_form_a_json_array() {
         let text = to_trace_with_spans(&[], &[sample_span(0, 1, SpanKind::Decide)]);
         assert!(text.starts_with("[\n") && text.ends_with("\n]\n"), "{text}");
-        assert_eq!(parse_trace(&text).expect("no records"), vec![]);
-    }
-
-    #[test]
-    fn parse_rejects_garbage_with_line_numbers() {
-        let err = parse_trace("[\n{\"ph\":\"X\",\"args\":{}}\n]\n").unwrap_err();
-        assert_eq!(err.line, 2);
-        assert!(err.reason.contains("path"));
-        // A value wider than its field is refused, not truncated to 0.
-        let wide = to_trace(&[sample(0, 1)]).replace("\"breaker\":0", "\"breaker\":256");
-        let err = parse_trace(&wide).unwrap_err();
-        assert_eq!(err.line, 3, "{wide}");
-        assert!(err.reason.contains("breaker"));
-        let wide = to_trace_with_spans(&[], &[sample_span(0, 1, SpanKind::Decide)])
-            .replace("\"tenant\":3", "\"tenant\":65539");
-        assert!(parse_spans(&wide).unwrap_err().reason.contains("tenant"));
     }
 }

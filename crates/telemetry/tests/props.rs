@@ -1,45 +1,27 @@
-//! Property tests for the span wire codec and the Chrome-trace span
-//! round-trip (ISSUE: observability plane, DESIGN.md §14).
+//! Property tests for the span wire codec (DESIGN.md §14).
 //!
 //! Spans carry chaos-era floats — NaN durations from corrupted
-//! observations included — through two codecs: the seqlock ring's
-//! fixed-width word encoding and the Chrome-trace `args` JSON. Both must
-//! be lossless. The ring codec is bit-for-bit for *every* payload bit
-//! pattern (floats ride as raw bits); the trace codec is bit-for-bit for
-//! every finite float, signed zero, and both infinities, and canonical
-//! for NaN (any NaN serializes as `"NaN"` and parses back to the one
-//! canonical quiet NaN, mirroring the decision-record trace codec).
+//! observations included — through the seqlock ring's fixed-width word
+//! encoding, which must be lossless: bit-for-bit for *every* payload bit
+//! pattern (floats ride as raw bits).
 
-use easched_telemetry::{parse_spans, to_trace_with_spans, DecisionRecord, Span, SpanKind};
+use easched_telemetry::{Span, SpanKind};
 use proptest::prelude::*;
 
 fn arb_kind() -> impl Strategy<Value = SpanKind> {
     (0u8..7).prop_map(|c| SpanKind::from_code(c).expect("codes 0..7 are the span kinds"))
 }
 
-/// Full bit-pattern float coverage — infinities and every NaN payload —
-/// with NaN optionally collapsed to the canonical quiet NaN the trace
-/// parser restores.
-fn arb_f64(canonical_nan: bool) -> impl Strategy<Value = f64> {
-    any::<u64>().prop_map(move |bits| {
-        let v = f64::from_bits(bits);
-        if canonical_nan && v.is_nan() {
-            f64::NAN
-        } else {
-            v
-        }
-    })
+/// Full bit-pattern float coverage — infinities and every NaN payload.
+fn arb_f64() -> impl Strategy<Value = f64> {
+    any::<u64>().prop_map(f64::from_bits)
 }
 
-fn arb_span(canonical_nan: bool) -> impl Strategy<Value = Span> {
+fn arb_span() -> impl Strategy<Value = Span> {
     (
         (any::<u64>(), any::<u64>(), any::<u64>()),
         (any::<u16>(), any::<u16>(), arb_kind(), any::<u16>()),
-        (
-            arb_f64(canonical_nan),
-            arb_f64(canonical_nan),
-            arb_f64(canonical_nan),
-        ),
+        (arb_f64(), arb_f64(), arb_f64()),
     )
         .prop_map(
             |((seq, trace, kernel), (id, parent, kind, tenant), (start, dur, payload))| Span {
@@ -61,29 +43,8 @@ proptest! {
     /// Ring wire codec: encode → decode is the identity for every bit
     /// pattern, NaN payloads included.
     #[test]
-    fn span_words_roundtrip_bit_for_bit(span in arb_span(false)) {
+    fn span_words_roundtrip_bit_for_bit(span in arb_span()) {
         let decoded = Span::decode(span.seq, &span.encode());
         prop_assert!(decoded.bitwise_eq(&span), "{decoded:?} != {span:?}");
-    }
-
-    /// Chrome-trace codec: a span stream spliced into a trace file parses
-    /// back bit-for-bit (canonical NaN), in file order, with decision
-    /// events interleaved and ignored.
-    #[test]
-    fn span_trace_roundtrips_bit_for_bit(
-        spans in prop::collection::vec(arb_span(true), 0..24),
-        with_records in any::<bool>(),
-    ) {
-        let records = if with_records {
-            vec![DecisionRecord::default(), DecisionRecord { seq: 1, kernel: 7, ..Default::default() }]
-        } else {
-            Vec::new()
-        };
-        let text = to_trace_with_spans(&records, &spans);
-        let parsed = parse_spans(&text).expect("trace we just wrote must parse");
-        prop_assert_eq!(parsed.len(), spans.len());
-        for (got, want) in parsed.iter().zip(&spans) {
-            prop_assert!(got.bitwise_eq(want), "{:?} != {:?}", got, want);
-        }
     }
 }

@@ -1085,7 +1085,7 @@ fn cmd_fleet(args: FleetArgs) {
                 "{:<5} {:>9} {:>8} {:>11} {:>6} {:>7} {:>10}",
                 n.label,
                 n.store.io_errors,
-                u8::from(n.store.degraded),
+                n.store.degraded,
                 n.store.degraded_transitions,
                 n.store.rearms,
                 n.store.buffered_dropped,

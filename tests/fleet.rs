@@ -132,6 +132,28 @@ fn partition_heals_and_crash_restart_still_converge() {
     let _ = std::fs::remove_dir_all(&spec.store_root);
 }
 
+/// A restarted node reports the frame faults the fabric counted for it,
+/// once: its previous life's share is not added again on top of the
+/// fabric's run-long levels.
+#[test]
+fn a_restarted_node_counts_each_fabric_fault_once() {
+    // (seed, node 1's (dropped, duplicated) as the fabric counted them).
+    for (seed, fabric) in [(7, (10, 3)), (23, (6, 4)), (1009, (5, 1))] {
+        let mut spec = FleetSpec::three_nodes(seed);
+        spec.crash = Some(CrashPlan {
+            node: 1,
+            at_tick: 2,
+            restart_at_tick: 4,
+        });
+        spec.store_root = scratch(&format!("refault-{seed}"));
+        let report = run_fleet(&spec).expect("fleet runs");
+        let _ = std::fs::remove_dir_all(&spec.store_root);
+        let node = report.nodes.iter().find(|n| n.id == 1).expect("node 1");
+        let counted = (node.stats.frames_dropped, node.stats.frames_duplicated);
+        assert_eq!(counted, fabric, "seed {seed}");
+    }
+}
+
 #[test]
 fn cross_platform_entry_warm_starts_but_never_skips_profiling() {
     let root = scratch("prior");

@@ -3,13 +3,12 @@
 //! the same `/metrics` lines and the same `/health` JSON as it did when
 //! every counter was enumerated by hand, and the fleet pages must keep
 //! every sample line. `/metrics` is composed from the fragments of the
-//! counts' owners — registry, health report, kernel table, admission
-//! controller, SLO tracker — so the page is compared as a multiset of
-//! lines.
+//! counts' owners — registry, health report, table store, kernel table,
+//! admission controller, SLO tracker — so the page is compared as a
+//! multiset of lines.
 
-use easched::core::tenancy::{BrownoutSeries, TenantSeries};
-use easched::core::{expose_drift, expose_tenants, HealthReport, DRIFT_SERIES};
-use easched::fleet::stats::StoreSeries;
+use easched::core::tenancy::{AdmissionSeries, TenantSeries};
+use easched::core::{expose_drift, expose_tenants, HealthReport, StoreHealth, DRIFT_SERIES};
 use easched::fleet::{expose_fleet, expose_fleet_store, FleetStats};
 use easched::replay::{record_overload_storm_observed_with, OverloadSpec};
 use easched::runtime::{BrownoutLevel, TenantStats};
@@ -49,7 +48,8 @@ fn scripted_registry() -> MetricsRegistry {
 
 /// The rest of the parent's feed, read from the counts' owners: the
 /// rounds and paths its records carried, its event `i` fired `i + 1`
-/// times plus one more shed of `gold`, the drift EWMA its events left on
+/// times plus one more shed of `gold` (the admission totals are the
+/// tenants' sums), its store's counts, the drift EWMA its events left on
 /// kernel 42, and ten SLO breaches of tenant 1 with two named tenants.
 fn scripted_page() -> String {
     let health = HealthReport {
@@ -62,14 +62,13 @@ fn scripted_page() -> String {
         reprofiles_suppressed: 3,
         watchdog_trips: 4,
         split_overruns: 5,
-        requests_shed: 7,
-        requests_queued: 7,
-        quota_denials: 8,
-        brownout_transitions: 9,
-        store_io_errors: 11,
-        store_degraded: 1,
-        store_bytes: 4096,
         ..HealthReport::default()
+    };
+    let store = StoreHealth {
+        io_errors: 11,
+        degraded: 1,
+        bytes_written: 4096,
+        ..StoreHealth::default()
     };
     let tenants = [
         ("gold", 1, 7, 0),
@@ -87,8 +86,9 @@ fn scripted_page() -> String {
     let names = BTreeMap::from([(0, "gold".to_string()), (1, HOSTILE.to_string())]);
     scripted_registry().expose()
         + &health.expose()
+        + &store.expose()
         + &expose_drift(&[(42, 2.5)])
-        + &expose_tenants(BrownoutLevel::ForceCpu, &tenants)
+        + &expose_tenants(BrownoutLevel::ForceCpu, 9, &tenants)
         + &expose_slo(&names, &BTreeMap::from([(1, 10)]))
 }
 
@@ -124,12 +124,23 @@ fn metrics_page_matches_the_parent_commit() {
     // The bytes a store persisted only rise: a counter, as on the fleet
     // page, where the parent's `/metrics` typed it a gauge.
     assert_eq!(lost, ["# TYPE easched_store_bytes gauge"]);
-    let (typed, zeros): (Vec<&str>, Vec<&str>) =
-        added.into_iter().partition(|l| l.starts_with('#'));
-    assert_eq!(typed, ["# TYPE easched_store_bytes counter"]);
+    // Added, in line order: the store-bytes family typed a counter, two
+    // zero tenant samples the parent left out, and the three store
+    // families a single node's page now carries as the fleet page does
+    // (all zero here).
     assert_eq!(
-        zeros,
+        added,
         [
+            "# HELP easched_store_buffered_dropped Buffered journal lines dropped at the RAM bound",
+            "# HELP easched_store_degraded_transitions Durable-to-degraded transitions",
+            "# HELP easched_store_rearms Degraded-to-durable recoveries",
+            "# TYPE easched_store_buffered_dropped counter",
+            "# TYPE easched_store_bytes counter",
+            "# TYPE easched_store_degraded_transitions counter",
+            "# TYPE easched_store_rearms counter",
+            "easched_store_buffered_dropped 0",
+            "easched_store_degraded_transitions 0",
+            "easched_store_rearms 0",
             "easched_tenant_quota_denials_total{tenant=\"gold\"} 0",
             "easched_tenant_requests_queued_total{tenant=\"a\\\"b\\\\c\\nd\u{1b}\"} 0",
         ]
@@ -153,41 +164,40 @@ fn observed_storm_page_keeps_every_parent_sample() {
     let parent = include_str!("fixtures/observed_storm_samples.prom");
     let (added, lost) = line_diff(&page, parent, |l| !l.starts_with('#'));
     assert!(lost.is_empty(), "parent samples lost: {lost:?}");
-    // Only per-tenant samples the parent left out because they read zero.
-    let zero = |l: &&str| l.starts_with("easched_tenant_") && l.ends_with("} 0");
+    // Only samples the parent left out because they read zero: per-tenant
+    // ones, and the store families a storm without a store reads as 0.
+    let store_only = [
+        "easched_store_degraded_transitions 0",
+        "easched_store_rearms 0",
+        "easched_store_buffered_dropped 0",
+    ];
+    let zero = |l: &&str| {
+        (l.starts_with("easched_tenant_") && l.ends_with("} 0")) || store_only.contains(l)
+    };
     assert!(added.iter().all(zero), "{added:?}");
-    assert!(run.health.requests_shed > 0 && run.health.brownout_transitions > 0);
+    let stores = added.iter().filter(|l| store_only.contains(l)).count();
+    assert_eq!(stores, store_only.len(), "{added:?}");
+    assert!(run.shed > 0 && run.brownout_transitions > 0);
 }
 
-/// A series name two tables declare means the same series on every page
-/// that carries it; the registry declares none the scheduler counts.
+/// Every series name belongs to exactly one table: one owner counts it,
+/// and every page that carries it renders that owner's row.
 #[test]
 fn every_series_name_is_declared_once() {
     let tables: [&[Row]; 9] = [
         &HealthReport::ROWS,
         &MetricsRegistry::ROWS,
         &FleetStats::ROWS,
-        &StoreSeries::ROWS,
+        &StoreHealth::ROWS,
         &TenantSeries::ROWS,
-        &BrownoutSeries::ROWS,
+        &AdmissionSeries::ROWS,
         &SloSeries::ROWS,
         &TenantSloSeries::ROWS,
         &[DRIFT_SERIES],
     ];
-    let mut seen: BTreeMap<&str, Row> = BTreeMap::new();
+    let mut seen = std::collections::BTreeSet::new();
     for row in tables.concat().into_iter().filter(|r| !r.name.is_empty()) {
-        if let Some(first) = seen.insert(row.name, row) {
-            assert_eq!(
-                (first.kind, first.help),
-                (row.kind, row.help),
-                "{}",
-                row.name
-            );
-        }
-    }
-    for row in &MetricsRegistry::ROWS {
-        let twin = HealthReport::ROWS.iter().find(|h| h.name == row.name);
-        assert!(twin.is_none(), "{} is counted twice", row.name);
+        assert!(seen.insert(row.name), "{} is declared twice", row.name);
     }
 }
 
@@ -228,15 +238,16 @@ fn check_exposition(page: &str) {
 
 fn fleet_pages() -> (String, String) {
     let stats = FleetStats::from_values(std::array::from_fn(|i| i as u64 + 1));
-    let sick = easched::core::StoreHealth {
+    let sick = StoreHealth {
         io_errors: 1,
         bytes_written: 2,
-        degraded: true,
+        degraded: 1,
         degraded_transitions: 3,
         rearms: 4,
         buffered: 5,
         buffered_dropped: 6,
-        dir_sync_unsupported: true,
+        write_errors: 7,
+        dir_sync_unsupported: 1,
     };
     (
         expose_fleet(&[

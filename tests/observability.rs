@@ -63,7 +63,7 @@ fn concurrent_scrapes_ride_a_live_storm_without_perturbing_it() {
                 let want: &[&str] = if t % 2 == 0 {
                     &[
                         "easched_invocations_total",
-                        "easched_requests_shed_total",
+                        "easched_profile_rounds_total",
                         "easched_tenant_requests_shed_total{tenant=",
                         "easched_slo_breaches_total",
                     ]
