@@ -30,7 +30,7 @@
 //!
 //! # Recovery
 //!
-//! [`TableStore::open`] loads the snapshot (v1/v2 files are accepted for
+//! [`TableStore::open`] loads the snapshot (a v2 file is accepted for
 //! migration: generation 0, breaker closed, untainted), then replays the
 //! journal **only if** its header generation matches the snapshot's — a
 //! stale journal (crash between snapshot rename and journal reset) is
@@ -814,7 +814,6 @@ fn open_journal(
 mod tests {
     use super::*;
     use crate::eas::Accumulation;
-    use easched_runtime::sealed::sealed;
     use easched_runtime::vfs::{ChaosFs, ChaosFsPlan, StorageFault};
     use easched_runtime::TickClock;
     use std::fs;
@@ -996,7 +995,17 @@ mod tests {
         // (generation 0) next to the generation-1 snapshot.
         let path = dir.path().join(JOURNAL_FILE);
         let mut text = persist::journal_header(0);
-        text.push_str(&sealed("put 5 alpha 5e-1 weight 1e0 seen 0 tainted 0"));
+        let stat = AlphaStat {
+            alpha: 0.5,
+            weight: 1.0,
+            invocations_seen: 0,
+        };
+        let put = JournalRecord::Put {
+            kernel: 5,
+            stat,
+            tainted: false,
+        };
+        text.push_str(&put.to_line());
         fs::write(&path, text).unwrap();
         let (_, recovered) = TableStore::open(dir.path()).unwrap();
         assert_eq!(recovered.generation, 1);

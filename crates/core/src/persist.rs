@@ -1,5 +1,7 @@
 //! Power-model and kernel-table persistence: every byte either one puts
-//! on disk is formatted and parsed here, and nowhere else.
+//! on disk is formatted and parsed here, and nowhere else, through the
+//! workspace's one line codec — each line is written by a [`LineWriter`]
+//! and read by [`Fields`].
 //!
 //! The characterization step is "computed once for each processor"
 //! (abstract): on a real deployment the fitted model is saved and reloaded
@@ -9,7 +11,7 @@
 //! ```text
 //! easched-power-model v2
 //! platform haswell-desktop
-//! curve 0 rmse 0.169 samples 21 coeffs 32.55 -0.95 ...
+//! curve 0 rmse 1.69e-1 samples 21 coeffs 3.255e1 -9.5e-1 ...
 //! ... (8 curve lines, class-index order)
 //! checksum 8d3f2a915c04be71
 //! ```
@@ -26,17 +28,21 @@
 //! checksum 41c09f22e6b7d530
 //! ```
 //!
+//! Floats are written in decimal ([`LineWriter::float`], `{:e}`: the
+//! shortest text that reads back to the same value), not as the bit
+//! patterns the run log uses.
+//!
 //! # One entry grammar, three carriers
 //!
 //! A table entry is the field list `<id> alpha <a> weight <w> seen <n>`,
 //! followed by `tainted <0|1>` in the formats that carry taint. It has one
-//! writer and one strict parser here (α in [0, 1], weight finite and
-//! non-negative, no trailing tokens — for every version) under three
-//! carriers: the whole-file table above (v1/v2, no taint), and the two
-//! files of the crash-safe store in [`journal`](crate::journal), which
-//! holds the recovery rules and the degrade state machine but no grammar.
-//! Its snapshot is v2 extended with generation, breaker, and taint state
-//! under the same trailing-checksum envelope:
+//! writer and one strict reader here (α in [0, 1], weight finite and
+//! non-negative, no trailing words — for every version) under three
+//! carriers: the whole-file table above (v2, no taint), and the two files
+//! of the crash-safe store in [`journal`](crate::journal), which holds the
+//! recovery rules and the degrade state machine but no grammar. Its
+//! snapshot is v2 extended with generation, breaker, and taint state under
+//! the same trailing-checksum envelope:
 //!
 //! ```text
 //! easched-kernel-table v3
@@ -58,13 +64,13 @@
 //!
 //! # Integrity (DESIGN.md §9)
 //!
-//! Version 2 appends a trailing `checksum` line: an FNV-1a 64-bit digest
-//! over every byte that precedes it. A model or table file truncated by a
-//! crashed writer or corrupted at rest fails
-//! [`ModelParseError::MissingChecksum`] /
+//! Every model and table file ends in a `checksum` line: an FNV-1a 64-bit
+//! digest over every byte that precedes it. A file truncated by a crashed
+//! writer or corrupted at rest fails [`ModelParseError::MissingChecksum`] /
 //! [`ModelParseError::ChecksumMismatch`] instead of silently warm-starting
-//! the scheduler with damaged ratios — loading never panics. Version-1
-//! files (no checksum) are still accepted for migration.
+//! the scheduler with damaged ratios — loading never panics. A version-1
+//! file, which carried no checksum, is refused as
+//! [`ModelParseError::BadHeader`].
 
 use crate::classify::WorkloadClass;
 use crate::health::BreakerState;
@@ -72,19 +78,16 @@ use crate::kernel_table::{AlphaStat, KernelTable};
 use crate::power_model::{PowerCurve, PowerModel};
 use easched_num::Polynomial;
 pub use easched_runtime::sealed::fnv1a64;
-use easched_runtime::sealed::{sealed, unseal};
+use easched_runtime::sealed::{unseal, Fields, LineWriter};
 use easched_runtime::KernelId;
 use std::error::Error;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
-use std::str::{FromStr, SplitWhitespace};
 
-/// Format header of the legacy (checksum-less) version 1.
-const HEADER_V1: &str = "easched-power-model v1";
-/// Format header of version 2 (trailing FNV-1a checksum line).
-const HEADER_V2: &str = "easched-power-model v2";
+/// Format header of the model file.
+const MODEL_HEADER: &str = "easched-power-model v2";
 
 /// Error parsing a persisted power model.
 #[derive(Debug)]
@@ -99,12 +102,12 @@ pub enum ModelParseError {
         /// What went wrong.
         message: String,
     },
-    /// The file did not contain exactly one curve per class.
+    /// The file lacks some class's curve; carries how many it holds.
     WrongCurveCount(usize),
-    /// A version-2 file whose trailing `checksum` line is absent or
-    /// unreadable — typically a write truncated by a crash.
+    /// A file whose trailing `checksum` line is absent or unreadable —
+    /// typically a write truncated by a crash.
     MissingChecksum,
-    /// A version-2 file whose bytes do not hash to the recorded checksum —
+    /// A file whose bytes do not hash to the recorded checksum —
     /// corruption at rest, or a hand edit without updating the digest.
     ChecksumMismatch {
         /// Digest computed over the file contents.
@@ -153,38 +156,19 @@ impl From<io::Error> for ModelParseError {
     }
 }
 
-/// Appends the v2 trailing checksum line over everything written so far.
+/// Appends the trailing checksum line over everything written so far.
 fn seal(mut body: String) -> String {
     let digest = fnv1a64(body.as_bytes());
-    body.push_str(&format!("checksum {digest:016x}\n"));
+    LineWriter::begin(&mut body, "checksum").hex16(digest).end();
     body
 }
 
-/// Validates the envelope of a persisted file and returns the body the
-/// record parser should read (header line included, checksum line
-/// stripped).
-///
-/// A v1 header passes through unchecked (legacy files carry no digest); a
-/// v2 header requires a well-formed trailing `checksum` line whose digest
-/// matches every preceding byte; anything else is [`BadHeader`].
+/// Accepts only files whose first line is exactly `header` and whose
+/// trailing `checksum` line digests every preceding byte, and returns the
+/// body the record walk reads (header line included, checksum line
+/// stripped). Any other first line is [`BadHeader`].
 ///
 /// [`BadHeader`]: ModelParseError::BadHeader
-fn verify_envelope<'a>(
-    text: &'a str,
-    header_v1: &str,
-    header_v2: &str,
-) -> Result<&'a str, ModelParseError> {
-    let header = text.lines().next().unwrap_or("").trim();
-    if header == header_v1 {
-        return Ok(text);
-    }
-    verify_sealed(text, header_v2)
-}
-
-/// The checksum-required half of [`verify_envelope`]: accepts only files
-/// whose first line is exactly `header` and whose trailing `checksum`
-/// line digests every preceding byte (also used by the v3 snapshot, which
-/// has no unchecked legacy form).
 fn verify_sealed<'a>(text: &'a str, header: &str) -> Result<&'a str, ModelParseError> {
     let found = text.lines().next().unwrap_or("").trim();
     if found != header {
@@ -192,22 +176,18 @@ fn verify_sealed<'a>(text: &'a str, header: &str) -> Result<&'a str, ModelParseE
     }
     // The digest covers everything up to and including the newline that
     // precedes the checksum line, so take the *last* occurrence: any
-    // spoofed earlier "checksum" text is just covered bytes.
+    // spoofed earlier "checksum" text is just covered bytes. Records after
+    // the checksum line are not covered by the digest, and `Fields::parse`
+    // refuses them rather than trust them.
     let at = text
         .rfind("\nchecksum ")
         .ok_or(ModelParseError::MissingChecksum)?;
-    let covered = &text[..=at];
-    let mut tokens = text[at + 1..].split_whitespace();
-    tokens.next(); // the "checksum" keyword rfind just matched
-    let stored = tokens
-        .next()
-        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-        .ok_or(ModelParseError::MissingChecksum)?;
-    if tokens.next().is_some() {
-        // Records after the checksum line are not covered by the digest;
-        // refuse rather than trust them.
-        return Err(ModelParseError::MissingChecksum);
-    }
+    let (covered, trailer) = text.split_at(at + 1);
+    let stored = Fields::parse(trailer, |f| {
+        f.tag("checksum")?;
+        f.hex()
+    })
+    .ok_or(ModelParseError::MissingChecksum)?;
     let computed = fnv1a64(covered.as_bytes());
     if computed != stored {
         return Err(ModelParseError::ChecksumMismatch { computed, stored });
@@ -215,7 +195,31 @@ fn verify_sealed<'a>(text: &'a str, header: &str) -> Result<&'a str, ModelParseE
     Ok(covered)
 }
 
-/// Serializes a model to the v2 text format (trailing checksum line).
+/// Reads the records of a verified body — every line after the header
+/// that is neither blank nor a `#` comment — with `read`, which gets a
+/// cursor over each record's words. A record `read` gives up on, leaves a
+/// word of, or answers with a message is a
+/// [`BadLine`](ModelParseError::BadLine) at its 1-based line number.
+fn read_records<'a>(
+    body: &'a str,
+    mut read: impl FnMut(&mut Fields<'a>) -> Option<Result<(), String>>,
+) -> Result<(), ModelParseError> {
+    for (idx, raw) in body.lines().enumerate().skip(1) {
+        let record = raw.trim();
+        if record.is_empty() || record.starts_with('#') {
+            continue;
+        }
+        Fields::parse(record, &mut read)
+            .unwrap_or_else(|| Err(format!("unreadable record {record:?}")))
+            .map_err(|message| ModelParseError::BadLine {
+                line: idx + 1,
+                message,
+            })?;
+    }
+    Ok(())
+}
+
+/// Serializes a model to the text format (trailing checksum line).
 ///
 /// # Examples
 ///
@@ -235,117 +239,75 @@ fn verify_sealed<'a>(text: &'a str, header: &str) -> Result<&'a str, ModelParseE
 /// ```
 pub fn model_to_text(model: &PowerModel) -> String {
     let mut out = String::new();
-    out.push_str(HEADER_V2);
-    out.push('\n');
-    out.push_str(&format!("platform {}\n", model.platform_name()));
+    LineWriter::begin(&mut out, MODEL_HEADER).end();
+    LineWriter::begin(&mut out, "platform")
+        .word(model.platform_name())
+        .end();
     for curve in model.curves() {
-        out.push_str(&format!(
-            "curve {} rmse {:e} samples {} coeffs",
-            curve.class().index(),
-            curve.rmse(),
-            curve.samples(),
-        ));
-        for c in curve.poly().coeffs() {
-            // Full round-trip precision.
-            out.push_str(&format!(" {c:e}"));
-        }
-        out.push('\n');
+        let line = LineWriter::begin(&mut out, "curve")
+            .dec(curve.class().index() as u64)
+            .word("rmse")
+            .float(curve.rmse())
+            .word("samples")
+            .dec(curve.samples() as u64)
+            .word("coeffs");
+        let coeffs = curve.poly().coeffs();
+        coeffs.iter().fold(line, |line, &c| line.float(c)).end();
     }
     seal(out)
 }
 
-/// The records of a verified body: every line after the header that is
-/// neither blank nor a `#` comment, as its 1-based line number and its
-/// tokens.
-fn records(body: &str) -> impl Iterator<Item = (usize, SplitWhitespace<'_>)> {
-    body.lines()
-        .enumerate()
-        .skip(1) // header, already validated by the envelope check
-        .map(|(idx, raw)| (idx + 1, raw.trim()))
-        .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
-        .map(|(line_no, line)| (line_no, line.split_whitespace()))
-}
-
-/// Parses the next token as the value called `what`.
-fn value<T: FromStr>(tokens: &mut SplitWhitespace<'_>, what: &str) -> Result<T, String>
-where
-    T::Err: fmt::Display,
-{
-    tokens
-        .next()
-        .ok_or_else(|| format!("missing {what}"))?
-        .parse()
-        .map_err(|e| format!("{what}: {e}"))
-}
-
-/// Consumes the next token, which must be `want`.
-fn keyword(tokens: &mut SplitWhitespace<'_>, want: &str) -> Result<(), String> {
-    match tokens.next() {
-        Some(t) if t == want => Ok(()),
-        other => Err(format!("expected {want:?}, found {other:?}")),
-    }
-}
-
-/// Parses the text format: v2 (checksum verified) or legacy v1.
+/// Parses the text format, checksum verified.
 ///
 /// # Errors
 ///
-/// [`ModelParseError`] on malformed, truncated, or corrupted input.
-/// Never panics, whatever the bytes.
+/// [`ModelParseError`] on malformed, truncated, or corrupted input
+/// (including a class listed twice). Never panics, whatever the bytes.
 pub fn model_from_text(text: &str) -> Result<PowerModel, ModelParseError> {
-    let body = verify_envelope(text, HEADER_V1, HEADER_V2)?;
+    let body = verify_sealed(text, MODEL_HEADER)?;
     let mut platform = String::new();
     let mut curves: Vec<PowerCurve> = Vec::new();
-    for (line, mut tokens) in records(body) {
-        let bad = |message: String| ModelParseError::BadLine { line, message };
-        match tokens.next() {
-            Some("platform") => {
-                platform = tokens.collect::<Vec<_>>().join(" ");
-                if platform.is_empty() {
-                    return Err(bad("platform name missing".into()));
+    read_records(body, |f| {
+        match f.word()? {
+            "platform" => platform = read_platform(f)?,
+            "curve" => {
+                let curve = read_curve(f)?;
+                let class = curve.class().index();
+                if curves.iter().any(|c| c.class().index() == class) {
+                    return Some(Err(format!("class {class} listed twice")));
                 }
+                curves.push(curve);
             }
-            Some("curve") => curves.push(parse_curve(&mut tokens).map_err(bad)?),
-            other => return Err(bad(format!("unknown record {other:?}"))),
+            _ => return None,
         }
-    }
+        Some(Ok(()))
+    })?;
+    // No class twice, so eight curves are one per class, as
+    // `PowerModel::new` requires.
     if curves.len() != 8 {
         return Err(ModelParseError::WrongCurveCount(curves.len()));
-    }
-    // PowerModel::new validates one-curve-per-class; map its panic into a
-    // parse error by checking first.
-    let mut seen = [false; 8];
-    for c in &curves {
-        let i = c.class().index();
-        if seen[i] {
-            return Err(ModelParseError::WrongCurveCount(curves.len()));
-        }
-        seen[i] = true;
     }
     Ok(PowerModel::new(platform, curves))
 }
 
-fn parse_curve(tokens: &mut SplitWhitespace<'_>) -> Result<PowerCurve, String> {
-    let index: usize = value(tokens, "class index")?;
-    if index >= 8 {
-        return Err(format!("class index {index} out of range"));
-    }
-    keyword(tokens, "rmse")?;
-    let rmse = value(tokens, "rmse")?;
-    keyword(tokens, "samples")?;
-    let samples = value(tokens, "samples")?;
-    keyword(tokens, "coeffs")?;
-    let coeffs: Result<Vec<f64>, _> = tokens.map(str::parse).collect();
-    let coeffs = coeffs.map_err(|e| format!("coefficient: {e}"))?;
-    if coeffs.is_empty() {
-        return Err("curve has no coefficients".into());
-    }
-    Ok(PowerCurve::new(
-        WorkloadClass::from_index(index),
-        Polynomial::new(coeffs),
-        rmse,
-        samples,
-    ))
+/// A `platform` record's name: the rest of its words, single-spaced.
+fn read_platform(f: &mut Fields<'_>) -> Option<String> {
+    let words: Vec<&str> = std::iter::from_fn(|| f.word()).collect();
+    (!words.is_empty()).then(|| words.join(" "))
+}
+
+/// A `curve` record's fields: class index, `rmse`, `samples`, and at
+/// least one coefficient.
+fn read_curve(f: &mut Fields<'_>) -> Option<PowerCurve> {
+    let index = f.dec().filter(|&index: &usize| index < 8)?;
+    f.tag("rmse")?;
+    let rmse = f.float()?;
+    f.tag("samples")?;
+    let samples = f.dec()?;
+    f.tag("coeffs")?;
+    let coeffs: Vec<f64> = std::iter::from_fn(|| f.float()).collect();
+    let class = WorkloadClass::from_index(index);
+    (!coeffs.is_empty()).then(|| PowerCurve::new(class, Polynomial::new(coeffs), rmse, samples))
 }
 
 /// Saves a model to a file.
@@ -366,77 +328,65 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<PowerModel, ModelParseError>
     model_from_text(&fs::read_to_string(path)?)
 }
 
-/// Format header of the legacy kernel-table format, version 1.
-const TABLE_HEADER_V1: &str = "easched-kernel-table v1";
 /// Format header of the kernel-table format, version 2 (checksummed).
 const TABLE_HEADER_V2: &str = "easched-kernel-table v2";
 /// Format header of the store's snapshot, version 3 (generation, breaker
 /// and taint state added).
 const TABLE_HEADER_V3: &str = "easched-kernel-table v3";
-/// Magic prefix of the journal header line.
-const JOURNAL_MAGIC: &str = "easched-table-journal v1";
 
 /// The one writer of the entry field list: `<record> <id> alpha <a>
-/// weight <w> seen <n>`, then ` tainted <0|1>` when the carrier has taint
-/// (`Some`). Floats print with `{:e}` — full round-trip precision.
-fn push_entry(
-    out: &mut String,
+/// weight <w> seen <n>`, then `tainted <0|1>` when the carrier has taint
+/// (`Some`). The caller ends or seals the line.
+fn write_entry<'a>(
+    out: &'a mut String,
     record: &str,
     kernel: KernelId,
     stat: &AlphaStat,
     tainted: Option<bool>,
-) {
-    let _ = write!(
-        out,
-        "{record} {kernel} alpha {:e} weight {:e} seen {}",
-        stat.alpha, stat.weight, stat.invocations_seen
-    );
-    if let Some(tainted) = tainted {
-        let _ = write!(out, " tainted {}", u8::from(tainted));
+) -> LineWriter<'a> {
+    let line = LineWriter::begin(out, record)
+        .dec(kernel)
+        .word("alpha")
+        .float(stat.alpha)
+        .word("weight")
+        .float(stat.weight)
+        .word("seen")
+        .dec(stat.invocations_seen);
+    match tainted {
+        Some(tainted) => line.word("tainted").dec(u64::from(tainted)),
+        None => line,
     }
 }
 
-/// The one parser of the field list [`push_entry`] wrote, record keyword
+/// The one reader of the field list [`write_entry`] wrote, record tag
 /// already consumed; `with_taint` says whether the carrier's version has
 /// the `tainted` flag (without it entries read as untainted). Strict for
-/// every version: α in [0, 1], nothing after the last field, and a weight
-/// that is finite and non-negative — after `inf` the kernel's next
+/// every version: α in [0, 1], a `tainted` of exactly `0` or `1`, and a
+/// weight that is finite and non-negative — after `inf` the kernel's next
 /// [`KernelTable::accumulate`] computes α = NaN, after `NaN` none can
 /// ever move its α again.
-fn parse_entry(
-    tokens: &mut SplitWhitespace<'_>,
-    with_taint: bool,
-) -> Result<(KernelId, AlphaStat, bool), String> {
-    let kernel = value(tokens, "kernel id")?;
-    keyword(tokens, "alpha")?;
-    let alpha: f64 = value(tokens, "alpha")?;
-    if !(0.0..=1.0).contains(&alpha) {
-        return Err(format!("alpha {alpha} out of [0, 1]"));
-    }
-    keyword(tokens, "weight")?;
-    let weight: f64 = value(tokens, "weight")?;
-    if !weight.is_finite() || weight < 0.0 {
-        return Err(format!("weight {weight} not a finite non-negative value"));
-    }
-    keyword(tokens, "seen")?;
-    let invocations_seen = value(tokens, "seen count")?;
+fn read_entry(f: &mut Fields<'_>, with_taint: bool) -> Option<(KernelId, AlphaStat, bool)> {
+    let kernel = f.dec()?;
+    f.tag("alpha")?;
+    let alpha = f.float().filter(|alpha| (0.0..=1.0).contains(alpha))?;
+    f.tag("weight")?;
+    let weight = f.float().filter(|w| w.is_finite() && *w >= 0.0)?;
+    f.tag("seen")?;
+    let invocations_seen = f.dec()?;
     let tainted = with_taint && {
-        keyword(tokens, "tainted")?;
-        match tokens.next() {
-            Some("0") => false,
-            Some("1") => true,
-            other => return Err(format!("tainted flag: found {other:?}")),
+        f.tag("tainted")?;
+        match f.word()? {
+            "0" => false,
+            "1" => true,
+            _ => return None,
         }
     };
-    if tokens.next().is_some() {
-        return Err("trailing tokens after the last field".into());
-    }
     let stat = AlphaStat {
         alpha,
         weight,
         invocations_seen,
     };
-    Ok((kernel, stat, tainted))
+    Some((kernel, stat, tainted))
 }
 
 /// Serializes a learned kernel table to the v2 text format. Lines are in
@@ -455,10 +405,10 @@ fn parse_entry(
 /// # Ok::<(), easched_core::persist::ModelParseError>(())
 /// ```
 pub fn table_to_text(table: &KernelTable) -> String {
-    let mut out = format!("{TABLE_HEADER_V2}\n");
+    let mut out = String::new();
+    LineWriter::begin(&mut out, TABLE_HEADER_V2).end();
     for (kernel, stat) in table.snapshot() {
-        push_entry(&mut out, "kernel", kernel, &stat, None);
-        out.push('\n');
+        write_entry(&mut out, "kernel", kernel, &stat, None).end();
     }
     seal(out)
 }
@@ -470,19 +420,21 @@ pub(crate) fn snapshot_to_text(
     breaker: BreakerState,
     generation: u64,
 ) -> String {
-    let mut out = format!(
-        "{TABLE_HEADER_V3}\ngeneration {generation}\nbreaker {}\n",
-        breaker.code()
-    );
+    let mut out = String::new();
+    LineWriter::begin(&mut out, TABLE_HEADER_V3).end();
+    LineWriter::begin(&mut out, "generation")
+        .dec(generation)
+        .end();
+    LineWriter::begin(&mut out, "breaker")
+        .dec(breaker.code().into())
+        .end();
     for (kernel, stat, tainted) in table.snapshot_with_taint() {
-        push_entry(&mut out, "kernel", kernel, &stat, Some(tainted));
-        out.push('\n');
+        write_entry(&mut out, "kernel", kernel, &stat, Some(tainted)).end();
     }
     seal(out)
 }
 
-/// Parses the kernel-table text format: v2 (checksum verified) or legacy
-/// v1.
+/// Parses the v2 kernel-table text format, checksum verified.
 ///
 /// # Errors
 ///
@@ -491,27 +443,23 @@ pub(crate) fn snapshot_to_text(
 /// weight, and a weight no accumulation could recover from). Never
 /// panics, whatever the bytes.
 pub fn table_from_text(text: &str) -> Result<KernelTable, ModelParseError> {
-    let body = verify_envelope(text, TABLE_HEADER_V1, TABLE_HEADER_V2)?;
+    let body = verify_sealed(text, TABLE_HEADER_V2)?;
     parse_table_body(body, false).map(|(table, _, _)| table)
 }
 
-/// Parses a snapshot file of any supported version into the table, the
-/// breaker state and the generation; v1/v2 load with generation 0, a
-/// closed breaker, and no taint state (those formats never carried it).
+/// Parses a v3 snapshot, or a v2 table file, into the table, the breaker
+/// state and the generation; v2 loads with generation 0, a closed
+/// breaker, and no taint state (it never carried them).
 pub(crate) fn parse_snapshot(
     bytes: &[u8],
 ) -> Result<(KernelTable, BreakerState, u64), ModelParseError> {
     let text = &*String::from_utf8_lossy(bytes);
     let v3 = text.lines().next().unwrap_or("").trim() == TABLE_HEADER_V3;
-    let body = if v3 {
-        verify_sealed(text, TABLE_HEADER_V3)?
-    } else {
-        verify_envelope(text, TABLE_HEADER_V1, TABLE_HEADER_V2)?
-    };
-    parse_table_body(body, v3)
+    let header = if v3 { TABLE_HEADER_V3 } else { TABLE_HEADER_V2 };
+    parse_table_body(verify_sealed(text, header)?, v3)
 }
 
-/// The record walk under every table version; `v3` admits the
+/// The record walk under both table versions; `v3` admits the
 /// `generation` and `breaker` records and the per-entry taint flag.
 fn parse_table_body(
     body: &str,
@@ -520,27 +468,21 @@ fn parse_table_body(
     let table = KernelTable::new();
     let mut breaker = BreakerState::Closed;
     let mut generation = 0u64;
-    for (line, mut tokens) in records(body) {
-        let bad = |message: String| ModelParseError::BadLine { line, message };
-        match tokens.next() {
-            Some("generation") if v3 => {
-                generation = value(&mut tokens, "generation").map_err(bad)?;
-            }
-            Some("breaker") if v3 => {
-                let code: u8 = value(&mut tokens, "breaker code").map_err(bad)?;
-                breaker = BreakerState::from_code(code)
-                    .ok_or_else(|| bad(format!("unknown breaker code {code}")))?;
-            }
-            Some("kernel") => {
-                let (kernel, stat, tainted) = parse_entry(&mut tokens, v3).map_err(bad)?;
+    read_records(body, |f| {
+        match f.word()? {
+            "generation" if v3 => generation = f.dec()?,
+            "breaker" if v3 => breaker = BreakerState::from_code(f.dec()?)?,
+            "kernel" => {
+                let (kernel, stat, tainted) = read_entry(f, v3)?;
                 if table.stat(kernel).is_some() {
-                    return Err(bad(format!("kernel {kernel} listed twice")));
+                    return Some(Err(format!("kernel {kernel} listed twice")));
                 }
                 table.restore(kernel, stat, tainted);
             }
-            other => return Err(bad(format!("unknown record {other:?}"))),
+            _ => return None,
         }
-    }
+        Some(Ok(()))
+    })?;
     Ok((table, breaker, generation))
 }
 
@@ -561,49 +503,61 @@ pub(crate) enum JournalRecord {
 impl JournalRecord {
     /// The record as one sealed journal line.
     pub(crate) fn to_line(self) -> String {
-        let mut body = String::new();
+        let mut line = String::new();
         match self {
             JournalRecord::Put {
                 kernel,
                 stat,
                 tainted,
-            } => push_entry(&mut body, "put", kernel, &stat, Some(tainted)),
+            } => write_entry(&mut line, "put", kernel, &stat, Some(tainted)).seal(),
             JournalRecord::Taint(kernel) => {
-                let _ = write!(body, "taint {kernel}");
+                LineWriter::begin(&mut line, "taint").dec(kernel).seal()
             }
-            JournalRecord::Breaker(state) => {
-                let _ = write!(body, "breaker {}", state.code());
-            }
+            JournalRecord::Breaker(state) => LineWriter::begin(&mut line, "breaker")
+                .dec(state.code().into())
+                .seal(),
         }
-        sealed(&body)
+        line
     }
 
     /// Parses one verified record body.
     fn parse(body: &str) -> Option<JournalRecord> {
-        let mut tokens = body.split_whitespace();
-        let record = match tokens.next()? {
+        Fields::parse(body, |f| match f.word()? {
             "put" => {
-                let (kernel, stat, tainted) = parse_entry(&mut tokens, true).ok()?;
-                JournalRecord::Put {
+                let (kernel, stat, tainted) = read_entry(f, true)?;
+                Some(JournalRecord::Put {
                     kernel,
                     stat,
                     tainted,
-                }
+                })
             }
-            "taint" => JournalRecord::Taint(value(&mut tokens, "kernel id").ok()?),
-            "breaker" => {
-                let code: u8 = value(&mut tokens, "breaker code").ok()?;
-                JournalRecord::Breaker(BreakerState::from_code(code)?)
-            }
-            _ => return None,
-        };
-        tokens.next().is_none().then_some(record)
+            "taint" => f.dec().map(JournalRecord::Taint),
+            "breaker" => BreakerState::from_code(f.dec()?).map(JournalRecord::Breaker),
+            _ => None,
+        })
     }
 }
 
-/// The sealed header line that opens a journal of `generation`.
+/// The sealed header line that opens a journal of `generation`:
+/// `easched-table-journal v1 gen <generation>`.
 pub(crate) fn journal_header(generation: u64) -> String {
-    sealed(&format!("{JOURNAL_MAGIC} gen {generation}"))
+    let mut line = String::new();
+    LineWriter::begin(&mut line, "easched-table-journal")
+        .word("v1")
+        .word("gen")
+        .dec(generation)
+        .seal();
+    line
+}
+
+/// The generation a verified journal header body names.
+fn journal_generation(body: &str) -> Option<u64> {
+    Fields::parse(body, |f| {
+        f.tag("easched-table-journal")?;
+        f.tag("v1")?;
+        f.tag("gen")?;
+        f.dec()
+    })
 }
 
 /// Result of scanning a journal file: the records of the valid prefix
@@ -637,19 +591,11 @@ pub(crate) fn scan_journal(bytes: &[u8]) -> JournalScan {
             .flatten()
             .and_then(|body| {
                 if scan.gen.is_none() {
-                    let gen = body
-                        .strip_prefix(JOURNAL_MAGIC)?
-                        .trim()
-                        .strip_prefix("gen ")?
-                        .trim()
-                        .parse()
-                        .ok()?;
-                    scan.gen = Some(gen);
-                    Some(())
+                    scan.gen = Some(journal_generation(body)?);
                 } else {
                     scan.records.push(JournalRecord::parse(body)?);
-                    Some(())
                 }
+                Some(())
             });
         if parsed.is_none() {
             scan.discarded += 1;
@@ -717,20 +663,55 @@ mod tests {
     }
 
     #[test]
-    fn rejects_missing_curves() {
-        let text = format!("{HEADER_V1}\nplatform x\ncurve 0 rmse 0.1 samples 3 coeffs 1.0 2.0\n");
-        let err = model_from_text(&text).unwrap_err();
-        assert!(matches!(err, ModelParseError::WrongCurveCount(1)));
+    fn v1_headers_are_refused() {
+        // A v1 file was the v2 body under the old header, with no
+        // checksum line; it is an unknown header now.
+        let v2 = model_to_text(&sample_model());
+        let v1 =
+            v2[..v2.rfind("checksum").unwrap()].replace(MODEL_HEADER, "easched-power-model v1");
+        let err = model_from_text(&v1).unwrap_err();
+        assert!(matches!(&err, ModelParseError::BadHeader(h) if h == "easched-power-model v1"));
+        assert_eq!(
+            err.to_string(),
+            "unrecognized header \"easched-power-model v1\""
+        );
+
+        let t2 = table_to_text(&learned_table());
+        let t1 =
+            t2[..t2.rfind("checksum").unwrap()].replace(TABLE_HEADER_V2, "easched-kernel-table v1");
+        for err in [
+            table_from_text(&t1).unwrap_err(),
+            parse_snapshot(t1.as_bytes()).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, ModelParseError::BadHeader(h) if h == "easched-kernel-table v1")
+            );
+        }
     }
 
     #[test]
+    fn rejects_missing_curves() {
+        let text =
+            format!("{MODEL_HEADER}\nplatform x\ncurve 0 rmse 0.1 samples 3 coeffs 1.0 2.0\n");
+        let err = model_from_text(&seal(text)).unwrap_err();
+        assert!(matches!(err, ModelParseError::WrongCurveCount(1)));
+    }
+
+    /// A class listed twice is refused at the line that repeats it, not
+    /// counted: eight curves of one class used to read "expected 8
+    /// curves, found 8".
+    #[test]
     fn rejects_duplicate_class() {
-        let mut text = format!("{HEADER_V1}\nplatform x\n");
+        let mut text = "easched-power-model v2\nplatform x\n".to_string();
         for _ in 0..8 {
             text.push_str("curve 3 rmse 0.1 samples 3 coeffs 1.0\n");
         }
-        let err = model_from_text(&text).unwrap_err();
-        assert!(matches!(err, ModelParseError::WrongCurveCount(_)));
+        let err = model_from_text(&seal(text)).unwrap_err();
+        assert!(
+            matches!(err, ModelParseError::BadLine { line: 4, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("class 3 listed twice"), "{err}");
     }
 
     #[test]
@@ -740,19 +721,18 @@ mod tests {
             "curve 9 rmse 0.1 samples 3 coeffs 1.0",
             "curve 0 rmse abc samples 3 coeffs 1.0",
             "curve 0 rmse 0.1 samples 3 coeffs",
+            "curve 0 rmse 0.1 samples 3 coeffs 1.0 x",
             "curve 0 rmse 0.1 coeffs 1.0",
+            "platform",
             "mystery 1 2 3",
         ] {
-            let text = format!("{HEADER_V1}\nplatform x\n{bad}\n");
-            let err = model_from_text(&text).unwrap_err();
+            let text = format!("{MODEL_HEADER}\nplatform x\n{bad}\n");
+            let err = model_from_text(&seal(text)).unwrap_err();
             assert!(
-                matches!(
-                    err,
-                    ModelParseError::BadLine { .. } | ModelParseError::WrongCurveCount(_)
-                ),
+                matches!(err, ModelParseError::BadLine { line: 3, .. }),
                 "{bad}: {err}"
             );
-            assert!(!err.to_string().is_empty());
+            assert!(err.to_string().contains(bad), "{err}");
         }
     }
 
@@ -761,7 +741,7 @@ mod tests {
         let model = sample_model();
         let mut text = model_to_text(&model);
         // Editing the body invalidates the digest, so re-seal afterwards —
-        // the well-behaved way to hand-annotate a v2 file.
+        // the well-behaved way to hand-annotate a file.
         text.truncate(text.rfind("checksum").unwrap());
         text = text.replace("platform", "# leading comment\n\nplatform");
         assert!(model_from_text(&seal(text)).is_ok());
@@ -804,24 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_still_load() {
-        // A v1 file is exactly the v2 body with the old header and no
-        // checksum line.
-        let v2 = model_to_text(&sample_model());
-        let body_end = v2.rfind("checksum").unwrap();
-        let v1 = v2[..body_end].replace(HEADER_V2, HEADER_V1);
-        let back = model_from_text(&v1).unwrap();
-        assert_eq!(back, model_from_text(&v2).unwrap());
-
-        let t2 = table_to_text(&learned_table());
-        let t1 = t2[..t2.rfind("checksum").unwrap()].replace(TABLE_HEADER_V2, TABLE_HEADER_V1);
-        assert_eq!(
-            table_from_text(&t1).unwrap().snapshot(),
-            learned_table().snapshot()
-        );
-    }
-
-    #[test]
     fn checksum_line_is_well_formed() {
         for text in [
             model_to_text(&sample_model()),
@@ -844,7 +806,6 @@ mod tests {
     }
 
     use crate::eas::Accumulation;
-    use crate::kernel_table::{AlphaStat, KernelTable};
 
     fn learned_table() -> KernelTable {
         let t = KernelTable::new();
@@ -881,23 +842,27 @@ mod tests {
             table_from_text("easched-kernel-table v99\n").unwrap_err(),
             ModelParseError::BadHeader(_)
         ));
-        for bad in [
-            "kernel x alpha 0.5 weight 1 seen 0",
-            "kernel 1 alpha 1.5 weight 1 seen 0",
-            "kernel 1 alpha 0.5 weight abc seen 0",
-            "kernel 1 alpha 0.5 weight NaN seen 0",
-            "kernel 1 alpha 0.5 weight inf seen 0",
-            "kernel 1 alpha 0.5 weight -1 seen 0",
-            "kernel 1 alpha 0.5 weight 1 seen -3",
-            "kernel 1 alpha 0.5 weight 1",
-            "kernel 1 weight 1 alpha 0.5 seen 0",
-            "mystery 1 2 3",
-            "kernel 1 alpha 0.5 weight 1 seen 0\nkernel 1 alpha 0.5 weight 1 seen 0",
+        for (bad, line) in [
+            ("kernel x alpha 0.5 weight 1 seen 0", 2),
+            ("kernel 1 alpha 1.5 weight 1 seen 0", 2),
+            ("kernel 1 alpha 0.5 weight abc seen 0", 2),
+            ("kernel 1 alpha 0.5 weight NaN seen 0", 2),
+            ("kernel 1 alpha 0.5 weight inf seen 0", 2),
+            ("kernel 1 alpha 0.5 weight -1 seen 0", 2),
+            ("kernel 1 alpha 0.5 weight 1 seen -3", 2),
+            ("kernel 1 alpha 0.5 weight 1", 2),
+            ("kernel 1 alpha 0.5 weight 1 seen 0 tainted 0", 2),
+            ("kernel 1 weight 1 alpha 0.5 seen 0", 2),
+            ("mystery 1 2 3", 2),
+            (
+                "kernel 1 alpha 0.5 weight 1 seen 0\nkernel 1 alpha 0.5 weight 1 seen 0",
+                3,
+            ),
         ] {
-            let text = format!("{TABLE_HEADER_V1}\n{bad}\n");
-            let err = table_from_text(&text).unwrap_err();
+            let text = format!("{TABLE_HEADER_V2}\n{bad}\n");
+            let err = table_from_text(&seal(text)).unwrap_err();
             assert!(
-                matches!(err, ModelParseError::BadLine { .. }),
+                matches!(err, ModelParseError::BadLine { line: l, .. } if l == line),
                 "{bad}: {err}"
             );
         }
@@ -906,9 +871,9 @@ mod tests {
     #[test]
     fn table_comments_and_blank_lines_ignored() {
         let text = format!(
-            "{TABLE_HEADER_V1}\n# warm-start state\n\nkernel 4 alpha 0.25 weight 10 seen 2\n"
+            "{TABLE_HEADER_V2}\n# warm-start state\n\nkernel 4 alpha 0.25 weight 10 seen 2\n"
         );
-        let back = table_from_text(&text).unwrap();
+        let back = table_from_text(&seal(text)).unwrap();
         assert_eq!(back.lookup(4), Some(0.25));
         assert_eq!(
             back.stat(4).unwrap(),
@@ -918,6 +883,89 @@ mod tests {
                 invocations_seen: 2
             }
         );
+    }
+
+    /// FNV-1a digests of every persisted format over edge values — NaN,
+    /// ±inf, −0.0, the least subnormal, `f64::MAX`, `u64::MAX` ids and
+    /// counts — taken at the commit before the writers moved onto
+    /// `LineWriter`. A new literal means a persisted byte moved.
+    #[test]
+    fn persisted_bytes_match_the_parent_commit() {
+        const ODD: [f64; 8] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            5e-324,
+            2.0 / 3.0,
+            f64::MAX,
+            -1.25e-7,
+        ];
+        let curves = WorkloadClass::all()
+            .into_iter()
+            .enumerate()
+            .map(|(i, class)| {
+                let odd = |k: usize| ODD[(i + k) % ODD.len()];
+                let poly = Polynomial::new(vec![odd(0), odd(1), odd(2), 31.5]);
+                PowerCurve::new(class, poly, odd(3), i * 7)
+            })
+            .collect();
+        let model = PowerModel::new("edge-platform", curves);
+        let stat = |alpha, weight, invocations_seen| AlphaStat {
+            alpha,
+            weight,
+            invocations_seen,
+        };
+        let table = KernelTable::new();
+        table.restore(0, stat(2.0 / 3.0, 5e-324, 0), false);
+        table.restore(7, stat(0.0, 0.0, 12), true);
+        table.restore(8, stat(-0.0, 1e-300, 1), false);
+        table.restore(u64::MAX, stat(1.0, f64::MAX, u64::MAX), true);
+        let breakers = [
+            BreakerState::Closed,
+            BreakerState::Open,
+            BreakerState::HalfOpen,
+        ];
+
+        let mut texts = vec![model_to_text(&model), table_to_text(&table)];
+        for (breaker, generation) in breakers.into_iter().zip([0, 4, u64::MAX]) {
+            texts.push(snapshot_to_text(&table, breaker, generation));
+        }
+        texts.push(journal_header(0));
+        texts.push(journal_header(u64::MAX));
+        for (kernel, stat, tainted) in table.snapshot_with_taint() {
+            texts.push(
+                JournalRecord::Put {
+                    kernel,
+                    stat,
+                    tainted,
+                }
+                .to_line(),
+            );
+        }
+        texts.push(JournalRecord::Taint(u64::MAX).to_line());
+        for breaker in breakers {
+            texts.push(JournalRecord::Breaker(breaker).to_line());
+        }
+        let digests: Vec<u64> = texts.iter().map(|t| fnv1a64(t.as_bytes())).collect();
+        let parent: [u64; 15] = [
+            0x7769_0068_9747_1c90, // model
+            0x88d2_dca6_305e_b9c1, // v2 table
+            0x94fb_a4ed_3c7a_1b0c, // v3 snapshots, one per breaker state
+            0x6bd3_a3c7_5b4f_7483,
+            0x3d35_cfdd_275d_2673,
+            0x5f93_009f_ae3b_f637, // journal headers
+            0xf8ad_a9a6_b518_3a1d,
+            0xd25c_b232_033d_9039, // put, one per entry
+            0x4134_4df6_5514_c92c,
+            0x38ff_af18_b809_517a,
+            0x12f7_d5d0_45e8_bd39,
+            0xcf28_0127_45eb_d9c9, // taint
+            0x6188_fd59_a3af_a46d, // breaker, one per state
+            0xa5d5_6665_5cab_9808,
+            0x9a95_e740_5c82_ad12,
+        ];
+        assert_eq!(digests, parent, "{texts:#?}");
     }
 
     #[test]
@@ -933,5 +981,449 @@ mod tests {
         assert!(back.is_tainted(900));
         assert_eq!(breaker, BreakerState::Open);
         assert_eq!(generation, 7);
+    }
+
+    /// The readers this module had before it moved onto `Fields`, kept as
+    /// the oracle the new ones are held to (`readers_agree_with_the_parent`).
+    mod parent {
+        use super::*;
+        use std::str::{FromStr, SplitWhitespace};
+
+        fn records(body: &str) -> impl Iterator<Item = (usize, SplitWhitespace<'_>)> {
+            body.lines()
+                .enumerate()
+                .skip(1) // header, already validated by the envelope check
+                .map(|(idx, raw)| (idx + 1, raw.trim()))
+                .filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
+                .map(|(line_no, line)| (line_no, line.split_whitespace()))
+        }
+
+        fn value<T: FromStr>(tokens: &mut SplitWhitespace<'_>, what: &str) -> Result<T, String>
+        where
+            T::Err: fmt::Display,
+        {
+            tokens
+                .next()
+                .ok_or_else(|| format!("missing {what}"))?
+                .parse()
+                .map_err(|e| format!("{what}: {e}"))
+        }
+
+        fn keyword(tokens: &mut SplitWhitespace<'_>, want: &str) -> Result<(), String> {
+            match tokens.next() {
+                Some(t) if t == want => Ok(()),
+                other => Err(format!("expected {want:?}, found {other:?}")),
+            }
+        }
+
+        pub(super) fn verify_sealed<'a>(
+            text: &'a str,
+            header: &str,
+        ) -> Result<&'a str, ModelParseError> {
+            let found = text.lines().next().unwrap_or("").trim();
+            if found != header {
+                return Err(ModelParseError::BadHeader(found.to_string()));
+            }
+            let at = text
+                .rfind("\nchecksum ")
+                .ok_or(ModelParseError::MissingChecksum)?;
+            let covered = &text[..=at];
+            let mut tokens = text[at + 1..].split_whitespace();
+            tokens.next();
+            let stored = tokens
+                .next()
+                .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+                .ok_or(ModelParseError::MissingChecksum)?;
+            if tokens.next().is_some() {
+                return Err(ModelParseError::MissingChecksum);
+            }
+            let computed = fnv1a64(covered.as_bytes());
+            if computed != stored {
+                return Err(ModelParseError::ChecksumMismatch { computed, stored });
+            }
+            Ok(covered)
+        }
+
+        /// A `platform` record as `model_from_text` read it.
+        pub(super) fn platform(record: &str) -> Option<String> {
+            let mut tokens = record.split_whitespace();
+            (tokens.next()? == "platform").then_some(())?;
+            let platform = tokens.collect::<Vec<_>>().join(" ");
+            (!platform.is_empty()).then_some(platform)
+        }
+
+        /// A `curve` record as `model_from_text` read it.
+        pub(super) fn curve(record: &str) -> Option<PowerCurve> {
+            let mut tokens = record.split_whitespace();
+            (tokens.next()? == "curve").then_some(())?;
+            parse_curve(&mut tokens).ok()
+        }
+
+        fn parse_curve(tokens: &mut SplitWhitespace<'_>) -> Result<PowerCurve, String> {
+            let index: usize = value(tokens, "class index")?;
+            if index >= 8 {
+                return Err(format!("class index {index} out of range"));
+            }
+            keyword(tokens, "rmse")?;
+            let rmse = value(tokens, "rmse")?;
+            keyword(tokens, "samples")?;
+            let samples = value(tokens, "samples")?;
+            keyword(tokens, "coeffs")?;
+            let coeffs: Result<Vec<f64>, _> = tokens.map(str::parse).collect();
+            let coeffs = coeffs.map_err(|e| format!("coefficient: {e}"))?;
+            if coeffs.is_empty() {
+                return Err("curve has no coefficients".into());
+            }
+            Ok(PowerCurve::new(
+                WorkloadClass::from_index(index),
+                Polynomial::new(coeffs),
+                rmse,
+                samples,
+            ))
+        }
+
+        fn parse_entry(
+            tokens: &mut SplitWhitespace<'_>,
+            with_taint: bool,
+        ) -> Result<(KernelId, AlphaStat, bool), String> {
+            let kernel = value(tokens, "kernel id")?;
+            keyword(tokens, "alpha")?;
+            let alpha: f64 = value(tokens, "alpha")?;
+            if !(0.0..=1.0).contains(&alpha) {
+                return Err(format!("alpha {alpha} out of [0, 1]"));
+            }
+            keyword(tokens, "weight")?;
+            let weight: f64 = value(tokens, "weight")?;
+            if !weight.is_finite() || weight < 0.0 {
+                return Err(format!("weight {weight} not a finite non-negative value"));
+            }
+            keyword(tokens, "seen")?;
+            let invocations_seen = value(tokens, "seen count")?;
+            let tainted = with_taint && {
+                keyword(tokens, "tainted")?;
+                match tokens.next() {
+                    Some("0") => false,
+                    Some("1") => true,
+                    other => return Err(format!("tainted flag: found {other:?}")),
+                }
+            };
+            if tokens.next().is_some() {
+                return Err("trailing tokens after the last field".into());
+            }
+            let stat = AlphaStat {
+                alpha,
+                weight,
+                invocations_seen,
+            };
+            Ok((kernel, stat, tainted))
+        }
+
+        pub(super) fn parse_table_body(
+            body: &str,
+            v3: bool,
+        ) -> Result<(KernelTable, BreakerState, u64), ModelParseError> {
+            let table = KernelTable::new();
+            let mut breaker = BreakerState::Closed;
+            let mut generation = 0u64;
+            for (line, mut tokens) in records(body) {
+                let bad = |message: String| ModelParseError::BadLine { line, message };
+                match tokens.next() {
+                    Some("generation") if v3 => {
+                        generation = value(&mut tokens, "generation").map_err(bad)?;
+                    }
+                    Some("breaker") if v3 => {
+                        let code: u8 = value(&mut tokens, "breaker code").map_err(bad)?;
+                        breaker = BreakerState::from_code(code)
+                            .ok_or_else(|| bad(format!("unknown breaker code {code}")))?;
+                    }
+                    Some("kernel") => {
+                        let (kernel, stat, tainted) = parse_entry(&mut tokens, v3).map_err(bad)?;
+                        if table.stat(kernel).is_some() {
+                            return Err(bad(format!("kernel {kernel} listed twice")));
+                        }
+                        table.restore(kernel, stat, tainted);
+                    }
+                    other => return Err(bad(format!("unknown record {other:?}"))),
+                }
+            }
+            Ok((table, breaker, generation))
+        }
+
+        pub(super) fn journal_record(body: &str) -> Option<JournalRecord> {
+            let mut tokens = body.split_whitespace();
+            let record = match tokens.next()? {
+                "put" => {
+                    let (kernel, stat, tainted) = parse_entry(&mut tokens, true).ok()?;
+                    JournalRecord::Put {
+                        kernel,
+                        stat,
+                        tainted,
+                    }
+                }
+                "taint" => JournalRecord::Taint(value(&mut tokens, "kernel id").ok()?),
+                "breaker" => {
+                    let code: u8 = value(&mut tokens, "breaker code").ok()?;
+                    JournalRecord::Breaker(BreakerState::from_code(code)?)
+                }
+                _ => return None,
+            };
+            tokens.next().is_none().then_some(record)
+        }
+
+        pub(super) fn journal_generation(body: &str) -> Option<u64> {
+            body.strip_prefix("easched-table-journal v1")?
+                .trim()
+                .strip_prefix("gen ")?
+                .trim()
+                .parse()
+                .ok()
+        }
+    }
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// Record templates: each slot lists words its reader accepts there.
+    type Template = &'static [&'static [&'static str]];
+
+    const ENTRY: Template = &[
+        &["kernel", "put"],
+        &["7", "0", "+7", "007", "18446744073709551615"],
+        &["alpha"],
+        &["5e-1", "0", "1", "-0e0", "6.666666666666666e-1", "1E0"],
+        &["weight"],
+        &["5e4", "0e0", "5e-324", "1.7976931348623157e308", "+2"],
+        &["seen"],
+        &["12", "0", "18446744073709551615"],
+        &["tainted"],
+        &["0", "1"],
+    ];
+    const STATE: Template = &[
+        &["generation", "breaker", "taint"],
+        &["0", "1", "2", "4", "+1"],
+    ];
+    const CURVE: Template = &[
+        &["curve"],
+        &["0", "3", "7", "+2", "07"],
+        &["rmse"],
+        &["1.69e-1", "NaN", "-0e0", "inf", "1e400"],
+        &["samples"],
+        &["21", "0"],
+        &["coeffs"],
+        &["3.255e1", "-9.5e-1", "5e-324", "-inf"],
+        &["1e0", "NaN", "infinity"],
+    ];
+    const PLATFORM: Template = &[&["platform"], &["haswell-desktop", "x"], &["tablet"]];
+    const HEADER: Template = &[
+        &["easched-table-journal"],
+        &["v1"],
+        &["gen"],
+        &["4", "0", "+4", "18446744073709551615"],
+    ];
+    /// `DIGEST` stands for the digest of the body in front of the trailer.
+    const TRAILER: Template = &[&["checksum"], &["DIGEST"]];
+
+    /// Words on the edges of what the readers accept, and their tags.
+    const WORDS: [&str; 33] = [
+        "0",
+        "1",
+        "01",
+        "+1",
+        "-1",
+        "-0",
+        "1.5",
+        "5e-324",
+        "1e400",
+        "inf",
+        "NaN",
+        "nan",
+        "infinity",
+        ".",
+        "e",
+        "E",
+        "18446744073709551616",
+        "ffffffffffffffff",
+        "x",
+        "é",
+        "#",
+        "alpha",
+        "weight",
+        "seen",
+        "tainted",
+        "kernel",
+        "curve",
+        "coeffs",
+        "platform",
+        "checksum",
+        "gen",
+        "v1gen",
+        "crc",
+    ];
+    /// What stands between two words: mostly the writer's one space.
+    const BLANKS: [&str; 15] = [
+        " ", " ", " ", " ", " ", " ", " ", " ", "  ", "\t", "\u{a0}", "\u{2003}", "\r", "\n", "",
+    ];
+
+    /// A record near `template`: each word is the template's (seven in
+    /// eight) or an edge word, the blanks between words vary, and half the
+    /// records are cut short of the template or run past it.
+    fn arb_record(template: Template) -> impl Strategy<Value = String> {
+        let picks = vec(
+            (0..8u8, any::<usize>(), 0..BLANKS.len()),
+            template.len() + 2,
+        );
+        (picks, 0..2 * template.len() + 4).prop_map(move |(picks, len)| {
+            let len = if len > template.len() + 2 {
+                template.len()
+            } else {
+                len
+            };
+            let mut text = String::new();
+            for (at, (keep, pick, blank)) in picks.into_iter().take(len).enumerate() {
+                if at > 0 {
+                    text.push_str(BLANKS[blank]);
+                }
+                text.push_str(match template.get(at) {
+                    Some(slot) if keep > 0 => slot[pick % slot.len()],
+                    _ => WORDS[pick % WORDS.len()],
+                });
+            }
+            text
+        })
+    }
+
+    /// What a table walk read, or the line it refused (the messages are
+    /// free to differ).
+    fn table_outcome(
+        read: Result<(KernelTable, BreakerState, u64), ModelParseError>,
+    ) -> Result<String, usize> {
+        match read {
+            Ok((table, breaker, generation)) => Ok(format!(
+                "{:?} {breaker:?} {generation}",
+                table.snapshot_with_taint()
+            )),
+            Err(ModelParseError::BadLine { line, .. }) => Err(line),
+            Err(e) => panic!("a table walk refuses lines only: {e}"),
+        }
+    }
+
+    /// The header body the writer produces for `generation`.
+    fn written_header(generation: u64) -> String {
+        let line = journal_header(generation);
+        unseal(line.trim_end()).unwrap().to_string()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// Every record reader accepts what the parent's accepted and reads
+        /// the same value: the entry list in its three carriers (v2 table,
+        /// v3 snapshot, journal `put`), the other table and journal
+        /// records, `curve`, `platform`, the checksum trailer and the
+        /// journal header. The exceptions are lines no writer produces
+        /// (`readers_part_from_the_parent_only_off_the_writer`).
+        #[test]
+        fn readers_agree_with_the_parent(
+            lines in vec(prop_oneof![arb_record(ENTRY), arb_record(STATE)], 1..4),
+            curve in arb_record(CURVE),
+            platform in arb_record(PLATFORM),
+            header in arb_record(HEADER),
+            trailer in arb_record(TRAILER),
+            upper in any::<bool>(),
+        ) {
+            for (v3, header) in [(false, TABLE_HEADER_V2), (true, TABLE_HEADER_V3)] {
+                let body = format!("{header}\n{}\n", lines.join("\n"));
+                let head = table_outcome(parse_table_body(&body, v3));
+                let old = table_outcome(parent::parse_table_body(&body, v3));
+                if let (Err(line), true) = (head.clone(), head != old) {
+                    // The parent read no further than the value of a v3
+                    // `generation` or `breaker` record.
+                    let record = body.lines().nth(line - 1).unwrap_or_default();
+                    let words: Vec<&str> = record.split_whitespace().collect();
+                    let state = matches!(words[..], ["generation" | "breaker", _, _, ..]);
+                    prop_assert!(v3 && state, "{:?} != {:?}: {:?}", head, old, body);
+                } else {
+                    prop_assert_eq!(head, old, "{:?}", body);
+                }
+            }
+            for line in &lines {
+                prop_assert_eq!(
+                    format!("{:?}", JournalRecord::parse(line)),
+                    format!("{:?}", parent::journal_record(line)),
+                    "{:?}", line
+                );
+            }
+            let read_curve = Fields::parse(&curve, |f| f.tag("curve").and_then(|()| read_curve(f)));
+            prop_assert_eq!(
+                format!("{read_curve:?}"),
+                format!("{:?}", parent::curve(&curve)),
+                "{:?}", curve
+            );
+            let read_platform = Fields::parse(&platform, |f| {
+                f.tag("platform").and_then(|()| read_platform(f))
+            });
+            prop_assert_eq!(read_platform, parent::platform(&platform), "{:?}", platform);
+
+            let covered = format!("{TABLE_HEADER_V2}\nkernel 1 alpha 0 weight 0 seen 0\n");
+            let digest = format!("{:016x}", fnv1a64(covered.as_bytes()));
+            let digest = if upper { digest.to_uppercase() } else { digest };
+            let text = covered + &trailer.replace("DIGEST", &digest);
+            prop_assert_eq!(
+                format!("{:?}", verify_sealed(&text, TABLE_HEADER_V2)),
+                format!("{:?}", parent::verify_sealed(&text, TABLE_HEADER_V2)),
+                "{:?}", text
+            );
+
+            let (head, old) = (journal_generation(&header), parent::journal_generation(&header));
+            if head != old {
+                for generation in head.into_iter().chain(old) {
+                    prop_assert_ne!(written_header(generation), header.clone());
+                }
+            }
+        }
+    }
+
+    /// The two places the readers part, both on lines no writer
+    /// produces. The journal header: the parent matched the prefix
+    /// `easched-table-journal v1` byte for byte, then trimmed blanks
+    /// before `gen `, while `Fields` reads four words split by any blanks.
+    /// A v3 `generation` or `breaker` record: the parent ignored the
+    /// words after its value, while `Fields::parse` refuses a word left
+    /// unread, as every other record reader did already.
+    #[test]
+    fn readers_part_from_the_parent_only_off_the_writer() {
+        for (body, head, old) in [
+            ("easched-table-journal v1 gen 4", Some(4), Some(4)),
+            (
+                "easched-table-journal v1 gen 18446744073709551615",
+                Some(u64::MAX),
+                Some(u64::MAX),
+            ),
+            ("easched-table-journal v1\tgen  +04 ", Some(4), Some(4)),
+            // The parent let "v1" and "gen" run together.
+            ("easched-table-journal v1gen 4", None, Some(4)),
+            // It refused a leading blank, and any blank inside its prefix
+            // or after "gen" but the one space.
+            (" easched-table-journal v1 gen 4", Some(4), None),
+            ("easched-table-journal  v1 gen 4", Some(4), None),
+            ("easched-table-journal\tv1 gen 4", Some(4), None),
+            ("easched-table-journal v1 gen\t4", Some(4), None),
+            ("easched-table-journal v1 gen\u{a0}4", Some(4), None),
+        ] {
+            assert_eq!(journal_generation(body), head, "{body:?}");
+            assert_eq!(parent::journal_generation(body), old, "{body:?}");
+            if head != old {
+                assert_ne!(written_header(head.or(old).unwrap()), body);
+            }
+        }
+        for record in ["generation 4 5", "breaker 1 x", "generation 4 # note"] {
+            let body = format!("{TABLE_HEADER_V3}\n{record}\n");
+            let head = parse_table_body(&body, true).map(|(_, _, generation)| generation);
+            assert!(
+                matches!(head, Err(ModelParseError::BadLine { line: 2, .. })),
+                "{record}"
+            );
+            assert!(parent::parse_table_body(&body, true).is_ok(), "{record}");
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! Crash-safety integration tests for the v3 table store (DESIGN.md §11):
-//! the byte-offset crash-point harness, v1/v2 migration, property-based
+//! the byte-offset crash-point harness, v2 migration, property-based
 //! torn-tail and bit-flip recovery, and a kill-9-equivalent round trip
 //! through the scheduler frontend.
 
@@ -252,26 +252,27 @@ fn crash_point_harness_covers_the_rename_window() {
 }
 
 #[test]
-fn v1_snapshot_migrates_and_reseals_as_v3() {
-    let dir = TempDir::new("v1");
+fn v2_snapshot_migrates_through_the_public_text_format() {
+    let dir = TempDir::new("v2");
     fs::create_dir_all(&dir.0).unwrap();
-    // The legacy v1 format: no checksum envelope, no taint, no breaker.
+    let table = KernelTable::new();
+    table.insert(11, stat(0.25, 1.5e4, 3));
+    table.insert(12, stat(1.0, 2.0e4, 5));
     fs::write(
         dir.0.join("table.snap"),
-        "easched-kernel-table v1\nkernel 7 alpha 6.5e-1 weight 5e4 seen 12\n",
+        easched_core::persist::table_to_text(&table),
     )
     .unwrap();
 
-    let (store, rec) = TableStore::open(&dir.0).expect("v1 migration");
+    let (store, rec) = TableStore::open(&dir.0).expect("v2 migration");
     assert_eq!(rec.generation, 0);
     assert_eq!(rec.breaker, BreakerState::Closed);
-    let s = rec.table.stat(7).expect("migrated kernel");
-    assert_eq!(s.alpha, 0.65);
-    assert_eq!(s.invocations_seen, 12);
-    assert!(!rec.table.is_tainted(7));
+    assert_eq!(rec.table.stat(11).map(|s| s.alpha), Some(0.25));
+    assert_eq!(rec.table.stat(12).map(|s| s.invocations_seen), Some(5));
+    assert!(!rec.table.is_tainted(11) && !rec.table.is_tainted(12));
 
     // The first checkpoint rewrites the snapshot in v3.
-    rec.table.taint(7);
+    rec.table.taint(11);
     store
         .checkpoint(&rec.table, BreakerState::HalfOpen)
         .expect("checkpoint");
@@ -285,30 +286,10 @@ fn v1_snapshot_migrates_and_reseals_as_v3() {
     assert_eq!(back.generation, 1);
     assert_eq!(back.breaker, BreakerState::HalfOpen);
     assert!(
-        back.table.is_tainted(7),
+        back.table.is_tainted(11),
         "taint must survive the round trip"
     );
-    assert_eq!(back.table.stat(7).map(|s| s.alpha), Some(0.65));
-}
-
-#[test]
-fn v2_snapshot_migrates_through_the_public_text_format() {
-    let dir = TempDir::new("v2");
-    fs::create_dir_all(&dir.0).unwrap();
-    let table = KernelTable::new();
-    table.insert(11, stat(0.25, 1.5e4, 3));
-    table.insert(12, stat(1.0, 2.0e4, 5));
-    fs::write(
-        dir.0.join("table.snap"),
-        easched_core::persist::table_to_text(&table),
-    )
-    .unwrap();
-
-    let (_, rec) = TableStore::open(&dir.0).expect("v2 migration");
-    assert_eq!(rec.generation, 0);
-    assert_eq!(rec.table.stat(11).map(|s| s.alpha), Some(0.25));
-    assert_eq!(rec.table.stat(12).map(|s| s.invocations_seen), Some(5));
-    assert!(!rec.table.is_tainted(11) && !rec.table.is_tainted(12));
+    assert_eq!(back.table.stat(11).map(|s| s.alpha), Some(0.25));
 }
 
 fn desktop_model() -> PowerModel {

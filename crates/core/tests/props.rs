@@ -100,7 +100,7 @@ proptest! {
 
 mod persist_props {
     use easched_core::persist::{
-        model_from_text, model_to_text, table_from_text, table_to_text, ModelParseError,
+        fnv1a64, model_from_text, model_to_text, table_from_text, table_to_text, ModelParseError,
     };
     use easched_core::{Accumulation, KernelTable, PowerCurve, PowerModel, WorkloadClass};
     use easched_num::Polynomial;
@@ -135,6 +135,11 @@ mod persist_props {
     /// of the digest-covered region).
     fn covered_len(text: &str) -> usize {
         text.rfind("\nchecksum ").unwrap() + 1
+    }
+
+    /// `body` under a fresh checksum line, as a careful hand edit leaves it.
+    fn reseal(body: &str) -> String {
+        format!("{body}checksum {:016x}\n", fnv1a64(body.as_bytes()))
     }
 
     proptest! {
@@ -231,14 +236,15 @@ mod persist_props {
             if pos < covered_len(&text) {
                 prop_assert!(table_from_text(&mutated).is_err(), "body flip at {} accepted", pos);
             }
-            // A mutation no digest covers (legacy v1 has none): a weight
-            // that would poison every later accumulation of the kernel
-            // is rejected by the grammar itself.
+            // A mutation the digest vouches for (the file was resealed
+            // after it): a weight that would poison every later
+            // accumulation of the kernel is rejected by the grammar itself.
             let poison = ["NaN", "inf", "-1"][bit as usize % 3];
-            let v1 = text[..covered_len(&text)].replacen("v2", "v1", 1);
+            let body = &text[..covered_len(&text)];
             let weight = ["weight 1e3", "weight 5e4", "weight 1e9"][pos % 3];
-            let poisoned = v1.replacen(weight, &format!("weight {poison}"), 1);
-            prop_assert!(table_from_text(&v1).is_ok() && poisoned != v1);
+            let poisoned = body.replacen(weight, &format!("weight {poison}"), 1);
+            prop_assert!(table_from_text(&reseal(body)).is_ok() && poisoned != body);
+            let poisoned = reseal(&poisoned);
             prop_assert!(table_from_text(&poisoned).is_err(), "{} accepted", poisoned);
         }
 
@@ -261,11 +267,11 @@ mod persist_props {
             }
         }
 
-        /// Reordering records without resealing is detected by the v2
-        /// checksum; the same reorder in a legacy v1 file parses to the
-        /// same table (records are order-independent).
+        /// Reordering records without resealing is detected by the
+        /// checksum; the same reorder resealed parses to the same table
+        /// (records are order-independent).
         #[test]
-        fn reordered_records_detected_in_v2_tolerated_in_v1(i in 0usize..3, j in 0usize..3) {
+        fn reordered_records_detected_unless_resealed(i in 0usize..3, j in 0usize..3) {
             let table = sample_table();
             let text = table_to_text(&table);
             let mut lines: Vec<&str> = text.lines().collect();
@@ -281,12 +287,10 @@ mod persist_props {
                 );
                 prop_assert!(mismatch, "swap {} <-> {} not flagged", i, j);
             }
-            // Legacy v1: no digest, so order legitimately does not matter.
-            let mut v1_lines = lines.clone();
-            v1_lines[0] = "easched-kernel-table v1";
-            v1_lines.pop();
-            let v1 = format!("{}\n", v1_lines.join("\n"));
-            prop_assert_eq!(table_from_text(&v1).unwrap().snapshot(), table.snapshot());
+            // Resealed, order legitimately does not matter.
+            lines.pop();
+            let resealed = reseal(&format!("{}\n", lines.join("\n")));
+            prop_assert_eq!(table_from_text(&resealed).unwrap().snapshot(), table.snapshot());
         }
     }
 }

@@ -1,8 +1,8 @@
-//! The sealed-line codec shared by every text format in the workspace:
-//! the table journal, the persisted model/table files, the run log and
-//! the fleet's frames all end a line (or a file) with an FNV-1a digest of
-//! what came before, and write floats as 16-hex-digit bit patterns so a
-//! value survives the round trip bit for bit.
+//! The line codec shared by every text format in the workspace: the
+//! table journal, the persisted model/table files, the run log and the
+//! fleet's frames are all written by [`LineWriter`] and read by
+//! [`Fields`], and all end a line (or a file) with an FNV-1a digest of
+//! what came before.
 //!
 //! A sealed line is `<body> crc <16 hex digits>\n`. A reader that finds
 //! no seal, a malformed seal or a digest mismatch treats the line — and
@@ -11,7 +11,13 @@
 //! A body is a tag and space-separated fields. [`LineWriter`] appends
 //! them straight into the caller's buffer and seals the bytes where they
 //! lie; [`unseal`] checks the seal at its fixed offset from the end and
-//! [`Fields`] walks the body word by word. Neither allocates.
+//! [`Fields`] walks the body word by word. Neither allocates. A float is
+//! written one of two ways: as its 16-hex-digit bit pattern
+//! ([`bits`](LineWriter::bits): the run log and the frames, NaN payloads
+//! included) or in decimal ([`float`](LineWriter::float): the model and
+//! table files, which a person may read).
+
+use std::fmt::Write as _;
 
 /// FNV-1a, 64-bit. Not cryptographic — it guards against truncation and
 /// bit rot, not adversaries — but the per-byte xor-then-multiply step is
@@ -97,6 +103,15 @@ impl<'a> LineWriter<'a> {
     #[inline]
     pub fn bits(self, value: f64) -> Self {
         self.hex16(value.to_bits())
+    }
+
+    /// An `f64` in decimal, as `{:e}` prints it: the shortest text that
+    /// reads back to the same value (a NaN reads back without its
+    /// payload).
+    #[inline]
+    pub fn float(self, value: f64) -> Self {
+        let _ = write!(self.out, " {value:e}");
+        self
     }
 
     #[inline]
@@ -277,6 +292,17 @@ impl<'a> Fields<'a> {
     pub fn bits(&mut self) -> Option<f64> {
         self.hex().map(f64::from_bits)
     }
+
+    /// The next word as a decimal float, accepted exactly as
+    /// `str::parse::<f64>` accepts it ([`LineWriter::float`] writes one).
+    /// A word that is no float stays unread.
+    #[inline]
+    pub fn float(&mut self) -> Option<f64> {
+        let len = run_len(self.rest, false);
+        let value = self.rest[..len].parse().ok()?;
+        self.take(len)?;
+        Some(value)
+    }
 }
 
 #[cfg(test)]
@@ -314,6 +340,31 @@ mod tests {
             assert_eq!(read.map(f64::to_bits), Some(v.to_bits()));
             let short = Fields::parse(&text, |f| f.tag("v").and_then(|()| f.bits()));
             assert_eq!(short, None, "a word left unread refuses the line");
+        }
+        let decimal = [
+            0.1,
+            2.0 / 3.0,
+            -0.0,
+            5e-324,
+            f64::MAX,
+            f64::NEG_INFINITY,
+            nan,
+        ];
+        for v in decimal {
+            let mut text = String::new();
+            LineWriter::begin(&mut text, "v")
+                .float(v)
+                .word("tail")
+                .end();
+            assert_eq!(text, format!("v {v:e} tail\n"));
+            let read = Fields::parse(&text, |f| {
+                f.tag("v")?;
+                let value = f.float()?;
+                f.tag("tail").map(|()| value)
+            })
+            .expect("a written float reads back");
+            // Decimal carries no NaN payload: NaN reads back as NaN.
+            assert!(read.to_bits() == v.to_bits() || read.is_nan() && v.is_nan());
         }
         let mut text = String::new();
         let line = LineWriter::begin(&mut text, "t").bits(nan).dec(0);

@@ -1,9 +1,10 @@
 //! The sealed-line reader accepts exactly what the idioms it replaced
 //! accepted. `unseal` is held to the reverse-search implementation it
 //! superseded, kept here as the oracle; `Fields` is held to
-//! `split_whitespace` + `str::parse` / `from_str_radix`. Both over
-//! strings assembled from the fragments that sit on the edges of the
-//! accept set, since uniformly random text never gets near it.
+//! `split_whitespace` + `str::parse` (integers and `f64`) /
+//! `from_str_radix`. Both over strings assembled from the fragments that
+//! sit on the edges of the accept set, since uniformly random text never
+//! gets near it.
 
 use easched_runtime::sealed::{fnv1a64, sealed, unseal, Fields};
 use proptest::collection::vec;
@@ -78,7 +79,7 @@ fn arb_text() -> impl Strategy<Value = String> {
     })
 }
 
-const NUMBER_FRAGMENTS: [&str; 20] = [
+const NUMBER_FRAGMENTS: [&str; 27] = [
     " ",
     "\t",
     "\u{a0}",
@@ -99,11 +100,27 @@ const NUMBER_FRAGMENTS: [&str; 20] = [
     "18446744073709551616",
     "ffffffffffffffff",
     "10000000000000000",
+    "inf",
+    "NaN",
+    "infinity",
+    "1e400",
+    ".",
+    "e",
+    "E",
 ];
 
 fn arb_number_text() -> impl Strategy<Value = String> {
     vec(0..NUMBER_FRAGMENTS.len(), 0..5)
         .prop_map(|picks| picks.iter().map(|&pick| NUMBER_FRAGMENTS[pick]).collect())
+}
+
+/// A float compared by its bits, every NaN as one NaN.
+fn float_key(value: f64) -> u64 {
+    if value.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        value.to_bits()
+    }
 }
 
 /// A line holding one field and nothing else, the old way.
@@ -139,6 +156,12 @@ proptest! {
         prop_assert_eq!(Fields::parse(&text, Fields::dec::<u16>), sole(&text, narrow), "{:?}", text);
         let byte = |word: &str| word.parse::<u8>().ok();
         prop_assert_eq!(Fields::parse(&text, Fields::dec::<u8>), sole(&text, byte), "{:?}", text);
+        let float = |word: &str| word.parse::<f64>().ok();
+        prop_assert_eq!(
+            Fields::parse(&text, Fields::float).map(float_key),
+            sole(&text, float).map(float_key),
+            "{:?}", text
+        );
     }
 }
 
@@ -192,34 +215,57 @@ fn unseal_hand_cases_on_the_edge_of_the_accept_set() {
 
 #[test]
 fn number_hand_cases_agree_with_the_standard_parsers() {
-    for (text, dec, hex) in [
-        ("0", Some(0), Some(0)),
-        ("+7", Some(7), Some(7)),
-        ("  +7\t", Some(7), Some(7)),
-        ("007", Some(7), Some(7)),
-        ("18446744073709551615", Some(u64::MAX), None),
-        ("18446744073709551616", None, None),
-        ("ffffffffffffffff", None, Some(u64::MAX)),
-        ("FFFFffffFFFFffff", None, Some(u64::MAX)),
-        ("0ffffffffffffffff", None, Some(u64::MAX)),
-        ("10000000000000000", Some(10_000_000_000_000_000), None),
-        ("", None, None),
-        (" ", None, None),
-        ("+", None, None),
-        ("-", None, None),
-        ("-0", None, None),
-        ("++1", None, None),
-        ("1+", None, None),
-        ("1 2", None, None),
-        ("1_000", None, None),
-        ("0x10", None, None),
-        ("１", None, None),
+    const INF: f64 = f64::INFINITY;
+    for (text, dec, hex, float) in [
+        ("0", Some(0), Some(0), Some(0.0)),
+        ("+7", Some(7), Some(7), Some(7.0)),
+        ("  +7\t", Some(7), Some(7), Some(7.0)),
+        ("007", Some(7), Some(7), Some(7.0)),
+        (
+            "18446744073709551615",
+            Some(u64::MAX),
+            None,
+            Some(u64::MAX as f64),
+        ),
+        ("18446744073709551616", None, None, Some(u64::MAX as f64)),
+        ("ffffffffffffffff", None, Some(u64::MAX), None),
+        ("FFFFffffFFFFffff", None, Some(u64::MAX), None),
+        ("0ffffffffffffffff", None, Some(u64::MAX), None),
+        (
+            "10000000000000000",
+            Some(10_000_000_000_000_000),
+            None,
+            Some(1e16),
+        ),
+        ("", None, None, None),
+        (" ", None, None, None),
+        ("+", None, None, None),
+        ("-", None, None, None),
+        ("-0", None, None, Some(-0.0)),
+        ("++1", None, None, None),
+        ("1+", None, None, None),
+        ("1 2", None, None, None),
+        ("1_000", None, None, None),
+        ("0x10", None, None, None),
+        ("１", None, None, None),
+        ("inf", None, None, Some(INF)),
+        ("NaN", None, None, Some(f64::NAN)),
+        ("infinity", None, None, Some(INF)),
+        ("1e400", None, Some(0x1e400), Some(INF)),
+        (".", None, None, None),
+        ("e", None, Some(14), None),
+        ("E", None, Some(14), None),
     ] {
         assert_eq!(Fields::parse(text, Fields::dec::<u64>), dec, "dec {text:?}");
         assert_eq!(sole(text, |w| w.parse::<u64>().ok()), dec, "dec {text:?}");
         assert_eq!(Fields::parse(text, Fields::hex), hex, "hex {text:?}");
         let std_hex = sole(text, |w| u64::from_str_radix(w, 16).ok());
         assert_eq!(std_hex, hex, "hex {text:?}");
+        let float = float.map(float_key);
+        let read = Fields::parse(text, Fields::float).map(float_key);
+        assert_eq!(read, float, "float {text:?}");
+        let std_float = sole(text, |w| w.parse::<f64>().ok()).map(float_key);
+        assert_eq!(std_float, float, "float {text:?}");
     }
     assert_eq!(Fields::parse("65535", Fields::dec::<u16>), Some(u16::MAX));
     assert_eq!(Fields::parse("65536", Fields::dec::<u16>), None);
