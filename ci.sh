@@ -170,6 +170,14 @@ grep -q -e "easched list.*--nodes" target/ci-foreign-flag.err
 echo "==> storage chaos: every-fault-point sweep (DESIGN.md §16)"
 cargo test -q --release -p easched-core --test storage_chaos
 
+echo "==> storage chaos: a journal append is O(1) amortised in table size (DESIGN.md §11)"
+# Grows a store to 16 384 kernels and counts bytes: snapshots plus put
+# lines stay under 3x the put lines alone. The grep fails the stage if the
+# name stops matching, instead of passing on zero tests.
+cargo test -q --release -p easched-core --lib -- --exact \
+    journal::tests::an_append_costs_constant_bytes_amortised_whatever_the_table_size \
+    | grep -q '^test result: ok. 1 passed'
+
 echo "==> storage chaos: seeded write-fault storms under every node's journal"
 # The 8-thread shared-store storm is storage_chaos.rs's; this is the
 # binary's half: the run exits 0 and what reached disk audits clean (each
@@ -220,13 +228,15 @@ fi
 echo "==> benchmark package: spec <-> BENCHMARK.json check and lane unit tests"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> benchmark workloads: output checks gate the memory layer and the sealed-line codec"
+echo "==> benchmark workloads: every workload's output checks gate CI"
 # Each run checks its own output and exits nonzero when a check fails.
 # sched_*: decide count equals the closed form, one ring record per
 # invocation, alpha on the 0.1 grid, the store reopens to exactly the
 # final table. fleet_gossip: converged, one digest, the same digest every
 # unit. replay_storm: the log parses back whole and replays identically.
-for w in sched_miss sched_hit sched_durable fleet_gossip replay_storm; do
+# tenant_storm: queues bounded, the same counts every unit, the last log
+# replays byte-identically. paper_suite: the rows equal results/fig9.csv.
+for w in sched_miss sched_hit sched_durable tenant_storm replay_storm fleet_gossip paper_suite; do
     echo "    benchmark/run.sh --workload $w"
     bash benchmark/run.sh --workload "$w" --seed 7 --seconds 2 --trace 0 > /dev/null
 done

@@ -41,6 +41,17 @@
 //! file is truncated back to the valid prefix so appends resume cleanly.
 //! Recovery never panics, whatever the bytes.
 //!
+//! # Compaction
+//!
+//! Routine snapshot+compaction fires once the journal holds at least as
+//! many bytes as the last snapshot, and never before
+//! `DEFAULT_COMPACT_EVERY` appends. Rewriting an n-entry snapshot then
+//! follows at least as many journal bytes as it writes, so an append pays
+//! O(1) amortised whatever the table's size, and a table under the floor's
+//! worth of entries compacts every `DEFAULT_COMPACT_EVERY` appends. A
+//! reopened store counts the journal it recovered — its bytes and its
+//! records — toward the trigger.
+//!
 //! # Durability
 //!
 //! Appends are plain `write` syscalls — completed writes survive process
@@ -75,10 +86,11 @@
 //!   trips into degraded mode (its `degraded` gauge reads 1): mutations
 //!   live only in the in-memory table, the [`StoreHealth`] counters
 //!   surface the state (the journal lines not written count as
-//!   buffered, up to a bound), and every `DEFAULT_COMPACT_EVERY` appends
-//!   (or any explicit checkpoint) the store probes the disk with a
-//!   compaction; success **re-arms** durability. The snapshot carries
-//!   every unwritten line's state, so none is ever replayed on top of it.
+//!   buffered, up to a bound, and never as journal bytes), and every
+//!   `DEFAULT_COMPACT_EVERY` appends (or any explicit checkpoint) the
+//!   store probes the disk with a compaction, whatever the table's size;
+//!   success **re-arms** durability. The snapshot carries every unwritten
+//!   line's state, so none is ever replayed on top of it.
 
 use crate::health::BreakerState;
 use crate::kernel_table::{AlphaStat, KernelTable};
@@ -95,9 +107,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 const SNAPSHOT_FILE: &str = "table.snap";
 /// Journal file name inside a store directory.
 const JOURNAL_FILE: &str = "table.journal";
-/// Journal appends between automatic snapshot+compactions — a constant
-/// until the trigger is derived from journal bytes (ROADMAP, compaction
-/// item).
+/// The floor on journal appends between automatic snapshot+compactions,
+/// and the degraded store's probe interval. Past it, routine compaction
+/// waits for the journal to hold a snapshot's worth of bytes.
 const DEFAULT_COMPACT_EVERY: u64 = 256;
 /// Cap on the journal lines a degraded store counts as buffered; past it
 /// each new line counts as a dropped one.
@@ -229,6 +241,12 @@ struct StoreInner {
     file: Option<Box<dyn VfsFile>>,
     generation: u64,
     appends: u64,
+    /// Bytes in the journal file: the recovered valid prefix, plus every
+    /// line written since. Lines buffered while degraded never count.
+    journal_bytes: u64,
+    /// Bytes of the snapshot on disk: about what the next compaction
+    /// rewrites.
+    snapshot_bytes: u64,
     last_breaker: BreakerState,
     /// Open could not *read* the journal: the recovered table may be
     /// missing records that still exist on disk. Compaction must merge
@@ -286,7 +304,7 @@ impl TableStore {
     ) -> Result<(TableStore, Recovered), StoreError> {
         let dir = dir.as_ref().to_path_buf();
         vfs.create_dir_all(&dir)?;
-        let (table, mut breaker, generation) = read_snapshot(&*vfs, &dir)?;
+        let (table, mut breaker, generation, snapshot_bytes) = read_snapshot(&*vfs, &dir)?;
 
         let mut replayed = 0u64;
         let mut discarded = 0u64;
@@ -321,10 +339,11 @@ impl TableStore {
         // A store without a journal handle met exactly one I/O error here
         // (the read or the open for appends): it opens degraded with that
         // error counted.
-        let file = if recovery_partial {
-            None
+        let (file, journal_bytes) = if recovery_partial {
+            (None, 0)
         } else {
-            open_journal(&*vfs, &dir, generation, resume_at).ok()
+            open_journal(&*vfs, &dir, generation, resume_at)
+                .map_or((None, 0), |(file, len)| (Some(file), len))
         };
         let stats = StoreStats::default();
         if file.is_none() {
@@ -340,7 +359,11 @@ impl TableStore {
             inner: Mutex::new(StoreInner {
                 file,
                 generation,
-                appends: 0,
+                // The recovered journal counts toward the next
+                // compaction, as if this life had appended it.
+                appends: replayed,
+                journal_bytes,
+                snapshot_bytes,
                 last_breaker: breaker,
                 recovery_partial,
             }),
@@ -395,7 +418,8 @@ impl TableStore {
 
     /// Journals one kernel's absolute state as a `put`. Triggers an
     /// automatic snapshot+compaction of `table` once
-    /// `DEFAULT_COMPACT_EVERY` appends accumulate.
+    /// `DEFAULT_COMPACT_EVERY` appends accumulate and the journal holds a
+    /// snapshot's worth of bytes (or the store is degraded).
     pub(crate) fn record_put(
         &self,
         table: &KernelTable,
@@ -423,9 +447,12 @@ impl TableStore {
             return;
         }
         inner.appends += 1;
-        if inner.appends >= DEFAULT_COMPACT_EVERY {
-            // In durable mode this is routine compaction; in degraded
-            // mode it doubles as the re-arm probe (DESIGN.md §16).
+        if inner.appends >= DEFAULT_COMPACT_EVERY
+            && (self.is_degraded() || inner.journal_bytes >= inner.snapshot_bytes)
+        {
+            // In durable mode this is routine compaction, after at least
+            // as many journal bytes as it rewrites; in degraded mode it
+            // doubles as the re-arm probe (DESIGN.md §16).
             let ok = self.compact_locked(&mut inner, table, breaker).is_ok();
             self.rearm_after(ok);
             if !ok {
@@ -525,6 +552,7 @@ impl TableStore {
         match file.write_all(line.as_bytes()) {
             Ok(()) => {
                 self.stats.bytes_written.add(line.len() as u64);
+                inner.journal_bytes += line.len() as u64;
                 Ok(())
             }
             Err(e) => {
@@ -573,20 +601,22 @@ impl TableStore {
     /// the disk refuses — the caller degrades.
     fn resync_handle(&self, inner: &mut StoreInner) -> bool {
         inner.file = None;
-        let attempt = (|| -> io::Result<(Box<dyn VfsFile>, u64)> {
-            let (_, _, generation) = read_snapshot(&*self.vfs, &self.dir).map_err(|e| match e {
-                StoreError::Io(e) => e,
-                corrupt => io::Error::new(io::ErrorKind::InvalidData, corrupt.to_string()),
-            })?;
+        let attempt = (|| -> io::Result<(Box<dyn VfsFile>, u64, u64)> {
+            let (_, _, generation, _) =
+                read_snapshot(&*self.vfs, &self.dir).map_err(|e| match e {
+                    StoreError::Io(e) => e,
+                    corrupt => io::Error::new(io::ErrorKind::InvalidData, corrupt.to_string()),
+                })?;
             let resume = read_journal(&*self.vfs, &self.dir)?
                 .and_then(|scan| (scan.gen == Some(generation)).then_some(scan.valid_len as u64));
-            let file = open_journal(&*self.vfs, &self.dir, generation, resume)?;
-            Ok((file, generation))
+            let (file, len) = open_journal(&*self.vfs, &self.dir, generation, resume)?;
+            Ok((file, generation, len))
         })();
         match attempt {
-            Ok((file, generation)) => {
+            Ok((file, generation, len)) => {
                 inner.file = Some(file);
                 inner.generation = generation;
+                inner.journal_bytes = len;
                 true
             }
             Err(_) => {
@@ -655,7 +685,7 @@ impl TableStore {
         // generation lags the snapshot) and the live handle must not be
         // reused; track where the failure landed.
         let mut renamed = false;
-        let result = (|| -> io::Result<Box<dyn VfsFile>> {
+        let result = (|| -> io::Result<(Box<dyn VfsFile>, u64)> {
             {
                 let mut f = self.vfs.create(&tmp)?;
                 f.write_all(text.as_bytes())?;
@@ -673,20 +703,24 @@ impl TableStore {
             // `GenerationAhead` (the journal claims a base the snapshot no
             // longer holds).
             self.sync_dir_counted()?;
-            let mut file = open_journal(&*self.vfs, &self.dir, generation, None)?;
+            let (mut file, len) = open_journal(&*self.vfs, &self.dir, generation, None)?;
             file.sync_all()?;
             // Same reasoning for the journal reset: the first compaction
             // *creates* the directory entry, and its durability needs the
             // directory synced too.
             self.sync_dir_counted()?;
-            Ok(file)
+            Ok((file, len))
         })();
+        if renamed {
+            inner.snapshot_bytes = text.len() as u64;
+        }
         match result {
-            Ok(file) => {
+            Ok((file, len)) => {
                 self.stats.bytes_written.add(text.len() as u64);
                 inner.file = Some(file);
                 inner.generation = generation;
                 inner.appends = 0;
+                inner.journal_bytes = len;
                 Ok(())
             }
             Err(e) => {
@@ -760,16 +794,21 @@ fn replay(
     breaker
 }
 
-/// Reads the snapshot into the table, the breaker state and the
-/// generation; an absent file is the empty store at generation 0.
+/// Reads the snapshot into the table, the breaker state, the generation
+/// and the file's length in bytes; an absent file is the empty store at
+/// generation 0.
 fn read_snapshot(
     vfs: &dyn Vfs,
     dir: &Path,
-) -> Result<(KernelTable, BreakerState, u64), StoreError> {
+) -> Result<(KernelTable, BreakerState, u64, u64), StoreError> {
     match vfs.read(&dir.join(SNAPSHOT_FILE)) {
-        Ok(bytes) => persist::parse_snapshot(&bytes).map_err(StoreError::Snapshot),
+        Ok(bytes) => {
+            let (table, breaker, generation) =
+                persist::parse_snapshot(&bytes).map_err(StoreError::Snapshot)?;
+            Ok((table, breaker, generation, bytes.len() as u64))
+        }
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            Ok((KernelTable::new(), BreakerState::Closed, 0))
+            Ok((KernelTable::new(), BreakerState::Closed, 0, 0))
         }
         Err(e) => Err(StoreError::Io(e)),
     }
@@ -784,28 +823,29 @@ fn read_journal(vfs: &dyn Vfs, dir: &Path) -> io::Result<Option<JournalScan>> {
     }
 }
 
-/// Opens the journal of `generation` for appending: at `Some(len)` it
-/// resumes the existing file, dropping whatever follows that valid prefix
-/// so appends extend sealed lines; at `None` it starts the file afresh
-/// with only the sealed header.
+/// Opens the journal of `generation` for appending and returns it with
+/// its length in bytes: at `Some(len)` it resumes the existing file,
+/// dropping whatever follows that valid prefix so appends extend sealed
+/// lines; at `None` it starts the file afresh with only the sealed header.
 fn open_journal(
     vfs: &dyn Vfs,
     dir: &Path,
     generation: u64,
     resume_at: Option<u64>,
-) -> io::Result<Box<dyn VfsFile>> {
+) -> io::Result<(Box<dyn VfsFile>, u64)> {
     let path = dir.join(JOURNAL_FILE);
     match resume_at {
         Some(len) => {
             let mut file = vfs.open_write(&path)?;
             file.set_len(len)?;
             file.seek_end()?;
-            Ok(file)
+            Ok((file, len))
         }
         None => {
+            let header = persist::journal_header(generation);
             let mut file = vfs.create(&path)?;
-            file.write_all(persist::journal_header(generation).as_bytes())?;
-            Ok(file)
+            file.write_all(header.as_bytes())?;
+            Ok((file, header.len() as u64))
         }
     }
 }
@@ -924,6 +964,67 @@ mod tests {
         let (_, recovered) = TableStore::open(dir.path()).unwrap();
         assert_eq!(recovered.generation, 1);
         assert_eq!(recovered.table.lookup(7), table.lookup(7));
+    }
+
+    #[test]
+    fn a_reopened_store_counts_its_recovered_journal_toward_compaction() {
+        let dir = TempDir::new();
+        let table = learned_table();
+        {
+            let (store, _) = TableStore::open(dir.path()).unwrap();
+            store.checkpoint(&table, BreakerState::Closed).unwrap();
+            for _ in 1..DEFAULT_COMPACT_EVERY {
+                store.record_entry(&table, 7);
+            }
+            assert_eq!(store.generation(), 1, "one append short of the floor");
+        }
+        // 255 recovered records outweigh the three-entry snapshot, so the
+        // reopened store is one append from compacting, not 256.
+        let (store, recovered) = TableStore::open(dir.path()).unwrap();
+        assert_eq!(recovered.replayed, DEFAULT_COMPACT_EVERY - 1);
+        store.record_entry(&recovered.table, 7);
+        assert_eq!(store.generation(), 2, "the recovered journal counted");
+    }
+
+    /// Grows a store to `kernels` distinct kernels, one `put` each, and
+    /// returns the bytes it wrote over the bytes of the put lines alone.
+    fn write_amplification(kernels: u64) -> f64 {
+        let dir = TempDir::new();
+        let (store, _) = TableStore::open(dir.path()).unwrap();
+        let table = KernelTable::new();
+        let mut put_bytes = 0;
+        for kernel in 0..kernels {
+            let stat = table.accumulate(kernel, 0.5, 100.0, Accumulation::SampleWeighted);
+            store.record_entry(&table, kernel);
+            let put = JournalRecord::Put {
+                kernel,
+                stat,
+                tainted: false,
+            };
+            put_bytes += put.to_line().len() as u64;
+        }
+        // The counts the trigger reads are the files' lengths.
+        let inner = lock(&store.inner);
+        let len = |file| fs::metadata(dir.path().join(file)).unwrap().len();
+        assert_eq!(inner.journal_bytes, len(JOURNAL_FILE));
+        assert_eq!(inner.snapshot_bytes, len(SNAPSHOT_FILE));
+        store.health().bytes_written as f64 / put_bytes as f64
+    }
+
+    #[test]
+    fn an_append_costs_constant_bytes_amortised_whatever_the_table_size() {
+        // Each compaction of an n-entry table follows a snapshot's worth
+        // of put lines, so the snapshots sum to about twice the final
+        // one: 2.2x the put lines at 1 024 kernels, 2.4x at 16 384.
+        // Compacting every 256 appends instead rewrites the table 64
+        // times on the way to 16 384 kernels: 25x.
+        for kernels in [1_024, 16_384] {
+            let ratio = write_amplification(kernels);
+            assert!(
+                ratio < 3.0,
+                "{kernels} kernels wrote {ratio:.2}x their put lines"
+            );
+        }
     }
 
     #[test]
@@ -1237,6 +1338,43 @@ mod tests {
             .expect("re-arm");
         let health = store.health();
         assert_eq!((health.buffered, health.buffered_dropped), (0, 6));
+    }
+
+    #[test]
+    fn a_degraded_store_probes_within_the_floor_whatever_the_table_size() {
+        let dir = TempDir::new();
+        let table = KernelTable::new();
+        for kernel in 0..4_096 {
+            table.accumulate(kernel, 0.5, 100.0, Accumulation::SampleWeighted);
+        }
+        // Open takes ops 0..=3 and the checkpoint 4..=12; the first append
+        // (op 13) and its emergency compaction (op 14) hit ENOSPC.
+        let plan = ChaosFsPlan {
+            schedule: vec![(13, StorageFault::Enospc), (14, StorageFault::Enospc)],
+            ..ChaosFsPlan::default()
+        };
+        let (store, _, _) = chaos_store(dir.path(), plan);
+        store.checkpoint(&table, BreakerState::Closed).unwrap();
+        store.record_entry(&table, 0);
+        assert!(store.is_degraded());
+        let journal_bytes = lock(&store.inner).journal_bytes;
+        for kernel in 1..DEFAULT_COMPACT_EVERY {
+            store.record_entry(&table, kernel);
+        }
+        assert!(store.is_degraded(), "one append short of the probe");
+        assert_eq!(
+            lock(&store.inner).journal_bytes,
+            journal_bytes,
+            "buffered lines are not journal bytes"
+        );
+        store.record_entry(&table, DEFAULT_COMPACT_EVERY);
+        assert!(!store.is_degraded(), "the probe re-armed the store");
+        assert_eq!((store.health().rearms, store.generation()), (1, 2));
+        // Durable again, the floor alone no longer compacts this table.
+        for kernel in 0..DEFAULT_COMPACT_EVERY {
+            store.record_entry(&table, kernel);
+        }
+        assert_eq!(store.generation(), 2);
     }
 
     #[test]
