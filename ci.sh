@@ -313,26 +313,22 @@ fi
 
 echo "==> one codec: frames, run logs, the model file and the table store are written by LineWriter, read by Fields"
 # DESIGN.md §12: a line is appended to the caller's buffer by a
-# `LineWriter` and read back by `Fields`. A `format!` handed to a seal is
-# the per-line allocation coming back; a `split_whitespace` in a grammar
-# is a second reader.
-if grep -rn -E 'sealed\(.*format!' crates/fleet/src crates/replay/src; then
-    echo "a sealed line is built with format! again"
-    exit 1
-fi
+# `LineWriter` and read back by `Fields`. `LineWriter::seal` is the only
+# way to seal a line, and it seals in place. A `split_whitespace` in a
+# grammar is a second reader.
 if grep -n -i 'split_\?whitespace' crates/fleet/src/frame.rs crates/replay/src/log.rs; then
     echo "frame.rs or log.rs splits a line by hand again"
     exit 1
 fi
 # The same for the model file and the table store, outside the test
 # modules (persist.rs keeps the readers it replaced there, as the oracle):
-# no `split_whitespace`, no `sealed(`, and no `format!`/`write!` in
+# no `split_whitespace`, and no `format!`/`write!` in
 # persist.rs but its Display impl and its error messages.
 stray=$(awk '
     FNR == 1 { live = 1; display = 0 }
     /^#\[cfg\(test\)\]/ { live = 0 }
     !live { next }
-    /split_whitespace/ || (/sealed\(/ && !/[a-z_]sealed\(/) { print FILENAME ":" FNR ": " $0; next }
+    /split_whitespace/ { print FILENAME ":" FNR ": " $0; next }
     FILENAME !~ /persist\.rs$/ { next }
     /^impl fmt::Display/ { display = 1 }
     display { if (/^}/) display = 0; next }

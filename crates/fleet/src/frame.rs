@@ -14,6 +14,11 @@
 //!   envelope the puller lacks.
 //! * `ent` — a batch of [`Envelope`]s, each a single sealed line, in
 //!   strictly increasing `(generation, seq)` order per origin.
+//!
+//! One private writer lays out every frame, whichever way its body was
+//! made: [`Frame::encode`] writes the body from a payload, a node's answer
+//! splices envelope lines its retransmission log sealed once, and a pull
+//! round seals its `want` lines once and frames them per peer.
 
 use crate::node::MAX_ENTRIES_PER_FRAME;
 use easched_runtime::sealed::{unseal, Fields, LineWriter};
@@ -102,8 +107,9 @@ impl Envelope {
         }
     }
 
-    /// Starts this envelope's line at the end of `out`; the caller seals it.
-    fn line<'a>(&self, out: &'a mut String) -> LineWriter<'a> {
+    /// Appends this envelope's sealed line to `out`: the line an entries
+    /// frame carries, and the one a retransmission log keeps.
+    pub(crate) fn seal_into(&self, out: &mut String) {
         let tag = match self.op {
             Op::Put { .. } => "put",
             Op::Taint { .. } => "taint",
@@ -114,7 +120,7 @@ impl Envelope {
             .dec(self.generation)
             .dec(self.seq)
             .hex16(self.op.kernel());
-        match self.op {
+        let line = match self.op {
             Op::Put {
                 alpha,
                 weight,
@@ -127,10 +133,12 @@ impl Envelope {
                 .dec(seen)
                 .dec(u64::from(tainted)),
             Op::Taint { .. } => line,
-        }
+        };
+        line.seal();
     }
 
-    fn from_line(body: &str) -> Option<Envelope> {
+    /// Reads an unsealed envelope line back.
+    pub(crate) fn from_line(body: &str) -> Option<Envelope> {
         Fields::parse(body, |fields| {
             let word = fields.word()?;
             let origin = fields.dec()?;
@@ -232,37 +240,19 @@ impl Frame {
 
     /// Serializes the frame, every line sealed.
     pub fn encode(&self) -> String {
-        let mut out = String::new();
-        let (kind, n) = match &self.payload {
-            FramePayload::Request(wants) => ("req", wants.len()),
-            FramePayload::Entries(envs) => ("ent", envs.len()),
-        };
-        LineWriter::begin(&mut out, "frame")
-            .dec(u64::from(self.from))
-            .dec(u64::from(self.to))
-            .word(kind)
-            .dec(n as u64)
-            .seal();
+        let (from, to) = (self.from, self.to);
         match &self.payload {
-            FramePayload::Request(wants) => {
-                for &(origin, generation, seq) in wants {
-                    LineWriter::begin(&mut out, "want")
-                        .dec(u64::from(origin))
-                        .dec(generation)
-                        .dec(seq)
-                        .seal();
+            FramePayload::Request(wants) => framed(0, from, to, REQUEST, wants.len(), |out| {
+                for &want in wants {
+                    seal_want(out, want);
                 }
-            }
-            FramePayload::Entries(envs) => {
+            }),
+            FramePayload::Entries(envs) => framed(0, from, to, ENTRIES, envs.len(), |out| {
                 for env in envs {
-                    env.line(&mut out).seal();
+                    env.seal_into(out);
                 }
-            }
+            }),
         }
-        LineWriter::begin(&mut out, "frame-end")
-            .dec(n as u64)
-            .seal();
-        out
     }
 
     /// Decodes a frame, rejecting it whole on any torn or corrupt line.
@@ -275,14 +265,14 @@ impl Frame {
         // missing line ends, and never sizes an allocation by itself.
         let reserve = n.min(MAX_ENTRIES_PER_FRAME);
         let payload = match kind {
-            "req" => {
+            REQUEST => {
                 let mut wants = Vec::with_capacity(reserve);
                 for _ in 0..n {
                     wants.push(parse_want(body()?).ok_or(FrameError::TornBody)?);
                 }
                 FramePayload::Request(wants)
             }
-            "ent" => {
+            ENTRIES => {
                 let mut envs = Vec::with_capacity(reserve);
                 for _ in 0..n {
                     envs.push(Envelope::from_line(body()?).ok_or(FrameError::TornBody)?);
@@ -300,6 +290,96 @@ impl Frame {
             return Err(FrameError::TornFooter);
         }
         Ok(Frame { from, to, payload })
+    }
+}
+
+/// The header's kind word of a request frame.
+const REQUEST: &str = "req";
+/// The header's kind word of an entries frame.
+const ENTRIES: &str = "ent";
+
+/// What a header and a footer take together, at most: capacity reserved
+/// beside a body whose length is known.
+const FRAMING_BYTES: usize = 128;
+
+/// The one writer of the frame layout: `frame <from> <to> <kind> <n>`,
+/// the `n` sealed lines `body` appends, and `frame-end <n>`, in a string
+/// of `capacity` bytes to start with.
+fn framed(
+    capacity: usize,
+    from: NodeId,
+    to: NodeId,
+    kind: &str,
+    n: usize,
+    body: impl FnOnce(&mut String),
+) -> String {
+    let mut out = String::with_capacity(capacity);
+    LineWriter::begin(&mut out, "frame")
+        .dec(u64::from(from))
+        .dec(u64::from(to))
+        .word(kind)
+        .dec(n as u64)
+        .seal();
+    body(&mut out);
+    LineWriter::begin(&mut out, "frame-end")
+        .dec(n as u64)
+        .seal();
+    out
+}
+
+/// Appends `want <origin> <generation> <seq>`, sealed.
+fn seal_want(out: &mut String, (origin, generation, seq): (NodeId, u64, u64)) {
+    LineWriter::begin(out, "want")
+        .dec(u64::from(origin))
+        .dec(generation)
+        .dec(seq)
+        .seal();
+}
+
+/// An entries frame from `from` to `to` around `n` envelope lines that
+/// were sealed when their envelopes were logged: `runs` are copied as
+/// they are, so the bytes equal [`Frame::encode`]'s for the envelopes
+/// the lines were written from.
+pub(crate) fn spliced_entries(from: NodeId, to: NodeId, n: usize, runs: &[&str]) -> String {
+    debug_assert_eq!(runs.iter().map(|run| run.lines().count()).sum::<usize>(), n);
+    let len = runs.iter().map(|run| run.len()).sum::<usize>();
+    framed(len + FRAMING_BYTES, from, to, ENTRIES, n, |out| {
+        for run in runs {
+            out.push_str(run);
+        }
+    })
+}
+
+/// A watermark vector's sealed `want` lines, written once and framed per
+/// receiver: a pull round sends every peer the same body, and only the
+/// header names the peer.
+#[derive(Debug)]
+pub(crate) struct RequestBody {
+    lines: String,
+    n: usize,
+}
+
+impl RequestBody {
+    /// Seals one `want` line per watermark, in the order given.
+    pub(crate) fn new(wants: impl IntoIterator<Item = (NodeId, u64, u64)>) -> RequestBody {
+        let mut body = RequestBody {
+            lines: String::new(),
+            n: 0,
+        };
+        for want in wants {
+            seal_want(&mut body.lines, want);
+            body.n += 1;
+        }
+        body
+    }
+
+    /// The request frame from `from` to `to` carrying this body: the
+    /// bytes of [`Frame::request`]`(from, to, wants).encode()`.
+    pub(crate) fn frame(&self, from: NodeId, to: NodeId) -> String {
+        let capacity = self.lines.len() + FRAMING_BYTES;
+        framed(capacity, from, to, REQUEST, self.n, |out| {
+            out.push_str(&self.lines)
+        })
     }
 }
 
@@ -327,7 +407,6 @@ fn parse_footer(footer: &str) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use easched_runtime::sealed::sealed;
 
     fn sample_entries() -> Frame {
         Frame::entries(
@@ -451,9 +530,10 @@ mod tests {
         // nor one the allocator gives up on may take the process down.
         for count in ["18446744073709551615", "100000000000000"] {
             for kind in ["ent", "req"] {
-                let header = format!("frame 0 1 {kind} {count}");
-                let footer = format!("frame-end {count}");
-                let text = sealed(&header) + &sealed(&footer);
+                let mut text = String::new();
+                let header = LineWriter::begin(&mut text, "frame").dec(0).dec(1);
+                header.word(kind).word(count).seal();
+                LineWriter::begin(&mut text, "frame-end").word(count).seal();
                 assert_eq!(Frame::decode(&text), Err(FrameError::TornBody));
             }
         }

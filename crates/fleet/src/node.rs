@@ -11,7 +11,7 @@
 //! warm-start priors only; replicated taints quarantine fleet-wide
 //! through the batched [`ReprofileScheduler`] (DESIGN.md §15).
 
-use crate::frame::{Envelope, Frame, NodeId, Op};
+use crate::frame::{spliced_entries, Envelope, Frame, NodeId, Op, RequestBody};
 use crate::replica::{Applied, ReplicaTable};
 use crate::reprofile::ReprofileScheduler;
 use crate::stats::FleetStats;
@@ -50,6 +50,44 @@ fn checkpoint_with_retries(shared: &SharedEas) -> Result<(), StoreError> {
     result
 }
 
+/// One origin's retransmission log: the sealed line of every envelope
+/// the node published or admitted from that origin, written once, back
+/// to back, in strictly increasing `(generation, seq)` order. A pull's
+/// answer is a run of this text, copied as it is.
+#[derive(Debug, Default)]
+struct RetransmissionLog {
+    /// Per line: its `(generation, seq)` and where it ends in `text`.
+    index: Vec<(u64, u64, usize)>,
+    text: String,
+}
+
+impl RetransmissionLog {
+    /// Seals `env`'s line onto the log. The binary search in
+    /// [`after`](RetransmissionLog::after) needs versions to increase.
+    fn push(&mut self, env: &Envelope) {
+        debug_assert!(
+            self.index
+                .last()
+                .is_none_or(|&(g, s, _)| (g, s) < (env.generation, env.seq)),
+            "origin {} logged ({}, {}) out of order",
+            env.origin,
+            env.generation,
+            env.seq,
+        );
+        env.seal_into(&mut self.text);
+        self.index.push((env.generation, env.seq, self.text.len()));
+    }
+
+    /// The lines strictly above `mark`, at most `cap` of them: their
+    /// text and how many there are.
+    fn after(&self, mark: (u64, u64), cap: usize) -> (&str, usize) {
+        let first = self.index.partition_point(|&(g, s, _)| (g, s) <= mark);
+        let last = self.index.len().min(first + cap);
+        let end_of = |line: usize| line.checked_sub(1).map_or(0, |i| self.index[i].2);
+        (&self.text[end_of(first)..end_of(last)], last - first)
+    }
+}
+
 /// Last state published for a kernel, used to detect changes worth an
 /// envelope (bit-exact float comparison, so re-publishing is silent only
 /// when truly nothing moved).
@@ -78,7 +116,7 @@ pub struct FleetNode {
     next_seq: u64,
     /// Per-origin retransmission logs (self included), each sorted by
     /// `(generation, seq)` by construction.
-    logs: BTreeMap<NodeId, Vec<Envelope>>,
+    logs: BTreeMap<NodeId, RetransmissionLog>,
     /// Per-origin contiguous-prefix watermarks.
     watermarks: BTreeMap<NodeId, (u64, u64)>,
     replica: ReplicaTable,
@@ -305,24 +343,34 @@ impl FleetNode {
             self.next_seq += 1;
             self.watermarks.insert(self.id, (env.generation, env.seq));
             self.replica.apply(&env);
-            self.logs.entry(self.id).or_default().push(env);
+            self.logs.entry(self.id).or_default().push(&env);
         }
+    }
+
+    /// This node's watermark vector, by origin.
+    fn wants(&self) -> impl Iterator<Item = (NodeId, u64, u64)> + '_ {
+        self.watermarks
+            .iter()
+            .map(|(&origin, &(generation, seq))| (origin, generation, seq))
     }
 
     /// The pull request this node sends each peer: its watermark vector.
     pub fn request_frame(&self, to: NodeId) -> Frame {
-        let wants = self
-            .watermarks
-            .iter()
-            .map(|(&origin, &(generation, seq))| (origin, generation, seq))
-            .collect();
-        Frame::request(self.id, to, wants)
+        Frame::request(self.id, to, self.wants().collect())
     }
 
-    /// Answers a peer's pull: for every origin this node has a log for,
-    /// every envelope strictly above the peer's watermark, in
-    /// `(generation, seq)` order, capped at [`MAX_ENTRIES_PER_FRAME`].
-    pub fn answer_request(&self, from: NodeId, wants: &[(NodeId, u64, u64)]) -> Option<Frame> {
+    /// [`request_frame`](FleetNode::request_frame)'s body, sealed once
+    /// for a whole round of peers.
+    pub(crate) fn request_body(&self) -> RequestBody {
+        RequestBody::new(self.wants())
+    }
+
+    /// Answers a peer's pull with the text of an entries frame: for every
+    /// origin this node has a log for, every envelope strictly above the
+    /// peer's watermark, in `(generation, seq)` order, capped at
+    /// [`MAX_ENTRIES_PER_FRAME`]. The envelope lines are the ones sealed
+    /// when the envelopes were logged; `None` when the peer lacks nothing.
+    pub fn answer_request(&self, from: NodeId, wants: &[(NodeId, u64, u64)]) -> Option<String> {
         let want_of = |origin: NodeId| -> (u64, u64) {
             wants
                 .iter()
@@ -330,19 +378,19 @@ impl FleetNode {
                 .map(|&(_, g, s)| (g, s))
                 .unwrap_or((0, 0))
         };
-        let mut batch = Vec::new();
+        let mut runs = Vec::new();
+        let mut n = 0;
         for (&origin, log) in &self.logs {
-            let (g, s) = want_of(origin);
-            for env in log {
-                if (env.generation, env.seq) > (g, s) {
-                    batch.push(env.clone());
-                    if batch.len() >= MAX_ENTRIES_PER_FRAME {
-                        return Some(Frame::entries(self.id, from, batch));
-                    }
+            let (run, lines) = log.after(want_of(origin), MAX_ENTRIES_PER_FRAME - n);
+            if lines > 0 {
+                runs.push(run);
+                n += lines;
+                if n == MAX_ENTRIES_PER_FRAME {
+                    break;
                 }
             }
         }
-        (!batch.is_empty()).then(|| Frame::entries(self.id, from, batch))
+        (n > 0).then(|| spliced_entries(self.id, from, n, &runs))
     }
 
     /// Ingests one entries batch: contiguous-prefix admission per origin,
@@ -366,7 +414,7 @@ impl FleetNode {
             }
             self.watermarks
                 .insert(env.origin, (env.generation, env.seq));
-            self.logs.entry(env.origin).or_default().push(env.clone());
+            self.logs.entry(env.origin).or_default().push(env);
             if let Applied::Advanced { conflict } = self.replica.apply(env) {
                 if conflict {
                     self.stats.conflicts_resolved += 1;
@@ -449,6 +497,7 @@ mod tests {
     use super::*;
     use crate::frame::FramePayload;
     use easched_core::Objective;
+    use easched_runtime::sealed::unseal;
 
     fn test_node(id: NodeId, dir: &Path) -> FleetNode {
         FleetNode::start(
@@ -515,7 +564,7 @@ mod tests {
         let FramePayload::Request(wants) = &req.payload else {
             panic!("request frame");
         };
-        let ent = a.answer_request(1, wants).expect("has news");
+        let ent = Frame::decode(&a.answer_request(1, wants).expect("has news")).unwrap();
         let FramePayload::Entries(envs) = &ent.payload else {
             panic!("entries frame");
         };
@@ -533,6 +582,180 @@ mod tests {
         assert!(spans
             .iter()
             .all(|s| s.kind == SpanKind::Replication && s.tenant == 1));
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// Every origin's log read back as envelopes, each checked against
+    /// the version its index entry claims.
+    fn logged_envelopes(node: &FleetNode) -> BTreeMap<NodeId, Vec<Envelope>> {
+        let mut logs = BTreeMap::new();
+        for (&origin, log) in &node.logs {
+            assert_eq!(log.text.lines().count(), log.index.len());
+            let read = |line| unseal(line).and_then(Envelope::from_line);
+            let envs: Vec<Envelope> = log.text.lines().map(|line| read(line).unwrap()).collect();
+            for (env, &(g, s, _)) in envs.iter().zip(&log.index) {
+                assert_eq!((env.origin, env.generation, env.seq), (origin, g, s));
+            }
+            logs.insert(origin, envs);
+        }
+        logs
+    }
+
+    /// The answer as it stood when logs held envelopes: a linear scan
+    /// that clones every wanted envelope into a fresh frame and encodes it.
+    fn answer_by_clone(
+        logs: &BTreeMap<NodeId, Vec<Envelope>>,
+        id: NodeId,
+        from: NodeId,
+        wants: &[(NodeId, u64, u64)],
+    ) -> Option<String> {
+        let want_of = |origin: NodeId| -> (u64, u64) {
+            wants
+                .iter()
+                .find(|(o, _, _)| *o == origin)
+                .map(|&(_, g, s)| (g, s))
+                .unwrap_or((0, 0))
+        };
+        let mut batch = Vec::new();
+        for (&origin, log) in logs {
+            let (g, s) = want_of(origin);
+            for env in log {
+                if (env.generation, env.seq) > (g, s) {
+                    batch.push(env.clone());
+                    if batch.len() >= MAX_ENTRIES_PER_FRAME {
+                        return Some(Frame::entries(id, from, batch).encode());
+                    }
+                }
+            }
+        }
+        (!batch.is_empty()).then(|| Frame::entries(id, from, batch).encode())
+    }
+
+    /// Watermark vectors over `logs`: empty, one origin at every logged
+    /// version and around it, every origin halfway, every origin caught
+    /// up, versions ahead of the log, an origin nobody logged, and an
+    /// origin named twice.
+    fn watermark_vectors(logs: &BTreeMap<NodeId, Vec<Envelope>>) -> Vec<Vec<(NodeId, u64, u64)>> {
+        let mut vectors = vec![Vec::new(), vec![(42, 1, 1)]];
+        for (&origin, log) in logs {
+            for env in log {
+                let (g, s) = (env.generation, env.seq);
+                vectors.push(vec![(origin, g, s)]);
+                vectors.push(vec![(origin, g, 0), (42, 9, 9)]);
+                vectors.push(vec![(origin, g + 1, 0)]);
+                vectors.push(vec![(origin, g, s + 1_000)]);
+                vectors.push(vec![(origin, g, s), (origin, 0, 0)]);
+            }
+            vectors.push(vec![(origin, u64::MAX, u64::MAX)]);
+        }
+        let at = |pick: fn(&[Envelope]) -> &Envelope| -> Vec<(NodeId, u64, u64)> {
+            let marks = logs.iter().map(|(&origin, log)| {
+                let env = pick(log);
+                (origin, env.generation, env.seq)
+            });
+            marks.collect()
+        };
+        vectors.push(at(|log| &log[log.len() / 2]));
+        vectors.push(at(|log| &log[log.len() - 1]));
+        vectors.push(at(|log| &log[0]));
+        vectors
+    }
+
+    #[test]
+    fn spliced_answers_and_requests_equal_the_encoded_ones() {
+        let base = std::env::temp_dir().join(format!("fleet-node-splice-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let start = |id: NodeId, platform: Platform| {
+            let dir = base.join(format!("n{id}"));
+            let config = EasConfig::new(Objective::EnergyDelay);
+            FleetNode::start(id, platform, config, &dir, 2000 + u64::from(id), 2).expect("starts")
+        };
+        // Every node pulls from every other once, over the real codec.
+        let exchange = |nodes: &mut [FleetNode], tick: u64| {
+            for dst in 0..nodes.len() {
+                for src in (0..nodes.len()).filter(|&src| src != dst) {
+                    let wants = nodes[dst].wants().collect::<Vec<_>>();
+                    let Some(text) = nodes[src].answer_request(nodes[dst].id, &wants) else {
+                        continue;
+                    };
+                    let FramePayload::Entries(envs) = Frame::decode(&text).unwrap().payload else {
+                        panic!("entries frame");
+                    };
+                    nodes[dst].ingest_entries(&envs, tick);
+                }
+            }
+        };
+        let mut nodes = vec![
+            start(0, Platform::haswell_desktop()),
+            start(1, Platform::baytrail_tablet()),
+            start(2, Platform::haswell_desktop()),
+        ];
+        for tick in 0..4 {
+            for node in nodes.iter_mut() {
+                for i in 0..2 {
+                    let (kernel, traits) = crate::run::kernel_traits((tick * 2 + i) % 5);
+                    node.run_invocation(kernel, &traits, 60_000, tick * 10 + i);
+                }
+                node.publish_local();
+            }
+            if tick == 2 {
+                nodes[0].taint_local(crate::run::kernel_traits(1).0);
+                nodes[0].publish_local();
+            }
+            exchange(&mut nodes, tick);
+        }
+        // A foreign stream long enough to fill frames, over two
+        // generations.
+        let foreign = |generation, seq| Envelope {
+            origin: 9,
+            platform: "skylake-minipc".into(),
+            generation,
+            seq,
+            op: Op::Put {
+                kernel: 300 + seq % 7,
+                alpha: seq as f64 / 400.0,
+                weight: 1.0,
+                seen: seq,
+                tainted: seq % 11 == 0,
+            },
+        };
+        let stream: Vec<Envelope> = (1..=200)
+            .map(|seq| foreign(1, seq))
+            .chain((1..=60).map(|seq| foreign(2, seq)))
+            .collect();
+        assert_eq!(nodes[1].ingest_entries(&stream, 4), 260);
+        // Node 0 dies without a checkpoint and comes back at a new
+        // generation; its peers hold both lives' envelopes.
+        let gen1 = nodes[0].generation();
+        drop(nodes.remove(0));
+        nodes.insert(0, start(0, Platform::haswell_desktop()));
+        assert!(nodes[0].generation() > gen1);
+        let (kernel, traits) = crate::run::kernel_traits(3);
+        nodes[0].run_invocation(kernel, &traits, 60_000, 99);
+        nodes[0].publish_local();
+        exchange(&mut nodes, 5);
+        exchange(&mut nodes, 6);
+        assert!(nodes[1].logs[&0].index.iter().any(|&(g, _, _)| g == gen1));
+        assert!(nodes[1].logs[&0].index.iter().any(|&(g, _, _)| g > gen1));
+
+        let mut answers = 0;
+        for node in &nodes {
+            for peer in 0..4 {
+                let spliced = node.request_body().frame(node.id, peer);
+                assert_eq!(spliced, node.request_frame(peer).encode());
+            }
+            let logs = logged_envelopes(node);
+            for wants in watermark_vectors(&logs) {
+                let spliced = node.answer_request(7, &wants);
+                assert_eq!(
+                    spliced,
+                    answer_by_clone(&logs, node.id, 7, &wants),
+                    "{wants:?}"
+                );
+                answers += usize::from(spliced.is_some());
+            }
+        }
+        assert!(answers > 1_000, "{answers} answers compared");
         let _ = std::fs::remove_dir_all(&base);
     }
 }

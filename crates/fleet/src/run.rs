@@ -687,13 +687,13 @@ fn anti_entropy_round(state: &mut RunState, tick: u64) {
     let live: Vec<NodeId> = state.nodes.iter().flatten().map(|n| n.id).collect();
     for &id in &live {
         let node = state.nodes[usize::from(id)].as_mut().expect("live");
+        let body = node.request_body();
         for &peer in &live {
             if peer == id {
                 continue;
             }
-            let frame = node.request_frame(peer);
             node.stats.frames_sent += 1;
-            state.transport.send(id, peer, frame.encode());
+            state.transport.send(id, peer, body.frame(id, peer));
         }
     }
     for _pass in 0..2 {
@@ -710,7 +710,7 @@ fn anti_entropy_round(state: &mut RunState, tick: u64) {
                             FramePayload::Request(wants) => {
                                 if let Some(reply) = node.answer_request(frame.from, &wants) {
                                     node.stats.frames_sent += 1;
-                                    responses.push((frame.from, reply.encode()));
+                                    responses.push((frame.from, reply));
                                 }
                             }
                             FramePayload::Entries(envelopes) => {

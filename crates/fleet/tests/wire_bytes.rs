@@ -1,19 +1,67 @@
-//! The fleet's bytes, pinned across commits: a recorded v3 log and one
-//! frame of each kind, with digests taken from the commit before the
-//! sealed-line writer replaced `format!`. The fabric tears a frame at
+//! The fleet's bytes, pinned across commits: recorded v3 logs and one
+//! frame of each kind. The 3-node log and the frames carry digests taken
+//! from the commit before the sealed-line writer replaced `format!`; the
+//! 30-node and restart logs, from the commit before answers were spliced
+//! from sealed retransmission logs. The fabric tears a frame at
 //! `rng % frame.len()`, so one moved byte would shift every fault after it
 //! in every recorded fleet run — and nothing that compares a build with
 //! itself would notice.
 
 use easched_core::fnv1a64;
-use easched_fleet::{run_fleet, Envelope, FleetSpec, Frame, Op};
+use easched_fleet::{run_fleet, CrashPlan, Envelope, FleetSpec, Frame, Op};
+
+/// The recorded log of `spec`, run over journals of its own under `tag`
+/// (a run without a store root shares one per seed): its line count and
+/// FNV-1a digest.
+fn log_of(tag: &str, mut spec: FleetSpec) -> (usize, u64) {
+    let root = std::env::temp_dir().join(format!("fleet-wire-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    spec.store_root = root.clone();
+    let report = run_fleet(&spec).expect("fleet runs");
+    let _ = std::fs::remove_dir_all(&root);
+    assert!(report.converged);
+    let text = report.log.to_text();
+    (text.lines().count(), fnv1a64(text.as_bytes()))
+}
+
+/// `nodes` platforms cycling the three presets, as the benchmark's
+/// `fleet_gossip` workload builds its fleet.
+fn cycled(seed: u64, nodes: usize, ticks: u64) -> FleetSpec {
+    let mut spec = FleetSpec::three_nodes(seed);
+    let presets = spec.platforms.clone();
+    spec.platforms = (0..nodes).map(|i| presets[i % 3].clone()).collect();
+    spec.ticks = ticks;
+    spec
+}
 
 #[test]
 fn fleet_log_bytes_are_the_recorded_ones() {
-    let report = run_fleet(&FleetSpec::three_nodes(7)).expect("fleet runs");
-    let text = report.log.to_text();
-    assert_eq!(text.lines().count(), 25);
-    assert_eq!(fnv1a64(text.as_bytes()), 0x2df0_842d_a4d0_8b38);
+    let log = log_of("3n", FleetSpec::three_nodes(7));
+    assert_eq!(log, (25, 0x2df0_842d_a4d0_8b38));
+}
+
+/// The benchmark's 30-node, 10-tick fleet: every pull answers from a
+/// retransmission log dozens of envelopes deep, so a spliced answer that
+/// moved one byte would shift the fabric's tears from there on.
+#[test]
+fn thirty_node_fleet_log_bytes_are_the_recorded_ones() {
+    let log = log_of("30n", cycled(7, 30, 10));
+    assert_eq!(log, (307, 0xe417_ee34_821a_80be));
+}
+
+/// A kill -9 and restart under storage chaos: the restarted node answers
+/// from a log that starts over at a new generation while its peers still
+/// relay the old one.
+#[test]
+fn restart_under_storage_chaos_log_bytes_are_the_recorded_ones() {
+    let mut spec = cycled(7, 9, 12);
+    spec.crash = Some(CrashPlan {
+        node: 1,
+        at_tick: 2,
+        restart_at_tick: 5,
+    });
+    spec.chaos_fs = Some(150);
+    assert_eq!(log_of("restart", spec), (123, 0x2bbc_b9da_eeb8_5cd0));
 }
 
 /// 64 envelopes over every field shape the grammar has: a NaN payload,

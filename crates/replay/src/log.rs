@@ -789,7 +789,8 @@ mod tests {
 
     #[test]
     fn unknown_version_is_refused() {
-        let out = easched_runtime::sealed::sealed("easched-runlog v99");
+        let mut out = String::new();
+        LineWriter::begin(&mut out, "easched-runlog v99").seal();
         assert_eq!(RunLog::from_text(&out), Err(LogError::UnknownVersion(99)));
     }
 

@@ -136,13 +136,6 @@ impl<'a> LineWriter<'a> {
     }
 }
 
-/// One sealed line as its own string.
-pub fn sealed(body: &str) -> String {
-    let mut line = String::with_capacity(body.len() + 22);
-    LineWriter::begin(&mut line, body).seal();
-    line
-}
-
 /// Strips and verifies the trailing seal: `None` unless the line ends in
 /// ` crc ` plus exactly 16 hex digits that match the body's digest.
 /// Blanks after the digits, and extra ones between the tag and the
@@ -308,6 +301,13 @@ impl<'a> Fields<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `body` as one sealed line.
+    fn sealed(body: &str) -> String {
+        let mut line = String::new();
+        LineWriter::begin(&mut line, body).seal();
+        line
+    }
 
     #[test]
     fn seal_round_trips_and_rejects_any_other_shape() {

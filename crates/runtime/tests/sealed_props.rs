@@ -6,9 +6,16 @@
 //! sit on the edges of the accept set, since uniformly random text never
 //! gets near it.
 
-use easched_runtime::sealed::{fnv1a64, sealed, unseal, Fields};
+use easched_runtime::sealed::{fnv1a64, unseal, Fields, LineWriter};
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+/// `body` as one sealed line.
+fn sealed(body: &str) -> String {
+    let mut line = String::new();
+    LineWriter::begin(&mut line, body).seal();
+    line
+}
 
 /// `unseal` as it stood before it read the seal at a fixed offset.
 fn unseal_by_search(line: &str) -> Option<&str> {

@@ -5,7 +5,7 @@
 use easched::core::{EasConfig, Objective, TableStore};
 use easched::fleet::{
     kernel_traits, replay_fleet, run_fleet, ChaosConfig, CrashPlan, FleetError, FleetNode,
-    FleetSpec, FramePayload, Partition, TaintPlan,
+    FleetSpec, Frame, FramePayload, Partition, TaintPlan,
 };
 use easched::replay::{RunLog, FORMAT_VERSION_FLEET};
 use easched::sim::Platform;
@@ -38,7 +38,8 @@ fn pull(dst: &mut FleetNode, src: &mut FleetNode, tick: u64) -> u64 {
     };
     match src.answer_request(dst.id, wants) {
         None => 0,
-        Some(ent) => {
+        Some(text) => {
+            let ent = Frame::decode(&text).expect("an answer decodes");
             let FramePayload::Entries(envs) = &ent.payload else {
                 panic!("entries frame");
             };
