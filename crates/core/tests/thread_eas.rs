@@ -7,6 +7,7 @@
 use easched_core::{characterize, CharacterizationConfig, EasConfig, EasScheduler, Objective};
 use easched_runtime::{Backend, Scheduler, ThreadBackend, ThreadBackendConfig};
 use easched_sim::{KernelTraits, Platform};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 #[test]
@@ -23,8 +24,10 @@ fn eas_schedules_real_threads_end_to_end() {
 
     let n = 60_000u64;
     let hits: Vec<AtomicU32> = (0..n as usize).map(|_| AtomicU32::new(0)).collect();
-    let process = |i: usize| {
-        hits[i].fetch_add(1, Ordering::Relaxed);
+    let process = |items: Range<usize>| {
+        for i in items {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        }
     };
     let traits = KernelTraits::builder("wall")
         .cpu_rate(5.0e5)
@@ -47,8 +50,10 @@ fn eas_schedules_real_threads_end_to_end() {
     // Second invocation reuses the learned ratio (no new decisions).
     let decisions = eas.decisions();
     let hits2: Vec<AtomicU32> = (0..n as usize).map(|_| AtomicU32::new(0)).collect();
-    let process2 = |i: usize| {
-        hits2[i].fetch_add(1, Ordering::Relaxed);
+    let process2 = |items: Range<usize>| {
+        for i in items {
+            hits2[i].fetch_add(1, Ordering::Relaxed);
+        }
     };
     let mut backend = ThreadBackend::new(
         ThreadBackendConfig::new(2, 5.0e6),

@@ -285,10 +285,12 @@ impl Workload for BarnesHut {
         let forces: Vec<[AtomicU64; 2]> = (0..n).map(|_| Default::default()).collect();
         {
             let t = &tree;
-            invoker.invoke(n as u64, &|i| {
-                let (fx, fy) = t.force(i, &self.xs, &self.ys);
-                forces[i][0].store(fx.to_bits(), Ordering::Relaxed);
-                forces[i][1].store(fy.to_bits(), Ordering::Relaxed);
+            invoker.invoke(n as u64, &|items| {
+                for i in items {
+                    let (fx, fy) = t.force(i, &self.xs, &self.ys);
+                    forces[i][0].store(fx.to_bits(), Ordering::Relaxed);
+                    forces[i][1].store(fy.to_bits(), Ordering::Relaxed);
+                }
             });
         }
         // Spot-check against exact forces. θ=0.5 gives a small *typical*

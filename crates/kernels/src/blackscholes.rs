@@ -143,10 +143,12 @@ impl Workload for BlackScholes {
         let calls: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
         let puts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
         for _ in 0..self.invocations {
-            invoker.invoke(n as u64, &|i| {
-                let (c, p) = price(&self.options[i]);
-                calls[i].store((c as f32).to_bits(), Ordering::Relaxed);
-                puts[i].store((p as f32).to_bits(), Ordering::Relaxed);
+            invoker.invoke(n as u64, &|items| {
+                for i in items {
+                    let (c, p) = price(&self.options[i]);
+                    calls[i].store((c as f32).to_bits(), Ordering::Relaxed);
+                    puts[i].store((p as f32).to_bits(), Ordering::Relaxed);
+                }
             });
         }
         // Verify: put-call parity C − P = S − K·e^{−rT} and a serial spot

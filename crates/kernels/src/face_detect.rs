@@ -214,10 +214,12 @@ impl Workload for FaceDetect {
                     let a = &alive;
                     let k = &keep;
                     let iiref = &ii;
-                    invoker.invoke(alive.len() as u64, &|i| {
-                        let (x, y) = a[i];
-                        if self.stage_passes(iiref, x, y, win, stage) {
-                            k[i].store(true, Ordering::Relaxed);
+                    invoker.invoke(alive.len() as u64, &|items| {
+                        for i in items {
+                            let (x, y) = a[i];
+                            if self.stage_passes(iiref, x, y, win, stage) {
+                                k[i].store(true, Ordering::Relaxed);
+                            }
                         }
                     });
                 }

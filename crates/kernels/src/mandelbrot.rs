@@ -10,6 +10,7 @@ use crate::profiles::{Calib, Profile};
 use crate::workload::{Invoker, Verification, Workload, WorkloadSpec};
 use easched_sim::{AccessPattern, KernelTraits, Platform};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 
 /// Escape-time iteration count for pixel coordinates in the complex plane.
 fn escape_time(cx: f64, cy: f64, max_iter: u32) -> u32 {
@@ -32,6 +33,9 @@ pub struct Mandelbrot {
     height: usize,
     max_iter: u32,
     profile: Profile,
+    /// The serial reference image, computed on the first drive and
+    /// compared against on every drive.
+    serial_image: OnceLock<Vec<u32>>,
 }
 
 impl Mandelbrot {
@@ -50,6 +54,7 @@ impl Mandelbrot {
             height,
             max_iter,
             profile,
+            serial_image: OnceLock::new(),
         }
     }
 
@@ -82,11 +87,12 @@ impl Mandelbrot {
         }
     }
 
-    fn pixel_coords(&self, i: usize) -> (f64, f64) {
+    /// Escape time of pixel `i` (row-major).
+    fn escape_time_at(&self, i: usize) -> u32 {
         let (x, y) = (i % self.width, i / self.width);
         let cx = -2.2 + 3.2 * (x as f64 + 0.5) / self.width as f64;
         let cy = -1.2 + 2.4 * (y as f64 + 0.5) / self.height as f64;
-        (cx, cy)
+        escape_time(cx, cy, self.max_iter)
     }
 }
 
@@ -114,19 +120,21 @@ impl Workload for Mandelbrot {
     fn drive(&self, invoker: &mut dyn Invoker) -> Verification {
         let n = self.width * self.height;
         let image: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
-        invoker.invoke(n as u64, &|i| {
-            let (cx, cy) = self.pixel_coords(i);
-            image[i].store(escape_time(cx, cy, self.max_iter), Ordering::Relaxed);
+        invoker.invoke(n as u64, &|items| {
+            for i in items {
+                image[i].store(self.escape_time_at(i), Ordering::Relaxed);
+            }
         });
-        // Serial recompute must match exactly; also require both interior
+        // The serial render must match exactly; also require both interior
         // (max_iter) and escaping pixels to be present — the region straddles
         // the set boundary by construction.
+        let serial = self
+            .serial_image
+            .get_or_init(|| (0..n).map(|i| self.escape_time_at(i)).collect());
         let mut interior = 0u64;
         let mut exterior = 0u64;
-        for (i, px) in image.iter().enumerate() {
+        for (i, (px, &want)) in image.iter().zip(serial).enumerate() {
             let got = px.load(Ordering::Relaxed);
-            let (cx, cy) = self.pixel_coords(i);
-            let want = escape_time(cx, cy, self.max_iter);
             if got != want {
                 return Verification::Failed(format!("pixel {i}: {got} vs {want}"));
             }

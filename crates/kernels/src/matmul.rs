@@ -94,9 +94,11 @@ impl Workload for MatMul {
     fn drive(&self, invoker: &mut dyn Invoker) -> Verification {
         let n = self.n;
         let c: Vec<AtomicU32> = (0..n * n).map(|_| AtomicU32::new(0)).collect();
-        invoker.invoke((n * n) as u64, &|i| {
-            let (row, col) = (i / n, i % n);
-            c[i].store(self.element(row, col).to_bits(), Ordering::Relaxed);
+        invoker.invoke((n * n) as u64, &|items| {
+            for i in items {
+                let (row, col) = (i / n, i % n);
+                c[i].store(self.element(row, col).to_bits(), Ordering::Relaxed);
+            }
         });
         // Verify a pseudo-random sample of entries serially (full recompute
         // would double the dominant cost for zero extra coverage).

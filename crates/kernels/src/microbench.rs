@@ -267,17 +267,19 @@ impl Workload for MicroWorkload {
         let checksum = AtomicU64::new(0);
         let memory_bound = self.memory_bound;
         let mask = self.table_mask;
-        invoker.invoke(self.items, &|i| {
-            if memory_bound {
-                // Random updates at hashed indices (paper §2).
-                let mut h = i as u64;
-                for _ in 0..8 {
-                    h = easched_sim::noise::splitmix64(h);
-                    table[(h as usize) & mask].fetch_add(1, Ordering::Relaxed);
+        invoker.invoke(self.items, &|items| {
+            for i in items {
+                if memory_bound {
+                    // Random updates at hashed indices (paper §2).
+                    let mut h = i as u64;
+                    for _ in 0..8 {
+                        h = easched_sim::noise::splitmix64(h);
+                        table[(h as usize) & mask].fetch_add(1, Ordering::Relaxed);
+                    }
+                } else {
+                    let v = fma_loop(64, i as u64);
+                    checksum.fetch_add(v.to_bits() & 0xFF, Ordering::Relaxed);
                 }
-            } else {
-                let v = fma_loop(64, i as u64);
-                checksum.fetch_add(v.to_bits() & 0xFF, Ordering::Relaxed);
             }
         });
         if memory_bound {

@@ -184,13 +184,15 @@ impl Workload for NBody {
             let next_vel: Vec<[AtomicU64; 3]> = (0..n).map(|_| Default::default()).collect();
             {
                 let cur = &current;
-                invoker.invoke(n as u64, &|i| {
-                    let a = accel(cur, i);
-                    for k in 0..3 {
-                        let v = cur.vel[i][k] + a[k] * DT;
-                        let p = cur.pos[i][k] + v * DT;
-                        next_vel[i][k].store(v.to_bits(), Ordering::Relaxed);
-                        next_pos[i][k].store(p.to_bits(), Ordering::Relaxed);
+                invoker.invoke(n as u64, &|items| {
+                    for i in items {
+                        let a = accel(cur, i);
+                        for k in 0..3 {
+                            let v = cur.vel[i][k] + a[k] * DT;
+                            let p = cur.pos[i][k] + v * DT;
+                            next_vel[i][k].store(v.to_bits(), Ordering::Relaxed);
+                            next_pos[i][k].store(p.to_bits(), Ordering::Relaxed);
+                        }
                     }
                 });
             }

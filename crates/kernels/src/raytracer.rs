@@ -259,10 +259,12 @@ impl Workload for RayTracer {
     fn drive(&self, invoker: &mut dyn Invoker) -> Verification {
         let n = self.width * self.height;
         let image: Vec<[AtomicU32; 3]> = (0..n).map(|_| Default::default()).collect();
-        invoker.invoke(n as u64, &|i| {
-            let c = self.render_pixel(i);
-            for k in 0..3 {
-                image[i][k].store(c[k].to_bits(), Ordering::Relaxed);
+        invoker.invoke(n as u64, &|items| {
+            for i in items {
+                let c = self.render_pixel(i);
+                for k in 0..3 {
+                    image[i][k].store(c[k].to_bits(), Ordering::Relaxed);
+                }
             }
         });
         // Serial re-render must match bitwise.

@@ -131,11 +131,13 @@ impl Workload for Seismic {
             let next: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
             {
                 let (p, c) = (&prev, &cur);
-                invoker.invoke(n as u64, &|i| {
-                    next[i].store(
-                        step_cell(self.width, self.height, p, c, i).to_bits(),
-                        Ordering::Relaxed,
-                    );
+                invoker.invoke(n as u64, &|items| {
+                    for i in items {
+                        next[i].store(
+                            step_cell(self.width, self.height, p, c, i).to_bits(),
+                            Ordering::Relaxed,
+                        );
+                    }
                 });
             }
             prev = std::mem::replace(

@@ -195,8 +195,10 @@ impl Workload for SkipList {
             let l = &list;
             let q = &self.queries;
             let f = &found;
-            invoker.invoke(self.queries.len() as u64, &|i| {
-                f[i].store(l.contains(q[i]), Ordering::Relaxed);
+            invoker.invoke(self.queries.len() as u64, &|items| {
+                for i in items {
+                    f[i].store(l.contains(q[i]), Ordering::Relaxed);
+                }
             });
         }
         for (i, q) in self.queries.iter().enumerate() {

@@ -6,17 +6,22 @@
 //! (frontier algorithms). The workload drives execution through an
 //! [`Invoker`], which decides *where* items run:
 //!
-//! * [`SerialInvoker`] executes items inline (tests, verification);
+//! * [`SerialInvoker`] executes all items inline as one range (tests,
+//!   verification);
 //! * [`TraceRecorder`] executes inline *and* records the invocation sizes,
 //!   producing an [`InvocationTrace`] that the evaluation harness replays
 //!   through schedulers on the simulated machine (trace-driven simulation);
 //! * the runtime crate provides invokers that partition items between the
 //!   CPU pool and the GPU.
 //!
-//! Item processing functions must be thread-safe (`Sync`): the heterogeneous
-//! runtime calls them concurrently from many workers.
+//! A kernel body takes a *range* of item indices and loops over it, so an
+//! invoker pays one dynamic call per chunk it hands out — the granularity of
+//! the paper's Concord-style `parallel_for` — not one per item. Bodies must
+//! be thread-safe (`Sync`): the heterogeneous runtime calls them
+//! concurrently from many workers, on disjoint ranges.
 
 use easched_sim::{KernelTraits, Platform};
+use std::ops::Range;
 
 /// Static description of a workload (Table 1 metadata).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,9 +56,9 @@ impl Verification {
 /// Executes kernel invocations on behalf of a workload.
 pub trait Invoker {
     /// Runs one data-parallel kernel invocation of `n` independent items.
-    /// Must execute `process(i)` exactly once for every `i < n` (on any
-    /// thread, in any order) before returning.
-    fn invoke(&mut self, n: u64, process: &(dyn Fn(usize) + Sync));
+    /// Must call `process` on disjoint ranges that together cover `0..n`
+    /// exactly once (on any thread, in any order) before returning.
+    fn invoke(&mut self, n: u64, process: &(dyn Fn(Range<usize>) + Sync));
 }
 
 /// An invoker that executes all items inline on the calling thread.
@@ -65,8 +70,10 @@ pub trait Invoker {
 /// use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// let sum = AtomicU64::new(0);
-/// SerialInvoker.invoke(10, &|i| {
-///     sum.fetch_add(i as u64, Ordering::Relaxed);
+/// SerialInvoker.invoke(10, &|items| {
+///     for i in items {
+///         sum.fetch_add(i as u64, Ordering::Relaxed);
+///     }
 /// });
 /// assert_eq!(sum.load(Ordering::Relaxed), 45);
 /// ```
@@ -74,10 +81,8 @@ pub trait Invoker {
 pub struct SerialInvoker;
 
 impl Invoker for SerialInvoker {
-    fn invoke(&mut self, n: u64, process: &(dyn Fn(usize) + Sync)) {
-        for i in 0..n as usize {
-            process(i);
-        }
+    fn invoke(&mut self, n: u64, process: &(dyn Fn(Range<usize>) + Sync)) {
+        process(0..n as usize);
     }
 }
 
@@ -124,11 +129,9 @@ impl TraceRecorder {
 }
 
 impl Invoker for TraceRecorder {
-    fn invoke(&mut self, n: u64, process: &(dyn Fn(usize) + Sync)) {
+    fn invoke(&mut self, n: u64, process: &(dyn Fn(Range<usize>) + Sync)) {
         self.trace.sizes.push(n);
-        for i in 0..n as usize {
-            process(i);
-        }
+        process(0..n as usize);
     }
 }
 
@@ -196,12 +199,13 @@ mod tests {
 
         fn drive(&self, invoker: &mut dyn Invoker) -> Verification {
             let acc = AtomicU64::new(0);
-            invoker.invoke(4, &|i| {
-                acc.fetch_add(2 * i as u64, Ordering::Relaxed);
-            });
-            invoker.invoke(2, &|i| {
-                acc.fetch_add(2 * i as u64, Ordering::Relaxed);
-            });
+            let double = |items: Range<usize>| {
+                for i in items {
+                    acc.fetch_add(2 * i as u64, Ordering::Relaxed);
+                }
+            };
+            invoker.invoke(4, &double);
+            invoker.invoke(2, &double);
             if acc.load(Ordering::Relaxed) == 14 {
                 Verification::Passed
             } else {

@@ -3,39 +3,46 @@
 //! runtime relies on.
 
 use easched_kernels::blackscholes::BlackScholes;
+use easched_kernels::graphs::{Bfs, ConnectedComponents, ShortestPath};
 use easched_kernels::mandelbrot::Mandelbrot;
 use easched_kernels::matmul::MatMul;
 use easched_kernels::nbody::NBody;
 use easched_kernels::seismic::Seismic;
 use easched_kernels::skiplist::SkipList;
 use easched_kernels::workload::{Invoker, Workload};
+use easched_sim::noise::splitmix64;
 use proptest::prelude::*;
+use std::ops::Range;
 
-/// An invoker that executes items in a deterministic shuffled order split
-/// into two "device" halves processed back to front — a worst-case legal
-/// schedule.
+/// An invoker that cuts `0..n` into seeded random-length ranges (from one
+/// item up to a third of the invocation) and hands them out in a
+/// deterministic shuffled order — a worst-case legal schedule.
 struct ShuffledInvoker {
     seed: u64,
 }
 
 impl Invoker for ShuffledInvoker {
-    fn invoke(&mut self, n: u64, process: &(dyn Fn(usize) + Sync)) {
+    fn invoke(&mut self, n: u64, process: &(dyn Fn(Range<usize>) + Sync)) {
         let n = n as usize;
-        let mut order: Vec<usize> = (0..n).collect();
-        // Deterministic Fisher-Yates from splitmix64.
         let mut state = self.seed;
-        for i in (1..n).rev() {
-            state = easched_sim::noise::splitmix64(state);
+        let mut ranges = Vec::new();
+        let mut start = 0;
+        while start < n {
+            state = splitmix64(state);
+            let len = 1 + (state % (n as u64 / 3 + 1)) as usize;
+            let end = (start + len).min(n);
+            ranges.push(start..end);
+            start = end;
+        }
+        // Deterministic Fisher-Yates over the ranges.
+        for i in (1..ranges.len()).rev() {
+            state = splitmix64(state);
             let j = (state % (i as u64 + 1)) as usize;
-            order.swap(i, j);
+            ranges.swap(i, j);
         }
-        // "GPU" half runs first (from the back), then the "CPU" half.
-        let split = n / 3;
-        for &i in order[split..].iter().rev() {
-            process(i);
-        }
-        for &i in &order[..split] {
-            process(i);
+        self.seed = state;
+        for r in ranges {
+            process(r);
         }
     }
 }
@@ -98,6 +105,42 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let w = SkipList::new(keys, lookups, seed, SkipList::default_profile());
+        let mut invoker = ShuffledInvoker { seed };
+        prop_assert!(w.drive(&mut invoker).is_passed());
+    }
+
+    #[test]
+    fn bfs_verifies_under_any_order(
+        wv in 2u32..14,
+        hv in 2u32..14,
+        graph_seed in 0u64..64,
+        seed in any::<u64>(),
+    ) {
+        let w = Bfs::new(wv, hv, graph_seed, Bfs::default_profile());
+        let mut invoker = ShuffledInvoker { seed };
+        prop_assert!(w.drive(&mut invoker).is_passed());
+    }
+
+    #[test]
+    fn cc_verifies_under_any_order(
+        wv in 2u32..14,
+        hv in 2u32..14,
+        graph_seed in 0u64..64,
+        seed in any::<u64>(),
+    ) {
+        let w = ConnectedComponents::new(wv, hv, graph_seed, ConnectedComponents::default_profile());
+        let mut invoker = ShuffledInvoker { seed };
+        prop_assert!(w.drive(&mut invoker).is_passed());
+    }
+
+    #[test]
+    fn sp_verifies_under_any_order(
+        wv in 2u32..14,
+        hv in 2u32..14,
+        graph_seed in 0u64..64,
+        seed in any::<u64>(),
+    ) {
+        let w = ShortestPath::new(wv, hv, graph_seed, ShortestPath::default_profile());
         let mut invoker = ShuffledInvoker { seed };
         prop_assert!(w.drive(&mut invoker).is_passed());
     }

@@ -187,8 +187,9 @@ pub fn record_chaos_storm(spec: &StormSpec) -> RecordedStorm {
         kinds: Fault::ALL.to_vec(),
     });
     let mut machine = Machine::new(storm_platform());
+    let workloads = storm_workloads();
     for _round in 0..spec.rounds {
-        for workload in storm_workloads() {
+        for workload in &workloads {
             let label = workload.spec().abbrev;
             let mut recording = RecordingScheduler::new(&mut eas, Arc::clone(&recorder), label);
             let (_, verification) = run_workload_chaos(

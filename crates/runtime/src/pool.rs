@@ -3,7 +3,8 @@
 //!
 //! Each call spawns scoped worker threads with per-worker Chase-Lev deques
 //! (crossbeam). Iteration chunks are distributed round-robin; idle workers
-//! steal from victims. Per-worker item counts and busy times are collected
+//! steal from victims. The body receives each chunk whole, as a range, so
+//! dispatch costs one dynamic call per chunk rather than one per index. Per-worker item counts and busy times are collected
 //! locally — the "CPU workers locally collect profiling information" part of
 //! the paper's adaptive profiling — and returned in a [`PoolReport`].
 //!
@@ -15,6 +16,7 @@
 
 use crate::clock::{Clock, WallClock};
 use crossbeam::deque::{Steal, Stealer, Worker};
+use std::ops::Range;
 
 /// Per-worker and aggregate statistics from one `parallel_for`.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -65,7 +67,7 @@ pub fn parallel_for_clocked(
     n: u64,
     workers: usize,
     clock: &dyn Clock,
-    f: &(dyn Fn(usize) + Sync),
+    f: &(dyn Fn(Range<usize>) + Sync),
 ) -> PoolReport {
     assert!(workers > 0, "need at least one worker");
     let chunk = (n / (workers as u64 * 8)).clamp(1, 4096);
@@ -116,9 +118,7 @@ pub fn parallel_for_clocked(
                         None
                     });
                     let Some(c) = job else { break };
-                    for i in c.start..c.end {
-                        f(i as usize);
-                    }
+                    f(c.start as usize..c.end as usize);
                     my_items += c.end - c.start;
                 }
                 (my_items, clock.now() - t0, my_steals)
@@ -141,8 +141,8 @@ pub fn parallel_for_clocked(
     }
 }
 
-/// Executes `f(i)` for every `i < n` on `workers` threads with work
-/// stealing (runs to completion).
+/// Calls `f` on disjoint chunks that cover `0..n` exactly once, on
+/// `workers` threads with work stealing (runs to completion).
 ///
 /// # Panics
 ///
@@ -155,13 +155,15 @@ pub fn parallel_for_clocked(
 /// use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// let sum = AtomicU64::new(0);
-/// let report = parallel_for(1000, 4, &|i| {
-///     sum.fetch_add(i as u64, Ordering::Relaxed);
+/// let report = parallel_for(1000, 4, &|items| {
+///     for i in items {
+///         sum.fetch_add(i as u64, Ordering::Relaxed);
+///     }
 /// });
 /// assert_eq!(sum.load(Ordering::Relaxed), 499_500);
 /// assert_eq!(report.total_items(), 1000);
 /// ```
-pub fn parallel_for(n: u64, workers: usize, f: &(dyn Fn(usize) + Sync)) -> PoolReport {
+pub fn parallel_for(n: u64, workers: usize, f: &(dyn Fn(Range<usize>) + Sync)) -> PoolReport {
     parallel_for_clocked(n, workers, &WallClock, f)
 }
 
@@ -174,8 +176,10 @@ mod tests {
     #[test]
     fn executes_every_index_once() {
         let hits: Vec<AtomicU64> = (0..10_000).map(|_| AtomicU64::new(0)).collect();
-        let r = parallel_for(10_000, 4, &|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
+        let r = parallel_for(10_000, 4, &|items| {
+            for i in items {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            }
         });
         assert_eq!(r.total_items(), 10_000);
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -190,8 +194,8 @@ mod tests {
     #[test]
     fn single_worker_ok() {
         let count = AtomicU64::new(0);
-        let r = parallel_for(100, 1, &|_| {
-            count.fetch_add(1, Ordering::Relaxed);
+        let r = parallel_for(100, 1, &|items| {
+            count.fetch_add(items.len() as u64, Ordering::Relaxed);
         });
         assert_eq!(r.total_items(), 100);
         assert_eq!(r.items_per_worker.len(), 1);
@@ -203,10 +207,12 @@ mod tests {
         // scheduler timeslices even in release mode on a single-core box —
         // otherwise the first worker thread can drain every deque before
         // the other threads have been scheduled at all.
-        let r = parallel_for(20_000, 4, &|_| {
-            let t = Instant::now();
-            while t.elapsed() < std::time::Duration::from_micros(2) {
-                std::hint::spin_loop();
+        let r = parallel_for(20_000, 4, &|items| {
+            for _ in items {
+                let t = Instant::now();
+                while t.elapsed() < std::time::Duration::from_micros(2) {
+                    std::hint::spin_loop();
+                }
             }
         });
         let active = r.items_per_worker.iter().filter(|&&c| c > 0).count();
@@ -222,8 +228,8 @@ mod tests {
         // Index 0 opens worker 0's deque and stalls whoever runs it: the
         // idle workers finish their own shares long before the stall ends
         // and must steal the chunks queued behind it.
-        let r = parallel_for(1_000, 4, &|i| {
-            if i == 0 {
+        let r = parallel_for(1_000, 4, &|items| {
+            if items.contains(&0) {
                 std::thread::sleep(std::time::Duration::from_millis(20));
             }
         });

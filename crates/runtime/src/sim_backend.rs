@@ -4,7 +4,8 @@
 //! [`easched_sim::Machine`]: profiling steps and split runs become
 //! machine phases, observations are read back through the energy register
 //! and counters (the black-box interface), and item indices are optionally
-//! executed *functionally* so workload outputs remain verifiable.
+//! executed *functionally* — one range per device per phase — so workload
+//! outputs remain verifiable.
 //!
 //! [`SchedulerInvoker`] adapts a [`Scheduler`] to the
 //! [`easched_kernels::Invoker`] interface so a workload can be
@@ -19,12 +20,13 @@ use crate::observation::{Observation, RunMetrics};
 use crate::scheduler::{KernelId, Scheduler};
 use easched_kernels::{InvocationTrace, Invoker};
 use easched_sim::{EnergyCounter, KernelTraits, Machine, PhasePlan};
+use std::ops::Range;
 
 /// One invocation's execution surface over the simulated machine.
 pub struct SimBackend<'a> {
     machine: &'a mut Machine,
     traits: &'a KernelTraits,
-    process: Option<&'a (dyn Fn(usize) + Sync)>,
+    process: Option<&'a (dyn Fn(Range<usize>) + Sync)>,
     /// Next unprocessed item at the low end (CPU side consumes from here).
     low: u64,
     /// One past the last unprocessed item (GPU chunks come off this end).
@@ -44,13 +46,13 @@ impl std::fmt::Debug for SimBackend<'_> {
 
 impl<'a> SimBackend<'a> {
     /// Creates a backend for an invocation of `n` items of the kernel
-    /// described by `traits`. If `process` is given, every executed item
-    /// index is also run functionally.
+    /// described by `traits`. If `process` is given, every executed range
+    /// of item indices is also run functionally.
     pub fn new(
         machine: &'a mut Machine,
         traits: &'a KernelTraits,
         n: u64,
-        process: Option<&'a (dyn Fn(usize) + Sync)>,
+        process: Option<&'a (dyn Fn(Range<usize>) + Sync)>,
         invocation_seed: u64,
     ) -> SimBackend<'a> {
         SimBackend {
@@ -87,9 +89,7 @@ impl<'a> SimBackend<'a> {
     /// Functionally executes `count` items off the low end.
     fn exec_low(&mut self, count: u64) {
         if let Some(f) = self.process {
-            for i in self.low..self.low + count {
-                f(i as usize);
-            }
+            f(self.low as usize..(self.low + count) as usize);
         }
         self.low += count;
     }
@@ -97,9 +97,7 @@ impl<'a> SimBackend<'a> {
     /// Functionally executes `count` items off the high end.
     fn exec_high(&mut self, count: u64) {
         if let Some(f) = self.process {
-            for i in self.high - count..self.high {
-                f(i as usize);
-            }
+            f((self.high - count) as usize..self.high as usize);
         }
         self.high -= count;
     }
@@ -201,7 +199,7 @@ impl<'a, S: Scheduler> SchedulerInvoker<'a, S> {
     /// Schedules one invocation of `n` items and meters it: virtual time
     /// and package energy across the call, plus the item count, land in
     /// the run totals. Every driver's per-invocation body.
-    fn invoke_metered(&mut self, n: u64, process: Option<&(dyn Fn(usize) + Sync)>) {
+    fn invoke_metered(&mut self, n: u64, process: Option<&(dyn Fn(Range<usize>) + Sync)>) {
         self.invocation_index += 1;
         let t0 = self.machine.now();
         let e0 = self.machine.read_energy_raw();
@@ -231,7 +229,7 @@ impl<'a, S: Scheduler> SchedulerInvoker<'a, S> {
 }
 
 impl<S: Scheduler> Invoker for SchedulerInvoker<'_, S> {
-    fn invoke(&mut self, n: u64, process: &(dyn Fn(usize) + Sync)) {
+    fn invoke(&mut self, n: u64, process: &(dyn Fn(Range<usize>) + Sync)) {
         self.invoke_metered(n, Some(process));
     }
 }
@@ -355,8 +353,10 @@ mod tests {
         let mut m = quiet_machine();
         let t = test_traits();
         let hits: Vec<AtomicU32> = (0..50_000).map(|_| AtomicU32::new(0)).collect();
-        let f = |i: usize| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
+        let f = |items: Range<usize>| {
+            for i in items {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            }
         };
         let mut b = SimBackend::new(&mut m, &t, 50_000, Some(&f), 1);
         b.profile_step(2240);

@@ -19,6 +19,7 @@ use crate::clock::{Clock, WallClock};
 use crate::observation::Observation;
 use crate::pool;
 use easched_sim::{KernelTraits, Platform};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -73,7 +74,7 @@ pub struct ThreadBackend<'a> {
     config: ThreadBackendConfig,
     platform: &'a Platform,
     traits: &'a KernelTraits,
-    process: &'a (dyn Fn(usize) + Sync),
+    process: &'a (dyn Fn(Range<usize>) + Sync),
     low: u64,
     high: u64,
 }
@@ -95,7 +96,7 @@ impl<'a> ThreadBackend<'a> {
         platform: &'a Platform,
         traits: &'a KernelTraits,
         n: u64,
-        process: &'a (dyn Fn(usize) + Sync),
+        process: &'a (dyn Fn(Range<usize>) + Sync),
     ) -> ThreadBackend<'a> {
         ThreadBackend {
             config,
@@ -115,9 +116,7 @@ impl<'a> ThreadBackend<'a> {
         let total = end - start;
         while done < total {
             let batch = self.config.pacing_batch.min(total - done);
-            for i in start + done..start + done + batch {
-                (self.process)(i as usize);
-            }
+            (self.process)((start + done) as usize..(start + done + batch) as usize);
             done += batch;
             // Pace to the emulated device rate.
             let target = done as f64 / self.config.gpu_rate;
@@ -192,9 +191,7 @@ impl Backend for ThreadBackend<'_> {
                             break;
                         }
                         let end = (c + chunk_sz).min(pool_items);
-                        for i in c..end {
-                            process((low + i) as usize);
-                        }
+                        process((low + c) as usize..(low + end) as usize);
                         executed.fetch_add(end - c, Ordering::Relaxed);
                     }
                     clock.now() - t
@@ -234,7 +231,7 @@ impl Backend for ThreadBackend<'_> {
         let gpu = (rem as f64 * alpha).round() as u64;
         let cpu = rem - gpu;
         let gpu_start = self.high - gpu;
-        let low = self.low;
+        let low = self.low as usize;
         let process = self.process;
 
         let clock = Arc::clone(&self.config.clock);
@@ -248,7 +245,7 @@ impl Backend for ThreadBackend<'_> {
                     cpu,
                     self.config.cpu_workers,
                     clock.as_ref(),
-                    &|i| process((low + i as u64) as usize),
+                    &|chunk| process(low + chunk.start..low + chunk.end),
                 );
             }
             if let Some(p) = proxy {
@@ -292,8 +289,10 @@ mod tests {
         let platform = Platform::haswell_desktop();
         let t = traits();
         let hits: Vec<AtomicU32> = (0..20_000).map(|_| AtomicU32::new(0)).collect();
-        let f = |i: usize| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
+        let f = |items: Range<usize>| {
+            for i in items {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            }
         };
         let mut b = ThreadBackend::new(
             ThreadBackendConfig::new(4, 1.0e7),
@@ -315,8 +314,10 @@ mod tests {
         let platform = Platform::haswell_desktop();
         let t = traits();
         let hits: Vec<AtomicU32> = (0..30_000).map(|_| AtomicU32::new(0)).collect();
-        let f = |i: usize| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
+        let f = |items: Range<usize>| {
+            for i in items {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            }
         };
         let mut b = ThreadBackend::new(
             // Slow emulated GPU so the CPU pool is busy during profiling.
@@ -339,7 +340,7 @@ mod tests {
     fn gpu_pacing_approximates_rate() {
         let platform = Platform::haswell_desktop();
         let t = traits();
-        let f = |_: usize| {};
+        let f = |_: Range<usize>| {};
         let b = ThreadBackend::new(
             ThreadBackendConfig::new(1, 100_000.0),
             &platform,
@@ -356,7 +357,7 @@ mod tests {
     fn energy_estimate_positive_and_scales() {
         let platform = Platform::haswell_desktop();
         let t = traits();
-        let f = |_: usize| {};
+        let f = |_: Range<usize>| {};
         let b = ThreadBackend::new(ThreadBackendConfig::new(1, 1e6), &platform, &t, 10, &f);
         let e1 = b.estimate_energy(1.0, 0.0, 0.0);
         let e2 = b.estimate_energy(2.0, 0.0, 0.0);
@@ -377,7 +378,7 @@ mod tests {
         use crate::clock::TickClock;
         let platform = Platform::haswell_desktop();
         let t = traits();
-        let f = |_: usize| {};
+        let f = |_: Range<usize>| {};
         // The GPU proxy and the CPU worker read one `TickClock` that
         // advances per read, so the interleaving of their reads — and
         // with it every timestamp's bit pattern and the worker's share

@@ -4,7 +4,24 @@
 use easched_runtime::{parallel_for, Backend, SimBackend};
 use easched_sim::{KernelTraits, Machine, Platform};
 use proptest::prelude::*;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Mutex;
+
+/// True if `ranges`, sorted, tile `0..n` with no gap and no overlap
+/// (empty ranges are allowed anywhere).
+fn tiles(mut ranges: Vec<Range<usize>>, n: usize) -> bool {
+    ranges.retain(|r| !r.is_empty());
+    ranges.sort_by_key(|r| r.start);
+    let mut next = 0;
+    for r in ranges {
+        if r.start != next {
+            return false;
+        }
+        next = r.end;
+    }
+    next == n
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -14,26 +31,35 @@ proptest! {
     #[test]
     fn pool_executes_each_index_once(n in 0u64..5_000, workers in 1usize..6) {
         let hits: Vec<AtomicU32> = (0..n as usize).map(|_| AtomicU32::new(0)).collect();
-        let report = parallel_for(n, workers, &|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
+        let ranges = Mutex::new(Vec::new());
+        let report = parallel_for(n, workers, &|items| {
+            for i in items.clone() {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            }
+            ranges.lock().unwrap().push(items);
         });
         prop_assert_eq!(report.total_items(), n);
         prop_assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         prop_assert_eq!(report.items_per_worker.len(), workers);
+        prop_assert!(tiles(ranges.into_inner().unwrap(), n as usize));
     }
 
     /// parallel_for matches a serial fold.
     #[test]
     fn pool_matches_serial_sum(n in 0u64..20_000, workers in 1usize..8) {
         let sum = std::sync::atomic::AtomicU64::new(0);
-        parallel_for(n, workers, &|i| {
-            sum.fetch_add(i as u64 + 1, Ordering::Relaxed);
+        parallel_for(n, workers, &|items| {
+            for i in items {
+                sum.fetch_add(i as u64 + 1, Ordering::Relaxed);
+            }
         });
         prop_assert_eq!(sum.load(Ordering::Relaxed), n * (n + 1) / 2);
     }
 
     /// Any interleaving of profile steps and a final split consumes every
-    /// item exactly once on the sim backend.
+    /// item exactly once on the sim backend, handing the functional body
+    /// at most one range per device per phase, and the ranges it hands
+    /// out tile `0..n`.
     #[test]
     fn sim_backend_item_accounting(
         n in 1u64..200_000,
@@ -46,29 +72,39 @@ proptest! {
             .gpu_rate(2.0e6)
             .build();
         let hits: Vec<AtomicU32> = (0..n as usize).map(|_| AtomicU32::new(0)).collect();
-        let f = |i: usize| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
+        let ranges = Mutex::new(Vec::new());
+        let f = |items: Range<usize>| {
+            for i in items.clone() {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            }
+            ranges.lock().unwrap().push(items);
         };
         let mut machine = Machine::new(platform);
         let mut b = SimBackend::new(&mut machine, &traits, n, Some(&f), 7);
         let mut consumed = 0u64;
+        let mut phases = 0;
         for chunk in chunks {
             if b.remaining() == 0 {
                 break;
             }
             let before = b.remaining();
             let obs = b.profile_step(chunk);
+            phases += 1;
             consumed += obs.cpu_items + obs.gpu_items;
             prop_assert_eq!(before - b.remaining(), obs.cpu_items + obs.gpu_items);
         }
         if b.remaining() > 0 {
             let obs = b.run_split(alpha_step as f64 / 10.0);
+            phases += 1;
             consumed += obs.cpu_items + obs.gpu_items;
         }
         prop_assert_eq!(consumed, n);
         prop_assert_eq!(b.remaining(), 0);
         let _ = b;
         prop_assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        let ranges = ranges.into_inner().unwrap();
+        prop_assert!(ranges.len() <= 2 * phases, "{} ranges in {phases} phases", ranges.len());
+        prop_assert!(tiles(ranges, n as usize));
     }
 
     /// Observations report consistent rates: items/time within the solo

@@ -33,7 +33,11 @@ fn main() {
         let n = bfs.frontier_len();
         max_frontier = max_frontier.max(n);
         let engine = &bfs;
-        parallel_for(n as u64, workers, &|i| engine.process_item(i));
+        parallel_for(n as u64, workers, &|items| {
+            for i in items {
+                engine.process_item(i);
+            }
+        });
         bfs.advance();
         levels += 1;
     }
@@ -51,7 +55,11 @@ fn main() {
     while !sssp.is_done() {
         let n = sssp.frontier_len();
         let engine = &sssp;
-        parallel_for(n as u64, workers, &|i| engine.process_item(i));
+        parallel_for(n as u64, workers, &|items| {
+            for i in items {
+                engine.process_item(i);
+            }
+        });
         sssp.advance();
         rounds += 1;
     }

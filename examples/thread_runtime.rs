@@ -26,21 +26,23 @@ fn main() {
     // "device" claims them.
     let (width, height, max_iter) = (1024usize, 512usize, 192u32);
     let pixels: Vec<AtomicU32> = (0..width * height).map(|_| AtomicU32::new(0)).collect();
-    let render = |i: usize| {
-        let (x, y) = (i % width, i / width);
-        let (cx, cy) = (
-            -2.2 + 3.2 * (x as f64 + 0.5) / width as f64,
-            -1.2 + 2.4 * (y as f64 + 0.5) / height as f64,
-        );
-        let (mut zx, mut zy) = (0.0f64, 0.0);
-        let mut it = 0;
-        while zx * zx + zy * zy <= 4.0 && it < max_iter {
-            let t = zx * zx - zy * zy + cx;
-            zy = 2.0 * zx * zy + cy;
-            zx = t;
-            it += 1;
+    let render = |items: std::ops::Range<usize>| {
+        for i in items {
+            let (x, y) = (i % width, i / width);
+            let (cx, cy) = (
+                -2.2 + 3.2 * (x as f64 + 0.5) / width as f64,
+                -1.2 + 2.4 * (y as f64 + 0.5) / height as f64,
+            );
+            let (mut zx, mut zy) = (0.0f64, 0.0);
+            let mut it = 0;
+            while zx * zx + zy * zy <= 4.0 && it < max_iter {
+                let t = zx * zx - zy * zy + cx;
+                zy = 2.0 * zx * zy + cy;
+                zx = t;
+                it += 1;
+            }
+            pixels[i].store(it, Ordering::Relaxed);
         }
-        pixels[i].store(it, Ordering::Relaxed);
     };
 
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get().min(8));

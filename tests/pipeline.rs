@@ -117,7 +117,7 @@ fn whole_small_suite_verifies_under_real_parallelism() {
     // reduced suite with actual work-stealing threads.
     struct PoolInvoker(usize);
     impl easched::kernels::Invoker for PoolInvoker {
-        fn invoke(&mut self, n: u64, process: &(dyn Fn(usize) + Sync)) {
+        fn invoke(&mut self, n: u64, process: &(dyn Fn(std::ops::Range<usize>) + Sync)) {
             easched::runtime::parallel_for(n, self.0, process);
         }
     }
