@@ -20,16 +20,54 @@
 //! [`RunMetrics`] do not depend on the objective that later scores them,
 //! so they are all reads of one [`FixedSweep`]: CPU is its first point,
 //! GPU its last, PERF the interior arg-min of time, Oracle the arg-min of
-//! the objective. A comparison replays the trace `oracle_steps + 2`
+//! the objective. A comparison replays the trace `ORACLE_STEPS + 2` = 12
 //! times — the sweep plus EAS.
+//!
+//! Each replay owns a fresh machine and its own scheduler, so the twelve
+//! are independent jobs: they run on the work-stealing pool
+//! ([`parallel_for`]) on up to `available_parallelism()` workers, EAS
+//! first because it is the longest. Every result lands in the slot of its
+//! job's index, so the sweep's order, the first-minimum tie rule and every
+//! number read off them do not depend on the worker count.
 
 use crate::eas::{EasConfig, EasScheduler};
 use crate::objective::Objective;
 use crate::power_model::PowerModel;
 use easched_kernels::{record_trace, InvocationTrace, Workload};
 use easched_runtime::scheduler::FixedAlpha;
-use easched_runtime::{replay_trace, RunMetrics, Scheduler};
+use easched_runtime::{parallel_for, replay_trace, RunMetrics, Scheduler};
 use easched_sim::{Machine, Platform};
+use std::sync::Mutex;
+
+/// Oracle sweep resolution: the paper's 0.1 grid, {0, 0.1, …, 1}.
+const ORACLE_STEPS: usize = 10;
+
+/// The α of grid point `i`.
+fn grid_alpha(i: usize) -> f64 {
+    i as f64 / ORACLE_STEPS as f64
+}
+
+/// Runs jobs `0..n` on the work-stealing pool, on up to
+/// `available_parallelism()` workers, and returns their results in index
+/// order whatever order they finish in. A panicking job panics the caller.
+fn in_index_order<T: Send>(n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .min(n)
+        .max(1);
+    // `Mutex`, not `OnceLock`: a `OnceLock<T>` slot would need `T: Sync`.
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    parallel_for(n as u64, workers, &|jobs| {
+        for i in jobs {
+            let result = job(i);
+            *slots[i].lock().unwrap() = Some(result);
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().unwrap().expect("every job ran"))
+        .collect()
+}
 
 /// Results of one scheme on one workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,8 +155,6 @@ pub struct Evaluator {
     model: PowerModel,
     /// Machine noise seed (same for every scheme → fair comparison).
     pub seed: u64,
-    /// Oracle sweep resolution (paper: 0.1 → 10 steps).
-    pub oracle_steps: usize,
 }
 
 impl Evaluator {
@@ -128,7 +164,6 @@ impl Evaluator {
             platform,
             model,
             seed: 0,
-            oracle_steps: 10,
         }
     }
 
@@ -177,34 +212,36 @@ impl Evaluator {
         trace: &InvocationTrace,
         objective: &Objective,
     ) -> (f64, SchemeResult) {
-        let interior = self.replay_grid(traits, trace, 1..=self.oracle_steps - 1);
+        let interior = self.replay_grid(traits, trace, 1..=ORACLE_STEPS - 1);
         best(&interior, &Objective::Time, objective)
     }
 
     /// Replays the trace once per point of the whole α grid
-    /// {0, 1/steps, …, 1}; every fixed-α scheme is read off the result.
+    /// {0, 0.1, …, 1}; every fixed-α scheme is read off the result.
     pub fn fixed_sweep(
         &self,
         traits: &easched_sim::KernelTraits,
         trace: &InvocationTrace,
     ) -> FixedSweep {
-        FixedSweep(self.replay_grid(traits, trace, 0..=self.oracle_steps))
+        FixedSweep(self.replay_grid(traits, trace, 0..=ORACLE_STEPS))
     }
 
+    /// One fixed-α replay per grid point, run as pool jobs, `(α, totals)`
+    /// in grid order.
     fn replay_grid(
         &self,
         traits: &easched_sim::KernelTraits,
         trace: &InvocationTrace,
         grid: std::ops::RangeInclusive<usize>,
     ) -> Vec<(f64, RunMetrics)> {
-        grid.map(|i| {
-            let alpha = i as f64 / self.oracle_steps as f64;
+        let first = *grid.start();
+        in_index_order(grid.count(), |job| {
+            let alpha = grid_alpha(first + job);
             (
                 alpha,
                 self.replay(traits, trace, &mut FixedAlpha::new(alpha)),
             )
         })
-        .collect()
     }
 
     /// Runs the full five-scheme comparison for one workload.
@@ -232,24 +269,44 @@ impl Evaluator {
         objective: &Objective,
     ) -> WorkloadComparison {
         let traits = workload.traits_for(&self.platform);
-        let sweep = self.fixed_sweep(&traits, trace);
-        let (points, steps) = (&sweep.0, self.oracle_steps);
+        // Job 0 is EAS, the longest replay, with the α it learned; job
+        // `1 + i` is grid point `i`.
+        let mut replays = in_index_order(ORACLE_STEPS + 2, |job| match job {
+            0 => {
+                let mut eas_sched =
+                    EasScheduler::new(self.model.clone(), EasConfig::new(objective.clone()));
+                let eas = self.replay(&traits, trace, &mut eas_sched);
+                (eas, eas_sched.learned_alpha(1))
+            }
+            point => {
+                let alpha = grid_alpha(point - 1);
+                (
+                    self.replay(&traits, trace, &mut FixedAlpha::new(alpha)),
+                    None,
+                )
+            }
+        });
+        let (eas, eas_alpha) = replays.remove(0);
+        let sweep = FixedSweep(
+            replays
+                .into_iter()
+                .enumerate()
+                .map(|(i, (metrics, _))| (grid_alpha(i), metrics))
+                .collect(),
+        );
+        let points = &sweep.0;
         let (oracle_alpha, oracle) = sweep.oracle(objective);
-
-        let mut eas_sched =
-            EasScheduler::new(self.model.clone(), EasConfig::new(objective.clone()));
-        let eas = self.score_trace(&traits, trace, &mut eas_sched, objective);
 
         WorkloadComparison {
             abbrev: workload.spec().abbrev.to_string(),
             objective_name: objective.name().to_string(),
             cpu: scored(points[0].1, objective),
-            gpu: scored(points[steps].1, objective),
-            perf: best(&points[1..steps], &Objective::Time, objective).1,
-            eas,
+            gpu: scored(points[ORACLE_STEPS].1, objective),
+            perf: best(&points[1..ORACLE_STEPS], &Objective::Time, objective).1,
+            eas: scored(eas, objective),
             oracle,
             oracle_alpha,
-            eas_alpha: eas_sched.learned_alpha(1),
+            eas_alpha,
         }
     }
 }
@@ -267,7 +324,10 @@ mod tests {
     }
 
     fn evaluator() -> Evaluator {
-        let platform = quiet_desktop();
+        evaluator_on(quiet_desktop())
+    }
+
+    fn evaluator_on(platform: Platform) -> Evaluator {
         let model = characterize(
             &platform,
             &CharacterizationConfig {
@@ -317,57 +377,92 @@ mod tests {
     }
 
     #[test]
+    fn jobs_come_back_in_index_order() {
+        // 1, 2, 12 and 13 jobs: fewer than, as many as and more than the
+        // workers. Later jobs finish first, so completion order is not
+        // index order whenever two workers run.
+        for n in [1, 2, 12, 13] {
+            let results = in_index_order(n, |i| {
+                std::thread::sleep(std::time::Duration::from_millis((n - i) as u64));
+                i * i
+            });
+            assert_eq!(results, (0..n).map(|i| i * i).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_panics_the_caller() {
+        let outcome = std::panic::catch_unwind(|| {
+            in_index_order(12, |i| {
+                assert_ne!(i, 5, "job 5 fails");
+                i
+            })
+        });
+        assert!(outcome.is_err());
+    }
+
+    #[test]
     fn comparison_equals_the_one_assembled_replay_by_replay() {
         // The reference: every scheme from its own `score_trace` replays,
-        // PERF's time arg-min re-scored by one more — 24 replays for what
-        // `compare_trace` reads off one sweep. `==` on the whole
-        // comparison, first-minimum tie rule included.
-        let ev = evaluator();
-        for w in [suite::blackscholes_small(), suite::mandelbrot_small()] {
-            let (trace, _) = record_trace(w.as_ref());
-            let traits = w.traits_for(ev.platform());
-            for objective in [Objective::EnergyDelay, Objective::Energy] {
-                let fixed = |alpha: f64, objective: &Objective| {
-                    ev.score_trace(&traits, &trace, &mut FixedAlpha::new(alpha), objective)
-                };
-                let best = |grid: std::ops::RangeInclusive<usize>, objective: &Objective| {
-                    let mut best: Option<(f64, SchemeResult)> = None;
-                    for i in grid {
-                        let alpha = i as f64 / ev.oracle_steps as f64;
-                        let result = fixed(alpha, objective);
-                        if best.as_ref().is_none_or(|(_, b)| result.score < b.score) {
-                            best = Some((alpha, result));
+        // PERF's time arg-min re-scored by one more — 24 serial replays
+        // for the 12 pool jobs of `compare_trace`. `==` on the whole
+        // comparison, first-minimum tie rule included. The noisy seed-7
+        // desktop is the configuration `paper_suite` times: a machine
+        // shared between jobs, or seeded differently, draws other noise;
+        // BFS brings many small, irregular invocations.
+        let mut noisy = evaluator_on(Platform::haswell_desktop());
+        noisy.seed = 7;
+        for ev in [evaluator(), noisy] {
+            for w in [
+                suite::blackscholes_small(),
+                suite::mandelbrot_small(),
+                suite::bfs_small(),
+            ] {
+                let (trace, _) = record_trace(w.as_ref());
+                let traits = w.traits_for(ev.platform());
+                for objective in [Objective::EnergyDelay, Objective::Energy] {
+                    let fixed = |alpha: f64, objective: &Objective| {
+                        ev.score_trace(&traits, &trace, &mut FixedAlpha::new(alpha), objective)
+                    };
+                    let best = |grid: std::ops::RangeInclusive<usize>, objective: &Objective| {
+                        let mut best: Option<(f64, SchemeResult)> = None;
+                        for i in grid {
+                            let alpha = grid_alpha(i);
+                            let result = fixed(alpha, objective);
+                            if best.as_ref().is_none_or(|(_, b)| result.score < b.score) {
+                                best = Some((alpha, result));
+                            }
                         }
-                    }
-                    best.unwrap()
-                };
-                let (perf_alpha, _) = best(1..=ev.oracle_steps - 1, &Objective::Time);
-                let perf = fixed(perf_alpha, &objective);
-                let (oracle_alpha, oracle) = best(0..=ev.oracle_steps, &objective);
-                assert_eq!(
-                    ev.perf_scheme(&traits, &trace, &objective),
-                    (perf_alpha, perf)
-                );
-                assert_eq!(
-                    ev.oracle(&traits, &trace, &objective),
-                    (oracle_alpha, oracle)
-                );
+                        best.unwrap()
+                    };
+                    let (perf_alpha, _) = best(1..=ORACLE_STEPS - 1, &Objective::Time);
+                    let perf = fixed(perf_alpha, &objective);
+                    let (oracle_alpha, oracle) = best(0..=ORACLE_STEPS, &objective);
+                    assert_eq!(
+                        ev.perf_scheme(&traits, &trace, &objective),
+                        (perf_alpha, perf)
+                    );
+                    assert_eq!(
+                        ev.oracle(&traits, &trace, &objective),
+                        (oracle_alpha, oracle)
+                    );
 
-                let mut eas_sched =
-                    EasScheduler::new(ev.model.clone(), EasConfig::new(objective.clone()));
-                let eas = ev.score_trace(&traits, &trace, &mut eas_sched, &objective);
-                let reference = WorkloadComparison {
-                    abbrev: w.spec().abbrev.to_string(),
-                    objective_name: objective.name().to_string(),
-                    cpu: fixed(0.0, &objective),
-                    gpu: fixed(1.0, &objective),
-                    perf,
-                    eas,
-                    oracle,
-                    oracle_alpha,
-                    eas_alpha: eas_sched.learned_alpha(1),
-                };
-                assert_eq!(ev.compare_trace(w.as_ref(), &trace, &objective), reference);
+                    let mut eas_sched =
+                        EasScheduler::new(ev.model.clone(), EasConfig::new(objective.clone()));
+                    let eas = ev.score_trace(&traits, &trace, &mut eas_sched, &objective);
+                    let reference = WorkloadComparison {
+                        abbrev: w.spec().abbrev.to_string(),
+                        objective_name: objective.name().to_string(),
+                        cpu: fixed(0.0, &objective),
+                        gpu: fixed(1.0, &objective),
+                        perf,
+                        eas,
+                        oracle,
+                        oracle_alpha,
+                        eas_alpha: eas_sched.learned_alpha(1),
+                    };
+                    assert_eq!(ev.compare_trace(w.as_ref(), &trace, &objective), reference);
+                }
             }
         }
     }
