@@ -35,9 +35,12 @@ cargo run --release -p easched-bench --bin figures -- --out target/ci-results fi
 for f in fig9 fig10; do
     cmp "target/ci-results/$f.csv" "results/$f.csv"
 done
-# The comparison's replays are pool jobs on available_parallelism()
-# workers, which honours the affinity mask: one CPU, one worker.
-taskset -c 0 cargo test -q -p easched-core --lib schemes::tests::comparison_equals_the_one_assembled_replay_by_replay
+# The comparison's replays and a run log's parse chunks are pool jobs on
+# available_parallelism() workers, which honours the affinity mask: one
+# CPU, one worker, the jobs on the caller's thread.
+taskset -c 0 cargo test -q -p easched-core -p easched-replay --lib -- \
+    schemes::tests::comparison_equals_the_one_assembled_replay_by_replay \
+    log::tests::chunked_parse_equals_the_serial_loop_under_every_mutation
 
 echo "==> storm chaos: hang + power-surge storm, release"
 cargo test -q --release --test selfheal

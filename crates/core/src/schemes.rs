@@ -25,7 +25,7 @@
 //!
 //! Each replay owns a fresh machine and its own scheduler, so the twelve
 //! are independent jobs: they run on the work-stealing pool
-//! ([`parallel_for`]) on up to `available_parallelism()` workers, EAS
+//! ([`in_index_order`]) on up to `available_parallelism()` workers, EAS
 //! first because it is the longest. Every result lands in the slot of its
 //! job's index, so the sweep's order, the first-minimum tie rule and every
 //! number read off them do not depend on the worker count.
@@ -35,9 +35,8 @@ use crate::objective::Objective;
 use crate::power_model::PowerModel;
 use easched_kernels::{record_trace, InvocationTrace, Workload};
 use easched_runtime::scheduler::FixedAlpha;
-use easched_runtime::{parallel_for, replay_trace, RunMetrics, Scheduler};
+use easched_runtime::{in_index_order, replay_trace, RunMetrics, Scheduler};
 use easched_sim::{Machine, Platform};
-use std::sync::Mutex;
 
 /// Oracle sweep resolution: the paper's 0.1 grid, {0, 0.1, …, 1}.
 const ORACLE_STEPS: usize = 10;
@@ -45,28 +44,6 @@ const ORACLE_STEPS: usize = 10;
 /// The α of grid point `i`.
 fn grid_alpha(i: usize) -> f64 {
     i as f64 / ORACLE_STEPS as f64
-}
-
-/// Runs jobs `0..n` on the work-stealing pool, on up to
-/// `available_parallelism()` workers, and returns their results in index
-/// order whatever order they finish in. A panicking job panics the caller.
-fn in_index_order<T: Send>(n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |p| p.get())
-        .min(n)
-        .max(1);
-    // `Mutex`, not `OnceLock`: a `OnceLock<T>` slot would need `T: Sync`.
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    parallel_for(n as u64, workers, &|jobs| {
-        for i in jobs {
-            let result = job(i);
-            *slots[i].lock().unwrap() = Some(result);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("every job ran"))
-        .collect()
 }
 
 /// Results of one scheme on one workload.
@@ -374,31 +351,6 @@ mod tests {
         // CPU-alone scheme really is α=0: no GPU time anywhere... verified
         // indirectly: its run is slower or equal to oracle's.
         assert!(c.cpu.metrics.time >= c.oracle.metrics.time * 0.999);
-    }
-
-    #[test]
-    fn jobs_come_back_in_index_order() {
-        // 1, 2, 12 and 13 jobs: fewer than, as many as and more than the
-        // workers. Later jobs finish first, so completion order is not
-        // index order whenever two workers run.
-        for n in [1, 2, 12, 13] {
-            let results = in_index_order(n, |i| {
-                std::thread::sleep(std::time::Duration::from_millis((n - i) as u64));
-                i * i
-            });
-            assert_eq!(results, (0..n).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn a_panicking_job_panics_the_caller() {
-        let outcome = std::panic::catch_unwind(|| {
-            in_index_order(12, |i| {
-                assert_ne!(i, 5, "job 5 fails");
-                i
-            })
-        });
-        assert!(outcome.is_err());
     }
 
     #[test]

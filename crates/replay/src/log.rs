@@ -18,19 +18,26 @@
 //! mid-write by a crash loses only its tail; the `end` footer
 //! distinguishes a truncated log from a complete one.
 //!
+//! Every sealed line stands alone, so parsing is chunked: the lines after
+//! the header are cut into chunks of about 64 KiB, each parsed by one
+//! pool job into its own slice of the event vector, and the chunks are
+//! merged in index order. The parsed log does not depend on the worker
+//! count (DESIGN.md §12).
+//!
 //! Every replay path reads two more things off a log here: the nesting
 //! ([`RunLog::invocations`]) and the identity rule
 //! ([`RunLog::first_difference`]).
 
 use easched_runtime::sealed::{unseal, Fields, LineWriter};
 use easched_runtime::vfs::Vfs;
-use easched_runtime::Observation;
+use easched_runtime::{in_index_order, Observation};
 use easched_sim::CounterSnapshot;
 use easched_telemetry::DecisionRecord;
 use std::borrow::Cow;
 use std::io;
 use std::ops::Range;
 use std::path::Path;
+use std::sync::Mutex;
 
 /// Format version written in the header. Bump when the line grammar
 /// changes; [`RunLog::from_text`] refuses versions it does not know, so a
@@ -264,9 +271,14 @@ impl RunLog {
     /// [`complete`](RunLog::complete), so replay holds the log to prefix
     /// identity only). Only a broken *header* is a hard
     /// error — without root and fingerprints there is nothing to replay.
+    ///
+    /// The lines after the header are parsed in chunks of about 64 KiB,
+    /// one pool job each ([`in_index_order`]), straight into disjoint
+    /// slices of the one `events` vector. The result does not depend on
+    /// the worker count.
     pub fn from_text(text: &str) -> Result<RunLog, LogError> {
-        let mut lines = text.lines();
-        let magic = lines.next().and_then(unseal).ok_or(LogError::NotARunLog)?;
+        let mut rest = text;
+        let magic = next_sealed(&mut rest).ok_or(LogError::NotARunLog)?;
         let version = magic
             .strip_prefix("easched-runlog v")
             .and_then(|v| v.parse::<u32>().ok())
@@ -278,7 +290,7 @@ impl RunLog {
             return Err(LogError::UnknownVersion(version));
         }
         let mut header = |tag: &str| -> Result<u64, LogError> {
-            let line = lines.next().and_then(unseal).ok_or(LogError::NotARunLog)?;
+            let line = next_sealed(&mut rest).ok_or(LogError::NotARunLog)?;
             line.strip_prefix(tag)
                 .and_then(|rest| Fields::parse(rest, Fields::hex))
                 .ok_or_else(|| LogError::MalformedHeader(line.to_string()))
@@ -287,19 +299,45 @@ impl RunLog {
         let platform_fp = header("platform ")?;
         let config_fp = header("config ")?;
 
+        // Every chunk gets a slot per line it could turn into an event;
+        // slots are sized by the text, never by a count it declares.
+        let chunks = chunks(rest);
+        let bounds: Vec<usize> = chunks.iter().map(|chunk| slot_bound(chunk)).collect();
         let mut events = Vec::new();
-        let mut complete = false;
-        for line in lines {
-            let Some(body) = unseal(line) else { break };
-            if let Some(count) = body.strip_prefix("end ") {
-                complete = Fields::parse(count, Fields::dec) == Some(events.len());
-                break;
-            }
-            match parse_event(body) {
-                Some(event) => events.push(event),
-                None => break,
+        events.resize_with(bounds.iter().sum(), || Event::Fleet {
+            line: String::new(),
+        });
+        let mut free = events.as_mut_slice();
+        let slots: Vec<Mutex<&mut [Event]>> = bounds
+            .iter()
+            .map(|&bound| {
+                let (mine, others) = std::mem::take(&mut free).split_at_mut(bound);
+                free = others;
+                Mutex::new(mine)
+            })
+            .collect();
+        let parsed = in_index_order(chunks.len(), |i| {
+            parse_chunk(
+                chunks[i],
+                &mut slots[i].lock().expect("a slice has one job"),
+            )
+        });
+        drop(slots);
+
+        // A chunk that did not stop filled every slot it had, so the
+        // events run on unbroken up to the first chunk that stopped.
+        let (mut len, mut complete) = (0, false);
+        for ((written, stop), bound) in parsed.into_iter().zip(bounds) {
+            len += written;
+            match stop {
+                None => assert_eq!(written, bound, "a chunk read to its end fills its slots"),
+                Some(stop) => {
+                    complete = stop == Stop::End(Some(len));
+                    break;
+                }
             }
         }
+        events.truncate(len);
         Ok(RunLog {
             version,
             root,
@@ -588,6 +626,82 @@ fn obs_words<'a>(line: LineWriter<'a>, obs: &Observation) -> LineWriter<'a> {
         .bits(obs.counters.l3_misses)
 }
 
+/// Bytes of log text one parse job reads, rounded up to the next line
+/// start.
+const CHUNK_BYTES: usize = 64 * 1024;
+
+/// The shortest sealed line: an empty body, ` crc ` and 16 digits.
+const MIN_SEALED_LINE: usize = 21;
+
+/// The next line of `rest`, cut as `str::lines` cuts it, and unsealed.
+fn next_sealed<'a>(rest: &mut &'a str) -> Option<&'a str> {
+    if rest.is_empty() {
+        return None;
+    }
+    let (line, tail) = rest.split_once('\n').unwrap_or((rest, ""));
+    *rest = tail;
+    unseal(line)
+}
+
+/// `body` cut at line starts into chunks of about [`CHUNK_BYTES`].
+fn chunks(body: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut rest = body;
+    while !rest.is_empty() {
+        let newline = rest
+            .as_bytes()
+            .get(CHUNK_BYTES - 1..)
+            .and_then(|tail| tail.iter().position(|&b| b == b'\n'));
+        let (chunk, tail) = rest.split_at(newline.map_or(rest.len(), |at| CHUNK_BYTES + at));
+        out.push(chunk);
+        rest = tail;
+    }
+    out
+}
+
+/// The most events `chunk` can hold: one per line, and no more than
+/// lines of the shortest sealed length would fit in its bytes.
+fn slot_bound(chunk: &str) -> usize {
+    // Counted in blocks of 255 bytes, whose counts fit a `u8`: the
+    // compiler vectorises that over byte lanes, ≈10× a `usize` count.
+    let newlines: usize = chunk
+        .as_bytes()
+        .chunks(255)
+        .map(|block| usize::from(block.iter().fold(0u8, |n, &b| n + u8::from(b == b'\n'))))
+        .sum();
+    let lines = newlines + usize::from(!chunk.ends_with('\n'));
+    lines.min(chunk.len() / MIN_SEALED_LINE)
+}
+
+/// Why a chunk's parse stopped before its last line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    /// An unsealed or unparseable line: the torn tail starts there.
+    Torn,
+    /// The `end` footer, with the event count it declares.
+    End(Option<usize>),
+}
+
+/// Parses `chunk`'s lines into `slots`, in order, until one of them
+/// stops the log. Returns how many events were written, and the stop.
+fn parse_chunk(chunk: &str, slots: &mut [Event]) -> (usize, Option<Stop>) {
+    let mut written = 0;
+    for line in chunk.lines() {
+        let Some(body) = unseal(line) else {
+            return (written, Some(Stop::Torn));
+        };
+        if let Some(count) = body.strip_prefix("end ") {
+            return (written, Some(Stop::End(Fields::parse(count, Fields::dec))));
+        }
+        match parse_event(body) {
+            Some(event) => slots[written] = event,
+            None => return (written, Some(Stop::Torn)),
+        }
+        written += 1;
+    }
+    (written, None)
+}
+
 fn parse_event(body: &str) -> Option<Event> {
     // Fleet lines are opaque to this crate and may contain arbitrary
     // spacing — take the rest of the line verbatim instead of word-
@@ -665,6 +779,188 @@ fn parse_obs(fields: &mut Fields<'_>) -> Option<Observation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`RunLog::from_text`] as it stood before it parsed in chunks: one
+    /// serial loop over the lines, each event pushed as it is read.
+    fn parse_serially(text: &str) -> Result<RunLog, LogError> {
+        let mut lines = text.lines();
+        let magic = lines.next().and_then(unseal).ok_or(LogError::NotARunLog)?;
+        let version = magic
+            .strip_prefix("easched-runlog v")
+            .and_then(|v| v.parse::<u32>().ok())
+            .ok_or(LogError::NotARunLog)?;
+        if version != FORMAT_VERSION
+            && version != FORMAT_VERSION_ADMISSION
+            && version != FORMAT_VERSION_FLEET
+        {
+            return Err(LogError::UnknownVersion(version));
+        }
+        let mut header = |tag: &str| -> Result<u64, LogError> {
+            let line = lines.next().and_then(unseal).ok_or(LogError::NotARunLog)?;
+            line.strip_prefix(tag)
+                .and_then(|rest| Fields::parse(rest, Fields::hex))
+                .ok_or_else(|| LogError::MalformedHeader(line.to_string()))
+        };
+        let root = header("root ")?;
+        let platform_fp = header("platform ")?;
+        let config_fp = header("config ")?;
+
+        let mut events = Vec::new();
+        let mut complete = false;
+        for line in lines {
+            let Some(body) = unseal(line) else { break };
+            if let Some(count) = body.strip_prefix("end ") {
+                complete = Fields::parse(count, Fields::dec) == Some(events.len());
+                break;
+            }
+            match parse_event(body) {
+                Some(event) => events.push(event),
+                None => break,
+            }
+        }
+        Ok(RunLog {
+            version,
+            root,
+            platform_fp,
+            config_fp,
+            events,
+            complete,
+        })
+    }
+
+    /// `body` as one sealed line.
+    fn sealed(body: &str) -> String {
+        let mut line = String::new();
+        LineWriter::begin(&mut line, body).seal();
+        line
+    }
+
+    /// Holds the chunked parse of `text` to the serial one: the same
+    /// error, or the same bytes, completeness and event count.
+    fn assert_parses_as_serially(text: &str, what: &str) {
+        let (chunked, serial) = (RunLog::from_text(text), parse_serially(text));
+        match (&chunked, &serial) {
+            (Ok(chunked), Ok(serial)) => {
+                assert_eq!(chunked.complete, serial.complete, "{what}: complete");
+                assert_eq!(chunked.events.len(), serial.events.len(), "{what}: events");
+                assert!(chunked.to_text() == serial.to_text(), "{what}: bytes");
+            }
+            _ => assert_eq!(chunked, serial, "{what}"),
+        }
+    }
+
+    #[test]
+    fn chunked_parse_equals_the_serial_loop_under_every_mutation() {
+        let storm = crate::harness::StormSpec {
+            rounds: 8,
+            ..crate::harness::StormSpec::new(7)
+        };
+        let text = crate::harness::record_chaos_storm(&storm).log.to_text();
+        let lines: Vec<&str> = text.split_inclusive('\n').collect();
+        assert_parses_as_serially(&text, "intact");
+        assert!(RunLog::from_text(&text).unwrap().complete);
+
+        // The line index where each chunk after the first begins.
+        let header: usize = lines[..4].iter().map(|l| l.len()).sum();
+        let mut cuts = Vec::new();
+        let mut at = 4;
+        for chunk in chunks(&text[header..]) {
+            at += chunk.lines().count();
+            cuts.push(at);
+        }
+        cuts.pop();
+        assert!(
+            cuts.len() >= 4,
+            "an 8-round storm spans {} chunks",
+            cuts.len() + 1
+        );
+
+        // Both neighbours of every cut, then seeded positions, 200 in all.
+        let mut positions: Vec<usize> = cuts.iter().flat_map(|&c| [c - 1, c]).collect();
+        let seed = easched_core::RunSeed::new(7);
+        positions.extend(
+            (0..200 - positions.len() as u64)
+                .map(|i| (seed.derive_indexed("mutation", i) % lines.len() as u64) as usize),
+        );
+        let spliced = |at: usize, line: &str| -> String {
+            let mut out = lines[..at].concat();
+            out.push_str(line);
+            out.push_str(&lines[at..].concat());
+            out
+        };
+        for &p in &positions {
+            let mut flipped = lines[p].as_bytes().to_vec();
+            flipped[lines[p].len() / 3] ^= 1;
+            let flipped = String::from_utf8(flipped).unwrap();
+            let mutants = [
+                ("flipped body byte", {
+                    let mut out = lines[..p].concat();
+                    out.push_str(&flipped);
+                    out.push_str(&lines[p + 1..].concat());
+                    out
+                }),
+                ("inserted blank line", spliced(p, "\n")),
+                ("deleted newline", {
+                    let mut out = lines[..=p].concat();
+                    out.pop();
+                    out.push_str(&lines[p + 1..].concat());
+                    out
+                }),
+                // Its count is right: the lines after it are ignored.
+                (
+                    "mid-log end",
+                    spliced(p, &sealed(&format!("end {}", p.saturating_sub(4)))),
+                ),
+            ];
+            for (what, mutant) in &mutants {
+                assert_parses_as_serially(mutant, &format!("{what} at line {p}"));
+            }
+        }
+
+        let last = lines.len() - 1;
+        let events = last - 4;
+        let body = lines[..last].concat();
+        for (what, mutant) in [
+            ("CRLF line endings", text.replace('\n', "\r\n")),
+            ("no final newline", text.trim_end_matches('\n').to_string()),
+            (
+                "end count one short",
+                body.clone() + &sealed(&format!("end {}", events - 1)),
+            ),
+            (
+                "end count one over",
+                body.clone() + &sealed(&format!("end {}", events + 1)),
+            ),
+            ("end count unreadable", body.clone() + &sealed("end many")),
+            ("no end line", body.clone()),
+            ("text after end", text.clone() + lines[5] + "junk\n"),
+        ] {
+            assert_parses_as_serially(&mutant, what);
+        }
+    }
+
+    #[test]
+    fn slots_are_bounded_by_the_text_not_by_its_counts() {
+        let header = RunLog {
+            events: Vec::new(),
+            ..sample_log()
+        }
+        .to_text();
+        let header = header
+            .lines()
+            .take(4)
+            .map(|l| format!("{l}\n"))
+            .collect::<String>();
+        let text = header + &"\n".repeat(1 << 20);
+        let log = RunLog::from_text(&text).unwrap();
+        assert!(log.events.is_empty() && !log.complete);
+        assert!(
+            log.events.capacity() <= text.len() / MIN_SEALED_LINE,
+            "{} slots for {} bytes",
+            log.events.capacity(),
+            text.len()
+        );
+    }
 
     fn sample_log() -> RunLog {
         let obs = Observation {

@@ -47,7 +47,7 @@ pub use backend::Backend;
 pub use chaos::{run_workload_chaos, ChaosBackend, ChaosInjector, Fault, FaultPlan};
 pub use clock::{Clock, TickClock, WallClock};
 pub use observation::{Observation, RunMetrics};
-pub use pool::{parallel_for, parallel_for_clocked, PoolReport};
+pub use pool::{in_index_order, parallel_for, parallel_for_clocked, PoolReport};
 pub use scheduler::{GpuPolicy, InvocationCtx, KernelId, Scheduler};
 pub use sim_backend::{kernel_id_of, replay_trace, run_workload, SchedulerInvoker, SimBackend};
 pub use thread_backend::{ThreadBackend, ThreadBackendConfig};

@@ -17,6 +17,7 @@
 use crate::clock::{Clock, WallClock};
 use crossbeam::deque::{Steal, Stealer, Worker};
 use std::ops::Range;
+use std::sync::Mutex;
 
 /// Per-worker and aggregate statistics from one `parallel_for`.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -167,6 +168,44 @@ pub fn parallel_for(n: u64, workers: usize, f: &(dyn Fn(Range<usize>) + Sync)) -
     parallel_for_clocked(n, workers, &WallClock, f)
 }
 
+/// Runs jobs `0..n` on the work-stealing pool, on up to
+/// `available_parallelism()` workers, and returns their results in index
+/// order whatever order they finish in. With one job or one worker the
+/// jobs run on the caller's thread and nothing is spawned. A panicking
+/// job panics the caller.
+///
+/// # Examples
+///
+/// ```
+/// use easched_runtime::in_index_order;
+///
+/// assert_eq!(in_index_order(4, |i| i * i), vec![0, 1, 4, 9]);
+/// ```
+pub fn in_index_order<T: Send>(n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .min(n);
+    if workers <= 1 {
+        return (0..n).map(job).collect();
+    }
+    // `Mutex`, not `OnceLock`: a `OnceLock<T>` slot would need `T: Sync`.
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    parallel_for(n as u64, workers, &|jobs| {
+        for i in jobs {
+            let result = job(i);
+            *slots[i].lock().expect("a slot is locked only to store") = Some(result);
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("a slot is locked only to store")
+                .expect("every job ran")
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,6 +280,31 @@ mod tests {
     #[should_panic(expected = "need at least one worker")]
     fn zero_workers_rejected() {
         parallel_for(10, 0, &|_| {});
+    }
+
+    #[test]
+    fn jobs_come_back_in_index_order() {
+        // 1, 2, 12 and 13 jobs: fewer than, as many as and more than the
+        // workers. Later jobs finish first, so completion order is not
+        // index order whenever two workers run.
+        for n in [1, 2, 12, 13] {
+            let results = in_index_order(n, |i| {
+                std::thread::sleep(std::time::Duration::from_millis((n - i) as u64));
+                i * i
+            });
+            assert_eq!(results, (0..n).map(|i| i * i).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_panics_the_caller() {
+        let outcome = std::panic::catch_unwind(|| {
+            in_index_order(12, |i| {
+                assert_ne!(i, 5, "job 5 fails");
+                i
+            })
+        });
+        assert!(outcome.is_err());
     }
 
     #[test]

@@ -261,6 +261,23 @@ impl<'a> Fields<'a> {
     #[inline]
     fn number(&mut self, radix: u64) -> Option<u64> {
         let bytes = self.rest.as_bytes();
+        // The word `hex16` writes: exactly 16 hex digits always fit, so
+        // they are read with no overflow check, and one OR of the digit
+        // values tells whether all sixteen were digits.
+        if let (16, Some(word)) = (radix, bytes.get(..16)) {
+            if bytes.get(16).is_none_or(|&b| DIGIT[usize::from(b)] >= 16) {
+                let (mut value, mut seen) = (0u64, 0u8);
+                for &b in word {
+                    let d = DIGIT[usize::from(b)];
+                    seen |= d;
+                    value = value << 4 | u64::from(d & 0xf);
+                }
+                if seen < 16 {
+                    self.take(16)?;
+                    return Some(value);
+                }
+            }
+        }
         let sign = usize::from(bytes.first() == Some(&b'+'));
         let (value, digits) = leading_digits(&bytes[sign..], radix)?;
         self.take(sign + digits)?;

@@ -121,6 +121,25 @@ fn arb_number_text() -> impl Strategy<Value = String> {
         .prop_map(|picks| picks.iter().map(|&pick| NUMBER_FRAGMENTS[pick]).collect())
 }
 
+/// What may follow a generated hex word: nothing, a blank, a seventeenth
+/// digit, a non-digit and a second word.
+const HEX_SUFFIXES: [&str; 9] = ["", " ", "\u{a0}", "0", "F", "g", "+", "é", " 1"];
+
+/// A hex word of 1 to 20 digits in mixed case, with or without a `+`, and
+/// one of [`HEX_SUFFIXES`]: lengths on both sides of the 16 digits
+/// `hex16` writes.
+fn arb_hex_word() -> impl Strategy<Value = String> {
+    (any::<bool>(), vec(0..32usize, 1..21), 0..HEX_SUFFIXES.len()).prop_map(
+        |(plus, digits, suffix)| {
+            let mut text = String::from(if plus { "+" } else { "" });
+            for d in digits {
+                text.push(char::from(b"0123456789abcdef0123456789ABCDEF"[d]));
+            }
+            text + HEX_SUFFIXES[suffix]
+        },
+    )
+}
+
 /// A float compared by its bits, every NaN as one NaN.
 fn float_key(value: f64) -> u64 {
     if value.is_nan() {
@@ -154,7 +173,9 @@ proptest! {
     }
 
     #[test]
-    fn fields_read_numbers_as_the_standard_parsers_do(text in arb_number_text()) {
+    fn fields_read_numbers_as_the_standard_parsers_do(
+        text in prop_oneof![arb_number_text(), arb_hex_word()]
+    ) {
         let dec = |word: &str| word.parse::<u64>().ok();
         prop_assert_eq!(Fields::parse(&text, Fields::dec::<u64>), sole(&text, dec), "{:?}", text);
         let hex = |word: &str| u64::from_str_radix(word, 16).ok();
@@ -262,6 +283,20 @@ fn number_hand_cases_agree_with_the_standard_parsers() {
         (".", None, None, None),
         ("e", None, Some(14), None),
         ("E", None, Some(14), None),
+        // 15, 16 and 17 hex digits: one short of, exactly and one past
+        // the word `hex16` writes.
+        ("123456789abcdef", None, Some(0x0123_4567_89ab_cdef), None),
+        ("0123456789ABCDEF", None, Some(0x0123_4567_89ab_cdef), None),
+        ("+0123456789abcdef", None, Some(0x0123_4567_89ab_cdef), None),
+        ("0123456789abcdefg", None, None, None),
+        (
+            "0123456789abcdef\u{a0}",
+            None,
+            Some(0x0123_4567_89ab_cdef),
+            None,
+        ),
+        ("00123456789abcdef", None, Some(0x0123_4567_89ab_cdef), None),
+        ("10123456789abcdef", None, None, None),
     ] {
         assert_eq!(Fields::parse(text, Fields::dec::<u64>), dec, "dec {text:?}");
         assert_eq!(sole(text, |w| w.parse::<u64>().ok()), dec, "dec {text:?}");
