@@ -81,6 +81,7 @@ const EXPERIMENTS: &[&str] = &[
     "ablations",
 ];
 
+#[allow(clippy::disallowed_methods)] // the flag parser
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     // `--out DIR` redirects artifacts (default: results/), so smoke runs

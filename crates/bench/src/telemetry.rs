@@ -6,8 +6,10 @@
 //! On a fault-free run the drift is pure model error (the combined-mode
 //! rates the profiler observed vs. the partly-uncontended tail it
 //! predicts for), so a regression here means the time model, the power
-//! curves, or the telemetry plumbing broke — which is exactly what the
-//! ci.sh smoke step pins.
+//! curves, or the telemetry plumbing broke. The experiment asserts every
+//! kernel's mean drift under [`MAX_MEAN_EDP_DRIFT`] and panics on a
+//! breach; ci.sh's telemetry smoke runs it and checks only that the CSV is
+//! non-empty.
 
 use crate::experiments::Lab;
 use crate::report::{csv, md_table, pct, Report};

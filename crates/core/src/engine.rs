@@ -360,6 +360,7 @@ impl DecisionEngine {
     /// Grid- or golden-section-minimizes OBJ(P(α), T(α)) over
     /// α ∈ [lo, hi] (the full [0, 1] unless a warm-start prior narrowed
     /// the window).
+    #[allow(clippy::disallowed_methods)] // the one search the α* table is built from
     fn minimize(
         &self,
         class: WorkloadClass,

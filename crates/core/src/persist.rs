@@ -985,6 +985,7 @@ mod tests {
 
     /// The readers this module had before it moved onto `Fields`, kept as
     /// the oracle the new ones are held to (`readers_agree_with_the_parent`).
+    #[allow(clippy::disallowed_methods)] // the parent's readers split by hand
     mod parent {
         use super::*;
         use std::str::{FromStr, SplitWhitespace};
@@ -1339,6 +1340,7 @@ mod tests {
                     // The parent read no further than the value of a v3
                     // `generation` or `breaker` record.
                     let record = body.lines().nth(line - 1).unwrap_or_default();
+                    #[allow(clippy::disallowed_methods)] // read as the parent read it
                     let words: Vec<&str> = record.split_whitespace().collect();
                     let state = matches!(words[..], ["generation" | "breaker", _, _, ..]);
                     prop_assert!(v3 && state, "{:?} != {:?}: {:?}", head, old, body);

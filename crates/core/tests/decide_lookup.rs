@@ -20,6 +20,7 @@ use std::sync::{Arc, OnceLock};
 
 /// The decision procedure of the commit before the table: classify, then
 /// sweep (or golden-section) OBJ(P(α), T(α)) over the window.
+#[allow(clippy::disallowed_methods)] // the reference the table is held to
 fn searched(
     model: &PowerModel,
     config: &EasConfig,

@@ -155,11 +155,6 @@ impl Csr {
         self.targets.len()
     }
 
-    /// Whether the graph carries edge weights.
-    pub fn is_weighted(&self) -> bool {
-        self.weights.is_some()
-    }
-
     /// Out-degree of `v`.
     ///
     /// # Panics
@@ -210,13 +205,6 @@ impl Csr {
             self.edge_count() as f64 / n as f64
         }
     }
-
-    /// Approximate memory footprint in bytes (offsets + targets + weights),
-    /// used to size working sets for the simulator's cache model.
-    pub fn byte_size(&self) -> u64 {
-        let w = self.weights.as_ref().map_or(0, |w| w.len() * 4);
-        (self.offsets.len() * 8 + self.targets.len() * 4 + w) as u64
-    }
 }
 
 #[cfg(test)]
@@ -252,14 +240,12 @@ mod tests {
         let g = Csr::from_weighted_edges(3, &[(2, 0), (0, 1), (2, 1)], &[10, 20, 30]).unwrap();
         let w2: Vec<(u32, u32)> = g.weighted_neighbors(2).collect();
         assert_eq!(w2, vec![(0, 10), (1, 30)]);
-        assert!(g.is_weighted());
     }
 
     #[test]
     fn unweighted_reports_weight_one() {
         let g = Csr::from_edges(2, &[(0, 1)]).unwrap();
         assert_eq!(g.weighted_neighbors(0).next(), Some((1, 1)));
-        assert!(!g.is_weighted());
     }
 
     #[test]
@@ -305,11 +291,5 @@ mod tests {
         let g = Csr::from_edges(2, &[(0, 0), (0, 1), (0, 1)]).unwrap();
         assert_eq!(g.neighbors(0), &[0, 1, 1]);
         assert_eq!(g.edge_count(), 3);
-    }
-
-    #[test]
-    fn byte_size_positive() {
-        let g = Csr::from_weighted_edges(2, &[(0, 1)], &[1]).unwrap();
-        assert!(g.byte_size() > 0);
     }
 }

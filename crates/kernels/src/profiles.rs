@@ -119,21 +119,6 @@ impl Profile {
             PlatformKind::Tablet => self.tablet.traits(name, platform),
         }
     }
-
-    /// Returns a copy with every rate multiplied by `factor` — used by
-    /// reduced-scale test variants so per-invocation *times* stay in the
-    /// same classification regime.
-    pub fn scale_rates(mut self, factor: f64) -> Profile {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "factor must be positive"
-        );
-        self.desktop.cpu_rate *= factor;
-        self.desktop.gpu_rate *= factor;
-        self.tablet.cpu_rate *= factor;
-        self.tablet.gpu_rate *= factor;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -184,21 +169,6 @@ mod tests {
         let combined_demand = (tr.cpu_rate() + tr.gpu_rate()) * tr.bw_bytes_per_item();
         let frac = combined_demand / plat.memory.peak_bw_bytes_per_sec;
         assert!((frac - 1.3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn scale_rates_scales_both_platforms() {
-        let p = sample().scale_rates(0.5);
-        assert_eq!(p.desktop.cpu_rate, 0.5e6);
-        assert_eq!(p.tablet.gpu_rate, 0.6e5);
-        // Other fields untouched.
-        assert_eq!(p.desktop.bus_fraction, 1.3);
-    }
-
-    #[test]
-    #[should_panic(expected = "factor must be positive")]
-    fn scale_rates_rejects_zero() {
-        sample().scale_rates(0.0);
     }
 
     #[test]

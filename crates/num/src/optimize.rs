@@ -146,6 +146,7 @@ pub fn golden_section_min<F: FnMut(f64) -> f64>(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the searches' own tests
 mod tests {
     use super::*;
 

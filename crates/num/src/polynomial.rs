@@ -203,6 +203,7 @@ impl Polynomial {
     /// let (x, y) = p.grid_min(0.0, 2.0, 20);
     /// assert!((x - 1.0).abs() < 1e-12 && y.abs() < 1e-12);
     /// ```
+    #[allow(clippy::disallowed_methods)] // the search itself, over this polynomial
     pub fn grid_min(&self, lo: f64, hi: f64, steps: usize) -> (f64, f64) {
         crate::optimize::grid_min(lo, hi, steps, |x| self.eval(x)).into_pair()
     }
@@ -414,6 +415,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // the method's own test
     fn grid_min_finds_parabola_vertex() {
         let p = poly(&[4.0, -4.0, 1.0]); // (x−2)²
         let (x, y) = p.grid_min(0.0, 4.0, 40);

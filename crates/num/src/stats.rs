@@ -115,28 +115,6 @@ impl Summary {
         self.population_variance().sqrt()
     }
 
-    /// Sample variance (divide by n−1); 0 when fewer than 2 samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Coefficient of variation (std dev / mean); 0 when mean is 0.
-    ///
-    /// The profiler uses this to detect irregular workloads whose throughput
-    /// estimates are unstable across profiling rounds.
-    pub fn coefficient_of_variation(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.population_std_dev() / m.abs()
-        }
-    }
-
     /// Merges another summary into this one (parallel Welford merge).
     ///
     /// ```
@@ -267,9 +245,8 @@ mod tests {
     }
 
     #[test]
-    fn sample_variance_uses_n_minus_one() {
+    fn population_variance_divides_by_n() {
         let s: Summary = [1.0, 2.0, 3.0].iter().copied().collect();
-        assert!((s.sample_variance() - 1.0).abs() < 1e-12);
         assert!((s.population_variance() - 2.0 / 3.0).abs() < 1e-12);
     }
 
@@ -307,12 +284,6 @@ mod tests {
         assert!((a.population_variance() - whole.population_variance()).abs() < 1e-9);
         assert_eq!(a.min(), whole.min());
         assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn cv_zero_mean() {
-        let s: Summary = [-1.0, 1.0].iter().copied().collect();
-        assert_eq!(s.coefficient_of_variation(), 0.0);
     }
 
     #[test]

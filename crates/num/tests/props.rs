@@ -119,6 +119,7 @@ proptest! {
 
     /// grid_min returns the smallest sampled value.
     #[test]
+    #[allow(clippy::disallowed_methods)] // the search's own property
     fn grid_min_is_minimal(a in -5.0..5.0f64, b in -5.0..5.0f64, c in -5.0..5.0f64) {
         let f = |x: f64| a * x * x + b * x + c;
         let m = easched_num::grid_min(0.0, 1.0, 20, f);
@@ -130,6 +131,7 @@ proptest! {
 
     /// Golden-section on a quadratic finds the clamped vertex.
     #[test]
+    #[allow(clippy::disallowed_methods)] // the search's own property
     fn golden_section_finds_quadratic_vertex(v in -0.5..1.5f64) {
         let (x, _) = easched_num::golden_section_min(0.0, 1.0, 1e-9, |t| (t - v) * (t - v));
         let expect = v.clamp(0.0, 1.0);

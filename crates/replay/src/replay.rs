@@ -261,7 +261,12 @@ pub fn replay_log(log: &RunLog, scheduler: &mut EasScheduler) -> ReplayOutcome {
     for (ordinal, invocation) in invocations.iter().enumerate() {
         let mut backend = ReplayBackend::new(invocation);
         scheduler.schedule(invocation.kernel, &mut backend);
-        let structural = backend.divergence().map(String::from);
+        // A recorded step the live run never asked for diverges as
+        // structurally as one it asked for differently.
+        let structural = backend.divergence().map(String::from).or_else(|| {
+            let left = backend.unconsumed_steps();
+            (left > 0).then(|| format!("{left} recorded steps not consumed"))
+        });
         replayed += 1;
 
         let fresh = collector.decisions_since(seen as u64);
@@ -542,6 +547,37 @@ mod tests {
             );
             assert_eq!(got, want, "{what}");
         }
+    }
+
+    /// A recorded step the live run never consumes is a divergence, even
+    /// when every decision still matches: invocation 1's split step is
+    /// duplicated in a seed-7 storm.
+    #[test]
+    fn an_unconsumed_recorded_step_diverges() {
+        use crate::harness::{record_chaos_storm, replay_chaos_storm, StormSpec};
+        let mut log = record_chaos_storm(&StormSpec::new(7)).log;
+        let events = &log.events;
+        let starts: Vec<usize> = (0..events.len())
+            .filter(|&i| matches!(events[i], Event::Invocation { .. }))
+            .collect();
+        let is_split = |i: &usize| match &events[*i] {
+            Event::Step(step) => matches!(step.call, StepCall::Split { .. }),
+            _ => false,
+        };
+        let split = (starts[1]..starts[2])
+            .find(is_split)
+            .expect("invocation 1 ran a split");
+        log.events.insert(split, log.events[split].clone());
+
+        let outcome = replay_chaos_storm(&log).unwrap();
+        let d = outcome
+            .divergence
+            .expect("an unconsumed step replayed as identical");
+        assert_eq!(d.invocation, 1);
+        assert_eq!(
+            d.structural.as_deref(),
+            Some("1 recorded steps not consumed")
+        );
     }
 
     #[test]

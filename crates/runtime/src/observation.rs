@@ -87,11 +87,6 @@ impl RunMetrics {
         self.energy_joules * self.time
     }
 
-    /// Energy-delay-squared product E·T².
-    pub fn ed2p(&self) -> f64 {
-        self.energy_joules * self.time * self.time
-    }
-
     /// Average package power over the run, watts (0 for zero-time runs).
     pub fn mean_power(&self) -> f64 {
         if self.time > 0.0 {
@@ -153,7 +148,6 @@ mod tests {
             items: 100,
         };
         assert_eq!(m.edp(), 12.0);
-        assert_eq!(m.ed2p(), 36.0);
         assert!((m.mean_power() - 4.0 / 3.0).abs() < 1e-12);
         assert_eq!(RunMetrics::default().mean_power(), 0.0);
     }

@@ -150,6 +150,7 @@ fn float_key(value: f64) -> u64 {
 }
 
 /// A line holding one field and nothing else, the old way.
+#[allow(clippy::disallowed_methods)] // the oracle `Fields` is held to
 fn sole<T>(text: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
     let mut words = text.split_whitespace();
     let value = parse(words.next()?)?;
@@ -165,6 +166,7 @@ proptest! {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // the oracle `Fields` is held to
     fn fields_split_words_as_split_whitespace_does(text in arb_text()) {
         let words = Fields::parse(&text, |fields| {
             Some(std::iter::from_fn(|| fields.word()).collect::<Vec<_>>())

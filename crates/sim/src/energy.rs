@@ -58,12 +58,6 @@ impl EnergyCounter {
         self.raw
     }
 
-    /// Total energy shown by the register in joules **since the last wrap**;
-    /// mainly useful for diagnostics.
-    pub fn read_joules(&self) -> f64 {
-        self.raw as f64 * ENERGY_UNIT_JOULES
-    }
-
     /// Accumulates `joules` of package energy into the register.
     ///
     /// Negative or non-finite deposits are ignored (power is non-negative).
@@ -102,7 +96,6 @@ mod tests {
     #[test]
     fn starts_at_zero() {
         assert_eq!(EnergyCounter::new().read_raw(), 0);
-        assert_eq!(EnergyCounter::new().read_joules(), 0.0);
     }
 
     #[test]

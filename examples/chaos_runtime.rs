@@ -7,6 +7,10 @@
 //! CPU-only, the recovery probe close the breaker, and the health
 //! telemetry account for every step.
 //!
+//! `tests/chaos.rs` asserts the same outage on a fake backend; this is the
+//! one place the breaker's state is printed run by run while real
+//! workloads execute on the simulated machine.
+//!
 //! ```text
 //! cargo run --release --example chaos_runtime
 //! ```

@@ -4,6 +4,9 @@
 //! the energy-delay product does — and compares the splits EAS chooses for
 //! different objectives on the same workload.
 //!
+//! `easched run --objective` offers only the four built-in objectives; a
+//! closure objective is API-only, and this is where it is shown.
+//!
 //! ```text
 //! cargo run --release --example custom_metric
 //! ```

@@ -2,6 +2,10 @@
 //! real work-stealing CPU pool — the runtime substrate the scheduler
 //! partitions over, shown standalone with actual OS threads.
 //!
+//! Every subcommand runs the graph kernels inside a scheduled workload on
+//! the simulated machine; only this example times the engines themselves
+//! in wall-clock time.
+//!
 //! ```text
 //! cargo run --release --example graph_analytics
 //! ```

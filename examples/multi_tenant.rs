@@ -7,9 +7,13 @@
 //! the three-rung brownout ladder — in front of one shared scheduler
 //! while a bursty co-tenant fault plan hammers the package, and this
 //! example prints the admission counters and the per-tenant fairness
-//! ledger of the seed-7 run. The acceptance gates (bounded queues,
-//! fair-share deficit ≤ 5 %, admitted-work EDP ≥ 70 % of clean,
-//! byte-identical replay) are asserted over the CI seed matrix by
+//! ledger of the seed-7 run. The ledger is printed nowhere else:
+//! `easched record --overload` prints the storm's totals and worst
+//! deficit, and `easched serve` exposes raw per-tenant series, but
+//! neither sets each tenant's received share beside its entitlement.
+//! The acceptance gates (bounded queues, fair-share deficit ≤ 5 %,
+//! admitted-work EDP ≥ 70 % of clean, byte-identical replay) are
+//! asserted over the CI seed matrix by
 //! `crates/replay/tests/storm_seeds.rs`; `easched record --overload
 //! --seed N` records the storm under any other seed.
 //!

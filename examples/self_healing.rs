@@ -11,6 +11,10 @@
 //! re-learn under the new conditions, and the whole story repeat in
 //! reverse when the surge clears.
 //!
+//! `tests/selfheal.rs` asserts the same three acts on a fake backend; only
+//! this example prints the drift EWMA and the learned α run by run, then
+//! the page `/metrics` would serve.
+//!
 //! ```text
 //! cargo run --release --example self_healing
 //! ```

@@ -7,6 +7,10 @@
 //! DESIGN.md §2); everything else is the real machinery: shared-counter
 //! profiling, throughput measurement, α decisions, split execution.
 //!
+//! `crates/core/tests/thread_eas.rs` checks the plumbing on a synthetic
+//! kernel; only this example renders real output in wall-clock time and
+//! prints it.
+//!
 //! ```text
 //! cargo run --release --example thread_runtime
 //! ```

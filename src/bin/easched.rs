@@ -1125,6 +1125,7 @@ fn cmd_fleet(args: FleetArgs) {
     }
 }
 
+#[allow(clippy::disallowed_methods)] // the flag parser
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse_args(&args) {

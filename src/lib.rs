@@ -41,9 +41,10 @@
 //! gives the runtime a state of its own; to serve several concurrent
 //! workload streams from one learned kernel table, build the state with
 //! [`core::SharedEas::new`] and give each stream an
-//! [`core::EasRuntime::with_shared`] runtime (see the `shared_runtime`
-//! example and DESIGN.md §8 for the layer diagram and the scheduler's
-//! exclusive and shared faces).
+//! [`core::EasRuntime::with_shared`] runtime (see DESIGN.md §8 for the
+//! layer diagram and the scheduler's exclusive and shared faces).
+
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub use easched_core as core;
 pub use easched_fleet as fleet;
