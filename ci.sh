@@ -173,6 +173,14 @@ code=0
 test "$code" -eq 2
 grep -q -e "easched list.*--nodes" target/ci-foreign-flag.err
 
+echo "==> fleet at scale: 300 nodes converge and replay byte-identically"
+# A round sends each node's pull to two seeded peers, so frames grow
+# linearly in the fleet and news spreads in O(log n) rounds. `fleet`
+# exits 1 when the drain budget runs out before the replicas agree.
+./target/release/easched fleet --nodes 300 --seed 7 --ticks 10 \
+    --record target/ci-fleet-300.runlog > /dev/null
+./target/release/easched fleet --replay target/ci-fleet-300.runlog
+
 echo "==> storage chaos: every-fault-point sweep (DESIGN.md §16)"
 cargo test -q --release -p easched-core --test storage_chaos
 

@@ -20,8 +20,7 @@
 //! splices envelope lines its retransmission log sealed once, and a pull
 //! round seals its `want` lines once and frames them per peer.
 
-use crate::node::MAX_ENTRIES_PER_FRAME;
-use easched_runtime::sealed::{unseal, Fields, LineWriter};
+use easched_runtime::sealed::{unseal, Fields, LineWriter, MIN_SEALED_LINE};
 
 /// A node's identity within the fleet (dense, 0-based).
 pub type NodeId = u16;
@@ -262,8 +261,9 @@ impl Frame {
         let (from, to, kind, n) = parse_header(header).ok_or(FrameError::BadHeader)?;
         let mut body = || lines.next().and_then(unseal).ok_or(FrameError::TornBody);
         // `n` is whatever the header claims: it bounds the loop, which a
-        // missing line ends, and never sizes an allocation by itself.
-        let reserve = n.min(MAX_ENTRIES_PER_FRAME);
+        // missing line ends, and sizes an allocation only as far as the
+        // text could hold lines of the shortest sealed length.
+        let reserve = n.min(text.len() / MIN_SEALED_LINE);
         let payload = match kind {
             REQUEST => {
                 let mut wants = Vec::with_capacity(reserve);
@@ -351,8 +351,8 @@ pub(crate) fn spliced_entries(from: NodeId, to: NodeId, n: usize, runs: &[&str])
 }
 
 /// A watermark vector's sealed `want` lines, written once and framed per
-/// receiver: a pull round sends every peer the same body, and only the
-/// header names the peer.
+/// receiver: a pull round sends each peer it picked the same body, and
+/// only the header names the peer.
 #[derive(Debug)]
 pub(crate) struct RequestBody {
     lines: String,

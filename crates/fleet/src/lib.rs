@@ -42,7 +42,7 @@ pub mod stats;
 pub mod transport;
 
 pub use frame::{Envelope, Frame, FrameError, FramePayload, NodeId, Op, Version};
-pub use node::{FleetNode, MAX_ENTRIES_PER_FRAME};
+pub use node::FleetNode;
 pub use replica::{Applied, EffectiveEntry, ReplicaTable};
 pub use reprofile::ReprofileScheduler;
 pub use run::{

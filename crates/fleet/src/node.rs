@@ -27,10 +27,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 
-/// Cap on envelopes per entries frame — the batching knob. Leftovers go
-/// out on the next pull round.
-pub const MAX_ENTRIES_PER_FRAME: usize = 128;
-
 /// Attempts a node's start-time fencing checkpoint and its shutdown
 /// checkpoint each get under I/O faults (every attempt advances the chaos
 /// op stream) before the node settles for an in-memory epoch bump, or
@@ -78,13 +74,12 @@ impl RetransmissionLog {
         self.index.push((env.generation, env.seq, self.text.len()));
     }
 
-    /// The lines strictly above `mark`, at most `cap` of them: their
-    /// text and how many there are.
-    fn after(&self, mark: (u64, u64), cap: usize) -> (&str, usize) {
+    /// The lines strictly above `mark`: their text and how many there
+    /// are.
+    fn after(&self, mark: (u64, u64)) -> (&str, usize) {
         let first = self.index.partition_point(|&(g, s, _)| (g, s) <= mark);
-        let last = self.index.len().min(first + cap);
-        let end_of = |line: usize| line.checked_sub(1).map_or(0, |i| self.index[i].2);
-        (&self.text[end_of(first)..end_of(last)], last - first)
+        let start = first.checked_sub(1).map_or(0, |i| self.index[i].2);
+        (&self.text[start..], self.index.len() - first)
     }
 }
 
@@ -367,9 +362,11 @@ impl FleetNode {
 
     /// Answers a peer's pull with the text of an entries frame: for every
     /// origin this node has a log for, every envelope strictly above the
-    /// peer's watermark, in `(generation, seq)` order, capped at
-    /// [`MAX_ENTRIES_PER_FRAME`]. The envelope lines are the ones sealed
-    /// when the envelopes were logged; `None` when the peer lacks nothing.
+    /// peer's watermark, in `(generation, seq)` order. Nothing caps the
+    /// answer: a node asks only a couple of peers a round, and a cap
+    /// would make its catch-up take rounds in proportion to what the
+    /// fleet learned. The envelope lines are the ones sealed when the
+    /// envelopes were logged; `None` when the peer lacks nothing.
     pub fn answer_request(&self, from: NodeId, wants: &[(NodeId, u64, u64)]) -> Option<String> {
         let want_of = |origin: NodeId| -> (u64, u64) {
             wants
@@ -381,13 +378,10 @@ impl FleetNode {
         let mut runs = Vec::new();
         let mut n = 0;
         for (&origin, log) in &self.logs {
-            let (run, lines) = log.after(want_of(origin), MAX_ENTRIES_PER_FRAME - n);
+            let (run, lines) = log.after(want_of(origin));
             if lines > 0 {
                 runs.push(run);
                 n += lines;
-                if n == MAX_ENTRIES_PER_FRAME {
-                    break;
-                }
             }
         }
         (n > 0).then(|| spliced_entries(self.id, from, n, &runs))
@@ -622,9 +616,6 @@ mod tests {
             for env in log {
                 if (env.generation, env.seq) > (g, s) {
                     batch.push(env.clone());
-                    if batch.len() >= MAX_ENTRIES_PER_FRAME {
-                        return Some(Frame::entries(id, from, batch).encode());
-                    }
                 }
             }
         }
@@ -704,8 +695,7 @@ mod tests {
             }
             exchange(&mut nodes, tick);
         }
-        // A foreign stream long enough to fill frames, over two
-        // generations.
+        // A long foreign stream, over two generations.
         let foreign = |generation, seq| Envelope {
             origin: 9,
             platform: "skylake-minipc".into(),

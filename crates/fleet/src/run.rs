@@ -3,11 +3,15 @@
 //!
 //! One virtual tick = every live node runs its invocations, publishes
 //! journal changes, and completes one pull round over the (possibly
-//! chaotic) fabric. After the workload, drain rounds run anti-entropy
-//! alone until every live replica reports the same digest twice in a row
-//! (or the drain budget runs out — non-convergence is a *result*, not a
-//! panic). The whole run is a pure function of its [`FleetSpec`]: the
-//! recorded v3 [`RunLog`] replays byte-identically (DESIGN.md §15).
+//! chaotic) fabric. In a pull round each live node asks two peers, drawn
+//! from a seeded stream, for what it lacks, and each asked peer answers
+//! with all of it: O(n) frames a round, as in the pull anti-entropy of
+//! Demers et al. (PODC 1987). After the workload, drain rounds run
+//! anti-entropy alone until every live replica reports the same digest
+//! twice in a row (or the drain budget runs out — non-convergence is a
+//! *result*, not a panic). The whole run is a pure function of its
+//! [`FleetSpec`]: the recorded v3 [`RunLog`] replays byte-identically
+//! (DESIGN.md §15).
 
 use crate::frame::{Frame, FramePayload, NodeId};
 use crate::node::FleetNode;
@@ -21,6 +25,7 @@ use easched_replay::{Event, RunLog, FORMAT_VERSION_FLEET};
 use easched_runtime::sealed::Fields;
 use easched_runtime::vfs::{ChaosFs, ChaosFsPlan, StdFs, Vfs};
 use easched_runtime::TickClock;
+use easched_sim::noise::splitmix64;
 use easched_sim::{KernelTraits, Platform};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -31,6 +36,31 @@ use std::sync::Arc;
 /// Drain rounds allowed after the workload before declaring
 /// non-convergence.
 pub const MAX_DRAIN_ROUNDS: u64 = 200;
+
+/// Peers a live node pulls from each round. A fleet of at most
+/// `PULL_FANOUT + 1` live nodes pulls from every peer.
+const PULL_FANOUT: usize = 2;
+
+/// The peers `id` pulls from in `round`: `min(PULL_FANOUT, others)`
+/// distinct members of `live` (ascending, as the run loop lists it) other
+/// than `id`, in ascending order, drawn without replacement from the
+/// `fleet/peer` stream of `seed`. When there are no more others than the
+/// fanout, every one of them is chosen and the stream is not read.
+pub(crate) fn pull_peers(seed: RunSeed, round: u64, id: NodeId, live: &[NodeId]) -> Vec<NodeId> {
+    let mut others: Vec<NodeId> = live.iter().copied().filter(|&peer| peer != id).collect();
+    if others.len() > PULL_FANOUT {
+        // A partial Fisher–Yates shuffle: the first PULL_FANOUT slots.
+        let mut stream = seed.derive_indexed("fleet/peer", (round << 16) | u64::from(id));
+        for k in 0..PULL_FANOUT {
+            let pick = splitmix64(stream) % (others.len() - k) as u64;
+            stream = stream.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            others.swap(k, k + pick as usize);
+        }
+        others.truncate(PULL_FANOUT);
+        others.sort_unstable();
+    }
+    others
+}
 
 /// A scheduled kill -9 (no checkpoint) and restart of one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -365,6 +395,7 @@ impl From<StoreError> for FleetError {
 }
 
 struct RunState {
+    seed: RunSeed,
     nodes: Vec<Option<FleetNode>>,
     /// Stats carried over from a node's previous life (crash loses the
     /// in-memory node, not its history in the report).
@@ -387,6 +418,10 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
     if spec.platforms.is_empty() {
         return Err(FleetError::BadSpec("no nodes".into()));
     }
+    let Ok(last_id) = NodeId::try_from(spec.platforms.len() - 1) else {
+        let why = format!("{} nodes, more than node ids", spec.platforms.len());
+        return Err(FleetError::BadSpec(why));
+    };
     if spec.kernels == 0 {
         return Err(FleetError::BadSpec("no kernels".into()));
     }
@@ -462,6 +497,7 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
     };
 
     let mut state = RunState {
+        seed,
         nodes: Vec::new(),
         carryover: vec![FleetStats::default(); spec.platforms.len()],
         transport: ChaosTransport::new(
@@ -471,8 +507,8 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
         ),
         lines: vec![spec.to_line()],
     };
-    for id in 0..spec.platforms.len() {
-        state.nodes.push(Some(start_node(id as NodeId)?));
+    for id in 0..=last_id {
+        state.nodes.push(Some(start_node(id)?));
     }
 
     // ---- Workload ticks ------------------------------------------------
@@ -680,18 +716,15 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
     })
 }
 
-/// One full pull round: requests out, then two delivery passes (so a
-/// request → entries exchange completes within the round on a quiet
-/// fabric).
+/// One full pull round: each live node's request out to its
+/// [`pull_peers`], then two delivery passes (so a request → entries
+/// exchange completes within the round on a quiet fabric).
 fn anti_entropy_round(state: &mut RunState, tick: u64) {
     let live: Vec<NodeId> = state.nodes.iter().flatten().map(|n| n.id).collect();
     for &id in &live {
         let node = state.nodes[usize::from(id)].as_mut().expect("live");
         let body = node.request_body();
-        for &peer in &live {
-            if peer == id {
-                continue;
-            }
+        for peer in pull_peers(state.seed, tick, id, &live) {
             node.stats.frames_sent += 1;
             state.transport.send(id, peer, body.frame(id, peer));
         }
@@ -838,6 +871,77 @@ mod tests {
         let replayed = replay_fleet(&report.log, base.join("replay")).expect("byte-identical");
         assert_eq!(replayed.digest, report.digest);
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn pull_peers_are_min_fanout_distinct_sorted_others_and_cover_the_fleet() {
+        let seed = RunSeed::new(7);
+        for size in 1..=12u16 {
+            // Node 3, when there is one, is dead: ids need not be dense.
+            let live: Vec<NodeId> = (0..=size).filter(|&id| id != 3).collect();
+            for &id in &live {
+                let mut chosen = std::collections::BTreeSet::new();
+                for round in 0..64 {
+                    let peers = pull_peers(seed, round, id, &live);
+                    assert_eq!(peers.len(), PULL_FANOUT.min(live.len() - 1));
+                    assert!(peers.windows(2).all(|w| w[0] < w[1]), "{peers:?}");
+                    assert!(peers.iter().all(|p| *p != id && live.contains(p)));
+                    assert_eq!(peers, pull_peers(seed, round, id, &live));
+                    chosen.extend(peers);
+                }
+                assert_eq!(chosen.len(), live.len() - 1, "node {id} of {live:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_fleet_of_at_most_fanout_plus_one_pulls_from_every_peer() {
+        let seed = RunSeed::new(1009);
+        assert_eq!(pull_peers(seed, 0, 4, &[4]), Vec::<NodeId>::new());
+        assert_eq!(pull_peers(seed, 0, 4, &[]), Vec::<NodeId>::new());
+        for live in [vec![0, 1], vec![0, 1, 2], vec![2, 5, 9]] {
+            for &id in &live {
+                let others: Vec<NodeId> = live.iter().copied().filter(|&p| p != id).collect();
+                for round in [0, 1, u64::from(u32::MAX)] {
+                    assert_eq!(pull_peers(seed, round, id, &live), others);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_two_node_fleet_with_one_node_down_runs_and_converges() {
+        let base = std::env::temp_dir().join(format!("fleet-lone-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let mut spec = FleetSpec::three_nodes(7);
+        spec.platforms.truncate(2);
+        // Ticks 1 to 3 have one live node, which has no one to pull from.
+        spec.crash = Some(CrashPlan {
+            node: 1,
+            at_tick: 1,
+            restart_at_tick: 4,
+        });
+        spec.store_root = base.join("record");
+        let report = run_fleet(&spec).expect("runs");
+        assert!(report.converged);
+        assert_eq!(report.nodes.len(), 2);
+        assert!(report.nodes.iter().all(|n| n.digest == report.digest));
+        replay_fleet(&report.log, base.join("replay")).expect("byte-identical");
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn more_platforms_than_node_ids_is_a_bad_spec_before_any_node_starts() {
+        let root = std::env::temp_dir().join(format!("fleet-wide-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut spec = FleetSpec::three_nodes(7);
+        spec.platforms = vec!["haswell-desktop".into(); usize::from(NodeId::MAX) + 2];
+        spec.store_root = root.clone();
+        let Err(FleetError::BadSpec(why)) = run_fleet(&spec) else {
+            panic!("65 537 nodes would alias node ids");
+        };
+        assert!(why.contains("65537"), "{why}");
+        assert!(!root.exists(), "no journal was opened");
     }
 
     #[test]

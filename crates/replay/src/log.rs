@@ -28,7 +28,7 @@
 //! ([`RunLog::invocations`]) and the identity rule
 //! ([`RunLog::first_difference`]).
 
-use easched_runtime::sealed::{unseal, Fields, LineWriter};
+use easched_runtime::sealed::{unseal, Fields, LineWriter, MIN_SEALED_LINE};
 use easched_runtime::vfs::Vfs;
 use easched_runtime::{in_index_order, Observation};
 use easched_sim::CounterSnapshot;
@@ -629,9 +629,6 @@ fn obs_words<'a>(line: LineWriter<'a>, obs: &Observation) -> LineWriter<'a> {
 /// Bytes of log text one parse job reads, rounded up to the next line
 /// start.
 const CHUNK_BYTES: usize = 64 * 1024;
-
-/// The shortest sealed line: an empty body, ` crc ` and 16 digits.
-const MIN_SEALED_LINE: usize = 21;
 
 /// The next line of `rest`, cut as `str::lines` cuts it, and unsealed.
 fn next_sealed<'a>(rest: &mut &'a str) -> Option<&'a str> {

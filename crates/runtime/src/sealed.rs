@@ -156,6 +156,11 @@ pub fn unseal(line: &str) -> Option<&str> {
     (fnv1a64(body.as_bytes()) == stored).then_some(body)
 }
 
+/// The shortest line [`unseal`] accepts: an empty body, ` crc ` and 16
+/// digits. Text of `len` bytes holds at most `len / MIN_SEALED_LINE`
+/// sealed lines, whatever a count written inside it claims.
+pub const MIN_SEALED_LINE: usize = 21;
+
 /// Each byte's value as a digit of either case, `0xff` for anything else.
 const DIGIT: [u8; 256] = {
     let mut table = [0xff; 256];
@@ -341,6 +346,17 @@ mod tests {
         // A seal inside the body is just covered bytes.
         let nested = sealed(line.trim_end());
         assert_eq!(unseal(&nested), Some(line.trim_end()));
+    }
+
+    #[test]
+    fn the_shortest_sealed_line_is_min_sealed_line_bytes() {
+        let empty = sealed("");
+        let line = empty.trim_end();
+        assert_eq!(line.len(), MIN_SEALED_LINE);
+        assert_eq!(unseal(line), Some(""));
+        for cut in 1..=line.len() {
+            assert_eq!(unseal(&line[cut..]), None, "{cut} bytes off the front");
+        }
     }
 
     #[test]
