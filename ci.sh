@@ -35,12 +35,13 @@ cargo run --release -p easched-bench --bin figures -- --out target/ci-results fi
 for f in fig9 fig10; do
     cmp "target/ci-results/$f.csv" "results/$f.csv"
 done
-# The comparison's replays and a run log's parse chunks are pool jobs on
-# available_parallelism() workers, which honours the affinity mask: one
-# CPU, one worker, the jobs on the caller's thread.
+# The comparison's replays, a run log's parse chunks and a fleet's node
+# phases are pool jobs on available_parallelism() workers, which honours
+# the affinity mask: one CPU, one worker, the jobs on the caller's thread.
 taskset -c 0 cargo test -q -p easched-core -p easched-replay --lib -- \
     schemes::tests::comparison_equals_the_one_assembled_replay_by_replay \
     log::tests::chunked_parse_equals_the_serial_loop_under_every_mutation
+taskset -c 0 cargo test -q --release -p easched-fleet --test wire_bytes
 
 echo "==> storm chaos: hang + power-surge storm, release"
 cargo test -q --release --test selfheal
@@ -180,6 +181,9 @@ echo "==> fleet at scale: 300 nodes converge and replay byte-identically"
 ./target/release/easched fleet --nodes 300 --seed 7 --ticks 10 \
     --record target/ci-fleet-300.runlog > /dev/null
 ./target/release/easched fleet --replay target/ci-fleet-300.runlog
+# Recorded with every worker, replayed with one: node jobs may not move
+# a byte.
+taskset -c 0 ./target/release/easched fleet --replay target/ci-fleet-300.runlog
 
 echo "==> storage chaos: every-fault-point sweep (DESIGN.md §16)"
 cargo test -q --release -p easched-core --test storage_chaos

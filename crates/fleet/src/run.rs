@@ -12,6 +12,13 @@
 //! *result*, not a panic). The whole run is a pure function of its
 //! [`FleetSpec`]: the recorded v3 [`RunLog`] replays byte-identically
 //! (DESIGN.md §15).
+//!
+//! Work that touches one node only is an index-ordered pool job
+//! ([`in_index_order`]): each distinct platform's fit, each node's start,
+//! each node's share of a delivery pass, and each shutdown checkpoint.
+//! Everything that touches the fabric — requests, replies, polls — stays
+//! on the caller's thread, in node-id order, so a run's bytes do not
+//! depend on how many workers it had.
 
 use crate::frame::{Frame, FramePayload, NodeId};
 use crate::node::FleetNode;
@@ -22,16 +29,17 @@ use easched_core::{
     StoreError, StoreHealth,
 };
 use easched_replay::{Event, RunLog, FORMAT_VERSION_FLEET};
+use easched_runtime::pool::CHUNK_BYTES;
 use easched_runtime::sealed::Fields;
 use easched_runtime::vfs::{ChaosFs, ChaosFsPlan, StdFs, Vfs};
-use easched_runtime::TickClock;
+use easched_runtime::{in_index_order, TickClock};
 use easched_sim::noise::splitmix64;
 use easched_sim::{KernelTraits, Platform};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::str::FromStr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Drain rounds allowed after the workload before declaring
 /// non-convergence.
@@ -412,8 +420,11 @@ fn fold(into: &mut FleetStats, from: FleetStats) {
     *into = FleetStats::from_values(sum);
 }
 
-/// Runs a fleet to completion. Deterministic in the spec; see the module
-/// docs for the tick structure.
+/// Runs a fleet to completion. Deterministic in the spec, whatever the
+/// number of workers; see the module docs for the tick structure.
+///
+/// Nodes start concurrently, one pool job each. Every start runs, and
+/// when some fail the run returns the error of the lowest failing id.
 pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
     if spec.platforms.is_empty() {
         return Err(FleetError::BadSpec("no nodes".into()));
@@ -462,15 +473,24 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
 
     // The power model is a pure function of the preset: fit each distinct
     // platform once, for every node and every restart that runs on it.
-    let mut fitted: BTreeMap<&str, (Platform, PowerModel)> = BTreeMap::new();
+    // The fits are independent, so each is a pool job.
+    let mut presets: BTreeMap<&str, Platform> = BTreeMap::new();
     for name in &spec.platforms {
-        if !fitted.contains_key(name.as_str()) {
+        if !presets.contains_key(name.as_str()) {
             let platform =
                 platform_by_name(name).ok_or_else(|| FleetError::UnknownPlatform(name.clone()))?;
-            let model = characterize(&platform, &CharacterizationConfig::default());
-            fitted.insert(name, (platform, model));
+            presets.insert(name, platform);
         }
     }
+    let presets: Vec<(&str, Platform)> = presets.into_iter().collect();
+    let models = in_index_order(presets.len(), |i| {
+        characterize(&presets[i].1, &CharacterizationConfig::default())
+    });
+    let fitted: BTreeMap<&str, (Platform, PowerModel)> = presets
+        .into_iter()
+        .zip(models)
+        .map(|((name, platform), model)| (name, (platform, model)))
+        .collect();
 
     let config = EasConfig::new(Objective::EnergyDelay);
     let start_node = |id: NodeId| -> Result<FleetNode, FleetError> {
@@ -507,8 +527,11 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
         ),
         lines: vec![spec.to_line()],
     };
-    for id in 0..=last_id {
-        state.nodes.push(Some(start_node(id)?));
+    // Each node opens, recovers and fences its own journal: one pool job
+    // per node.
+    let ids: Vec<NodeId> = (0..=last_id).collect();
+    for started in in_index_order(ids.len(), |i| start_node(ids[i])) {
+        state.nodes.push(Some(started?));
     }
 
     // ---- Workload ticks ------------------------------------------------
@@ -626,11 +649,17 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
     };
 
     // ---- Report --------------------------------------------------------
+    // Normal shutdown checkpoints, one pool job per node; tests reopen the
+    // stores. Each job reads the node's storage health before its
+    // checkpoint, and the rows and lines below are assembled in id order.
+    let live: Vec<&FleetNode> = state.nodes.iter().flatten().collect();
+    let shutdowns = in_index_order(live.len(), |i| {
+        (live[i].store_health(), live[i].checkpoint())
+    });
     let mut nodes_report = Vec::new();
     let mut digest = 0u64;
     let mut digest_text = String::new();
-    for slot in state.nodes.iter() {
-        let Some(node) = slot else { continue };
+    for (node, (store, checkpointed)) in live.into_iter().zip(shutdowns) {
         if nodes_report.is_empty() {
             digest = node.replica().digest();
             digest_text = node.replica().digest_text();
@@ -643,7 +672,6 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
         stats.frames_dropped = link.dropped;
         stats.frames_duplicated = link.duplicated;
         stats.frames_partitioned = link.partitioned;
-        let store = node.store_health();
         nodes_report.push(NodeReport {
             id: node.id,
             platform: node.platform.name.to_string(),
@@ -670,10 +698,9 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
                 store.buffered_dropped,
             ));
         }
-        // Normal shutdown checkpoints; tests reopen the stores. Under
-        // injected storage faults the (retried) checkpoint may still
+        // Under injected storage faults the (retried) checkpoint may still
         // fail — the node ends degraded rather than failing the whole run.
-        match node.checkpoint() {
+        match checkpointed {
             Ok(()) => {}
             Err(e) if spec.chaos_fs.is_some() => {
                 state
@@ -719,6 +746,17 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
 /// One full pull round: each live node's request out to its
 /// [`pull_peers`], then two delivery passes (so a request → entries
 /// exchange completes within the round on a quiet fabric).
+///
+/// A pass is a synchronous round. The fabric ticks, and every live inbox
+/// is polled in id order. Then each node decodes its inbox, answers its
+/// requests and ingests its entries, in inbox order, as one pool job that
+/// touches only that node. Last, the replies go out in ascending
+/// answering-node id, each node's in inbox order. The fabric — its PRNG
+/// draws on every send, its queue on every poll — is touched only on the
+/// caller's thread, so the bytes do not depend on how many workers ran
+/// the jobs. A pass whose inboxes hold less than [`CHUNK_BYTES`] in all
+/// runs its jobs on the caller's thread: below that, dispatch costs more
+/// than the jobs save.
 fn anti_entropy_round(state: &mut RunState, tick: u64) {
     let live: Vec<NodeId> = state.nodes.iter().flatten().map(|n| n.id).collect();
     for &id in &live {
@@ -731,33 +769,59 @@ fn anti_entropy_round(state: &mut RunState, tick: u64) {
     }
     for _pass in 0..2 {
         state.transport.tick();
-        for &id in &live {
-            let inbox = state.transport.poll(id);
-            let mut responses: Vec<(NodeId, String)> = Vec::new();
-            {
-                let node = state.nodes[usize::from(id)].as_mut().expect("live");
-                for text in inbox {
-                    match Frame::decode(&text) {
-                        Err(_) => node.stats.frames_torn += 1,
-                        Ok(frame) => match frame.payload {
-                            FramePayload::Request(wants) => {
-                                if let Some(reply) = node.answer_request(frame.from, &wants) {
-                                    node.stats.frames_sent += 1;
-                                    responses.push((frame.from, reply));
-                                }
-                            }
-                            FramePayload::Entries(envelopes) => {
-                                node.ingest_entries(&envelopes, tick);
-                            }
-                        },
-                    }
-                }
-            }
-            for (to, text) in responses {
+        let inboxes: Vec<Vec<String>> = live.iter().map(|&id| state.transport.poll(id)).collect();
+        // Each job takes its node out of its own slot and hands it back
+        // with the replies.
+        let slots: Vec<Mutex<Option<FleetNode>>> = live
+            .iter()
+            .map(|&id| Mutex::new(state.nodes[usize::from(id)].take()))
+            .collect();
+        let serve = |i: usize| {
+            let slot = slots[i]
+                .lock()
+                .expect("a slot is locked only to take")
+                .take();
+            let mut node = slot.expect("live");
+            let replies = serve_inbox(&mut node, &inboxes[i], tick);
+            (node, replies)
+        };
+        let bytes: usize = inboxes.iter().flatten().map(String::len).sum();
+        let served: Vec<_> = if bytes < CHUNK_BYTES {
+            (0..live.len()).map(serve).collect()
+        } else {
+            in_index_order(live.len(), serve)
+        };
+        for (node, replies) in served {
+            let id = node.id;
+            state.nodes[usize::from(id)] = Some(node);
+            for (to, text) in replies {
                 state.transport.send(id, to, text);
             }
         }
     }
+}
+
+/// Decodes `inbox` in order: a request is answered, an entries frame
+/// ingested, a torn frame counted. Returns the replies, in inbox order.
+fn serve_inbox(node: &mut FleetNode, inbox: &[String], tick: u64) -> Vec<(NodeId, String)> {
+    let mut replies = Vec::new();
+    for text in inbox {
+        match Frame::decode(text) {
+            Err(_) => node.stats.frames_torn += 1,
+            Ok(frame) => match frame.payload {
+                FramePayload::Request(wants) => {
+                    if let Some(reply) = node.answer_request(frame.from, &wants) {
+                        node.stats.frames_sent += 1;
+                        replies.push((frame.from, reply));
+                    }
+                }
+                FramePayload::Entries(envelopes) => {
+                    node.ingest_entries(&envelopes, tick);
+                }
+            },
+        }
+    }
+    replies
 }
 
 /// Re-runs a recorded fleet log and holds the regenerated log to the
@@ -942,6 +1006,25 @@ mod tests {
         };
         assert!(why.contains("65537"), "{why}");
         assert!(!root.exists(), "no journal was opened");
+    }
+
+    #[test]
+    fn a_node_whose_journal_cannot_open_fails_the_run_with_a_store_error() {
+        let root = std::env::temp_dir().join(format!("fleet-blocked-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).expect("create store root");
+        // Nodes start as concurrent jobs: node 2's job fails, and the
+        // run returns its error rather than panicking in a worker.
+        std::fs::write(root.join("node2"), "a file, not a journal directory").expect("write");
+        let mut spec = FleetSpec::three_nodes(7);
+        spec.platforms = (0..5).map(|i| spec.platforms[i % 3].clone()).collect();
+        spec.store_root = root.clone();
+        let outcome = run_fleet(&spec);
+        let _ = std::fs::remove_dir_all(&root);
+        assert!(
+            matches!(outcome, Err(FleetError::Store(_))),
+            "expected a store error, got {outcome:?}"
+        );
     }
 
     #[test]

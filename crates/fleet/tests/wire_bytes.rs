@@ -1,10 +1,12 @@
 //! The fleet's bytes, pinned across commits: recorded v3 logs and one
 //! frame of each kind. The 3-node log and the frames carry digests taken
 //! from the commit before the sealed-line writer replaced `format!`; the
-//! 30-node and restart logs, from the commit where a pull round went from
-//! every live peer to two seeded ones and an answer stopped being capped
-//! (a fleet of at most three nodes still pulls from every peer, so the
-//! 3-node log kept its digest). The fabric tears a frame at
+//! 30-node and restart logs, from the commit where a delivery pass became
+//! a synchronous round: every live inbox is polled before any reply is
+//! sent, so the fabric's reorder fault no longer swaps a reply with a
+//! frame that had already arrived for a later node, and inbox order in a
+//! pass no longer depends on loop nesting (the 3-node log kept its
+//! digest). The fabric tears a frame at
 //! `rng % frame.len()`, so one moved byte would shift every fault after it
 //! in every recorded fleet run — and nothing that compares a build with
 //! itself would notice.
@@ -48,7 +50,7 @@ fn fleet_log_bytes_are_the_recorded_ones() {
 #[test]
 fn thirty_node_fleet_log_bytes_are_the_recorded_ones() {
     let log = log_of("30n", cycled(7, 30, 10));
-    assert_eq!(log, (307, 0xb984_eac8_a155_7f04));
+    assert_eq!(log, (307, 0x5af3_f6ed_ec4c_3cdc));
 }
 
 /// A kill -9 and restart under storage chaos: the restarted node answers
@@ -63,7 +65,7 @@ fn restart_under_storage_chaos_log_bytes_are_the_recorded_ones() {
         restart_at_tick: 5,
     });
     spec.chaos_fs = Some(150);
-    assert_eq!(log_of("restart", spec), (123, 0xf857_8c77_e4dd_2f11));
+    assert_eq!(log_of("restart", spec), (123, 0xabec_525c_4538_3050));
 }
 
 /// 64 envelopes over every field shape the grammar has: a NaN payload,

@@ -28,6 +28,7 @@
 //! ([`RunLog::invocations`]) and the identity rule
 //! ([`RunLog::first_difference`]).
 
+use easched_runtime::pool::CHUNK_BYTES;
 use easched_runtime::sealed::{unseal, Fields, LineWriter, MIN_SEALED_LINE};
 use easched_runtime::vfs::Vfs;
 use easched_runtime::{in_index_order, Observation};
@@ -625,10 +626,6 @@ fn obs_words<'a>(line: LineWriter<'a>, obs: &Observation) -> LineWriter<'a> {
         .bits(obs.counters.loads)
         .bits(obs.counters.l3_misses)
 }
-
-/// Bytes of log text one parse job reads, rounded up to the next line
-/// start.
-const CHUNK_BYTES: usize = 64 * 1024;
 
 /// The next line of `rest`, cut as `str::lines` cuts it, and unsealed.
 fn next_sealed<'a>(rest: &mut &'a str) -> Option<&'a str> {

@@ -168,6 +168,15 @@ pub fn parallel_for(n: u64, workers: usize, f: &(dyn Fn(Range<usize>) + Sync)) -
     parallel_for_clocked(n, workers, &WallClock, f)
 }
 
+/// Bytes of text worth one pool job: the one size below which handing
+/// text to a worker costs more than reading it on the caller's thread.
+/// A run log's parse cuts its body into jobs of about this much (rounded
+/// up to the next line start), and a fleet delivery pass whose inboxes
+/// hold less than this in all runs its node jobs on the caller's thread:
+/// an [`in_index_order`] call costs tens of microseconds before any job
+/// runs.
+pub const CHUNK_BYTES: usize = 64 * 1024;
+
 /// Runs jobs `0..n` on the work-stealing pool, on up to
 /// `available_parallelism()` workers, and returns their results in index
 /// order whatever order they finish in. With one job or one worker the

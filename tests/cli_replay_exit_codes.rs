@@ -53,10 +53,28 @@ fn assert_torn_tail_exits_0(out: &std::process::Output, what: &str) {
     assert!(stdout.contains("byte-identical"), "{what}: {stdout}");
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
+/// A per-test scratch directory, removed when the test ends — a failing
+/// assertion included.
+struct TempDir(std::path::PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn temp_dir(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("easched-exitcodes-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
+    TempDir(dir)
 }
 
 #[test]
@@ -269,7 +287,7 @@ fn verify_recovery_of_an_empty_table_exits_1_and_names_the_directory() {
     std::fs::write(node.join("table.journal"), "").expect("write empty journal");
     let out = Command::new(env!("CARGO_BIN_EXE_easched"))
         .args(["fleet", "--verify-recovery"])
-        .arg(&dir)
+        .arg(&*dir)
         .output()
         .expect("run easched");
     let stderr = String::from_utf8_lossy(&out.stderr);

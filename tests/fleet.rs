@@ -17,6 +17,16 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// A scratch root removed when its test ends, a failing assertion
+/// included.
+struct Removed(PathBuf);
+
+impl Drop for Removed {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 fn node(id: u16, platform: Platform, root: &Path) -> FleetNode {
     FleetNode::start(
         id,
@@ -247,7 +257,8 @@ fn fleet_record_replay_is_byte_identical() {
     let back = RunLog::from_text(&text).expect("parses");
     assert_eq!(back.version, FORMAT_VERSION_FLEET);
 
-    let fresh = replay_fleet(&back, scratch("replay-fresh")).expect("byte-identical replay");
+    let fresh_root = Removed(scratch("replay-fresh"));
+    let fresh = replay_fleet(&back, fresh_root.0.clone()).expect("byte-identical replay");
     assert_eq!(fresh.log.to_text(), text);
     assert_eq!(fresh.digest, report.digest);
 
@@ -261,7 +272,8 @@ fn fleet_record_replay_is_byte_identical() {
     {
         *line = line.replace("digest", "digset");
     }
-    let err = replay_fleet(&tampered, scratch("replay-tampered")).unwrap_err();
+    let tampered_root = Removed(scratch("replay-tampered"));
+    let err = replay_fleet(&tampered, tampered_root.0.clone()).unwrap_err();
     assert!(err.to_string().contains("divergence"), "got: {err}");
     assert!(matches!(err, FleetError::Diverged(_)), "got: {err:?}");
 }
