@@ -23,12 +23,18 @@
 //!   kernels in other shards.
 //!
 //! Shard choice is a multiplicative hash of the kernel id over a
-//! power-of-two constant, so selection is a mask, not a modulo.
+//! power-of-two constant, so selection is a mask, not a modulo. Inside a
+//! shard, both maps hash with `KeyedMul`, a keyed multiply-fold in
+//! place of SipHash-1-3: a table hit hashes its id twice (the probe and
+//! the drift fold), and a kernel id is one word. The key is drawn per
+//! table from [`RandomState`], so where an id lands in a shard is not
+//! predictable from the ids.
 
 use crate::eas::Accumulation;
 use crate::selfheal::DriftCell;
 use easched_runtime::KernelId;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher, RandomState};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -96,11 +102,66 @@ impl Clone for AlphaEntry {
     }
 }
 
+/// The shard maps' hasher: one 64×64→128-bit multiply of the id xor a
+/// per-table key, folded to 64 bits (high half xor low half), so every
+/// id bit reaches both the bucket index (low bits) and the control byte
+/// (top bits). The key comes from [`RandomState`], never a constant.
+#[derive(Debug, Clone, Copy)]
+struct KeyedMul {
+    key: u64,
+}
+
+/// An odd constant with no structure a kernel id could line up with
+/// (the fractional digits of π).
+const MUL: u64 = 0x243F_6A88_85A3_08D3;
+
+impl KeyedMul {
+    fn new() -> KeyedMul {
+        KeyedMul {
+            key: RandomState::new().build_hasher().finish(),
+        }
+    }
+}
+
+impl BuildHasher for KeyedMul {
+    type Hasher = KeyedMulHasher;
+
+    fn build_hasher(&self) -> KeyedMulHasher {
+        KeyedMulHasher(self.key)
+    }
+}
+
+/// One [`KeyedMul`] hash in progress: the state starts at the key, and
+/// each word is folded in by one keyed multiply.
+#[derive(Debug)]
+struct KeyedMulHasher(u64);
+
+impl Hasher for KeyedMulHasher {
+    fn write_u64(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * u128::from(MUL);
+        self.0 = (product as u64) ^ (product >> 64) as u64;
+    }
+
+    /// A kernel id hashes through `write_u64`; any other key is folded
+    /// in eight bytes at a time.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Everything G holds for the kernels that hash to one shard, under the
 /// shard's one lock.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 struct Shard {
-    entries: HashMap<KernelId, AlphaEntry>,
+    entries: HashMap<KernelId, AlphaEntry, KeyedMul>,
     /// Cross-platform warm-start hints (fleet replication, DESIGN.md
     /// §15): kernel id → α the same kernel learned on *another*
     /// platform. Never served as truth — `lookup`/`note_reuse` ignore
@@ -108,7 +169,16 @@ struct Shard {
     /// while this platform profiles the kernel itself. A kernel is in at
     /// most one of the two maps: a prior is refused once the kernel has
     /// an entry, and learning the entry erases it, in the same hold.
-    priors: HashMap<KernelId, f64>,
+    priors: HashMap<KernelId, f64, KeyedMul>,
+}
+
+impl Shard {
+    fn new(hasher: KeyedMul) -> Shard {
+        Shard {
+            entries: HashMap::with_hasher(hasher),
+            priors: HashMap::with_hasher(hasher),
+        }
+    }
 }
 
 /// A point-in-time copy of one kernel's learned state.
@@ -148,9 +218,19 @@ pub struct ReuseProbe {
 /// assert_eq!(table.lookup(7), Some(0.5));
 /// assert_eq!(table.lookup(8), None);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct KernelTable {
     shards: [RwLock<Shard>; SHARDS],
+}
+
+/// An empty table with a fresh key.
+impl Default for KernelTable {
+    fn default() -> KernelTable {
+        let hasher = KeyedMul::new();
+        KernelTable {
+            shards: std::array::from_fn(|_| RwLock::new(Shard::new(hasher))),
+        }
+    }
 }
 
 impl Clone for KernelTable {
@@ -459,6 +539,69 @@ mod tests {
         }
         for shard in &t.shards {
             assert!(!read_lock(shard).entries.is_empty());
+        }
+    }
+
+    #[test]
+    fn each_table_draws_its_own_key_and_its_shards_share_it() {
+        let key = |t: &KernelTable, shard: usize| {
+            let shard = read_lock(&t.shards[shard]);
+            (shard.entries.hasher().key, shard.priors.hasher().key)
+        };
+        let (a, b) = (KernelTable::new(), KernelTable::new());
+        assert_ne!(key(&a, 0), key(&b, 0), "two tables, two keys");
+        for shard in 0..SHARDS {
+            assert_eq!(key(&a, shard), key(&a, 0));
+            let (entries, priors) = key(&a, shard);
+            assert_eq!(entries, priors);
+        }
+        assert_eq!(key(&a.clone(), 3), key(&a, 0), "a clone is a copy");
+    }
+
+    #[test]
+    fn ids_differing_only_in_high_bits_or_aligned_round_trip() {
+        use crate::selfheal::{DriftMonitor, DriftPolicy};
+        let monitor = DriftMonitor::new(DriftPolicy {
+            ewma_weight: 1.0,
+            ..DriftPolicy::default()
+        });
+        for shift in [32, 4] {
+            let t = KernelTable::new();
+            let ids: Vec<KernelId> = (1..=512u64).map(|i| i << shift).collect();
+            for (n, &k) in ids.iter().enumerate() {
+                let alpha = (n % 11) as f64 / 10.0;
+                assert_eq!(
+                    t.accumulate(k, alpha, 1.0, Accumulation::LastValue).alpha,
+                    alpha
+                );
+                assert!(
+                    t.set_prior(k + 1, alpha),
+                    "a neighbour's prior, id {}",
+                    k + 1
+                );
+            }
+            assert_eq!(t.len(), ids.len());
+            assert_eq!(t.prior_count(), ids.len());
+            for (n, &k) in ids.iter().enumerate() {
+                let alpha = (n % 11) as f64 / 10.0;
+                let probe = t.probe(k).expect("learned");
+                assert_eq!((probe.alpha, probe.invocations_seen), (alpha, 1));
+                assert_eq!(t.probe(k + 1), Err(Some(alpha)));
+                t.drift(k, |cell| monitor.observe(cell, Some(1.0 + alpha), 1.0, 1))
+                    .expect("learned ids have a drift cell");
+            }
+            let drifts = t.drifts();
+            assert_eq!(drifts.len(), ids.len());
+            for ((k, ewma), (n, &id)) in drifts.into_iter().zip(ids.iter().enumerate()) {
+                assert_eq!(k, id);
+                assert!((ewma - (n % 11) as f64 / 10.0).abs() < 1e-12, "id {id:#x}");
+            }
+            let snap = t.snapshot();
+            assert_eq!(snap.iter().map(|&(k, _)| k).collect::<Vec<_>>(), ids);
+            for ((_, stat), n) in snap.iter().zip(0..) {
+                assert_eq!(stat.alpha, (n % 11) as f64 / 10.0);
+                assert_eq!(stat.invocations_seen, 1);
+            }
         }
     }
 

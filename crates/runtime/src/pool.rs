@@ -17,7 +17,7 @@
 use crate::clock::{Clock, WallClock};
 use crossbeam::deque::{Steal, Stealer, Worker};
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Per-worker and aggregate statistics from one `parallel_for`.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -177,11 +177,22 @@ pub fn parallel_for(n: u64, workers: usize, f: &(dyn Fn(Range<usize>) + Sync)) -
 /// runs.
 pub const CHUNK_BYTES: usize = 64 * 1024;
 
+/// The CPUs this process may run on, read once: the first call reads
+/// `available_parallelism()` (cgroup quota files and the affinity mask,
+/// ≈20 µs), every later one a cached word. The mask is the one in force
+/// at first use, so a process started under `taskset -c 0` sees one CPU
+/// for its whole life, and its [`in_index_order`] calls run every job on
+/// the caller's thread.
+fn cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
 /// Runs jobs `0..n` on the work-stealing pool, on up to
-/// `available_parallelism()` workers, and returns their results in index
-/// order whatever order they finish in. With one job or one worker the
-/// jobs run on the caller's thread and nothing is spawned. A panicking
-/// job panics the caller.
+/// `available_parallelism()` workers (read once per process), and
+/// returns their results in index order whatever order they finish in.
+/// With one job or one worker the jobs run on the caller's thread and
+/// nothing is spawned. A panicking job panics the caller.
 ///
 /// # Examples
 ///
@@ -191,9 +202,7 @@ pub const CHUNK_BYTES: usize = 64 * 1024;
 /// assert_eq!(in_index_order(4, |i| i * i), vec![0, 1, 4, 9]);
 /// ```
 pub fn in_index_order<T: Send>(n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |p| p.get())
-        .min(n);
+    let workers = cpus().min(n);
     if workers <= 1 {
         return (0..n).map(job).collect();
     }

@@ -18,10 +18,11 @@
 //! - [`ControlEvent`] — what the loop reports between records: each
 //!   profiling round's α (`Decided`, the scheduler's only per-round
 //!   history — [`DecisionCsvSink`] collects it) ([`sink`]).
-//! - [`RingSink`] — the standard sink: a bounded, lock-free,
-//!   overwrite-on-wrap ring ([`ring`]) plus an always-on
-//!   [`MetricsRegistry`] folded from the records, with Prometheus-style
-//!   exposition ([`metrics`]). The registry's page is one fragment of
+//! - [`RingSink`] — the standard sink: a bounded, overwrite-on-wrap
+//!   seqlock ring ([`ring`]) plus an always-on [`MetricsRegistry`]
+//!   derived from it — the ring's records folded in sequence order from a
+//!   cursor, a batch at a time, never on the way in — with
+//!   Prometheus-style exposition ([`metrics`]). The registry's page is one fragment of
 //!   `/metrics`; the scheduler's health and drift EWMAs, its store, the
 //!   admission controller and the SLO tracker render their own beside it
 //!   at scrape time.

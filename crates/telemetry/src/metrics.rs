@@ -1,16 +1,30 @@
 //! Metric primitives (counters, gauges, log-scale histograms) and the
-//! registry that derives scheduler metrics from [`DecisionRecord`]s.
+//! registry that derives scheduler metrics from
+//! [`DecisionRecord`](crate::DecisionRecord)s.
 //!
-//! Everything here is relaxed atomics: the registry is updated on the
-//! scheduling hot path (once per invocation, when a sink is attached), so
-//! it must never lock or allocate. [`MetricsRegistry::expose`] renders
-//! the registry's fragment of the Prometheus `/metrics` page; what the
-//! scheduler, its kernel table, its store, the admission controller and
-//! the SLO tracker already keep is rendered from those owners at scrape
-//! time and appended beside it (DESIGN.md §10), never re-counted here.
+//! The registry is derived state of a [`RingSink`]'s ring: the sink folds
+//! its records in sequence order, a batch at a time, into a plain-integer
+//! `Fold` that reads six fields of each record's ring words and rounds
+//! in integer arithmetic (`round_u64`), then adds the batch to the
+//! registry's relaxed atomics, one operation per touched cell. Nothing
+//! here locks or allocates on the recording path. The fold reads the
+//! ring's 24-bit `decide_nanos`, so `easched_decide_latency_nanoseconds`
+//! saturates at 2²⁴ − 1 ns (≈16.8 ms) where the record held more; that is
+//! the registry's one difference from folding the records themselves
+//! (DESIGN.md §10).
+//!
+//! [`MetricsRegistry::expose`] renders the registry's fragment of the
+//! Prometheus `/metrics` page; what the scheduler, its kernel table, its
+//! store, the admission controller and the SLO tracker already keep is
+//! rendered from those owners at scrape time and appended beside it
+//! (DESIGN.md §10), never re-counted here.
+//!
+//! [`RingSink`]: crate::RingSink
 
 use crate::counters::{expose_rows, push_meta};
-use crate::record::{DecisionRecord, InvocationPath};
+#[cfg(test)]
+use crate::record::DecisionRecord;
+use crate::record::{InvocationPath, MetricFields};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock};
 
@@ -149,10 +163,11 @@ pub const ALPHA_BUCKETS: usize = 11;
 crate::counter_table! {
     /// Scheduler metrics derived from the decision stream: invocation-path
     /// counters, breaker activity, decision latency, profiling overhead
-    /// and the α distribution. Updated once per invocation via
-    /// [`update`](MetricsRegistry::update); rendered with
-    /// [`expose`](MetricsRegistry::expose), which opens with the rows below
-    /// in declaration order.
+    /// and the α distribution. A [`RingSink`](crate::RingSink) folds its
+    /// records in, in sequence order, and hands the registry out through
+    /// [`metrics`](crate::RingSink::metrics) only after folding; rendered
+    /// with [`expose`](MetricsRegistry::expose), which opens with the rows
+    /// below in declaration order.
     #[derive(Debug, Default)]
     pub bank MetricsRegistry(pub) {
         /// Wall-clock vet+decide latency per invocation, nanoseconds.
@@ -215,8 +230,11 @@ pub fn escape_label_value(raw: &str) -> String {
 }
 
 impl MetricsRegistry {
-    /// Folds one record into every derived metric.
-    pub fn update(&self, r: &DecisionRecord) {
+    /// Folds one record into every derived metric, one atomic operation
+    /// per cell and libm rounding: the per-record fold a [`Fold`] batch
+    /// must equal, kept as its test oracle.
+    #[cfg(test)]
+    pub(crate) fn update(&self, r: &DecisionRecord) {
         self.invocations.inc();
         match r.path {
             InvocationPath::TableHit => self.table_hits.inc(),
@@ -366,8 +384,143 @@ impl MetricsRegistry {
     }
 }
 
+#[cfg(test)]
 fn seconds_to_us(s: f64) -> u64 {
     (s * 1e6).round().max(0.0) as u64
+}
+
+/// `x.round().max(0.0) as u64`, exactly, in integer arithmetic — no libm
+/// call on the fold's path. Halves round away from zero; NaN and anything
+/// below one half give 0, anything from 2⁶⁴ up gives `u64::MAX`.
+pub(crate) fn round_u64(x: f64) -> u64 {
+    if x.is_nan() || x < 0.5 {
+        return 0;
+    }
+    // Truncates, saturating at u64::MAX. Below 2⁵³ the truncation is
+    // exactly representable and `x - whole` is exact (Sterbenz); from
+    // 2⁵³ up every double is whole, so the fraction is 0 — or, past
+    // u64::MAX, whatever it is, and the add saturates.
+    let whole = x as u64;
+    whole.saturating_add(u64::from(x - whole as f64 >= 0.5))
+}
+
+/// A [`LogHistogram`]'s worth of plain counts: one batch's observations
+/// before they reach the shared histogram.
+#[derive(Debug)]
+struct Tally {
+    counts: [u64; HISTOGRAM_BUCKETS],
+    sum: u64,
+}
+
+impl Tally {
+    fn new() -> Tally {
+        Tally {
+            counts: [0; HISTOGRAM_BUCKETS],
+            sum: 0,
+        }
+    }
+
+    fn record(&mut self, v: u64) {
+        self.counts[LogHistogram::bucket_index(v)] += 1;
+        self.sum = self.sum.wrapping_add(v);
+    }
+
+    fn add_to(&self, h: &LogHistogram) {
+        for (cell, &n) in h.buckets.iter().zip(&self.counts) {
+            if n > 0 {
+                cell.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        if self.sum > 0 {
+            h.sum.fetch_add(self.sum, Ordering::Relaxed);
+        }
+    }
+}
+
+/// One batch of records folded into plain integers, in sequence order,
+/// then [`flush`](Fold::flush)ed into a [`MetricsRegistry`] with one
+/// atomic operation per touched cell. Sums wrap, as the registry's
+/// `fetch_add`s do, so a batch adds exactly what its records would have
+/// one by one.
+#[derive(Debug)]
+pub(crate) struct Fold {
+    /// Records per [`InvocationPath::code`].
+    paths: [u64; 8],
+    /// The breaker state of the latest record folded.
+    breaker: u8,
+    transitions: u64,
+    profile_us: u64,
+    invocation_us: u64,
+    decide: Tally,
+    overhead: Tally,
+    alpha: [u64; ALPHA_BUCKETS],
+}
+
+impl Fold {
+    /// An empty batch continuing `reg`'s stream: a transition is counted
+    /// against the breaker state the registry last saw.
+    pub(crate) fn new(reg: &MetricsRegistry) -> Fold {
+        Fold {
+            paths: [0; 8],
+            breaker: reg.breaker_state.get() as u8,
+            transitions: 0,
+            profile_us: 0,
+            invocation_us: 0,
+            decide: Tally::new(),
+            overhead: Tally::new(),
+            alpha: [0; ALPHA_BUCKETS],
+        }
+    }
+
+    /// Folds the next record of the stream.
+    pub(crate) fn add(&mut self, r: MetricFields) {
+        self.paths[usize::from(r.path.code())] += 1;
+        if r.breaker != self.breaker {
+            self.transitions += 1;
+            self.breaker = r.breaker;
+        }
+        let total = r.profile_time + r.split_time;
+        self.profile_us = self
+            .profile_us
+            .wrapping_add(round_u64(r.profile_time * 1e6));
+        self.invocation_us = self.invocation_us.wrapping_add(round_u64(total * 1e6));
+        self.decide.record(r.decide_nanos);
+        if r.path.has_prediction() && total > 0.0 {
+            self.overhead
+                .record(round_u64(r.profile_time / total * 1e4));
+        }
+        let bucket = round_u64(r.alpha.clamp(0.0, 1.0) * 10.0) as usize;
+        self.alpha[bucket.min(ALPHA_BUCKETS - 1)] += 1;
+    }
+
+    /// Adds the batch to `reg`. The paths the scheduler's health counters
+    /// own (degraded, quarantined, throttled) count as invocations only
+    /// (DESIGN.md §10).
+    pub(crate) fn flush(&self, reg: &MetricsRegistry) {
+        let add = |counter: &Counter, n: u64| {
+            if n > 0 {
+                counter.add(n);
+            }
+        };
+        let on = |path: InvocationPath| self.paths[usize::from(path.code())];
+        add(&reg.invocations, self.paths.iter().sum());
+        add(&reg.table_hits, on(InvocationPath::TableHit));
+        add(&reg.small_n, on(InvocationPath::SmallN));
+        add(&reg.profiled, on(InvocationPath::Profiled));
+        add(&reg.reprofiled, on(InvocationPath::Reprofiled));
+        add(&reg.probes, on(InvocationPath::Probe));
+        if self.transitions > 0 {
+            add(&reg.breaker_transitions, self.transitions);
+            reg.breaker_state.swap(u64::from(self.breaker));
+        }
+        add(&reg.profile_time_us, self.profile_us);
+        add(&reg.invocation_time_us, self.invocation_us);
+        self.decide.add_to(&reg.decide_latency_ns);
+        self.overhead.add_to(&reg.overhead_bp);
+        for (counter, &n) in reg.alpha.iter().zip(&self.alpha) {
+            add(counter, n);
+        }
+    }
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -403,6 +556,65 @@ fn push_histogram(out: &mut String, name: &str, help: &str, h: &LogHistogram) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn libm_round(x: f64) -> u64 {
+        x.round().max(0.0) as u64
+    }
+
+    #[test]
+    fn round_u64_is_libm_round_at_the_edges() {
+        let two = |e: i32| 2f64.powi(e);
+        let mut edges = vec![
+            0.49999999999999994,
+            0.5,
+            0.5000000000000001,
+            two(52) - 1.0,
+            two(52),
+            two(52) + 1.0,
+            two(51) + 0.5,
+            two(52) - 0.5,
+            two(53),
+            two(53) + 2.0,
+            two(63),
+            two(64),
+            two(64) - 2048.0,
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.4,
+            -0.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+        ];
+        // Every x.5 boundary a fold can meet, and its neighbours.
+        for whole in 0..=20_000u32 {
+            let half = f64::from(whole) + 0.5;
+            edges.extend([half, half.next_down(), half.next_up()]);
+        }
+        for x in edges {
+            assert_eq!(
+                round_u64(x),
+                libm_round(x),
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn round_u64_is_libm_round_on_finite_doubles(bits in any::<u64>(), small in -4.0..1e7f64) {
+            let x = f64::from_bits(bits);
+            if x.is_finite() {
+                prop_assert_eq!(round_u64(x), libm_round(x), "x = {:e}", x);
+            }
+            prop_assert_eq!(round_u64(small), libm_round(small), "x = {:e}", small);
+        }
+    }
 
     #[test]
     fn histogram_bucket_math_at_the_edges() {

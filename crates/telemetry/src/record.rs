@@ -230,6 +230,36 @@ impl DecisionRecord {
     }
 }
 
+/// The six fields [`MetricsRegistry`](crate::MetricsRegistry) derives
+/// its metrics from, read straight out of a record's ring words: five of
+/// the thirteen words, each loaded once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct MetricFields {
+    pub(crate) path: InvocationPath,
+    pub(crate) breaker: u8,
+    pub(crate) alpha: f64,
+    pub(crate) profile_time: f64,
+    pub(crate) split_time: f64,
+    /// Saturated at the word's 24 bits, as [`DecisionRecord::encode`]
+    /// stores it.
+    pub(crate) decide_nanos: u64,
+}
+
+impl MetricFields {
+    /// Reads the fields of the record whose `i`th ring word is `word(i)`.
+    pub(crate) fn read(word: impl Fn(usize) -> u64) -> MetricFields {
+        let packed = word(1);
+        MetricFields {
+            path: InvocationPath::from_code(((packed >> 8) & 0xFF) as u8).unwrap_or_default(),
+            breaker: ((packed >> 16) & 0xFF) as u8,
+            alpha: f64::from_bits(word(4)),
+            profile_time: f64::from_bits(word(8)),
+            split_time: f64::from_bits(word(10)),
+            decide_nanos: unsplit(word(12)).1,
+        }
+    }
+}
+
 /// `items` and `decide_nanos` share the last word: `items` in the low 40
 /// bits (a 10¹² ceiling, far beyond any invocation here) and
 /// `decide_nanos` in the high 24, saturating at ~16.7 ms — decisions are
@@ -237,7 +267,7 @@ impl DecisionRecord {
 /// headroom. Both saturate rather than wrap.
 const ITEM_BITS: u32 = 40;
 const ITEM_MASK: u64 = (1 << ITEM_BITS) - 1;
-const NANOS_MAX: u64 = (1 << (64 - ITEM_BITS)) - 1;
+pub(crate) const NANOS_MAX: u64 = (1 << (64 - ITEM_BITS)) - 1;
 
 fn unsplit(word: u64) -> (u64, u64) {
     (word & ITEM_MASK, word >> ITEM_BITS)
@@ -307,6 +337,28 @@ mod tests {
         assert_eq!(back.fault_rounds, u64::from(u16::MAX) as u32);
         assert_eq!(back.items, ITEM_MASK);
         assert_eq!(back.decide_nanos, NANOS_MAX);
+    }
+
+    #[test]
+    fn metric_fields_read_what_decode_reads() {
+        for r in [
+            sample(),
+            DecisionRecord {
+                decide_nanos: u64::MAX,
+                alpha: f64::NAN,
+                ..sample()
+            },
+        ] {
+            let words = r.encode();
+            let back = DecisionRecord::decode(0, &words);
+            let fields = MetricFields::read(|i| words[i]);
+            assert_eq!(fields.path, back.path);
+            assert_eq!(fields.breaker, back.breaker);
+            assert_eq!(fields.alpha.to_bits(), back.alpha.to_bits());
+            assert_eq!(fields.profile_time, back.profile_time);
+            assert_eq!(fields.split_time, back.split_time);
+            assert_eq!(fields.decide_nanos, back.decide_nanos);
+        }
     }
 
     #[test]

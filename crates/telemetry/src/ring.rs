@@ -17,6 +17,12 @@
 //! re-read version — and skip the slot if a writer was in flight.
 //! Memory is bounded by construction: once full, the ring overwrites its
 //! oldest records.
+//!
+//! [`push`](AtomicRing::push) is `claim` then `write`; a caller that
+//! splits them can act in between. [`RingSink`](crate::RingSink) does:
+//! before it writes, it makes sure the record a lap behind has been
+//! folded into its metrics (reading it through `published`), so its
+//! writes never drop. The span sink pushes, and stays lock-free.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -84,7 +90,26 @@ impl<const WORDS: usize> AtomicRing<WORDS> {
     /// writers. As long as fewer than `capacity()` records have been
     /// pushed, nothing is ever dropped or overwritten.
     pub fn push(&self, words: [u64; WORDS]) -> u64 {
-        let claim = self.next.fetch_add(1, Ordering::AcqRel);
+        let claim = self.claim();
+        self.write(claim, words);
+        claim
+    }
+
+    /// Claims the next global sequence number without writing it: the
+    /// first half of [`push`](AtomicRing::push), for a caller that must
+    /// act between the claim and the write (a [`RingSink`] makes sure the
+    /// slot's previous record was folded). Every claim must be written,
+    /// or its slot stays behind a record readers never see.
+    ///
+    /// [`RingSink`]: crate::RingSink
+    pub(crate) fn claim(&self) -> u64 {
+        self.next.fetch_add(1, Ordering::AcqRel)
+    }
+
+    /// Writes the record of `claim` (from [`claim`](AtomicRing::claim))
+    /// into its slot and publishes it; `false` if the record was dropped.
+    /// Never blocks.
+    pub(crate) fn write(&self, claim: u64, words: [u64; WORDS]) -> bool {
         let slot = &self.slots[(claim & self.mask) as usize];
         let writing = claim * 2 + 1;
         // Take ownership: CAS from the slot's current *stable* version to
@@ -101,14 +126,28 @@ impl<const WORDS: usize> AtomicRing<WORDS> {
                 .is_err()
         {
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            return claim;
+            return false;
         }
         for (w, v) in slot.words.iter().zip(words) {
             w.store(v, Ordering::Relaxed);
         }
         // We own the slot; publish unconditionally.
         slot.version.store(writing + 1, Ordering::Release);
-        claim
+        true
+    }
+
+    /// The payload words of record `seq` if its slot holds exactly that
+    /// record, published; `None` while its writer has not finished (or
+    /// once a later lap took the slot). The `Acquire` load of the version
+    /// pairs with the writer's `Release` publish, so the words read here
+    /// are the record's. They stay the record's only while no writer can
+    /// claim `seq + capacity()`: the caller's protocol must hold the next
+    /// lap off (a [`RingSink`]'s fold cursor does).
+    ///
+    /// [`RingSink`]: crate::RingSink
+    pub(crate) fn published(&self, seq: u64) -> Option<&[AtomicU64; WORDS]> {
+        let slot = &self.slots[(seq & self.mask) as usize];
+        (slot.version.load(Ordering::Acquire) == seq * 2 + 2).then_some(&slot.words)
     }
 
     /// Optimistically reads one slot; `None` if it was never written or a
@@ -190,6 +229,24 @@ mod tests {
         for (seq, words) in snap {
             assert_eq!(words[0], seq);
         }
+    }
+
+    #[test]
+    fn a_claim_is_published_once_written_until_the_next_lap() {
+        let ring = AtomicRing::<1>::new(2);
+        let read = |seq| ring.published(seq).map(|w| w[0].load(Ordering::Relaxed));
+        let (first, second) = (ring.claim(), ring.claim());
+        assert_eq!((first, second), (0, 1));
+        assert_eq!(read(0), None, "claimed, not written");
+        assert!(ring.write(second, [11]));
+        assert!(ring.write(first, [10]));
+        assert_eq!((read(0), read(1)), (Some(10), Some(11)));
+        // The next lap's record takes slot 0; a stale claim of it loses.
+        assert!(ring.write(ring.claim(), [12]));
+        assert_eq!((read(0), read(2)), (None, Some(12)));
+        assert!(!ring.write(first, [99]), "a newer lap holds the slot");
+        assert_eq!(ring.dropped(), 1);
+        assert_eq!(read(2), Some(12));
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! The sink abstraction the scheduler reports through, and the standard
-//! lock-free ring-backed implementation.
+//! ring-backed implementation.
 //!
 //! Frontends hold an `Option<Arc<dyn TelemetrySink>>`. With `None`
 //! (the default) the scheduler runs the same loop and drops its summary —
 //! no timing, no record construction; the per-phase totals it keeps
 //! either way are a few float adds per backend call. With a sink
 //! attached, one [`DecisionRecord`] per invocation flows in on the
-//! scheduling thread, so implementations must be cheap, lock-free, and
-//! must never panic.
+//! scheduling thread, so implementations must be cheap, must not wait in
+//! the common case, and must never panic. A [`RingSink`] records with a
+//! ring write; its metrics are folded from the ring a batch at a time,
+//! and the fold's lock is taken per few dozen records, not per record.
 //!
 //! The sink is also the scheduler's only decision history: each
 //! profiling round's α arrives as a [`ControlEvent::Decided`], which the
@@ -17,12 +19,13 @@
 //! the scheduler, its kernel table, its store, the admission controller
 //! or the SLO tracker already keep (DESIGN.md §10).
 
-use crate::metrics::MetricsRegistry;
-use crate::record::DecisionRecord;
+use crate::metrics::{Fold, MetricsRegistry};
+use crate::record::{DecisionRecord, MetricFields};
 use crate::ring::AtomicRing;
 use crate::span::{Span, SpanSink};
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// An out-of-band event from the scheduling loop: each profiling round's
 /// α decision (DESIGN.md §10). Unlike [`DecisionRecord`]s these are not
@@ -137,20 +140,45 @@ impl TelemetrySink for DecisionCsvSink {
     }
 }
 
-/// The standard sink: a bounded lock-free ring of the most recent
-/// records, plus a [`MetricsRegistry`] folded up front (so metrics cover
-/// *every* invocation even after the ring wraps), plus — when enabled —
-/// a [`SpanSink`] for causal request traces.
+/// The standard sink: a bounded ring of the most recent records, a
+/// [`MetricsRegistry`] derived from the ring (so metrics cover *every*
+/// invocation even after the ring wraps), and — when enabled — a
+/// [`SpanSink`] for causal request traces.
+///
+/// Recording is a ring write: the registry is not touched per record.
+/// Records are folded into it in sequence order from a cursor, a batch at
+/// a time, in three places: by the recording thread every
+/// `FOLD_EVERY` (32) records while the slots are still hot, by
+/// [`metrics`](RingSink::metrics) before any read, and by a writer whose
+/// slot still holds a record the cursor has not passed. So every record
+/// is counted exactly once, none is lapped unfolded, and the ring never
+/// drops one. The fold holds a lock but never waits under it: it stops at
+/// the first record whose writer has not published yet. The price is
+/// that a writer can wait — only on a full ring, for the record a lap
+/// behind its own, whose writer stalled between claim and publish
+/// (DESIGN.md §10).
 #[derive(Debug)]
 pub struct RingSink {
     ring: AtomicRing<{ DecisionRecord::WORDS }>,
     metrics: MetricsRegistry,
+    /// Records with a lower sequence number are in `metrics`. Stored
+    /// (`Release`) only under `fold`, after the batch's words were read;
+    /// a writer's `Acquire` load of it orders those reads before it
+    /// overwrites the slot.
+    folded: AtomicU64,
+    /// Held while a batch is folded and flushed.
+    fold: Mutex<()>,
     spans: Option<SpanSink>,
 }
 
 /// Default ring capacity: enough for every invocation of the benchmark
 /// suites with room to spare, ~3.4 MB resident.
 const DEFAULT_CAPACITY: usize = 1 << 15;
+
+/// Records between the recording thread's folds: few enough that the
+/// batch's slots are still in cache, enough that the fold's lock and its
+/// one add per touched cell are paid once per few dozen records.
+const FOLD_EVERY: u64 = 32;
 
 impl Default for RingSink {
     fn default() -> RingSink {
@@ -165,6 +193,8 @@ impl RingSink {
         RingSink {
             ring: AtomicRing::new(capacity),
             metrics: MetricsRegistry::default(),
+            folded: AtomicU64::new(0),
+            fold: Mutex::new(()),
             spans: None,
         }
     }
@@ -201,15 +231,35 @@ impl RingSink {
         self.ring.pushed()
     }
 
-    /// Records dropped under same-slot wrap contention (zero unless
-    /// writers lap each other; see [`AtomicRing::dropped`]).
+    /// Records the ring dropped: always zero, since a writer never laps
+    /// an unfolded record (see [`AtomicRing::dropped`]).
     pub fn dropped(&self) -> u64 {
         self.ring.dropped()
     }
 
-    /// The metrics registry fed by this sink.
+    /// The metrics registry derived from this sink's records, after
+    /// folding every record published so far.
     pub fn metrics(&self) -> &MetricsRegistry {
+        self.fold_published(self.fold.lock().unwrap_or_else(PoisonError::into_inner));
         &self.metrics
+    }
+
+    /// Folds the published records from the cursor on, in sequence order,
+    /// and returns the new cursor. Stops at the first record not yet
+    /// published, so it never waits while it holds `held`. One pass folds
+    /// at most a ring's worth: no writer gets more than a lap ahead of the
+    /// cursor it holds still.
+    fn fold_published(&self, held: MutexGuard<'_, ()>) -> u64 {
+        let mut next = self.folded.load(Ordering::Relaxed);
+        let mut batch = Fold::new(&self.metrics);
+        while let Some(words) = self.ring.published(next) {
+            batch.add(MetricFields::read(|i| words[i].load(Ordering::Relaxed)));
+            next += 1;
+        }
+        batch.flush(&self.metrics);
+        self.folded.store(next, Ordering::Release);
+        drop(held);
+        next
     }
 
     /// A non-destructive snapshot of the retained records, in sequence
@@ -225,8 +275,26 @@ impl RingSink {
 
 impl TelemetrySink for RingSink {
     fn record(&self, record: &DecisionRecord) {
-        self.metrics.update(record);
-        self.ring.push(record.encode());
+        let words = record.encode();
+        let seq = self.ring.claim();
+        // The slot's previous record is a lap behind: it must be in the
+        // registry before it is overwritten. Fold it here if no one has;
+        // if its writer (or one before it) has not published yet, wait.
+        if let Some(previous) = seq.checked_sub(self.ring.capacity() as u64) {
+            while self.folded.load(Ordering::Acquire) <= previous {
+                let held = self.fold.lock().unwrap_or_else(PoisonError::into_inner);
+                if self.fold_published(held) <= previous {
+                    std::thread::yield_now();
+                }
+            }
+        }
+        let written = self.ring.write(seq, words);
+        debug_assert!(written, "a writer never laps an unfolded record");
+        if (seq + 1).is_multiple_of(FOLD_EVERY) {
+            if let Ok(held) = self.fold.try_lock() {
+                self.fold_published(held);
+            }
+        }
     }
 
     fn wants_spans(&self) -> bool {
@@ -307,7 +375,8 @@ impl TelemetrySink for FanoutSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::InvocationPath;
+    use crate::record::{InvocationPath, NANOS_MAX};
+    use proptest::prelude::*;
 
     #[test]
     fn sink_roundtrips_records_with_sequence_numbers() {
@@ -398,6 +467,109 @@ mod tests {
         );
         assert_eq!(ring.metrics().expose(), page, "/metrics did not move");
         assert!(ring.snapshot().is_empty(), "events never enter the ring");
+    }
+
+    /// Times as chaos leaves them: NaN, ±inf, negative, zero of both
+    /// signs, ordinary, and any bit pattern at all.
+    fn arb_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(f64::NEG_INFINITY)],
+            prop_oneof![Just(0.0), Just(-0.0), Just(f64::MIN_POSITIVE)],
+            -1.0..0.0f64,
+            0.0..2.0f64,
+            any::<u64>().prop_map(f64::from_bits),
+        ]
+    }
+
+    fn arb_record() -> impl Strategy<Value = DecisionRecord> {
+        (
+            (0u8..8).prop_map(|c| InvocationPath::from_code(c).expect("codes 0..8 are paths")),
+            prop_oneof![0u8..3, any::<u8>()],
+            prop_oneof![
+                (0u32..=10).prop_map(|i| f64::from(i) / 10.0),
+                -1.0..2.0f64,
+                arb_f64()
+            ],
+            (arb_f64(), arb_f64()),
+            prop_oneof![0u64..5_000, (1u64 << 24) - 2..(1 << 24) + 2, any::<u64>()],
+        )
+            .prop_map(
+                |(path, breaker, alpha, (profile_time, split_time), decide_nanos)| DecisionRecord {
+                    path,
+                    breaker,
+                    alpha,
+                    profile_time,
+                    split_time,
+                    decide_nanos,
+                    ..DecisionRecord::default()
+                },
+            )
+    }
+
+    proptest! {
+        /// The fold is the per-record update, batched: whatever the ring's
+        /// size (writers folding a lap behind) and wherever a read cuts a
+        /// batch, the page equals the oracle's fed the same records, up to
+        /// the ring's 24-bit `decide_nanos`.
+        #[test]
+        fn folded_metrics_equal_the_per_record_oracle(
+            records in prop::collection::vec(arb_record(), 0..160),
+            capacity in 1usize..80,
+            reads in prop::collection::vec(0usize..6, 160),
+        ) {
+            let sink = RingSink::with_capacity(capacity);
+            let oracle = MetricsRegistry::default();
+            for (r, &read) in records.iter().zip(&reads) {
+                sink.record(r);
+                oracle.update(&DecisionRecord {
+                    decide_nanos: r.decide_nanos.min(NANOS_MAX),
+                    ..*r
+                });
+                if read == 0 {
+                    prop_assert_eq!(sink.metrics().expose(), oracle.expose());
+                }
+            }
+            prop_assert_eq!(sink.metrics().expose(), oracle.expose());
+            prop_assert_eq!(sink.dropped(), 0);
+        }
+    }
+
+    #[test]
+    fn decide_nanos_saturate_at_the_ring_word() {
+        let sink = RingSink::with_capacity(8);
+        for decide_nanos in [NANOS_MAX - 1, NANOS_MAX, NANOS_MAX + 1, 1 << 30, u64::MAX] {
+            sink.record(&DecisionRecord {
+                decide_nanos,
+                ..DecisionRecord::default()
+            });
+        }
+        let h = &sink.metrics().decide_latency_ns;
+        assert_eq!(NANOS_MAX, (1 << 24) - 1, "≈16.8 ms");
+        // Everything at or past 2²⁴ − 1 lands on it: bucket 24, the sum
+        // of five saturated-or-below values.
+        assert_eq!(h.counts()[24], 5);
+        assert_eq!(h.sum(), NANOS_MAX - 1 + 4 * NANOS_MAX);
+    }
+
+    #[test]
+    fn a_read_folds_what_the_recording_thread_has_not() {
+        let sink = RingSink::with_capacity(1024);
+        for i in 0..FOLD_EVERY - 1 {
+            sink.record(&DecisionRecord {
+                breaker: (i % 2) as u8,
+                ..DecisionRecord::default()
+            });
+        }
+        assert_eq!(sink.folded.load(Ordering::Relaxed), 0, "no batch yet");
+        assert_eq!(sink.metrics().invocations.get(), FOLD_EVERY - 1);
+        assert_eq!(sink.metrics().breaker_transitions.get(), FOLD_EVERY - 2);
+        sink.record(&DecisionRecord::default());
+        sink.record(&DecisionRecord::default());
+        assert_eq!(
+            sink.folded.load(Ordering::Relaxed),
+            FOLD_EVERY,
+            "a batch at 32"
+        );
     }
 
     #[test]

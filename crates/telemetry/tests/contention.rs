@@ -1,28 +1,43 @@
 //! The ring sink under write contention: 8 threads hammering one sink
 //! must lose nothing (when capacity suffices), stay within bounded
-//! memory, and preserve per-thread event order.
+//! memory, preserve per-thread event order, and derive every metric from
+//! every record exactly once — on a ring far smaller than the push
+//! volume too, where writers fold for each other.
 
-use easched_telemetry::{DecisionRecord, InvocationPath, RingSink, TelemetrySink};
+use easched_telemetry::{DecisionRecord, InvocationPath, RingSink, TelemetrySink, ALPHA_BUCKETS};
 use std::sync::Arc;
 
 const THREADS: u64 = 8;
 const PER_THREAD: u64 = 2_000;
 
-/// Each thread records as its own kernel so ordering is checkable
+/// Thread `t`'s `i`th record: its own kernel, so ordering is checkable
 /// per kernel afterwards.
+fn profiled(t: u64, i: u64) -> DecisionRecord {
+    DecisionRecord {
+        kernel: t,
+        items: i,
+        alpha: (i % 11) as f64 / 10.0,
+        path: InvocationPath::Profiled,
+        ..DecisionRecord::default()
+    }
+}
+
 fn hammer(sink: &Arc<RingSink>, threads: u64, per_thread: u64) {
+    hammer_with(sink, threads, per_thread, profiled);
+}
+
+fn hammer_with(
+    sink: &Arc<RingSink>,
+    threads: u64,
+    per_thread: u64,
+    record: fn(u64, u64) -> DecisionRecord,
+) {
     std::thread::scope(|s| {
         for t in 0..threads {
             let sink = Arc::clone(sink);
             s.spawn(move || {
                 for i in 0..per_thread {
-                    sink.record(&DecisionRecord {
-                        kernel: t,
-                        items: i,
-                        alpha: (i % 11) as f64 / 10.0,
-                        path: InvocationPath::Profiled,
-                        ..DecisionRecord::default()
-                    });
+                    sink.record(&record(t, i));
                 }
             });
         }
@@ -110,11 +125,73 @@ fn contended_wrap_stays_bounded_and_readable() {
         // The alpha a thread wrote for this item, bit-for-bit.
         assert_eq!(r.alpha, (r.items % 11) as f64 / 10.0, "torn payload");
     }
-    // Whatever was dropped under wrap contention is accounted for, and
-    // everything else is retained or was overwritten — never corrupted.
-    assert!(sink.dropped() <= sink.recorded());
+    // Nothing was dropped under wrap contention: everything is retained
+    // or was overwritten after it was folded — never corrupted.
+    assert_eq!(sink.dropped(), 0);
     // Metrics still counted every single event.
     assert_eq!(sink.metrics().invocations.get(), THREADS * PER_THREAD);
+    assert_eq!(sink.metrics().profiled.get(), THREADS * PER_THREAD);
+}
+
+/// Every path in turn, breaker open throughout, times and decide
+/// latency that vary with the item.
+fn every_path(t: u64, i: u64) -> DecisionRecord {
+    DecisionRecord {
+        path: InvocationPath::from_code((i % 8) as u8).expect("codes 0..8 are paths"),
+        breaker: 1,
+        profile_time: (i % 3) as f64 * 1e-6,
+        split_time: 2e-6,
+        decide_nanos: i,
+        ..profiled(t, i)
+    }
+}
+
+#[test]
+fn contended_wrap_derives_every_metric_from_every_record() {
+    let sink = Arc::new(RingSink::with_capacity(256));
+    hammer_with(&sink, THREADS, PER_THREAD, every_path);
+    assert_eq!(sink.recorded(), THREADS * PER_THREAD);
+    assert_eq!(sink.dropped(), 0, "a ring sink never drops");
+
+    let records: Vec<DecisionRecord> = (0..PER_THREAD).map(|i| every_path(0, i)).collect();
+    let per_thread = |keep: &dyn Fn(&DecisionRecord) -> bool| {
+        THREADS * records.iter().filter(|r| keep(r)).count() as u64
+    };
+    let on = |path| per_thread(&|r: &DecisionRecord| r.path == path);
+    let m = sink.metrics();
+    assert_eq!(m.invocations.get(), THREADS * PER_THREAD);
+    assert_eq!(m.table_hits.get(), on(InvocationPath::TableHit));
+    assert_eq!(m.small_n.get(), on(InvocationPath::SmallN));
+    assert_eq!(m.profiled.get(), on(InvocationPath::Profiled));
+    assert_eq!(m.reprofiled.get(), on(InvocationPath::Reprofiled));
+    assert_eq!(m.probes.get(), on(InvocationPath::Probe));
+    // Closed (the registry's start) to open once, whatever the order.
+    assert_eq!(m.breaker_transitions.get(), 1);
+    assert_eq!(m.breaker_state.get(), 1);
+
+    let alpha: Vec<u64> = m.alpha.iter().map(|c| c.get()).collect();
+    assert_eq!(alpha.iter().sum::<u64>(), THREADS * PER_THREAD);
+    for (bucket, &n) in alpha.iter().enumerate().take(ALPHA_BUCKETS) {
+        assert_eq!(
+            n,
+            per_thread(&|r| r.items % 11 == bucket as u64),
+            "α bucket {bucket}"
+        );
+    }
+
+    let sum = |f: &dyn Fn(&DecisionRecord) -> u64| THREADS * records.iter().map(f).sum::<u64>();
+    let us = |s: f64| (s * 1e6).round() as u64;
+    assert_eq!(m.profile_time_us.get(), sum(&|r| us(r.profile_time)));
+    assert_eq!(m.invocation_time_us.get(), sum(&|r| us(r.total_time())));
+    assert_eq!(m.decide_latency_ns.count(), THREADS * PER_THREAD);
+    assert_eq!(m.decide_latency_ns.sum(), sum(&|r| r.decide_nanos));
+    let predicted = |r: &DecisionRecord| r.path.has_prediction();
+    assert_eq!(m.overhead_bp.count(), per_thread(&predicted));
+    let bp = |r: &DecisionRecord| (r.profile_time / r.total_time() * 1e4).round() as u64;
+    assert_eq!(
+        m.overhead_bp.sum(),
+        sum(&|r| if predicted(r) { bp(r) } else { 0 })
+    );
 }
 
 #[test]

@@ -14,7 +14,9 @@ use easched::replay::{record_overload_storm_observed_with, OverloadSpec};
 use easched::runtime::{BrownoutLevel, TenantStats};
 use easched::telemetry::counters::Row;
 use easched::telemetry::slo::{SloSeries, TenantSloSeries};
-use easched::telemetry::{expose_slo, DecisionRecord, InvocationPath, MetricsRegistry};
+use easched::telemetry::{
+    expose_slo, DecisionRecord, InvocationPath, MetricsRegistry, RingSink, TelemetrySink,
+};
 use std::collections::BTreeMap;
 
 /// The label-escaping tests' hostile name (`a"b\c⏎d`) plus a control
@@ -23,13 +25,14 @@ const HOSTILE: &str = "a\"b\\c\nd\u{1b}";
 
 /// The registry's part of the parent's scripted feed: one record per
 /// invocation path, fixed build info and clock.
-fn scripted_registry() -> MetricsRegistry {
-    let reg = MetricsRegistry::default();
+fn scripted_registry() -> RingSink {
+    let sink = RingSink::default();
+    let reg = sink.metrics();
     reg.set_build_info("9.9.9", "deadbeef");
     reg.mark_started(100.0);
     for code in 0..8u8 {
         let i = u32::from(code);
-        reg.update(&DecisionRecord {
+        sink.record(&DecisionRecord {
             kernel: 40 + u64::from(code),
             path: InvocationPath::from_code(code).expect("eight paths"),
             breaker: code % 3,
@@ -42,8 +45,8 @@ fn scripted_registry() -> MetricsRegistry {
             ..DecisionRecord::default()
         });
     }
-    reg.observe_now(107.5);
-    reg
+    sink.metrics().observe_now(107.5);
+    sink
 }
 
 /// The rest of the parent's feed, read from the counts' owners: the
@@ -84,7 +87,7 @@ fn scripted_page() -> String {
         (name.to_string(), stats)
     });
     let names = BTreeMap::from([(0, "gold".to_string()), (1, HOSTILE.to_string())]);
-    scripted_registry().expose()
+    scripted_registry().metrics().expose()
         + &health.expose()
         + &store.expose()
         + &expose_drift(&[(42, 2.5)])
