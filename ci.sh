@@ -28,11 +28,14 @@ echo "==> telemetry smoke: drift study emits CSV"
 cargo run --release -p easched-bench --bin figures -- --out target/ci-results telemetry > /dev/null
 test -s target/ci-results/telemetry.csv
 
-echo "==> figures: fig9/fig10 regenerate byte-identically to results/"
+echo "==> figures: fig9/fig10/fig3/fig4/tdp regenerate byte-identically to results/"
 # The harness is deterministic, so a byte of difference is a behaviour
 # change in the scheduler, the simulator or the five-scheme comparison.
-cargo run --release -p easched-bench --bin figures -- --out target/ci-results fig9 fig10 > /dev/null
-for f in fig9 fig10; do
+# fig4 (the activation dip) and tdp (the 45 W cap) are the committed
+# outputs whose PCU frequency factors leave 1.
+cargo run --release -p easched-bench --bin figures -- --out target/ci-results \
+    fig9 fig10 fig3 fig4 tdp > /dev/null
+for f in fig9 fig10 fig3_compute fig3_memory fig4_bursts tdp; do
     cmp "target/ci-results/$f.csv" "results/$f.csv"
 done
 # The comparison's replays, a run log's parse chunks and a fleet's node

@@ -26,8 +26,10 @@ pub struct BwDemand {
 
 /// Effective rates after sharing `peak_bw` bytes/second between demands.
 ///
-/// Returns one derated rate per input demand, in order. Devices with zero
-/// demand are unaffected. The result never exceeds the input rate.
+/// Returns one derated rate per input demand, in order, in an array of the
+/// same length: the simulator calls this once per tick and allocates
+/// nothing. Devices with zero demand are unaffected. The result never
+/// exceeds the input rate.
 ///
 /// # Examples
 ///
@@ -36,39 +38,66 @@ pub struct BwDemand {
 ///
 /// // Two identical fully-memory-bound streams each wanting the full bus.
 /// let d = BwDemand { rate: 1.0e6, bytes_per_item: 1000.0, memory_fraction: 1.0 };
-/// let rates = contended_rates(1.0e9, &[d, d]);
+/// let [cpu, gpu] = contended_rates(1.0e9, &[d, d]);
 /// // Each gets half the bus → half the throughput.
-/// assert!((rates[0] - 0.5e6).abs() < 1.0);
-/// assert_eq!(rates[0], rates[1]);
+/// assert!((cpu - 0.5e6).abs() < 1.0);
+/// assert_eq!(cpu, gpu);
 /// ```
-pub fn contended_rates(peak_bw: f64, demands: &[BwDemand]) -> Vec<f64> {
+pub fn contended_rates<const N: usize>(peak_bw: f64, demands: &[BwDemand; N]) -> [f64; N] {
     let total: f64 = demands
         .iter()
         .map(|d| d.rate.max(0.0) * d.bytes_per_item.max(0.0))
         .sum();
     if total <= peak_bw || total <= 0.0 {
-        return demands.iter().map(|d| d.rate).collect();
+        return demands.map(|d| d.rate);
     }
     // Oversubscribed: every byte of demand is granted the same fraction.
     let grant = peak_bw / total;
-    demands
-        .iter()
-        .map(|d| {
-            let mf = d.memory_fraction.clamp(0.0, 1.0);
-            if mf == 0.0 {
-                return d.rate;
-            }
-            // Roofline composition: time per item = compute part + memory
-            // part stretched by 1/grant.
-            let slowdown = (1.0 - mf) + mf / grant;
-            d.rate / slowdown
-        })
-        .collect()
+    demands.map(|d| {
+        let mf = d.memory_fraction.clamp(0.0, 1.0);
+        if mf == 0.0 {
+            return d.rate;
+        }
+        // Roofline composition: time per item = compute part + memory
+        // part stretched by 1/grant.
+        let slowdown = (1.0 - mf) + mf / grant;
+        d.rate / slowdown
+    })
+}
+
+/// [`contended_rates`] as it stood before it returned an array: one `Vec`
+/// per call. Kept as the oracle the simulator's tick is held to.
+#[cfg(test)]
+pub(crate) mod parent {
+    use super::BwDemand;
+
+    pub(crate) fn contended_rates(peak_bw: f64, demands: &[BwDemand]) -> Vec<f64> {
+        let total: f64 = demands
+            .iter()
+            .map(|d| d.rate.max(0.0) * d.bytes_per_item.max(0.0))
+            .sum();
+        if total <= peak_bw || total <= 0.0 {
+            return demands.iter().map(|d| d.rate).collect();
+        }
+        let grant = peak_bw / total;
+        demands
+            .iter()
+            .map(|d| {
+                let mf = d.memory_fraction.clamp(0.0, 1.0);
+                if mf == 0.0 {
+                    return d.rate;
+                }
+                let slowdown = (1.0 - mf) + mf / grant;
+                d.rate / slowdown
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const D: BwDemand = BwDemand {
         rate: 1.0e6,
@@ -79,7 +108,7 @@ mod tests {
     #[test]
     fn under_subscription_unaffected() {
         let rates = contended_rates(1.0e9, &[D]);
-        assert_eq!(rates, vec![1.0e6]); // demands 1e8 < 1e9
+        assert_eq!(rates, [1.0e6]); // demands 1e8 < 1e9
     }
 
     #[test]
@@ -122,9 +151,9 @@ mod tests {
     #[test]
     fn zero_demand_passthrough() {
         let z = BwDemand { rate: 0.0, ..D };
-        let rates = contended_rates(1.0, &[z, D]);
-        assert_eq!(rates[0], 0.0);
-        assert!(rates[1] > 0.0);
+        let [zero, d] = contended_rates(1.0, &[z, D]);
+        assert_eq!(zero, 0.0);
+        assert!(d > 0.0);
     }
 
     #[test]
@@ -138,6 +167,45 @@ mod tests {
             for r in contended_rates(peak, &[D, D]) {
                 assert!(r <= D.rate);
             }
+        }
+    }
+
+    fn demand() -> impl Strategy<Value = BwDemand> {
+        (
+            prop_oneof![Just(0.0), 1e3..1e9f64],
+            prop_oneof![Just(0.0), 1.0..1e4f64],
+            prop_oneof![Just(0.0), Just(1.0), 0.0..1.0f64],
+        )
+            .prop_map(|(rate, bytes_per_item, memory_fraction)| BwDemand {
+                rate,
+                bytes_per_item,
+                memory_fraction,
+            })
+    }
+
+    proptest! {
+        /// The array form returns the parent's `Vec`, bit for bit, at the
+        /// machine's two demands and at one and three.
+        #[test]
+        fn arrays_equal_the_parent_vec(
+            peak in 1e6..1e11f64,
+            a in demand(),
+            b in demand(),
+            c in demand(),
+        ) {
+            let bits = |rates: &[f64]| rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(
+                bits(&contended_rates(peak, &[a])),
+                bits(&parent::contended_rates(peak, &[a]))
+            );
+            prop_assert_eq!(
+                bits(&contended_rates(peak, &[a, b])),
+                bits(&parent::contended_rates(peak, &[a, b]))
+            );
+            prop_assert_eq!(
+                bits(&contended_rates(peak, &[a, b, c])),
+                bits(&parent::contended_rates(peak, &[a, b, c]))
+            );
         }
     }
 }

@@ -310,6 +310,28 @@ impl Machine {
             1.0
         };
 
+        // Everything the loop reads but the activity, the grant and the
+        // remaining items is fixed for the phase.
+        let m = traits.memory_intensity();
+        let bytes_per_item = traits.bw_bytes_per_item();
+        let (instr_per_item, loads_per_item) = (traits.instr_per_item(), traits.loads_per_item());
+        let miss_ratio = traits.l3_miss_ratio(self.platform.memory.llc_bytes);
+        let cpu_base = traits.cpu_rate() * plan.cpu_util;
+        let gpu_base = traits.gpu_rate() * occupancy;
+        let peak_bw = self.platform.memory.peak_bw_bytes_per_sec;
+        let tick = self.platform.pcu.tick;
+        // Frequency affects throughput roofline-style: only the compute
+        // fraction of an item's time scales with clock speed; the
+        // memory-stall fraction does not. (Power, in contrast, scales
+        // with f^2.5 — handled inside the PCU's power model.)
+        let freq_tp = |scale: f64| {
+            if scale >= 1.0 {
+                1.0
+            } else {
+                1.0 / ((1.0 - m) / scale.max(1e-6) + m)
+            }
+        };
+
         let mut cpu_rem = plan.cpu_items;
         let mut gpu_rem = plan.gpu_items;
         let mut report = PhaseReport::default();
@@ -333,40 +355,28 @@ impl Machine {
             let input = PcuInput {
                 cpu_util: if cpu_active { plan.cpu_util } else { 0.0 },
                 gpu_util: if gpu_active { 1.0 } else { 0.0 },
-                mem_intensity: traits.memory_intensity(),
+                mem_intensity: m,
             };
             let grant = self.pcu.freq_grant(&self.platform, &input, self.time);
 
-            // Frequency affects throughput roofline-style: only the compute
-            // fraction of an item's time scales with clock speed; the
-            // memory-stall fraction does not. (Power, in contrast, scales
-            // with f^2.5 — handled inside the PCU's power model.)
-            let m = traits.memory_intensity();
-            let freq_tp = |scale: f64| {
-                if scale >= 1.0 {
-                    1.0
-                } else {
-                    1.0 / ((1.0 - m) / scale.max(1e-6) + m)
-                }
-            };
-
             // Uncontended rates at the current frequency grant.
-            let cpu_solo = traits.cpu_rate() * plan.cpu_util * freq_tp(grant.cpu) * cpu_noise;
-            let gpu_solo = traits.gpu_rate() * occupancy * freq_tp(grant.gpu) * gpu_noise;
-            let demands = [
-                BwDemand {
-                    rate: if cpu_active { cpu_solo } else { 0.0 },
-                    bytes_per_item: traits.bw_bytes_per_item(),
-                    memory_fraction: traits.memory_intensity(),
-                },
-                BwDemand {
-                    rate: if gpu_active { gpu_solo } else { 0.0 },
-                    bytes_per_item: traits.bw_bytes_per_item(),
-                    memory_fraction: traits.memory_intensity(),
-                },
-            ];
-            let rates = contended_rates(self.platform.memory.peak_bw_bytes_per_sec, &demands);
-            let (rc, rg) = (rates[0], rates[1]);
+            let cpu_solo = cpu_base * freq_tp(grant.cpu) * cpu_noise;
+            let gpu_solo = gpu_base * freq_tp(grant.gpu) * gpu_noise;
+            let [rc, rg] = contended_rates(
+                peak_bw,
+                &[
+                    BwDemand {
+                        rate: if cpu_active { cpu_solo } else { 0.0 },
+                        bytes_per_item,
+                        memory_fraction: m,
+                    },
+                    BwDemand {
+                        rate: if gpu_active { gpu_solo } else { 0.0 },
+                        bytes_per_item,
+                        memory_fraction: m,
+                    },
+                ],
+            );
 
             // Step until the next completion or PCU tick, whichever first.
             let t_c = if cpu_active && rc > 0.0 {
@@ -379,7 +389,7 @@ impl Machine {
             } else {
                 f64::INFINITY
             };
-            let dt = self.platform.pcu.tick.min(t_c).min(t_g).max(MIN_DT);
+            let dt = tick.min(t_c).min(t_g).max(MIN_DT);
 
             let watts = self.advance(&input, dt);
             report.energy_joules += watts * dt;
@@ -390,12 +400,8 @@ impl Machine {
                 cpu_rem -= done;
                 report.cpu_items_done += done;
                 report.cpu_busy += dt;
-                self.counters.record_cpu_items(
-                    done,
-                    traits.instr_per_item(),
-                    traits.loads_per_item(),
-                    traits.l3_miss_ratio(self.platform.memory.llc_bytes),
-                );
+                self.counters
+                    .record_cpu_items(done, instr_per_item, loads_per_item, miss_ratio);
             }
             if gpu_active {
                 let done = (rg * dt).min(gpu_rem);
@@ -421,6 +427,144 @@ impl Machine {
             trace.push(self.time, watts, dt);
         }
         self.time += dt;
+        watts
+    }
+}
+
+/// [`Machine::run_phase`] and [`Machine::idle`] as they stood before the
+/// tick skipped exact-identity math and hoisted its per-phase values: the
+/// parent's loop over the parent's PCU step, power table and contention
+/// model, kept as the oracle the simulator's tick is held to.
+#[cfg(test)]
+mod parent {
+    use super::*;
+    use crate::pcu::parent::{freq_grant, step};
+
+    pub(super) fn idle(machine: &mut Machine, seconds: f64) {
+        let mut remaining = seconds;
+        let input = PcuInput::default();
+        while remaining > MIN_DT {
+            let dt = remaining.min(machine.platform.pcu.tick);
+            advance(machine, &input, dt);
+            remaining -= dt;
+        }
+    }
+
+    pub(super) fn run_phase(
+        machine: &mut Machine,
+        traits: &KernelTraits,
+        plan: &PhasePlan,
+    ) -> PhaseReport {
+        machine.phase_counter += 1;
+        let phase_seed = noise::combine(
+            machine.seed,
+            noise::combine(plan.seed, machine.phase_counter),
+        );
+        let sigma_cpu = traits.irregularity() * 0.10;
+        let sigma_gpu = traits.irregularity() * 0.22;
+        let cpu_noise = noise::rate_factor(noise::combine(phase_seed, 1), sigma_cpu);
+        let gpu_noise = noise::rate_factor(noise::combine(phase_seed, 2), sigma_gpu);
+        let hw_par = f64::from(machine.platform.gpu.hardware_parallelism());
+        let occupancy = if plan.gpu_items > 0.0 {
+            (plan.gpu_items / hw_par).min(1.0)
+        } else {
+            1.0
+        };
+
+        let mut cpu_rem = plan.cpu_items;
+        let mut gpu_rem = plan.gpu_items;
+        let mut report = PhaseReport::default();
+        loop {
+            let cpu_active = cpu_rem > EPS_ITEMS;
+            let gpu_active = gpu_rem > EPS_ITEMS;
+            if !cpu_active && !gpu_active {
+                break;
+            }
+            if plan.stop_when_gpu_done && !gpu_active {
+                break;
+            }
+            let input = PcuInput {
+                cpu_util: if cpu_active { plan.cpu_util } else { 0.0 },
+                gpu_util: if gpu_active { 1.0 } else { 0.0 },
+                mem_intensity: traits.memory_intensity(),
+            };
+            let grant = freq_grant(&machine.pcu, &machine.platform, &input, machine.time);
+            let m = traits.memory_intensity();
+            let freq_tp = |scale: f64| {
+                if scale >= 1.0 {
+                    1.0
+                } else {
+                    1.0 / ((1.0 - m) / scale.max(1e-6) + m)
+                }
+            };
+            let cpu_solo = traits.cpu_rate() * plan.cpu_util * freq_tp(grant.cpu) * cpu_noise;
+            let gpu_solo = traits.gpu_rate() * occupancy * freq_tp(grant.gpu) * gpu_noise;
+            let demands = [
+                BwDemand {
+                    rate: if cpu_active { cpu_solo } else { 0.0 },
+                    bytes_per_item: traits.bw_bytes_per_item(),
+                    memory_fraction: traits.memory_intensity(),
+                },
+                BwDemand {
+                    rate: if gpu_active { gpu_solo } else { 0.0 },
+                    bytes_per_item: traits.bw_bytes_per_item(),
+                    memory_fraction: traits.memory_intensity(),
+                },
+            ];
+            let rates = crate::bandwidth::parent::contended_rates(
+                machine.platform.memory.peak_bw_bytes_per_sec,
+                &demands,
+            );
+            let (rc, rg) = (rates[0], rates[1]);
+            let t_c = if cpu_active && rc > 0.0 {
+                cpu_rem / rc
+            } else {
+                f64::INFINITY
+            };
+            let t_g = if gpu_active && rg > 0.0 {
+                gpu_rem / rg
+            } else {
+                f64::INFINITY
+            };
+            let dt = machine.platform.pcu.tick.min(t_c).min(t_g).max(MIN_DT);
+
+            let watts = advance(machine, &input, dt);
+            report.energy_joules += watts * dt;
+            report.elapsed += dt;
+            if cpu_active {
+                let done = (rc * dt).min(cpu_rem);
+                cpu_rem -= done;
+                report.cpu_items_done += done;
+                report.cpu_busy += dt;
+                machine.counters.record_cpu_items(
+                    done,
+                    traits.instr_per_item(),
+                    traits.loads_per_item(),
+                    traits.l3_miss_ratio(machine.platform.memory.llc_bytes),
+                );
+            }
+            if gpu_active {
+                let done = (rg * dt).min(gpu_rem);
+                gpu_rem -= done;
+                report.gpu_items_done += done;
+                report.gpu_busy += dt;
+            }
+            if cpu_active && gpu_active {
+                report.combined_time += dt;
+            }
+        }
+        report
+    }
+
+    fn advance(machine: &mut Machine, input: &PcuInput, dt: f64) -> f64 {
+        let watts = step(&mut machine.pcu, &machine.platform, input, machine.time, dt);
+        let joules = watts * dt;
+        machine.energy.deposit_joules(joules);
+        machine.total_joules += joules;
+        if let Some(trace) = machine.trace.as_mut() {
+            trace.push(machine.time, watts, dt);
+        }
+        machine.time += dt;
         watts
     }
 }
@@ -708,5 +852,158 @@ mod tests {
         assert_eq!(r.cpu_rate(), 50.0);
         assert_eq!(r.gpu_rate(), 400.0);
         assert_eq!(PhaseReport::default().cpu_rate(), 0.0);
+    }
+
+    mod oracle {
+        use super::super::parent;
+        use super::*;
+        use proptest::prelude::*;
+
+        fn unit() -> impl Strategy<Value = f64> {
+            prop_oneof![Just(0.0), Just(1.0), 0.0..1.0f64]
+        }
+
+        /// Kernels at memory intensities 0, 1 and between, under every
+        /// access pattern, with working sets on both sides of (and at)
+        /// each preset's LLC and bus demand up to twice the desktop's.
+        /// Rates are log-uniform over three decades.
+        fn traits() -> impl Strategy<Value = KernelTraits> {
+            (
+                (5.0..8.0f64, 5.0..8.0f64),
+                unit(),
+                prop_oneof![
+                    Just(AccessPattern::Streaming),
+                    Just(AccessPattern::Strided),
+                    Just(AccessPattern::Random),
+                    Just(AccessPattern::PointerChase),
+                ],
+                prop_oneof![
+                    Just(2u64 << 20),
+                    Just(6u64 << 20),
+                    Just(8u64 << 20),
+                    (12u32..34).prop_map(|shift| 1u64 << shift),
+                ],
+                prop_oneof![Just(0.0), 0.0..1.0f64],
+                0.0..2.0f64,
+            )
+                .prop_map(|((cpu, gpu), mem, access, ws, irr, bus)| {
+                    let (cpu, gpu) = (10f64.powf(cpu), 10f64.powf(gpu));
+                    KernelTraits::builder("oracle")
+                        .cpu_rate(cpu)
+                        .gpu_rate(gpu)
+                        .memory_intensity(mem)
+                        .access(access)
+                        .working_set_bytes(ws)
+                        .irregularity(irr)
+                        .bw_bytes_per_item(bus * 25.6e9 / (cpu + gpu))
+                        .build()
+                })
+        }
+
+        /// A phase to size against a kernel: its kind (split, CPU-only,
+        /// GPU-only, profiling), log10 of its solo-CPU seconds (0.1 ms to
+        /// 3 s), α in tenths, the profiling chunk (below the GPU's width
+        /// included), the CPU utilization (below the PCU's activity
+        /// threshold included) and the seed.
+        type PhaseDraw = (usize, f64, usize, u64, f64, u64);
+
+        fn phase() -> impl Strategy<Value = PhaseDraw> {
+            (
+                0..4usize,
+                -4.0..0.5f64,
+                0..11usize,
+                1u64..5_000,
+                prop_oneof![Just(1.0), 0.01..1.0f64],
+                any::<u64>(),
+            )
+        }
+
+        fn plan_for(traits: &KernelTraits, draw: PhaseDraw) -> PhasePlan {
+            let (kind, log_secs, tenths, chunk, util, seed) = draw;
+            let n = ((traits.cpu_rate() * 10f64.powf(log_secs)) as u64).max(1);
+            let plan = match kind {
+                0 => PhasePlan::split(n, tenths as f64 / 10.0),
+                1 => PhasePlan::cpu_only(n),
+                2 => PhasePlan::gpu_only(n),
+                _ => PhasePlan::profile(n, chunk),
+            };
+            plan.with_cpu_util(util).with_seed(seed)
+        }
+
+        fn report_bits(r: &PhaseReport) -> [u64; 7] {
+            [
+                r.elapsed,
+                r.cpu_items_done,
+                r.gpu_items_done,
+                r.combined_time,
+                r.cpu_busy,
+                r.gpu_busy,
+                r.energy_joules,
+            ]
+            .map(f64::to_bits)
+        }
+
+        fn machine_bits(m: &Machine) -> (u64, u32, u64, [u64; 3]) {
+            let c = m.counters();
+            (
+                m.now().to_bits(),
+                m.read_energy_raw(),
+                m.total_joules().to_bits(),
+                [c.instructions, c.loads, c.l3_misses].map(f64::to_bits),
+            )
+        }
+
+        fn trace_bits(m: &mut Machine) -> Vec<[u64; 3]> {
+            let trace = m.take_trace();
+            trace
+                .points()
+                .iter()
+                .map(|p| [p.time, p.watts, p.duration].map(f64::to_bits))
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Every phase report, clock, energy register, exact joule
+            /// total, counter and trace point equals the parent's to the
+            /// bit, over phase sequences on every preset and a throttled
+            /// Haswell, with idle gaps (short final steps) between phases
+            /// and, when `dip` is set, a CPU-only phase then a split first,
+            /// which arms the activation dip.
+            #[test]
+            fn phases_equal_the_parent_to_the_bit(
+                preset in 0..4usize,
+                seed in any::<u64>(),
+                traits in traits(),
+                dip in 0..2usize,
+                phases in prop::collection::vec((phase(), prop_oneof![Just(0.0), 0.0..0.05f64]), 1..5),
+                traced in 0..2usize,
+            ) {
+                let platform = Platform::oracle_platforms()[preset].clone();
+                let mut fast = Machine::with_seed(platform, seed);
+                if traced == 1 {
+                    fast.enable_trace();
+                }
+                let mut oracle = fast.clone();
+                let mut plans = Vec::new();
+                if dip == 1 {
+                    let n = traits.cpu_rate() as u64;
+                    plans.push((PhasePlan::cpu_only(n / 5), 0.0));
+                    plans.push((PhasePlan::split(n / 2, 0.5), 0.0));
+                }
+                plans.extend(phases.into_iter().map(|(draw, gap)| (plan_for(&traits, draw), gap)));
+                for (plan, gap) in &plans {
+                    let r = fast.run_phase(&traits, plan);
+                    let expected = parent::run_phase(&mut oracle, &traits, plan);
+                    prop_assert_eq!(report_bits(&r), report_bits(&expected), "{:?}", plan);
+                    prop_assert_eq!(machine_bits(&fast), machine_bits(&oracle));
+                    fast.idle(*gap);
+                    parent::idle(&mut oracle, *gap);
+                    prop_assert_eq!(machine_bits(&fast), machine_bits(&oracle));
+                }
+                prop_assert_eq!(trace_bits(&mut fast), trace_bits(&mut oracle));
+            }
+        }
     }
 }

@@ -89,6 +89,40 @@ pub struct PcuState {
     last_gpu_deactivation: f64,
     tick_count: u64,
     noise_seed: u64,
+    /// Ramp factors for one full tick of the platform the state was made
+    /// for, rising and falling.
+    ramp_up: RampFactor,
+    ramp_down: RampFactor,
+}
+
+/// The ramp factor `exp(-dt/τ)` for one `(dt, τ)`, kept with the bits of
+/// both so a step asks for it again only by the same inputs.
+#[derive(Debug, Clone, Copy)]
+struct RampFactor {
+    dt: f64,
+    tau: f64,
+    k: f64,
+}
+
+impl RampFactor {
+    fn new(dt: f64, tau: f64) -> Self {
+        RampFactor {
+            dt,
+            tau,
+            k: (-dt / tau).exp(),
+        }
+    }
+
+    /// `exp(-dt/τ)`: the kept factor when `dt` and `τ` are its inputs to
+    /// the bit (a full tick on the state's own platform), computed
+    /// otherwise (a step cut short by a completion, or another platform).
+    fn at(&self, dt: f64, tau: f64) -> f64 {
+        if dt.to_bits() == self.dt.to_bits() && tau.to_bits() == self.tau.to_bits() {
+            self.k
+        } else {
+            (-dt / tau).exp()
+        }
+    }
 }
 
 /// Utilization above which a device counts as "active" for activation
@@ -98,6 +132,7 @@ const ACTIVE_THRESHOLD: f64 = 0.05;
 impl PcuState {
     /// Creates PCU state resting at the platform's idle power.
     pub fn new(platform: &Platform, noise_seed: u64) -> Self {
+        let pcu = &platform.pcu;
         PcuState {
             power: platform.power.idle,
             gpu_was_active: false,
@@ -106,6 +141,8 @@ impl PcuState {
             last_gpu_deactivation: f64::NEG_INFINITY,
             tick_count: 0,
             noise_seed,
+            ramp_up: RampFactor::new(pcu.tick, rise_tau(pcu)),
+            ramp_down: RampFactor::new(pcu.tick, fall_tau(pcu)),
         }
     }
 
@@ -214,12 +251,13 @@ impl PcuState {
         // First-order ramp: integrate the exponential approach analytically
         // over dt so step size does not change the trajectory. Falling power
         // uses the (much faster) down time constant.
-        let tau = if target < self.power {
-            platform.pcu.ramp_tau_down.max(1e-6)
+        let (tau, k) = if target < self.power {
+            let tau = fall_tau(&platform.pcu);
+            (tau, self.ramp_down.at(dt, tau))
         } else {
-            platform.pcu.ramp_tau.max(1e-6)
+            let tau = rise_tau(&platform.pcu);
+            (tau, self.ramp_up.at(dt, tau))
         };
-        let k = (-dt / tau).exp();
         let end_power = target + (self.power - target) * k;
         // Average of the exponential over [0, dt].
         let avg = target + (self.power - target) * (1.0 - k) * tau / dt;
@@ -247,6 +285,125 @@ impl PcuState {
             cpu_freq_factor,
             gpu_freq_factor,
         )
+    }
+}
+
+/// Time constant of a rising ramp, seconds.
+fn rise_tau(pcu: &PcuParams) -> f64 {
+    pcu.ramp_tau.max(1e-6)
+}
+
+/// Time constant of a falling ramp, seconds.
+fn fall_tau(pcu: &PcuParams) -> f64 {
+    pcu.ramp_tau_down.max(1e-6)
+}
+
+/// [`PcuState::freq_grant`] and [`PcuState::step`] as they stood before the
+/// ramp factor was kept per tick and the power table skipped `powf` for a
+/// factor of 1, kept as the oracle the simulator's tick is held to.
+#[cfg(test)]
+pub(crate) mod parent {
+    use super::*;
+    use crate::power::parent::target_power;
+
+    pub(crate) fn freq_grant(
+        pcu: &PcuState,
+        platform: &Platform,
+        input: &PcuInput,
+        now: f64,
+    ) -> FreqGrant {
+        let cpu_active = input.cpu_util > ACTIVE_THRESHOLD;
+        let gpu_active = input.gpu_util > ACTIVE_THRESHOLD;
+        let mut cpu = 1.0;
+        let mut gpu = 1.0;
+        if cpu_active && gpu_active {
+            cpu = platform.sharing.cpu_shared_scale;
+            gpu = platform.sharing.gpu_shared_scale;
+            if now - pcu.last_gpu_activation < platform.pcu.dip_window {
+                cpu *= platform.pcu.dip_cpu_scale;
+            }
+        }
+        let throttle = tdp_throttle(platform, input);
+        FreqGrant {
+            cpu: cpu * throttle,
+            gpu: gpu * throttle,
+        }
+    }
+
+    fn tdp_throttle(platform: &Platform, input: &PcuInput) -> f64 {
+        let Some(tdp) = platform.pcu.tdp else {
+            return 1.0;
+        };
+        let target = target_power(
+            &platform.power,
+            input.cpu_util,
+            input.gpu_util,
+            input.mem_intensity,
+            1.0,
+            1.0,
+        );
+        if target <= tdp {
+            1.0
+        } else {
+            let idle = platform.power.idle;
+            let excess = (target - idle).max(1e-9);
+            let budget = (tdp - idle).max(0.0);
+            (budget / excess).powf(1.0 / 2.5).clamp(0.05, 1.0)
+        }
+    }
+
+    pub(crate) fn step(
+        pcu: &mut PcuState,
+        platform: &Platform,
+        input: &PcuInput,
+        now: f64,
+        dt: f64,
+    ) -> f64 {
+        let cpu_active = input.cpu_util > ACTIVE_THRESHOLD;
+        let gpu_active = input.gpu_util > ACTIVE_THRESHOLD;
+        if gpu_active && !pcu.gpu_was_active {
+            if pcu.cpu_was_active && now - pcu.last_gpu_deactivation > platform.pcu.dip_rearm {
+                pcu.last_gpu_activation = now;
+            }
+        } else if !gpu_active && pcu.gpu_was_active {
+            pcu.last_gpu_deactivation = now;
+        }
+        pcu.gpu_was_active = gpu_active;
+        pcu.cpu_was_active = cpu_active;
+
+        let grant = freq_grant(pcu, platform, input, now);
+        let expected = if cpu_active && gpu_active {
+            (
+                platform.sharing.cpu_shared_scale,
+                platform.sharing.gpu_shared_scale,
+            )
+        } else {
+            (1.0, 1.0)
+        };
+        let target = target_power(
+            &platform.power,
+            input.cpu_util,
+            input.gpu_util,
+            input.mem_intensity,
+            grant.cpu / expected.0,
+            grant.gpu / expected.1,
+        );
+        let tau = if target < pcu.power {
+            platform.pcu.ramp_tau_down.max(1e-6)
+        } else {
+            platform.pcu.ramp_tau.max(1e-6)
+        };
+        let k = (-dt / tau).exp();
+        let end_power = target + (pcu.power - target) * k;
+        let avg = target + (pcu.power - target) * (1.0 - k) * tau / dt;
+        pcu.power = end_power;
+
+        pcu.tick_count += 1;
+        let jitter = noise::jitter(
+            noise::combine(pcu.noise_seed, pcu.tick_count),
+            platform.pcu.measurement_noise,
+        );
+        avg * jitter
     }
 }
 
@@ -462,6 +619,57 @@ mod tests {
             (power - 1.7).abs() < 0.05,
             "baytrail combined memory: {power}"
         );
+    }
+}
+
+#[cfg(test)]
+mod oracle_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn input() -> impl Strategy<Value = PcuInput> {
+        let unit = || prop_oneof![Just(0.0), Just(1.0), 0.0..1.0f64];
+        (unit(), unit(), unit()).prop_map(|(cpu_util, gpu_util, mem_intensity)| PcuInput {
+            cpu_util,
+            gpu_util,
+            mem_intensity,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// One state stepped under platforms that share a tick but not a
+        /// τ, by full ticks and by shorter steps, grants and steps to the
+        /// bit as the parent did.
+        #[test]
+        fn step_equals_the_parent_to_the_bit(
+            seed in any::<u64>(),
+            first in 0..4usize,
+            steps in prop::collection::vec((0..4usize, input(), 0..3usize, 0.0..1.0f64), 1..120),
+        ) {
+            let platforms = Platform::oracle_platforms();
+            let mut pcu = PcuState::new(&platforms[first], seed);
+            let mut oracle = pcu.clone();
+            let mut now = 0.0;
+            for (which, input, kind, cut) in steps {
+                let platform = &platforms[which];
+                let tick = platform.pcu.tick;
+                let dt = match kind {
+                    0 | 1 => tick,
+                    _ => (tick * cut).max(1e-9),
+                };
+                let grant = pcu.freq_grant(platform, &input, now);
+                let expected = parent::freq_grant(&oracle, platform, &input, now);
+                prop_assert_eq!(grant.cpu.to_bits(), expected.cpu.to_bits());
+                prop_assert_eq!(grant.gpu.to_bits(), expected.gpu.to_bits());
+                let watts = pcu.step(platform, &input, now, dt);
+                let expected = parent::step(&mut oracle, platform, &input, now, dt);
+                prop_assert_eq!(watts.to_bits(), expected.to_bits());
+                prop_assert_eq!(pcu.power().to_bits(), oracle.power().to_bits());
+                now += dt;
+            }
+        }
     }
 }
 

@@ -292,6 +292,21 @@ impl Platform {
     pub fn gpu_profile_size(&self) -> u64 {
         self.gpu_profile_items
     }
+
+    /// The three presets and a Haswell capped at 45 W, whose TDP throttle
+    /// grants frequency factors below 1: the platforms the tick's oracle
+    /// tests draw from.
+    #[cfg(test)]
+    pub(crate) fn oracle_platforms() -> [Platform; 4] {
+        let mut capped = Platform::haswell_desktop();
+        capped.pcu.tdp = Some(45.0);
+        [
+            Platform::haswell_desktop(),
+            Platform::baytrail_tablet(),
+            Platform::skylake_minipc(),
+            capped,
+        ]
+    }
 }
 
 #[cfg(test)]

@@ -85,8 +85,8 @@ impl PowerTable {
         let uc = cpu_util.clamp(0.0, 1.0);
         let ug = gpu_util.clamp(0.0, 1.0);
         let m = mem_intensity.clamp(0.0, 1.0);
-        let fc = cpu_freq_factor.max(0.0).powf(FREQ_POWER_EXP);
-        let fg = gpu_freq_factor.max(0.0).powf(FREQ_POWER_EXP);
+        let fc = freq_power(cpu_freq_factor);
+        let fg = freq_power(gpu_freq_factor);
 
         let cpu_excess = (self.cpu_point(m) - self.idle) * uc * fc;
         let gpu_excess = (self.gpu_point(m) - self.idle) * ug * fg;
@@ -102,13 +102,59 @@ impl PowerTable {
     }
 }
 
+/// Dynamic-power scale `max(f, 0)^2.5` of a frequency factor `f`.
+///
+/// A factor of exactly 1 skips `powf`: IEEE 754 `pow(1, y)` is exactly 1,
+/// so the answer is the same bits. Every table read outside a dip or a TDP
+/// throttle passes 1 for both devices.
+fn freq_power(factor: f64) -> f64 {
+    if factor == 1.0 {
+        1.0
+    } else {
+        factor.max(0.0).powf(FREQ_POWER_EXP)
+    }
+}
+
 fn lerp(a: f64, b: f64, t: f64) -> f64 {
     a + (b - a) * t
+}
+
+/// [`PowerTable::target_power`] as it stood before it skipped `powf` for a
+/// factor of 1, kept as the oracle the simulator's tick is held to.
+#[cfg(test)]
+pub(crate) mod parent {
+    use super::*;
+
+    pub(crate) fn target_power(
+        table: &PowerTable,
+        cpu_util: f64,
+        gpu_util: f64,
+        mem_intensity: f64,
+        cpu_freq_factor: f64,
+        gpu_freq_factor: f64,
+    ) -> f64 {
+        let uc = cpu_util.clamp(0.0, 1.0);
+        let ug = gpu_util.clamp(0.0, 1.0);
+        let m = mem_intensity.clamp(0.0, 1.0);
+        let fc = cpu_freq_factor.max(0.0).powf(FREQ_POWER_EXP);
+        let fg = gpu_freq_factor.max(0.0).powf(FREQ_POWER_EXP);
+
+        let cpu_excess = (table.cpu_point(m) - table.idle) * uc * fc;
+        let gpu_excess = (table.gpu_point(m) - table.idle) * ug * fg;
+        let interaction = (table.both_point(m) - table.cpu_point(m) - table.gpu_point(m)
+            + table.idle)
+            * uc
+            * ug
+            * fc.min(fg);
+        (table.idle + cpu_excess + gpu_excess + interaction).max(0.0)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Platform;
+    use proptest::prelude::*;
 
     fn haswell() -> PowerTable {
         PowerTable {
@@ -203,5 +249,46 @@ mod tests {
         let mem = t.target_power(1.0, 1.0, 1.0, 1.0, 1.0);
         let comp = t.target_power(1.0, 1.0, 0.0, 1.0, 1.0);
         assert!(mem < comp, "paper: Bay Trail memory-bound draws less power");
+    }
+
+    /// Frequency factors on both sides of 1, exactly 1, and the values
+    /// `max(f, 0)` folds.
+    fn factor() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(1.0),
+            Just(f64::from_bits(1.0f64.to_bits() + 1)),
+            Just(f64::from_bits(1.0f64.to_bits() - 1)),
+            Just(0.0),
+            Just(-0.0),
+            Just(-1.0),
+            Just(f64::INFINITY),
+            Just(f64::NAN),
+            0.0..2.0f64,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Skipping `powf` for a factor of 1 changes no bit of any target.
+        #[test]
+        fn target_power_equals_the_parent_to_the_bit(
+            platform in prop_oneof![
+                Just(Platform::haswell_desktop()),
+                Just(Platform::baytrail_tablet()),
+                Just(Platform::skylake_minipc()),
+            ],
+            uc in -0.5..1.5f64,
+            ug in prop_oneof![Just(0.0), Just(1.0), 0.0..1.0f64],
+            m in prop_oneof![Just(0.0), Just(1.0), 0.0..1.0f64],
+            fc in factor(),
+            fg in factor(),
+        ) {
+            let t = &platform.power;
+            prop_assert_eq!(
+                t.target_power(uc, ug, m, fc, fg).to_bits(),
+                parent::target_power(t, uc, ug, m, fc, fg).to_bits()
+            );
+        }
     }
 }

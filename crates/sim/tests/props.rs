@@ -30,6 +30,26 @@ fn traits_strategy() -> impl Strategy<Value = KernelTraits> {
         })
 }
 
+/// Checks [`contended_rates`] on `N` fully memory-bound demands of `bytes`
+/// per item each.
+fn derates<const N: usize>(rates: [f64; N], bytes: f64, peak: f64) {
+    let demands = rates.map(|r| BwDemand {
+        rate: r,
+        bytes_per_item: bytes,
+        memory_fraction: 1.0,
+    });
+    let out = contended_rates(peak, &demands);
+    let mut used = 0.0;
+    for (o, d) in out.iter().zip(&demands) {
+        prop_assert!(*o <= d.rate * 1.0000001);
+        used += o * d.bytes_per_item;
+    }
+    let requested: f64 = rates.iter().map(|r| r * bytes).sum();
+    if requested > peak {
+        prop_assert!(used <= peak * 1.0001, "granted {used} > peak {peak}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -52,27 +72,19 @@ proptest! {
     }
 
     /// Contention never raises a rate and never over-grants the bus for
-    /// fully memory-bound demands.
+    /// fully memory-bound demands: one to four demands, each case drawing
+    /// four rates and checking every prefix of them.
     #[test]
     fn contention_is_a_derating(
-        rates in prop::collection::vec(1e3..1e9f64, 1..4),
+        rates in (1e3..1e9f64, 1e3..1e9f64, 1e3..1e9f64, 1e3..1e9f64),
         bytes in 1.0..1e4f64,
         peak in 1e6..1e11f64,
     ) {
-        let demands: Vec<BwDemand> = rates
-            .iter()
-            .map(|&r| BwDemand { rate: r, bytes_per_item: bytes, memory_fraction: 1.0 })
-            .collect();
-        let out = contended_rates(peak, &demands);
-        let mut used = 0.0;
-        for (o, d) in out.iter().zip(&demands) {
-            prop_assert!(*o <= d.rate * 1.0000001);
-            used += o * d.bytes_per_item;
-        }
-        let requested: f64 = rates.iter().map(|r| r * bytes).sum();
-        if requested > peak {
-            prop_assert!(used <= peak * 1.0001, "granted {used} > peak {peak}");
-        }
+        let (a, b, c, d) = rates;
+        derates([a], bytes, peak);
+        derates([a, b], bytes, peak);
+        derates([a, b, c], bytes, peak);
+        derates([a, b, c, d], bytes, peak);
     }
 
     /// run_phase completes exactly the assigned items and advances time.
