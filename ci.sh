@@ -28,15 +28,20 @@ echo "==> telemetry smoke: drift study emits CSV"
 cargo run --release -p easched-bench --bin figures -- --out target/ci-results telemetry > /dev/null
 test -s target/ci-results/telemetry.csv
 
-echo "==> figures: fig9/fig10/fig3/fig4/tdp regenerate byte-identically to results/"
+echo "==> figures: every file of \`figures all\` regenerates byte-identically to results/"
 # The harness is deterministic, so a byte of difference is a behaviour
-# change in the scheduler, the simulator or the five-scheme comparison.
-# fig4 (the activation dip) and tdp (the 45 W cap) are the committed
-# outputs whose PCU frequency factors leave 1.
-cargo run --release -p easched-bench --bin figures -- --out target/ci-results \
-    fig9 fig10 fig3 fig4 tdp > /dev/null
-for f in fig9 fig10 fig3_compute fig3_memory fig4_bursts tdp; do
-    cmp "target/ci-results/$f.csv" "results/$f.csv"
+# change in the scheduler, the simulator, a workload or the five-scheme
+# comparison. `all` writes 48 figure files, each compared here, and a
+# SUMMARY.md that lists only this run's experiments (the committed one
+# also covers ablations and chaos). fig1 and both table1 files are the
+# graph workloads' outputs; fig4 (the activation dip) and tdp (the 45 W
+# cap) are the ones whose PCU frequency factors leave 1.
+rm -rf target/ci-figures
+cargo run --release -p easched-bench --bin figures -- --out target/ci-figures all > /dev/null
+test "$(ls target/ci-figures | grep -vcx SUMMARY.md)" -eq 48
+for f in target/ci-figures/*; do
+    name=${f##*/}
+    [ "$name" = SUMMARY.md ] || cmp "$f" "results/$name"
 done
 # The comparison's replays, a run log's parse chunks and a fleet's node
 # phases are pool jobs on available_parallelism() workers, which honours

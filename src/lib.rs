@@ -8,7 +8,6 @@
 //!
 //! * [`num`] — polynomial fitting and optimization substrate
 //! * [`sim`] — deterministic integrated CPU-GPU platform simulator
-//! * [`graph`] — CSR graphs and data-parallel graph algorithms
 //! * [`kernels`] — the 12 evaluation benchmarks + 8 characterization
 //!   micro-benchmarks
 //! * [`runtime`] — Concord-style work-stealing heterogeneous runtime
@@ -48,7 +47,6 @@
 
 pub use easched_core as core;
 pub use easched_fleet as fleet;
-pub use easched_graph as graph;
 pub use easched_kernels as kernels;
 pub use easched_num as num;
 pub use easched_replay as replay;
