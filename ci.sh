@@ -28,7 +28,7 @@ echo "==> telemetry smoke: drift study emits CSV"
 cargo run --release -p easched-bench --bin figures -- --out target/ci-results telemetry > /dev/null
 test -s target/ci-results/telemetry.csv
 
-echo "==> figures: every file of \`figures all\` regenerates byte-identically to results/"
+echo "==> figures: every file of \`figures all\`, \`ablations\` and \`chaos\` regenerates byte-identically to results/"
 # The harness is deterministic, so a byte of difference is a behaviour
 # change in the scheduler, the simulator, a workload or the five-scheme
 # comparison. `all` writes 48 figure files, each compared here, and a
@@ -42,6 +42,13 @@ test "$(ls target/ci-figures | grep -vcx SUMMARY.md)" -eq 48
 for f in target/ci-figures/*; do
     name=${f##*/}
     [ "$name" = SUMMARY.md ] || cmp "$f" "results/$name"
+done
+# The seven ablation studies and the chaos matrix have no wall-clock input
+# either: their 16 files (≈200 s on two cores) are compared the same way.
+cargo run --release -p easched-bench --bin figures -- --out target/ci-figures ablations chaos > /dev/null
+test "$(ls target/ci-figures | grep -cE '^(ablation-.*|chaos)\.(csv|md)$')" -eq 16
+for f in target/ci-figures/ablation-* target/ci-figures/chaos.*; do
+    cmp "$f" "results/${f##*/}"
 done
 # The comparison's replays, a run log's parse chunks and a fleet's node
 # phases are pool jobs on available_parallelism() workers, which honours
@@ -283,10 +290,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> rustdoc: broken intra-doc links fail the build"
+echo "==> rustdoc: every warning fails the build, broken intra-doc links included"
 # The vendored stand-ins are excluded: proptest's trips rustdoc on its own
 # `vec` fn/macro ambiguity.
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline -q \
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q \
     --exclude rand --exclude proptest --exclude crossbeam
 
 echo "==> house rules: what clippy.toml and the compiler cannot state"

@@ -2,8 +2,8 @@
 //! engine.
 //!
 //! [`DecisionEngine`] turns one profiling [`Observation`] into one
-//! [`Decision`](crate::Decision) (Fig 7 steps 15–20): derive the
-//! combined-mode throughputs R_C/R_G, classify the workload, pick the
+//! [`Decision`] (Fig 7 steps 15–20): derive the combined-mode
+//! throughputs R_C/R_G, classify the workload, pick the
 //! matching power curve P(α), build the analytical time model T(α)
 //! (Eqs. 1–4), and minimize OBJ(P(α), T(α)) over α. It holds only
 //! immutable configuration and the characterized power model — no kernel

@@ -1,13 +1,9 @@
-//! Crash-safe kernel-table persistence, version 3: an append-only
-//! write-ahead journal of table mutations plus periodic atomic
-//! snapshot+compaction (DESIGN.md §11).
-//!
-//! Versions 1 and 2 persisted the table as one whole-file write
-//! ([`persist`](crate::persist)) — fine for explicit save points, useless
-//! against a `kill -9`: everything learned since the last save dies with
-//! the process. Version 3 journals every mutation as it happens, so a
-//! restart recovers the table — including taint and circuit-breaker
-//! state — to within the single invocation that was in flight.
+//! Crash-safe kernel-table persistence: an append-only write-ahead
+//! journal of table mutations plus periodic atomic snapshot+compaction
+//! (DESIGN.md §11). Every mutation is journaled as it happens, so a
+//! restart — a `kill -9` included — recovers the table, taint and
+//! circuit-breaker state with it, to within the single invocation that
+//! was in flight.
 //!
 //! # On-disk layout
 //!
@@ -18,28 +14,31 @@
 //! table.journal   — mutations since that snapshot (append-only)
 //! ```
 //!
-//! What is *in* them — the v3 snapshot text, the sealed journal header
-//! and the `put`/`taint`/`breaker` record lines — is defined, written and
-//! parsed by [`persist`] alone. This module holds no
-//! grammar: it owns the files, the order of `Vfs` operations, recovery,
-//! compaction and the degrade state machine, and it relies on two
-//! properties of the format. Every journal line carries its own digest,
-//! so each record validates independently; and `put` records carry the
-//! kernel's *absolute* state (not a delta), so replay is idempotent and a
-//! lost record costs only that one update.
+//! Both are sealed lines, defined, written and parsed by [`persist`]
+//! alone: the journal is a header and one `put`/`taint`/`breaker` line
+//! per mutation, and the snapshot is a journal compacted — the header,
+//! the breaker state, one `put` per kernel and a counted `end`. This
+//! module holds no grammar: it owns the files, the order of `Vfs`
+//! operations, recovery, compaction and the degrade state machine, and it
+//! relies on two properties of the format. Every line carries its own
+//! digest, so each record validates independently; and `put` records
+//! carry the kernel's *absolute* state (not a delta), so replay is
+//! idempotent and a lost record costs only that one update.
 //!
 //! # Recovery
 //!
-//! [`TableStore::open`] loads the snapshot (a v2 file is accepted for
-//! migration: generation 0, breaker closed, untainted), then replays the
-//! journal **only if** its header generation matches the snapshot's — a
-//! stale journal (crash between snapshot rename and journal reset) is
-//! ignored, exactly right because the snapshot already contains its
-//! mutations. Replay stops at the first line that fails its digest or
-//! parse: a torn tail (the crash landed mid-`write`) or flipped bits
-//! forfeit the suffix from that point, never the whole table, and the
-//! file is truncated back to the valid prefix so appends resume cleanly.
-//! Recovery never panics, whatever the bytes.
+//! [`TableStore::open`] reads the snapshot, which must be whole (anything
+//! else, a table file under an older header included, is
+//! [`StoreError::Snapshot`]), then replays the journal **only if** its
+//! header generation matches the snapshot's — a stale journal (crash
+//! between snapshot rename and journal reset) is ignored, exactly right
+//! because the snapshot already contains its mutations. Both files go
+//! through one scanner and one replay routine. Journal replay stops at
+//! the first line that fails its digest or parse: a torn tail (the crash
+//! landed mid-`write`) or flipped bits forfeit the suffix from that
+//! point, never the whole table, and the file is truncated back to the
+//! valid prefix so appends resume cleanly. Recovery never panics,
+//! whatever the bytes.
 //!
 //! # Compaction
 //!
@@ -69,8 +68,8 @@
 //! # Live I/O faults (DESIGN.md §16)
 //!
 //! All disk access goes through the [`Vfs`] seam, so the same code runs
-//! against the real filesystem ([`StdFs`](easched_runtime::StdFs)) or a
-//! deterministic fault injector ([`ChaosFs`](easched_runtime::ChaosFs)).
+//! against the real filesystem ([`StdFs`]) or a deterministic fault
+//! injector ([`ChaosFs`](easched_runtime::ChaosFs)).
 //! Failures on the scheduling path never panic and never block a
 //! decision; they follow three rules:
 //!
@@ -94,7 +93,7 @@
 
 use crate::health::BreakerState;
 use crate::kernel_table::{AlphaStat, KernelTable};
-use crate::persist::{self, JournalRecord, JournalScan, ModelParseError};
+use crate::persist::{self, replay, JournalRecord, JournalScan, ModelParseError};
 use easched_runtime::vfs::{StdFs, Vfs, VfsFile};
 use easched_runtime::KernelId;
 use std::error::Error;
@@ -120,10 +119,10 @@ const MAX_BUFFERED_LINES: u64 = 1024;
 pub enum StoreError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// The snapshot file exists but is malformed or corrupt. Unlike a
+    /// The snapshot file exists but is not a whole snapshot. Unlike a
     /// torn journal tail this is *not* recoverable silently: the snapshot
-    /// is written atomically, so damage means corruption at rest and the
-    /// caller must decide.
+    /// is written atomically, so damage means corruption at rest (or a
+    /// file under an older header) and the caller must decide.
     Snapshot(ModelParseError),
     /// The journal's header generation is *ahead* of the snapshot's —
     /// the snapshot was deleted or replaced with an older one. Replaying
@@ -768,32 +767,6 @@ fn classify_dir_sync(result: io::Result<()>) -> DirSyncOutcome {
     }
 }
 
-/// Replays journal records onto `table` in order and returns the last
-/// breaker transition among them, if any: the one restore routine under
-/// recovery at open and the unread-journal merge. With `only_missing`,
-/// puts land only for kernels the table does not hold; taints always
-/// apply.
-fn replay(
-    table: &KernelTable,
-    records: Vec<JournalRecord>,
-    only_missing: bool,
-) -> Option<BreakerState> {
-    let mut breaker = None;
-    for record in records {
-        match record {
-            JournalRecord::Put { kernel, .. } if only_missing && table.stat(kernel).is_some() => {}
-            JournalRecord::Put {
-                kernel,
-                stat,
-                tainted,
-            } => table.restore(kernel, stat, tainted),
-            JournalRecord::Taint(kernel) => table.taint(kernel),
-            JournalRecord::Breaker(state) => breaker = Some(state),
-        }
-    }
-    breaker
-}
-
 /// Reads the snapshot into the table, the breaker state, the generation
 /// and the file's length in bytes; an absent file is the empty store at
 /// generation 0.
@@ -804,7 +777,7 @@ fn read_snapshot(
     match vfs.read(&dir.join(SNAPSHOT_FILE)) {
         Ok(bytes) => {
             let (table, breaker, generation) =
-                persist::parse_snapshot(&bytes).map_err(StoreError::Snapshot)?;
+                persist::snapshot_from_text(&bytes).map_err(StoreError::Snapshot)?;
             Ok((table, breaker, generation, bytes.len() as u64))
         }
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
@@ -1136,25 +1109,6 @@ mod tests {
             "{err}"
         );
         assert!(err.to_string().contains("ahead"));
-    }
-
-    #[test]
-    fn v2_snapshot_migrates() {
-        let dir = TempDir::new();
-        let table = learned_table();
-        fs::write(
-            dir.path().join(SNAPSHOT_FILE),
-            persist::table_to_text(&table),
-        )
-        .unwrap();
-        let (_, recovered) = TableStore::open(dir.path()).unwrap();
-        assert_eq!(recovered.table.snapshot(), table.snapshot());
-        assert_eq!(recovered.generation, 0);
-        assert_eq!(recovered.breaker, BreakerState::Closed);
-        assert!(
-            !recovered.table.is_tainted(900),
-            "v2 carried no taint state"
-        );
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //! workspace's one line codec — each line is written by a [`LineWriter`]
 //! and read by [`Fields`].
 //!
+//! # The model file
+//!
 //! The characterization step is "computed once for each processor"
 //! (abstract): on a real deployment the fitted model is saved and reloaded
 //! on every subsequent run. The format is a small line-oriented text file —
-//! stable, diffable, and dependency-free:
+//! stable, diffable, and dependency-free — that ends in a `checksum` line,
+//! an FNV-1a 64-bit digest over every byte before it:
 //!
 //! ```text
 //! easched-power-model v2
@@ -16,44 +19,15 @@
 //! checksum 8d3f2a915c04be71
 //! ```
 //!
-//! The learned kernel table G persists the same way
-//! ([`table_to_text`]/[`table_from_text`]), so a long-running deployment
-//! can warm-start its offload ratios instead of re-profiling every kernel
-//! after a restart:
+//! # The kernel table: sealed lines only
 //!
-//! ```text
-//! easched-kernel-table v2
-//! kernel 7 alpha 6.5e-1 weight 5e4 seen 12
-//! ... (one line per kernel, id order)
-//! checksum 41c09f22e6b7d530
-//! ```
-//!
-//! Floats are written in decimal ([`LineWriter::float`], `{:e}`: the
-//! shortest text that reads back to the same value), not as the bit
-//! patterns the run log uses.
-//!
-//! # One entry grammar, three carriers
-//!
-//! A table entry is the field list `<id> alpha <a> weight <w> seen <n>`,
-//! followed by `tainted <0|1>` in the formats that carry taint. It has one
-//! writer and one strict reader here (α in [0, 1], weight finite and
-//! non-negative, no trailing words — for every version) under three
-//! carriers: the whole-file table above (v2, no taint), and the two files
-//! of the crash-safe store in [`journal`](crate::journal), which holds the
-//! recovery rules and the degrade state machine but no grammar. Its
-//! snapshot is v2 extended with generation, breaker, and taint state under
-//! the same trailing-checksum envelope:
-//!
-//! ```text
-//! easched-kernel-table v3
-//! generation 4
-//! breaker 0
-//! kernel 7 alpha 6.5e-1 weight 5e4 seen 12 tainted 0
-//! checksum 41c09f22e6b7d530
-//! ```
-//!
-//! Its journal is line-oriented; every line — header included — is sealed
-//! with its own FNV-1a digest:
+//! The learned kernel table G is written as sealed lines (`<body> crc <16
+//! hex digits>`, one FNV-1a digest per line), in the two files of the
+//! crash-safe store in [`journal`](crate::journal), which holds the
+//! recovery rules and the degrade state machine but no grammar. The
+//! journal is a header, then one line per mutation; a `put` carries the
+//! kernel's *absolute* state, so replay is idempotent and a lost record
+//! costs only that one update:
 //!
 //! ```text
 //! easched-table-journal v1 gen 4 crc 9f0c21d55ab3e847
@@ -62,15 +36,39 @@
 //! breaker 1 crc 07d4f8a2c91b63e5
 //! ```
 //!
+//! The snapshot is that journal compacted: the same header, one `breaker`
+//! line, one `put` per kernel in strictly ascending kernel id, and an
+//! `end` counting the records between the header and itself:
+//!
+//! ```text
+//! easched-table-journal v1 gen 4 crc 9f0c21d55ab3e847
+//! breaker 0 crc 5be2a8c1d7f09e34
+//! put 7 alpha 6.5e-1 weight 5e4 seen 12 tainted 0 crc 1c22b06f9d4e7a35
+//! end 2 crc 0b6e29f4a3d1c857
+//! ```
+//!
+//! [`table_to_text`]/[`table_from_text`] write and read that snapshot at
+//! generation 0 with the breaker closed, so a long-running deployment can
+//! warm-start its offload ratios, taint included, instead of re-profiling
+//! every kernel after a restart. Floats are written in decimal
+//! ([`LineWriter::float`], `{:e}`: the shortest text that reads back to
+//! the same value), not as the bit patterns the run log uses.
+//!
 //! # Integrity (DESIGN.md §9)
 //!
-//! Every model and table file ends in a `checksum` line: an FNV-1a 64-bit
-//! digest over every byte that precedes it. A file truncated by a crashed
-//! writer or corrupted at rest fails [`ModelParseError::MissingChecksum`] /
-//! [`ModelParseError::ChecksumMismatch`] instead of silently warm-starting
-//! the scheduler with damaged ratios — loading never panics. A version-1
-//! file, which carried no checksum, is refused as
-//! [`ModelParseError::BadHeader`].
+//! Both table files are read by one scanner, which stops at the first
+//! line that is torn, fails its digest or fails the grammar. The journal
+//! keeps the prefix before that line. A snapshot must be whole: a valid
+//! header, the breaker line, ascending ids (so a duplicated, dropped or
+//! swapped line is refused) and a matching `end` with nothing after it;
+//! anything else is [`ModelParseError::BadHeader`] or
+//! [`ModelParseError::BadLine`]. A model file truncated by a crashed
+//! writer or corrupted at rest fails [`ModelParseError::MissingChecksum`]
+//! / [`ModelParseError::ChecksumMismatch`]. Loading never panics. Files
+//! under older headers — a v1 model without a checksum, and the
+//! `checksum`-trailed table files that preceded the sealed snapshot — are
+//! refused as [`ModelParseError::BadHeader`]; the table is a learned
+//! cache, and the scheduler re-profiles what it no longer holds.
 
 use crate::classify::WorkloadClass;
 use crate::health::BreakerState;
@@ -328,69 +326,9 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<PowerModel, ModelParseError>
     model_from_text(&fs::read_to_string(path)?)
 }
 
-/// Format header of the kernel-table format, version 2 (checksummed).
-const TABLE_HEADER_V2: &str = "easched-kernel-table v2";
-/// Format header of the store's snapshot, version 3 (generation, breaker
-/// and taint state added).
-const TABLE_HEADER_V3: &str = "easched-kernel-table v3";
-
-/// The one writer of the entry field list: `<record> <id> alpha <a>
-/// weight <w> seen <n>`, then `tainted <0|1>` when the carrier has taint
-/// (`Some`). The caller ends or seals the line.
-fn write_entry<'a>(
-    out: &'a mut String,
-    record: &str,
-    kernel: KernelId,
-    stat: &AlphaStat,
-    tainted: Option<bool>,
-) -> LineWriter<'a> {
-    let line = LineWriter::begin(out, record)
-        .dec(kernel)
-        .word("alpha")
-        .float(stat.alpha)
-        .word("weight")
-        .float(stat.weight)
-        .word("seen")
-        .dec(stat.invocations_seen);
-    match tainted {
-        Some(tainted) => line.word("tainted").dec(u64::from(tainted)),
-        None => line,
-    }
-}
-
-/// The one reader of the field list [`write_entry`] wrote, record tag
-/// already consumed; `with_taint` says whether the carrier's version has
-/// the `tainted` flag (without it entries read as untainted). Strict for
-/// every version: α in [0, 1], a `tainted` of exactly `0` or `1`, and a
-/// weight that is finite and non-negative — after `inf` the kernel's next
-/// [`KernelTable::accumulate`] computes α = NaN, after `NaN` none can
-/// ever move its α again.
-fn read_entry(f: &mut Fields<'_>, with_taint: bool) -> Option<(KernelId, AlphaStat, bool)> {
-    let kernel = f.dec()?;
-    f.tag("alpha")?;
-    let alpha = f.float().filter(|alpha| (0.0..=1.0).contains(alpha))?;
-    f.tag("weight")?;
-    let weight = f.float().filter(|w| w.is_finite() && *w >= 0.0)?;
-    f.tag("seen")?;
-    let invocations_seen = f.dec()?;
-    let tainted = with_taint && {
-        f.tag("tainted")?;
-        match f.word()? {
-            "0" => false,
-            "1" => true,
-            _ => return None,
-        }
-    };
-    let stat = AlphaStat {
-        alpha,
-        weight,
-        invocations_seen,
-    };
-    Some((kernel, stat, tainted))
-}
-
-/// Serializes a learned kernel table to the v2 text format. Lines are in
-/// kernel-id order, so equal tables serialize identically.
+/// Serializes a learned kernel table — taint included — as a snapshot at
+/// generation 0 with the breaker closed. Lines are in kernel-id order, so
+/// equal tables serialize identically.
 ///
 /// # Examples
 ///
@@ -405,85 +343,90 @@ fn read_entry(f: &mut Fields<'_>, with_taint: bool) -> Option<(KernelId, AlphaSt
 /// # Ok::<(), easched_core::persist::ModelParseError>(())
 /// ```
 pub fn table_to_text(table: &KernelTable) -> String {
-    let mut out = String::new();
-    LineWriter::begin(&mut out, TABLE_HEADER_V2).end();
-    for (kernel, stat) in table.snapshot() {
-        write_entry(&mut out, "kernel", kernel, &stat, None).end();
-    }
-    seal(out)
+    snapshot_to_text(table, BreakerState::Closed, 0)
 }
 
-/// Serializes the store's v3 snapshot: generation and breaker state, then
-/// the sorted kernel lines with taint, under the checksum envelope.
+/// Parses a snapshot's kernel table, taint included; its generation and
+/// breaker state are dropped.
+///
+/// # Errors
+///
+/// [`ModelParseError::BadHeader`] or [`ModelParseError::BadLine`] on
+/// anything but a whole snapshot (a duplicated kernel id, which would
+/// silently drop learned weight, and a weight no accumulation could
+/// recover from included). Never panics, whatever the bytes.
+pub fn table_from_text(text: &str) -> Result<KernelTable, ModelParseError> {
+    snapshot_from_text(text.as_bytes()).map(|(table, _, _)| table)
+}
+
+/// Serializes the store's snapshot: the journal of `generation`
+/// compacted to its header, one `breaker` line, one `put` per kernel in
+/// ascending id, and the `end` that counts them.
 pub(crate) fn snapshot_to_text(
     table: &KernelTable,
     breaker: BreakerState,
     generation: u64,
 ) -> String {
-    let mut out = String::new();
-    LineWriter::begin(&mut out, TABLE_HEADER_V3).end();
-    LineWriter::begin(&mut out, "generation")
-        .dec(generation)
-        .end();
-    LineWriter::begin(&mut out, "breaker")
-        .dec(breaker.code().into())
-        .end();
-    for (kernel, stat, tainted) in table.snapshot_with_taint() {
-        write_entry(&mut out, "kernel", kernel, &stat, Some(tainted)).end();
+    let mut out = journal_header(generation);
+    JournalRecord::Breaker(breaker).write(&mut out);
+    let entries = table.snapshot_with_taint();
+    for &(kernel, stat, tainted) in &entries {
+        JournalRecord::Put {
+            kernel,
+            stat,
+            tainted,
+        }
+        .write(&mut out);
     }
-    seal(out)
+    LineWriter::begin(&mut out, "end")
+        .dec(entries.len() as u64 + 1)
+        .seal();
+    out
 }
 
-/// Parses the v2 kernel-table text format, checksum verified.
-///
-/// # Errors
-///
-/// [`ModelParseError`] on malformed, truncated, or corrupted input
-/// (including a duplicated kernel id, which would silently drop learned
-/// weight, and a weight no accumulation could recover from). Never
-/// panics, whatever the bytes.
-pub fn table_from_text(text: &str) -> Result<KernelTable, ModelParseError> {
-    let body = verify_sealed(text, TABLE_HEADER_V2)?;
-    parse_table_body(body, false).map(|(table, _, _)| table)
-}
-
-/// Parses a v3 snapshot, or a v2 table file, into the table, the breaker
-/// state and the generation; v2 loads with generation 0, a closed
-/// breaker, and no taint state (it never carried them).
-pub(crate) fn parse_snapshot(
+/// Reads a snapshot into the table, the breaker state and the
+/// generation: the journal scan, held to the compacted form
+/// [`snapshot_to_text`] writes and replayed onto an empty table.
+pub(crate) fn snapshot_from_text(
     bytes: &[u8],
 ) -> Result<(KernelTable, BreakerState, u64), ModelParseError> {
-    let text = &*String::from_utf8_lossy(bytes);
-    let v3 = text.lines().next().unwrap_or("").trim() == TABLE_HEADER_V3;
-    let header = if v3 { TABLE_HEADER_V3 } else { TABLE_HEADER_V2 };
-    parse_table_body(verify_sealed(text, header)?, v3)
-}
-
-/// The record walk under both table versions; `v3` admits the
-/// `generation` and `breaker` records and the per-entry taint flag.
-fn parse_table_body(
-    body: &str,
-    v3: bool,
-) -> Result<(KernelTable, BreakerState, u64), ModelParseError> {
-    let table = KernelTable::new();
-    let mut breaker = BreakerState::Closed;
-    let mut generation = 0u64;
-    read_records(body, |f| {
-        match f.word()? {
-            "generation" if v3 => generation = f.dec()?,
-            "breaker" if v3 => breaker = BreakerState::from_code(f.dec()?)?,
-            "kernel" => {
-                let (kernel, stat, tainted) = read_entry(f, v3)?;
-                if table.stat(kernel).is_some() {
-                    return Some(Err(format!("kernel {kernel} listed twice")));
-                }
-                table.restore(kernel, stat, tainted);
-            }
-            _ => return None,
+    let scan = scan_journal(bytes);
+    let Some(generation) = scan.gen else {
+        let header = String::from_utf8_lossy(bytes);
+        let header = header.lines().next().unwrap_or("").trim();
+        return Err(ModelParseError::BadHeader(header.to_string()));
+    };
+    let mut last = None;
+    let misplaced = scan
+        .records
+        .iter()
+        .enumerate()
+        .position(|(at, record)| match *record {
+            JournalRecord::Breaker(_) => at > 0,
+            JournalRecord::Put { kernel, .. } => at == 0 || last.replace(kernel) >= Some(kernel),
+            JournalRecord::Taint(_) => true,
+        });
+    // 1-based: the header is line 1, record `at` is line `at + 2`, and the
+    // scan stopped on the line after its last record.
+    let stop = scan.records.len() + 2;
+    let (line, message) = match misplaced {
+        Some(at) => (
+            at + 2,
+            "record out of order: one breaker, then puts by ascending id",
+        ),
+        None if scan.records.is_empty() => (stop, "no breaker line"),
+        None if scan.end != Some(scan.records.len() as u64) => {
+            (stop, "not an `end` counting the records before it")
         }
-        Some(Ok(()))
-    })?;
-    Ok((table, breaker, generation))
+        None if scan.discarded > 1 => (stop + 1, "a line after `end`"),
+        None => {
+            let table = KernelTable::new();
+            let breaker = replay(&table, scan.records, false).unwrap_or(BreakerState::Closed);
+            return Ok((table, breaker, generation));
+        }
+    };
+    let message = message.to_string();
+    Err(ModelParseError::BadLine { line, message })
 }
 
 /// One journal record: a table mutation or a breaker transition. `Put`
@@ -504,27 +447,63 @@ impl JournalRecord {
     /// The record as one sealed journal line.
     pub(crate) fn to_line(self) -> String {
         let mut line = String::new();
+        self.write(&mut line);
+        line
+    }
+
+    /// Appends the record to `out` as one sealed line: `put <id> alpha
+    /// <a> weight <w> seen <n> tainted <0|1>`, `taint <id>` or `breaker
+    /// <code>`.
+    fn write(self, out: &mut String) {
         match self {
             JournalRecord::Put {
                 kernel,
                 stat,
                 tainted,
-            } => write_entry(&mut line, "put", kernel, &stat, Some(tainted)).seal(),
-            JournalRecord::Taint(kernel) => {
-                LineWriter::begin(&mut line, "taint").dec(kernel).seal()
-            }
-            JournalRecord::Breaker(state) => LineWriter::begin(&mut line, "breaker")
+            } => LineWriter::begin(out, "put")
+                .dec(kernel)
+                .word("alpha")
+                .float(stat.alpha)
+                .word("weight")
+                .float(stat.weight)
+                .word("seen")
+                .dec(stat.invocations_seen)
+                .word("tainted")
+                .dec(u64::from(tainted))
+                .seal(),
+            JournalRecord::Taint(kernel) => LineWriter::begin(out, "taint").dec(kernel).seal(),
+            JournalRecord::Breaker(state) => LineWriter::begin(out, "breaker")
                 .dec(state.code().into())
                 .seal(),
         }
-        line
     }
 
-    /// Parses one verified record body.
+    /// Parses one verified record body. A `put` is strict: α in [0, 1],
+    /// a `tainted` of exactly `0` or `1`, and a weight that is finite and
+    /// non-negative — after `inf` the kernel's next
+    /// [`KernelTable::accumulate`] computes α = NaN, after `NaN` none can
+    /// ever move its α again.
     fn parse(body: &str) -> Option<JournalRecord> {
         Fields::parse(body, |f| match f.word()? {
             "put" => {
-                let (kernel, stat, tainted) = read_entry(f, true)?;
+                let kernel = f.dec()?;
+                f.tag("alpha")?;
+                let alpha = f.float().filter(|alpha| (0.0..=1.0).contains(alpha))?;
+                f.tag("weight")?;
+                let weight = f.float().filter(|w| w.is_finite() && *w >= 0.0)?;
+                f.tag("seen")?;
+                let invocations_seen = f.dec()?;
+                f.tag("tainted")?;
+                let tainted = match f.word()? {
+                    "0" => false,
+                    "1" => true,
+                    _ => return None,
+                };
+                let stat = AlphaStat {
+                    alpha,
+                    weight,
+                    invocations_seen,
+                };
                 Some(JournalRecord::Put {
                     kernel,
                     stat,
@@ -536,6 +515,32 @@ impl JournalRecord {
             _ => None,
         })
     }
+}
+
+/// Replays journal records onto `table` in order and returns the last
+/// breaker transition among them, if any: the one restore routine under
+/// the snapshot read, recovery at open and the unread-journal merge. With
+/// `only_missing`, puts land only for kernels the table does not hold;
+/// taints always apply.
+pub(crate) fn replay(
+    table: &KernelTable,
+    records: Vec<JournalRecord>,
+    only_missing: bool,
+) -> Option<BreakerState> {
+    let mut breaker = None;
+    for record in records {
+        match record {
+            JournalRecord::Put { kernel, .. } if only_missing && table.stat(kernel).is_some() => {}
+            JournalRecord::Put {
+                kernel,
+                stat,
+                tainted,
+            } => table.restore(kernel, stat, tainted),
+            JournalRecord::Taint(kernel) => table.taint(kernel),
+            JournalRecord::Breaker(state) => breaker = Some(state),
+        }
+    }
+    breaker
 }
 
 /// The sealed header line that opens a journal of `generation`:
@@ -560,51 +565,53 @@ fn journal_generation(body: &str) -> Option<u64> {
     })
 }
 
-/// Result of scanning a journal file: the records of the valid prefix
-/// and where that prefix ends.
+/// Result of scanning a journal or snapshot file: the records of the
+/// valid prefix and where that prefix ends.
 pub(crate) struct JournalScan {
     /// Header generation, if the header line validated.
     pub(crate) gen: Option<u64>,
     pub(crate) records: Vec<JournalRecord>,
+    /// The count of the sealed `end` line the scan stopped on, if it
+    /// stopped on one. No journal holds one; it closes a snapshot.
+    pub(crate) end: Option<u64>,
     /// Byte length of the valid prefix (header + intact records).
     pub(crate) valid_len: usize,
-    /// Lines abandoned after the first invalid one.
+    /// Lines abandoned from the first one that is not a record on.
     pub(crate) discarded: u64,
 }
 
-/// Walks the journal line by line, stopping at the first line that is
-/// torn (no trailing newline), fails its digest, or fails to parse.
+/// Walks a journal or a snapshot line by line, stopping at the first
+/// line that is torn (no trailing newline), fails its digest, fails to
+/// parse, or is an `end`.
 pub(crate) fn scan_journal(bytes: &[u8]) -> JournalScan {
     let text = String::from_utf8_lossy(bytes);
     let mut scan = JournalScan {
         gen: None,
         records: Vec::new(),
+        end: None,
         valid_len: 0,
         discarded: 0,
     };
-    let mut offset = 0usize;
     let mut lines = text.split_inclusive('\n');
     for line in &mut lines {
-        let intact = line.ends_with('\n');
-        let parsed = intact
-            .then(|| unseal(line.trim_end_matches('\n')))
-            .flatten()
-            .and_then(|body| {
-                if scan.gen.is_none() {
-                    scan.gen = Some(journal_generation(body)?);
-                } else {
-                    scan.records.push(JournalRecord::parse(body)?);
-                }
-                Some(())
-            });
+        let parsed = line.strip_suffix('\n').and_then(unseal).and_then(|body| {
+            if scan.gen.is_none() {
+                scan.gen = Some(journal_generation(body)?);
+            } else if let Some(record) = JournalRecord::parse(body) {
+                scan.records.push(record);
+            } else {
+                scan.end = Fields::parse(body, |f| f.tag("end").and_then(|()| f.dec()));
+                return None;
+            }
+            Some(())
+        });
         if parsed.is_none() {
             scan.discarded += 1;
             break;
         }
-        offset += line.len();
+        scan.valid_len += line.len();
     }
     scan.discarded += lines.count() as u64;
-    scan.valid_len = offset;
     scan
 }
 
@@ -676,15 +683,19 @@ mod tests {
             "unrecognized header \"easched-power-model v1\""
         );
 
-        let t2 = table_to_text(&learned_table());
-        let t1 =
-            t2[..t2.rfind("checksum").unwrap()].replace(TABLE_HEADER_V2, "easched-kernel-table v1");
-        for err in [
-            table_from_text(&t1).unwrap_err(),
-            parse_snapshot(t1.as_bytes()).unwrap_err(),
-        ] {
+        // So are the table files that preceded the sealed snapshot: v1,
+        // and the parent's checksum-trailed v2 table and v3 snapshot.
+        let table = learned_table();
+        let t2 = parent::table_to_text(&table);
+        let t1 = t2[..t2.rfind("checksum").unwrap()]
+            .replace("easched-kernel-table v2", "easched-kernel-table v1");
+        let t3 = parent::snapshot_to_text(&table, BreakerState::Open, 4);
+        for (text, version) in [(t1, "v1"), (t2, "v2"), (t3, "v3")] {
+            let err = table_from_text(&text).unwrap_err();
+            let header = format!("easched-kernel-table {version}");
             assert!(
-                matches!(&err, ModelParseError::BadHeader(h) if h == "easched-kernel-table v1")
+                matches!(&err, ModelParseError::BadHeader(h) if *h == header),
+                "{err}"
             );
         }
     }
@@ -777,24 +788,19 @@ mod tests {
 
     #[test]
     fn records_after_checksum_are_rejected() {
-        let mut text = table_to_text(&learned_table());
-        text.push_str("kernel 2 alpha 0.5 weight 1 seen 0\n");
-        let err = table_from_text(&text).unwrap_err();
+        let mut text = model_to_text(&sample_model());
+        text.push_str("curve 2 rmse 0 samples 0 coeffs 1\n");
+        let err = model_from_text(&text).unwrap_err();
         assert!(matches!(err, ModelParseError::MissingChecksum), "{err}");
     }
 
     #[test]
     fn checksum_line_is_well_formed() {
-        for text in [
-            model_to_text(&sample_model()),
-            table_to_text(&learned_table()),
-            table_to_text(&KernelTable::new()),
-        ] {
-            let last = text.lines().last().unwrap();
-            let hex = last.strip_prefix("checksum ").unwrap();
-            assert_eq!(hex.len(), 16, "{last}");
-            u64::from_str_radix(hex, 16).unwrap();
-        }
+        let text = model_to_text(&sample_model());
+        let last = text.lines().last().unwrap();
+        let hex = last.strip_prefix("checksum ").unwrap();
+        assert_eq!(hex.len(), 16, "{last}");
+        u64::from_str_radix(hex, 16).unwrap();
     }
 
     #[test]
@@ -824,9 +830,11 @@ mod tests {
     #[test]
     fn table_roundtrip_is_lossless() {
         let table = learned_table();
+        table.taint(900);
         let back = table_from_text(&table_to_text(&table)).unwrap();
-        // Bit-identical α, weight, and invocation counts for every kernel.
-        assert_eq!(back.snapshot(), table.snapshot());
+        // Bit-identical α, weight, invocation counts and taint for every
+        // kernel.
+        assert_eq!(back.snapshot_with_taint(), table.snapshot_with_taint());
         assert_eq!(back, table);
     }
 
@@ -836,59 +844,105 @@ mod tests {
         assert!(back.is_empty());
     }
 
+    /// A snapshot of `lines` between a generation-0 header and `breaker
+    /// 0`, and an `end` counting `records`, every line sealed.
+    fn sealed_snapshot(lines: &[&str], records: u64) -> String {
+        let mut text = journal_header(0);
+        for body in ["breaker 0"].iter().chain(lines) {
+            LineWriter::begin(&mut text, body).seal();
+        }
+        LineWriter::begin(&mut text, "end").dec(records).seal();
+        text
+    }
+
     #[test]
     fn table_rejects_bad_input() {
-        assert!(matches!(
-            table_from_text("easched-kernel-table v99\n").unwrap_err(),
-            ModelParseError::BadHeader(_)
-        ));
-        for (bad, line) in [
-            ("kernel x alpha 0.5 weight 1 seen 0", 2),
-            ("kernel 1 alpha 1.5 weight 1 seen 0", 2),
-            ("kernel 1 alpha 0.5 weight abc seen 0", 2),
-            ("kernel 1 alpha 0.5 weight NaN seen 0", 2),
-            ("kernel 1 alpha 0.5 weight inf seen 0", 2),
-            ("kernel 1 alpha 0.5 weight -1 seen 0", 2),
-            ("kernel 1 alpha 0.5 weight 1 seen -3", 2),
-            ("kernel 1 alpha 0.5 weight 1", 2),
-            ("kernel 1 alpha 0.5 weight 1 seen 0 tainted 0", 2),
-            ("kernel 1 weight 1 alpha 0.5 seen 0", 2),
-            ("mystery 1 2 3", 2),
-            (
-                "kernel 1 alpha 0.5 weight 1 seen 0\nkernel 1 alpha 0.5 weight 1 seen 0",
-                3,
-            ),
+        let put = "put 1 alpha 0.5 weight 1 seen 0 tainted 0";
+        assert_eq!(
+            table_from_text(&sealed_snapshot(&[put], 2))
+                .unwrap()
+                .lookup(1),
+            Some(0.5)
+        );
+        for (lines, records, line) in [
+            (&["put x alpha 0.5 weight 1 seen 0 tainted 0"][..], 2, 3),
+            (&["put 1 alpha 1.5 weight 1 seen 0 tainted 0"], 2, 3),
+            (&["put 1 alpha 0.5 weight abc seen 0 tainted 0"], 2, 3),
+            (&["put 1 alpha 0.5 weight NaN seen 0 tainted 0"], 2, 3),
+            (&["put 1 alpha 0.5 weight inf seen 0 tainted 0"], 2, 3),
+            (&["put 1 alpha 0.5 weight -1 seen 0 tainted 0"], 2, 3),
+            (&["put 1 alpha 0.5 weight 1 seen -3 tainted 0"], 2, 3),
+            (&["put 1 alpha 0.5 weight 1 seen 0"], 2, 3),
+            (&["put 1 alpha 0.5 weight 1 seen 0 tainted 2"], 2, 3),
+            (&["put 1 alpha 0.5 weight 1 seen 0 tainted 0 x"], 2, 3),
+            (&["put 1 weight 1 alpha 0.5 seen 0 tainted 0"], 2, 3),
+            (&["kernel 1 alpha 0.5 weight 1 seen 0 tainted 0"], 2, 3),
+            (&["# warm-start state"], 2, 3),
+            (&["mystery 1 2 3"], 2, 3),
+            // Records a journal holds but a snapshot does not.
+            (&["taint 1"], 2, 3),
+            (&[put, "breaker 1"], 3, 4),
+            // A duplicated and a dropped entry, and miscounts.
+            (&[put, put], 3, 4),
+            (&[put], 1, 4),
+            (&[put], 3, 4),
+            (&[], 0, 3),
         ] {
-            let text = format!("{TABLE_HEADER_V2}\n{bad}\n");
-            let err = table_from_text(&seal(text)).unwrap_err();
+            let text = sealed_snapshot(lines, records);
+            let err = table_from_text(&text).unwrap_err();
             assert!(
                 matches!(err, ModelParseError::BadLine { line: l, .. } if l == line),
-                "{bad}: {err}"
+                "{lines:?}: {err}"
+            );
+        }
+        // A snapshot without its breaker line, and one with any line
+        // after `end`: sealed, blank or a comment.
+        let good = sealed_snapshot(&[put], 2);
+        let no_breaker = good
+            .lines()
+            .filter(|l| !l.starts_with("breaker"))
+            .collect::<Vec<_>>();
+        let err = table_from_text(&(no_breaker.join("\n") + "\n")).unwrap_err();
+        assert!(
+            matches!(err, ModelParseError::BadLine { line: 2, .. }),
+            "{err}"
+        );
+        for tail in [good.lines().nth(2).unwrap(), "", "# note"] {
+            let err = table_from_text(&format!("{good}{tail}\n")).unwrap_err();
+            assert!(
+                matches!(err, ModelParseError::BadLine { line: 5, .. }),
+                "{err}"
             );
         }
     }
 
-    #[test]
-    fn table_comments_and_blank_lines_ignored() {
-        let text = format!(
-            "{TABLE_HEADER_V2}\n# warm-start state\n\nkernel 4 alpha 0.25 weight 10 seen 2\n"
-        );
-        let back = table_from_text(&seal(text)).unwrap();
-        assert_eq!(back.lookup(4), Some(0.25));
-        assert_eq!(
-            back.stat(4).unwrap(),
-            AlphaStat {
-                alpha: 0.25,
-                weight: 10.0,
-                invocations_seen: 2
-            }
-        );
+    const BREAKERS: [BreakerState; 3] = [
+        BreakerState::Closed,
+        BreakerState::Open,
+        BreakerState::HalfOpen,
+    ];
+
+    /// Entries on the edges of what a table holds: a subnormal weight,
+    /// −0.0, `f64::MAX` and `u64::MAX` ids and counts, two tainted.
+    fn edge_table() -> KernelTable {
+        let stat = |alpha, weight, invocations_seen| AlphaStat {
+            alpha,
+            weight,
+            invocations_seen,
+        };
+        let table = KernelTable::new();
+        table.restore(0, stat(2.0 / 3.0, 5e-324, 0), false);
+        table.restore(7, stat(0.0, 0.0, 12), true);
+        table.restore(8, stat(-0.0, 1e-300, 1), false);
+        table.restore(u64::MAX, stat(1.0, f64::MAX, u64::MAX), true);
+        table
     }
 
     /// FNV-1a digests of every persisted format over edge values — NaN,
     /// ±inf, −0.0, the least subnormal, `f64::MAX`, `u64::MAX` ids and
     /// counts — taken at the commit before the writers moved onto
-    /// `LineWriter`. A new literal means a persisted byte moved.
+    /// `LineWriter`, the table's when its snapshot became a compacted
+    /// journal. A new literal means a persisted byte moved.
     #[test]
     fn persisted_bytes_match_the_parent_commit() {
         const ODD: [f64; 8] = [
@@ -911,24 +965,10 @@ mod tests {
             })
             .collect();
         let model = PowerModel::new("edge-platform", curves);
-        let stat = |alpha, weight, invocations_seen| AlphaStat {
-            alpha,
-            weight,
-            invocations_seen,
-        };
-        let table = KernelTable::new();
-        table.restore(0, stat(2.0 / 3.0, 5e-324, 0), false);
-        table.restore(7, stat(0.0, 0.0, 12), true);
-        table.restore(8, stat(-0.0, 1e-300, 1), false);
-        table.restore(u64::MAX, stat(1.0, f64::MAX, u64::MAX), true);
-        let breakers = [
-            BreakerState::Closed,
-            BreakerState::Open,
-            BreakerState::HalfOpen,
-        ];
+        let table = edge_table();
 
         let mut texts = vec![model_to_text(&model), table_to_text(&table)];
-        for (breaker, generation) in breakers.into_iter().zip([0, 4, u64::MAX]) {
+        for (breaker, generation) in BREAKERS.into_iter().zip([0, 4, u64::MAX]) {
             texts.push(snapshot_to_text(&table, breaker, generation));
         }
         texts.push(journal_header(0));
@@ -944,16 +984,19 @@ mod tests {
             );
         }
         texts.push(JournalRecord::Taint(u64::MAX).to_line());
-        for breaker in breakers {
+        for breaker in BREAKERS {
             texts.push(JournalRecord::Breaker(breaker).to_line());
         }
         let digests: Vec<u64> = texts.iter().map(|t| fnv1a64(t.as_bytes())).collect();
         let parent: [u64; 15] = [
             0x7769_0068_9747_1c90, // model
-            0x88d2_dca6_305e_b9c1, // v2 table
-            0x94fb_a4ed_3c7a_1b0c, // v3 snapshots, one per breaker state
-            0x6bd3_a3c7_5b4f_7483,
-            0x3d35_cfdd_275d_2673,
+            // The table text and the snapshot per breaker state, taken
+            // when the snapshot became a compacted journal; the table
+            // text is the generation-0, breaker-closed snapshot.
+            0x064e_c0d2_b1dc_8c47,
+            0x064e_c0d2_b1dc_8c47,
+            0x7c3f_2299_ca58_f074,
+            0xbe16_70e6_309b_e7f4,
             0x5f93_009f_ae3b_f637, // journal headers
             0xf8ad_a9a6_b518_3a1d,
             0xd25c_b232_033d_9039, // put, one per entry
@@ -969,26 +1012,125 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_text_is_stable_and_checksummed() {
+    fn a_snapshot_is_a_compacted_journal() {
         let table = learned_table();
         table.taint(900);
         let text = snapshot_to_text(&table, BreakerState::Open, 7);
-        assert!(text.starts_with("easched-kernel-table v3\ngeneration 7\nbreaker 1\n"));
+        let breaker = JournalRecord::Breaker(BreakerState::Open).to_line();
+        assert!(text.starts_with(&(journal_header(7) + &breaker)), "{text}");
         let last = text.lines().last().unwrap();
-        assert!(last.starts_with("checksum "), "{last}");
-        let (back, breaker, generation) = parse_snapshot(text.as_bytes()).unwrap();
-        assert_eq!(back.snapshot(), table.snapshot());
+        assert!(last.starts_with("end 4 crc "), "{last}");
+        let (back, breaker, generation) = snapshot_from_text(text.as_bytes()).unwrap();
+        assert_eq!(back.snapshot_with_taint(), table.snapshot_with_taint());
         assert!(back.is_tainted(900));
         assert_eq!(breaker, BreakerState::Open);
         assert_eq!(generation, 7);
+        // Read as a journal, the same bytes replay to the same state: every
+        // line is a record but `end`, which closes the sealed prefix.
+        let scan = scan_journal(text.as_bytes());
+        assert_eq!((scan.gen, scan.end, scan.discarded), (Some(7), Some(4), 1));
+        assert_eq!(scan.valid_len, text.len() - last.len() - 1);
+        let replayed = KernelTable::new();
+        assert_eq!(
+            replay(&replayed, scan.records, false),
+            Some(BreakerState::Open)
+        );
+        assert_eq!(replayed.snapshot_with_taint(), table.snapshot_with_taint());
+    }
+
+    /// The parent's table writers, kept in `parent` as the oracle of
+    /// `snapshots_read_back_as_the_parent_read_its_own`, still write the
+    /// bytes `persisted_bytes_match_the_parent_commit` pinned for them.
+    #[test]
+    fn the_parent_writers_write_the_parent_bytes() {
+        let table = edge_table();
+        let mut texts = vec![parent::table_to_text(&table)];
+        for (breaker, generation) in BREAKERS.into_iter().zip([0, 4, u64::MAX]) {
+            texts.push(parent::snapshot_to_text(&table, breaker, generation));
+        }
+        let digests: Vec<u64> = texts.iter().map(|t| fnv1a64(t.as_bytes())).collect();
+        let parent = [
+            0x88d2_dca6_305e_b9c1, // v2 table
+            0x94fb_a4ed_3c7a_1b0c, // v3 snapshots, one per breaker state
+            0x6bd3_a3c7_5b4f_7483,
+            0x3d35_cfdd_275d_2673,
+        ];
+        assert_eq!(digests, parent, "{texts:#?}");
     }
 
     /// The readers this module had before it moved onto `Fields`, kept as
-    /// the oracle the new ones are held to (`readers_agree_with_the_parent`).
+    /// the oracle the new ones are held to (`readers_agree_with_the_parent`),
+    /// and the table files the store wrote before its snapshot became a
+    /// compacted journal: the v2 table and the v3 snapshot, each under a
+    /// trailing whole-file `checksum`, with the reader of both
+    /// (`snapshots_read_back_as_the_parent_read_its_own`).
     #[allow(clippy::disallowed_methods)] // the parent's readers split by hand
     mod parent {
         use super::*;
         use std::str::{FromStr, SplitWhitespace};
+
+        /// An entry line: `kernel <id> alpha <a> weight <w> seen <n>`,
+        /// then `tainted <0|1>` in the v3 snapshot.
+        fn write_entry(
+            out: &mut String,
+            kernel: KernelId,
+            stat: &AlphaStat,
+            tainted: Option<bool>,
+        ) {
+            let line = LineWriter::begin(out, "kernel")
+                .dec(kernel)
+                .word("alpha")
+                .float(stat.alpha)
+                .word("weight")
+                .float(stat.weight)
+                .word("seen")
+                .dec(stat.invocations_seen);
+            match tainted {
+                Some(tainted) => line.word("tainted").dec(u64::from(tainted)).end(),
+                None => line.end(),
+            }
+        }
+
+        /// The v2 table file: no generation, breaker or taint.
+        pub(super) fn table_to_text(table: &KernelTable) -> String {
+            let mut out = String::new();
+            LineWriter::begin(&mut out, "easched-kernel-table v2").end();
+            for (kernel, stat) in table.snapshot() {
+                write_entry(&mut out, kernel, &stat, None);
+            }
+            seal(out)
+        }
+
+        /// The v3 snapshot.
+        pub(super) fn snapshot_to_text(
+            table: &KernelTable,
+            breaker: BreakerState,
+            generation: u64,
+        ) -> String {
+            let mut out = String::new();
+            LineWriter::begin(&mut out, "easched-kernel-table v3").end();
+            LineWriter::begin(&mut out, "generation")
+                .dec(generation)
+                .end();
+            LineWriter::begin(&mut out, "breaker")
+                .dec(breaker.code().into())
+                .end();
+            for (kernel, stat, tainted) in table.snapshot_with_taint() {
+                write_entry(&mut out, kernel, &stat, Some(tainted));
+            }
+            seal(out)
+        }
+
+        /// A v3 snapshot, or a v2 table file at generation 0 with the
+        /// breaker closed and no taint.
+        pub(super) fn parse_snapshot(
+            bytes: &[u8],
+        ) -> Result<(KernelTable, BreakerState, u64), ModelParseError> {
+            let text = &*String::from_utf8_lossy(bytes);
+            let v3 = text.lines().next().unwrap_or("").trim() == "easched-kernel-table v3";
+            let header = format!("easched-kernel-table v{}", if v3 { 3 } else { 2 });
+            parse_table_body(verify_sealed(text, &header)?, v3)
+        }
 
         fn records(body: &str) -> impl Iterator<Item = (usize, SplitWhitespace<'_>)> {
             body.lines()
@@ -1293,19 +1435,49 @@ mod tests {
         })
     }
 
-    /// What a table walk read, or the line it refused (the messages are
-    /// free to differ).
-    fn table_outcome(
+    /// What a snapshot reader read — entries with taint, breaker and
+    /// generation — or `None` for a refusal (the errors are free to
+    /// differ).
+    fn snapshot_outcome(
         read: Result<(KernelTable, BreakerState, u64), ModelParseError>,
-    ) -> Result<String, usize> {
-        match read {
-            Ok((table, breaker, generation)) => Ok(format!(
-                "{:?} {breaker:?} {generation}",
-                table.snapshot_with_taint()
-            )),
-            Err(ModelParseError::BadLine { line, .. }) => Err(line),
-            Err(e) => panic!("a table walk refuses lines only: {e}"),
+    ) -> Option<String> {
+        let (table, breaker, generation) = read.ok()?;
+        Some(format!(
+            "{:?} {breaker:?} {generation}",
+            table.snapshot_with_taint()
+        ))
+    }
+
+    /// Floats on the edges of what an entry holds, NaN-free; α takes them
+    /// too, out of its range included.
+    const EDGE_FLOATS: [f64; 7] = [0.0, -0.0, 5e-324, 1e-300, 2.0 / 3.0, 1.0, f64::MAX];
+
+    /// A snapshot's records — the breaker line, then one line per entry —
+    /// as bit rot or a careless edit could leave them: untouched, two
+    /// swapped, one duplicated or one dropped (indices wrap).
+    #[derive(Debug, Clone, Copy)]
+    enum Edit {
+        Keep,
+        Swap(usize, usize),
+        Duplicate(usize),
+        Drop(usize),
+    }
+
+    /// `text` with `edit` applied to the records between its first `head`
+    /// lines and its last line.
+    fn edit_records(text: &str, head: usize, edit: Edit) -> String {
+        let mut lines: Vec<&str> = text.lines().collect();
+        let records = lines.len() - head - 1;
+        let at = |i: usize| head + i % records;
+        match edit {
+            Edit::Keep => {}
+            Edit::Swap(i, j) => lines.swap(at(i), at(j)),
+            Edit::Duplicate(i) => lines.insert(at(i), lines[at(i)]),
+            Edit::Drop(i) => {
+                lines.remove(at(i));
+            }
         }
+        lines.iter().map(|line| format!("{line}\n")).collect()
     }
 
     /// The header body the writer produces for `generation`.
@@ -1318,10 +1490,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(4096))]
 
         /// Every record reader accepts what the parent's accepted and reads
-        /// the same value: the entry list in its three carriers (v2 table,
-        /// v3 snapshot, journal `put`), the other table and journal
-        /// records, `curve`, `platform`, the checksum trailer and the
-        /// journal header. The exceptions are lines no writer produces
+        /// the same value: the journal's `put`, `taint` and `breaker`,
+        /// `curve`, `platform`, the checksum trailer and the journal
+        /// header. The exceptions are lines no writer produces
         /// (`readers_part_from_the_parent_only_off_the_writer`).
         #[test]
         fn readers_agree_with_the_parent(
@@ -1332,22 +1503,6 @@ mod tests {
             trailer in arb_record(TRAILER),
             upper in any::<bool>(),
         ) {
-            for (v3, header) in [(false, TABLE_HEADER_V2), (true, TABLE_HEADER_V3)] {
-                let body = format!("{header}\n{}\n", lines.join("\n"));
-                let head = table_outcome(parse_table_body(&body, v3));
-                let old = table_outcome(parent::parse_table_body(&body, v3));
-                if let (Err(line), true) = (head.clone(), head != old) {
-                    // The parent read no further than the value of a v3
-                    // `generation` or `breaker` record.
-                    let record = body.lines().nth(line - 1).unwrap_or_default();
-                    #[allow(clippy::disallowed_methods)] // read as the parent read it
-                    let words: Vec<&str> = record.split_whitespace().collect();
-                    let state = matches!(words[..], ["generation" | "breaker", _, _, ..]);
-                    prop_assert!(v3 && state, "{:?} != {:?}: {:?}", head, old, body);
-                } else {
-                    prop_assert_eq!(head, old, "{:?}", body);
-                }
-            }
             for line in &lines {
                 prop_assert_eq!(
                     format!("{:?}", JournalRecord::parse(line)),
@@ -1366,13 +1521,13 @@ mod tests {
             });
             prop_assert_eq!(read_platform, parent::platform(&platform), "{:?}", platform);
 
-            let covered = format!("{TABLE_HEADER_V2}\nkernel 1 alpha 0 weight 0 seen 0\n");
+            let covered = format!("{MODEL_HEADER}\nplatform x\n");
             let digest = format!("{:016x}", fnv1a64(covered.as_bytes()));
             let digest = if upper { digest.to_uppercase() } else { digest };
             let text = covered + &trailer.replace("DIGEST", &digest);
             prop_assert_eq!(
-                format!("{:?}", verify_sealed(&text, TABLE_HEADER_V2)),
-                format!("{:?}", parent::verify_sealed(&text, TABLE_HEADER_V2)),
+                format!("{:?}", verify_sealed(&text, MODEL_HEADER)),
+                format!("{:?}", parent::verify_sealed(&text, MODEL_HEADER)),
                 "{:?}", text
             );
 
@@ -1383,15 +1538,57 @@ mod tests {
                 }
             }
         }
+
+        /// For any table — taint included — breaker state and generation,
+        /// the snapshot reads back to exactly what the parent's reader read
+        /// of the parent's snapshot, and refuses every swap, duplicate and
+        /// drop of its records that the parent's whole-file checksum
+        /// refused.
+        #[test]
+        fn snapshots_read_back_as_the_parent_read_its_own(
+            entries in vec(
+                (
+                    prop_oneof![0..8u64, Just(u64::MAX), any::<u64>()],
+                    0..EDGE_FLOATS.len(),
+                    0..EDGE_FLOATS.len(),
+                    prop_oneof![0..3u64, Just(u64::MAX)],
+                    any::<bool>(),
+                ),
+                0..6,
+            ),
+            breaker in 0..BREAKERS.len(),
+            generation in prop_oneof![0..3u64, Just(u64::MAX), any::<u64>()],
+            edit in prop_oneof![
+                Just(Edit::Keep),
+                (any::<usize>(), any::<usize>()).prop_map(|(i, j)| Edit::Swap(i, j)),
+                any::<usize>().prop_map(Edit::Duplicate),
+                any::<usize>().prop_map(Edit::Drop),
+            ],
+        ) {
+            let table = KernelTable::new();
+            for (kernel, alpha, weight, invocations_seen, tainted) in entries {
+                let stat = AlphaStat {
+                    alpha: EDGE_FLOATS[alpha],
+                    weight: EDGE_FLOATS[weight],
+                    invocations_seen,
+                };
+                table.restore(kernel, stat, tainted);
+            }
+            let breaker = BREAKERS[breaker];
+            let head = edit_records(&snapshot_to_text(&table, breaker, generation), 1, edit);
+            let old = edit_records(&parent::snapshot_to_text(&table, breaker, generation), 2, edit);
+            prop_assert_eq!(
+                snapshot_outcome(snapshot_from_text(head.as_bytes())),
+                snapshot_outcome(parent::parse_snapshot(old.as_bytes())),
+                "{:?} {:?}", edit, head
+            );
+        }
     }
 
-    /// The two places the readers part, both on lines no writer
-    /// produces. The journal header: the parent matched the prefix
+    /// The one place the readers part, on lines no writer produces: the
+    /// journal header. The parent matched the prefix
     /// `easched-table-journal v1` byte for byte, then trimmed blanks
     /// before `gen `, while `Fields` reads four words split by any blanks.
-    /// A v3 `generation` or `breaker` record: the parent ignored the
-    /// words after its value, while `Fields::parse` refuses a word left
-    /// unread, as every other record reader did already.
     #[test]
     fn readers_part_from_the_parent_only_off_the_writer() {
         for (body, head, old) in [
@@ -1417,15 +1614,6 @@ mod tests {
             if head != old {
                 assert_ne!(written_header(head.or(old).unwrap()), body);
             }
-        }
-        for record in ["generation 4 5", "breaker 1 x", "generation 4 # note"] {
-            let body = format!("{TABLE_HEADER_V3}\n{record}\n");
-            let head = parse_table_body(&body, true).map(|(_, _, generation)| generation);
-            assert!(
-                matches!(head, Err(ModelParseError::BadLine { line: 2, .. })),
-                "{record}"
-            );
-            assert!(parent::parse_table_body(&body, true).is_ok(), "{record}");
         }
     }
 }

@@ -2,9 +2,8 @@
 //! and brownout degradation in front of a shared scheduler (DESIGN.md
 //! §13).
 //!
-//! [`TenantFrontend`] composes the deterministic
-//! [`AdmissionController`](easched_runtime::AdmissionController) — per-
-//! tenant bounded queues, weighted fair-share draining, quota windows,
+//! [`TenantFrontend`] composes the deterministic [`AdmissionController`]
+//! — per-tenant bounded queues, weighted fair-share draining, quota windows,
 //! and the three-rung brownout ladder — with an [`Arc<SharedEas>`]: every
 //! request that survives admission executes through the shared table
 //! under an [`InvocationCtx`] derived from the current brownout rung and

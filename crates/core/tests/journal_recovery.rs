@@ -1,7 +1,7 @@
-//! Crash-safety integration tests for the v3 table store (DESIGN.md §11):
-//! the byte-offset crash-point harness, v2 migration, property-based
-//! torn-tail and bit-flip recovery, and a kill-9-equivalent round trip
-//! through the scheduler frontend.
+//! Crash-safety integration tests for the table store (DESIGN.md §11):
+//! the byte-offset crash-point harness, the refusal of a parent-written
+//! snapshot, property-based torn-tail and bit-flip recovery, and a
+//! kill-9-equivalent round trip through the scheduler frontend.
 
 use easched_core::{
     characterize, AlphaStat, BreakerState, CharacterizationConfig, DriftPolicy, EasConfig,
@@ -251,45 +251,22 @@ fn crash_point_harness_covers_the_rename_window() {
     }
 }
 
+/// The snapshot the store wrote before its snapshot became a compacted
+/// journal (`fixtures/golden_store/parent_v3.snap`, the golden script's
+/// checkpoint) is refused by its header, not migrated: the table is a
+/// learned cache, and the scheduler re-profiles what it does not hold.
 #[test]
-fn v2_snapshot_migrates_through_the_public_text_format() {
-    let dir = TempDir::new("v2");
+fn a_parent_v3_snapshot_is_refused_by_name() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_store");
+    let dir = TempDir::new("parent_v3");
     fs::create_dir_all(&dir.0).unwrap();
-    let table = KernelTable::new();
-    table.insert(11, stat(0.25, 1.5e4, 3));
-    table.insert(12, stat(1.0, 2.0e4, 5));
-    fs::write(
-        dir.0.join("table.snap"),
-        easched_core::persist::table_to_text(&table),
-    )
-    .unwrap();
-
-    let (store, rec) = TableStore::open(&dir.0).expect("v2 migration");
-    assert_eq!(rec.generation, 0);
-    assert_eq!(rec.breaker, BreakerState::Closed);
-    assert_eq!(rec.table.stat(11).map(|s| s.alpha), Some(0.25));
-    assert_eq!(rec.table.stat(12).map(|s| s.invocations_seen), Some(5));
-    assert!(!rec.table.is_tainted(11) && !rec.table.is_tainted(12));
-
-    // The first checkpoint rewrites the snapshot in v3.
-    rec.table.taint(11);
-    store
-        .checkpoint(&rec.table, BreakerState::HalfOpen)
-        .expect("checkpoint");
-    let text = fs::read_to_string(dir.0.join("table.snap")).unwrap();
+    fs::copy(golden.join("parent_v3.snap"), dir.0.join("table.snap")).unwrap();
+    let err = TableStore::open(&dir.0).expect_err("a v3 snapshot must not open");
     assert!(
-        text.starts_with("easched-kernel-table v3"),
-        "not resealed: {text}"
+        matches!(err, easched_core::StoreError::Snapshot(_)),
+        "{err}"
     );
-
-    let (_, back) = TableStore::open(&dir.0).expect("v3 reopen");
-    assert_eq!(back.generation, 1);
-    assert_eq!(back.breaker, BreakerState::HalfOpen);
-    assert!(
-        back.table.is_tainted(11),
-        "taint must survive the round trip"
-    );
-    assert_eq!(back.table.stat(11).map(|s| s.alpha), Some(0.25));
+    assert!(err.to_string().contains("easched-kernel-table v3"), "{err}");
 }
 
 fn desktop_model() -> PowerModel {
@@ -393,9 +370,11 @@ proptest! {
     }
 }
 
-/// The fixed script behind `fixtures/golden_store/`, whose files were
-/// written by the commit *before* the on-disk grammar moved into
-/// `persist.rs`: three entries (one tainted), their `put`s, a taint and
+/// The fixed script behind `fixtures/golden_store/`, whose journal and
+/// `Vfs` operation count were written by the commit *before* the on-disk
+/// grammar moved into `persist.rs`, and whose `table.snap` was taken when
+/// the snapshot became a compacted journal (`parent_v3.snap` holds the
+/// bytes before): three entries (one tainted), their `put`s, a taint and
 /// a breaker record, a checkpoint, then two more `put`s so the journal
 /// is not header-only. Returns the table the script ends on.
 fn golden_store_script(dir: &Path, vfs: Arc<dyn Vfs>) -> KernelTable {
@@ -424,31 +403,44 @@ fn golden_store_bytes_and_vfs_ops_match_the_parent_commit() {
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_store");
     let fixture = |name: &str| fs::read(golden.join(name)).expect("committed fixture");
 
-    // (a) The script writes the parent's bytes.
+    // (a) The script writes the fixture's bytes.
     let dir = TempDir::new("golden");
     let table = golden_store_script(&dir.0, Arc::new(StdFs));
     for name in ["table.snap", "table.journal"] {
         assert_eq!(fs::read(dir.0.join(name)).unwrap(), fixture(name), "{name}");
     }
+    // `table_to_text` writes that snapshot at generation 0 with the breaker
+    // closed: past its header and breaker lines, the fixture's bytes.
+    let snap = String::from_utf8(fixture("table.snap")).unwrap();
+    let checkpointed = easched_core::persist::table_from_text(&snap).expect("the snapshot");
+    let text = easched_core::persist::table_to_text(&checkpointed);
+    assert!(
+        text.starts_with("easched-table-journal v1 gen 0 crc "),
+        "{text}"
+    );
+    assert!(text.lines().nth(1).unwrap().starts_with("breaker 0 crc "));
     assert_eq!(
-        easched_core::persist::table_to_text(&table).into_bytes(),
-        fixture("table_v2.txt")
+        text.lines().skip(2).collect::<Vec<_>>(),
+        snap.lines().skip(2).collect::<Vec<_>>()
     );
 
-    // (b) The parent's files open to the script's state (from a copy:
+    // (b) The fixture's files open to the script's state (from a copy:
     // open truncates the journal to its valid prefix in place).
     let copy = TempDir::new("golden_open");
     fs::create_dir_all(&copy.0).unwrap();
     for name in ["table.snap", "table.journal"] {
         fs::write(copy.0.join(name), fixture(name)).unwrap();
     }
-    let (_, rec) = TableStore::open(&copy.0).expect("parent-written store");
+    let (_, rec) = TableStore::open(&copy.0).expect("the fixture's store");
     assert_eq!(rec.table.snapshot_with_taint(), table.snapshot_with_taint());
     assert_eq!(rec.breaker, BreakerState::Open);
     assert_eq!((rec.generation, rec.replayed, rec.discarded), (1, 2, 0));
-    let v2 = String::from_utf8(fixture("table_v2.txt")).unwrap();
-    let loaded = easched_core::persist::table_from_text(&v2).expect("parent-written v2 table");
-    assert_eq!(loaded.snapshot(), table.snapshot());
+    let loaded =
+        easched_core::persist::table_from_text(&easched_core::persist::table_to_text(&table));
+    assert_eq!(
+        loaded.unwrap().snapshot_with_taint(),
+        table.snapshot_with_taint()
+    );
 
     // (c) The store issues the parent's number of `Vfs` operations.
     let chaos_dir = TempDir::new("golden_ops");

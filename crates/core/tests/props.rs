@@ -100,10 +100,11 @@ proptest! {
 
 mod persist_props {
     use easched_core::persist::{
-        fnv1a64, model_from_text, model_to_text, table_from_text, table_to_text, ModelParseError,
+        model_from_text, model_to_text, table_from_text, table_to_text, ModelParseError,
     };
     use easched_core::{Accumulation, KernelTable, PowerCurve, PowerModel, WorkloadClass};
     use easched_num::Polynomial;
+    use easched_runtime::sealed::{unseal, LineWriter};
     use proptest::prelude::*;
 
     fn sample_model() -> PowerModel {
@@ -128,6 +129,7 @@ mod persist_props {
         t.accumulate(7, 2.0 / 3.0, 50_000.0, Accumulation::SampleWeighted);
         t.accumulate(900, 1.0, 1e9, Accumulation::SampleWeighted);
         t.note_reuse(7);
+        t.taint(900);
         t
     }
 
@@ -137,9 +139,19 @@ mod persist_props {
         text.rfind("\nchecksum ").unwrap() + 1
     }
 
-    /// `body` under a fresh checksum line, as a careful hand edit leaves it.
-    fn reseal(body: &str) -> String {
-        format!("{body}checksum {:016x}\n", fnv1a64(body.as_bytes()))
+    /// `body` as one sealed line, as a careful hand edit leaves it.
+    fn sealed(body: &str) -> String {
+        let mut line = String::new();
+        LineWriter::begin(&mut line, body).seal();
+        line
+    }
+
+    /// The sample table's text, its lines edited by `edit`.
+    fn edited(edit: impl FnOnce(&mut Vec<&str>)) -> String {
+        let text = table_to_text(&sample_table());
+        let mut lines: Vec<&str> = text.lines().collect();
+        edit(&mut lines);
+        lines.iter().map(|line| format!("{line}\n")).collect()
     }
 
     proptest! {
@@ -218,8 +230,9 @@ mod persist_props {
             }
         }
 
-        /// Same guarantee for the kernel table: arbitrary single-bit
-        /// corruption is either rejected or provably harmless.
+        /// Same guarantee for the kernel table, whose every line is sealed
+        /// on its own: a single-bit flip is refused, or it changed only the
+        /// case of a seal's hex digit and reads back the identical table.
         #[test]
         fn table_bit_flips_detected_or_harmless(pos in 0usize..4096, bit in 0u32..7) {
             let table = sample_table();
@@ -230,67 +243,76 @@ mod persist_props {
             bytes[pos] ^= 1 << bit;
             let mutated = String::from_utf8(bytes).unwrap();
             match table_from_text(&mutated) {
-                Ok(back) => prop_assert_eq!(back.snapshot(), table.snapshot()),
+                Ok(back) => {
+                    prop_assert_eq!(back.snapshot_with_taint(), table.snapshot_with_taint());
+                    prop_assert!(mutated.eq_ignore_ascii_case(&text), "flip at {} accepted", pos);
+                }
                 Err(e) => prop_assert!(!e.to_string().is_empty()),
             }
-            if pos < covered_len(&text) {
-                prop_assert!(table_from_text(&mutated).is_err(), "body flip at {} accepted", pos);
-            }
-            // A mutation the digest vouches for (the file was resealed
-            // after it): a weight that would poison every later
-            // accumulation of the kernel is rejected by the grammar itself.
+            // A mutation a seal vouches for (the line was resealed after
+            // it): a weight that would poison every later accumulation of
+            // the kernel is refused by the grammar itself.
             let poison = ["NaN", "inf", "-1"][bit as usize % 3];
-            let body = &text[..covered_len(&text)];
             let weight = ["weight 1e3", "weight 5e4", "weight 1e9"][pos % 3];
-            let poisoned = body.replacen(weight, &format!("weight {poison}"), 1);
-            prop_assert!(table_from_text(&reseal(body)).is_ok() && poisoned != body);
-            let poisoned = reseal(&poisoned);
+            let line = text.lines().find(|line| line.contains(weight)).unwrap();
+            let body = unseal(line).unwrap();
+            prop_assert_eq!(sealed(body), format!("{line}\n"));
+            let poisoned = sealed(&body.replacen(weight, &format!("weight {poison}"), 1));
+            let poisoned = text.replacen(&format!("{line}\n"), &poisoned, 1);
+            prop_assert!(poisoned != text);
             prop_assert!(table_from_text(&poisoned).is_err(), "{} accepted", poisoned);
         }
 
-        /// Truncating a table file at any byte never panics; anything short
-        /// of the full file either fails (usually [`ModelParseError::MissingChecksum`])
-        /// or — only when the cut merely drops trailing whitespace — parses
-        /// to the identical table.
+        /// Truncating a table file at any byte short of its end is refused:
+        /// the cut tears a line or drops the `end` line that closes it.
         #[test]
-        fn table_truncation_detected_or_harmless(cut in 0usize..4096) {
+        fn table_truncations_are_refused(cut in 0usize..4096) {
+            let text = table_to_text(&sample_table());
+            let cut = cut % text.len();
+            prop_assert!(table_from_text(&text[..cut]).is_err(), "cut at {} accepted", cut);
+        }
+
+        /// Swapping two distinct records — the breaker line, a `put`, the
+        /// `end` — is refused as a bad line. Each line keeps its seal, so
+        /// the order refuses it: the breaker comes first, `put` ids ascend
+        /// strictly, and `end` closes the file.
+        #[test]
+        fn reordered_records_are_refused(i in 0usize..5, j in 0usize..5) {
             let table = sample_table();
-            let text = table_to_text(&table);
-            let cut = cut % (text.len() + 1);
-            match table_from_text(&text[..cut]) {
-                Ok(back) => prop_assert_eq!(back.snapshot(), table.snapshot()),
-                Err(e) => prop_assert!(!e.to_string().is_empty()),
-            }
-            // Cutting into the digest-covered body can never parse.
-            if cut < covered_len(&text) {
-                prop_assert!(table_from_text(&text[..cut]).is_err());
+            // Line 0 is the header; then the breaker, three puts and `end`.
+            let swapped = edited(|lines| lines.swap(1 + i, 1 + j));
+            match table_from_text(&swapped) {
+                Ok(back) => {
+                    prop_assert_eq!(i, j);
+                    prop_assert_eq!(back.snapshot_with_taint(), table.snapshot_with_taint());
+                }
+                Err(e) => {
+                    prop_assert!(i != j, "{}", e);
+                    prop_assert!(matches!(e, ModelParseError::BadLine { .. }), "{}", e);
+                }
             }
         }
 
-        /// Reordering records without resealing is detected by the
-        /// checksum; the same reorder resealed parses to the same table
-        /// (records are order-independent).
+        /// A duplicated record is refused: a second `put` of a kernel
+        /// breaks the ascending ids, a second breaker its place, a second
+        /// `end` follows the first.
         #[test]
-        fn reordered_records_detected_unless_resealed(i in 0usize..3, j in 0usize..3) {
-            let table = sample_table();
-            let text = table_to_text(&table);
-            let mut lines: Vec<&str> = text.lines().collect();
-            // lines[0] is the header, last is the checksum; swap records.
-            lines.swap(1 + i, 1 + j);
-            let swapped = format!("{}\n", lines.join("\n"));
-            if i == j {
-                prop_assert!(table_from_text(&swapped).is_ok());
-            } else {
-                let mismatch = matches!(
-                    table_from_text(&swapped),
-                    Err(ModelParseError::ChecksumMismatch { .. })
-                );
-                prop_assert!(mismatch, "swap {} <-> {} not flagged", i, j);
-            }
-            // Resealed, order legitimately does not matter.
-            lines.pop();
-            let resealed = reseal(&format!("{}\n", lines.join("\n")));
-            prop_assert_eq!(table_from_text(&resealed).unwrap().snapshot(), table.snapshot());
+        fn a_duplicated_record_is_refused(i in 0usize..5) {
+            let doubled = edited(|lines| lines.insert(1 + i, lines[1 + i]));
+            let refused = matches!(table_from_text(&doubled), Err(ModelParseError::BadLine { .. }));
+            prop_assert!(refused, "{}", doubled);
+        }
+
+        /// A dropped record is refused: without a `put`, `end` miscounts;
+        /// without the breaker, a `put` comes first; without `end`, the file
+        /// is not closed.
+        #[test]
+        fn a_dropped_record_is_refused(i in 0usize..5) {
+            let dropped = edited(|lines| {
+                lines.remove(1 + i);
+            });
+            let refused = matches!(table_from_text(&dropped), Err(ModelParseError::BadLine { .. }));
+            prop_assert!(refused, "{}", dropped);
         }
     }
 }
