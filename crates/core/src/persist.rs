@@ -385,11 +385,21 @@ pub(crate) fn snapshot_to_text(
 }
 
 /// Reads a snapshot into the table, the breaker state and the
-/// generation: the journal scan, held to the compacted form
-/// [`snapshot_to_text`] writes and replayed onto an empty table.
+/// generation: [`checked_snapshot`]'s records replayed onto an empty
+/// table.
 pub(crate) fn snapshot_from_text(
     bytes: &[u8],
 ) -> Result<(KernelTable, BreakerState, u64), ModelParseError> {
+    let (records, generation) = checked_snapshot(bytes)?;
+    let table = KernelTable::new();
+    let breaker = replay(&table, records, false).unwrap_or(BreakerState::Closed);
+    Ok((table, breaker, generation))
+}
+
+/// A snapshot's records and generation: the journal scan, held to the
+/// compacted form [`snapshot_to_text`] writes. Every check a read makes
+/// is made here; only the replay into a table is left to the caller.
+pub(crate) fn checked_snapshot(bytes: &[u8]) -> Result<(Vec<JournalRecord>, u64), ModelParseError> {
     let scan = scan_journal(bytes);
     let Some(generation) = scan.gen else {
         let header = String::from_utf8_lossy(bytes);
@@ -419,11 +429,7 @@ pub(crate) fn snapshot_from_text(
             (stop, "not an `end` counting the records before it")
         }
         None if scan.discarded > 1 => (stop + 1, "a line after `end`"),
-        None => {
-            let table = KernelTable::new();
-            let breaker = replay(&table, scan.records, false).unwrap_or(BreakerState::Closed);
-            return Ok((table, breaker, generation));
-        }
+        None => return Ok((scan.records, generation)),
     };
     let message = message.to_string();
     Err(ModelParseError::BadLine { line, message })

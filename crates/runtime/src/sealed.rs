@@ -10,8 +10,9 @@
 //!
 //! A body is a tag and space-separated fields. [`LineWriter`] appends
 //! them straight into the caller's buffer and seals the bytes where they
-//! lie; [`unseal`] checks the seal at its fixed offset from the end and
-//! [`Fields`] walks the body word by word. Neither allocates. A float is
+//! lie; [`unseal`] reads the seal at its fixed offset from the end and
+//! checks it from both ends of the body at once, and [`Fields`] walks the
+//! body word by word, eight bytes at a time. Neither allocates. A float is
 //! written one of two ways: as its 16-hex-digit bit pattern
 //! ([`bits`](LineWriter::bits): the run log and the frames, NaN payloads
 //! included) or in decimal ([`float`](LineWriter::float): the model and
@@ -24,12 +25,48 @@ use std::fmt::Write as _;
 /// injective, so any single corrupted byte changes the digest. Kernel
 /// ids and run-seed derivation hash with it too.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = FNV_OFFSET;
     for &b in bytes {
         hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// `FNV_PRIME`'s inverse modulo 2⁶⁴ (the prime is odd, so it has one).
+const FNV_PRIME_INVERSE: u64 = 0xce96_5057_aff6_957b;
+const _: () = assert!(FNV_PRIME.wrapping_mul(FNV_PRIME_INVERSE) == 1);
+
+/// Whether `fnv1a64(body) == digest`, decided by two chains of half the
+/// length that run side by side instead of one chain over the whole body.
+///
+/// Each FNV-1a step `h ↦ (h ^ b)·P` is a bijection of `u64` (xor with a
+/// byte is its own inverse, and an odd `P` is invertible modulo 2⁶⁴), and
+/// its inverse is `h ↦ (h·P⁻¹) ^ b`. So is the composition `F` of the
+/// steps over the back half of the body. With `h` the digest of the front
+/// half, `fnv1a64(body) = F(h)`, and because `F` is a bijection,
+/// `F(h) == digest` exactly when `h == F⁻¹(digest)`: the forward chain
+/// over the front half and the backward chain from `digest` over the back
+/// half, last byte first, meet exactly when the seal holds. The verdict is
+/// therefore the one-chain verdict, bit for bit, for every body and digest.
+#[inline]
+fn seal_matches(body: &[u8], digest: u64) -> bool {
+    let half = body.len() / 2;
+    let (front, back) = body.split_at(half);
+    // An odd body leaves the back half one byte longer: that byte, the
+    // first of the back half, is the backward chain's last step.
+    let (odd, back) = back.split_at(back.len() - half);
+    let (mut forward, mut backward) = (FNV_OFFSET, digest);
+    for (&a, &z) in front.iter().zip(back.iter().rev()) {
+        forward = (forward ^ u64::from(a)).wrapping_mul(FNV_PRIME);
+        backward = backward.wrapping_mul(FNV_PRIME_INVERSE) ^ u64::from(z);
+    }
+    for &z in odd {
+        backward = backward.wrapping_mul(FNV_PRIME_INVERSE) ^ u64::from(z);
+    }
+    forward == backward
 }
 
 /// One line under construction at the end of a caller's buffer. Every
@@ -143,9 +180,7 @@ impl<'a> LineWriter<'a> {
 pub fn unseal(line: &str) -> Option<&str> {
     let line = line.trim_end();
     let digits_at = line.len().checked_sub(16)?;
-    let (stored, 16) = leading_digits(&line.as_bytes()[digits_at..], 16)? else {
-        return None;
-    };
+    let stored = hex16_value(line.as_bytes()[digits_at..].try_into().ok()?)?;
     // Sixteen ASCII digits were just read there, so it is a char boundary.
     let head = &line[..digits_at];
     let tagged = head.trim_end();
@@ -153,7 +188,9 @@ pub fn unseal(line: &str) -> Option<&str> {
         return None;
     }
     let body = tagged.strip_suffix(" crc")?;
-    (fnv1a64(body.as_bytes()) == stored).then_some(body)
+    let intact = seal_matches(body.as_bytes(), stored);
+    debug_assert_eq!(intact, fnv1a64(body.as_bytes()) == stored, "{body:?}");
+    intact.then_some(body)
 }
 
 /// The shortest line [`unseal`] accepts: an empty body, ` crc ` and 16
@@ -189,6 +226,60 @@ fn leading_digits(bytes: &[u8], radix: u64) -> Option<(u64, usize)> {
     Some((value, bytes.len()))
 }
 
+/// Sixteen hex digits of either case as the value they spell, `None` when
+/// any of them is no digit. Each half is checked and packed as one 64-bit
+/// word (SWAR): a few word operations, none waiting on a digit before it.
+#[inline]
+fn hex16_value(word: &[u8; 16]) -> Option<u64> {
+    let (high, low) = word.split_at(8);
+    let (high, low) = (eight(high), eight(low));
+    let value = (all_hex(high) && all_hex(low)).then(|| pack8_hex(high) << 32 | pack8_hex(low));
+    debug_assert_eq!(
+        value.map(|value| (value, 16)),
+        leading_digits(word, 16).filter(|&(_, len)| len == 16),
+        "{word:?}"
+    );
+    value
+}
+
+/// Eight bytes as one word, the first in the lowest byte.
+#[inline]
+fn eight(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("eight bytes"))
+}
+
+/// Whether all eight bytes of `x` are hex digits of either case. With
+/// every byte below 0x80, adding `0x80 - lo` to each sets its top bit
+/// exactly when it is at least `lo`, and adding `0x7f - hi` exactly when
+/// it is above `hi`, and no sum carries into the next byte.
+#[inline]
+fn all_hex(x: u64) -> bool {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const TOPS: u64 = 0x8080_8080_8080_8080;
+    let at_least = |x: u64, lo: u8| x.wrapping_add(ONES * u64::from(0x80 - lo));
+    let above = |x: u64, hi: u8| x.wrapping_add(ONES * u64::from(0x7f - hi));
+    // Setting bit 5 folds `A..=F` onto `a..=f` and moves nothing else
+    // into that range.
+    let lower = x | 0x2020_2020_2020_2020;
+    let digit = at_least(x, b'0') & !above(x, b'9');
+    let letter = at_least(lower, b'a') & !above(lower, b'f');
+    x & TOPS == 0 && (digit | letter) & TOPS == TOPS
+}
+
+/// The 32-bit value of eight hex digits (already known to be digits),
+/// the first, in the lowest byte of `x`, the most significant.
+#[inline]
+fn pack8_hex(x: u64) -> u64 {
+    // A digit's value is its low nibble, plus 9 for a letter of either
+    // case (bit 6 set). Byte `i` of `x` now holds digit `i`.
+    let x = (x & 0x0f0f_0f0f_0f0f_0f0f) + 9 * (x >> 6 & 0x0101_0101_0101_0101);
+    // Pairs of digits into bytes, pairs of bytes into 16 bits, pairs of
+    // those into 32: each step puts the earlier, lower-addressed half on top.
+    let x = (x << 4 | x >> 8) & 0x00ff_00ff_00ff_00ff;
+    let x = (x << 8 | x >> 16) & 0x0000_ffff_0000_ffff;
+    (x << 16 | x >> 32) & 0xffff_ffff
+}
+
 /// The length of the run of blank (or, with `blank` false, non-blank)
 /// characters `s` starts with. The run is walked character by character
 /// with `char::is_whitespace` deciding, as `str::split_whitespace` does,
@@ -211,6 +302,30 @@ fn run_len(s: &str, blank: bool) -> usize {
         at += len;
     }
     at
+}
+
+/// The length of the word `s` starts with: [`run_len`] of the non-blank
+/// run. Bytes in `0x21..=0x7f` are ASCII and never blank, so they are
+/// skipped eight at a time; the first byte at or below `0x20` or at or
+/// above `0x80` hands over to the per-character walk, which decides.
+#[inline]
+fn word_len(s: &str) -> usize {
+    let bytes = s.as_bytes();
+    let mut at = 0;
+    while let Some(chunk) = bytes.get(at..at + 8) {
+        let x = eight(chunk);
+        // The top bit of every byte ≥ 0x80, and of every byte < 0x21. The
+        // subtraction borrows only out of a byte < 0x21, so any byte it
+        // flags spuriously lies after a true one: the first flag is exact.
+        let stops = (x.wrapping_sub(0x2121_2121_2121_2121) & !x | x) & 0x8080_8080_8080_8080;
+        if stops != 0 {
+            at += stops.trailing_zeros() as usize / 8;
+            break;
+        }
+        at += 8;
+    }
+    // Everything skipped was ASCII, so `at` is a char boundary.
+    at + run_len(&s[at..], false)
 }
 
 /// A cursor over the whitespace-separated fields of a line body. Words
@@ -241,7 +356,12 @@ impl<'a> Fields<'a> {
     #[inline]
     fn take(&mut self, len: usize) -> Option<&'a str> {
         let (word, rest) = self.rest.split_at(len);
-        let next = run_len(rest, true);
+        // The one space a writer puts between words, before a byte that
+        // cannot start a blank.
+        let next = match rest.as_bytes() {
+            [b' ', 0x21..=0x7f, ..] => 1,
+            _ => run_len(rest, true),
+        };
         if next == 0 && !rest.is_empty() {
             return None;
         }
@@ -252,7 +372,7 @@ impl<'a> Fields<'a> {
     /// The next word, `None` at the end of the line.
     #[inline]
     pub fn word(&mut self) -> Option<&'a str> {
-        let word = self.take(run_len(self.rest, false))?;
+        let word = self.take(word_len(self.rest))?;
         (!word.is_empty()).then_some(word)
     }
 
@@ -267,17 +387,10 @@ impl<'a> Fields<'a> {
     fn number(&mut self, radix: u64) -> Option<u64> {
         let bytes = self.rest.as_bytes();
         // The word `hex16` writes: exactly 16 hex digits always fit, so
-        // they are read with no overflow check, and one OR of the digit
-        // values tells whether all sixteen were digits.
-        if let (16, Some(word)) = (radix, bytes.get(..16)) {
+        // they are read with no overflow check.
+        if let (16, Some(word)) = (radix, bytes.first_chunk()) {
             if bytes.get(16).is_none_or(|&b| DIGIT[usize::from(b)] >= 16) {
-                let (mut value, mut seen) = (0u64, 0u8);
-                for &b in word {
-                    let d = DIGIT[usize::from(b)];
-                    seen |= d;
-                    value = value << 4 | u64::from(d & 0xf);
-                }
-                if seen < 16 {
+                if let Some(value) = hex16_value(word) {
                     self.take(16)?;
                     return Some(value);
                 }
@@ -313,7 +426,7 @@ impl<'a> Fields<'a> {
     /// A word that is no float stays unread.
     #[inline]
     pub fn float(&mut self) -> Option<f64> {
-        let len = run_len(self.rest, false);
+        let len = word_len(self.rest);
         let value = self.rest[..len].parse().ok()?;
         self.take(len)?;
         Some(value)

@@ -316,3 +316,110 @@ fn number_hand_cases_agree_with_the_standard_parsers() {
     assert_eq!(Fields::parse("+0255", Fields::dec::<u8>), Some(u8::MAX));
     assert_eq!(Fields::parse("256", Fields::dec::<u8>), None);
 }
+
+/// A body of `len` ASCII bytes that cycles through tags, digits, letters
+/// of both cases, punctuation and single spaces.
+fn ascii_body(len: usize) -> String {
+    "put 5 alpha 0123456789abcdef ~!\u{7f} crc ABCDEF_+-."
+        .bytes()
+        .cycle()
+        .take(len)
+        .map(char::from)
+        .collect()
+}
+
+#[test]
+fn every_body_length_and_every_single_byte_flip_agree_with_the_search() {
+    // Lengths 0 to 64 put the two-ended check's meeting point after
+    // every even and every odd split.
+    for len in 0..=64 {
+        let body = ascii_body(len);
+        let line = sealed(&body);
+        assert_eq!(unseal(&line), Some(body.as_str()), "{line:?}");
+        assert_eq!(unseal(&line), unseal_by_search(&line), "{line:?}");
+        for at in 0..line.len() {
+            for bit in [0x01, 0x20] {
+                let mut bytes = line.clone().into_bytes();
+                bytes[at] ^= bit;
+                let flipped = String::from_utf8(bytes).expect("ASCII stays ASCII");
+                let read = unseal(&flipped);
+                assert_eq!(read, unseal_by_search(&flipped), "{flipped:?}");
+                // Only the newline may change (into another blank) or, in
+                // the digits, a letter's case.
+                if at < len + 4 || bit == 0x01 && at + 1 < line.len() {
+                    assert_eq!(read, None, "{flipped:?}");
+                }
+            }
+        }
+    }
+}
+
+/// Words of lengths on both sides of one and two 8-byte blocks, each
+/// ended by a byte that stops the block scan: blanks ASCII and not,
+/// non-blank control bytes, DEL and non-ASCII letters.
+#[test]
+#[allow(clippy::disallowed_methods)] // the oracle `Fields` is held to
+fn words_around_the_eight_byte_block_split_as_split_whitespace_does() {
+    const ENDS: [&str; 12] = [
+        "", " ", "  ", "\t", "\r\n", "\u{1}", "\u{1f}", "\u{7f}", "é", "\u{85}", "\u{a0}",
+        "\u{3000}",
+    ];
+    for len in [1, 7, 8, 9, 15, 16, 17, 24] {
+        let word = ascii_body(len).replace(' ', "x");
+        for end in ENDS {
+            for tail in ["", " next", "next", "\u{a0}next"] {
+                let text = format!("{word}{end}{tail}");
+                let words = Fields::parse(&text, |fields| {
+                    Some(std::iter::from_fn(|| fields.word()).collect::<Vec<_>>())
+                });
+                let expected: Vec<&str> = text.split_whitespace().collect();
+                assert_eq!(words, Some(expected), "{text:?}");
+                let float = |w: &str| w.parse::<f64>().ok();
+                let read = Fields::parse(&text, Fields::float).map(float_key);
+                assert_eq!(read, sole(&text, float).map(float_key), "{text:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn every_digit_of_either_case_at_every_place_of_a_hex16_word() {
+    let digits = "0123456789abcdefABCDEF";
+    for at in 0..16 {
+        for (value, digit) in digits.chars().enumerate() {
+            let mut word = String::from("0000000000000000");
+            word.replace_range(at..=at, digit.encode_utf8(&mut [0; 4]));
+            let expected = (value as u64 - 6 * u64::from(value >= 16)) << (4 * (15 - at));
+            assert_eq!(Fields::parse(&word, Fields::hex), Some(expected), "{word}");
+            let std_hex = sole(&word, |w| u64::from_str_radix(w, 16).ok());
+            assert_eq!(std_hex, Some(expected), "{word}");
+        }
+        // Bytes beside the digit ranges, and one past ASCII.
+        for stray in ['/', ':', '@', 'G', '`', 'g', '\u{7f}', 'é'] {
+            let mut word = String::from("fedcba9876543210");
+            word.replace_range(at..=at, stray.encode_utf8(&mut [0; 4]));
+            let std_hex = sole(&word, |w| u64::from_str_radix(w, 16).ok());
+            assert_eq!(Fields::parse(&word, Fields::hex), std_hex, "{word:?}");
+            assert_eq!(std_hex, None, "{word:?}");
+        }
+    }
+    for word in ["FEDCBA9876543210", "FeDcBa9876543210", "ffffFFFFffffFFFF"] {
+        let std_hex = sole(word, |w| u64::from_str_radix(w, 16).ok());
+        assert!(std_hex.is_some());
+        assert_eq!(Fields::parse(word, Fields::hex), std_hex, "{word}");
+    }
+}
+
+#[test]
+fn a_hex16_word_run_into_a_non_blank_is_no_number() {
+    for next in [
+        "g", "G", "+", "-", "_", "\u{1}", "\u{7f}", "é", "0", "a", "F",
+    ] {
+        let text = format!("0123456789abcdef{next}");
+        let hex = sole(&text, |w| u64::from_str_radix(w, 16).ok());
+        assert_eq!(Fields::parse(&text, Fields::hex), hex, "{text:?}");
+        let two = format!("{text} 1");
+        let read = Fields::parse(&two, |f| Some((f.hex()?, f.dec::<u64>()?)));
+        assert_eq!(read, hex.map(|value| (value, 1)), "{two:?}");
+    }
+}
