@@ -9,6 +9,9 @@
 //! road-network generator (high diameter, low degree, travel-time
 //! weights) and is held in compressed sparse row form.
 //!
+//! BFS keeps its frontier as a bitmap, so an item range tests its
+//! vertices 64 at a time and expands only the members.
+//!
 //! Verification compares against serial references: BFS levels by queue,
 //! components by repeated search, distances by Dijkstra.
 
@@ -20,6 +23,7 @@ use crate::profiles::{Calib, Profile};
 use crate::workload::{Invoker, Verification, Workload, WorkloadSpec};
 use csr::Csr;
 use easched_sim::{AccessPattern, KernelTraits, Platform};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -35,6 +39,41 @@ fn graph_calib(cpu_rate: f64, gpu_rate: f64, irregularity: f64) -> Calib {
         instr_per_item: 150.0,
         loads_per_item: 60.0,
     }
+}
+
+/// A vertex set as a bitmap: vertex `v` is bit `v % 64` of word `v / 64`.
+fn bitmap(n: usize) -> Vec<AtomicU64> {
+    (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect()
+}
+
+/// Calls `visit` on each vertex of `items` that is in `set`, in ascending
+/// order. Each word tests 64 vertices; the words at either end of the
+/// range are masked to the range.
+fn for_each_set(set: &[AtomicU64], items: Range<usize>, mut visit: impl FnMut(usize)) {
+    if items.is_empty() {
+        return;
+    }
+    let (first, last) = (items.start / 64, (items.end - 1) / 64);
+    for (w, word) in (first..).zip(&set[first..=last]) {
+        let mut bits = word.load(Ordering::Relaxed);
+        if w == first {
+            bits &= u64::MAX << (items.start % 64);
+        }
+        if w == last {
+            bits &= u64::MAX >> (63 - (items.end - 1) % 64);
+        }
+        while bits != 0 {
+            visit(w * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// The members of a bitmap set, ascending (the frontier's debug check).
+fn set_bits(set: &[AtomicU64]) -> Vec<usize> {
+    let mut members = Vec::new();
+    for_each_set(set, 0..set.len() * 64, |v| members.push(v));
+    members
 }
 
 /// Breadth-first search over a road network (vertex-parallel,
@@ -96,41 +135,58 @@ impl Workload for Bfs {
         if n == 0 {
             return Verification::Passed;
         }
+        let src = self.source as usize;
         let dist: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
-        dist[self.source as usize].store(0, Ordering::Relaxed);
+        dist[src].store(0, Ordering::Relaxed);
+        // The vertices at `level` and the ones found for `level + 1`.
+        let mut frontier = bitmap(n);
+        let mut next = bitmap(n);
+        *frontier[src / 64].get_mut() = 1 << (src % 64);
         let mut level = 0u32;
         loop {
-            let changed = AtomicBool::new(false);
             {
                 let d = &dist;
                 let g = &self.graph;
-                let ch = &changed;
+                let (f, nx) = (&frontier, &next);
                 invoker.invoke(n as u64, &|items| {
-                    for i in items {
-                        // Vertex-parallel: only frontier members do real
-                        // work — the input-dependent branch that makes BFS
-                        // irregular.
-                        if d[i].load(Ordering::Relaxed) != level {
-                            continue;
-                        }
+                    // Vertex-parallel: only frontier members do real
+                    // work — the input-dependent branch that makes BFS
+                    // irregular. The bitmap answers it 64 vertices a load.
+                    for_each_set(f, items, |i| {
                         for &u in g.neighbors(i as u32) {
-                            if d[u as usize]
-                                .compare_exchange(
-                                    u32::MAX,
-                                    level + 1,
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                )
-                                .is_ok()
+                            let u = u as usize;
+                            // A seen neighbour costs a plain load, no
+                            // locked op; a lost race costs the failed CAS.
+                            if d[u].load(Ordering::Relaxed) == u32::MAX
+                                && d[u]
+                                    .compare_exchange(
+                                        u32::MAX,
+                                        level + 1,
+                                        Ordering::Relaxed,
+                                        Ordering::Relaxed,
+                                    )
+                                    .is_ok()
                             {
-                                ch.store(true, Ordering::Relaxed);
+                                nx[u / 64].fetch_or(1 << (u % 64), Ordering::Relaxed);
                             }
                         }
-                    }
+                    });
                 });
             }
             level += 1;
-            if !changed.load(Ordering::Relaxed) {
+            std::mem::swap(&mut frontier, &mut next);
+            for word in &mut next {
+                *word.get_mut() = 0;
+            }
+            debug_assert_eq!(
+                set_bits(&frontier),
+                (0..n)
+                    .filter(|&v| dist[v].load(Ordering::Relaxed) == level)
+                    .collect::<Vec<_>>(),
+                "the frontier after level {level} is not the vertices at that level"
+            );
+            // An invocation that discovered nothing ends the search.
+            if frontier.iter_mut().all(|word| *word.get_mut() == 0) {
                 break;
             }
         }
@@ -338,7 +394,6 @@ mod tests {
     use super::*;
     use crate::workload::{record_trace, SerialInvoker};
     use proptest::prelude::*;
-    use std::ops::Range;
 
     #[test]
     fn bfs_verifies_and_has_many_invocations() {
@@ -427,17 +482,75 @@ mod tests {
         }
     }
 
-    /// Arbitrary small undirected weighted graph: isolated vertices,
-    /// self-loops and parallel edges included.
+    /// Cuts each invocation at 63, 64, 65, 127 and 128 (those below `n`)
+    /// and runs the pieces last first: ranges that start and end on
+    /// either side of a bitmap word's edge, and mid-word.
+    struct AroundWordEdges;
+
+    impl Invoker for AroundWordEdges {
+        fn invoke(&mut self, n: u64, process: &(dyn Fn(Range<usize>) + Sync)) {
+            let n = n as usize;
+            let mut cuts: Vec<usize> = [0, 63, 64, 65, 127, 128]
+                .into_iter()
+                .filter(|&c| c < n)
+                .collect();
+            cuts.push(n);
+            for piece in cuts.windows(2).rev() {
+                process(piece[0]..piece[1]);
+            }
+        }
+    }
+
+    /// The three drivers on `g` from `source`, each against its reference.
+    fn drive_all(g: &Csr, source: u32, invoker: &mut dyn Invoker) -> [Verification; 3] {
+        let bfs = Bfs {
+            graph: g.clone(),
+            source,
+            profile: Bfs::default_profile(),
+            serial_levels: OnceLock::new(),
+        };
+        let cc = ConnectedComponents {
+            graph: g.clone(),
+            profile: ConnectedComponents::default_profile(),
+        };
+        let sp = ShortestPath {
+            graph: g.clone(),
+            source,
+            profile: ShortestPath::default_profile(),
+        };
+        [bfs.drive(invoker), cc.drive(invoker), sp.drive(invoker)]
+    }
+
+    #[test]
+    fn ranges_cut_at_word_edges_and_run_backwards_verify() {
+        // 144, 160 and 255 vertices: a last word that is full, a quarter
+        // full and one vertex short.
+        for (w, h) in [(12, 12), (16, 10), (15, 17)] {
+            let g = gen::road_network(w, h, 5);
+            let last = g.vertex_count() - 1;
+            for source in [0, 63, 64, 65, 127, 128, last] {
+                for v in drive_all(&g, source, &mut AroundWordEdges) {
+                    assert!(v.is_passed(), "{w}x{h} from {source}: {v:?}");
+                }
+            }
+        }
+    }
+
+    /// Arbitrary undirected weighted graph of up to 300 vertices (five
+    /// bitmap words): isolated vertices, self-loops and parallel edges
+    /// included. Half the edges join near ids, so paths are long and
+    /// frontiers cross word edges.
     fn graphs() -> impl Strategy<Value = Csr> {
         (
-            2u32..60,
-            prop::collection::vec((0u32..60, 0u32..60, 1u32..100), 0..150),
+            2u32..300,
+            prop::collection::vec((0u32..300, 0u32..300, 1u32..100), 0..300),
+            prop::collection::vec((0u32..300, 0u32..4, 1u32..100), 0..300),
         )
-            .prop_map(|(n, raw)| {
+            .prop_map(|(n, far, near)| {
                 let mut edges = Vec::new();
                 let mut weights = Vec::new();
-                for (a, b, w) in raw {
+                let near = near.into_iter().map(|(a, d, w)| (a, a + d, w));
+                for (a, b, w) in far.into_iter().chain(near) {
                     let (a, b) = (a % n, b % n);
                     edges.push((a, b));
                     weights.push(w);
@@ -448,44 +561,43 @@ mod tests {
             })
     }
 
+    /// A source id: the last vertex (`u32::MAX`), the ends of the first
+    /// word, or anywhere. [`source_of`] reduces it into the graph.
+    fn sources() -> impl Strategy<Value = u32> {
+        prop_oneof![Just(63u32), Just(64), Just(u32::MAX), 0u32..300]
+    }
+
+    fn source_of(g: &Csr, raw: u32) -> u32 {
+        if raw == u32::MAX {
+            g.vertex_count() - 1
+        } else {
+            raw % g.vertex_count()
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The three drivers agree with their serial references on any
         /// graph and from any source.
         #[test]
-        fn drivers_match_the_references_on_any_graph(g in graphs(), src_raw in 0u32..60) {
-            let source = src_raw % g.vertex_count();
-            let bfs = Bfs {
-                graph: g.clone(),
-                source,
-                profile: Bfs::default_profile(),
-                serial_levels: OnceLock::new(),
-            };
-            let cc = ConnectedComponents {
-                graph: g.clone(),
-                profile: ConnectedComponents::default_profile(),
-            };
-            let sp = ShortestPath {
-                graph: g,
-                source,
-                profile: ShortestPath::default_profile(),
-            };
-            prop_assert!(bfs.drive(&mut SecondHalfFirst).is_passed());
-            prop_assert!(cc.drive(&mut SecondHalfFirst).is_passed());
-            prop_assert!(sp.drive(&mut SecondHalfFirst).is_passed());
+        fn drivers_match_the_references_on_any_graph(g in graphs(), src_raw in sources()) {
+            let source = source_of(&g, src_raw);
+            for v in drive_all(&g, source, &mut SecondHalfFirst) {
+                prop_assert!(v.is_passed(), "from {}: {:?}", source, v);
+            }
         }
 
         /// The oracles themselves: component labels are the least id in
         /// their component, and BFS levels are tight along every edge.
         #[test]
-        fn references_are_canonical_and_tight(g in graphs(), src_raw in 0u32..60) {
+        fn references_are_canonical_and_tight(g in graphs(), src_raw in sources()) {
             let labels = reference::components(&g);
             for (v, &l) in labels.iter().enumerate() {
                 prop_assert!(l as usize <= v);
                 prop_assert_eq!(labels[l as usize], l, "label of a label is itself");
             }
-            let dist = reference::bfs_levels(&g, src_raw % g.vertex_count());
+            let dist = reference::bfs_levels(&g, source_of(&g, src_raw));
             for v in 0..g.vertex_count() {
                 for &u in g.neighbors(v) {
                     let (dv, du) = (dist[v as usize], dist[u as usize]);

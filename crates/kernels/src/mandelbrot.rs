@@ -9,6 +9,7 @@
 use crate::profiles::{Calib, Profile};
 use crate::workload::{Invoker, Verification, Workload, WorkloadSpec};
 use easched_sim::{AccessPattern, KernelTraits, Platform};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
@@ -21,6 +22,41 @@ fn escape_time(cx: f64, cy: f64, max_iter: u32) -> u32 {
         y = 2.0 * x * y + cy;
         x = xt;
         iter += 1;
+    }
+    iter
+}
+
+/// Pixels the item body iterates in lock-step.
+pub const LANES: usize = 8;
+
+/// [`escape_time`] of `LANES` points at once.
+///
+/// Each lane makes the scalar loop's IEEE operations in the scalar
+/// loop's order (`x * x` and `y * y` are computed once for the test and
+/// the update, which are the same values) and nothing fuses them, so a
+/// live lane's `x`, `y` and count follow the scalar loop bit for bit. A
+/// lane whose test fails keeps its `x` and `y` by select, so its test
+/// keeps failing and its count stays where the scalar loop stopped. The
+/// `iter < max_iter` test is the step bound: every live lane has
+/// counted every step.
+fn escape_times(cx: &[f64; LANES], cy: &[f64; LANES], max_iter: u32) -> [u32; LANES] {
+    let mut x = [0.0f64; LANES];
+    let mut y = [0.0f64; LANES];
+    let mut iter = [0u32; LANES];
+    for _ in 0..max_iter {
+        let mut live = [false; LANES];
+        for l in 0..LANES {
+            let (xx, yy) = (x[l] * x[l], y[l] * y[l]);
+            live[l] = xx + yy <= 4.0;
+            let xt = xx - yy + cx[l];
+            let yt = 2.0 * x[l] * y[l] + cy[l];
+            x[l] = if live[l] { xt } else { x[l] };
+            y[l] = if live[l] { yt } else { y[l] };
+            iter[l] += u32::from(live[l]);
+        }
+        if !live.contains(&true) {
+            break;
+        }
     }
     iter
 }
@@ -87,12 +123,61 @@ impl Mandelbrot {
         }
     }
 
-    /// Escape time of pixel `i` (row-major).
+    /// Real part of column `x`'s pixel centre.
+    fn re(&self, x: usize) -> f64 {
+        -2.2 + 3.2 * (x as f64 + 0.5) / self.width as f64
+    }
+
+    /// Imaginary part of row `y`'s pixel centre.
+    fn im(&self, y: usize) -> f64 {
+        -1.2 + 2.4 * (y as f64 + 0.5) / self.height as f64
+    }
+
+    /// Escape time of pixel `i` (row-major), one pixel at a time: the
+    /// serial reference.
     fn escape_time_at(&self, i: usize) -> u32 {
-        let (x, y) = (i % self.width, i / self.width);
-        let cx = -2.2 + 3.2 * (x as f64 + 0.5) / self.width as f64;
-        let cy = -1.2 + 2.4 * (y as f64 + 0.5) / self.height as f64;
-        escape_time(cx, cy, self.max_iter)
+        escape_time(
+            self.re(i % self.width),
+            self.im(i / self.width),
+            self.max_iter,
+        )
+    }
+
+    /// Renders pixels `items` into `image`, `LANES` consecutive pixels at
+    /// a time from the range's start (a group may span rows), the last
+    /// `< LANES` one at a time. `cols` and `rows` hold [`Self::re`] and
+    /// [`Self::im`] per column and row.
+    fn render(&self, items: Range<usize>, cols: &[f64], rows: &[f64], image: &[AtomicU32]) {
+        let (mut x, mut y) = (items.start % self.width, items.start / self.width);
+        let mut centre = || {
+            let c = (cols[x], rows[y]);
+            x += 1;
+            if x == self.width {
+                (x, y) = (0, y + 1);
+            }
+            c
+        };
+        let mut i = items.start;
+        while items.end - i >= LANES {
+            let (mut cx, mut cy) = ([0.0; LANES], [0.0; LANES]);
+            for l in 0..LANES {
+                (cx[l], cy[l]) = centre();
+            }
+            let times = escape_times(&cx, &cy, self.max_iter);
+            for (l, &t) in times.iter().enumerate() {
+                debug_assert_eq!(
+                    t,
+                    escape_time(cx[l], cy[l], self.max_iter),
+                    "lane {l} of the group at pixel {i}"
+                );
+                image[i + l].store(t, Ordering::Relaxed);
+            }
+            i += LANES;
+        }
+        for px in &image[i..items.end] {
+            let (cx, cy) = centre();
+            px.store(escape_time(cx, cy, self.max_iter), Ordering::Relaxed);
+        }
     }
 }
 
@@ -120,10 +205,10 @@ impl Workload for Mandelbrot {
     fn drive(&self, invoker: &mut dyn Invoker) -> Verification {
         let n = self.width * self.height;
         let image: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
+        let cols: Vec<f64> = (0..self.width).map(|x| self.re(x)).collect();
+        let rows: Vec<f64> = (0..self.height).map(|y| self.im(y)).collect();
         invoker.invoke(n as u64, &|items| {
-            for i in items {
-                image[i].store(self.escape_time_at(i), Ordering::Relaxed);
-            }
+            self.render(items, &cols, &rows, &image);
         });
         // The serial render must match exactly; also require both interior
         // (max_iter) and escaping pixels to be present — the region straddles
@@ -168,6 +253,45 @@ mod tests {
         // c = 0.26 sits just outside the cardioid cusp: escapes slowly.
         let t = escape_time(0.26, 0.0, 256);
         assert!(t > 5 && t < 256, "t={t}");
+    }
+
+    #[test]
+    fn lock_step_counts_equal_the_scalar_ones() {
+        // Points on and around |c| = 2, in the set, escaping at once,
+        // ones whose orbits overflow to infinity or NaN, and a diagonal
+        // across the rendered region.
+        let specials = [
+            (0.0, 0.0),
+            (2.0, 0.0),
+            (-2.0, 0.0),
+            (0.0, 2.0),
+            (0.26, 0.0),
+            (-0.75, 0.1),
+            (1e200, 0.0),
+            (-1e200, 1e200),
+            (f64::INFINITY, 0.0),
+            (f64::NAN, 0.0),
+            (0.0, f64::NEG_INFINITY),
+            (2.0f64.next_up(), 0.0),
+        ];
+        let diagonal = (0..60).map(|k| (-2.3 + 0.055 * k as f64, -1.25 + 0.04 * k as f64));
+        let points: Vec<(f64, f64)> = specials.into_iter().chain(diagonal).collect();
+        for max_iter in [0, 1, 2, 3, 17, 256] {
+            for group in points.chunks_exact(LANES) {
+                let cx = std::array::from_fn(|l| group[l].0);
+                let cy = std::array::from_fn(|l| group[l].1);
+                let times = escape_times(&cx, &cy, max_iter);
+                for l in 0..LANES {
+                    assert_eq!(
+                        times[l],
+                        escape_time(cx[l], cy[l], max_iter),
+                        "c = ({}, {}), max_iter {max_iter}",
+                        cx[l],
+                        cy[l]
+                    );
+                }
+            }
+        }
     }
 
     #[test]

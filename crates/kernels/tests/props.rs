@@ -4,12 +4,12 @@
 
 use easched_kernels::blackscholes::BlackScholes;
 use easched_kernels::graphs::{Bfs, ConnectedComponents, ShortestPath};
-use easched_kernels::mandelbrot::Mandelbrot;
+use easched_kernels::mandelbrot::{Mandelbrot, LANES};
 use easched_kernels::matmul::MatMul;
 use easched_kernels::nbody::NBody;
 use easched_kernels::seismic::Seismic;
 use easched_kernels::skiplist::SkipList;
-use easched_kernels::workload::{Invoker, Workload};
+use easched_kernels::workload::{Invoker, SerialInvoker, Verification, Workload};
 use easched_sim::noise::splitmix64;
 use proptest::prelude::*;
 use std::ops::Range;
@@ -47,6 +47,51 @@ impl Invoker for ShuffledInvoker {
     }
 }
 
+/// Runs `lead..n` as `inner` cuts it, then `0..lead`: the first range
+/// handed out starts mid-lane-group, and mid-row unless the width
+/// divides `lead`.
+struct AfterALead {
+    lead: usize,
+    inner: ShuffledInvoker,
+}
+
+impl Invoker for AfterALead {
+    fn invoke(&mut self, n: u64, process: &(dyn Fn(Range<usize>) + Sync)) {
+        let lead = self.lead.min(n as usize);
+        self.inner.invoke(n - lead as u64, &|r: Range<usize>| {
+            process(r.start + lead..r.end + lead)
+        });
+        process(0..lead);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any image width (below `LANES`, between its multiples, and
+    /// rows that end mid-group), any iteration budget and any cut of the
+    /// pixels. An image all of one kind fails verification as degenerate
+    /// whatever the order; that verdict is reached only after every
+    /// pixel matched the serial reference, and it must be the serial
+    /// drive's verdict too.
+    #[test]
+    fn mandelbrot_verifies_under_any_order(
+        wpx in prop_oneof![1usize..LANES, 1usize..40],
+        hpx in 1usize..30,
+        max_iter in 1u32..=256,
+        lead in 1usize..LANES,
+        seed in any::<u64>(),
+    ) {
+        let w = Mandelbrot::new(wpx, hpx, max_iter, Mandelbrot::default_profile());
+        let mut invoker = AfterALead { lead, inner: ShuffledInvoker { seed } };
+        let got = w.drive(&mut invoker);
+        if let Verification::Failed(why) = &got {
+            prop_assert!(why.starts_with("degenerate image"), "{}", why);
+        }
+        prop_assert_eq!(got, w.drive(&mut SerialInvoker));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -64,17 +109,6 @@ proptest! {
     #[test]
     fn matmul_verifies_under_any_order(n in 2usize..24, seed in any::<u64>()) {
         let w = MatMul::new(n, seed, MatMul::default_profile());
-        let mut invoker = ShuffledInvoker { seed };
-        prop_assert!(w.drive(&mut invoker).is_passed());
-    }
-
-    #[test]
-    fn mandelbrot_verifies_under_any_order(
-        wpx in 4usize..40,
-        hpx in 4usize..30,
-        seed in any::<u64>(),
-    ) {
-        let w = Mandelbrot::new(wpx, hpx, 48, Mandelbrot::default_profile());
         let mut invoker = ShuffledInvoker { seed };
         prop_assert!(w.drive(&mut invoker).is_passed());
     }
