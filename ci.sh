@@ -340,6 +340,8 @@ persist_formats ;; persist.rs builds a line by hand: LineWriter writes every rec
 grep '^name = ' Cargo.lock | grep -v -e '"easched' -e '"rand"' -e '"proptest"' -e '"crossbeam"' ;; a package beyond the workspace and the three vendored stand-ins: a bench harness besides benchmark/, or a dependency an offline build cannot fetch (DESIGN.md §7)
 s5_undeclared ;; EXPERIMENTS.md §5 cites a lane, metric or workload BENCHMARK.json does not declare
 grep -nE -e '--example [a-z_]+ +--' -e 'examples/[a-z_]+ +[^>|&;]' ci.sh ;; ci.sh hands an example an argument: gates live in easched and the tests, seed matrices in tests
+grep -nE '^ *pub mod ' crates/*/src/lib.rs | grep -vE -e '^crates/kernels/src/lib.rs:[0-9]+:pub mod suite;$' -e '^crates/runtime/src/lib.rs:[0-9]+:pub mod (scheduler|vfs);$' -e '^crates/replay/src/lib.rs:[0-9]+:pub mod overload;$' ;; a public module is a second path to every public item in it, and unreachable_pub cannot see behind it: a crate's API is its root pub use list (DESIGN.md §8; the four exceptions are what benchmark/src imports by module path)
+grep -rnE 'pub use easched_[a-z_]+ as ' crates src examples tests | grep -v '^src/lib.rs:' ;; a crate re-exported inside another is a second path to every public item in it: only the root facade src/lib.rs re-exports the workspace crates (DESIGN.md §8)
 ROWS
 test "$broken" -eq 0
 

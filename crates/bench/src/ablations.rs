@@ -9,10 +9,8 @@ use easched_core::{
     characterize_with_sweeps, CharacterizationConfig, Classifier, EasConfig, EasScheduler,
     Objective, PowerCurve, PowerModel, WorkloadClass,
 };
-use easched_kernels::suite;
-use easched_kernels::workload::InvocationTrace;
-use easched_num::polyfit;
-use easched_num::stats::mean;
+use easched_kernels::{suite, InvocationTrace};
+use easched_num::{mean, polyfit};
 use easched_runtime::replay_trace;
 use easched_sim::{KernelTraits, Machine};
 
@@ -109,7 +107,7 @@ fn study_report(
 }
 
 /// DESIGN.md §5.1 — polynomial order of the power-curve fit (paper: 6).
-pub fn poly_order(lab: &mut Lab) -> Report {
+pub(crate) fn poly_order(lab: &mut Lab) -> Report {
     let ctx = Ctx::new(lab);
     let (_, sweeps) = characterize_with_sweeps(&lab.desktop, &CharacterizationConfig::default());
     let mut rows = Vec::new();
@@ -150,7 +148,7 @@ pub fn poly_order(lab: &mut Lab) -> Report {
 
 /// DESIGN.md §5.2 — α-grid resolution for the objective minimization
 /// (paper: 0.1 steps).
-pub fn grid_resolution(lab: &mut Lab) -> Report {
+pub(crate) fn grid_resolution(lab: &mut Lab) -> Report {
     let ctx = Ctx::new(lab);
     let mut rows = Vec::new();
     for steps in [2usize, 4, 10, 20, 100] {
@@ -178,7 +176,7 @@ pub fn grid_resolution(lab: &mut Lab) -> Report {
 
 /// DESIGN.md §5.3 — eight workload categories vs a single pooled power
 /// curve.
-pub fn categories(lab: &mut Lab) -> Report {
+pub(crate) fn categories(lab: &mut Lab) -> Report {
     let ctx = Ctx::new(lab);
     let (_, sweeps) = characterize_with_sweeps(&lab.desktop, &CharacterizationConfig::default());
 
@@ -229,7 +227,7 @@ pub fn categories(lab: &mut Lab) -> Report {
 
 /// DESIGN.md §5.4 — profiling strategy: fraction profiled and convergence
 /// stopping.
-pub fn profile_strategy(lab: &mut Lab) -> Report {
+pub(crate) fn profile_strategy(lab: &mut Lab) -> Report {
     let ctx = Ctx::new(lab);
     let mut rows = Vec::new();
     for (fraction, stable, label) in [
@@ -255,7 +253,7 @@ pub fn profile_strategy(lab: &mut Lab) -> Report {
 }
 
 /// DESIGN.md §5.5 — sample-weighted α accumulation vs last-value.
-pub fn accumulation(lab: &mut Lab) -> Report {
+pub(crate) fn accumulation(lab: &mut Lab) -> Report {
     let ctx = Ctx::new(lab);
     let mut rows = Vec::new();
     for (acc, label) in [
@@ -281,7 +279,7 @@ pub fn accumulation(lab: &mut Lab) -> Report {
 }
 
 /// DESIGN.md §5.6 — classifier threshold sensitivity.
-pub fn thresholds(lab: &mut Lab) -> Report {
+pub(crate) fn thresholds(lab: &mut Lab) -> Report {
     let ctx = Ctx::new(lab);
     let mut rows = Vec::new();
     for (mem, short, label) in [
@@ -313,7 +311,7 @@ pub fn thresholds(lab: &mut Lab) -> Report {
 /// Extension study: a kernel whose device balance *drifts* mid-run — the
 /// case §3.1 motivates with "for workloads where the same kernel behaves
 /// differently over time, we repeat profiling".
-pub fn drift(lab: &mut Lab) -> Report {
+pub(crate) fn drift(lab: &mut Lab) -> Report {
     use easched_runtime::Scheduler;
 
     let platform = &lab.desktop;
@@ -343,7 +341,7 @@ pub fn drift(lab: &mut Lab) -> Report {
     // Drift-aware fixed-α oracle over the whole run.
     let mut oracle = f64::INFINITY;
     for i in 0..=10 {
-        let mut fixed = easched_runtime::scheduler::FixedAlpha::new(i as f64 / 10.0);
+        let mut fixed = easched_runtime::FixedAlpha::new(i as f64 / 10.0);
         oracle = oracle.min(run_pair(&mut fixed));
     }
 
@@ -378,7 +376,7 @@ pub fn drift(lab: &mut Lab) -> Report {
 }
 
 /// Runs every ablation study.
-pub fn all(lab: &mut Lab) -> Vec<Report> {
+pub(crate) fn all(lab: &mut Lab) -> Vec<Report> {
     vec![
         poly_order(lab),
         grid_resolution(lab),

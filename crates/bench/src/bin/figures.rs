@@ -16,70 +16,8 @@
 //! Artifacts are written to `results/` (CSV + per-experiment markdown) and a
 //! combined `results/SUMMARY.md`.
 
-use easched_bench::{ablations, chaos, experiments, telemetry, Lab, Report};
+use easched_bench::{run_experiment, Lab, EXPERIMENTS};
 use std::path::{Path, PathBuf};
-
-fn run_one(lab: &mut Lab, name: &str) -> Option<Vec<Report>> {
-    let report = match name {
-        "fig1" => experiments::fig1(lab),
-        "fig2" => experiments::fig2(lab),
-        "fig3" => experiments::fig3(lab),
-        "fig4" => experiments::fig4(lab),
-        "fig5" => experiments::fig5(lab),
-        "fig6" => experiments::fig6(lab),
-        "table1" => experiments::table1(lab),
-        "fig9" => experiments::fig9(lab),
-        "fig10" => experiments::fig10(lab),
-        "fig11" => experiments::fig11(lab),
-        "fig12" => experiments::fig12(lab),
-        "ed2" => experiments::ed2(lab),
-        "tdp" => experiments::tdp(lab),
-        "model-error" => experiments::model_error(lab),
-        "trace-eas" => experiments::trace_eas(lab),
-        "ablation-poly" => ablations::poly_order(lab),
-        "ablation-grid" => ablations::grid_resolution(lab),
-        "ablation-categories" => ablations::categories(lab),
-        "ablation-profile" => ablations::profile_strategy(lab),
-        "ablation-accum" => ablations::accumulation(lab),
-        "ablation-thresholds" => ablations::thresholds(lab),
-        "ablation-drift" => ablations::drift(lab),
-        "chaos" => chaos::chaos(lab),
-        "telemetry" => telemetry::telemetry(lab),
-        "all" => return Some(experiments::all(lab)),
-        "ablations" => return Some(ablations::all(lab)),
-        _ => return None,
-    };
-    Some(vec![report])
-}
-
-const EXPERIMENTS: &[&str] = &[
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "table1",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "ed2",
-    "tdp",
-    "model-error",
-    "trace-eas",
-    "ablation-poly",
-    "ablation-grid",
-    "ablation-categories",
-    "ablation-profile",
-    "ablation-accum",
-    "ablation-thresholds",
-    "ablation-drift",
-    "chaos",
-    "telemetry",
-    "all",
-    "ablations",
-];
 
 #[allow(clippy::disallowed_methods)] // the flag parser
 fn main() {
@@ -116,7 +54,7 @@ fn main() {
 
     for name in &args {
         let started = std::time::Instant::now();
-        match run_one(&mut lab, name) {
+        match run_experiment(&mut lab, name) {
             Some(reports) => {
                 for report in reports {
                     report

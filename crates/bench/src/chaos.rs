@@ -15,8 +15,8 @@ use crate::report::{csv, md_table, pct, Report};
 use crate::Lab;
 use easched_core::{EasConfig, EasScheduler, Objective};
 use easched_kernels::suite;
-use easched_num::stats::mean;
-use easched_runtime::chaos::{run_workload_chaos, ChaosInjector, FaultPlan};
+use easched_num::mean;
+use easched_runtime::{run_workload_chaos, ChaosInjector, FaultPlan};
 use easched_sim::Machine;
 
 /// Seed of the study's random fault plans; `results/chaos.csv` is a
@@ -39,7 +39,7 @@ struct Tally {
 /// DESIGN.md §9 — graceful degradation under observation faults: per-plan
 /// mean EDP efficiency vs the fault-free scheduler, plus the health
 /// telemetry that explains where the lost energy went.
-pub fn chaos(lab: &mut Lab) -> Report {
+pub(crate) fn chaos(lab: &mut Lab) -> Report {
     let objective = Objective::EnergyDelay;
     let mut report = Report::new(
         "chaos",
@@ -51,11 +51,14 @@ pub fn chaos(lab: &mut Lab) -> Report {
     let mut clean_scores: Vec<f64> = Vec::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
     let clean = ("clean".to_string(), FaultPlan::None);
+    // One suite for every plan: each workload computes its serial
+    // reference on its first drive and reuses it for the other plans.
+    let workloads = suite::desktop_suite();
     for (name, plan) in std::iter::once(clean).chain(FaultPlan::matrix(CHAOS_SEED)) {
         let mut effs = Vec::new();
         let mut scores = Vec::new();
         let mut tally = Tally::default();
-        for (i, w) in suite::desktop_suite().iter().enumerate() {
+        for (i, w) in workloads.iter().enumerate() {
             let mut machine = Machine::new(lab.desktop.clone());
             let mut eas =
                 EasScheduler::new(lab.desktop_model.clone(), EasConfig::new(objective.clone()));

@@ -5,18 +5,15 @@
 //! the paper's figures; `EXPERIMENTS.md` records the comparisons.
 
 use crate::report::{compare_line, csv, md_table, pct, Report};
-use easched_core::telemetry::DecisionCsvSink;
 use easched_core::{
     characterize_with_sweeps, CharacterizationConfig, Classifier, EasConfig, EasScheduler,
     Evaluator, Objective, PowerModel, WorkloadComparison,
 };
-use easched_kernels::microbench::MicroBenchmark;
-use easched_kernels::suite;
-use easched_kernels::workload::{record_trace, InvocationTrace, Workload};
-use easched_num::stats::mean;
-use easched_runtime::scheduler::FixedAlpha;
-use easched_runtime::{replay_trace, Backend, SimBackend};
+use easched_kernels::{record_trace, suite, InvocationTrace, MicroBenchmark, Workload};
+use easched_num::mean;
+use easched_runtime::{replay_trace, Backend, FixedAlpha, SimBackend};
 use easched_sim::{Machine, PhasePlan, Platform};
+use easched_telemetry::DecisionCsvSink;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -25,13 +22,13 @@ use std::sync::Arc;
 /// executes functionally once).
 pub struct Lab {
     /// The Haswell desktop platform.
-    pub desktop: Platform,
+    pub(crate) desktop: Platform,
     /// The Bay Trail tablet platform.
-    pub tablet: Platform,
+    pub(crate) tablet: Platform,
     /// Desktop power model.
-    pub desktop_model: PowerModel,
+    pub(crate) desktop_model: PowerModel,
     /// Tablet power model.
-    pub tablet_model: PowerModel,
+    pub(crate) tablet_model: PowerModel,
     traces: HashMap<String, InvocationTrace>,
 }
 
@@ -54,7 +51,7 @@ impl Lab {
 
     /// Records (and caches) the invocation trace of a workload, asserting
     /// functional verification.
-    pub fn trace(&mut self, key: &str, workload: &dyn Workload) -> InvocationTrace {
+    pub(crate) fn trace(&mut self, key: &str, workload: &dyn Workload) -> InvocationTrace {
         if let Some(t) = self.traces.get(key) {
             return t.clone();
         }
@@ -83,7 +80,7 @@ impl Default for Lab {
 }
 
 /// Figure 1: Connected Components energy/time vs GPU offload on the desktop.
-pub fn fig1(lab: &mut Lab) -> Report {
+pub(crate) fn fig1(lab: &mut Lab) -> Report {
     let mut report = Report::new("fig1", "CC energy & performance vs GPU offload (desktop)");
     let cc = suite::cc_desktop();
     let trace = lab.trace("cc-desktop", cc.as_ref());
@@ -160,7 +157,7 @@ fn traced_micro_run(
 
 /// Figure 2: package power over time, memory-bound workload at 90-10
 /// GPU-CPU split, on both platforms.
-pub fn fig2(lab: &mut Lab) -> Report {
+pub(crate) fn fig2(lab: &mut Lab) -> Report {
     let mut report = Report::new(
         "fig2",
         "Package power over time, memory-bound 90-10 GPU-CPU split",
@@ -181,7 +178,7 @@ pub fn fig2(lab: &mut Lab) -> Report {
 
 /// Figure 3: power over time for long-running compute- vs memory-bound
 /// micro-benchmarks (desktop).
-pub fn fig3(lab: &mut Lab) -> Report {
+pub(crate) fn fig3(lab: &mut Lab) -> Report {
     let mut report = Report::new("fig3", "Compute vs memory-bound power traces (desktop)");
     let mut combined = Vec::new();
     for (memory, name) in [(false, "compute"), (true, "memory")] {
@@ -222,7 +219,7 @@ pub fn fig3(lab: &mut Lab) -> Report {
 
 /// Figure 4: ten short GPU bursts (α = 0.05) dropping package power below
 /// 40 W on the desktop.
-pub fn fig4(lab: &mut Lab) -> Report {
+pub(crate) fn fig4(lab: &mut Lab) -> Report {
     let mut report = Report::new("fig4", "Short GPU bursts drop package power (desktop)");
     let micro = MicroBenchmark::for_platform(&lab.desktop, true, false, false);
     let mut machine = Machine::new(lab.desktop.clone());
@@ -336,12 +333,12 @@ fn characterization_figure(id: &str, platform: &Platform) -> Report {
 }
 
 /// Figure 5: desktop power characterization.
-pub fn fig5(lab: &mut Lab) -> Report {
+pub(crate) fn fig5(lab: &mut Lab) -> Report {
     characterization_figure("fig5", &lab.desktop)
 }
 
 /// Figure 6: Bay Trail power characterization.
-pub fn fig6(lab: &mut Lab) -> Report {
+pub(crate) fn fig6(lab: &mut Lab) -> Report {
     let mut r = characterization_figure("fig6", &lab.tablet);
     // The paper's §2 observation: on Bay Trail memory-bound work draws LESS
     // power than compute-bound.
@@ -362,7 +359,7 @@ pub fn fig6(lab: &mut Lab) -> Report {
 
 /// Expected Table 1 classification per benchmark: (abbrev, regular,
 /// memory-bound, cpu_short, gpu_short).
-pub const TABLE1_EXPECTED: [(&str, bool, bool, bool, bool); 12] = [
+pub(crate) const TABLE1_EXPECTED: [(&str, bool, bool, bool, bool); 12] = [
     ("BH", false, true, false, false),
     ("BFS", false, true, true, true),
     ("CC", false, true, true, true),
@@ -378,7 +375,7 @@ pub const TABLE1_EXPECTED: [(&str, bool, bool, bool, bool); 12] = [
 ];
 
 /// Table 1: per-benchmark invocation counts and runtime classification.
-pub fn table1(lab: &mut Lab) -> Report {
+pub(crate) fn table1(lab: &mut Lab) -> Report {
     let mut report = Report::new(
         "table1",
         "Benchmark statistics and classification (both platforms)",
@@ -494,15 +491,15 @@ fn classify_suite(
 
 /// Paper-reported average efficiencies for Figures 9–12.
 #[derive(Debug, Clone, Copy)]
-pub struct PaperAverages {
+pub(crate) struct PaperAverages {
     /// CPU-alone mean efficiency (None where the paper gives no number).
-    pub cpu: Option<f64>,
+    pub(crate) cpu: Option<f64>,
     /// GPU-alone mean efficiency.
-    pub gpu: Option<f64>,
+    pub(crate) gpu: Option<f64>,
     /// PERF mean efficiency.
-    pub perf: Option<f64>,
+    pub(crate) perf: Option<f64>,
     /// EAS mean efficiency.
-    pub eas: Option<f64>,
+    pub(crate) eas: Option<f64>,
 }
 
 /// One scheme-efficiency figure (9, 10, 11, or 12).
@@ -608,7 +605,7 @@ fn efficiency_figure(
 }
 
 /// Figure 9: relative EDP efficiency vs Oracle, desktop.
-pub fn fig9(lab: &mut Lab) -> Report {
+pub(crate) fn fig9(lab: &mut Lab) -> Report {
     efficiency_figure(
         "fig9",
         "Relative energy-delay product efficiency vs Oracle (desktop)",
@@ -625,7 +622,7 @@ pub fn fig9(lab: &mut Lab) -> Report {
 }
 
 /// Figure 10: relative energy-use efficiency vs Oracle, desktop.
-pub fn fig10(lab: &mut Lab) -> Report {
+pub(crate) fn fig10(lab: &mut Lab) -> Report {
     efficiency_figure(
         "fig10",
         "Relative energy-use efficiency vs Oracle (desktop)",
@@ -642,7 +639,7 @@ pub fn fig10(lab: &mut Lab) -> Report {
 }
 
 /// Figure 11: relative EDP efficiency vs Oracle, Bay Trail.
-pub fn fig11(lab: &mut Lab) -> Report {
+pub(crate) fn fig11(lab: &mut Lab) -> Report {
     // Paper gives EAS = 93.2% and relative gaps: +4.4% over PERF, +19.6%
     // over GPU, +85.9% over CPU.
     efficiency_figure(
@@ -661,7 +658,7 @@ pub fn fig11(lab: &mut Lab) -> Report {
 }
 
 /// Figure 12: relative energy-use efficiency vs Oracle, Bay Trail.
-pub fn fig12(lab: &mut Lab) -> Report {
+pub(crate) fn fig12(lab: &mut Lab) -> Report {
     efficiency_figure(
         "fig12",
         "Relative energy-use efficiency vs Oracle (Bay Trail)",
@@ -679,7 +676,7 @@ pub fn fig12(lab: &mut Lab) -> Report {
 
 /// Extension: the ED² metric the paper names for HPC use (§1) but does not
 /// evaluate — same harness, third objective.
-pub fn ed2(lab: &mut Lab) -> Report {
+pub(crate) fn ed2(lab: &mut Lab) -> Report {
     let mut r = efficiency_figure(
         "ed2",
         "Relative ED² efficiency vs Oracle (desktop) — extension",
@@ -703,7 +700,7 @@ pub fn ed2(lab: &mut Lab) -> Report {
 /// chip-level power budget" made explicit. Combined execution throttles
 /// (45 W < the 55–63 W combined points), so hybrid splits lose some of
 /// their appeal and the schemes shift.
-pub fn tdp(lab: &mut Lab) -> Report {
+pub(crate) fn tdp(lab: &mut Lab) -> Report {
     let mut report = Report::new(
         "tdp",
         "Scheme efficiency under a binding 45 W package TDP (extension)",
@@ -771,7 +768,7 @@ pub fn tdp(lab: &mut Lab) -> Report {
 /// predictions are compared against measured fixed-α run times for a
 /// CC-like kernel. The tail-phase error (the tail runs uncontended, faster
 /// than the combined-mode rates predict) is the main EAS-vs-Oracle gap.
-pub fn model_error(lab: &mut Lab) -> Report {
+pub(crate) fn model_error(lab: &mut Lab) -> Report {
     use easched_core::TimeModel;
     let mut report = Report::new(
         "model-error",
@@ -831,7 +828,7 @@ pub fn model_error(lab: &mut Lab) -> Report {
 /// Diagnostic: the package power trace of a full EAS-scheduled execution,
 /// showing the profiling phase and the steady split — the runtime-level
 /// analogue of Figures 2–4.
-pub fn trace_eas(lab: &mut Lab) -> Report {
+pub(crate) fn trace_eas(lab: &mut Lab) -> Report {
     let mut report = Report::new(
         "trace-eas",
         "Package power during an EAS-scheduled run (diagnostic)",
@@ -863,7 +860,7 @@ pub fn trace_eas(lab: &mut Lab) -> Report {
 }
 
 /// Runs every experiment in order.
-pub fn all(lab: &mut Lab) -> Vec<Report> {
+pub(crate) fn all(lab: &mut Lab) -> Vec<Report> {
     vec![
         fig1(lab),
         fig2(lab),

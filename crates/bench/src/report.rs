@@ -15,12 +15,12 @@ pub struct Report {
     /// Markdown body: measured results and paper-vs-measured notes.
     pub markdown: String,
     /// CSV artifacts: `(file stem, contents)`.
-    pub csv: Vec<(String, String)>,
+    pub(crate) csv: Vec<(String, String)>,
 }
 
 impl Report {
     /// Creates an empty report.
-    pub fn new(id: impl Into<String>, title: impl Into<String>) -> Report {
+    pub(crate) fn new(id: impl Into<String>, title: impl Into<String>) -> Report {
         Report {
             id: id.into(),
             title: title.into(),
@@ -30,13 +30,13 @@ impl Report {
     }
 
     /// Appends a markdown line.
-    pub fn line(&mut self, s: impl AsRef<str>) {
+    pub(crate) fn line(&mut self, s: impl AsRef<str>) {
         self.markdown.push_str(s.as_ref());
         self.markdown.push('\n');
     }
 
     /// Attaches a CSV artifact.
-    pub fn attach_csv(&mut self, stem: impl Into<String>, contents: String) {
+    pub(crate) fn attach_csv(&mut self, stem: impl Into<String>, contents: String) {
         self.csv.push((stem.into(), contents));
     }
 
@@ -64,15 +64,7 @@ impl Report {
 }
 
 /// Builds a CSV string from a header and rows of formatted cells.
-///
-/// # Examples
-///
-/// ```
-/// use easched_bench::report::csv;
-/// let s = csv(&["a", "b"], &[vec!["1".into(), "2".into()]]);
-/// assert_eq!(s, "a,b\n1,2\n");
-/// ```
-pub fn csv(header: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn csv(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = header.join(",");
     out.push('\n');
     for row in rows {
@@ -83,14 +75,7 @@ pub fn csv(header: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Builds a markdown table.
-///
-/// ```
-/// use easched_bench::report::md_table;
-/// let t = md_table(&["x", "y"], &[vec!["1".into(), "2".into()]]);
-/// assert!(t.contains("| x | y |"));
-/// assert!(t.contains("| 1 | 2 |"));
-/// ```
-pub fn md_table(header: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn md_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "| {} |", header.join(" | "));
     let _ = writeln!(
@@ -105,18 +90,31 @@ pub fn md_table(header: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Formats a ratio as a percentage string like `"96.2%"`.
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
 /// A paper-vs-measured comparison row.
-pub fn compare_line(what: &str, paper: &str, measured: &str) -> String {
+pub(crate) fn compare_line(what: &str, paper: &str, measured: &str) -> String {
     format!("- **{what}** — paper: {paper}; measured: {measured}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn csv_joins_header_and_rows() {
+        let s = csv(&["a", "b"], &[vec!["1".into(), "2".into()]]);
+        assert_eq!(s, "a,b\n1,2\n");
+    }
+
+    #[test]
+    fn md_table_renders_header_and_rows() {
+        let t = md_table(&["x", "y"], &[vec!["1".into(), "2".into()]]);
+        assert!(t.contains("| x | y |"));
+        assert!(t.contains("| 1 | 2 |"));
+    }
 
     #[test]
     fn csv_shapes() {

@@ -13,10 +13,10 @@
 
 use crate::experiments::Lab;
 use crate::report::{csv, md_table, pct, Report};
-use easched_core::telemetry::{model_drift, DecisionRecord};
-use easched_core::{EasConfig, EasRuntime, EasScheduler, Objective, RingSink, TelemetrySink};
+use easched_core::{EasConfig, EasRuntime, EasScheduler, Objective};
 use easched_kernels::suite;
 use easched_runtime::kernel_id_of;
+use easched_telemetry::{model_drift, DecisionRecord, RingSink, TelemetrySink};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -25,7 +25,7 @@ use std::sync::Arc;
 /// `model-error` experiment), so healthy drift on the desktop suite peaks
 /// near 0.56 (NB); a breach means the model or the telemetry plumbing
 /// regressed.
-pub const MAX_MEAN_EDP_DRIFT: f64 = 0.75;
+pub(crate) const MAX_MEAN_EDP_DRIFT: f64 = 0.75;
 
 /// Structural defects that make a record unusable for analysis. A fresh
 /// in-process ring can only produce these through a plumbing bug, so the
@@ -95,7 +95,7 @@ fn audit_or_abort(records: &[DecisionRecord]) {
 
 /// The `figures telemetry` experiment: desktop suite under EAS with
 /// tracing on, and the per-kernel drift table.
-pub fn telemetry(lab: &mut Lab) -> Report {
+pub(crate) fn telemetry(lab: &mut Lab) -> Report {
     let mut report = Report::new(
         "telemetry",
         "Decision telemetry and model drift (desktop suite, EnergyDelay)",

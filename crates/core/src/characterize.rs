@@ -12,7 +12,7 @@
 
 use crate::classify::WorkloadClass;
 use crate::power_model::{PowerCurve, PowerModel};
-use easched_kernels::microbench::{characterization_suite, MicroBenchmark};
+use easched_kernels::{characterization_suite, MicroBenchmark};
 use easched_num::polyfit;
 use easched_sim::{EnergyCounter, Machine, PhasePlan, Platform};
 use std::error::Error;
@@ -74,7 +74,7 @@ pub struct SweepPoint {
     /// Measured average package power, watts.
     pub watts: f64,
     /// Run duration, seconds.
-    pub seconds: f64,
+    pub(crate) seconds: f64,
 }
 
 /// The raw sweep for one micro-benchmark, kept for figure regeneration.
@@ -90,7 +90,7 @@ pub struct CategorySweep {
 
 /// Runs one micro-benchmark at one offload ratio on a fresh machine and
 /// measures average package power through the energy register.
-pub fn measure_point(
+pub(crate) fn measure_point(
     platform: &Platform,
     micro: &MicroBenchmark,
     alpha: f64,
@@ -113,7 +113,7 @@ pub fn measure_point(
 }
 
 /// Sweeps one micro-benchmark over the α grid.
-pub fn sweep_category(
+pub(crate) fn sweep_category(
     platform: &Platform,
     micro: &MicroBenchmark,
     config: &CharacterizationConfig,
@@ -147,30 +147,8 @@ pub fn sweep_category(
     }
 }
 
-/// Fits a [`PowerCurve`] to a sweep.
-///
-/// # Panics
-///
-/// Panics if the sweep has fewer points than the fit needs (configuration
-/// error); use [`try_fit_curve_with_r2`] for a recoverable path.
-pub fn fit_curve(sweep: &CategorySweep, poly_order: usize) -> PowerCurve {
-    let (curve, _) = fit_curve_with_r2(sweep, poly_order);
-    curve
-}
-
-/// Like [`fit_curve`], also returning the fit's R² (for the figure
-/// harness's quality report).
-///
-/// # Panics
-///
-/// Panics on an unfittable sweep; use [`try_fit_curve_with_r2`] for a
-/// recoverable path.
-pub fn fit_curve_with_r2(sweep: &CategorySweep, poly_order: usize) -> (PowerCurve, f64) {
-    try_fit_curve_with_r2(sweep, poly_order).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible core of [`fit_curve_with_r2`]: fits the sweep's power curve,
-/// reporting a degenerate sweep as an error instead of panicking.
+/// Fits the sweep's power curve and reports its R², returning a
+/// degenerate sweep as an error instead of panicking.
 ///
 /// # Errors
 ///
@@ -217,8 +195,7 @@ pub fn try_fit_curve_with_r2(
 /// # Panics
 ///
 /// Panics on an unfittable sweep (a configuration with fewer than
-/// `poly_order + 1` sweep points); use [`try_characterize`] for a
-/// recoverable path.
+/// `poly_order + 1` sweep points).
 pub fn characterize(platform: &Platform, config: &CharacterizationConfig) -> PowerModel {
     try_characterize(platform, config).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -230,7 +207,7 @@ pub fn characterize(platform: &Platform, config: &CharacterizationConfig) -> Pow
 ///
 /// [`CharacterizeError::DegenerateSweep`] for the first category whose
 /// sweep cannot be fit.
-pub fn try_characterize(
+pub(crate) fn try_characterize(
     platform: &Platform,
     config: &CharacterizationConfig,
 ) -> Result<PowerModel, CharacterizeError> {
@@ -242,8 +219,7 @@ pub fn try_characterize(
 ///
 /// # Panics
 ///
-/// Panics on an unfittable sweep; use [`try_characterize_with_sweeps`]
-/// for a recoverable path.
+/// Panics on an unfittable sweep.
 pub fn characterize_with_sweeps(
     platform: &Platform,
     config: &CharacterizationConfig,
@@ -257,7 +233,7 @@ pub fn characterize_with_sweeps(
 ///
 /// [`CharacterizeError::DegenerateSweep`] for the first category whose
 /// sweep cannot be fit.
-pub fn try_characterize_with_sweeps(
+pub(crate) fn try_characterize_with_sweeps(
     platform: &Platform,
     config: &CharacterizationConfig,
 ) -> Result<(PowerModel, Vec<CategorySweep>), CharacterizeError> {
@@ -275,7 +251,7 @@ pub fn try_characterize_with_sweeps(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use easched_kernels::microbench::MicroBenchmark;
+    use easched_kernels::MicroBenchmark;
 
     fn quiet(mut p: Platform) -> Platform {
         p.pcu.measurement_noise = 0.0;
@@ -338,7 +314,7 @@ mod tests {
         let micro = MicroBenchmark::new(true, false, false);
         let config = CharacterizationConfig::default();
         let sweep = sweep_category(&p, &micro, &config);
-        let curve = fit_curve(&sweep, 6);
+        let (curve, _) = try_fit_curve_with_r2(&sweep, 6).unwrap();
         // Noise-free sweep: the fit should track within a couple of watts.
         for pt in &sweep.points {
             assert!(

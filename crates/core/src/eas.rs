@@ -36,8 +36,9 @@ use crate::power_model::PowerModel;
 use crate::seed::RunSeed;
 use crate::selfheal::{DriftPolicy, WatchdogPolicy};
 use crate::shared::SharedEas;
-use easched_runtime::vfs::{StdFs, Vfs};
-use easched_runtime::{Backend, Clock, InvocationCtx, KernelId, Observation, Scheduler};
+use easched_runtime::{
+    Backend, Clock, InvocationCtx, KernelId, Observation, Scheduler, StdFs, Vfs,
+};
 use easched_telemetry::TelemetrySink;
 use std::ops::Deref;
 use std::path::Path;
@@ -89,7 +90,7 @@ pub struct EasConfig {
     /// Fault-handling policy: retry budget for rejected profiling rounds
     /// and the GPU circuit breaker's trip/quarantine parameters (see
     /// [`FaultPolicy`]).
-    pub fault: FaultPolicy,
+    pub(crate) fault: FaultPolicy,
     /// Drift-response policy: when sustained predicted-vs-realized EDP
     /// drift re-profiles a kernel (see [`DriftPolicy`]; DESIGN.md §11).
     pub drift: DriftPolicy,
@@ -101,7 +102,7 @@ pub struct EasConfig {
     /// should derive from it by name (see [`RunSeed`]). Recorded in a
     /// `RunLog`'s header, and part of the config fingerprint a replay
     /// checks.
-    pub seed: RunSeed,
+    pub(crate) seed: RunSeed,
 }
 
 impl EasConfig {
@@ -284,7 +285,7 @@ mod tests {
     use crate::classify::WorkloadClass;
     use crate::power_model::PowerCurve;
     use easched_num::Polynomial;
-    use easched_runtime::backend::test_support::FakeBackend;
+    use easched_runtime::test_support::FakeBackend;
 
     /// A flat power model: every class draws `watts` at any α, except that
     /// CPU-heavier mixes can be made pricier via `slope` (power =
@@ -376,7 +377,7 @@ mod tests {
         let eas = EasScheduler::new(linear_model(50.0, 0.0), EasConfig::new(Objective::Time));
         // Step 26 as the loop performs it, under the configured strategy.
         let accumulate = |kernel, alpha, weight| {
-            let strategy = eas.engine().config().accumulation;
+            let strategy = eas.state.engine.config().accumulation;
             eas.table().accumulate(kernel, alpha, weight, strategy);
         };
         accumulate(5, 1.0, 100.0);

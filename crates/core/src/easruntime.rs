@@ -9,11 +9,10 @@
 //! into and reuse one global kernel table G.
 
 use crate::eas::{EasConfig, EasScheduler};
-use crate::journal::StoreError;
 use crate::power_model::PowerModel;
 use crate::shared::{EasHandle, SharedEas, SharedEasExt};
 use easched_kernels::{Verification, Workload};
-use easched_runtime::{run_workload, KernelId, RunMetrics};
+use easched_runtime::{run_workload, RunMetrics};
 use easched_sim::{Machine, Platform};
 use std::sync::Arc;
 
@@ -105,12 +104,6 @@ impl EasRuntime {
         }
     }
 
-    /// Forces a snapshot + journal compaction of the underlying store;
-    /// no-op when the scheduler has no persistence.
-    pub fn checkpoint(&self) -> Result<(), StoreError> {
-        self.scheduler().checkpoint()
-    }
-
     /// Runs a workload to completion (functional execution + verification),
     /// partitioning every kernel invocation with EAS.
     pub fn run(&mut self, workload: &dyn Workload) -> RunOutcome {
@@ -131,21 +124,11 @@ impl EasRuntime {
         self.driver.shared()
     }
 
-    /// The learned offload ratio for a kernel, if any.
-    pub fn learned_alpha(&self, kernel: KernelId) -> Option<f64> {
-        self.scheduler().learned_alpha(kernel)
-    }
-
     /// Fault-pipeline telemetry from the underlying scheduler (for a
     /// shared runtime the report aggregates every stream driving the same
     /// `Arc<SharedEas>`).
     pub fn health(&self) -> crate::health::HealthReport {
         self.scheduler().health()
-    }
-
-    /// The machine's current virtual time, seconds.
-    pub fn now(&self) -> f64 {
-        self.machine.now()
     }
 }
 
@@ -200,9 +183,9 @@ mod tests {
     #[test]
     fn clock_advances_monotonically() {
         let mut rt = runtime();
-        let t0 = rt.now();
+        let t0 = rt.machine.now();
         rt.run(suite::blackscholes_small().as_ref());
-        assert!(rt.now() > t0);
+        assert!(rt.machine.now() > t0);
     }
 
     #[test]
@@ -224,12 +207,16 @@ mod tests {
         // Same machine, same policy, same workload → identical outcome.
         assert_eq!(a, b);
         assert_eq!(
-            exclusive.learned_alpha(easched_runtime::kernel_id_of(
-                suite::blackscholes_small().as_ref()
-            )),
-            shared.learned_alpha(easched_runtime::kernel_id_of(
-                suite::blackscholes_small().as_ref()
-            )),
+            exclusive
+                .scheduler()
+                .learned_alpha(easched_runtime::kernel_id_of(
+                    suite::blackscholes_small().as_ref()
+                )),
+            shared
+                .scheduler()
+                .learned_alpha(easched_runtime::kernel_id_of(
+                    suite::blackscholes_small().as_ref()
+                )),
         );
     }
 

@@ -74,7 +74,7 @@ pub struct AlphaSegment {
     /// Largest ρ the segment answers.
     pub rho_hi: f64,
     /// The grid sample the evaluated search returns over the segment.
-    pub alpha: f64,
+    pub(crate) alpha: f64,
 }
 
 /// The pure per-observation decision procedure: configuration + power
@@ -155,11 +155,6 @@ impl DecisionEngine {
     /// The characterized power model the engine decides against.
     pub fn model(&self) -> &PowerModel {
         &self.model
-    }
-
-    /// The observation guard (plausibility bounds derived from the model).
-    pub fn guard(&self) -> &ObservationGuard {
-        &self.guard
     }
 
     /// Validates an observation before it may influence a decision:
@@ -403,11 +398,11 @@ impl DecisionEngine {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Prediction {
     /// Predicted package power at the chosen α, watts.
-    pub power: f64,
+    pub(crate) power: f64,
     /// Predicted remainder execution time at the chosen α, seconds.
-    pub time: f64,
+    pub(crate) time: f64,
     /// OBJ(P(α), T(α)) — the value the minimizer selected.
-    pub objective: f64,
+    pub(crate) objective: f64,
 }
 
 // The engine is shared across threads by design; fail the build if a field

@@ -64,7 +64,7 @@ pub enum FaultKind {
     CounterCorrupt,
     /// The watchdog cancelled the round: it ran past the hard deadline on
     /// a profiling observation (DESIGN.md §11). Never produced by
-    /// [`ObservationGuard::vet`] itself — the profile loop synthesizes it
+    /// the observation guard itself — the profile loop synthesizes it
     /// when a round overruns — but it flows through the same rejection
     /// path: retry with a backed-off chunk, degrade past the budget.
     DeadlineExceeded,
@@ -74,7 +74,7 @@ impl FaultKind {
     /// Whether this fault implicates the GPU itself (rather than a
     /// sensor): these drive the circuit breaker toward CPU-only
     /// degradation, while sensor faults only trigger retries.
-    pub fn implicates_gpu(self) -> bool {
+    pub(crate) fn implicates_gpu(self) -> bool {
         matches!(
             self,
             FaultKind::GpuSilent | FaultKind::ImplausibleGpuRate | FaultKind::DeadlineExceeded
@@ -82,7 +82,7 @@ impl FaultKind {
     }
 
     /// Stable numeric code used in telemetry records and trace exports.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             FaultKind::NonFinite => 0,
             FaultKind::GpuSilent => 1,
@@ -93,21 +93,6 @@ impl FaultKind {
             FaultKind::CounterCorrupt => 6,
             FaultKind::DeadlineExceeded => 7,
         }
-    }
-
-    /// Decodes a telemetry fault code; unknown codes map to `None`.
-    pub fn from_code(code: u8) -> Option<FaultKind> {
-        Some(match code {
-            0 => FaultKind::NonFinite,
-            1 => FaultKind::GpuSilent,
-            2 => FaultKind::ImplausibleCpuRate,
-            3 => FaultKind::ImplausibleGpuRate,
-            4 => FaultKind::EnergyDropout,
-            5 => FaultKind::EnergyImplausible,
-            6 => FaultKind::CounterCorrupt,
-            7 => FaultKind::DeadlineExceeded,
-            _ => return None,
-        })
     }
 }
 
@@ -128,28 +113,8 @@ impl fmt::Display for FaultKind {
 }
 
 /// Plausibility bounds for observations on one platform.
-///
-/// # Examples
-///
-/// ```
-/// use easched_core::{ObservationGuard, FaultKind, PowerCurve, PowerModel, WorkloadClass};
-/// use easched_num::Polynomial;
-/// use easched_runtime::Observation;
-///
-/// let curves = WorkloadClass::all().into_iter()
-///     .map(|c| PowerCurve::new(c, Polynomial::constant(50.0), 0.0, 11)).collect();
-/// let guard = ObservationGuard::from_model(&PowerModel::new("flat", curves));
-/// let mut obs = Observation {
-///     elapsed: 0.001, cpu_items: 1_000, gpu_items: 2_000,
-///     cpu_time: 0.001, gpu_time: 0.001, energy_joules: 0.05,
-///     ..Default::default()
-/// };
-/// assert_eq!(guard.vet(&obs), Ok(()));
-/// obs.energy_joules = 1.0e9; // a megawatt-scale reading
-/// assert_eq!(guard.vet(&obs), Err(FaultKind::EnergyImplausible));
-/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct ObservationGuard {
+pub(crate) struct ObservationGuard {
     max_rate: f64,
     power_ceiling: f64,
 }
@@ -158,7 +123,7 @@ impl ObservationGuard {
     /// Derives bounds from a characterized power model: the power ceiling
     /// is the model's maximum prediction over every workload class and α,
     /// times a generous slack factor.
-    pub fn from_model(model: &PowerModel) -> ObservationGuard {
+    pub(crate) fn from_model(model: &PowerModel) -> ObservationGuard {
         let mut max_watts: f64 = 1.0;
         for curve in model.curves() {
             for step in 0..=20 {
@@ -175,16 +140,10 @@ impl ObservationGuard {
         }
     }
 
-    /// The package-power ceiling (watts) above which a reading is
-    /// rejected as [`FaultKind::EnergyImplausible`].
-    pub fn power_ceiling(&self) -> f64 {
-        self.power_ceiling
-    }
-
     /// Classifies an observation: `Ok(())` if it is plausible, or the
     /// [`FaultKind`] describing why no healthy platform could have
     /// produced it.
-    pub fn vet(&self, obs: &Observation) -> Result<(), FaultKind> {
+    pub(crate) fn vet(&self, obs: &Observation) -> Result<(), FaultKind> {
         let times = [obs.elapsed, obs.cpu_time, obs.gpu_time];
         if times.iter().any(|t| !t.is_finite() || *t < 0.0) {
             return Err(FaultKind::NonFinite);
@@ -233,6 +192,23 @@ mod tests {
     use crate::power_model::PowerCurve;
     use easched_num::Polynomial;
     use easched_sim::CounterSnapshot;
+
+    #[test]
+    fn a_megawatt_reading_is_implausible() {
+        let guard = guard();
+        let mut obs = Observation {
+            elapsed: 0.001,
+            cpu_items: 1_000,
+            gpu_items: 2_000,
+            cpu_time: 0.001,
+            gpu_time: 0.001,
+            energy_joules: 0.05,
+            ..Default::default()
+        };
+        assert_eq!(guard.vet(&obs), Ok(()));
+        obs.energy_joules = 1.0e9; // a megawatt-scale reading
+        assert_eq!(guard.vet(&obs), Err(FaultKind::EnergyImplausible));
+    }
 
     fn guard() -> ObservationGuard {
         let curves = WorkloadClass::all()
@@ -353,17 +329,25 @@ mod tests {
     }
 
     #[test]
-    fn fault_codes_roundtrip() {
-        for code in 0..=7u8 {
-            let kind = FaultKind::from_code(code).unwrap();
-            assert_eq!(kind.code(), code);
+    fn fault_codes_are_dense_and_named() {
+        let kinds = [
+            FaultKind::NonFinite,
+            FaultKind::GpuSilent,
+            FaultKind::ImplausibleCpuRate,
+            FaultKind::ImplausibleGpuRate,
+            FaultKind::EnergyDropout,
+            FaultKind::EnergyImplausible,
+            FaultKind::CounterCorrupt,
+            FaultKind::DeadlineExceeded,
+        ];
+        for (code, kind) in kinds.into_iter().enumerate() {
+            assert_eq!(usize::from(kind.code()), code);
             assert!(!kind.to_string().is_empty());
         }
-        assert_eq!(FaultKind::from_code(8), None);
     }
 
     #[test]
     fn power_ceiling_scales_with_model() {
-        assert!(guard().power_ceiling() >= 50.0 * 10.0);
+        assert!(guard().power_ceiling >= 50.0 * 10.0);
     }
 }

@@ -13,22 +13,22 @@
 //! report telemetry without locks.
 
 use crate::selfheal::{DriftMonitor, DriftPolicy, Watchdog, WatchdogPolicy};
-use easched_telemetry::counters;
+use easched_telemetry as counters;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 /// Tunable fault-handling policy, carried by
 /// [`EasConfig`](crate::EasConfig).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultPolicy {
+pub(crate) struct FaultPolicy {
     /// Consecutive rejected profiling rounds tolerated per invocation
     /// before the invocation degrades (runs its remainder without further
     /// profiling).
-    pub max_retries: u32,
+    pub(crate) max_retries: u32,
     /// Consecutive GPU-implicating faults that trip the circuit breaker.
-    pub breaker_threshold: u32,
+    pub(crate) breaker_threshold: u32,
     /// Invocations the GPU stays quarantined (CPU-only) after a trip; the
     /// K-th invocation after the trip is the recovery probe.
-    pub quarantine: u64,
+    pub(crate) quarantine: u64,
 }
 
 impl Default for FaultPolicy {
@@ -153,7 +153,7 @@ impl BreakerState {
 
     /// Inverse of [`code`](BreakerState::code); `None` for unknown codes
     /// (used when recovering persisted state).
-    pub fn from_code(code: u8) -> Option<BreakerState> {
+    pub(crate) fn from_code(code: u8) -> Option<BreakerState> {
         match code {
             CLOSED => Some(BreakerState::Closed),
             OPEN => Some(BreakerState::Open),
@@ -165,7 +165,7 @@ impl BreakerState {
 
 /// What the breaker allows the current invocation to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerGate {
+pub(crate) enum BreakerGate {
     /// Schedule normally.
     Normal,
     /// GPU quarantined: run everything at α = 0, touch nothing else.
@@ -175,7 +175,7 @@ pub enum BreakerGate {
     Probe,
 }
 
-/// The GPU circuit breaker (state machine in the [module docs](self)).
+/// The GPU circuit breaker (state machine in `health.rs`'s module docs).
 ///
 /// All state is atomic: many streams of an `Arc<SharedEas>` consult one
 /// breaker concurrently. Races are benign — at worst two streams both run
@@ -191,7 +191,7 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// A closed breaker with the given policy.
-    pub fn new(policy: &FaultPolicy) -> CircuitBreaker {
+    pub(crate) fn new(policy: &FaultPolicy) -> CircuitBreaker {
         CircuitBreaker {
             threshold: policy.breaker_threshold.max(1),
             quarantine: policy.quarantine.max(1),
@@ -211,7 +211,7 @@ impl CircuitBreaker {
     }
 
     /// Whether the breaker is open (GPU quarantined).
-    pub fn is_open(&self) -> bool {
+    pub(crate) fn is_open(&self) -> bool {
         self.state.load(Ordering::Acquire) == OPEN
     }
 
@@ -332,7 +332,7 @@ impl Health {
     }
 
     /// Snapshot of the counters, in the user-facing reporting shape.
-    pub fn report(&self) -> HealthReport {
+    pub(crate) fn report(&self) -> HealthReport {
         self.stats.report()
     }
 
@@ -342,12 +342,12 @@ impl Health {
     }
 
     /// The drift monitor feeding the self-healing loop.
-    pub fn drift(&self) -> &DriftMonitor {
+    pub(crate) fn drift(&self) -> &DriftMonitor {
         &self.drift
     }
 
     /// The watchdog bounding round/chunk durations.
-    pub fn watchdog(&self) -> &Watchdog {
+    pub(crate) fn watchdog(&self) -> &Watchdog {
         &self.watchdog
     }
 }

@@ -94,8 +94,7 @@
 use crate::health::BreakerState;
 use crate::kernel_table::{AlphaStat, KernelTable};
 use crate::persist::{self, replay, JournalRecord, JournalScan, ModelParseError};
-use easched_runtime::vfs::{StdFs, Vfs, VfsFile};
-use easched_runtime::KernelId;
+use easched_runtime::{KernelId, StdFs, Vfs, VfsFile};
 use std::error::Error;
 use std::fmt;
 use std::io;
@@ -228,7 +227,7 @@ impl StoreHealth {
     /// name.
     pub fn expose(&self) -> String {
         let mut out = String::new();
-        easched_telemetry::counters::expose_rows(&mut out, &Self::ROWS, &self.values());
+        easched_telemetry::expose_rows(&mut out, &Self::ROWS, &self.values());
         out
     }
 }
@@ -255,8 +254,8 @@ struct StoreInner {
 }
 
 /// The crash-safe store: journal appends on the scheduling path, atomic
-/// snapshot+compaction at checkpoints (format and recovery rules in the
-/// [module docs](self)).
+/// snapshot+compaction at checkpoints (format and recovery rules in
+/// `journal.rs`'s module docs).
 ///
 /// All recording methods take `&self` and never panic or return errors —
 /// persistence is best-effort on the hot path (failures are counted, see
@@ -280,7 +279,7 @@ fn lock(inner: &Mutex<StoreInner>) -> MutexGuard<'_, StoreInner> {
 impl TableStore {
     /// Opens (creating if absent) the store rooted at `dir` and recovers
     /// the persisted table: snapshot, then journal replay, per the
-    /// [module docs](self).
+    /// recovery rules in `journal.rs`'s module docs.
     ///
     /// # Errors
     ///
@@ -375,11 +374,6 @@ impl TableStore {
             discarded,
         };
         Ok((store, recovered))
-    }
-
-    /// The directory this store persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Append or checkpoint failures absorbed on the scheduling path
@@ -843,8 +837,7 @@ fn open_journal(
 mod tests {
     use super::*;
     use crate::eas::Accumulation;
-    use easched_runtime::vfs::{ChaosFs, ChaosFsPlan, StorageFault};
-    use easched_runtime::TickClock;
+    use easched_runtime::{ChaosFs, ChaosFsPlan, StorageFault, TickClock};
     use std::fs;
     use std::sync::atomic::{AtomicU32, Ordering};
 

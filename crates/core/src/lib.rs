@@ -37,63 +37,52 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub, unnameable_types)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
-pub mod characterize;
-pub mod classify;
-pub mod eas;
-pub mod easruntime;
-pub mod engine;
-pub mod guard;
-pub mod health;
-pub mod journal;
-pub mod kernel_table;
-pub mod objective;
-pub mod persist;
-pub mod power_model;
+mod characterize;
+mod classify;
+mod eas;
+mod easruntime;
+mod engine;
+mod guard;
+mod health;
+mod journal;
+mod kernel_table;
+mod objective;
+mod persist;
+mod power_model;
 mod profile_loop;
-pub mod schemes;
-pub mod seed;
-pub mod selfheal;
-pub mod shared;
-pub mod tenancy;
-pub mod time_model;
+mod schemes;
+mod seed;
+mod selfheal;
+mod shared;
+mod tenancy;
+mod time_model;
 
 pub use characterize::{
-    characterize, characterize_with_sweeps, fit_curve_with_r2, try_characterize,
-    try_characterize_with_sweeps, try_fit_curve_with_r2, CategorySweep, CharacterizationConfig,
-    CharacterizeError, SweepPoint,
+    characterize, characterize_with_sweeps, try_fit_curve_with_r2, CategorySweep,
+    CharacterizationConfig, CharacterizeError, SweepPoint,
 };
 pub use classify::{Classifier, WorkloadClass};
 pub use eas::{Accumulation, AlphaSearch, Decision, EasConfig, EasScheduler};
 pub use easruntime::{EasRuntime, RunOutcome};
 pub use engine::{AlphaSegment, DecisionEngine, Prediction, PRIOR_WINDOW};
-pub use guard::{FaultKind, ObservationGuard};
-pub use health::{BreakerGate, BreakerState, CircuitBreaker, FaultPolicy, Health, HealthReport};
+pub use guard::FaultKind;
+pub use health::{BreakerState, CircuitBreaker, Health, HealthReport};
 pub use journal::{Recovered, StoreError, StoreHealth, TableStore};
 pub use kernel_table::{AlphaStat, KernelTable, ReuseProbe};
 pub use objective::Objective;
 pub use persist::{
-    fnv1a64, load_model, model_from_text, model_to_text, save_model, table_from_text,
-    table_to_text, ModelParseError,
+    load_model, model_from_text, model_to_text, save_model, table_from_text, table_to_text,
+    ModelParseError,
 };
 pub use power_model::{PowerCurve, PowerModel};
 pub use schemes::{Evaluator, FixedSweep, SchemeResult, WorkloadComparison};
-pub use seed::{RunSeed, DEFAULT_ROOT};
+pub use seed::RunSeed;
 pub use selfheal::{
-    expose_drift, DriftAction, DriftCell, DriftMonitor, DriftOutcome, DriftPolicy, Watchdog,
-    WatchdogPolicy, DRIFT_SERIES,
+    expose_drift, DriftCell, DriftMonitor, DriftOutcome, DriftPolicy, WatchdogPolicy, DRIFT_SERIES,
 };
 pub use shared::{EasHandle, SharedEas, SharedEasExt};
-pub use tenancy::{expose_tenants, AdmittedRequest, TenantFrontend};
+pub use tenancy::{expose_tenants, AdmissionSeries, AdmittedRequest, TenantFrontend, TenantSeries};
 pub use time_model::TimeModel;
-
-/// The telemetry subsystem (re-exported `easched-telemetry` crate):
-/// decision records, the lock-free ring sink, the metrics registry, trace
-/// export, and model-drift analysis. See DESIGN.md §10.
-pub use easched_telemetry as telemetry;
-pub use easched_telemetry::{
-    ControlEvent, DecisionRecord, InvocationPath, MetricsRegistry, RingSink, SloConfig, SloEvent,
-    SloTracker, Span, SpanKind, SpanSink, TelemetrySink,
-};

@@ -75,9 +75,7 @@ use crate::health::BreakerState;
 use crate::kernel_table::{AlphaStat, KernelTable};
 use crate::power_model::{PowerCurve, PowerModel};
 use easched_num::Polynomial;
-pub use easched_runtime::sealed::fnv1a64;
-use easched_runtime::sealed::{unseal, Fields, LineWriter};
-use easched_runtime::KernelId;
+use easched_runtime::{fnv1a64, unseal, Fields, KernelId, LineWriter};
 use std::error::Error;
 use std::fmt;
 use std::fs;
@@ -222,7 +220,7 @@ fn read_records<'a>(
 /// # Examples
 ///
 /// ```
-/// use easched_core::persist::{model_to_text, model_from_text};
+/// use easched_core::{model_to_text, model_from_text};
 /// use easched_core::{characterize, CharacterizationConfig};
 /// use easched_sim::Platform;
 ///
@@ -233,7 +231,7 @@ fn read_records<'a>(
 /// let text = model_to_text(&model);
 /// let back = model_from_text(&text)?;
 /// assert_eq!(back.platform_name(), model.platform_name());
-/// # Ok::<(), easched_core::persist::ModelParseError>(())
+/// # Ok::<(), easched_core::ModelParseError>(())
 /// ```
 pub fn model_to_text(model: &PowerModel) -> String {
     let mut out = String::new();
@@ -333,14 +331,14 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<PowerModel, ModelParseError>
 /// # Examples
 ///
 /// ```
-/// use easched_core::persist::{table_from_text, table_to_text};
+/// use easched_core::{table_from_text, table_to_text};
 /// use easched_core::{Accumulation, KernelTable};
 ///
 /// let table = KernelTable::new();
 /// table.accumulate(7, 0.7, 50_000.0, Accumulation::SampleWeighted);
 /// let back = table_from_text(&table_to_text(&table))?;
 /// assert_eq!(back.lookup(7), Some(0.7));
-/// # Ok::<(), easched_core::persist::ModelParseError>(())
+/// # Ok::<(), easched_core::ModelParseError>(())
 /// ```
 pub fn table_to_text(table: &KernelTable) -> String {
     snapshot_to_text(table, BreakerState::Closed, 0)

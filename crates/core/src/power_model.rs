@@ -42,7 +42,7 @@ impl PowerCurve {
     }
 
     /// Number of sweep points the fit used.
-    pub fn samples(&self) -> usize {
+    pub(crate) fn samples(&self) -> usize {
         self.samples
     }
 

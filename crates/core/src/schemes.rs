@@ -34,8 +34,7 @@ use crate::eas::{EasConfig, EasScheduler};
 use crate::objective::Objective;
 use crate::power_model::PowerModel;
 use easched_kernels::{record_trace, InvocationTrace, Workload};
-use easched_runtime::scheduler::FixedAlpha;
-use easched_runtime::{in_index_order, replay_trace, RunMetrics, Scheduler};
+use easched_runtime::{in_index_order, replay_trace, FixedAlpha, RunMetrics, Scheduler};
 use easched_sim::{Machine, Platform};
 
 /// Oracle sweep resolution: the paper's 0.1 grid, {0, 0.1, …, 1}.
@@ -50,7 +49,7 @@ fn grid_alpha(i: usize) -> f64 {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchemeResult {
     /// Run totals.
-    pub metrics: RunMetrics,
+    pub(crate) metrics: RunMetrics,
     /// Objective value (lower is better).
     pub score: f64,
 }

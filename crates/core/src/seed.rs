@@ -18,13 +18,13 @@
 //! for its counter-based fault stream). Same root + same
 //! name → same seed, on every platform, in every ordering.
 
-use crate::persist::fnv1a64;
-use easched_sim::noise::splitmix64;
+use easched_runtime::fnv1a64;
+use easched_sim::splitmix64;
 
 /// The default root for runs that never chose one explicitly. A fixed,
 /// arbitrary constant — *not* entropy — so even "unseeded" runs are
 /// reproducible.
-pub const DEFAULT_ROOT: u64 = 0x0EA5_C4ED_0C60_2016;
+pub(crate) const DEFAULT_ROOT: u64 = 0x0EA5_C4ED_0C60_2016;
 
 /// A run's root seed: the single value from which chaos plans, sim
 /// backends, and workload generation derive their randomness.

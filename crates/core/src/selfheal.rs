@@ -36,8 +36,7 @@
 //! `/metrics` shows: [`expose_drift`] renders them at scrape time.
 
 use easched_runtime::KernelId;
-use easched_telemetry::counters::{push_meta, Kind, Row};
-use easched_telemetry::drift::relative_error;
+use easched_telemetry::{push_meta, relative_error, Kind, Row};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
@@ -102,7 +101,7 @@ impl DriftPolicy {
 
 /// What the monitor decided after folding one observation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DriftAction {
+pub(crate) enum DriftAction {
     /// Sample folded; no threshold action.
     Observed,
     /// Sustained drift crossed the bound and a token was available: the
@@ -120,9 +119,9 @@ pub enum DriftAction {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftOutcome {
     /// Per-kernel EWMA of relative EDP error after this sample.
-    pub ewma: f64,
+    pub(crate) ewma: f64,
     /// What the monitor decided.
-    pub action: DriftAction,
+    pub(crate) action: DriftAction,
 }
 
 /// One kernel's monitoring state: the cell of its G entry that
@@ -238,11 +237,6 @@ impl DriftMonitor {
             policy,
             bucket_milli: AtomicU64::new(to_milli(policy.bucket_capacity)),
         }
-    }
-
-    /// The policy this monitor runs under.
-    pub fn policy(&self) -> &DriftPolicy {
-        &self.policy
     }
 
     /// Tokens currently in the global reprofile bucket.
@@ -399,7 +393,7 @@ fn to_milli(tokens: f64) -> u64 {
     }
 }
 
-/// Tuning for the [`Watchdog`]. Both deadlines default far above the
+/// Tuning for the watchdog. Both deadlines default far above the
 /// chaos layer's `GPU_HANG_TIMEOUT` (10 s), so the watchdog never
 /// interferes with the guard/breaker pipeline's existing handling of
 /// recoverable hangs — it exists for the pathological case where a round
@@ -407,11 +401,11 @@ fn to_milli(tokens: f64) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WatchdogPolicy {
     /// Master switch; `false` disables both deadlines.
-    pub enabled: bool,
+    pub(crate) enabled: bool,
     /// Hard deadline on one GPU-proxy profiling round, seconds.
-    pub profile_deadline: f64,
+    pub(crate) profile_deadline: f64,
     /// Hard deadline on one chunk (split) execution, seconds.
-    pub split_deadline: f64,
+    pub(crate) split_deadline: f64,
 }
 
 impl Default for WatchdogPolicy {
@@ -462,51 +456,31 @@ impl WatchdogPolicy {
 /// circuit-breaker pipeline instead of blocking the worker pool on an
 /// answer that already proved untrustworthy.
 #[derive(Debug, Clone, Default)]
-pub struct Watchdog {
+pub(crate) struct Watchdog {
     policy: WatchdogPolicy,
 }
 
 impl Watchdog {
     /// A watchdog with the given deadlines.
-    pub fn new(policy: WatchdogPolicy) -> Watchdog {
+    pub(crate) fn new(policy: WatchdogPolicy) -> Watchdog {
         Watchdog { policy }
     }
 
-    /// The policy this watchdog runs under.
-    pub fn policy(&self) -> &WatchdogPolicy {
-        &self.policy
-    }
-
-    /// Whether a profiling round's elapsed time busts the deadline.
-    ///
-    /// Non-finite readings are *not* overruns: a NaN elapsed is a broken
-    /// clock, not a hung GPU, and it must stay a sensor fault (§9
-    /// `NonFinite`, retry-only) rather than feed the GPU-implicating
-    /// breaker path (chaos_runtime pins this).
-    pub fn profile_overrun(&self, elapsed: f64) -> bool {
-        self.policy.enabled && elapsed.is_finite() && elapsed > self.policy.profile_deadline
-    }
-
-    /// Whether a chunk execution's elapsed time busts the deadline (same
-    /// non-finite policy as [`profile_overrun`](Watchdog::profile_overrun)).
-    pub fn split_overrun(&self, elapsed: f64) -> bool {
-        self.policy.enabled && elapsed.is_finite() && elapsed > self.policy.split_deadline
-    }
-
-    /// [`profile_overrun`](Watchdog::profile_overrun) composed with an
-    /// optional per-request deadline budget from the admission layer:
-    /// the tighter of the two bounds wins. A budget applies even when
+    /// Whether a profiling round's elapsed time busts the policy's
+    /// profiling deadline or an optional per-request deadline budget from
+    /// the admission layer, whichever is tighter. Non-finite readings are
+    /// *not* overruns: a NaN elapsed is a broken clock, not a hung GPU, and
+    /// it must stay a sensor fault (§9 `NonFinite`, retry-only). A budget applies even when
     /// the policy's own deadlines are disabled — a tenant's contract is
     /// not voided by a lax scheduler configuration. `None` is exactly
     /// the policy-only check (the single-tenant fast path).
-    pub fn profile_overrun_within(&self, elapsed: f64, budget: Option<f64>) -> bool {
+    pub(crate) fn profile_overrun_within(&self, elapsed: f64, budget: Option<f64>) -> bool {
         self.overrun_within(elapsed, self.policy.profile_deadline, budget)
     }
 
-    /// [`split_overrun`](Watchdog::split_overrun) composed with an
-    /// optional per-request deadline budget (see
+    /// The same check against the split-execution deadline (see
     /// [`profile_overrun_within`](Watchdog::profile_overrun_within)).
-    pub fn split_overrun_within(&self, elapsed: f64, budget: Option<f64>) -> bool {
+    pub(crate) fn split_overrun_within(&self, elapsed: f64, budget: Option<f64>) -> bool {
         self.overrun_within(elapsed, self.policy.split_deadline, budget)
     }
 
@@ -714,26 +688,26 @@ mod tests {
             profile_deadline: 1.0,
             split_deadline: 10.0,
         });
-        assert!(!w.profile_overrun(0.5));
-        assert!(w.profile_overrun(1.5));
-        assert!(!w.split_overrun(5.0));
-        assert!(w.split_overrun(11.0));
+        assert!(!w.profile_overrun_within(0.5, None));
+        assert!(w.profile_overrun_within(1.5, None));
+        assert!(!w.split_overrun_within(5.0, None));
+        assert!(w.split_overrun_within(11.0, None));
         // Non-finite elapsed is a broken sensor, not a hang: vetting's
         // NonFinite (retry-only) territory, never the breaker's.
-        assert!(!w.profile_overrun(f64::NAN));
-        assert!(!w.split_overrun(f64::INFINITY));
+        assert!(!w.profile_overrun_within(f64::NAN, None));
+        assert!(!w.split_overrun_within(f64::INFINITY, None));
         let off = Watchdog::new(WatchdogPolicy::disabled());
-        assert!(!off.profile_overrun(f64::INFINITY));
-        assert!(!off.split_overrun(f64::INFINITY));
+        assert!(!off.profile_overrun_within(f64::INFINITY, None));
+        assert!(!off.split_overrun_within(f64::INFINITY, None));
     }
 
     #[test]
     fn watchdog_budget_composes_with_policy_deadlines() {
         let w = Watchdog::new(WatchdogPolicy::with_deadlines(1.0, 10.0));
         // No budget: exactly the policy-only check.
-        assert_eq!(w.profile_overrun_within(0.5, None), w.profile_overrun(0.5));
-        assert_eq!(w.profile_overrun_within(1.5, None), w.profile_overrun(1.5));
-        assert_eq!(w.split_overrun_within(11.0, None), w.split_overrun(11.0));
+        assert!(!w.profile_overrun_within(0.5, None));
+        assert!(w.profile_overrun_within(1.5, None));
+        assert!(w.split_overrun_within(11.0, None));
         // A tighter budget wins over the policy deadline...
         assert!(w.profile_overrun_within(0.5, Some(0.2)));
         assert!(w.split_overrun_within(5.0, Some(1.0)));
@@ -761,7 +735,7 @@ mod tests {
         // The chaos layer clamps a recoverable GpuHang at 10 s; the
         // watchdog must not preempt the guard/breaker pipeline for those.
         let w = Watchdog::default();
-        assert!(!w.profile_overrun(10.0));
-        assert!(!w.split_overrun(10.0));
+        assert!(!w.profile_overrun_within(10.0, None));
+        assert!(!w.split_overrun_within(10.0, None));
     }
 }

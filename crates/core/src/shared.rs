@@ -39,8 +39,7 @@ use crate::kernel_table::KernelTable;
 use crate::power_model::PowerModel;
 use crate::profile_loop;
 use crate::selfheal::expose_drift;
-use easched_runtime::vfs::{StdFs, Vfs};
-use easched_runtime::{Backend, Clock, InvocationCtx, KernelId, Scheduler, WallClock};
+use easched_runtime::{Backend, Clock, InvocationCtx, KernelId, Scheduler, StdFs, Vfs, WallClock};
 use easched_telemetry::{ControlEvent, TelemetrySink};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -261,11 +260,6 @@ impl SharedEas {
         }
     }
 
-    /// The underlying decision engine (policy layer).
-    pub fn engine(&self) -> &DecisionEngine {
-        &self.engine
-    }
-
     /// The shared kernel table G (memory layer).
     pub fn table(&self) -> &KernelTable {
         &self.table
@@ -369,7 +363,7 @@ impl EasHandle {
     }
 
     /// The scheduler state this handle drives.
-    pub fn shared(&self) -> &Arc<SharedEas> {
+    pub(crate) fn shared(&self) -> &Arc<SharedEas> {
         &self.eas
     }
 }
@@ -409,7 +403,7 @@ mod tests {
     use crate::objective::Objective;
     use crate::power_model::PowerCurve;
     use easched_num::Polynomial;
-    use easched_runtime::backend::test_support::FakeBackend;
+    use easched_runtime::test_support::FakeBackend;
     use easched_runtime::TickClock;
     use easched_telemetry::{DecisionCsvSink, FanoutSink, RingSink};
 

@@ -24,9 +24,9 @@ use easched_runtime::{
     AdmissionConfig, AdmissionController, AdmissionOutcome, Backend, BrownoutLevel, InvocationCtx,
     KernelId, TenantRegistry, TenantStats,
 };
-use easched_telemetry::counters::{expose_rows, expose_rows_labelled, push_json_field};
-use easched_telemetry::slo::escape_json;
-use easched_telemetry::{SloTracker, Span, SpanKind};
+use easched_telemetry::{
+    escape_json, expose_rows, expose_rows_labelled, push_json_field, SloTracker, Span, SpanKind,
+};
 use std::sync::{Arc, Mutex, PoisonError};
 
 easched_telemetry::counter_table! {
@@ -111,9 +111,9 @@ pub struct AdmittedRequest {
     /// Ticket assigned at offer time.
     pub ticket: u64,
     /// Full ticks the request queued between offer and drain.
-    pub waited_ticks: u64,
+    pub(crate) waited_ticks: u64,
     /// Causal trace id, or 0 when tracing is disabled.
-    pub trace: u64,
+    pub(crate) trace: u64,
 }
 
 /// A multi-tenant admission frontend over one shared scheduler.
@@ -152,11 +152,6 @@ impl TenantFrontend {
     pub fn with_slo(mut self, slo: Arc<SloTracker>) -> TenantFrontend {
         self.slo = Some(slo);
         self
-    }
-
-    /// The attached SLO tracker, if any.
-    pub fn slo(&self) -> Option<&Arc<SloTracker>> {
-        self.slo.as_ref()
     }
 
     /// The scheduler behind this frontend.
@@ -309,11 +304,11 @@ impl TenantFrontend {
     /// The invocation context a drained request for `tenant` must execute
     /// under right now: the brownout rung's GPU policy plus the tenant's
     /// deadline budget.
-    pub fn ctx_for(&self, tenant: usize) -> InvocationCtx {
+    pub(crate) fn ctx_for(&self, tenant: usize) -> InvocationCtx {
         self.lock().ctx_for(tenant)
     }
 
-    /// [`ctx_for`](Self::ctx_for) bound to a drained request's trace, so
+    /// The tenant's invocation context bound to a drained request's trace, so
     /// the execution subtree lands on the same trace as its admission
     /// spans.
     pub fn ctx_for_request(&self, req: &AdmittedRequest) -> InvocationCtx {
@@ -413,7 +408,7 @@ mod tests {
     use crate::objective::Objective;
     use crate::power_model::{PowerCurve, PowerModel};
     use easched_num::Polynomial;
-    use easched_runtime::backend::test_support::FakeBackend;
+    use easched_runtime::test_support::FakeBackend;
     use easched_runtime::TenantSpec;
     use easched_telemetry::{RingSink, SloKind};
 

@@ -11,9 +11,9 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeModel {
     /// Combined-mode CPU throughput R_C, items/second.
-    pub r_c: f64,
+    pub(crate) r_c: f64,
     /// Combined-mode GPU throughput R_G, items/second.
-    pub r_g: f64,
+    pub(crate) r_g: f64,
 }
 
 impl TimeModel {

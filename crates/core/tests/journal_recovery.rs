@@ -7,10 +7,10 @@ use easched_core::{
     characterize, AlphaStat, BreakerState, CharacterizationConfig, DriftPolicy, EasConfig,
     EasScheduler, KernelTable, Objective, PowerModel, TableStore, WatchdogPolicy,
 };
-use easched_runtime::backend::test_support::FakeBackend;
-use easched_runtime::chaos::{ChaosInjector, Fault, FaultPlan};
-use easched_runtime::vfs::{ChaosFs, ChaosFsPlan, StdFs, Vfs};
-use easched_runtime::{Scheduler, TickClock};
+use easched_runtime::test_support::FakeBackend;
+use easched_runtime::{
+    ChaosFs, ChaosFsPlan, ChaosInjector, Fault, FaultPlan, Scheduler, StdFs, TickClock, Vfs,
+};
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -412,8 +412,8 @@ fn golden_store_bytes_and_vfs_ops_match_the_parent_commit() {
     // `table_to_text` writes that snapshot at generation 0 with the breaker
     // closed: past its header and breaker lines, the fixture's bytes.
     let snap = String::from_utf8(fixture("table.snap")).unwrap();
-    let checkpointed = easched_core::persist::table_from_text(&snap).expect("the snapshot");
-    let text = easched_core::persist::table_to_text(&checkpointed);
+    let checkpointed = easched_core::table_from_text(&snap).expect("the snapshot");
+    let text = easched_core::table_to_text(&checkpointed);
     assert!(
         text.starts_with("easched-table-journal v1 gen 0 crc "),
         "{text}"
@@ -435,8 +435,7 @@ fn golden_store_bytes_and_vfs_ops_match_the_parent_commit() {
     assert_eq!(rec.table.snapshot_with_taint(), table.snapshot_with_taint());
     assert_eq!(rec.breaker, BreakerState::Open);
     assert_eq!((rec.generation, rec.replayed, rec.discarded), (1, 2, 0));
-    let loaded =
-        easched_core::persist::table_from_text(&easched_core::persist::table_to_text(&table));
+    let loaded = easched_core::table_from_text(&easched_core::table_to_text(&table));
     assert_eq!(
         loaded.unwrap().snapshot_with_taint(),
         table.snapshot_with_taint()

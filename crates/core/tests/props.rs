@@ -99,12 +99,12 @@ proptest! {
 }
 
 mod persist_props {
-    use easched_core::persist::{
+    use easched_core::{
         model_from_text, model_to_text, table_from_text, table_to_text, ModelParseError,
     };
     use easched_core::{Accumulation, KernelTable, PowerCurve, PowerModel, WorkloadClass};
     use easched_num::Polynomial;
-    use easched_runtime::sealed::{unseal, LineWriter};
+    use easched_runtime::{unseal, LineWriter};
     use proptest::prelude::*;
 
     fn sample_model() -> PowerModel {

@@ -8,7 +8,7 @@ use easched_core::{
 };
 use easched_kernels::suite;
 use easched_num::Polynomial;
-use easched_runtime::backend::test_support::FakeBackend;
+use easched_runtime::test_support::FakeBackend;
 use easched_runtime::{Backend, Scheduler};
 use easched_sim::Platform;
 use std::sync::{Arc, Barrier};

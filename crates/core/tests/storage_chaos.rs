@@ -15,9 +15,8 @@ use easched_core::{
     EasRuntime, EasScheduler, KernelTable, Objective, PowerModel, RunSeed, SharedEas, TableStore,
 };
 use easched_kernels::suite;
-use easched_runtime::backend::test_support::FakeBackend;
-use easched_runtime::vfs::{ChaosFs, ChaosFsPlan, StorageFault, Vfs};
-use easched_runtime::{Scheduler, TickClock};
+use easched_runtime::test_support::FakeBackend;
+use easched_runtime::{ChaosFs, ChaosFsPlan, Scheduler, StorageFault, TickClock, Vfs};
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};

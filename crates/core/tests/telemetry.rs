@@ -3,14 +3,16 @@
 //! and concurrent streams interleave safely into one sink (DESIGN.md §10).
 
 use easched_core::{
-    BreakerState, DriftCell, EasConfig, EasScheduler, InvocationPath, Objective, PowerCurve,
-    PowerModel, RingSink, SharedEas, SharedEasExt, StoreHealth, WorkloadClass,
+    BreakerState, DriftCell, EasConfig, EasScheduler, Objective, PowerCurve, PowerModel, SharedEas,
+    SharedEasExt, StoreHealth, WorkloadClass,
 };
 use easched_num::Polynomial;
-use easched_runtime::backend::test_support::FakeBackend;
-use easched_runtime::chaos::{ChaosInjector, Fault, FaultPlan};
-use easched_runtime::vfs::{ChaosFs, ChaosFsPlan, StorageFault};
-use easched_runtime::{Backend, Scheduler, TickClock};
+use easched_runtime::test_support::FakeBackend;
+use easched_runtime::{
+    Backend, ChaosFs, ChaosFsPlan, ChaosInjector, Fault, FaultPlan, Scheduler, StorageFault,
+    TickClock,
+};
+use easched_telemetry::{InvocationPath, RingSink};
 use std::collections::HashSet;
 use std::sync::Arc;
 

@@ -9,7 +9,7 @@ use easched_core::{
     EasConfig, Objective, PowerCurve, PowerModel, SharedEas, TenantFrontend, WorkloadClass,
 };
 use easched_num::Polynomial;
-use easched_runtime::backend::test_support::FakeBackend;
+use easched_runtime::test_support::FakeBackend;
 use easched_runtime::{AdmissionConfig, AdmissionOutcome, Backend, TenantRegistry, TenantSpec};
 use std::sync::Arc;
 

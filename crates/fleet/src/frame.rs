@@ -20,10 +20,10 @@
 //! splices envelope lines its retransmission log sealed once, and a pull
 //! round seals its `want` lines once and frames them per peer.
 
-use easched_runtime::sealed::{unseal, Fields, LineWriter, MIN_SEALED_LINE};
+use easched_runtime::{unseal, Fields, LineWriter, MIN_SEALED_LINE};
 
 /// A node's identity within the fleet (dense, 0-based).
-pub type NodeId = u16;
+pub(crate) type NodeId = u16;
 
 /// A replication version: the envelope's position in its origin's stream.
 ///
@@ -35,13 +35,13 @@ pub type NodeId = u16;
 /// by max version is what makes replication last-writer-wins and
 /// order-independent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Version {
+pub(crate) struct Version {
     /// The origin's node epoch.
-    pub generation: u64,
+    pub(crate) generation: u64,
     /// 1-based position within the epoch.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// The originating node.
-    pub origin: NodeId,
+    pub(crate) origin: NodeId,
 }
 
 /// What an envelope says about a kernel on its origin's platform.
@@ -73,7 +73,7 @@ pub enum Op {
 
 impl Op {
     /// The kernel this op concerns.
-    pub fn kernel(&self) -> u64 {
+    pub(crate) fn kernel(&self) -> u64 {
         match *self {
             Op::Put { kernel, .. } | Op::Taint { kernel } => kernel,
         }
@@ -98,7 +98,7 @@ pub struct Envelope {
 
 impl Envelope {
     /// This envelope's replication version.
-    pub fn version(&self) -> Version {
+    pub(crate) fn version(&self) -> Version {
         Version {
             generation: self.generation,
             seq: self.seq,

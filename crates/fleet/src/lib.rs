@@ -19,8 +19,8 @@
 //!   Trail α. Cross-platform facts land as *warm-start priors* that
 //!   narrow the first profiling search — they never skip profiling.
 //! - **Taints travel.** A quarantined entry quarantines fleet-wide
-//!   within one anti-entropy round, and a budgeted
-//!   [`ReprofileScheduler`] re-measures on local silicon.
+//!   within one anti-entropy round, and a budgeted re-profiling queue
+//!   re-measures on local silicon.
 //! - **Chaos is not a fault.** Fabric counters live in [`FleetStats`],
 //!   outside the scheduler's health plane: a torn frame must never trip
 //!   `fault_free()`.
@@ -30,24 +30,23 @@
 //! [`replay_fleet`] re-runs it and byte-compares.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub, unnameable_types)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
-pub mod frame;
-pub mod node;
-pub mod replica;
-pub mod reprofile;
-pub mod run;
-pub mod stats;
-pub mod transport;
+mod frame;
+mod node;
+mod replica;
+mod reprofile;
+mod run;
+mod stats;
+mod transport;
 
-pub use frame::{Envelope, Frame, FrameError, FramePayload, NodeId, Op, Version};
+pub use frame::{Envelope, Frame, FrameError, FramePayload, Op};
 pub use node::FleetNode;
-pub use replica::{Applied, EffectiveEntry, ReplicaTable};
-pub use reprofile::ReprofileScheduler;
+pub use replica::{Applied, ReplicaTable};
 pub use run::{
-    kernel_traits, platform_by_name, replay_fleet, run_fleet, CrashPlan, FleetError, FleetReport,
-    FleetSpec, NodeReport, TaintPlan, MAX_DRAIN_ROUNDS,
+    kernel_traits, replay_fleet, run_fleet, CrashPlan, FleetError, FleetReport, FleetSpec,
+    NodeReport, TaintPlan, MAX_DRAIN_ROUNDS,
 };
 pub use stats::{expose_fleet, expose_fleet_store, FleetStats};
-pub use transport::{ChaosConfig, ChaosTransport, LinkStats, Partition};
+pub use transport::{ChaosConfig, Partition};

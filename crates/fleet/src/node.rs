@@ -18,9 +18,7 @@ use crate::stats::FleetStats;
 use easched_core::{
     characterize, CharacterizationConfig, EasConfig, PowerModel, SharedEas, StoreError, StoreHealth,
 };
-use easched_runtime::sim_backend::SimBackend;
-use easched_runtime::vfs::{StdFs, Vfs};
-use easched_runtime::InvocationCtx;
+use easched_runtime::{InvocationCtx, SimBackend, StdFs, Vfs};
 use easched_sim::{KernelTraits, Machine, Platform};
 use easched_telemetry::{Span, SpanKind, SpanSink};
 use std::collections::{BTreeMap, HashMap};
@@ -99,7 +97,7 @@ pub struct FleetNode {
     /// This node's fleet identity.
     pub id: NodeId,
     /// The node's platform (its truth namespace).
-    pub platform: Platform,
+    pub(crate) platform: Platform,
     /// Replication counters (protocol side; fabric-side counters are
     /// folded in by the run loop).
     pub stats: FleetStats,
@@ -221,19 +219,13 @@ impl FleetNode {
     }
 
     /// The node's current epoch.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
 
     /// The convergent replica.
-    pub fn replica(&self) -> &ReplicaTable {
+    pub(crate) fn replica(&self) -> &ReplicaTable {
         &self.replica
-    }
-
-    /// Replication spans recorded so far (kind
-    /// [`SpanKind::Replication`], `tenant` = node id).
-    pub fn spans(&self) -> Vec<Span> {
-        self.spans.snapshot()
     }
 
     /// Kernels queued for re-profiling after replicated taints.
@@ -260,12 +252,12 @@ impl FleetNode {
     /// with the same bounded retry as the start-time checkpoint: a
     /// success re-arms a degraded store, so a fault storm does not leave
     /// the disk behind the table the node ends with.
-    pub fn checkpoint(&self) -> Result<(), StoreError> {
+    pub(crate) fn checkpoint(&self) -> Result<(), StoreError> {
         checkpoint_with_retries(&self.shared)
     }
 
     /// This node's storage-health counters (DESIGN.md §16).
-    pub fn store_health(&self) -> StoreHealth {
+    pub(crate) fn store_health(&self) -> StoreHealth {
         self.shared
             .store()
             .expect("fleet nodes always persist")
@@ -491,7 +483,7 @@ mod tests {
     use super::*;
     use crate::frame::FramePayload;
     use easched_core::Objective;
-    use easched_runtime::sealed::unseal;
+    use easched_runtime::unseal;
 
     fn test_node(id: NodeId, dir: &Path) -> FleetNode {
         FleetNode::start(
@@ -571,7 +563,7 @@ mod tests {
         assert!(b.stats.entries_rejected_stale > 0);
         assert_eq!(a.replica().digest(), b.replica().digest());
         // B emitted replication spans, tenant-tagged with its id.
-        let spans = b.spans();
+        let spans = b.spans.snapshot();
         assert!(!spans.is_empty());
         assert!(spans
             .iter()

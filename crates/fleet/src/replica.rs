@@ -14,8 +14,7 @@
 //! asymmetry is invisible exactly because versions stay out of the hash.
 
 use crate::frame::{Envelope, NodeId, Op, Version};
-use easched_core::fnv1a64;
-use easched_runtime::sealed::LineWriter;
+use easched_runtime::{fnv1a64, LineWriter};
 use std::collections::BTreeMap;
 
 /// The max-version `Put` body for one `(platform, kernel)`.
@@ -37,22 +36,22 @@ struct Fact {
 
 /// The effective (version-free) state of one replicated entry.
 #[derive(Debug, Clone, PartialEq)]
-pub struct EffectiveEntry {
+pub(crate) struct EffectiveEntry {
     /// Platform namespace the entry is truth in.
-    pub platform: String,
+    pub(crate) platform: String,
     /// Kernel id.
-    pub kernel: u64,
+    pub(crate) kernel: u64,
     /// Learned offload ratio (absent for a taint with no surviving put).
-    pub alpha: Option<f64>,
+    pub(crate) alpha: Option<f64>,
     /// Accumulated sample weight.
-    pub weight: f64,
+    pub(crate) weight: f64,
     /// Invocations the origin had observed.
-    pub seen: u64,
+    pub(crate) seen: u64,
     /// Whether the entry is currently quarantined fleet-wide.
-    pub tainted: bool,
+    pub(crate) tainted: bool,
     /// The node whose put currently defines the entry (the max-version
     /// origin; the taint origin if no put survives).
-    pub origin: NodeId,
+    pub(crate) origin: NodeId,
 }
 
 /// What applying one envelope did to the replica.
@@ -120,7 +119,7 @@ impl ReplicaTable {
     }
 
     /// The effective entries, sorted by `(platform, kernel)`.
-    pub fn effective(&self) -> Vec<EffectiveEntry> {
+    pub(crate) fn effective(&self) -> Vec<EffectiveEntry> {
         self.facts
             .iter()
             .map(|((platform, kernel), fact)| {
@@ -158,20 +157,16 @@ impl ReplicaTable {
     }
 
     /// The effective entry for one `(platform, kernel)`, if any.
-    pub fn entry(&self, platform: &str, kernel: u64) -> Option<EffectiveEntry> {
+    #[cfg(test)]
+    pub(crate) fn entry(&self, platform: &str, kernel: u64) -> Option<EffectiveEntry> {
         self.effective()
             .into_iter()
             .find(|e| e.platform == platform && e.kernel == kernel)
     }
 
     /// Number of `(platform, kernel)` facts held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.facts.len()
-    }
-
-    /// Whether the replica holds nothing yet.
-    pub fn is_empty(&self) -> bool {
-        self.facts.is_empty()
     }
 
     /// Canonical text of the effective state — byte-identical across

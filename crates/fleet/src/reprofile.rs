@@ -15,48 +15,40 @@ use std::collections::BTreeSet;
 /// Batched re-profiling queue. Deterministic: kernels release in id
 /// order within a round, bounded by the per-round budget.
 #[derive(Debug, Clone)]
-pub struct ReprofileScheduler {
+pub(crate) struct ReprofileScheduler {
     pending: BTreeSet<u64>,
     budget: usize,
-    released: u64,
 }
 
 impl ReprofileScheduler {
     /// A queue releasing at most `budget` kernels per round (0 disables
     /// release entirely — kernels just accumulate).
-    pub fn new(budget: usize) -> ReprofileScheduler {
+    pub(crate) fn new(budget: usize) -> ReprofileScheduler {
         ReprofileScheduler {
             pending: BTreeSet::new(),
             budget,
-            released: 0,
         }
     }
 
     /// Queues a kernel for re-profiling. Idempotent; returns `true` only
     /// on first enqueue (so callers can count scheduled reprofiles
     /// without double-counting duplicate taints).
-    pub fn enqueue(&mut self, kernel: u64) -> bool {
+    pub(crate) fn enqueue(&mut self, kernel: u64) -> bool {
         self.pending.insert(kernel)
     }
 
     /// Kernels still waiting.
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Total kernels released across all rounds.
-    pub fn released(&self) -> u64 {
-        self.released
     }
 
     /// Takes this round's batch: up to `budget` kernels, smallest id
     /// first.
-    pub fn take_batch(&mut self) -> Vec<u64> {
+    pub(crate) fn take_batch(&mut self) -> Vec<u64> {
         let batch: Vec<u64> = self.pending.iter().copied().take(self.budget).collect();
         for k in &batch {
             self.pending.remove(k);
         }
-        self.released += batch.len() as u64;
         batch
     }
 }
@@ -76,7 +68,6 @@ mod tests {
         assert_eq!(s.pending(), 1);
         assert_eq!(s.take_batch(), vec![9]);
         assert_eq!(s.take_batch(), Vec::<u64>::new());
-        assert_eq!(s.released(), 3);
     }
 
     #[test]

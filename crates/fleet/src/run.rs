@@ -25,16 +25,14 @@ use crate::node::FleetNode;
 use crate::stats::FleetStats;
 use crate::transport::{colon_fields, node_id, ChaosConfig, ChaosTransport};
 use easched_core::{
-    characterize, fnv1a64, CharacterizationConfig, EasConfig, Objective, PowerModel, RunSeed,
-    StoreError, StoreHealth,
+    characterize, CharacterizationConfig, EasConfig, Objective, PowerModel, RunSeed, StoreError,
+    StoreHealth,
 };
 use easched_replay::{Event, RunLog, FORMAT_VERSION_FLEET};
-use easched_runtime::pool::CHUNK_BYTES;
-use easched_runtime::sealed::Fields;
-use easched_runtime::vfs::{ChaosFs, ChaosFsPlan, StdFs, Vfs};
-use easched_runtime::{in_index_order, TickClock};
-use easched_sim::noise::splitmix64;
-use easched_sim::{KernelTraits, Platform};
+use easched_runtime::{
+    fnv1a64, in_index_order, ChaosFs, ChaosFsPlan, Fields, StdFs, TickClock, Vfs, CHUNK_BYTES,
+};
+use easched_sim::{splitmix64, KernelTraits, Platform};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
@@ -138,7 +136,7 @@ impl FromStr for TaintPlan {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetSpec {
     /// Root seed; every stream derives from it (`RunSeed` discipline).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Platform preset name per node (index = node id).
     pub platforms: Vec<String>,
     /// Workload ticks.
@@ -146,12 +144,12 @@ pub struct FleetSpec {
     /// Invocations per node per tick.
     pub invocations_per_tick: u64,
     /// Items per invocation.
-    pub items_per_invocation: u64,
+    pub(crate) items_per_invocation: u64,
     /// Synthetic kernel pool size (kernels cycle round-robin, staggered
     /// per node so priors matter).
-    pub kernels: u64,
+    pub(crate) kernels: u64,
     /// Reprofile releases per node per tick.
-    pub reprofile_budget: usize,
+    pub(crate) reprofile_budget: usize,
     /// Fabric fault profile.
     pub chaos: ChaosConfig,
     /// Optional kill/restart schedule.
@@ -194,7 +192,7 @@ impl FleetSpec {
 
     /// Serializes the spec as the log's first fleet line (single line,
     /// whitespace-delimited; see [`FleetSpec::from_line`]).
-    pub fn to_line(&self) -> String {
+    pub(crate) fn to_line(&self) -> String {
         let platforms = self.platforms.join(",");
         let partitions = if self.chaos.partitions.is_empty() {
             "-".to_string()
@@ -230,7 +228,7 @@ impl FleetSpec {
 
     /// Parses a spec line (the inverse of [`FleetSpec::to_line`]). The
     /// store root is *not* carried on the wire — replay supplies its own.
-    pub fn from_line(line: &str) -> Option<FleetSpec> {
+    pub(crate) fn from_line(line: &str) -> Option<FleetSpec> {
         // Grammar is positional keyword-value; walk it directly.
         Fields::parse(line, |p| {
             p.tag("spec")?;
@@ -299,7 +297,7 @@ impl FleetSpec {
 }
 
 /// Resolves a platform preset by its `name` field.
-pub fn platform_by_name(name: &str) -> Option<Platform> {
+pub(crate) fn platform_by_name(name: &str) -> Option<Platform> {
     [
         Platform::haswell_desktop(),
         Platform::baytrail_tablet(),
@@ -337,9 +335,6 @@ pub struct NodeReport {
     pub stats: FleetStats,
     /// Learned table entries at the end.
     pub table_len: usize,
-    /// Warm-start priors still pending (not yet superseded by local
-    /// learning).
-    pub priors_pending: usize,
     /// Scheduler health: replication must leave `fault_free()` true on a
     /// chaos-free *scheduler* path (fabric chaos is not scheduler
     /// faults).
@@ -678,7 +673,6 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
             label: format!("node{}", node.id),
             stats,
             table_len: node.shared().table().len(),
-            priors_pending: node.shared().table().prior_count(),
             fault_free: node.shared().health().fault_free(),
             store,
             digest: node.replica().digest(),

@@ -6,7 +6,7 @@
 //! faults, so they must never disturb `fault_free()` (DESIGN.md §15).
 
 use easched_core::StoreHealth;
-use easched_telemetry::counters::expose_rows_labelled;
+use easched_telemetry::expose_rows_labelled;
 
 easched_telemetry::counter_table! {
     /// One node's replication counters. Plain integers — the fleet loop is

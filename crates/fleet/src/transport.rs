@@ -9,7 +9,7 @@
 //! order: the control condition the convergence tests calibrate against.
 
 use crate::frame::NodeId;
-use easched_sim::noise::splitmix64;
+use easched_sim::splitmix64;
 use std::fmt;
 use std::str::FromStr;
 
@@ -80,22 +80,22 @@ impl FromStr for Partition {
     }
 }
 
-/// Fault rates and schedules for a [`ChaosTransport`]. All probabilities
+/// Fault rates and schedules for the chaotic fabric. All probabilities
 /// are per-frame, in per-mille (0..=1000), drawn independently.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
     /// Per-mille chance a frame is silently dropped.
-    pub drop_per_mille: u16,
+    pub(crate) drop_per_mille: u16,
     /// Per-mille chance a frame arrives twice.
-    pub duplicate_per_mille: u16,
+    pub(crate) duplicate_per_mille: u16,
     /// Per-mille chance a frame swaps delivery order with the frame
     /// ahead of it in the same inbox.
-    pub reorder_per_mille: u16,
+    pub(crate) reorder_per_mille: u16,
     /// Per-mille chance a frame loses a suffix in flight (torn frame —
     /// the codec must reject it whole).
-    pub torn_per_mille: u16,
+    pub(crate) torn_per_mille: u16,
     /// Additional delivery delay, uniform in `0..=max_delay_ticks`.
-    pub max_delay_ticks: u64,
+    pub(crate) max_delay_ticks: u64,
     /// Scheduled link cuts.
     pub partitions: Vec<Partition>,
 }
@@ -132,15 +132,15 @@ impl ChaosConfig {
 
 /// Per-node fault attribution from the fabric's point of view.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkStats {
+pub(crate) struct LinkStats {
     /// Frames destined to this node the fabric dropped.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     /// Frames destined to this node the fabric duplicated.
-    pub duplicated: u64,
+    pub(crate) duplicated: u64,
     /// Frames destined to this node the fabric tore mid-flight.
-    pub torn: u64,
+    pub(crate) torn: u64,
     /// Frames refused because a partition severed the link.
-    pub partitioned: u64,
+    pub(crate) partitioned: u64,
 }
 
 /// The adversarial fabric: deterministic seeded fault injection.
@@ -148,7 +148,7 @@ pub struct LinkStats {
 /// enqueues, [`tick`](ChaosTransport::tick) advances virtual time, and
 /// [`poll`](ChaosTransport::poll) drains whatever has arrived for a node.
 #[derive(Debug)]
-pub struct ChaosTransport {
+pub(crate) struct ChaosTransport {
     config: ChaosConfig,
     rng: u64,
     now: u64,
@@ -162,7 +162,7 @@ pub struct ChaosTransport {
 impl ChaosTransport {
     /// A fabric for `nodes` nodes, faulting per `config`, deterministic
     /// in `seed` (derive it as `RunSeed::derive("fleet")`).
-    pub fn new(nodes: usize, seed: u64, config: ChaosConfig) -> ChaosTransport {
+    pub(crate) fn new(nodes: usize, seed: u64, config: ChaosConfig) -> ChaosTransport {
         ChaosTransport {
             config,
             // splitmix64 must not start at 0 (it would stay 0 for one
@@ -175,16 +175,11 @@ impl ChaosTransport {
     }
 
     /// Fault attribution for one node's inbox.
-    pub fn link_stats(&self, node: NodeId) -> LinkStats {
+    pub(crate) fn link_stats(&self, node: NodeId) -> LinkStats {
         self.stats
             .get(usize::from(node))
             .copied()
             .unwrap_or_default()
-    }
-
-    /// The current virtual tick.
-    pub fn now(&self) -> u64 {
-        self.now
     }
 
     /// The sequential form of [`splitmix64`], the repo's standard
@@ -209,7 +204,7 @@ impl ChaosTransport {
     }
 
     /// Enqueues an encoded frame from `src` to `dst`.
-    pub fn send(&mut self, src: NodeId, dst: NodeId, frame: String) {
+    pub(crate) fn send(&mut self, src: NodeId, dst: NodeId, frame: String) {
         if self
             .config
             .partitions
@@ -259,7 +254,7 @@ impl ChaosTransport {
     }
 
     /// Drains every frame that has arrived for `dst`, in delivery order.
-    pub fn poll(&mut self, dst: NodeId) -> Vec<String> {
+    pub(crate) fn poll(&mut self, dst: NodeId) -> Vec<String> {
         let now = self.now;
         let mut out = Vec::new();
         self.in_flight.retain_mut(|(at, d, frame)| {
@@ -274,13 +269,13 @@ impl ChaosTransport {
 
     /// Advances virtual time one tick (delays count down, partitions
     /// open and heal).
-    pub fn tick(&mut self) {
+    pub(crate) fn tick(&mut self) {
         self.now += 1;
     }
 
     /// Drops everything in flight to a crashed node — a kill -9 takes
     /// its socket buffers with it.
-    pub fn reset(&mut self, node: NodeId) {
+    pub(crate) fn reset(&mut self, node: NodeId) {
         self.in_flight.retain(|(_, d, _)| *d != node);
     }
 }

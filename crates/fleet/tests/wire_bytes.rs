@@ -11,8 +11,8 @@
 //! in every recorded fleet run — and nothing that compares a build with
 //! itself would notice.
 
-use easched_core::fnv1a64;
 use easched_fleet::{run_fleet, CrashPlan, Envelope, FleetSpec, Frame, Op};
+use easched_runtime::fnv1a64;
 
 /// The recorded log of `spec`, run over journals of its own under `tag`
 /// (a run without a store root shares one per seed): its line count and

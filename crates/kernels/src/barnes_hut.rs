@@ -195,7 +195,7 @@ fn exact_force(i: usize, xs: &[f64], ys: &[f64], masses: &[f64]) -> (f64, f64) {
 
 /// The Barnes-Hut workload: one force-computation step over `n` bodies.
 #[derive(Debug)]
-pub struct BarnesHut {
+pub(crate) struct BarnesHut {
     xs: Vec<f64>,
     ys: Vec<f64>,
     masses: Vec<f64>,
@@ -209,7 +209,7 @@ impl BarnesHut {
     /// # Panics
     ///
     /// Panics if `n < 2`.
-    pub fn new(n: usize, seed: u64, profile: Profile) -> Self {
+    pub(crate) fn new(n: usize, seed: u64, profile: Profile) -> Self {
         assert!(n >= 2, "need at least 2 bodies");
         let mut rng = StdRng::seed_from_u64(seed);
         let mut xs = Vec::with_capacity(n);
@@ -233,7 +233,7 @@ impl BarnesHut {
 
     /// Default calibration: long on both devices, memory-bound
     /// (pointer-chasing traversal).
-    pub fn default_profile() -> Profile {
+    pub(crate) fn default_profile() -> Profile {
         Profile {
             desktop: Calib {
                 cpu_rate: 2.5e4,

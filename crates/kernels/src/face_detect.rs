@@ -24,7 +24,7 @@ const STRIDE: usize = 4;
 
 /// The face-detection workload.
 #[derive(Debug)]
-pub struct FaceDetect {
+pub(crate) struct FaceDetect {
     width: usize,
     height: usize,
     image: Vec<u32>,
@@ -62,7 +62,7 @@ impl FaceDetect {
     ///
     /// Panics if the image is smaller than the base window, or `stages` or
     /// `n_faces` is zero.
-    pub fn new(
+    pub(crate) fn new(
         width: usize,
         height: usize,
         n_faces: usize,
@@ -117,7 +117,7 @@ impl FaceDetect {
 
     /// Default calibration: the suite's CPU-biased workload (branchy window
     /// rejection runs poorly on SIMD).
-    pub fn default_profile() -> Profile {
+    pub(crate) fn default_profile() -> Profile {
         Profile {
             desktop: Calib {
                 cpu_rate: 6.0e6,

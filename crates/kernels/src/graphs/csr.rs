@@ -5,7 +5,7 @@ use std::fmt;
 
 /// Error building a [`Csr`] graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CsrError {
+pub(crate) enum CsrError {
     /// An edge references a vertex `>= vertex_count`.
     VertexOutOfRange {
         /// The offending vertex id.
@@ -45,7 +45,7 @@ impl Error for CsrError {}
 /// Vertex ids are `u32`. For undirected algorithms add both edge directions
 /// (the road-network generator does this).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Csr {
+pub(crate) struct Csr {
     offsets: Vec<usize>,
     targets: Vec<u32>,
     weights: Vec<u32>,
@@ -59,7 +59,7 @@ impl Csr {
     ///
     /// [`CsrError::WeightLengthMismatch`] if lengths differ, or
     /// [`CsrError::VertexOutOfRange`] if any endpoint is `>= vertex_count`.
-    pub fn from_weighted_edges(
+    pub(crate) fn from_weighted_edges(
         vertex_count: u32,
         edges: &[(u32, u32)],
         weights: &[u32],
@@ -108,17 +108,17 @@ impl Csr {
 
     /// Builds a graph with weight 1 on every edge.
     #[cfg(test)]
-    pub fn from_edges(vertex_count: u32, edges: &[(u32, u32)]) -> Result<Csr, CsrError> {
+    pub(crate) fn from_edges(vertex_count: u32, edges: &[(u32, u32)]) -> Result<Csr, CsrError> {
         Self::from_weighted_edges(vertex_count, edges, &vec![1; edges.len()])
     }
 
     /// Number of vertices.
-    pub fn vertex_count(&self) -> u32 {
+    pub(crate) fn vertex_count(&self) -> u32 {
         (self.offsets.len() - 1) as u32
     }
 
     /// Number of directed edges.
-    pub fn edge_count(&self) -> usize {
+    pub(crate) fn edge_count(&self) -> usize {
         self.targets.len()
     }
 
@@ -127,7 +127,7 @@ impl Csr {
     /// # Panics
     ///
     /// Panics if `v >= vertex_count()`.
-    pub fn neighbors(&self, v: u32) -> &[u32] {
+    pub(crate) fn neighbors(&self, v: u32) -> &[u32] {
         let v = v as usize;
         &self.targets[self.offsets[v]..self.offsets[v + 1]]
     }
@@ -137,7 +137,7 @@ impl Csr {
     /// # Panics
     ///
     /// Panics if `v >= vertex_count()`.
-    pub fn weighted_neighbors(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+    pub(crate) fn weighted_neighbors(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
         let vi = v as usize;
         let range = self.offsets[vi]..self.offsets[vi + 1];
         range.map(move |e| (self.targets[e], self.weights[e]))

@@ -35,7 +35,7 @@ use rand::{Rng, SeedableRng};
 /// # Panics
 ///
 /// Panics if `width` or `height` is zero.
-pub fn road_network(width: u32, height: u32, seed: u64) -> Csr {
+pub(crate) fn road_network(width: u32, height: u32, seed: u64) -> Csr {
     assert!(width > 0 && height > 0, "grid dimensions must be positive");
     let n = width * height;
     let mut rng = StdRng::seed_from_u64(seed);

@@ -9,7 +9,7 @@ use std::collections::BinaryHeap;
 /// # Panics
 ///
 /// Panics if `src` is out of range on a non-empty graph.
-pub fn bfs_levels(g: &Csr, src: u32) -> Vec<u32> {
+pub(crate) fn bfs_levels(g: &Csr, src: u32) -> Vec<u32> {
     let n = g.vertex_count() as usize;
     let mut dist = vec![u32::MAX; n];
     if n == 0 {
@@ -37,7 +37,7 @@ pub fn bfs_levels(g: &Csr, src: u32) -> Vec<u32> {
 /// # Panics
 ///
 /// Panics if `src` is out of range on a non-empty graph.
-pub fn dijkstra(g: &Csr, src: u32) -> Vec<u64> {
+pub(crate) fn dijkstra(g: &Csr, src: u32) -> Vec<u64> {
     let n = g.vertex_count() as usize;
     let mut dist = vec![u64::MAX; n];
     if n == 0 {
@@ -64,7 +64,7 @@ pub fn dijkstra(g: &Csr, src: u32) -> Vec<u64> {
 
 /// Serial connected components by repeated BFS: returns per-vertex component
 /// label, where each label is the smallest vertex id in the component.
-pub fn components(g: &Csr) -> Vec<u32> {
+pub(crate) fn components(g: &Csr) -> Vec<u32> {
     let n = g.vertex_count() as usize;
     let mut label = vec![u32::MAX; n];
     for start in 0..n as u32 {

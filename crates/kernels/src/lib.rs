@@ -2,32 +2,32 @@
 //!
 //! Twelve benchmark applications (Table 1) plus the eight
 //! power-characterization micro-benchmarks (§2), each implemented as a real
-//! algorithm behind the [`workload::Workload`] abstraction:
+//! algorithm behind the [`Workload`] abstraction:
 //!
-//! | Abbrev | Workload | Kind | Module |
+//! | Abbrev | Workload | Kind | Source |
 //! |---|---|---|---|
-//! | BH | Barnes-Hut force calculation | irregular, memory | [`barnes_hut`] |
-//! | BFS | Breadth-first search | irregular, memory | [`graphs`] |
-//! | CC | Connected components | irregular, memory | [`graphs`] |
-//! | FD | Face detection cascade | irregular, compute, CPU-biased | [`face_detect`] |
-//! | MB | Mandelbrot | irregular, memory | [`mandelbrot`] |
-//! | SL | Skip-list search | irregular, memory | [`skiplist`] |
-//! | SP | Shortest path | irregular, memory | [`graphs`] |
-//! | BS | Black-Scholes | regular, compute | [`blackscholes`] |
-//! | MM | Matrix multiply | regular, compute | [`matmul`] |
-//! | NB | N-Body | regular, compute | [`nbody`] |
-//! | RT | Ray tracer | regular, compute | [`raytracer`] |
-//! | SM | Seismic wave propagation | regular, memory | [`seismic`] |
+//! | BH | Barnes-Hut force calculation | irregular, memory | `barnes_hut.rs` |
+//! | BFS | Breadth-first search | irregular, memory | `graphs/` |
+//! | CC | Connected components | irregular, memory | `graphs/` |
+//! | FD | Face detection cascade | irregular, compute, CPU-biased | `face_detect.rs` |
+//! | MB | Mandelbrot | irregular, memory | `mandelbrot.rs` |
+//! | SL | Skip-list search | irregular, memory | `skiplist.rs` |
+//! | SP | Shortest path | irregular, memory | `graphs/` |
+//! | BS | Black-Scholes | regular, compute | `blackscholes.rs` |
+//! | MM | Matrix multiply | regular, compute | `matmul.rs` |
+//! | NB | N-Body | regular, compute | `nbody.rs` |
+//! | RT | Ray tracer | regular, compute | `raytracer.rs` |
+//! | SM | Seismic wave propagation | regular, memory | `seismic.rs` |
 //!
 //! Every workload functionally verifies its output (against serial
 //! references, closed-form solutions, or conservation laws) and carries a
-//! calibrated per-platform simulation profile ([`profiles`]).
+//! calibrated per-platform simulation profile ([`Profile`]).
 //!
 //! # Examples
 //!
 //! ```
 //! use easched_kernels::suite;
-//! use easched_kernels::workload::{record_trace, Workload};
+//! use easched_kernels::{record_trace, Workload};
 //!
 //! let w = suite::mandelbrot_small();
 //! let (trace, verification) = record_trace(w.as_ref());
@@ -36,26 +36,35 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub, unnameable_types)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
-pub mod barnes_hut;
-pub mod blackscholes;
-pub mod face_detect;
-pub mod graphs;
-pub mod mandelbrot;
-pub mod matmul;
-pub mod microbench;
-pub mod nbody;
-pub mod profiles;
-pub mod raytracer;
-pub mod seismic;
-pub mod skiplist;
+mod barnes_hut;
+mod blackscholes;
+mod face_detect;
+mod graphs;
+mod mandelbrot;
+mod matmul;
+mod microbench;
+mod nbody;
+mod profiles;
+mod raytracer;
+mod seismic;
+mod skiplist;
+// The constructor namespace: `suite::bfs_small()`, `suite::desktop_suite()`.
 pub mod suite;
-pub mod workload;
+mod workload;
 
-pub use profiles::{Calib, PlatformKind, Profile};
+pub use blackscholes::BlackScholes;
+pub use graphs::{Bfs, ConnectedComponents, ShortestPath};
+pub use mandelbrot::{Mandelbrot, LANES};
+pub use matmul::MatMul;
+pub use microbench::{characterization_suite, MicroBenchmark};
+pub use nbody::NBody;
+pub use profiles::Profile;
+pub use raytracer::RayTracer;
+pub use seismic::Seismic;
+pub use skiplist::SkipList;
 pub use workload::{
-    record_trace, InvocationTrace, Invoker, SerialInvoker, TraceRecorder, Verification, Workload,
-    WorkloadSpec,
+    record_trace, InvocationTrace, Invoker, SerialInvoker, Verification, Workload, WorkloadSpec,
 };

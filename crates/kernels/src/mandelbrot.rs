@@ -79,11 +79,12 @@ impl Mandelbrot {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension or `max_iter` is zero.
+    /// Panics if any dimension is zero or `max_iter` is below 2: one
+    /// iteration leaves every pixel interior, an image no drive verifies.
     pub fn new(width: usize, height: usize, max_iter: u32, profile: Profile) -> Self {
         assert!(
-            width > 0 && height > 0 && max_iter > 0,
-            "dimensions and max_iter must be positive"
+            width > 0 && height > 0 && max_iter >= 2,
+            "dimensions must be positive and max_iter at least 2"
         );
         Mandelbrot {
             width,
@@ -329,8 +330,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dimensions and max_iter must be positive")]
-    fn rejects_zero_iter() {
-        Mandelbrot::new(8, 8, 0, Mandelbrot::default_profile());
+    fn rejects_fewer_than_two_iterations() {
+        for max_iter in [0, 1] {
+            let made = std::panic::catch_unwind(|| {
+                Mandelbrot::new(8, 8, max_iter, Mandelbrot::default_profile())
+            });
+            let why = made.expect_err("constructed").downcast::<&str>().unwrap();
+            assert!(
+                why.contains("max_iter at least 2"),
+                "max_iter {max_iter}: {why}"
+            );
+        }
     }
 }

@@ -9,13 +9,11 @@
 //! functional kernels (an FMA loop and random memory updates, as described
 //! in the paper) for the thread-runtime demos.
 
-use crate::profiles::{kind_of, Calib, PlatformKind, Profile};
-use crate::workload::{Invoker, Verification, Workload, WorkloadSpec};
+use crate::profiles::{kind_of, Calib, PlatformKind};
 use easched_sim::{AccessPattern, KernelTraits, Platform};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Items per micro-benchmark run; rates are chosen relative to this.
-pub const MICRO_ITEMS: u64 = 1_000_000;
+pub(crate) const MICRO_ITEMS: u64 = 1_000_000;
 
 /// Duration targets: "short" solo runs finish well under the paper's 100 ms
 /// threshold, "long" runs take on the order of a second. Within each
@@ -157,7 +155,7 @@ impl MicroBenchmark {
 /// # Examples
 ///
 /// ```
-/// use easched_kernels::microbench::characterization_suite;
+/// use easched_kernels::characterization_suite;
 /// use easched_sim::Platform;
 /// let suite = characterization_suite(&Platform::haswell_desktop());
 /// assert_eq!(suite.len(), 8);
@@ -180,127 +178,9 @@ pub fn characterization_suite(platform: &Platform) -> Vec<MicroBenchmark> {
     out
 }
 
-/// Functional compute-bound kernel body: `iters` fused multiply-adds, as in
-/// the paper's compute micro-benchmark. Returns the accumulator so the work
-/// cannot be optimized away.
-///
-/// ```
-/// use easched_kernels::microbench::fma_loop;
-/// assert!(fma_loop(1000, 3).is_finite());
-/// ```
-pub fn fma_loop(iters: u32, seed: u64) -> f64 {
-    let mut acc = seed as f64 * 1e-9 + 1.0;
-    let mut x = 1.000_000_1f64;
-    for _ in 0..iters {
-        acc = acc.mul_add(x, 0.5);
-        x = -x;
-        if acc.abs() > 1e12 {
-            acc *= 1e-12;
-        }
-    }
-    acc
-}
-
-/// A functional micro-workload usable with the heterogeneous runtime: each
-/// item either runs an FMA loop (compute-bound) or performs scattered
-/// updates into a shared table (memory-bound random updates, as in §2).
-#[derive(Debug)]
-pub struct MicroWorkload {
-    memory_bound: bool,
-    items: u64,
-    table_mask: usize,
-    profile: Profile,
-}
-
-impl MicroWorkload {
-    /// Creates a functional micro-workload of `items` iterations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items` is zero.
-    pub fn new(memory_bound: bool, items: u64) -> MicroWorkload {
-        assert!(items > 0, "items must be positive");
-        let micro = MicroBenchmark::new(memory_bound, true, true);
-        let calib = Calib {
-            cpu_rate: micro.traits.cpu_rate(),
-            gpu_rate: micro.traits.gpu_rate(),
-            mem_intensity: micro.traits.memory_intensity(),
-            access: micro.traits.access(),
-            working_set: micro.traits.working_set_bytes(),
-            bus_fraction: 0.5,
-            irregularity: 0.0,
-            instr_per_item: micro.traits.instr_per_item(),
-            loads_per_item: micro.traits.loads_per_item(),
-        };
-        MicroWorkload {
-            memory_bound,
-            items,
-            table_mask: (1 << 16) - 1,
-            profile: Profile {
-                desktop: calib,
-                tablet: calib,
-            },
-        }
-    }
-}
-
-impl Workload for MicroWorkload {
-    fn spec(&self) -> WorkloadSpec {
-        WorkloadSpec {
-            name: if self.memory_bound {
-                "Memory micro-benchmark"
-            } else {
-                "Compute micro-benchmark"
-            },
-            abbrev: "MICRO",
-            regular: true,
-            runs_on_tablet: true,
-        }
-    }
-
-    fn traits_for(&self, platform: &Platform) -> KernelTraits {
-        self.profile.traits_for("MICRO", platform)
-    }
-
-    fn drive(&self, invoker: &mut dyn Invoker) -> Verification {
-        let table: Vec<AtomicU64> = (0..=self.table_mask).map(|_| AtomicU64::new(0)).collect();
-        let checksum = AtomicU64::new(0);
-        let memory_bound = self.memory_bound;
-        let mask = self.table_mask;
-        invoker.invoke(self.items, &|items| {
-            for i in items {
-                if memory_bound {
-                    // Random updates at hashed indices (paper §2).
-                    let mut h = i as u64;
-                    for _ in 0..8 {
-                        h = easched_sim::noise::splitmix64(h);
-                        table[(h as usize) & mask].fetch_add(1, Ordering::Relaxed);
-                    }
-                } else {
-                    let v = fma_loop(64, i as u64);
-                    checksum.fetch_add(v.to_bits() & 0xFF, Ordering::Relaxed);
-                }
-            }
-        });
-        if memory_bound {
-            let total: u64 = table.iter().map(|a| a.load(Ordering::Relaxed)).sum();
-            if total == self.items * 8 {
-                Verification::Passed
-            } else {
-                Verification::Failed(format!("update count {total} != {}", self.items * 8))
-            }
-        } else if self.items == 0 || checksum.load(Ordering::Relaxed) > 0 {
-            Verification::Passed
-        } else {
-            Verification::Failed("checksum degenerate".into())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{record_trace, SerialInvoker};
 
     #[test]
     fn suite_covers_all_corners() {
@@ -339,33 +219,5 @@ mod tests {
                 .map(|m| m.label())
                 .collect();
         assert_eq!(labels.len(), 8);
-    }
-
-    #[test]
-    fn fma_loop_deterministic_and_finite() {
-        assert_eq!(fma_loop(100, 7), fma_loop(100, 7));
-        assert!(fma_loop(1_000_000, 1).is_finite());
-    }
-
-    #[test]
-    fn micro_workloads_verify() {
-        for mb in [false, true] {
-            let w = MicroWorkload::new(mb, 2_000);
-            assert!(w.drive(&mut SerialInvoker).is_passed(), "memory={mb}");
-        }
-    }
-
-    #[test]
-    fn micro_workload_single_invocation() {
-        let w = MicroWorkload::new(true, 500);
-        let (trace, v) = record_trace(&w);
-        assert!(v.is_passed());
-        assert_eq!(trace.sizes, vec![500]);
-    }
-
-    #[test]
-    #[should_panic(expected = "items must be positive")]
-    fn micro_workload_rejects_zero() {
-        MicroWorkload::new(false, 0);
     }
 }

@@ -25,7 +25,7 @@ use easched_sim::{AccessPattern, KernelTraits, Platform};
 
 /// Which of the two paper platforms a [`Platform`] value represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PlatformKind {
+pub(crate) enum PlatformKind {
     /// The Haswell desktop.
     Desktop,
     /// The Bay Trail tablet.
@@ -34,17 +34,7 @@ pub enum PlatformKind {
 
 /// Classifies a platform by its preset name; unknown platforms are treated
 /// as desktops.
-///
-/// # Examples
-///
-/// ```
-/// use easched_kernels::profiles::{kind_of, PlatformKind};
-/// use easched_sim::Platform;
-///
-/// assert_eq!(kind_of(&Platform::haswell_desktop()), PlatformKind::Desktop);
-/// assert_eq!(kind_of(&Platform::baytrail_tablet()), PlatformKind::Tablet);
-/// ```
-pub fn kind_of(platform: &Platform) -> PlatformKind {
+pub(crate) fn kind_of(platform: &Platform) -> PlatformKind {
     if platform.name.contains("baytrail") || platform.name.contains("tablet") {
         PlatformKind::Tablet
     } else {
@@ -54,33 +44,33 @@ pub fn kind_of(platform: &Platform) -> PlatformKind {
 
 /// One platform's calibration for one kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Calib {
+pub(crate) struct Calib {
     /// Solo CPU rate, items/second.
-    pub cpu_rate: f64,
+    pub(crate) cpu_rate: f64,
     /// Solo GPU rate, items/second.
-    pub gpu_rate: f64,
+    pub(crate) gpu_rate: f64,
     /// Power-class memory intensity in [0, 1].
-    pub mem_intensity: f64,
+    pub(crate) mem_intensity: f64,
     /// Counter-model access pattern (calibrated to reproduce the Table 1
     /// class under the 0.33 miss/load threshold; not a claim about source
     /// loop structure).
-    pub access: AccessPattern,
+    pub(crate) access: AccessPattern,
     /// Working-set bytes at *paper scale* (drives the L3 miss model).
-    pub working_set: u64,
+    pub(crate) working_set: u64,
     /// Combined-mode bus demand as a fraction of platform peak bandwidth
     /// (values > 1 oversubscribe and trigger contention).
-    pub bus_fraction: f64,
+    pub(crate) bus_fraction: f64,
     /// Irregularity (per-invocation throughput noise scale).
-    pub irregularity: f64,
+    pub(crate) irregularity: f64,
     /// Instructions retired per item.
-    pub instr_per_item: f64,
+    pub(crate) instr_per_item: f64,
     /// Load/store instructions per item.
-    pub loads_per_item: f64,
+    pub(crate) loads_per_item: f64,
 }
 
 impl Calib {
     /// Builds the [`KernelTraits`] for `platform` from this calibration.
-    pub fn traits(&self, name: &str, platform: &Platform) -> KernelTraits {
+    pub(crate) fn traits(&self, name: &str, platform: &Platform) -> KernelTraits {
         let combined = self.cpu_rate + self.gpu_rate;
         let bytes_per_item = if combined > 0.0 {
             self.bus_fraction * platform.memory.peak_bw_bytes_per_sec / combined
@@ -105,9 +95,9 @@ impl Calib {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Profile {
     /// Calibration on the Haswell desktop.
-    pub desktop: Calib,
+    pub(crate) desktop: Calib,
     /// Calibration on the Bay Trail tablet.
-    pub tablet: Calib,
+    pub(crate) tablet: Calib,
 }
 
 impl Profile {
@@ -124,6 +114,12 @@ impl Profile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn kind_of_names_both_platforms() {
+        assert_eq!(kind_of(&Platform::haswell_desktop()), PlatformKind::Desktop);
+        assert_eq!(kind_of(&Platform::baytrail_tablet()), PlatformKind::Tablet);
+    }
 
     fn sample() -> Profile {
         Profile {

@@ -12,6 +12,7 @@ use easched_sim::{AccessPattern, KernelTraits, Platform};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 
 type Vec3 = [f32; 3];
 
@@ -86,6 +87,9 @@ pub struct RayTracer {
     spheres: Vec<Sphere>,
     lights: Vec<Light>,
     profile: Profile,
+    /// The serial render, computed on the first drive and compared
+    /// against on every drive.
+    serial_image: OnceLock<Vec<[f32; 3]>>,
 }
 
 impl RayTracer {
@@ -141,6 +145,7 @@ impl RayTracer {
             spheres,
             lights,
             profile,
+            serial_image: OnceLock::new(),
         }
     }
 
@@ -267,9 +272,11 @@ impl Workload for RayTracer {
                 }
             }
         });
-        // Serial re-render must match bitwise.
-        for (i, px) in image.iter().enumerate() {
-            let want = self.render_pixel(i);
+        // The serial render must match bitwise.
+        let serial = self
+            .serial_image
+            .get_or_init(|| (0..n).map(|i| self.render_pixel(i)).collect());
+        for (i, (px, want)) in image.iter().zip(serial).enumerate() {
             for k in 0..3 {
                 let got = f32::from_bits(px[k].load(Ordering::Relaxed));
                 if got != want[k] {

@@ -11,6 +11,7 @@ use crate::profiles::{Calib, Profile};
 use crate::workload::{Invoker, Verification, Workload, WorkloadSpec};
 use easched_sim::{AccessPattern, KernelTraits, Platform};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 
 const WAVE_SPEED: f32 = 0.25;
 const DAMPING: f32 = 0.999;
@@ -35,6 +36,9 @@ pub struct Seismic {
     height: usize,
     frames: u32,
     profile: Profile,
+    /// The serial run's last frame, computed on the first drive and
+    /// compared against on every drive.
+    serial_frame: OnceLock<Vec<f32>>,
 }
 
 impl Seismic {
@@ -53,6 +57,7 @@ impl Seismic {
             height,
             frames,
             profile,
+            serial_frame: OnceLock::new(),
         }
     }
 
@@ -147,8 +152,7 @@ impl Workload for Seismic {
                     .collect(),
             );
         }
-        let reference = self.serial_run();
-        if cur != reference {
+        if cur != *self.serial_frame.get_or_init(|| self.serial_run()) {
             return Verification::Failed("parallel frames differ from serial".into());
         }
         // The wave must have spread beyond the source cell and stayed

@@ -34,7 +34,7 @@ struct SkipListIndex {
 
 /// Deterministic tower height from the key's hash: geometric(1/2).
 fn height_of(key: u64) -> usize {
-    let h = easched_sim::noise::splitmix64(key);
+    let h = easched_sim::splitmix64(key);
     ((h.trailing_ones() as usize) + 1).min(MAX_LEVEL)
 }
 

@@ -33,55 +33,55 @@ use crate::workload::Workload;
 /// seeds its inputs came from.
 pub mod seeds {
     /// BarnesHut desktop body-cluster seed.
-    pub const BARNES_HUT_DESKTOP: u64 = 0xB4;
+    pub(crate) const BARNES_HUT_DESKTOP: u64 = 0xB4;
     /// BFS desktop road-network seed.
-    pub const BFS_DESKTOP: u64 = 0xBF5;
+    pub(crate) const BFS_DESKTOP: u64 = 0xBF5;
     /// Connected Components desktop road-network seed.
-    pub const CC_DESKTOP: u64 = 0xCC;
+    pub(crate) const CC_DESKTOP: u64 = 0xCC;
     /// Face Detect desktop photo-synthesis seed.
-    pub const FACE_DETECT_DESKTOP: u64 = 0xFD;
+    pub(crate) const FACE_DETECT_DESKTOP: u64 = 0xFD;
     /// SkipList desktop key/lookup seed.
-    pub const SKIPLIST_DESKTOP: u64 = 0x51;
+    pub(crate) const SKIPLIST_DESKTOP: u64 = 0x51;
     /// Shortest Path desktop road-network seed.
-    pub const SHORTEST_PATH_DESKTOP: u64 = 0x59;
+    pub(crate) const SHORTEST_PATH_DESKTOP: u64 = 0x59;
     /// Blackscholes desktop portfolio seed.
-    pub const BLACKSCHOLES_DESKTOP: u64 = 0xB5;
+    pub(crate) const BLACKSCHOLES_DESKTOP: u64 = 0xB5;
     /// Matrix Multiply desktop input seed.
-    pub const MATMUL_DESKTOP: u64 = 0x33;
+    pub(crate) const MATMUL_DESKTOP: u64 = 0x33;
     /// N-Body desktop initial-conditions seed.
-    pub const NBODY_DESKTOP: u64 = 0x3B;
+    pub(crate) const NBODY_DESKTOP: u64 = 0x3B;
     /// Ray Tracer desktop scene seed.
-    pub const RAYTRACER_DESKTOP: u64 = 0x47;
+    pub(crate) const RAYTRACER_DESKTOP: u64 = 0x47;
     /// SkipList tablet key/lookup seed.
-    pub const SKIPLIST_TABLET: u64 = 0x52;
+    pub(crate) const SKIPLIST_TABLET: u64 = 0x52;
     /// Blackscholes tablet portfolio seed.
-    pub const BLACKSCHOLES_TABLET: u64 = 0xB6;
+    pub(crate) const BLACKSCHOLES_TABLET: u64 = 0xB6;
     /// Matrix Multiply tablet input seed.
-    pub const MATMUL_TABLET: u64 = 0x34;
+    pub(crate) const MATMUL_TABLET: u64 = 0x34;
     /// N-Body tablet initial-conditions seed.
-    pub const NBODY_TABLET: u64 = 0x3C;
+    pub(crate) const NBODY_TABLET: u64 = 0x3C;
     /// Ray Tracer tablet scene seed.
-    pub const RAYTRACER_TABLET: u64 = 0x48;
+    pub(crate) const RAYTRACER_TABLET: u64 = 0x48;
     /// Blackscholes small-instance portfolio seed.
-    pub const BLACKSCHOLES_SMALL: u64 = 0xB7;
+    pub(crate) const BLACKSCHOLES_SMALL: u64 = 0xB7;
     /// BFS small-instance road-network seed.
-    pub const BFS_SMALL: u64 = 0xBF6;
+    pub(crate) const BFS_SMALL: u64 = 0xBF6;
     /// BarnesHut small-instance seed.
-    pub const BARNES_HUT_SMALL: u64 = 1;
+    pub(crate) const BARNES_HUT_SMALL: u64 = 1;
     /// Connected Components small-instance seed.
-    pub const CC_SMALL: u64 = 2;
+    pub(crate) const CC_SMALL: u64 = 2;
     /// Face Detect small-instance seed.
-    pub const FACE_DETECT_SMALL: u64 = 3;
+    pub(crate) const FACE_DETECT_SMALL: u64 = 3;
     /// SkipList small-instance seed.
-    pub const SKIPLIST_SMALL: u64 = 4;
+    pub(crate) const SKIPLIST_SMALL: u64 = 4;
     /// Shortest Path small-instance seed.
-    pub const SHORTEST_PATH_SMALL: u64 = 5;
+    pub(crate) const SHORTEST_PATH_SMALL: u64 = 5;
     /// Matrix Multiply small-instance seed.
-    pub const MATMUL_SMALL: u64 = 6;
+    pub(crate) const MATMUL_SMALL: u64 = 6;
     /// N-Body small-instance seed.
-    pub const NBODY_SMALL: u64 = 7;
+    pub(crate) const NBODY_SMALL: u64 = 7;
     /// Ray Tracer small-instance seed.
-    pub const RAYTRACER_SMALL: u64 = 8;
+    pub(crate) const RAYTRACER_SMALL: u64 = 8;
 
     /// Every named generation seed, as `(name, value)` pairs for logging
     /// (Mandelbrot and Seismic generate no random input and have none).
@@ -168,7 +168,7 @@ pub fn mandelbrot_desktop() -> Box<dyn Workload> {
 }
 
 /// SkipList at desktop evaluation scale (500 k keys, 1 M lookups).
-pub fn skiplist_desktop() -> Box<dyn Workload> {
+pub(crate) fn skiplist_desktop() -> Box<dyn Workload> {
     Box::new(SkipList::new(
         500_000,
         1_000_000,
@@ -178,7 +178,7 @@ pub fn skiplist_desktop() -> Box<dyn Workload> {
 }
 
 /// Shortest Path at desktop evaluation scale.
-pub fn shortest_path_desktop() -> Box<dyn Workload> {
+pub(crate) fn shortest_path_desktop() -> Box<dyn Workload> {
     Box::new(ShortestPath::new(
         512,
         512,
@@ -188,7 +188,7 @@ pub fn shortest_path_desktop() -> Box<dyn Workload> {
 }
 
 /// Blackscholes at desktop evaluation scale (64 Ki options × 500 passes).
-pub fn blackscholes_desktop() -> Box<dyn Workload> {
+pub(crate) fn blackscholes_desktop() -> Box<dyn Workload> {
     Box::new(BlackScholes::new(
         65_536,
         500,
@@ -207,7 +207,7 @@ pub fn matmul_desktop() -> Box<dyn Workload> {
 }
 
 /// N-Body at desktop evaluation scale (4096 bodies × 101 steps, as in the paper).
-pub fn nbody_desktop() -> Box<dyn Workload> {
+pub(crate) fn nbody_desktop() -> Box<dyn Workload> {
     Box::new(NBody::new(
         4096,
         101,
@@ -217,7 +217,7 @@ pub fn nbody_desktop() -> Box<dyn Workload> {
 }
 
 /// Ray Tracer at desktop evaluation scale (512×384, 256 spheres, 5 lights).
-pub fn raytracer_desktop() -> Box<dyn Workload> {
+pub(crate) fn raytracer_desktop() -> Box<dyn Workload> {
     Box::new(RayTracer::new(
         512,
         384,
@@ -252,7 +252,7 @@ pub fn desktop_suite() -> Vec<Box<dyn Workload>> {
 }
 
 /// Mandelbrot at tablet scale (same image as the desktop, per Table 1).
-pub fn mandelbrot_tablet() -> Box<dyn Workload> {
+pub(crate) fn mandelbrot_tablet() -> Box<dyn Workload> {
     Box::new(Mandelbrot::new(
         1024,
         768,
@@ -262,7 +262,7 @@ pub fn mandelbrot_tablet() -> Box<dyn Workload> {
 }
 
 /// SkipList at tablet scale (100 k keys, 200 k lookups).
-pub fn skiplist_tablet() -> Box<dyn Workload> {
+pub(crate) fn skiplist_tablet() -> Box<dyn Workload> {
     Box::new(SkipList::new(
         100_000,
         200_000,
@@ -273,7 +273,7 @@ pub fn skiplist_tablet() -> Box<dyn Workload> {
 
 /// Blackscholes at tablet scale (256 Ki options × 100 passes — the paper's
 /// tablet input is *larger* per pass than the desktop's).
-pub fn blackscholes_tablet() -> Box<dyn Workload> {
+pub(crate) fn blackscholes_tablet() -> Box<dyn Workload> {
     Box::new(BlackScholes::new(
         262_144,
         100,
@@ -283,7 +283,7 @@ pub fn blackscholes_tablet() -> Box<dyn Workload> {
 }
 
 /// Matrix Multiply at tablet scale (256×256).
-pub fn matmul_tablet() -> Box<dyn Workload> {
+pub(crate) fn matmul_tablet() -> Box<dyn Workload> {
     Box::new(MatMul::new(
         256,
         seeds::MATMUL_TABLET,
@@ -292,7 +292,7 @@ pub fn matmul_tablet() -> Box<dyn Workload> {
 }
 
 /// N-Body at tablet scale (1024 bodies × 101 steps, as in the paper).
-pub fn nbody_tablet() -> Box<dyn Workload> {
+pub(crate) fn nbody_tablet() -> Box<dyn Workload> {
     Box::new(NBody::new(
         1024,
         101,
@@ -302,7 +302,7 @@ pub fn nbody_tablet() -> Box<dyn Workload> {
 }
 
 /// Ray Tracer at tablet scale (320×240, 225 spheres).
-pub fn raytracer_tablet() -> Box<dyn Workload> {
+pub(crate) fn raytracer_tablet() -> Box<dyn Workload> {
     Box::new(RayTracer::new(
         320,
         240,
@@ -314,7 +314,7 @@ pub fn raytracer_tablet() -> Box<dyn Workload> {
 }
 
 /// Seismic at tablet scale (same grid as the desktop, per Table 1).
-pub fn seismic_tablet() -> Box<dyn Workload> {
+pub(crate) fn seismic_tablet() -> Box<dyn Workload> {
     Box::new(Seismic::new(975, 663, 100, Seismic::default_profile()))
 }
 

@@ -66,7 +66,7 @@ pub trait Invoker {
 /// # Examples
 ///
 /// ```
-/// use easched_kernels::workload::{Invoker, SerialInvoker};
+/// use easched_kernels::{Invoker, SerialInvoker};
 /// use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// let sum = AtomicU64::new(0);
@@ -112,18 +112,18 @@ impl InvocationTrace {
 
 /// An invoker that executes inline and records invocation sizes.
 #[derive(Debug, Clone, Default)]
-pub struct TraceRecorder {
+pub(crate) struct TraceRecorder {
     trace: InvocationTrace,
 }
 
 impl TraceRecorder {
     /// Creates an empty recorder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Consumes the recorder, returning the trace.
-    pub fn into_trace(self) -> InvocationTrace {
+    pub(crate) fn into_trace(self) -> InvocationTrace {
         self.trace
     }
 }
@@ -156,14 +156,14 @@ pub trait Workload: Send + Sync {
     fn drive(&self, invoker: &mut dyn Invoker) -> Verification;
 }
 
-/// Runs `workload` once with a [`TraceRecorder`], returning the invocation
-/// trace and the verification outcome.
+/// Runs `workload` once with a recording [`Invoker`], returning the
+/// invocation trace and the verification outcome.
 ///
 /// # Examples
 ///
 /// ```
 /// use easched_kernels::suite;
-/// use easched_kernels::workload::record_trace;
+/// use easched_kernels::record_trace;
 ///
 /// let w = suite::blackscholes_small();
 /// let (trace, v) = record_trace(w.as_ref());

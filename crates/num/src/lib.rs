@@ -7,12 +7,13 @@
 //! * [`Polynomial`] — dense univariate polynomials with evaluation,
 //!   differentiation and integration (the paper's power-characterization
 //!   functions are sixth-order polynomials);
-//! * [`polyfit`](crate::polyfit::polyfit) — least-squares polynomial fitting
-//!   via normal equations solved with partially-pivoted Gaussian elimination;
-//! * [`optimize`] — grid search and golden-section minimization used to pick
-//!   the GPU offload ratio α that minimizes an energy objective;
-//! * [`stats`] — summary statistics used by the online profiler and the
-//!   experiment harness.
+//! * [`polyfit()`] — least-squares polynomial fitting via normal equations
+//!   solved with partially-pivoted Gaussian elimination;
+//! * [`grid_min`] / [`golden_section_min`] — grid search and golden-section
+//!   minimization used to pick the GPU offload ratio α that minimizes an
+//!   energy objective;
+//! * [`Summary`] / [`mean`] — summary statistics used by the online profiler
+//!   and the experiment harness.
 //!
 //! # Examples
 //!
@@ -28,17 +29,17 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub, unnameable_types)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
-pub mod linalg;
-pub mod optimize;
-pub mod polyfit;
-pub mod polynomial;
-pub mod stats;
+mod linalg;
+mod optimize;
+mod polyfit;
+mod polynomial;
+mod stats;
 
 pub use linalg::{solve_linear, LinAlgError};
 pub use optimize::{golden_section_min, grid_min, GridMin};
 pub use polyfit::{polyfit, polyfit_weighted, FitError, PolyFit};
 pub use polynomial::Polynomial;
-pub use stats::Summary;
+pub use stats::{mean, Summary};

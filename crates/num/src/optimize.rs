@@ -22,20 +22,7 @@ pub struct GridMin {
     /// Objective value at [`GridMin::x`].
     pub value: f64,
     /// Index of the minimizing sample in `0..=steps`.
-    pub index: usize,
-}
-
-impl GridMin {
-    /// Converts into an `(x, value)` pair.
-    ///
-    /// ```
-    /// use easched_num::grid_min;
-    /// let (x, v) = grid_min(0.0, 2.0, 2, |x| x).into_pair();
-    /// assert_eq!((x, v), (0.0, 0.0));
-    /// ```
-    pub fn into_pair(self) -> (f64, f64) {
-        (self.x, self.value)
-    }
+    pub(crate) index: usize,
 }
 
 /// Minimizes `f` over `steps + 1` equally spaced samples of `[lo, hi]`,
@@ -56,7 +43,6 @@ impl GridMin {
 ///
 /// // EAS evaluates EDP(α) for α ∈ {0.0, 0.1, ..., 1.0}.
 /// let m = grid_min(0.0, 1.0, 10, |a| (a - 0.9) * (a - 0.9));
-/// assert_eq!(m.index, 9);
 /// assert!((m.x - 0.9).abs() < 1e-12);
 /// ```
 pub fn grid_min<F: FnMut(f64) -> f64>(lo: f64, hi: f64, steps: usize, mut f: F) -> GridMin {
@@ -149,6 +135,12 @@ pub fn golden_section_min<F: FnMut(f64) -> f64>(
 #[allow(clippy::disallowed_methods)] // the searches' own tests
 mod tests {
     use super::*;
+
+    #[test]
+    fn grid_min_reports_the_sample_index() {
+        let m = grid_min(0.0, 1.0, 10, |a| (a - 0.9) * (a - 0.9));
+        assert_eq!(m.index, 9);
+    }
 
     #[test]
     fn grid_min_includes_both_endpoints() {

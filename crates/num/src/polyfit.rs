@@ -75,7 +75,6 @@ impl Error for FitError {
 pub struct PolyFit {
     poly: Polynomial,
     rmse: f64,
-    max_abs_residual: f64,
     r_squared: f64,
     samples: usize,
 }
@@ -99,11 +98,6 @@ impl PolyFit {
     /// Root-mean-square residual over the fitted samples.
     pub fn rmse(&self) -> f64 {
         self.rmse
-    }
-
-    /// Largest absolute residual over the fitted samples.
-    pub fn max_abs_residual(&self) -> f64 {
-        self.max_abs_residual
     }
 
     /// Coefficient of determination R² over the fitted samples (1 for a
@@ -242,7 +236,6 @@ pub fn polyfit_weighted(
     let mut sum_sq = 0.0;
     let mut wsum = 0.0;
     let mut wy_sum = 0.0;
-    let mut max_abs: f64 = 0.0;
     for ((&x, &y), &w) in xs.iter().zip(ys).zip(ws) {
         if w == 0.0 {
             continue;
@@ -251,7 +244,6 @@ pub fn polyfit_weighted(
         sum_sq += w * r * r;
         wsum += w;
         wy_sum += w * y;
-        max_abs = max_abs.max(r.abs());
     }
     let rmse = if wsum > 0.0 {
         (sum_sq / wsum).sqrt()
@@ -277,7 +269,6 @@ pub fn polyfit_weighted(
     Ok(PolyFit {
         poly: poly_x,
         rmse,
-        max_abs_residual: max_abs,
         r_squared,
         samples: effective,
     })
@@ -398,7 +389,6 @@ mod tests {
         let ys = [0.0, 1.1, 2.0]; // middle point off a straight line
         let fit = polyfit(&xs, &ys, 1).unwrap();
         assert!(fit.rmse() > 0.0);
-        assert!(fit.max_abs_residual() >= fit.rmse());
         assert!(fit.r_squared() > 0.9 && fit.r_squared() < 1.0);
     }
 

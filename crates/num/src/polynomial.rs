@@ -46,12 +46,7 @@ impl Polynomial {
     }
 
     /// The zero polynomial.
-    ///
-    /// ```
-    /// use easched_num::Polynomial;
-    /// assert_eq!(Polynomial::zero().eval(3.0), 0.0);
-    /// ```
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Polynomial { coeffs: Vec::new() }
     }
 
@@ -65,22 +60,12 @@ impl Polynomial {
         Polynomial::new(vec![c])
     }
 
-    /// The identity polynomial `x`.
-    ///
-    /// ```
-    /// use easched_num::Polynomial;
-    /// assert_eq!(Polynomial::x().eval(7.0), 7.0);
-    /// ```
-    pub fn x() -> Self {
-        Polynomial::new(vec![0.0, 1.0])
-    }
-
     /// Degree of the polynomial, or `None` for the zero polynomial.
     ///
     /// ```
     /// use easched_num::Polynomial;
     /// assert_eq!(Polynomial::new(vec![1.0, 0.0, 2.0]).degree(), Some(2));
-    /// assert_eq!(Polynomial::zero().degree(), None);
+    /// assert_eq!(Polynomial::new(vec![0.0]).degree(), None);
     /// ```
     pub fn degree(&self) -> Option<usize> {
         if self.coeffs.is_empty() {
@@ -101,12 +86,7 @@ impl Polynomial {
     }
 
     /// Returns `true` if this is the zero polynomial.
-    ///
-    /// ```
-    /// use easched_num::Polynomial;
-    /// assert!(Polynomial::new(vec![0.0, 0.0]).is_zero());
-    /// ```
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.coeffs.is_empty()
     }
 
@@ -164,48 +144,9 @@ impl Polynomial {
         Polynomial::new(coeffs)
     }
 
-    /// Definite integral over `[a, b]`.
-    ///
-    /// ```
-    /// use easched_num::Polynomial;
-    /// let p = Polynomial::new(vec![0.0, 2.0]); // 2x
-    /// assert!((p.integrate(0.0, 3.0) - 9.0).abs() < 1e-12);
-    /// ```
-    pub fn integrate(&self, a: f64, b: f64) -> f64 {
-        let anti = self.antiderivative();
-        anti.eval(b) - anti.eval(a)
-    }
-
     /// Scales every coefficient by `s`.
-    ///
-    /// ```
-    /// use easched_num::Polynomial;
-    /// let p = Polynomial::new(vec![1.0, 1.0]).scale(3.0);
-    /// assert_eq!(p.eval(1.0), 6.0);
-    /// ```
-    pub fn scale(&self, s: f64) -> Polynomial {
+    pub(crate) fn scale(&self, s: f64) -> Polynomial {
         Polynomial::new(self.coeffs.iter().map(|&c| c * s).collect())
-    }
-
-    /// Minimum of the polynomial over `[lo, hi]` sampled at `steps + 1`
-    /// equally spaced points, returning `(argmin, min)`.
-    ///
-    /// This matches how the paper minimizes the energy objective: evaluating
-    /// over a grid of offload ratios.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps == 0` or `lo > hi` or either bound is non-finite.
-    ///
-    /// ```
-    /// use easched_num::Polynomial;
-    /// let p = Polynomial::new(vec![1.0, -2.0, 1.0]); // (x−1)²
-    /// let (x, y) = p.grid_min(0.0, 2.0, 20);
-    /// assert!((x - 1.0).abs() < 1e-12 && y.abs() < 1e-12);
-    /// ```
-    #[allow(clippy::disallowed_methods)] // the search itself, over this polynomial
-    pub fn grid_min(&self, lo: f64, hi: f64, steps: usize) -> (f64, f64) {
-        crate::optimize::grid_min(lo, hi, steps, |x| self.eval(x)).into_pair()
     }
 
     fn normalize(&mut self) {
@@ -328,6 +269,14 @@ impl Mul for Polynomial {
 mod tests {
     use super::*;
 
+    #[test]
+    fn zero_and_scale_basics() {
+        assert_eq!(Polynomial::zero().eval(3.0), 0.0);
+        assert_eq!(Polynomial::zero().degree(), None);
+        assert!(Polynomial::new(vec![0.0, 0.0]).is_zero());
+        assert_eq!(Polynomial::new(vec![1.0, 1.0]).scale(3.0).eval(1.0), 6.0);
+    }
+
     fn poly(cs: &[f64]) -> Polynomial {
         Polynomial::new(cs.to_vec())
     }
@@ -384,14 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn definite_integral_of_x_squared() {
-        let p = poly(&[0.0, 0.0, 1.0]);
-        assert!((p.integrate(0.0, 1.0) - 1.0 / 3.0).abs() < 1e-12);
-        // Reversed bounds negate.
-        assert!((p.integrate(1.0, 0.0) + 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn addition_and_subtraction() {
         let a = poly(&[1.0, 2.0]);
         let b = poly(&[0.0, -2.0, 3.0]);
@@ -412,15 +353,6 @@ mod tests {
     #[test]
     fn scale_by_zero_is_zero() {
         assert!(poly(&[1.0, 2.0]).scale(0.0).is_zero());
-    }
-
-    #[test]
-    #[allow(clippy::disallowed_methods)] // the method's own test
-    fn grid_min_finds_parabola_vertex() {
-        let p = poly(&[4.0, -4.0, 1.0]); // (x−2)²
-        let (x, y) = p.grid_min(0.0, 4.0, 40);
-        assert!((x - 2.0).abs() < 1e-9);
-        assert!(y.abs() < 1e-9);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 /// let s: Summary = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0].iter().copied().collect();
 /// assert_eq!(s.count(), 8);
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
+/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
@@ -30,12 +30,7 @@ pub struct Summary {
 
 impl Summary {
     /// Creates an empty summary.
-    ///
-    /// ```
-    /// use easched_num::Summary;
-    /// assert_eq!(Summary::new().count(), 0);
-    /// ```
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Summary {
             count: 0,
             mean: 0.0,
@@ -51,15 +46,7 @@ impl Summary {
     /// Non-finite samples are ignored (profiling counters occasionally
     /// produce them on zero-duration windows; discarding matches the paper's
     /// "repeat profiling" robustness strategy).
-    ///
-    /// ```
-    /// use easched_num::Summary;
-    /// let mut s = Summary::new();
-    /// s.add(1.0);
-    /// s.add(f64::NAN); // ignored
-    /// assert_eq!(s.count(), 1);
-    /// ```
-    pub fn add(&mut self, x: f64) {
+    pub(crate) fn add(&mut self, x: f64) {
         if !x.is_finite() {
             return;
         }
@@ -108,11 +95,6 @@ impl Summary {
         } else {
             self.m2 / self.count as f64
         }
-    }
-
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
     }
 
     /// Merges another summary into this one (parallel Welford merge).
@@ -164,39 +146,10 @@ impl Extend<f64> for Summary {
     }
 }
 
-/// Geometric mean of strictly positive values; returns `None` if the slice is
-/// empty or any value is not strictly positive and finite.
-///
-/// The evaluation figures report per-benchmark efficiency ratios; the
-/// geometric mean is the standard aggregate for ratios.
-///
-/// # Examples
-///
-/// ```
-/// use easched_num::stats::geometric_mean;
-///
-/// assert_eq!(geometric_mean(&[1.0, 4.0]), Some(2.0));
-/// assert_eq!(geometric_mean(&[]), None);
-/// assert_eq!(geometric_mean(&[1.0, 0.0]), None);
-/// ```
-pub fn geometric_mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut log_sum = 0.0;
-    for &v in values {
-        if !(v.is_finite() && v > 0.0) {
-            return None;
-        }
-        log_sum += v.ln();
-    }
-    Some((log_sum / values.len() as f64).exp())
-}
-
 /// Arithmetic mean; `None` when empty.
 ///
 /// ```
-/// use easched_num::stats::mean;
+/// use easched_num::mean;
 /// assert_eq!(mean(&[1.0, 2.0, 3.0]), Some(2.0));
 /// assert_eq!(mean(&[]), None);
 /// ```
@@ -211,6 +164,15 @@ pub fn mean(values: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn new_is_empty_and_add_ignores_non_finite() {
+        assert_eq!(Summary::new().count(), 0);
+        let mut s = Summary::new();
+        s.add(1.0);
+        s.add(f64::NAN); // ignored
+        assert_eq!(s.count(), 1);
+    }
 
     #[test]
     fn empty_summary_defaults() {
@@ -284,15 +246,6 @@ mod tests {
         assert!((a.population_variance() - whole.population_variance()).abs() < 1e-9);
         assert_eq!(a.min(), whole.min());
         assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn geometric_mean_basics() {
-        assert_eq!(geometric_mean(&[2.0, 2.0, 2.0]), Some(2.0));
-        let g = geometric_mean(&[1.0, 2.0, 4.0]).unwrap();
-        assert!((g - 2.0).abs() < 1e-12);
-        assert_eq!(geometric_mean(&[-1.0, 2.0]), None);
-        assert_eq!(geometric_mean(&[f64::NAN]), None);
     }
 
     #[test]

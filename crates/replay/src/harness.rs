@@ -19,11 +19,11 @@ use crate::record::{Recorder, RecordingScheduler};
 use crate::replay::{replay_log, ReplayOutcome};
 use crate::RunLog;
 use easched_core::{
-    characterize, fnv1a64, model_to_text, table_to_text, CharacterizationConfig, EasConfig,
-    EasScheduler, HealthReport, Objective, PowerModel, RunSeed,
+    characterize, model_to_text, table_to_text, CharacterizationConfig, EasConfig, EasScheduler,
+    HealthReport, Objective, PowerModel, RunSeed,
 };
 use easched_kernels::suite;
-use easched_runtime::{run_workload_chaos, ChaosInjector, Fault, FaultPlan, TickClock};
+use easched_runtime::{fnv1a64, run_workload_chaos, ChaosInjector, Fault, FaultPlan, TickClock};
 use easched_sim::{Machine, Platform};
 use easched_telemetry::{FanoutSink, RingSink, TelemetrySink, DEFAULT_SPAN_CAPACITY};
 use std::sync::Arc;
@@ -113,7 +113,7 @@ pub(crate) fn storm_workloads() -> Vec<Box<dyn easched_kernels::Workload>> {
 /// and the CLI `record` subcommand). Measurement noise is zeroed: the sim
 /// is deterministic either way, but a noiseless platform keeps recorded
 /// energies bit-stable across refactors of the noise model itself.
-pub fn storm_platform() -> Platform {
+pub(crate) fn storm_platform() -> Platform {
     let mut p = Platform::haswell_desktop();
     p.pcu.measurement_noise = 0.0;
     p
@@ -133,7 +133,7 @@ fn fingerprints(model: &PowerModel, config: &EasConfig) -> (u64, u64) {
 /// sink, seed manifest logged) whose fingerprints
 /// [`scheduler_for_log`] will accept. Shared by [`record_chaos_storm`]
 /// and the overload storm.
-pub fn recording_setup(seed: RunSeed) -> (EasScheduler, Arc<Recorder>) {
+pub(crate) fn recording_setup(seed: RunSeed) -> (EasScheduler, Arc<Recorder>) {
     let model = characterize(&storm_platform(), &CharacterizationConfig::default());
     let config = EasConfig::new(Objective::EnergyDelay).with_seed(seed);
     let (platform_fp, config_fp) = fingerprints(&model, &config);
@@ -163,7 +163,9 @@ pub fn recording_setup(seed: RunSeed) -> (EasScheduler, Arc<Recorder>) {
 /// seed, not through [`Recorder::derive`]: spans are derived state
 /// (DESIGN.md §14), so the derivation must not enter the event stream —
 /// an observed run's log stays byte-identical to an unobserved one.
-pub fn recording_setup_observed(seed: RunSeed) -> (EasScheduler, Arc<Recorder>, Arc<RingSink>) {
+pub(crate) fn recording_setup_observed(
+    seed: RunSeed,
+) -> (EasScheduler, Arc<Recorder>, Arc<RingSink>) {
     let (mut eas, recorder) = recording_setup(seed);
     let ring = Arc::new(
         RingSink::default().with_span_tracing(DEFAULT_SPAN_CAPACITY, seed.derive("trace")),
@@ -216,7 +218,9 @@ pub fn record_chaos_storm(spec: &StormSpec) -> RecordedStorm {
 /// root seed — the scheduler a storm log replays against and the
 /// [`Recorder`] a replay re-records into — once the fingerprints this
 /// build produces are verified against the log's.
-pub fn scheduler_for_log(log: &RunLog) -> Result<(EasScheduler, Arc<Recorder>), ReplayError> {
+pub(crate) fn scheduler_for_log(
+    log: &RunLog,
+) -> Result<(EasScheduler, Arc<Recorder>), ReplayError> {
     let (eas, recorder) = recording_setup(RunSeed::new(log.root));
     let (platform_fp, config_fp) = recorder.fingerprints();
     if platform_fp != log.platform_fp {

@@ -28,10 +28,9 @@
 //! ([`RunLog::invocations`]) and the identity rule
 //! ([`RunLog::first_difference`]).
 
-use easched_runtime::pool::CHUNK_BYTES;
-use easched_runtime::sealed::{unseal, Fields, LineWriter, MIN_SEALED_LINE};
-use easched_runtime::vfs::Vfs;
-use easched_runtime::{in_index_order, Observation};
+use easched_runtime::{
+    in_index_order, unseal, Fields, LineWriter, Observation, Vfs, CHUNK_BYTES, MIN_SEALED_LINE,
+};
 use easched_sim::CounterSnapshot;
 use easched_telemetry::DecisionRecord;
 use std::borrow::Cow;
@@ -64,7 +63,7 @@ pub const FORMAT_VERSION_FLEET: u32 = 3;
 /// The invocations recorded between
 /// consecutive markers belong to the marked request, which is how replay
 /// regroups a multi-invocation workload run under its admission ticket.
-pub const VERDICT_EXEC: u8 = 3;
+pub(crate) const VERDICT_EXEC: u8 = 3;
 
 /// One backend call a scheduler made during an invocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -242,16 +241,16 @@ impl RunLog {
     }
 
     /// Writes the serialized log through a [`Vfs`] — the storage-chaos
-    /// seam (DESIGN.md §16). With [`StdFs`](easched_runtime::vfs::StdFs)
+    /// seam (DESIGN.md §16). With [`StdFs`](easched_runtime::StdFs)
     /// this is `fs::write` plus an fsync; under a chaos fs the write can
     /// fail, which is the point.
-    pub fn save_with(&self, vfs: &dyn Vfs, path: &Path) -> io::Result<()> {
+    pub(crate) fn save_with(&self, vfs: &dyn Vfs, path: &Path) -> io::Result<()> {
         vfs.write(path, self.to_text().as_bytes())?;
         let mut file = vfs.open_write(path)?;
         file.sync_all()
     }
 
-    /// [`save_with`](RunLog::save_with) under fault injection: retries up
+    /// Saves the log under fault injection: retries up
     /// to `attempts` times, advancing the chaos fs's op counter past the
     /// fault window each round. Returns how many attempts failed before
     /// one stuck, or the last error once the budget is spent — the
@@ -362,7 +361,7 @@ impl RunLog {
 
     /// The recorded admission-layer decisions, in order (empty for v1
     /// logs).
-    pub fn admissions(&self) -> Vec<AdmissionRecord> {
+    pub(crate) fn admissions(&self) -> Vec<AdmissionRecord> {
         self.events
             .iter()
             .filter_map(|e| match e {
@@ -495,23 +494,23 @@ impl RunLog {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoggedInvocation<'a> {
     /// Kernel id.
-    pub kernel: u64,
+    pub(crate) kernel: u64,
     /// Items in the invocation.
-    pub items: u64,
+    pub(crate) items: u64,
     /// Recorded `gpu_profile_size()`.
-    pub profile_size: u64,
+    pub(crate) profile_size: u64,
     /// Workload label.
-    pub label: &'a str,
+    pub(crate) label: &'a str,
     /// Backend calls, in order.
-    pub steps: Vec<RecordedStep>,
+    pub(crate) steps: Vec<RecordedStep>,
     /// The events this invocation owns: from its `Invocation` event up to
     /// the next one (or the end of the stream) — steps, decisions and
     /// whatever was logged in between.
-    pub span: Range<usize>,
+    pub(crate) span: Range<usize>,
     /// Which drained request it ran under: the ordinal of the last
     /// [`VERDICT_EXEC`] marker before it (`None` ahead of the first
     /// marker — every invocation of a v1 log).
-    pub request: Option<usize>,
+    pub(crate) request: Option<usize>,
 }
 
 /// The one nesting walk behind [`RunLog::invocations`].
@@ -1025,8 +1024,7 @@ mod tests {
 
     #[test]
     fn save_with_retries_rides_out_injected_faults() {
-        use easched_runtime::vfs::{ChaosFs, ChaosFsPlan, StorageFault};
-        use easched_runtime::TickClock;
+        use easched_runtime::{ChaosFs, ChaosFsPlan, StorageFault, TickClock};
         use std::sync::Arc;
 
         let dir = std::env::temp_dir().join(format!("runlog-chaos-{}", std::process::id()));

@@ -29,9 +29,9 @@ use crate::harness::{
 use crate::log::{AdmissionRecord, RunLog};
 use crate::record::{Recorder, RecordingScheduler};
 use crate::replay::ReplayBackend;
-use easched_core::{
-    table_to_text, EasScheduler, HealthReport, RunSeed, SharedEasExt, TenantFrontend,
-};
+#[cfg(test)]
+use easched_core::{table_to_text, HealthReport};
+use easched_core::{EasScheduler, RunSeed, SharedEasExt, TenantFrontend};
 use easched_runtime::{
     run_workload, run_workload_chaos, AdmissionConfig, BrownoutLevel, ChaosInjector, FaultPlan,
     InvocationCtx, Scheduler, TenantRegistry, TenantSpec, TenantStats, TenantTraffic, TrafficModel,
@@ -40,7 +40,7 @@ use easched_sim::Machine;
 use easched_telemetry::{RingSink, SloConfig, SloTracker};
 use std::sync::{Arc, OnceLock};
 
-pub use crate::log::VERDICT_EXEC;
+pub(crate) use crate::log::VERDICT_EXEC;
 
 /// Billing-quantum band, seconds, for one request's fair-share debit:
 /// the measured scheduler-visible occupancy is clamped into
@@ -148,9 +148,11 @@ pub struct RecordedOverload {
     /// The sealed v2 log.
     pub log: RunLog,
     /// Final health counters of the shared scheduler.
-    pub health: HealthReport,
+    #[cfg(test)]
+    health: HealthReport,
     /// Final kernel table, as text.
-    pub table: String,
+    #[cfg(test)]
+    table: String,
     /// Worst relative fair-share deficit at end of run.
     pub fair_share_deficit: f64,
     /// Whether every queue respected its bound throughout (checked at
@@ -164,7 +166,7 @@ pub struct RecordedOverload {
     pub executed: usize,
     /// Mean energy-delay product of the executed (admitted) requests,
     /// simulator ground truth.
-    pub mean_admitted_edp: f64,
+    pub(crate) mean_admitted_edp: f64,
     /// Brownout rung at end of run.
     pub final_level: BrownoutLevel,
     /// Ladder transitions over the run.
@@ -202,7 +204,8 @@ impl RecordedOverload {
 #[derive(Debug)]
 pub struct OverloadReplayOutcome {
     /// The log the replay re-recorded.
-    pub replayed: RunLog,
+    #[cfg(test)]
+    replayed: RunLog,
     /// Whether the replay reproduced the input under the identity rule
     /// ([`RunLog::first_difference`]): byte-identical for a complete log,
     /// identical up to the cut for a prefix.
@@ -210,9 +213,11 @@ pub struct OverloadReplayOutcome {
     /// The first violation of that rule, if any (human-readable).
     pub first_difference: Option<String>,
     /// Final health counters of the replaying scheduler.
-    pub health: HealthReport,
+    #[cfg(test)]
+    health: HealthReport,
     /// Final kernel table of the replaying scheduler, as text.
-    pub table: String,
+    #[cfg(test)]
+    table: String,
 }
 
 /// What the shared per-tick driver accumulated.
@@ -352,8 +357,6 @@ pub struct LiveObservability {
     pub ring: Arc<RingSink>,
     /// Burn-rate tracker.
     pub slo: Arc<SloTracker>,
-    /// The recorder (live log offset for exemplar displays).
-    pub recorder: Arc<Recorder>,
 }
 
 /// [`record_overload_storm`] with the observability plane attached: the
@@ -394,7 +397,6 @@ pub fn record_overload_storm_observed_with(
                     frontend: Arc::clone(frontend),
                     ring: Arc::clone(&ring_for_hook),
                     slo: Arc::clone(&slo),
-                    recorder: Arc::clone(&recorder),
                 });
             }
         }),
@@ -488,6 +490,7 @@ fn record_storm_with(
 
     RecordedOverload {
         log: recorder.finish(),
+        #[cfg(test)]
         table: table_to_text(shared.table()),
         fair_share_deficit: frontend.fair_share_deficit(),
         queues_bounded: frontend.queues_bounded(),
@@ -498,6 +501,7 @@ fn record_storm_with(
         final_level: frontend.level(),
         brownout_transitions: frontend.brownout_transitions(),
         tenant_stats,
+        #[cfg(test)]
         health: shared.health(),
         seed: spec.seed,
         executed_kinds: totals.kinds,
@@ -605,10 +609,13 @@ pub fn replay_overload_storm(log: &RunLog) -> Result<OverloadReplayOutcome, Repl
     let replayed = recorder.finish();
     let first_difference = log.first_difference(&replayed);
     Ok(OverloadReplayOutcome {
+        #[cfg(test)]
         replayed,
         identical: first_difference.is_none(),
         first_difference,
+        #[cfg(test)]
         health: shared.health(),
+        #[cfg(test)]
         table: table_to_text(shared.table()),
     })
 }
@@ -682,7 +689,7 @@ mod tests {
         // loop totalled the phases itself.
         let trace = easched_telemetry::to_trace_with_spans(&observed.ring.snapshot(), &spans);
         assert_eq!(
-            easched_core::fnv1a64(trace.as_bytes()),
+            easched_runtime::fnv1a64(trace.as_bytes()),
             0xe464_c961_f534_c570,
             "span trace bytes moved ({} bytes)",
             trace.len()

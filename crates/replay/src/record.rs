@@ -12,9 +12,9 @@
 //!   backend call the policy makes with the observation it saw —
 //!   *post-chaos*, so a fault-injected run records the lies the scheduler
 //!   was told, which is precisely what replay must re-feed;
-//! * [`Recorder::derive`] / [`Recorder::derive_indexed`] wrap
-//!   [`RunSeed`]'s derivations, writing each one into the log so a replay
-//!   (or a human) can verify which seeds steered the run.
+//! * [`Recorder::derive`] wraps [`RunSeed`]'s derivation, writing each
+//!   one into the log so a replay (or a human) can verify which seeds
+//!   steered the run.
 //!
 //! Composition matters: wrap the scheduler *outside* chaos, i.e.
 //! `run_workload_chaos(machine, w, &mut RecordingScheduler::new(&mut eas,
@@ -66,7 +66,7 @@ impl Recorder {
     }
 
     /// Derives and logs a named seed (see [`RunSeed::derive`]).
-    pub fn derive(&self, seed: RunSeed, domain: &str) -> u64 {
+    pub(crate) fn derive(&self, seed: RunSeed, domain: &str) -> u64 {
         let value = seed.derive(domain);
         self.push(Event::Derive {
             domain: domain.to_string(),
@@ -76,22 +76,10 @@ impl Recorder {
         value
     }
 
-    /// Derives and logs the `index`-th seed of a domain (see
-    /// [`RunSeed::derive_indexed`]).
-    pub fn derive_indexed(&self, seed: RunSeed, domain: &str, index: u64) -> u64 {
-        let value = seed.derive_indexed(domain, index);
-        self.push(Event::Derive {
-            domain: domain.to_string(),
-            index: Some(index),
-            seed: value,
-        });
-        value
-    }
-
     /// Logs an already-known seed (e.g. a suite workload's baked-in
     /// generation seed) so the log carries the full seed inventory even
     /// for values that predate [`RunSeed`].
-    pub fn note_seed(&self, domain: &str, value: u64) {
+    pub(crate) fn note_seed(&self, domain: &str, value: u64) {
         self.push(Event::Derive {
             domain: domain.to_string(),
             index: None,
@@ -115,7 +103,7 @@ impl Recorder {
     /// Logs one admission-layer decision. Any admission event promotes
     /// the finished log to the v2 format; single-tenant recordings that
     /// never call this keep serializing as v1, byte-identically.
-    pub fn note_admission(&self, record: AdmissionRecord) {
+    pub(crate) fn note_admission(&self, record: AdmissionRecord) {
         self.push(Event::Admission(record));
     }
 
@@ -137,7 +125,7 @@ impl Recorder {
     /// simulated power samples and GPU-proxy debits from these — on both
     /// the record and the replay side, which is what makes the admission
     /// controller's inputs reproducible.
-    pub fn decisions_since(&self, n: u64) -> Vec<DecisionRecord> {
+    pub(crate) fn decisions_since(&self, n: u64) -> Vec<DecisionRecord> {
         let events = self.events.lock().unwrap_or_else(PoisonError::into_inner);
         let mut tail: Vec<DecisionRecord> = events
             .iter()
@@ -153,22 +141,17 @@ impl Recorder {
     }
 
     /// Events recorded so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.events
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .len()
     }
 
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Snapshots the recording into a complete [`RunLog`] — v2 iff the
     /// stream carries admission events, v1 (the pre-tenancy format)
     /// otherwise.
-    pub fn finish(&self) -> RunLog {
+    pub(crate) fn finish(&self) -> RunLog {
         let events = self
             .events
             .lock()
@@ -213,7 +196,7 @@ impl TelemetrySink for Recorder {
 
 /// Wraps a [`Scheduler`] so every invocation it handles is recorded.
 #[derive(Debug)]
-pub struct RecordingScheduler<'a, S: Scheduler> {
+pub(crate) struct RecordingScheduler<'a, S: Scheduler> {
     inner: &'a mut S,
     recorder: Arc<Recorder>,
     label: String,
@@ -222,7 +205,7 @@ pub struct RecordingScheduler<'a, S: Scheduler> {
 impl<'a, S: Scheduler> RecordingScheduler<'a, S> {
     /// Wraps `inner`; `label` tags the recorded invocations (workload
     /// abbreviation, human-facing only).
-    pub fn new(inner: &'a mut S, recorder: Arc<Recorder>, label: &str) -> Self {
+    pub(crate) fn new(inner: &'a mut S, recorder: Arc<Recorder>, label: &str) -> Self {
         RecordingScheduler {
             inner,
             recorder,
@@ -252,7 +235,7 @@ impl<S: Scheduler> Scheduler for RecordingScheduler<'_, S> {
 }
 
 /// A [`Backend`] decorator that logs every call and its observation.
-pub struct RecordingBackend<'a> {
+pub(crate) struct RecordingBackend<'a> {
     inner: &'a mut dyn Backend,
     recorder: &'a Recorder,
 }
@@ -296,8 +279,8 @@ impl Backend for RecordingBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use easched_runtime::backend::test_support::FakeBackend;
-    use easched_runtime::scheduler::FixedAlpha;
+    use easched_runtime::test_support::FakeBackend;
+    use easched_runtime::FixedAlpha;
 
     #[test]
     fn records_invocation_steps_in_order() {
@@ -346,14 +329,12 @@ mod tests {
         let seed = RunSeed::new(1009);
         let rec = Recorder::new(seed, 0, 0);
         let a = rec.derive(seed, "chaos");
-        let b = rec.derive_indexed(seed, "stream", 3);
         rec.note_seed("workload/BS", 0xB7);
         assert_eq!(a, seed.derive("chaos"));
-        assert_eq!(b, seed.derive_indexed("stream", 3));
         let log = rec.finish();
-        assert_eq!(log.events.len(), 3);
+        assert_eq!(log.events.len(), 2);
         assert!(matches!(
-            &log.events[2],
+            &log.events[1],
             Event::Derive { domain, seed: 0xB7, .. } if domain == "workload/BS"
         ));
     }

@@ -35,7 +35,7 @@ const FREE_RUN_POWER: f64 = 55.0;
 
 /// A backend that answers one recorded invocation's calls from the log.
 #[derive(Debug)]
-pub struct ReplayBackend<'a> {
+pub(crate) struct ReplayBackend<'a> {
     steps: &'a [RecordedStep],
     cursor: usize,
     remaining: u64,
@@ -45,7 +45,7 @@ pub struct ReplayBackend<'a> {
 
 impl<'a> ReplayBackend<'a> {
     /// A backend for one recorded invocation.
-    pub fn new(invocation: &'a LoggedInvocation<'a>) -> ReplayBackend<'a> {
+    pub(crate) fn new(invocation: &'a LoggedInvocation<'a>) -> ReplayBackend<'a> {
         ReplayBackend {
             steps: &invocation.steps,
             cursor: 0,
@@ -57,12 +57,12 @@ impl<'a> ReplayBackend<'a> {
 
     /// The first structural mismatch, if the live scheduler called the
     /// backend differently than the recording (human-readable).
-    pub fn divergence(&self) -> Option<&str> {
+    pub(crate) fn divergence(&self) -> Option<&str> {
         self.divergence.as_deref()
     }
 
     /// Recorded steps not consumed by the live scheduler.
-    pub fn unconsumed_steps(&self) -> usize {
+    pub(crate) fn unconsumed_steps(&self) -> usize {
         self.steps.len() - self.cursor
     }
 
@@ -153,28 +153,28 @@ impl Backend for ReplayBackend<'_> {
 pub struct Divergence {
     /// Index into the decision stream (0-based) of the first divergent
     /// record.
-    pub decision_index: usize,
+    pub(crate) decision_index: usize,
     /// 0-based ordinal of the invocation that emitted it.
-    pub invocation: usize,
+    pub(crate) invocation: usize,
     /// Workload label of that invocation.
-    pub label: String,
+    pub(crate) label: String,
     /// The recorded decision at that index (`None`: the live run emitted
     /// *more* decisions than were recorded).
-    pub recorded: Option<DecisionRecord>,
+    pub(crate) recorded: Option<DecisionRecord>,
     /// The live decision at that index (`None`: the live run emitted
     /// fewer).
-    pub live: Option<DecisionRecord>,
+    pub(crate) live: Option<DecisionRecord>,
     /// Names of the differing record fields (empty when one side is
     /// missing entirely).
     pub fields: Vec<&'static str>,
     /// First structural backend mismatch, if the live scheduler also
     /// called the backend differently.
-    pub structural: Option<String>,
+    pub(crate) structural: Option<String>,
     /// The kernel table as text at the moment of divergence — the engine
     /// state a time-traveling debugger lands on.
     pub table: String,
     /// Health counters at the moment of divergence.
-    pub health: HealthReport,
+    pub(crate) health: HealthReport,
 }
 
 impl Divergence {
@@ -245,7 +245,7 @@ impl ReplayOutcome {
 /// stops the replay so the reported table/health are the state *at* the
 /// divergence. A torn log replays its last complete invocation boundary
 /// (see [`RunLog::complete`]).
-pub fn replay_log(log: &RunLog, scheduler: &mut EasScheduler) -> ReplayOutcome {
+pub(crate) fn replay_log(log: &RunLog, scheduler: &mut EasScheduler) -> ReplayOutcome {
     let log = &*log.replayable();
     let collector = Recorder::new(RunSeed::new(log.root), log.platform_fp, log.config_fp);
     scheduler.set_telemetry(Some(Arc::clone(&collector) as Arc<dyn TelemetrySink>));
@@ -348,7 +348,7 @@ fn build_divergence(
 }
 
 /// Field names of the encoded words where two records differ.
-pub fn differing_fields(a: &DecisionRecord, b: &DecisionRecord) -> Vec<&'static str> {
+pub(crate) fn differing_fields(a: &DecisionRecord, b: &DecisionRecord) -> Vec<&'static str> {
     const NAMES: [&str; DecisionRecord::WORDS] = [
         "kernel",
         "path/class/breaker/rounds",

@@ -4,8 +4,8 @@
 //! moved byte in any v1 or v2 line fails here even when writer and reader
 //! move together.
 
-use easched_core::fnv1a64;
 use easched_replay::{record_chaos_storm, record_overload_storm, OverloadSpec, StormSpec};
+use easched_runtime::fnv1a64;
 
 #[test]
 fn chaos_storm_log_bytes_are_the_recorded_ones() {

@@ -28,7 +28,7 @@
 //! this controller to reproduce overloaded runs byte-identically.
 
 use crate::scheduler::{GpuPolicy, InvocationCtx};
-use easched_sim::noise::splitmix64;
+use easched_sim::splitmix64;
 use std::collections::VecDeque;
 
 /// One tenant's contract with the frontend.
@@ -43,10 +43,10 @@ pub struct TenantSpec {
     /// below the configured waterline first. Higher is more protected.
     pub priority: u8,
     /// Bound on this tenant's admission queue; offers beyond it shed.
-    pub queue_cap: usize,
+    pub(crate) queue_cap: usize,
     /// Per-request deadline budget, seconds of virtual time; composes
     /// with the scheduler's watchdog deadlines (tighter bound wins).
-    pub deadline: Option<f64>,
+    pub(crate) deadline: Option<f64>,
     /// GPU-proxy seconds this tenant may consume per quota window;
     /// `None` is unmetered.
     pub quota: Option<f64>,
@@ -204,19 +204,8 @@ impl BrownoutLevel {
         }
     }
 
-    /// Inverse of [`code`](BrownoutLevel::code).
-    pub fn from_code(code: u8) -> Option<BrownoutLevel> {
-        Some(match code {
-            0 => BrownoutLevel::Normal,
-            1 => BrownoutLevel::DenyGpu,
-            2 => BrownoutLevel::ForceCpu,
-            3 => BrownoutLevel::ShedLoad,
-            _ => return None,
-        })
-    }
-
     /// The GPU gate this rung imposes on admitted invocations.
-    pub fn gpu_policy(self) -> GpuPolicy {
+    pub(crate) fn gpu_policy(self) -> GpuPolicy {
         match self {
             BrownoutLevel::Normal => GpuPolicy::Allow,
             BrownoutLevel::DenyGpu => GpuPolicy::DenyNew,
@@ -275,7 +264,7 @@ impl Default for BrownoutConfig {
 /// rung per transition: even a huge surge walks the ladder a stage at a
 /// time, each stage gated by its own streak.
 #[derive(Debug, Clone)]
-pub struct BrownoutController {
+pub(crate) struct BrownoutController {
     cfg: BrownoutConfig,
     level: BrownoutLevel,
     ewma: Option<f64>,
@@ -285,7 +274,7 @@ pub struct BrownoutController {
 
 impl BrownoutController {
     /// A controller at `Normal` with the given hysteresis parameters.
-    pub fn new(cfg: BrownoutConfig) -> BrownoutController {
+    pub(crate) fn new(cfg: BrownoutConfig) -> BrownoutController {
         assert!(cfg.power_budget > 0.0, "power budget must be positive");
         assert!(
             cfg.exit_margin < cfg.enter_margin,
@@ -305,13 +294,13 @@ impl BrownoutController {
     }
 
     /// Current rung.
-    pub fn level(&self) -> BrownoutLevel {
+    pub(crate) fn level(&self) -> BrownoutLevel {
         self.level
     }
 
     /// Folds one package-power sample; returns the transition if this
     /// sample moved the ladder.
-    pub fn observe(&mut self, watts: f64) -> Option<(BrownoutLevel, BrownoutLevel)> {
+    pub(crate) fn observe(&mut self, watts: f64) -> Option<(BrownoutLevel, BrownoutLevel)> {
         if !watts.is_finite() || watts < 0.0 {
             return None;
         }
@@ -716,11 +705,11 @@ pub struct TenantTraffic {
     /// Burst window period, ticks (0 disables bursts).
     pub burst_every: u64,
     /// Burst window length, ticks.
-    pub burst_len: u64,
+    pub(crate) burst_len: u64,
     /// Rate multiplier inside a burst window.
     pub burst_factor: f64,
     /// Phase offset so tenants do not burst in lockstep.
-    pub phase: u64,
+    pub(crate) phase: u64,
 }
 
 impl TenantTraffic {
@@ -759,16 +748,6 @@ impl TrafficModel {
     /// A model over the given per-tenant processes.
     pub fn new(seed: u64, tenants: Vec<TenantTraffic>) -> TrafficModel {
         TrafficModel { seed, tenants }
-    }
-
-    /// Number of tenants.
-    pub fn len(&self) -> usize {
-        self.tenants.len()
-    }
-
-    /// True when the model drives no tenants.
-    pub fn is_empty(&self) -> bool {
-        self.tenants.is_empty()
     }
 
     /// Arrivals for `tenant` at `tick` — a Poisson sample (Knuth's
@@ -1011,14 +990,5 @@ mod tests {
             .map(|t| model.arrivals(0, t))
             .sum();
         assert!(burst > calm, "burst windows must dominate arrivals");
-    }
-
-    #[test]
-    fn brownout_codes_roundtrip() {
-        for code in 0..4 {
-            let l = BrownoutLevel::from_code(code).unwrap();
-            assert_eq!(l.code(), code);
-        }
-        assert_eq!(BrownoutLevel::from_code(4), None);
     }
 }

@@ -59,12 +59,12 @@ pub mod test_support {
     #[derive(Debug, Clone)]
     pub struct FakeBackend {
         pub remaining: u64,
-        pub cpu_rate: f64,
+        pub(crate) cpu_rate: f64,
         pub gpu_rate: f64,
-        pub cpu_power: f64,
-        pub gpu_power: f64,
-        pub both_power: f64,
-        pub profile_size: u64,
+        pub(crate) cpu_power: f64,
+        pub(crate) gpu_power: f64,
+        pub(crate) both_power: f64,
+        pub(crate) profile_size: u64,
         pub log: Vec<String>,
     }
 

@@ -23,30 +23,29 @@ use crate::backend::Backend;
 use crate::observation::{Observation, RunMetrics};
 use crate::scheduler::Scheduler;
 use crate::sim_backend::run_workload_with;
-use easched_sim::noise::splitmix64;
-use easched_sim::Machine;
+use easched_sim::{splitmix64, Machine};
 
 /// How long a hung GPU offload "takes" before the driver times out,
 /// seconds of virtual time attributed to the observation.
-pub const GPU_HANG_TIMEOUT: f64 = 10.0;
+pub(crate) const GPU_HANG_TIMEOUT: f64 = 10.0;
 
 /// How long a wedged round stalls before a watchdog-scale cancel,
 /// seconds of virtual time attributed to the observation. Unlike
 /// [`GPU_HANG_TIMEOUT`], the driver *does* eventually return here — with
 /// internally plausible data — so only a scheduler-side deadline, not
 /// observation vetting, can catch it.
-pub const HANG_STALL: f64 = 3600.0;
+pub(crate) const HANG_STALL: f64 = 3600.0;
 
 /// Energy multiplier of a [`Fault::PowerSurge`]: large enough to drag a
 /// kernel's realized EDP far off its prediction, small enough to stay
 /// under the observation guard's power ceiling (model max × 20).
-pub const POWER_SURGE_FACTOR: f64 = 2.5;
+pub(crate) const POWER_SURGE_FACTOR: f64 = 2.5;
 
 /// One injected fault, applied to a single observation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// The GPU driver hangs and the offload times out: the chunk reports
-    /// zero completed GPU items after [`GPU_HANG_TIMEOUT`] seconds busy.
+    /// zero completed GPU items after `GPU_HANG_TIMEOUT` (10 s) busy.
     GpuHang,
     /// The energy register drops the sample (or reads stuck): the
     /// observation window sees zero joules.
@@ -64,11 +63,11 @@ pub enum Fault {
     ImplausibleThroughput,
     /// The round wedges: it eventually returns with internally consistent
     /// timings and counters — every rate plausible, energy proportional —
-    /// but only after [`HANG_STALL`] seconds. Vetting cannot reject it;
+    /// but only after `HANG_STALL` (an hour). Vetting cannot reject it;
     /// catching it is the watchdog's job (DESIGN.md §11).
     Hang,
     /// Sustained power surge (thermal or firmware misbehavior): the window
-    /// burns [`POWER_SURGE_FACTOR`]× the expected energy while timings
+    /// burns `POWER_SURGE_FACTOR` (2.5)× the expected energy while timings
     /// stay truthful. Each observation passes vetting, so the learned
     /// ratio's realized EDP drifts off its prediction — the drift
     /// monitor's territory, not the fault guard's.
@@ -104,7 +103,7 @@ impl Fault {
                 obs.energy_joules = 0.0;
             }
             Fault::EnergyWrap => {
-                obs.energy_joules += 4_294_967_296.0 * easched_sim::energy::ENERGY_UNIT_JOULES;
+                obs.energy_joules += 4_294_967_296.0 * easched_sim::ENERGY_UNIT_JOULES;
             }
             Fault::CounterCorrupt => {
                 obs.counters.l3_misses = obs.counters.loads.max(1.0) * 1.0e6;
@@ -341,8 +340,8 @@ impl ChaosInjector {
 /// # Examples
 ///
 /// ```
-/// use easched_runtime::backend::test_support::FakeBackend;
-/// use easched_runtime::chaos::{ChaosInjector, Fault, FaultPlan};
+/// use easched_runtime::test_support::FakeBackend;
+/// use easched_runtime::{ChaosInjector, Fault, FaultPlan};
 /// use easched_runtime::Backend;
 ///
 /// let mut injector = ChaosInjector::new(FaultPlan::Scripted(vec![(0, Fault::EnergyDropout)]));

@@ -94,7 +94,7 @@ impl TickClock {
     /// # Panics
     ///
     /// Panics if `tick_seconds` is not positive and finite.
-    pub fn with_tick(tick_seconds: f64) -> TickClock {
+    pub(crate) fn with_tick(tick_seconds: f64) -> TickClock {
         assert!(
             tick_seconds.is_finite() && tick_seconds > 0.0,
             "tick must be positive"
@@ -103,11 +103,6 @@ impl TickClock {
             femtos: AtomicU64::new(0),
             tick_femtos: (tick_seconds * FEMTOS_PER_SEC) as u64,
         }
-    }
-
-    /// Clock reads made so far (each read is one tick).
-    pub fn reads(&self) -> u64 {
-        self.femtos.load(Ordering::Relaxed) / self.tick_femtos.max(1)
     }
 }
 
@@ -179,7 +174,8 @@ mod tests {
         c.sleep(0.5);
         let d = c.now();
         assert!(d > b + 0.5 - 1e-9);
-        assert_eq!(c.reads(), 500_003);
+        // 500 003 ticks so far: the next read is the 500 004th.
+        assert_eq!(c.now(), 500_004.0e9 / FEMTOS_PER_SEC);
     }
 
     #[test]

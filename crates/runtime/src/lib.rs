@@ -13,9 +13,9 @@
 //! * [`ThreadBackend`] — executes invocations with real OS threads: a
 //!   work-stealing CPU pool and a pacing GPU-proxy thread emulating the
 //!   integrated GPU's throughput (wall-clock demo path);
-//! * [`pool`] — the work-stealing `parallel_for` substrate (crossbeam
-//!   deques);
-//! * [`SchedulerInvoker`] / [`replay_trace`] — adapters connecting
+//! * [`parallel_for`] / [`in_index_order`] — the work-stealing substrate
+//!   (crossbeam deques);
+//! * [`run_workload`] / [`replay_trace`] — adapters connecting
 //!   [`Workload`](easched_kernels::Workload)s and recorded invocation traces
 //!   to a [`Scheduler`].
 //!
@@ -25,31 +25,36 @@
 //! implements it on a per-stream handle over its shared state.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub, unnameable_types)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
-pub mod admission;
-pub mod backend;
-pub mod chaos;
-pub mod clock;
-pub mod observation;
-pub mod pool;
+mod admission;
+mod backend;
+mod chaos;
+mod clock;
+mod observation;
+mod pool;
+// `benchmark/src` imports `scheduler::FixedAlpha` by module path.
 pub mod scheduler;
-pub mod sealed;
-pub mod sim_backend;
-pub mod thread_backend;
+mod sealed;
+mod sim_backend;
+mod thread_backend;
+// `benchmark/src` imports `vfs::{StdFs, Vfs, VfsFile}` by module path.
 pub mod vfs;
 
 pub use admission::{
-    AdmissionConfig, AdmissionController, AdmissionOutcome, BrownoutConfig, BrownoutController,
-    BrownoutLevel, TenantRegistry, TenantSpec, TenantStats, TenantTraffic, TrafficModel,
+    AdmissionConfig, AdmissionController, AdmissionOutcome, BrownoutConfig, BrownoutLevel,
+    DrainedRequest, TenantRegistry, TenantSpec, TenantStats, TenantTraffic, TrafficModel,
 };
+#[doc(hidden)]
+pub use backend::test_support;
 pub use backend::Backend;
 pub use chaos::{run_workload_chaos, ChaosBackend, ChaosInjector, Fault, FaultPlan};
 pub use clock::{Clock, TickClock, WallClock};
 pub use observation::{Observation, RunMetrics};
-pub use pool::{in_index_order, parallel_for, parallel_for_clocked, PoolReport};
-pub use scheduler::{GpuPolicy, InvocationCtx, KernelId, Scheduler};
-pub use sim_backend::{kernel_id_of, replay_trace, run_workload, SchedulerInvoker, SimBackend};
+pub use pool::{in_index_order, parallel_for, PoolReport, CHUNK_BYTES};
+pub use scheduler::{FixedAlpha, GpuPolicy, InvocationCtx, KernelId, Scheduler};
+pub use sealed::{fnv1a64, unseal, Fields, LineWriter, MIN_SEALED_LINE};
+pub use sim_backend::{kernel_id_of, replay_trace, run_workload, SimBackend};
 pub use thread_backend::{ThreadBackend, ThreadBackendConfig};
 pub use vfs::{ChaosFs, ChaosFsPlan, StdFs, StorageFault, Vfs, VfsFile};

@@ -70,19 +70,13 @@ pub struct RunMetrics {
     /// Total package energy, joules.
     pub energy_joules: f64,
     /// Number of kernel invocations executed.
-    pub invocations: u64,
+    pub(crate) invocations: u64,
     /// Total items processed.
     pub items: u64,
 }
 
 impl RunMetrics {
     /// Energy-delay product E·T, in joule-seconds.
-    ///
-    /// ```
-    /// use easched_runtime::RunMetrics;
-    /// let m = RunMetrics { time: 2.0, energy_joules: 10.0, invocations: 1, items: 1 };
-    /// assert_eq!(m.edp(), 20.0);
-    /// ```
     pub fn edp(&self) -> f64 {
         self.energy_joules * self.time
     }
@@ -100,6 +94,17 @@ impl RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn edp_is_energy_times_time() {
+        let m = RunMetrics {
+            time: 2.0,
+            energy_joules: 10.0,
+            invocations: 1,
+            items: 1,
+        };
+        assert_eq!(m.edp(), 20.0);
+    }
 
     #[test]
     fn rates_guard_zero_time() {

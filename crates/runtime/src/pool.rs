@@ -25,26 +25,17 @@ pub struct PoolReport {
     /// Items executed by each worker.
     pub items_per_worker: Vec<u64>,
     /// Busy seconds per worker.
-    pub busy_per_worker: Vec<f64>,
+    pub(crate) busy_per_worker: Vec<f64>,
     /// Wall-clock seconds for the whole call.
-    pub elapsed: f64,
+    pub(crate) elapsed: f64,
     /// Number of successful steals across workers.
-    pub steals: u64,
+    pub(crate) steals: u64,
 }
 
 impl PoolReport {
     /// Total items executed.
     pub fn total_items(&self) -> u64 {
         self.items_per_worker.iter().sum()
-    }
-
-    /// Aggregate CPU throughput: total items / wall time (0 if instant).
-    pub fn throughput(&self) -> f64 {
-        if self.elapsed > 0.0 {
-            self.total_items() as f64 / self.elapsed
-        } else {
-            0.0
-        }
     }
 }
 
@@ -64,7 +55,7 @@ struct Chunk {
 /// # Panics
 ///
 /// Panics if `workers` is zero.
-pub fn parallel_for_clocked(
+pub(crate) fn parallel_for_clocked(
     n: u64,
     workers: usize,
     clock: &dyn Clock,

@@ -97,7 +97,7 @@ impl<S: Scheduler + ?Sized> Scheduler for &mut S {
 /// # Examples
 ///
 /// ```
-/// use easched_runtime::scheduler::FixedAlpha;
+/// use easched_runtime::FixedAlpha;
 /// use easched_runtime::Scheduler;
 ///
 /// let cpu_only = FixedAlpha::new(0.0);
@@ -121,11 +121,6 @@ impl FixedAlpha {
             alpha,
             name: format!("alpha={alpha:.2}"),
         }
-    }
-
-    /// The ratio this policy applies.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 }
 

@@ -160,7 +160,7 @@ impl Backend for SimBackend<'_> {
 /// Adapts a [`Scheduler`] into an [`Invoker`] so a workload can be driven
 /// against the simulated machine with functional execution.
 #[derive(Debug)]
-pub struct SchedulerInvoker<'a, S: Scheduler> {
+pub(crate) struct SchedulerInvoker<'a, S: Scheduler> {
     machine: &'a mut Machine,
     traits: &'a KernelTraits,
     scheduler: &'a mut S,
@@ -174,7 +174,7 @@ pub struct SchedulerInvoker<'a, S: Scheduler> {
 
 impl<'a, S: Scheduler> SchedulerInvoker<'a, S> {
     /// Creates the adapter for one kernel.
-    pub fn new(
+    pub(crate) fn new(
         machine: &'a mut Machine,
         traits: &'a KernelTraits,
         scheduler: &'a mut S,
@@ -192,7 +192,7 @@ impl<'a, S: Scheduler> SchedulerInvoker<'a, S> {
     }
 
     /// Totals accumulated so far.
-    pub fn metrics(&self) -> RunMetrics {
+    pub(crate) fn metrics(&self) -> RunMetrics {
         self.metrics
     }
 
@@ -243,7 +243,7 @@ impl<S: Scheduler> Invoker for SchedulerInvoker<'_, S> {
 ///
 /// ```
 /// use easched_kernels::suite;
-/// use easched_runtime::scheduler::FixedAlpha;
+/// use easched_runtime::FixedAlpha;
 /// use easched_runtime::run_workload;
 /// use easched_sim::{Machine, Platform};
 ///
@@ -305,8 +305,7 @@ pub fn kernel_id_of(workload: &dyn easched_kernels::Workload) -> KernelId {
 mod tests {
     use super::*;
     use crate::scheduler::FixedAlpha;
-    use easched_kernels::record_trace;
-    use easched_kernels::suite;
+    use easched_kernels::{record_trace, suite};
     use easched_sim::{KernelTraits, Platform};
 
     fn quiet_machine() -> Machine {

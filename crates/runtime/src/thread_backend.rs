@@ -27,17 +27,17 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct ThreadBackendConfig {
     /// Number of CPU worker threads.
-    pub cpu_workers: usize,
+    pub(crate) cpu_workers: usize,
     /// Emulated GPU throughput in items/second (wall clock).
-    pub gpu_rate: f64,
+    pub(crate) gpu_rate: f64,
     /// Pacing granularity of the proxy thread, items.
-    pub pacing_batch: u64,
+    pub(crate) pacing_batch: u64,
     /// Shared-counter chunk size for CPU workers.
-    pub cpu_chunk: u64,
+    pub(crate) cpu_chunk: u64,
     /// Time source for every timer and pacing sleep in the backend
     /// (defaults to [`WallClock`]; inject a deterministic clock for
     /// record/replay and tests).
-    pub clock: Arc<dyn Clock>,
+    pub(crate) clock: Arc<dyn Clock>,
 }
 
 impl ThreadBackendConfig {
@@ -60,12 +60,6 @@ impl ThreadBackendConfig {
             cpu_chunk: 256,
             clock: Arc::new(WallClock),
         }
-    }
-
-    /// Replaces the backend's time source (builder style).
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> ThreadBackendConfig {
-        self.clock = clock;
-        self
     }
 }
 
@@ -388,8 +382,10 @@ mod tests {
         // item is consumed once, and the pacing shows up in virtual time.
         let wall0 = std::time::Instant::now();
         for _ in 0..2 {
-            let cfg =
-                ThreadBackendConfig::new(1, 1.0).with_clock(std::sync::Arc::new(TickClock::new()));
+            let cfg = ThreadBackendConfig {
+                clock: std::sync::Arc::new(TickClock::new()),
+                ..ThreadBackendConfig::new(1, 1.0)
+            };
             let mut b = ThreadBackend::new(cfg, &platform, &t, 4_000, &f);
             let o1 = b.profile_step(1_000);
             let o2 = b.run_split(0.5);

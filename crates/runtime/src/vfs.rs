@@ -7,7 +7,7 @@
 //! [`StdFs`], a zero-cost passthrough. Tests and chaos stages swap in
 //! [`ChaosFs`], which injects ENOSPC, EIO, short writes, fsync failures,
 //! and latency from a pure counter-based splitmix64 stream — the same
-//! construction the [`chaos`](crate::chaos) module uses — so a fault
+//! construction the [`ChaosInjector`](crate::ChaosInjector) uses — so a fault
 //! schedule is a function of `(seed, operation index)` alone and
 //! replays identically across runs.
 //!
@@ -18,7 +18,7 @@
 //! what makes "inject fault F at operation k" harnesses enumerable.
 
 use crate::clock::Clock;
-use easched_sim::noise::splitmix64;
+use easched_sim::splitmix64;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};

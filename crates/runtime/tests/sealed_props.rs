@@ -6,7 +6,7 @@
 //! sit on the edges of the accept set, since uniformly random text never
 //! gets near it.
 
-use easched_runtime::sealed::{fnv1a64, unseal, Fields, LineWriter};
+use easched_runtime::{fnv1a64, unseal, Fields, LineWriter};
 use proptest::collection::vec;
 use proptest::prelude::*;
 

@@ -34,7 +34,7 @@ pub struct BwDemand {
 /// # Examples
 ///
 /// ```
-/// use easched_sim::bandwidth::{contended_rates, BwDemand};
+/// use easched_sim::{contended_rates, BwDemand};
 ///
 /// // Two identical fully-memory-bound streams each wanting the full bus.
 /// let d = BwDemand { rate: 1.0e6, bytes_per_item: 1000.0, memory_fraction: 1.0 };

@@ -18,7 +18,7 @@ pub const ENERGY_UNIT_JOULES: f64 = 1.0 / 65536.0;
 /// ```
 /// use easched_sim::EnergyCounter;
 ///
-/// let mut c = EnergyCounter::new();
+/// let mut c = EnergyCounter::default();
 /// let before = c.read_raw();
 /// c.deposit_joules(1.5);
 /// let after = c.read_raw();
@@ -34,7 +34,7 @@ pub struct EnergyCounter {
 
 impl EnergyCounter {
     /// Creates a counter starting at zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EnergyCounter {
             raw: 0,
             fraction: 0.0,

@@ -37,29 +37,32 @@
 //! let before = m.read_energy_raw();
 //! let report = m.run_phase(&traits, &PhasePlan::split(1_000_000, 0.5));
 //! let after = m.read_energy_raw();
-//! let joules = after.wrapping_sub(before) as f64 * m.energy_unit_joules();
+//! let joules = after.wrapping_sub(before) as f64 * easched_sim::ENERGY_UNIT_JOULES;
 //! assert!(joules > 0.0 && report.elapsed > 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub, unnameable_types)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
-pub mod bandwidth;
-pub mod counters;
-pub mod energy;
-pub mod machine;
-pub mod noise;
-pub mod pcu;
-pub mod platform;
-pub mod power;
-pub mod trace;
-pub mod traits;
+mod bandwidth;
+mod counters;
+mod energy;
+mod machine;
+mod noise;
+mod pcu;
+mod platform;
+mod power;
+mod trace;
+mod traits;
 
+pub use bandwidth::{contended_rates, BwDemand};
 pub use counters::CounterSnapshot;
-pub use energy::EnergyCounter;
+pub use energy::{EnergyCounter, ENERGY_UNIT_JOULES};
 pub use machine::{Machine, PhasePlan, PhaseReport};
-pub use platform::{CpuSpec, GpuSpec, MemorySpec, Platform};
+pub use noise::splitmix64;
+pub use pcu::PcuParams;
+pub use platform::{MemorySpec, Platform};
 pub use power::PowerTable;
 pub use trace::{PowerTrace, TracePoint};
 pub use traits::{AccessPattern, KernelTraits, KernelTraitsBuilder};

@@ -14,7 +14,7 @@
 
 use crate::bandwidth::{contended_rates, BwDemand};
 use crate::counters::{CounterBank, CounterSnapshot};
-use crate::energy::{EnergyCounter, ENERGY_UNIT_JOULES};
+use crate::energy::EnergyCounter;
 use crate::noise;
 use crate::pcu::{PcuInput, PcuState};
 use crate::platform::Platform;
@@ -138,7 +138,7 @@ pub struct PhaseReport {
     /// Iterations completed by the GPU.
     pub gpu_items_done: f64,
     /// Time during which both devices were executing, seconds.
-    pub combined_time: f64,
+    pub(crate) combined_time: f64,
     /// Time the CPU spent executing, seconds.
     pub cpu_busy: f64,
     /// Time the GPU spent executing, seconds.
@@ -227,11 +227,6 @@ impl Machine {
     /// paper's runtime reads `MSR_PKG_ENERGY_STATUS`.
     pub fn read_energy_raw(&self) -> u32 {
         self.energy.read_raw()
-    }
-
-    /// Joules per energy register unit.
-    pub fn energy_unit_joules(&self) -> f64 {
-        ENERGY_UNIT_JOULES
     }
 
     /// Exact total package energy since machine creation, joules.
@@ -572,6 +567,7 @@ mod parent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::energy::ENERGY_UNIT_JOULES;
     use crate::traits::AccessPattern;
 
     fn quiet_haswell() -> Platform {
@@ -746,13 +742,13 @@ mod tests {
         let k = memory_kernel();
         m.run_phase(&k, &PhasePlan::cpu_only(2_000_000));
         let trace = m.take_trace();
-        assert!(!trace.is_empty());
+        assert!(!trace.points().is_empty());
         // Steady memory-bound CPU power ≈ 60 W late in the run.
-        let late = &trace.points()[trace.len() - 1];
+        let late = &trace.points()[trace.points().len() - 1];
         assert!((late.watts - 60.0).abs() < 1.0, "late watts {}", late.watts);
         // take_trace resets but keeps tracing on.
         m.run_phase(&k, &PhasePlan::cpu_only(10_000));
-        assert!(!m.take_trace().is_empty());
+        assert!(!m.take_trace().points().is_empty());
     }
 
     #[test]

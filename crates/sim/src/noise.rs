@@ -11,7 +11,7 @@
 /// # Examples
 ///
 /// ```
-/// use easched_sim::noise::splitmix64;
+/// use easched_sim::splitmix64;
 /// assert_ne!(splitmix64(1), splitmix64(2));
 /// assert_eq!(splitmix64(42), splitmix64(42));
 /// ```
@@ -24,37 +24,19 @@ pub fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Combines two seeds into one.
-///
-/// ```
-/// use easched_sim::noise::combine;
-/// assert_ne!(combine(1, 2), combine(2, 1));
-/// ```
-pub fn combine(a: u64, b: u64) -> u64 {
+pub(crate) fn combine(a: u64, b: u64) -> u64 {
     splitmix64(a ^ splitmix64(b))
 }
 
 /// Uniform sample in [0, 1) derived from a seed.
-///
-/// ```
-/// use easched_sim::noise::unit;
-/// let u = unit(7);
-/// assert!((0.0..1.0).contains(&u));
-/// ```
-pub fn unit(seed: u64) -> f64 {
+pub(crate) fn unit(seed: u64) -> f64 {
     // 53 high-quality bits → [0, 1).
     (splitmix64(seed) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Symmetric multiplicative jitter: `1 + amplitude·u` with `u` uniform in
 /// (−1, 1). `amplitude` 0 returns exactly 1.
-///
-/// ```
-/// use easched_sim::noise::jitter;
-/// assert_eq!(jitter(3, 0.0), 1.0);
-/// let j = jitter(3, 0.1);
-/// assert!(j > 0.9 && j < 1.1);
-/// ```
-pub fn jitter(seed: u64, amplitude: f64) -> f64 {
+pub(crate) fn jitter(seed: u64, amplitude: f64) -> f64 {
     if amplitude == 0.0 {
         return 1.0;
     }
@@ -66,13 +48,7 @@ pub fn jitter(seed: u64, amplitude: f64) -> f64 {
 /// limit). `sigma` 0 returns exactly 1.
 ///
 /// Guaranteed strictly positive.
-///
-/// ```
-/// use easched_sim::noise::rate_factor;
-/// assert_eq!(rate_factor(9, 0.0), 1.0);
-/// assert!(rate_factor(9, 0.3) > 0.0);
-/// ```
-pub fn rate_factor(seed: u64, sigma: f64) -> f64 {
+pub(crate) fn rate_factor(seed: u64, sigma: f64) -> f64 {
     if sigma == 0.0 {
         return 1.0;
     }
@@ -85,6 +61,18 @@ pub fn rate_factor(seed: u64, sigma: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mixer_basics() {
+        assert_ne!(combine(1, 2), combine(2, 1));
+        let u = unit(7);
+        assert!((0.0..1.0).contains(&u));
+        assert_eq!(jitter(3, 0.0), 1.0);
+        let j = jitter(3, 0.1);
+        assert!(j > 0.9 && j < 1.1);
+        assert_eq!(rate_factor(9, 0.0), 1.0);
+        assert!(rate_factor(9, 0.3) > 0.0);
+    }
 
     #[test]
     fn splitmix_known_distinctness() {

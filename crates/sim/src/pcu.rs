@@ -27,23 +27,23 @@ use crate::power::PowerTable;
 #[derive(Debug, Clone, PartialEq)]
 pub struct PcuParams {
     /// Controller sampling interval in seconds.
-    pub tick: f64,
+    pub(crate) tick: f64,
     /// Time constant of the package-power ramp when power is *rising*,
     /// seconds (turbo budgets grow gradually).
-    pub ramp_tau: f64,
+    pub(crate) ramp_tau: f64,
     /// Time constant when power is *falling*, seconds (clock/power gating is
     /// near-instant, so this is much shorter).
-    pub ramp_tau_down: f64,
+    pub(crate) ramp_tau_down: f64,
     /// Duration of the conservative budget-reallocation dip after a GPU
     /// activation, seconds.
-    pub dip_window: f64,
+    pub(crate) dip_window: f64,
     /// CPU frequency scale applied during the dip (relative to its expected
     /// scale).
-    pub dip_cpu_scale: f64,
+    pub(crate) dip_cpu_scale: f64,
     /// Minimum GPU-idle duration before a fresh activation re-arms the dip,
     /// seconds. Sub-millisecond gaps between consecutive offloads do not
     /// make the PCU forget its learned budget split.
-    pub dip_rearm: f64,
+    pub(crate) dip_rearm: f64,
     /// Relative amplitude of per-tick power measurement jitter.
     pub measurement_noise: f64,
     /// Package thermal design power, watts. When the steady-state target
@@ -56,29 +56,29 @@ pub struct PcuParams {
 
 /// Device activity as seen by the PCU each tick.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PcuInput {
+pub(crate) struct PcuInput {
     /// CPU utilization in [0, 1].
-    pub cpu_util: f64,
+    pub(crate) cpu_util: f64,
     /// GPU utilization in [0, 1].
-    pub gpu_util: f64,
+    pub(crate) gpu_util: f64,
     /// Memory intensity of the running kernel in [0, 1].
-    pub mem_intensity: f64,
+    pub(crate) mem_intensity: f64,
 }
 
 /// Frequency scales the PCU currently grants each device, relative to the
 /// solo-turbo calibration point.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FreqGrant {
+pub(crate) struct FreqGrant {
     /// CPU frequency scale.
-    pub cpu: f64,
+    pub(crate) cpu: f64,
     /// GPU frequency scale.
-    pub gpu: f64,
+    pub(crate) gpu: f64,
 }
 
 /// PCU dynamic state. Owned by the machine; stepped once per simulation
 /// step.
 #[derive(Debug, Clone)]
-pub struct PcuState {
+pub(crate) struct PcuState {
     /// Filtered (observable) package power in watts.
     power: f64,
     gpu_was_active: bool,
@@ -131,7 +131,7 @@ const ACTIVE_THRESHOLD: f64 = 0.05;
 
 impl PcuState {
     /// Creates PCU state resting at the platform's idle power.
-    pub fn new(platform: &Platform, noise_seed: u64) -> Self {
+    pub(crate) fn new(platform: &Platform, noise_seed: u64) -> Self {
         let pcu = &platform.pcu;
         PcuState {
             power: platform.power.idle,
@@ -146,12 +146,6 @@ impl PcuState {
         }
     }
 
-    /// Currently observable package power in watts (after ramp filtering and
-    /// measurement jitter).
-    pub fn power(&self) -> f64 {
-        self.power
-    }
-
     /// Frequency scales currently granted, given the instantaneous activity.
     ///
     /// Solo device → 1.0 (the calibration reference). Both devices →
@@ -159,7 +153,7 @@ impl PcuState {
     /// the CPU is additionally throttled by `dip_cpu_scale`. If the
     /// steady-state power target would exceed the TDP, both grants are
     /// scaled down until the budget fits.
-    pub fn freq_grant(&self, platform: &Platform, input: &PcuInput, now: f64) -> FreqGrant {
+    pub(crate) fn freq_grant(&self, platform: &Platform, input: &PcuInput, now: f64) -> FreqGrant {
         let cpu_active = input.cpu_util > ACTIVE_THRESHOLD;
         let gpu_active = input.gpu_util > ACTIVE_THRESHOLD;
         let mut cpu = 1.0;
@@ -208,7 +202,7 @@ impl PcuState {
     /// average observable package power over the interval.
     ///
     /// `now` is the simulation time at the *start* of the interval.
-    pub fn step(&mut self, platform: &Platform, input: &PcuInput, now: f64, dt: f64) -> f64 {
+    pub(crate) fn step(&mut self, platform: &Platform, input: &PcuInput, now: f64, dt: f64) -> f64 {
         debug_assert!(dt > 0.0, "PCU step requires positive dt");
         let cpu_active = input.cpu_util > ACTIVE_THRESHOLD;
         let gpu_active = input.gpu_util > ACTIVE_THRESHOLD;
@@ -496,7 +490,7 @@ mod tests {
         for i in 0..10 {
             b.step(&p, &input, i as f64 * 0.005, 0.005);
         }
-        assert!((a.power() - b.power()).abs() < 1e-9);
+        assert!((a.power - b.power).abs() < 1e-9);
     }
 
     #[test]
@@ -514,7 +508,7 @@ mod tests {
             pcu.step(&p, &cpu_only, t, p.pcu.tick);
             t += p.pcu.tick;
         }
-        assert!((pcu.power() - 60.0).abs() < 0.5);
+        assert!((pcu.power - 60.0).abs() < 0.5);
         // GPU activates: within the dip window, the grant throttles the CPU.
         let both = PcuInput {
             cpu_util: 1.0,
@@ -532,7 +526,7 @@ mod tests {
         for _ in 0..((p.pcu.dip_window / p.pcu.tick) as usize) {
             pcu.step(&p, &both, t, p.pcu.tick);
             t += p.pcu.tick;
-            min_power = min_power.min(pcu.power());
+            min_power = min_power.min(pcu.power);
         }
         assert!(min_power < 40.0, "Fig 4 dip below 40W, got {min_power}");
         // After the window the grant recovers and power climbs to 63W.
@@ -540,11 +534,7 @@ mod tests {
             pcu.step(&p, &both, t, p.pcu.tick);
             t += p.pcu.tick;
         }
-        assert!(
-            (pcu.power() - 63.0).abs() < 0.5,
-            "post-dip: {}",
-            pcu.power()
-        );
+        assert!((pcu.power - 63.0).abs() < 0.5, "post-dip: {}", pcu.power);
     }
 
     #[test]
@@ -666,7 +656,7 @@ mod oracle_tests {
                 let watts = pcu.step(platform, &input, now, dt);
                 let expected = parent::step(&mut oracle, platform, &input, now, dt);
                 prop_assert_eq!(watts.to_bits(), expected.to_bits());
-                prop_assert_eq!(pcu.power().to_bits(), oracle.power().to_bits());
+                prop_assert_eq!(pcu.power.to_bits(), oracle.power.to_bits());
                 now += dt;
             }
         }

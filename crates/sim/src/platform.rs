@@ -24,43 +24,37 @@ use crate::power::PowerTable;
 
 /// CPU complex geometry.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CpuSpec {
+pub(crate) struct CpuSpec {
     /// Physical core count.
-    pub cores: u32,
+    pub(crate) cores: u32,
     /// Hardware threads (with SMT).
-    pub threads: u32,
+    pub(crate) threads: u32,
     /// Nominal (base) frequency in GHz.
-    pub base_ghz: f64,
+    pub(crate) base_ghz: f64,
     /// Maximum single-device turbo frequency in GHz.
-    pub turbo_ghz: f64,
+    pub(crate) turbo_ghz: f64,
 }
 
 /// Integrated GPU geometry.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GpuSpec {
+pub(crate) struct GpuSpec {
     /// Execution units.
-    pub execution_units: u32,
+    pub(crate) execution_units: u32,
     /// Hardware threads per EU.
-    pub threads_per_eu: u32,
+    pub(crate) threads_per_eu: u32,
     /// SIMD lanes per hardware thread.
-    pub simd_width: u32,
+    pub(crate) simd_width: u32,
     /// Minimum GPU frequency in GHz.
-    pub min_ghz: f64,
+    pub(crate) min_ghz: f64,
     /// Maximum (turbo) GPU frequency in GHz.
-    pub max_ghz: f64,
+    pub(crate) max_ghz: f64,
 }
 
 impl GpuSpec {
     /// Total hardware parallelism: EUs × threads/EU × SIMD width.
     ///
     /// The paper sizes `GPU_PROFILE_SIZE` from this (2240 on the desktop).
-    ///
-    /// ```
-    /// use easched_sim::Platform;
-    /// assert_eq!(Platform::haswell_desktop().gpu.hardware_parallelism(), 2240);
-    /// assert_eq!(Platform::baytrail_tablet().gpu.hardware_parallelism(), 448);
-    /// ```
-    pub fn hardware_parallelism(&self) -> u32 {
+    pub(crate) fn hardware_parallelism(&self) -> u32 {
         self.execution_units * self.threads_per_eu * self.simd_width
     }
 }
@@ -74,21 +68,21 @@ pub struct MemorySpec {
     /// Peak sustainable memory bandwidth in bytes/second.
     pub peak_bw_bytes_per_sec: f64,
     /// Total system memory in bytes.
-    pub dram_bytes: u64,
+    pub(crate) dram_bytes: u64,
     /// Maximum CPU-GPU shared region in bytes (the Bay Trail OpenCL driver
     /// caps this at 250 MB, which forces smaller tablet inputs — Table 1).
-    pub shared_region_bytes: u64,
+    pub(crate) shared_region_bytes: u64,
 }
 
 /// Throughput derating applied when both devices execute simultaneously,
 /// beyond bandwidth contention: the shared power/thermal budget forces both
 /// devices below their solo turbo frequencies.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SharingModel {
+pub(crate) struct SharingModel {
     /// CPU frequency scale in combined mode (1.0 = solo turbo).
-    pub cpu_shared_scale: f64,
+    pub(crate) cpu_shared_scale: f64,
     /// GPU frequency scale in combined mode.
-    pub gpu_shared_scale: f64,
+    pub(crate) gpu_shared_scale: f64,
 }
 
 /// A complete simulated platform.
@@ -97,9 +91,9 @@ pub struct Platform {
     /// Human-readable platform name.
     pub name: &'static str,
     /// CPU geometry.
-    pub cpu: CpuSpec,
+    pub(crate) cpu: CpuSpec,
     /// GPU geometry.
-    pub gpu: GpuSpec,
+    pub(crate) gpu: GpuSpec,
     /// Memory system.
     pub memory: MemorySpec,
     /// Calibrated package power operating points.
@@ -107,10 +101,10 @@ pub struct Platform {
     /// PCU control parameters.
     pub pcu: PcuParams,
     /// Combined-mode frequency sharing.
-    pub sharing: SharingModel,
+    pub(crate) sharing: SharingModel,
     /// `GPU_PROFILE_SIZE`: items per online-profiling offload, sized to fill
     /// the GPU (paper §3.2: 2048 on the desktop's 2240-way GPU).
-    pub gpu_profile_items: u64,
+    pub(crate) gpu_profile_items: u64,
 }
 
 impl Platform {
@@ -312,6 +306,12 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hardware_parallelism_sizes_the_gpu_profile() {
+        assert_eq!(Platform::haswell_desktop().gpu.hardware_parallelism(), 2240);
+        assert_eq!(Platform::baytrail_tablet().gpu.hardware_parallelism(), 448);
+    }
 
     #[test]
     fn desktop_geometry_matches_paper() {

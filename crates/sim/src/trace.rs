@@ -13,7 +13,7 @@ pub struct TracePoint {
     /// Average package power over the sample, watts.
     pub watts: f64,
     /// Sample duration, seconds.
-    pub duration: f64,
+    pub(crate) duration: f64,
 }
 
 /// A time-ordered series of package power samples.
@@ -50,18 +50,8 @@ impl PowerTrace {
         &self.points
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// Time span covered, seconds (0 for empty traces).
-    pub fn span(&self) -> f64 {
+    pub(crate) fn span(&self) -> f64 {
         match (self.points.first(), self.points.last()) {
             (Some(a), Some(b)) => b.time + b.duration - a.time,
             _ => 0.0,
@@ -186,7 +176,7 @@ mod tests {
     #[test]
     fn empty_trace_defaults() {
         let t = PowerTrace::new();
-        assert!(t.is_empty());
+        assert!(t.points().is_empty());
         assert_eq!(t.span(), 0.0);
         assert_eq!(t.mean_power(), 0.0);
         assert_eq!(t.min_power(), f64::INFINITY);
@@ -195,7 +185,7 @@ mod tests {
     #[test]
     fn span_and_len() {
         let t = sample_trace();
-        assert_eq!(t.len(), 100);
+        assert_eq!(t.points().len(), 100);
         assert!((t.span() - 1.0).abs() < 1e-9);
     }
 
@@ -218,7 +208,7 @@ mod tests {
     fn resample_conserves_mean() {
         let t = sample_trace();
         let r = t.resample(0.05);
-        assert!(r.len() <= t.len());
+        assert!(r.points().len() <= t.points().len());
         assert!((r.mean_power() - t.mean_power()).abs() < 1e-9);
     }
 
@@ -227,7 +217,7 @@ mod tests {
         let mut t = PowerTrace::new();
         t.push(0.0, 10.0, 0.015); // 1.5 buckets at 0.01 resolution
         let r = t.resample(0.01);
-        assert_eq!(r.len(), 2);
+        assert_eq!(r.points().len(), 2);
         assert_eq!(r.points()[0].watts, 10.0);
         assert_eq!(r.points()[1].watts, 10.0);
     }
@@ -252,6 +242,6 @@ mod tests {
     fn extend_appends() {
         let mut t = PowerTrace::new();
         t.extend(sample_trace().points().iter().copied());
-        assert_eq!(t.len(), 100);
+        assert_eq!(t.points().len(), 100);
     }
 }

@@ -70,7 +70,7 @@ impl AccessPattern {
 ///     .memory_intensity(0.9)
 ///     .irregularity(0.3)
 ///     .build();
-/// assert_eq!(traits.name(), "bfs");
+/// assert_eq!(traits.access(), AccessPattern::Random);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelTraits {
@@ -90,11 +90,6 @@ impl KernelTraits {
     /// Starts building a traits profile for the kernel named `name`.
     pub fn builder(name: impl Into<String>) -> KernelTraitsBuilder {
         KernelTraitsBuilder::new(name)
-    }
-
-    /// Kernel name (diagnostic only).
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Solo CPU throughput in items/second (all cores).
@@ -141,7 +136,7 @@ impl KernelTraits {
 
     /// Irregularity in [0, 1]: scale of per-invocation throughput noise
     /// (input-dependent control flow). 0 for regular kernels.
-    pub fn irregularity(&self) -> f64 {
+    pub(crate) fn irregularity(&self) -> f64 {
         self.irregularity
     }
 
@@ -312,7 +307,7 @@ mod tests {
     #[test]
     fn builder_defaults() {
         let t = KernelTraits::builder("k").build();
-        assert_eq!(t.name(), "k");
+        assert_eq!(t.name, "k");
         assert_eq!(t.memory_intensity(), 0.0);
         assert_eq!(t.access(), AccessPattern::Streaming);
         assert!(t.cpu_rate() > 0.0 && t.gpu_rate() > 0.0);

@@ -1,7 +1,9 @@
 //! Property-based tests for the platform simulator.
 
-use easched_sim::bandwidth::{contended_rates, BwDemand};
-use easched_sim::{EnergyCounter, KernelTraits, Machine, PhasePlan, Platform, PowerTrace};
+use easched_sim::{
+    contended_rates, BwDemand, EnergyCounter, KernelTraits, Machine, PhasePlan, Platform,
+    PowerTrace,
+};
 use proptest::prelude::*;
 
 fn platforms() -> impl Strategy<Value = Platform> {

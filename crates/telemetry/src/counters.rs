@@ -10,8 +10,8 @@
 //! `values()` read in row order; the renderers here take those two
 //! arrays, so a new counter is one row and its increment site.
 //!
-//! [`Counter`]: crate::metrics::Counter
-//! [`Gauge`]: crate::metrics::Gauge
+//! [`Counter`]: crate::Counter
+//! [`Gauge`]: crate::Gauge
 
 use std::fmt::{Display, Write};
 
@@ -75,8 +75,8 @@ pub struct Row {
 /// and may carry extra fields in braces; `report Name` makes them `pub
 /// u64` and adds `from_values`; naming both adds `Bank::report()`.
 ///
-/// [`Counter`]: crate::metrics::Counter
-/// [`Gauge`]: crate::metrics::Gauge
+/// [`Counter`]: crate::Counter
+/// [`Gauge`]: crate::Gauge
 #[macro_export]
 macro_rules! counter_table {
     (
@@ -108,7 +108,7 @@ macro_rules! counter_table {
         impl $bank {
             $crate::counter_table! { @rows $($field: $kind [$($fault)?] [$($name, $help)?],)+ }
             /// Every cell's current value, in row order.
-            pub fn values(&self) -> [u64; Self::N] {
+            pub(crate) fn values(&self) -> [u64; Self::N] {
                 [$(self.$field.get()),+]
             }
         }
@@ -137,9 +137,9 @@ macro_rules! counter_table {
     };
     (@rows $($field:ident: $kind:ident [$($fault:ident)?] [$($name:literal, $help:literal)?],)+) => {
         /// Number of rows.
-        pub const N: usize = [$(stringify!($field)),+].len();
+        pub(crate) const N: usize = [$(stringify!($field)),+].len();
         /// The declaration rows, in order.
-        pub const ROWS: [$crate::counters::Row; Self::N] = [$($crate::counters::Row {
+        pub const ROWS: [$crate::Row; Self::N] = [$($crate::Row {
             field: stringify!($field),
             name: $crate::counter_table!(@or "", $($name)?),
             help: $crate::counter_table!(@or "", $($help)?),
@@ -147,10 +147,10 @@ macro_rules! counter_table {
             fault: $crate::counter_table!(@fault $($fault)?),
         }),+];
     };
-    (@cell counter) => { $crate::metrics::Counter };
-    (@cell gauge) => { $crate::metrics::Gauge };
-    (@kind counter) => { $crate::counters::Kind::Counter };
-    (@kind gauge) => { $crate::counters::Kind::Gauge };
+    (@cell counter) => { $crate::Counter };
+    (@cell gauge) => { $crate::Gauge };
+    (@kind counter) => { $crate::Kind::Counter };
+    (@kind gauge) => { $crate::Kind::Gauge };
     (@fault) => { false };
     (@fault fault) => { true };
     (@or $default:expr,) => { $default };

@@ -82,7 +82,7 @@ impl Clone for Gauge {
 /// Histogram buckets: one per bit length, so bucket `i` (for `i ≥ 1`)
 /// holds values whose binary representation is `i` bits wide — i.e. the
 /// range `[2^(i-1), 2^i)` — and bucket 0 holds exactly the value 0.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A log₂-scale histogram over `u64` values.
 ///
@@ -107,7 +107,7 @@ impl Default for LogHistogram {
 impl LogHistogram {
     /// The bucket index a value lands in: 0 for 0, otherwise the value's
     /// bit length (1..=64).
-    pub fn bucket_index(v: u64) -> usize {
+    pub(crate) fn bucket_index(v: u64) -> usize {
         if v == 0 {
             0
         } else {
@@ -117,7 +117,7 @@ impl LogHistogram {
 
     /// The largest value bucket `i` can hold (the inclusive upper bound
     /// used as the Prometheus `le` label).
-    pub fn bucket_bound(i: usize) -> u64 {
+    pub(crate) fn bucket_bound(i: usize) -> u64 {
         if i >= 64 {
             u64::MAX
         } else {
@@ -125,14 +125,16 @@ impl LogHistogram {
         }
     }
 
-    /// Records one observation.
-    pub fn record(&self, v: u64) {
+    /// Records one observation (the per-record oracle's path; the ring
+    /// fold adds whole batches).
+    #[cfg(test)]
+    pub(crate) fn record(&self, v: u64) {
         self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// Per-bucket observation counts.
-    pub fn counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
+    pub(crate) fn counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 
@@ -213,7 +215,7 @@ crate::counter_table! {
 /// Escapes a string for use as a Prometheus label value: backslashes,
 /// double quotes, and newlines become `\\`, `\"`, and `\n` per the text
 /// exposition format, so a hostile tenant name cannot break the page.
-pub fn escape_label_value(raw: &str) -> String {
+pub(crate) fn escape_label_value(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
     for c in raw.chars() {
         match c {
@@ -297,7 +299,7 @@ impl MetricsRegistry {
     /// Seconds between [`mark_started`](MetricsRegistry::mark_started)
     /// and the latest [`observe_now`](MetricsRegistry::observe_now),
     /// clamped non-negative.
-    pub fn uptime_seconds(&self) -> f64 {
+    pub(crate) fn uptime_seconds(&self) -> f64 {
         let started = f64::from_bits(self.started_s.load(Ordering::Relaxed));
         let now = f64::from_bits(self.now_s.load(Ordering::Relaxed));
         (now - started).max(0.0)

@@ -41,7 +41,7 @@ pub enum InvocationPath {
 
 impl InvocationPath {
     /// Stable wire code of the path.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             InvocationPath::TableHit => 0,
             InvocationPath::SmallN => 1,
@@ -70,7 +70,7 @@ impl InvocationPath {
     }
 
     /// Human-readable label, also used in the trace export.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             InvocationPath::TableHit => "table-hit",
             InvocationPath::SmallN => "small-n",

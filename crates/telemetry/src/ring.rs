@@ -45,7 +45,7 @@ impl<const WORDS: usize> Slot<WORDS> {
 /// Lock-free bounded ring of `[u64; WORDS]` records (see [module
 /// docs](self)).
 #[derive(Debug)]
-pub struct AtomicRing<const WORDS: usize> {
+pub(crate) struct AtomicRing<const WORDS: usize> {
     slots: Vec<Slot<WORDS>>,
     mask: u64,
     next: AtomicU64,
@@ -58,7 +58,7 @@ const READ_RETRIES: usize = 64;
 impl<const WORDS: usize> AtomicRing<WORDS> {
     /// A ring holding the last `capacity` records (rounded up to a power
     /// of two, minimum 2).
-    pub fn new(capacity: usize) -> AtomicRing<WORDS> {
+    pub(crate) fn new(capacity: usize) -> AtomicRing<WORDS> {
         let cap = capacity.next_power_of_two().max(2);
         AtomicRing {
             slots: (0..cap).map(|_| Slot::new()).collect(),
@@ -69,19 +69,19 @@ impl<const WORDS: usize> AtomicRing<WORDS> {
     }
 
     /// Slot count (always a power of two).
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.slots.len()
     }
 
     /// Records ever claimed — may exceed `capacity()`; the surplus was
     /// overwritten or (rarely) dropped.
-    pub fn pushed(&self) -> u64 {
+    pub(crate) fn pushed(&self) -> u64 {
         self.next.load(Ordering::Acquire)
     }
 
     /// Records abandoned because another lap's writer owned the slot.
     /// Zero unless writers lap each other inside a single write window.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
@@ -89,7 +89,7 @@ impl<const WORDS: usize> AtomicRing<WORDS> {
     /// one `fetch_add` plus one CAS, never blocks on readers or other
     /// writers. As long as fewer than `capacity()` records have been
     /// pushed, nothing is ever dropped or overwritten.
-    pub fn push(&self, words: [u64; WORDS]) -> u64 {
+    pub(crate) fn push(&self, words: [u64; WORDS]) -> u64 {
         let claim = self.claim();
         self.write(claim, words);
         claim
@@ -178,7 +178,7 @@ impl<const WORDS: usize> AtomicRing<WORDS> {
     /// ring, sorted by sequence number. Concurrent writers may overwrite
     /// slots while the snapshot runs; such slots are simply read at
     /// whichever lap was stable.
-    pub fn snapshot(&self) -> Vec<(u64, [u64; WORDS])> {
+    pub(crate) fn snapshot(&self) -> Vec<(u64, [u64; WORDS])> {
         let mut out: Vec<(u64, [u64; WORDS])> = (0..self.slots.len())
             .filter_map(|i| self.read_slot(i))
             .collect();

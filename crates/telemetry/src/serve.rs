@@ -39,9 +39,9 @@ pub type TimeSource = Arc<dyn Fn() -> f64 + Send + Sync>;
 #[derive(Debug, Clone)]
 pub struct Page {
     /// The response `Content-Type`.
-    pub content_type: &'static str,
+    pub(crate) content_type: &'static str,
     /// The response body.
-    pub body: String,
+    pub(crate) body: String,
 }
 
 impl Page {
@@ -98,11 +98,6 @@ impl Router {
         self
     }
 
-    /// The registered paths, in registration order.
-    pub fn paths(&self) -> Vec<String> {
-        self.routes.iter().map(|(p, _)| p.clone()).collect()
-    }
-
     fn find(&self, path: &str) -> Option<&Provider> {
         self.routes.iter().find(|(p, _)| p == path).map(|(_, h)| h)
     }
@@ -112,12 +107,12 @@ impl Router {
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Concurrent handler threads; further connections get `503`.
-    pub max_connections: usize,
+    pub(crate) max_connections: usize,
     /// Overall per-request deadline, seconds (read + handle + write),
     /// enforced against the injected [`TimeSource`].
-    pub request_deadline: f64,
+    pub(crate) request_deadline: f64,
     /// Per-socket-operation read/write timeout, seconds.
-    pub io_timeout: f64,
+    pub(crate) io_timeout: f64,
 }
 
 impl Default for ServeConfig {
@@ -249,11 +244,6 @@ impl ScrapeServer {
     /// Requests answered with a routed page or 404/405.
     pub fn served(&self) -> u64 {
         self.stats.served.load(Ordering::Relaxed)
-    }
-
-    /// Connections refused with `503` at the concurrency bound.
-    pub fn rejected(&self) -> u64 {
-        self.stats.rejected.load(Ordering::Relaxed)
     }
 
     /// Stops accepting, unblocks the accept thread, and joins it.

@@ -232,7 +232,7 @@ impl RingSink {
     }
 
     /// Records the ring dropped: always zero, since a writer never laps
-    /// an unfolded record (see [`AtomicRing::dropped`]).
+    /// an unfolded record.
     pub fn dropped(&self) -> u64 {
         self.ring.dropped()
     }

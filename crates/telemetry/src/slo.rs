@@ -51,35 +51,30 @@ impl SloKind {
             SloKind::ShedRate => "shed_rate",
         }
     }
-
-    /// All signals, in rendering order.
-    pub fn all() -> [SloKind; 3] {
-        [SloKind::QueueWait, SloKind::EdpRatio, SloKind::ShedRate]
-    }
 }
 
 /// SLO targets and window geometry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloConfig {
     /// Short window length, seconds (default 300 — 5 minutes).
-    pub short_window: f64,
+    pub(crate) short_window: f64,
     /// Long window length, seconds (default 3600 — 1 hour).
-    pub long_window: f64,
+    pub(crate) long_window: f64,
     /// Queue-wait target, seconds: a request waiting longer spends
     /// budget. The budget is 1 % (it is a p99 objective).
-    pub queue_wait_target: f64,
+    pub(crate) queue_wait_target: f64,
     /// A request's realized EDP may exceed its predicted objective by
     /// this factor before the sample spends budget.
-    pub edp_margin: f64,
+    pub(crate) edp_margin: f64,
     /// Error budget for the EDP signal: allowed fraction of
     /// beyond-margin executions.
-    pub edp_budget: f64,
+    pub(crate) edp_budget: f64,
     /// Error budget for the shed signal: allowed fraction of shed
     /// offers.
-    pub shed_budget: f64,
+    pub(crate) shed_budget: f64,
     /// Burn rate (bad fraction ÷ budget) both windows must exceed for an
     /// alert to fire.
-    pub burn_threshold: f64,
+    pub(crate) burn_threshold: f64,
 }
 
 impl Default for SloConfig {
@@ -115,7 +110,7 @@ pub struct SloEvent {
     /// Long-window burn rate at fire time.
     pub burn_long: f64,
     /// The configured threshold both rates exceeded.
-    pub threshold: f64,
+    pub(crate) threshold: f64,
     /// Virtual time of the firing observation, seconds.
     pub at: f64,
     /// `RunLog` event offset at fire time — the exemplar.
@@ -126,21 +121,21 @@ pub struct SloEvent {
 
 /// Burn-rate reading for one `(tenant, signal)` pair (the `/slo` page).
 #[derive(Debug, Clone, PartialEq)]
-pub struct BurnStatus {
+pub(crate) struct BurnStatus {
     /// Tenant registry index.
-    pub tenant: u64,
+    pub(crate) tenant: u64,
     /// Tenant display name, if registered.
-    pub name: Option<String>,
+    pub(crate) name: Option<String>,
     /// The signal.
-    pub kind: SloKind,
+    pub(crate) kind: SloKind,
     /// Short-window burn rate.
-    pub burn_short: f64,
+    pub(crate) burn_short: f64,
     /// Long-window burn rate.
-    pub burn_long: f64,
+    pub(crate) burn_long: f64,
     /// Samples in the short window.
-    pub samples_short: u64,
+    pub(crate) samples_short: u64,
     /// Whether the alert is currently firing (hysteresis-latched).
-    pub firing: bool,
+    pub(crate) firing: bool,
 }
 
 /// One signal's sliding window: good/bad counts in coarse time buckets.
@@ -227,11 +222,6 @@ impl SloTracker {
             cfg,
             state: Mutex::new(TrackerState::default()),
         }
-    }
-
-    /// The tracker's configuration.
-    pub fn config(&self) -> &SloConfig {
-        &self.cfg
     }
 
     /// Registers a tenant display name for `/slo` rendering.
@@ -354,7 +344,7 @@ impl SloTracker {
 
     /// Current burn rates for every `(tenant, signal)` with data, as of
     /// virtual time `now`.
-    pub fn burn_rates(&self, now: f64) -> Vec<BurnStatus> {
+    pub(crate) fn burn_rates(&self, now: f64) -> Vec<BurnStatus> {
         let state = self.lock();
         let bucket = (now.max(0.0) / self.bucket_span) as u64;
         state

@@ -25,9 +25,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// Tenant field value for spans outside any tenant frontend.
-pub const NO_TENANT: u16 = u16::MAX;
-
 /// What one span measures. The taxonomy is fixed (DESIGN.md §14): the
 /// admission subtree is rooted at [`Admit`](SpanKind::Admit), each
 /// execution subtree at [`Decide`](SpanKind::Decide).
@@ -59,7 +56,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Stable wire code (0..=6).
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             SpanKind::Admit => 0,
             SpanKind::QueueWait => 1,
@@ -71,7 +68,8 @@ impl SpanKind {
         }
     }
 
-    /// Inverse of [`code`](SpanKind::code).
+    /// Decodes a span kind's stable numeric code; unknown codes map to
+    /// `None`.
     pub fn from_code(code: u8) -> Option<SpanKind> {
         Some(match code {
             0 => SpanKind::Admit,
@@ -86,7 +84,7 @@ impl SpanKind {
     }
 
     /// The span's display name (used as the Chrome-trace event name).
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             SpanKind::Admit => "admit",
             SpanKind::QueueWait => "queue-wait",
@@ -117,7 +115,8 @@ pub struct Span {
     pub parent: u16,
     /// What the span measures.
     pub kind: SpanKind,
-    /// Owning tenant's registry index, or [`NO_TENANT`].
+    /// Owning tenant's registry index, or `u16::MAX` for a span outside
+    /// any tenant frontend.
     pub tenant: u16,
     /// Start offset from the trace origin, virtual seconds.
     pub start: f64,
@@ -131,7 +130,7 @@ pub struct Span {
 impl Span {
     /// Ring/wire width in 64-bit words (excluding the sequence number,
     /// which the ring carries).
-    pub const WORDS: usize = 6;
+    pub(crate) const WORDS: usize = 6;
 
     /// Packs the span into its wire words.
     pub fn encode(&self) -> [u64; Self::WORDS] {
@@ -223,21 +222,6 @@ impl SpanSink {
         self.root
     }
 
-    /// Spans the ring can hold.
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
-    }
-
-    /// Spans ever pushed (including any the ring has overwritten).
-    pub fn pushed(&self) -> u64 {
-        self.ring.pushed()
-    }
-
-    /// Spans dropped under same-slot wrap contention.
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
-    }
-
     /// Allocates the next trace id: `mix(root ^ ordinal · φ)` — the same
     /// construction as `RunSeed::derive_indexed("trace", ordinal)`, so a
     /// replay allocating traces in the same order regenerates the same
@@ -313,7 +297,7 @@ impl SpanSink {
 
 /// splitmix64-style finalizer — kept identical to `RunSeed`'s mix (and
 /// the chaos injector's) so trace ids equal `derive_indexed` output.
-/// A copy of `easched_sim::noise::splitmix64`: this crate has no
+/// A copy of `easched_sim::splitmix64`: this crate has no
 /// dependencies, by design.
 fn mix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

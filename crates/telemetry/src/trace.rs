@@ -19,7 +19,7 @@ use crate::span::Span;
 use std::collections::HashMap;
 
 /// Serializes records as a Chrome-trace JSON array, one event per line.
-pub fn to_trace(records: &[DecisionRecord]) -> String {
+pub(crate) fn to_trace(records: &[DecisionRecord]) -> String {
     let mut out = String::with_capacity(records.len() * 360 + 64);
     out.push_str("[\n");
     // Dense per-kernel track ids in order of first appearance, plus a
@@ -68,7 +68,7 @@ pub fn to_trace(records: &[DecisionRecord]) -> String {
 }
 
 /// Serializes records *and* causal spans into one Chrome-trace file:
-/// the decision events exactly as [`to_trace`] lays them (pid 1, one
+/// the decision events as one track per kernel (pid 1, one
 /// track per kernel) plus the span forest as nested duration events
 /// (pid 2, one track per trace, `"cat":"span"`). Span ts/dur come from
 /// the sink-rebased starts, so the admit → queue-wait → decide →

@@ -21,7 +21,7 @@
 
 use easched::core::{characterize, CharacterizationConfig, EasConfig, EasScheduler, Objective};
 use easched::kernels::suite;
-use easched::runtime::chaos::{run_workload_chaos, ChaosInjector, Fault, FaultPlan};
+use easched::runtime::{run_workload_chaos, ChaosInjector, Fault, FaultPlan};
 use easched::sim::{Machine, Platform};
 
 fn main() {

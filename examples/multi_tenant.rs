@@ -21,8 +21,7 @@
 //! cargo run --release --example multi_tenant
 //! ```
 
-use easched::replay::overload::{overload_registry, overload_traffic};
-use easched::replay::{record_overload_storm, OverloadSpec};
+use easched::replay::{overload_registry, overload_traffic, record_overload_storm, OverloadSpec};
 
 fn traffic_desc(t: &easched::runtime::TenantTraffic) -> String {
     if t.burst_every > 0 {

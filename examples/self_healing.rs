@@ -21,12 +21,12 @@
 
 use easched::core::{
     characterize, CharacterizationConfig, DriftCell, DriftPolicy, EasConfig, EasScheduler,
-    Objective, RingSink, TelemetrySink,
+    Objective,
 };
 use easched::kernels::suite;
-use easched::runtime::chaos::{run_workload_chaos, ChaosInjector, FaultPlan};
-use easched::runtime::kernel_id_of;
+use easched::runtime::{kernel_id_of, run_workload_chaos, ChaosInjector, FaultPlan};
 use easched::sim::{Machine, Platform};
+use easched::telemetry::{RingSink, TelemetrySink};
 use std::sync::Arc;
 
 fn main() {

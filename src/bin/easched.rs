@@ -38,8 +38,7 @@ use easched::replay::{
     replay_chaos_storm, replay_overload_storm, OverloadSpec, RunLog, StormSpec,
     FORMAT_VERSION_ADMISSION, FORMAT_VERSION_FLEET,
 };
-use easched::runtime::vfs::{ChaosFs, ChaosFsPlan};
-use easched::runtime::TickClock;
+use easched::runtime::{ChaosFs, ChaosFsPlan, TickClock};
 use easched::sim::Platform;
 use easched::telemetry::{
     http_get, to_trace_with_spans, uds_get, DecisionCsvSink, Page, Router, ScrapeServer,

@@ -16,9 +16,10 @@ use easched::core::{
     Objective, PowerModel, SharedEas, SharedEasExt,
 };
 use easched::kernels::suite;
-use easched::runtime::backend::test_support::FakeBackend;
-use easched::runtime::chaos::{run_workload_chaos, ChaosInjector, Fault, FaultPlan};
-use easched::runtime::{run_workload, Backend, Scheduler};
+use easched::runtime::test_support::FakeBackend;
+use easched::runtime::{
+    run_workload, run_workload_chaos, Backend, ChaosInjector, Fault, FaultPlan, Scheduler,
+};
 use easched::sim::{Machine, Platform};
 
 fn quiet_desktop() -> Platform {

@@ -6,8 +6,7 @@ use easched::core::{
     characterize, CharacterizationConfig, EasConfig, EasScheduler, Evaluator, Objective,
 };
 use easched::kernels::{InvocationTrace, Profile};
-use easched::runtime::replay_trace;
-use easched::runtime::scheduler::FixedAlpha;
+use easched::runtime::{replay_trace, FixedAlpha};
 use easched::sim::{KernelTraits, Machine, PhasePlan, Platform};
 
 fn desktop_model() -> (Platform, easched::core::PowerModel) {
@@ -18,7 +17,7 @@ fn desktop_model() -> (Platform, easched::core::PowerModel) {
 
 fn graph_like_traits() -> KernelTraits {
     // CC's calibrated profile (kept in sync with kernels::graphs).
-    easched::kernels::graphs::ConnectedComponents::default_profile()
+    easched::kernels::ConnectedComponents::default_profile()
         .traits_for("CC", &Platform::haswell_desktop())
 }
 
@@ -242,23 +241,11 @@ fn table1_shape_classification_sides() {
         let ratio = traits.l3_miss_ratio(platform.memory.llc_bytes);
         assert_eq!(ratio > 0.33, expect_memory, "{name}: miss/load {ratio}");
     };
+    check(easched::kernels::Bfs::default_profile(), "BFS", true);
+    check(easched::kernels::MatMul::default_profile(), "MM", false);
+    check(easched::kernels::Mandelbrot::default_profile(), "MB", true);
     check(
-        easched::kernels::graphs::Bfs::default_profile(),
-        "BFS",
-        true,
-    );
-    check(
-        easched::kernels::matmul::MatMul::default_profile(),
-        "MM",
-        false,
-    );
-    check(
-        easched::kernels::mandelbrot::Mandelbrot::default_profile(),
-        "MB",
-        true,
-    );
-    check(
-        easched::kernels::blackscholes::BlackScholes::default_profile(),
+        easched::kernels::BlackScholes::default_profile(),
         "BS",
         false,
     );

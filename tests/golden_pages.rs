@@ -7,15 +7,16 @@
 //! admission controller, SLO tracker — so the page is compared as a
 //! multiset of lines.
 
-use easched::core::tenancy::{AdmissionSeries, TenantSeries};
-use easched::core::{expose_drift, expose_tenants, HealthReport, StoreHealth, DRIFT_SERIES};
+use easched::core::{
+    expose_drift, expose_tenants, AdmissionSeries, HealthReport, StoreHealth, TenantSeries,
+    DRIFT_SERIES,
+};
 use easched::fleet::{expose_fleet, expose_fleet_store, FleetStats};
 use easched::replay::{record_overload_storm_observed_with, OverloadSpec};
 use easched::runtime::{BrownoutLevel, TenantStats};
-use easched::telemetry::counters::Row;
-use easched::telemetry::slo::{SloSeries, TenantSloSeries};
 use easched::telemetry::{
-    expose_slo, DecisionRecord, InvocationPath, MetricsRegistry, RingSink, TelemetrySink,
+    expose_slo, DecisionRecord, InvocationPath, MetricsRegistry, RingSink, Row, SloSeries,
+    TelemetrySink, TenantSloSeries,
 };
 use std::collections::BTreeMap;
 

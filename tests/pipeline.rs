@@ -5,8 +5,7 @@ use easched::core::{
     characterize, CharacterizationConfig, EasConfig, EasRuntime, Evaluator, Objective,
 };
 use easched::kernels::suite;
-use easched::runtime::run_workload;
-use easched::runtime::scheduler::FixedAlpha;
+use easched::runtime::{run_workload, FixedAlpha};
 use easched::sim::{Machine, Platform};
 
 fn fast_config() -> CharacterizationConfig {

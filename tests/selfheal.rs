@@ -4,13 +4,13 @@
 
 use easched::core::{
     characterize, CharacterizationConfig, DriftCell, DriftPolicy, EasConfig, EasRuntime,
-    EasScheduler, Objective, PowerModel, RingSink, WatchdogPolicy,
+    EasScheduler, Objective, PowerModel, WatchdogPolicy,
 };
 use easched::kernels::suite;
-use easched::runtime::backend::test_support::FakeBackend;
-use easched::runtime::chaos::{ChaosInjector, Fault, FaultPlan};
-use easched::runtime::{Backend, Scheduler};
+use easched::runtime::test_support::FakeBackend;
+use easched::runtime::{Backend, ChaosInjector, Fault, FaultPlan, Scheduler};
 use easched::sim::Platform;
+use easched::telemetry::RingSink;
 use std::sync::Arc;
 
 fn quiet_desktop() -> Platform {
