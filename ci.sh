@@ -57,6 +57,10 @@ taskset -c 0 cargo test -q -p easched-core -p easched-replay --lib -- \
     schemes::tests::comparison_equals_the_one_assembled_replay_by_replay \
     log::tests::chunked_parse_equals_the_serial_loop_under_every_mutation
 taskset -c 0 cargo test -q --release -p easched-fleet --test wire_bytes
+# record_trace spreads a long invocation over cpus() workers; on one CPU
+# cpus() is 1 and every recording, and Mandelbrot's reference fill, runs
+# inline on the caller's thread.
+taskset -c 0 cargo test -q --release -p easched-kernels
 # On one CPU a ring-sink writer preempted between claim and publish is the
 # common case, and the writers a lap behind it must wait for it, not drop
 # or miscount: the 8-thread hammer again, every thread on that CPU.

@@ -33,8 +33,8 @@
 use crate::eas::{EasConfig, EasScheduler};
 use crate::objective::Objective;
 use crate::power_model::PowerModel;
-use easched_kernels::{record_trace, InvocationTrace, Workload};
-use easched_runtime::{in_index_order, replay_trace, FixedAlpha, RunMetrics, Scheduler};
+use easched_kernels::{in_index_order, record_trace, InvocationTrace, Workload};
+use easched_runtime::{replay_trace, FixedAlpha, RunMetrics, Scheduler};
 use easched_sim::{Machine, Platform};
 
 /// Oracle sweep resolution: the paper's 0.1 grid, {0, 0.1, …, 1}.

@@ -28,10 +28,9 @@ use easched_core::{
     characterize, CharacterizationConfig, EasConfig, Objective, PowerModel, RunSeed, StoreError,
     StoreHealth,
 };
+use easched_kernels::in_index_order;
 use easched_replay::{Event, RunLog, FORMAT_VERSION_FLEET};
-use easched_runtime::{
-    fnv1a64, in_index_order, ChaosFs, ChaosFsPlan, Fields, StdFs, TickClock, Vfs, CHUNK_BYTES,
-};
+use easched_runtime::{fnv1a64, ChaosFs, ChaosFsPlan, Fields, StdFs, TickClock, Vfs, CHUNK_BYTES};
 use easched_sim::{splitmix64, KernelTraits, Platform};
 use std::collections::BTreeMap;
 use std::fmt;

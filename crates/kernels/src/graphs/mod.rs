@@ -272,6 +272,9 @@ impl Workload for ConnectedComponents {
                 let s = &snapshot;
                 let ch = &changed;
                 invoker.invoke(n as u64, &|items| {
+                    // One store to the shared flag per range: threads
+                    // that stored per vertex contended for its line.
+                    let mut any = false;
                     for i in items {
                         let mut best = s[i];
                         for &u in g.neighbors(i as u32) {
@@ -279,8 +282,11 @@ impl Workload for ConnectedComponents {
                         }
                         if best < s[i] {
                             l[i].fetch_min(best, Ordering::Relaxed);
-                            ch.store(true, Ordering::Relaxed);
+                            any = true;
                         }
+                    }
+                    if any {
+                        ch.store(true, Ordering::Relaxed);
                     }
                 });
             }
@@ -370,6 +376,8 @@ impl Workload for ShortestPath {
                 let s = &snapshot;
                 let ch = &changed;
                 invoker.invoke(n as u64, &|items| {
+                    // One store to the shared flag per range, as in CC.
+                    let mut any = false;
                     for i in items {
                         let di = s[i];
                         if di == u64::MAX {
@@ -379,11 +387,12 @@ impl Workload for ShortestPath {
                             let nd = di + u64::from(w);
                             if nd < s[u as usize] {
                                 let prev = d[u as usize].fetch_min(nd, Ordering::Relaxed);
-                                if nd < prev {
-                                    ch.store(true, Ordering::Relaxed);
-                                }
+                                any |= nd < prev;
                             }
                         }
+                    }
+                    if any {
+                        ch.store(true, Ordering::Relaxed);
                     }
                 });
             }

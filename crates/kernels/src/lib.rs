@@ -23,6 +23,12 @@
 //! references, closed-form solutions, or conservation laws) and carries a
 //! calibrated per-platform simulation profile ([`Profile`]).
 //!
+//! The crate also holds the work-stealing pool the paper's §4 runtime
+//! spreads a `parallel_for` over ([`parallel_for`], [`in_index_order`]):
+//! [`record_trace`] hands it any invocation whose first slice predicts
+//! the rest is long, and the runtime, the scheme comparison, the run-log
+//! parse and the fleet run their jobs on it.
+//!
 //! # Examples
 //!
 //! ```
@@ -47,6 +53,7 @@ mod mandelbrot;
 mod matmul;
 mod microbench;
 mod nbody;
+mod pool;
 mod profiles;
 mod raytracer;
 mod seismic;
@@ -61,6 +68,7 @@ pub use mandelbrot::{Mandelbrot, LANES};
 pub use matmul::MatMul;
 pub use microbench::{characterization_suite, MicroBenchmark};
 pub use nbody::NBody;
+pub use pool::{in_index_order, parallel_for, PoolReport};
 pub use profiles::Profile;
 pub use raytracer::RayTracer;
 pub use seismic::Seismic;

@@ -6,6 +6,7 @@
 //! and writes stream straight to DRAM — and our calibration reproduces that
 //! classification.
 
+use crate::pool::spread_if_long;
 use crate::profiles::{Calib, Profile};
 use crate::workload::{Invoker, Verification, Workload, WorkloadSpec};
 use easched_sim::{AccessPattern, KernelTraits, Platform};
@@ -144,6 +145,22 @@ impl Mandelbrot {
         )
     }
 
+    /// The serial reference image: [`Self::escape_time_at`] per pixel,
+    /// not the lock-step path, so the two are computed independently. A
+    /// long fill runs on every CPU by [`spread_if_long`]; each pixel is
+    /// still one scalar call.
+    fn reference_image(&self) -> Vec<u32> {
+        let n = self.width * self.height;
+        let image: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+        spread_if_long(n, &|pixels| {
+            for i in pixels {
+                image[i].store(self.escape_time_at(i), Ordering::Relaxed);
+            }
+        });
+        // Same size and alignment: the buffer is reused in place.
+        image.into_iter().map(AtomicU32::into_inner).collect()
+    }
+
     /// Renders pixels `items` into `image`, `LANES` consecutive pixels at
     /// a time from the range's start (a group may span rows), the last
     /// `< LANES` one at a time. `cols` and `rows` hold [`Self::re`] and
@@ -214,9 +231,7 @@ impl Workload for Mandelbrot {
         // The serial render must match exactly; also require both interior
         // (max_iter) and escaping pixels to be present — the region straddles
         // the set boundary by construction.
-        let serial = self
-            .serial_image
-            .get_or_init(|| (0..n).map(|i| self.escape_time_at(i)).collect());
+        let serial = self.serial_image.get_or_init(|| self.reference_image());
         let mut interior = 0u64;
         let mut exterior = 0u64;
         for (i, (px, &want)) in image.iter().zip(serial).enumerate() {

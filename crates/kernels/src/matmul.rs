@@ -3,13 +3,20 @@
 //! Regular, compute-bound, single long kernel invocation. Each item computes
 //! one element of C = A·B. The classic GPU-friendly workload: the paper's
 //! desktop GPU wins by a wide margin.
+//!
+//! An item range computes [`COLUMNS`] consecutive entries of a row in
+//! lock-step, so each row of B it walks serves eight entries, not one.
 
 use crate::profiles::{Calib, Profile};
 use crate::workload::{Invoker, Verification, Workload, WorkloadSpec};
 use easched_sim::{AccessPattern, KernelTraits, Platform};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
+
+/// Entries of a row of C the item body computes in lock-step.
+const COLUMNS: usize = 8;
 
 /// Square matrix multiply workload: C = A·B with `n × n` matrices.
 #[derive(Debug)]
@@ -71,6 +78,48 @@ impl MatMul {
         }
         acc
     }
+
+    /// [`Self::element`] of columns `col..col + COLUMNS` of `row`. Each
+    /// lane adds `a[row][k] · b[k][col + l]` in `k` order with nothing
+    /// fused, the scalar loop's operations in its order, so every lane
+    /// has its entry's exact bits.
+    fn elements(&self, row: usize, col: usize) -> [f32; COLUMNS] {
+        let n = self.n;
+        let mut acc = [0.0f32; COLUMNS];
+        for k in 0..n {
+            let a = self.a[row * n + k];
+            let b = &self.b[k * n + col..][..COLUMNS];
+            for l in 0..COLUMNS {
+                acc[l] += a * b[l];
+            }
+        }
+        acc
+    }
+
+    /// Computes entries `items` of C (row-major) into `c`: `COLUMNS` at a
+    /// time where that many remain both in the range and in the row,
+    /// the others (a range's tail, a row's last columns) one at a time.
+    fn render(&self, items: Range<usize>, c: &[AtomicU32]) {
+        let n = self.n;
+        let mut i = items.start;
+        while i < items.end {
+            let (row, col) = (i / n, i % n);
+            if col + COLUMNS <= n && i + COLUMNS <= items.end {
+                for (l, v) in self.elements(row, col).into_iter().enumerate() {
+                    debug_assert_eq!(
+                        v.to_bits(),
+                        self.element(row, col + l).to_bits(),
+                        "lane {l} of the group at C[{row},{col}]"
+                    );
+                    c[i + l].store(v.to_bits(), Ordering::Relaxed);
+                }
+                i += COLUMNS;
+            } else {
+                c[i].store(self.element(row, col).to_bits(), Ordering::Relaxed);
+                i += 1;
+            }
+        }
+    }
 }
 
 impl Workload for MatMul {
@@ -93,13 +142,8 @@ impl Workload for MatMul {
 
     fn drive(&self, invoker: &mut dyn Invoker) -> Verification {
         let n = self.n;
-        let c: Vec<AtomicU32> = (0..n * n).map(|_| AtomicU32::new(0)).collect();
-        invoker.invoke((n * n) as u64, &|items| {
-            for i in items {
-                let (row, col) = (i / n, i % n);
-                c[i].store(self.element(row, col).to_bits(), Ordering::Relaxed);
-            }
-        });
+        let c: Vec<AtomicU32> = (0..n * n).map(|_| AtomicU32::new(u32::MAX)).collect();
+        invoker.invoke((n * n) as u64, &|items| self.render(items, &c));
         // Verify a pseudo-random sample of entries serially (full recompute
         // would double the dominant cost for zero extra coverage).
         let samples = (n * n / 50).clamp(16, 4096);
@@ -134,6 +178,32 @@ mod tests {
         for r in 0..n {
             for cidx in 0..n {
                 assert_eq!(mm.element(r, cidx), mm.b[r * n + cidx]);
+            }
+        }
+    }
+
+    #[test]
+    fn ranges_cut_mid_row_and_run_backwards_equal_the_scalar_entries() {
+        // Every n up to two groups and one more, so rows narrower than a
+        // group, rows of exactly one and rows with a ragged end all occur.
+        // Pieces of 5 and 11 entries start and end mid-row and mid-group.
+        for n in 1..=17 {
+            let mm = MatMul::new(n, n as u64, MatMul::default_profile());
+            for piece in [5, 11, n * n] {
+                let c: Vec<AtomicU32> = (0..n * n).map(|_| AtomicU32::new(u32::MAX)).collect();
+                let cuts: Vec<usize> = (0..n * n).step_by(piece).chain([n * n]).collect();
+                for range in cuts.windows(2).rev() {
+                    mm.render(range[0]..range[1], &c);
+                }
+                for (i, entry) in c.iter().enumerate() {
+                    assert_eq!(
+                        entry.load(Ordering::Relaxed),
+                        mm.element(i / n, i % n).to_bits(),
+                        "n {n}, pieces of {piece}: C[{},{}]",
+                        i / n,
+                        i % n
+                    );
+                }
             }
         }
     }

@@ -8,9 +8,12 @@
 //!
 //! * [`SerialInvoker`] executes all items inline as one range (tests,
 //!   verification);
-//! * [`TraceRecorder`] executes inline *and* records the invocation sizes,
-//!   producing an [`InvocationTrace`] that the evaluation harness replays
-//!   through schedulers on the simulated machine (trace-driven simulation);
+//! * [`TraceRecorder`] records the invocation sizes, producing an
+//!   [`InvocationTrace`] that the evaluation harness replays through
+//!   schedulers on the simulated machine (trace-driven simulation), and
+//!   executes each invocation by [`spread_if_long`]: inline when its first
+//!   slice says it is short, on the work-stealing pool's every CPU when
+//!   the rest is long;
 //! * the runtime crate provides invokers that partition items between the
 //!   CPU pool and the GPU.
 //!
@@ -20,6 +23,7 @@
 //! be thread-safe (`Sync`): the heterogeneous runtime calls them
 //! concurrently from many workers, on disjoint ranges.
 
+use crate::pool::spread_if_long;
 use easched_sim::{KernelTraits, Platform};
 use std::ops::Range;
 
@@ -110,7 +114,10 @@ impl InvocationTrace {
     }
 }
 
-/// An invoker that executes inline and records invocation sizes.
+/// An invoker that records invocation sizes and runs each invocation by
+/// [`spread_if_long`]. The sizes are the workload's own and the outputs
+/// do not depend on where the items ran, so a recording is the same on
+/// one CPU or many.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TraceRecorder {
     trace: InvocationTrace,
@@ -131,7 +138,7 @@ impl TraceRecorder {
 impl Invoker for TraceRecorder {
     fn invoke(&mut self, n: u64, process: &(dyn Fn(Range<usize>) + Sync)) {
         self.trace.sizes.push(n);
-        process(0..n as usize);
+        spread_if_long(n as usize, process);
     }
 }
 
@@ -227,6 +234,28 @@ mod tests {
         assert_eq!(trace.sizes, vec![4, 2]);
         assert_eq!(trace.total_items(), 6);
         assert_eq!(trace.invocations(), 2);
+    }
+
+    /// Records sizes and runs each invocation on the caller's thread as
+    /// one range: the recorder before invocations were spread.
+    struct InlineRecorder(Vec<u64>);
+
+    impl Invoker for InlineRecorder {
+        fn invoke(&mut self, n: u64, process: &(dyn Fn(Range<usize>) + Sync)) {
+            self.0.push(n);
+            process(0..n as usize);
+        }
+    }
+
+    #[test]
+    fn spread_recordings_have_the_inline_sizes() {
+        for w in crate::suite::small_suite() {
+            let mut inline = InlineRecorder(Vec::new());
+            assert!(w.drive(&mut inline).is_passed());
+            let (trace, v) = record_trace(w.as_ref());
+            assert!(v.is_passed(), "{}: {v:?}", w.spec().abbrev);
+            assert_eq!(trace.sizes, inline.0, "{}", w.spec().abbrev);
+        }
     }
 
     #[test]

@@ -28,9 +28,8 @@
 //! ([`RunLog::invocations`]) and the identity rule
 //! ([`RunLog::first_difference`]).
 
-use easched_runtime::{
-    in_index_order, unseal, Fields, LineWriter, Observation, Vfs, CHUNK_BYTES, MIN_SEALED_LINE,
-};
+use easched_kernels::in_index_order;
+use easched_runtime::{unseal, Fields, LineWriter, Observation, Vfs, CHUNK_BYTES, MIN_SEALED_LINE};
 use easched_sim::CounterSnapshot;
 use easched_telemetry::DecisionRecord;
 use std::borrow::Cow;

@@ -1,24 +1,20 @@
-//! The time seam: every wall-clock read in this crate goes through a
-//! [`Clock`] so a run can be re-executed deterministically.
-//!
-//! The runtime has exactly two consumers of real time — the thread
-//! backend's pacing/phase timers and the work-stealing pool's per-worker
-//! busy accounting — and both used to call `Instant::now()` directly.
-//! That made any wall-clock run unrepeatable: the same workload under the
-//! same scheduler produced different observations (and, with telemetry
-//! attached, different `decide_nanos` in every `DecisionRecord`). Routing
-//! them through this trait turns time into an injected dependency:
+//! The time seam: a [`Clock`] is a source of seconds and of sleeps, so a
+//! component that reads time can be handed a deterministic one.
 //!
 //! * [`WallClock`] — the production implementation, monotonic seconds
-//!   from `Instant` with real `thread::sleep` pacing;
+//!   from `Instant` with real `thread::sleep` pacing. The thread
+//!   backend's pacing and phase timers read it;
 //! * [`TickClock`] — a deterministic counter clock: every `now()` read
 //!   advances time by a fixed tick, `sleep` advances it by the requested
 //!   duration. Two runs making the same sequence of clock calls read the
-//!   same timestamps, which is what the record/replay layer
-//!   (`easched-replay`) needs for byte-identical re-execution.
+//!   same timestamps. [`ChaosFs`](crate::ChaosFs) stalls its latency
+//!   faults on the clock it is given; on a `TickClock` a stall burns
+//!   virtual time, not wall time.
 //!
-//! The simulator path (`SimBackend`) has its own virtual time inside
-//! `easched-sim` and does not touch this seam.
+//! The work-stealing pool (`easched_kernels::parallel_for`) times its
+//! report with `Instant` and does not read this seam. The simulator path
+//! (`SimBackend`) has its own virtual time inside `easched-sim` and does
+//! not touch it either.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -26,8 +22,9 @@ use std::time::Instant;
 
 /// A monotonic time source, in seconds since an arbitrary per-clock epoch.
 ///
-/// Implementations must be thread-safe: the pool hands one clock to every
-/// worker thread, and backends read it concurrently with the GPU proxy.
+/// Implementations must be thread-safe: a [`ChaosFs`](crate::ChaosFs)
+/// holds its clock behind an `Arc`, and a latency fault stalls on it
+/// from whichever thread made the faulted call.
 pub trait Clock: Send + Sync + std::fmt::Debug {
     /// Current time in seconds. Monotone non-decreasing per clock.
     fn now(&self) -> f64;

@@ -11,10 +11,9 @@
 //! * [`SimBackend`] — executes invocations on the simulated machine
 //!   (`easched-sim`), the paper-evaluation path;
 //! * [`ThreadBackend`] — executes invocations with real OS threads: a
-//!   work-stealing CPU pool and a pacing GPU-proxy thread emulating the
-//!   integrated GPU's throughput (wall-clock demo path);
-//! * [`parallel_for`] / [`in_index_order`] — the work-stealing substrate
-//!   (crossbeam deques);
+//!   work-stealing CPU pool ([`easched_kernels::parallel_for`]) and a
+//!   pacing GPU-proxy thread emulating the integrated GPU's throughput
+//!   (wall-clock demo path);
 //! * [`run_workload`] / [`replay_trace`] — adapters connecting
 //!   [`Workload`](easched_kernels::Workload)s and recorded invocation traces
 //!   to a [`Scheduler`].
@@ -33,7 +32,6 @@ mod backend;
 mod chaos;
 mod clock;
 mod observation;
-mod pool;
 // `benchmark/src` imports `scheduler::FixedAlpha` by module path.
 pub mod scheduler;
 mod sealed;
@@ -52,9 +50,8 @@ pub use backend::Backend;
 pub use chaos::{run_workload_chaos, ChaosBackend, ChaosInjector, Fault, FaultPlan};
 pub use clock::{Clock, TickClock, WallClock};
 pub use observation::{Observation, RunMetrics};
-pub use pool::{in_index_order, parallel_for, PoolReport, CHUNK_BYTES};
 pub use scheduler::{FixedAlpha, GpuPolicy, InvocationCtx, KernelId, Scheduler};
-pub use sealed::{fnv1a64, unseal, Fields, LineWriter, MIN_SEALED_LINE};
+pub use sealed::{fnv1a64, unseal, Fields, LineWriter, CHUNK_BYTES, MIN_SEALED_LINE};
 pub use sim_backend::{kernel_id_of, replay_trace, run_workload, SimBackend};
 pub use thread_backend::{ThreadBackend, ThreadBackendConfig};
 pub use vfs::{ChaosFs, ChaosFsPlan, StdFs, StorageFault, Vfs, VfsFile};

@@ -198,6 +198,15 @@ pub fn unseal(line: &str) -> Option<&str> {
 /// sealed lines, whatever a count written inside it claims.
 pub const MIN_SEALED_LINE: usize = 21;
 
+/// Bytes of text worth one pool job: the one size below which handing
+/// text to a worker costs more than reading it on the caller's thread.
+/// A run log's parse cuts its body into jobs of about this much (rounded
+/// up to the next line start), and a fleet delivery pass whose inboxes
+/// hold less than this in all runs its node jobs on the caller's thread:
+/// an [`in_index_order`](easched_kernels::in_index_order) call costs tens
+/// of microseconds before any job runs.
+pub const CHUNK_BYTES: usize = 64 * 1024;
+
 /// Each byte's value as a digit of either case, `0xff` for anything else.
 const DIGIT: [u8; 256] = {
     let mut table = [0xff; 256];

@@ -8,7 +8,11 @@
 //! have no OpenCL device; see DESIGN.md §2). During a profiling round CPU
 //! workers drain a shared atomic counter exactly as in the paper's
 //! `OnlineProfile`, stopping when the proxy's chunk completes; a split's
-//! CPU share runs to completion on the work-stealing [`pool`].
+//! CPU share runs to completion on the work-stealing pool
+//! ([`parallel_for`]).
+//!
+//! Every timer and pacing sleep reads the host's wall clock
+//! ([`WallClock`]): this backend is the wall-clock path.
 //!
 //! Energy for wall-clock runs is estimated from the platform's calibrated
 //! power table (steady-state operating points × phase durations): the
@@ -17,11 +21,10 @@
 use crate::backend::Backend;
 use crate::clock::{Clock, WallClock};
 use crate::observation::Observation;
-use crate::pool;
+use easched_kernels::{parallel_for, PoolReport};
 use easched_sim::{KernelTraits, Platform};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Configuration for a [`ThreadBackend`].
 #[derive(Debug, Clone)]
@@ -34,10 +37,6 @@ pub struct ThreadBackendConfig {
     pub(crate) pacing_batch: u64,
     /// Shared-counter chunk size for CPU workers.
     pub(crate) cpu_chunk: u64,
-    /// Time source for every timer and pacing sleep in the backend
-    /// (defaults to [`WallClock`]; inject a deterministic clock for
-    /// record/replay and tests).
-    pub(crate) clock: Arc<dyn Clock>,
 }
 
 impl ThreadBackendConfig {
@@ -58,7 +57,6 @@ impl ThreadBackendConfig {
             gpu_rate,
             pacing_batch: 256,
             cpu_chunk: 256,
-            clock: Arc::new(WallClock),
         }
     }
 }
@@ -104,7 +102,7 @@ impl<'a> ThreadBackend<'a> {
 
     /// Runs the proxy-paced "GPU" over `[start, end)`. Returns busy seconds.
     fn gpu_execute(&self, start: u64, end: u64) -> f64 {
-        let clock = self.config.clock.as_ref();
+        let clock = WallClock;
         let t0 = clock.now();
         let mut done = 0u64;
         let total = end - start;
@@ -148,7 +146,7 @@ impl Backend for ThreadBackend<'_> {
         let pool_items = rem - chunk;
         let gpu_start = self.high - chunk;
 
-        let clock = Arc::clone(&self.config.clock);
+        let clock = WallClock;
         let stop = AtomicBool::new(false);
         let counter = AtomicU64::new(0);
         let executed = AtomicU64::new(0);
@@ -173,7 +171,6 @@ impl Backend for ThreadBackend<'_> {
                 let low = self.low;
                 let chunk_sz = self.config.cpu_chunk;
                 let process = self.process;
-                let clock = Arc::clone(&clock);
                 handles.push(s.spawn(move || {
                     let t = clock.now();
                     loop {
@@ -228,19 +225,16 @@ impl Backend for ThreadBackend<'_> {
         let low = self.low as usize;
         let process = self.process;
 
-        let clock = Arc::clone(&self.config.clock);
+        let clock = WallClock;
         let t0 = clock.now();
         let mut gpu_time = 0.0;
-        let mut cpu_report = pool::PoolReport::default();
+        let mut cpu_report = PoolReport::default();
         std::thread::scope(|s| {
             let proxy = (gpu > 0).then(|| s.spawn(|| self.gpu_execute(gpu_start, self.high)));
             if cpu > 0 {
-                cpu_report = pool::parallel_for_clocked(
-                    cpu,
-                    self.config.cpu_workers,
-                    clock.as_ref(),
-                    &|chunk| process(low + chunk.start..low + chunk.end),
-                );
+                cpu_report = parallel_for(cpu, self.config.cpu_workers, &|chunk| {
+                    process(low + chunk.start..low + chunk.end);
+                });
             }
             if let Some(p) = proxy {
                 gpu_time = p.join().expect("gpu proxy panicked");
@@ -365,43 +359,5 @@ mod tests {
     #[should_panic(expected = "gpu_rate must be positive")]
     fn config_rejects_bad_rate() {
         ThreadBackendConfig::new(2, 0.0);
-    }
-
-    #[test]
-    fn virtual_clock_runs_are_unpaced_and_consistent() {
-        use crate::clock::TickClock;
-        let platform = Platform::haswell_desktop();
-        let t = traits();
-        let f = |_: Range<usize>| {};
-        // The GPU proxy and the CPU worker read one `TickClock` that
-        // advances per read, so the interleaving of their reads — and
-        // with it every timestamp's bit pattern and the worker's share
-        // of the pool — is a race. What two threads on a virtual clock
-        // can promise is asserted instead: nothing actually sleeps (a
-        // "slow" 1 item/s GPU finishes instantly in wall time), every
-        // item is consumed once, and the pacing shows up in virtual time.
-        let wall0 = std::time::Instant::now();
-        for _ in 0..2 {
-            let cfg = ThreadBackendConfig {
-                clock: std::sync::Arc::new(TickClock::new()),
-                ..ThreadBackendConfig::new(1, 1.0)
-            };
-            let mut b = ThreadBackend::new(cfg, &platform, &t, 4_000, &f);
-            let o1 = b.profile_step(1_000);
-            let o2 = b.run_split(0.5);
-            assert_eq!(b.remaining(), 0);
-            assert_eq!(o1.gpu_items, 1_000);
-            assert_eq!(o1.cpu_items + o2.cpu_items + o2.gpu_items, 3_000);
-            for o in [o1, o2] {
-                for v in [o.elapsed, o.cpu_time, o.gpu_time, o.energy_joules] {
-                    assert!(v.is_finite() && v >= 0.0, "{o:?}");
-                }
-                // Paced at 1 item/s on a clock both threads only advance.
-                assert!(o.gpu_time >= o.gpu_items as f64, "{o:?}");
-                assert!(o.elapsed >= o.gpu_time, "{o:?}");
-            }
-        }
-        // 5k items at 1 item/s would be ~83 minutes of real pacing.
-        assert!(wall0.elapsed() < std::time::Duration::from_secs(30));
     }
 }

@@ -1,7 +1,8 @@
-//! Property-based tests for the work-stealing pool and the sim backend's
-//! item accounting.
+//! Property-based tests for the work-stealing pool the backends run on
+//! and the sim backend's item accounting.
 
-use easched_runtime::{parallel_for, Backend, SimBackend};
+use easched_kernels::parallel_for;
+use easched_runtime::{Backend, SimBackend};
 use easched_sim::{KernelTraits, Machine, Platform};
 use proptest::prelude::*;
 use std::ops::Range;

@@ -117,7 +117,7 @@ fn whole_small_suite_verifies_under_real_parallelism() {
     struct PoolInvoker(usize);
     impl easched::kernels::Invoker for PoolInvoker {
         fn invoke(&mut self, n: u64, process: &(dyn Fn(std::ops::Range<usize>) + Sync)) {
-            easched::runtime::parallel_for(n, self.0, process);
+            easched::kernels::parallel_for(n, self.0, process);
         }
     }
     let workers = std::thread::available_parallelism().map_or(4, |n| n.get().clamp(2, 8));
