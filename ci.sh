@@ -59,7 +59,9 @@ taskset -c 0 cargo test -q -p easched-core -p easched-replay --lib -- \
 taskset -c 0 cargo test -q --release -p easched-fleet --test wire_bytes
 # record_trace spreads a long invocation over cpus() workers; on one CPU
 # cpus() is 1 and every recording, and Mandelbrot's reference fill, runs
-# inline on the caller's thread.
+# inline on the caller's thread. This release line is also the one that
+# runs mandelbrot::tests::interior_never_lies, the dense-grid sweep of
+# the cardioid/disc shortcut that a debug build ignores (≈5 s).
 taskset -c 0 cargo test -q --release -p easched-kernels
 # On one CPU a ring-sink writer preempted between claim and publish is the
 # common case, and the writers a lap behind it must wait for it, not drop

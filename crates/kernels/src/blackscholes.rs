@@ -3,7 +3,8 @@
 //! Regular, compute-bound, short kernels invoked many times (2000 in the
 //! paper). Each item prices one European option (call and put) with the
 //! closed-form Black-Scholes formula; verification checks put-call parity
-//! and a serial recomputation of sampled items.
+//! and a serial recomputation of sampled items, both computed once per
+//! instance.
 
 use crate::profiles::{Calib, Profile};
 use crate::workload::{Invoker, Verification, Workload, WorkloadSpec};
@@ -11,6 +12,7 @@ use easched_sim::{AccessPattern, KernelTraits, Platform};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 
 /// One option contract.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,6 +54,30 @@ fn price(o: &Option_) -> (f64, f64) {
     (call, put)
 }
 
+/// Every how many options a drive recomputes one serially.
+const SAMPLE_EVERY: usize = 97;
+
+/// What a drive's prices are checked against.
+#[derive(Debug)]
+struct Targets {
+    /// Each option's parity side `S − K·e^{−rT}`.
+    parity: Vec<f64>,
+    /// The serial `(call, put)` of every `SAMPLE_EVERY`th option.
+    sampled: Vec<(f64, f64)>,
+}
+
+impl Targets {
+    fn of(options: &[Option_]) -> Self {
+        Targets {
+            parity: options
+                .iter()
+                .map(|o| o.spot - o.strike * (-o.rate * o.expiry).exp())
+                .collect(),
+            sampled: options.iter().step_by(SAMPLE_EVERY).map(price).collect(),
+        }
+    }
+}
+
 /// The Black-Scholes workload: `invocations` pricing passes over a fixed
 /// portfolio of `options` contracts.
 #[derive(Debug)]
@@ -59,6 +85,9 @@ pub struct BlackScholes {
     options: Vec<Option_>,
     invocations: u32,
     profile: Profile,
+    /// The verification targets, computed on the first drive and
+    /// compared against on every drive.
+    targets: OnceLock<Targets>,
 }
 
 impl BlackScholes {
@@ -84,6 +113,7 @@ impl BlackScholes {
             options,
             invocations,
             profile,
+            targets: OnceLock::new(),
         }
     }
 
@@ -153,10 +183,10 @@ impl Workload for BlackScholes {
         }
         // Verify: put-call parity C − P = S − K·e^{−rT} and a serial spot
         // check of every 97th option.
-        for (i, o) in self.options.iter().enumerate() {
+        let targets = self.targets.get_or_init(|| Targets::of(&self.options));
+        for (i, &parity) in targets.parity.iter().enumerate() {
             let c = f64::from(f32::from_bits(calls[i].load(Ordering::Relaxed)));
             let p = f64::from(f32::from_bits(puts[i].load(Ordering::Relaxed)));
-            let parity = o.spot - o.strike * (-o.rate * o.expiry).exp();
             if (c - p - parity).abs() > 1e-2 {
                 return Verification::Failed(format!(
                     "put-call parity violated at {i}: C-P={} vs {}",
@@ -164,8 +194,8 @@ impl Workload for BlackScholes {
                     parity
                 ));
             }
-            if i % 97 == 0 {
-                let (rc, rp) = price(o);
+            if i % SAMPLE_EVERY == 0 {
+                let (rc, rp) = targets.sampled[i / SAMPLE_EVERY];
                 if (c - rc).abs() > 1e-3 || (p - rp).abs() > 1e-3 {
                     return Verification::Failed(format!("price mismatch at {i}"));
                 }

@@ -10,7 +10,9 @@
 //! weights) and is held in compressed sparse row form.
 //!
 //! BFS keeps its frontier as a bitmap, so an item range tests its
-//! vertices 64 at a time and expands only the members.
+//! vertices 64 at a time and expands only the members. It claims an
+//! unseen neighbour with a plain store: every claim in one level writes
+//! the same distance.
 //!
 //! Verification compares against serial references: BFS levels by queue,
 //! components by repeated search, distances by Dijkstra.
@@ -155,18 +157,13 @@ impl Workload for Bfs {
                     for_each_set(f, items, |i| {
                         for &u in g.neighbors(i as u32) {
                             let u = u as usize;
-                            // A seen neighbour costs a plain load, no
-                            // locked op; a lost race costs the failed CAS.
-                            if d[u].load(Ordering::Relaxed) == u32::MAX
-                                && d[u]
-                                    .compare_exchange(
-                                        u32::MAX,
-                                        level + 1,
-                                        Ordering::Relaxed,
-                                        Ordering::Relaxed,
-                                    )
-                                    .is_ok()
-                            {
+                            // A seen neighbour costs a plain load. Every
+                            // writer of `d[u]` in this invocation writes
+                            // `level + 1`, so racing claims store the same
+                            // value and need no CAS; the bit goes in by
+                            // `fetch_or`, which loses no neighbour's bit.
+                            if d[u].load(Ordering::Relaxed) == u32::MAX {
+                                d[u].store(level + 1, Ordering::Relaxed);
                                 nx[u / 64].fetch_or(1 << (u % 64), Ordering::Relaxed);
                             }
                         }
@@ -558,6 +555,51 @@ mod tests {
                     assert!(v.is_passed(), "{w}x{h} from {source}: {v:?}");
                 }
             }
+        }
+    }
+
+    /// Runs each invocation through the work-stealing pool on four
+    /// workers.
+    struct Pooled;
+
+    impl Invoker for Pooled {
+        fn invoke(&mut self, n: u64, process: &(dyn Fn(Range<usize>) + Sync)) {
+            crate::pool::parallel_for(n, 4, process);
+        }
+    }
+
+    #[test]
+    fn racing_discoveries_of_one_vertex_agree() {
+        // Vertex 0, then six layers of 70 dealt round-robin over the ids,
+        // every vertex joined to every vertex of the next layer: each
+        // pool chunk holds frontier members of every level, and all of
+        // them reach the same next-layer vertices at once.
+        let layers = 6;
+        let n = 1 + 70 * layers;
+        let layer = |v: u32| (v - 1) % layers;
+        let mut edges = Vec::new();
+        for a in 1..n {
+            if layer(a) == 0 {
+                edges.extend([(0, a), (a, 0)]);
+            }
+            for b in 1..n {
+                if layer(b) == layer(a) + 1 {
+                    edges.extend([(a, b), (b, a)]);
+                }
+            }
+        }
+        let weights = vec![1; edges.len()];
+        let g = Csr::from_weighted_edges(n, &edges, &weights).expect("valid edges");
+        let want = reference::bfs_levels(&g, 0);
+        assert_eq!(want.iter().max(), Some(&layers));
+        let bfs = Bfs {
+            graph: g,
+            source: 0,
+            profile: Bfs::default_profile(),
+            serial_levels: OnceLock::from(want),
+        };
+        for round in 0..50 {
+            assert!(bfs.drive(&mut Pooled).is_passed(), "round {round}");
         }
     }
 

@@ -5,6 +5,11 @@
 //! *memory-bound* at the paper's 7680×6144 scale — the image dwarfs the LLC
 //! and writes stream straight to DRAM — and our calibration reproduces that
 //! classification.
+//!
+//! A pixel whose centre passes [`interior`] (the main cardioid or the
+//! period-2 disc, with a margin) is settled at `max_iter` without
+//! iterating; the others are packed `LANES` at a time into a lock-step
+//! group.
 
 use crate::pool::spread_if_long;
 use crate::profiles::{Calib, Profile};
@@ -25,6 +30,26 @@ fn escape_time(cx: f64, cy: f64, max_iter: u32) -> u32 {
         iter += 1;
     }
     iter
+}
+
+/// How far inside the cardioid or the disc, in the units of its test, a
+/// point must lie before [`interior`] accepts it. Rounding moves either
+/// side of a test by less than 1e-14 wherever it can hold, so a point on
+/// the boundary, or outside it, is never accepted.
+const INTERIOR_MARGIN: f64 = 1e-9;
+
+/// Whether `c = cx + i·cy` lies inside the main cardioid,
+/// `q(q + x − ¼) < ¼y²` with `q = (x − ¼)² + y²`, or the period-2 disc,
+/// `(x + 1)² + y² < 1/16`, by [`INTERIOR_MARGIN`]. There the orbit of 0
+/// converges to an attracting fixed point or 2-cycle and never leaves
+/// |z| ≤ 2, so [`escape_time`] is `max_iter` whatever the budget. NaN
+/// and infinite coordinates fail both comparisons.
+fn interior(cx: f64, cy: f64) -> bool {
+    let yy = cy * cy;
+    let t = cx - 0.25;
+    let q = t * t + yy;
+    let b = cx + 1.0;
+    q * (q + t) < 0.25 * yy - INTERIOR_MARGIN || b * b + yy < 0.0625 - INTERIOR_MARGIN
 }
 
 /// Pixels the item body iterates in lock-step.
@@ -161,40 +186,52 @@ impl Mandelbrot {
         image.into_iter().map(AtomicU32::into_inner).collect()
     }
 
-    /// Renders pixels `items` into `image`, `LANES` consecutive pixels at
-    /// a time from the range's start (a group may span rows), the last
-    /// `< LANES` one at a time. `cols` and `rows` hold [`Self::re`] and
-    /// [`Self::im`] per column and row.
+    /// Renders pixels `items` into `image`. A pixel that passes
+    /// [`interior`] is stored as `max_iter`; the others are packed, in
+    /// range order, into groups of the next `LANES` pixels that still
+    /// need iterating (a group may skip settled pixels and span rows),
+    /// and the last `< LANES` go one at a time. `cols` and `rows` hold
+    /// [`Self::re`] and [`Self::im`] per column and row.
     fn render(&self, items: Range<usize>, cols: &[f64], rows: &[f64], image: &[AtomicU32]) {
         let (mut x, mut y) = (items.start % self.width, items.start / self.width);
-        let mut centre = || {
+        // The pixels waiting for a group: index and centre.
+        let mut at = [0usize; LANES];
+        let (mut cx, mut cy) = ([0.0; LANES], [0.0; LANES]);
+        let mut waiting = 0;
+        for i in items {
             let c = (cols[x], rows[y]);
             x += 1;
             if x == self.width {
                 (x, y) = (0, y + 1);
             }
-            c
-        };
-        let mut i = items.start;
-        while items.end - i >= LANES {
-            let (mut cx, mut cy) = ([0.0; LANES], [0.0; LANES]);
-            for l in 0..LANES {
-                (cx[l], cy[l]) = centre();
-            }
-            let times = escape_times(&cx, &cy, self.max_iter);
-            for (l, &t) in times.iter().enumerate() {
+            if interior(c.0, c.1) {
                 debug_assert_eq!(
-                    t,
-                    escape_time(cx[l], cy[l], self.max_iter),
-                    "lane {l} of the group at pixel {i}"
+                    escape_time(c.0, c.1, self.max_iter),
+                    self.max_iter,
+                    "settled pixel {i}"
                 );
-                image[i + l].store(t, Ordering::Relaxed);
+                image[i].store(self.max_iter, Ordering::Relaxed);
+                continue;
             }
-            i += LANES;
+            (at[waiting], cx[waiting], cy[waiting]) = (i, c.0, c.1);
+            waiting += 1;
+            if waiting == LANES {
+                let times = escape_times(&cx, &cy, self.max_iter);
+                for (l, &t) in times.iter().enumerate() {
+                    debug_assert_eq!(
+                        t,
+                        escape_time(cx[l], cy[l], self.max_iter),
+                        "lane {l}, pixel {}",
+                        at[l]
+                    );
+                    image[at[l]].store(t, Ordering::Relaxed);
+                }
+                waiting = 0;
+            }
         }
-        for px in &image[i..items.end] {
-            let (cx, cy) = centre();
-            px.store(escape_time(cx, cy, self.max_iter), Ordering::Relaxed);
+        for l in 0..waiting {
+            let t = escape_time(cx[l], cy[l], self.max_iter);
+            image[at[l]].store(t, Ordering::Relaxed);
         }
     }
 }
@@ -308,6 +345,72 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn interior_rejects_the_boundary_and_accepts_the_centres() {
+        // Points on a boundary or within one ulp of one, so within the
+        // margin: the cusp, the cardioid's and the disc's meeting point
+        // and the disc's far end on the real axis, then the disc's top
+        // and bottom. Then coordinates that are not finite numbers.
+        let mut rejected = Vec::new();
+        for x in [0.25f64, -0.75, -1.25] {
+            rejected.extend([(x.next_down(), 0.0), (x, 0.0), (x.next_up(), 0.0)]);
+        }
+        for y in [0.25f64, -0.25] {
+            rejected.extend([(-1.0, y.next_down()), (-1.0, y), (-1.0, y.next_up())]);
+        }
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            rejected.extend([(v, 0.0), (0.0, v), (-1.0, v), (v, v)]);
+        }
+        for (cx, cy) in rejected {
+            assert!(!interior(cx, cy), "c = ({cx:e}, {cy:e}) accepted");
+        }
+        // The cardioid's fixed-point centre, the disc's centre, and points
+        // well inside each near the cusp, the neck and the disc's edge.
+        for (cx, cy) in [
+            (0.0, 0.0),
+            (-1.0, 0.0),
+            (0.24, 0.0),
+            (-0.7, 0.0),
+            (-0.8, 0.0),
+            (-1.2, 0.0),
+        ] {
+            assert!(interior(cx, cy), "c = ({cx}, {cy}) rejected");
+            assert_eq!(escape_time(cx, cy, 2000), 2000, "c = ({cx}, {cy})");
+        }
+    }
+
+    /// Every point `interior` accepts on dense grids over the rendered
+    /// region reaches every tested budget in the scalar loop. ≈5 s in
+    /// release, far longer in debug: release only (ci.sh's
+    /// one-CPU `easched-kernels` line runs it).
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn interior_never_lies() {
+        let mut accepted = 0u64;
+        for (w, h) in [(640usize, 480usize), (777, 333), (2048, 1536)] {
+            let pic = Mandelbrot::new(w, h, 2, Mandelbrot::default_profile());
+            let cols: Vec<f64> = (0..w).map(|x| pic.re(x)).collect();
+            let rows: Vec<f64> = (0..h).map(|y| pic.im(y)).collect();
+            for &cy in &rows {
+                for &cx in &cols {
+                    if !interior(cx, cy) {
+                        continue;
+                    }
+                    accepted += 1;
+                    for max_iter in [2, 64, 256, 2000] {
+                        assert_eq!(
+                            escape_time(cx, cy, max_iter),
+                            max_iter,
+                            "{w}x{h}: c = ({cx:e}, {cy:e}) accepted"
+                        );
+                    }
+                }
+            }
+        }
+        // About a sixth of the region is cardioid or disc: 664 284 points.
+        assert!(accepted > 600_000, "only {accepted} points accepted");
     }
 
     #[test]

@@ -1,17 +1,19 @@
-//! Every kernel with a serial reference computes it once per instance and
+//! Every kernel with a serial reference (or, for Black-Scholes, its
+//! verification targets) computes it once per instance and
 //! compares every drive against it. A wrong output must fail whether it
 //! is the instance's first drive (the one that fills the cache) or a
 //! later one.
 
 use easched_kernels::{
-    Bfs, ConnectedComponents, Invoker, Mandelbrot, NBody, RayTracer, Seismic, SerialInvoker,
-    ShortestPath, Workload,
+    Bfs, BlackScholes, ConnectedComponents, Invoker, Mandelbrot, NBody, RayTracer, Seismic,
+    SerialInvoker, ShortestPath, Workload,
 };
 use std::ops::Range;
 
 /// An invoker that never runs one item of any invocation, chosen so the
-/// kernel's output is wrong: Mandelbrot leaves that pixel unwritten, BFS
-/// and SP never expand their source, CC leaves a vertex that is not its
+/// kernel's output is wrong: Mandelbrot leaves that pixel unwritten,
+/// Black-Scholes leaves an option's call and put at zero, BFS and SP
+/// never expand their source, CC leaves a vertex that is not its
 /// component's minimum on its own label, NBody zeroes a body, Seismic
 /// drops the pulse cell and the ray tracer leaves a pixel black.
 struct SkipItem(usize);
@@ -46,6 +48,13 @@ fn assert_every_drive_is_checked(w: &dyn Workload, skip: usize) {
 #[test]
 fn mandelbrot_checks_every_drive_against_its_cached_reference() {
     let w = Mandelbrot::new(48, 32, 64, Mandelbrot::default_profile());
+    assert_every_drive_is_checked(&w, 0);
+}
+
+#[test]
+fn blackscholes_checks_every_drive_against_its_cached_targets() {
+    // Option 0 is also the first serially priced sample.
+    let w = BlackScholes::new(300, 2, 5, BlackScholes::default_profile());
     assert_every_drive_is_checked(&w, 0);
 }
 
