@@ -300,7 +300,7 @@ echo "==> rustdoc: every warning fails the build, broken intra-doc links include
 # The vendored stand-ins are excluded: proptest's trips rustdoc on its own
 # `vec` fn/macro ambiguity.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q \
-    --exclude rand --exclude proptest --exclude crossbeam
+    --exclude rand --exclude proptest
 
 echo "==> house rules: what clippy.toml and the compiler cannot state"
 # Rules clippy states exactly are not here: the root clippy.toml refuses
@@ -343,7 +343,7 @@ grep -rnE 'ConcurrentScheduler|schedule_shared|Shared<' crates src tests example
 grep -rnE 'health_state\(\)\.stats|merge_store_health|StoreSeries|StoreMode' crates src ;; a count copied into another owner's table: each count has one owner (DESIGN.md §10)
 grep -rhoE '= "easched_[a-z_]+"' crates | sort | uniq -d ;; a series name declared twice: each easched_* name is one counter_table! row (DESIGN.md §10)
 persist_formats ;; persist.rs builds a line by hand: LineWriter writes every record, Fields reads it (DESIGN.md §12)
-grep '^name = ' Cargo.lock | grep -v -e '"easched' -e '"rand"' -e '"proptest"' -e '"crossbeam"' ;; a package beyond the workspace and the three vendored stand-ins: a bench harness besides benchmark/, or a dependency an offline build cannot fetch (DESIGN.md §7)
+grep '^name = ' Cargo.lock | grep -v -e '"easched' -e '"rand"' -e '"proptest"' ;; a package beyond the workspace and the two vendored stand-ins: a bench harness besides benchmark/, or a dependency an offline build cannot fetch (DESIGN.md §7)
 s5_undeclared ;; EXPERIMENTS.md §5 cites a lane, metric or workload BENCHMARK.json does not declare
 grep -nE -e '--example [a-z_]+ +--' -e 'examples/[a-z_]+ +[^>|&;]' ci.sh ;; ci.sh hands an example an argument: gates live in easched and the tests, seed matrices in tests
 grep -nE '^ *pub mod ' crates/*/src/lib.rs | grep -vE -e '^crates/kernels/src/lib.rs:[0-9]+:pub mod suite;$' -e '^crates/runtime/src/lib.rs:[0-9]+:pub mod (scheduler|vfs);$' -e '^crates/replay/src/lib.rs:[0-9]+:pub mod overload;$' ;; a public module is a second path to every public item in it, and unreachable_pub cannot see behind it: a crate's API is its root pub use list (DESIGN.md §8; the four exceptions are what benchmark/src imports by module path)

@@ -24,7 +24,7 @@
 //! times — the sweep plus EAS.
 //!
 //! Each replay owns a fresh machine and its own scheduler, so the twelve
-//! are independent jobs: they run on the work-stealing pool
+//! are independent jobs: they run on the CPU pool
 //! ([`in_index_order`]) on up to `available_parallelism()` workers, EAS
 //! first because it is the longest. Every result lands in the slot of its
 //! job's index, so the sweep's order, the first-minimum tie rule and every

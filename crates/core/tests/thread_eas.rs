@@ -1,5 +1,5 @@
 //! EAS driving the *real-thread* backend: the paper's runtime architecture
-//! (work-stealing CPU pool + GPU proxy thread) scheduled by the actual
+//! (shared-counter CPU workers + GPU proxy thread) scheduled by the actual
 //! policy in wall-clock time. Timing assertions are deliberately loose —
 //! this validates plumbing and functional coverage, not wall-clock
 //! precision.

@@ -558,8 +558,7 @@ mod tests {
         }
     }
 
-    /// Runs each invocation through the work-stealing pool on four
-    /// workers.
+    /// Runs each invocation through the pool on four workers.
     struct Pooled;
 
     impl Invoker for Pooled {

@@ -23,8 +23,9 @@
 //! references, closed-form solutions, or conservation laws) and carries a
 //! calibrated per-platform simulation profile ([`Profile`]).
 //!
-//! The crate also holds the work-stealing pool the paper's §4 runtime
-//! spreads a `parallel_for` over ([`parallel_for`], [`in_index_order`]):
+//! The crate also holds the pool the paper's §4 runtime spreads a
+//! `parallel_for` over ([`parallel_for`], [`in_index_order`]): workers,
+//! the caller among them, claim chunks from one shared atomic counter.
 //! [`record_trace`] hands it any invocation whose first slice predicts
 //! the rest is long, and the runtime, the scheme comparison, the run-log
 //! parse and the fleet run their jobs on it.
@@ -68,7 +69,7 @@ pub use mandelbrot::{Mandelbrot, LANES};
 pub use matmul::MatMul;
 pub use microbench::{characterization_suite, MicroBenchmark};
 pub use nbody::NBody;
-pub use pool::{in_index_order, parallel_for, PoolReport};
+pub use pool::{in_index_order, parallel_for};
 pub use profiles::Profile;
 pub use raytracer::RayTracer;
 pub use seismic::Seismic;

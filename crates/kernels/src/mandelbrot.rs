@@ -382,32 +382,53 @@ mod tests {
     }
 
     /// Every point `interior` accepts on dense grids over the rendered
-    /// region reaches every tested budget in the scalar loop. ≈5 s in
-    /// release, far longer in debug: release only (ci.sh's
-    /// one-CPU `easched-kernels` line runs it).
+    /// region, and among points a step outside a boundary, reaches every
+    /// tested budget in the scalar loop. ≈5 s in release, far longer in
+    /// debug: release only (ci.sh's one-CPU `easched-kernels` line runs
+    /// it).
     #[test]
     #[cfg_attr(debug_assertions, ignore)]
     fn interior_never_lies() {
         let mut accepted = 0u64;
+        let mut check = |cx: f64, cy: f64, at: &str| {
+            if interior(cx, cy) {
+                accepted += 1;
+                for max_iter in [2, 64, 256, 2000] {
+                    assert_eq!(
+                        escape_time(cx, cy, max_iter),
+                        max_iter,
+                        "{at}: c = ({cx:e}, {cy:e}) accepted"
+                    );
+                }
+            }
+        };
         for (w, h) in [(640usize, 480usize), (777, 333), (2048, 1536)] {
             let pic = Mandelbrot::new(w, h, 2, Mandelbrot::default_profile());
             let cols: Vec<f64> = (0..w).map(|x| pic.re(x)).collect();
             let rows: Vec<f64> = (0..h).map(|y| pic.im(y)).collect();
+            let grid = format!("{w}x{h}");
             for &cy in &rows {
                 for &cx in &cols {
-                    if !interior(cx, cy) {
-                        continue;
-                    }
-                    accepted += 1;
-                    for max_iter in [2, 64, 256, 2000] {
-                        assert_eq!(
-                            escape_time(cx, cy, max_iter),
-                            max_iter,
-                            "{w}x{h}: c = ({cx:e}, {cy:e}) accepted"
-                        );
-                    }
+                    check(cx, cy, &grid);
                 }
             }
+        }
+        // Points outside the set, each escaping within 2000 steps: the
+        // real axis past the cusp at ¼ + 10⁻ᵏ (escape there takes ≈ π/√ε
+        // steps), a step above and below the cardioid–disc junction, and
+        // a step radially outside the disc. The cardioid test's gradient
+        // vanishes at the cusp, so a margin of the wrong sign accepts
+        // points up to ≈10⁻³ past it; elsewhere it reaches only ≈10⁻⁹
+        // past a boundary, where escape takes far more than 2000 steps.
+        let mut outside = vec![(0.251, 0.0), (0.2501, 0.0), (0.25001, 0.0)];
+        outside.extend([(-0.75, 0.01), (-0.75, -0.01)]);
+        outside.extend([20.0f64, 100.0, 150.0].map(|degrees| {
+            let (sin, cos) = degrees.to_radians().sin_cos();
+            (-1.0 + 0.26 * cos, 0.26 * sin)
+        }));
+        for (cx, cy) in outside {
+            assert!(escape_time(cx, cy, 2000) < 2000, "c = ({cx}, {cy})");
+            check(cx, cy, "a step outside");
         }
         // About a sixth of the region is cardioid or disc: 664 284 points.
         assert!(accepted > 600_000, "only {accepted} points accepted");

@@ -1,63 +1,41 @@
-//! Work-stealing CPU `parallel_for` (paper §4: "our runtime implements
-//! work-stealing on the CPU").
+//! The CPU `parallel_for` of the paper's §4 runtime: workers drain one
+//! shared atomic counter.
 //!
-//! Each call spawns scoped worker threads with per-worker Chase-Lev deques
-//! (crossbeam). Iteration chunks are distributed round-robin; idle workers
-//! steal from victims. The body receives each chunk whole, as a range, so
-//! dispatch costs one dynamic call per chunk rather than one per index. Per-worker item counts and busy times are collected
-//! locally — the "CPU workers locally collect profiling information" part of
-//! the paper's adaptive profiling — and returned in a [`PoolReport`].
+//! Each call claims chunks of `0..n` with `fetch_add` on one `AtomicU64`,
+//! on `workers` threads of which the caller is one: it spawns `workers − 1`
+//! scoped threads, and a one-worker call spawns none. This is the same
+//! counter the paper's profiling rounds drain (the runtime's thread
+//! backend runs its own copy of the loop, which also stops when the GPU
+//! proxy finishes). The body receives each chunk whole, as a range, so
+//! dispatch costs one dynamic call per chunk rather than one per index.
 //!
-//! The pool has one mode: run every index to completion. Profiling rounds
-//! do not come through here — the runtime's thread backend drains the
-//! paper's shared atomic counter until the GPU proxy finishes — and
-//! deadlines belong to the scheduler's watchdog, which judges a chunk by
-//! the observation it returns.
+//! The pool does not steal. Every job it serves is a flat `0..n` range
+//! that spawns no sub-task, so a worker that runs out of work takes the
+//! next chunk from the counter, and a chunk that stalls its worker holds
+//! up no other chunk. Per-worker deques would add a lock or a CAS on every
+//! pop and balance nothing the counter does not.
+//!
+//! The pool has one mode: run every index to completion. Deadlines belong
+//! to the scheduler's watchdog, which judges a chunk by the observation it
+//! returns.
 //!
 //! The pool lives beside the [`Invoker`](crate::Invoker) contract it
 //! serves: functional execution ([`record_trace`](crate::record_trace),
 //! Mandelbrot's reference image) hands a long invocation to it by the
 //! rule of [`spread_if_long`].
 
-use crossbeam::deque::{Steal, Stealer, Worker};
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Per-worker and aggregate statistics from one `parallel_for`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PoolReport {
-    /// Items executed by each worker.
-    pub items_per_worker: Vec<u64>,
-    /// Busy seconds per worker.
-    pub(crate) busy_per_worker: Vec<f64>,
-    /// Wall-clock seconds for the whole call.
-    pub elapsed: f64,
-    /// Number of successful steals across workers.
-    pub(crate) steals: u64,
-}
-
-impl PoolReport {
-    /// Total items executed.
-    pub fn total_items(&self) -> u64 {
-        self.items_per_worker.iter().sum()
-    }
-}
-
-/// A contiguous chunk of iteration indices.
-#[derive(Debug, Clone, Copy)]
-struct Chunk {
-    start: u64,
-    end: u64,
-}
-
 /// Calls `f` on disjoint chunks that cover `0..n` exactly once, on
-/// `workers` threads with work stealing (runs to completion). The
-/// report's times are wall-clock seconds.
+/// `workers` threads (the caller's among them) that claim chunks from one
+/// shared counter, and returns when every chunk has run.
 ///
 /// # Panics
 ///
-/// Panics if `workers` is zero.
+/// Panics if `workers` is zero, or if `f` panics.
 ///
 /// # Examples
 ///
@@ -66,85 +44,30 @@ struct Chunk {
 /// use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// let sum = AtomicU64::new(0);
-/// let report = parallel_for(1000, 4, &|items| {
+/// parallel_for(1000, 4, &|items| {
 ///     for i in items {
 ///         sum.fetch_add(i as u64, Ordering::Relaxed);
 ///     }
 /// });
 /// assert_eq!(sum.load(Ordering::Relaxed), 499_500);
-/// assert_eq!(report.total_items(), 1000);
 /// ```
-pub fn parallel_for(n: u64, workers: usize, f: &(dyn Fn(Range<usize>) + Sync)) -> PoolReport {
+pub fn parallel_for(n: u64, workers: usize, f: &(dyn Fn(Range<usize>) + Sync)) {
     assert!(workers > 0, "need at least one worker");
     let chunk = (n / (workers as u64 * 8)).clamp(1, 4096);
-    let start = Instant::now();
-
-    // Build one deque per worker and seed chunks round-robin.
-    let locals: Vec<Worker<Chunk>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<Chunk>> = locals.iter().map(Worker::stealer).collect();
-    let mut next = 0u64;
-    let mut wi = 0usize;
-    while next < n {
-        let end = (next + chunk).min(n);
-        locals[wi].push(Chunk { start: next, end });
-        next = end;
-        wi = (wi + 1) % workers;
-    }
-
-    let mut items = vec![0u64; workers];
-    let mut busy = vec![0.0f64; workers];
-    let mut steals = vec![0u64; workers];
-
+    let next = AtomicU64::new(0);
+    let claim = || loop {
+        let start = next.fetch_add(chunk, Ordering::Relaxed);
+        if start >= n {
+            break;
+        }
+        f(start as usize..(start + chunk).min(n) as usize);
+    };
     std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for (id, local) in locals.into_iter().enumerate() {
-            let stealers = &stealers;
-            let handle = s.spawn(move || {
-                let t0 = Instant::now();
-                let mut my_items = 0u64;
-                let mut my_steals = 0u64;
-                loop {
-                    // Local work first, then steal.
-                    let job = local.pop().or_else(|| {
-                        for (v, st) in stealers.iter().enumerate() {
-                            if v == id {
-                                continue;
-                            }
-                            loop {
-                                match st.steal() {
-                                    Steal::Success(c) => {
-                                        my_steals += 1;
-                                        return Some(c);
-                                    }
-                                    Steal::Retry => continue,
-                                    Steal::Empty => break,
-                                }
-                            }
-                        }
-                        None
-                    });
-                    let Some(c) = job else { break };
-                    f(c.start as usize..c.end as usize);
-                    my_items += c.end - c.start;
-                }
-                (my_items, t0.elapsed().as_secs_f64(), my_steals)
-            });
-            handles.push(handle);
+        for _ in 1..workers {
+            s.spawn(claim);
         }
-        for (id, h) in handles.into_iter().enumerate() {
-            let (i, b, st) = h.join().expect("worker panicked");
-            items[id] = i;
-            busy[id] = b;
-            steals[id] = st;
-        }
+        claim();
     });
-
-    PoolReport {
-        items_per_worker: items,
-        busy_per_worker: busy,
-        elapsed: start.elapsed().as_secs_f64(),
-        steals: steals.iter().sum(),
-    }
 }
 
 /// The CPUs this process may run on, read once: the first call reads
@@ -158,11 +81,11 @@ pub(crate) fn cpus() -> usize {
     *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
-/// Runs jobs `0..n` on the work-stealing pool, on up to
-/// `available_parallelism()` workers (read once per process), and
-/// returns their results in index order whatever order they finish in.
-/// With one job or one worker the jobs run on the caller's thread and
-/// nothing is spawned. A panicking job panics the caller.
+/// Runs jobs `0..n` on the pool, on up to `available_parallelism()`
+/// workers (read once per process), and returns their results in index
+/// order whatever order they finish in. With one job or one CPU the jobs
+/// run on the caller's thread and nothing is spawned. A panicking job
+/// panics the caller.
 ///
 /// # Examples
 ///
@@ -172,13 +95,9 @@ pub(crate) fn cpus() -> usize {
 /// assert_eq!(in_index_order(4, |i| i * i), vec![0, 1, 4, 9]);
 /// ```
 pub fn in_index_order<T: Send>(n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let workers = cpus().min(n);
-    if workers <= 1 {
-        return (0..n).map(job).collect();
-    }
     // `Mutex`, not `OnceLock`: a `OnceLock<T>` slot would need `T: Sync`.
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    parallel_for(n as u64, workers, &|jobs| {
+    parallel_for(n as u64, cpus().min(n).max(1), &|jobs| {
         for i in jobs {
             let result = job(i);
             *slots[i].lock().expect("a slot is locked only to store") = Some(result);
@@ -206,10 +125,10 @@ const SPREAD_AFTER: Duration = Duration::from_millis(1);
 
 /// Calls `process` on disjoint ranges covering `0..n` exactly once and
 /// returns when all have run. The first ⌈n/64⌉ items run on the caller's
-/// thread and are timed; when this process has two or more CPUs and that
-/// slice predicts the rest takes at least 1 ms, the rest goes to
-/// [`parallel_for`] on every CPU, otherwise it runs on the caller's
-/// thread too. A short invocation therefore spawns nothing.
+/// thread and are timed; when that slice predicts the rest takes at least
+/// 1 ms, the rest goes to [`parallel_for`] on every CPU, otherwise it runs
+/// on the caller's thread too. A short invocation, and every invocation
+/// of a one-CPU process, therefore spawns nothing.
 pub(crate) fn spread_if_long(n: usize, process: &(dyn Fn(Range<usize>) + Sync)) {
     let probe = n.div_ceil(PROBE_DIVISOR);
     let started = Instant::now();
@@ -223,7 +142,7 @@ pub(crate) fn spread_if_long(n: usize, process: &(dyn Fn(Range<usize>) + Sync)) 
     // invocations never reads `cpus()`. Reading it from `tenant_storm`'s
     // small Mandelbrot fill raised that run's peak RSS from 24.2 to
     // 29.6 MB, with nothing spread.
-    if predicted >= SPREAD_AFTER && cpus() >= 2 {
+    if predicted >= SPREAD_AFTER {
         parallel_for(rest as u64, cpus(), &|items| {
             process(probe + items.start..probe + items.end);
         });
@@ -239,39 +158,57 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::thread::ThreadId;
 
-    #[test]
-    fn executes_every_index_once() {
-        let hits: Vec<AtomicU64> = (0..10_000).map(|_| AtomicU64::new(0)).collect();
-        let r = parallel_for(10_000, 4, &|items| {
-            for i in items {
+    /// Runs `parallel_for(n, workers, ..)` over `body`; returns how often
+    /// each index ran and the thread that ran each range.
+    fn traced(
+        n: usize,
+        workers: usize,
+        body: impl Fn(&Range<usize>) + Sync,
+    ) -> (Vec<u64>, Vec<(Range<usize>, ThreadId)>) {
+        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+        let ranges = Mutex::new(Vec::new());
+        parallel_for(n as u64, workers, &|items| {
+            body(&items);
+            for i in items.clone() {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             }
+            let thread = std::thread::current().id();
+            ranges.lock().unwrap().push((items, thread));
         });
-        assert_eq!(r.total_items(), 10_000);
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        let hits = hits.into_iter().map(AtomicU64::into_inner).collect();
+        (hits, ranges.into_inner().unwrap())
+    }
+
+    #[test]
+    fn executes_every_index_once() {
+        let (hits, _) = traced(10_000, 4, |_| {});
+        assert!(hits.iter().all(|&h| h == 1));
     }
 
     #[test]
     fn zero_items_ok() {
-        let r = parallel_for(0, 4, &|_| panic!("no items"));
-        assert_eq!(r.total_items(), 0);
+        parallel_for(0, 4, &|_| panic!("no items"));
     }
 
     #[test]
-    fn single_worker_ok() {
-        let count = AtomicU64::new(0);
-        let r = parallel_for(100, 1, &|items| {
-            count.fetch_add(items.len() as u64, Ordering::Relaxed);
-        });
-        assert_eq!(r.total_items(), 100);
-        assert_eq!(r.items_per_worker.len(), 1);
+    fn one_worker_runs_every_range_on_the_callers_thread() {
+        // 1 and 100 items: one chunk each; 10 000: more chunks than one.
+        for n in [1, 100, 10_000] {
+            let (hits, ranges) = traced(n, 1, |_| {});
+            assert!(hits.iter().all(|&h| h == 1), "n = {n}: {hits:?}");
+            let caller = std::thread::current().id();
+            assert!(
+                ranges.iter().all(|(_, t)| *t == caller),
+                "n = {n}: ran on {ranges:?}"
+            );
+        }
     }
 
     /// Spins for `micros` of wall time: a per-item cost that is
     /// time-bound, not op-bound, so a call spans many scheduler
     /// timeslices even in release mode on a single-core box — otherwise
-    /// the first worker thread can drain every deque before the other
-    /// threads have been scheduled at all.
+    /// the caller can drain the counter before the spawned threads have
+    /// been scheduled at all.
     fn spin(micros: u64) {
         let t = Instant::now();
         while t.elapsed() < Duration::from_micros(micros) {
@@ -281,27 +218,38 @@ mod tests {
 
     #[test]
     fn work_distributes_across_workers() {
-        let r = parallel_for(20_000, 4, &|items| items.for_each(|_| spin(2)));
-        let active = r.items_per_worker.iter().filter(|&&c| c > 0).count();
-        assert!(
-            active >= 2,
-            "expected multiple active workers: {:?}",
-            r.items_per_worker
-        );
+        let (_, ranges) = traced(20_000, 4, |items| items.clone().for_each(|_| spin(2)));
+        let threads: HashSet<ThreadId> = ranges.iter().map(|(_, t)| *t).collect();
+        assert!(threads.len() >= 2, "one thread ran it all: {ranges:?}");
     }
 
     #[test]
-    fn stealing_rebalances_skewed_work() {
-        // Index 0 opens worker 0's deque and stalls whoever runs it: the
-        // idle workers finish their own shares long before the stall ends
-        // and must steal the chunks queued behind it.
-        let r = parallel_for(1_000, 4, &|items| {
-            if items.contains(&0) {
-                std::thread::sleep(Duration::from_millis(20));
+    fn skewed_work_rebalances() {
+        // The first chunk stalls whoever claims it until every other
+        // index has run (or 5 s pass): the other workers drain the
+        // counter meanwhile, so that thread runs no other range.
+        let n = 1_000;
+        let others_done = AtomicU64::new(0);
+        let (hits, ranges) = traced(n, 4, |items| {
+            if !items.contains(&0) {
+                others_done.fetch_add(items.len() as u64, Ordering::Relaxed);
+                return;
+            }
+            let since = Instant::now();
+            while others_done.load(Ordering::Relaxed) < (n - items.len()) as u64
+                && since.elapsed() < Duration::from_secs(5)
+            {
+                std::thread::yield_now();
             }
         });
-        assert_eq!(r.total_items(), 1_000);
-        assert!(r.steals > 0, "expected steals, got {:?}", r);
+        assert!(hits.iter().all(|&h| h == 1), "{hits:?}");
+        let stalled = ranges.iter().find(|(r, _)| r.contains(&0)).unwrap().1;
+        let by_stalled: Vec<_> = ranges.iter().filter(|(_, t)| *t == stalled).collect();
+        assert_eq!(
+            by_stalled.len(),
+            1,
+            "the stalled thread also ran {by_stalled:?}"
+        );
     }
 
     #[test]

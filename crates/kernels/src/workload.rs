@@ -12,8 +12,8 @@
 //!   [`InvocationTrace`] that the evaluation harness replays through
 //!   schedulers on the simulated machine (trace-driven simulation), and
 //!   executes each invocation by [`spread_if_long`]: inline when its first
-//!   slice says it is short, on the work-stealing pool's every CPU when
-//!   the rest is long;
+//!   slice says it is short, on the CPU pool's every CPU when the rest is
+//!   long;
 //! * the runtime crate provides invokers that partition items between the
 //!   CPU pool and the GPU.
 //!

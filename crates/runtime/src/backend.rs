@@ -37,7 +37,7 @@ pub trait Backend {
     fn profile_step(&mut self, gpu_chunk: u64) -> Observation;
 
     /// Executes **all** remaining iterations with GPU offload ratio `alpha`:
-    /// ⌈α·N_rem⌉ items on the GPU, the rest on the CPU via work-stealing,
+    /// ⌈α·N_rem⌉ items on the GPU, the rest on the CPU pool,
     /// then waits for both.
     ///
     /// # Panics

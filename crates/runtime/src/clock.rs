@@ -11,8 +11,8 @@
 //!   faults on the clock it is given; on a `TickClock` a stall burns
 //!   virtual time, not wall time.
 //!
-//! The work-stealing pool (`easched_kernels::parallel_for`) times its
-//! report with `Instant` and does not read this seam. The simulator path
+//! The CPU pool (`easched_kernels::parallel_for`) reads no time at all,
+//! and so does not read this seam. The simulator path
 //! (`SimBackend`) has its own virtual time inside `easched-sim` and does
 //! not touch it either.
 

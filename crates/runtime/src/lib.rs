@@ -1,7 +1,7 @@
 //! Concord-style heterogeneous runtime for `easched`.
 //!
-//! The paper's runtime (§4) executes `parallel_for` loops with work-stealing
-//! CPU workers plus one *GPU proxy thread* that offloads chunks to the GPU,
+//! The paper's runtime (§4) executes `parallel_for` loops with CPU workers
+//! plus one *GPU proxy thread* that offloads chunks to the GPU,
 //! profiles both devices online, and partitions the remaining iterations.
 //! This crate provides that machinery:
 //!
@@ -11,7 +11,7 @@
 //! * [`SimBackend`] — executes invocations on the simulated machine
 //!   (`easched-sim`), the paper-evaluation path;
 //! * [`ThreadBackend`] — executes invocations with real OS threads: a
-//!   work-stealing CPU pool ([`easched_kernels::parallel_for`]) and a
+//!   shared-counter CPU pool ([`easched_kernels::parallel_for`]) and a
 //!   pacing GPU-proxy thread emulating the integrated GPU's throughput
 //!   (wall-clock demo path);
 //! * [`run_workload`] / [`replay_trace`] — adapters connecting

@@ -1,5 +1,5 @@
-//! Real-thread execution backend: work-stealing CPU workers plus a pacing
-//! GPU-proxy thread.
+//! Real-thread execution backend: CPU workers that drain a shared atomic
+//! counter plus a pacing GPU-proxy thread.
 //!
 //! This is the paper's §4 runtime structure in wall-clock form: the GPU
 //! proxy thread "runs on a CPU core and controls the GPU's operation" —
@@ -8,8 +8,9 @@
 //! have no OpenCL device; see DESIGN.md §2). During a profiling round CPU
 //! workers drain a shared atomic counter exactly as in the paper's
 //! `OnlineProfile`, stopping when the proxy's chunk completes; a split's
-//! CPU share runs to completion on the work-stealing pool
-//! ([`parallel_for`]).
+//! CPU share runs to completion on the pool ([`parallel_for`]), which
+//! claims its chunks from a counter the same way. In both, the calling
+//! thread is one of the CPU workers.
 //!
 //! Every timer and pacing sleep reads the host's wall clock
 //! ([`WallClock`]): this backend is the wall-clock path.
@@ -21,22 +22,25 @@
 use crate::backend::Backend;
 use crate::clock::{Clock, WallClock};
 use crate::observation::Observation;
-use easched_kernels::{parallel_for, PoolReport};
+use easched_kernels::parallel_for;
 use easched_sim::{KernelTraits, Platform};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+/// Pacing granularity of the proxy thread, items.
+const PACING_BATCH: u64 = 256;
+
+/// Shared-counter chunk size for CPU workers during a profiling round:
+/// small, so that they stop promptly once the proxy's chunk completes.
+const CPU_CHUNK: u64 = 256;
+
 /// Configuration for a [`ThreadBackend`].
 #[derive(Debug, Clone)]
 pub struct ThreadBackendConfig {
-    /// Number of CPU worker threads.
+    /// Number of CPU worker threads, the calling thread included.
     pub(crate) cpu_workers: usize,
     /// Emulated GPU throughput in items/second (wall clock).
     pub(crate) gpu_rate: f64,
-    /// Pacing granularity of the proxy thread, items.
-    pub(crate) pacing_batch: u64,
-    /// Shared-counter chunk size for CPU workers.
-    pub(crate) cpu_chunk: u64,
 }
 
 impl ThreadBackendConfig {
@@ -55,8 +59,6 @@ impl ThreadBackendConfig {
         ThreadBackendConfig {
             cpu_workers: workers,
             gpu_rate,
-            pacing_batch: 256,
-            cpu_chunk: 256,
         }
     }
 }
@@ -107,7 +109,7 @@ impl<'a> ThreadBackend<'a> {
         let mut done = 0u64;
         let total = end - start;
         while done < total {
-            let batch = self.config.pacing_batch.min(total - done);
+            let batch = PACING_BATCH.min(total - done);
             (self.process)((start + done) as usize..(start + done + batch) as usize);
             done += batch;
             // Pace to the emulated device rate.
@@ -150,10 +152,24 @@ impl Backend for ThreadBackend<'_> {
         let stop = AtomicBool::new(false);
         let counter = AtomicU64::new(0);
         let executed = AtomicU64::new(0);
+        let low = self.low;
+        let process = self.process;
         let t0 = clock.now();
         let mut gpu_time = 0.0;
-        let mut cpu_busy = 0.0;
 
+        // CPU workers atomically grab work from the shared counter until
+        // the proxy signals completion or the pool is empty.
+        let drain = || {
+            while !stop.load(Ordering::Relaxed) {
+                let c = counter.fetch_add(CPU_CHUNK, Ordering::Relaxed);
+                if c >= pool_items {
+                    break;
+                }
+                let end = (c + CPU_CHUNK).min(pool_items);
+                process((low + c) as usize..(low + end) as usize);
+                executed.fetch_add(end - c, Ordering::Relaxed);
+            }
+        };
         std::thread::scope(|s| {
             // The GPU proxy thread (paper: one CPU worker acts as proxy).
             let proxy = s.spawn(|| {
@@ -161,37 +177,12 @@ impl Backend for ThreadBackend<'_> {
                 stop.store(true, Ordering::Relaxed);
                 t
             });
-            // CPU workers atomically grab work from the shared counter
-            // until the proxy signals completion or the pool is empty.
-            let mut handles = Vec::new();
-            for _ in 0..self.config.cpu_workers {
-                let counter = &counter;
-                let executed = &executed;
-                let stop = &stop;
-                let low = self.low;
-                let chunk_sz = self.config.cpu_chunk;
-                let process = self.process;
-                handles.push(s.spawn(move || {
-                    let t = clock.now();
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let c = counter.fetch_add(chunk_sz, Ordering::Relaxed);
-                        if c >= pool_items {
-                            break;
-                        }
-                        let end = (c + chunk_sz).min(pool_items);
-                        process((low + c) as usize..(low + end) as usize);
-                        executed.fetch_add(end - c, Ordering::Relaxed);
-                    }
-                    clock.now() - t
-                }));
+            // The calling thread is the last CPU worker.
+            for _ in 1..self.config.cpu_workers {
+                s.spawn(drain);
             }
+            drain();
             gpu_time = proxy.join().expect("gpu proxy panicked");
-            for h in handles {
-                cpu_busy += h.join().expect("cpu worker panicked");
-            }
         });
 
         let cpu_items = executed.load(Ordering::Relaxed);
@@ -228,13 +219,15 @@ impl Backend for ThreadBackend<'_> {
         let clock = WallClock;
         let t0 = clock.now();
         let mut gpu_time = 0.0;
-        let mut cpu_report = PoolReport::default();
+        let mut cpu_time = 0.0;
         std::thread::scope(|s| {
             let proxy = (gpu > 0).then(|| s.spawn(|| self.gpu_execute(gpu_start, self.high)));
             if cpu > 0 {
-                cpu_report = parallel_for(cpu, self.config.cpu_workers, &|chunk| {
+                let started = clock.now();
+                parallel_for(cpu, self.config.cpu_workers, &|chunk| {
                     process(low + chunk.start..low + chunk.end);
                 });
+                cpu_time = clock.now() - started;
             }
             if let Some(p) = proxy {
                 gpu_time = p.join().expect("gpu proxy panicked");
@@ -244,7 +237,6 @@ impl Backend for ThreadBackend<'_> {
         self.high -= gpu;
         self.low += cpu;
 
-        let cpu_time = cpu_report.elapsed;
         let both = cpu_time.min(gpu_time);
         Observation {
             elapsed,

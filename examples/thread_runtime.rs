@@ -1,6 +1,6 @@
-//! The paper's runtime architecture on real OS threads: work-stealing CPU
-//! workers plus a GPU proxy thread, driven by the EAS policy in wall-clock
-//! time.
+//! The paper's runtime architecture on real OS threads: CPU workers that
+//! drain a shared counter plus a GPU proxy thread, driven by the EAS policy
+//! in wall-clock time.
 //!
 //! The "GPU" is the proxy-paced device emulation from
 //! `easched_runtime::ThreadBackend` (we have no OpenCL device — see

@@ -10,7 +10,7 @@
 //! * [`sim`] — deterministic integrated CPU-GPU platform simulator
 //! * [`kernels`] — the 12 evaluation benchmarks + 8 characterization
 //!   micro-benchmarks
-//! * [`runtime`] — Concord-style work-stealing heterogeneous runtime
+//! * [`runtime`] — Concord-style heterogeneous runtime
 //! * [`core`] — the energy-aware scheduler (EAS) itself
 //! * [`telemetry`] — decision tracing, metrics, drift detection
 //! * [`replay`] — deterministic record/replay and time-travel debugging

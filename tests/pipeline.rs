@@ -113,7 +113,7 @@ fn kernel_table_survives_across_applications() {
 #[test]
 fn whole_small_suite_verifies_under_real_parallelism() {
     // Every workload's item function must be thread-safe: run the full
-    // reduced suite with actual work-stealing threads.
+    // reduced suite on the pool's real threads.
     struct PoolInvoker(usize);
     impl easched::kernels::Invoker for PoolInvoker {
         fn invoke(&mut self, n: u64, process: &(dyn Fn(std::ops::Range<usize>) + Sync)) {
