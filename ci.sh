@@ -242,27 +242,33 @@ echo "==> storage chaos: fleet on failing disks converges, records, replays"
     --record target/ci-schaos-fleet.runlog > /dev/null
 ./target/release/easched fleet --replay target/ci-schaos-fleet.runlog
 
-echo "==> storage chaos: real ENOSPC on a full tmpfs (skipped without mount privileges)"
+# When the caller may mount, this stage mounts a 256 KiB tmpfs on the
+# host at target/ci-enospc-mnt, and a trap set right after the mount
+# unmounts it however the script exits; without mount privileges the
+# stage is skipped.
+echo "==> storage chaos: real ENOSPC on a full tmpfs (mounts a tmpfs on the host when the caller may mount; skipped otherwise)"
 ENOSPC_DIR=target/ci-enospc-mnt
 rm -rf "$ENOSPC_DIR"; mkdir -p "$ENOSPC_DIR"
 if mount -t tmpfs -o size=256k tmpfs "$ENOSPC_DIR" 2>/dev/null; then
+    trap 'umount "$ENOSPC_DIR"' EXIT
+    trap 'exit 1' HUP INT TERM
     # Seed durable state while the disk has room, then fill the device
     # solid: the next run hits genuine ENOSPC on every journal write.
     # `--chaos-fs 0` injects nothing but enables the tolerant
     # checkpoint path — the run must survive (degrade-to-memory), and
     # once the filler is gone, recovery must audit the seeded state.
     ./target/release/easched fleet --nodes 1 --store "$ENOSPC_DIR/table.d" \
-        > /dev/null 2>&1 || { umount "$ENOSPC_DIR"; exit 1; }
+        > /dev/null 2>&1
     dd if=/dev/zero of="$ENOSPC_DIR/filler" bs=1k count=300 2>/dev/null || true
     ./target/release/easched fleet --nodes 1 --store "$ENOSPC_DIR/table.d" \
         --chaos-fs 0 > /dev/null 2>&1 || {
         echo "run on a full tmpfs must not fail hard"
-        umount "$ENOSPC_DIR"; exit 1
+        exit 1
     }
     rm -f "$ENOSPC_DIR/filler"
-    ./target/release/easched fleet --verify-recovery "$ENOSPC_DIR/table.d" \
-        > /dev/null || { umount "$ENOSPC_DIR"; exit 1; }
+    ./target/release/easched fleet --verify-recovery "$ENOSPC_DIR/table.d" > /dev/null
     umount "$ENOSPC_DIR"
+    trap - EXIT HUP INT TERM
     echo "    ENOSPC smoke passed"
 else
     echo "    tmpfs mount unavailable; skipped"

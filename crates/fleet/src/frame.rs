@@ -17,8 +17,14 @@
 //!
 //! One private writer lays out every frame, whichever way its body was
 //! made: [`Frame::encode`] writes the body from a payload, a node's answer
-//! splices envelope lines its retransmission log sealed once, and a pull
-//! round seals its `want` lines once and frames them per peer.
+//! splices envelope lines from its retransmission log, and a pull round
+//! seals its `want` lines once and frames them per peer. One decoder,
+//! [`FrameView::decode`], reads every frame in place: an entries line
+//! becomes an [`EnvelopeView`] that borrows its platform and its sealed
+//! line from the frame text, and [`Frame::decode`] is that decoder plus a
+//! copy into owned envelopes. An envelope line is sealed once, by its
+//! origin: a node logs an admitted line as it arrived and relays those
+//! bytes.
 
 use easched_runtime::{unseal, Fields, LineWriter, MIN_SEALED_LINE};
 
@@ -135,13 +141,34 @@ impl Envelope {
         };
         line.seal();
     }
+}
 
-    /// Reads an unsealed envelope line back.
-    pub(crate) fn from_line(body: &str) -> Option<Envelope> {
-        Fields::parse(body, |fields| {
+/// One envelope line of an entries frame, read in place: the envelope's
+/// fields, its platform borrowed from the frame text, and the sealed line
+/// as it arrived (without its line ending).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EnvelopeView<'a> {
+    /// The node that learned the fact.
+    pub(crate) origin: NodeId,
+    /// The origin's platform name.
+    pub(crate) platform: &'a str,
+    /// Origin's node epoch at publish time.
+    pub(crate) generation: u64,
+    /// 1-based position within the epoch.
+    pub(crate) seq: u64,
+    /// The fact itself.
+    pub(crate) op: Op,
+    /// The sealed line the fields were read from.
+    pub(crate) line: &'a str,
+}
+
+impl<'a> EnvelopeView<'a> {
+    /// Verifies `line`'s seal and reads every field of its body.
+    pub(crate) fn parse(line: &'a str) -> Option<EnvelopeView<'a>> {
+        Fields::parse(unseal(line)?, |fields| {
             let word = fields.word()?;
             let origin = fields.dec()?;
-            let platform = fields.word()?.to_string();
+            let platform = fields.word()?;
             let generation = fields.dec()?;
             let seq = fields.dec()?;
             let kernel = fields.hex()?;
@@ -160,14 +187,35 @@ impl Envelope {
                 "taint" => Op::Taint { kernel },
                 _ => return None,
             };
-            Some(Envelope {
+            Some(EnvelopeView {
                 origin,
                 platform,
                 generation,
                 seq,
                 op,
+                line,
             })
         })
+    }
+
+    /// This envelope's replication version.
+    pub(crate) fn version(&self) -> Version {
+        Version {
+            generation: self.generation,
+            seq: self.seq,
+            origin: self.origin,
+        }
+    }
+
+    /// The envelope, owned.
+    pub(crate) fn to_envelope(self) -> Envelope {
+        Envelope {
+            origin: self.origin,
+            platform: self.platform.to_string(),
+            generation: self.generation,
+            seq: self.seq,
+            op: self.op,
+        }
     }
 }
 
@@ -179,6 +227,85 @@ pub enum FramePayload {
     Request(Vec<(NodeId, u64, u64)>),
     /// A batch of envelopes answering a request.
     Entries(Vec<Envelope>),
+}
+
+/// What a frame carries, read in place: [`FramePayload`] with every
+/// envelope an [`EnvelopeView`] into the frame text.
+#[derive(Debug)]
+pub(crate) enum PayloadView<'a> {
+    /// A puller's watermark vector.
+    Request(Vec<(NodeId, u64, u64)>),
+    /// A batch of envelope lines.
+    Entries(Vec<EnvelopeView<'a>>),
+}
+
+/// A frame read in place: the one decoder behind [`Frame::decode`].
+#[derive(Debug)]
+pub(crate) struct FrameView<'a> {
+    /// Sending node.
+    pub(crate) from: NodeId,
+    /// Receiving node.
+    pub(crate) to: NodeId,
+    /// The payload.
+    pub(crate) payload: PayloadView<'a>,
+}
+
+impl<'a> FrameView<'a> {
+    /// Decodes a frame, rejecting it whole on any torn or corrupt line:
+    /// every line's seal is verified and every line read in full, whether
+    /// or not its receiver will admit it.
+    pub(crate) fn decode(text: &'a str) -> Result<FrameView<'a>, FrameError> {
+        let mut lines = text.lines();
+        let header = lines.next().and_then(unseal).ok_or(FrameError::BadHeader)?;
+        let (from, to, kind, n) = parse_header(header).ok_or(FrameError::BadHeader)?;
+        // `n` is whatever the header claims: it bounds the loop, which a
+        // missing line ends, and sizes an allocation only as far as the
+        // text could hold lines of the shortest sealed length.
+        let reserve = n.min(text.len() / MIN_SEALED_LINE);
+        let payload = match kind {
+            REQUEST => {
+                let mut wants = Vec::with_capacity(reserve);
+                for _ in 0..n {
+                    let want = lines.next().and_then(unseal).and_then(parse_want);
+                    wants.push(want.ok_or(FrameError::TornBody)?);
+                }
+                PayloadView::Request(wants)
+            }
+            ENTRIES => {
+                let mut envs = Vec::with_capacity(reserve);
+                for _ in 0..n {
+                    let env = lines.next().and_then(EnvelopeView::parse);
+                    envs.push(env.ok_or(FrameError::TornBody)?);
+                }
+                PayloadView::Entries(envs)
+            }
+            _ => return Err(FrameError::BadHeader),
+        };
+
+        let footer = lines
+            .next()
+            .and_then(unseal)
+            .ok_or(FrameError::TornFooter)?;
+        if parse_footer(footer) != Some(n) || lines.next().is_some() {
+            return Err(FrameError::TornFooter);
+        }
+        Ok(FrameView { from, to, payload })
+    }
+
+    /// The frame, owned.
+    fn into_frame(self) -> Frame {
+        let payload = match self.payload {
+            PayloadView::Request(wants) => FramePayload::Request(wants),
+            PayloadView::Entries(envs) => {
+                FramePayload::Entries(envs.into_iter().map(EnvelopeView::to_envelope).collect())
+            }
+        };
+        Frame {
+            from: self.from,
+            to: self.to,
+            payload,
+        }
+    }
 }
 
 /// The atomic transport unit: sender, receiver, and a sealed payload.
@@ -256,40 +383,7 @@ impl Frame {
 
     /// Decodes a frame, rejecting it whole on any torn or corrupt line.
     pub fn decode(text: &str) -> Result<Frame, FrameError> {
-        let mut lines = text.lines();
-        let header = lines.next().and_then(unseal).ok_or(FrameError::BadHeader)?;
-        let (from, to, kind, n) = parse_header(header).ok_or(FrameError::BadHeader)?;
-        let mut body = || lines.next().and_then(unseal).ok_or(FrameError::TornBody);
-        // `n` is whatever the header claims: it bounds the loop, which a
-        // missing line ends, and sizes an allocation only as far as the
-        // text could hold lines of the shortest sealed length.
-        let reserve = n.min(text.len() / MIN_SEALED_LINE);
-        let payload = match kind {
-            REQUEST => {
-                let mut wants = Vec::with_capacity(reserve);
-                for _ in 0..n {
-                    wants.push(parse_want(body()?).ok_or(FrameError::TornBody)?);
-                }
-                FramePayload::Request(wants)
-            }
-            ENTRIES => {
-                let mut envs = Vec::with_capacity(reserve);
-                for _ in 0..n {
-                    envs.push(Envelope::from_line(body()?).ok_or(FrameError::TornBody)?);
-                }
-                FramePayload::Entries(envs)
-            }
-            _ => return Err(FrameError::BadHeader),
-        };
-
-        let footer = lines
-            .next()
-            .and_then(unseal)
-            .ok_or(FrameError::TornFooter)?;
-        if parse_footer(footer) != Some(n) || lines.next().is_some() {
-            return Err(FrameError::TornFooter);
-        }
-        Ok(Frame { from, to, payload })
+        FrameView::decode(text).map(FrameView::into_frame)
     }
 }
 
@@ -336,10 +430,9 @@ fn seal_want(out: &mut String, (origin, generation, seq): (NodeId, u64, u64)) {
         .seal();
 }
 
-/// An entries frame from `from` to `to` around `n` envelope lines that
-/// were sealed when their envelopes were logged: `runs` are copied as
-/// they are, so the bytes equal [`Frame::encode`]'s for the envelopes
-/// the lines were written from.
+/// An entries frame from `from` to `to` around `n` logged envelope
+/// lines: `runs` are copied as they are, so for lines their origin sealed
+/// the bytes equal [`Frame::encode`]'s for the envelopes they carry.
 pub(crate) fn spliced_entries(from: NodeId, to: NodeId, n: usize, runs: &[&str]) -> String {
     debug_assert_eq!(runs.iter().map(|run| run.lines().count()).sum::<usize>(), n);
     let len = runs.iter().map(|run| run.len()).sum::<usize>();

@@ -7,11 +7,17 @@
 //! watermark (contiguous-prefix admission — exactly-once apply under
 //! duplication and reordering), a retransmission log (so knowledge
 //! spreads transitively through third nodes across partitions), and the
-//! convergent [`ReplicaTable`]. Cross-platform knowledge lands as
-//! warm-start priors only; replicated taints quarantine fleet-wide
-//! through the batched [`ReprofileScheduler`] (DESIGN.md §15).
+//! convergent [`ReplicaTable`]. A line is sealed once, by its origin: a
+//! delivered entries frame is read in place, each line admitted by its
+//! version before anything is allocated for it, and an admitted line is
+//! logged as it arrived and relayed from there. Cross-platform knowledge
+//! lands as warm-start priors only; replicated taints quarantine
+//! fleet-wide through the batched [`ReprofileScheduler`] (DESIGN.md §15).
 
-use crate::frame::{spliced_entries, Envelope, Frame, NodeId, Op, RequestBody};
+use crate::frame::{
+    spliced_entries, Envelope, EnvelopeView, Frame, FrameView, NodeId, Op, PayloadView,
+    RequestBody, Version,
+};
 use crate::replica::{Applied, ReplicaTable};
 use crate::reprofile::ReprofileScheduler;
 use crate::stats::FleetStats;
@@ -45,9 +51,10 @@ fn checkpoint_with_retries(shared: &SharedEas) -> Result<(), StoreError> {
 }
 
 /// One origin's retransmission log: the sealed line of every envelope
-/// the node published or admitted from that origin, written once, back
-/// to back, in strictly increasing `(generation, seq)` order. A pull's
-/// answer is a run of this text, copied as it is.
+/// the node published or admitted from that origin, back to back, in
+/// strictly increasing `(generation, seq)` order. A line the node
+/// published is sealed here; an admitted one is kept as it arrived. A
+/// pull's answer is a run of this text, copied as it is.
 #[derive(Debug, Default)]
 struct RetransmissionLog {
     /// Per line: its `(generation, seq)` and where it ends in `text`.
@@ -56,20 +63,19 @@ struct RetransmissionLog {
 }
 
 impl RetransmissionLog {
-    /// Seals `env`'s line onto the log. The binary search in
+    /// Appends the line of the envelope at `(generation, seq)`: `write`
+    /// adds it, newline included. The binary search in
     /// [`after`](RetransmissionLog::after) needs versions to increase.
-    fn push(&mut self, env: &Envelope) {
+    fn push(&mut self, generation: u64, seq: u64, write: impl FnOnce(&mut String)) {
         debug_assert!(
             self.index
                 .last()
-                .is_none_or(|&(g, s, _)| (g, s) < (env.generation, env.seq)),
-            "origin {} logged ({}, {}) out of order",
-            env.origin,
-            env.generation,
-            env.seq,
+                .is_none_or(|&(g, s, _)| (g, s) < (generation, seq)),
+            "({generation}, {seq}) logged out of order",
         );
-        env.seal_into(&mut self.text);
-        self.index.push((env.generation, env.seq, self.text.len()));
+        write(&mut self.text);
+        debug_assert!(self.text.ends_with('\n'), "a logged line ends its line");
+        self.index.push((generation, seq, self.text.len()));
     }
 
     /// The lines strictly above `mark`: their text and how many there
@@ -330,7 +336,8 @@ impl FleetNode {
             self.next_seq += 1;
             self.watermarks.insert(self.id, (env.generation, env.seq));
             self.replica.apply(&env);
-            self.logs.entry(self.id).or_default().push(&env);
+            let log = self.logs.entry(self.id).or_default();
+            log.push(env.generation, env.seq, |out| env.seal_into(out));
         }
     }
 
@@ -381,48 +388,115 @@ impl FleetNode {
 
     /// Ingests one entries batch: contiguous-prefix admission per origin,
     /// max-merge into the replica, and local integration (priors,
-    /// taints, reprofile queue). Returns how many envelopes advanced a
+    /// taints, reprofile queue). An admitted envelope's line is sealed
+    /// into its origin's log. Returns how many envelopes advanced a
     /// watermark this pass.
     pub fn ingest_entries(&mut self, envelopes: &[Envelope], now_tick: u64) -> u64 {
-        let mut advanced = 0u64;
-        for env in envelopes {
-            let wm = self.watermarks.get(&env.origin).copied().unwrap_or((0, 0));
-            let admissible = (env.generation == wm.0 && env.seq == wm.1 + 1)
-                || (env.generation > wm.0 && env.seq == 1);
-            if !admissible {
-                let stale = env.generation < wm.0 || (env.generation == wm.0 && env.seq <= wm.1);
-                if stale {
-                    self.stats.entries_rejected_stale += 1;
-                } else {
-                    self.stats.entries_deferred_gap += 1;
-                }
-                continue;
-            }
-            self.watermarks
-                .insert(env.origin, (env.generation, env.seq));
-            self.logs.entry(env.origin).or_default().push(env);
-            if let Applied::Advanced { conflict } = self.replica.apply(env) {
-                if conflict {
-                    self.stats.conflicts_resolved += 1;
-                }
-            }
-            self.stats.entries_applied += 1;
-            advanced += 1;
-            if env.origin != self.id {
-                self.integrate(env);
-            }
-        }
+        let advanced = envelopes
+            .iter()
+            .map(|env| {
+                let seal = |out: &mut String| env.seal_into(out);
+                u64::from(self.admit(env.version(), &env.platform, env.op, seal))
+            })
+            .sum();
         self.emit_span(advanced, now_tick);
         advanced
+    }
+
+    /// Serves one delivery pass's `inbox` in order: a request is
+    /// answered, an entries frame ingested, a torn frame counted. Returns
+    /// the replies, in inbox order.
+    pub(crate) fn serve_inbox(&mut self, inbox: &[String], tick: u64) -> Vec<(NodeId, String)> {
+        let mut replies = Vec::new();
+        for text in inbox {
+            match FrameView::decode(text) {
+                Err(_) => self.stats.frames_torn += 1,
+                Ok(frame) => match frame.payload {
+                    PayloadView::Request(wants) => {
+                        if let Some(reply) = self.answer_request(frame.from, &wants) {
+                            self.stats.frames_sent += 1;
+                            replies.push((frame.from, reply));
+                        }
+                    }
+                    PayloadView::Entries(lines) => {
+                        self.ingest_received(&lines, tick);
+                    }
+                },
+            }
+        }
+        replies
+    }
+
+    /// [`ingest_entries`](Self::ingest_entries) of an entries frame's
+    /// lines, read in place: a line is admitted by its version before
+    /// anything is allocated for it, and logged as it arrived.
+    fn ingest_received(&mut self, lines: &[EnvelopeView<'_>], now_tick: u64) -> u64 {
+        let advanced = lines
+            .iter()
+            .map(|env| {
+                let relay = |out: &mut String| {
+                    out.push_str(env.line);
+                    out.push('\n');
+                };
+                u64::from(self.admit(env.version(), env.platform, env.op, relay))
+            })
+            .sum();
+        self.emit_span(advanced, now_tick);
+        advanced
+    }
+
+    /// The admit/apply core of both ingest paths, for the envelope at
+    /// `version`: admitted iff it is the successor on its origin's
+    /// watermark (a stale or early one is only counted), then logged by
+    /// `log_line`, merged into the replica and, when foreign, integrated.
+    /// Whether it was admitted.
+    fn admit(
+        &mut self,
+        version: Version,
+        platform: &str,
+        op: Op,
+        log_line: impl FnOnce(&mut String),
+    ) -> bool {
+        let Version {
+            generation,
+            seq,
+            origin,
+        } = version;
+        let wm = self.watermarks.get(&origin).copied().unwrap_or((0, 0));
+        let admissible = (generation == wm.0 && seq == wm.1 + 1) || (generation > wm.0 && seq == 1);
+        if !admissible {
+            let stale = generation < wm.0 || (generation == wm.0 && seq <= wm.1);
+            if stale {
+                self.stats.entries_rejected_stale += 1;
+            } else {
+                self.stats.entries_deferred_gap += 1;
+            }
+            return false;
+        }
+        self.watermarks.insert(origin, (generation, seq));
+        self.logs
+            .entry(origin)
+            .or_default()
+            .push(generation, seq, log_line);
+        if let Applied::Advanced { conflict } = self.replica.merge(version, platform, op) {
+            if conflict {
+                self.stats.conflicts_resolved += 1;
+            }
+        }
+        self.stats.entries_applied += 1;
+        if origin != self.id {
+            self.integrate(platform, op);
+        }
+        true
     }
 
     /// Folds one foreign envelope into local scheduler state. Never
     /// writes learned table entries directly: untainted knowledge becomes
     /// a warm-start prior at most (profiling still runs, DESIGN.md §15);
     /// taints quarantine and queue a batched re-profile.
-    fn integrate(&mut self, env: &Envelope) {
-        let kernel = env.op.kernel();
-        let tainted = match env.op {
+    fn integrate(&mut self, platform: &str, op: Op) {
+        let kernel = op.kernel();
+        let tainted = match op {
             Op::Put { tainted, .. } => tainted,
             Op::Taint { .. } => true,
         };
@@ -434,7 +508,7 @@ impl FleetNode {
             // re-measurement — budgeted, so a taint storm cannot stall
             // the node.
             self.shared.table().clear_prior(kernel);
-            if env.platform == self.platform.name {
+            if platform == self.platform.name {
                 self.shared.taint(kernel);
             }
             if self.reprofile.enqueue(kernel) {
@@ -442,7 +516,7 @@ impl FleetNode {
             }
             return;
         }
-        if let Op::Put { alpha, .. } = env.op {
+        if let Op::Put { alpha, .. } = op {
             if self.shared.table().set_prior(kernel, alpha) {
                 self.stats.priors_applied += 1;
             }
@@ -479,11 +553,31 @@ impl FleetNode {
 }
 
 #[cfg(test)]
+impl FleetNode {
+    /// Per origin: its log's text, and the same lines read back and
+    /// sealed again by [`Envelope::seal_into`]. The two are equal when
+    /// every logged line is the one its origin sealed.
+    pub(crate) fn logs_and_resealed(&self) -> Vec<(NodeId, &str, String)> {
+        let reseal = |text: &str| {
+            let mut out = String::new();
+            for line in text.lines() {
+                let env = EnvelopeView::parse(line).expect("a logged line parses");
+                env.to_envelope().seal_into(&mut out);
+            }
+            out
+        };
+        let logs = self.logs.iter();
+        logs.map(|(&origin, log)| (origin, log.text.as_str(), reseal(&log.text)))
+            .collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::frame::FramePayload;
     use easched_core::Objective;
-    use easched_runtime::unseal;
+    use easched_runtime::{unseal, LineWriter};
 
     fn test_node(id: NodeId, dir: &Path) -> FleetNode {
         FleetNode::start(
@@ -577,7 +671,7 @@ mod tests {
         let mut logs = BTreeMap::new();
         for (&origin, log) in &node.logs {
             assert_eq!(log.text.lines().count(), log.index.len());
-            let read = |line| unseal(line).and_then(Envelope::from_line);
+            let read = |line| EnvelopeView::parse(line).map(EnvelopeView::to_envelope);
             let envs: Vec<Envelope> = log.text.lines().map(|line| read(line).unwrap()).collect();
             for (env, &(g, s, _)) in envs.iter().zip(&log.index) {
                 assert_eq!((env.origin, env.generation, env.seq), (origin, g, s));
@@ -738,6 +832,111 @@ mod tests {
             }
         }
         assert!(answers > 1_000, "{answers} answers compared");
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// A `put` line from origin 9 on `skylake-minipc`, sealed, with its
+    /// `seq` and `tainted` words written as given.
+    fn put_line(seq: &str, tainted: &str) -> String {
+        let mut line = String::new();
+        LineWriter::begin(&mut line, "put")
+            .dec(9)
+            .word("skylake-minipc")
+            .dec(1)
+            .word(seq)
+            .hex16(300)
+            .bits(0.25)
+            .bits(4.0)
+            .dec(3)
+            .word(tainted)
+            .seal();
+        line
+    }
+
+    /// An entries frame from origin 9's relay to node 1 around `lines`.
+    fn frame_of(lines: &[String]) -> String {
+        let body = lines.concat();
+        spliced_entries(9, 1, lines.len(), &[&body])
+    }
+
+    #[test]
+    fn a_stale_line_that_does_not_parse_tears_the_whole_frame() {
+        let dir = std::env::temp_dir().join(format!("fleet-node-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut n = test_node(1, &dir);
+        let fresh: Vec<String> = ["1", "2", "3"].map(|seq| put_line(seq, "0")).into();
+        assert!(n.serve_inbox(&[frame_of(&fresh)], 0).is_empty());
+        assert_eq!(n.stats.entries_applied, 3);
+        // Sealed, but `tainted` is no 0 or 1; and at seq 1 it is stale,
+        // so only a reader that parses every line finds the fault before
+        // it admits the fresh seq 4 behind it.
+        let bad = put_line("1", "2");
+        assert!(unseal(&bad).is_some());
+        let frame = frame_of(&[bad, put_line("4", "0")]);
+        let before = n.stats;
+        assert!(n.serve_inbox(std::slice::from_ref(&frame), 1).is_empty());
+        assert_eq!(n.stats.frames_torn, before.frames_torn + 1);
+        assert_eq!(n.stats.entries_applied, before.entries_applied);
+        assert_eq!(
+            n.stats.entries_rejected_stale,
+            before.entries_rejected_stale
+        );
+        assert_eq!(n.watermarks[&9], (1, 3));
+        assert_eq!(n.logs[&9].text, fresh.concat());
+        assert_eq!(Frame::decode(&frame), Err(crate::FrameError::TornBody));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_non_canonical_line_is_relayed_as_it_arrived() {
+        let base = std::env::temp_dir().join(format!("fleet-node-relay-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let (mut b, mut c) = (test_node(1, &base.join("b")), test_node(2, &base.join("c")));
+        // `007` reads as 7 and seals as it is written; the origin's own
+        // writer would have written `7`.
+        let lines: Vec<String> = (1..=7)
+            .map(|seq| match seq {
+                7 => put_line("007", "0"),
+                seq => put_line(&seq.to_string(), "0"),
+            })
+            .collect();
+        let text = lines.concat();
+        b.serve_inbox(&[frame_of(&lines)], 0);
+        assert_eq!(b.stats.entries_applied, 7);
+        assert_eq!(b.logs[&9].text, text, "logged byte for byte");
+
+        let answer = b.answer_request(2, &c.wants().collect::<Vec<_>>());
+        let answer = answer.expect("c lacks origin 9's lines");
+        assert!(answer.contains(&text), "forwarded unchanged");
+        c.serve_inbox(std::slice::from_ref(&answer), 1);
+        assert_eq!(c.stats.entries_applied, 7);
+        assert_eq!(c.logs[&9].text, text);
+
+        let canonical: Vec<Envelope> = (1..=7)
+            .map(|seq| Envelope {
+                origin: 9,
+                platform: "skylake-minipc".into(),
+                generation: 1,
+                seq,
+                op: Op::Put {
+                    kernel: 300,
+                    alpha: 0.25,
+                    weight: 4.0,
+                    seen: 3,
+                    tainted: false,
+                },
+            })
+            .collect();
+        let FramePayload::Entries(read) = Frame::decode(&answer).unwrap().payload else {
+            panic!("entries frame");
+        };
+        assert_eq!(read, canonical, "the next hop reads the same envelopes");
+        let mut replica = ReplicaTable::new();
+        for env in &canonical {
+            replica.apply(env);
+        }
+        assert_eq!(b.replica().digest_text(), replica.digest_text());
+        assert_eq!(c.replica().digest(), replica.digest());
         let _ = std::fs::remove_dir_all(&base);
     }
 }

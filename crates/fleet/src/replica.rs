@@ -12,10 +12,13 @@
 //! only, never version metadata: after a crash/restart some nodes hold a
 //! superseded old-generation fact that others never saw, and that
 //! asymmetry is invisible exactly because versions stay out of the hash.
+//! The digest is computed once per change: an apply that advances a fact clears
+//! it, and the next read rebuilds it.
 
 use crate::frame::{Envelope, NodeId, Op, Version};
 use easched_runtime::{fnv1a64, LineWriter};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// The max-version `Put` body for one `(platform, kernel)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,9 +39,9 @@ struct Fact {
 
 /// The effective (version-free) state of one replicated entry.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct EffectiveEntry {
+pub(crate) struct EffectiveEntry<'a> {
     /// Platform namespace the entry is truth in.
-    pub(crate) platform: String,
+    pub(crate) platform: &'a str,
     /// Kernel id.
     pub(crate) kernel: u64,
     /// Learned offload ratio (absent for a taint with no surviving put).
@@ -70,7 +73,12 @@ pub enum Applied {
 /// A node's replica of the fleet's learned state.
 #[derive(Debug, Clone, Default)]
 pub struct ReplicaTable {
-    facts: BTreeMap<(String, u64), Fact>,
+    /// Facts by platform, then kernel: the `(platform, kernel)` order,
+    /// with a platform found by `&str`.
+    facts: BTreeMap<String, BTreeMap<u64, Fact>>,
+    /// [`digest`](ReplicaTable::digest), until a fact advances. A
+    /// `OnceLock`, not a `Cell`, so a node stays `Sync`.
+    digest: OnceLock<u64>,
 }
 
 impl ReplicaTable {
@@ -82,10 +90,19 @@ impl ReplicaTable {
     /// Merges one envelope. Pure max-merge per fact side: idempotent,
     /// commutative, monotone.
     pub fn apply(&mut self, env: &Envelope) -> Applied {
-        let key = (env.platform.clone(), env.op.kernel());
-        let fact = self.facts.entry(key).or_default();
-        let version = env.version();
-        match env.op {
+        self.merge(env.version(), &env.platform, env.op)
+    }
+
+    /// [`apply`](ReplicaTable::apply) of the envelope `version` names,
+    /// from its borrowed parts: the platform's key is allocated only the
+    /// first time the platform is seen.
+    pub(crate) fn merge(&mut self, version: Version, platform: &str, op: Op) -> Applied {
+        let kernels = match self.facts.get_mut(platform) {
+            Some(kernels) => kernels,
+            None => self.facts.entry(platform.to_string()).or_default(),
+        };
+        let fact = kernels.entry(op.kernel()).or_default();
+        let conflict = match op {
             Op::Put {
                 alpha,
                 weight,
@@ -105,7 +122,7 @@ impl ReplicaTable {
                     seen,
                     tainted,
                 });
-                Applied::Advanced { conflict }
+                conflict
             }
             Op::Taint { .. } => {
                 if fact.taint.is_some_and(|v| v >= version) {
@@ -113,16 +130,22 @@ impl ReplicaTable {
                 }
                 let conflict = fact.taint.is_some_and(|v| v.origin != version.origin);
                 fact.taint = Some(version);
-                Applied::Advanced { conflict }
+                conflict
             }
-        }
+        };
+        self.digest.take();
+        Applied::Advanced { conflict }
     }
 
     /// The effective entries, sorted by `(platform, kernel)`.
-    pub(crate) fn effective(&self) -> Vec<EffectiveEntry> {
+    pub(crate) fn effective(&self) -> impl Iterator<Item = EffectiveEntry<'_>> {
         self.facts
             .iter()
-            .map(|((platform, kernel), fact)| {
+            .flat_map(|(platform, kernels)| {
+                let facts = kernels.iter();
+                facts.map(move |(kernel, fact)| (platform, kernel, fact))
+            })
+            .map(|(platform, kernel, fact)| {
                 let taint_wins = match (&fact.put, &fact.taint) {
                     (Some(p), Some(t)) => *t > p.version,
                     (None, Some(_)) => true,
@@ -130,7 +153,7 @@ impl ReplicaTable {
                 };
                 match &fact.put {
                     Some(p) => EffectiveEntry {
-                        platform: platform.clone(),
+                        platform,
                         kernel: *kernel,
                         alpha: Some(p.alpha),
                         weight: p.weight,
@@ -143,7 +166,7 @@ impl ReplicaTable {
                         },
                     },
                     None => EffectiveEntry {
-                        platform: platform.clone(),
+                        platform,
                         kernel: *kernel,
                         alpha: None,
                         weight: 0.0,
@@ -153,20 +176,18 @@ impl ReplicaTable {
                     },
                 }
             })
-            .collect()
     }
 
     /// The effective entry for one `(platform, kernel)`, if any.
     #[cfg(test)]
-    pub(crate) fn entry(&self, platform: &str, kernel: u64) -> Option<EffectiveEntry> {
+    pub(crate) fn entry(&self, platform: &str, kernel: u64) -> Option<EffectiveEntry<'_>> {
         self.effective()
-            .into_iter()
             .find(|e| e.platform == platform && e.kernel == kernel)
     }
 
     /// Number of `(platform, kernel)` facts held.
     pub(crate) fn len(&self) -> usize {
-        self.facts.len()
+        self.facts.values().map(BTreeMap::len).sum()
     }
 
     /// Canonical text of the effective state — byte-identical across
@@ -176,7 +197,7 @@ impl ReplicaTable {
     pub fn digest_text(&self) -> String {
         let mut out = String::new();
         for e in self.effective() {
-            LineWriter::begin(&mut out, &e.platform)
+            LineWriter::begin(&mut out, e.platform)
                 .hex16(e.kernel)
                 .hex16(e.alpha.map_or(u64::MAX, f64::to_bits))
                 .bits(e.weight)
@@ -188,9 +209,12 @@ impl ReplicaTable {
     }
 
     /// FNV-1a of [`digest_text`](ReplicaTable::digest_text) — the
-    /// convergence checker's comparison unit.
+    /// convergence checker's comparison unit — built on the first read
+    /// after a change.
     pub fn digest(&self) -> u64 {
-        fnv1a64(self.digest_text().as_bytes())
+        *self
+            .digest
+            .get_or_init(|| fnv1a64(self.digest_text().as_bytes()))
     }
 }
 
@@ -284,6 +308,28 @@ mod tests {
         let mut b = ReplicaTable::new();
         b.apply(&put(0, 2, 1, 7, 0.5));
         assert_eq!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn the_cached_digest_follows_every_advance() {
+        let mut r = ReplicaTable::new();
+        let text_digest = |r: &ReplicaTable| fnv1a64(r.digest_text().as_bytes());
+        r.apply(&put(0, 1, 1, 7, 0.5));
+        let first = r.digest();
+        assert_eq!(first, text_digest(&r));
+        for env in [
+            put(0, 1, 2, 7, 0.6),
+            taint(1, 1, 3, 7),
+            put(2, 1, 1, 8, 0.1),
+        ] {
+            let before = r.digest();
+            assert!(matches!(r.apply(&env), Applied::Advanced { .. }));
+            assert_ne!(r.digest(), before, "{env:?}");
+            assert_eq!(r.digest(), text_digest(&r));
+            assert_eq!(r.apply(&env), Applied::Stale);
+            assert_eq!(r.digest(), text_digest(&r));
+        }
+        assert_ne!(r.digest(), first);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! on the caller's thread, in node-id order, so a run's bytes do not
 //! depend on how many workers it had.
 
-use crate::frame::{Frame, FramePayload, NodeId};
+use crate::frame::NodeId;
 use crate::node::FleetNode;
 use crate::stats::FleetStats;
 use crate::transport::{colon_fields, node_id, ChaosConfig, ChaosTransport};
@@ -420,6 +420,15 @@ fn fold(into: &mut FleetStats, from: FleetStats) {
 /// Nodes start concurrently, one pool job each. Every start runs, and
 /// when some fail the run returns the error of the lowest failing id.
 pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
+    run_inspected(spec, |_| {})
+}
+
+/// [`run_fleet`], handing the live nodes to `inspect` once the drain has
+/// ended, before their shutdown checkpoints.
+fn run_inspected(
+    spec: &FleetSpec,
+    inspect: impl FnOnce(&[&FleetNode]),
+) -> Result<FleetReport, FleetError> {
     if spec.platforms.is_empty() {
         return Err(FleetError::BadSpec("no nodes".into()));
     }
@@ -647,6 +656,7 @@ pub fn run_fleet(spec: &FleetSpec) -> Result<FleetReport, FleetError> {
     // stores. Each job reads the node's storage health before its
     // checkpoint, and the rows and lines below are assembled in id order.
     let live: Vec<&FleetNode> = state.nodes.iter().flatten().collect();
+    inspect(&live);
     let shutdowns = in_index_order(live.len(), |i| {
         (live[i].store_health(), live[i].checkpoint())
     });
@@ -775,7 +785,7 @@ fn anti_entropy_round(state: &mut RunState, tick: u64) {
                 .expect("a slot is locked only to take")
                 .take();
             let mut node = slot.expect("live");
-            let replies = serve_inbox(&mut node, &inboxes[i], tick);
+            let replies = node.serve_inbox(&inboxes[i], tick);
             (node, replies)
         };
         let bytes: usize = inboxes.iter().flatten().map(String::len).sum();
@@ -792,29 +802,6 @@ fn anti_entropy_round(state: &mut RunState, tick: u64) {
             }
         }
     }
-}
-
-/// Decodes `inbox` in order: a request is answered, an entries frame
-/// ingested, a torn frame counted. Returns the replies, in inbox order.
-fn serve_inbox(node: &mut FleetNode, inbox: &[String], tick: u64) -> Vec<(NodeId, String)> {
-    let mut replies = Vec::new();
-    for text in inbox {
-        match Frame::decode(text) {
-            Err(_) => node.stats.frames_torn += 1,
-            Ok(frame) => match frame.payload {
-                FramePayload::Request(wants) => {
-                    if let Some(reply) = node.answer_request(frame.from, &wants) {
-                        node.stats.frames_sent += 1;
-                        replies.push((frame.from, reply));
-                    }
-                }
-                FramePayload::Entries(envelopes) => {
-                    node.ingest_entries(&envelopes, tick);
-                }
-            },
-        }
-    }
-    replies
 }
 
 /// Re-runs a recorded fleet log and holds the regenerated log to the
@@ -928,6 +915,35 @@ mod tests {
         let replayed = replay_fleet(&report.log, base.join("replay")).expect("byte-identical");
         assert_eq!(replayed.digest, report.digest);
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// The oracle for relaying lines as they arrived: every line a node
+    /// logged, from its own publishes or from a frame, is the line its
+    /// origin sealed, so the logs of a 30-node run equal their envelopes
+    /// sealed again.
+    #[test]
+    fn every_logged_line_is_the_one_its_origin_sealed() {
+        let mut spec = FleetSpec::three_nodes(7);
+        let presets = spec.platforms.clone();
+        spec.platforms = (0..30).map(|i| presets[i % 3].clone()).collect();
+        spec.ticks = 10;
+        spec.store_root =
+            std::env::temp_dir().join(format!("fleet-resealed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&spec.store_root);
+        let mut lines = 0;
+        let report = run_inspected(&spec, |nodes| {
+            assert_eq!(nodes.len(), 30);
+            for node in nodes {
+                for (origin, logged, resealed) in node.logs_and_resealed() {
+                    assert_eq!(logged, resealed, "node {} origin {origin}", node.id);
+                    lines += logged.lines().count();
+                }
+            }
+        })
+        .expect("fleet runs");
+        let _ = std::fs::remove_dir_all(&spec.store_root);
+        assert!(report.converged);
+        assert!(lines > 10_000, "{lines} logged lines compared");
     }
 
     #[test]
