@@ -24,32 +24,18 @@ for example in chaos_runtime self_healing multi_tenant; do
     cargo run --release --example "$example" > /dev/null
 done
 
-echo "==> telemetry smoke: drift study emits CSV"
-cargo run --release -p easched-bench --bin figures -- --out target/ci-results telemetry > /dev/null
-test -s target/ci-results/telemetry.csv
-
-echo "==> figures: every file of \`figures all\`, \`ablations\` and \`chaos\` regenerates byte-identically to results/"
+echo "==> figures: one process regenerates every file of results/ byte-identically"
 # The harness is deterministic, so a byte of difference is a behaviour
 # change in the scheduler, the simulator, a workload or the five-scheme
-# comparison. `all` writes 48 figure files, each compared here, and a
-# SUMMARY.md that lists only this run's experiments (the committed one
-# also covers ablations and chaos). fig1 and both table1 files are the
+# comparison. One process records each workload's trace once, and every
+# study that needs it (chaos and telemetry included) replays it; its
+# SUMMARY.md is the committed one. fig1 and both table1 files are the
 # graph workloads' outputs; fig4 (the activation dip) and tdp (the 45 W
 # cap) are the ones whose PCU frequency factors leave 1.
 rm -rf target/ci-figures
-cargo run --release -p easched-bench --bin figures -- --out target/ci-figures all > /dev/null
-test "$(ls target/ci-figures | grep -vcx SUMMARY.md)" -eq 48
-for f in target/ci-figures/*; do
-    name=${f##*/}
-    [ "$name" = SUMMARY.md ] || cmp "$f" "results/$name"
-done
-# The seven ablation studies and the chaos matrix have no wall-clock input
-# either: their 16 files (≈200 s on two cores) are compared the same way.
-cargo run --release -p easched-bench --bin figures -- --out target/ci-figures ablations chaos > /dev/null
-test "$(ls target/ci-figures | grep -cE '^(ablation-.*|chaos)\.(csv|md)$')" -eq 16
-for f in target/ci-figures/ablation-* target/ci-figures/chaos.*; do
-    cmp "$f" "results/${f##*/}"
-done
+cargo run --release -p easched-bench --bin figures -- --out target/ci-figures \
+    all ablations chaos telemetry > /dev/null
+diff -r target/ci-figures results
 # The comparison's replays, a run log's parse chunks and a fleet's node
 # phases are pool jobs on available_parallelism() workers, which honours
 # the affinity mask: one CPU, one worker, the jobs on the caller's thread.

@@ -26,8 +26,7 @@ impl Ctx {
         let ev = easched_core::Evaluator::new(lab.desktop.clone(), lab.desktop_model.clone());
         let mut items = Vec::new();
         for w in suite::desktop_suite() {
-            let key = format!("{}-desktop", w.spec().abbrev.to_lowercase());
-            let trace = lab.trace(&key, w.as_ref());
+            let trace = lab.trace(w.as_ref(), true);
             let traits = w.traits_for(&lab.desktop);
             let sweep = ev.fixed_sweep(&traits, &trace);
             let (_, oracle_edp) = sweep.oracle(&Objective::EnergyDelay);

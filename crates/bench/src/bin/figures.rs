@@ -9,6 +9,7 @@
 //!                               # ablation-categories ablation-profile
 //!                               # ablation-accum ablation-thresholds
 //! figures chaos                 # fault-injection robustness study
+//! figures telemetry             # decision telemetry and model drift
 //! figures all                   # every paper experiment
 //! figures ablations             # every ablation study
 //! ```

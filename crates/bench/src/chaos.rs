@@ -4,9 +4,15 @@
 //! Each fault plan corrupts what the EAS scheduler *observes* during the
 //! desktop suite — never what executes — and we score the scheduled runs
 //! against the same scheduler under a fault-free plan. A robust pipeline
-//! keeps every benchmark functionally correct and loses little EDP even
-//! while rejecting faulty rounds, quarantining the GPU, or re-profiling
-//! tainted table entries.
+//! loses little EDP even while rejecting faulty rounds, quarantining the
+//! GPU, or re-profiling tainted table entries.
+//!
+//! Because faults never touch execution, a run's numbers depend only on
+//! each workload's invocation sizes: every plan replays the desktop
+//! traces [`Lab`] recorded (and verified) once, through
+//! [`ChaosInjector::around`]. `tests/chaos.rs` drives every plan ×
+//! desktop workload functionally at `CHAOS_SEED` and holds those replays
+//! to the drives.
 //!
 //! Regenerate with `figures chaos`; the random plans draw from
 //! `CHAOS_SEED`.
@@ -16,7 +22,7 @@ use crate::Lab;
 use easched_core::{EasConfig, EasScheduler, Objective};
 use easched_kernels::suite;
 use easched_num::mean;
-use easched_runtime::{run_workload_chaos, ChaosInjector, FaultPlan};
+use easched_runtime::{kernel_id_of, replay_trace, ChaosInjector, FaultPlan};
 use easched_sim::Machine;
 
 /// Seed of the study's random fault plans; `results/chaos.csv` is a
@@ -51,24 +57,32 @@ pub(crate) fn chaos(lab: &mut Lab) -> Report {
     let mut clean_scores: Vec<f64> = Vec::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
     let clean = ("clean".to_string(), FaultPlan::None);
-    // One suite for every plan: each workload computes its serial
-    // reference on its first drive and reuses it for the other plans.
-    let workloads = suite::desktop_suite();
+    let runs: Vec<_> = suite::desktop_suite()
+        .iter()
+        .map(|w| {
+            let traits = w.traits_for(&lab.desktop);
+            (
+                kernel_id_of(w.as_ref()),
+                traits,
+                lab.trace(w.as_ref(), true),
+            )
+        })
+        .collect();
     for (name, plan) in std::iter::once(clean).chain(FaultPlan::matrix(CHAOS_SEED)) {
         let mut effs = Vec::new();
         let mut scores = Vec::new();
         let mut tally = Tally::default();
-        for (i, w) in workloads.iter().enumerate() {
+        for (i, (kernel, traits, trace)) in runs.iter().enumerate() {
             let mut machine = Machine::new(lab.desktop.clone());
             let mut eas =
                 EasScheduler::new(lab.desktop_model.clone(), EasConfig::new(objective.clone()));
             let mut injector = ChaosInjector::new(plan.clone());
-            let (m, v) = run_workload_chaos(&mut machine, w.as_ref(), &mut eas, &mut injector);
-            assert!(
-                v.is_passed(),
-                "{}: {} must stay functionally correct under faults",
-                name,
-                w.spec().abbrev
+            let m = replay_trace(
+                &mut machine,
+                traits,
+                *kernel,
+                trace,
+                &mut injector.around(&mut eas),
             );
             let score = objective.of_totals(m.energy_joules, m.time);
             scores.push(score);
@@ -126,9 +140,12 @@ pub(crate) fn chaos(lab: &mut Lab) -> Report {
         ),
     );
     report.line(format!(
-        "Desktop suite under each fault plan (seed {CHAOS_SEED}); every run is \
-         verified functionally correct. EDP efficiency is the fault-free \
-         scheduler's EDP over the faulted run's EDP, per workload."
+        "Desktop suite under each fault plan (seed {CHAOS_SEED}), replayed \
+         from each workload's recorded invocations: the recording is \
+         verified functionally correct, faults corrupt observations only, \
+         and tests/chaos.rs drives every plan × workload functionally at \
+         this seed. EDP efficiency is the fault-free scheduler's EDP over \
+         the faulted run's EDP, per workload."
     ));
     report.line("");
     report.line(md_table(

@@ -29,7 +29,9 @@ pub struct Lab {
     pub(crate) desktop_model: PowerModel,
     /// Tablet power model.
     pub(crate) tablet_model: PowerModel,
-    traces: HashMap<String, InvocationTrace>,
+    /// Keyed by (abbreviation, desktop suite?): every study asking for one
+    /// suite's workload shares its one recording.
+    traces: HashMap<(&'static str, bool), InvocationTrace>,
 }
 
 impl Lab {
@@ -49,18 +51,20 @@ impl Lab {
         }
     }
 
-    /// Records (and caches) the invocation trace of a workload, asserting
-    /// functional verification.
-    pub(crate) fn trace(&mut self, key: &str, workload: &dyn Workload) -> InvocationTrace {
-        if let Some(t) = self.traces.get(key) {
+    /// Records (and caches) the invocation trace of a workload of the
+    /// desktop suite (`desktop`) or the tablet suite, asserting functional
+    /// verification.
+    pub(crate) fn trace(&mut self, workload: &dyn Workload, desktop: bool) -> InvocationTrace {
+        let key = (workload.spec().abbrev, desktop);
+        if let Some(t) = self.traces.get(&key) {
             return t.clone();
         }
         let (trace, verification) = record_trace(workload);
         assert!(
             verification.is_passed(),
-            "workload {key} failed verification: {verification:?}"
+            "workload {key:?} failed verification: {verification:?}"
         );
-        self.traces.insert(key.to_string(), trace.clone());
+        self.traces.insert(key, trace.clone());
         trace
     }
 
@@ -83,7 +87,7 @@ impl Default for Lab {
 pub(crate) fn fig1(lab: &mut Lab) -> Report {
     let mut report = Report::new("fig1", "CC energy & performance vs GPU offload (desktop)");
     let cc = suite::cc_desktop();
-    let trace = lab.trace("cc-desktop", cc.as_ref());
+    let trace = lab.trace(cc.as_ref(), true);
     let traits = cc.traits_for(&lab.desktop);
 
     let mut rows = Vec::new();
@@ -387,7 +391,7 @@ pub(crate) fn table1(lab: &mut Lab) -> Report {
         } else {
             (lab.tablet.clone(), "tablet", suite::tablet_suite())
         };
-        let (rows, matches, total) = classify_suite(lab, &platform, tag, workloads);
+        let (rows, matches, total) = classify_suite(lab, &platform, desktop, workloads);
         if desktop {
             desktop_summary = (matches, total);
         }
@@ -441,7 +445,7 @@ pub(crate) fn table1(lab: &mut Lab) -> Report {
 fn classify_suite(
     lab: &mut Lab,
     platform: &Platform,
-    tag: &str,
+    desktop: bool,
     workloads: Vec<Box<dyn Workload>>,
 ) -> (Vec<Vec<String>>, usize, usize) {
     let classifier = Classifier::default();
@@ -450,8 +454,7 @@ fn classify_suite(
     let mut total = 0;
     for w in workloads {
         let spec = w.spec();
-        let key = format!("{}-{tag}", spec.abbrev.to_lowercase());
-        let trace = lab.trace(&key, w.as_ref());
+        let trace = lab.trace(w.as_ref(), desktop);
         let traits = w.traits_for(platform);
 
         // Classify from one online-profiling step on the first invocation,
@@ -521,12 +524,7 @@ fn efficiency_figure(
     let mut rows = Vec::new();
     let mut eff = [const { Vec::new() }; 4];
     for w in workloads {
-        let key = format!(
-            "{}-{}",
-            w.spec().abbrev.to_lowercase(),
-            if desktop { "desktop" } else { "tablet" }
-        );
-        let trace = lab.trace(&key, w.as_ref());
+        let trace = lab.trace(w.as_ref(), desktop);
         let c: WorkloadComparison = ev.compare_trace(w.as_ref(), &trace, &objective);
         let effs = [
             c.efficiency(c.cpu),
@@ -713,8 +711,7 @@ pub(crate) fn tdp(lab: &mut Lab) -> Report {
     let mut rows = Vec::new();
     let mut eff = [const { Vec::new() }; 4];
     for w in suite::desktop_suite() {
-        let key = format!("{}-desktop", w.spec().abbrev.to_lowercase());
-        let trace = lab.trace(&key, w.as_ref());
+        let trace = lab.trace(w.as_ref(), true);
         let c = ev.compare_trace(w.as_ref(), &trace, &objective);
         let effs = [
             c.efficiency(c.cpu),
@@ -775,7 +772,7 @@ pub(crate) fn model_error(lab: &mut Lab) -> Report {
         "Analytical T(α) model vs measured execution time (diagnostic)",
     );
     let cc = suite::cc_desktop();
-    let trace = lab.trace("cc-desktop", cc.as_ref());
+    let trace = lab.trace(cc.as_ref(), true);
     let traits = cc.traits_for(&lab.desktop);
     let n: u64 = trace.sizes[0];
 
@@ -834,7 +831,7 @@ pub(crate) fn trace_eas(lab: &mut Lab) -> Report {
         "Package power during an EAS-scheduled run (diagnostic)",
     );
     let sm = suite::seismic_desktop();
-    let trace = lab.trace("sm-desktop", sm.as_ref());
+    let trace = lab.trace(sm.as_ref(), true);
     let traits = sm.traits_for(&lab.desktop);
     let mut machine = Machine::new(lab.desktop.clone());
     machine.enable_trace();

@@ -1,6 +1,7 @@
-//! Post-hoc telemetry analysis: run the desktop suite with a
-//! [`RingSink`] attached, then compute per-kernel model drift — how far
-//! the engine's predicted P(α)/T(α)/EDP landed from what the platform
+//! Post-hoc telemetry analysis: replay the desktop suite's recorded
+//! traces ([`Lab`]'s, one machine and one scheduler across the suite)
+//! with a [`RingSink`] attached, then compute per-kernel model drift — how
+//! far the engine's predicted P(α)/T(α)/EDP landed from what the platform
 //! realized (DESIGN.md §10).
 //!
 //! On a fault-free run the drift is pure model error (the combined-mode
@@ -8,14 +9,15 @@
 //! predicts for), so a regression here means the time model, the power
 //! curves, or the telemetry plumbing broke. The experiment asserts every
 //! kernel's mean drift under [`MAX_MEAN_EDP_DRIFT`] and panics on a
-//! breach; ci.sh's telemetry smoke runs it and checks only that the CSV is
-//! non-empty.
+//! breach; ci.sh's figures stage runs it and diffs its files against
+//! `results/`.
 
 use crate::experiments::Lab;
 use crate::report::{csv, md_table, pct, Report};
-use easched_core::{EasConfig, EasRuntime, EasScheduler, Objective};
+use easched_core::{EasConfig, EasScheduler, Objective};
 use easched_kernels::suite;
-use easched_runtime::kernel_id_of;
+use easched_runtime::{kernel_id_of, replay_trace};
+use easched_sim::Machine;
 use easched_telemetry::{model_drift, DecisionRecord, RingSink, TelemetrySink};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -94,7 +96,8 @@ fn audit_or_abort(records: &[DecisionRecord]) {
 }
 
 /// The `figures telemetry` experiment: desktop suite under EAS with
-/// tracing on, and the per-kernel drift table.
+/// tracing on, replayed from its recorded traces, and the per-kernel drift
+/// table.
 pub(crate) fn telemetry(lab: &mut Lab) -> Report {
     let mut report = Report::new(
         "telemetry",
@@ -107,22 +110,17 @@ pub(crate) fn telemetry(lab: &mut Lab) -> Report {
         EasConfig::new(Objective::EnergyDelay),
     );
     eas.set_telemetry(Some(sink.clone() as Arc<dyn TelemetrySink>));
-    let mut rt = EasRuntime::with_scheduler(lab.desktop.clone(), eas);
+    let mut machine = Machine::new(lab.desktop.clone());
 
     let mut abbrevs: HashMap<u64, String> = HashMap::new();
     for workload in suite::desktop_suite() {
-        abbrevs.insert(
-            kernel_id_of(workload.as_ref()),
-            workload.spec().abbrev.to_string(),
-        );
-        let out = rt.run(workload.as_ref());
-        assert!(
-            out.verification.is_passed(),
-            "{} failed under telemetry",
-            workload.spec().abbrev
-        );
+        let kernel = kernel_id_of(workload.as_ref());
+        abbrevs.insert(kernel, workload.spec().abbrev.to_string());
+        let trace = lab.trace(workload.as_ref(), true);
+        let traits = workload.traits_for(&lab.desktop);
+        replay_trace(&mut machine, &traits, kernel, &trace, &mut eas);
     }
-    let health = rt.health();
+    let health = eas.health();
     assert!(
         health.fault_free(),
         "clean run must stay fault-free: {health:?}"
@@ -205,12 +203,11 @@ pub(crate) fn telemetry(lab: &mut Lab) -> Report {
     let m = sink.metrics();
     report.line(format!(
         "- {} invocations recorded ({} dropped), table hit rate {}, \
-         profiling overhead {} of invocation time, mean decide latency {:.2} µs",
+         profiling overhead {} of invocation time",
         sink.recorded(),
         sink.dropped(),
         pct(m.hit_rate()),
         pct(m.overhead_fraction()),
-        m.decide_latency_ns.mean() / 1e3,
     ));
     report.line(format!(
         "- worst fault-free mean EDP drift: {} at {:.3} (ceiling {MAX_MEAN_EDP_DRIFT})",

@@ -298,8 +298,7 @@ fn kill_minus_nine_equivalent_restores_alpha_taint_and_breaker() {
         // still completes, so the entry is learned but tainted.
         let mut injector = ChaosInjector::new(FaultPlan::Scripted(vec![(0, Fault::EnergyDropout)]));
         let mut b = FakeBackend::new(100_000, 1.0e6, 2.0e6);
-        let mut chaos = injector.wrap(&mut b);
-        eas.schedule(9, &mut chaos);
+        injector.around(&mut eas).schedule(9, &mut b);
         assert!(eas.table().is_tainted(9), "fault must taint kernel 9");
         assert!(!eas.table().is_tainted(7));
         (
@@ -454,8 +453,7 @@ fn golden_store_bytes_and_vfs_ops_match_the_parent_commit() {
 fn run_scripted(eas: &mut EasScheduler, kernel: u64, items: u64, script: Vec<(u64, Fault)>) {
     let mut injector = ChaosInjector::new(FaultPlan::Scripted(script));
     let mut b = FakeBackend::new(items, 1.0e6, 2.0e6);
-    let mut chaos = injector.wrap(&mut b);
-    eas.schedule(kernel, &mut chaos);
+    injector.around(eas).schedule(kernel, &mut b);
     assert_eq!(b.remaining, 0, "kernel {kernel} lost work");
 }
 

@@ -120,8 +120,7 @@ fn outage_tags_degraded_quarantined_and_probe_paths() {
     });
     for _ in 0..9 {
         let mut b = fake();
-        let mut chaos = injector.wrap(&mut b);
-        eas.schedule(7, &mut chaos);
+        injector.around(&mut eas).schedule(7, &mut b);
     }
 
     let records = sink.snapshot();
@@ -155,8 +154,7 @@ fn recovered_probe_is_tagged_probe_with_prediction() {
     let mut injector = ChaosInjector::new(FaultPlan::GpuOutage { from: 0, until: 4 });
     for _ in 0..9 {
         let mut b = fake();
-        let mut chaos = injector.wrap(&mut b);
-        eas.schedule(7, &mut chaos);
+        injector.around(&mut eas).schedule(7, &mut b);
     }
     let records = sink.snapshot();
     assert_eq!(records.len(), 9);
@@ -179,8 +177,7 @@ fn tainted_entry_reprofile_is_tagged_reprofiled() {
 
     // Invocation 0: one rejected round → profiling completes but taints.
     let mut b0 = fake();
-    let mut chaos = injector.wrap(&mut b0);
-    eas.schedule(7, &mut chaos);
+    injector.around(&mut eas).schedule(7, &mut b0);
     // Invocation 1: the taint forces a re-profile instead of reuse.
     let mut b1 = fake();
     eas.schedule(7, &mut b1);

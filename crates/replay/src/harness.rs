@@ -23,7 +23,7 @@ use easched_core::{
     HealthReport, Objective, PowerModel, RunSeed,
 };
 use easched_kernels::suite;
-use easched_runtime::{fnv1a64, run_workload_chaos, ChaosInjector, Fault, FaultPlan, TickClock};
+use easched_runtime::{fnv1a64, run_workload, ChaosInjector, Fault, FaultPlan, TickClock};
 use easched_sim::{Machine, Platform};
 use easched_telemetry::{FanoutSink, RingSink, TelemetrySink, DEFAULT_SPAN_CAPACITY};
 use std::sync::Arc;
@@ -194,11 +194,10 @@ pub fn record_chaos_storm(spec: &StormSpec) -> RecordedStorm {
         for workload in &workloads {
             let label = workload.spec().abbrev;
             let mut recording = RecordingScheduler::new(&mut eas, Arc::clone(&recorder), label);
-            let (_, verification) = run_workload_chaos(
+            let (_, verification) = run_workload(
                 &mut machine,
                 workload.as_ref(),
-                &mut recording,
-                &mut injector,
+                &mut injector.around(&mut recording),
             );
             assert!(
                 verification.is_passed(),

@@ -33,8 +33,8 @@ use crate::replay::ReplayBackend;
 use easched_core::{table_to_text, HealthReport};
 use easched_core::{EasScheduler, RunSeed, SharedEasExt, TenantFrontend};
 use easched_runtime::{
-    run_workload, run_workload_chaos, AdmissionConfig, BrownoutLevel, ChaosInjector, FaultPlan,
-    InvocationCtx, Scheduler, TenantRegistry, TenantSpec, TenantStats, TenantTraffic, TrafficModel,
+    run_workload, AdmissionConfig, BrownoutLevel, ChaosInjector, FaultPlan, InvocationCtx,
+    Scheduler, TenantRegistry, TenantSpec, TenantStats, TenantTraffic, TrafficModel,
 };
 use easched_sim::Machine;
 use easched_telemetry::{RingSink, SloConfig, SloTracker};
@@ -463,11 +463,10 @@ fn record_storm_with(
             let mut handle = shared.handle().with_ctx(ctx);
             let mut recording =
                 RecordingScheduler::new(&mut handle, Arc::clone(&recorder), workload.spec().abbrev);
-            let (metrics, verification) = run_workload_chaos(
+            let (metrics, verification) = run_workload(
                 &mut machine,
                 workload.as_ref(),
-                &mut recording,
-                &mut injector,
+                &mut injector.around(&mut recording),
             );
             assert!(
                 verification.is_passed(),

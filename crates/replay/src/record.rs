@@ -16,11 +16,12 @@
 //!   one into the log so a replay (or a human) can verify which seeds
 //!   steered the run.
 //!
-//! Composition matters: wrap the scheduler *outside* chaos, i.e.
-//! `run_workload_chaos(machine, w, &mut RecordingScheduler::new(&mut eas,
-//! rec, "BS"), &mut injector)` — the chaos layer lives between the real
-//! backend and the scheduler, so the recording backend (which *is* the
-//! scheduler's view) sees corrupted observations and true `remaining()`.
+//! Composition matters: put the injector *around* the recorder, i.e.
+//! `run_workload(machine, w, &mut injector.around(&mut
+//! RecordingScheduler::new(&mut eas, rec, "BS")))` — the chaos layer wraps
+//! the real backend before the recorder taps it, so the recording backend
+//! (which *is* the scheduler's view) sees corrupted observations and true
+//! `remaining()`.
 //!
 //! [`EasScheduler::set_telemetry`]: easched_core::EasScheduler::set_telemetry
 

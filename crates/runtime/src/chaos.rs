@@ -3,16 +3,18 @@
 //! Real integrated CPU-GPU systems misbehave in ways the simulator's happy
 //! path never shows: `MSR_PKG_ENERGY_STATUS` drops samples or wraps
 //! mid-read, PCM counters glitch, and iGPU drivers hang and time out
-//! mid-offload. [`ChaosBackend`] wraps any [`Backend`] and injects those
-//! faults *into the returned observations only* — execution itself (item
-//! bookkeeping, functional output, virtual time) passes through untouched,
-//! so a workload under chaos still completes and verifies. That mirrors the
-//! real failure mode this PR hardens against: the work happens, but what
-//! the scheduler *sees* is garbage.
+//! mid-offload. A [`ChaosScheduler`] shows its scheduler every [`Backend`]
+//! through a wrapper that injects those faults *into the returned
+//! observations only* — execution itself (item bookkeeping, functional
+//! output, virtual time) passes through untouched, so a workload under
+//! chaos still completes and verifies. That mirrors the real failure mode
+//! the fault pipeline hardens against: the work happens, but what the
+//! scheduler *sees* is garbage.
 //!
 //! Faults are scripted by a [`FaultPlan`] and sequenced by a
 //! [`ChaosInjector`], whose step counter persists across invocations so a
-//! plan can target e.g. "steps 40..60 of the whole run". Randomized plans
+//! plan can target e.g. "steps 40..60 of the whole run";
+//! [`ChaosInjector::around`] puts a scheduler under it. Randomized plans
 //! are seeded and use a pure counter-based hash: the same seed always
 //! yields the same fault sequence, independent of global RNG state.
 //!
@@ -20,10 +22,9 @@
 //! path is bit-for-bit identical to running the inner backend directly.
 
 use crate::backend::Backend;
-use crate::observation::{Observation, RunMetrics};
-use crate::scheduler::Scheduler;
-use crate::sim_backend::run_workload_with;
-use easched_sim::{splitmix64, Machine};
+use crate::observation::Observation;
+use crate::scheduler::{KernelId, Scheduler};
+use easched_sim::splitmix64;
 
 /// How long a hung GPU offload "takes" before the driver times out,
 /// seconds of virtual time attributed to the observation.
@@ -298,9 +299,21 @@ impl ChaosInjector {
         }
     }
 
-    /// Wraps `inner` for one invocation; the injector's counters carry
-    /// over to the next wrap.
-    pub fn wrap<'a>(&'a mut self, inner: &'a mut dyn Backend) -> ChaosBackend<'a> {
+    /// Wraps `inner` so that every invocation it schedules sees its
+    /// backend through this injector; the step counter carries over from
+    /// one invocation to the next.
+    pub fn around<'a, S: Scheduler + ?Sized>(
+        &'a mut self,
+        inner: &'a mut S,
+    ) -> ChaosScheduler<'a, S> {
+        ChaosScheduler {
+            injector: self,
+            inner,
+        }
+    }
+
+    /// Wraps one invocation's backend.
+    fn wrap<'a>(&'a mut self, inner: &'a mut dyn Backend) -> ChaosBackend<'a> {
         ChaosBackend {
             injector: self,
             inner,
@@ -336,33 +349,9 @@ impl ChaosInjector {
 /// Execution is delegated unchanged — items are really consumed and
 /// functional output is really produced — only the *measurements* the
 /// scheduler sees are tampered with.
-///
-/// # Examples
-///
-/// ```
-/// use easched_runtime::test_support::FakeBackend;
-/// use easched_runtime::{ChaosInjector, Fault, FaultPlan};
-/// use easched_runtime::Backend;
-///
-/// let mut injector = ChaosInjector::new(FaultPlan::Scripted(vec![(0, Fault::EnergyDropout)]));
-/// let mut inner = FakeBackend::new(100_000, 1.0e6, 2.0e6);
-/// let mut chaos = injector.wrap(&mut inner);
-/// let bad = chaos.profile_step(2240); // step 0: faulted
-/// let good = chaos.profile_step(2240); // step 1: clean
-/// assert_eq!(bad.energy_joules, 0.0);
-/// assert!(good.energy_joules > 0.0);
-/// ```
-pub struct ChaosBackend<'a> {
+struct ChaosBackend<'a> {
     injector: &'a mut ChaosInjector,
     inner: &'a mut dyn Backend,
-}
-
-impl std::fmt::Debug for ChaosBackend<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChaosBackend")
-            .field("injector", &self.injector)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Backend for ChaosBackend<'_> {
@@ -385,17 +374,25 @@ impl Backend for ChaosBackend<'_> {
     }
 }
 
-/// Runs a full workload under `scheduler` with observations filtered
-/// through `injector` — [`run_workload`](crate::run_workload) with the
-/// injector wrapped around each invocation's backend. Functional
-/// execution and verification are unaffected by the injected faults.
-pub fn run_workload_chaos<S: Scheduler>(
-    machine: &mut Machine,
-    workload: &dyn easched_kernels::Workload,
-    scheduler: &mut S,
-    injector: &mut ChaosInjector,
-) -> (RunMetrics, easched_kernels::Verification) {
-    run_workload_with(machine, workload, scheduler, Some(injector))
+/// A [`Scheduler`] decorator that shows its inner scheduler every backend
+/// through a [`ChaosInjector`] — [`ChaosInjector::around`]'s return. Any
+/// driver (`run_workload`, `replay_trace`, a storm loop) takes it where it
+/// takes the plain scheduler, so faults need no driver of their own.
+#[derive(Debug)]
+pub struct ChaosScheduler<'a, S: ?Sized> {
+    injector: &'a mut ChaosInjector,
+    inner: &'a mut S,
+}
+
+impl<S: Scheduler + ?Sized> Scheduler for ChaosScheduler<'_, S> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn schedule(&mut self, kernel: KernelId, backend: &mut dyn Backend) {
+        let mut chaos = self.injector.wrap(backend);
+        self.inner.schedule(kernel, &mut chaos);
+    }
 }
 
 #[cfg(test)]
@@ -405,7 +402,7 @@ mod tests {
     use crate::scheduler::FixedAlpha;
     use crate::sim_backend::run_workload;
     use easched_kernels::suite;
-    use easched_sim::Platform;
+    use easched_sim::{Machine, Platform};
 
     fn fake() -> FakeBackend {
         FakeBackend::new(100_000, 1.0e6, 2.0e6)
@@ -604,11 +601,10 @@ mod tests {
             rate: 0.5,
             kinds: Fault::ALL.to_vec(),
         });
-        let (metrics, v) = run_workload_chaos(
+        let (metrics, v) = run_workload(
             &mut machine,
             w.as_ref(),
-            &mut FixedAlpha::new(0.5),
-            &mut injector,
+            &mut injector.around(&mut FixedAlpha::new(0.5)),
         );
         assert!(v.is_passed(), "faults must never corrupt outputs: {v:?}");
         assert!(metrics.items > 0 && metrics.time > 0.0);
@@ -632,11 +628,10 @@ mod tests {
 
         let mut m2 = quiet();
         let mut injector = ChaosInjector::new(FaultPlan::None);
-        let (chaos, v2) = run_workload_chaos(
+        let (chaos, v2) = run_workload(
             &mut m2,
             w.as_ref(),
-            &mut FixedAlpha::new(0.4),
-            &mut injector,
+            &mut injector.around(&mut FixedAlpha::new(0.4)),
         );
 
         assert_eq!(plain, chaos);

@@ -16,7 +16,9 @@
 //!   (wall-clock demo path);
 //! * [`run_workload`] / [`replay_trace`] — adapters connecting
 //!   [`Workload`](easched_kernels::Workload)s and recorded invocation traces
-//!   to a [`Scheduler`].
+//!   to a [`Scheduler`];
+//! * [`ChaosInjector`] — deterministic observation faults, applied by
+//!   scheduling through [`ChaosInjector::around`].
 //!
 //! Scheduling policies themselves (EAS, PERF, fixed-α) live in
 //! `easched-core`; this crate only defines the one interface they
@@ -47,7 +49,7 @@ pub use admission::{
 #[doc(hidden)]
 pub use backend::test_support;
 pub use backend::Backend;
-pub use chaos::{run_workload_chaos, ChaosBackend, ChaosInjector, Fault, FaultPlan};
+pub use chaos::{ChaosInjector, ChaosScheduler, Fault, FaultPlan};
 pub use clock::{Clock, TickClock, WallClock};
 pub use observation::{Observation, RunMetrics};
 pub use scheduler::{FixedAlpha, GpuPolicy, InvocationCtx, KernelId, Scheduler};

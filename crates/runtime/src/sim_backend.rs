@@ -10,12 +10,11 @@
 //! [`SchedulerInvoker`] adapts a [`Scheduler`] to the
 //! [`easched_kernels::Invoker`] interface so a workload can be
 //! driven end to end; [`replay_trace`] re-runs a recorded invocation trace
-//! without functional execution (the evaluation fast path). Both — and
-//! the chaos driver, which only adds an injector around the backend — run
-//! the invoker's one metering body.
+//! without functional execution (the evaluation fast path). Both run the
+//! invoker's one metering body; a fault-injected run is either of them
+//! under [`ChaosInjector::around`](crate::ChaosInjector::around).
 
 use crate::backend::Backend;
-use crate::chaos::ChaosInjector;
 use crate::observation::{Observation, RunMetrics};
 use crate::scheduler::{KernelId, Scheduler};
 use easched_kernels::{InvocationTrace, Invoker};
@@ -165,9 +164,6 @@ pub(crate) struct SchedulerInvoker<'a, S: Scheduler> {
     traits: &'a KernelTraits,
     scheduler: &'a mut S,
     kernel: KernelId,
-    /// When set, the scheduler sees every observation through this
-    /// injector (see [`run_workload_chaos`](crate::run_workload_chaos)).
-    chaos: Option<&'a mut ChaosInjector>,
     invocation_index: u64,
     metrics: RunMetrics,
 }
@@ -185,7 +181,6 @@ impl<'a, S: Scheduler> SchedulerInvoker<'a, S> {
             traits,
             scheduler,
             kernel,
-            chaos: None,
             invocation_index: 0,
             metrics: RunMetrics::default(),
         }
@@ -206,13 +201,7 @@ impl<'a, S: Scheduler> SchedulerInvoker<'a, S> {
         {
             let mut backend =
                 SimBackend::new(self.machine, self.traits, n, process, self.invocation_index);
-            match self.chaos.as_deref_mut() {
-                Some(injector) => {
-                    let mut chaos = injector.wrap(&mut backend);
-                    self.scheduler.schedule(self.kernel, &mut chaos);
-                }
-                None => self.scheduler.schedule(self.kernel, &mut backend),
-            }
+            self.scheduler.schedule(self.kernel, &mut backend);
             assert_eq!(
                 backend.remaining(),
                 0,
@@ -258,21 +247,8 @@ pub fn run_workload<S: Scheduler>(
     workload: &dyn easched_kernels::Workload,
     scheduler: &mut S,
 ) -> (RunMetrics, easched_kernels::Verification) {
-    run_workload_with(machine, workload, scheduler, None)
-}
-
-/// [`run_workload`], optionally with a chaos injector around every
-/// invocation's backend (the body of
-/// [`run_workload_chaos`](crate::run_workload_chaos)).
-pub(crate) fn run_workload_with<S: Scheduler>(
-    machine: &mut Machine,
-    workload: &dyn easched_kernels::Workload,
-    scheduler: &mut S,
-    chaos: Option<&mut ChaosInjector>,
-) -> (RunMetrics, easched_kernels::Verification) {
     let traits = workload.traits_for(machine.platform());
     let mut invoker = SchedulerInvoker::new(machine, &traits, scheduler, kernel_id_of(workload));
-    invoker.chaos = chaos;
     let verification = workload.drive(&mut invoker);
     (invoker.metrics(), verification)
 }

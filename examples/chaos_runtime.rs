@@ -21,7 +21,7 @@
 
 use easched::core::{characterize, CharacterizationConfig, EasConfig, EasScheduler, Objective};
 use easched::kernels::suite;
-use easched::runtime::{run_workload_chaos, ChaosInjector, Fault, FaultPlan};
+use easched::runtime::{run_workload, ChaosInjector, Fault, FaultPlan};
 use easched::sim::{Machine, Platform};
 
 fn main() {
@@ -37,11 +37,10 @@ fn main() {
     println!("\n== GPU outage across the first observation steps ==");
     for round in 0..10 {
         let mut machine = Machine::new(platform.clone());
-        let (metrics, v) = run_workload_chaos(
+        let (metrics, v) = run_workload(
             &mut machine,
             suite::bfs_small().as_ref(),
-            &mut eas,
-            &mut injector,
+            &mut injector.around(&mut eas),
         );
         assert!(v.is_passed(), "faults must never corrupt outputs");
         let h = eas.health();
@@ -78,8 +77,11 @@ fn main() {
     println!("\n== flaky sensors (30% fault rate) ==");
     for workload in [suite::bfs_small(), suite::mandelbrot_small()] {
         let mut machine = Machine::new(platform.clone());
-        let (metrics, v) =
-            run_workload_chaos(&mut machine, workload.as_ref(), &mut eas, &mut injector);
+        let (metrics, v) = run_workload(
+            &mut machine,
+            workload.as_ref(),
+            &mut injector.around(&mut eas),
+        );
         assert!(v.is_passed());
         println!(
             "{:>4}: {:>8.4} s  {:>8.3} J  (verified)",

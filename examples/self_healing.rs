@@ -24,7 +24,7 @@ use easched::core::{
     Objective,
 };
 use easched::kernels::suite;
-use easched::runtime::{kernel_id_of, run_workload_chaos, ChaosInjector, FaultPlan};
+use easched::runtime::{kernel_id_of, run_workload, ChaosInjector, FaultPlan};
 use easched::sim::{Machine, Platform};
 use easched::telemetry::{RingSink, TelemetrySink};
 use std::sync::Arc;
@@ -65,7 +65,7 @@ fn main() {
         for run in 0..runs {
             let mut machine = Machine::new(platform.clone());
             let (metrics, v) =
-                run_workload_chaos(&mut machine, workload.as_ref(), eas, &mut injector);
+                run_workload(&mut machine, workload.as_ref(), &mut injector.around(eas));
             assert!(v.is_passed(), "drift must never corrupt outputs");
             let h = eas.health();
             let ewma = eas.table().drift(kernel, DriftCell::ewma).flatten();

@@ -9,16 +9,18 @@
 //! The plan matrix runs under the three CI roots (7, 23, 1009) on the
 //! reduced suite and under the `figures chaos` seed, which in release
 //! builds (the ci.sh chaos matrix runs `--release`) covers all 12 desktop
-//! benchmarks.
+//! benchmarks. Each of its drives is also replayed from the workload's
+//! recorded trace, which must give the same totals, health and fault
+//! count: the premise `figures chaos` rests on when it replays traces.
 
 use easched::core::{
     characterize, BreakerState, CharacterizationConfig, EasConfig, EasRuntime, EasScheduler,
     Objective, PowerModel, SharedEas, SharedEasExt,
 };
-use easched::kernels::suite;
+use easched::kernels::{record_trace, suite};
 use easched::runtime::test_support::FakeBackend;
 use easched::runtime::{
-    run_workload, run_workload_chaos, Backend, ChaosInjector, Fault, FaultPlan, Scheduler,
+    kernel_id_of, replay_trace, run_workload, Backend, ChaosInjector, Fault, FaultPlan, Scheduler,
 };
 use easched::sim::{Machine, Platform};
 
@@ -47,6 +49,7 @@ fn fake() -> FakeBackend {
 #[test]
 fn every_fault_plan_preserves_functional_correctness() {
     let model = desktop_model();
+    let fresh_eas = || EasScheduler::new(model.clone(), EasConfig::new(Objective::EnergyDelay));
     for seed in [7, 23, 1009, 42] {
         // The three CI roots sweep the reduced suite. The `figures chaos`
         // seed covers all 12 desktop benchmarks, in release only (debug
@@ -57,16 +60,29 @@ fn every_fault_plan_preserves_functional_correctness() {
         } else {
             suite::small_suite()
         };
+        // Each workload's invocation sizes, recorded once: `figures chaos`
+        // replays these instead of driving every plan functionally, which
+        // holds only because faults corrupt observations, never execution.
+        let traces: Vec<_> = workloads
+            .iter()
+            .map(|w| {
+                let (trace, v) = record_trace(w.as_ref());
+                assert!(v.is_passed(), "{} recording: {v:?}", w.spec().abbrev);
+                trace
+            })
+            .collect();
         for (label, plan) in FaultPlan::matrix(seed) {
-            for workload in &workloads {
+            for (workload, trace) in workloads.iter().zip(&traces) {
                 let abbrev = workload.spec().abbrev;
                 let what = format!("{abbrev} under {label}, seed {seed}");
                 let mut machine = Machine::new(quiet_desktop());
-                let mut eas =
-                    EasScheduler::new(model.clone(), EasConfig::new(Objective::EnergyDelay));
+                let mut eas = fresh_eas();
                 let mut injector = ChaosInjector::new(plan.clone());
-                let (metrics, v) =
-                    run_workload_chaos(&mut machine, workload.as_ref(), &mut eas, &mut injector);
+                let (metrics, v) = run_workload(
+                    &mut machine,
+                    workload.as_ref(),
+                    &mut injector.around(&mut eas),
+                );
                 assert!(v.is_passed(), "{what} corrupted: {v:?}");
                 assert!(metrics.items > 0, "{what}");
                 assert!(
@@ -83,6 +99,25 @@ fn every_fault_plan_preserves_functional_correctness() {
                 if injector.injected() == 0 {
                     assert!(health.fault_free(), "{what}: {health:?}");
                 }
+
+                let mut machine = Machine::new(quiet_desktop());
+                let traits = workload.traits_for(machine.platform());
+                let mut replayed_eas = fresh_eas();
+                let mut replayed_injector = ChaosInjector::new(plan.clone());
+                let replayed = replay_trace(
+                    &mut machine,
+                    &traits,
+                    kernel_id_of(workload.as_ref()),
+                    trace,
+                    &mut replayed_injector.around(&mut replayed_eas),
+                );
+                assert_eq!(replayed, metrics, "{what}: replayed totals");
+                assert_eq!(replayed_eas.health(), health, "{what}: replayed health");
+                assert_eq!(
+                    replayed_injector.injected(),
+                    injector.injected(),
+                    "{what}: replayed faults"
+                );
             }
         }
     }
@@ -104,8 +139,7 @@ fn persistent_gpu_outage_degrades_to_cpu_only_within_budget() {
     let mut logs = Vec::new();
     for _ in 0..9 {
         let mut b = fake();
-        let mut chaos = injector.wrap(&mut b);
-        eas.schedule(7, &mut chaos);
+        injector.around(&mut eas).schedule(7, &mut b);
         assert_eq!(b.remaining(), 0, "work must still complete");
         logs.push(b.log);
     }
@@ -156,8 +190,7 @@ fn scheduler_recovers_to_near_oracle_after_faults_clear() {
 
     for _ in 0..9 {
         let mut b = fake();
-        let mut chaos = injector.wrap(&mut b);
-        eas.schedule(7, &mut chaos);
+        injector.around(&mut eas).schedule(7, &mut b);
         assert_eq!(b.remaining(), 0);
     }
 
@@ -174,8 +207,7 @@ fn scheduler_recovers_to_near_oracle_after_faults_clear() {
 
     // Once closed, the next invocation reuses the learned ratio directly.
     let mut b = fake();
-    let mut chaos = injector.wrap(&mut b);
-    eas.schedule(7, &mut chaos);
+    injector.around(&mut eas).schedule(7, &mut b);
     assert_eq!(b.log, vec!["split(0.70)"]);
 }
 
@@ -206,8 +238,7 @@ fn shared_scheduler_aggregates_health_across_streams() {
     // Stream 1 sees a transient sensor fault; stream 2 is clean.
     let mut injector = ChaosInjector::new(FaultPlan::Scripted(vec![(0, Fault::EnergyDropout)]));
     let mut b1 = fake();
-    let mut chaos = injector.wrap(&mut b1);
-    shared.handle().schedule(7, &mut chaos);
+    injector.around(&mut shared.handle()).schedule(7, &mut b1);
     let mut b2 = fake();
     shared.handle().schedule(8, &mut b2);
 
@@ -237,7 +268,7 @@ fn stuck_energy_register_is_detected_and_survived() {
     // bfs_small actually reaches the profiling loop (its mid frontiers
     // exceed the GPU profile size), so the dead register is observed.
     let w = suite::bfs_small();
-    let (metrics, v) = run_workload_chaos(&mut machine, w.as_ref(), &mut eas, &mut stuck);
+    let (metrics, v) = run_workload(&mut machine, w.as_ref(), &mut stuck.around(&mut eas));
     assert!(v.is_passed(), "{v:?}");
     assert!(metrics.items > 0);
     let h = eas.health();
@@ -265,8 +296,7 @@ fn faulty_rounds_taint_the_entry_and_force_a_reprofile() {
     // Invocation 0: one rejected round, retried, profiling completes —
     // the learned entry is tainted.
     let mut b0 = fake();
-    let mut chaos = injector.wrap(&mut b0);
-    eas.schedule(7, &mut chaos);
+    injector.around(&mut eas).schedule(7, &mut b0);
     assert_eq!(b0.log[0], "profile(2240)", "clean-size first chunk");
     assert_eq!(b0.log[1], "profile(1120)", "retry backs the chunk off");
     let decisions_after_first = eas.decisions();
@@ -278,8 +308,7 @@ fn faulty_rounds_taint_the_entry_and_force_a_reprofile() {
     // Invocation 1 (no faults left): the taint forces a re-profile
     // instead of reuse, and fresh learning clears it.
     let mut b1 = fake();
-    let mut chaos = injector.wrap(&mut b1);
-    eas.schedule(7, &mut chaos);
+    injector.around(&mut eas).schedule(7, &mut b1);
     assert!(
         eas.decisions() > decisions_after_first,
         "tainted entry must be re-profiled, not reused"

@@ -83,8 +83,7 @@ fn sustained_drift_triggers_one_budgeted_reprofile() {
     });
     for i in 0..5 {
         let mut b = fake();
-        let mut chaos = surge.wrap(&mut b);
-        eas.schedule(7, &mut chaos);
+        surge.around(&mut eas).schedule(7, &mut b);
         assert_eq!(b.remaining(), 0, "invocation {i}");
     }
     let h = eas.health();
@@ -138,8 +137,7 @@ fn hung_profiling_round_is_cancelled_and_retried() {
     let mut eas = EasScheduler::new(desktop_model(), EasConfig::new(Objective::Time));
     let mut injector = ChaosInjector::new(FaultPlan::Scripted(vec![(0, Fault::Hang)]));
     let mut b = fake();
-    let mut chaos = injector.wrap(&mut b);
-    eas.schedule(7, &mut chaos);
+    injector.around(&mut eas).schedule(7, &mut b);
     assert_eq!(b.remaining(), 0, "cancelled rounds must not lose work");
     assert_eq!(b.log[0], "profile(2240)");
     assert_eq!(b.log[1], "profile(1120)", "retry backs the chunk off");
@@ -167,8 +165,7 @@ fn hung_reused_split_trips_the_split_watchdog() {
     // GPU, and taints the entry.
     let mut injector = ChaosInjector::new(FaultPlan::Scripted(vec![(0, Fault::Hang)]));
     let mut b = fake();
-    let mut chaos = injector.wrap(&mut b);
-    eas.schedule(7, &mut chaos);
+    injector.around(&mut eas).schedule(7, &mut b);
     assert_eq!(b.remaining(), 0);
     assert_eq!(b.log, vec!["split(0.70)"]);
     let h = eas.health();
@@ -198,8 +195,7 @@ fn hang_and_surge_storm_is_survived_and_recovered_from() {
     });
     for i in 0..20 {
         let mut b = fake();
-        let mut chaos = injector.wrap(&mut b);
-        eas.schedule(7, &mut chaos);
+        injector.around(&mut eas).schedule(7, &mut b);
         assert_eq!(b.remaining(), 0, "storm invocation {i} lost work");
     }
     assert!(injector.injected() > 0, "storm plan never fired");
