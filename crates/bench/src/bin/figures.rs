@@ -14,11 +14,17 @@
 //! figures ablations             # every ablation study
 //! ```
 //!
-//! Artifacts are written to `results/` (CSV + per-experiment markdown) and a
-//! combined `results/SUMMARY.md`.
+//! Artifacts are written to `results/` (CSV + per-experiment markdown).
+//! The combined `results/SUMMARY.md` holds every study, so only the run
+//! that regenerates them all (`figures all ablations chaos telemetry`)
+//! writes it; any other run prints its markdown and leaves it alone.
 
 use easched_bench::{run_experiment, Lab, EXPERIMENTS};
 use std::path::{Path, PathBuf};
+
+/// The arguments whose run regenerates everything `SUMMARY.md` holds, in
+/// its order.
+const SUMMARY_RUN: [&str; 4] = ["all", "ablations", "chaos", "telemetry"];
 
 #[allow(clippy::disallowed_methods)] // the flag parser
 fn main() {
@@ -78,7 +84,9 @@ fn main() {
     }
 
     std::fs::create_dir_all(results_dir).expect("create results dir");
-    std::fs::write(results_dir.join("SUMMARY.md"), summary).expect("write summary");
+    if args == SUMMARY_RUN {
+        std::fs::write(results_dir.join("SUMMARY.md"), summary).expect("write summary");
+    }
     println!("\nartifacts written to {}/", results_dir.display());
     if failed {
         std::process::exit(2);

@@ -116,7 +116,7 @@ fn rebuild(log: &RunLog, groups: &[LoggedInvocation<'_>], kept: &[usize]) -> Run
     let preamble = groups.first().map_or(log.events.len(), |g| g.span.start);
     let mut events: Vec<Event> = log.events[..preamble].to_vec();
     for &k in kept {
-        events.extend_from_slice(&log.events[groups[k].span.clone()]);
+        events.extend_from_slice(groups[k].events());
     }
     let mut seq = 0;
     for event in &mut events {

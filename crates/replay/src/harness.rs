@@ -26,7 +26,7 @@ use easched_kernels::suite;
 use easched_runtime::{fnv1a64, run_workload, ChaosInjector, Fault, FaultPlan, TickClock};
 use easched_sim::{Machine, Platform};
 use easched_telemetry::{FanoutSink, RingSink, TelemetrySink, DEFAULT_SPAN_CAPACITY};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Shape of a recorded chaos storm.
 #[derive(Debug, Clone)]
@@ -119,12 +119,16 @@ pub(crate) fn storm_platform() -> Platform {
     p
 }
 
-/// Fingerprints `(platform, config)` the way logs record them.
-fn fingerprints(model: &PowerModel, config: &EasConfig) -> (u64, u64) {
-    (
-        fnv1a64(model_to_text(model).as_bytes()),
-        fnv1a64(format!("{config:?}").as_bytes()),
-    )
+/// The [`storm_platform`] model and its platform fingerprint (FNV-1a of
+/// the model text), fitted once per process: both are pure functions of
+/// constants, so no record or replay after the first pays for a fit.
+fn storm_model() -> &'static (PowerModel, u64) {
+    static MODEL: OnceLock<(PowerModel, u64)> = OnceLock::new();
+    MODEL.get_or_init(|| {
+        let model = characterize(&storm_platform(), &CharacterizationConfig::default());
+        let platform_fp = fnv1a64(model_to_text(&model).as_bytes());
+        (model, platform_fp)
+    })
 }
 
 /// Builds the canonical replayable setup for root seed `seed`: an
@@ -134,11 +138,12 @@ fn fingerprints(model: &PowerModel, config: &EasConfig) -> (u64, u64) {
 /// [`scheduler_for_log`] will accept. Shared by [`record_chaos_storm`]
 /// and the overload storm.
 pub(crate) fn recording_setup(seed: RunSeed) -> (EasScheduler, Arc<Recorder>) {
-    let model = characterize(&storm_platform(), &CharacterizationConfig::default());
+    let (model, platform_fp) = storm_model();
     let config = EasConfig::new(Objective::EnergyDelay).with_seed(seed);
-    let (platform_fp, config_fp) = fingerprints(&model, &config);
+    // The config carries the seed, so its fingerprint is taken per call.
+    let config_fp = fnv1a64(format!("{config:?}").as_bytes());
 
-    let recorder = Recorder::new(seed, platform_fp, config_fp);
+    let recorder = Recorder::new(seed, *platform_fp, config_fp);
     // The full seed inventory: suite input-generation constants first
     // (they predate the root — see `suite::seeds`), then any derivations
     // the caller takes from the root.
@@ -146,7 +151,7 @@ pub(crate) fn recording_setup(seed: RunSeed) -> (EasScheduler, Arc<Recorder>) {
         recorder.note_seed(name, value);
     }
 
-    let mut eas = EasScheduler::new(model, config);
+    let mut eas = EasScheduler::new(model.clone(), config);
     eas.set_telemetry(Some(Arc::clone(&recorder) as Arc<dyn TelemetrySink>));
     eas.set_clock(Arc::new(TickClock::new()));
     (eas, recorder)
@@ -259,9 +264,30 @@ mod tests {
         );
         assert_eq!(outcome.recorded.len(), outcome.live.len());
         assert!(!outcome.recorded.is_empty());
+        // The live stream is the recorded one, bit for bit, `seq` included.
+        for (live, recorded) in outcome.live.iter().zip(&outcome.recorded) {
+            assert!(live.bitwise_eq(recorded), "{live:?} / {recorded:?}");
+        }
         // The replay reconverges to the same engine state.
         assert_eq!(outcome.table, recorded.table);
         assert_eq!(outcome.health, recorded.health);
+    }
+
+    /// The model a set-up runs on is fitted once per process; its
+    /// fingerprints are still the definition's, for each seed.
+    #[test]
+    fn the_memoized_model_is_the_definition() {
+        let model = characterize(&storm_platform(), &CharacterizationConfig::default());
+        let platform_fp = fnv1a64(model_to_text(&model).as_bytes());
+        // The second set-up reads the memo whichever test filled it.
+        for root in [7, 1009] {
+            let seed = RunSeed::new(root);
+            let (_, recorder) = recording_setup(seed);
+            let config = EasConfig::new(Objective::EnergyDelay).with_seed(seed);
+            let config_fp = fnv1a64(format!("{config:?}").as_bytes());
+            assert_eq!(recorder.fingerprints(), (platform_fp, config_fp), "{root}");
+            assert_eq!(storm_model(), &(model.clone(), platform_fp), "{root}");
+        }
     }
 
     #[test]

@@ -382,12 +382,11 @@ impl RunLog {
             .collect()
     }
 
-    /// The log's nesting, in one walk: each recorded invocation with its
-    /// backend-call steps in order (the replay backend's feed), the span
-    /// of the event stream it owns, and the drained request it belongs
-    /// to. Bisection's groups, the overload replay's per-request groups
-    /// and the back-off to the last complete invocation are all read off
-    /// this.
+    /// The log's nesting, in one walk: each recorded invocation with the
+    /// span of the event stream it owns (its steps, read in place, are the
+    /// replay backend's feed) and the drained request it belongs to.
+    /// Bisection's groups, the overload replay's per-request groups and
+    /// the back-off to the last complete invocation are all read off this.
     pub fn invocations(&self) -> Vec<LoggedInvocation<'_>> {
         nest(&self.events)
     }
@@ -407,7 +406,7 @@ impl RunLog {
         let prefix = &self.events[..take];
         let decided = |owned: &[Event]| owned.iter().any(|e| matches!(e, Event::Decision(_)));
         let keep = match nest(prefix).last() {
-            Some(last) if !decided(&prefix[last.span.clone()]) => last.span.start,
+            Some(last) if !decided(last.events()) => last.span.start,
             _ => take,
         };
         RunLog {
@@ -500,8 +499,9 @@ pub struct LoggedInvocation<'a> {
     pub(crate) profile_size: u64,
     /// Workload label.
     pub(crate) label: &'a str,
-    /// Backend calls, in order.
-    pub(crate) steps: Vec<RecordedStep>,
+    /// The event stream the invocation was read from; its own events are
+    /// [`span`](LoggedInvocation::span) of it.
+    stream: &'a [Event],
     /// The events this invocation owns: from its `Invocation` event up to
     /// the next one (or the end of the stream) — steps, decisions and
     /// whatever was logged in between.
@@ -510,6 +510,30 @@ pub struct LoggedInvocation<'a> {
     /// [`VERDICT_EXEC`] marker before it (`None` ahead of the first
     /// marker — every invocation of a v1 log).
     pub(crate) request: Option<usize>,
+}
+
+impl<'a> LoggedInvocation<'a> {
+    /// The events this invocation owns, read in place.
+    pub(crate) fn events(&self) -> &'a [Event] {
+        &self.stream[self.span.clone()]
+    }
+
+    /// Its backend calls, in order: the `Step` events of its span, read in
+    /// place, skipping whatever else is logged between them.
+    #[cfg(test)]
+    pub(crate) fn steps(&self) -> impl Iterator<Item = &'a RecordedStep> {
+        self.events().iter().filter_map(Event::step)
+    }
+}
+
+impl Event {
+    /// The recorded step, if this is a `Step` event.
+    pub(crate) fn step(&self) -> Option<&RecordedStep> {
+        match self {
+            Event::Step(step) => Some(step),
+            _ => None,
+        }
+    }
 }
 
 /// The one nesting walk behind [`RunLog::invocations`].
@@ -532,20 +556,16 @@ fn nest(events: &[Event]) -> Vec<LoggedInvocation<'_>> {
                     items: *items,
                     profile_size: *profile_size,
                     label,
-                    steps: Vec::new(),
+                    stream: events,
                     span: at..events.len(),
                     request,
                 });
-            }
-            Event::Step(step) => {
-                if let Some(inv) = out.last_mut() {
-                    inv.steps.push(*step);
-                }
             }
             Event::Admission(r) if r.verdict == VERDICT_EXEC => {
                 request = Some(request.map_or(0, |k| k + 1));
             }
             Event::Derive { .. }
+            | Event::Step(_)
             | Event::Decision(_)
             | Event::Admission(_)
             | Event::Fleet { .. } => {}
@@ -1087,8 +1107,9 @@ mod tests {
         let invs = log.invocations();
         assert_eq!(invs.len(), 1);
         assert_eq!(invs[0].kernel, 7);
-        assert_eq!(invs[0].steps.len(), 2);
-        assert_eq!(invs[0].steps[0].call, StepCall::Profile { chunk: 2240 });
+        let steps: Vec<_> = invs[0].steps().collect();
+        assert_eq!(steps.len(), 2);
+        assert_eq!(steps[0].call, StepCall::Profile { chunk: 2240 });
     }
 
     #[test]

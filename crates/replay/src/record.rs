@@ -299,10 +299,11 @@ mod tests {
         assert_eq!(invs[0].items, 10_000);
         assert_eq!(invs[0].profile_size, 2240);
         assert_eq!(invs[0].label, "T");
-        assert_eq!(invs[0].steps.len(), 1);
-        assert_eq!(invs[0].steps[0].remaining_after, 0);
+        let steps: Vec<_> = invs[0].steps().collect();
+        assert_eq!(steps.len(), 1);
+        assert_eq!(steps[0].remaining_after, 0);
         assert!(matches!(
-            invs[0].steps[0].call,
+            steps[0].call,
             StepCall::Split { alpha } if alpha == 0.5
         ));
     }

@@ -6,10 +6,11 @@
 //! the scheduler re-sees exactly what it saw live — chaos corruption,
 //! drift windows, watchdog stalls and all — without a simulator or real
 //! hardware behind it. [`replay_log`] drives a fresh scheduler through
-//! every recorded invocation, collects its live [`DecisionRecord`]
-//! stream, and reports the first divergence from the recorded stream
-//! (bit-level, NaN-tolerant), together with the engine state — table and
-//! health — at the moment of divergence. That is the time-travel
+//! every recorded invocation, checks each invocation's live
+//! [`DecisionRecord`]s against the recording where they land, and
+//! reports the first divergence from the recorded stream (bit-level,
+//! NaN-tolerant), together with the engine state — table and health — at
+//! the moment of divergence. That is the time-travel
 //! debugging loop: perturb, replay, and the diff hands you the first
 //! decision where history changed.
 //!
@@ -20,12 +21,12 @@
 //! and keeps consuming items, letting the run complete so the decision
 //! diff can still be reported.
 
-use crate::log::{LoggedInvocation, RecordedStep, RunLog, StepCall};
-use crate::record::Recorder;
-use easched_core::{table_to_text, EasScheduler, HealthReport, RunSeed};
+use crate::log::{Event, LoggedInvocation, RecordedStep, RunLog, StepCall};
+use easched_core::{table_to_text, EasScheduler, HealthReport};
 use easched_runtime::{Backend, Observation, Scheduler};
 use easched_telemetry::{DecisionRecord, TelemetrySink};
-use std::sync::Arc;
+use std::slice;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Nominal device rates for free-running synthesized observations after a
 /// structural divergence (same constants the test fake uses).
@@ -36,8 +37,11 @@ const FREE_RUN_POWER: f64 = 55.0;
 /// A backend that answers one recorded invocation's calls from the log.
 #[derive(Debug)]
 pub(crate) struct ReplayBackend<'a> {
-    steps: &'a [RecordedStep],
-    cursor: usize,
+    /// The invocation's events not yet walked, read in place: only its
+    /// `Step` events are fed, whatever else is logged between them.
+    events: slice::Iter<'a, Event>,
+    /// Recorded steps fed so far.
+    fed: usize,
     remaining: u64,
     profile_size: u64,
     divergence: Option<String>,
@@ -45,10 +49,10 @@ pub(crate) struct ReplayBackend<'a> {
 
 impl<'a> ReplayBackend<'a> {
     /// A backend for one recorded invocation.
-    pub(crate) fn new(invocation: &'a LoggedInvocation<'a>) -> ReplayBackend<'a> {
+    pub(crate) fn new(invocation: &LoggedInvocation<'a>) -> ReplayBackend<'a> {
         ReplayBackend {
-            steps: &invocation.steps,
-            cursor: 0,
+            events: invocation.events().iter(),
+            fed: 0,
             remaining: invocation.items,
             profile_size: invocation.profile_size,
             divergence: None,
@@ -63,22 +67,31 @@ impl<'a> ReplayBackend<'a> {
 
     /// Recorded steps not consumed by the live scheduler.
     pub(crate) fn unconsumed_steps(&self) -> usize {
-        self.steps.len() - self.cursor
+        self.events.clone().filter_map(Event::step).count()
     }
 
-    fn next_matching(&mut self, wanted: &StepCall, desc: &str) -> Option<RecordedStep> {
+    /// The next recorded step if it answers `wanted`; otherwise notes the
+    /// mismatch, describing the live call with `desc` — built only then.
+    fn next_matching(
+        &mut self,
+        wanted: &StepCall,
+        desc: impl FnOnce() -> String,
+    ) -> Option<&'a RecordedStep> {
         if self.divergence.is_some() {
             return None;
         }
-        match self.steps.get(self.cursor) {
+        let mut rest = self.events.clone();
+        match rest.find_map(Event::step) {
             Some(step) if calls_match(&step.call, wanted) => {
-                self.cursor += 1;
-                Some(*step)
+                self.events = rest;
+                self.fed += 1;
+                Some(step)
             }
             other => {
                 self.divergence = Some(format!(
-                    "live scheduler called {desc} but log step {} is {:?}",
-                    self.cursor,
+                    "live scheduler called {} but log step {} is {:?}",
+                    desc(),
+                    self.fed,
                     other.map(|s| s.call)
                 ));
                 None
@@ -126,7 +139,7 @@ impl Backend for ReplayBackend<'_> {
 
     fn profile_step(&mut self, gpu_chunk: u64) -> Observation {
         let call = StepCall::Profile { chunk: gpu_chunk };
-        if let Some(step) = self.next_matching(&call, &format!("profile_step({gpu_chunk})")) {
+        if let Some(step) = self.next_matching(&call, || format!("profile_step({gpu_chunk})")) {
             self.remaining = step.remaining_after;
             return step.obs;
         }
@@ -138,7 +151,7 @@ impl Backend for ReplayBackend<'_> {
     fn run_split(&mut self, alpha: f64) -> Observation {
         assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0, 1]");
         let call = StepCall::Split { alpha };
-        if let Some(step) = self.next_matching(&call, &format!("run_split({alpha})")) {
+        if let Some(step) = self.next_matching(&call, || format!("run_split({alpha})")) {
             self.remaining = step.remaining_after;
             return step.obs;
         }
@@ -234,21 +247,43 @@ impl ReplayOutcome {
     }
 }
 
+/// The replay's telemetry sink: the live decision stream, numbered the
+/// way [`Recorder`](crate::Recorder) numbers it (publication order from
+/// 0) and kept as bare records, so [`replay_log`] compares each
+/// invocation's new records where they landed.
+#[derive(Debug, Default)]
+struct LiveDecisions(Mutex<Vec<DecisionRecord>>);
+
+impl LiveDecisions {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<DecisionRecord>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl TelemetrySink for LiveDecisions {
+    fn record(&self, record: &DecisionRecord) {
+        let mut live = self.lock();
+        let seq = live.len() as u64;
+        live.push(DecisionRecord { seq, ..*record });
+    }
+}
+
 /// Replays `log` through `scheduler` (which must be freshly built from
 /// the same model + config the recording used — see the fingerprints in
 /// the log header) and diffs the decision streams.
 ///
 /// Replay is recording with the backend swapped: the scheduler's
-/// telemetry sink is replaced with a fresh [`Recorder`] for the duration,
-/// and each invocation's new records are compared against the recorded
-/// stream where the last comparison stopped. The first divergent decision
-/// stops the replay so the reported table/health are the state *at* the
-/// divergence. A torn log replays its last complete invocation boundary
-/// (see [`RunLog::complete`]).
+/// telemetry sink is replaced for the duration with one that keeps the
+/// live decision stream, and each invocation's new records are compared
+/// in place against the recorded stream where the last comparison
+/// stopped. The first divergent decision stops the replay so the
+/// reported table/health are the state *at* the divergence. A torn log
+/// replays its last complete invocation boundary (see
+/// [`RunLog::complete`]).
 pub(crate) fn replay_log(log: &RunLog, scheduler: &mut EasScheduler) -> ReplayOutcome {
     let log = &*log.replayable();
-    let collector = Recorder::new(RunSeed::new(log.root), log.platform_fp, log.config_fp);
-    scheduler.set_telemetry(Some(Arc::clone(&collector) as Arc<dyn TelemetrySink>));
+    let sink = Arc::new(LiveDecisions::default());
+    scheduler.set_telemetry(Some(Arc::clone(&sink) as Arc<dyn TelemetrySink>));
 
     let recorded = log.decisions();
     let invocations = log.invocations();
@@ -269,19 +304,20 @@ pub(crate) fn replay_log(log: &RunLog, scheduler: &mut EasScheduler) -> ReplayOu
         });
         replayed += 1;
 
-        let fresh = collector.decisions_since(seen as u64);
+        let live = sink.lock();
+        let fresh = &live[seen..];
         let mismatch = fresh
             .iter()
             .zip(recorded.get(seen..).unwrap_or_default())
             .position(|(live, rec)| !rec.bitwise_eq(live));
-        let (index, live) = match mismatch {
+        let (index, first_live) = match mismatch {
             Some(offset) => (seen + offset, Some(fresh[offset])),
             // The backend calls diverged but every decision so far still
             // matches (possible when corruption cancels out downstream) —
             // report it anchored at the next decision index.
-            None if structural.is_some() => (seen + fresh.len(), None),
+            None if structural.is_some() => (live.len(), None),
             None => {
-                seen += fresh.len();
+                seen = live.len();
                 continue;
             }
         };
@@ -290,14 +326,14 @@ pub(crate) fn replay_log(log: &RunLog, scheduler: &mut EasScheduler) -> ReplayOu
             ordinal,
             invocation.label,
             recorded.get(index).copied(),
-            live,
+            first_live,
             structural,
             scheduler,
         ));
         break;
     }
 
-    let live = collector.decisions_since(0);
+    let live = std::mem::take(&mut *sink.lock());
     if divergence.is_none() && live.len() != recorded.len() {
         let index = live.len().min(recorded.len());
         divergence = Some(build_divergence(
@@ -381,7 +417,8 @@ pub(crate) fn differing_fields(a: &DecisionRecord, b: &DecisionRecord) -> Vec<&'
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{Event, RunLog};
+    use crate::harness::{record_chaos_storm, recording_setup, replay_chaos_storm, StormSpec};
+    use crate::log::{AdmissionRecord, Event, RunLog};
 
     fn one_invocation_log() -> RunLog {
         let obs = Observation {
@@ -484,7 +521,6 @@ mod tests {
     /// field set and missing side.
     #[test]
     fn divergence_goldens_from_the_whole_stream_differ() {
-        use crate::harness::{record_chaos_storm, replay_chaos_storm, StormSpec};
         type Edit = fn(&mut RunLog, &[usize], &[usize]);
         type Golden<'a> = (usize, usize, &'a str, &'a [&'static str], bool, bool, bool);
         const PROFILE: &[&str] = &[
@@ -554,7 +590,6 @@ mod tests {
     /// duplicated in a seed-7 storm.
     #[test]
     fn an_unconsumed_recorded_step_diverges() {
-        use crate::harness::{record_chaos_storm, replay_chaos_storm, StormSpec};
         let mut log = record_chaos_storm(&StormSpec::new(7)).log;
         let events = &log.events;
         let starts: Vec<usize> = (0..events.len())
@@ -578,6 +613,148 @@ mod tests {
             d.structural.as_deref(),
             Some("1 recorded steps not consumed")
         );
+    }
+
+    /// The structural text of a divergence is built only when one happens;
+    /// these are the exact strings the commit before that produced. In the
+    /// seed-7 storm every invocation makes one backend call and every split
+    /// runs at α = 0, so a perturbed observation moves decisions, never
+    /// calls: a profile step's and a split step's perturbation both report
+    /// no structural mismatch. An edited recorded call reports one, for
+    /// each kind of live call.
+    #[test]
+    fn divergence_reports_are_unchanged() {
+        let base = record_chaos_storm(&StormSpec::new(7)).log;
+        let steps: Vec<usize> = (0..base.events.len())
+            .filter(|&i| base.events[i].step().is_some())
+            .collect();
+        let structural = |log: &RunLog| {
+            let outcome = replay_chaos_storm(log).unwrap();
+            outcome
+                .divergence
+                .expect("an edited log diverges")
+                .structural
+        };
+        // Step 0 is a profile step, step 1 a split step.
+        for (step, call) in [(0, "Profile"), (1, "Split")] {
+            let mut log = base.clone();
+            let recorded = base.events[steps[step]].step().unwrap().call;
+            assert!(format!("{recorded:?}").starts_with(call));
+            assert!(log.perturb_step(step));
+            assert_eq!(structural(&log), None, "perturbed {call} step");
+        }
+        #[rustfmt::skip]
+        let edits = [
+            (0, StepCall::Profile { chunk: 1024 },
+                "live scheduler called profile_step(2048) but log step 0 is Some(Profile { chunk: 1024 })"),
+            (1, StepCall::Split { alpha: 0.25 },
+                "live scheduler called run_split(0) but log step 0 is Some(Split { alpha: 0.25 })"),
+            (1, StepCall::Profile { chunk: 7 },
+                "live scheduler called run_split(0) but log step 0 is Some(Profile { chunk: 7 })"),
+            (101, StepCall::Split { alpha: 0.1 + 0.2 },
+                "live scheduler called profile_step(2048) but log step 0 is Some(Split { alpha: 0.30000000000000004 })"),
+        ];
+        for (step, call, want) in edits {
+            let mut log = base.clone();
+            match &mut log.events[steps[step]] {
+                Event::Step(recorded) => recorded.call = call,
+                other => unreachable!("{other:?} is not a step"),
+            }
+            assert_eq!(structural(&log).as_deref(), Some(want));
+        }
+
+        let log = one_invocation_log();
+        let invs = log.invocations();
+        let mut b = ReplayBackend::new(&invs[0]);
+        b.run_split(0.3);
+        assert_eq!(
+            b.divergence(),
+            Some("live scheduler called run_split(0.3) but log step 0 is Some(Profile { chunk: 2240 })")
+        );
+        let mut b = ReplayBackend::new(&invs[0]);
+        b.profile_step(2240);
+        b.profile_step(999);
+        assert_eq!(
+            b.divergence(),
+            Some("live scheduler called profile_step(999) but log step 1 is Some(Split { alpha: 0.5 })")
+        );
+        let mut b = ReplayBackend::new(&invs[0]);
+        b.profile_step(2240);
+        b.run_split(0.5);
+        b.run_split(1.0);
+        assert_eq!(
+            b.divergence(),
+            Some("live scheduler called run_split(1) but log step 2 is None")
+        );
+    }
+
+    /// A log whose invocation logs a `Derive` and an `Admission` event
+    /// between two of its steps: the backend feeds exactly the steps, in
+    /// order, and the whole log still replays identically.
+    #[test]
+    fn the_step_view_skips_non_step_events() {
+        use crate::record::RecordingScheduler;
+        use easched_runtime::test_support::FakeBackend;
+
+        let seed = easched_core::RunSeed::new(7);
+        let (mut eas, recorder) = recording_setup(seed);
+        for kernel in [3, 5, 3] {
+            let mut recording = RecordingScheduler::new(&mut eas, Arc::clone(&recorder), "T");
+            recording.schedule(kernel, &mut FakeBackend::new(100_000, 1.0e6, 2.0e6));
+        }
+        let mut log = recorder.finish();
+        let invs = log.invocations();
+        let ordinal = (0..invs.len())
+            .find(|&k| invs[k].steps().count() >= 2)
+            .expect("an invocation with two steps");
+        let steps: Vec<RecordedStep> = invs[ordinal].steps().copied().collect();
+        let second = invs[ordinal]
+            .span
+            .clone()
+            .filter(|&i| log.events[i].step().is_some())
+            .nth(1)
+            .unwrap();
+        let admission = AdmissionRecord {
+            tick: 0,
+            tenant: 1,
+            level: 0,
+            verdict: 0,
+            arg: 2,
+        };
+        let derive = Event::Derive {
+            domain: "between".into(),
+            index: Some(1),
+            seed: 9,
+        };
+        log.events
+            .splice(second..second, [derive, Event::Admission(admission)]);
+
+        let invs = log.invocations();
+        let fed: Vec<RecordedStep> = invs[ordinal].steps().copied().collect();
+        assert_eq!(fed, steps);
+        let mut backend = ReplayBackend::new(&invs[ordinal]);
+        for step in &steps {
+            let obs = match step.call {
+                StepCall::Profile { chunk } => backend.profile_step(chunk),
+                StepCall::Split { alpha } => backend.run_split(alpha),
+            };
+            assert_eq!((obs, backend.remaining()), (step.obs, step.remaining_after));
+        }
+        assert_eq!(backend.divergence(), None);
+        assert_eq!(backend.unconsumed_steps(), 0);
+
+        let (mut fresh, _) = recording_setup(seed);
+        let outcome = replay_log(&log, &mut fresh);
+        assert!(
+            outcome.identical(),
+            "{}",
+            outcome.divergence.unwrap().render()
+        );
+        assert_eq!(outcome.invocations_replayed, 3);
+        assert_eq!(outcome.live.len(), outcome.recorded.len());
+        for (live, recorded) in outcome.live.iter().zip(&outcome.recorded) {
+            assert!(live.bitwise_eq(recorded), "{live:?} / {recorded:?}");
+        }
     }
 
     #[test]

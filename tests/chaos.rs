@@ -17,12 +17,13 @@ use easched::core::{
     characterize, BreakerState, CharacterizationConfig, EasConfig, EasRuntime, EasScheduler,
     Objective, PowerModel, SharedEas, SharedEasExt,
 };
-use easched::kernels::{record_trace, suite};
+use easched::kernels::{in_index_order, record_trace, suite, InvocationTrace, Workload};
 use easched::runtime::test_support::FakeBackend;
 use easched::runtime::{
     kernel_id_of, replay_trace, run_workload, Backend, ChaosInjector, Fault, FaultPlan, Scheduler,
 };
 use easched::sim::{Machine, Platform};
+use std::panic::{self, AssertUnwindSafe};
 
 fn quiet_desktop() -> Platform {
     let mut p = Platform::haswell_desktop();
@@ -46,10 +47,61 @@ fn fake() -> FakeBackend {
     FakeBackend::new(100_000, 1.0e6, 2.0e6)
 }
 
+/// One cell of the plan matrix, named `what` in its failures: `workload`
+/// driven functionally under `plan`, then replayed from its recorded
+/// `trace` under the same plan.
+fn check_cell(
+    model: &PowerModel,
+    what: &str,
+    plan: &FaultPlan,
+    workload: &dyn Workload,
+    trace: &InvocationTrace,
+) {
+    let fresh_eas = || EasScheduler::new(model.clone(), EasConfig::new(Objective::EnergyDelay));
+    let mut machine = Machine::new(quiet_desktop());
+    let mut eas = fresh_eas();
+    let mut injector = ChaosInjector::new(plan.clone());
+    let (metrics, v) = run_workload(&mut machine, workload, &mut injector.around(&mut eas));
+    assert!(v.is_passed(), "{what} corrupted: {v:?}");
+    assert!(metrics.items > 0, "{what}");
+    assert!(
+        metrics.time > 0.0 && metrics.time.is_finite(),
+        "{what}: time {}",
+        metrics.time
+    );
+    assert!(
+        metrics.energy_joules.is_finite(),
+        "{what}: energy {}",
+        metrics.energy_joules
+    );
+    let health = eas.health();
+    if injector.injected() == 0 {
+        assert!(health.fault_free(), "{what}: {health:?}");
+    }
+
+    let mut machine = Machine::new(quiet_desktop());
+    let traits = workload.traits_for(machine.platform());
+    let mut replayed_eas = fresh_eas();
+    let mut replayed_injector = ChaosInjector::new(plan.clone());
+    let replayed = replay_trace(
+        &mut machine,
+        &traits,
+        kernel_id_of(workload),
+        trace,
+        &mut replayed_injector.around(&mut replayed_eas),
+    );
+    assert_eq!(replayed, metrics, "{what}: replayed totals");
+    assert_eq!(replayed_eas.health(), health, "{what}: replayed health");
+    assert_eq!(
+        replayed_injector.injected(),
+        injector.injected(),
+        "{what}: replayed faults"
+    );
+}
+
 #[test]
 fn every_fault_plan_preserves_functional_correctness() {
     let model = desktop_model();
-    let fresh_eas = || EasScheduler::new(model.clone(), EasConfig::new(Objective::EnergyDelay));
     for seed in [7, 23, 1009, 42] {
         // The three CI roots sweep the reduced suite. The `figures chaos`
         // seed covers all 12 desktop benchmarks, in release only (debug
@@ -71,55 +123,26 @@ fn every_fault_plan_preserves_functional_correctness() {
                 trace
             })
             .collect();
-        for (label, plan) in FaultPlan::matrix(seed) {
-            for (workload, trace) in workloads.iter().zip(&traces) {
-                let abbrev = workload.spec().abbrev;
-                let what = format!("{abbrev} under {label}, seed {seed}");
-                let mut machine = Machine::new(quiet_desktop());
-                let mut eas = fresh_eas();
-                let mut injector = ChaosInjector::new(plan.clone());
-                let (metrics, v) = run_workload(
-                    &mut machine,
-                    workload.as_ref(),
-                    &mut injector.around(&mut eas),
-                );
-                assert!(v.is_passed(), "{what} corrupted: {v:?}");
-                assert!(metrics.items > 0, "{what}");
-                assert!(
-                    metrics.time > 0.0 && metrics.time.is_finite(),
-                    "{what}: time {}",
-                    metrics.time
-                );
-                assert!(
-                    metrics.energy_joules.is_finite(),
-                    "{what}: energy {}",
-                    metrics.energy_joules
-                );
-                let health = eas.health();
-                if injector.injected() == 0 {
-                    assert!(health.fault_free(), "{what}: {health:?}");
-                }
-
-                let mut machine = Machine::new(quiet_desktop());
-                let traits = workload.traits_for(machine.platform());
-                let mut replayed_eas = fresh_eas();
-                let mut replayed_injector = ChaosInjector::new(plan.clone());
-                let replayed = replay_trace(
-                    &mut machine,
-                    &traits,
-                    kernel_id_of(workload.as_ref()),
-                    trace,
-                    &mut replayed_injector.around(&mut replayed_eas),
-                );
-                assert_eq!(replayed, metrics, "{what}: replayed totals");
-                assert_eq!(replayed_eas.health(), health, "{what}: replayed health");
-                assert_eq!(
-                    replayed_injector.injected(),
-                    injector.injected(),
-                    "{what}: replayed faults"
-                );
-            }
-        }
+        // The (plan, workload) cells are independent: each builds its own
+        // machine, scheduler and injector. They run as pool jobs, and a
+        // failing cell is reported by name after every cell has run.
+        let plans = FaultPlan::matrix(seed);
+        let cells = plans.len() * workloads.len();
+        let failed: Vec<String> = in_index_order(cells, |cell| {
+            let (label, plan) = &plans[cell / workloads.len()];
+            let k = cell % workloads.len();
+            let (workload, trace) = (workloads[k].as_ref(), &traces[k]);
+            let what = format!("{} under {label}, seed {seed}", workload.spec().abbrev);
+            panic::catch_unwind(AssertUnwindSafe(|| {
+                check_cell(&model, &what, plan, workload, trace)
+            }))
+            .err()
+            .map(|_| what)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        assert!(failed.is_empty(), "failing cells: {failed:#?}");
     }
 }
 
